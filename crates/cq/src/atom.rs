@@ -42,6 +42,13 @@ impl fmt::Display for Variable {
     }
 }
 
+impl From<Symbol> for Variable {
+    /// The variable named by an already-interned symbol (no interner lookup).
+    fn from(symbol: Symbol) -> Self {
+        Variable(symbol)
+    }
+}
+
 impl From<&str> for Variable {
     fn from(value: &str) -> Self {
         Variable::new(value)

@@ -67,6 +67,12 @@ impl RelationIndex {
     }
 }
 
+/// Up to this many facts [`Instance::from_facts`] inserts one by one: the
+/// decision procedures build tens of thousands of query-body-sized instances
+/// (a valuation's required facts), where the bulk builder's sort buffer costs
+/// more than it saves (3 facts: 170 ns inserted, 210 ns bulk; 6: equal).
+const BULK_BUILD_MIN: usize = 4;
+
 /// A database instance: a finite set of facts.
 ///
 /// Facts are kept in a global ordered set (for deterministic iteration and
@@ -137,13 +143,40 @@ impl Instance {
         Instance::default()
     }
 
-    /// Builds an instance from an iterator of facts.
+    /// Builds an instance from an iterator of facts (duplicates collapse).
+    ///
+    /// This is the bulk builder every reshuffle, decode and merge goes
+    /// through: one sort + dedup, then the ordered set is built bottom-up
+    /// from the sorted run instead of by one tree search per fact (inputs
+    /// known to hold a handful of facts are simply inserted). The sort
+    /// is a run-detecting merge sort, so input that is already sorted — a
+    /// chunk cut out of another instance, or several such chunks
+    /// concatenated — costs a linear pass. The order of the rows behind
+    /// [`Instance::facts_of`] (and hence the row ids in
+    /// [`Instance::posting`]) is unspecified; callers must go through
+    /// `facts_of(relation)[row]`.
     pub fn from_facts<I: IntoIterator<Item = Fact>>(facts: I) -> Instance {
-        let mut inst = Instance::new();
-        for f in facts {
-            inst.insert(f);
+        let facts = facts.into_iter();
+        if facts.size_hint().1.is_some_and(|n| n <= BULK_BUILD_MIN) {
+            let mut tiny = Instance::new();
+            facts.for_each(|fact| {
+                tiny.insert(fact);
+            });
+            return tiny;
         }
-        inst
+        let mut sorted: Vec<Fact> = facts.collect();
+        sorted.sort();
+        sorted.dedup();
+        // `Fact` orders by relation first, so every relation is one run.
+        let mut by_relation = BTreeMap::new();
+        for rows in sorted.chunk_by(|a, b| a.relation == b.relation) {
+            by_relation.insert(rows[0].relation, rows.to_vec());
+        }
+        Instance {
+            facts: sorted.into_iter().collect(),
+            by_relation,
+            ..Instance::default()
+        }
     }
 
     /// The complete instance over `schema` with values drawn from `values`:
@@ -345,11 +378,7 @@ impl Instance {
 
     /// Set union.
     pub fn union(&self, other: &Instance) -> Instance {
-        let mut out = self.clone();
-        for f in other.facts() {
-            out.insert(f.clone());
-        }
-        out
+        Instance::from_facts(self.facts().chain(other.facts()).cloned())
     }
 
     /// Set intersection.
@@ -397,10 +426,31 @@ impl FromIterator<Fact> for Instance {
 }
 
 impl Extend<Fact> for Instance {
+    /// Growing an empty instance is a bulk build ([`Instance::from_facts`]);
+    /// growing a non-empty one inserts fact by fact, which keeps its
+    /// secondary indexes warm.
     fn extend<T: IntoIterator<Item = Fact>>(&mut self, iter: T) {
-        for f in iter {
-            self.insert(f);
+        if self.is_empty() {
+            let built = Instance::from_facts(iter);
+            self.facts = built.facts;
+            self.by_relation = built.by_relation;
+            self.invalidate_indexes();
+        } else {
+            for f in iter {
+                self.insert(f);
+            }
         }
+    }
+}
+
+impl IntoIterator for Instance {
+    type Item = Fact;
+    type IntoIter = std::collections::btree_set::IntoIter<Fact>;
+
+    /// The facts by value, in the order of [`Instance::facts`] — merging
+    /// instances moves facts instead of cloning them.
+    fn into_iter(self) -> Self::IntoIter {
+        self.facts.into_iter()
     }
 }
 
@@ -423,19 +473,6 @@ impl fmt::Display for Instance {
     }
 }
 
-impl Instance {
-    /// Rebuilds the per-relation fact vectors and drops the secondary
-    /// indexes — the repair hook for callers that reconstruct an instance
-    /// from its bare fact set (e.g. after wire decoding by-hand).
-    pub fn reindex(&mut self) {
-        self.invalidate_indexes();
-        self.by_relation.clear();
-        for f in self.facts.clone() {
-            self.by_relation.entry(f.relation).or_default().push(f);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,6 +483,20 @@ mod tests {
             Fact::from_names("R", &["b", "c"]),
             Fact::from_names("S", &["a"]),
         ])
+    }
+
+    /// The facts a posting list resolves to — row ids themselves are
+    /// unspecified, so tests compare what the rows *are*.
+    fn posted(i: &Instance, relation: &str, position: usize, value: &str) -> BTreeSet<Fact> {
+        let relation = Symbol::new(relation);
+        i.posting(relation, position, Value::new(value))
+            .iter()
+            .map(|&row| i.facts_of(relation)[row as usize].clone())
+            .collect()
+    }
+
+    fn edge(a: &str, b: &str) -> Fact {
+        Fact::from_names("R", &[a, b])
     }
 
     #[test]
@@ -546,22 +597,12 @@ mod tests {
     }
 
     #[test]
-    fn reindex_restores_lookup() {
-        let mut i = sample();
-        i.by_relation.clear();
-        assert_eq!(i.facts_of(Symbol::new("R")).len(), 0);
-        i.reindex();
-        assert_eq!(i.facts_of(Symbol::new("R")).len(), 2);
-    }
-
-    #[test]
     fn postings_select_matching_rows() {
         let i = sample();
         let r = Symbol::new("R");
-        // R = [R(a,b), R(b,c)] in insertion order
-        assert_eq!(i.posting(r, 0, Value::new("a")), &[0]);
-        assert_eq!(i.posting(r, 0, Value::new("b")), &[1]);
-        assert_eq!(i.posting(r, 1, Value::new("b")), &[0]);
+        assert_eq!(posted(&i, "R", 0, "a"), BTreeSet::from([edge("a", "b")]));
+        assert_eq!(posted(&i, "R", 0, "b"), BTreeSet::from([edge("b", "c")]));
+        assert_eq!(posted(&i, "R", 1, "b"), BTreeSet::from([edge("a", "b")]));
         assert!(i.posting(r, 0, Value::new("z")).is_empty());
         assert!(i.posting(r, 7, Value::new("a")).is_empty());
         assert!(i
@@ -584,7 +625,12 @@ mod tests {
         // insert — without dropping the already-built index
         assert!(i.insert(Fact::from_names("R", &["a", "z"])));
         assert!(i.indexes_built(), "insert must keep the index warm");
-        assert_eq!(i.posting(r, 0, Value::new("a")), &[0, 2]);
+        assert_eq!(
+            posted(&i, "R", 0, "a"),
+            BTreeSet::from([edge("a", "b"), edge("a", "z")])
+        );
+        let rows = i.posting(r, 0, Value::new("a"));
+        assert!(rows.is_sorted(), "appended rows keep the posting sorted");
 
         // inserting a duplicate leaves the set — and the index — unchanged
         assert!(!i.insert(Fact::from_names("R", &["a", "z"])));
@@ -593,13 +639,16 @@ mod tests {
         // a brand-new relation indexes through the same incremental path
         assert!(i.insert(Fact::from_names("W", &["a"])));
         assert!(i.indexes_built());
-        assert_eq!(i.posting(Symbol::new("W"), 0, Value::new("a")), &[0]);
+        assert_eq!(
+            posted(&i, "W", 0, "a"),
+            BTreeSet::from([Fact::from_names("W", &["a"])])
+        );
     }
 
     #[test]
     fn incremental_insert_equals_a_fresh_rebuild() {
-        // Growing an indexed instance fact by fact must leave exactly the
-        // postings a from-scratch build produces.
+        // Growing an indexed instance fact by fact must leave postings that
+        // resolve to exactly the facts a from-scratch bulk build finds.
         let facts = [
             Fact::from_names("R", &["a", "b"]),
             Fact::from_names("R", &["a", "c"]),
@@ -615,15 +664,15 @@ mod tests {
         }
         let fresh = Instance::from_facts(facts.iter().cloned());
         for rel in ["R", "S"] {
-            let rel = Symbol::new(rel);
             for position in 0..2 {
                 for value in ["a", "b", "c"] {
                     assert_eq!(
-                        grown.posting(rel, position, Value::new(value)),
-                        fresh.posting(rel, position, Value::new(value)),
+                        posted(&grown, rel, position, value),
+                        posted(&fresh, rel, position, value),
                         "postings diverged at {rel}/{position}/{value}"
                     );
                 }
+                let rel = Symbol::new(rel);
                 assert_eq!(
                     grown.distinct_values_at(rel, position),
                     fresh.distinct_values_at(rel, position)
@@ -640,7 +689,7 @@ mod tests {
         assert!(i.remove(&Fact::from_names("R", &["b", "c"])));
         assert!(!i.indexes_built(), "remove must drop the index cache");
         assert!(i.posting(r, 0, Value::new("b")).is_empty());
-        assert_eq!(i.posting(r, 0, Value::new("a")), &[0]);
+        assert_eq!(posted(&i, "R", 0, "a"), BTreeSet::from([edge("a", "b")]));
     }
 
     #[test]
@@ -654,15 +703,16 @@ mod tests {
         // posting lists are sorted, so intersection by binary search works
         let first_a = i.posting(r, 0, Value::new("a"));
         let second_b = i.posting(r, 1, Value::new("b"));
-        assert_eq!(first_a, &[0, 1]);
-        assert_eq!(second_b, &[0, 2]);
+        assert_eq!(first_a.len(), 2);
+        assert_eq!(second_b.len(), 2);
+        assert!(first_a.is_sorted() && second_b.is_sorted());
         let both: Vec<u32> = first_a
             .iter()
             .copied()
             .filter(|row| second_b.binary_search(row).is_ok())
             .collect();
-        assert_eq!(both, vec![0]);
-        assert_eq!(i.facts_of(r)[0], Fact::from_names("R", &["a", "b"]));
+        assert_eq!(both.len(), 1);
+        assert_eq!(i.facts_of(r)[both[0] as usize], edge("a", "b"));
     }
 
     #[test]
@@ -691,7 +741,7 @@ mod tests {
         let _ = i.posting(Symbol::new("R"), 0, Value::new("a"));
         let j = i.clone();
         assert!(!j.indexes_built());
-        assert_eq!(j.posting(Symbol::new("R"), 0, Value::new("a")), &[0]);
+        assert_eq!(posted(&j, "R", 0, "a"), BTreeSet::from([edge("a", "b")]));
         assert_eq!(i, j);
     }
 

@@ -24,44 +24,93 @@ use parking_lot::RwLock;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
 
-struct Interner {
-    by_name: HashMap<&'static str, u32>,
-    names: Vec<&'static str>,
+/// The `name → id` map; ids are handed out in interning order.
+fn interner() -> &'static RwLock<HashMap<&'static str, u32>> {
+    static INTERNER: OnceLock<RwLock<HashMap<&'static str, u32>>> = OnceLock::new();
+    INTERNER.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner {
-            by_name: HashMap::new(),
-            names: Vec::new(),
-        })
-    })
+/// Chunk `k` of [`NAMES`] holds `1 << (FIRST_CHUNK_BITS + k)` names; small
+/// enough that a process interning a few hundred names pays a few KB.
+const FIRST_CHUNK_BITS: u32 = 8;
+
+/// Chunks needed to cover every `u32` id.
+const NAME_CHUNKS: usize = 33 - FIRST_CHUNK_BITS as usize;
+
+/// The append-only `id → name` table, readable **without** the interner
+/// lock: [`Symbol::as_str`] sits on the reshuffle and codec hot paths
+/// (hash-partitioning a fact hashes its values' names), where a read-lock
+/// round trip per value is measurable. Chunks double in size so a slot never
+/// moves once written; slots are written under the interner's write lock,
+/// strictly before the symbol that names them is handed out.
+static NAMES: [OnceLock<Box<[OnceLock<&'static str>]>>; NAME_CHUNKS] =
+    [const { OnceLock::new() }; NAME_CHUNKS];
+
+/// The `(chunk, offset)` of symbol `id` in [`NAMES`].
+fn name_slot(id: u32) -> (usize, usize) {
+    let chunk = 31 - ((id >> FIRST_CHUNK_BITS) + 1).leading_zeros();
+    let first_id = ((1u32 << chunk) - 1) << FIRST_CHUNK_BITS;
+    (chunk as usize, (id - first_id) as usize)
+}
+
+/// Looks `name` up, interning it if it is new; the caller holds the write lock.
+fn intern_locked(map: &mut HashMap<&'static str, u32>, name: &str) -> Symbol {
+    if let Some(&id) = map.get(name) {
+        return Symbol(id);
+    }
+    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+    let id = u32::try_from(map.len()).expect("interner overflow");
+    let (chunk, offset) = name_slot(id);
+    let slots = NAMES[chunk].get_or_init(|| {
+        (0..1usize << (FIRST_CHUNK_BITS + chunk as u32))
+            .map(|_| OnceLock::new())
+            .collect()
+    });
+    slots[offset]
+        .set(leaked)
+        .expect("symbol ids are assigned once, under the write lock");
+    map.insert(leaked, id);
+    Symbol(id)
 }
 
 impl Symbol {
     /// Interns `name` and returns its symbol.
     pub fn new(name: &str) -> Symbol {
-        {
-            let guard = interner().read();
-            if let Some(&id) = guard.by_name.get(name) {
-                return Symbol(id);
-            }
-        }
-        let mut guard = interner().write();
-        if let Some(&id) = guard.by_name.get(name) {
+        if let Some(&id) = interner().read().get(name) {
             return Symbol(id);
         }
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let id = u32::try_from(guard.names.len()).expect("interner overflow");
-        guard.names.push(leaked);
-        guard.by_name.insert(leaked, id);
-        Symbol(id)
+        intern_locked(&mut interner().write(), name)
     }
 
-    /// Returns the interned string.
+    /// Interns every name of `names`, in order, taking the interner lock
+    /// once per batch instead of once per name — a decoded message's whole
+    /// symbol table goes through here. Known names resolve under the shared
+    /// read lock; the write lock is taken from the first new name on.
+    pub fn intern_all<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<Symbol> {
+        let mut names = names.into_iter().peekable();
+        let mut symbols = Vec::with_capacity(names.size_hint().0);
+        {
+            let known = interner().read();
+            while let Some(&id) = names.peek().and_then(|name| known.get(name)) {
+                symbols.push(Symbol(id));
+                names.next();
+            }
+        }
+        if names.peek().is_some() {
+            let mut map = interner().write();
+            symbols.extend(names.map(|name| intern_locked(&mut map, name)));
+        }
+        symbols
+    }
+
+    /// Returns the interned string. Lock-free: it reads the append-only
+    /// name table, never the interner's map.
     pub fn as_str(self) -> &'static str {
-        interner().read().names[self.0 as usize]
+        let (chunk, offset) = name_slot(self.0);
+        NAMES[chunk]
+            .get()
+            .and_then(|slots| slots[offset].get())
+            .expect("a symbol's name is stored before the symbol exists")
     }
 
     /// Numeric identity of the symbol (stable within a process run).
@@ -148,6 +197,37 @@ mod tests {
         let b = Symbol::new("R");
         assert_eq!(a, b);
         assert_eq!(a.as_str(), "R");
+    }
+
+    #[test]
+    fn batch_interning_equals_interning_one_by_one() {
+        let known = Symbol::new("batch_known");
+        let batch =
+            Symbol::intern_all(["batch_known", "batch_new_1", "batch_known", "batch_new_2"]);
+        assert_eq!(batch[0], known);
+        assert_eq!(batch[2], known);
+        assert_eq!(batch[1], Symbol::new("batch_new_1"));
+        assert_eq!(batch[3], Symbol::new("batch_new_2"));
+        let names: Vec<&str> = batch.iter().map(|s| s.as_str()).collect();
+        assert_eq!(
+            names,
+            ["batch_known", "batch_new_1", "batch_known", "batch_new_2"]
+        );
+        assert!(Symbol::intern_all([]).is_empty());
+    }
+
+    #[test]
+    fn name_slots_tile_the_id_space_without_gaps() {
+        // chunk k starts right after chunk k-1 and holds twice as many ids
+        let first = 1u32 << FIRST_CHUNK_BITS;
+        assert_eq!(name_slot(0), (0, 0));
+        assert_eq!(name_slot(first - 1), (0, first as usize - 1));
+        assert_eq!(name_slot(first), (1, 0));
+        assert_eq!(name_slot(3 * first - 1), (1, 2 * first as usize - 1));
+        assert_eq!(name_slot(3 * first), (2, 0));
+        let (chunk, offset) = name_slot(u32::MAX);
+        assert_eq!(chunk, NAME_CHUNKS - 1);
+        assert!(offset < 1 << (FIRST_CHUNK_BITS as usize + chunk));
     }
 
     #[test]

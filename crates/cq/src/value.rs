@@ -61,6 +61,13 @@ impl fmt::Display for Value {
     }
 }
 
+impl From<Symbol> for Value {
+    /// The value named by an already-interned symbol (no interner lookup).
+    fn from(symbol: Symbol) -> Self {
+        Value(symbol)
+    }
+}
+
 impl From<&str> for Value {
     fn from(value: &str) -> Self {
         Value::new(value)

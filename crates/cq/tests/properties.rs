@@ -250,6 +250,65 @@ proptest! {
         prop_assert_eq!(union.len() + inter.len(), i.len() + j.len());
     }
 
+    /// Differential: the bulk builder equals inserting one fact at a time —
+    /// on input with duplicates, several relations and mixed arities — in
+    /// the `facts()` sequence, in every relation's rows (as a multiset: row
+    /// order is unspecified), and in what every posting list resolves to.
+    /// `extend` into an empty instance and `union` take the same bulk path.
+    #[test]
+    fn bulk_build_equals_inserting_one_by_one(
+        raw in proptest::collection::vec((0..3usize, 0..3usize, 0..4usize, 0..4usize, 0..4usize), 0..40),
+        split in 0usize..40,
+    ) {
+        let facts: Vec<Fact> = raw
+            .iter()
+            .map(|&(rel, arity, a, b, c)| {
+                let values = [a, b, c].map(|v| Value::indexed("d", v));
+                Fact::new(format!("R{rel}").as_str(), values[..arity].to_vec())
+            })
+            .collect();
+        let mut one_by_one = Instance::new();
+        for fact in &facts {
+            one_by_one.insert(fact.clone());
+        }
+        let bulk = Instance::from_facts(facts.iter().cloned());
+        let mut extended = Instance::new();
+        extended.extend(facts.iter().cloned());
+        let (left, right) = facts.split_at(split.min(facts.len()));
+        let united = Instance::from_facts(left.iter().cloned())
+            .union(&Instance::from_facts(right.iter().cloned()));
+        let moved: Vec<Fact> = bulk.clone().into_iter().collect();
+        prop_assert_eq!(&moved, &one_by_one.facts().cloned().collect::<Vec<_>>());
+
+        let sorted = |rows: &[Fact]| {
+            let mut rows = rows.to_vec();
+            rows.sort();
+            rows
+        };
+        for built in [&bulk, &extended, &united] {
+            prop_assert_eq!(built, &one_by_one);
+            prop_assert_eq!(built.len(), one_by_one.len());
+            prop_assert!(built.facts().eq(one_by_one.facts()));
+            for rel in (0..3).map(|r| cq::Symbol::new(&format!("R{r}"))) {
+                prop_assert_eq!(sorted(built.facts_of(rel)), sorted(one_by_one.facts_of(rel)));
+                for position in 0..3 {
+                    for value in (0..4).map(|v| Value::indexed("d", v)) {
+                        let posted = |i: &Instance| {
+                            let rows = i.posting(rel, position, value);
+                            assert!(rows.is_sorted());
+                            let rows: Vec<Fact> = rows
+                                .iter()
+                                .map(|&row| i.facts_of(rel)[row as usize].clone())
+                                .collect();
+                            sorted(&rows)
+                        };
+                        prop_assert_eq!(posted(built), posted(&one_by_one));
+                    }
+                }
+            }
+        }
+    }
+
     /// Canonical partition enumeration produces only valid restricted-growth
     /// strings and at least one injective and one constant assignment.
     #[test]

@@ -50,11 +50,7 @@ impl Distribution {
 
     /// The union of all chunks (the facts that were not skipped).
     pub fn union_of_chunks(&self) -> Instance {
-        let mut out = Instance::new();
-        for chunk in self.chunks.values() {
-            out.extend(chunk.facts().cloned());
-        }
-        out
+        Instance::from_facts(self.chunks.values().flat_map(Instance::facts).cloned())
     }
 
     /// Consumes the distribution into owned `(node, chunk)` pairs in node
@@ -64,29 +60,39 @@ impl Distribution {
         self.chunks.into_iter()
     }
 
-    /// Communication and balance statistics of the distribution.
+    /// Communication and balance statistics of the distribution. The
+    /// union of the chunks is counted, never built; `skipped` counts by
+    /// membership, so the numbers stay well-defined even against an
+    /// `original` the distribution was not built from.
     pub fn stats(&self, original: &Instance) -> DistributionStats {
-        let total_assigned: usize = self.chunks.values().map(Instance::len).sum();
-        let max_load = self.chunks.values().map(Instance::len).max().unwrap_or(0);
-        let distributed = self.union_of_chunks();
-        let distinct_assigned = distributed.len();
-        let skipped = original
-            .facts()
-            .filter(|f| !distributed.contains(f))
-            .count();
-        DistributionStats {
-            nodes: self.chunks.len(),
-            total_assigned,
-            distinct_assigned,
-            max_load,
-            skipped,
-            replication_factor: if distinct_assigned == 0 {
-                0.0
-            } else {
-                total_assigned as f64 / distinct_assigned as f64
-            },
-        }
+        DistributionStats::tally(
+            self.chunks.values().map(Instance::len),
+            union_counts(self.chunks.values().flat_map(Instance::facts), original),
+        )
     }
+}
+
+/// `(distinct facts among assigned, facts of original not among them)` —
+/// the two statistics that need the union of the chunks — by sorting
+/// borrowed facts instead of building that union. Chunks arrive as sorted
+/// runs, which the merge sort exploits; `original` iterates in the same
+/// order, so `skipped` is one merge walk.
+fn union_counts<'f>(
+    assigned: impl Iterator<Item = &'f Fact>,
+    original: &Instance,
+) -> (usize, usize) {
+    let mut union: Vec<&Fact> = assigned.collect();
+    union.sort();
+    union.dedup();
+    let mut rest = union.iter().peekable();
+    let skipped = original
+        .facts()
+        .filter(|&fact| {
+            while rest.next_if(|&&assigned| assigned < fact).is_some() {}
+            rest.peek().is_none_or(|&&assigned| assigned != fact)
+        })
+        .count();
+    (union.len(), skipped)
 }
 
 /// The result of reshuffling an instance under a policy **without**
@@ -102,7 +108,11 @@ impl Distribution {
 /// the network size.
 #[derive(Clone, Debug)]
 pub struct ChunkStream<'a> {
+    source: &'a Instance,
     assignments: BTreeMap<Node, Vec<&'a Fact>>,
+    /// Facts of `source` the policy sent to at least one node, counted
+    /// while reshuffling.
+    distinct_assigned: usize,
 }
 
 impl<'a> ChunkStream<'a> {
@@ -131,16 +141,19 @@ impl<'a> ChunkStream<'a> {
         let workers = workers.min(hw_cap).clamp(1, facts.len().max(1));
         let assign_shard = |shard: &[&'a Fact]| {
             let mut part: BTreeMap<Node, Vec<&'a Fact>> = BTreeMap::new();
+            let mut distinct = 0;
             for &fact in shard {
-                for node in policy.nodes_for(fact) {
+                let nodes = policy.nodes_for(fact);
+                distinct += usize::from(!nodes.is_empty());
+                for node in nodes {
                     part.entry(node).or_default().push(fact);
                 }
             }
-            part
+            (part, distinct)
         };
         let shard_len = facts.len().div_ceil(workers).max(1);
         let shards: Vec<&[&'a Fact]> = facts.chunks(shard_len).collect();
-        let parts: Vec<BTreeMap<Node, Vec<&'a Fact>>> = if shards.len() > 1 {
+        let parts: Vec<(BTreeMap<Node, Vec<&'a Fact>>, usize)> = if shards.len() > 1 {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = shards
                     .iter()
@@ -154,12 +167,18 @@ impl<'a> ChunkStream<'a> {
         } else {
             shards.into_iter().map(assign_shard).collect()
         };
-        for part in parts {
+        let mut distinct_assigned = 0;
+        for (part, distinct) in parts {
+            distinct_assigned += distinct;
             for (node, mut refs) in part {
                 assignments.entry(node).or_default().append(&mut refs);
             }
         }
-        ChunkStream { assignments }
+        ChunkStream {
+            source: instance,
+            assignments,
+            distinct_assigned,
+        }
     }
 
     /// The nodes of the stream in node order (every network node, plus any
@@ -194,48 +213,33 @@ impl<'a> ChunkStream<'a> {
         Instance::from_facts(self.facts_for(node).iter().map(|&f| f.clone()))
     }
 
-    /// Materializes the whole stream into a [`Distribution`] (differential
-    /// testing hook; defeats the purpose of streaming in production paths).
+    /// Materializes the whole stream into a [`Distribution`]: every chunk
+    /// is bulk-built from its (already ordered) slice, exactly as
+    /// [`ChunkStream::for_node_lazy`] builds one.
     pub fn materialize(&self) -> Distribution {
-        let mut dist = Distribution {
+        Distribution {
             chunks: self
-                .assignments
-                .keys()
-                .map(|&n| (n, Instance::new()))
+                .nodes()
+                .map(|node| (node, self.for_node_lazy(node)))
                 .collect(),
-        };
-        for (&node, refs) in &self.assignments {
-            for &fact in refs {
-                dist.assign(node, fact.clone());
-            }
         }
-        dist
     }
 
     /// Communication and balance statistics, identical to the stats of the
     /// materialized [`Distribution`] of the same policy and instance.
-    /// `skipped` counts by membership, exactly like [`Distribution::stats`],
-    /// so the numbers stay well-defined even against an `original` the
-    /// stream was not built from.
+    /// Against the instance the stream was built from — every engine's
+    /// case — they are read off the reshuffle's own counters in `O(nodes)`;
+    /// against any other `original`, `skipped` counts by membership,
+    /// exactly like [`Distribution::stats`].
     pub fn stats(&self, original: &Instance) -> DistributionStats {
-        let total_assigned: usize = self.assignments.values().map(Vec::len).sum();
-        let max_load = self.assignments.values().map(Vec::len).max().unwrap_or(0);
-        let assigned: std::collections::BTreeSet<&Fact> =
-            self.assignments.values().flatten().copied().collect();
-        let distinct_assigned = assigned.len();
-        let skipped = original.facts().filter(|f| !assigned.contains(f)).count();
-        DistributionStats {
-            nodes: self.assignments.len(),
-            total_assigned,
-            distinct_assigned,
-            max_load,
-            skipped,
-            replication_factor: if distinct_assigned == 0 {
-                0.0
-            } else {
-                total_assigned as f64 / distinct_assigned as f64
-            },
-        }
+        let counts = if std::ptr::eq(original, self.source) {
+            // The stream borrows its source, so it cannot have changed.
+            let skipped = self.source.len() - self.distinct_assigned;
+            (self.distinct_assigned, skipped)
+        } else {
+            union_counts(self.assignments.values().flatten().copied(), original)
+        };
+        DistributionStats::tally(self.assignments.values().map(Vec::len), counts)
     }
 }
 
@@ -254,6 +258,34 @@ pub struct DistributionStats {
     pub skipped: usize,
     /// `total_assigned / distinct_assigned`: average copies per distributed fact.
     pub replication_factor: f64,
+}
+
+impl DistributionStats {
+    /// The statistics of chunks with the given `loads` whose union was
+    /// counted as `(distinct_assigned, skipped)`.
+    fn tally(
+        loads: impl Iterator<Item = usize>,
+        (distinct_assigned, skipped): (usize, usize),
+    ) -> DistributionStats {
+        let (mut nodes, mut total_assigned, mut max_load) = (0, 0, 0);
+        for load in loads {
+            nodes += 1;
+            total_assigned += load;
+            max_load = max_load.max(load);
+        }
+        DistributionStats {
+            nodes,
+            total_assigned,
+            distinct_assigned,
+            max_load,
+            skipped,
+            replication_factor: if distinct_assigned == 0 {
+                0.0
+            } else {
+                total_assigned as f64 / distinct_assigned as f64
+            },
+        }
+    }
 }
 
 impl fmt::Display for DistributionStats {

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use cq::{evaluate, evaluate_with, ConjunctiveQuery, EvalOptions, Instance};
 
-use crate::distribute::DistributionStats;
+use crate::distribute::{ChunkStream, Distribution, DistributionStats};
 use crate::network::Node;
 use crate::policy::DistributionPolicy;
 use crate::transport::{drain_pool, InMemoryTransport, Transport, TransportError};
@@ -223,14 +223,7 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         instance: &Instance,
     ) -> Result<OneRoundOutcome, TransportError> {
         let _round_span = obs::span!("one_round", round = round, facts = instance.len());
-        let distribute_start = Instant::now();
-        let distribution = {
-            let _span = obs::span!("distribute", facts = instance.len());
-            self.policy
-                .distribute_parallel(instance, self.distribute_workers)
-        };
-        let stats = distribution.stats(instance);
-        let distribute_time = distribute_start.elapsed();
+        let (distribution, stats, distribute_time) = self.reshuffle(instance);
 
         let local_start = Instant::now();
         transport.begin_round(round, query, self.eval_options)?;
@@ -266,6 +259,26 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         ))
     }
 
+    /// `dist_P(instance)` as borrowed per-node slices, with its statistics
+    /// (read off the stream's own counters, so they cost `O(nodes)`).
+    fn reshuffle_stream<'i>(&self, instance: &'i Instance) -> (ChunkStream<'i>, DistributionStats) {
+        let stream = self
+            .policy
+            .distribute_stream(instance, self.distribute_workers);
+        let _span = obs::span!("reshuffle_stats");
+        let stats = stream.stats(instance);
+        (stream, stats)
+    }
+
+    /// The reshuffle phase of a transport round: `dist_P(instance)` as owned
+    /// chunks, its statistics, and the phase's wall-clock time.
+    fn reshuffle(&self, instance: &Instance) -> (Distribution, DistributionStats, Duration) {
+        let start = Instant::now();
+        let _span = obs::span!("distribute", facts = instance.len());
+        let (stream, stats) = self.reshuffle_stream(instance);
+        (stream.materialize(), stats, start.elapsed())
+    }
+
     /// One **incremental** round through a transport: `delta` holds only
     /// the facts that are new since the previous round, the reshuffle
     /// distributes just those, and the nodes — which keep their accumulated
@@ -287,14 +300,7 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         delta: &Instance,
     ) -> Result<OneRoundOutcome, TransportError> {
         let _round_span = obs::span!("delta_round", round = round, delta_facts = delta.len());
-        let distribute_start = Instant::now();
-        let distribution = {
-            let _span = obs::span!("distribute", facts = delta.len());
-            self.policy
-                .distribute_parallel(delta, self.distribute_workers)
-        };
-        let stats = distribution.stats(delta);
-        let distribute_time = distribute_start.elapsed();
+        let (distribution, stats, distribute_time) = self.reshuffle(delta);
 
         let local_start = Instant::now();
         transport.begin_round(round, query, self.eval_options)?;
@@ -345,10 +351,7 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     fn evaluate_streaming(&self, query: &ConjunctiveQuery, instance: &Instance) -> OneRoundOutcome {
         let _round_span = obs::span!("one_round_streaming", facts = instance.len());
         let distribute_start = Instant::now();
-        let stream = self
-            .policy
-            .distribute_stream(instance, self.distribute_workers);
-        let stats = stream.stats(instance);
+        let (stream, stats) = self.reshuffle_stream(instance);
         let distribute_time = distribute_start.elapsed();
         let nodes: Vec<Node> = stream.nodes().collect();
 
@@ -403,14 +406,18 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         index_cache: (u64, u64),
         stats: DistributionStats,
     ) -> OneRoundOutcome {
-        let mut result = Instance::new();
+        let _span = obs::span!("merge_results", nodes = local_results.len());
         let mut per_node_output = BTreeMap::new();
         let mut per_node_time = BTreeMap::new();
-        for (node, local, took) in local_results {
-            per_node_output.insert(node, local.len());
-            per_node_time.insert(node, took);
-            result.extend(local.facts().cloned());
+        for (node, local, took) in &local_results {
+            per_node_output.insert(*node, local.len());
+            per_node_time.insert(*node, *took);
         }
+        // The node outputs are owned: their facts move into the union.
+        let result = local_results
+            .into_iter()
+            .flat_map(|(_, local, _)| local)
+            .collect();
         OneRoundOutcome {
             result,
             per_node_load,

@@ -33,6 +33,18 @@ impl Node {
     pub fn as_str(self) -> &'static str {
         self.0.as_str()
     }
+
+    /// The underlying interned symbol.
+    pub fn symbol(self) -> Symbol {
+        self.0
+    }
+}
+
+impl From<Symbol> for Node {
+    /// The node named by an already-interned symbol (no interner lookup).
+    fn from(symbol: Symbol) -> Self {
+        Node(symbol)
+    }
 }
 
 impl fmt::Debug for Node {

@@ -28,26 +28,16 @@ pub trait DistributionPolicy: Sync {
     /// Distributes an instance: computes `dist_P(I)`, the function mapping
     /// every node to its data chunk.
     fn distribute(&self, instance: &Instance) -> Distribution {
-        let mut dist = Distribution::empty(self.network());
-        for fact in instance.facts() {
-            for node in self.nodes_for(fact) {
-                dist.assign(node, fact.clone());
-            }
-        }
-        dist
+        self.distribute_parallel(instance, 1)
     }
 
     /// Like [`DistributionPolicy::distribute`], but shards the input facts
     /// over up to `workers` scoped threads, each computing `nodes_for` for
     /// its contiguous shard. The resulting distribution is identical to the
-    /// single-threaded one; only the reshuffle wall-clock changes. With
-    /// `workers <= 1` this is exactly the sequential `distribute`.
+    /// single-threaded one — both are the materialized [`ChunkStream`] —
+    /// only the reshuffle wall-clock changes.
     fn distribute_parallel(&self, instance: &Instance, workers: usize) -> Distribution {
-        if workers <= 1 {
-            self.distribute(instance)
-        } else {
-            ChunkStream::build(self, instance, workers).materialize()
-        }
+        self.distribute_stream(instance, workers).materialize()
     }
 
     /// Streaming reshuffle: computes `dist_P(I)` as borrowed per-node fact

@@ -639,15 +639,19 @@ impl<'a> MultiRoundEngine<'a> {
             transport.send_resident(node)?;
         }
         transport.barrier()?;
-        let mut result = Instance::new();
+        let mut outputs = Vec::with_capacity(nodes.len());
         let mut per_node_output = BTreeMap::new();
         let mut per_node_time = BTreeMap::new();
         for &node in nodes {
             let reply = transport.recv_chunk(node)?;
             per_node_output.insert(node, reply.output.len());
             per_node_time.insert(node, reply.eval_time);
-            result.extend(reply.output.facts().cloned());
+            outputs.push(reply.output);
         }
+        let result = {
+            let _span = obs::span!("merge_results", nodes = nodes.len());
+            outputs.into_iter().flatten().collect()
+        };
         let local_eval_time = local_start.elapsed();
         let comm_bytes = transport.take_bytes_shipped();
         let (index_cache_hits, index_cache_misses) = transport.index_cache_stats();
@@ -724,9 +728,12 @@ impl<'a> MultiRoundEngine<'a> {
             let outcome =
                 engine.evaluate_delta_via(transport, transport_round, query, &round_delta)?;
             transport_round += 1;
-            let contribution = self.feedback_facts(&outcome.result);
-            result.extend(outcome.result.facts().cloned());
-            acc.absorb(contribution.facts().cloned());
+            {
+                let _span = obs::span!("merge_results", round = round);
+                let contribution = self.feedback_facts(&outcome.result);
+                result.extend(outcome.result.facts().cloned());
+                acc.absorb(contribution);
+            }
             rounds.push(outcome);
             round_latency
                 .record(u64::try_from(round_started.elapsed().as_micros()).unwrap_or(u64::MAX));
@@ -779,13 +786,16 @@ impl<'a> MultiRoundEngine<'a> {
                 .distribute_workers(self.distribute_workers)
                 .eval_options(self.eval_options);
             let outcome = eval_round(engine, round, query, &state)?;
-            let done = self.advance_round(
-                &outcome.result,
-                &mut result,
-                &mut seen,
-                &mut state,
-                &mut visited,
-            );
+            let done = {
+                let _span = obs::span!("merge_results", round = round);
+                self.advance_round(
+                    &outcome.result,
+                    &mut result,
+                    &mut seen,
+                    &mut state,
+                    &mut visited,
+                )
+            };
             rounds.push(outcome);
             round_latency
                 .record(u64::try_from(round_started.elapsed().as_micros()).unwrap_or(u64::MAX));

@@ -11,10 +11,10 @@
 //! the i-th address component ranges over all buckets. A fact matching the
 //! rule body is sent to every node whose address satisfies the constraints.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use cq::{Atom, Fact, Value, Variable};
+use cq::{Atom, Fact, Variable};
 
 use crate::hash::HashScheme;
 use crate::network::{Network, Node};
@@ -98,14 +98,34 @@ impl std::error::Error for RulePolicyError {}
 /// Maximum number of nodes a rule-based policy will materialize.
 const MAX_NETWORK_SIZE: usize = 1 << 20;
 
+/// A rule resolved against its atom once, at construction, so matching a
+/// fact is position compares and arithmetic — no variable binding map.
+#[derive(Clone, Debug)]
+struct CompiledRule {
+    /// `(position, earlier position)` of every repeated variable occurrence:
+    /// the fact must carry equal values there.
+    equal: Vec<(usize, usize)>,
+    /// `(atom position, dimension)` of every `bucket_i(x, z_i)` component:
+    /// the dimension's address digit is the hash of the value at the position.
+    hashed: Vec<(usize, usize)>,
+    /// The dimensions of the `bucket*_i(z_i)` components: every digit.
+    free: Vec<usize>,
+}
+
 /// A distribution policy defined by declarative rules over a hashed address
 /// space (the specification formalism of Section 5.2).
+///
+/// Node addresses are mixed-radix numbers over the schemes' bucket counts
+/// (last dimension fastest): the node at address `(a₁, …, a_k)` is
+/// `nodes[Σ aᵢ · strideᵢ]`.
 #[derive(Clone, Debug)]
 pub struct RuleBasedPolicy {
     rules: Vec<DistributionRule>,
+    compiled: Vec<CompiledRule>,
     schemes: Vec<HashScheme>,
+    strides: Vec<usize>,
     network: Network,
-    nodes_by_address: BTreeMap<Vec<usize>, Node>,
+    nodes: Vec<Node>,
 }
 
 impl RuleBasedPolicy {
@@ -133,25 +153,38 @@ impl RuleBasedPolicy {
                 }
             }
         }
-        let size: usize = schemes.iter().map(HashScheme::buckets).product();
+        let size = schemes
+            .iter()
+            .try_fold(1usize, |size, scheme| size.checked_mul(scheme.buckets()))
+            .unwrap_or(usize::MAX);
         if size == 0 || size > MAX_NETWORK_SIZE {
             return Err(RulePolicyError::AddressSpaceTooLarge {
                 size,
                 limit: MAX_NETWORK_SIZE,
             });
         }
-        let mut nodes_by_address = BTreeMap::new();
-        let mut network = Network::default();
-        for address in cartesian(&schemes.iter().map(HashScheme::buckets).collect::<Vec<_>>()) {
-            let node = Node::from_address(&address);
-            network.add(node);
-            nodes_by_address.insert(address, node);
+        let mut strides = vec![1usize; schemes.len()];
+        for dim in (1..schemes.len()).rev() {
+            strides[dim - 1] = strides[dim] * schemes[dim].buckets();
         }
+        let nodes: Vec<Node> = (0..size)
+            .map(|index| {
+                let address: Vec<usize> = strides
+                    .iter()
+                    .zip(&schemes)
+                    .map(|(stride, scheme)| index / stride % scheme.buckets())
+                    .collect();
+                Node::from_address(&address)
+            })
+            .collect();
+        let compiled = rules.iter().map(CompiledRule::new).collect();
         Ok(RuleBasedPolicy {
             rules,
+            compiled,
             schemes,
-            network,
-            nodes_by_address,
+            strides,
+            network: Network::new(nodes.iter().copied()),
+            nodes,
         })
     }
 
@@ -167,44 +200,47 @@ impl RuleBasedPolicy {
 
     /// The node for an explicit address, if it exists.
     pub fn node_at(&self, address: &[usize]) -> Option<Node> {
-        self.nodes_by_address.get(address).copied()
-    }
-
-    /// Matches `fact` against `atom`, returning the variable binding if the
-    /// relation, arity and repeated-variable constraints are respected.
-    fn unify(atom: &Atom, fact: &Fact) -> Option<BTreeMap<Variable, Value>> {
-        if atom.relation != fact.relation || atom.arity() != fact.arity() {
+        if address.len() != self.schemes.len() {
             return None;
         }
-        let mut binding = BTreeMap::new();
-        for (&var, &value) in atom.args.iter().zip(fact.values.iter()) {
-            match binding.get(&var) {
-                Some(&existing) if existing != value => return None,
-                Some(_) => {}
-                None => {
-                    binding.insert(var, value);
-                }
+        let mut index = 0;
+        for ((&digit, scheme), stride) in address.iter().zip(&self.schemes).zip(&self.strides) {
+            if digit >= scheme.buckets() {
+                return None;
             }
+            index += digit * stride;
         }
-        Some(binding)
+        self.nodes.get(index).copied()
     }
 }
 
-/// Enumerates the cartesian product `0..sizes[0] × 0..sizes[1] × …`.
-fn cartesian(sizes: &[usize]) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new()];
-    for &size in sizes {
-        let mut next = Vec::with_capacity(out.len() * size);
-        for prefix in &out {
-            for v in 0..size {
-                let mut item = prefix.clone();
-                item.push(v);
-                next.push(item);
+impl CompiledRule {
+    /// Resolves `rule`'s variables to atom positions (the policy
+    /// constructor has already checked every hashed variable occurs).
+    fn new(rule: &DistributionRule) -> CompiledRule {
+        let args = &rule.atom.args;
+        let first = |var: Variable| args.iter().position(|&arg| arg == var);
+        let mut compiled = CompiledRule {
+            equal: Vec::new(),
+            hashed: Vec::new(),
+            free: Vec::new(),
+        };
+        for (position, &var) in args.iter().enumerate() {
+            if let Some(earlier) = first(var).filter(|&earlier| earlier != position) {
+                compiled.equal.push((position, earlier));
             }
         }
-        out = next;
+        for (dim, term) in rule.address.iter().enumerate() {
+            match term {
+                AddressTerm::HashOfVar(var) => {
+                    let position = first(*var).expect("hashed variables occur in the atom");
+                    compiled.hashed.push((position, dim));
+                }
+                AddressTerm::AnyBucket => compiled.free.push(dim),
+            }
+        }
+        compiled
     }
-    out
 }
 
 impl DistributionPolicy for RuleBasedPolicy {
@@ -214,63 +250,43 @@ impl DistributionPolicy for RuleBasedPolicy {
 
     fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node> {
         let mut nodes = BTreeSet::new();
-        for rule in &self.rules {
-            let Some(binding) = RuleBasedPolicy::unify(&rule.atom, fact) else {
-                continue;
-            };
-            // Determine, per dimension, the allowed buckets.
-            let mut allowed: Vec<Vec<usize>> = Vec::with_capacity(rule.address.len());
-            let mut matches = true;
-            for (term, scheme) in rule.address.iter().zip(self.schemes.iter()) {
-                match term {
-                    AddressTerm::HashOfVar(var) => {
-                        let value = binding[var];
-                        match scheme.bucket_of(value) {
-                            Some(b) => allowed.push(vec![b]),
-                            None => {
-                                // hash undefined on this value: rule does not fire
-                                matches = false;
-                                break;
-                            }
-                        }
-                    }
-                    AddressTerm::AnyBucket => allowed.push((0..scheme.buckets()).collect()),
-                }
-            }
-            if !matches {
+        'rules: for (rule, compiled) in self.rules.iter().zip(&self.compiled) {
+            if rule.atom.relation != fact.relation || rule.atom.arity() != fact.arity() {
                 continue;
             }
-            for address in cartesian_choices(&allowed) {
-                if let Some(node) = self.nodes_by_address.get(&address) {
-                    nodes.insert(*node);
+            let values = &fact.values;
+            if compiled.equal.iter().any(|&(a, b)| values[a] != values[b]) {
+                continue;
+            }
+            // The constrained digits fix a base index ...
+            let mut base = 0;
+            for &(position, dim) in &compiled.hashed {
+                match self.schemes[dim].bucket_of(values[position]) {
+                    Some(bucket) => base += bucket * self.strides[dim],
+                    // hash undefined on this value: rule does not fire
+                    None => continue 'rules,
                 }
+            }
+            // ... and the unconstrained ones range over all their buckets:
+            // `choice` counts through them as a mixed-radix number.
+            let buckets = |dim: &usize| self.schemes[*dim].buckets();
+            for mut choice in 0..compiled.free.iter().map(buckets).product() {
+                let mut index = base;
+                for dim in &compiled.free {
+                    index += choice % buckets(dim) * self.strides[*dim];
+                    choice /= buckets(dim);
+                }
+                nodes.insert(self.nodes[index]);
             }
         }
         nodes
     }
 }
 
-/// Enumerates all choices of one element per inner vector.
-fn cartesian_choices(allowed: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new()];
-    for choices in allowed {
-        let mut next = Vec::with_capacity(out.len() * choices.len());
-        for prefix in &out {
-            for &v in choices {
-                let mut item = prefix.clone();
-                item.push(v);
-                next.push(item);
-            }
-        }
-        out = next;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cq::Instance;
+    use cq::{Instance, Value};
 
     fn rule(atom: Atom, address: Vec<AddressTerm>) -> DistributionRule {
         DistributionRule { atom, address }

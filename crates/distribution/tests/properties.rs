@@ -1,15 +1,144 @@
 //! Property-based tests for distribution policies and the one-round and
 //! multi-round engines, including the differential suites: parallel and
 //! streaming reshuffle must agree exactly with the materialized
-//! single-threaded `distribute`, and a one-round-capped `MultiRoundEngine`
-//! must agree exactly with `OneRoundEngine`.
+//! single-threaded `distribute`, a one-round-capped `MultiRoundEngine`
+//! must agree exactly with `OneRoundEngine`, and the counting `stats` and
+//! arithmetic `nodes_for` must agree exactly with the definitions they
+//! replaced (kept here as oracles).
 
-use cq::{ConjunctiveQuery, Fact, Instance, Value};
+use std::collections::{BTreeMap, BTreeSet};
+
+use cq::{Atom, ConjunctiveQuery, Fact, Instance, Value, Variable};
 use distribution::{
-    DistributionPolicy, ExplicitPolicy, HypercubePolicy, MultiRoundEngine, Network, Node,
-    OneRoundEngine, RoundSchedule,
+    AddressTerm, Distribution, DistributionPolicy, DistributionRule, DistributionStats,
+    ExplicitPolicy, HashScheme, HypercubePolicy, MultiRoundEngine, Network, Node, OneRoundEngine,
+    RoundSchedule, RuleBasedPolicy,
 };
 use proptest::prelude::*;
+
+/// Oracle: the reshuffle statistics by their definition — build the union
+/// of the chunks, then count (what `stats` did before it counted the union
+/// without building it).
+fn stats_by_union(dist: &Distribution, original: &Instance) -> DistributionStats {
+    let union = dist.union_of_chunks();
+    let total_assigned: usize = dist.chunks().map(|(_, chunk)| chunk.len()).sum();
+    DistributionStats {
+        nodes: dist.nodes().count(),
+        total_assigned,
+        distinct_assigned: union.len(),
+        max_load: dist.chunks().map(|(_, c)| c.len()).max().unwrap_or(0),
+        skipped: original.facts().filter(|f| !union.contains(f)).count(),
+        replication_factor: if union.is_empty() {
+            0.0
+        } else {
+            total_assigned as f64 / union.len() as f64
+        },
+    }
+}
+
+/// Oracle: `nodes_for` of a rule-based policy by the paper's reading of a
+/// rule — unify the fact with the rule's atom into a variable binding, list
+/// the allowed buckets of every address dimension, enumerate their
+/// cartesian product and look every address up (what `nodes_for` did before
+/// it computed addresses by mixed-radix arithmetic).
+fn nodes_for_by_unification(policy: &RuleBasedPolicy, fact: &Fact) -> BTreeSet<Node> {
+    let mut nodes = BTreeSet::new();
+    'rules: for rule in policy.rules() {
+        if rule.atom.relation != fact.relation || rule.atom.arity() != fact.arity() {
+            continue;
+        }
+        let mut binding: BTreeMap<Variable, Value> = BTreeMap::new();
+        for (&var, &value) in rule.atom.args.iter().zip(&fact.values) {
+            if *binding.entry(var).or_insert(value) != value {
+                continue 'rules;
+            }
+        }
+        let mut addresses: Vec<Vec<usize>> = vec![Vec::new()];
+        for (term, scheme) in rule.address.iter().zip(policy.schemes()) {
+            let allowed: Vec<usize> = match term {
+                AddressTerm::HashOfVar(var) => scheme.bucket_of(binding[var]).into_iter().collect(),
+                AddressTerm::AnyBucket => (0..scheme.buckets()).collect(),
+            };
+            addresses = addresses
+                .iter()
+                .flat_map(|prefix| {
+                    allowed.iter().map(move |&bucket| {
+                        let mut address = prefix.clone();
+                        address.push(bucket);
+                        address
+                    })
+                })
+                .collect();
+        }
+        nodes.extend(addresses.iter().filter_map(|a| policy.node_at(a)));
+    }
+    nodes
+}
+
+/// A hash scheme from two small numbers: seeded modulo hashing, or the
+/// partial identity hash over `d0 … d{buckets-1}` (undefined on the rest).
+fn scheme(kind: usize, buckets: usize, seed: usize) -> HashScheme {
+    if kind == 2 {
+        HashScheme::IdentityOver((0..buckets).map(|v| Value::indexed("d", v)).collect())
+    } else {
+        HashScheme::Modulo {
+            buckets,
+            seed: seed as u64,
+        }
+    }
+}
+
+/// A strategy for rule-based policies over 1–3 address dimensions with 1–3
+/// rules on `R0`/`R1` atoms of arity 1–3: variables repeat inside atoms,
+/// address components mix `bucket` and `bucket*`, schemes mix total and
+/// partial hashes.
+fn rule_policy_strategy() -> impl Strategy<Value = RuleBasedPolicy> {
+    let scheme_spec = (0..3usize, 1..4usize);
+    let vars = (0..3usize, 0..3usize, 0..3usize);
+    let picks = (0..4usize, 0..4usize, 0..4usize);
+    let rule_spec = (0..2usize, 1..4usize, vars, picks);
+    (
+        proptest::collection::vec(scheme_spec, 1..4),
+        proptest::collection::vec(rule_spec, 1..4),
+    )
+        .prop_map(|(schemes, rules)| {
+            let dims = schemes.len();
+            let rules = rules
+                .into_iter()
+                .map(|(rel, arity, (a, b, c), (p, q, r))| {
+                    let args: Vec<Variable> = [a, b, c][..arity]
+                        .iter()
+                        .map(|&v| Variable::indexed("x", v))
+                        .collect();
+                    let address = [p, q, r][..dims]
+                        .iter()
+                        .map(|&pick| match pick {
+                            0 => AddressTerm::AnyBucket,
+                            k => AddressTerm::HashOfVar(args[(k - 1) % arity]),
+                        })
+                        .collect();
+                    DistributionRule {
+                        atom: Atom::new(format!("R{rel}").as_str(), args),
+                        address,
+                    }
+                })
+                .collect();
+            let schemes = schemes
+                .into_iter()
+                .enumerate()
+                .map(|(dim, (kind, buckets))| scheme(kind, buckets, dim))
+                .collect();
+            RuleBasedPolicy::new(rules, schemes).expect("generated rules are well-formed")
+        })
+}
+
+/// A strategy for facts over `R0`/`R1` of arity 1–3 with values `d0 … d4`.
+fn mixed_fact_strategy() -> impl Strategy<Value = Fact> {
+    (0..2usize, 1..4usize, 0..5usize, 0..5usize, 0..5usize).prop_map(|(rel, arity, a, b, c)| {
+        let values = [a, b, c].map(|v| Value::indexed("d", v));
+        Fact::new(format!("R{rel}").as_str(), values[..arity].to_vec())
+    })
+}
 
 /// The four policy shapes of the differential suites over a binary `R`
 /// (broadcast, round-robin, single-key hash, hypercube), built for the
@@ -171,6 +300,77 @@ proptest! {
                     "lazy chunk of {} diverged for {}", node, name
                 );
                 prop_assert_eq!(chunk, &policy.for_node_lazy(&i, node));
+            }
+        }
+    }
+
+    /// Differential: `stats` — of the materialized distribution and of the
+    /// stream, against the instance they were built from (the stream's
+    /// counted fast path), an equal copy of it, and an unrelated instance —
+    /// equals the union-building definition. The zoo is extended by a
+    /// policy that skips facts (round-robin over half of the instance).
+    #[test]
+    fn stats_agree_with_the_union_based_definition(
+        i in instance_strategy(),
+        other in instance_strategy(),
+        q in query_strategy(),
+        nodes in 1usize..4,
+        buckets in 1usize..4,
+        workers in 1usize..4,
+    ) {
+        let half = Instance::from_facts(i.facts().step_by(2).cloned());
+        let skipping = ExplicitPolicy::round_robin(&Network::with_size(nodes), &half);
+        let mut zoo = policy_zoo(&i, &q, nodes, buckets);
+        zoo.push(("skipping", Box::new(skipping)));
+        for (name, policy) in zoo {
+            let dist = policy.distribute(&i);
+            let stream = policy.distribute_stream(&i, workers);
+            for original in [&i, &i.clone(), &other, &Instance::new()] {
+                let expected = stats_by_union(&dist, original);
+                prop_assert_eq!(dist.stats(original), expected, "distribution stats of {}", name);
+                prop_assert_eq!(stream.stats(original), expected, "stream stats of {}", name);
+            }
+            if name == "skipping" {
+                prop_assert_eq!(dist.stats(&i).skipped, i.len() - half.len());
+            }
+        }
+    }
+
+    /// Differential: the arithmetic `nodes_for` of rule-based policies
+    /// equals rule unification + address enumeration, on policies with
+    /// repeated variables, partial (`IdentityOver`) hashes and `bucket*`
+    /// dimensions, and on facts of every arity (matching or not).
+    #[test]
+    fn rule_nodes_for_agrees_with_rule_unification(
+        policy in rule_policy_strategy(),
+        facts in proptest::collection::vec(mixed_fact_strategy(), 1..40),
+    ) {
+        for fact in &facts {
+            let nodes = policy.nodes_for(fact);
+            prop_assert_eq!(&nodes, &nodes_for_by_unification(&policy, fact), "{}", fact);
+            prop_assert!(nodes.iter().all(|&node| policy.network().contains(node)));
+        }
+    }
+
+    /// The same differential through `HypercubePolicy`, with a partial
+    /// identity hash on some dimensions (values outside it are skipped).
+    #[test]
+    fn hypercube_nodes_for_agrees_with_rule_unification(
+        i in instance_strategy(),
+        q in query_strategy(),
+        kinds in proptest::collection::vec((0..3usize, 1..4usize), 4..5),
+    ) {
+        let schemes = kinds
+            .iter()
+            .take(q.variables().len())
+            .enumerate()
+            .map(|(dim, &(kind, buckets))| scheme(kind, buckets, dim))
+            .collect();
+        let policy = HypercubePolicy::new(&q, schemes).unwrap();
+        let scattered = HypercubePolicy::scattered_for(&q, &i).unwrap();
+        for fact in i.facts() {
+            for p in [&policy, &scattered] {
+                prop_assert_eq!(p.nodes_for(fact), nodes_for_by_unification(p.as_rules(), fact));
             }
         }
     }

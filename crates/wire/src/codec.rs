@@ -24,12 +24,11 @@
 //! remaining input, symbol references are checked against the table, and
 //! semantic invariants (e.g. query safety) are re-validated on decode.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use cq::{
-    Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Symbol, Value,
-    Variable,
+    Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Symbol,
+    SymbolMap, Value, Variable,
 };
 use distribution::{Network, Node};
 
@@ -159,7 +158,7 @@ pub(crate) fn read_varint(input: &[u8]) -> Result<(u64, usize), DecodeError> {
 #[derive(Default)]
 pub struct Encoder {
     symbols: Vec<Symbol>,
-    index: HashMap<Symbol, u64>,
+    index: SymbolMap<Symbol, u64>,
     payload: Vec<u8>,
 }
 
@@ -235,7 +234,7 @@ impl<'a> Decoder<'a> {
         if count > rest.len() as u64 {
             return Err(DecodeError::Truncated);
         }
-        let mut symbols = Vec::with_capacity(count as usize);
+        let mut names = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let (len, used) = read_varint(rest)?;
             rest = &rest[used..];
@@ -243,12 +242,11 @@ impl<'a> Decoder<'a> {
                 return Err(DecodeError::Truncated);
             }
             let (name, tail) = rest.split_at(len as usize);
-            let name = std::str::from_utf8(name).map_err(|_| DecodeError::InvalidUtf8)?;
-            symbols.push(Symbol::new(name));
+            names.push(std::str::from_utf8(name).map_err(|_| DecodeError::InvalidUtf8)?);
             rest = tail;
         }
         Ok(Decoder {
-            symbols,
+            symbols: Symbol::intern_all(names),
             payload: rest,
         })
     }
@@ -370,7 +368,7 @@ impl Encode for Value {
 
 impl Decode for Value {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Value::new(dec.symbol()?.as_str()))
+        Ok(Value::from(dec.symbol()?))
     }
 }
 
@@ -382,19 +380,19 @@ impl Encode for Variable {
 
 impl Decode for Variable {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Variable::new(dec.symbol()?.as_str()))
+        Ok(Variable::from(dec.symbol()?))
     }
 }
 
 impl Encode for Node {
     fn encode(&self, enc: &mut Encoder) {
-        enc.symbol(Symbol::new(self.as_str()));
+        enc.symbol(self.symbol());
     }
 }
 
 impl Decode for Node {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Node::new(dec.symbol()?.as_str()))
+        Ok(Node::from(dec.symbol()?))
     }
 }
 
@@ -688,6 +686,91 @@ mod tests {
             matches!(err, DecodeError::SymbolIndexOutOfRange { index: 999, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn instance_bodies_keep_their_pinned_bytes() {
+        // Fresh names interned here in a fixed order: facts encode in
+        // interning order, so the bytes cannot depend on what other tests
+        // interned first. The expectation was produced by the per-fact
+        // insert/SipHash-table codec this one replaced — the wire format
+        // must stay byte-identical.
+        for name in ["GoldenEdge", "GoldenMark", "g_hub", "g_a", "g_b"] {
+            Symbol::new(name);
+        }
+        let chunk = Instance::from_facts([
+            Fact::from_names("GoldenMark", &["g_a"]),
+            Fact::from_names("GoldenEdge", &["g_hub", "g_b"]),
+            Fact::from_names("GoldenEdge", &["g_a", "g_hub"]),
+            Fact::from_names("GoldenMark", &[]),
+            Fact::from_names("GoldenEdge", &["g_hub", "g_a"]),
+            Fact::from_names("GoldenEdge", &["g_hub", "g_b"]),
+        ]);
+        let mut golden = vec![5];
+        for name in ["GoldenEdge", "g_hub", "g_a", "g_b", "GoldenMark"] {
+            golden.push(name.len() as u8);
+            golden.extend_from_slice(name.as_bytes());
+        }
+        golden.extend_from_slice(&[5, 0, 2, 1, 2, 0, 2, 1, 3, 0, 2, 2, 1, 4, 0, 4, 1, 2]);
+        assert_eq!(encode_body(&chunk), golden);
+        assert_eq!(decode_body::<Instance>(&golden).unwrap(), chunk);
+    }
+
+    #[test]
+    fn a_payload_listing_a_fact_twice_decodes_to_a_set() {
+        let fact = Fact::from_names("R", &["a", "b"]);
+        let other = Fact::from_names("R", &["b", "a"]);
+        let mut enc = Encoder::new();
+        enc.usize(3);
+        for f in [&fact, &other, &fact] {
+            f.encode(&mut enc);
+        }
+        let back: Instance = decode_body(&enc.finish()).unwrap();
+        assert_eq!(
+            back.len(),
+            2,
+            "set semantics: the repeated fact counts once"
+        );
+        assert_eq!(back, Instance::from_facts([fact, other]));
+        assert_eq!(back.facts_of(Symbol::new("R")).len(), 2);
+    }
+
+    #[test]
+    fn hostile_instance_bodies_get_typed_errors() {
+        let body = encode_body(&Instance::from_facts([Fact::from_names("R", &["a", "b"])]));
+        // table: 3 symbols; payload: 1 fact = relation, arity, two values
+        let (table, payload) = body.split_at(body.len() - 5);
+        assert_eq!(payload, [1, 0, 2, 1, 2]);
+
+        // a value index past the table
+        let mut bad = table.to_vec();
+        bad.extend_from_slice(&[1, 0, 2, 1, 9]);
+        assert_eq!(
+            decode_body::<Instance>(&bad),
+            Err(DecodeError::SymbolIndexOutOfRange {
+                index: 9,
+                table_len: 3
+            })
+        );
+        // a table cut short inside an entry, and one promising more entries
+        // than there are bytes
+        assert_eq!(
+            decode_body::<Instance>(&table[..table.len() - 1]),
+            Err(DecodeError::Truncated)
+        );
+        assert_eq!(
+            decode_body::<Instance>(&[200, 1]),
+            Err(DecodeError::Truncated)
+        );
+        // a table entry that is not UTF-8
+        assert_eq!(
+            decode_body::<Instance>(&[1, 2, 0xff, 0xfe, 0]),
+            Err(DecodeError::InvalidUtf8)
+        );
+        // a fact count beyond the remaining payload
+        let mut bad = table.to_vec();
+        bad.extend_from_slice(&[7, 0, 2, 1, 2]);
+        assert_eq!(decode_body::<Instance>(&bad), Err(DecodeError::Truncated));
     }
 
     #[test]

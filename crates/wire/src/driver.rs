@@ -39,7 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::Child;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cq::{ConjunctiveQuery, EvalOptions, Instance};
@@ -47,7 +47,7 @@ use distribution::{Node, NodeResult, TransportError};
 use obs::TraceEvent;
 
 use crate::frame::{encode_frame, read_frame_counted, write_frame};
-use crate::message::{ChunkBatch, DeltaBatch, EvalChunkRef, EvalDeltaRef, Message, TraceContext};
+use crate::message::{EvalChunkRef, EvalDeltaRef, Message, TraceContext};
 
 /// Default number of jobs the writer may run ahead of the replies.
 pub(crate) const DEFAULT_WINDOW: usize = 8;
@@ -78,14 +78,14 @@ struct StderrTailInner {
 /// into the coordinator, and nobody used to read it.
 #[derive(Clone)]
 pub(crate) struct StderrTail {
-    inner: std::sync::Arc<StderrTailInner>,
+    inner: Arc<StderrTailInner>,
 }
 
 impl StderrTail {
     /// Spawns a detached thread that drains `stream` into a bounded
     /// buffer until EOF.
     pub(crate) fn capture(mut stream: impl Read + Send + 'static) -> StderrTail {
-        let inner = std::sync::Arc::new(StderrTailInner {
+        let inner = Arc::new(StderrTailInner {
             buf: Mutex::new(String::new()),
             done: std::sync::atomic::AtomicBool::new(false),
         });
@@ -159,58 +159,57 @@ impl Endpoint {
     }
 }
 
-/// One unit of work queued for a worker this round: a full chunk (classic
-/// rounds), a delta (incremental rounds), or a resident-shard evaluation
-/// (reshuffle-elided rounds, which ship no input facts at all).
+/// One unit of work queued for a worker this round. Facts are held through
+/// an `Arc` shared with the fault-tolerance ledger, so queueing, requeueing
+/// and remembering a chunk never copy it.
 #[derive(Clone)]
-pub(crate) enum Job {
-    Chunk(ChunkBatch),
-    Delta(DeltaBatch),
-    Resident { round: u64, node: Node },
-}
-
-impl Job {
-    fn node(&self) -> Node {
-        match self {
-            Job::Chunk(batch) => batch.node,
-            Job::Delta(batch) => batch.node,
-            Job::Resident { node, .. } => *node,
-        }
-    }
-
+pub(crate) struct Job {
     /// The round stamped on the job itself — a requeued state rebuild
     /// carries round 0 even when the transport is mid-run, so replies are
     /// validated against this, not the transport's current round.
-    fn round(&self) -> u64 {
-        match self {
-            Job::Chunk(batch) => batch.round,
-            Job::Delta(batch) => batch.round,
-            Job::Resident { round, .. } => *round,
-        }
-    }
+    round: u64,
+    node: Node,
+    work: Work,
+}
 
+/// What a [`Job`] asks of its node: evaluate a full chunk (classic rounds),
+/// absorb a delta (incremental rounds), or evaluate the resident shard
+/// (reshuffle-elided rounds, which ship no input facts at all).
+#[derive(Clone)]
+enum Work {
+    Chunk(Arc<Instance>),
+    Delta(Arc<Instance>),
+    Resident,
+}
+
+impl Job {
     fn encode(
         &self,
         query: &ConjunctiveQuery,
         options: EvalOptions,
         trace: TraceContext,
     ) -> Vec<u8> {
-        match self {
-            Job::Chunk(batch) => encode_frame(&EvalChunkRef {
+        let Job { round, node, .. } = *self;
+        match &self.work {
+            Work::Chunk(chunk) => encode_frame(&EvalChunkRef {
                 query,
                 options,
-                batch,
+                round,
+                node,
+                chunk,
                 trace,
             }),
-            Job::Delta(batch) => encode_frame(&EvalDeltaRef {
+            Work::Delta(delta) => encode_frame(&EvalDeltaRef {
                 query,
                 options,
-                batch,
+                round,
+                node,
+                delta,
                 trace,
             }),
-            Job::Resident { round, node } => encode_frame(&Message::EvalResident {
-                round: *round,
-                node: *node,
+            Work::Resident => encode_frame(&Message::EvalResident {
+                round,
+                node,
                 query: query.clone(),
                 options,
                 trace,
@@ -287,7 +286,7 @@ fn read_reply(
     job: &Job,
     events: &mut Vec<TraceEvent>,
 ) -> Result<(Node, NodeResult, u64), TransportError> {
-    let node = job.node();
+    let node = job.node;
     let mut total_bytes = 0u64;
     let (reply, reply_bytes) = loop {
         match read_frame_counted::<Message>(reader) {
@@ -305,31 +304,31 @@ fn read_reply(
         }
     };
     let reply_bytes = total_bytes + reply_bytes;
-    let (answered_round, answered_node, output, eval_us) = match (job, reply) {
-        (Job::Chunk(_) | Job::Resident { .. }, Message::ChunkResult { batch, eval_us }) => {
+    let (answered_round, answered_node, output, eval_us) = match (&job.work, reply) {
+        (Work::Chunk(_) | Work::Resident, Message::ChunkResult { batch, eval_us }) => {
             (batch.round, batch.node, batch.chunk, eval_us)
         }
-        (Job::Delta(_), Message::DeltaResult { batch, eval_us }) => {
+        (Work::Delta(_), Message::DeltaResult { batch, eval_us }) => {
             (batch.round, batch.node, batch.delta, eval_us)
         }
-        (Job::Chunk(_) | Job::Resident { .. }, other) => {
+        (Work::Chunk(_) | Work::Resident, other) => {
             return Err(TransportError::Protocol(format!(
                 "expected a chunk-result, worker sent {}",
                 other.kind()
             )))
         }
-        (Job::Delta(_), other) => {
+        (Work::Delta(_), other) => {
             return Err(TransportError::Protocol(format!(
                 "expected a delta-result, worker sent {}",
                 other.kind()
             )))
         }
     };
-    if answered_round != job.round() || answered_node != node {
+    if answered_round != job.round || answered_node != node {
         return Err(TransportError::Protocol(format!(
             "worker answered round {answered_round} node {answered_node} \
              to a round {} job for {node}",
-            job.round()
+            job.round
         )));
     }
     Ok((
@@ -382,7 +381,7 @@ pub(crate) fn drive(
             for job in jobs {
                 let wait_started = Instant::now();
                 let acquired = {
-                    let _wait = obs::span!("window_wait", node = job.node());
+                    let _wait = obs::span!("window_wait", node = job.node);
                     gate.acquire(window)
                 };
                 metrics
@@ -401,7 +400,7 @@ pub(crate) fn drive(
                         sent,
                         Some(TransportError::Io(format!(
                             "sending work for {}: {e}",
-                            job.node()
+                            job.node
                         ))),
                     );
                 }
@@ -521,8 +520,10 @@ pub(crate) struct PipelinedCore {
     /// Every node's shipped state this run (fault tolerance only): the
     /// accumulated deltas of an incremental run, or the last full chunk of
     /// a classic run — what to re-ship when the node's worker dies, and
-    /// what a requeued resident job must fall back to.
-    shipped_state: BTreeMap<Node, Instance>,
+    /// what a requeued resident job must fall back to. An entry shares its
+    /// `Arc` with the job that shipped it; a later delta extends it
+    /// copy-on-write, which is in place once that job has been answered.
+    shipped_state: BTreeMap<Node, Arc<Instance>>,
     /// Nodes whose worker died after they were shipped state; their next
     /// delta becomes a round-0 rebuild on the new worker.
     needs_rebuild: BTreeSet<Node>,
@@ -532,7 +533,7 @@ pub(crate) struct PipelinedCore {
     trace: TraceContext,
     /// Unified metrics for the driver: `driver_requeues`, `worker_deaths`
     /// and `state_rebuilds` accumulate here over the transport's lifetime.
-    registry: std::sync::Arc<obs::Registry>,
+    registry: Arc<obs::Registry>,
     /// Captured stderr tails for spawned workers (`None` for external
     /// socket workers); appended to the error when a worker dies.
     stderr_tails: Vec<Option<StderrTail>>,
@@ -559,7 +560,7 @@ impl PipelinedCore {
             needs_rebuild: BTreeSet::new(),
             shutdown_grace: DEFAULT_SHUTDOWN_GRACE,
             trace: TraceContext::default(),
-            registry: std::sync::Arc::new(obs::Registry::new()),
+            registry: Arc::new(obs::Registry::new()),
             stderr_tails: vec![None; count],
         }
     }
@@ -573,7 +574,7 @@ impl PipelinedCore {
 
     /// The driver's metrics registry (requeues, worker deaths, state
     /// rebuilds).
-    pub(crate) fn registry(&self) -> std::sync::Arc<obs::Registry> {
+    pub(crate) fn registry(&self) -> Arc<obs::Registry> {
         self.registry.clone()
     }
 
@@ -611,7 +612,7 @@ impl PipelinedCore {
     /// Queues `job` on the worker that owns its node, assigning a live
     /// worker round-robin from the persistent cursor on first sight.
     fn enqueue(&mut self, job: Job) -> Result<(), TransportError> {
-        let node = job.node();
+        let node = job.node;
         let worker = match self.worker_for.get(&node) {
             Some(&w) if self.endpoints[w].is_some() => w,
             _ => {
@@ -686,32 +687,19 @@ impl PipelinedCore {
     /// resident job's shard likewise died, so it becomes a full chunk
     /// carrying the ledger copy of that shard.
     fn requeued_job(&mut self, job: Job) -> Job {
-        match job {
-            Job::Chunk(batch) => Job::Chunk(batch),
-            Job::Delta(batch) => {
-                let node = batch.node;
-                self.registry.counter("state_rebuilds").inc();
-                obs::instant!("state_rebuild", node = node);
-                self.needs_rebuild.remove(&node);
-                let delta = self
-                    .shipped_state
-                    .get(&node)
-                    .cloned()
-                    .unwrap_or(batch.delta);
-                Job::Delta(DeltaBatch {
-                    round: 0,
-                    node,
-                    delta,
-                })
-            }
-            Job::Resident { round, node } => {
-                self.registry.counter("state_rebuilds").inc();
-                obs::instant!("state_rebuild", node = node);
-                self.needs_rebuild.remove(&node);
-                let chunk = self.shipped_state.get(&node).cloned().unwrap_or_default();
-                Job::Chunk(ChunkBatch { round, node, chunk })
-            }
+        let Job { round, node, work } = job;
+        if !matches!(work, Work::Chunk(_)) {
+            self.registry.counter("state_rebuilds").inc();
+            obs::instant!("state_rebuild", node = node);
+            self.needs_rebuild.remove(&node);
         }
+        let ledger = self.shipped_state.get(&node).cloned();
+        let (round, work) = match work {
+            Work::Chunk(chunk) => (round, Work::Chunk(chunk)),
+            Work::Delta(delta) => (0, Work::Delta(ledger.unwrap_or(delta))),
+            Work::Resident => (round, Work::Chunk(ledger.unwrap_or_default())),
+        };
+        Job { round, node, work }
     }
 
     pub(crate) fn begin_round(
@@ -738,66 +726,55 @@ impl PipelinedCore {
         self.registry
             .histogram("chunk_facts")
             .record(chunk.len() as u64);
+        let chunk = Arc::new(chunk);
         if self.fault_tolerance {
             // A full chunk replaces whatever the node held before — keep
             // the ledger in step so resident jobs can be rebuilt from it.
             self.shipped_state.insert(node, chunk.clone());
             self.needs_rebuild.remove(&node);
         }
-        self.enqueue(Job::Chunk(ChunkBatch {
-            round: self.round,
-            node,
-            chunk,
-        }))
+        let round = self.round;
+        let work = Work::Chunk(chunk);
+        self.enqueue(Job { round, node, work })
     }
 
     pub(crate) fn send_resident(&mut self, node: Node) -> Result<(), TransportError> {
         let round = self.round;
-        if self.fault_tolerance && self.needs_rebuild.remove(&node) {
+        let work = if self.fault_tolerance && self.needs_rebuild.remove(&node) {
             // The worker holding the node's shard died since it was
             // shipped: re-ship the ledger copy as a full chunk instead of
             // asking a fresh worker for state it does not have.
-            let chunk = self.shipped_state.get(&node).cloned().unwrap_or_default();
-            return self.enqueue(Job::Chunk(ChunkBatch { round, node, chunk }));
-        }
-        self.enqueue(Job::Resident { round, node })
+            Work::Chunk(self.shipped_state.get(&node).cloned().unwrap_or_default())
+        } else {
+            Work::Resident
+        };
+        self.enqueue(Job { round, node, work })
     }
 
     pub(crate) fn send_delta(&mut self, node: Node, delta: Instance) -> Result<(), TransportError> {
         self.registry
             .histogram("chunk_facts")
             .record(delta.len() as u64);
-        let round = self.round;
+        let mut round = self.round;
+        let mut delta = Arc::new(delta);
         if self.fault_tolerance {
-            // Ledger first: the rebuild snapshot below must already
-            // include this round's delta.
             if round == 0 {
                 self.shipped_state.insert(node, delta.clone());
                 self.needs_rebuild.remove(&node);
             } else {
-                self.shipped_state
-                    .entry(node)
-                    .or_default()
-                    .extend(delta.facts().cloned());
+                // Ledger first: a rebuild must already include this delta.
+                let state = self.shipped_state.entry(node).or_default();
+                Arc::make_mut(state).extend(delta.facts().cloned());
+                if self.needs_rebuild.remove(&node) {
+                    // The node's worker died since it last got a delta:
+                    // ship the full accumulated state as a round-0 reset.
+                    round = 0;
+                    delta = state.clone();
+                }
             }
         }
-        let batch = if round > 0 && self.fault_tolerance && self.needs_rebuild.remove(&node) {
-            // The node's worker died since it last got a delta: ship the
-            // full accumulated state as a round-0 reset instead.
-            let state = self
-                .shipped_state
-                .get(&node)
-                .cloned()
-                .unwrap_or_else(|| delta.clone());
-            DeltaBatch {
-                round: 0,
-                node,
-                delta: state,
-            }
-        } else {
-            DeltaBatch { round, node, delta }
-        };
-        self.enqueue(Job::Delta(batch))
+        let work = Work::Delta(delta);
+        self.enqueue(Job { round, node, work })
     }
 
     pub(crate) fn barrier(&mut self) -> Result<(), TransportError> {
@@ -894,7 +871,7 @@ impl PipelinedCore {
             }
             for job in requeue {
                 self.registry.counter("driver_requeues").inc();
-                obs::instant!("requeue", node = job.node());
+                obs::instant!("requeue", node = job.node);
                 let job = self.requeued_job(job);
                 self.enqueue(job)?;
             }
@@ -1011,6 +988,45 @@ mod tests {
             Some(1),
             "a re-seen node must not advance the cursor"
         );
+    }
+
+    #[test]
+    fn ledger_shares_shipped_facts_and_rebuilds_from_the_extended_state() {
+        let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+        let facts = |text| cq::parse_instance(text).unwrap();
+        let node = Node::numbered(0);
+        let mut core = inert_core(2);
+
+        core.begin_round(0, &query, EvalOptions::default()).unwrap();
+        core.send_delta(node, facts("R(a, b).")).unwrap();
+        let Work::Delta(delta) = &core.jobs[0][0].work else {
+            panic!("a delta job was queued");
+        };
+        assert!(
+            Arc::ptr_eq(delta, &core.shipped_state[&node]),
+            "the ledger must share the queued delta, not copy it"
+        );
+
+        // Round 1 extends the ledger entry; the job ships only the delta.
+        core.begin_round(1, &query, EvalOptions::default()).unwrap();
+        core.send_delta(node, facts("R(b, c).")).unwrap();
+        assert_eq!(*core.shipped_state[&node], facts("R(a, b). R(b, c)."));
+        let job = core.jobs[0][0].clone();
+        let Work::Delta(delta) = &job.work else {
+            panic!("a delta job was queued");
+        };
+        assert_eq!((job.round, &**delta), (1, &facts("R(b, c).")));
+
+        // The node's worker dies with the job unanswered: the requeued job
+        // is a round-0 rebuild carrying the extended ledger state itself.
+        core.mark_dead(0);
+        let rebuild = core.requeued_job(job);
+        let Work::Delta(delta) = rebuild.work else {
+            panic!("a delta job requeues as a delta");
+        };
+        assert_eq!(rebuild.round, 0);
+        assert!(Arc::ptr_eq(&delta, &core.shipped_state[&node]));
+        assert_eq!(*delta, facts("R(a, b). R(b, c)."));
     }
 
     #[test]

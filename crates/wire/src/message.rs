@@ -160,11 +160,18 @@ pub struct ChunkBatch {
     pub chunk: Instance,
 }
 
+/// The shared layout of [`ChunkBatch`] and [`DeltaBatch`] — also written
+/// by the borrowed [`EvalChunkRef`] / [`EvalDeltaRef`] views, so owned and
+/// borrowed frames are byte-identical by construction.
+fn encode_batch(enc: &mut Encoder, round: u64, node: Node, facts: &Instance) {
+    enc.u64(round);
+    node.encode(enc);
+    facts.encode(enc);
+}
+
 impl Encode for ChunkBatch {
     fn encode(&self, enc: &mut Encoder) {
-        enc.u64(self.round);
-        self.node.encode(enc);
-        self.chunk.encode(enc);
+        encode_batch(enc, self.round, self.node, &self.chunk);
     }
 }
 
@@ -196,9 +203,7 @@ pub struct DeltaBatch {
 
 impl Encode for DeltaBatch {
     fn encode(&self, enc: &mut Encoder) {
-        enc.u64(self.round);
-        self.node.encode(enc);
-        self.delta.encode(enc);
+        encode_batch(enc, self.round, self.node, &self.delta);
     }
 }
 
@@ -352,8 +357,12 @@ pub struct EvalDeltaRef<'a> {
     pub query: &'a ConjunctiveQuery,
     /// How the worker must evaluate it.
     pub options: EvalOptions,
-    /// The delta (with its round/node routing) to absorb and evaluate.
-    pub batch: &'a DeltaBatch,
+    /// The round the delta belongs to (0 resets the node's state).
+    pub round: u64,
+    /// The node the delta is addressed to.
+    pub node: Node,
+    /// The delta to absorb and evaluate.
+    pub delta: &'a Instance,
     /// The coordinator's trace context.
     pub trace: TraceContext,
 }
@@ -363,22 +372,27 @@ impl Encode for EvalDeltaRef<'_> {
         enc.byte(TAG_EVAL_DELTA);
         self.query.encode(enc);
         self.options.encode(enc);
-        self.batch.encode(enc);
+        encode_batch(enc, self.round, self.node, self.delta);
         self.trace.encode(enc);
     }
 }
 
 /// A borrowed view of [`Message::EvalChunk`]: encodes the identical
 /// frame bytes without cloning the query or the chunk. The transport
-/// ships one of these per node per round, so the owned `Message` variant
-/// would cost a full chunk copy per send.
+/// ships one of these per node per round — from the chunk it shares with
+/// its fault-tolerance ledger — so the owned `Message` variant would cost
+/// a full chunk copy per send.
 pub struct EvalChunkRef<'a> {
     /// The query the worker should evaluate.
     pub query: &'a ConjunctiveQuery,
     /// How the worker must evaluate it.
     pub options: EvalOptions,
-    /// The chunk (with its round/node routing) to evaluate it over.
-    pub batch: &'a ChunkBatch,
+    /// The round the chunk belongs to.
+    pub round: u64,
+    /// The node the chunk is addressed to.
+    pub node: Node,
+    /// The chunk to evaluate the query over.
+    pub chunk: &'a Instance,
     /// The coordinator's trace context.
     pub trace: TraceContext,
 }
@@ -388,7 +402,7 @@ impl Encode for EvalChunkRef<'_> {
         enc.byte(TAG_EVAL_CHUNK);
         self.query.encode(enc);
         self.options.encode(enc);
-        self.batch.encode(enc);
+        encode_batch(enc, self.round, self.node, self.chunk);
         self.trace.encode(enc);
     }
 }
@@ -416,7 +430,9 @@ impl Encode for Message {
             } => EvalChunkRef {
                 query,
                 options: *options,
-                batch,
+                round: batch.round,
+                node: batch.node,
+                chunk: &batch.chunk,
                 trace: *trace,
             }
             .encode(enc),
@@ -442,7 +458,9 @@ impl Encode for Message {
             } => EvalDeltaRef {
                 query,
                 options: *options,
-                batch,
+                round: batch.round,
+                node: batch.node,
+                delta: &batch.delta,
                 trace: *trace,
             }
             .encode(enc),
@@ -652,7 +670,9 @@ mod tests {
         let borrowed = encode_frame(&EvalChunkRef {
             query: &query,
             options,
-            batch: &batch,
+            round: batch.round,
+            node: batch.node,
+            chunk: &batch.chunk,
             trace,
         });
         let owned = encode_frame(&Message::EvalChunk {
@@ -677,7 +697,9 @@ mod tests {
         let borrowed = encode_frame(&EvalDeltaRef {
             query: &query,
             options,
-            batch: &batch,
+            round: batch.round,
+            node: batch.node,
+            delta: &batch.delta,
             trace,
         });
         let owned = encode_frame(&Message::EvalDelta {

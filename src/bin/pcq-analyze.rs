@@ -892,7 +892,10 @@ fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, Strin
     };
     let total = total_start.elapsed();
     let metrics = export_metrics(opts, &registries)?;
-    let correct = outcome.result == cq::evaluate(&query, &instance);
+    let correct = {
+        let _span = obs::span!("central_verify", facts = instance.len());
+        outcome.result == cq::evaluate(&query, &instance)
+    };
 
     if opts.json {
         let per_node = JsonValue::array(outcome.per_node_output.keys().map(|node| {
@@ -945,6 +948,7 @@ fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, Strin
             ),
             ("result_size", JsonValue::from(outcome.result.len())),
             ("parallel_correct", JsonValue::from(correct)),
+            ("comm_bytes", JsonValue::from(outcome.comm_bytes)),
             (
                 "stats",
                 JsonValue::object([
@@ -1009,6 +1013,7 @@ fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, Strin
             }
         );
         println!("distribution: {}", outcome.stats);
+        println!("comm bytes:  {} on the wire", outcome.comm_bytes);
         println!(
             "timings:     distribute={}µs local_eval={}µs total={}µs skew={:.2}",
             outcome.distribute_time.as_micros(),
@@ -1166,12 +1171,15 @@ fn run_multi_query(
     let reshards = outcome.reshard_rounds();
     let comm_volume = outcome.total_comm_volume();
     let comm_bytes = outcome.total_comm_bytes();
-    let reports: Vec<MultiRoundInstanceReport> = outcome
-        .per_query
-        .into_iter()
-        .zip(queries)
-        .map(|(o, query)| MultiRoundInstanceReport::from_outcome(query, &engine, instance, o))
-        .collect();
+    let reports: Vec<MultiRoundInstanceReport> = {
+        let _span = obs::span!("central_verify", queries = queries.len());
+        outcome
+            .per_query
+            .into_iter()
+            .zip(queries)
+            .map(|(o, query)| MultiRoundInstanceReport::from_outcome(query, &engine, instance, o))
+            .collect()
+    };
     let correct = reports.iter().all(|r| r.correct);
 
     if opts.json {
@@ -1314,7 +1322,10 @@ fn run_multi_round(
     };
     let total = total_start.elapsed();
     let metrics = export_metrics(opts, &registries)?;
-    let report = MultiRoundInstanceReport::from_outcome(query, &engine, instance, outcome);
+    let report = {
+        let _span = obs::span!("central_verify", facts = instance.len());
+        MultiRoundInstanceReport::from_outcome(query, &engine, instance, outcome)
+    };
     let outcome = &report.outcome;
 
     if opts.json {

@@ -1036,20 +1036,36 @@ fn run_reshuffle_always_and_malformed_query_blocks_are_usage_errors() {
 
 #[test]
 fn run_process_transport_matches_memory_and_reports_itself() {
-    let (code, stdout) = pcq_analyze_output(&[
-        "run",
-        "chain:2",
-        "hypercube:2",
-        "random:10:30",
-        "--workers",
-        "2",
-        "--transport",
-        "process",
-        "--json",
-    ]);
-    assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("\"transport\":\"process\""), "{stdout}");
-    assert!(stdout.contains("\"parallel_correct\":true"), "{stdout}");
+    use pcq::wire::json::JsonValue;
+    let run = |transport: &str| {
+        let (code, stdout) = pcq_analyze_output(&[
+            "run",
+            "chain:2",
+            "hypercube:2",
+            "random:10:30",
+            "--workers",
+            "2",
+            "--transport",
+            transport,
+            "--json",
+        ]);
+        assert_eq!(code, 0, "{stdout}");
+        let doc = JsonValue::parse(stdout.trim()).expect("run --json must stay valid JSON");
+        let field = |key: &str| doc.get(key).cloned().unwrap_or(JsonValue::Null);
+        assert_eq!(field("transport").as_str(), Some(transport), "{stdout}");
+        assert!(stdout.contains("\"parallel_correct\":true"), "{stdout}");
+        (field("result_size").as_u64(), field("comm_bytes").as_u64())
+    };
+    let (process_size, process_bytes) = run("process");
+    let (memory_size, memory_bytes) = run("memory");
+    assert_eq!(process_size, memory_size);
+    // The one-round path reports the bytes its transport serialized:
+    // request + result frames over the pipes, an honest zero in memory.
+    assert!(
+        process_bytes.is_some_and(|bytes| bytes > 0),
+        "{process_bytes:?}"
+    );
+    assert_eq!(memory_bytes, Some(0));
 }
 
 #[test]

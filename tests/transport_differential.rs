@@ -437,15 +437,12 @@ fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
     let request_bytes: u64 = network
         .nodes()
         .map(|node| {
-            let batch = pcq::wire::ChunkBatch {
-                round: 0,
-                node,
-                chunk: instance.clone(),
-            };
             pcq::wire::encode_frame(&pcq::wire::EvalChunkRef {
                 query: &query,
                 options: EvalOptions::default(),
-                batch: &batch,
+                round: 0,
+                node,
+                chunk: &instance,
                 trace: pcq::wire::TraceContext::default(),
             })
             .len() as u64
@@ -751,29 +748,40 @@ fn semi_naive_run_rebuilds_dead_workers_state_on_survivors() {
     // the same fixpoint as the in-memory reference — including rounds
     // *after* the death, which exercise the needs_rebuild bookkeeping.
     let query = named_query("chain:2").unwrap();
-    let instance = instance_for(&query, 23);
+    // A 12-edge path on top of the random edges keeps the closure going
+    // for five rounds, so a worker can also die *after* round 1.
+    let path: String = (0..12).map(|i| format!("R(p{i}, p{}). ", i + 1)).collect();
+    let instance = instance_for(&query, 23).union(&pcq::cq::parse_instance(&path).unwrap());
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
     let build_engine = || {
         MultiRoundEngine::new(RoundSchedule::repeat(&policy))
-            .rounds(6)
+            .rounds(8)
             .feedback_into("R")
             .semi_naive(true)
     };
     let reference = build_engine().evaluate(&query, &instance);
-    assert!(reference.rounds_run() > 2, "need rounds after the death");
+    assert!(reference.rounds_run() > 3, "need rounds after the death");
 
-    for label in ["process", "socket"] {
+    // Worker 0 dies on its second job (mid round 0: the ledger holds only
+    // the round-0 chunks it shares with the queued jobs), or on its ninth —
+    // round 0 ships it four jobs and round 1 at most four more, so by then
+    // a round-1 delta has extended the shared ledger entries in place and
+    // the rebuild must ship that accumulated state.
+    for (label, fail_after) in [("process", 1), ("socket", 1), ("process", 8), ("socket", 8)] {
         let (outcome, after, total) = if label == "process" {
             let mut t =
-                ProcessTransport::spawn_commands(worker_binary(), &faulty_argv(2, 1)).unwrap();
+                ProcessTransport::spawn_commands(worker_binary(), &faulty_argv(2, fail_after))
+                    .unwrap();
             let outcome = build_engine().evaluate_via(&mut t, &query, &instance);
             (outcome, t.alive_workers(), t.worker_count())
         } else {
             let mut t =
-                SocketTransport::spawn_commands(worker_binary(), &faulty_argv(2, 1)).unwrap();
+                SocketTransport::spawn_commands(worker_binary(), &faulty_argv(2, fail_after))
+                    .unwrap();
             let outcome = build_engine().evaluate_via(&mut t, &query, &instance);
             (outcome, t.alive_workers(), t.worker_count())
         };
+        let label = format!("{label}, death on job {}", fail_after + 1);
         let outcome = outcome.unwrap_or_else(|e| panic!("{label}: run did not survive: {e}"));
         assert_eq!(
             outcome.result.to_string(),
