@@ -1,49 +1,75 @@
 //! Evaluation of conjunctive queries over instances.
 //!
-//! The evaluator enumerates *satisfying valuations* by backtracking over the
-//! body atoms. Two orthogonal strategy axes are exposed through
-//! [`EvalOptions`]:
+//! Every entry point — [`evaluate_with`], [`evaluate_seminaive_step_with`],
+//! [`for_each_satisfying`] — runs the same **compiled kernel**:
 //!
-//! * **Candidate retrieval** — by default each atom with at least one bound
-//!   argument retrieves its candidate facts through the instance's secondary
-//!   hash indexes ([`Instance::posting`]), intersecting the per-position
-//!   posting lists when several arguments are bound. `use_indexes: false`
-//!   falls back to scanning the whole relation (the seed behavior, kept as
-//!   the ablation baseline and as the ground truth for property tests).
+//! * **Slots, not maps.** A query is compiled once per call
+//!   (`CompiledQuery`, one pass over its atoms) into dense variable
+//!   *slots*: every body atom becomes a list of argument slots, the head a
+//!   slot projection. The search binds a flat `[Option<Value>]` slot array
+//!   and undoes through one shared trail, so a visited search node allocates
+//!   nothing and touches no ordered map. Each atom's relation is resolved
+//!   once into a `RelationView` (rows plus the lazily resolved secondary
+//!   index), so a posting lookup inside the search is one hash probe.
+//! * **Answers before facts.** `evaluate*` project every satisfying
+//!   assignment onto the head slots and collect the tuples with set
+//!   semantics *before any [`Fact`] exists*: a hash probe on the projection,
+//!   an allocation only for a tuple seen for the first time, and one
+//!   [`Instance::from_facts`] over the distinct set at the end. The work per
+//!   derivation is a probe; the allocations are O(answers), not
+//!   O(valuations). (`evaluate_done` in a trace carries both counts.)
+//! * **Valuations only at the boundary.** [`for_each_satisfying`] keeps its
+//!   `&Valuation` callback as a thin adapter that refills one reused
+//!   [`Valuation`] from the slots at each leaf.
+//!
+//! [`EvalOptions`] selects among the kernel's strategies:
+//!
+//! * **Candidate retrieval** — by default an atom with at least one bound
+//!   argument iterates the shortest posting list of its bound positions and
+//!   skips rows absent from the others. `use_indexes: false` hands the
+//!   kernel unindexed views instead: every atom scans its relation and the
+//!   planner uses an index-free estimate, so no index is ever built. That
+//!   is [`EvalOptions::scan_naive`], the oracle of the property suites —
+//!   the same code path minus the index.
 //! * **Join ordering** — by default atoms are ordered by a cost model that
 //!   estimates each atom's candidate-set size from the index statistics
-//!   (exact posting-list lengths for variables pre-bound to known values,
-//!   average selectivity `|R| / distinct(position)` for variables bound by
-//!   earlier atoms). [`JoinOrdering::Naive`] keeps source order for the
-//!   join-ordering ablation benchmark. With `use_indexes: false` the cost
-//!   model switches to an index-free estimate (relation size discounted per
-//!   bound argument), so the scan configuration never builds indexes at all.
+//!   (exact posting-list lengths for slots pre-bound to known values,
+//!   average selectivity `|R| / distinct(position)` for slots bound by
+//!   earlier atoms). [`JoinOrdering::Naive`] keeps source order.
 //! * **Join strategy** — under [`JoinStrategy::Auto`] (the default) acyclic
-//!   queries run the classic atom-at-a-time binary join, while queries
-//!   whose join graph is cyclic (GYO reduction, [`crate::is_acyclic`])
-//!   switch to a leapfrog-style *worst-case-optimal multiway join*: one
-//!   variable is bound at a time and every atom containing it narrows its
-//!   candidate rows by posting-list intersection, which avoids the
-//!   intermediate-result blowup binary plans pay on triangles and other
-//!   cycles. The multiway join *is* a posting-list intersection, so it
-//!   needs `use_indexes: true`; without indexes the evaluator always falls
-//!   back to the binary scan join.
+//!   queries run the atom-at-a-time binary join, while queries whose join
+//!   graph is cyclic (GYO reduction, [`crate::is_acyclic`]) switch to the
+//!   leapfrog-style *worst-case-optimal multiway join*: one variable is
+//!   bound at a time and every atom containing it narrows its candidate
+//!   rows by posting-list intersection, which avoids the intermediate-result
+//!   blowup binary plans pay on triangles and other cycles. The candidate
+//!   values of a depth are sorted and deduplicated in a per-depth buffer,
+//!   narrowed row sets live in per-(depth, occurrence) buffers that are
+//!   swapped in and out, lists are intersected by merge or by galloping
+//!   according to their length ratio, and the last variable's narrowing is
+//!   an early-exit existence test. The multiway join *is* a posting-list
+//!   intersection, so it needs `use_indexes: true`; without indexes the
+//!   evaluator always falls back to the binary scan join.
 //! * **Adaptive reordering** — with a nonzero `adaptive_factor`, the binary
-//!   matcher compares each depth's observed candidate count against the
+//!   join compares each depth's observed candidate count against the
 //!   planner's estimate and re-ranks the remaining atoms mid-search (using
 //!   the now-concrete bindings as known values, i.e. exact posting counts)
 //!   when observation exceeds the estimate by more than the factor, so one
 //!   bad early estimate stops poisoning the rest of the search.
 //!
 //! All strategies enumerate exactly the same valuations; only the order and
-//! shape of the backtracking search differ.
+//! shape of the backtracking search differ. A fact only ever matches an atom
+//! of its own arity, so ill-formed (mixed-arity) relations evaluate the same
+//! under every strategy.
 
-use std::collections::BTreeSet;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
 
 use crate::atom::{Atom, Variable};
 use crate::fact::Fact;
-use crate::instance::Instance;
+use crate::instance::{Instance, RelationView};
+use crate::intern::{Symbol, SymbolHashBuilder};
 use crate::query::ConjunctiveQuery;
 use crate::valuation::Valuation;
 use crate::value::Value;
@@ -164,217 +190,325 @@ impl EvalOptions {
     }
 }
 
-/// Estimated number of candidate facts for `atom`, given the variables with
-/// statically known values (`known`) and the variables bound by earlier atoms
-/// to values unknown at planning time (`bound`).
-///
-/// Starts from the relation size and multiplies in one selectivity factor
-/// per bound argument position: the exact posting-list fraction when the
-/// value is known, the average `1 / distinct(position)` otherwise.
-fn estimate_candidates(
-    atom: &Atom,
-    instance: &Instance,
-    known: &Valuation,
-    bound: &BTreeSet<Variable>,
-) -> f64 {
-    let relation_size = instance.facts_of(atom.relation).len();
-    if relation_size == 0 {
-        return 0.0;
-    }
-    let n = relation_size as f64;
-    let mut estimate = n;
-    for (position, &var) in atom.args.iter().enumerate() {
-        if let Some(value) = known.get(var) {
-            estimate *= instance.count_matching(atom.relation, position, value) as f64 / n;
-        } else if bound.contains(&var) {
-            let distinct = instance.distinct_values_at(atom.relation, position);
-            if distinct > 0 {
-                estimate /= distinct as f64;
+/// The kernel's view of a partial valuation: slot `s` holds the value bound
+/// to the `s`-th query variable, if any.
+type Slots = [Option<Value>];
+
+/// A query compiled to dense variable slots: slot `s` stands for `vars[s]`.
+/// Slots are numbered in first-occurrence order over the body (safety makes
+/// the head variables a subset), so compiling is one pass over the atoms.
+struct CompiledQuery<'q> {
+    query: &'q ConjunctiveQuery,
+    vars: Vec<Variable>,
+    /// The body atoms' argument slots, flattened: atom `a` owns
+    /// `args[starts[a]..starts[a + 1]]`.
+    args: Vec<usize>,
+    starts: Vec<usize>,
+}
+
+impl<'q> CompiledQuery<'q> {
+    fn new(query: &'q ConjunctiveQuery) -> Self {
+        let body = query.body();
+        let mut vars: Vec<Variable> = Vec::new();
+        let mut args = Vec::with_capacity(body.iter().map(Atom::arity).sum());
+        let mut starts = Vec::with_capacity(body.len() + 1);
+        for atom in body {
+            starts.push(args.len());
+            for &var in &atom.args {
+                let slot = vars.iter().position(|&v| v == var).unwrap_or_else(|| {
+                    vars.push(var);
+                    vars.len() - 1
+                });
+                args.push(slot);
             }
         }
+        starts.push(args.len());
+        CompiledQuery {
+            query,
+            vars,
+            args,
+            starts,
+        }
     }
-    estimate
-}
 
-/// Index-free candidate estimate used when `use_indexes: false`: the
-/// relation size discounted by a fixed factor per bound argument. Keeping
-/// this path off the secondary indexes makes `use_indexes: false` a genuine
-/// "no indexes anywhere" mode (ordering included), so the ablation measures
-/// what it claims to.
-fn estimate_candidates_index_free(
-    atom: &Atom,
-    instance: &Instance,
-    known: &Valuation,
-    bound: &BTreeSet<Variable>,
-) -> f64 {
-    let n = instance.facts_of(atom.relation).len() as f64;
-    let bound_args = atom
-        .args
-        .iter()
-        .filter(|v| known.binds(**v) || bound.contains(v))
-        .count() as u32;
-    // assume each bound argument keeps ~1/4 of the candidates
-    n / 4f64.powi(bound_args as i32)
-}
+    fn atom_count(&self) -> usize {
+        self.starts.len() - 1
+    }
 
-/// Greedily ranks `remaining` atoms cheapest-estimated-candidate-set-first
-/// (ties resolved in source order, so plans are deterministic), starting
-/// from the given already-bound variable set. Returns `(atom, estimate)`
-/// pairs in processing order — the shared cost-model core of the upfront
-/// planner ([`atom_order`], [`atom_order_with_first`]) and the adaptive
-/// mid-search re-ranking.
-fn rank_remaining(
-    query: &ConjunctiveQuery,
-    instance: &Instance,
-    known: &Valuation,
-    mut bound: BTreeSet<Variable>,
-    opts: EvalOptions,
-    mut remaining: Vec<usize>,
-) -> Vec<(usize, f64)> {
-    let mut ranked = Vec::with_capacity(remaining.len());
-    while !remaining.is_empty() {
-        let mut best_pos = 0;
-        let mut best_cost = f64::INFINITY;
-        for (pos, &i) in remaining.iter().enumerate() {
-            let atom = &query.body()[i];
-            let cost = if opts.use_indexes {
-                estimate_candidates(atom, instance, known, &bound)
-            } else {
-                estimate_candidates_index_free(atom, instance, known, &bound)
-            };
-            if cost < best_cost {
-                best_cost = cost;
-                best_pos = pos;
+    /// The argument slots of body atom `atom`.
+    fn atom(&self, atom: usize) -> &[usize] {
+        &self.args[self.starts[atom]..self.starts[atom + 1]]
+    }
+
+    fn slot(&self, var: Variable) -> Option<usize> {
+        self.vars.iter().position(|&v| v == var)
+    }
+
+    /// The slot array with the bindings `fixed` makes on query variables;
+    /// its bindings for other variables are harmless and dropped.
+    fn bind_fixed(&self, fixed: &Valuation) -> Vec<Option<Value>> {
+        let mut slots = vec![None; self.vars.len()];
+        for (var, value) in fixed.bindings() {
+            if let Some(slot) = self.slot(var) {
+                slots[slot] = Some(value);
             }
         }
-        let best = remaining.remove(best_pos);
-        ranked.push((best, best_cost));
-        bound.extend(query.body()[best].args.iter().copied());
+        slots
     }
-    ranked
+
+    /// One view per body atom over `instance`.
+    fn views<'a>(&self, instance: &'a Instance, indexed: bool) -> Vec<RelationView<'a>> {
+        self.query
+            .body()
+            .iter()
+            .map(|atom| instance.view(atom.relation, indexed))
+            .collect()
+    }
 }
 
-/// Computes the atom processing order and the planner's per-depth candidate
-/// estimates (infinite under [`JoinOrdering::Naive`], which never
-/// estimates — the adaptive reorderer then never fires).
-fn plan(
-    query: &ConjunctiveQuery,
-    instance: &Instance,
-    fixed: &Valuation,
-    opts: EvalOptions,
-) -> (Vec<usize>, Vec<f64>) {
-    let n = query.body_size();
-    if opts.ordering == JoinOrdering::Naive {
-        return ((0..n).collect(), vec![f64::INFINITY; n]);
-    }
-    let bound: BTreeSet<Variable> = fixed.bindings().map(|(v, _)| v).collect();
-    rank_remaining(query, instance, fixed, bound, opts, (0..n).collect())
-        .into_iter()
-        .unzip()
+/// The binding state of a search: the slot array plus the undo trail of the
+/// slots bound since the search began.
+struct Bindings {
+    slots: Vec<Option<Value>>,
+    trail: Vec<usize>,
 }
 
-/// Computes the atom processing order.
-///
-/// Cost-aware ordering greedily picks the atom with the smallest estimated
-/// candidate set next (ties resolved in source order, so plans are
-/// deterministic and degrade to the naive order when the model has no
-/// information to distinguish atoms).
-#[cfg(test)]
-fn atom_order(
-    query: &ConjunctiveQuery,
-    instance: &Instance,
-    fixed: &Valuation,
-    opts: EvalOptions,
-) -> Vec<usize> {
-    plan(query, instance, fixed, opts).0
-}
-
-/// Tries to extend `binding` so that `atom` maps onto `fact`.
-///
-/// Returns the list of variables newly bound (for undo) or `None` if the
-/// fact does not match.
-fn try_match(atom: &Atom, fact: &Fact, binding: &mut Valuation) -> Option<Vec<Variable>> {
-    if atom.relation != fact.relation || atom.arity() != fact.arity() {
-        return None;
-    }
-    let mut newly_bound = Vec::new();
-    for (&var, &value) in atom.args.iter().zip(fact.values.iter()) {
-        match binding.get(var) {
-            Some(existing) if existing == value => {}
-            Some(_) => {
-                for v in newly_bound {
-                    binding.unbind(v);
+impl Bindings {
+    /// Extends the bindings so that the atom with argument slots `args`
+    /// maps onto `fact`. On a clash — or a fact of another arity — nothing
+    /// stays bound; on success the caller undoes to its trail mark.
+    fn unify(&mut self, args: &[usize], fact: &Fact) -> bool {
+        if args.len() != fact.values.len() {
+            return false;
+        }
+        let mark = self.trail.len();
+        for (&slot, &value) in args.iter().zip(&fact.values) {
+            match self.slots[slot] {
+                Some(bound) if bound == value => {}
+                Some(_) => {
+                    self.undo(mark);
+                    return false;
                 }
-                return None;
+                None => {
+                    self.slots[slot] = Some(value);
+                    self.trail.push(slot);
+                }
             }
-            None => {
-                binding.bind(var, value);
-                newly_bound.push(var);
+        }
+        true
+    }
+
+    fn undo(&mut self, mark: usize) {
+        for &slot in &self.trail[mark..] {
+            self.slots[slot] = None;
+        }
+        self.trail.truncate(mark);
+    }
+}
+
+/// The atom-at-a-time backtracking join: plan, bindings and per-depth
+/// scratch space.
+///
+/// `views[a]` is where body atom `a` draws its candidate facts from. The
+/// plain evaluator uses the same instance for every atom; the semi-naive
+/// differential pass points its pivot atom at the delta instance and every
+/// other atom at the full one.
+struct BinaryJoin<'a, L> {
+    query: &'a CompiledQuery<'a>,
+    views: Vec<RelationView<'a>>,
+    opts: EvalOptions,
+    /// The atom processing order and the planner's per-depth candidate
+    /// estimates; the adaptive reorderer compares the estimates against
+    /// observed counts.
+    order: Vec<usize>,
+    estimates: Vec<f64>,
+    /// Whether mid-search re-ranking is enabled: pivot-free searches under
+    /// cost-aware ordering with a nonzero `adaptive_factor`.
+    adaptive: bool,
+    bindings: Bindings,
+    /// One reusable buffer per search depth for the posting lists of the
+    /// depth's bound argument positions.
+    postings: Vec<Vec<&'a [u32]>>,
+    leaf: L,
+}
+
+impl<'a, L> BinaryJoin<'a, L>
+where
+    L: FnMut(&Slots) -> ControlFlow<()>,
+{
+    /// A planned join over `views` starting from the pre-bound `slots`
+    /// (see [`BinaryJoin::plan`] for `pivot`).
+    fn new(
+        query: &'a CompiledQuery<'a>,
+        views: Vec<RelationView<'a>>,
+        slots: Vec<Option<Value>>,
+        opts: EvalOptions,
+        pivot: Option<usize>,
+        leaf: L,
+    ) -> Self {
+        let depths = query.atom_count();
+        let mut join = BinaryJoin {
+            query,
+            views,
+            opts,
+            order: Vec::with_capacity(depths),
+            estimates: Vec::with_capacity(depths),
+            adaptive: false,
+            bindings: Bindings {
+                trail: Vec::with_capacity(slots.len()),
+                slots,
+            },
+            postings: vec![Vec::new(); depths],
+            leaf,
+        };
+        join.plan(pivot);
+        join
+    }
+
+    /// Computes the atom processing order. Cost-aware ordering greedily
+    /// picks the atom with the smallest estimated candidate set next;
+    /// [`JoinOrdering::Naive`] keeps source order and never estimates.
+    ///
+    /// With a `pivot`, that atom is forced to the front and its slots count
+    /// as bound for the rest — the plan shape of a semi-naive differential
+    /// pass: the pivot matches the (small) delta first, everything else
+    /// joins against the full instance. Such passes pin `views[pivot]`, so
+    /// mid-search re-ranking (which permutes the tail) stays off for them.
+    fn plan(&mut self, pivot: Option<usize>) {
+        self.order.extend(pivot);
+        self.estimates.extend(pivot.map(|_| f64::INFINITY));
+        let remaining: Vec<usize> = (0..self.query.atom_count())
+            .filter(|&atom| Some(atom) != pivot)
+            .collect();
+        if self.opts.ordering == JoinOrdering::Naive {
+            self.estimates
+                .extend(remaining.iter().map(|_| f64::INFINITY));
+            self.order.extend(remaining);
+            return;
+        }
+        self.adaptive = pivot.is_none() && self.opts.adaptive_factor > 0;
+        let mut bound: Vec<bool> = self.bindings.slots.iter().map(Option::is_some).collect();
+        for &slot in pivot.map_or(&[][..], |atom| self.query.atom(atom)) {
+            bound[slot] = true;
+        }
+        self.rank(bound, remaining);
+    }
+
+    /// Appends `remaining` to the plan, greedily cheapest-estimate-first
+    /// (ties resolved in the given order, so plans are deterministic and
+    /// degrade to source order when the model cannot tell atoms apart).
+    /// `bound` marks the slots earlier atoms bind — to values unknown at
+    /// planning time, unless the slot array already holds them. Shared by
+    /// the upfront planner and the adaptive mid-search re-ranking.
+    fn rank(&mut self, mut bound: Vec<bool>, mut remaining: Vec<usize>) {
+        while !remaining.is_empty() {
+            let mut best_pos = 0;
+            let mut best_cost = f64::INFINITY;
+            for (pos, &atom) in remaining.iter().enumerate() {
+                let cost = self.estimate(atom, &bound);
+                if cost < best_cost {
+                    best_cost = cost;
+                    best_pos = pos;
+                }
+            }
+            let best = remaining.remove(best_pos);
+            self.order.push(best);
+            self.estimates.push(best_cost);
+            for &slot in self.query.atom(best) {
+                bound[slot] = true;
             }
         }
     }
-    Some(newly_bound)
-}
 
-/// The backtracking matcher: query, plan and per-depth scratch space.
-///
-/// `instances[d]` is the instance atom `order[d]` draws its candidate facts
-/// from. The plain evaluator uses the same instance at every depth; the
-/// semi-naive differential pass pins its pivot atom to the delta instance
-/// and every other atom to the full instance.
-struct Matcher<'a, F> {
-    query: &'a ConjunctiveQuery,
-    instances: Vec<&'a Instance>,
-    order: Vec<usize>,
-    opts: EvalOptions,
-    callback: F,
-    /// One reusable constraint buffer per search depth, so the hot path does
-    /// not allocate per visited search-tree node.
-    constraints: Vec<Vec<(usize, Value)>>,
-    /// The planner's per-depth candidate estimates (parallel to `order`);
-    /// the adaptive reorderer compares them against observed counts.
-    estimates: Vec<f64>,
-    /// Whether mid-search re-ranking is enabled: uniform-instance searches
-    /// under cost-aware ordering with a nonzero `adaptive_factor`. Off in
-    /// semi-naive passes, whose per-depth instances must stay aligned with
-    /// the pivot plan.
-    adaptive: bool,
-}
+    /// Estimated number of candidate facts for `atom`: the relation size
+    /// times one selectivity factor per bound argument position — the exact
+    /// posting-list fraction when the slot's value is known, the average
+    /// `1 / distinct(position)` when it is only `bound`. An unindexed view
+    /// gets the index-free estimate instead (each bound argument keeps
+    /// about a quarter of the candidates), so the scan configuration never
+    /// builds an index, ordering included.
+    fn estimate(&self, atom: usize, bound: &[bool]) -> f64 {
+        let view = &self.views[atom];
+        let args = self.query.atom(atom);
+        let known = &self.bindings.slots;
+        let n = view.facts.len() as f64;
+        if !view.is_indexed() {
+            let bound_args = args
+                .iter()
+                .filter(|&&slot| known[slot].is_some() || bound[slot])
+                .count();
+            return n / 4f64.powi(bound_args as i32);
+        }
+        if view.facts.is_empty() {
+            return 0.0;
+        }
+        let mut estimate = n;
+        for (position, &slot) in args.iter().enumerate() {
+            if let Some(value) = known[slot] {
+                estimate *= view.posting(position, value).len() as f64 / n;
+            } else if bound[slot] {
+                let distinct = view.distinct_values_at(position);
+                if distinct > 0 {
+                    estimate /= distinct as f64;
+                }
+            }
+        }
+        estimate
+    }
 
-impl<F> Matcher<'_, F>
-where
-    F: FnMut(&Valuation) -> ControlFlow<()>,
-{
-    fn search(&mut self, depth: usize, binding: &mut Valuation) -> ControlFlow<()> {
+    fn search(&mut self, depth: usize) -> ControlFlow<()> {
         if depth == self.order.len() {
-            return (self.callback)(binding);
+            return (self.leaf)(&self.bindings.slots);
         }
         let query = self.query;
-        let atom = &query.body()[self.order[depth]];
-
-        // Collect the (position, value) constraints the current binding
-        // imposes on the atom.
-        let mut constraints = std::mem::take(&mut self.constraints[depth]);
-        constraints.clear();
-        if self.opts.use_indexes {
-            for (position, &var) in atom.args.iter().enumerate() {
-                if let Some(value) = binding.get(var) {
-                    constraints.push((position, value));
+        // The posting lists of the atom's bound argument positions,
+        // shortest first. An unindexed view has none and is scanned.
+        let mut postings = std::mem::take(&mut self.postings[depth]);
+        postings.clear();
+        let view = &self.views[self.order[depth]];
+        let facts = view.facts;
+        if view.is_indexed() {
+            for (position, &slot) in query.atom(self.order[depth]).iter().enumerate() {
+                if let Some(value) = self.bindings.slots[slot] {
+                    postings.push(view.posting(position, value));
                 }
             }
         }
-
-        if self.adaptive && depth + 2 < self.order.len() {
-            self.maybe_rerank_tail(depth, &constraints, binding);
+        if let Some(shortest) = (0..postings.len()).min_by_key(|&i| postings[i].len()) {
+            postings.swap(0, shortest);
         }
+        if self.adaptive && depth + 2 < self.order.len() {
+            let observed = postings.first().map_or(facts.len(), |rows| rows.len());
+            self.maybe_rerank_tail(depth, observed);
+        }
+        let args = query.atom(self.order[depth]);
+        match postings.split_first() {
+            None => {
+                for fact in facts {
+                    self.descend(depth, args, fact)?;
+                }
+            }
+            // Rows absent from another bound position's list cannot match.
+            Some((shortest, others)) => {
+                for &row in *shortest {
+                    if others.iter().all(|rows| rows.binary_search(&row).is_ok()) {
+                        self.descend(depth, args, &facts[row as usize])?;
+                    }
+                }
+            }
+        }
+        self.postings[depth] = postings;
+        ControlFlow::Continue(())
+    }
 
-        let flow = if constraints.is_empty() {
-            // Unconstrained (or index-free) atom: scan the whole relation.
-            self.try_facts_scan(atom, depth, binding)
-        } else {
-            self.try_facts_indexed(atom, &constraints, depth, binding)
-        };
-        self.constraints[depth] = constraints;
+    /// Matches the atom at `depth` onto `fact` and searches on below it.
+    fn descend(&mut self, depth: usize, args: &[usize], fact: &Fact) -> ControlFlow<()> {
+        let mark = self.bindings.trail.len();
+        if !self.bindings.unify(args, fact) {
+            return ControlFlow::Continue(());
+        }
+        let flow = self.search(depth + 1);
+        self.bindings.undo(mark);
         flow
     }
 
@@ -386,23 +520,7 @@ where
     /// averages. Re-ranking only permutes the tail of `order`; every
     /// subtree still covers all atoms, so the enumerated valuations are
     /// unchanged.
-    fn maybe_rerank_tail(
-        &mut self,
-        depth: usize,
-        constraints: &[(usize, Value)],
-        binding: &Valuation,
-    ) {
-        let atom = &self.query.body()[self.order[depth]];
-        let instance = self.instances[depth];
-        let observed = if constraints.is_empty() {
-            instance.facts_of(atom.relation).len()
-        } else {
-            constraints
-                .iter()
-                .map(|&(p, v)| instance.posting(atom.relation, p, v).len())
-                .min()
-                .unwrap_or(0)
-        };
+    fn maybe_rerank_tail(&mut self, depth: usize, observed: usize) {
         let factor = f64::from(self.opts.adaptive_factor);
         if (observed as f64) <= factor * self.estimates[depth].max(1.0) {
             return;
@@ -416,255 +534,312 @@ where
         // Remember the surprise so sibling subtrees with similar observed
         // counts do not replan over and over.
         self.estimates[depth] = observed as f64;
-        let mut bound: BTreeSet<Variable> = BTreeSet::new();
-        for d in 0..=depth {
-            bound.extend(self.query.body()[self.order[d]].args.iter().copied());
+        let mut bound: Vec<bool> = self.bindings.slots.iter().map(Option::is_some).collect();
+        for &slot in self.query.atom(self.order[depth]) {
+            bound[slot] = true;
         }
-        let remaining: Vec<usize> = self.order[depth + 1..].to_vec();
-        let ranked = rank_remaining(self.query, instance, binding, bound, self.opts, remaining);
-        for (offset, (atom_idx, estimate)) in ranked.into_iter().enumerate() {
-            self.order[depth + 1 + offset] = atom_idx;
-            self.estimates[depth + 1 + offset] = estimate;
-        }
-    }
-
-    fn try_facts_scan(
-        &mut self,
-        atom: &Atom,
-        depth: usize,
-        binding: &mut Valuation,
-    ) -> ControlFlow<()> {
-        let instance = self.instances[depth];
-        for fact in instance.facts_of(atom.relation) {
-            if let Some(newly_bound) = try_match(atom, fact, binding) {
-                let flow = self.search(depth + 1, binding);
-                for v in newly_bound {
-                    binding.unbind(v);
-                }
-                flow?;
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Iterates the shortest posting list and skips rows absent from the
-    /// other bound positions' lists (sorted-list intersection), so only
-    /// facts agreeing with every bound argument reach `try_match`.
-    fn try_facts_indexed(
-        &mut self,
-        atom: &Atom,
-        constraints: &[(usize, Value)],
-        depth: usize,
-        binding: &mut Valuation,
-    ) -> ControlFlow<()> {
-        let instance = self.instances[depth];
-        let facts = instance.facts_of(atom.relation);
-        let (&(pos0, val0), rest) = constraints.split_first().expect("non-empty constraints");
-        let mut shortest = instance.posting(atom.relation, pos0, val0);
-        let mut others: Vec<&[u32]> = Vec::with_capacity(rest.len());
-        for &(pos, val) in rest {
-            let posting = instance.posting(atom.relation, pos, val);
-            if posting.len() < shortest.len() {
-                others.push(shortest);
-                shortest = posting;
-            } else {
-                others.push(posting);
-            }
-        }
-        for &row in shortest {
-            if !others.iter().all(|p| p.binary_search(&row).is_ok()) {
-                continue;
-            }
-            let fact = &facts[row as usize];
-            if let Some(newly_bound) = try_match(atom, fact, binding) {
-                let flow = self.search(depth + 1, binding);
-                for v in newly_bound {
-                    binding.unbind(v);
-                }
-                flow?;
-            }
-        }
-        ControlFlow::Continue(())
+        let remaining = self.order.split_off(depth + 1);
+        self.estimates.truncate(depth + 1);
+        self.rank(bound, remaining);
     }
 }
 
-/// Intersection of two sorted, duplicate-free row-id lists: iterates the
-/// shorter and binary-searches the longer.
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    small
-        .iter()
-        .copied()
-        .filter(|row| large.binary_search(row).is_ok())
-        .collect()
+/// From this length ratio on, two sorted lists are intersected by galloping
+/// through the longer one instead of merging them step by step.
+const GALLOP_RATIO: usize = 8;
+
+/// The index of the first element of the sorted `list` that is not below
+/// `target`, found by doubling steps from the front: O(log distance), which
+/// is what makes intersecting a short list with a long one cheap.
+fn gallop_to(list: &[u32], target: u32) -> usize {
+    let (mut lo, mut step) = (0, 1);
+    while lo + step < list.len() && list[lo + step] < target {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step + 1).min(list.len());
+    lo + list[lo..hi].partition_point(|&row| row < target)
 }
 
-/// The worst-case-optimal multiway matcher: binds one *variable* at a time
+/// Visits the common elements of two sorted, duplicate-free row-id lists in
+/// ascending order, by merge or by galloping according to the length ratio.
+fn for_each_common(
+    a: &[u32],
+    b: &[u32],
+    mut visit: impl FnMut(u32) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let (small, mut large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if small.len().saturating_mul(GALLOP_RATIO) < large.len() {
+        for &row in small {
+            large = &large[gallop_to(large, row)..];
+            match large.first() {
+                None => break,
+                Some(&found) if found == row => visit(row)?,
+                Some(_) => {}
+            }
+        }
+    } else {
+        let (mut i, mut j) = (0, 0);
+        while i < small.len() && j < large.len() {
+            match small[i].cmp(&large[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    visit(small[i])?;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// Replaces the contents of `out` with the intersection of `a` and `b`.
+fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let _ = for_each_common(a, b, |row| {
+        out.push(row);
+        ControlFlow::Continue(())
+    });
+}
+
+/// Whether `a` and `b` share an element; stops at the first one.
+fn intersects(a: &[u32], b: &[u32]) -> bool {
+    for_each_common(a, b, |_| ControlFlow::Break(())).is_break()
+}
+
+/// One occurrence of a variable in the body.
+#[derive(Clone, Copy)]
+struct Occurrence {
+    atom: usize,
+    position: usize,
+    /// Whether no later occurrence of the same variable lies in the same
+    /// atom (occurrences are kept in body order, so those would follow
+    /// directly).
+    last_in_atom: bool,
+}
+
+/// The worst-case-optimal multiway join: binds one *variable* at a time
 /// instead of matching one atom at a time.
 ///
 /// Every atom keeps a sorted set of candidate row ids into its relation's
-/// fact vector. Binding a variable to a value intersects, for every
-/// position of every atom the variable occurs in, the atom's candidate
-/// rows with the posting list of that value — so all atoms narrow
-/// together, leapfrog-style, and a binary join's intermediate results
-/// (pairs that can never close a cycle) are never materialized. Once all
-/// variables are bound, every surviving row set is non-empty and agrees
-/// with the binding at every position, so the binding satisfies the query.
-struct MultiwayMatcher<'a, F> {
-    query: &'a ConjunctiveQuery,
-    instance: &'a Instance,
-    /// Variable binding order: most-constrained (most occurrences) first.
-    var_order: Vec<Variable>,
-    /// `occurrences[d]` = the `(atom, position)` pairs where `var_order[d]`
-    /// occurs in the body.
-    occurrences: Vec<Vec<(usize, usize)>>,
-    /// Per-atom sorted candidate row ids (into [`Instance::facts_of`]).
+/// fact vector, seeded with the rows of the atom's arity. Binding a
+/// variable to a value intersects, for every position of every atom the
+/// variable occurs in, the atom's candidate rows with the posting list of
+/// that value — so all atoms narrow together, leapfrog-style, and a binary
+/// join's intermediate results (pairs that can never close a cycle) are
+/// never materialized. Once all variables are bound, every surviving row
+/// set is non-empty and agrees with the binding at every position, so the
+/// binding satisfies the query.
+struct Leapfrog<'a, L> {
+    views: Vec<RelationView<'a>>,
+    /// The slot bound at each depth: most-constrained (most occurrences)
+    /// first, ties in first-occurrence order.
+    var_order: Vec<usize>,
+    /// `occurrences[d]` = where `var_order[d]` occurs, in body order.
+    occurrences: Vec<Vec<Occurrence>>,
+    /// Per-atom sorted candidate row ids (into the view's `facts`).
     rows: Vec<Vec<u32>>,
-    callback: F,
+    /// `spare[d][k]` receives the narrowing for `occurrences[d][k]` and is
+    /// swapped with the atom's `rows`, so it holds the rows to restore while
+    /// the search is below depth `d`: no row set is allocated after the
+    /// buffers have grown.
+    spare: Vec<Vec<Vec<u32>>>,
+    /// `candidates[d]`: the reusable buffer of depth `d`'s candidate values.
+    candidates: Vec<Vec<Value>>,
+    slots: Vec<Option<Value>>,
+    leaf: L,
 }
 
-impl<F> MultiwayMatcher<'_, F>
+impl<'a, L> Leapfrog<'a, L>
 where
-    F: FnMut(&Valuation) -> ControlFlow<()>,
+    L: FnMut(&Slots) -> ControlFlow<()>,
 {
-    fn search(&mut self, depth: usize, binding: &mut Valuation) -> ControlFlow<()> {
-        if depth == self.var_order.len() {
-            return (self.callback)(binding);
+    /// Seeds each atom's candidate rows — the facts of the atom's arity,
+    /// narrowed by the pre-bound slots' posting lists — and orders the
+    /// unbound slots. `None` when some atom cannot match at all (empty
+    /// relation, or a pre-bound value that occurs nowhere): no valuations.
+    fn new(
+        query: &CompiledQuery<'_>,
+        views: Vec<RelationView<'a>>,
+        slots: Vec<Option<Value>>,
+        leaf: L,
+    ) -> Option<Self> {
+        let mut rows: Vec<Vec<u32>> = Vec::with_capacity(views.len());
+        let mut scratch = Vec::new();
+        for (atom, view) in views.iter().enumerate() {
+            let args = query.atom(atom);
+            let count =
+                u32::try_from(view.facts.len()).expect("relation larger than u32::MAX facts");
+            let mut seeded: Vec<u32> = (0..count)
+                .filter(|&row| view.facts[row as usize].arity() == args.len())
+                .collect();
+            for (position, &slot) in args.iter().enumerate() {
+                if let Some(value) = slots[slot] {
+                    intersect_into(&seeded, view.posting(position, value), &mut scratch);
+                    std::mem::swap(&mut seeded, &mut scratch);
+                }
+            }
+            if seeded.is_empty() {
+                return None;
+            }
+            rows.push(seeded);
         }
-        let var = self.var_order[depth];
-        let instance = self.instance;
-        // Take the frame's occurrence list out of `self` so narrowing can
-        // borrow the matcher mutably; restored before returning.
-        let occs = std::mem::take(&mut self.occurrences[depth]);
+        let mut occurrence_count = vec![0usize; slots.len()];
+        for &slot in &query.args {
+            occurrence_count[slot] += 1;
+        }
+        // Slot order is first-occurrence order; the sort is stable.
+        let mut var_order: Vec<usize> = (0..slots.len())
+            .filter(|&slot| slots[slot].is_none())
+            .collect();
+        var_order.sort_by_key(|&slot| Reverse(occurrence_count[slot]));
+        let mut depth_of = vec![usize::MAX; slots.len()];
+        for (depth, &slot) in var_order.iter().enumerate() {
+            depth_of[slot] = depth;
+        }
+        let mut occurrences: Vec<Vec<Occurrence>> = vec![Vec::new(); var_order.len()];
+        for atom in 0..query.atom_count() {
+            for (position, &slot) in query.atom(atom).iter().enumerate() {
+                let Some(at_depth) = occurrences.get_mut(depth_of[slot]) else {
+                    continue; // a pre-bound slot
+                };
+                if let Some(previous) = at_depth.last_mut() {
+                    previous.last_in_atom = previous.atom != atom;
+                }
+                at_depth.push(Occurrence {
+                    atom,
+                    position,
+                    last_in_atom: true,
+                });
+            }
+        }
+        Some(Leapfrog {
+            views,
+            spare: occurrences
+                .iter()
+                .map(|at_depth| vec![Vec::new(); at_depth.len()])
+                .collect(),
+            candidates: vec![Vec::new(); var_order.len()],
+            var_order,
+            occurrences,
+            rows,
+            slots,
+            leaf,
+        })
+    }
+
+    fn search(&mut self, depth: usize) -> ControlFlow<()> {
+        if depth == self.var_order.len() {
+            return (self.leaf)(&self.slots);
+        }
+        let slot = self.var_order[depth];
+        let last = depth + 1 == self.var_order.len();
+        // Take the frame's buffers out of `self` so narrowing can borrow
+        // the join mutably; restored before returning.
+        let occurrences = std::mem::take(&mut self.occurrences[depth]);
+        let mut spare = std::mem::take(&mut self.spare[depth]);
+        let mut candidates = std::mem::take(&mut self.candidates[depth]);
         // The atom with the fewest candidate rows bounds the value set.
-        let (src_atom, src_pos) = occs
+        let source = *occurrences
             .iter()
-            .copied()
-            .min_by_key(|&(atom, _)| self.rows[atom].len())
+            .min_by_key(|occurrence| self.rows[occurrence.atom].len())
             .expect("ordered variables occur in at least one atom");
-        let src_facts = instance.facts_of(self.query.body()[src_atom].relation);
-        let mut candidates: BTreeSet<Value> = BTreeSet::new();
-        'rows: for &row in &self.rows[src_atom] {
-            let fact = &src_facts[row as usize];
-            let value = fact.values[src_pos];
+        let source_facts = self.views[source.atom].facts;
+        candidates.clear();
+        'rows: for &row in &self.rows[source.atom] {
+            let values = &source_facts[row as usize].values;
+            let value = values[source.position];
             // A variable repeated inside the source atom must agree across
             // its positions for the row to propose a value at all.
-            for &(atom, position) in occs.iter() {
-                if atom == src_atom && fact.values[position] != value {
+            for occurrence in &occurrences {
+                if occurrence.atom == source.atom && values[occurrence.position] != value {
                     continue 'rows;
                 }
             }
-            candidates.insert(value);
+            candidates.push(value);
         }
+        candidates.sort_unstable();
+        candidates.dedup();
+        // Below the last variable nothing reads the row sets again, so an
+        // atom's final narrowing there is an existence test — and the source
+        // atom needs none: the row that proposed the value is in it.
+        let materializes = |occurrence: &Occurrence| {
+            !(last && (occurrence.last_in_atom || occurrence.atom == source.atom))
+        };
         let mut result = ControlFlow::Continue(());
-        for value in candidates {
+        for &value in &candidates {
             // Narrow every occurrence to the rows carrying `value` at that
             // position; an empty intersection prunes the whole branch.
-            let mut trail: Vec<(usize, Vec<u32>)> = Vec::with_capacity(occs.len());
+            let mut narrowed = 0;
             let mut alive = true;
-            for &(atom, position) in occs.iter() {
-                let relation = self.query.body()[atom].relation;
-                let posting = instance.posting(relation, position, value);
-                let narrowed = intersect_sorted(&self.rows[atom], posting);
-                alive = !narrowed.is_empty();
-                trail.push((atom, std::mem::replace(&mut self.rows[atom], narrowed)));
+            for (k, occurrence) in occurrences.iter().enumerate() {
+                if last && occurrence.atom == source.atom {
+                    narrowed = k + 1;
+                    continue;
+                }
+                let posting = self.views[occurrence.atom].posting(occurrence.position, value);
+                let rows = &mut self.rows[occurrence.atom];
+                if materializes(occurrence) {
+                    intersect_into(rows, posting, &mut spare[k]);
+                    std::mem::swap(rows, &mut spare[k]);
+                    alive = !rows.is_empty();
+                } else {
+                    alive = intersects(rows, posting);
+                }
+                narrowed = k + 1;
                 if !alive {
                     break;
                 }
             }
             let flow = if alive {
-                binding.bind(var, value);
-                let flow = self.search(depth + 1, binding);
-                binding.unbind(var);
+                self.slots[slot] = Some(value);
+                let flow = self.search(depth + 1);
+                self.slots[slot] = None;
                 flow
             } else {
                 ControlFlow::Continue(())
             };
-            for (atom, saved) in trail.into_iter().rev() {
-                self.rows[atom] = saved;
+            for (k, occurrence) in occurrences[..narrowed].iter().enumerate().rev() {
+                if materializes(occurrence) {
+                    std::mem::swap(&mut self.rows[occurrence.atom], &mut spare[k]);
+                }
             }
             if flow.is_break() {
                 result = ControlFlow::Break(());
                 break;
             }
         }
-        self.occurrences[depth] = occs;
+        self.occurrences[depth] = occurrences;
+        self.spare[depth] = spare;
+        self.candidates[depth] = candidates;
         result
     }
 }
 
-/// Runs the multiway join: seeds each atom's candidate rows from the
-/// pre-bound variables' posting lists, orders the unbound variables
-/// most-occurrences-first, and searches variable by variable.
-fn for_each_satisfying_multiway<F>(
-    query: &ConjunctiveQuery,
+/// Runs the kernel: calls `leaf` with the slot array of every satisfying
+/// assignment of `compiled`'s query on `instance` that extends `fixed`,
+/// through the join `opts` selects.
+fn enumerate<L>(
+    compiled: &CompiledQuery<'_>,
     instance: &Instance,
-    binding: &mut Valuation,
-    callback: F,
+    fixed: &Valuation,
+    opts: EvalOptions,
+    leaf: L,
 ) -> ControlFlow<()>
 where
-    F: FnMut(&Valuation) -> ControlFlow<()>,
+    L: FnMut(&Slots) -> ControlFlow<()>,
 {
-    let body = query.body();
-    let mut rows: Vec<Vec<u32>> = Vec::with_capacity(body.len());
-    for atom in body {
-        let fact_count = instance.facts_of(atom.relation).len();
-        let fact_count = u32::try_from(fact_count).expect("relation larger than u32::MAX facts");
-        let mut candidate_rows: Vec<u32> = (0..fact_count).collect();
-        for (position, &var) in atom.args.iter().enumerate() {
-            if let Some(value) = binding.get(var) {
-                let posting = instance.posting(atom.relation, position, value);
-                candidate_rows = intersect_sorted(&candidate_rows, posting);
-            }
-        }
-        if candidate_rows.is_empty() {
-            // Some atom cannot match at all (empty relation, or a
-            // pre-bound value that occurs nowhere): no valuations.
-            return ControlFlow::Continue(());
-        }
-        rows.push(candidate_rows);
+    let slots = compiled.bind_fixed(fixed);
+    let views = compiled.views(instance, opts.use_indexes);
+    if opts.resolved_strategy(compiled.query) == JoinStrategy::Multiway {
+        return match Leapfrog::new(compiled, views, slots, leaf) {
+            Some(mut join) => join.search(0),
+            None => ControlFlow::Continue(()),
+        };
     }
-    // Distinct unbound body variables in first-occurrence order, then
-    // stably sorted most-occurrences-first (ties keep source order).
-    let mut var_order: Vec<Variable> = Vec::new();
-    for atom in body {
-        for &var in &atom.args {
-            if !binding.binds(var) && !var_order.contains(&var) {
-                var_order.push(var);
-            }
-        }
-    }
-    let occurrence_count = |v: Variable| {
-        body.iter()
-            .flat_map(|a| a.args.iter())
-            .filter(|&&w| w == v)
-            .count()
-    };
-    var_order.sort_by_key(|&v| std::cmp::Reverse(occurrence_count(v)));
-    let occurrences: Vec<Vec<(usize, usize)>> = var_order
-        .iter()
-        .map(|&v| {
-            body.iter()
-                .enumerate()
-                .flat_map(|(atom, a)| {
-                    a.args
-                        .iter()
-                        .enumerate()
-                        .filter(move |&(_, &w)| w == v)
-                        .map(move |(position, _)| (atom, position))
-                })
-                .collect()
-        })
-        .collect();
-    let mut matcher = MultiwayMatcher {
-        query,
-        instance,
-        var_order,
-        occurrences,
-        rows,
-        callback,
-    };
-    matcher.search(0, binding)
+    BinaryJoin::new(compiled, views, slots, opts, None, leaf).search(0)
 }
 
 /// Enumerates the satisfying valuations of `query` on `instance` that extend
@@ -678,62 +853,85 @@ pub fn for_each_satisfying<F>(
     instance: &Instance,
     fixed: &Valuation,
     opts: EvalOptions,
-    callback: F,
+    mut callback: F,
 ) -> ControlFlow<()>
 where
     F: FnMut(&Valuation) -> ControlFlow<()>,
 {
-    // Fixed bindings for variables that do not occur in the query are
-    // harmless; restrict to query variables so totality checks stay exact.
-    let vars = query.variables();
-    let mut binding = fixed.restrict(&vars);
-    if opts.resolved_strategy(query) == JoinStrategy::Multiway {
-        return for_each_satisfying_multiway(query, instance, &mut binding, callback);
-    }
-    let (order, estimates) = plan(query, instance, &binding, opts);
-    let depth_count = order.len();
-    let mut matcher = Matcher {
-        query,
-        instances: vec![instance; depth_count],
-        order,
-        opts,
-        callback,
-        constraints: vec![Vec::new(); depth_count],
-        estimates,
-        adaptive: opts.adaptive_factor > 0 && opts.ordering == JoinOrdering::CostAware,
-    };
-    matcher.search(0, &mut binding)
+    let compiled = CompiledQuery::new(query);
+    // One valuation serves every leaf: rebinding a bound variable
+    // overwrites in place.
+    let mut valuation = Valuation::new();
+    enumerate(&compiled, instance, fixed, opts, |slots| {
+        for (&var, value) in compiled.vars.iter().zip(slots) {
+            valuation.bind(var, value.expect("every slot is bound at a leaf"));
+        }
+        callback(&valuation)
+    })
 }
 
-/// Computes the atom processing order with atom `first` forced to the
-/// front; the remaining atoms follow the cost-aware greedy order (or source
-/// order under [`JoinOrdering::Naive`]) with `first`'s variables counted as
-/// already bound. This is the plan shape of a semi-naive differential pass:
-/// the pivot atom matches the (small) delta first, everything else joins
-/// against the full instance.
-fn atom_order_with_first(
-    query: &ConjunctiveQuery,
-    instance: &Instance,
-    fixed: &Valuation,
-    opts: EvalOptions,
-    first: usize,
-) -> Vec<usize> {
-    let n = query.body_size();
-    let mut order = Vec::with_capacity(n);
-    order.push(first);
-    if opts.ordering == JoinOrdering::Naive {
-        order.extend((0..n).filter(|&i| i != first));
-        return order;
+/// The distinct head tuples of an evaluation, collected with set semantics
+/// before any [`Fact`] exists.
+struct Answers {
+    relation: Symbol,
+    /// The head projection: the slot of each head argument.
+    head: Vec<usize>,
+    /// The projection of the leaf at hand, reused across leaves.
+    tuple: Vec<Value>,
+    distinct: HashSet<Vec<Value>, SymbolHashBuilder>,
+    valuations: u64,
+}
+
+impl Answers {
+    fn new(compiled: &CompiledQuery<'_>) -> Answers {
+        let head = compiled.query.head();
+        Answers {
+            relation: head.relation,
+            head: head
+                .args
+                .iter()
+                .map(|&var| {
+                    compiled
+                        .slot(var)
+                        .expect("head variables occur in the body")
+                })
+                .collect(),
+            tuple: Vec::with_capacity(head.arity()),
+            distinct: HashSet::default(),
+            valuations: 0,
+        }
     }
-    let mut bound: BTreeSet<Variable> = fixed.bindings().map(|(v, _)| v).collect();
-    bound.extend(query.body()[first].args.iter().copied());
-    let remaining: Vec<usize> = (0..n).filter(|&i| i != first).collect();
-    order.extend(
-        rank_remaining(query, instance, fixed, bound, opts, remaining)
-            .into_iter()
-            .map(|(i, _)| i),
-    );
-    order
+
+    /// Records the head tuple of one satisfying assignment; allocates only
+    /// when the tuple is new.
+    fn collect(&mut self, slots: &Slots) -> ControlFlow<()> {
+        self.valuations += 1;
+        self.tuple.clear();
+        self.tuple.extend(
+            self.head
+                .iter()
+                .map(|&slot| slots[slot].expect("every slot is bound at a leaf")),
+        );
+        if !self.distinct.contains(self.tuple.as_slice()) {
+            self.distinct.insert(self.tuple.clone());
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The answers as an instance (one bulk build over the distinct set).
+    fn finish(self) -> Instance {
+        obs::instant!(
+            "evaluate_done",
+            valuations = self.valuations,
+            answers = self.distinct.len()
+        );
+        let relation = self.relation;
+        Instance::from_facts(
+            self.distinct
+                .into_iter()
+                .map(|values| Fact::new(relation, values)),
+        )
+    }
 }
 
 /// One semi-naive differential step: the facts `query` derives on `full`
@@ -771,39 +969,21 @@ pub fn evaluate_seminaive_step_with(
         strategy = opts.resolved_strategy(query).label(),
         delta_facts = delta.len()
     );
-    let mut out = Instance::new();
-    let vars = query.variables();
-    for pivot in 0..query.body_size() {
-        let atom = &query.body()[pivot];
-        if delta.facts_of(atom.relation).is_empty() {
+    let compiled = CompiledQuery::new(query);
+    let mut answers = Answers::new(&compiled);
+    for (pivot, atom) in query.body().iter().enumerate() {
+        // The pivot is matched first, with nothing bound: a scan.
+        let pivot_view = delta.view(atom.relation, false);
+        if pivot_view.facts.is_empty() {
             continue;
         }
-        let mut binding = Valuation::new().restrict(&vars);
-        let order = atom_order_with_first(query, full, &binding, opts, pivot);
-        let instances: Vec<&Instance> = order
-            .iter()
-            .map(|&i| if i == pivot { delta } else { full })
-            .collect();
-        let depth_count = order.len();
-        let mut matcher = Matcher {
-            query,
-            instances,
-            order,
-            opts,
-            callback: |v: &Valuation| {
-                out.insert(v.derived_fact(query));
-                ControlFlow::Continue(())
-            },
-            constraints: vec![Vec::new(); depth_count],
-            // Differential passes pin per-depth instances to the pivot
-            // plan, so mid-search re-ranking (which permutes the tail)
-            // stays off here.
-            estimates: vec![f64::INFINITY; depth_count],
-            adaptive: false,
-        };
-        let _ = matcher.search(0, &mut binding);
+        let mut views = compiled.views(full, opts.use_indexes);
+        views[pivot] = pivot_view;
+        let slots = vec![None; compiled.vars.len()];
+        let leaf = |slots: &Slots| answers.collect(slots);
+        let _ = BinaryJoin::new(&compiled, views, slots, opts, Some(pivot), leaf).search(0);
     }
-    out
+    answers.finish()
 }
 
 /// [`evaluate_seminaive_step_with`] under the default [`EvalOptions`].
@@ -851,12 +1031,12 @@ pub fn evaluate_with(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOp
         strategy = opts.resolved_strategy(query).label(),
         facts = instance.len()
     );
-    let mut out = Instance::new();
-    let _ = for_each_satisfying(query, instance, &Valuation::new(), opts, |v| {
-        out.insert(v.derived_fact(query));
-        ControlFlow::Continue(())
+    let compiled = CompiledQuery::new(query);
+    let mut answers = Answers::new(&compiled);
+    let _ = enumerate(&compiled, instance, &Valuation::new(), opts, |slots| {
+        answers.collect(slots)
     });
-    out
+    answers.finish()
 }
 
 #[cfg(test)]
@@ -866,6 +1046,22 @@ mod tests {
 
     fn q(text: &str) -> ConjunctiveQuery {
         ConjunctiveQuery::parse(text).unwrap()
+    }
+
+    /// The binary join's atom processing order, optionally with a forced
+    /// first atom (the plan of a semi-naive pass pivoted there).
+    fn atom_order(
+        query: &ConjunctiveQuery,
+        instance: &Instance,
+        fixed: &Valuation,
+        opts: EvalOptions,
+        pivot: Option<usize>,
+    ) -> Vec<usize> {
+        let compiled = CompiledQuery::new(query);
+        let views = compiled.views(instance, opts.use_indexes);
+        let slots = compiled.bind_fixed(fixed);
+        let leaf = |_: &Slots| ControlFlow::Continue(());
+        BinaryJoin::new(&compiled, views, slots, opts, pivot, leaf).order
     }
 
     /// The four strategy combinations the ablation axes span.
@@ -1157,7 +1353,7 @@ mod tests {
         }
         text.push_str("S(b0, c0).");
         let i = parse_instance(&text).unwrap();
-        let order = super::atom_order(&query, &i, &Valuation::new(), EvalOptions::default());
+        let order = atom_order(&query, &i, &Valuation::new(), EvalOptions::default(), None);
         assert_eq!(order[0], 1, "the selective S atom must be matched first");
     }
 
@@ -1165,7 +1361,7 @@ mod tests {
     fn cost_aware_order_ties_break_to_source_order() {
         let query = q("T(x, z) :- R(x, y), R(y, z).");
         let i = parse_instance("R(a, b). R(b, c).").unwrap();
-        let order = super::atom_order(&query, &i, &Valuation::new(), EvalOptions::default());
+        let order = atom_order(&query, &i, &Valuation::new(), EvalOptions::default(), None);
         assert_eq!(order, vec![0, 1]);
     }
 
@@ -1179,7 +1375,7 @@ mod tests {
         )
         .unwrap();
         let fixed = Valuation::from_names([("x", "a")]);
-        let order = super::atom_order(&query, &i, &fixed, EvalOptions::default());
+        let order = atom_order(&query, &i, &fixed, EvalOptions::default(), None);
         assert_eq!(order[0], 1, "the pre-bound R atom must be matched first");
     }
 
@@ -1290,8 +1486,7 @@ mod tests {
         let i = parse_instance("R(a, b). S(b, c). R(c, d).").unwrap();
         for opts in all_options() {
             for first in 0..query.body_size() {
-                let order =
-                    super::atom_order_with_first(&query, &i, &Valuation::new(), opts, first);
+                let order = atom_order(&query, &i, &Valuation::new(), opts, Some(first));
                 assert_eq!(order[0], first);
                 let mut sorted = order.clone();
                 sorted.sort_unstable();

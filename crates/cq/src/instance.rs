@@ -1,5 +1,6 @@
 //! Database instances: finite sets of facts with per-relation indexes.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,6 +65,49 @@ impl RelationIndex {
 
     fn distinct_values_at(&self, position: usize) -> usize {
         self.by_position.get(position).map_or(0, SymbolMap::len)
+    }
+}
+
+/// One relation of an instance, resolved once: its rows and — on the first
+/// probe — its secondary index. The join kernel takes one view per body atom,
+/// so a posting lookup inside the search is a single hash probe instead of
+/// the `OnceLock` → relation map → position map walk of
+/// [`Instance::posting`]. The index is resolved lazily so an evaluation that
+/// never probes (a single-atom scan, the pivot of a semi-naive pass) never
+/// builds one.
+pub(crate) struct RelationView<'a> {
+    /// The relation's rows ([`Instance::facts_of`]).
+    pub(crate) facts: &'a [Fact],
+    /// Where the index comes from; `None` for index-free evaluation.
+    source: Option<(&'a Instance, Symbol)>,
+    index: Cell<Option<&'a RelationIndex>>,
+}
+
+impl<'a> RelationView<'a> {
+    /// Whether the view may be probed; an unindexed view is scanned.
+    pub(crate) fn is_indexed(&self) -> bool {
+        self.source.is_some()
+    }
+
+    fn index(&self) -> Option<&'a RelationIndex> {
+        if self.index.get().is_none() && !self.facts.is_empty() {
+            if let Some((instance, relation)) = self.source {
+                self.index.set(instance.indexes().get(&relation));
+            }
+        }
+        self.index.get()
+    }
+
+    /// [`Instance::posting`] for this relation.
+    pub(crate) fn posting(&self, position: usize, value: Value) -> &'a [u32] {
+        self.index()
+            .map_or(&[], |index| index.posting(position, value))
+    }
+
+    /// [`Instance::distinct_values_at`] for this relation.
+    pub(crate) fn distinct_values_at(&self, position: usize) -> usize {
+        self.index()
+            .map_or(0, |index| index.distinct_values_at(position))
     }
 }
 
@@ -222,6 +266,10 @@ impl Instance {
 
     /// Inserts a fact. Returns `true` if the fact was not already present.
     ///
+    /// Membership is tested first, so a fact that is already there — the
+    /// common case when a round re-derives old facts — costs a search and
+    /// no copy.
+    ///
     /// If the secondary indexes are already built, they are **maintained
     /// incrementally**: the new fact is appended to the per-position posting
     /// lists (which stay sorted, because the new row id is the largest), so
@@ -229,17 +277,33 @@ impl Instance {
     /// evaluation — never throws away index work. Only [`Instance::remove`]
     /// still invalidates.
     pub fn insert(&mut self, fact: Fact) -> bool {
-        if self.facts.insert(fact.clone()) {
-            let rows = self.by_relation.entry(fact.relation).or_default();
-            if let Some(indexes) = self.indexes.get_mut() {
-                let row = u32::try_from(rows.len()).expect("relation larger than u32::MAX facts");
-                indexes.entry(fact.relation).or_default().append(row, &fact);
-            }
-            rows.push(fact);
-            true
-        } else {
-            false
+        let new = !self.facts.contains(&fact);
+        if new {
+            self.push_new(fact);
         }
+        new
+    }
+
+    /// [`Instance::insert`] for a borrowed fact: copies it only when it is
+    /// not already present.
+    pub fn insert_cloned(&mut self, fact: &Fact) -> bool {
+        let new = !self.facts.contains(fact);
+        if new {
+            self.push_new(fact.clone());
+        }
+        new
+    }
+
+    /// Adds a fact known to be absent to the set, the relation's rows and
+    /// the built indexes.
+    fn push_new(&mut self, fact: Fact) {
+        self.facts.insert(fact.clone());
+        let rows = self.by_relation.entry(fact.relation).or_default();
+        if let Some(indexes) = self.indexes.get_mut() {
+            let row = u32::try_from(rows.len()).expect("relation larger than u32::MAX facts");
+            indexes.entry(fact.relation).or_default().append(row, &fact);
+        }
+        rows.push(fact);
     }
 
     /// Removes a fact. Returns `true` if it was present.
@@ -299,6 +363,16 @@ impl Instance {
             .get(&relation)
             .map(|idx| idx.posting(position, value))
             .unwrap_or(&[])
+    }
+
+    /// The rows of `relation` with (when `indexed`) lazy access to its
+    /// secondary index, resolved once for a whole evaluation.
+    pub(crate) fn view(&self, relation: Symbol, indexed: bool) -> RelationView<'_> {
+        RelationView {
+            facts: self.facts_of(relation),
+            source: indexed.then_some((self, relation)),
+            index: Cell::new(None),
+        }
     }
 
     /// The number of facts of `relation` with `value` at `position`
@@ -438,6 +512,21 @@ impl Extend<Fact> for Instance {
         } else {
             for f in iter {
                 self.insert(f);
+            }
+        }
+    }
+}
+
+impl<'a> Extend<&'a Fact> for Instance {
+    /// Grows the instance from borrowed facts, copying only the ones it
+    /// does not hold yet — merging a round's output into an accumulated
+    /// state costs nothing per re-derived fact.
+    fn extend<T: IntoIterator<Item = &'a Fact>>(&mut self, iter: T) {
+        if self.is_empty() {
+            self.extend(iter.into_iter().cloned());
+        } else {
+            for fact in iter {
+                self.insert_cloned(fact);
             }
         }
     }

@@ -178,13 +178,13 @@ impl<'a> Parser<'a> {
     }
 
     fn instance(&mut self) -> Result<Instance, ParseError> {
-        let mut inst = Instance::new();
+        let mut facts = Vec::new();
         loop {
             self.skip_ws();
             if self.pos == self.input.len() {
-                return Ok(inst);
+                return Ok(Instance::from_facts(facts));
             }
-            inst.insert(self.fact()?);
+            facts.push(self.fact()?);
             self.skip_ws();
             // optional separators
             while self.eat(b'.') || self.eat(b',') {

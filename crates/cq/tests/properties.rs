@@ -4,11 +4,13 @@
 //! on: genericity, monotonicity, soundness of containment/minimization, and
 //! parser/printer round-tripping.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 use cq::{
-    contained_in, equivalent, evaluate, is_minimal, minimize, Atom, ConjunctiveQuery, Fact,
-    Instance, Value, Variable,
+    contained_in, equivalent, evaluate, evaluate_with, is_minimal, minimize, Atom,
+    ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Valuation, Value,
+    Variable,
 };
 use proptest::prelude::*;
 
@@ -50,6 +52,52 @@ fn instance_strategy() -> impl Strategy<Value = Instance> {
             )
         }))
     })
+}
+
+/// Ill-formed instances on purpose: the relations R0/R1 of `query_strategy`
+/// used with arities 1 to 3 side by side.
+fn mixed_arity_instance_strategy() -> impl Strategy<Value = Instance> {
+    let fact = (0..2usize, 1..4usize, 0..4usize, 0..4usize, 0..4usize);
+    proptest::collection::vec(fact, 0..30).prop_map(|facts| {
+        Instance::from_facts(facts.into_iter().map(|(r, arity, a, b, c)| {
+            let values = [a, b, c].map(|v| Value::indexed("d", v));
+            Fact::new(format!("R{r}").as_str(), values[..arity].to_vec())
+        }))
+    })
+}
+
+/// Every evaluation-strategy combination: indexed/scan × cost-aware/naive
+/// ordering × binary/multiway/auto join.
+fn all_options() -> Vec<EvalOptions> {
+    let mut all = Vec::new();
+    for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
+        for use_indexes in [false, true] {
+            for join_strategy in [
+                JoinStrategy::Binary,
+                JoinStrategy::Multiway,
+                JoinStrategy::Auto,
+            ] {
+                all.push(EvalOptions {
+                    ordering,
+                    use_indexes,
+                    join_strategy,
+                    ..EvalOptions::default()
+                });
+            }
+        }
+    }
+    all
+}
+
+fn valuations(
+    q: &ConjunctiveQuery,
+    i: &Instance,
+    fixed: &Valuation,
+    opts: EvalOptions,
+) -> BTreeSet<Valuation> {
+    cq::satisfying_valuations_with(q, i, fixed, opts)
+        .into_iter()
+        .collect()
 }
 
 /// A random permutation of the value domain used by `instance_strategy`.
@@ -149,25 +197,76 @@ proptest! {
     /// against the binary one on the same inputs.
     #[test]
     fn indexed_evaluation_equals_scan_evaluation(q in query_strategy(), i in instance_strategy()) {
-        use cq::{EvalOptions, JoinOrdering, JoinStrategy, Valuation};
-        let scan: std::collections::BTreeSet<_> = cq::satisfying_valuations_with(
-            &q, &i, &Valuation::new(), EvalOptions::scan_naive(),
-        ).into_iter().collect();
-        for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-            for use_indexes in [false, true] {
-                for join_strategy in [JoinStrategy::Binary, JoinStrategy::Multiway, JoinStrategy::Auto] {
-                    let opts = EvalOptions {
-                        ordering,
-                        use_indexes,
-                        join_strategy,
-                        ..EvalOptions::default()
-                    };
-                    let got: std::collections::BTreeSet<_> = cq::satisfying_valuations_with(
-                        &q, &i, &Valuation::new(), opts,
-                    ).into_iter().collect();
-                    prop_assert_eq!(&got, &scan, "{:?} disagrees with scan/naive on {}", opts, i);
-                }
-            }
+        let scan = valuations(&q, &i, &Valuation::new(), EvalOptions::scan_naive());
+        for opts in all_options() {
+            let got = valuations(&q, &i, &Valuation::new(), opts);
+            prop_assert_eq!(&got, &scan, "{:?} disagrees with scan/naive on {}", opts, i);
+        }
+    }
+
+    /// A fact only ever matches an atom of its own arity: on relations that
+    /// mix arities, every strategy combination — the multiway join used to
+    /// index past a short fact and to accept a long one — agrees with the
+    /// scan oracle, which in turn sees nothing but the well-formed part.
+    #[test]
+    fn strategies_agree_on_mixed_arity_instances(q in query_strategy(), i in mixed_arity_instance_strategy()) {
+        let scan = valuations(&q, &i, &Valuation::new(), EvalOptions::scan_naive());
+        let binary_facts = Instance::from_facts(i.facts().filter(|f| f.arity() == 2).cloned());
+        prop_assert_eq!(
+            &scan,
+            &valuations(&q, &binary_facts, &Valuation::new(), EvalOptions::scan_naive())
+        );
+        let answers = evaluate_with(&q, &i, EvalOptions::scan_naive());
+        for opts in all_options() {
+            let got = valuations(&q, &i, &Valuation::new(), opts);
+            prop_assert_eq!(&got, &scan, "{:?} disagrees with scan/naive on {}", opts, i);
+            prop_assert_eq!(&evaluate_with(&q, &i, opts), &answers, "{:?} on {}", opts, i);
+            let step = cq::evaluate_seminaive_step_with(&q, &i, &i, opts);
+            prop_assert_eq!(&step, &answers, "semi-naive {:?} on {}", opts, i);
+        }
+    }
+
+    /// Pre-bound variables: whatever `fixed` binds — query variables to
+    /// values inside or outside the instance, and variables the query does
+    /// not have — every strategy enumerates the scan oracle's valuations,
+    /// and those are the unconstrained ones that agree with `fixed`.
+    #[test]
+    fn fixed_bindings_filter_the_valuations(
+        q in query_strategy(),
+        i in instance_strategy(),
+        bindings in proptest::collection::vec((0..6usize, 0..7usize), 0..3),
+    ) {
+        // x4, x5 are not query variables; d5, d6 are not instance values
+        let fixed = Valuation::from_pairs(
+            bindings.iter().map(|&(var, value)| (Variable::indexed("x", var), Value::indexed("d", value))),
+        );
+        let query_vars = q.variables();
+        let expected: BTreeSet<Valuation> = valuations(&q, &i, &Valuation::new(), EvalOptions::scan_naive())
+            .into_iter()
+            .filter(|v| fixed.bindings().all(|(var, value)| !query_vars.contains(&var) || v.get(var) == Some(value)))
+            .collect();
+        for opts in all_options() {
+            let got = valuations(&q, &i, &fixed, opts);
+            prop_assert_eq!(&got, &expected, "{:?} with fixed {} on {}", opts, fixed, i);
+        }
+    }
+
+    /// Stopping the enumeration from the callback stops it at once under
+    /// every strategy, and what was enumerated until then is a duplicate-free
+    /// prefix of satisfying valuations.
+    #[test]
+    fn early_break_stops_every_strategy(q in query_strategy(), i in instance_strategy(), stop_after in 1usize..4) {
+        let all = valuations(&q, &i, &Valuation::new(), EvalOptions::scan_naive());
+        for opts in all_options() {
+            let mut seen = Vec::new();
+            let flow = cq::for_each_satisfying(&q, &i, &Valuation::new(), opts, |v| {
+                seen.push(v.clone());
+                if seen.len() == stop_after { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
+            });
+            prop_assert_eq!(flow.is_break(), all.len() >= stop_after, "{:?}", opts);
+            prop_assert_eq!(seen.len(), stop_after.min(all.len()), "{:?}", opts);
+            prop_assert!(seen.iter().all(|v| all.contains(v)), "{:?}", opts);
+            prop_assert_eq!(seen.iter().collect::<BTreeSet<_>>().len(), seen.len(), "{:?}", opts);
         }
     }
 
@@ -176,7 +275,6 @@ proptest! {
     /// exactly the valuations the static plan does.
     #[test]
     fn adaptive_reordering_equals_static_order(q in query_strategy(), i in instance_strategy()) {
-        use cq::{EvalOptions, JoinStrategy, Valuation};
         for use_indexes in [false, true] {
             let static_opts = EvalOptions {
                 use_indexes,
@@ -201,7 +299,6 @@ proptest! {
     /// under every evaluation-strategy combination.
     #[test]
     fn seminaive_step_equals_full_reevaluation(q in query_strategy(), old in instance_strategy(), delta in instance_strategy()) {
-        use cq::{EvalOptions, JoinOrdering};
         let full = old.union(&delta);
         let reference = evaluate(&q, &full);
         for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
@@ -329,5 +426,64 @@ proptest! {
         });
         prop_assert!(has_constant);
         prop_assert!(has_injective);
+    }
+}
+
+/// A variable repeated inside one atom — as a scan filter, as an index
+/// probe on two positions at once, and in the multiway join as the source
+/// atom of a depth and as a twice-narrowed atom at the last one — agrees
+/// with the scan oracle under every strategy.
+#[test]
+fn repeated_variables_inside_one_atom_agree_with_the_scan_oracle() {
+    let values = ["a", "b", "c"].map(Value::new);
+    let mut facts = Vec::new();
+    for (i, &x) in values.iter().enumerate() {
+        for (j, &y) in values.iter().enumerate() {
+            if i <= j {
+                facts.push(Fact::new("S", vec![x, y]));
+            }
+            for (k, &z) in values.iter().enumerate() {
+                if (i + j + k) % 2 == 0 {
+                    facts.push(Fact::new("R", vec![x, y, z]));
+                }
+            }
+        }
+    }
+    let instance = Instance::from_facts(facts);
+    for text in [
+        "T(x, y) :- R(x, x, y), S(y, y).",
+        "T(x) :- R(x, y, x), R(y, x, y).",
+        "T() :- R(x, x, x).",
+        "T(x, z) :- R(x, y, y), S(y, z), S(z, z).",
+        "T(y) :- S(x, y), R(y, y, x), S(y, x).",
+    ] {
+        let q = ConjunctiveQuery::parse(text).unwrap();
+        let scan = valuations(&q, &instance, &Valuation::new(), EvalOptions::scan_naive());
+        assert!(!scan.is_empty(), "{q} should have answers on {instance}");
+        for opts in all_options() {
+            let got = valuations(&q, &instance, &Valuation::new(), opts);
+            assert_eq!(got, scan, "{q}: {opts:?} disagrees with scan/naive");
+        }
+    }
+}
+
+/// The two mixed-arity instances that broke the multiway join: a unary
+/// `E(a)` (index out of bounds) and ternary facts that matched `E(y, z)`.
+#[test]
+fn triangle_ignores_facts_of_another_arity() {
+    let triangle = ConjunctiveQuery::parse("T(x, y, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
+    let expected = cq::parse_instance("T(a, b, c). T(b, c, a). T(c, a, b).").unwrap();
+    for text in [
+        "E(a, b). E(b, c). E(c, a). E(a).",
+        "E(a, b). E(b, c). E(c, a). E(a, b, c). E(b, a, d). E(a, a, e).",
+    ] {
+        let instance = cq::parse_instance(text).unwrap();
+        for opts in all_options() {
+            assert_eq!(
+                evaluate_with(&triangle, &instance, opts),
+                expected,
+                "{opts:?} on {text}"
+            );
+        }
     }
 }

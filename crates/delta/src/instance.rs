@@ -51,15 +51,15 @@ impl DeltaInstance {
     }
 
     /// Adds facts to the instance; only the genuinely new ones enter the
-    /// delta. Returns how many facts were actually new.
+    /// delta (a re-announced fact is dropped before anything is copied).
+    /// Returns how many facts were actually new.
     pub fn absorb<I: IntoIterator<Item = Fact>>(&mut self, facts: I) -> usize {
-        let mut added = 0;
-        for fact in facts {
-            if self.full.insert(fact.clone()) {
-                self.delta.insert(fact);
-                added += 1;
-            }
-        }
+        let new: Vec<Fact> = facts
+            .into_iter()
+            .filter(|fact| self.full.insert_cloned(fact))
+            .collect();
+        let added = new.len();
+        self.delta.extend(new);
         added
     }
 

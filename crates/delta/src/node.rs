@@ -46,13 +46,9 @@ impl DeltaNode {
         self.data.absorb(delta_chunk.facts().cloned());
         let new = self.data.evaluate_new_with(query, opts);
         self.data.take_delta();
-        let fresh: Instance = new
-            .facts()
-            .filter(|f| !self.derived.contains(f))
-            .cloned()
-            .collect();
-        self.derived.extend(fresh.facts().cloned());
-        fresh
+        new.into_iter()
+            .filter(|fact| self.derived.insert_cloned(fact))
+            .collect()
     }
 
     /// The node's accumulated local data.

@@ -222,6 +222,38 @@ impl MultiQueryOutcome {
     }
 }
 
+/// What a round loop carries from round to round.
+enum RoundState {
+    /// Carried input: one growing instance is the round instance and
+    /// everything the run has seen; states grow monotonically, so "the
+    /// state repeated" is "its size did not change".
+    Carried(Instance),
+    /// Dataflow: the round instance is the previous round's feedback only,
+    /// so every state ever reached is kept for cycle detection, next to
+    /// every fact ever seen (the reported `final_state`).
+    Dataflow {
+        current: Instance,
+        seen: Instance,
+        visited: BTreeSet<BTreeSet<Fact>>,
+    },
+}
+
+impl RoundState {
+    /// The instance the next round evaluates.
+    fn current(&self) -> &Instance {
+        match self {
+            RoundState::Carried(current) | RoundState::Dataflow { current, .. } => current,
+        }
+    }
+
+    /// Every fact the run has seen.
+    fn into_seen(self) -> Instance {
+        match self {
+            RoundState::Carried(seen) | RoundState::Dataflow { seen, .. } => seen,
+        }
+    }
+}
+
 /// A simulated cluster iterating the one-round algorithm under a
 /// [`RoundSchedule`], with fixpoint detection and a round cap.
 pub struct MultiRoundEngine<'a> {
@@ -410,42 +442,66 @@ impl<'a> MultiRoundEngine<'a> {
         }
     }
 
+    /// The iteration state of a round loop starting from `instance`.
+    fn initial_state(&self, instance: &Instance) -> RoundState {
+        if self.carry_input {
+            RoundState::Carried(instance.clone())
+        } else {
+            RoundState::Dataflow {
+                current: instance.clone(),
+                seen: instance.clone(),
+                visited: BTreeSet::from([instance.to_set()]),
+            }
+        }
+    }
+
     /// One iteration step shared by [`MultiRoundEngine::evaluate`] and
     /// [`MultiRoundEngine::reference_fixpoint`], so the distributed run and
     /// its centralized yardstick can never drift apart in their
     /// carry/feedback/fixpoint semantics. Merges a round's `output` into
-    /// the accumulated `result`/`seen` and advances `state`, reporting
-    /// whether iteration has terminated: the next state was already
-    /// `visited`, so no future round can ever produce a new fact.
+    /// the accumulated `result` and advances `state`, reporting whether
+    /// iteration has terminated: the next round instance repeats one
+    /// already visited, so no future round can ever produce a new fact.
     ///
     /// Termination tests whole **states**, not individual facts. With
     /// carried input states grow monotonically, so a revisited state is
-    /// exactly "this round contributed nothing new"; in dataflow mode
-    /// (`carry_input = false`) states need not grow, and a round whose
-    /// facts are all individually stale can still be a *novel combination*
-    /// whose evaluation derives new facts — only an exact state repeat
-    /// (a cycle) guarantees the run is exhausted.
+    /// exactly "this round contributed nothing new" — a size comparison,
+    /// and the one accumulated instance absorbs only the facts it lacks.
+    /// In dataflow mode (`carry_input = false`) states need not grow, and a
+    /// round whose facts are all individually stale can still be a *novel
+    /// combination* whose evaluation derives new facts — only an exact
+    /// state repeat (a cycle) guarantees the run is exhausted, so every
+    /// visited state is kept.
     fn advance_round(
         &self,
         output: &Instance,
         result: &mut Instance,
-        seen: &mut Instance,
-        state: &mut Instance,
-        visited: &mut BTreeSet<BTreeSet<Fact>>,
+        state: &mut RoundState,
     ) -> bool {
-        let contribution = self.feedback_facts(output);
-        result.extend(output.facts().cloned());
-        let next = if self.carry_input {
-            state.union(&contribution)
-        } else {
-            contribution
-        };
-        seen.extend(next.facts().cloned());
-        if !visited.insert(next.to_set()) {
-            return true;
+        result.extend(output.facts());
+        match state {
+            RoundState::Carried(accumulated) => {
+                let before = accumulated.len();
+                match self.feedback {
+                    Some(_) => accumulated.extend(self.feedback_facts(output)),
+                    None => accumulated.extend(output.facts()),
+                }
+                accumulated.len() == before
+            }
+            RoundState::Dataflow {
+                current,
+                seen,
+                visited,
+            } => {
+                let next = self.feedback_facts(output);
+                seen.extend(next.facts());
+                if !visited.insert(next.to_set()) {
+                    return true;
+                }
+                *current = next;
+                false
+            }
         }
-        *state = next;
-        false
     }
 
     /// Runs up to [`MultiRoundEngine::max_rounds`] distribute→local-eval
@@ -731,7 +787,7 @@ impl<'a> MultiRoundEngine<'a> {
             {
                 let _span = obs::span!("merge_results", round = round);
                 let contribution = self.feedback_facts(&outcome.result);
-                result.extend(outcome.result.facts().cloned());
+                result.extend(outcome.result.facts());
                 acc.absorb(contribution);
             }
             rounds.push(outcome);
@@ -767,34 +823,25 @@ impl<'a> MultiRoundEngine<'a> {
             &Instance,
         ) -> Result<OneRoundOutcome, TransportError>,
     ) -> Result<MultiRoundOutcome, TransportError> {
-        let mut state = instance.clone();
-        // Every round-instance state ever reached (for cycle detection) and
-        // every fact ever seen (the reported `final_state`). States over a
-        // fixed active domain are finite, so a repeat — and hence
-        // termination — is guaranteed even in dataflow mode.
-        let mut visited = BTreeSet::from([instance.to_set()]);
-        let mut seen = instance.clone();
+        // States over a fixed active domain are finite, so a repeat — and
+        // hence termination — is guaranteed even in dataflow mode.
+        let mut state = self.initial_state(instance);
         let mut result = Instance::new();
         let mut rounds = Vec::new();
         let mut converged = false;
         let round_latency = self.registry.histogram("round_latency_us");
         for round in 0..self.max_rounds {
             let round_started = Instant::now();
-            let _round_span = obs::span!("eval_round", round = round, facts = state.len());
+            let _round_span =
+                obs::span!("eval_round", round = round, facts = state.current().len());
             let policy = self.schedule.policy_for(round);
             let engine = OneRoundEngine::new(policy)
                 .distribute_workers(self.distribute_workers)
                 .eval_options(self.eval_options);
-            let outcome = eval_round(engine, round, query, &state)?;
+            let outcome = eval_round(engine, round, query, state.current())?;
             let done = {
                 let _span = obs::span!("merge_results", round = round);
-                self.advance_round(
-                    &outcome.result,
-                    &mut result,
-                    &mut seen,
-                    &mut state,
-                    &mut visited,
-                )
+                self.advance_round(&outcome.result, &mut result, &mut state)
             };
             rounds.push(outcome);
             round_latency
@@ -807,7 +854,7 @@ impl<'a> MultiRoundEngine<'a> {
         Ok(MultiRoundOutcome {
             rounds,
             result,
-            final_state: seen,
+            final_state: state.into_seen(),
             converged,
             elided_reshuffles: 0,
             reshard_rounds: Vec::new(),
@@ -824,15 +871,13 @@ impl<'a> MultiRoundEngine<'a> {
         query: &ConjunctiveQuery,
         instance: &Instance,
     ) -> IteratedFixpoint {
-        let mut state = instance.clone();
-        let mut visited = BTreeSet::from([instance.to_set()]);
-        let mut seen = instance.clone();
+        let mut state = self.initial_state(instance);
         let mut result = Instance::new();
         let mut rounds = 0usize;
         loop {
             rounds += 1;
-            let output = evaluate(query, &state);
-            if self.advance_round(&output, &mut result, &mut seen, &mut state, &mut visited) {
+            let output = evaluate(query, state.current());
+            if self.advance_round(&output, &mut result, &mut state) {
                 break;
             }
         }

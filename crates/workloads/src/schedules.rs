@@ -190,4 +190,68 @@ mod tests {
         assert!(outcome.converged);
         assert_eq!(outcome.result, engine.reference_fixpoint(&q, &i).result);
     }
+
+    #[test]
+    fn carried_rounds_stop_where_the_whole_state_test_stops() {
+        // With carried input the round loops stop on a size comparison. The
+        // test it replaced — keep every visited round instance, stop at the
+        // first repeat — must stop on the same round under every schedule
+        // shape, with and without a feedback relation.
+        use std::collections::BTreeSet;
+        let q = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+        let i = parse_instance("R(a, b). R(b, c). R(c, d). R(d, e). R(e, f). R(f, a). R(c, g).")
+            .unwrap();
+        for spec in [
+            "hypercube:2",
+            "broadcast:2",
+            "hash-join:3,hypercube:2",
+            "hash-join:2,broadcast:3,hypercube:2",
+        ] {
+            for feedback in [Some("R"), None] {
+                let mut state = i.clone();
+                let mut visited = BTreeSet::from([state.to_set()]);
+                let mut expected_rounds = 0;
+                loop {
+                    expected_rounds += 1;
+                    let output = evaluate(&q, &state);
+                    let next = state.union(&match feedback {
+                        Some(relation) => output
+                            .facts()
+                            .map(|f| Fact::new(relation, f.values.clone()))
+                            .collect(),
+                        None => output,
+                    });
+                    if !visited.insert(next.to_set()) {
+                        break;
+                    }
+                    state = next;
+                }
+
+                let boxed = named_schedule(spec, &q).unwrap();
+                let engine = |semi_naive: bool| {
+                    let refs: Vec<&dyn DistributionPolicy> =
+                        boxed.iter().map(Box::as_ref).collect();
+                    let engine = MultiRoundEngine::new(RoundSchedule::of(refs))
+                        .rounds(32)
+                        .semi_naive(semi_naive);
+                    match feedback {
+                        Some(relation) => engine.feedback_into(relation),
+                        None => engine,
+                    }
+                };
+                let context = format!("{spec}, feedback {feedback:?}");
+                assert_eq!(
+                    engine(false).reference_fixpoint(&q, &i).rounds,
+                    expected_rounds,
+                    "{context}"
+                );
+                for semi_naive in [false, true] {
+                    let outcome = engine(semi_naive).evaluate(&q, &i);
+                    assert!(outcome.converged, "{context}");
+                    assert_eq!(outcome.rounds_run(), expected_rounds, "{context}");
+                    assert_eq!(outcome.final_state, state, "{context}");
+                }
+            }
+        }
+    }
 }

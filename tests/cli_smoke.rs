@@ -409,6 +409,34 @@ fn run_join_strategy_flag_selects_and_reports_the_strategy() {
 }
 
 #[test]
+fn run_join_strategies_agree_on_mixed_arity_relations() {
+    // A fact matches atoms of its own arity only: the unary E(a) used to
+    // panic the multiway join, and E(b, a, d) used to match E(y, z) there,
+    // so the centralized verify disagreed with a binary run.
+    for instance in [
+        "E(a,b). E(b,c). E(c,a). E(a).",
+        "E(a,b). E(b,c). E(c,a). E(a,b,c). E(b,a,d). E(a,a,e).",
+    ] {
+        for strategy in ["auto", "binary", "multiway"] {
+            let (code, stdout) = pcq_analyze_output(&[
+                "run",
+                TRIANGLE,
+                "hypercube:2",
+                instance,
+                "--join-strategy",
+                strategy,
+                "--json",
+            ]);
+            assert_eq!(code, 0, "{strategy} on {instance}: {stdout}");
+            assert!(
+                stdout.contains("\"result_size\":3"),
+                "{strategy} on {instance}: {stdout}"
+            );
+        }
+    }
+}
+
+#[test]
 fn run_join_strategy_flag_is_validated() {
     // unknown strategy names
     assert_eq!(

@@ -288,3 +288,76 @@ proptest! {
         }
     }
 }
+
+/// A query with more variables than a machine word has bits — the `from`
+/// side of the Π₃ reduction over 27 distinct DNF terms — evaluates
+/// identically through the slot kernel under every join, with the identity
+/// valuation on its own frozen body among the answers. Guards any "one bit
+/// per variable" shortcut in the compiled bindings.
+#[test]
+fn kernel_handles_queries_with_more_than_64_variables() {
+    use pcq::logic::{Clause, Dnf, Literal, Pi3Qbf};
+    use std::collections::BTreeSet;
+
+    // Every variable triple of five variables under three sign patterns:
+    // all terms differ, so a term atom matches one term fact.
+    let mut terms = Vec::new();
+    for a in 0..5 {
+        for b in a + 1..5 {
+            for c in b + 1..5 {
+                for signs in [
+                    [true, true, false],
+                    [false, true, true],
+                    [true, false, true],
+                ] {
+                    terms.push(Clause::new(
+                        [a, b, c]
+                            .iter()
+                            .zip(signs)
+                            .map(|(&var, positive)| Literal { var, positive })
+                            .collect(),
+                    ));
+                }
+            }
+        }
+    }
+    terms.truncate(27);
+    let qbf = Pi3Qbf::new(vec![0], vec![1], vec![2, 3, 4], Dnf::new(5, terms));
+    let query = pcq::reductions::pi3_to_transfer(&qbf).from;
+    let variables = query.variables();
+    assert!(variables.len() > 64, "only {} variables", variables.len());
+
+    let freeze = |v: &Variable| Value::new(v.as_str());
+    let frozen_body = Instance::from_facts(
+        query
+            .body()
+            .iter()
+            .map(|atom| Fact::new(atom.relation, atom.args.iter().map(freeze).collect())),
+    );
+    let identity = Valuation::from_pairs(variables.iter().map(|v| (*v, freeze(v))));
+
+    let valuations = |opts: EvalOptions| -> BTreeSet<Valuation> {
+        cq::satisfying_valuations_with(&query, &frozen_body, &Valuation::new(), opts)
+            .into_iter()
+            .collect()
+    };
+    let oracle = valuations(EvalOptions::scan_naive());
+    assert!(oracle.contains(&identity));
+    for v in &oracle {
+        assert!(v.is_total_for(&query) && v.satisfies(&query, &frozen_body));
+    }
+    let answers = cq::evaluate_with(&query, &frozen_body, EvalOptions::scan_naive());
+    for strategy in [
+        JoinStrategy::Binary,
+        JoinStrategy::Multiway,
+        JoinStrategy::Auto,
+    ] {
+        let opts = EvalOptions::default().with_join_strategy(strategy);
+        assert_eq!(valuations(opts), oracle, "{strategy:?}");
+        assert_eq!(
+            cq::evaluate_with(&query, &frozen_body, opts),
+            answers,
+            "{strategy:?}"
+        );
+    }
+}

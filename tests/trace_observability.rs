@@ -4,8 +4,9 @@
 //! export must round-trip, and the metrics registry must agree with what
 //! the trace records.
 //!
-//! The span recorder is process-global, so every traced test serializes on
-//! [`TRACE_GATE`]; untraced tests (stderr-tail surfacing) run freely.
+//! The span recorder is process-global, so every test that runs an engine in
+//! this process serializes on [`TRACE_GATE`] — an untraced run's spans would
+//! otherwise land in whichever trace is being recorded at the time.
 
 use pcq::obs;
 use pcq::prelude::*;
@@ -107,6 +108,36 @@ fn in_memory_trace_nests_rounds_under_the_root_span() {
     for expected in ["distribute", "eval_chunk", "evaluate"] {
         assert!(all.contains(&expected), "missing {expected} span: {all:?}");
     }
+}
+
+#[test]
+fn evaluate_done_reports_derivations_against_distinct_answers() {
+    // The join layer's "useful outcomes per attempt": the two-path query
+    // over the transitive tournament on 6 values has C(6, 3) = 20
+    // satisfying valuations for 10 distinct answers; the differential step
+    // with everything new derives each through both pivots.
+    let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+    let instance = Instance::from_facts((0..6).flat_map(|i| {
+        (i + 1..6)
+            .map(move |j| Fact::new("R", vec![Value::indexed("v", i), Value::indexed("v", j)]))
+    }));
+    let (_, events) = traced(|| {
+        let _ = cq::evaluate(&query, &instance);
+        cq::evaluate_seminaive_step(&query, &instance, &instance)
+    });
+    let reported: Vec<(u64, u64)> = events
+        .iter()
+        .filter(|e| e.name == "evaluate_done")
+        .map(|e| {
+            assert_eq!(e.kind, obs::EventKind::Instant);
+            let arg = |key: &str| {
+                let (_, value) = e.args.iter().find(|(k, _)| k == key).expect(key);
+                value.parse().expect("a count")
+            };
+            (arg("valuations"), arg("answers"))
+        })
+        .collect();
+    assert_eq!(reported, [(20, 10), (40, 10)]);
 }
 
 #[test]
@@ -238,6 +269,7 @@ fn a_dead_workers_stderr_surfaces_in_the_transport_error() {
     // Without fault tolerance a death is a clean error — and since the
     // worker is a spawned child, its last words must ride along instead
     // of vanishing with the process.
+    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 11);
     let network = Network::with_size(6);
@@ -267,6 +299,7 @@ fn a_dead_workers_stderr_surfaces_in_the_transport_error() {
 
 #[test]
 fn round_latency_quantiles_in_the_export_match_the_registry_exactly() {
+    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 11);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
