@@ -1,7 +1,10 @@
 //! Experiment E1/E2 — deciding parallel-correctness.
 //!
 //! * `c0_vs_c1`: cost of the sufficient condition (C0) versus the exact
-//!   characterization (C1) on random explicit policies (Lemma 3.4).
+//!   characterization (C1) on random explicit policies (Lemma 3.4), and
+//!   `c1_k16_chain3`, the shape of the benchmark's `decide_pc_transfer`:
+//!   the 3-chain over the complete relation on 16 values (65 536 candidate
+//!   valuations, 15 equality types) under a 4-node policy.
 //! * `pci_qbf` / `pc_qbf`: cost of PCI and PC(Pfin) on Π₂-QBF-derived hard
 //!   instances of growing size (Theorem 3.8).
 //! * `minimal_valuation_pruning`: ablation — enumerating minimal valuations
@@ -59,6 +62,14 @@ fn bench_c0_vs_c1(c: &mut Criterion) {
                 .filter(|p| pc_core::holds_c1(&query, *p, &universe))
                 .count()
         })
+    });
+    let chain = workloads::chain_query(3);
+    let values: Vec<String> = (0..16).map(|i| format!("v{i}")).collect();
+    let values: Vec<&str> = values.iter().map(String::as_str).collect();
+    let k16 = workloads::complete_binary_relation("R", &values);
+    let spread = ExplicitPolicy::broadcast(&Network::with_size(4), &k16);
+    group.bench_function("c1_k16_chain3", |b| {
+        b.iter(|| pc_core::holds_c1(&chain, &spread, &k16))
     });
     group.finish();
 }

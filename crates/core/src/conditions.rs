@@ -18,18 +18,26 @@
 //! and (C1) are evaluated relative to a finite fact universe (for `Pfin`
 //! policies this is `facts(P)`, cf. Lemma B.4), while (C2) uses canonical
 //! valuations over a bounded domain (Claim C.4).
+//!
+//! No loop below builds an [`Instance`] or a [`Valuation`] per candidate.
+//! (C0)/(C1) enumerate the universe through the compiled slot kernel of
+//! `cq`, ask the [`MinimalityOracle`] by equality type and test "the facts
+//! meet" against a `MeetTable` (one `nodes_for` per universe fact, kept as
+//! a node bitset). (C2) and its no-skip variant (C2') are one loop,
+//! `c2_search`, whose covering search binds slots with an undo trail and
+//! asks the oracle's search directly.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::ops::ControlFlow;
 
 use cq::{
-    for_each_atom_mapping, Atom, ConjunctiveQuery, CoverProblem, EvalOptions, Instance,
-    Substitution, Valuation, Value, Variable,
+    for_each_atom_mapping, Atom, Bindings, CanonicalValuations, CompiledQuery, ConjunctiveQuery,
+    CoverProblem, EvalOptions, Fact, Instance, Slots, Substitution, Symbol, SymbolHashBuilder,
+    Valuation, Value,
 };
-use delta::IndexCache;
-use distribution::DistributionPolicy;
+use distribution::{DistributionPolicy, Node};
 
-use crate::minimality::is_minimal_valuation_cached;
+use crate::minimality::{MinimalityOracle, MinimalityStats};
 
 /// A violation of condition (C1): a minimal valuation whose required facts
 /// do not meet at any node.
@@ -39,6 +47,101 @@ pub struct C1Violation {
     pub valuation: Valuation,
     /// Its required facts `V(body_Q)`.
     pub required_facts: Instance,
+}
+
+/// Where the facts of a universe go under a policy, as one bitset of node
+/// ids per fact (ids handed out as nodes are first seen, `words` machine
+/// words per fact): a valuation's facts meet iff their AND is non-zero.
+struct MeetTable<'u> {
+    /// The row of each universe fact in `bits`.
+    rows: HashMap<(Symbol, &'u [Value]), usize, SymbolHashBuilder>,
+    bits: Vec<u64>,
+    words: usize,
+    /// The image of the atom at hand, reused across asks.
+    tuple: Vec<Value>,
+    /// The rows of the atoms' facts, reused across asks.
+    required: Vec<usize>,
+}
+
+impl<'u> MeetTable<'u> {
+    fn new<P: DistributionPolicy + ?Sized>(policy: &P, universe: &'u Instance) -> Self {
+        let mut rows = HashMap::with_capacity_and_hasher(universe.len(), SymbolHashBuilder);
+        let mut ids: HashMap<Node, usize> = HashMap::new();
+        let mut sent = Vec::with_capacity(universe.len());
+        for (row, fact) in universe.facts().enumerate() {
+            rows.insert((fact.relation, fact.values.as_slice()), row);
+            for node in policy.nodes_for(fact) {
+                let fresh = ids.len();
+                sent.push((row, *ids.entry(node).or_insert(fresh)));
+            }
+        }
+        let words = ids.len().div_ceil(64).max(1);
+        let mut bits = vec![0u64; universe.len() * words];
+        for (row, id) in sent {
+            bits[row * words + id / 64] |= 1 << (id % 64);
+        }
+        MeetTable {
+            rows,
+            bits,
+            words,
+            tuple: Vec::new(),
+            required: Vec::new(),
+        }
+    }
+
+    /// Whether the facts the total valuation `slots` requires meet at some
+    /// node: `⋂ P(f) ≠ ∅` over `f ∈ V(body_Q)`. A fact outside the
+    /// universe is sent nowhere.
+    fn meets(&mut self, compiled: &CompiledQuery<'_>, slots: &Slots) -> bool {
+        self.required.clear();
+        for (atom, args) in compiled.query().body().iter().enumerate() {
+            self.tuple.clear();
+            let image = compiled.atom(atom).iter();
+            self.tuple
+                .extend(image.map(|&slot| slots[slot].expect("every slot is bound at a leaf")));
+            match self.rows.get(&(args.relation, self.tuple.as_slice())) {
+                Some(&row) => self.required.push(row),
+                None => return false,
+            }
+        }
+        (0..self.words).any(|word| {
+            let at = |&row: &usize| self.bits[row * self.words + word];
+            self.required.iter().map(at).fold(u64::MAX, |a, b| a & b) != 0
+        })
+    }
+}
+
+/// The search behind (C0) and (C1): the first valuation of `query` over
+/// `universe` — the first *minimal* one with `minimal_only` — whose facts do
+/// not meet under `policy`, with the minimality asks it took.
+pub(crate) fn meet_violation<P: DistributionPolicy + ?Sized>(
+    query: &ConjunctiveQuery,
+    policy: &P,
+    universe: &Instance,
+    minimal_only: bool,
+) -> (Option<C1Violation>, MinimalityStats) {
+    let compiled = CompiledQuery::new(query);
+    let mut oracle = MinimalityOracle::new(&compiled);
+    let mut table = MeetTable::new(policy, universe);
+    let mut violation = None;
+    let _ = compiled.for_each_satisfying(
+        universe,
+        &Valuation::new(),
+        EvalOptions::default(),
+        |slots| {
+            if (minimal_only && !oracle.is_minimal_by_type(slots)) || table.meets(&compiled, slots)
+            {
+                return ControlFlow::Continue(());
+            }
+            let valuation = compiled.valuation(slots);
+            violation = Some(C1Violation {
+                required_facts: valuation.required_facts(query),
+                valuation,
+            });
+            ControlFlow::Break(())
+        },
+    );
+    (violation, oracle.stats())
 }
 
 /// Condition (C0) relative to the finite fact universe `universe`:
@@ -59,26 +162,7 @@ pub fn c0_violation<P: DistributionPolicy + ?Sized>(
     policy: &P,
     universe: &Instance,
 ) -> Option<C1Violation> {
-    let mut violation = None;
-    let _ = cq::for_each_satisfying(
-        query,
-        universe,
-        &Valuation::new(),
-        EvalOptions::default(),
-        |v| {
-            let required = v.required_facts(query);
-            if !policy.facts_meet(&required) {
-                violation = Some(C1Violation {
-                    valuation: v.clone(),
-                    required_facts: required,
-                });
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        },
-    );
-    violation
+    meet_violation(query, policy, universe, false).0
 }
 
 /// Condition (C1) relative to the finite fact universe `universe`:
@@ -98,33 +182,7 @@ pub fn c1_violation<P: DistributionPolicy + ?Sized>(
     policy: &P,
     universe: &Instance,
 ) -> Option<C1Violation> {
-    let mut cache = IndexCache::default();
-    c1_violation_cached(query, policy, universe, &mut cache)
-}
-
-/// [`c1_violation`] with the per-candidate minimality checks warmed through
-/// a caller-owned [`IndexCache`]. The verdict and the witness are identical
-/// to the scratch search; only the index work is shared across candidates.
-pub fn c1_violation_cached<P: DistributionPolicy + ?Sized>(
-    query: &ConjunctiveQuery,
-    policy: &P,
-    universe: &Instance,
-    cache: &mut IndexCache,
-) -> Option<C1Violation> {
-    let mut violation = None;
-    let _ = crate::minimality::for_each_minimal_valuation_cached(query, universe, cache, |v| {
-        let required = v.required_facts(query);
-        if !policy.facts_meet(&required) {
-            violation = Some(C1Violation {
-                valuation: v.clone(),
-                required_facts: required,
-            });
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    });
-    violation
+    meet_violation(query, policy, universe, true).0
 }
 
 /// Condition (C2): for every minimal valuation `V'` of `to`, there is a
@@ -137,227 +195,121 @@ pub fn holds_c2(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> bool {
 /// Searches for a violation of (C2): a minimal valuation of `to` for which
 /// no covering minimal valuation of `from` exists.
 pub fn c2_violation(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> Option<Valuation> {
-    let mut cache = IndexCache::default();
-    c2_violation_cached(from, to, &mut cache)
+    c2_search(from, to, false).0
 }
 
-/// [`c2_violation`] with every minimality check warmed through a
-/// caller-owned [`IndexCache`]. Verdict and witness are identical to the
-/// scratch search.
-pub fn c2_violation_cached(
+/// The one loop behind (C2) and its no-skip relaxation (C2', Remark C.3):
+/// the first canonical minimal valuation of `to` (Claim C.4: equality
+/// patterns suffice) whose required facts no minimal valuation of `from`
+/// covers. With `single_facts_exempt`, valuations requiring a single fact
+/// need no cover — a policy that skips nothing places that fact somewhere.
+pub(crate) fn c2_search(
     from: &ConjunctiveQuery,
     to: &ConjunctiveQuery,
-    cache: &mut IndexCache,
-) -> Option<Valuation> {
-    // Canonical enumeration of the valuations of `to` (Claim C.4: equality
-    // patterns suffice).
-    for v_prime in cq::CanonicalValuations::new(to.variables()) {
-        if !is_minimal_valuation_cached(to, &v_prime, cache) {
-            continue;
+    single_facts_exempt: bool,
+) -> (Option<Valuation>, MinimalityStats) {
+    let (compiled_from, compiled_to) = (CompiledQuery::new(from), CompiledQuery::new(to));
+    let mut minimal_to = MinimalityOracle::new(&compiled_to);
+    let mut covers = CoverSearch::new(&compiled_from);
+    let violation = CanonicalValuations::new(to.variables()).find(|v_prime| {
+        if !minimal_to.is_minimal_valuation(v_prime) {
+            return false;
         }
         let target = v_prime.required_facts(to);
-        if find_minimal_covering_valuation_cached(from, &target, cache).is_none() {
-            return Some(v_prime);
-        }
-    }
-    None
+        !(single_facts_exempt && target.len() <= 1) && covers.find(&target).is_none()
+    });
+    (violation, minimal_to.stats().merge(covers.oracle.stats()))
 }
 
-/// Whether there is a **minimal** valuation `V` of `query` with
-/// `target ⊆ V(body_query)`.
-///
-/// The search first covers every target fact by some body atom of `query`
-/// (binding the constrained variables), then enumerates the remaining
-/// variables over the active domain of `target` extended with canonical
-/// fresh values, and finally checks minimality of each candidate.
-pub fn exists_minimal_covering_valuation(query: &ConjunctiveQuery, target: &Instance) -> bool {
-    find_minimal_covering_valuation(query, target).is_some()
-}
-
-/// As [`exists_minimal_covering_valuation`], returning the witness.
-pub fn find_minimal_covering_valuation(
-    query: &ConjunctiveQuery,
-    target: &Instance,
-) -> Option<Valuation> {
-    let mut cache = IndexCache::default();
-    find_minimal_covering_valuation_cached(query, target, &mut cache)
-}
-
-/// As [`find_minimal_covering_valuation`], with the per-candidate minimality
-/// checks warmed through a caller-owned [`IndexCache`].
-pub fn find_minimal_covering_valuation_cached(
-    query: &ConjunctiveQuery,
-    target: &Instance,
-    cache: &mut IndexCache,
-) -> Option<Valuation> {
-    let vars = query.variables();
-    let target_facts: Vec<_> = target.facts().cloned().collect();
-
-    // Domain: adom(target) plus |vars(query)| fresh values.
-    let mut domain: Vec<Value> = target.adom().into_iter().collect();
-    let fresh_base = domain.len();
-    for i in 0..vars.len() {
-        domain.push(Value::indexed("$fresh", i));
-    }
-
-    let mut result: Option<Valuation> = None;
-    let mut partial = Valuation::new();
-    cover_search(
-        query,
-        &target_facts,
-        0,
-        &mut partial,
-        &vars,
-        &domain,
-        fresh_base,
-        cache,
-        &mut result,
-    );
-    result
-}
-
-/// Backtracking over the target facts: each must be the image of a body atom.
-#[allow(clippy::too_many_arguments)]
-fn cover_search(
-    query: &ConjunctiveQuery,
-    target: &[cq::Fact],
-    depth: usize,
-    partial: &mut Valuation,
-    vars: &[Variable],
-    domain: &[Value],
+/// The covering search of (C2) for one query: is there a **minimal**
+/// valuation `V` with `target ⊆ V(body_query)`? It first covers every target
+/// fact by some body atom (binding the constrained variables), then
+/// enumerates the remaining variables over the active domain of `target`
+/// extended with canonical fresh values, and asks minimality of each
+/// candidate. Works on the slots of the compiled query; reused across targets.
+struct CoverSearch<'q> {
+    compiled: &'q CompiledQuery<'q>,
+    oracle: MinimalityOracle<'q>,
+    /// One fresh value per variable, outside every target's active domain.
+    fresh: Vec<Value>,
+    /// The target's active domain followed by `fresh`.
+    domain: Vec<Value>,
     fresh_base: usize,
-    cache: &mut IndexCache,
-    result: &mut Option<Valuation>,
-) {
-    if result.is_some() {
-        return;
-    }
-    if depth == target.len() {
-        // All target facts covered; enumerate the remaining variables.
-        extend_and_check(query, partial, vars, domain, fresh_base, cache, result);
-        return;
-    }
-    let goal = &target[depth];
-    'atoms: for atom in query.body() {
-        if atom.relation != goal.relation || atom.arity() != goal.arity() {
-            continue;
-        }
-        let mut newly_bound = Vec::new();
-        for (&var, &value) in atom.args.iter().zip(goal.values.iter()) {
-            match partial.get(var) {
-                Some(existing) if existing == value => {}
-                Some(_) => {
-                    for v in newly_bound {
-                        partial.unbind(v);
-                    }
-                    continue 'atoms;
-                }
-                None => {
-                    partial.bind(var, value);
-                    newly_bound.push(var);
-                }
-            }
-        }
-        cover_search(
-            query,
-            target,
-            depth + 1,
-            partial,
-            vars,
-            domain,
-            fresh_base,
-            cache,
-            result,
-        );
-        for v in newly_bound {
-            partial.unbind(v);
-        }
-        if result.is_some() {
-            return;
-        }
-    }
+    bindings: Bindings,
 }
 
-/// Enumerates values for the unbound variables (with fresh values used in
-/// canonical order to avoid isomorphic duplicates) and records the first
-/// minimal candidate valuation.
-#[allow(clippy::too_many_arguments)]
-fn extend_and_check(
-    query: &ConjunctiveQuery,
-    partial: &Valuation,
-    vars: &[Variable],
-    domain: &[Value],
-    fresh_base: usize,
-    cache: &mut IndexCache,
-    result: &mut Option<Valuation>,
-) {
-    let unbound: Vec<Variable> = vars
-        .iter()
-        .copied()
-        .filter(|v| !partial.binds(*v))
-        .collect();
-
-    #[allow(clippy::too_many_arguments)] // depth-first enumerator state, recursive
-    fn rec(
-        query: &ConjunctiveQuery,
-        unbound: &[Variable],
-        idx: usize,
-        max_fresh_used: usize,
-        current: &mut Valuation,
-        domain: &[Value],
-        fresh_base: usize,
-        cache: &mut IndexCache,
-        result: &mut Option<Valuation>,
-    ) {
-        if result.is_some() {
-            return;
-        }
-        if idx == unbound.len() {
-            if is_minimal_valuation_cached(query, current, cache) {
-                *result = Some(current.clone());
-            }
-            return;
-        }
-        let var = unbound[idx];
-        // allowed values: all of adom plus fresh values up to max_fresh_used + 1
-        let limit = (fresh_base + max_fresh_used + 1).min(domain.len());
-        for (i, &value) in domain.iter().enumerate().take(limit) {
-            current.bind(var, value);
-            let new_max = if i >= fresh_base {
-                max_fresh_used.max(i - fresh_base + 1)
-            } else {
-                max_fresh_used
-            };
-            rec(
-                query,
-                unbound,
-                idx + 1,
-                new_max,
-                current,
-                domain,
-                fresh_base,
-                cache,
-                result,
-            );
-            current.unbind(var);
-            if result.is_some() {
-                return;
-            }
+impl<'q> CoverSearch<'q> {
+    fn new(compiled: &'q CompiledQuery<'q>) -> Self {
+        let variables = compiled.variables().len();
+        CoverSearch {
+            compiled,
+            oracle: MinimalityOracle::new(compiled),
+            fresh: (0..variables)
+                .map(|i| Value::indexed("$fresh", i))
+                .collect(),
+            domain: Vec::new(),
+            fresh_base: 0,
+            bindings: Bindings::new(vec![None; variables]),
         }
     }
 
-    let mut current = partial.clone();
-    rec(
-        query,
-        &unbound,
-        0,
-        0,
-        &mut current,
-        domain,
-        fresh_base,
-        cache,
-        result,
-    );
+    /// The first minimal valuation whose required facts contain `target`.
+    fn find(&mut self, target: &Instance) -> Option<Valuation> {
+        self.domain.clear();
+        self.domain.extend(target.adom());
+        self.fresh_base = self.domain.len();
+        self.domain.extend(&self.fresh);
+        let target: Vec<&Fact> = target.facts().collect();
+        let witness = self
+            .cover(&target)
+            .then(|| self.compiled.valuation(self.bindings.slots()));
+        self.bindings.undo(0);
+        witness
+    }
+
+    /// Backtracking over the target facts: each must be the image of a body
+    /// atom. On success the bindings are left holding the witness.
+    fn cover(&mut self, target: &[&Fact]) -> bool {
+        let Some((goal, rest)) = target.split_first() else {
+            // All target facts covered; enumerate the remaining variables.
+            return self.extend(0, 0);
+        };
+        let compiled = self.compiled;
+        for (atom, shape) in compiled.query().body().iter().enumerate() {
+            let mark = self.bindings.mark();
+            if shape.relation == goal.relation && self.bindings.unify(compiled.atom(atom), goal) {
+                if self.cover(rest) {
+                    return true;
+                }
+                self.bindings.undo(mark);
+            }
+        }
+        false
+    }
+
+    /// Binds the unbound slots from `slot` on in slot order — fresh values
+    /// in canonical order, to avoid isomorphic duplicates — and stops at the
+    /// first minimal candidate, leaving it in the bindings.
+    fn extend(&mut self, slot: usize, fresh_used: usize) -> bool {
+        let Some(bound) = self.bindings.slots().get(slot) else {
+            return self.oracle.is_minimal(self.bindings.slots());
+        };
+        if bound.is_some() {
+            return self.extend(slot + 1, fresh_used);
+        }
+        // allowed values: all of adom plus fresh values up to fresh_used + 1
+        let limit = (self.fresh_base + fresh_used + 1).min(self.domain.len());
+        for i in 0..limit {
+            let mark = self.bindings.mark();
+            self.bindings.bind(slot, self.domain[i]);
+            let used = fresh_used.max((i + 1).saturating_sub(self.fresh_base));
+            if self.extend(slot + 1, used) {
+                return true;
+            }
+            self.bindings.undo(mark);
+        }
+        false
+    }
 }
 
 /// A witness for condition (C3): the simplification `θ` of `Q'` and the
@@ -413,8 +365,7 @@ pub fn c3_witness(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> Option<C3Wi
 mod tests {
     use super::*;
     use crate::minimality::is_minimal_valuation;
-    use cq::Fact;
-    use distribution::{ExplicitPolicy, Network, Node};
+    use distribution::{ExplicitPolicy, Network};
 
     fn q(text: &str) -> ConjunctiveQuery {
         ConjunctiveQuery::parse(text).unwrap()
@@ -469,37 +420,132 @@ mod tests {
         assert!(c1_violation(&query, &policy, &universe).is_none());
     }
 
+    fn assert_same_witness(got: Option<C1Violation>, want: Option<C1Violation>, context: &str) {
+        match (got, want) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_eq!(a.valuation, b.valuation, "{context}");
+                assert_eq!(a.required_facts, b.required_facts, "{context}");
+            }
+            (a, b) => panic!("witness mismatch for {context}: {a:?} vs {b:?}"),
+        }
+    }
+
     #[test]
     fn cached_c1_search_is_byte_identical_to_scratch() {
         // Same witness (valuation AND required facts), not just the same
-        // verdict, whether the minimality checks run scratch or through a
-        // shared cache — over a family of policies that exercises both the
-        // violation and the no-violation paths.
+        // verdict, as the reference search that materializes every
+        // candidate — for (C0) and (C1), over every policy sending each of
+        // the four facts over {a, b} to one of two nodes, the Example 3.5
+        // policy, and policies that replicate, skip and spread.
         let queries = [
             q("T(x, z) :- R(x, y), R(y, z)."),
             q("T(x, z) :- R(x, y), R(y, z), R(x, x)."),
+            q("T(x) :- R(x, x)."),
             q("T() :- R(x, y), R(y, x)."),
         ];
         let universe = all_r_facts(&["a", "b"]);
-        let policies = [
+        let facts: Vec<Fact> = universe.facts().cloned().collect();
+        let mut policies = vec![
             example_3_5_policy(&universe),
             ExplicitPolicy::round_robin(&Network::with_size(4), &universe),
             ExplicitPolicy::broadcast(&Network::with_size(2), &universe),
+            ExplicitPolicy::skip_one(&universe, &facts[1]),
         ];
+        for mask in 0..(1u32 << facts.len()) {
+            let mut policy = ExplicitPolicy::new(Network::with_size(2));
+            for (i, fact) in facts.iter().enumerate() {
+                policy.assign(fact.clone(), [Node::numbered((mask >> i & 1) as usize)]);
+            }
+            policies.push(policy);
+        }
         for query in &queries {
-            for policy in &policies {
-                let scratch = c1_violation(query, policy, &universe);
-                let mut cache = IndexCache::default();
-                let cached = c1_violation_cached(query, policy, &universe, &mut cache);
-                match (scratch, cached) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.valuation, b.valuation, "{query}");
-                        assert_eq!(a.required_facts, b.required_facts, "{query}");
-                    }
-                    (a, b) => panic!("witness mismatch for {query}: {a:?} vs {b:?}"),
+            for (i, policy) in policies.iter().enumerate() {
+                for minimal_only in [false, true] {
+                    let got = meet_violation(query, policy, &universe, minimal_only).0;
+                    let want =
+                        crate::reference::meet_violation(query, policy, &universe, minimal_only);
+                    assert_same_witness(got, want, &format!("{query}, policy {i}"));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn meet_table_agrees_with_facts_meet_on_the_policy_zoo() {
+        // Every satisfying valuation over the universe, under policies with
+        // more nodes than a word has bits, skipped facts (empty node sets),
+        // default nodes, hash partitioning and universe facts the policy has
+        // never heard of.
+        let query = q("T(x, z) :- R(x, y), R(y, z), S(z).");
+        let mut universe = all_r_facts(&["a", "b", "c", "d"]);
+        for z in ["a", "b", "e"] {
+            universe.insert(Fact::from_names("S", &[z]));
+        }
+        let facts: Vec<Fact> = universe.facts().cloned().collect();
+
+        // 150 nodes; fact i lives on the nodes n with n ≡ i (mod 7) or
+        // n ≡ 0 (mod 11): meets happen beyond bit 64 and across words.
+        let mut wide = ExplicitPolicy::new(Network::with_size(150));
+        for (i, fact) in facts.iter().enumerate() {
+            let nodes = (0..150).filter(|n| n % 7 == i % 7 || (n % 11 == 0 && i % 2 == 0));
+            wide.assign(fact.clone(), nodes.map(Node::numbered));
+        }
+        // The first fact alone on 71 nodes, so that every node two facts
+        // share is numbered past the first word.
+        let mut late = ExplicitPolicy::new(Network::with_size(150));
+        late.assign(facts[0].clone(), (0..71).map(Node::numbered));
+        for (i, fact) in facts.iter().enumerate().skip(1) {
+            late.assign(
+                fact.clone(),
+                [Node::numbered(100 + i % 2), Node::numbered(149)],
+            );
+        }
+        // Every fifth fact skipped, the rest on two of 70 nodes.
+        let mut skipping = ExplicitPolicy::new(Network::with_size(70));
+        for (i, fact) in facts.iter().enumerate() {
+            if i % 5 != 0 {
+                skipping.assign(
+                    fact.clone(),
+                    [Node::numbered(i % 70), Node::numbered(69 - i % 2)],
+                );
+            }
+        }
+        // Half the facts assigned, the others fall to the default nodes.
+        let mut defaulting =
+            ExplicitPolicy::new(Network::with_size(3)).with_default([Node::numbered(1)]);
+        for fact in facts.iter().step_by(2) {
+            defaulting.assign(fact.clone(), [Node::numbered(0), Node::numbered(2)]);
+        }
+        // The hypercube of another query: hashes R on both positions.
+        let hashed =
+            distribution::HypercubePolicy::uniform(&q("T(x, y) :- R(x, y), S(y)."), 3).unwrap();
+        let broadcast = ExplicitPolicy::broadcast(&Network::with_size(65), &universe);
+        let policies: [&dyn DistributionPolicy; 6] =
+            [&wide, &late, &skipping, &defaulting, &hashed, &broadcast];
+
+        let compiled = CompiledQuery::new(&query);
+        for (i, policy) in policies.iter().enumerate() {
+            let mut table = MeetTable::new(*policy, &universe);
+            let (mut met, mut split) = (0, 0);
+            let _ = compiled.for_each_satisfying(
+                &universe,
+                &Valuation::new(),
+                EvalOptions::default(),
+                |slots| {
+                    let required = compiled.valuation(slots).required_facts(&query);
+                    let expected = policy.facts_meet(&required);
+                    assert_eq!(table.meets(&compiled, slots), expected, "policy {i}");
+                    *(if expected { &mut met } else { &mut split }) += 1;
+                    ControlFlow::Continue(())
+                },
+            );
+            assert!(met > 0, "policy {i}: no valuation meets");
+            assert!(split > 0 || i == 5, "policy {i}: every valuation meets");
+
+            // A valuation requiring a fact outside the universe meets nowhere.
+            let outside = Valuation::from_names([("x", "a"), ("y", "b"), ("z", "zz")]);
+            assert!(!table.meets(&compiled, &compiled.bind(&outside)));
         }
     }
 
@@ -568,11 +614,13 @@ mod tests {
             Fact::from_names("R", &["b", "a"]),
             Fact::from_names("R", &["a", "a"]),
         ]);
-        assert!(!exists_minimal_covering_valuation(&query, &target));
+        let compiled = CompiledQuery::new(&query);
+        let mut covers = CoverSearch::new(&compiled);
+        assert!(covers.find(&target).is_none());
 
         // A single self-loop is covered by the minimal all-equal valuation.
         let small = Instance::from_facts([Fact::from_names("R", &["a", "a"])]);
-        let witness = find_minimal_covering_valuation(&query, &small).unwrap();
+        let witness = covers.find(&small).unwrap();
         assert!(is_minimal_valuation(&query, &witness));
         assert!(witness.required_facts(&query).contains_all(&small));
     }

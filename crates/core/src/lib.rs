@@ -62,6 +62,8 @@ pub mod conditions;
 pub mod family;
 pub mod minimality;
 pub mod pc;
+#[cfg(test)]
+mod reference;
 pub mod transfer;
 
 pub use conditions::{holds_c0, holds_c1, holds_c2, holds_c3, C1Violation, C3Witness};
@@ -69,9 +71,8 @@ pub use family::{
     hypercube_parallel_correct, validate_hypercube_family, FamilyReport, FamilyValidation,
 };
 pub use minimality::{
-    is_minimal_valuation, is_minimal_valuation_cached, is_strongly_minimal,
-    minimal_valuations_over, satisfies_lemma_4_8, strong_minimality_witness,
-    StrongMinimalityReport,
+    is_minimal_valuation, is_strongly_minimal, minimal_valuations_over, satisfies_lemma_4_8,
+    strong_minimality_witness, MinimalityOracle, MinimalityStats, StrongMinimalityReport,
 };
 pub use pc::{
     check_parallel_correctness, check_parallel_correctness_bounded,

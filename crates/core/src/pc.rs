@@ -8,7 +8,7 @@ use distribution::{
     DistributionPolicy, FinitePolicy, MultiRoundEngine, MultiRoundOutcome, OneRoundEngine,
 };
 
-use crate::conditions::{c1_violation_cached, C1Violation};
+use crate::conditions::{meet_violation, C1Violation};
 
 /// A violation of parallel-correctness: a minimal valuation whose required
 /// facts never meet, together with the concrete counterexample instance and
@@ -31,8 +31,9 @@ pub struct PcReport {
     pub correct: bool,
     /// A violation witness when the query is not parallel-correct.
     pub violation: Option<PcViolation>,
-    /// Hit/miss counters of the [`IndexCache`] the minimality search warmed
-    /// its candidate instances through.
+    /// How the minimality asks were answered: `hits` by the candidate's
+    /// equality type, `misses` by running the search; their sum is the
+    /// number of candidate valuations.
     pub cache: CacheStats,
 }
 
@@ -42,7 +43,7 @@ impl PcReport {
         self.correct
     }
 
-    /// The index-cache counters accumulated while deciding the verdict.
+    /// The minimality-ask counters accumulated while deciding the verdict.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache
     }
@@ -176,30 +177,23 @@ pub fn check_parallel_correctness_bounded<P: DistributionPolicy + ?Sized>(
     policy: &P,
     universe: &Instance,
 ) -> PcReport {
-    let mut cache = IndexCache::default();
-    let violation = c1_violation_cached(query, policy, universe, &mut cache);
-    let cache_stats = cache.stats();
-    match violation {
-        None => PcReport {
-            correct: true,
-            violation: None,
-            cache: cache_stats,
-        },
-        Some(C1Violation {
+    let _span = obs::span!("pc_check", universe = universe.len());
+    let (violation, stats) = meet_violation(query, policy, universe, true);
+    let violation = violation.map(|found| {
+        let C1Violation {
             valuation,
             required_facts,
-        }) => {
-            let lost_fact = valuation.derived_fact(query);
-            PcReport {
-                correct: false,
-                violation: Some(PcViolation {
-                    valuation,
-                    counterexample_instance: required_facts,
-                    lost_fact,
-                }),
-                cache: cache_stats,
-            }
+        } = found;
+        PcViolation {
+            lost_fact: valuation.derived_fact(query),
+            valuation,
+            counterexample_instance: required_facts,
         }
+    });
+    PcReport {
+        correct: violation.is_none(),
+        violation,
+        cache: stats.record(),
     }
 }
 

@@ -3,9 +3,9 @@
 use std::collections::BTreeMap;
 
 use cq::{ConjunctiveQuery, Instance, Valuation};
-use delta::{CacheStats, IndexCache};
+use delta::CacheStats;
 
-use crate::conditions::{c2_violation_cached, c3_witness};
+use crate::conditions::{c2_search, c3_witness};
 use crate::minimality::is_strongly_minimal;
 
 /// A witness that parallel-correctness does **not** transfer: a minimal
@@ -33,9 +33,10 @@ pub struct TransferReport {
     pub method: &'static str,
     /// A violation witness when transfer fails.
     pub violation: Option<TransferViolation>,
-    /// Hit/miss counters of the [`IndexCache`] the minimality checks warmed
-    /// their candidate instances through (all zero for the syntactic C3
-    /// procedure, which evaluates no instances).
+    /// How the minimality asks were answered: `hits` by the candidate's
+    /// equality type, `misses` by running the search (the (C2) search visits
+    /// almost every type once, so it asks the search directly); all zero for
+    /// the syntactic C3 procedure.
     pub cache: CacheStats,
 }
 
@@ -45,7 +46,7 @@ impl TransferReport {
         self.transfers
     }
 
-    /// The index-cache counters accumulated while deciding the verdict.
+    /// The minimality-ask counters accumulated while deciding the verdict.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache
     }
@@ -55,27 +56,22 @@ impl TransferReport {
 /// (Definition 4.1) using the semantic characterization by condition (C2)
 /// (Lemma 4.2). This is the general, ΠP3-complete problem (Theorem 4.3).
 pub fn check_transfer(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> TransferReport {
-    let mut cache = IndexCache::default();
-    let violation = c2_violation_cached(from, to, &mut cache);
-    match violation {
-        None => TransferReport {
-            transfers: true,
-            method: "C2",
-            violation: None,
-            cache: cache.stats(),
-        },
-        Some(valuation) => {
-            let required_facts = valuation.required_facts(to);
-            TransferReport {
-                transfers: false,
-                method: "C2",
-                violation: Some(TransferViolation {
-                    valuation,
-                    required_facts,
-                }),
-                cache: cache.stats(),
-            }
-        }
+    transfer_by_c2(from, to, false)
+}
+
+/// The (C2) decision, or with `no_skip` its relaxation (C2').
+fn transfer_by_c2(from: &ConjunctiveQuery, to: &ConjunctiveQuery, no_skip: bool) -> TransferReport {
+    let method = if no_skip { "C2'" } else { "C2" };
+    let _span = obs::span!("transfer_check", method = method);
+    let (violation, stats) = c2_search(from, to, no_skip);
+    TransferReport {
+        transfers: violation.is_none(),
+        method,
+        violation: violation.map(|valuation| TransferViolation {
+            required_facts: valuation.required_facts(to),
+            valuation,
+        }),
+        cache: stats.record(),
     }
 }
 
@@ -112,37 +108,7 @@ pub fn check_transfer_strongly_minimal(
 /// covering valuation of `Q`, because a non-skipping policy always places
 /// that single fact somewhere.
 pub fn check_transfer_no_skip(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> TransferReport {
-    // Same canonical enumeration as the (C2) check, but single-fact
-    // requirements are exempted.
-    let mut cache = IndexCache::default();
-    for v_prime in cq::CanonicalValuations::new(to.variables()) {
-        if !crate::minimality::is_minimal_valuation_cached(to, &v_prime, &mut cache) {
-            continue;
-        }
-        let target = v_prime.required_facts(to);
-        if target.len() <= 1 {
-            continue;
-        }
-        if crate::conditions::find_minimal_covering_valuation_cached(from, &target, &mut cache)
-            .is_none()
-        {
-            return TransferReport {
-                transfers: false,
-                method: "C2'",
-                violation: Some(TransferViolation {
-                    valuation: v_prime,
-                    required_facts: target,
-                }),
-                cache: cache.stats(),
-            };
-        }
-    }
-    TransferReport {
-        transfers: true,
-        method: "C2'",
-        violation: None,
-        cache: cache.stats(),
-    }
+    transfer_by_c2(from, to, true)
 }
 
 /// Memoizes [`check_transfer`] verdicts per `(from, to)` query pair — the
@@ -288,11 +254,33 @@ mod tests {
         assert!(report.violation.unwrap().required_facts.len() >= 2);
     }
 
+    /// `report` against the reference (C2)/(C2') search: verdict, witness
+    /// valuation and its required facts.
+    fn assert_matches_reference(from: &ConjunctiveQuery, to: &ConjunctiveQuery, no_skip: bool) {
+        let report = if no_skip {
+            check_transfer_no_skip(from, to)
+        } else {
+            check_transfer(from, to)
+        };
+        let expected = crate::reference::c2_violation(from, to, no_skip);
+        assert_eq!(report.method, if no_skip { "C2'" } else { "C2" });
+        assert_eq!(report.transfers(), expected.is_none(), "{from} => {to}");
+        match (report.violation, expected) {
+            (None, None) => {}
+            (Some(violation), Some(expected)) => {
+                assert_eq!(violation.valuation, expected, "{from} => {to}");
+                let required = expected.required_facts(to);
+                assert_eq!(violation.required_facts, required, "{from} => {to}");
+            }
+            (got, want) => panic!("witness mismatch for {from} => {to}: {got:?} vs {want:?}"),
+        }
+    }
+
     #[test]
     fn shared_cache_transfer_reports_are_byte_identical_to_scratch() {
-        // The long-lived cache threaded through the C2 search must not
-        // change the verdict, the witness valuation, or its required facts
-        // relative to a per-candidate scratch enumeration.
+        // The slot-level covering search and the oracle must not change the
+        // verdict, the witness valuation, or its required facts relative to
+        // the reference search that materializes every candidate.
         let pairs = [
             (
                 "T(x, z) :- R(x, y), R(y, z).",
@@ -307,48 +295,54 @@ mod tests {
                 "T(x, z) :- R(x, y), R(y, z).",
             ),
             ("T(x, y) :- R(x, y).", "U(x) :- R(x, y), S(y, x)."),
+            ("T(x, y) :- R(x, y).", "U(x) :- S(x, x)."),
             (
                 "T(x, z) :- R(x, y), R(y, z), R(x, x).",
                 "T(x, z) :- R(x, y), R(y, z).",
             ),
+            (
+                "T(x, z) :- R(x, y), R(y, z).",
+                "T(x, z) :- R(x, y), R(y, z), R(x, x).",
+            ),
         ];
         for (from_text, to_text) in pairs {
-            let from = q(from_text);
-            let to = q(to_text);
-            // Scratch reference: the same canonical enumeration with a fresh
-            // cache for every candidate (i.e. no sharing across candidates).
-            let mut scratch = None;
-            for v_prime in cq::CanonicalValuations::new(to.variables()) {
-                if !crate::minimality::is_minimal_valuation(&to, &v_prime) {
-                    continue;
-                }
-                let target = v_prime.required_facts(&to);
-                if crate::conditions::find_minimal_covering_valuation(&from, &target).is_none() {
-                    scratch = Some(v_prime);
-                    break;
-                }
-            }
-            let report = check_transfer(&from, &to);
-            assert_eq!(
-                report.transfers(),
-                scratch.is_none(),
-                "{from_text} => {to_text}"
-            );
-            match (report.violation, scratch) {
-                (None, None) => {}
-                (Some(violation), Some(expected)) => {
-                    assert_eq!(violation.valuation, expected, "{from_text} => {to_text}");
-                    assert_eq!(
-                        violation.required_facts,
-                        expected.required_facts(&to),
-                        "{from_text} => {to_text}"
-                    );
-                }
-                (got, want) => {
-                    panic!("witness mismatch for {from_text} => {to_text}: {got:?} vs {want:?}")
-                }
+            for no_skip in [false, true] {
+                assert_matches_reference(&q(from_text), &q(to_text), no_skip);
             }
         }
+    }
+
+    #[test]
+    fn seeded_qbf_pairs_decide_like_the_reference() {
+        // Π₃-QBF reductions (Theorem 4.3) in both directions: seeded random
+        // formulas (false, as random ones almost always are), and the true
+        // `∀x ∃y ∀z (x ∧ y) ∨ (¬x ∧ ¬y)`, whose search is exhaustive — so
+        // the covering search's yes and its witness paths both run on
+        // queries with 20+ atoms and 15+ variables.
+        use logic::{Clause, Dnf, Literal, Pi3Qbf};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(20150531);
+        let mut formulas: Vec<Pi3Qbf> = (0..3)
+            .map(|_| logic::random_pi3_qbf(&mut rng, 1, 1, 1, 1))
+            .collect();
+        let term = |positive: bool| {
+            let literal = |var| Literal { var, positive };
+            Clause::new(vec![literal(0), literal(1), literal(1)])
+        };
+        let equivalence = Dnf::new(3, vec![term(true), term(false)]);
+        formulas.push(Pi3Qbf::new(vec![0], vec![1], vec![2], equivalence));
+        let verdicts: Vec<bool> = formulas
+            .iter()
+            .map(|qbf| {
+                let pair = reductions::pi3_to_transfer(qbf);
+                assert_matches_reference(&pair.from, &pair.to, false);
+                assert_matches_reference(&pair.to, &pair.from, false);
+                let transfers = check_transfer(&pair.from, &pair.to).transfers();
+                assert_eq!(transfers, qbf.is_true());
+                transfers
+            })
+            .collect();
+        assert_eq!(verdicts, [false, false, false, true]);
     }
 
     #[test]

@@ -12,32 +12,59 @@ use crate::atom::Variable;
 use crate::valuation::Valuation;
 use crate::value::Value;
 
+/// The restricted-growth strings of length `n` in lexicographic order, one
+/// at a time: the state is the current string and its prefix maxima, O(n),
+/// however many of the `B_n` strings are ever asked for.
+struct GrowthStrings {
+    current: Vec<usize>,
+    /// `maxima[i]` = the largest class among `current[..i]` (0 for `i = 0`).
+    maxima: Vec<usize>,
+    started: bool,
+}
+
+impl GrowthStrings {
+    fn new(n: usize) -> GrowthStrings {
+        GrowthStrings {
+            current: vec![0; n],
+            maxima: vec![0; n],
+            started: false,
+        }
+    }
+
+    /// Steps to the next string; `None` once all have been visited.
+    fn advance(&mut self) -> Option<&[usize]> {
+        if !self.started {
+            self.started = true;
+            return Some(&self.current);
+        }
+        // The successor bumps the rightmost class that may still grow and
+        // resets everything after it; position 0 is pinned to class 0.
+        let at = (1..self.current.len())
+            .rev()
+            .find(|&i| self.current[i] <= self.maxima[i])?;
+        self.current[at] += 1;
+        let max = self.maxima[at].max(self.current[at]);
+        for i in at + 1..self.current.len() {
+            self.current[i] = 0;
+            self.maxima[i] = max;
+        }
+        Some(&self.current)
+    }
+}
+
 /// All restricted-growth strings of length `n`.
 ///
 /// Each string `a` encodes a set partition of `{0, …, n-1}`: positions with
 /// equal entries are in the same class, and `a[0] = 0`,
-/// `a[i] ≤ max(a[..i]) + 1`. The number of strings is the Bell number `B_n`.
+/// `a[i] ≤ max(a[..i]) + 1`. The number of strings is the Bell number `B_n`,
+/// so the table is for small `n` only; [`CanonicalValuations`] walks the
+/// same sequence without ever holding it.
 pub fn partition_assignments(n: usize) -> Vec<Vec<usize>> {
+    let mut strings = GrowthStrings::new(n);
     let mut out = Vec::new();
-    let mut current = vec![0usize; n];
-    fn rec(current: &mut Vec<usize>, pos: usize, max_used: usize, out: &mut Vec<Vec<usize>>) {
-        let n = current.len();
-        if pos == n {
-            out.push(current.clone());
-            return;
-        }
-        for class in 0..=max_used + 1 {
-            current[pos] = class;
-            let new_max = max_used.max(class);
-            rec(current, pos + 1, new_max, out);
-        }
+    while let Some(string) = strings.advance() {
+        out.push(string.to_vec());
     }
-    if n == 0 {
-        out.push(Vec::new());
-        return out;
-    }
-    current[0] = 0;
-    rec(&mut current, 1, 0, &mut out);
     out
 }
 
@@ -76,19 +103,36 @@ pub fn all_assignments(n: usize, domain_size: usize) -> Vec<Vec<usize>> {
 /// to exactly one canonical valuation.
 pub struct CanonicalValuations {
     vars: Vec<Variable>,
-    assignments: std::vec::IntoIter<Vec<usize>>,
+    /// `values[c]` is the synthetic value of class `c`.
+    values: Vec<Value>,
+    strings: GrowthStrings,
 }
 
 impl CanonicalValuations {
-    /// Creates the canonical enumeration for `vars`.
+    /// Creates the canonical enumeration for `vars`. Lazy: the next
+    /// equality pattern is computed when it is asked for.
     pub fn new(vars: Vec<Variable>) -> CanonicalValuations {
-        let assignments = partition_assignments(vars.len()).into_iter();
-        CanonicalValuations { vars, assignments }
+        CanonicalValuations {
+            values: (0..vars.len()).map(Value::synthetic).collect(),
+            strings: GrowthStrings::new(vars.len()),
+            vars,
+        }
     }
 
-    /// Number of canonical valuations (the Bell number of the variable count).
+    /// Number of canonical valuations: the Bell number of the variable
+    /// count, by the Bell triangle (saturating at `usize::MAX`).
     pub fn count_for(n_vars: usize) -> usize {
-        partition_assignments(n_vars).len()
+        let mut row = vec![1usize];
+        for _ in 0..n_vars {
+            let mut next = Vec::with_capacity(row.len() + 1);
+            next.push(*row.last().expect("rows are never empty"));
+            for &above in &row {
+                let left = *next.last().expect("just pushed");
+                next.push(left.saturating_add(above));
+            }
+            row = next;
+        }
+        row[0]
     }
 }
 
@@ -96,12 +140,12 @@ impl Iterator for CanonicalValuations {
     type Item = Valuation;
 
     fn next(&mut self) -> Option<Valuation> {
-        let assignment = self.assignments.next()?;
+        let classes = self.strings.advance()?;
         Some(Valuation::from_pairs(
             self.vars
                 .iter()
-                .zip(assignment.iter())
-                .map(|(&var, &class)| (var, Value::synthetic(class))),
+                .zip(classes)
+                .map(|(&var, &class)| (var, self.values[class])),
         ))
     }
 }
@@ -164,6 +208,40 @@ mod tests {
     #[test]
     fn canonical_count_helper_matches_enumeration() {
         assert_eq!(CanonicalValuations::count_for(4), 15);
+        for n in 0..9 {
+            assert_eq!(
+                CanonicalValuations::count_for(n),
+                partition_assignments(n).len(),
+                "Bell({n})"
+            );
+        }
+        assert_eq!(CanonicalValuations::count_for(24), 445_958_869_294_805_289);
+        assert_eq!(CanonicalValuations::count_for(40), usize::MAX, "saturates");
+    }
+
+    #[test]
+    fn growth_strings_come_in_lexicographic_order_without_repeats() {
+        let strings = partition_assignments(7);
+        assert_eq!(strings.len(), 877);
+        assert!(strings.windows(2).all(|pair| pair[0] < pair[1]));
+        assert_eq!(strings[0], vec![0; 7]);
+        assert_eq!(strings[876], vec![0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn enumeration_is_lazy_over_24_variables() {
+        // Bell(24) ≈ 4.5 · 10¹⁷ patterns: only an enumeration with O(n)
+        // state can hand out the first thousand.
+        let vars: Vec<Variable> = (0..24).map(|i| Variable::indexed("x", i)).collect();
+        let first: Vec<Valuation> = CanonicalValuations::new(vars.clone()).take(1000).collect();
+        assert_eq!(first.len(), 1000);
+        assert_eq!(first[0].image().len(), 1, "the all-equal pattern first");
+        let distinct: std::collections::BTreeSet<_> = first.iter().collect();
+        assert_eq!(distinct.len(), 1000);
+        // Lexicographic order moves the last variables first.
+        assert!(first
+            .iter()
+            .all(|v| v.get(vars[0]) == v.get(vars[16]) && v.len() == 24));
     }
 
     #[test]

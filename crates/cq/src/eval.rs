@@ -18,9 +18,12 @@
 //!   [`Instance::from_facts`] over the distinct set at the end. The work per
 //!   derivation is a probe; the allocations are O(answers), not
 //!   O(valuations). (`evaluate_done` in a trace carries both counts.)
-//! * **Valuations only at the boundary.** [`for_each_satisfying`] keeps its
-//!   `&Valuation` callback as a thin adapter that refills one reused
-//!   [`Valuation`] from the slots at each leaf.
+//! * **Valuations only at the boundary.** [`CompiledQuery`] is public:
+//!   [`CompiledQuery::for_each_satisfying`] hands every leaf's slot array to
+//!   the caller, which is what the decision procedures of `pc-core` loop
+//!   over. [`for_each_satisfying`] keeps its `&Valuation` callback as a thin
+//!   adapter that refills one reused [`Valuation`] from the slots at each
+//!   leaf.
 //!
 //! [`EvalOptions`] selects among the kernel's strategies:
 //!
@@ -191,23 +194,33 @@ impl EvalOptions {
 }
 
 /// The kernel's view of a partial valuation: slot `s` holds the value bound
-/// to the `s`-th query variable, if any.
-type Slots = [Option<Value>];
+/// to the `s`-th query variable, if any. At a leaf every slot is bound.
+pub type Slots = [Option<Value>];
 
-/// A query compiled to dense variable slots: slot `s` stands for `vars[s]`.
-/// Slots are numbered in first-occurrence order over the body (safety makes
-/// the head variables a subset), so compiling is one pass over the atoms.
-struct CompiledQuery<'q> {
+/// A query compiled to dense variable slots: slot `s` stands for
+/// `variables()[s]`. Slots are numbered in first-occurrence order over the
+/// body (safety makes the head variables a subset) — the order of
+/// [`ConjunctiveQuery::variables`] — so compiling is one pass over the
+/// atoms.
+///
+/// This is the kernel's public face: callers that visit many valuations
+/// (the decision procedures of `pc-core`) compile once, enumerate through
+/// [`CompiledQuery::for_each_satisfying`] and read the slot array at each
+/// leaf instead of paying a [`Valuation`] per visit.
+pub struct CompiledQuery<'q> {
     query: &'q ConjunctiveQuery,
     vars: Vec<Variable>,
     /// The body atoms' argument slots, flattened: atom `a` owns
     /// `args[starts[a]..starts[a + 1]]`.
     args: Vec<usize>,
     starts: Vec<usize>,
+    /// The head projection: the slot of each head argument.
+    head: Vec<usize>,
 }
 
 impl<'q> CompiledQuery<'q> {
-    fn new(query: &'q ConjunctiveQuery) -> Self {
+    /// Compiles `query`.
+    pub fn new(query: &'q ConjunctiveQuery) -> Self {
         let body = query.body();
         let mut vars: Vec<Variable> = Vec::new();
         let mut args = Vec::with_capacity(body.iter().map(Atom::arity).sum());
@@ -223,21 +236,46 @@ impl<'q> CompiledQuery<'q> {
             }
         }
         starts.push(args.len());
+        let head = query.head().args.iter();
+        let head = head
+            .map(|var| {
+                vars.iter()
+                    .position(|v| v == var)
+                    .expect("head variables occur in the body")
+            })
+            .collect();
         CompiledQuery {
             query,
             vars,
             args,
             starts,
+            head,
         }
     }
 
-    fn atom_count(&self) -> usize {
+    /// The query this was compiled from.
+    pub fn query(&self) -> &'q ConjunctiveQuery {
+        self.query
+    }
+
+    /// The query variables in slot order.
+    pub fn variables(&self) -> &[Variable] {
+        &self.vars
+    }
+
+    /// The number of body atoms.
+    pub fn atom_count(&self) -> usize {
         self.starts.len() - 1
     }
 
     /// The argument slots of body atom `atom`.
-    fn atom(&self, atom: usize) -> &[usize] {
+    pub fn atom(&self, atom: usize) -> &[usize] {
         &self.args[self.starts[atom]..self.starts[atom + 1]]
+    }
+
+    /// The slot of each head argument, in head order.
+    pub fn head(&self) -> &[usize] {
+        &self.head
     }
 
     fn slot(&self, var: Variable) -> Option<usize> {
@@ -246,7 +284,7 @@ impl<'q> CompiledQuery<'q> {
 
     /// The slot array with the bindings `fixed` makes on query variables;
     /// its bindings for other variables are harmless and dropped.
-    fn bind_fixed(&self, fixed: &Valuation) -> Vec<Option<Value>> {
+    pub fn bind(&self, fixed: &Valuation) -> Vec<Option<Value>> {
         let mut slots = vec![None; self.vars.len()];
         for (var, value) in fixed.bindings() {
             if let Some(slot) = self.slot(var) {
@@ -254,6 +292,39 @@ impl<'q> CompiledQuery<'q> {
             }
         }
         slots
+    }
+
+    /// The valuation holding the bound slots of `slots`.
+    pub fn valuation(&self, slots: &Slots) -> Valuation {
+        let bound = self.vars.iter().zip(slots);
+        bound
+            .filter_map(|(&var, value)| Some((var, (*value)?)))
+            .collect()
+    }
+
+    /// Calls `leaf` with the slot array of every satisfying assignment of
+    /// the query on `instance` that extends `fixed`, through the join
+    /// `opts` selects — [`for_each_satisfying`] without the [`Valuation`]
+    /// per leaf, in the same order.
+    pub fn for_each_satisfying<L>(
+        &self,
+        instance: &Instance,
+        fixed: &Valuation,
+        opts: EvalOptions,
+        leaf: L,
+    ) -> ControlFlow<()>
+    where
+        L: FnMut(&Slots) -> ControlFlow<()>,
+    {
+        let slots = self.bind(fixed);
+        let views = self.views(instance, opts.use_indexes);
+        if opts.resolved_strategy(self.query) == JoinStrategy::Multiway {
+            return match Leapfrog::new(self, views, slots, leaf) {
+                Some(mut join) => join.search(0),
+                None => ControlFlow::Continue(()),
+            };
+        }
+        BinaryJoin::new(self, views, slots, opts, None, leaf).search(0)
     }
 
     /// One view per body atom over `instance`.
@@ -267,17 +338,44 @@ impl<'q> CompiledQuery<'q> {
 }
 
 /// The binding state of a search: the slot array plus the undo trail of the
-/// slots bound since the search began.
-struct Bindings {
+/// slots bound since the search began. Public for searches over a
+/// [`CompiledQuery`]'s slots outside the evaluator (the covering search of
+/// `pc-core`), which bind and backtrack the same way.
+pub struct Bindings {
     slots: Vec<Option<Value>>,
     trail: Vec<usize>,
 }
 
 impl Bindings {
+    /// A search starting from the pre-bound `slots`, which no undo releases.
+    pub fn new(slots: Vec<Option<Value>>) -> Bindings {
+        Bindings {
+            trail: Vec::with_capacity(slots.len()),
+            slots,
+        }
+    }
+
+    /// The slot array.
+    pub fn slots(&self) -> &Slots {
+        &self.slots
+    }
+
+    /// The trail position to [`Bindings::undo`] back to.
+    pub fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Binds the unbound `slot` to `value`.
+    pub fn bind(&mut self, slot: usize, value: Value) {
+        debug_assert!(self.slots[slot].is_none());
+        self.slots[slot] = Some(value);
+        self.trail.push(slot);
+    }
+
     /// Extends the bindings so that the atom with argument slots `args`
     /// maps onto `fact`. On a clash — or a fact of another arity — nothing
     /// stays bound; on success the caller undoes to its trail mark.
-    fn unify(&mut self, args: &[usize], fact: &Fact) -> bool {
+    pub fn unify(&mut self, args: &[usize], fact: &Fact) -> bool {
         if args.len() != fact.values.len() {
             return false;
         }
@@ -289,16 +387,14 @@ impl Bindings {
                     self.undo(mark);
                     return false;
                 }
-                None => {
-                    self.slots[slot] = Some(value);
-                    self.trail.push(slot);
-                }
+                None => self.bind(slot, value),
             }
         }
         true
     }
 
-    fn undo(&mut self, mark: usize) {
+    /// Releases the slots bound since the trail was at `mark`.
+    pub fn undo(&mut self, mark: usize) {
         for &slot in &self.trail[mark..] {
             self.slots[slot] = None;
         }
@@ -354,10 +450,7 @@ where
             order: Vec::with_capacity(depths),
             estimates: Vec::with_capacity(depths),
             adaptive: false,
-            bindings: Bindings {
-                trail: Vec::with_capacity(slots.len()),
-                slots,
-            },
+            bindings: Bindings::new(slots),
             postings: vec![Vec::new(); depths],
             leaf,
         };
@@ -818,30 +911,6 @@ where
     }
 }
 
-/// Runs the kernel: calls `leaf` with the slot array of every satisfying
-/// assignment of `compiled`'s query on `instance` that extends `fixed`,
-/// through the join `opts` selects.
-fn enumerate<L>(
-    compiled: &CompiledQuery<'_>,
-    instance: &Instance,
-    fixed: &Valuation,
-    opts: EvalOptions,
-    leaf: L,
-) -> ControlFlow<()>
-where
-    L: FnMut(&Slots) -> ControlFlow<()>,
-{
-    let slots = compiled.bind_fixed(fixed);
-    let views = compiled.views(instance, opts.use_indexes);
-    if opts.resolved_strategy(compiled.query) == JoinStrategy::Multiway {
-        return match Leapfrog::new(compiled, views, slots, leaf) {
-            Some(mut join) => join.search(0),
-            None => ControlFlow::Continue(()),
-        };
-    }
-    BinaryJoin::new(compiled, views, slots, opts, None, leaf).search(0)
-}
-
 /// Enumerates the satisfying valuations of `query` on `instance` that extend
 /// the partial valuation `fixed`, invoking `callback` for each.
 ///
@@ -862,7 +931,7 @@ where
     // One valuation serves every leaf: rebinding a bound variable
     // overwrites in place.
     let mut valuation = Valuation::new();
-    enumerate(&compiled, instance, fixed, opts, |slots| {
+    compiled.for_each_satisfying(instance, fixed, opts, |slots| {
         for (&var, value) in compiled.vars.iter().zip(slots) {
             valuation.bind(var, value.expect("every slot is bound at a leaf"));
         }
@@ -887,15 +956,7 @@ impl Answers {
         let head = compiled.query.head();
         Answers {
             relation: head.relation,
-            head: head
-                .args
-                .iter()
-                .map(|&var| {
-                    compiled
-                        .slot(var)
-                        .expect("head variables occur in the body")
-                })
-                .collect(),
+            head: compiled.head.clone(),
             tuple: Vec::with_capacity(head.arity()),
             distinct: HashSet::default(),
             valuations: 0,
@@ -1033,7 +1094,7 @@ pub fn evaluate_with(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOp
     );
     let compiled = CompiledQuery::new(query);
     let mut answers = Answers::new(&compiled);
-    let _ = enumerate(&compiled, instance, &Valuation::new(), opts, |slots| {
+    let _ = compiled.for_each_satisfying(instance, &Valuation::new(), opts, |slots| {
         answers.collect(slots)
     });
     answers.finish()
@@ -1059,7 +1120,7 @@ mod tests {
     ) -> Vec<usize> {
         let compiled = CompiledQuery::new(query);
         let views = compiled.views(instance, opts.use_indexes);
-        let slots = compiled.bind_fixed(fixed);
+        let slots = compiled.bind(fixed);
         let leaf = |_: &Slots| ControlFlow::Continue(());
         BinaryJoin::new(&compiled, views, slots, opts, pivot, leaf).order
     }

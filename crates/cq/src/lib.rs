@@ -55,8 +55,8 @@ pub use atom::{Atom, Variable};
 pub use canonical::{all_assignments, partition_assignments, CanonicalValuations};
 pub use eval::{
     evaluate, evaluate_seminaive_step, evaluate_seminaive_step_with, evaluate_with,
-    for_each_satisfying, satisfying_valuations, satisfying_valuations_with, EvalOptions,
-    JoinOrdering, JoinStrategy,
+    for_each_satisfying, satisfying_valuations, satisfying_valuations_with, Bindings,
+    CompiledQuery, EvalOptions, JoinOrdering, JoinStrategy, Slots,
 };
 pub use fact::Fact;
 pub use hom::{

@@ -1759,15 +1759,21 @@ fn analyze(query: &ConjunctiveQuery) -> bool {
     true
 }
 
+/// How the minimality asks of a `pc` / `transfer` decision were answered.
+fn minimality_line(asks: CacheStats) -> String {
+    format!(
+        "minimality: {} candidates, {} by equality type, {} searched",
+        asks.hits + asks.misses,
+        asks.hits,
+        asks.misses
+    )
+}
+
 fn parallel_correctness(query: &ConjunctiveQuery, policy: &ExplicitPolicy) -> bool {
     println!("query:   {query}");
     println!("network: {}", policy.network());
     let report = check_parallel_correctness(query, policy);
-    let cache = report.cache_stats();
-    println!(
-        "index cache: {} hits / {} misses across candidate instances",
-        cache.hits, cache.misses
-    );
+    println!("{}", minimality_line(report.cache_stats()));
     if report.is_correct() {
         println!("parallel-correct: yes (every minimal valuation meets at some node)");
         true
@@ -1803,11 +1809,7 @@ fn transfer(
         }
         Some(other) => return Err(format!("unknown flag '{other}'")),
     };
-    let cache = report.cache_stats();
-    println!(
-        "index cache: {} hits / {} misses across candidate valuations",
-        cache.hits, cache.misses
-    );
+    println!("{}", minimality_line(report.cache_stats()));
     println!(
         "parallel-correctness transfers ({}): {}",
         report.method,

@@ -70,10 +70,9 @@ pub mod prelude {
         check_parallel_correctness, check_parallel_correctness_bounded,
         check_parallel_correctness_naive_incremental, check_parallel_correctness_on_instance,
         check_transfer, check_transfer_strongly_minimal, holds_c0, holds_c1, holds_c2, holds_c3,
-        hypercube_parallel_correct, is_minimal_valuation, is_minimal_valuation_cached,
-        is_strongly_minimal, multi_round_correct_on, validate_hypercube_family,
-        IncrementalPcReport, IncrementalPcStats, MultiRoundInstanceReport, PcReport, TransferCache,
-        TransferReport,
+        hypercube_parallel_correct, is_minimal_valuation, is_strongly_minimal,
+        multi_round_correct_on, validate_hypercube_family, IncrementalPcReport, IncrementalPcStats,
+        MultiRoundInstanceReport, PcReport, TransferCache, TransferReport,
     };
     pub use wire::{
         DeltaBatch, ExplicitSpec, JsonValue, ProcessTransport, Scenario, SocketTransport,

@@ -72,6 +72,28 @@ fn pc_distinguishes_correct_from_incorrect_policies() {
 }
 
 #[test]
+fn pc_no_report_names_the_valuation_the_instance_and_the_lost_fact() {
+    // The whole report of a NO verdict, as printed: the first minimal
+    // valuation (in enumeration order) whose facts do not meet, its required
+    // facts as the counterexample instance, the fact the nodes lose — and how
+    // many candidates it took.
+    let path = write_temp("no-policy.txt", EXAMPLE_3_5_POLICY);
+    let (code, stdout) = pcq_analyze_output(&["pc", PATH_2, path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(path);
+    assert_eq!(code, 1, "{stdout}");
+    assert_eq!(
+        stdout,
+        "query:   T(x, z) :- R(x, y), R(y, z).\n\
+         network: {n0, n1}\n\
+         minimality: 3 candidates, 0 by equality type, 3 searched\n\
+         parallel-correct: NO\n\
+         \x20 minimal valuation:       {x ↦ a, z ↦ a, y ↦ b}\n\
+         \x20 counterexample instance: {R(a, b), R(b, a)}\n\
+         \x20 lost fact:               T(a, a)\n"
+    );
+}
+
+#[test]
 fn pc_rejects_malformed_policy_files() {
     let path = write_temp("bad-policy.txt", "n0 R(a, b)\n");
     assert_eq!(pcq_analyze(&["pc", PATH_2, path.to_str().unwrap()]), 2);

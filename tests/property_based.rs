@@ -34,6 +34,37 @@ fn instance_from(seed: u64, schema: &Schema, domain: usize, facts: usize) -> Ins
     )
 }
 
+/// A random query over a unary, a binary and a ternary relation: self-joins
+/// and variables repeated inside an atom come with the draw.
+fn mixed_arity_query_from(seed: u64) -> ConjunctiveQuery {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let variables = rng.gen_range(2usize..5);
+    let body: Vec<Atom> = (0..rng.gen_range(2usize..5))
+        .map(|_| {
+            let arity = rng.gen_range(1usize..4);
+            let args = (0..arity).map(|_| Variable::indexed("x", rng.gen_range(0..variables)));
+            Atom::new(["U", "R", "S"][arity - 1], args.collect())
+        })
+        .collect();
+    let mut head: Vec<Variable> = body.iter().flat_map(|atom| atom.args.clone()).collect();
+    head.truncate(rng.gen_range(0usize..3));
+    ConjunctiveQuery::new(Atom::new("T", head), body).expect("safe by construction")
+}
+
+/// Definition 3.3 to the letter: `v` is minimal iff no valuation `w` into
+/// the active domain of `v(body)` has `w <_Q v`.
+fn minimal_by_definition(query: &ConjunctiveQuery, v: &Valuation) -> bool {
+    let variables = query.variables();
+    let domain: Vec<Value> = v.required_facts(query).adom().into_iter().collect();
+    cq::all_assignments(variables.len(), domain.len())
+        .into_iter()
+        .map(|choice| {
+            Valuation::from_pairs(variables.iter().zip(choice).map(|(&x, i)| (x, domain[i])))
+        })
+        .all(|w| !w.lt(v, query))
+}
+
 proptest! {
     // Bounded and explicitly seeded: 24 deterministic cases per property
     // (each case drives seeded StdRng workload generators below), so
@@ -289,15 +320,131 @@ proptest! {
     }
 }
 
-/// A query with more variables than a machine word has bits — the `from`
-/// side of the Π₃ reduction over 27 distinct DNF terms — evaluates
-/// identically through the slot kernel under every join, with the identity
-/// valuation on its own frozen body among the answers. Guards any "one bit
-/// per variable" shortcut in the compiled bindings.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48).with_rng_seed(0x0DD_5EED))]
+
+    /// The minimality oracle — by search and through its equality-type memo,
+    /// one oracle serving all candidates of a query — decides Definition 3.3,
+    /// and the definition does not see an injective renaming of the values:
+    /// two valuations of one equality type never disagree, which is what
+    /// licenses the memo.
+    #[test]
+    fn minimality_oracle_matches_the_definition_and_is_generic(
+        qseed in 0u64..100_000,
+        vseed in 0u64..100_000,
+    ) {
+        use rand::Rng;
+        let query = mixed_arity_query_from(qseed);
+        let compiled = cq::CompiledQuery::new(&query);
+        let mut oracle = pc_core::MinimalityOracle::new(&compiled);
+        let mut rng = StdRng::seed_from_u64(vseed);
+        let names = ["a", "b", "c", "d", "e", "f", "g"];
+        for _ in 0..12 {
+            let v: Valuation = query
+                .variables()
+                .iter()
+                .map(|&x| (x, Value::new(names[rng.gen_range(0usize..3)])))
+                .collect();
+            // An injective renaming: rotate into the unused names.
+            let shift = rng.gen_range(3usize..5);
+            let renamed: Valuation = v
+                .bindings()
+                .map(|(x, value)| {
+                    let at = names.iter().position(|n| *n == value.as_str()).unwrap();
+                    (x, Value::new(names[(at + shift) % names.len()]))
+                })
+                .collect();
+            let expected = minimal_by_definition(&query, &v);
+            prop_assert_eq!(minimal_by_definition(&query, &renamed), expected, "{} {}", query, v);
+            prop_assert_eq!(oracle.is_minimal_valuation(&v), expected, "{} {}", query, v);
+            prop_assert_eq!(oracle.is_minimal_by_type(&compiled.bind(&v)), expected);
+            prop_assert_eq!(oracle.is_minimal_by_type(&compiled.bind(&renamed)), expected);
+            prop_assert_eq!(pc_core::is_minimal_valuation(&query, &renamed), expected);
+        }
+        let stats = oracle.stats();
+        prop_assert_eq!(stats.by_type + stats.searched, 36);
+        prop_assert!(stats.by_type >= 12, "the renamed twin is always a memo hit");
+    }
+}
+
+/// The oracle on a query with more variables than a machine word has bits:
+/// the endomorphisms of the frozen body (the identity among them) are
+/// minimal exactly when evaluating the query over their own image finds
+/// nothing smaller, and the memo agrees with the search.
 #[test]
-fn kernel_handles_queries_with_more_than_64_variables() {
+fn minimality_oracle_handles_queries_with_more_than_64_variables() {
+    let query = wide_transfer_query();
+    let (body, identity) = frozen_body(&query);
+    let compiled = cq::CompiledQuery::new(&query);
+    let mut oracle = pc_core::MinimalityOracle::new(&compiled);
+    let mut candidates = cq::satisfying_valuations(&query, &body);
+    assert!(candidates.contains(&identity));
+    // Collapsing valuations too: everything onto one value, and the
+    // identity with the first two variables merged.
+    let variables = query.variables();
+    let one = Value::new("one");
+    candidates.push(variables.iter().map(|&x| (x, one)).collect());
+    candidates.push(identity.with(variables[0], identity.get(variables[1]).unwrap()));
+    // And the valuations the reduction is about: every truth assignment of
+    // the five matrix variables, run through the circuit (the gates' outputs
+    // follow their inputs, in body order). One that makes the matrix true
+    // requires `Res(one)` and is not minimal when flipping the universal
+    // block — not in the head — makes it false.
+    let head = &query.head().args;
+    let (w1, w0) = (head[head.len() - 2], head[head.len() - 1]);
+    for assignment in 0u32..32 {
+        let mut truth = std::collections::BTreeMap::from([(w1, true), (w0, false)]);
+        let mut inputs = 0;
+        for atom in query.body() {
+            let known: Vec<Option<bool>> =
+                atom.args.iter().map(|x| truth.get(x).copied()).collect();
+            let output = *atom.args.last().unwrap();
+            match (atom.relation.as_str(), known.as_slice()) {
+                ("Neg", [None, None]) => {
+                    truth.insert(atom.args[0], assignment >> inputs & 1 == 1);
+                    truth.insert(output, assignment >> inputs & 1 == 0);
+                    inputs += 1;
+                }
+                ("And", [Some(a), Some(b), Some(c), None]) => {
+                    truth.insert(output, *a && *b && *c);
+                }
+                ("Or", [Some(a), Some(b), None]) => {
+                    truth.insert(output, *a || *b);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!((inputs, truth.len()), (5, variables.len()));
+        let bit = |x: &Variable| Value::new(if truth[x] { "one" } else { "zero" });
+        candidates.push(variables.iter().map(|x| (*x, bit(x))).collect());
+    }
+    let (mut minimal, mut smaller) = (0, 0);
+    for v in &candidates {
+        let required = v.required_facts(&query);
+        let expected = cq::satisfying_valuations(&query, &required)
+            .iter()
+            .all(|w| {
+                w.derived_fact(&query) != v.derived_fact(&query)
+                    || w.required_facts(&query).len() >= required.len()
+            });
+        assert_eq!(oracle.is_minimal_valuation(v), expected, "{v}");
+        assert_eq!(
+            oracle.is_minimal_by_type(&compiled.bind(v)),
+            expected,
+            "{v}"
+        );
+        *(if expected { &mut minimal } else { &mut smaller }) += 1;
+    }
+    assert!(
+        minimal > 0 && smaller > 0,
+        "{minimal} minimal, {smaller} not"
+    );
+}
+
+/// The `from` side of the Π₃ reduction over 27 distinct DNF terms: a query
+/// with more variables than a machine word has bits.
+fn wide_transfer_query() -> ConjunctiveQuery {
     use pcq::logic::{Clause, Dnf, Literal, Pi3Qbf};
-    use std::collections::BTreeSet;
 
     // Every variable triple of five variables under three sign patterns:
     // all terms differ, so a term atom matches one term fact.
@@ -324,17 +471,35 @@ fn kernel_handles_queries_with_more_than_64_variables() {
     terms.truncate(27);
     let qbf = Pi3Qbf::new(vec![0], vec![1], vec![2, 3, 4], Dnf::new(5, terms));
     let query = pcq::reductions::pi3_to_transfer(&qbf).from;
-    let variables = query.variables();
-    assert!(variables.len() > 64, "only {} variables", variables.len());
+    assert!(query.variables().len() > 64);
+    query
+}
 
+/// The body of `query` with every variable frozen to a value of its name,
+/// and the identity valuation onto it.
+fn frozen_body(query: &ConjunctiveQuery) -> (Instance, Valuation) {
     let freeze = |v: &Variable| Value::new(v.as_str());
-    let frozen_body = Instance::from_facts(
+    let body = Instance::from_facts(
         query
             .body()
             .iter()
             .map(|atom| Fact::new(atom.relation, atom.args.iter().map(freeze).collect())),
     );
-    let identity = Valuation::from_pairs(variables.iter().map(|v| (*v, freeze(v))));
+    let identity = Valuation::from_pairs(query.variables().iter().map(|v| (*v, freeze(v))));
+    (body, identity)
+}
+
+/// A query with more variables than a machine word has bits — the `from`
+/// side of the Π₃ reduction over 27 distinct DNF terms — evaluates
+/// identically through the slot kernel under every join, with the identity
+/// valuation on its own frozen body among the answers. Guards any "one bit
+/// per variable" shortcut in the compiled bindings.
+#[test]
+fn kernel_handles_queries_with_more_than_64_variables() {
+    use std::collections::BTreeSet;
+
+    let query = wide_transfer_query();
+    let (frozen_body, identity) = frozen_body(&query);
 
     let valuations = |opts: EvalOptions| -> BTreeSet<Valuation> {
         cq::satisfying_valuations_with(&query, &frozen_body, &Valuation::new(), opts)

@@ -141,6 +141,54 @@ fn evaluate_done_reports_derivations_against_distinct_answers() {
 }
 
 #[test]
+fn decisions_trace_their_span_and_how_minimality_was_asked() {
+    // `pc_check` / `transfer_check` bracket the two decision procedures, and
+    // each leaves one `minimality_stats` instant inside its span: the
+    // 2-path over the complete relation on 3 values has 27 candidate
+    // valuations of Bell(3) = 5 equality types, all minimal; the (C2) search
+    // never asks by type.
+    let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+    let universe = workloads::complete_binary_relation("R", &["a", "b", "c"]);
+    let policy = ExplicitPolicy::broadcast(&Network::with_size(2), &universe);
+    let ((pc, transfer), events) = traced(|| {
+        (
+            pcq::pc_core::check_parallel_correctness(&query, &policy),
+            pcq::pc_core::check_transfer(&query, &query),
+        )
+    });
+    assert!(pc.is_correct() && transfer.transfers());
+    trace_export::check_well_formed(&events).unwrap();
+
+    let stats: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "minimality_stats")
+        .map(|e| {
+            assert_eq!(e.kind, obs::EventKind::Instant);
+            let is_parent =
+                |s: &&obs::TraceEvent| s.kind == obs::EventKind::Span && s.id == e.parent;
+            let parent = events.iter().find(is_parent).expect("an enclosing span");
+            let arg = |key: &str| -> u64 {
+                let (_, value) = e.args.iter().find(|(k, _)| k == key).expect(key);
+                value.parse().expect("a count")
+            };
+            let counts = ["asks", "by_type", "searched", "minimal"].map(arg);
+            (parent.name.as_str(), counts)
+        })
+        .collect();
+    let asked = transfer.cache_stats().misses;
+    assert_eq!(stats[0], ("pc_check", [27, 22, 5, 27]));
+    assert_eq!(stats[1].0, "transfer_check");
+    assert_eq!(stats[1].1[..3], [asked, 0, asked]);
+    assert_eq!(stats.len(), 2);
+
+    // `trace summarize` rolls the spans up as phases and lists the instant.
+    let summary = trace_export::TraceSummary::from_events(&events).to_string();
+    for name in ["pc_check", "transfer_check", "minimality_stats"] {
+        assert!(summary.contains(name), "{name} missing from:\n{summary}");
+    }
+}
+
+#[test]
 fn process_transport_merges_worker_timelines_into_the_coordinator_trace() {
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 11);
