@@ -1,20 +1,13 @@
 //! Multi-round evaluation and the reshuffle-path ablation: materialized
 //! versus parallel versus streaming distribute, and the iterated
 //! (transitive-closure) engine end to end.
-//!
-//! Besides timings, the bench prints the `peak_chunks` allocation proxy of
-//! the streaming versus materialized engine paths (owned chunks alive at
-//! once) and asserts that streaming keeps it bounded by the worker-pool
-//! size rather than the network size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use cq::{ConjunctiveQuery, Fact, Instance, Value};
-use distribution::{
-    DistributionPolicy, HypercubePolicy, MultiRoundEngine, OneRoundEngine, RoundSchedule,
-};
+use distribution::{DistributionPolicy, HypercubePolicy, MultiRoundEngine, RoundSchedule};
 use workloads::InstanceParams;
 
 fn square_query() -> ConjunctiveQuery {
@@ -80,73 +73,12 @@ fn bench_distribute_modes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_one_round_paths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("one_round_path");
-    group.sample_size(10);
-    let q = square_query();
-    let instance = closure_instance(30, 600);
-    let policy = HypercubePolicy::uniform(&q, 4).unwrap();
-    let workers = machine_workers().max(2);
-
-    group.bench_with_input(
-        BenchmarkId::new("materialized", "hypercube4"),
-        &instance,
-        |b, i| {
-            b.iter(|| {
-                OneRoundEngine::new(&policy)
-                    .workers(workers)
-                    .evaluate(&q, i)
-                    .result
-                    .len()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("streaming", "hypercube4"),
-        &instance,
-        |b, i| {
-            b.iter(|| {
-                OneRoundEngine::new(&policy)
-                    .workers(workers)
-                    .streaming(true)
-                    .evaluate(&q, i)
-                    .result
-                    .len()
-            })
-        },
-    );
-    group.finish();
-
-    // The allocation proxy: streaming must keep at most one owned chunk per
-    // worker alive, materialized holds one per node.
-    let materialized = OneRoundEngine::new(&policy)
-        .workers(workers)
-        .evaluate(&q, &instance);
-    let streamed = OneRoundEngine::new(&policy)
-        .workers(workers)
-        .streaming(true)
-        .evaluate(&q, &instance);
-    assert_eq!(materialized.result, streamed.result);
-    assert!(
-        streamed.peak_chunks <= workers,
-        "streaming peak {} > workers {}",
-        streamed.peak_chunks,
-        workers
-    );
-    assert_eq!(materialized.peak_chunks, materialized.stats.nodes);
-    println!(
-        "peak_chunks (allocation proxy): materialized={} streaming={} (nodes={}, workers={})",
-        materialized.peak_chunks, streamed.peak_chunks, materialized.stats.nodes, workers
-    );
-}
-
 fn bench_multi_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("multiround");
     group.sample_size(10);
     let q = square_query();
     let instance = closure_instance(48, 0); // pure chain: log-many rounds
     let policy = HypercubePolicy::uniform(&q, 2).unwrap();
-    let workers = machine_workers();
 
     group.bench_with_input(
         BenchmarkId::new("closure", "hypercube2"),
@@ -156,22 +88,6 @@ fn bench_multi_round(c: &mut Criterion) {
                 let outcome = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
                     .rounds(12)
                     .feedback_into("R")
-                    .evaluate(&q, i);
-                assert!(outcome.converged);
-                outcome.result.len()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("closure_streaming", "hypercube2"),
-        &instance,
-        |b, i| {
-            b.iter(|| {
-                let outcome = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
-                    .rounds(12)
-                    .feedback_into("R")
-                    .streaming(true)
-                    .workers(workers)
                     .evaluate(&q, i);
                 assert!(outcome.converged);
                 outcome.result.len()
@@ -265,7 +181,6 @@ fn bench_disabled_tracing_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_distribute_modes,
-    bench_one_round_paths,
     bench_multi_round,
     bench_disabled_tracing_overhead
 );

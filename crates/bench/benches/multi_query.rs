@@ -4,7 +4,7 @@
 //! Criterion times the in-memory engine on every named query sequence in
 //! both modes (the elision saves whole distribute phases, so `elide` must
 //! not be slower). After the timing loops the same sequences run over a
-//! real `ProcessTransport`, and the bench asserts the headline property:
+//! real `WireTransport`, and the bench asserts the headline property:
 //! the elided run ships **strictly fewer bytes** on the wire than the
 //! reshuffle-always baseline while producing identical answers.
 //!
@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use cq::{ConjunctiveQuery, Instance};
 use distribution::{MultiRoundEngine, RoundSchedule};
 use pc_core::TransferCache;
-use wire::ProcessTransport;
+use wire::WireTransport;
 use workloads::{
     named_query_sequence, query_sequence_names, total_broadcast_policy, InstanceParams,
 };
@@ -89,10 +89,10 @@ fn bench_multi_query(c: &mut Criterion) {
         let queries = named_query_sequence(name).unwrap();
         let instance = instance_for(&queries);
         let mut transport =
-            ProcessTransport::spawn_command(binary.clone(), &["worker".to_string()], 2)
+            WireTransport::spawn_pipes(&binary, &vec![vec!["worker".to_string()]; 2])
                 .expect("cannot spawn workers");
         let mut cache = TransferCache::new();
-        let mut run = |always: bool, transport: &mut ProcessTransport| {
+        let mut run = |always: bool, transport: &mut WireTransport| {
             MultiRoundEngine::new(RoundSchedule::repeat(&policy))
                 .rounds(4)
                 .reshuffle_always(always)

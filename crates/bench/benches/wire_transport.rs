@@ -1,9 +1,8 @@
 //! Pipelined versus lock-step wire-transport rounds.
 //!
-//! The shared driver behind `ProcessTransport`/`SocketTransport` keeps a
-//! bounded window of chunk jobs in flight per worker; window 1 reproduces
-//! the historic write-one-read-one lock step. This bench drives the
-//! transport seam directly (begin_round → send_chunk* → barrier → recv*)
+//! `WireTransport` keeps a bounded window of eval jobs in flight per
+//! worker; window 1 is write-one-read-one lock step. This bench drives the
+//! transport seam directly (begin_round → send* → barrier → recv*)
 //! on two shapes — many tiny chunks (latency-bound, where pipelining pays
 //! most) and fewer fat chunks (bandwidth-bound) — on a 4-worker pool, and
 //! asserts after timing that the pipelined fan-out round is faster than
@@ -13,6 +12,7 @@
 //! directory (`cargo build --release` first); skips with a note otherwise.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use cq::{ConjunctiveQuery, Instance};
-use distribution::{Node, Transport};
-use wire::ProcessTransport;
+use distribution::{Node, Shipment, Transport};
+use wire::WireTransport;
 use workloads::InstanceParams;
 
 /// Locates the freshly built `pcq-analyze` by walking up from the bench
@@ -39,7 +39,7 @@ fn query() -> ConjunctiveQuery {
 
 /// One distinct chunk per node (distinct seeds keep the workers from
 /// seeing identical bytes, like a real reshuffle).
-fn chunks(nodes: usize, facts_per_chunk: usize) -> Vec<(Node, Instance)> {
+fn chunks(nodes: usize, facts_per_chunk: usize) -> Vec<(Node, Arc<Instance>)> {
     let q = query();
     (0..nodes)
         .map(|i| {
@@ -52,7 +52,7 @@ fn chunks(nodes: usize, facts_per_chunk: usize) -> Vec<(Node, Instance)> {
                     facts_per_relation: facts_per_chunk,
                 },
             );
-            (Node::numbered(i), chunk)
+            (Node::numbered(i), Arc::new(chunk))
         })
         .collect()
 }
@@ -60,20 +60,22 @@ fn chunks(nodes: usize, facts_per_chunk: usize) -> Vec<(Node, Instance)> {
 /// One full transport round over pre-built chunks; returns the total
 /// result size so the work cannot be optimized away.
 fn drive_round(
-    transport: &mut ProcessTransport,
+    transport: &mut WireTransport,
     q: &ConjunctiveQuery,
-    chunks: &[(Node, Instance)],
+    chunks: &[(Node, Arc<Instance>)],
 ) -> usize {
     transport
         .begin_round(0, q, cq::EvalOptions::default())
         .unwrap();
     for (node, chunk) in chunks {
-        transport.send_chunk(*node, chunk.clone()).unwrap();
+        transport
+            .send(*node, Shipment::Full(chunk.clone()))
+            .unwrap();
     }
     transport.barrier().unwrap();
     let mut total = 0;
     for (node, _) in chunks {
-        total += transport.recv_chunk(*node).unwrap().output.len();
+        total += transport.recv(*node).unwrap().output.len();
     }
     let _ = transport.take_bytes_shipped();
     total
@@ -85,7 +87,7 @@ fn bench_wire_transport(c: &mut Criterion) {
         return;
     };
     let spawn = |window: usize| {
-        ProcessTransport::spawn_command(binary.clone(), &["worker".to_string()], 4)
+        WireTransport::spawn_pipes(&binary, &vec![vec!["worker".to_string()]; 4])
             .expect("cannot spawn workers")
             .pipeline_window(window)
     };

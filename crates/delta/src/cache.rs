@@ -93,18 +93,17 @@ impl IndexCache {
         Some(handle)
     }
 
-    fn admit(&mut self, key: u64, instance: Instance) -> Arc<Instance> {
+    fn admit(&mut self, key: u64, handle: Arc<Instance>) -> Arc<Instance> {
         self.misses.inc();
-        let handle = Arc::new(instance);
         self.entries.insert(0, (key, handle.clone()));
         self.entries.truncate(self.capacity);
         handle
     }
 
-    /// Returns the cached instance equal to `instance`, inserting
-    /// `instance` itself on a miss. The returned handle keeps its built
-    /// indexes for as long as any caller holds it.
-    pub fn warm_owned(&mut self, instance: Instance) -> Arc<Instance> {
+    /// Returns the cached instance equal to `instance`, admitting
+    /// `instance` itself (the handle, not a copy) on a miss. The returned
+    /// handle keeps its built indexes for as long as any caller holds it.
+    pub fn warm_shared(&mut self, instance: Arc<Instance>) -> Arc<Instance> {
         let key = fingerprint(&instance);
         match self.lookup(key, &instance) {
             Some(handle) => handle,
@@ -112,13 +111,13 @@ impl IndexCache {
         }
     }
 
-    /// Like [`IndexCache::warm_owned`] for a borrowed instance (clones on
+    /// Like [`IndexCache::warm_shared`] for a borrowed instance (clones on
     /// a miss).
     pub fn warm(&mut self, instance: &Instance) -> Arc<Instance> {
         let key = fingerprint(instance);
         match self.lookup(key, instance) {
             Some(handle) => handle,
-            None => self.admit(key, instance.clone()),
+            None => self.admit(key, Arc::new(instance.clone())),
         }
     }
 
@@ -191,12 +190,12 @@ mod tests {
     fn shared_entries_share_their_indexes() {
         let mut cache = IndexCache::new(4);
         let chunk = parse_instance("R(a, b). R(b, c).").unwrap();
-        let first = cache.warm_owned(chunk.clone());
+        let first = cache.warm_shared(Arc::new(chunk.clone()));
         // Force an indexed lookup on the shared handle…
         let _ = first.posting(cq::Symbol::new("R"), 0, cq::Value::new("a"));
         assert!(first.indexes_built());
         // …and the next warm of an equal chunk sees them already built.
-        let second = cache.warm_owned(chunk);
+        let second = cache.warm_shared(Arc::new(chunk));
         assert!(second.indexes_built());
     }
 

@@ -1,37 +1,33 @@
-//! The simulated one-round evaluation algorithm.
+//! The one-round evaluation algorithm.
 //!
 //! Given a parallel-correct query/policy pair, the one-round algorithm of the
 //! paper (Section 3) proceeds as: reshuffle the input according to the
 //! policy, evaluate the query locally at every node without communication,
-//! and take the union of the local results. This module simulates that
-//! algorithm in memory and reports communication/load statistics and
-//! per-node timings.
+//! and take the union of the local results. This module runs that
+//! algorithm through a [`Transport`] and reports communication/load
+//! statistics and per-node timings.
 //!
-//! Local evaluation runs either sequentially or on a **bounded worker pool**:
-//! `workers` OS threads pull node chunks from a shared queue (an atomic
-//! cursor over the chunk list), so a cluster of hundreds of simulated nodes
-//! no longer spawns hundreds of threads, and a skewed node keeps only one
-//! worker busy while the rest drain the remaining chunks.
-//!
-//! The reshuffle phase itself has two axes of configuration:
-//! [`OneRoundEngine::distribute_workers`] shards the policy's `nodes_for`
-//! calls over threads, and [`OneRoundEngine::streaming`] switches from the
-//! fully materialized [`Distribution`](crate::Distribution) to a
-//! [`ChunkStream`](crate::ChunkStream) of borrowed fact slices: each worker
-//! materializes one node's chunk at a time and drops it after evaluating,
-//! so the peak number of owned chunks is the pool size, not the network
-//! size ([`OneRoundOutcome::peak_chunks`] reports the difference).
+//! There is one round driver, [`run_round`]: *plan the shipments → send →
+//! barrier → recv → assemble*. What differs between the kinds of round is
+//! only the [`RoundPlan`] it is fed — a full round ships every node its
+//! chunk of `dist_P(I)`, a semi-naive round ships only the new facts, a
+//! reshuffle-elided round ships nothing and has every node evaluate the
+//! shard it already holds. [`OneRoundEngine::evaluate`] is a full round
+//! over an [`InMemoryTransport`], whose barrier evaluates on a **bounded
+//! worker pool**; [`OneRoundEngine::evaluate_via`] is the same round over
+//! any transport. [`OneRoundEngine::distribute_workers`] shards the
+//! reshuffle's `nodes_for` calls over threads.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cq::{evaluate, evaluate_with, ConjunctiveQuery, EvalOptions, Instance};
+use cq::{evaluate, ConjunctiveQuery, EvalOptions, Instance};
 
-use crate::distribute::{ChunkStream, Distribution, DistributionStats};
+use crate::distribute::DistributionStats;
 use crate::network::Node;
 use crate::policy::DistributionPolicy;
-use crate::transport::{drain_pool, InMemoryTransport, Transport, TransportError};
+use crate::transport::{InMemoryTransport, Shipment, Transport, TransportError};
 
 /// The outcome of a one-round evaluation.
 #[derive(Clone, Debug)]
@@ -52,15 +48,6 @@ pub struct OneRoundOutcome {
     pub local_eval_time: Duration,
     /// Number of pool workers used for local evaluation (1 = sequential).
     pub workers: usize,
-    /// Peak number of **owned** chunk instances alive at once during the
-    /// round — the allocation proxy of the reshuffle path. Materialized
-    /// distribution holds every chunk simultaneously (`= nodes`); in
-    /// streaming mode this is the *observed* high-water mark of live
-    /// chunks, at most one per pool worker.
-    pub peak_chunks: usize,
-    /// Whether the reshuffle streamed borrowed chunks instead of
-    /// materializing a full [`Distribution`](crate::Distribution).
-    pub streamed: bool,
     /// Bytes actually serialized onto a process boundary this round, in
     /// both directions (request frames plus the result frames they
     /// provoke), as counted by the transport
@@ -113,33 +100,132 @@ impl OneRoundOutcome {
     }
 }
 
+/// What one round sends where, plus the numbers of the reshuffle that
+/// decided it.
+pub(crate) struct RoundPlan {
+    /// The shipment of every node that takes part in the round.
+    shipments: Vec<(Node, Shipment)>,
+    /// How many facts the round's reshuffle assigned to each node. Nodes
+    /// listed here without a shipment sit the round out and are reported
+    /// with an empty output.
+    per_node_load: BTreeMap<Node, usize>,
+    stats: DistributionStats,
+    distribute_time: Duration,
+}
+
+impl RoundPlan {
+    /// The plan of a reshuffle-free round: every node in `nodes` evaluates
+    /// over the shard it already holds. Nothing is distributed, so the
+    /// distribution side of the outcome is all zeros.
+    pub(crate) fn resident(nodes: &[Node]) -> RoundPlan {
+        RoundPlan {
+            shipments: nodes.iter().map(|&n| (n, Shipment::Resident)).collect(),
+            per_node_load: nodes.iter().map(|&n| (n, 0)).collect(),
+            stats: DistributionStats {
+                nodes: nodes.len(),
+                total_assigned: 0,
+                distinct_assigned: 0,
+                max_load: 0,
+                skipped: 0,
+                replication_factor: 0.0,
+            },
+            distribute_time: Duration::ZERO,
+        }
+    }
+
+    /// Drops the shipments that carry no facts: past round 0 a node whose
+    /// delta chunk is empty can neither learn nor derive anything, which
+    /// is exactly the late-round saving of semi-naive evaluation. (Round 0
+    /// must reach **every** node so its state is reset.)
+    pub(crate) fn skip_empty(&mut self) {
+        self.shipments.retain(|(_, shipment)| !shipment.is_empty());
+    }
+}
+
+/// The one round driver: announce the round, send the plan's shipments,
+/// wait at the barrier, collect the per-node outputs and assemble the
+/// outcome. `round` tags the transport messages.
+pub(crate) fn run_round(
+    transport: &mut dyn Transport,
+    round: usize,
+    query: &ConjunctiveQuery,
+    options: EvalOptions,
+    plan: RoundPlan,
+) -> Result<OneRoundOutcome, TransportError> {
+    let RoundPlan {
+        shipments,
+        per_node_load,
+        stats,
+        distribute_time,
+    } = plan;
+    let local_start = Instant::now();
+    transport.begin_round(round, query, options)?;
+    let mut nodes = Vec::with_capacity(shipments.len());
+    for (node, shipment) in shipments {
+        nodes.push(node);
+        transport.send(node, shipment)?;
+    }
+    transport.barrier()?;
+    let mut per_node_output: BTreeMap<Node, usize> =
+        per_node_load.keys().map(|&n| (n, 0)).collect();
+    let mut per_node_time: BTreeMap<Node, Duration> =
+        per_node_load.keys().map(|&n| (n, Duration::ZERO)).collect();
+    let mut outputs = Vec::with_capacity(nodes.len());
+    for &node in &nodes {
+        let reply = transport.recv(node)?;
+        per_node_output.insert(node, reply.output.len());
+        per_node_time.insert(node, reply.eval_time);
+        outputs.push(reply.output);
+    }
+    let local_eval_time = local_start.elapsed();
+    let comm_bytes = transport.take_bytes_shipped();
+    let (index_cache_hits, index_cache_misses) = transport.index_cache_stats();
+    let result = {
+        let _span = obs::span!("merge_results", nodes = outputs.len());
+        // The node outputs are owned: their facts move into the union.
+        outputs.into_iter().flatten().collect()
+    };
+    Ok(OneRoundOutcome {
+        result,
+        per_node_load,
+        per_node_output,
+        per_node_time,
+        distribute_time,
+        local_eval_time,
+        workers: transport.parallelism().min(nodes.len()).max(1),
+        comm_bytes,
+        index_cache_hits,
+        index_cache_misses,
+        stats,
+    })
+}
+
 /// A simulated cluster executing the one-round algorithm for a policy.
 pub struct OneRoundEngine<'a, P: DistributionPolicy + ?Sized> {
     policy: &'a P,
     workers: usize,
     distribute_workers: usize,
-    streaming: bool,
     eval_options: EvalOptions,
 }
 
 impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     /// Creates an engine over the given policy (sequential local evaluation,
-    /// sequential materialized reshuffle).
+    /// sequential reshuffle).
     pub fn new(policy: &'a P) -> OneRoundEngine<'a, P> {
         OneRoundEngine {
             policy,
             workers: 1,
             distribute_workers: 1,
-            streaming: false,
             eval_options: EvalOptions::default(),
         }
     }
 
-    /// Sets the size of the worker pool evaluating node chunks. `1` (the
-    /// default) evaluates sequentially on the calling thread; larger values
-    /// spawn that many scoped OS threads which pull chunks from a shared
-    /// queue. The pool is bounded by the chunk count, so asking for more
-    /// workers than nodes costs nothing.
+    /// Sets the size of the worker pool [`OneRoundEngine::evaluate`]
+    /// evaluates node chunks on. `1` (the default) evaluates sequentially
+    /// on the calling thread; larger values spawn that many scoped OS
+    /// threads which pull chunks from a shared queue. The pool is bounded
+    /// by the chunk count, so asking for more workers than nodes costs
+    /// nothing.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -164,56 +250,30 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         self
     }
 
-    /// Switches the reshuffle to streaming mode: chunks are handed to the
-    /// evaluation workers as borrowed fact slices and materialized one at a
-    /// time per worker, so peak memory stops scaling with `nodes × facts`.
-    /// The outcome is identical to materialized mode except for
-    /// [`OneRoundOutcome::peak_chunks`] and timings.
-    pub fn streaming(mut self, enabled: bool) -> Self {
-        self.streaming = enabled;
-        self
-    }
-
     /// Sets the [`EvalOptions`] every node's local evaluation runs with —
     /// notably the join strategy (`Binary`, `Multiway` or `Auto`). The
     /// options travel with [`Transport::begin_round`], so they apply on
-    /// every path: in-process pools, streaming, and wire transports whose
-    /// workers live in other processes.
+    /// every transport: the in-process pool and wire workers that live in
+    /// other processes.
     pub fn eval_options(mut self, options: EvalOptions) -> Self {
         self.eval_options = options;
         self
     }
 
-    /// Runs the one-round algorithm for `query` on `instance`.
+    /// Runs the one-round algorithm for `query` on `instance`: exactly
+    /// [`OneRoundEngine::evaluate_via`] over an [`InMemoryTransport`] with
+    /// the configured worker pool.
     pub fn evaluate(&self, query: &ConjunctiveQuery, instance: &Instance) -> OneRoundOutcome {
-        if self.streaming {
-            self.evaluate_streaming(query, instance)
-        } else {
-            self.evaluate_materialized(query, instance)
-        }
-    }
-
-    /// The materialized path: reshuffle into owned chunks, then ship them
-    /// through an [`InMemoryTransport`] whose barrier drains the same
-    /// bounded worker pool this engine always used.
-    fn evaluate_materialized(
-        &self,
-        query: &ConjunctiveQuery,
-        instance: &Instance,
-    ) -> OneRoundOutcome {
         let mut transport = InMemoryTransport::new(self.workers);
         self.evaluate_via(&mut transport, 0, query, instance)
             .expect("the in-memory transport is infallible")
     }
 
     /// Runs one round of the algorithm through an explicit [`Transport`]:
-    /// reshuffle locally, ship every node's chunk, wait at the barrier,
-    /// collect the per-node outputs. `round` tags the transport messages
-    /// (multi-round runs number their rounds; standalone calls pass 0).
-    ///
-    /// This is the same algorithm as [`OneRoundEngine::evaluate`] — the
-    /// default path is exactly `evaluate_via` over an [`InMemoryTransport`]
-    /// — but the chunks may now cross a process boundary, so the call can
+    /// reshuffle locally, ship every node its full chunk, wait at the
+    /// barrier, collect the per-node outputs. `round` tags the transport
+    /// messages (multi-round runs number their rounds; standalone calls
+    /// pass 0). The chunks may cross a process boundary, so the call can
     /// fail with a [`TransportError`].
     pub fn evaluate_via(
         &self,
@@ -223,215 +283,35 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         instance: &Instance,
     ) -> Result<OneRoundOutcome, TransportError> {
         let _round_span = obs::span!("one_round", round = round, facts = instance.len());
-        let (distribution, stats, distribute_time) = self.reshuffle(instance);
-
-        let local_start = Instant::now();
-        transport.begin_round(round, query, self.eval_options)?;
-        let mut per_node_load = BTreeMap::new();
-        let mut nodes = Vec::new();
-        for (node, chunk) in distribution.into_chunks() {
-            per_node_load.insert(node, chunk.len());
-            nodes.push(node);
-            transport.send_chunk(node, chunk)?;
-        }
-        transport.barrier()?;
-        let mut local_results = Vec::with_capacity(nodes.len());
-        for &node in &nodes {
-            let result = transport.recv_chunk(node)?;
-            local_results.push((node, result.output, result.eval_time));
-        }
-        let local_eval_time = local_start.elapsed();
-        let comm_bytes = transport.take_bytes_shipped();
-        let cache = transport.index_cache_stats();
-
-        let workers = transport.parallelism().min(nodes.len()).max(1);
-        Ok(self.assemble(
-            local_results,
-            per_node_load,
-            distribute_time,
-            local_eval_time,
-            workers,
-            nodes.len(),
-            false,
-            comm_bytes,
-            cache,
-            stats,
-        ))
+        let plan = self.plan(instance, Shipment::Full);
+        run_round(transport, round, query, self.eval_options, plan)
     }
 
-    /// `dist_P(instance)` as borrowed per-node slices, with its statistics
-    /// (read off the stream's own counters, so they cost `O(nodes)`).
-    fn reshuffle_stream<'i>(&self, instance: &'i Instance) -> (ChunkStream<'i>, DistributionStats) {
+    /// The reshuffle phase of a round: `dist_P(facts)` as one `ship`-kind
+    /// shipment per node, with the reshuffle's statistics (read off the
+    /// stream's own counters, so they cost `O(nodes)`) and wall-clock
+    /// time.
+    pub(crate) fn plan(&self, facts: &Instance, ship: fn(Arc<Instance>) -> Shipment) -> RoundPlan {
+        let start = Instant::now();
+        let _span = obs::span!("distribute", facts = facts.len());
         let stream = self
             .policy
-            .distribute_stream(instance, self.distribute_workers);
-        let _span = obs::span!("reshuffle_stats");
-        let stats = stream.stats(instance);
-        (stream, stats)
-    }
-
-    /// The reshuffle phase of a transport round: `dist_P(instance)` as owned
-    /// chunks, its statistics, and the phase's wall-clock time.
-    fn reshuffle(&self, instance: &Instance) -> (Distribution, DistributionStats, Duration) {
-        let start = Instant::now();
-        let _span = obs::span!("distribute", facts = instance.len());
-        let (stream, stats) = self.reshuffle_stream(instance);
-        (stream.materialize(), stats, start.elapsed())
-    }
-
-    /// One **incremental** round through a transport: `delta` holds only
-    /// the facts that are new since the previous round, the reshuffle
-    /// distributes just those, and the nodes — which keep their accumulated
-    /// state inside the transport — answer with only their new derivations
-    /// ([`Transport::send_delta`]/[`Transport::recv_delta`]).
-    ///
-    /// Round 0 must ship a (possibly empty) delta chunk to **every** node
-    /// so the transport can reset per-node state; later rounds skip nodes
-    /// whose delta chunk is empty — they could neither learn nor derive
-    /// anything, which is exactly the late-round saving of semi-naive
-    /// evaluation. The outcome's `result` is the union of the per-node
-    /// *output deltas*, and `per_node_load`/`stats` describe the delta
-    /// reshuffle (what was actually shipped), not the accumulated state.
-    pub fn evaluate_delta_via(
-        &self,
-        transport: &mut dyn Transport,
-        round: usize,
-        query: &ConjunctiveQuery,
-        delta: &Instance,
-    ) -> Result<OneRoundOutcome, TransportError> {
-        let _round_span = obs::span!("delta_round", round = round, delta_facts = delta.len());
-        let (distribution, stats, distribute_time) = self.reshuffle(delta);
-
-        let local_start = Instant::now();
-        transport.begin_round(round, query, self.eval_options)?;
+            .distribute_stream(facts, self.distribute_workers);
+        let stats = {
+            let _span = obs::span!("reshuffle_stats");
+            stream.stats(facts)
+        };
         let mut per_node_load = BTreeMap::new();
-        let mut sent = Vec::new();
-        let mut skipped = Vec::new();
-        for (node, chunk) in distribution.into_chunks() {
+        let mut shipments = Vec::with_capacity(stats.nodes);
+        for (node, chunk) in stream.materialize().into_chunks() {
             per_node_load.insert(node, chunk.len());
-            if round > 0 && chunk.is_empty() {
-                skipped.push(node);
-                continue;
-            }
-            sent.push(node);
-            transport.send_delta(node, chunk)?;
+            shipments.push((node, ship(Arc::new(chunk))));
         }
-        transport.barrier()?;
-        let mut local_results = Vec::with_capacity(sent.len() + skipped.len());
-        for &node in &sent {
-            let result = transport.recv_delta(node)?;
-            local_results.push((node, result.output, result.eval_time));
-        }
-        for node in skipped {
-            local_results.push((node, Instance::new(), Duration::ZERO));
-        }
-        let local_eval_time = local_start.elapsed();
-        let comm_bytes = transport.take_bytes_shipped();
-        let cache = transport.index_cache_stats();
-
-        let workers = transport.parallelism().min(sent.len()).max(1);
-        let peak_chunks = sent.len();
-        Ok(self.assemble(
-            local_results,
+        RoundPlan {
+            shipments,
             per_node_load,
-            distribute_time,
-            local_eval_time,
-            workers,
-            peak_chunks,
-            false,
-            comm_bytes,
-            cache,
             stats,
-        ))
-    }
-
-    /// The streaming path: reshuffle into borrowed fact slices, then have
-    /// each worker materialize, evaluate and drop one chunk at a time. At
-    /// most `workers` owned chunks are alive at any moment.
-    fn evaluate_streaming(&self, query: &ConjunctiveQuery, instance: &Instance) -> OneRoundOutcome {
-        let _round_span = obs::span!("one_round_streaming", facts = instance.len());
-        let distribute_start = Instant::now();
-        let (stream, stats) = self.reshuffle_stream(instance);
-        let distribute_time = distribute_start.elapsed();
-        let nodes: Vec<Node> = stream.nodes().collect();
-
-        let workers = self.workers.min(nodes.len()).max(1);
-        // Observed high-water mark of simultaneously-alive owned chunks —
-        // measured, not derived from the pool size, so a future change that
-        // accidentally keeps chunks alive longer shows up in `peak_chunks`.
-        let live_chunks = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let local_start = Instant::now();
-        let local_results = drain_pool(&nodes, workers, |&node| {
-            let start = Instant::now();
-            // Count the chunk as live before building it, so a chunk mid-
-            // materialization on another worker is never missed by the peak.
-            let alive = live_chunks.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(alive, Ordering::SeqCst);
-            // The owned chunk lives only for this evaluation.
-            let chunk = stream.for_node_lazy(node);
-            let local = evaluate_with(query, &chunk, self.eval_options);
-            drop(chunk);
-            live_chunks.fetch_sub(1, Ordering::SeqCst);
-            (node, local, start.elapsed())
-        });
-        let local_eval_time = local_start.elapsed();
-
-        let per_node_load = nodes.iter().map(|&n| (n, stream.len_of(n))).collect();
-        self.assemble(
-            local_results,
-            per_node_load,
-            distribute_time,
-            local_eval_time,
-            workers,
-            peak.load(Ordering::SeqCst),
-            true,
-            0,
-            (0, 0),
-            stats,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        &self,
-        local_results: Vec<(Node, Instance, Duration)>,
-        per_node_load: BTreeMap<Node, usize>,
-        distribute_time: Duration,
-        local_eval_time: Duration,
-        workers: usize,
-        peak_chunks: usize,
-        streamed: bool,
-        comm_bytes: u64,
-        index_cache: (u64, u64),
-        stats: DistributionStats,
-    ) -> OneRoundOutcome {
-        let _span = obs::span!("merge_results", nodes = local_results.len());
-        let mut per_node_output = BTreeMap::new();
-        let mut per_node_time = BTreeMap::new();
-        for (node, local, took) in &local_results {
-            per_node_output.insert(*node, local.len());
-            per_node_time.insert(*node, *took);
-        }
-        // The node outputs are owned: their facts move into the union.
-        let result = local_results
-            .into_iter()
-            .flat_map(|(_, local, _)| local)
-            .collect();
-        OneRoundOutcome {
-            result,
-            per_node_load,
-            per_node_output,
-            per_node_time,
-            distribute_time,
-            local_eval_time,
-            workers,
-            peak_chunks,
-            streamed,
-            comm_bytes,
-            index_cache_hits: index_cache.0,
-            index_cache_misses: index_cache.1,
-            stats,
+            distribute_time: start.elapsed(),
         }
     }
 
@@ -546,32 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_engine_agrees_with_materialized_engine() {
-        let q = ConjunctiveQuery::parse("T(x, y, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
-        let i = parse_instance(
-            "E(a, b). E(b, c). E(c, a). E(b, d). E(d, b). E(d, d). E(c, d). E(d, a). E(a, c).",
-        )
-        .unwrap();
-        let p = HypercubePolicy::uniform(&q, 2).unwrap();
-        let materialized = OneRoundEngine::new(&p).evaluate(&q, &i);
-        for workers in [1, 2, 4] {
-            let streamed = OneRoundEngine::new(&p)
-                .workers(workers)
-                .streaming(true)
-                .evaluate(&q, &i);
-            assert!(streamed.streamed);
-            assert_eq!(streamed.result, materialized.result);
-            assert_eq!(streamed.per_node_load, materialized.per_node_load);
-            assert_eq!(streamed.per_node_output, materialized.per_node_output);
-            assert_eq!(streamed.stats, materialized.stats);
-            // the allocation proxy: at most one owned chunk per worker,
-            // versus one per node for the materialized path
-            assert!(streamed.peak_chunks <= workers);
-            assert_eq!(materialized.peak_chunks, materialized.stats.nodes);
-        }
-    }
-
-    #[test]
     fn parallel_reshuffle_agrees_with_sequential_reshuffle() {
         let q = chain_query();
         let i = parse_instance(
@@ -598,20 +452,15 @@ mod tests {
         let q = chain_query();
         let i = parse_instance("R(a, b). S(b, c).").unwrap();
         let p = ExplicitPolicy::new(Network::default());
-        for streaming in [false, true] {
-            let outcome = OneRoundEngine::new(&p)
-                .workers(4)
-                .streaming(streaming)
-                .evaluate(&q, &i);
-            assert!(outcome.result.is_empty());
-            assert!(outcome.per_node_time.is_empty());
-            assert_eq!(outcome.max_node_output(), 0);
-            assert_eq!(outcome.max_node_time(), Duration::ZERO);
-            assert_eq!(outcome.time_skew(), 1.0, "empty network must report 1.0");
-            assert_eq!(outcome.stats.nodes, 0);
-            assert_eq!(outcome.stats.replication_factor, 0.0);
-            assert_eq!(outcome.stats.skipped, i.len());
-        }
+        let outcome = OneRoundEngine::new(&p).workers(4).evaluate(&q, &i);
+        assert!(outcome.result.is_empty());
+        assert!(outcome.per_node_time.is_empty());
+        assert_eq!(outcome.max_node_output(), 0);
+        assert_eq!(outcome.max_node_time(), Duration::ZERO);
+        assert_eq!(outcome.time_skew(), 1.0, "empty network must report 1.0");
+        assert_eq!(outcome.stats.nodes, 0);
+        assert_eq!(outcome.stats.replication_factor, 0.0);
+        assert_eq!(outcome.stats.skipped, i.len());
     }
 
     #[test]
@@ -659,11 +508,6 @@ mod tests {
         // cache admits one and reuses it twice, and the outcome surfaces it.
         assert_eq!(baseline.index_cache_misses, 1);
         assert_eq!(baseline.index_cache_hits, 2);
-        // The streaming path keeps no shared cache and reports zeros.
-        let streamed = OneRoundEngine::new(&p).streaming(true).evaluate(&q, &i);
-        assert_eq!(streamed.result, baseline.result);
-        assert_eq!(streamed.index_cache_hits, 0);
-        assert_eq!(streamed.index_cache_misses, 0);
     }
 
     #[test]

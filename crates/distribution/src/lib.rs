@@ -15,25 +15,26 @@
 //!   distributions of Section 5.2,
 //! * [`Distribution`] — the result of reshuffling an instance
 //!   (`dist_P(I)`), with load and replication statistics, and
-//!   [`ChunkStream`] — its streaming counterpart of borrowed per-node fact
-//!   slices (owned chunks are materialized one at a time, on demand),
-//! * [`OneRoundEngine`] — the simulated one-round evaluation algorithm:
-//!   reshuffle (optionally sharded over threads and/or streamed), evaluate
-//!   locally at every node (optionally on a bounded worker pool), union the
-//!   results,
+//!   [`ChunkStream`] — the reshuffle itself: borrowed per-node fact
+//!   slices built in one pass, from which the owned chunks are
+//!   materialized,
+//! * [`OneRoundEngine`] — the one-round evaluation algorithm: reshuffle
+//!   (optionally sharded over threads), evaluate locally at every node,
+//!   union the results,
 //! * [`MultiRoundEngine`] — the iterated (MPC-style multi-round) algorithm:
 //!   distribute→evaluate cycles under a per-round [`RoundSchedule`], with
 //!   an optional feedback relation, fixpoint detection and a round cap;
 //!   [`MultiRoundEngine::semi_naive`] switches the rounds to **incremental
 //!   mode** — only the facts new since the previous round are reshuffled
-//!   (`Transport::send_delta`), nodes keep their accumulated state across
+//!   ([`Shipment::Delta`]), nodes keep their accumulated state across
 //!   rounds, and local evaluation is one semi-naive differential pass
 //!   instead of a full re-evaluation,
-//! * [`Transport`] — the pluggable chunk-shipping seam between the engines
-//!   and wherever local evaluation happens: [`InMemoryTransport`] is the
-//!   classic in-process path refactored behind the trait, and
-//!   `wire::ProcessTransport` ships binary-encoded chunks to
-//!   `pcq-analyze worker` subprocesses over stdio.
+//! * [`Transport`] — the seam between the engines and wherever local
+//!   evaluation happens: `begin_round` / `send(node, `[`Shipment`]`)` /
+//!   `barrier` / `recv(node)`. [`InMemoryTransport`] evaluates on an
+//!   in-process worker pool, `wire::WireTransport` ships binary-encoded
+//!   frames to `pcq-analyze worker` subprocesses over pipes or sockets;
+//!   both hand every shipment to the one [`NodeState::apply`].
 //!
 //! ## Example
 //!
@@ -78,4 +79,6 @@ pub use rounds::{
     TransferOracle,
 };
 pub use rules::{AddressTerm, DistributionRule, RuleBasedPolicy, RulePolicyError};
-pub use transport::{InMemoryTransport, NodeResult, Transport, TransportError};
+pub use transport::{
+    InMemoryTransport, NodeResult, NodeState, Shipment, Transport, TransportError,
+};

@@ -7,7 +7,12 @@
 //! [`OneRoundEngine`]: each round reshuffles the current instance under the
 //! round's policy (a [`RoundSchedule`] may change policies between rounds),
 //! evaluates locally at every node, and merges the round's outputs back into
-//! the next round's instance.
+//! the next round's instance. There is one round loop
+//! ([`MultiRoundEngine::evaluate_via`]) over any [`Transport`]: a full
+//! round ships every node its whole chunk, a semi-naive round only the
+//! facts the previous round added, and a query whose parallel correctness
+//! transfers from its predecessor runs as one reshuffle-free round on the
+//! shards already resident ([`MultiRoundEngine::evaluate_queries_via`]).
 //!
 //! Because a conjunctive query's head relation must be outside its input
 //! schema, iteration is expressed through an optional **feedback relation**:
@@ -25,17 +30,15 @@
 //! that *global* fixpoint, the correctness yardstick for the distributed
 //! run (`pc_core::multi_round_correct_on`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use cq::{evaluate, ConjunctiveQuery, EvalOptions, Fact, Instance, Symbol};
-use delta::DeltaInstance;
 
-use crate::distribute::DistributionStats;
-use crate::engine::{OneRoundEngine, OneRoundOutcome};
+use crate::engine::{run_round, OneRoundEngine, OneRoundOutcome, RoundPlan};
 use crate::network::Node;
 use crate::policy::DistributionPolicy;
-use crate::transport::{InMemoryTransport, Transport, TransportError};
+use crate::transport::{InMemoryTransport, Shipment, Transport, TransportError};
 
 /// Decides whether parallel-correctness transfers from the first query to
 /// the second. The decision procedure itself (Section 4 of the paper)
@@ -263,7 +266,6 @@ pub struct MultiRoundEngine<'a> {
     feedback: Option<Symbol>,
     workers: usize,
     distribute_workers: usize,
-    streaming: bool,
     semi_naive: bool,
     eval_options: EvalOptions,
     reshuffle_always: bool,
@@ -278,8 +280,8 @@ pub struct MultiRoundEngine<'a> {
 impl<'a> MultiRoundEngine<'a> {
     /// Creates a single-round engine over `schedule`; raise the cap with
     /// [`MultiRoundEngine::rounds`]. Defaults mirror [`OneRoundEngine`]:
-    /// sequential evaluation, sequential materialized reshuffle, carried
-    /// input, no feedback relation.
+    /// sequential evaluation, sequential reshuffle, carried input, no
+    /// feedback relation.
     pub fn new(schedule: RoundSchedule<'a>) -> MultiRoundEngine<'a> {
         MultiRoundEngine {
             schedule,
@@ -288,7 +290,6 @@ impl<'a> MultiRoundEngine<'a> {
             feedback: None,
             workers: 1,
             distribute_workers: 1,
-            streaming: false,
             semi_naive: false,
             eval_options: EvalOptions::default(),
             reshuffle_always: false,
@@ -344,8 +345,11 @@ impl<'a> MultiRoundEngine<'a> {
         self
     }
 
-    /// Pool size for local evaluation within each round (cf.
-    /// [`OneRoundEngine::workers`]).
+    /// Pool size of the in-memory transport behind
+    /// [`MultiRoundEngine::evaluate`] and
+    /// [`MultiRoundEngine::evaluate_queries`] (cf.
+    /// [`OneRoundEngine::workers`]); an explicit transport owns its own
+    /// parallelism.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -369,18 +373,11 @@ impl<'a> MultiRoundEngine<'a> {
         self
     }
 
-    /// Streams chunks to workers instead of materializing every node's
-    /// chunk (cf. [`OneRoundEngine::streaming`]).
-    pub fn streaming(mut self, enabled: bool) -> Self {
-        self.streaming = enabled;
-        self
-    }
-
     /// Switches the run to **semi-naive incremental** rounds: each round
     /// reshuffles only the facts that are new since the previous round
     /// (round 0 ships everything), the nodes keep their accumulated state
-    /// across rounds inside the transport, and each node's local evaluation
-    /// is one differential pass over its delta
+    /// across rounds inside the transport ([`Shipment::Delta`]), and each
+    /// node's local evaluation is one differential pass over its delta
     /// (`cq::evaluate_seminaive_step`) rather than a full re-evaluation.
     ///
     /// The final `result`, `converged` flag and round count are **provably
@@ -394,8 +391,7 @@ impl<'a> MultiRoundEngine<'a> {
     /// **re-shard round**: the full accumulated state is re-shipped under
     /// the new policy as a fresh round-0 reset (recorded in
     /// [`MultiRoundOutcome::reshard_rounds`]), and delta shipping resumes
-    /// from the rebuilt state. The `streaming` knob does not apply
-    /// (deltas are materialized; they are small by construction).
+    /// from the rebuilt state.
     pub fn semi_naive(mut self, enabled: bool) -> Self {
         self.semi_naive = enabled;
         self
@@ -455,13 +451,15 @@ impl<'a> MultiRoundEngine<'a> {
         }
     }
 
-    /// One iteration step shared by [`MultiRoundEngine::evaluate`] and
+    /// One iteration step shared by [`MultiRoundEngine::evaluate_via`] and
     /// [`MultiRoundEngine::reference_fixpoint`], so the distributed run and
     /// its centralized yardstick can never drift apart in their
     /// carry/feedback/fixpoint semantics. Merges a round's `output` into
     /// the accumulated `result` and advances `state`, reporting whether
     /// iteration has terminated: the next round instance repeats one
     /// already visited, so no future round can ever produce a new fact.
+    /// A semi-naive run passes `fresh` and gets back exactly the facts this
+    /// round added to the carried state — its next delta.
     ///
     /// Termination tests whole **states**, not individual facts. With
     /// carried input states grow monotonically, so a revisited state is
@@ -477,14 +475,22 @@ impl<'a> MultiRoundEngine<'a> {
         output: &Instance,
         result: &mut Instance,
         state: &mut RoundState,
+        fresh: Option<&mut Instance>,
     ) -> bool {
         result.extend(output.facts());
         match state {
             RoundState::Carried(accumulated) => {
                 let before = accumulated.len();
-                match self.feedback {
-                    Some(_) => accumulated.extend(self.feedback_facts(output)),
-                    None => accumulated.extend(output.facts()),
+                match (fresh, self.feedback) {
+                    (Some(fresh), _) => {
+                        *fresh = self
+                            .feedback_facts(output)
+                            .into_iter()
+                            .filter(|fact| accumulated.insert_cloned(fact))
+                            .collect();
+                    }
+                    (None, Some(_)) => accumulated.extend(self.feedback_facts(output)),
+                    (None, None) => accumulated.extend(output.facts()),
                 }
                 accumulated.len() == before
             }
@@ -505,32 +511,28 @@ impl<'a> MultiRoundEngine<'a> {
     }
 
     /// Runs up to [`MultiRoundEngine::max_rounds`] distribute→local-eval
-    /// cycles for `query` starting from `instance`.
+    /// cycles for `query` starting from `instance`: exactly
+    /// [`MultiRoundEngine::evaluate_via`] over an [`InMemoryTransport`]
+    /// with the configured worker pool.
     pub fn evaluate(&self, query: &ConjunctiveQuery, instance: &Instance) -> MultiRoundOutcome {
-        if self.semi_naive {
-            // Incremental rounds need per-node state that outlives a round,
-            // so the whole run shares one transport.
-            let mut transport = InMemoryTransport::new(self.workers);
-            return self
-                .run_rounds_delta(&mut transport, query, instance)
-                .expect("in-memory rounds are infallible");
-        }
-        self.run_rounds(query, instance, |engine, _round, query, state| {
-            Ok(engine
-                .workers(self.workers)
-                .streaming(self.streaming)
-                .evaluate(query, state))
-        })
-        .expect("in-memory rounds are infallible")
+        let mut transport = InMemoryTransport::new(self.workers);
+        self.evaluate_via(&mut transport, query, instance)
+            .expect("in-memory rounds are infallible")
     }
 
-    /// Like [`MultiRoundEngine::evaluate`], but every round ships its
-    /// chunks through `transport` — the rounds become genuinely
-    /// cross-process when the transport is process-backed. The engine's
-    /// `workers`/`streaming` knobs do not apply (the transport owns local
-    /// evaluation); `distribute_workers` still shards the reshuffle. With
-    /// [`MultiRoundEngine::semi_naive`] the rounds ship per-round deltas
-    /// instead of full chunks.
+    /// The round loop: every round reshuffles under the schedule's policy
+    /// and ships through `transport` — the rounds become genuinely
+    /// cross-process when the transport is wire-backed — then
+    /// `advance_round` merges the outputs and tests for the fixpoint.
+    ///
+    /// A full round ships every node the whole round instance
+    /// ([`Shipment::Full`]). With [`MultiRoundEngine::semi_naive`] a round
+    /// ships only the facts the previous round added
+    /// ([`Shipment::Delta`]; round 0 ships everything), and a policy
+    /// switch re-ships the whole state as a fresh round-0 reset. With
+    /// carried input "the delta is empty" is exactly the repeated-state
+    /// test, so the two modes converge on the same round with the same
+    /// cumulative result (the differential suites pin this).
     pub fn evaluate_via(
         &self,
         transport: &mut dyn Transport,
@@ -538,10 +540,80 @@ impl<'a> MultiRoundEngine<'a> {
         instance: &Instance,
     ) -> Result<MultiRoundOutcome, TransportError> {
         if self.semi_naive {
-            return self.run_rounds_delta(transport, query, instance);
+            self.check_semi_naive_config();
         }
-        self.run_rounds(query, instance, |engine, round, query, state| {
-            engine.evaluate_via(transport, round, query, state)
+        // States over a fixed active domain are finite, so a repeat — and
+        // hence termination — is guaranteed even in dataflow mode.
+        let mut state = self.initial_state(instance);
+        let mut result = Instance::new();
+        let mut rounds = Vec::new();
+        let mut reshard_rounds = Vec::new();
+        let mut converged = false;
+        // Semi-naive only: what the next round ships — everything at
+        // first, then whatever the previous round added to the state.
+        let mut delta = self.semi_naive.then(|| instance.clone());
+        // Delta rounds as numbered towards the transport: 0 resets
+        // per-node state, so every re-shard restarts the count.
+        let mut delta_round = 0;
+        let mut active_policy = self.schedule.policy_index(0);
+        let round_latency = self.registry.histogram("round_latency_us");
+        for round in 0..self.max_rounds {
+            let round_started = Instant::now();
+            let _round_span =
+                obs::span!("eval_round", round = round, facts = state.current().len());
+            let policy_index = self.schedule.policy_index(round);
+            let switched = policy_index != active_policy;
+            active_policy = policy_index;
+            let engine = OneRoundEngine::new(self.schedule.policy_for(round))
+                .distribute_workers(self.distribute_workers)
+                .eval_options(self.eval_options);
+            let outcome = match &delta {
+                None => engine.evaluate_via(transport, round, query, state.current())?,
+                Some(delta) => {
+                    let new_facts = if switched {
+                        // A policy switch re-routes facts that were already
+                        // shipped: reset the nodes and re-shard everything.
+                        obs::instant!("reshard", round = round);
+                        reshard_rounds.push(round);
+                        delta_round = 0;
+                        state.current()
+                    } else {
+                        delta
+                    };
+                    let _span = obs::span!(
+                        "delta_round",
+                        round = delta_round,
+                        delta_facts = new_facts.len()
+                    );
+                    let mut plan = engine.plan(new_facts, Shipment::Delta);
+                    if delta_round > 0 {
+                        plan.skip_empty();
+                    }
+                    let outcome =
+                        run_round(transport, delta_round, query, self.eval_options, plan)?;
+                    delta_round += 1;
+                    outcome
+                }
+            };
+            let done = {
+                let _span = obs::span!("merge_results", round = round);
+                self.advance_round(&outcome.result, &mut result, &mut state, delta.as_mut())
+            };
+            rounds.push(outcome);
+            round_latency
+                .record(u64::try_from(round_started.elapsed().as_micros()).unwrap_or(u64::MAX));
+            if done {
+                converged = true;
+                break;
+            }
+        }
+        Ok(MultiRoundOutcome {
+            rounds,
+            result,
+            final_state: state.into_seen(),
+            converged,
+            elided_reshuffles: 0,
+            reshard_rounds,
         })
     }
 
@@ -621,8 +693,13 @@ impl<'a> MultiRoundEngine<'a> {
                 obs::instant!("reshuffle_elided");
             }
             let outcome = if elide {
+                // One reshuffle-free round: every node evaluates over the
+                // shard it already holds. `comm_bytes` still counts whatever
+                // result frames a wire transport ships back.
                 let (_, nodes) = resident.as_ref().expect("elide implies resident shards");
-                let round = self.resident_round(transport, query, &nodes.clone())?;
+                let _span = obs::span!("resident_round", nodes = nodes.len());
+                let plan = RoundPlan::resident(nodes);
+                let round = run_round(transport, 0, query, self.eval_options, plan)?;
                 let result = round.result.clone();
                 MultiRoundOutcome {
                     rounds: vec![round],
@@ -677,190 +754,6 @@ impl<'a> MultiRoundEngine<'a> {
             .map(|round| round.per_node_load.keys().copied().collect())
     }
 
-    /// One reshuffle-free round: every node in `nodes` evaluates `query`
-    /// over the shard it already holds ([`Transport::send_resident`]) and
-    /// replies with its full local output. Nothing is distributed, so the
-    /// distribution side of the outcome is all zeros; `comm_bytes` still
-    /// counts whatever result frames an actual wire transport ships back.
-    fn resident_round(
-        &self,
-        transport: &mut dyn Transport,
-        query: &ConjunctiveQuery,
-        nodes: &[Node],
-    ) -> Result<OneRoundOutcome, TransportError> {
-        let _span = obs::span!("resident_round", nodes = nodes.len());
-        let local_start = Instant::now();
-        transport.begin_round(0, query, self.eval_options)?;
-        for &node in nodes {
-            transport.send_resident(node)?;
-        }
-        transport.barrier()?;
-        let mut outputs = Vec::with_capacity(nodes.len());
-        let mut per_node_output = BTreeMap::new();
-        let mut per_node_time = BTreeMap::new();
-        for &node in nodes {
-            let reply = transport.recv_chunk(node)?;
-            per_node_output.insert(node, reply.output.len());
-            per_node_time.insert(node, reply.eval_time);
-            outputs.push(reply.output);
-        }
-        let result = {
-            let _span = obs::span!("merge_results", nodes = nodes.len());
-            outputs.into_iter().flatten().collect()
-        };
-        let local_eval_time = local_start.elapsed();
-        let comm_bytes = transport.take_bytes_shipped();
-        let (index_cache_hits, index_cache_misses) = transport.index_cache_stats();
-        Ok(OneRoundOutcome {
-            result,
-            per_node_load: nodes.iter().map(|&n| (n, 0)).collect(),
-            per_node_output,
-            per_node_time,
-            distribute_time: Duration::ZERO,
-            local_eval_time,
-            workers: transport.parallelism().min(nodes.len()).max(1),
-            peak_chunks: 0,
-            streamed: false,
-            comm_bytes,
-            index_cache_hits,
-            index_cache_misses,
-            stats: DistributionStats {
-                nodes: nodes.len(),
-                total_assigned: 0,
-                distinct_assigned: 0,
-                max_load: 0,
-                skipped: 0,
-                replication_factor: 0.0,
-            },
-        })
-    }
-
-    /// The incremental round loop: ship each round's delta, collect each
-    /// node's new derivations, feed them back, stop when a round adds
-    /// nothing. With carried input the round states grow monotonically, so
-    /// "the delta is empty" is exactly the repeated-state fixpoint test of
-    /// the full-re-evaluation loop — the two modes converge on the same
-    /// round with the same cumulative result (the differential suites pin
-    /// this).
-    fn run_rounds_delta(
-        &self,
-        transport: &mut dyn Transport,
-        query: &ConjunctiveQuery,
-        instance: &Instance,
-    ) -> Result<MultiRoundOutcome, TransportError> {
-        self.check_semi_naive_config();
-        let mut acc = DeltaInstance::from_initial(instance.clone());
-        let mut result = Instance::new();
-        let mut rounds = Vec::new();
-        let mut reshard_rounds = Vec::new();
-        let mut converged = false;
-        // Round numbering as seen by the transport: 0 resets per-node
-        // state, so every re-shard restarts the count at 0 and ships the
-        // full accumulated state under the new policy.
-        let mut transport_round = 0;
-        let mut active_policy = self.schedule.policy_index(0);
-        let round_latency = self.registry.histogram("round_latency_us");
-        for round in 0..self.max_rounds {
-            let round_started = Instant::now();
-            let _round_span = obs::span!("eval_round", round = round, semi_naive = true);
-            let policy_index = self.schedule.policy_index(round);
-            let reshard = round > 0 && policy_index != active_policy;
-            active_policy = policy_index;
-            let policy = self.schedule.policy_for(round);
-            let round_delta = if reshard {
-                // A policy switch re-routes facts that were already
-                // shipped: reset the nodes and re-shard everything.
-                obs::instant!("reshard", round = round);
-                reshard_rounds.push(round);
-                transport_round = 0;
-                let _ = acc.take_delta();
-                acc.full().clone()
-            } else {
-                acc.take_delta()
-            };
-            let engine = OneRoundEngine::new(policy)
-                .distribute_workers(self.distribute_workers)
-                .eval_options(self.eval_options);
-            let outcome =
-                engine.evaluate_delta_via(transport, transport_round, query, &round_delta)?;
-            transport_round += 1;
-            {
-                let _span = obs::span!("merge_results", round = round);
-                let contribution = self.feedback_facts(&outcome.result);
-                result.extend(outcome.result.facts());
-                acc.absorb(contribution);
-            }
-            rounds.push(outcome);
-            round_latency
-                .record(u64::try_from(round_started.elapsed().as_micros()).unwrap_or(u64::MAX));
-            if acc.is_quiescent() {
-                converged = true;
-                break;
-            }
-        }
-        Ok(MultiRoundOutcome {
-            rounds,
-            result,
-            final_state: acc.full().clone(),
-            converged,
-            elided_reshuffles: 0,
-            reshard_rounds,
-        })
-    }
-
-    /// The shared round loop of [`MultiRoundEngine::evaluate`] and
-    /// [`MultiRoundEngine::evaluate_via`]: only *how one round is
-    /// evaluated* differs between the in-memory and transport paths, so the
-    /// carry/feedback/fixpoint bookkeeping cannot drift between them.
-    fn run_rounds(
-        &self,
-        query: &ConjunctiveQuery,
-        instance: &Instance,
-        mut eval_round: impl FnMut(
-            OneRoundEngine<'a, dyn DistributionPolicy + 'a>,
-            usize,
-            &ConjunctiveQuery,
-            &Instance,
-        ) -> Result<OneRoundOutcome, TransportError>,
-    ) -> Result<MultiRoundOutcome, TransportError> {
-        // States over a fixed active domain are finite, so a repeat — and
-        // hence termination — is guaranteed even in dataflow mode.
-        let mut state = self.initial_state(instance);
-        let mut result = Instance::new();
-        let mut rounds = Vec::new();
-        let mut converged = false;
-        let round_latency = self.registry.histogram("round_latency_us");
-        for round in 0..self.max_rounds {
-            let round_started = Instant::now();
-            let _round_span =
-                obs::span!("eval_round", round = round, facts = state.current().len());
-            let policy = self.schedule.policy_for(round);
-            let engine = OneRoundEngine::new(policy)
-                .distribute_workers(self.distribute_workers)
-                .eval_options(self.eval_options);
-            let outcome = eval_round(engine, round, query, state.current())?;
-            let done = {
-                let _span = obs::span!("merge_results", round = round);
-                self.advance_round(&outcome.result, &mut result, &mut state)
-            };
-            rounds.push(outcome);
-            round_latency
-                .record(u64::try_from(round_started.elapsed().as_micros()).unwrap_or(u64::MAX));
-            if done {
-                converged = true;
-                break;
-            }
-        }
-        Ok(MultiRoundOutcome {
-            rounds,
-            result,
-            final_state: state.into_seen(),
-            converged,
-            elided_reshuffles: 0,
-            reshard_rounds: Vec::new(),
-        })
-    }
-
     /// The centralized reference: iterates `evaluate(query, ·)` with the
     /// same carry/feedback semantics but **no round cap**, until the global
     /// fixpoint (a repeated state). Terminates on every input because
@@ -877,7 +770,7 @@ impl<'a> MultiRoundEngine<'a> {
         loop {
             rounds += 1;
             let output = evaluate(query, state.current());
-            if self.advance_round(&output, &mut result, &mut state) {
+            if self.advance_round(&output, &mut result, &mut state, None) {
                 break;
             }
         }
@@ -1462,32 +1355,6 @@ mod tests {
                 elided.total_comm_volume() < baseline.total_comm_volume(),
                 "semi={semi}: elision must ship strictly less"
             );
-        }
-    }
-
-    #[test]
-    fn streaming_multi_round_agrees_with_materialized_multi_round() {
-        let q = square_query();
-        let i = chain_instance(6);
-        let p = HypercubePolicy::uniform(&q, 2).unwrap();
-        let base = MultiRoundEngine::new(RoundSchedule::repeat(&p))
-            .rounds(8)
-            .feedback_into("R")
-            .evaluate(&q, &i);
-        let streamed = MultiRoundEngine::new(RoundSchedule::repeat(&p))
-            .rounds(8)
-            .feedback_into("R")
-            .streaming(true)
-            .workers(3)
-            .distribute_workers(2)
-            .evaluate(&q, &i);
-        assert_eq!(base.result, streamed.result);
-        assert_eq!(base.converged, streamed.converged);
-        assert_eq!(base.rounds_run(), streamed.rounds_run());
-        for (m, s) in base.rounds.iter().zip(&streamed.rounds) {
-            assert_eq!(m.result, s.result);
-            assert_eq!(m.per_node_load, s.per_node_load);
-            assert_eq!(m.stats, s.stats);
         }
     }
 }

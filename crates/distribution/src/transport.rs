@@ -1,39 +1,35 @@
-//! The transport abstraction for shipping chunks between rounds.
+//! The transport seam: how a round's shipments reach the nodes.
 //!
-//! The engines in this crate historically evaluated every node's chunk in
-//! the coordinating process — the cluster was simulated in one address
-//! space. [`Transport`] factors the *shipping* side of a round out of the
-//! engine: the engine computes `dist_P(I)` and hands each node's chunk to
-//! the transport, the transport gets the chunk evaluated *somewhere* (in
-//! this process, in a worker subprocess, on another machine), and the
-//! engine collects the per-node results after a barrier.
-//!
-//! A round through a transport is always the same four-step conversation:
+//! [`Transport`] factors the *shipping* side of a round out of the
+//! engines: the engine decides what every node is sent (a [`Shipment`]),
+//! the transport gets it evaluated *somewhere* (in this process, in a
+//! worker subprocess, on another machine), and the engine collects the
+//! per-node results after a barrier. A round through a transport is always
+//! the same four-step conversation:
 //!
 //! ```text
-//! begin_round(r, Q)              announce the round and its query
-//! send_chunk(node, chunk) …      ship every node's data chunk
+//! begin_round(r, Q, options)     announce the round, its query and options
+//! send(node, shipment) …         at most one shipment per node
 //! barrier()                      wait until every node finished evaluating
-//! recv_chunk(node) …             collect every node's local output
+//! recv(node) …                   collect every node's local output, once
 //! ```
 //!
-//! [`InMemoryTransport`] is the refactored in-process path: chunks are
-//! buffered, the barrier drains them through the same bounded worker pool
-//! the engine always used, and `recv_chunk` hands the results back. The
-//! cross-process implementation (`wire::ProcessTransport`) speaks the same
-//! conversation over stdio pipes to `pcq-analyze worker` subprocesses.
-//!
-//! Incremental (semi-naive) rounds replace the chunk pair with
-//! `send_delta`/`recv_delta`: the transport keeps **persistent per-node
-//! state** across rounds (a [`delta::DeltaNode`]), each round ships only
-//! the facts new since the previous round, and each node answers with only
-//! the output facts it has never produced before. A delta round numbered 0
-//! resets the per-node state, so one transport can serve several runs.
+//! What a node does with a shipment is written down exactly once, in
+//! [`NodeState::apply`]: a [`Shipment::Full`] chunk is evaluated and
+//! becomes the node's shard (superseding whatever it held), a
+//! [`Shipment::Delta`] is absorbed into persistent incremental state (a
+//! [`delta::DeltaNode`]; round 0 starts it from empty, so one transport
+//! can serve several runs) and answered with only the facts derived for
+//! the first time, and [`Shipment::Resident`] evaluates over the shard the
+//! node already holds without receiving anything. [`InMemoryTransport`]
+//! calls it from its pool drain; the wire worker loop
+//! (`wire::run_worker`) calls it from its one eval arm — so in-process and
+//! cross-process nodes cannot drift apart.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cq::{evaluate_with, ConjunctiveQuery, EvalOptions, Instance};
@@ -70,27 +66,127 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// One node's local evaluation result, as returned by
-/// [`Transport::recv_chunk`].
+/// What one round sends to one node. The facts sit behind an [`Arc`] so
+/// queueing a shipment, remembering it for fault recovery and sharing one
+/// broadcast chunk between nodes never copy it.
+#[derive(Clone, Debug)]
+pub enum Shipment {
+    /// The node's whole portion of `dist_P(I)`. It replaces whatever the
+    /// node held before.
+    Full(Arc<Instance>),
+    /// Only the facts assigned to the node that are new since the previous
+    /// round; the node keeps its accumulated state across rounds and
+    /// answers with the facts it derived for the first time. A delta sent
+    /// in round 0 starts the node from an empty state.
+    Delta(Arc<Instance>),
+    /// Nothing: the node evaluates the round's query over the shard it
+    /// **already holds**. This is the reshuffle-elision primitive — when
+    /// parallel correctness transfers from the query that produced the
+    /// resident shards, the new query's answer is the union of these
+    /// per-node results.
+    Resident,
+}
+
+impl Shipment {
+    /// How many facts the shipment carries (`0` for [`Shipment::Resident`]).
+    pub fn len(&self) -> usize {
+        match self {
+            Shipment::Full(facts) | Shipment::Delta(facts) => facts.len(),
+            Shipment::Resident => 0,
+        }
+    }
+
+    /// Whether the shipment carries no facts.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The name of the span an in-process evaluation of this shipment runs
+    /// under (trace tooling attributes compute time by these names).
+    fn eval_span(&self) -> &'static str {
+        match self {
+            Shipment::Full(_) => "eval_chunk",
+            Shipment::Delta(_) => "eval_delta",
+            Shipment::Resident => "eval_resident",
+        }
+    }
+}
+
+/// What one node holds between rounds, and the one place that says what a
+/// [`Shipment`] does to it.
+#[derive(Debug, Default)]
+pub enum NodeState {
+    /// Never shipped anything: the node holds the empty shard.
+    #[default]
+    Empty,
+    /// The last full chunk the node evaluated. Equal chunks of one round
+    /// (a broadcast) may share one instance.
+    Chunk(Arc<Instance>),
+    /// The accumulated state of an incremental run (boxed: it is far
+    /// larger than the other variants, and states move in and out of the
+    /// node map every round).
+    Incremental(Box<DeltaNode>),
+}
+
+impl NodeState {
+    /// Applies `shipment` to the node and returns its local output for the
+    /// round: the full local answer for [`Shipment::Full`] and
+    /// [`Shipment::Resident`], only the first-time derivations for
+    /// [`Shipment::Delta`]. `round` is the round as announced to the
+    /// transport; it matters only to deltas, where `0` resets the node.
+    /// Every evaluation runs with exactly `options`.
+    pub fn apply(
+        &mut self,
+        round: u64,
+        query: &ConjunctiveQuery,
+        options: EvalOptions,
+        shipment: Shipment,
+    ) -> Instance {
+        match shipment {
+            Shipment::Full(chunk) => {
+                let output = evaluate_with(query, &chunk, options);
+                *self = NodeState::Chunk(chunk);
+                output
+            }
+            Shipment::Delta(delta) => {
+                if round == 0 || !matches!(self, NodeState::Incremental(_)) {
+                    *self = NodeState::Incremental(Box::default());
+                }
+                let NodeState::Incremental(state) = self else {
+                    unreachable!("the node was just made incremental");
+                };
+                state.step_with(query, &delta, options)
+            }
+            Shipment::Resident => match self {
+                NodeState::Empty => evaluate_with(query, &Instance::new(), options),
+                NodeState::Chunk(chunk) => evaluate_with(query, chunk, options),
+                NodeState::Incremental(state) => evaluate_with(query, state.data().full(), options),
+            },
+        }
+    }
+}
+
+/// One node's local evaluation result, as returned by [`Transport::recv`].
 #[derive(Clone, Debug)]
 pub struct NodeResult {
     /// The node's local query output.
     pub output: Instance,
     /// Wall-clock time of the node's local evaluation (as measured by
-    /// whoever evaluated the chunk — a pool worker or a subprocess).
+    /// whoever evaluated the shipment — a pool worker or a subprocess).
     pub eval_time: Duration,
 }
 
-/// A pluggable mechanism for shipping chunks to nodes and collecting their
-/// local evaluation results (see the module docs for the conversation).
+/// A pluggable mechanism for shipping a round's [`Shipment`]s to nodes and
+/// collecting their local evaluation results (see the module docs for the
+/// conversation).
 ///
-/// Implementations may evaluate eagerly on `send_chunk` or lazily at the
+/// Implementations may evaluate eagerly on `send` or lazily at the
 /// `barrier`; callers must not read results before the barrier returns.
 pub trait Transport {
-    /// Announces a new round: `query` is what every node will evaluate over
-    /// the chunk it is about to receive, and `options` is how — every node
-    /// must evaluate with exactly these [`EvalOptions`], so a run behaves
-    /// identically whether its nodes live in this process or behind a wire.
+    /// Announces a new round: `query` is what every node will evaluate, and
+    /// `options` is how — every node must evaluate with exactly these
+    /// [`EvalOptions`], so a run behaves identically whether its nodes live
+    /// in this process or behind a wire.
     fn begin_round(
         &mut self,
         round: usize,
@@ -98,56 +194,20 @@ pub trait Transport {
         options: EvalOptions,
     ) -> Result<(), TransportError>;
 
-    /// Ships `chunk` — the node's portion of `dist_P(I)` — to `node`.
-    fn send_chunk(&mut self, node: Node, chunk: Instance) -> Result<(), TransportError>;
+    /// Ships `shipment` to `node` (at most one shipment per node per
+    /// round); what the node does with it is [`NodeState::apply`].
+    fn send(&mut self, node: Node, shipment: Shipment) -> Result<(), TransportError>;
 
-    /// Blocks until every chunk sent this round has been evaluated.
+    /// Blocks until every shipment sent this round has been evaluated.
     fn barrier(&mut self) -> Result<(), TransportError>;
 
     /// Collects `node`'s local output for the round. Each node's result can
     /// be received exactly once, after the [`Transport::barrier`].
-    fn recv_chunk(&mut self, node: Node) -> Result<NodeResult, TransportError>;
-
-    /// Asks `node` to evaluate the round's query over the shard it
-    /// **already holds** — the chunk or accumulated delta state left
-    /// resident by a previous round — shipping zero input facts. This is
-    /// the reshuffle-elision primitive: when parallel correctness
-    /// transfers from the query that produced the resident shards, the new
-    /// query's answer is the union of these per-node results. Replies
-    /// arrive via [`Transport::recv_chunk`] after the barrier.
-    ///
-    /// The default declines: a transport must opt into resident rounds.
-    fn send_resident(&mut self, node: Node) -> Result<(), TransportError> {
-        let _ = node;
-        Err(TransportError::Protocol(
-            "this transport does not evaluate resident shards".to_string(),
-        ))
-    }
-
-    /// Ships only the round's **delta** — the facts assigned to `node`
-    /// that are new since the previous round — to a node that keeps its
-    /// accumulated state across rounds. A delta sent for round 0 starts the
-    /// node from an empty state.
-    ///
-    /// The default declines: a transport must opt into incremental rounds.
-    fn send_delta(&mut self, node: Node, delta: Instance) -> Result<(), TransportError> {
-        let _ = delta;
-        let _ = node;
-        Err(TransportError::Protocol(
-            "this transport does not ship deltas".to_string(),
-        ))
-    }
-
-    /// Collects `node`'s **output delta** for the round: only the facts the
-    /// node derived for the first time. Same once-per-node-after-barrier
-    /// contract as [`Transport::recv_chunk`].
-    fn recv_delta(&mut self, node: Node) -> Result<NodeResult, TransportError> {
-        Err(TransportError::UnknownNode(node))
-    }
+    fn recv(&mut self, node: Node) -> Result<NodeResult, TransportError>;
 
     /// Bytes actually serialized onto a process boundary since the last
     /// call (taking resets the counter), in **both** directions: the wire
-    /// transports count coordinator→worker chunk/delta frames and the
+    /// transport counts coordinator→worker eval frames and the
     /// worker→coordinator result frames they provoke (round-control
     /// frames are O(1) per round and excluded). In-process transports
     /// ship no bytes and report 0 — the honest answer, not an estimate.
@@ -155,7 +215,7 @@ pub trait Transport {
         0
     }
 
-    /// How many chunks the transport can evaluate concurrently (pool
+    /// How many shipments the transport can evaluate concurrently (pool
     /// workers, subprocesses, …) — reporting only; `1` means sequential.
     fn parallelism(&self) -> usize {
         1
@@ -164,7 +224,7 @@ pub trait Transport {
     /// Cumulative `(hits, misses)` of the transport's shared index cache,
     /// if it keeps one: a hit means a node's chunk reused another node's
     /// indexed instance instead of rebuilding hash indexes from scratch.
-    /// Transports without a cache (including the wire transports, where
+    /// Transports without a cache (including the wire transport, where
     /// every worker owns its memory) report `(0, 0)`.
     fn index_cache_stats(&self) -> (u64, u64) {
         (0, 0)
@@ -173,14 +233,9 @@ pub trait Transport {
 
 /// Drains `items` through `f` on a bounded pool: `workers` scoped threads
 /// steal the next unclaimed item index from a shared atomic cursor until
-/// the queue is empty (`workers <= 1` runs on the calling thread). The
-/// transport barrier and the streaming engine path share this loop so their
-/// pool semantics cannot drift. Results arrive in completion order.
-pub(crate) fn drain_pool<T: Sync, R: Send>(
-    items: &[T],
-    workers: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
+/// the queue is empty (`workers <= 1` runs on the calling thread).
+/// Results arrive in completion order.
+fn drain_pool<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
@@ -208,30 +263,19 @@ pub(crate) fn drain_pool<T: Sync, R: Send>(
     })
 }
 
-/// The in-process [`Transport`]: buffers chunks as they are sent and
+/// The in-process [`Transport`]: buffers shipments as they are sent and
 /// evaluates them at the barrier on a bounded worker pool of scoped OS
 /// threads (`workers <= 1` evaluates sequentially on the calling thread).
-///
-/// This is the classic simulated-cluster path of [`OneRoundEngine`]
-/// refactored behind the transport seam; it is infallible and allocates
-/// nothing beyond the chunks themselves.
-///
-/// [`OneRoundEngine`]: crate::OneRoundEngine
+/// It is infallible and allocates nothing beyond the chunks themselves.
 pub struct InMemoryTransport {
     workers: usize,
     query: Option<ConjunctiveQuery>,
-    pending: Vec<(Node, Instance)>,
-    pending_deltas: Vec<(Node, Instance)>,
-    pending_resident: Vec<Node>,
+    round: u64,
+    eval_options: EvalOptions,
+    pending: Vec<(Node, Shipment)>,
     ready: BTreeMap<Node, NodeResult>,
-    /// Persistent per-node incremental state (delta rounds only); cleared
-    /// when a delta round numbered 0 begins.
-    nodes: BTreeMap<Node, DeltaNode>,
-    /// The last full chunk each node evaluated (chunk rounds only) — the
-    /// node's resident shard, served back by [`Transport::send_resident`]
-    /// rounds. Shared `Arc`s, so a broadcast round pins one instance, not
-    /// one per node.
-    resident: BTreeMap<Node, std::sync::Arc<Instance>>,
+    /// What every node holds between rounds.
+    nodes: BTreeMap<Node, NodeState>,
     /// Shares one indexed instance between equal chunks (a broadcast round
     /// evaluates the same chunk at every node). Cleared at every
     /// `begin_round`: chunks can only repeat within a round, so holding
@@ -241,15 +285,13 @@ pub struct InMemoryTransport {
     /// counters live here (`index_cache_hits` / `index_cache_misses`),
     /// so [`InMemoryTransport::cache_stats`] and the registry report one
     /// value.
-    registry: std::sync::Arc<obs::Registry>,
-    round: usize,
-    eval_options: EvalOptions,
+    registry: Arc<obs::Registry>,
 }
 
 impl InMemoryTransport {
     /// A transport evaluating on a pool of up to `workers` threads.
     pub fn new(workers: usize) -> InMemoryTransport {
-        let registry = std::sync::Arc::new(obs::Registry::new());
+        let registry = Arc::new(obs::Registry::new());
         let cache = IndexCache::with_counters(
             16,
             registry.counter("index_cache_hits"),
@@ -258,16 +300,13 @@ impl InMemoryTransport {
         InMemoryTransport {
             workers: workers.max(1),
             query: None,
-            pending: Vec::new(),
-            pending_deltas: Vec::new(),
-            pending_resident: Vec::new(),
-            ready: BTreeMap::new(),
-            nodes: BTreeMap::new(),
-            resident: BTreeMap::new(),
-            cache,
-            registry,
             round: 0,
             eval_options: EvalOptions::default(),
+            pending: Vec::new(),
+            ready: BTreeMap::new(),
+            nodes: BTreeMap::new(),
+            cache,
+            registry,
         }
     }
 
@@ -280,123 +319,8 @@ impl InMemoryTransport {
     /// The transport's metrics registry — the single source of truth
     /// behind [`InMemoryTransport::cache_stats`] and any future
     /// transport-level counters.
-    pub fn registry(&self) -> std::sync::Arc<obs::Registry> {
+    pub fn registry(&self) -> Arc<obs::Registry> {
         self.registry.clone()
-    }
-
-    /// Evaluates the buffered full chunks on the pool, sharing indexes
-    /// between equal chunks through the cache.
-    ///
-    /// Only chunks whose size another chunk of the round repeats go
-    /// through the cache — distinct sizes cannot be equal, so hashing them
-    /// (and pinning them in the cache) would be pure overhead on the
-    /// common partitioning policies. Replicating policies (broadcast) get
-    /// the full benefit: their equal-sized, equal chunks collapse onto one
-    /// shared instance whose indexes are built once.
-    fn drain_chunks(&mut self, query: &ConjunctiveQuery) -> Vec<(Node, NodeResult)> {
-        let pending = std::mem::take(&mut self.pending);
-        let mut size_counts: BTreeMap<usize, usize> = BTreeMap::new();
-        for (_, chunk) in &pending {
-            *size_counts.entry(chunk.len()).or_default() += 1;
-        }
-        let jobs: Vec<(Node, std::sync::Arc<Instance>)> = pending
-            .into_iter()
-            .map(|(node, chunk)| {
-                let shared = if size_counts[&chunk.len()] > 1 {
-                    self.cache.warm_owned(chunk)
-                } else {
-                    std::sync::Arc::new(chunk)
-                };
-                // The chunk becomes the node's resident shard (replacing
-                // any incremental state — a full chunk supersedes it).
-                self.nodes.remove(&node);
-                self.resident.insert(node, shared.clone());
-                (node, shared)
-            })
-            .collect();
-        let workers = self.workers.min(jobs.len()).max(1);
-        let options = self.eval_options;
-        drain_pool(&jobs, workers, |(node, chunk)| {
-            let _span = obs::span!("eval_chunk", node = node, facts = chunk.len());
-            let start = Instant::now();
-            let output = evaluate_with(query, chunk, options);
-            (
-                *node,
-                NodeResult {
-                    output,
-                    eval_time: start.elapsed(),
-                },
-            )
-        })
-    }
-
-    /// Runs one incremental step per buffered delta on the pool. Each
-    /// node's persistent [`DeltaNode`] is taken out of the state map for
-    /// the duration of its step and reinstated with the results.
-    fn drain_deltas(&mut self, query: &ConjunctiveQuery) -> Vec<(Node, NodeResult)> {
-        let pending = std::mem::take(&mut self.pending_deltas);
-        let jobs: Vec<Mutex<Option<(Node, Instance, DeltaNode)>>> = pending
-            .into_iter()
-            .map(|(node, chunk)| {
-                let state = self.nodes.remove(&node).unwrap_or_default();
-                Mutex::new(Some((node, chunk, state)))
-            })
-            .collect();
-        let workers = self.workers.min(jobs.len()).max(1);
-        let results = drain_pool(&jobs, workers, |slot| {
-            let (node, chunk, mut state) = slot
-                .lock()
-                .expect("delta job mutex poisoned")
-                .take()
-                .expect("each delta job is drained exactly once");
-            let _span = obs::span!("eval_delta", node = node, delta_facts = chunk.len());
-            let start = Instant::now();
-            let fresh = state.step(query, &chunk);
-            (node, state, fresh, start.elapsed())
-        });
-        results
-            .into_iter()
-            .map(|(node, state, output, eval_time)| {
-                self.nodes.insert(node, state);
-                (node, NodeResult { output, eval_time })
-            })
-            .collect()
-    }
-
-    /// Evaluates the round's query over each requested node's resident
-    /// shard: the accumulated state of its [`DeltaNode`] if the node last
-    /// ran incremental rounds, else the last full chunk it evaluated, else
-    /// the empty instance (a node that was never shipped anything holds
-    /// nothing).
-    fn drain_resident(&mut self, query: &ConjunctiveQuery) -> Vec<(Node, NodeResult)> {
-        let pending = std::mem::take(&mut self.pending_resident);
-        let empty = Instance::new();
-        let jobs: Vec<(Node, &Instance)> = pending
-            .into_iter()
-            .map(|node| {
-                let shard = self
-                    .nodes
-                    .get(&node)
-                    .map(|state| state.data().full())
-                    .or_else(|| self.resident.get(&node).map(|arc| arc.as_ref()))
-                    .unwrap_or(&empty);
-                (node, shard)
-            })
-            .collect();
-        let workers = self.workers.min(jobs.len()).max(1);
-        let options = self.eval_options;
-        drain_pool(&jobs, workers, |(node, shard)| {
-            let _span = obs::span!("eval_resident", node = node, facts = shard.len());
-            let start = Instant::now();
-            let output = evaluate_with(query, shard, options);
-            (
-                *node,
-                NodeResult {
-                    output,
-                    eval_time: start.elapsed(),
-                },
-            )
-        })
     }
 }
 
@@ -408,71 +332,88 @@ impl Transport for InMemoryTransport {
         options: EvalOptions,
     ) -> Result<(), TransportError> {
         self.query = Some(query.clone());
-        self.round = round;
+        self.round = round as u64;
         self.eval_options = options;
         self.pending.clear();
-        self.pending_deltas.clear();
-        self.pending_resident.clear();
         self.ready.clear();
         // Chunks can only repeat within one round; drop last round's.
         self.cache.clear();
         Ok(())
     }
 
-    fn send_chunk(&mut self, node: Node, chunk: Instance) -> Result<(), TransportError> {
-        self.registry
-            .histogram("chunk_facts")
-            .record(chunk.len() as u64);
-        self.pending.push((node, chunk));
-        Ok(())
-    }
-
-    fn send_resident(&mut self, node: Node) -> Result<(), TransportError> {
-        self.pending_resident.push(node);
-        Ok(())
-    }
-
-    fn send_delta(&mut self, node: Node, delta: Instance) -> Result<(), TransportError> {
-        self.registry
-            .histogram("chunk_facts")
-            .record(delta.len() as u64);
-        if self.round == 0 {
-            // Round 0 opens a fresh incremental run: the node starts over.
-            self.nodes.remove(&node);
+    fn send(&mut self, node: Node, shipment: Shipment) -> Result<(), TransportError> {
+        if !matches!(shipment, Shipment::Resident) {
+            self.registry
+                .histogram("chunk_facts")
+                .record(shipment.len() as u64);
         }
-        self.pending_deltas.push((node, delta));
+        self.pending.push((node, shipment));
         Ok(())
     }
 
+    /// Drains the round's shipments through [`NodeState::apply`] on the
+    /// pool. Each node's state is taken out of the map for the duration of
+    /// its job and reinstated with the result.
+    ///
+    /// Only full chunks whose size another full chunk of the round repeats
+    /// go through the index cache — distinct sizes cannot be equal, so
+    /// hashing them (and pinning them in the cache) would be pure overhead
+    /// on the common partitioning policies. Replicating policies
+    /// (broadcast) get the full benefit: their equal chunks collapse onto
+    /// one shared instance whose indexes are built once.
     fn barrier(&mut self) -> Result<(), TransportError> {
         let query = self
             .query
             .clone()
             .ok_or_else(|| TransportError::Protocol("barrier before begin_round".into()))?;
-        let _span = obs::span!(
-            "barrier",
-            round = self.round,
-            chunks = self.pending.len() + self.pending_deltas.len() + self.pending_resident.len()
-        );
-        // The pool is bounded by the chunk count: asking for more workers
-        // than chunks costs nothing.
-        let full = self.drain_chunks(&query);
-        self.ready.extend(full);
-        let incremental = self.drain_deltas(&query);
-        self.ready.extend(incremental);
-        let resident = self.drain_resident(&query);
-        self.ready.extend(resident);
+        let pending = std::mem::take(&mut self.pending);
+        let _span = obs::span!("barrier", round = self.round, chunks = pending.len());
+        let mut size_counts: BTreeMap<usize, usize> = BTreeMap::new();
+        for (_, shipment) in &pending {
+            if let Shipment::Full(chunk) = shipment {
+                *size_counts.entry(chunk.len()).or_default() += 1;
+            }
+        }
+        let jobs: Vec<Mutex<Option<(Node, Shipment, NodeState)>>> = pending
+            .into_iter()
+            .map(|(node, shipment)| {
+                let shipment = match shipment {
+                    Shipment::Full(chunk) if size_counts[&chunk.len()] > 1 => {
+                        Shipment::Full(self.cache.warm_shared(chunk))
+                    }
+                    other => other,
+                };
+                let state = self.nodes.remove(&node).unwrap_or_default();
+                Mutex::new(Some((node, shipment, state)))
+            })
+            .collect();
+        // The pool is bounded by the job count: asking for more workers
+        // than shipments costs nothing.
+        let workers = self.workers.min(jobs.len()).max(1);
+        let (round, options) = (self.round, self.eval_options);
+        let done = drain_pool(&jobs, workers, |slot| {
+            let (node, shipment, mut state) = slot
+                .lock()
+                .expect("a pool worker panicked holding its job")
+                .take()
+                .expect("each job is drained exactly once");
+            let _span = obs::span!(shipment.eval_span(), node = node, facts = shipment.len());
+            let start = Instant::now();
+            let output = state.apply(round, &query, options, shipment);
+            let eval_time = start.elapsed();
+            (node, state, NodeResult { output, eval_time })
+        });
+        for (node, state, result) in done {
+            self.nodes.insert(node, state);
+            self.ready.insert(node, result);
+        }
         Ok(())
     }
 
-    fn recv_chunk(&mut self, node: Node) -> Result<NodeResult, TransportError> {
+    fn recv(&mut self, node: Node) -> Result<NodeResult, TransportError> {
         self.ready
             .remove(&node)
             .ok_or(TransportError::UnknownNode(node))
-    }
-
-    fn recv_delta(&mut self, node: Node) -> Result<NodeResult, TransportError> {
-        self.recv_chunk(node)
     }
 
     fn parallelism(&self) -> usize {
@@ -496,6 +437,33 @@ mod tests {
         ConjunctiveQuery::parse("T(x, z) :- R(x, y), S(y, z).").unwrap()
     }
 
+    fn full(text: &str) -> Shipment {
+        Shipment::Full(Arc::new(parse_instance(text).unwrap()))
+    }
+
+    fn delta(text: &str) -> Shipment {
+        Shipment::Delta(Arc::new(parse_instance(text).unwrap()))
+    }
+
+    /// Applies `shipment` to `state` as round `round` of the two-hop query.
+    fn apply(state: &mut NodeState, round: u64, shipment: Shipment) -> Instance {
+        state.apply(round, &two_hop(), EvalOptions::default(), shipment)
+    }
+
+    /// One single-node round of the two-hop query through the transport.
+    fn round(
+        transport: &mut InMemoryTransport,
+        round: usize,
+        options: EvalOptions,
+        node: Node,
+        shipment: Shipment,
+    ) -> Instance {
+        transport.begin_round(round, &two_hop(), options).unwrap();
+        transport.send(node, shipment).unwrap();
+        transport.barrier().unwrap();
+        transport.recv(node).unwrap().output
+    }
+
     #[test]
     fn in_memory_transport_round_trips_chunks() {
         let q = two_hop();
@@ -510,11 +478,13 @@ mod tests {
                 .begin_round(0, &q, EvalOptions::default())
                 .unwrap();
             for (node, chunk) in dist.chunks() {
-                transport.send_chunk(node, chunk.clone()).unwrap();
+                transport
+                    .send(node, Shipment::Full(Arc::new(chunk.clone())))
+                    .unwrap();
             }
             transport.barrier().unwrap();
             for node in network.nodes() {
-                let result = transport.recv_chunk(node).unwrap();
+                let result = transport.recv(node).unwrap();
                 assert_eq!(result.output, cq::evaluate(&q, &i));
             }
         }
@@ -529,7 +499,7 @@ mod tests {
         transport.barrier().unwrap();
         let node = Node::numbered(9);
         assert!(matches!(
-            transport.recv_chunk(node),
+            transport.recv(node),
             Err(TransportError::UnknownNode(n)) if n == node
         ));
     }
@@ -545,72 +515,62 @@ mod tests {
 
     #[test]
     fn delta_rounds_accumulate_state_across_rounds() {
-        let q = two_hop();
-        let node = Node::numbered(0);
-        let mut transport = InMemoryTransport::new(2);
-
+        let mut state = NodeState::default();
         // Round 0: R only — no joins yet.
-        transport
-            .begin_round(0, &q, EvalOptions::default())
-            .unwrap();
-        transport
-            .send_delta(node, parse_instance("R(a, b).").unwrap())
-            .unwrap();
-        transport.barrier().unwrap();
-        assert!(transport.recv_delta(node).unwrap().output.is_empty());
-
+        assert!(apply(&mut state, 0, delta("R(a, b).")).is_empty());
         // Round 1: the S half arrives; the join closes against the state
         // retained from round 0.
-        transport
-            .begin_round(1, &q, EvalOptions::default())
-            .unwrap();
-        transport
-            .send_delta(node, parse_instance("S(b, c).").unwrap())
-            .unwrap();
-        transport.barrier().unwrap();
-        let result = transport.recv_delta(node).unwrap();
-        assert_eq!(result.output, parse_instance("T(a, c).").unwrap());
-
+        assert_eq!(
+            apply(&mut state, 1, delta("S(b, c).")),
+            parse_instance("T(a, c).").unwrap()
+        );
         // Round 2: a re-announced fact derives nothing new.
-        transport
-            .begin_round(2, &q, EvalOptions::default())
-            .unwrap();
-        transport
-            .send_delta(node, parse_instance("R(a, b).").unwrap())
-            .unwrap();
-        transport.barrier().unwrap();
-        assert!(transport.recv_delta(node).unwrap().output.is_empty());
+        assert!(apply(&mut state, 2, delta("R(a, b).")).is_empty());
     }
 
     #[test]
     fn delta_round_zero_resets_per_node_state() {
-        let q = two_hop();
-        let node = Node::numbered(0);
-        let mut transport = InMemoryTransport::new(1);
+        let mut state = NodeState::default();
         for _run in 0..2 {
             // If state leaked between runs, the second run's round-1 output
             // would be empty (T(a, c) already shipped by the first run).
-            transport
-                .begin_round(0, &q, EvalOptions::default())
-                .unwrap();
-            transport
-                .send_delta(node, parse_instance("R(a, b).").unwrap())
-                .unwrap();
-            transport.barrier().unwrap();
-            assert!(transport.recv_delta(node).unwrap().output.is_empty());
-
-            transport
-                .begin_round(1, &q, EvalOptions::default())
-                .unwrap();
-            transport
-                .send_delta(node, parse_instance("S(b, c).").unwrap())
-                .unwrap();
-            transport.barrier().unwrap();
+            assert!(apply(&mut state, 0, delta("R(a, b).")).is_empty());
             assert_eq!(
-                transport.recv_delta(node).unwrap().output,
+                apply(&mut state, 1, delta("S(b, c).")),
                 parse_instance("T(a, c).").unwrap()
             );
         }
+    }
+
+    #[test]
+    fn delta_rounds_evaluate_with_the_rounds_eval_options() {
+        // The `begin_round` contract: every node evaluates with exactly the
+        // announced options — delta rounds included. With
+        // `use_indexes: false` the node's accumulated state must never grow
+        // hash indexes (a default-options step would build them).
+        let scans = EvalOptions {
+            use_indexes: false,
+            ..EvalOptions::default()
+        };
+        let node = Node::numbered(0);
+        let mut transport = InMemoryTransport::new(2);
+        let seed = || delta("R(a, b). S(b, c).");
+        round(&mut transport, 0, scans, node, seed());
+        let out = round(&mut transport, 1, scans, node, delta("R(c, b)."));
+        assert_eq!(out, parse_instance("T(c, c).").unwrap());
+        let NodeState::Incremental(state) = &transport.nodes[&node] else {
+            panic!("delta rounds leave incremental state");
+        };
+        assert!(
+            !state.data().full().indexes_built(),
+            "a delta round under use_indexes: false must not touch the indexes"
+        );
+        // Control: the same rounds under default options do build them.
+        round(&mut transport, 0, EvalOptions::default(), node, seed());
+        let NodeState::Incremental(state) = &transport.nodes[&node] else {
+            panic!("delta rounds leave incremental state");
+        };
+        assert!(state.data().full().indexes_built());
     }
 
     #[test]
@@ -627,16 +587,15 @@ mod tests {
             .begin_round(0, &q, EvalOptions::default())
             .unwrap();
         for (node, chunk) in dist.chunks() {
-            transport.send_chunk(node, chunk.clone()).unwrap();
+            transport
+                .send(node, Shipment::Full(Arc::new(chunk.clone())))
+                .unwrap();
         }
         transport.barrier().unwrap();
         let (hits, misses) = transport.cache_stats();
         assert_eq!((hits, misses), (3, 1), "4 equal chunks, one build");
         for node in network.nodes() {
-            assert_eq!(
-                transport.recv_chunk(node).unwrap().output,
-                cq::evaluate(&q, &i)
-            );
+            assert_eq!(transport.recv(node).unwrap().output, cq::evaluate(&q, &i));
         }
     }
 
@@ -649,61 +608,16 @@ mod tests {
         transport
             .begin_round(0, &q, EvalOptions::default())
             .unwrap();
+        transport.send(Node::numbered(0), full("R(a, b).")).unwrap();
         transport
-            .send_chunk(Node::numbered(0), parse_instance("R(a, b).").unwrap())
-            .unwrap();
-        transport
-            .send_chunk(
-                Node::numbered(1),
-                parse_instance("R(a, b). S(b, c).").unwrap(),
-            )
+            .send(Node::numbered(1), full("R(a, b). S(b, c)."))
             .unwrap();
         transport.barrier().unwrap();
         assert_eq!(transport.cache_stats(), (0, 0), "no chunk may be hashed");
         assert_eq!(
-            transport.recv_chunk(Node::numbered(1)).unwrap().output,
+            transport.recv(Node::numbered(1)).unwrap().output,
             parse_instance("T(a, c).").unwrap()
         );
-    }
-
-    #[test]
-    fn default_transport_declines_deltas() {
-        // A minimal transport that opts out of the delta protocol must
-        // surface the default errors, not panic or mis-route.
-        struct ChunksOnly;
-        impl Transport for ChunksOnly {
-            fn begin_round(
-                &mut self,
-                _round: usize,
-                _query: &ConjunctiveQuery,
-                _options: EvalOptions,
-            ) -> Result<(), TransportError> {
-                Ok(())
-            }
-            fn send_chunk(&mut self, _node: Node, _chunk: Instance) -> Result<(), TransportError> {
-                Ok(())
-            }
-            fn barrier(&mut self) -> Result<(), TransportError> {
-                Ok(())
-            }
-            fn recv_chunk(&mut self, node: Node) -> Result<NodeResult, TransportError> {
-                Err(TransportError::UnknownNode(node))
-            }
-        }
-        let mut t = ChunksOnly;
-        assert!(matches!(
-            t.send_delta(Node::numbered(0), Instance::new()),
-            Err(TransportError::Protocol(_))
-        ));
-        assert!(matches!(
-            t.recv_delta(Node::numbered(0)),
-            Err(TransportError::UnknownNode(_))
-        ));
-        assert!(matches!(
-            t.send_resident(Node::numbered(0)),
-            Err(TransportError::Protocol(_))
-        ));
-        assert_eq!(t.take_bytes_shipped(), 0);
     }
 
     #[test]
@@ -711,77 +625,41 @@ mod tests {
         let loop_q = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z), R(y, y).").unwrap();
         let path_q = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let i = parse_instance("R(a, a). R(a, b). R(b, c).").unwrap();
-        let node = Node::numbered(0);
-        let mut transport = InMemoryTransport::new(2);
-
-        transport
-            .begin_round(0, &loop_q, EvalOptions::default())
-            .unwrap();
-        transport.send_chunk(node, i.clone()).unwrap();
-        transport.barrier().unwrap();
-        let first = transport.recv_chunk(node).unwrap();
-        assert_eq!(first.output, cq::evaluate(&loop_q, &i));
-
+        let options = EvalOptions::default();
+        let mut state = NodeState::default();
+        let first = state.apply(0, &loop_q, options, Shipment::Full(Arc::new(i.clone())));
+        assert_eq!(first, cq::evaluate(&loop_q, &i));
         // The next query runs over the shard the chunk left behind — no
         // facts travel in this round.
-        transport
-            .begin_round(0, &path_q, EvalOptions::default())
-            .unwrap();
-        transport.send_resident(node).unwrap();
-        transport.barrier().unwrap();
-        let second = transport.recv_chunk(node).unwrap();
-        assert_eq!(second.output, cq::evaluate(&path_q, &i));
+        let second = state.apply(0, &path_q, options, Shipment::Resident);
+        assert_eq!(second, cq::evaluate(&path_q, &i));
     }
 
     #[test]
     fn resident_rounds_prefer_accumulated_delta_state() {
-        let q = two_hop();
-        let node = Node::numbered(0);
-        let mut transport = InMemoryTransport::new(1);
-
-        transport
-            .begin_round(0, &q, EvalOptions::default())
-            .unwrap();
-        transport
-            .send_delta(node, parse_instance("R(a, b).").unwrap())
-            .unwrap();
-        transport.barrier().unwrap();
-        transport.recv_delta(node).unwrap();
-        transport
-            .begin_round(1, &q, EvalOptions::default())
-            .unwrap();
-        transport
-            .send_delta(node, parse_instance("S(b, c).").unwrap())
-            .unwrap();
-        transport.barrier().unwrap();
-        transport.recv_delta(node).unwrap();
-
-        // The resident shard is the full accumulated state, not just the
-        // last delta.
-        transport
-            .begin_round(0, &q, EvalOptions::default())
-            .unwrap();
-        transport.send_resident(node).unwrap();
-        transport.barrier().unwrap();
+        let mut state = NodeState::default();
+        apply(&mut state, 0, full("S(b, c)."));
+        // A round-0 delta supersedes the full chunk (and drops it) …
+        apply(&mut state, 0, delta("R(a, b)."));
+        assert!(apply(&mut state, 0, Shipment::Resident).is_empty());
+        apply(&mut state, 1, delta("S(b, c)."));
+        // … and the resident shard is the full accumulated state, not just
+        // the last delta.
         assert_eq!(
-            transport.recv_chunk(node).unwrap().output,
+            apply(&mut state, 0, Shipment::Resident),
             parse_instance("T(a, c).").unwrap()
         );
+        // A full chunk in turn supersedes the incremental state.
+        apply(&mut state, 5, full("R(a, b)."));
+        assert!(matches!(state, NodeState::Chunk(_)));
+        assert!(apply(&mut state, 0, Shipment::Resident).is_empty());
     }
 
     #[test]
     fn resident_round_on_an_unknown_node_yields_empty_output() {
         let mut transport = InMemoryTransport::new(1);
-        transport
-            .begin_round(0, &two_hop(), EvalOptions::default())
-            .unwrap();
-        transport.send_resident(Node::numbered(7)).unwrap();
-        transport.barrier().unwrap();
-        assert!(transport
-            .recv_chunk(Node::numbered(7))
-            .unwrap()
-            .output
-            .is_empty());
+        let (options, node) = (EvalOptions::default(), Node::numbered(7));
+        assert!(round(&mut transport, 0, options, node, Shipment::Resident).is_empty());
     }
 
     #[test]
@@ -789,19 +667,11 @@ mod tests {
         // NodeResult intentionally has no PartialEq (durations differ run to
         // run); equality checks go through `.output`.
         let mut transport = InMemoryTransport::new(2);
-        transport
-            .begin_round(0, &two_hop(), EvalOptions::default())
-            .unwrap();
-        transport
-            .send_chunk(
-                Node::numbered(0),
-                parse_instance("R(a, b). S(b, c).").unwrap(),
-            )
-            .unwrap();
-        transport.barrier().unwrap();
-        let r = transport.recv_chunk(Node::numbered(0)).unwrap();
-        assert_eq!(r.output.len(), 1);
+        let node = Node::numbered(0);
+        let chunk = full("R(a, b). S(b, c).");
+        let out = round(&mut transport, 0, EvalOptions::default(), node, chunk);
+        assert_eq!(out.len(), 1);
         // a second recv for the same node is an error (results are moved out)
-        assert!(transport.recv_chunk(Node::numbered(0)).is_err());
+        assert!(transport.recv(node).is_err());
     }
 }

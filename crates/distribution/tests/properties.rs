@@ -375,10 +375,10 @@ proptest! {
         }
     }
 
-    /// Differential: the streaming engine path produces the same outcome as
-    /// the materialized path (modulo timings and the allocation proxy).
+    /// Differential: a pooled engine with a sharded reshuffle produces the
+    /// same outcome as the sequential one (modulo timings).
     #[test]
-    fn streaming_engine_agrees_with_materialized_engine(
+    fn pooled_engine_agrees_with_sequential_engine(
         i in instance_strategy(),
         q in query_strategy(),
         nodes in 1usize..4,
@@ -386,17 +386,15 @@ proptest! {
         workers in 1usize..4,
     ) {
         for (name, policy) in policy_zoo(&i, &q, nodes, buckets) {
-            let materialized = OneRoundEngine::new(policy.as_ref()).evaluate(&q, &i);
-            let streamed = OneRoundEngine::new(policy.as_ref())
+            let sequential = OneRoundEngine::new(policy.as_ref()).evaluate(&q, &i);
+            let pooled = OneRoundEngine::new(policy.as_ref())
                 .workers(workers)
                 .distribute_workers(workers)
-                .streaming(true)
                 .evaluate(&q, &i);
-            prop_assert_eq!(&materialized.result, &streamed.result, "result diverged for {}", name);
-            prop_assert_eq!(&materialized.per_node_load, &streamed.per_node_load);
-            prop_assert_eq!(&materialized.per_node_output, &streamed.per_node_output);
-            prop_assert_eq!(materialized.stats, streamed.stats);
-            prop_assert!(streamed.peak_chunks <= workers.max(1));
+            prop_assert_eq!(&sequential.result, &pooled.result, "result diverged for {}", name);
+            prop_assert_eq!(&sequential.per_node_load, &pooled.per_node_load);
+            prop_assert_eq!(&sequential.per_node_output, &pooled.per_node_output);
+            prop_assert_eq!(sequential.stats, pooled.stats);
         }
     }
 

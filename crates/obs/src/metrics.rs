@@ -69,8 +69,8 @@ pub struct Histogram(Arc<HistogramInner>);
 /// A point-in-time reading of a [`Histogram`].
 ///
 /// The quantiles are nearest-rank over the retained reservoir (the most
-/// recent ≤ [`RESERVOIR_CAPACITY`] samples); with fewer recordings than
-/// the capacity they are exact. An empty histogram reads all zeros.
+/// recent ≤ 4096 samples); with fewer recordings than that capacity they
+/// are exact. An empty histogram reads all zeros.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of recorded samples.

@@ -1,11 +1,15 @@
-//! The shared pipelined driver behind both wire transports.
+//! The wire transport: one pipelined driver over worker endpoints.
 //!
-//! [`PipelinedCore`] owns everything the process- and socket-backed
-//! transports have in common: the node→worker assignment map (dealt
-//! round-robin on first sight from a **persistent** cursor, so nodes
-//! introduced in later rounds keep spreading across the whole pool), the
-//! per-worker job queues, and the barrier driver that keeps up to
-//! `window` chunk/delta jobs in flight per worker:
+//! [`WireTransport`] is the crate's one [`distribution::Transport`]. How
+//! its workers are reached — stdio pipes of spawned subprocesses
+//! ([`WireTransport::spawn_pipes`]) or loopback TCP connections
+//! ([`WireTransport::spawn_sockets`]) — is decided by the constructor and
+//! invisible afterwards: an [`Endpoint`] is a writer/reader pair. The
+//! transport owns the node→worker assignment map (dealt round-robin on
+//! first sight from a **persistent** cursor, so nodes introduced in later
+//! rounds keep spreading across the whole pool), the per-worker job
+//! queues, and the barrier driver that keeps up to `window` eval jobs in
+//! flight per worker:
 //!
 //! ```text
 //!               writer thread                     reader (barrier thread)
@@ -43,18 +47,18 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cq::{ConjunctiveQuery, EvalOptions, Instance};
-use distribution::{Node, NodeResult, TransportError};
+use distribution::{Node, NodeResult, Shipment, Transport, TransportError};
 use obs::TraceEvent;
 
 use crate::frame::{encode_frame, read_frame_counted, write_frame};
 use crate::message::{EvalChunkRef, EvalDeltaRef, Message, TraceContext};
 
 /// Default number of jobs the writer may run ahead of the replies.
-pub(crate) const DEFAULT_WINDOW: usize = 8;
+const DEFAULT_WINDOW: usize = 8;
 
 /// Default bound on how long `Drop` waits for a worker to exit after
 /// `Shutdown` before killing it.
-pub(crate) const DEFAULT_SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
+const DEFAULT_SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
 /// How many bytes of a worker's stderr the coordinator keeps (the tail —
 /// the last lines are the ones that explain a crash).
@@ -159,27 +163,17 @@ impl Endpoint {
     }
 }
 
-/// One unit of work queued for a worker this round. Facts are held through
-/// an `Arc` shared with the fault-tolerance ledger, so queueing, requeueing
-/// and remembering a chunk never copy it.
+/// One unit of work queued for a worker this round. The shipment's facts
+/// sit behind an `Arc` shared with the fault-tolerance ledger, so queueing,
+/// requeueing and remembering a chunk never copy it.
 #[derive(Clone)]
-pub(crate) struct Job {
+struct Job {
     /// The round stamped on the job itself — a requeued state rebuild
     /// carries round 0 even when the transport is mid-run, so replies are
     /// validated against this, not the transport's current round.
     round: u64,
     node: Node,
-    work: Work,
-}
-
-/// What a [`Job`] asks of its node: evaluate a full chunk (classic rounds),
-/// absorb a delta (incremental rounds), or evaluate the resident shard
-/// (reshuffle-elided rounds, which ship no input facts at all).
-#[derive(Clone)]
-enum Work {
-    Chunk(Arc<Instance>),
-    Delta(Arc<Instance>),
-    Resident,
+    work: Shipment,
 }
 
 impl Job {
@@ -191,7 +185,7 @@ impl Job {
     ) -> Vec<u8> {
         let Job { round, node, .. } = *self;
         match &self.work {
-            Work::Chunk(chunk) => encode_frame(&EvalChunkRef {
+            Shipment::Full(chunk) => encode_frame(&EvalChunkRef {
                 query,
                 options,
                 round,
@@ -199,7 +193,7 @@ impl Job {
                 chunk,
                 trace,
             }),
-            Work::Delta(delta) => encode_frame(&EvalDeltaRef {
+            Shipment::Delta(delta) => encode_frame(&EvalDeltaRef {
                 query,
                 options,
                 round,
@@ -207,7 +201,7 @@ impl Job {
                 delta,
                 trace,
             }),
-            Work::Resident => encode_frame(&Message::EvalResident {
+            Shipment::Resident => encode_frame(&Message::EvalResident {
                 round,
                 node,
                 query: query.clone(),
@@ -263,7 +257,7 @@ impl WindowGate {
 }
 
 /// The per-worker outcome of one pipelined drive.
-pub(crate) struct DriveReport {
+struct DriveReport {
     /// Results of the jobs the worker answered, in job order.
     results: Vec<(Node, NodeResult)>,
     /// Request + reply payload bytes that actually crossed the boundary.
@@ -305,19 +299,19 @@ fn read_reply(
     };
     let reply_bytes = total_bytes + reply_bytes;
     let (answered_round, answered_node, output, eval_us) = match (&job.work, reply) {
-        (Work::Chunk(_) | Work::Resident, Message::ChunkResult { batch, eval_us }) => {
+        (Shipment::Full(_) | Shipment::Resident, Message::ChunkResult { batch, eval_us }) => {
             (batch.round, batch.node, batch.chunk, eval_us)
         }
-        (Work::Delta(_), Message::DeltaResult { batch, eval_us }) => {
+        (Shipment::Delta(_), Message::DeltaResult { batch, eval_us }) => {
             (batch.round, batch.node, batch.delta, eval_us)
         }
-        (Work::Chunk(_) | Work::Resident, other) => {
+        (Shipment::Full(_) | Shipment::Resident, other) => {
             return Err(TransportError::Protocol(format!(
                 "expected a chunk-result, worker sent {}",
                 other.kind()
             )))
         }
-        (Work::Delta(_), other) => {
+        (Shipment::Delta(_), other) => {
             return Err(TransportError::Protocol(format!(
                 "expected a delta-result, worker sent {}",
                 other.kind()
@@ -343,13 +337,13 @@ fn read_reply(
 
 /// Histogram handles [`drive`] records into while streaming a round:
 /// how long the writer blocked on the pipeline window, and how large the
-/// request frames were. Cloned from the core's registry per barrier (the
+/// request frames were. Cloned from the transport's registry per barrier (the
 /// handles share the registry's storage), so every worker thread feeds
 /// the same two histograms.
 #[derive(Clone)]
-pub(crate) struct DriveMetrics {
-    pub(crate) window_wait_us: obs::Histogram,
-    pub(crate) frame_bytes: obs::Histogram,
+struct DriveMetrics {
+    window_wait_us: obs::Histogram,
+    frame_bytes: obs::Histogram,
 }
 
 /// Drives one worker's queue with up to `window` jobs in flight: a scoped
@@ -360,7 +354,7 @@ pub(crate) struct DriveMetrics {
 /// on a full buffer, and a dead worker surfaces as a write error or a
 /// read-side EOF, never a hang.
 #[allow(clippy::too_many_arguments)] // one call site, in barrier()
-pub(crate) fn drive(
+fn drive(
     endpoint: &mut Endpoint,
     query: &ConjunctiveQuery,
     options: EvalOptions,
@@ -488,16 +482,15 @@ pub(crate) fn drive(
     }
 }
 
-/// The full transport state shared by `ProcessTransport` and
-/// `SocketTransport`: worker endpoints (with their child processes where
-/// the transport spawned them), the persistent node→worker assignment,
-/// the per-round job queues, and the fault-tolerance ledger. The wrappers
-/// delegate every [`distribution::Transport`] method here.
-pub(crate) struct PipelinedCore {
+/// A [`Transport`] whose nodes evaluate in `pcq-analyze worker` processes
+/// at the far end of byte streams: worker endpoints with their child
+/// processes, the persistent node→worker assignment, the per-round job
+/// queues, and the fault-tolerance ledger (see the module docs). Built by
+/// [`WireTransport::spawn_pipes`] or [`WireTransport::spawn_sockets`].
+pub struct WireTransport {
     /// One slot per worker; `None` marks a worker that died.
     endpoints: Vec<Option<Endpoint>>,
-    /// Child processes for spawned workers (`None` for external workers
-    /// that connected on their own, and for reaped dead workers).
+    /// The spawned workers' processes (`None` once a dead one is reaped).
     children: Vec<Option<Child>>,
     query: Option<ConjunctiveQuery>,
     options: EvalOptions,
@@ -534,16 +527,23 @@ pub(crate) struct PipelinedCore {
     /// Unified metrics for the driver: `driver_requeues`, `worker_deaths`
     /// and `state_rebuilds` accumulate here over the transport's lifetime.
     registry: Arc<obs::Registry>,
-    /// Captured stderr tails for spawned workers (`None` for external
-    /// socket workers); appended to the error when a worker dies.
+    /// Captured stderr tails of the workers (`None` where stderr was not
+    /// piped); appended to the error when a worker dies.
     stderr_tails: Vec<Option<StderrTail>>,
 }
 
-impl PipelinedCore {
-    pub(crate) fn new(endpoints: Vec<Endpoint>, children: Vec<Option<Child>>) -> PipelinedCore {
+impl WireTransport {
+    /// A transport over already-connected workers; `children` and
+    /// `stderr_tails` are index-aligned with `endpoints`.
+    pub(crate) fn new(
+        endpoints: Vec<Endpoint>,
+        children: Vec<Option<Child>>,
+        stderr_tails: Vec<Option<StderrTail>>,
+    ) -> WireTransport {
         let count = endpoints.len();
         debug_assert_eq!(count, children.len());
-        PipelinedCore {
+        debug_assert_eq!(count, stderr_tails.len());
+        WireTransport {
             endpoints: endpoints.into_iter().map(Some).collect(),
             children,
             query: None,
@@ -561,51 +561,59 @@ impl PipelinedCore {
             shutdown_grace: DEFAULT_SHUTDOWN_GRACE,
             trace: TraceContext::default(),
             registry: Arc::new(obs::Registry::new()),
-            stderr_tails: vec![None; count],
+            stderr_tails,
         }
     }
 
-    /// Installs the captured stderr tails for spawned workers (index-
-    /// aligned with the endpoints; `None` for external workers).
-    pub(crate) fn set_stderr_tails(&mut self, tails: Vec<Option<StderrTail>>) {
-        debug_assert_eq!(tails.len(), self.endpoints.len());
-        self.stderr_tails = tails;
-    }
-
-    /// The driver's metrics registry (requeues, worker deaths, state
-    /// rebuilds).
-    pub(crate) fn registry(&self) -> Arc<obs::Registry> {
+    /// The driver's metrics registry: `driver_requeues`, `worker_deaths`
+    /// and `state_rebuilds` accumulate here over the transport's lifetime,
+    /// next to the `chunk_facts`, `window_wait_us` and `frame_bytes`
+    /// histograms.
+    pub fn metrics_registry(&self) -> Arc<obs::Registry> {
         self.registry.clone()
     }
 
-    pub(crate) fn set_window(&mut self, window: usize) {
+    /// Sets the pipelining window (jobs in flight per worker, default 8);
+    /// 1 is write-one-read-one lock step. Returns `self` for builder-style
+    /// construction.
+    pub fn pipeline_window(mut self, window: usize) -> WireTransport {
         self.window = window.max(1);
+        self
     }
 
-    pub(crate) fn set_fault_tolerance(&mut self, enabled: bool) {
+    /// Enables (default) or disables mid-round worker-failure recovery;
+    /// when off, the first worker failure surfaces as the round's
+    /// [`TransportError`].
+    pub fn fault_tolerance(mut self, enabled: bool) -> WireTransport {
         self.fault_tolerance = enabled;
         if !enabled {
             self.shipped_state.clear();
             self.needs_rebuild.clear();
         }
+        self
     }
 
-    pub(crate) fn set_shutdown_grace(&mut self, grace: Duration) {
+    /// Bounds how long `Drop` waits for a worker to exit after `Shutdown`
+    /// before killing it (default 5 s).
+    pub fn shutdown_grace(mut self, grace: Duration) -> WireTransport {
         self.shutdown_grace = grace;
+        self
     }
 
-    pub(crate) fn worker_count(&self) -> usize {
+    /// Number of workers in the pool, dead ones included.
+    pub fn worker_count(&self) -> usize {
         self.endpoints.len()
     }
 
-    /// Workers still alive (endpoints not torn down by a failure).
-    pub(crate) fn alive_workers(&self) -> usize {
+    /// Workers still alive (diagnostics; fault tests assert a kill
+    /// actually happened).
+    pub fn alive_workers(&self) -> usize {
         self.endpoints.iter().filter(|e| e.is_some()).count()
     }
 
     /// The worker a node is currently assigned to, if any (diagnostics).
     #[cfg(test)]
-    pub(crate) fn assignment_of(&self, node: Node) -> Option<usize> {
+    fn assignment_of(&self, node: Node) -> Option<usize> {
         self.worker_for.get(&node).copied()
     }
 
@@ -680,29 +688,66 @@ impl PipelinedCore {
         }
     }
 
+    /// Brings the fault-tolerance ledger in step with a shipment about to
+    /// be queued — the ledger must already hold what a rebuild of the node
+    /// would have to re-ship — and returns the round and shipment to queue,
+    /// which differ from the caller's when the node's worker has died since
+    /// the node was last shipped state.
+    fn ledgered(&mut self, node: Node, shipment: Shipment) -> (u64, Shipment) {
+        let round = self.round;
+        match shipment {
+            Shipment::Delta(delta) if round > 0 => {
+                let state = self.shipped_state.entry(node).or_default();
+                Arc::make_mut(state).extend(delta.facts().cloned());
+                if self.needs_rebuild.remove(&node) {
+                    // Ship the full accumulated state as a round-0 reset.
+                    (0, Shipment::Delta(state.clone()))
+                } else {
+                    (round, Shipment::Delta(delta))
+                }
+            }
+            // A full chunk, like a round-0 delta, replaces whatever the
+            // node held before.
+            Shipment::Full(ref facts) | Shipment::Delta(ref facts) => {
+                self.shipped_state.insert(node, facts.clone());
+                self.needs_rebuild.remove(&node);
+                (round, shipment)
+            }
+            Shipment::Resident if self.needs_rebuild.remove(&node) => {
+                // Re-ship the ledger copy as a full chunk instead of asking
+                // a fresh worker for state it does not have.
+                let shard = self.shipped_state.get(&node).cloned();
+                (round, Shipment::Full(shard.unwrap_or_default()))
+            }
+            Shipment::Resident => (round, Shipment::Resident),
+        }
+    }
+
     /// Converts a job that died with its worker into the job to requeue on
-    /// a survivor: chunks are stateless and go as-is; a delta's per-node
+    /// a survivor: full chunks are stateless and go as-is; a delta's per-node
     /// state is gone, so it becomes a round-0 rebuild carrying the node's
     /// full shipped state (which already includes this round's delta); a
     /// resident job's shard likewise died, so it becomes a full chunk
     /// carrying the ledger copy of that shard.
     fn requeued_job(&mut self, job: Job) -> Job {
         let Job { round, node, work } = job;
-        if !matches!(work, Work::Chunk(_)) {
+        if !matches!(work, Shipment::Full(_)) {
             self.registry.counter("state_rebuilds").inc();
             obs::instant!("state_rebuild", node = node);
             self.needs_rebuild.remove(&node);
         }
         let ledger = self.shipped_state.get(&node).cloned();
         let (round, work) = match work {
-            Work::Chunk(chunk) => (round, Work::Chunk(chunk)),
-            Work::Delta(delta) => (0, Work::Delta(ledger.unwrap_or(delta))),
-            Work::Resident => (round, Work::Chunk(ledger.unwrap_or_default())),
+            Shipment::Full(chunk) => (round, Shipment::Full(chunk)),
+            Shipment::Delta(delta) => (0, Shipment::Delta(ledger.unwrap_or(delta))),
+            Shipment::Resident => (round, Shipment::Full(ledger.unwrap_or_default())),
         };
         Job { round, node, work }
     }
+}
 
-    pub(crate) fn begin_round(
+impl Transport for WireTransport {
+    fn begin_round(
         &mut self,
         round: usize,
         query: &ConjunctiveQuery,
@@ -722,62 +767,21 @@ impl PipelinedCore {
         Ok(())
     }
 
-    pub(crate) fn send_chunk(&mut self, node: Node, chunk: Instance) -> Result<(), TransportError> {
-        self.registry
-            .histogram("chunk_facts")
-            .record(chunk.len() as u64);
-        let chunk = Arc::new(chunk);
-        if self.fault_tolerance {
-            // A full chunk replaces whatever the node held before — keep
-            // the ledger in step so resident jobs can be rebuilt from it.
-            self.shipped_state.insert(node, chunk.clone());
-            self.needs_rebuild.remove(&node);
+    fn send(&mut self, node: Node, shipment: Shipment) -> Result<(), TransportError> {
+        if !matches!(shipment, Shipment::Resident) {
+            self.registry
+                .histogram("chunk_facts")
+                .record(shipment.len() as u64);
         }
-        let round = self.round;
-        let work = Work::Chunk(chunk);
-        self.enqueue(Job { round, node, work })
-    }
-
-    pub(crate) fn send_resident(&mut self, node: Node) -> Result<(), TransportError> {
-        let round = self.round;
-        let work = if self.fault_tolerance && self.needs_rebuild.remove(&node) {
-            // The worker holding the node's shard died since it was
-            // shipped: re-ship the ledger copy as a full chunk instead of
-            // asking a fresh worker for state it does not have.
-            Work::Chunk(self.shipped_state.get(&node).cloned().unwrap_or_default())
+        let (round, work) = if self.fault_tolerance {
+            self.ledgered(node, shipment)
         } else {
-            Work::Resident
+            (self.round, shipment)
         };
         self.enqueue(Job { round, node, work })
     }
 
-    pub(crate) fn send_delta(&mut self, node: Node, delta: Instance) -> Result<(), TransportError> {
-        self.registry
-            .histogram("chunk_facts")
-            .record(delta.len() as u64);
-        let mut round = self.round;
-        let mut delta = Arc::new(delta);
-        if self.fault_tolerance {
-            if round == 0 {
-                self.shipped_state.insert(node, delta.clone());
-                self.needs_rebuild.remove(&node);
-            } else {
-                // Ledger first: a rebuild must already include this delta.
-                let state = self.shipped_state.entry(node).or_default();
-                Arc::make_mut(state).extend(delta.facts().cloned());
-                if self.needs_rebuild.remove(&node) {
-                    // The node's worker died since it last got a delta:
-                    // ship the full accumulated state as a round-0 reset.
-                    round = 0;
-                    delta = state.clone();
-                }
-            }
-        }
-        let work = Work::Delta(delta);
-        self.enqueue(Job { round, node, work })
-    }
-
-    pub(crate) fn barrier(&mut self) -> Result<(), TransportError> {
+    fn barrier(&mut self) -> Result<(), TransportError> {
         let query = self
             .query
             .clone()
@@ -879,22 +883,22 @@ impl PipelinedCore {
         }
     }
 
-    pub(crate) fn recv(&mut self, node: Node) -> Result<NodeResult, TransportError> {
+    fn recv(&mut self, node: Node) -> Result<NodeResult, TransportError> {
         self.results
             .remove(&node)
             .ok_or(TransportError::UnknownNode(node))
     }
 
-    pub(crate) fn take_bytes_shipped(&mut self) -> u64 {
+    fn take_bytes_shipped(&mut self) -> u64 {
         std::mem::take(&mut self.bytes_shipped)
     }
 
-    pub(crate) fn parallelism(&self) -> usize {
+    fn parallelism(&self) -> usize {
         self.alive_workers().max(1)
     }
 }
 
-impl Drop for PipelinedCore {
+impl Drop for WireTransport {
     fn drop(&mut self) {
         for endpoint in self.endpoints.iter_mut().flatten() {
             endpoint.send_shutdown();
@@ -928,14 +932,18 @@ impl Drop for PipelinedCore {
 mod tests {
     use super::*;
 
-    /// A core with `count` inert workers (writes vanish, reads see EOF) —
-    /// enough to exercise assignment without subprocesses.
-    fn inert_core(count: usize) -> PipelinedCore {
+    /// A transport with `count` inert workers (writes vanish, reads see
+    /// EOF) — enough to exercise assignment without subprocesses.
+    fn inert_core(count: usize) -> WireTransport {
         let endpoints = (0..count)
             .map(|_| Endpoint::new(std::io::sink(), std::io::empty()))
             .collect();
         let children = (0..count).map(|_| None).collect();
-        PipelinedCore::new(endpoints, children)
+        WireTransport::new(endpoints, children, vec![None; count])
+    }
+
+    fn empty_chunk() -> Shipment {
+        Shipment::Full(Arc::default())
     }
 
     #[test]
@@ -948,14 +956,14 @@ mod tests {
         let mut core = inert_core(3);
 
         core.begin_round(0, &query, EvalOptions::default()).unwrap();
-        core.send_chunk(Node::numbered(0), Instance::new()).unwrap();
-        core.send_chunk(Node::numbered(1), Instance::new()).unwrap();
+        core.send(Node::numbered(0), empty_chunk()).unwrap();
+        core.send(Node::numbered(1), empty_chunk()).unwrap();
         assert_eq!(core.assignment_of(Node::numbered(0)), Some(0));
         assert_eq!(core.assignment_of(Node::numbered(1)), Some(1));
 
         core.begin_round(1, &query, EvalOptions::default()).unwrap();
-        core.send_chunk(Node::numbered(2), Instance::new()).unwrap();
-        core.send_chunk(Node::numbered(3), Instance::new()).unwrap();
+        core.send(Node::numbered(2), empty_chunk()).unwrap();
+        core.send(Node::numbered(3), empty_chunk()).unwrap();
         assert_eq!(
             core.assignment_of(Node::numbered(2)),
             Some(2),
@@ -978,10 +986,10 @@ mod tests {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let mut core = inert_core(2);
         core.begin_round(0, &query, EvalOptions::default()).unwrap();
-        core.send_chunk(Node::numbered(0), Instance::new()).unwrap();
+        core.send(Node::numbered(0), empty_chunk()).unwrap();
         core.begin_round(1, &query, EvalOptions::default()).unwrap();
-        core.send_chunk(Node::numbered(0), Instance::new()).unwrap();
-        core.send_chunk(Node::numbered(1), Instance::new()).unwrap();
+        core.send(Node::numbered(0), empty_chunk()).unwrap();
+        core.send(Node::numbered(1), empty_chunk()).unwrap();
         assert_eq!(core.assignment_of(Node::numbered(0)), Some(0));
         assert_eq!(
             core.assignment_of(Node::numbered(1)),
@@ -993,13 +1001,13 @@ mod tests {
     #[test]
     fn ledger_shares_shipped_facts_and_rebuilds_from_the_extended_state() {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
-        let facts = |text| cq::parse_instance(text).unwrap();
+        let facts = |text| Arc::new(cq::parse_instance(text).unwrap());
         let node = Node::numbered(0);
         let mut core = inert_core(2);
 
         core.begin_round(0, &query, EvalOptions::default()).unwrap();
-        core.send_delta(node, facts("R(a, b).")).unwrap();
-        let Work::Delta(delta) = &core.jobs[0][0].work else {
+        core.send(node, Shipment::Delta(facts("R(a, b)."))).unwrap();
+        let Shipment::Delta(delta) = &core.jobs[0][0].work else {
             panic!("a delta job was queued");
         };
         assert!(
@@ -1009,24 +1017,24 @@ mod tests {
 
         // Round 1 extends the ledger entry; the job ships only the delta.
         core.begin_round(1, &query, EvalOptions::default()).unwrap();
-        core.send_delta(node, facts("R(b, c).")).unwrap();
-        assert_eq!(*core.shipped_state[&node], facts("R(a, b). R(b, c)."));
+        core.send(node, Shipment::Delta(facts("R(b, c)."))).unwrap();
+        assert_eq!(core.shipped_state[&node], facts("R(a, b). R(b, c)."));
         let job = core.jobs[0][0].clone();
-        let Work::Delta(delta) = &job.work else {
+        let Shipment::Delta(delta) = &job.work else {
             panic!("a delta job was queued");
         };
-        assert_eq!((job.round, &**delta), (1, &facts("R(b, c).")));
+        assert_eq!((job.round, delta), (1, &facts("R(b, c).")));
 
         // The node's worker dies with the job unanswered: the requeued job
         // is a round-0 rebuild carrying the extended ledger state itself.
         core.mark_dead(0);
         let rebuild = core.requeued_job(job);
-        let Work::Delta(delta) = rebuild.work else {
+        let Shipment::Delta(delta) = rebuild.work else {
             panic!("a delta job requeues as a delta");
         };
         assert_eq!(rebuild.round, 0);
         assert!(Arc::ptr_eq(&delta, &core.shipped_state[&node]));
-        assert_eq!(*delta, facts("R(a, b). R(b, c)."));
+        assert_eq!(delta, facts("R(a, b). R(b, c)."));
     }
 
     #[test]

@@ -23,16 +23,15 @@
 //!   summaries with cause attribution, behind `pcq-analyze trace diff`,
 //! * [`metrics_export`] — JSON export of [`obs::Registry`] counters and
 //!   histogram quantiles, behind `pcq-analyze run --metrics`,
-//! * [`ProcessTransport`] — a [`distribution::Transport`] that spawns
-//!   `pcq-analyze worker` subprocesses and ships binary-encoded chunks
-//!   over their stdio pipes, making engine rounds genuinely cross-process
-//!   ([`run_worker`] is the worker side),
-//! * [`SocketTransport`] — the same protocol over TCP: a listener-side
-//!   coordinator, workers connecting with `pcq-analyze worker --connect`
-//!   ([`run_worker_connect`] is that side), shared with the process
-//!   transport through one pipelined driver that keeps a bounded window
-//!   of jobs in flight per worker and requeues a dead worker's
-//!   unanswered jobs onto the survivors.
+//! * [`WireTransport`] — the [`distribution::Transport`] that makes
+//!   engine rounds genuinely cross-process: it ships binary-encoded
+//!   shipments to `pcq-analyze worker` subprocesses, keeps a bounded
+//!   window of jobs in flight per worker and requeues a dead worker's
+//!   unanswered jobs onto the survivors. Two constructors pick the byte
+//!   stream — [`WireTransport::spawn_pipes`] (the workers' stdio) and
+//!   [`WireTransport::spawn_sockets`] (loopback TCP, workers connecting
+//!   back with `--connect`); [`run_worker`] / [`run_worker_connect`] are
+//!   the worker side of each.
 //!
 //! The vendored `serde` stub played no part here: the codec is
 //! hand-rolled against the concrete types, dependency-free, and tested for
@@ -76,13 +75,14 @@ pub mod trace_diff;
 pub mod trace_export;
 
 pub use codec::{decode_body, encode_body, Decode, DecodeError, Decoder, Encode, Encoder};
+pub use driver::WireTransport;
 pub use frame::{decode_frame, encode_frame, read_frame, read_frame_counted, write_frame};
 pub use json::JsonValue;
 pub use message::{ChunkBatch, DeltaBatch, EvalChunkRef, EvalDeltaRef, Message, TraceContext};
 pub use metrics_export::{merged_registry_json, registry_json};
-pub use process::{run_worker, run_worker_slowed, run_worker_with_fault, ProcessTransport};
+pub use process::run_worker;
 pub use scenario::{ExplicitSpec, NetworkSpec, PolicySpec, Scenario, ScenarioError};
-pub use socket::{run_worker_connect, SocketTransport};
+pub use socket::run_worker_connect;
 pub use trace_diff::{diff_summaries, DiffOptions, TraceDiff};
 pub use trace_export::{
     check_well_formed, chrome_trace, dropped_events_field, events_from_doc, parse_chrome_trace,

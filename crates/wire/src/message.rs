@@ -7,7 +7,7 @@
 //! worker keeps its accumulated per-node state, and the answer carries only
 //! the node's new derivations; `Barrier`/`BarrierAck`/`Shutdown` are the
 //! round-control messages the
-//! [`ProcessTransport`](crate::ProcessTransport) synchronizes rounds with;
+//! [`WireTransport`](crate::WireTransport) synchronizes rounds with;
 //! the `Query`/`Instance`/`Scenario` variants are standalone payloads used
 //! by `pcq-analyze encode`/`decode`.
 

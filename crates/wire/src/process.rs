@@ -1,10 +1,9 @@
-//! The cross-process transport: rounds whose local evaluation really runs
-//! in other OS processes.
+//! Workers over stdio pipes, and the worker loop itself.
 //!
-//! [`ProcessTransport`] spawns a pool of worker subprocesses (by default
-//! this same executable re-invoked as `pcq-analyze worker`) and implements
-//! [`distribution::Transport`] by shipping binary-encoded
-//! [`Message`] frames over the workers' stdio pipes:
+//! [`WireTransport::spawn_pipes`] spawns a pool of worker subprocesses
+//! (normally this same executable re-invoked as `pcq-analyze worker`) and
+//! hands their stdin/stdout pipes to the pipelined driver (see
+//! [`crate::driver`]), which ships binary-encoded [`Message`] frames:
 //!
 //! ```text
 //! coordinator                        worker k
@@ -16,73 +15,38 @@
 //!   (Drop) Shutdown          ──────▶  exit 0
 //! ```
 //!
-//! Chunks are dealt to workers round-robin; at the barrier the shared
-//! pipelined driver (see [`crate::driver`]) runs one thread per worker,
-//! keeping up to a window of jobs in flight on each pipe while the workers
-//! evaluate genuinely in parallel. Workers persist across rounds — a
-//! multi-round run pays the spawn cost once. A worker that dies mid-round
-//! has its unanswered jobs requeued onto the survivors (see the driver
-//! docs for the delta-state rebuild); disable with
-//! [`ProcessTransport::fault_tolerance`] to surface the first failure as a
-//! [`TransportError`] instead.
-//!
-//! [`run_worker`] is the other side: the read-eval-respond loop behind the
-//! `pcq-analyze worker` subcommand.
+//! Workers persist across rounds — a multi-round run pays the spawn cost
+//! once. [`run_worker`] is the other side: the read-eval-respond loop
+//! behind the `pcq-analyze worker` subcommand, whichever byte stream it
+//! is reached over.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
-use cq::{ConjunctiveQuery, EvalOptions, Instance};
-use delta::DeltaNode;
-use distribution::{Node, NodeResult, Transport, TransportError};
+use distribution::{Node, NodeState, Shipment, TransportError};
 
-use crate::driver::{Endpoint, PipelinedCore, StderrTail};
+use crate::driver::{Endpoint, StderrTail, WireTransport};
 use crate::frame::{read_frame, write_frame};
 use crate::message::{ChunkBatch, DeltaBatch, Message};
 
-/// A [`Transport`] that ships chunks to worker subprocesses over stdio
-/// pipes (see the module docs for the protocol).
-pub struct ProcessTransport {
-    core: PipelinedCore,
-}
-
-impl ProcessTransport {
-    /// Spawns `workers` subprocesses of this same executable re-invoked as
-    /// `worker` — the usual configuration for `pcq-analyze`.
-    pub fn spawn(workers: usize) -> Result<ProcessTransport, TransportError> {
-        let exe = std::env::current_exe()
-            .map_err(|e| TransportError::Io(format!("cannot find current executable: {e}")))?;
-        ProcessTransport::spawn_command(exe, &["worker".to_string()], workers)
-    }
-
-    /// Spawns `workers` subprocesses of an explicit `program` with `args`
-    /// (each must speak the worker protocol on stdio). Tests use this to
-    /// point at a freshly built `pcq-analyze`.
-    pub fn spawn_command(
-        program: PathBuf,
-        args: &[String],
-        workers: usize,
-    ) -> Result<ProcessTransport, TransportError> {
-        let workers = workers.max(1);
-        let per_worker: Vec<Vec<String>> = (0..workers).map(|_| args.to_vec()).collect();
-        ProcessTransport::spawn_commands(program, &per_worker)
-    }
-
-    /// Spawns one subprocess per argument list, letting each worker get
-    /// different flags (fault-injection tests give one worker
-    /// `--fail-after N`).
-    pub fn spawn_commands(
-        program: PathBuf,
+impl WireTransport {
+    /// Spawns one subprocess of `program` per argument list and talks to
+    /// each over its stdio pipes. Every worker normally gets `["worker"]`;
+    /// separate lists let individual workers carry extra flags
+    /// (fault-injection tests give one worker `--fail-after N`).
+    pub fn spawn_pipes(
+        program: &Path,
         per_worker_args: &[Vec<String>],
-    ) -> Result<ProcessTransport, TransportError> {
+    ) -> Result<WireTransport, TransportError> {
         let mut endpoints = Vec::with_capacity(per_worker_args.len());
         let mut children = Vec::with_capacity(per_worker_args.len());
         let mut tails = Vec::with_capacity(per_worker_args.len());
         for args in per_worker_args {
-            let mut child = Command::new(&program)
+            let mut child = Command::new(program)
                 .args(args)
                 .stdin(Stdio::piped())
                 .stdout(Stdio::piped())
@@ -106,268 +70,72 @@ impl ProcessTransport {
             endpoints.push(Endpoint::new(stdin, stdout));
             children.push(Some(child));
         }
-        let mut core = PipelinedCore::new(endpoints, children);
-        core.set_stderr_tails(tails);
-        Ok(ProcessTransport { core })
-    }
-
-    /// Number of worker subprocesses in the pool.
-    pub fn worker_count(&self) -> usize {
-        self.core.worker_count()
-    }
-
-    /// Workers that have not died (diagnostics; fault tests assert a kill
-    /// actually happened).
-    pub fn alive_workers(&self) -> usize {
-        self.core.alive_workers()
-    }
-
-    /// Sets the pipelining window (jobs in flight per worker); 1 restores
-    /// the historic write-one-read-one lock step. Returns `self` for
-    /// builder-style construction.
-    pub fn pipeline_window(mut self, window: usize) -> ProcessTransport {
-        self.core.set_window(window);
-        self
-    }
-
-    /// Enables (default) or disables mid-round worker-failure recovery.
-    pub fn fault_tolerance(mut self, enabled: bool) -> ProcessTransport {
-        self.core.set_fault_tolerance(enabled);
-        self
-    }
-
-    /// Bounds how long `Drop` waits for a worker to exit after `Shutdown`
-    /// before killing it (default 5 s).
-    pub fn shutdown_grace(mut self, grace: Duration) -> ProcessTransport {
-        self.core.set_shutdown_grace(grace);
-        self
-    }
-
-    /// The driver's metrics registry: `driver_requeues`, `worker_deaths`
-    /// and `state_rebuilds` accumulate here over the transport's lifetime.
-    pub fn metrics_registry(&self) -> std::sync::Arc<obs::Registry> {
-        self.core.registry()
-    }
-}
-
-impl Transport for ProcessTransport {
-    fn begin_round(
-        &mut self,
-        round: usize,
-        query: &ConjunctiveQuery,
-        options: EvalOptions,
-    ) -> Result<(), TransportError> {
-        self.core.begin_round(round, query, options)
-    }
-
-    fn send_chunk(&mut self, node: Node, chunk: Instance) -> Result<(), TransportError> {
-        self.core.send_chunk(node, chunk)
-    }
-
-    fn send_resident(&mut self, node: Node) -> Result<(), TransportError> {
-        self.core.send_resident(node)
-    }
-
-    fn send_delta(&mut self, node: Node, delta: Instance) -> Result<(), TransportError> {
-        self.core.send_delta(node, delta)
-    }
-
-    fn barrier(&mut self) -> Result<(), TransportError> {
-        self.core.barrier()
-    }
-
-    fn recv_chunk(&mut self, node: Node) -> Result<NodeResult, TransportError> {
-        self.core.recv(node)
-    }
-
-    fn recv_delta(&mut self, node: Node) -> Result<NodeResult, TransportError> {
-        self.core.recv(node)
-    }
-
-    fn take_bytes_shipped(&mut self) -> u64 {
-        self.core.take_bytes_shipped()
-    }
-
-    fn parallelism(&self) -> usize {
-        self.core.parallelism()
+        Ok(WireTransport::new(endpoints, children, tails))
     }
 }
 
 /// The worker side of the protocol: reads [`Message`] frames from `input`,
-/// evaluates `EvalChunk`s with the frame's [`EvalOptions`] (retaining each
-/// node's chunk as its **resident shard**), `EvalDelta`s against
-/// persistent per-node [`DeltaNode`] state (an `EvalDelta` for round 0
-/// resets its node — the coordinator ships every node a round-0 delta, so
-/// one worker process can serve several incremental runs), and
-/// `EvalResident`s over whichever shard the node already holds (delta
-/// state first, else the retained chunk, else nothing) without receiving
-/// any facts; acknowledges `Barrier`s, and exits on `Shutdown` or a clean
-/// EOF. Returns an error message on protocol or I/O failure (the CLI maps
-/// it to a non-zero exit).
-pub fn run_worker(input: impl Read, output: impl Write) -> Result<(), String> {
-    run_worker_with_fault(input, output, None)
-}
-
-/// [`run_worker`] with optional fault injection: with `fail_after =
-/// Some(n)`, the worker processes `n` eval jobs normally and then dies on
-/// the next one — it returns an error *without replying*, guaranteeing an
-/// unacknowledged job for the coordinator's requeue path. Only
-/// `EvalChunk`/`EvalDelta` frames count toward `n` (barriers don't), so
-/// the death point is deterministic. Exposed through `pcq-analyze worker
-/// --fail-after N` for fault-injection tests and smokes.
-pub fn run_worker_with_fault(
-    input: impl Read,
-    output: impl Write,
-    fail_after: Option<u64>,
-) -> Result<(), String> {
-    run_worker_slowed(input, output, fail_after, 0)
-}
-
-/// [`run_worker_with_fault`] plus latency injection: `slow_eval_us > 0`
-/// sleeps that long inside every eval span (before the real work), so a
-/// deliberately slowed worker shows up in traces as grown
+/// turns every eval frame into the [`Shipment`] it carries — `EvalChunk` a
+/// full chunk, `EvalDelta` a delta, `EvalResident` nothing — applies it to
+/// the addressed node's [`NodeState`] with the frame's `EvalOptions`
+/// (what each shipment does to the node is [`NodeState::apply`], shared
+/// with the in-memory transport) and replies with the node's output;
+/// acknowledges `Barrier`s, and exits on `Shutdown` or a clean EOF.
+/// Returns an error message on protocol or I/O failure (the CLI maps it to
+/// a non-zero exit).
+///
+/// Two test knobs, exposed as `pcq-analyze worker --fail-after N` and
+/// `--slow-eval-us N`: with `fail_after = Some(n)` the worker processes
+/// `n` eval jobs normally and then dies on the next one — it returns an
+/// error *without replying*, guaranteeing an unacknowledged job for the
+/// coordinator's requeue path (barriers don't count, so the death point
+/// is deterministic); `slow_eval_us > 0` sleeps that long inside every
+/// eval span, so a deliberately slowed worker shows up in traces as grown
 /// `worker_eval_*` phases — the fixture behind `trace diff`'s
-/// regression-detection tests. Exposed through `pcq-analyze worker
-/// --slow-eval-us N` and forwarded by `run --slow-eval-us N`.
-pub fn run_worker_slowed(
+/// regression-detection tests.
+pub fn run_worker(
     input: impl Read,
     output: impl Write,
     fail_after: Option<u64>,
     slow_eval_us: u64,
 ) -> Result<(), String> {
-    // The sleep sits inside the span so the injected latency is
-    // attributed to the eval phase, exactly like a genuinely slow eval.
-    let slow = || {
-        if slow_eval_us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(slow_eval_us));
-        }
-    };
     let mut input = BufReader::new(input);
     let mut output = BufWriter::new(output);
-    let mut nodes: BTreeMap<Node, DeltaNode> = BTreeMap::new();
-    // Each node's last full chunk — its resident shard, evaluated in place
-    // by `EvalResident` requests without re-shipping any facts.
-    let mut resident: BTreeMap<Node, Instance> = BTreeMap::new();
+    let mut nodes: BTreeMap<Node, NodeState> = BTreeMap::new();
     let mut evals_seen = 0u64;
-    let mut note_eval = || -> Result<(), String> {
-        evals_seen += 1;
-        match fail_after {
-            Some(limit) if evals_seen > limit => Err(format!(
-                "injected fault: worker dying on eval job {evals_seen}"
-            )),
-            _ => Ok(()),
-        }
-    };
     loop {
-        match read_frame::<Message>(&mut input) {
+        let message = match read_frame::<Message>(&mut input) {
             Ok(None) | Ok(Some(Message::Shutdown)) => return Ok(()),
-            Ok(Some(Message::EvalChunk {
+            Ok(Some(message)) => message,
+            Err(e) => return Err(format!("bad frame on worker stdin: {e}")),
+        };
+        let (round, node, query, options, trace, shipment) = match message {
+            Message::EvalChunk {
                 query,
                 options,
                 batch,
                 trace,
-            })) => {
-                note_eval()?;
-                trace.adopt();
-                let start = Instant::now();
-                let _span = obs::span_under("worker_eval_chunk", trace.parent_span, || {
-                    vec![
-                        ("node".to_string(), batch.node.to_string()),
-                        ("round".to_string(), batch.round.to_string()),
-                        ("facts".to_string(), batch.chunk.len().to_string()),
-                    ]
-                });
-                slow();
-                let local = cq::evaluate_with(&query, &batch.chunk, options);
-                drop(_span);
-                let eval_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let reply = Message::ChunkResult {
-                    batch: ChunkBatch {
-                        round: batch.round,
-                        node: batch.node,
-                        chunk: local,
-                    },
-                    eval_us,
-                };
-                // The chunk becomes the node's resident shard (a full chunk
-                // supersedes any incremental state).
-                nodes.remove(&batch.node);
-                resident.insert(batch.node, batch.chunk);
-                write_frame(&mut output, &reply).map_err(|e| e.to_string())?;
+            } => {
+                let shipment = Shipment::Full(Arc::new(batch.chunk));
+                (batch.round, batch.node, query, options, trace, shipment)
             }
-            Ok(Some(Message::EvalDelta {
+            Message::EvalDelta {
                 query,
                 options,
                 batch,
                 trace,
-            })) => {
-                note_eval()?;
-                trace.adopt();
-                if batch.round == 0 {
-                    nodes.insert(batch.node, DeltaNode::new());
-                    resident.remove(&batch.node);
-                }
-                let state = nodes.entry(batch.node).or_default();
-                let start = Instant::now();
-                let _span = obs::span_under("worker_eval_delta", trace.parent_span, || {
-                    vec![
-                        ("node".to_string(), batch.node.to_string()),
-                        ("round".to_string(), batch.round.to_string()),
-                        ("delta_facts".to_string(), batch.delta.len().to_string()),
-                    ]
-                });
-                slow();
-                let fresh = state.step_with(&query, &batch.delta, options);
-                drop(_span);
-                let eval_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let reply = Message::DeltaResult {
-                    batch: DeltaBatch {
-                        round: batch.round,
-                        node: batch.node,
-                        delta: fresh,
-                    },
-                    eval_us,
-                };
-                write_frame(&mut output, &reply).map_err(|e| e.to_string())?;
+            } => {
+                let shipment = Shipment::Delta(Arc::new(batch.delta));
+                (batch.round, batch.node, query, options, trace, shipment)
             }
-            Ok(Some(Message::EvalResident {
+            Message::EvalResident {
                 round,
                 node,
                 query,
                 options,
                 trace,
-            })) => {
-                note_eval()?;
-                trace.adopt();
-                let empty = Instance::new();
-                let shard = nodes
-                    .get(&node)
-                    .map(|state| state.data().full())
-                    .or_else(|| resident.get(&node))
-                    .unwrap_or(&empty);
-                let start = Instant::now();
-                let _span = obs::span_under("worker_eval_resident", trace.parent_span, || {
-                    vec![
-                        ("node".to_string(), node.to_string()),
-                        ("round".to_string(), round.to_string()),
-                        ("facts".to_string(), shard.len().to_string()),
-                    ]
-                });
-                slow();
-                let local = cq::evaluate_with(&query, shard, options);
-                drop(_span);
-                let eval_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let reply = Message::ChunkResult {
-                    batch: ChunkBatch {
-                        round,
-                        node,
-                        chunk: local,
-                    },
-                    eval_us,
-                };
-                write_frame(&mut output, &reply).map_err(|e| e.to_string())?;
-            }
-            Ok(Some(Message::Barrier { round })) => {
+            } => (round, node, query, options, trace, Shipment::Resident),
+            Message::Barrier { round } => {
                 // Flush this round's trace buffers to the coordinator
                 // right before the ack — the driver absorbs `TraceFlush`
                 // frames while waiting for the barrier.
@@ -380,12 +148,61 @@ pub fn run_worker_slowed(
                 }
                 write_frame(&mut output, &Message::BarrierAck { round })
                     .map_err(|e| e.to_string())?;
+                continue;
             }
-            Ok(Some(other)) => {
-                return Err(format!("unexpected {} message on a worker", other.kind()))
-            }
-            Err(e) => return Err(format!("bad frame on worker stdin: {e}")),
+            other => return Err(format!("unexpected {} message on a worker", other.kind())),
+        };
+        evals_seen += 1;
+        if fail_after.is_some_and(|limit| evals_seen > limit) {
+            return Err(format!(
+                "injected fault: worker dying on eval job {evals_seen}"
+            ));
         }
+        trace.adopt();
+        let (span_name, incremental) = match shipment {
+            Shipment::Full(_) => ("worker_eval_chunk", false),
+            Shipment::Delta(_) => ("worker_eval_delta", true),
+            Shipment::Resident => ("worker_eval_resident", false),
+        };
+        let start = Instant::now();
+        let span = obs::span_under(span_name, trace.parent_span, || {
+            vec![
+                ("node".to_string(), node.to_string()),
+                ("round".to_string(), round.to_string()),
+                ("facts".to_string(), shipment.len().to_string()),
+            ]
+        });
+        if slow_eval_us > 0 {
+            // Inside the span, so the injected latency is attributed to
+            // the eval phase exactly like a genuinely slow eval.
+            std::thread::sleep(std::time::Duration::from_micros(slow_eval_us));
+        }
+        let local = nodes
+            .entry(node)
+            .or_default()
+            .apply(round, &query, options, shipment);
+        drop(span);
+        let eval_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let reply = if incremental {
+            Message::DeltaResult {
+                batch: DeltaBatch {
+                    round,
+                    node,
+                    delta: local,
+                },
+                eval_us,
+            }
+        } else {
+            Message::ChunkResult {
+                batch: ChunkBatch {
+                    round,
+                    node,
+                    chunk: local,
+                },
+                eval_us,
+            }
+        };
+        write_frame(&mut output, &reply).map_err(|e| e.to_string())?;
     }
 }
 
@@ -394,6 +211,7 @@ mod tests {
     use super::*;
     use crate::frame::encode_frame;
     use crate::message::TraceContext;
+    use cq::{ConjunctiveQuery, EvalOptions, Instance};
 
     /// Drives `run_worker` entirely in memory (no subprocess): feed it a
     /// frame script, collect its reply frames.
@@ -412,7 +230,7 @@ mod tests {
             input.extend(encode_frame(m));
         }
         let mut output = Vec::new();
-        let run = run_worker_with_fault(std::io::Cursor::new(input), &mut output, fail_after);
+        let run = run_worker(std::io::Cursor::new(input), &mut output, fail_after, 0);
         let mut replies = Vec::new();
         let mut cursor = std::io::Cursor::new(output);
         while let Ok(Some(m)) = read_frame::<Message>(&mut cursor) {
@@ -624,8 +442,8 @@ mod tests {
     #[test]
     fn worker_rejects_garbage_and_misdirected_messages() {
         let mut output = Vec::new();
-        let err =
-            run_worker(std::io::Cursor::new(b"not a frame".to_vec()), &mut output).unwrap_err();
+        let garbage = std::io::Cursor::new(b"not a frame".to_vec());
+        let err = run_worker(garbage, &mut output, None, 0).unwrap_err();
         assert!(err.contains("bad frame"), "{err}");
 
         let err = worker_script(&[Message::BarrierAck { round: 0 }]).unwrap_err();

@@ -1,12 +1,11 @@
-//! The socket transport: the same worker protocol as
-//! [`ProcessTransport`](crate::ProcessTransport), carried over TCP instead
-//! of stdio pipes — the step from a simulated cluster to workers that can
-//! live on other machines.
+//! Workers over TCP: the same worker protocol as the pipe constructor
+//! ([`WireTransport::spawn_pipes`]), carried over loopback sockets — the
+//! step from a simulated cluster to workers that can live on other
+//! machines.
 //!
-//! The coordinator binds a listener; each worker connects (spawned locally
-//! with `--connect`, or started by hand anywhere the address is reachable)
-//! and introduces itself with a `Hello { worker }` frame echoing the slot
-//! token it was handed:
+//! The coordinator binds a listener; each spawned worker connects back
+//! (`--connect`) and introduces itself with a `Hello { worker }` frame
+//! echoing the slot token it was handed:
 //!
 //! ```text
 //! coordinator (listener)              worker k  (pcq-analyze worker --connect addr --token k)
@@ -19,76 +18,43 @@
 //! The `PCQW` frames are self-delimiting, so they concatenate on the
 //! stream without any extra record layer; `TCP_NODELAY` keeps the small
 //! control frames from stalling behind Nagle's algorithm. After the
-//! handshake, rounds run on the shared pipelined driver
-//! (see [`crate::driver`]) — the socket transport gets the same in-flight
-//! window, byte accounting, and worker-death requeue as the process
-//! transport, byte-identically.
+//! handshake the connections are ordinary endpoints of the pipelined
+//! driver (see [`crate::driver`]) — same in-flight window, byte
+//! accounting and worker-death requeue as over pipes, byte-identically.
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use cq::{ConjunctiveQuery, EvalOptions, Instance};
-use distribution::{Node, NodeResult, Transport, TransportError};
+use distribution::TransportError;
 
-use crate::driver::{Endpoint, PipelinedCore, StderrTail};
+use crate::driver::{Endpoint, StderrTail, WireTransport};
 use crate::frame::{read_frame, write_frame};
 use crate::message::Message;
-use crate::process::run_worker_slowed;
+use crate::process::run_worker;
 
 /// How long the coordinator waits for spawned workers to connect back.
 const SPAWN_ACCEPT_DEADLINE: Duration = Duration::from_secs(10);
 
-/// How long [`SocketTransport::listen`] waits for external workers.
-const LISTEN_ACCEPT_DEADLINE: Duration = Duration::from_secs(60);
-
 /// How long a connected socket may dawdle over its `Hello` frame.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// A [`Transport`] whose workers evaluate on the far end of TCP
-/// connections (see the module docs for the handshake).
-pub struct SocketTransport {
-    core: PipelinedCore,
-}
-
-impl SocketTransport {
-    /// Spawns `workers` local subprocesses of this same executable
-    /// re-invoked as `worker --connect <addr> --token <i>` against an
-    /// ephemeral loopback listener — the socket-transport analogue of
-    /// [`ProcessTransport::spawn`](crate::ProcessTransport::spawn).
-    pub fn spawn(workers: usize) -> Result<SocketTransport, TransportError> {
-        let exe = std::env::current_exe()
-            .map_err(|e| TransportError::Io(format!("cannot find current executable: {e}")))?;
-        SocketTransport::spawn_command(exe, &["worker".to_string()], workers)
-    }
-
-    /// Spawns `workers` local subprocesses of an explicit `program` with
-    /// `args` (each gets `--connect`/`--token` appended).
-    pub fn spawn_command(
-        program: PathBuf,
-        args: &[String],
-        workers: usize,
-    ) -> Result<SocketTransport, TransportError> {
-        let workers = workers.max(1);
-        let per_worker: Vec<Vec<String>> = (0..workers).map(|_| args.to_vec()).collect();
-        SocketTransport::spawn_commands(program, &per_worker)
-    }
-
-    /// Spawns one subprocess per argument list (each gets
-    /// `--connect`/`--token` appended), letting individual workers carry
-    /// extra flags — fault-injection tests give one worker
-    /// `--fail-after N`.
-    pub fn spawn_commands(
-        program: PathBuf,
+impl WireTransport {
+    /// Spawns one subprocess of `program` per argument list (each gets
+    /// `--connect <addr> --token <i>` appended) against an ephemeral
+    /// loopback listener, and talks to each over the TCP connection it
+    /// opens back — the socket analogue of [`WireTransport::spawn_pipes`].
+    pub fn spawn_sockets(
+        program: &Path,
         per_worker_args: &[Vec<String>],
-    ) -> Result<SocketTransport, TransportError> {
-        let listener = bind("127.0.0.1:0")?;
+    ) -> Result<WireTransport, TransportError> {
+        let listener = bind()?;
         let addr = local_addr(&listener)?;
         let mut children = Vec::with_capacity(per_worker_args.len());
         let mut tails = Vec::with_capacity(per_worker_args.len());
         for (token, args) in per_worker_args.iter().enumerate() {
-            let mut child = Command::new(&program)
+            let mut child = Command::new(program)
                 .args(args)
                 .arg("--connect")
                 .arg(addr.to_string())
@@ -99,79 +65,19 @@ impl SocketTransport {
                 .map_err(|e| {
                     TransportError::Io(format!("cannot spawn worker {}: {e}", program.display()))
                 })?;
-            // Same crash-diagnostics capture as the process transport: a
-            // dead worker's stderr tail rides along on the round error.
+            // Same crash-diagnostics capture as over pipes: a dead
+            // worker's stderr tail rides along on the round error.
             tails.push(child.stderr.take().map(StderrTail::capture));
             children.push(Some(child));
         }
-        let endpoints = accept_workers(
-            &listener,
-            per_worker_args.len(),
-            SPAWN_ACCEPT_DEADLINE,
-            Some(&mut children),
-        )?;
-        let mut core = PipelinedCore::new(endpoints, children);
-        core.set_stderr_tails(tails);
-        Ok(SocketTransport { core })
-    }
-
-    /// Binds `addr` and waits (up to a minute) for `workers` external
-    /// workers to connect and introduce themselves — each must be started
-    /// elsewhere as `pcq-analyze worker --connect <addr> --token <i>` with
-    /// distinct tokens `0..workers`. The coordinator does not own their
-    /// processes; a dead connection is handled by the requeue path alone.
-    pub fn listen(
-        addr: impl ToSocketAddrs,
-        workers: usize,
-    ) -> Result<SocketTransport, TransportError> {
-        let workers = workers.max(1);
-        let listener = bind(addr)?;
-        let endpoints = accept_workers(&listener, workers, LISTEN_ACCEPT_DEADLINE, None)?;
-        let children = (0..workers).map(|_| None).collect();
-        Ok(SocketTransport {
-            core: PipelinedCore::new(endpoints, children),
-        })
-    }
-
-    /// Number of workers in the pool.
-    pub fn worker_count(&self) -> usize {
-        self.core.worker_count()
-    }
-
-    /// Workers whose connections are still live.
-    pub fn alive_workers(&self) -> usize {
-        self.core.alive_workers()
-    }
-
-    /// Sets the pipelining window (jobs in flight per worker); 1 restores
-    /// write-one-read-one lock step.
-    pub fn pipeline_window(mut self, window: usize) -> SocketTransport {
-        self.core.set_window(window);
-        self
-    }
-
-    /// Enables (default) or disables mid-round worker-failure recovery.
-    pub fn fault_tolerance(mut self, enabled: bool) -> SocketTransport {
-        self.core.set_fault_tolerance(enabled);
-        self
-    }
-
-    /// Bounds how long `Drop` waits for a spawned worker to exit after
-    /// `Shutdown` before killing it (default 5 s).
-    pub fn shutdown_grace(mut self, grace: Duration) -> SocketTransport {
-        self.core.set_shutdown_grace(grace);
-        self
-    }
-
-    /// The driver's metrics registry: `driver_requeues`, `worker_deaths`
-    /// and `state_rebuilds` accumulate here over the transport's lifetime.
-    pub fn metrics_registry(&self) -> std::sync::Arc<obs::Registry> {
-        self.core.registry()
+        let endpoints = accept_workers(&listener, &mut children)?;
+        Ok(WireTransport::new(endpoints, children, tails))
     }
 }
 
-fn bind(addr: impl ToSocketAddrs) -> Result<TcpListener, TransportError> {
-    TcpListener::bind(addr).map_err(|e| TransportError::Io(format!("cannot bind listener: {e}")))
+fn bind() -> Result<TcpListener, TransportError> {
+    TcpListener::bind("127.0.0.1:0")
+        .map_err(|e| TransportError::Io(format!("cannot bind listener: {e}")))
 }
 
 fn local_addr(listener: &TcpListener) -> Result<SocketAddr, TransportError> {
@@ -180,20 +86,19 @@ fn local_addr(listener: &TcpListener) -> Result<SocketAddr, TransportError> {
         .map_err(|e| TransportError::Io(format!("cannot read listener address: {e}")))
 }
 
-/// Accepts connections until every worker slot `0..expected` has
-/// introduced itself with a valid `Hello`, or the deadline passes. With
-/// `children`, a worker that exits before connecting is reported as such
-/// (instead of an opaque timeout).
+/// Accepts connections until every spawned worker has introduced itself
+/// with a valid `Hello` for its slot, or the deadline passes. A worker
+/// that exits before connecting is reported as such (instead of an opaque
+/// timeout).
 fn accept_workers(
     listener: &TcpListener,
-    expected: usize,
-    deadline: Duration,
-    mut children: Option<&mut Vec<Option<Child>>>,
+    children: &mut [Option<Child>],
 ) -> Result<Vec<Endpoint>, TransportError> {
     listener
         .set_nonblocking(true)
         .map_err(|e| TransportError::Io(format!("cannot poll listener: {e}")))?;
-    let deadline = Instant::now() + deadline;
+    let expected = children.len();
+    let deadline = Instant::now() + SPAWN_ACCEPT_DEADLINE;
     let mut slots: Vec<Option<Endpoint>> = (0..expected).map(|_| None).collect();
     let mut connected = 0usize;
     while connected < expected {
@@ -218,16 +123,14 @@ fn accept_workers(
                 connected += 1;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if let Some(children) = children.as_deref_mut() {
-                    for (i, child) in children.iter_mut().enumerate() {
-                        let exited = child
-                            .as_mut()
-                            .is_some_and(|c| matches!(c.try_wait(), Ok(Some(_))));
-                        if exited && slots[i].is_none() {
-                            return Err(TransportError::Io(format!(
-                                "worker {i} exited before connecting back"
-                            )));
-                        }
+                for (i, child) in children.iter_mut().enumerate() {
+                    let exited = child
+                        .as_mut()
+                        .is_some_and(|c| matches!(c.try_wait(), Ok(Some(_))));
+                    if exited && slots[i].is_none() {
+                        return Err(TransportError::Io(format!(
+                            "worker {i} exited before connecting back"
+                        )));
                     }
                 }
                 if Instant::now() >= deadline {
@@ -281,56 +184,11 @@ fn handshake(stream: &TcpStream) -> Result<u64, TransportError> {
     Ok(hello)
 }
 
-impl Transport for SocketTransport {
-    fn begin_round(
-        &mut self,
-        round: usize,
-        query: &ConjunctiveQuery,
-        options: EvalOptions,
-    ) -> Result<(), TransportError> {
-        self.core.begin_round(round, query, options)
-    }
-
-    fn send_chunk(&mut self, node: Node, chunk: Instance) -> Result<(), TransportError> {
-        self.core.send_chunk(node, chunk)
-    }
-
-    fn send_delta(&mut self, node: Node, delta: Instance) -> Result<(), TransportError> {
-        self.core.send_delta(node, delta)
-    }
-
-    fn send_resident(&mut self, node: Node) -> Result<(), TransportError> {
-        self.core.send_resident(node)
-    }
-
-    fn barrier(&mut self) -> Result<(), TransportError> {
-        self.core.barrier()
-    }
-
-    fn recv_chunk(&mut self, node: Node) -> Result<NodeResult, TransportError> {
-        self.core.recv(node)
-    }
-
-    fn recv_delta(&mut self, node: Node) -> Result<NodeResult, TransportError> {
-        self.core.recv(node)
-    }
-
-    fn take_bytes_shipped(&mut self) -> u64 {
-        self.core.take_bytes_shipped()
-    }
-
-    fn parallelism(&self) -> usize {
-        self.core.parallelism()
-    }
-}
-
-/// The worker side of the socket transport: connects to the coordinator at
+/// The worker side of a socket connection: connects to the coordinator at
 /// `addr`, introduces itself with `Hello { worker: token }`, then runs the
-/// ordinary worker loop over the connection (see
-/// [`run_worker`](crate::run_worker)). `fail_after` injects a
-/// mid-round death after that many eval jobs, for fault-tolerance tests;
-/// `slow_eval_us` injects per-eval latency, for `trace diff` fixtures.
-/// Backs `pcq-analyze worker --connect addr --token k`.
+/// ordinary worker loop over the connection ([`run_worker`], which also
+/// documents `fail_after` and `slow_eval_us`). Backs
+/// `pcq-analyze worker --connect addr --token k`.
 pub fn run_worker_connect(
     addr: &str,
     token: u64,
@@ -347,5 +205,5 @@ pub fn run_worker_connect(
         .map_err(|e| format!("cannot clone stream: {e}"))?;
     write_frame(&mut writer, &Message::Hello { worker: token })
         .map_err(|e| format!("cannot send hello: {e}"))?;
-    run_worker_slowed(stream, writer, fail_after, slow_eval_us)
+    run_worker(stream, writer, fail_after, slow_eval_us)
 }

@@ -1,8 +1,9 @@
 //! Scenario files end to end: author a scenario as text, round-trip it
 //! through the pretty-printer and the binary codec, then run it through
-//! the multi-round engine — over the in-memory transport here; swap in
-//! `wire::ProcessTransport::spawn(n)` (or `pcq-analyze run --scenario
-//! file.pcq --transport process`) for genuinely cross-process rounds.
+//! the multi-round engine — over the in-memory transport here; hand
+//! `evaluate_via` a `wire::WireTransport` (or run `pcq-analyze run
+//! --scenario file.pcq --transport process`) for genuinely cross-process
+//! rounds.
 //!
 //! Run with: `cargo run --example scenario_file`
 

@@ -9,8 +9,7 @@
 //!   pcq-analyze hypercube  <query> <query-prime>
 //!   pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]
 //!                          [--rounds N] [--schedule S] [--feedback R]
-//!                          [--streaming] [--semi-naive]
-//!                          [--distribute-workers N]
+//!                          [--semi-naive] [--distribute-workers N]
 //!                          [--join-strategy binary|multiway|auto]
 //!                          [--transport memory|process|socket]
 //!                          [--fault-inject N] [--trace FILE]
@@ -57,15 +56,13 @@
 //! each round's outputs into relation `R` before the next reshuffle
 //! (making the query effectively recursive), and the result is compared
 //! against the global fixpoint of the centralized iterated query.
-//! `--streaming` streams chunks to workers instead of materializing them;
 //! `--semi-naive` switches the rounds to incremental mode: only the facts
 //! new since the previous round are reshuffled, nodes keep their
 //! accumulated state across rounds, and each local evaluation is one
 //! differential pass over the delta — the final result is identical to
-//! full re-evaluation, the late-round work is not (requires a
-//! `--distribute-workers` shards the reshuffle
-//! phase. `--join-strategy` picks the local join algorithm every node runs
-//! (`binary` = pairwise hash joins, `multiway` = the leapfrog-style
+//! full re-evaluation, the late-round work is not.
+//! `--distribute-workers` shards the reshuffle phase. `--join-strategy`
+//! picks the local join algorithm every node runs (`binary` = pairwise hash joins, `multiway` = the leapfrog-style
 //! worst-case-optimal join, `auto` = multiway exactly for cyclic queries;
 //! default auto); the options travel with every round, so wire workers
 //! and the multi-round engine honor them too. With
@@ -169,7 +166,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip | --strongly-minimal]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--streaming] [--semi-naive]\n                         [--distribute-workers N]\n                         [--join-strategy binary|multiway|auto]\n                         [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--metrics FILE] [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R] [--semi-naive]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE] [--metrics FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n  pcq-analyze bench-diff <trajectory-file> [--threshold-pct P] [--min-ns N]\n                         [--window N] [--bench NAME]...\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies: hash-join:<k> | hypercube:<b> | broadcast:<n>\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
+    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip | --strongly-minimal]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--semi-naive] [--distribute-workers N]\n                         [--join-strategy binary|multiway|auto]\n                         [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--metrics FILE] [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R] [--semi-naive]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE] [--metrics FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n  pcq-analyze bench-diff <trajectory-file> [--threshold-pct P] [--min-ns N]\n                         [--window N] [--bench NAME]...\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies: hash-join:<k> | hypercube:<b> | broadcast:<n>\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
@@ -297,10 +294,11 @@ enum TransportChoice {
     /// worker pool ([`InMemoryTransport`]).
     Memory,
     /// Chunks are binary-encoded and shipped to `pcq-analyze worker`
-    /// subprocesses over stdio pipes ([`ProcessTransport`]).
+    /// subprocesses over stdio pipes ([`WireTransport::spawn_pipes`]).
     Process,
     /// The same worker protocol over TCP: the coordinator listens on
-    /// loopback and spawned workers connect back ([`SocketTransport`]).
+    /// loopback and spawned workers connect back
+    /// ([`WireTransport::spawn_sockets`]).
     Socket,
 }
 
@@ -318,7 +316,6 @@ impl TransportChoice {
 struct RunOptions {
     workers: usize,
     distribute_workers: usize,
-    streaming: bool,
     semi_naive: bool,
     json: bool,
     rounds: Option<usize>,
@@ -511,26 +508,29 @@ fn worker_argv(
         .collect()
 }
 
-fn coordinator_exe() -> Result<std::path::PathBuf, String> {
-    std::env::current_exe().map_err(|e| format!("cannot find current executable: {e}"))
-}
-
-/// Starts the worker subprocesses behind `--transport process`.
-fn spawn_process_transport(opts: &RunOptions) -> Result<ProcessTransport, String> {
-    ProcessTransport::spawn_commands(
-        coordinator_exe()?,
-        &worker_argv(opts.workers, opts.fault_inject, opts.slow_eval_us),
-    )
-    .map_err(|e| format!("cannot start process transport: {e}"))
-}
-
-/// Starts the listener and connecting workers behind `--transport socket`.
-fn spawn_socket_transport(opts: &RunOptions) -> Result<SocketTransport, String> {
-    SocketTransport::spawn_commands(
-        coordinator_exe()?,
-        &worker_argv(opts.workers, opts.fault_inject, opts.slow_eval_us),
-    )
-    .map_err(|e| format!("cannot start socket transport: {e}"))
+/// Turns `--transport` into the transport every `run` arm evaluates
+/// through, paired with its metrics registry: the in-process pool, or
+/// `--workers` subprocesses of this executable reached over pipes or
+/// loopback sockets.
+fn open_transport(
+    opts: &RunOptions,
+) -> Result<(Box<dyn Transport>, std::sync::Arc<obs::Registry>), String> {
+    let spawn = match opts.transport {
+        TransportChoice::Memory => {
+            let transport = InMemoryTransport::new(opts.workers);
+            let registry = transport.registry();
+            return Ok((Box::new(transport), registry));
+        }
+        TransportChoice::Process => WireTransport::spawn_pipes,
+        TransportChoice::Socket => WireTransport::spawn_sockets,
+    };
+    let exe =
+        std::env::current_exe().map_err(|e| format!("cannot find current executable: {e}"))?;
+    let argv = worker_argv(opts.workers, opts.fault_inject, opts.slow_eval_us);
+    let transport = spawn(&exe, &argv)
+        .map_err(|e| format!("cannot start {} transport: {e}", opts.transport.label()))?;
+    let registry = transport.metrics_registry();
+    Ok((Box::new(transport), registry))
 }
 
 /// The `worker` subcommand: the far side of the wire transports. With no
@@ -574,7 +574,7 @@ fn worker_command(args: &[String]) -> Result<bool, String> {
     }
     match connect {
         Some(addr) => wire::run_worker_connect(&addr, token, fail_after, slow_eval_us),
-        None => wire::run_worker_slowed(
+        None => wire::run_worker(
             std::io::stdin().lock(),
             std::io::stdout().lock(),
             fail_after,
@@ -596,7 +596,6 @@ fn run_command(args: &[String]) -> Result<bool, String> {
     let mut opts = RunOptions {
         workers: 1,
         distribute_workers: 1,
-        streaming: false,
         semi_naive: false,
         json: false,
         rounds: None,
@@ -625,7 +624,6 @@ fn run_command(args: &[String]) -> Result<bool, String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--json" => opts.json = true,
-            "--streaming" => opts.streaming = true,
             "--reshuffle-always" => opts.reshuffle_always = true,
             "--semi-naive" => opts.semi_naive = true,
             "--workers" => opts.workers = parse_count("--workers", iter.next())?,
@@ -702,11 +700,6 @@ fn run_command(args: &[String]) -> Result<bool, String> {
             _ => positional.push(arg),
         }
     }
-    if !matches!(opts.transport, TransportChoice::Memory) && opts.streaming {
-        // Streaming is an in-memory allocation optimization (borrowed
-        // chunks); shipping to another process always materializes.
-        return Err("--streaming cannot be combined with a wire transport".to_string());
-    }
     if opts.fault_inject.is_some() {
         if matches!(opts.transport, TransportChoice::Memory) {
             return Err(
@@ -737,15 +730,8 @@ fn run_command(args: &[String]) -> Result<bool, String> {
                 .to_string(),
         );
     }
-    if opts.semi_naive {
-        if opts.rounds.is_none() && opts.scenario.is_none() {
-            return Err("--semi-naive requires --rounds (it is a multi-round mode)".to_string());
-        }
-        if opts.streaming {
-            // Deltas are materialized (and small by construction); the
-            // borrowed-chunk streaming path does not apply to them.
-            return Err("--semi-naive cannot be combined with --streaming".to_string());
-        }
+    if opts.semi_naive && opts.rounds.is_none() && opts.scenario.is_none() {
+        return Err("--semi-naive requires --rounds (it is a multi-round mode)".to_string());
     }
 
     let session = TraceSession::begin(opts.trace.as_deref());
@@ -857,41 +843,18 @@ fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, Strin
     let engine = OneRoundEngine::new(policy.as_ref())
         .workers(opts.workers)
         .distribute_workers(opts.distribute_workers)
-        .streaming(opts.streaming)
         .eval_options(eval_options);
     // `total` covers only the one-round run; the centralized evaluation
     // below is a correctness check, not part of the round being measured.
     let total_start = std::time::Instant::now();
-    let mut registries: Vec<std::sync::Arc<obs::Registry>> = Vec::new();
-    let outcome = match opts.transport {
-        TransportChoice::Memory if opts.streaming => engine.evaluate(&query, &instance),
-        TransportChoice::Memory => {
-            // The same transport `evaluate` would construct internally,
-            // held here so its metrics registry outlives the round.
-            let mut transport = InMemoryTransport::new(opts.workers);
-            let outcome = engine
-                .evaluate_via(&mut transport, 0, &query, &instance)
-                .expect("the in-memory transport is infallible");
-            registries.push(transport.registry());
-            outcome
-        }
-        TransportChoice::Process => {
-            let mut transport = spawn_process_transport(opts)?;
-            registries.push(transport.metrics_registry());
-            engine
-                .evaluate_via(&mut transport, 0, &query, &instance)
-                .map_err(|e| e.to_string())?
-        }
-        TransportChoice::Socket => {
-            let mut transport = spawn_socket_transport(opts)?;
-            registries.push(transport.metrics_registry());
-            engine
-                .evaluate_via(&mut transport, 0, &query, &instance)
-                .map_err(|e| e.to_string())?
-        }
-    };
+    let (mut transport, transport_registry) = open_transport(opts)?;
+    let outcome = engine
+        .evaluate_via(transport.as_mut(), 0, &query, &instance)
+        .map_err(|e| e.to_string())?;
+    // Stop the workers and release the shipped chunks before the verify.
+    drop(transport);
     let total = total_start.elapsed();
-    let metrics = export_metrics(opts, &registries)?;
+    let metrics = export_metrics(opts, &[transport_registry])?;
     let correct = {
         let _span = obs::span!("central_verify", facts = instance.len());
         outcome.result == cq::evaluate(&query, &instance)
@@ -1124,7 +1087,6 @@ fn run_multi_query(
         .rounds(rounds)
         .workers(opts.workers)
         .distribute_workers(opts.distribute_workers)
-        .streaming(opts.streaming)
         .semi_naive(opts.semi_naive)
         .eval_options(run_eval_options(opts))
         .reshuffle_always(opts.reshuffle_always);
@@ -1139,32 +1101,15 @@ fn run_multi_query(
     // pay for the containment checks once.
     let mut cache = TransferCache::new();
     let total_start = std::time::Instant::now();
-    let mut registries: Vec<std::sync::Arc<obs::Registry>> = vec![engine.registry()];
-    let outcome = match opts.transport {
-        TransportChoice::Memory => {
-            engine.evaluate_queries(queries, instance, &mut |p, q| cache.transfers(p, q))
-        }
-        TransportChoice::Process => {
-            let mut transport = spawn_process_transport(opts)?;
-            registries.push(transport.metrics_registry());
-            engine
-                .evaluate_queries_via(&mut transport, queries, instance, &mut |p, q| {
-                    cache.transfers(p, q)
-                })
-                .map_err(|e| e.to_string())?
-        }
-        TransportChoice::Socket => {
-            let mut transport = spawn_socket_transport(opts)?;
-            registries.push(transport.metrics_registry());
-            engine
-                .evaluate_queries_via(&mut transport, queries, instance, &mut |p, q| {
-                    cache.transfers(p, q)
-                })
-                .map_err(|e| e.to_string())?
-        }
-    };
+    let (mut transport, transport_registry) = open_transport(opts)?;
+    let outcome = engine
+        .evaluate_queries_via(transport.as_mut(), queries, instance, &mut |p, q| {
+            cache.transfers(p, q)
+        })
+        .map_err(|e| e.to_string())?;
+    drop(transport);
     let total = total_start.elapsed();
-    let metrics = export_metrics(opts, &registries)?;
+    let metrics = export_metrics(opts, &[engine.registry(), transport_registry])?;
 
     let transfer_checks = outcome.transfer_checks;
     let elided = outcome.elided_reshuffles();
@@ -1290,7 +1235,6 @@ fn run_multi_round(
         .rounds(rounds)
         .workers(opts.workers)
         .distribute_workers(opts.distribute_workers)
-        .streaming(opts.streaming)
         .semi_naive(opts.semi_naive)
         .eval_options(run_eval_options(opts));
     if let Some(feedback) = feedback {
@@ -1302,26 +1246,13 @@ fn run_multi_round(
     // the one-round arm); the centralized reference fixpoint inside the
     // report is a correctness check, not part of the rounds being measured.
     let total_start = std::time::Instant::now();
-    let mut registries: Vec<std::sync::Arc<obs::Registry>> = vec![engine.registry()];
-    let outcome = match opts.transport {
-        TransportChoice::Memory => engine.evaluate(query, instance),
-        TransportChoice::Process => {
-            let mut transport = spawn_process_transport(opts)?;
-            registries.push(transport.metrics_registry());
-            engine
-                .evaluate_via(&mut transport, query, instance)
-                .map_err(|e| e.to_string())?
-        }
-        TransportChoice::Socket => {
-            let mut transport = spawn_socket_transport(opts)?;
-            registries.push(transport.metrics_registry());
-            engine
-                .evaluate_via(&mut transport, query, instance)
-                .map_err(|e| e.to_string())?
-        }
-    };
+    let (mut transport, transport_registry) = open_transport(opts)?;
+    let outcome = engine
+        .evaluate_via(transport.as_mut(), query, instance)
+        .map_err(|e| e.to_string())?;
+    drop(transport);
     let total = total_start.elapsed();
-    let metrics = export_metrics(opts, &registries)?;
+    let metrics = export_metrics(opts, &[engine.registry(), transport_registry])?;
     let report = {
         let _span = obs::span!("central_verify", facts = instance.len());
         MultiRoundInstanceReport::from_outcome(query, &engine, instance, outcome)
@@ -1344,7 +1275,6 @@ fn run_multi_round(
                     "replication_factor",
                     JsonValue::fixed(round.stats.replication_factor, 4),
                 ),
-                ("peak_chunks", JsonValue::from(round.peak_chunks)),
                 ("comm_bytes", JsonValue::from(round.comm_bytes)),
                 (
                     "distribute_us",
@@ -1363,7 +1293,6 @@ fn run_multi_round(
             ("instance", JsonValue::from(instance_label)),
             ("instance_facts", JsonValue::from(instance.len())),
             ("workers", JsonValue::from(opts.workers)),
-            ("streaming", JsonValue::from(opts.streaming)),
             ("semi_naive", JsonValue::from(opts.semi_naive)),
             ("transport", JsonValue::from(opts.transport.label())),
             ("rounds_requested", JsonValue::from(rounds)),
@@ -1443,10 +1372,9 @@ fn run_multi_round(
         );
         for (i, round) in outcome.rounds.iter().enumerate() {
             println!(
-                "  round {i}: output={} {} peak_chunks={} time={}µs",
+                "  round {i}: output={} {} time={}µs",
                 round.result.len(),
                 round.stats,
-                round.peak_chunks,
                 (round.distribute_time + round.local_eval_time).as_micros()
             );
         }

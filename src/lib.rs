@@ -20,7 +20,8 @@
 //!   the unified metrics registry, zero-dependency and free when disabled.
 //! * [`reductions`] — the paper's hardness reductions as instance generators.
 //! * [`wire`] — the serialization subsystem: binary codec and framing,
-//!   textual scenario format, JSON emitter and the cross-process transport.
+//!   textual scenario format, JSON emitter and the cross-process
+//!   `WireTransport` (worker subprocesses over pipes or sockets).
 //! * [`workloads`] — random query / instance / policy generators.
 //!
 //! ## Quick start
@@ -64,7 +65,8 @@ pub mod prelude {
     pub use distribution::{
         ChunkStream, DistributionPolicy, ExplicitPolicy, FinitePolicy, HypercubeFamily,
         HypercubePolicy, InMemoryTransport, MultiQueryOutcome, MultiRoundEngine, MultiRoundOutcome,
-        Network, Node, OneRoundEngine, RoundSchedule, RuleBasedPolicy, Transport, TransportError,
+        Network, Node, OneRoundEngine, RoundSchedule, RuleBasedPolicy, Shipment, Transport,
+        TransportError,
     };
     pub use pc_core::{
         check_parallel_correctness, check_parallel_correctness_bounded,
@@ -74,9 +76,7 @@ pub mod prelude {
         multi_round_correct_on, validate_hypercube_family, IncrementalPcReport, IncrementalPcStats,
         MultiRoundInstanceReport, PcReport, TransferCache, TransferReport,
     };
-    pub use wire::{
-        DeltaBatch, ExplicitSpec, JsonValue, ProcessTransport, Scenario, SocketTransport,
-    };
+    pub use wire::{DeltaBatch, ExplicitSpec, JsonValue, Scenario, WireTransport};
     pub use workloads::{
         chain_query, example_3_5_query, named_instance, named_query, named_query_sequence,
         named_schedule, query_sequence_names, random_instance, random_query, star_query,

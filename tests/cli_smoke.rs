@@ -273,7 +273,8 @@ fn run_multi_round_json_has_the_per_round_shape() {
         "6",
         "--feedback",
         "R",
-        "--streaming",
+        "--distribute-workers",
+        "2",
         "--workers",
         "2",
         "--json",
@@ -295,10 +296,8 @@ fn run_multi_round_json_has_the_per_round_shape() {
         "\"reference_rounds\":",
         "\"converged\":true",
         "\"multi_round_correct\":true",
-        "\"streaming\":true",
         "\"total_comm_volume\":",
         "\"rounds\":[{\"round\":0,",
-        "\"peak_chunks\":",
         "\"distribute_us\":",
     ] {
         assert!(line.contains(key), "missing {key} in {line}");
@@ -518,21 +517,28 @@ fn run_join_strategy_rides_wire_transports_and_multi_round_runs() {
 }
 
 #[test]
-fn run_single_round_streaming_agrees_with_the_default_path() {
-    let (code, stdout) = pcq_analyze_output(&[
-        "run",
-        "chain:2",
-        "hypercube:4",
-        "random:10:60",
-        "--streaming",
-        "--distribute-workers",
-        "2",
-    ]);
-    assert_eq!(
-        code, 0,
-        "streaming single round must stay correct: {stdout}"
-    );
-    assert!(stdout.contains("correct:     yes"));
+fn run_rejects_the_removed_streaming_flag() {
+    // `--streaming` went with the engine path it selected; it is now an
+    // ordinary unknown flag, on its own or next to a transport.
+    for extra in [&[][..], &["--transport", "process"][..]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_pcq-analyze"))
+            .args([
+                "run",
+                "chain:2",
+                "hypercube:4",
+                "random:10:60",
+                "--streaming",
+            ])
+            .args(extra)
+            .output()
+            .expect("failed to spawn pcq-analyze");
+        assert_eq!(output.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.starts_with("error: unknown flag '--streaming'"),
+            "{stderr}"
+        );
+    }
 }
 
 /// Two trajectory records for the same bench: the second regresses one
@@ -815,23 +821,9 @@ fn run_semi_naive_matches_the_fixpoint_and_reports_itself() {
 
 #[test]
 fn run_semi_naive_flag_combinations_are_validated() {
-    // --semi-naive is a multi-round mode…
+    // --semi-naive is a multi-round mode.
     assert_eq!(
         pcq_analyze(&["run", "chain:2", "hypercube:2", CHAIN_FACTS, "--semi-naive"]),
-        2
-    );
-    // …that materializes its (small) deltas.
-    assert_eq!(
-        pcq_analyze(&[
-            "run",
-            "chain:2",
-            "hypercube:2",
-            CHAIN_FACTS,
-            "--rounds",
-            "4",
-            "--semi-naive",
-            "--streaming",
-        ]),
         2
     );
 }
@@ -1153,19 +1145,6 @@ fn run_transport_flag_is_validated() {
             "R(a, b).",
             "--transport",
             "carrier-pigeon"
-        ]),
-        2
-    );
-    // streaming is an in-memory optimization
-    assert_eq!(
-        pcq_analyze(&[
-            "run",
-            "chain:2",
-            "hypercube:2",
-            "R(a, b).",
-            "--streaming",
-            "--transport",
-            "process"
         ]),
         2
     );

@@ -238,10 +238,10 @@ proptest! {
         }
     }
 
-    /// Streaming, parallel-reshuffle multi-round runs agree with the
-    /// materialized engine round for round at the whole-stack level.
+    /// Pooled, parallel-reshuffle multi-round runs agree with the
+    /// sequential engine round for round at the whole-stack level.
     #[test]
-    fn streaming_multi_round_agrees_with_materialized(
+    fn pooled_multi_round_agrees_with_sequential(
         qseed in 0u64..500,
         iseed in 0u64..500,
     ) {
@@ -253,15 +253,14 @@ proptest! {
                 .rounds(20)
                 .feedback_into("R0");
             let base = configure().evaluate(&query, &instance);
-            let streamed = configure()
-                .streaming(true)
+            let pooled = configure()
                 .workers(3)
                 .distribute_workers(2)
                 .evaluate(&query, &instance);
-            prop_assert_eq!(&base.result, &streamed.result);
-            prop_assert_eq!(base.converged, streamed.converged);
-            prop_assert_eq!(base.rounds_run(), streamed.rounds_run());
-            for (m, s) in base.rounds.iter().zip(&streamed.rounds) {
+            prop_assert_eq!(&base.result, &pooled.result);
+            prop_assert_eq!(base.converged, pooled.converged);
+            prop_assert_eq!(base.rounds_run(), pooled.rounds_run());
+            for (m, s) in base.rounds.iter().zip(&pooled.rounds) {
                 prop_assert_eq!(&m.result, &s.result);
                 prop_assert_eq!(&m.per_node_load, &s.per_node_load);
                 prop_assert_eq!(m.stats, s.stats);

@@ -200,8 +200,8 @@ fn process_transport_merges_worker_timelines_into_the_coordinator_trace() {
     };
     let reference = build_engine().evaluate(&query, &instance);
 
-    let mut transport =
-        ProcessTransport::spawn_command(worker_binary(), &["worker".to_string()], 2).unwrap();
+    let healthy = vec![vec!["worker".to_string()]; 2];
+    let mut transport = WireTransport::spawn_pipes(&worker_binary(), &healthy).unwrap();
     let (outcome, events) =
         traced(|| build_engine().evaluate_via(&mut transport, &query, &instance));
     let outcome = outcome.unwrap();
@@ -260,8 +260,7 @@ fn fault_injected_socket_trace_records_requeues_and_registry_agrees() {
     let engine = OneRoundEngine::new(&policy);
     let reference = engine.evaluate(&query, &instance);
 
-    let mut transport =
-        SocketTransport::spawn_commands(worker_binary(), &faulty_argv(3, 1)).unwrap();
+    let mut transport = WireTransport::spawn_sockets(&worker_binary(), &faulty_argv(3, 1)).unwrap();
     let (outcome, events) = traced(|| engine.evaluate_via(&mut transport, 0, &query, &instance));
     let outcome = outcome.expect("round must survive the death");
     assert_eq!(outcome.result, reference.result);
@@ -324,25 +323,17 @@ fn a_dead_workers_stderr_surfaces_in_the_transport_error() {
     let policy = ExplicitPolicy::round_robin(&network, &instance);
     let engine = OneRoundEngine::new(&policy);
 
-    let mut process = ProcessTransport::spawn_commands(worker_binary(), &faulty_argv(2, 0))
-        .unwrap()
-        .fault_tolerance(false);
-    let err = engine
-        .evaluate_via(&mut process, 0, &query, &instance)
-        .expect_err("a dead worker without fault tolerance must error")
-        .to_string();
-    assert!(err.contains("worker stderr"), "no stderr tail in: {err}");
-    assert!(err.contains("injected fault"), "tail lost the cause: {err}");
-
-    let mut socket = SocketTransport::spawn_commands(worker_binary(), &faulty_argv(2, 0))
-        .unwrap()
-        .fault_tolerance(false);
-    let err = engine
-        .evaluate_via(&mut socket, 0, &query, &instance)
-        .expect_err("socket transport must surface the death too")
-        .to_string();
-    assert!(err.contains("worker stderr"), "no stderr tail in: {err}");
-    assert!(err.contains("injected fault"), "tail lost the cause: {err}");
+    for spawn in [WireTransport::spawn_pipes, WireTransport::spawn_sockets] {
+        let mut transport = spawn(&worker_binary(), &faulty_argv(2, 0))
+            .unwrap()
+            .fault_tolerance(false);
+        let err = engine
+            .evaluate_via(&mut transport, 0, &query, &instance)
+            .expect_err("a dead worker without fault tolerance must error")
+            .to_string();
+        assert!(err.contains("worker stderr"), "no stderr tail in: {err}");
+        assert!(err.contains("injected fault"), "tail lost the cause: {err}");
+    }
 }
 
 #[test]

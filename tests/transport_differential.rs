@@ -8,15 +8,26 @@
 //! reshuffle → binary encode → frame → pipe → decode → evaluate → reply.
 
 use pcq::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn worker_binary() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_pcq-analyze"))
 }
 
-fn spawn_transport(workers: usize) -> ProcessTransport {
-    ProcessTransport::spawn_command(worker_binary(), &["worker".to_string()], workers)
+/// One of the two `WireTransport` constructors: workers over stdio pipes
+/// or over loopback sockets.
+type Spawn = fn(&Path, &[Vec<String>]) -> Result<WireTransport, TransportError>;
+const PIPES: Spawn = WireTransport::spawn_pipes;
+const SOCKETS: Spawn = WireTransport::spawn_sockets;
+
+fn spawn_workers(spawn: Spawn, workers: usize) -> WireTransport {
+    spawn(&worker_binary(), &vec![vec!["worker".to_string()]; workers])
         .expect("cannot spawn worker subprocesses")
+}
+
+fn spawn_transport(workers: usize) -> WireTransport {
+    spawn_workers(PIPES, workers)
 }
 
 /// The named workload families of `workloads::named_query`, with a
@@ -46,9 +57,8 @@ fn instance_for(query: &ConjunctiveQuery, seed: u64) -> Instance {
     )
 }
 
-#[test]
-fn one_round_process_transport_matches_in_memory_on_all_named_workloads() {
-    let mut transport = spawn_transport(3);
+fn one_round_matches_memory(spawn: Spawn) {
+    let mut transport = spawn_workers(spawn, 3);
     for (name, _) in named_workloads() {
         let query = named_query(name).unwrap();
         let instance = instance_for(&query, 11);
@@ -56,29 +66,38 @@ fn one_round_process_transport_matches_in_memory_on_all_named_workloads() {
         let engine = OneRoundEngine::new(&policy).workers(2);
 
         let in_memory = engine.evaluate(&query, &instance);
-        let cross_process = engine
+        let on_wire = engine
             .evaluate_via(&mut transport, 0, &query, &instance)
-            .unwrap_or_else(|e| panic!("{name}: process transport failed: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: wire transport failed: {e}"));
 
         assert_eq!(
-            cross_process.result, in_memory.result,
+            on_wire.result, in_memory.result,
             "{name}: cross-process result diverged"
         );
         // byte-identical: the rendered answers match exactly
         assert_eq!(
-            cross_process.result.to_string(),
+            on_wire.result.to_string(),
             in_memory.result.to_string(),
             "{name}: rendered answers diverged"
         );
-        assert_eq!(cross_process.per_node_load, in_memory.per_node_load);
-        assert_eq!(cross_process.per_node_output, in_memory.per_node_output);
-        assert_eq!(cross_process.stats, in_memory.stats);
+        assert_eq!(on_wire.per_node_load, in_memory.per_node_load, "{name}");
+        assert_eq!(on_wire.per_node_output, in_memory.per_node_output, "{name}");
+        assert_eq!(on_wire.stats, in_memory.stats, "{name}");
     }
 }
 
 #[test]
-fn multi_round_process_transport_matches_in_memory_on_all_named_workloads() {
-    let mut transport = spawn_transport(2);
+fn one_round_process_transport_matches_in_memory_on_all_named_workloads() {
+    one_round_matches_memory(PIPES);
+}
+
+#[test]
+fn one_round_socket_transport_matches_memory_and_process_on_all_named_workloads() {
+    one_round_matches_memory(SOCKETS);
+}
+
+fn multi_round_matches_memory(spawn: Spawn) {
+    let mut transport = spawn_workers(spawn, 2);
     for (name, feedback) in named_workloads() {
         let query = named_query(name).unwrap();
         let instance = instance_for(&query, 23);
@@ -93,36 +112,45 @@ fn multi_round_process_transport_matches_in_memory_on_all_named_workloads() {
         };
 
         let in_memory = build_engine().evaluate(&query, &instance);
-        let cross_process = build_engine()
+        let on_wire = build_engine()
             .evaluate_via(&mut transport, &query, &instance)
-            .unwrap_or_else(|e| panic!("{name}: process transport failed: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: wire transport failed: {e}"));
 
         assert_eq!(
-            cross_process.result.to_string(),
+            on_wire.result.to_string(),
             in_memory.result.to_string(),
             "{name}: multi-round answers diverged"
         );
-        assert_eq!(cross_process.converged, in_memory.converged, "{name}");
-        assert_eq!(cross_process.rounds_run(), in_memory.rounds_run(), "{name}");
-        assert_eq!(cross_process.final_state, in_memory.final_state, "{name}");
-        for (mem_round, proc_round) in in_memory.rounds.iter().zip(&cross_process.rounds) {
+        assert_eq!(on_wire.converged, in_memory.converged, "{name}");
+        assert_eq!(on_wire.rounds_run(), in_memory.rounds_run(), "{name}");
+        assert_eq!(on_wire.final_state, in_memory.final_state, "{name}");
+        for (mem_round, wire_round) in in_memory.rounds.iter().zip(&on_wire.rounds) {
             assert_eq!(
-                mem_round.result, proc_round.result,
+                mem_round.result, wire_round.result,
                 "{name}: a round diverged"
             );
-            assert_eq!(mem_round.per_node_load, proc_round.per_node_load, "{name}");
-            assert_eq!(mem_round.stats, proc_round.stats, "{name}");
+            assert_eq!(mem_round.per_node_load, wire_round.per_node_load, "{name}");
+            assert_eq!(mem_round.stats, wire_round.stats, "{name}");
         }
     }
 }
 
 #[test]
-fn semi_naive_delta_shipping_matches_full_chunk_shipping_on_all_named_workloads() {
-    // The acceptance differential: on every named workload, the incremental
-    // run (deltas over the wire, per-node state in the workers, semi-naive
-    // local evaluation) must produce byte-identical answers to the classic
-    // full-chunk run — in memory and across processes.
-    let mut transport = spawn_transport(2);
+fn multi_round_process_transport_matches_in_memory_on_all_named_workloads() {
+    multi_round_matches_memory(PIPES);
+}
+
+#[test]
+fn multi_round_socket_transport_matches_memory_on_all_named_workloads() {
+    multi_round_matches_memory(SOCKETS);
+}
+
+/// The acceptance differential: on every named workload, the incremental
+/// run (deltas over the wire, per-node state in the workers, semi-naive
+/// local evaluation) must produce byte-identical answers to the classic
+/// full-chunk run — in memory and across processes.
+fn semi_naive_matches_full_and_memory(spawn: Spawn) {
+    let mut transport = spawn_workers(spawn, 2);
     for (name, feedback) in named_workloads() {
         let query = named_query(name).unwrap();
         let instance = instance_for(&query, 37);
@@ -138,12 +166,12 @@ fn semi_naive_delta_shipping_matches_full_chunk_shipping_on_all_named_workloads(
 
         let full = build_engine().evaluate(&query, &instance);
         let semi_memory = build_engine().semi_naive(true).evaluate(&query, &instance);
-        let semi_process = build_engine()
+        let semi_wire = build_engine()
             .semi_naive(true)
             .evaluate_via(&mut transport, &query, &instance)
-            .unwrap_or_else(|e| panic!("{name}: semi-naive process transport failed: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: semi-naive wire transport failed: {e}"));
 
-        for (label, semi) in [("memory", &semi_memory), ("process", &semi_process)] {
+        for (label, semi) in [("memory", &semi_memory), ("wire", &semi_wire)] {
             assert_eq!(
                 semi.result.to_string(),
                 full.result.to_string(),
@@ -155,12 +183,22 @@ fn semi_naive_delta_shipping_matches_full_chunk_shipping_on_all_named_workloads(
         }
         // The two semi-naive paths must agree round by round, not just in
         // the end: same delta loads, same delta outputs.
-        for (m, p) in semi_memory.rounds.iter().zip(&semi_process.rounds) {
-            assert_eq!(m.result, p.result, "{name}: a semi-naive round diverged");
-            assert_eq!(m.per_node_load, p.per_node_load, "{name}");
-            assert_eq!(m.stats, p.stats, "{name}");
+        for (m, w) in semi_memory.rounds.iter().zip(&semi_wire.rounds) {
+            assert_eq!(m.result, w.result, "{name}: a semi-naive round diverged");
+            assert_eq!(m.per_node_load, w.per_node_load, "{name}");
+            assert_eq!(m.stats, w.stats, "{name}");
         }
     }
+}
+
+#[test]
+fn semi_naive_delta_shipping_matches_full_chunk_shipping_on_all_named_workloads() {
+    semi_naive_matches_full_and_memory(PIPES);
+}
+
+#[test]
+fn semi_naive_socket_transport_matches_memory_on_all_named_workloads() {
+    semi_naive_matches_full_and_memory(SOCKETS);
 }
 
 #[test]
@@ -293,130 +331,6 @@ fn scenario_files_drive_identical_runs_across_transports() {
 }
 
 // ---------------------------------------------------------------------------
-// Socket transport: the TCP-backed coordinator must be indistinguishable
-// from the stdio-pipe transport, which in turn matches in-memory.
-// ---------------------------------------------------------------------------
-
-fn spawn_socket_transport(workers: usize) -> SocketTransport {
-    SocketTransport::spawn_command(worker_binary(), &["worker".to_string()], workers)
-        .expect("cannot spawn socket workers")
-}
-
-#[test]
-fn one_round_socket_transport_matches_memory_and_process_on_all_named_workloads() {
-    let mut socket = spawn_socket_transport(3);
-    let mut process = spawn_transport(3);
-    for (name, _) in named_workloads() {
-        let query = named_query(name).unwrap();
-        let instance = instance_for(&query, 11);
-        let policy = HypercubePolicy::uniform(&query, 2).unwrap();
-        let engine = OneRoundEngine::new(&policy).workers(2);
-
-        let in_memory = engine.evaluate(&query, &instance);
-        let via_socket = engine
-            .evaluate_via(&mut socket, 0, &query, &instance)
-            .unwrap_or_else(|e| panic!("{name}: socket transport failed: {e}"));
-        let via_process = engine
-            .evaluate_via(&mut process, 0, &query, &instance)
-            .unwrap_or_else(|e| panic!("{name}: process transport failed: {e}"));
-
-        assert_eq!(
-            via_socket.result.to_string(),
-            in_memory.result.to_string(),
-            "{name}: socket answers diverged from memory"
-        );
-        assert_eq!(
-            via_socket.result.to_string(),
-            via_process.result.to_string(),
-            "{name}: socket answers diverged from process"
-        );
-        assert_eq!(via_socket.per_node_load, in_memory.per_node_load, "{name}");
-        assert_eq!(
-            via_socket.per_node_output, in_memory.per_node_output,
-            "{name}"
-        );
-        assert_eq!(via_socket.stats, in_memory.stats, "{name}");
-    }
-}
-
-#[test]
-fn multi_round_socket_transport_matches_memory_on_all_named_workloads() {
-    let mut socket = spawn_socket_transport(2);
-    for (name, feedback) in named_workloads() {
-        let query = named_query(name).unwrap();
-        let instance = instance_for(&query, 23);
-        let policy = HypercubePolicy::uniform(&query, 2).unwrap();
-
-        let build_engine = || {
-            let mut engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy)).rounds(5);
-            if let Some(relation) = feedback {
-                engine = engine.feedback_into(relation);
-            }
-            engine
-        };
-
-        let in_memory = build_engine().evaluate(&query, &instance);
-        let via_socket = build_engine()
-            .evaluate_via(&mut socket, &query, &instance)
-            .unwrap_or_else(|e| panic!("{name}: socket transport failed: {e}"));
-
-        assert_eq!(
-            via_socket.result.to_string(),
-            in_memory.result.to_string(),
-            "{name}: multi-round socket answers diverged"
-        );
-        assert_eq!(via_socket.converged, in_memory.converged, "{name}");
-        assert_eq!(via_socket.rounds_run(), in_memory.rounds_run(), "{name}");
-        assert_eq!(via_socket.final_state, in_memory.final_state, "{name}");
-        for (mem_round, sock_round) in in_memory.rounds.iter().zip(&via_socket.rounds) {
-            assert_eq!(
-                mem_round.result, sock_round.result,
-                "{name}: a round diverged"
-            );
-            assert_eq!(mem_round.per_node_load, sock_round.per_node_load, "{name}");
-            assert_eq!(mem_round.stats, sock_round.stats, "{name}");
-        }
-    }
-}
-
-#[test]
-fn semi_naive_socket_transport_matches_memory_on_all_named_workloads() {
-    let mut socket = spawn_socket_transport(2);
-    for (name, feedback) in named_workloads() {
-        let query = named_query(name).unwrap();
-        let instance = instance_for(&query, 37);
-        let policy = HypercubePolicy::uniform(&query, 2).unwrap();
-
-        let build_engine = || {
-            let mut engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy)).rounds(6);
-            if let Some(relation) = feedback {
-                engine = engine.feedback_into(relation);
-            }
-            engine
-        };
-
-        let semi_memory = build_engine().semi_naive(true).evaluate(&query, &instance);
-        let semi_socket = build_engine()
-            .semi_naive(true)
-            .evaluate_via(&mut socket, &query, &instance)
-            .unwrap_or_else(|e| panic!("{name}: semi-naive socket transport failed: {e}"));
-
-        assert_eq!(
-            semi_socket.result.to_string(),
-            semi_memory.result.to_string(),
-            "{name}: semi-naive socket answers diverged"
-        );
-        assert_eq!(semi_socket.converged, semi_memory.converged, "{name}");
-        assert_eq!(semi_socket.rounds_run(), semi_memory.rounds_run(), "{name}");
-        for (m, s) in semi_memory.rounds.iter().zip(&semi_socket.rounds) {
-            assert_eq!(m.result, s.result, "{name}: a semi-naive round diverged");
-            assert_eq!(m.per_node_load, s.per_node_load, "{name}");
-            assert_eq!(m.stats, s.stats, "{name}");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Byte accounting: comm_bytes must count worker→coordinator result frames,
 // not just the requests.
 // ---------------------------------------------------------------------------
@@ -463,7 +377,7 @@ fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
         request_bytes
     );
 
-    let mut socket = spawn_socket_transport(2);
+    let mut socket = spawn_workers(SOCKETS, 2);
     let via_socket = engine
         .evaluate_via(&mut socket, 0, &query, &instance)
         .unwrap();
@@ -491,7 +405,7 @@ fn wire_workers_honor_the_coordinators_join_strategy() {
         ..EvalOptions::default()
     };
     let mut process = spawn_transport(2);
-    let mut socket = spawn_socket_transport(2);
+    let mut socket = spawn_workers(SOCKETS, 2);
     for (name, _) in named_workloads() {
         let query = named_query(name).unwrap();
         let instance = instance_for(&query, 43);
@@ -576,7 +490,7 @@ fn instance_for_sequence(queries: &[ConjunctiveQuery], seed: u64) -> Instance {
 #[test]
 fn multi_query_elision_matches_reshuffle_always_on_all_sequences_and_transports() {
     let mut process = spawn_transport(2);
-    let mut socket = spawn_socket_transport(2);
+    let mut socket = spawn_workers(SOCKETS, 2);
     for name in query_sequence_names() {
         let queries = named_query_sequence(name).unwrap();
         let instance = instance_for_sequence(&queries, 19);
@@ -713,28 +627,19 @@ fn full_mode_round_survives_a_worker_dying_mid_round() {
     let engine = OneRoundEngine::new(&policy);
     let in_memory = engine.evaluate(&query, &instance);
 
-    for label in ["process", "socket"] {
-        let (outcome, before, after) = if label == "process" {
-            let mut t =
-                ProcessTransport::spawn_commands(worker_binary(), &faulty_argv(3, 1)).unwrap();
-            let before = t.alive_workers();
-            let outcome = engine.evaluate_via(&mut t, 0, &query, &instance);
-            (outcome, before, t.alive_workers())
-        } else {
-            let mut t =
-                SocketTransport::spawn_commands(worker_binary(), &faulty_argv(3, 1)).unwrap();
-            let before = t.alive_workers();
-            let outcome = engine.evaluate_via(&mut t, 0, &query, &instance);
-            (outcome, before, t.alive_workers())
-        };
-        let outcome = outcome.unwrap_or_else(|e| panic!("{label}: round did not survive: {e}"));
+    for (label, spawn) in [("pipes", PIPES), ("sockets", SOCKETS)] {
+        let mut t = spawn(&worker_binary(), &faulty_argv(3, 1)).unwrap();
+        let before = t.alive_workers();
+        let outcome = engine
+            .evaluate_via(&mut t, 0, &query, &instance)
+            .unwrap_or_else(|e| panic!("{label}: round did not survive: {e}"));
         assert_eq!(
             outcome.result, in_memory.result,
             "{label}: requeued round diverged"
         );
         assert_eq!(before, 3, "{label}");
         assert!(
-            after < before,
+            t.alive_workers() < before,
             "{label}: no worker died — the fault injection never fired"
         );
     }
@@ -742,7 +647,7 @@ fn full_mode_round_survives_a_worker_dying_mid_round() {
 
 #[test]
 fn semi_naive_run_rebuilds_dead_workers_state_on_survivors() {
-    // The hard path: the dead worker held per-node DeltaNode state. The
+    // The hard path: the dead worker held per-node incremental state. The
     // coordinator must re-ship the node's full accumulated input as a
     // round-0 rebuild on a survivor, and the run must still converge to
     // the same fixpoint as the in-memory reference — including rounds
@@ -767,32 +672,24 @@ fn semi_naive_run_rebuilds_dead_workers_state_on_survivors() {
     // round 0 ships it four jobs and round 1 at most four more, so by then
     // a round-1 delta has extended the shared ledger entries in place and
     // the rebuild must ship that accumulated state.
-    for (label, fail_after) in [("process", 1), ("socket", 1), ("process", 8), ("socket", 8)] {
-        let (outcome, after, total) = if label == "process" {
-            let mut t =
-                ProcessTransport::spawn_commands(worker_binary(), &faulty_argv(2, fail_after))
-                    .unwrap();
-            let outcome = build_engine().evaluate_via(&mut t, &query, &instance);
-            (outcome, t.alive_workers(), t.worker_count())
-        } else {
-            let mut t =
-                SocketTransport::spawn_commands(worker_binary(), &faulty_argv(2, fail_after))
-                    .unwrap();
-            let outcome = build_engine().evaluate_via(&mut t, &query, &instance);
-            (outcome, t.alive_workers(), t.worker_count())
-        };
-        let label = format!("{label}, death on job {}", fail_after + 1);
-        let outcome = outcome.unwrap_or_else(|e| panic!("{label}: run did not survive: {e}"));
-        assert_eq!(
-            outcome.result.to_string(),
-            reference.result.to_string(),
-            "{label}: post-fault fixpoint diverged"
-        );
-        assert_eq!(outcome.converged, reference.converged, "{label}");
-        assert!(
-            after < total,
-            "{label}: no worker died — the fault injection never fired"
-        );
+    for (label, spawn) in [("pipes", PIPES), ("sockets", SOCKETS)] {
+        for fail_after in [1, 8] {
+            let mut t = spawn(&worker_binary(), &faulty_argv(2, fail_after)).unwrap();
+            let label = format!("{label}, death on job {}", fail_after + 1);
+            let outcome = build_engine()
+                .evaluate_via(&mut t, &query, &instance)
+                .unwrap_or_else(|e| panic!("{label}: run did not survive: {e}"));
+            assert_eq!(
+                outcome.result.to_string(),
+                reference.result.to_string(),
+                "{label}: post-fault fixpoint diverged"
+            );
+            assert_eq!(outcome.converged, reference.converged, "{label}");
+            assert!(
+                t.alive_workers() < t.worker_count(),
+                "{label}: no worker died — the fault injection never fired"
+            );
+        }
     }
 }
 
@@ -806,24 +703,18 @@ fn with_fault_tolerance_off_a_worker_death_is_a_clean_error() {
     let policy = ExplicitPolicy::round_robin(&network, &instance);
     let engine = OneRoundEngine::new(&policy);
 
-    let mut t = ProcessTransport::spawn_commands(worker_binary(), &faulty_argv(2, 0))
-        .unwrap()
-        .fault_tolerance(false);
-    let err = engine
-        .evaluate_via(&mut t, 0, &query, &instance)
-        .expect_err("a dead worker without fault tolerance must error");
-    match err {
-        TransportError::Io(_) | TransportError::Protocol(_) => {}
-        other => panic!("unexpected error kind: {other:?}"),
+    for (label, spawn) in [("pipes", PIPES), ("sockets", SOCKETS)] {
+        let mut t = spawn(&worker_binary(), &faulty_argv(2, 0))
+            .unwrap()
+            .fault_tolerance(false);
+        let err = engine
+            .evaluate_via(&mut t, 0, &query, &instance)
+            .expect_err("a dead worker without fault tolerance must error");
+        match err {
+            TransportError::Io(_) | TransportError::Protocol(_) => {}
+            other => panic!("{label}: unexpected error kind: {other:?}"),
+        }
     }
-    drop(t);
-
-    let mut t = SocketTransport::spawn_commands(worker_binary(), &faulty_argv(2, 0))
-        .unwrap()
-        .fault_tolerance(false);
-    engine
-        .evaluate_via(&mut t, 0, &query, &instance)
-        .expect_err("socket transport must surface the death too");
 }
 
 #[test]
@@ -831,7 +722,7 @@ fn dropping_a_transport_with_a_wedged_worker_is_bounded() {
     // `sleep 30` never speaks the protocol and ignores Shutdown; the old
     // Drop would block in child.wait() for the full 30 seconds. The
     // bounded grace must kill it quickly instead.
-    let transport = ProcessTransport::spawn_command(PathBuf::from("sleep"), &["30".to_string()], 1)
+    let transport = WireTransport::spawn_pipes(Path::new("sleep"), &[vec!["30".to_string()]])
         .unwrap()
         .shutdown_grace(std::time::Duration::from_millis(250));
     let start = std::time::Instant::now();
@@ -841,4 +732,112 @@ fn dropping_a_transport_with_a_wedged_worker_is_bounded() {
         "drop took {:?} — the shutdown grace is not bounding the wait",
         start.elapsed()
     );
+}
+
+// ---------------------------------------------------------------------------
+// Shipment conformance: every transport hands its shipments to the one
+// `NodeState::apply`, so the node-state rule must read the same through all
+// of them.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn every_transport_applies_shipments_by_the_same_node_state_rule() {
+    let two_hop = ConjunctiveQuery::parse("T(x, z) :- R(x, y), S(y, z).").unwrap();
+    let facts = |text: &str| Arc::new(cq::parse_instance(text).unwrap());
+    let full = |text: &str| Shipment::Full(facts(text));
+    let delta = |text: &str| Shipment::Delta(facts(text));
+    let (n0, n7) = (Node::numbered(0), Node::numbered(7));
+    // (what the step shows, round, node, shipment, expected output)
+    let script = [
+        (
+            "a full chunk is evaluated",
+            0,
+            n0,
+            full("R(a, b). S(b, c)."),
+            "T(a, c).",
+        ),
+        (
+            "a resident round sees the same shard",
+            0,
+            n0,
+            Shipment::Resident,
+            "T(a, c).",
+        ),
+        (
+            "a round-0 delta resets the node",
+            0,
+            n0,
+            delta("R(a, b)."),
+            "",
+        ),
+        (
+            "a later delta joins against retained state",
+            1,
+            n0,
+            delta("S(b, c)."),
+            "T(a, c).",
+        ),
+        (
+            "a re-announced delta derives nothing",
+            2,
+            n0,
+            delta("R(a, b)."),
+            "",
+        ),
+        (
+            "a resident round sees the accumulated state",
+            0,
+            n0,
+            Shipment::Resident,
+            "T(a, c).",
+        ),
+        (
+            "a full chunk supersedes the delta state",
+            3,
+            n0,
+            full("R(a, b)."),
+            "",
+        ),
+        (
+            "the superseded state is gone",
+            0,
+            n0,
+            Shipment::Resident,
+            "",
+        ),
+        (
+            "a never-shipped node holds nothing",
+            0,
+            n7,
+            Shipment::Resident,
+            "",
+        ),
+    ];
+    let transports: [(&str, Box<dyn Transport>); 3] = [
+        ("memory", Box::new(InMemoryTransport::new(2))),
+        ("pipes", Box::new(spawn_workers(PIPES, 2))),
+        ("sockets", Box::new(spawn_workers(SOCKETS, 2))),
+    ];
+    for (label, mut transport) in transports {
+        assert!(
+            matches!(transport.barrier(), Err(TransportError::Protocol(_))),
+            "{label}: a barrier before begin_round is a protocol error"
+        );
+        for (what, round, node, shipment, expected) in script.clone() {
+            transport
+                .begin_round(round, &two_hop, EvalOptions::default())
+                .unwrap();
+            transport.send(node, shipment).unwrap();
+            transport.barrier().unwrap();
+            assert_eq!(
+                transport.recv(node).unwrap().output,
+                *facts(expected),
+                "{label}: {what}"
+            );
+            assert!(
+                matches!(transport.recv(node), Err(TransportError::UnknownNode(n)) if n == node),
+                "{label}: a result can be received only once"
+            );
+        }
+    }
 }
