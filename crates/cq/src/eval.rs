@@ -14,10 +14,11 @@
 //! * **Answers before facts.** `evaluate*` project every satisfying
 //!   assignment onto the head slots and collect the tuples with set
 //!   semantics *before any [`Fact`] exists*: a hash probe on the projection,
-//!   an allocation only for a tuple seen for the first time, and one
-//!   [`Instance::from_facts`] over the distinct set at the end. The work per
-//!   derivation is a probe; the allocations are O(answers), not
-//!   O(valuations). (`evaluate_done` in a trace carries both counts.)
+//!   a [`Tuple`] only for one seen for the first time (inline, so no
+//!   allocation, up to a head of arity 5), and one [`Instance::from_facts`]
+//!   over the distinct set at the end. The work per derivation is a probe;
+//!   the allocations are at most O(answers), never O(valuations).
+//!   (`evaluate_done` in a trace carries both counts.)
 //! * **Valuations only at the boundary.** [`CompiledQuery`] is public:
 //!   [`CompiledQuery::for_each_satisfying`] hands every leaf's slot array to
 //!   the caller, which is what the decision procedures of `pc-core` loop
@@ -70,7 +71,7 @@ use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
 
 use crate::atom::{Atom, Variable};
-use crate::fact::Fact;
+use crate::fact::{Fact, Tuple};
 use crate::instance::{Instance, RelationView};
 use crate::intern::{Symbol, SymbolHashBuilder};
 use crate::query::ConjunctiveQuery;
@@ -376,11 +377,12 @@ impl Bindings {
     /// maps onto `fact`. On a clash — or a fact of another arity — nothing
     /// stays bound; on success the caller undoes to its trail mark.
     pub fn unify(&mut self, args: &[usize], fact: &Fact) -> bool {
-        if args.len() != fact.values.len() {
+        let values = fact.values.as_slice();
+        if args.len() != values.len() {
             return false;
         }
         let mark = self.trail.len();
-        for (&slot, &value) in args.iter().zip(&fact.values) {
+        for (&slot, &value) in args.iter().zip(values) {
             match self.slots[slot] {
                 Some(bound) if bound == value => {}
                 Some(_) => {
@@ -842,7 +844,7 @@ where
         let source_facts = self.views[source.atom].facts;
         candidates.clear();
         'rows: for &row in &self.rows[source.atom] {
-            let values = &source_facts[row as usize].values;
+            let values = source_facts[row as usize].values.as_slice();
             let value = values[source.position];
             // A variable repeated inside the source atom must agree across
             // its positions for the row to propose a value at all.
@@ -947,7 +949,7 @@ struct Answers {
     head: Vec<usize>,
     /// The projection of the leaf at hand, reused across leaves.
     tuple: Vec<Value>,
-    distinct: HashSet<Vec<Value>, SymbolHashBuilder>,
+    distinct: HashSet<Tuple, SymbolHashBuilder>,
     valuations: u64,
 }
 
@@ -963,8 +965,8 @@ impl Answers {
         }
     }
 
-    /// Records the head tuple of one satisfying assignment; allocates only
-    /// when the tuple is new.
+    /// Records the head tuple of one satisfying assignment; copies it only
+    /// when it is new (and allocates only if it is wider than 5 as well).
     fn collect(&mut self, slots: &Slots) -> ControlFlow<()> {
         self.valuations += 1;
         self.tuple.clear();
@@ -974,7 +976,7 @@ impl Answers {
                 .map(|&slot| slots[slot].expect("every slot is bound at a leaf")),
         );
         if !self.distinct.contains(self.tuple.as_slice()) {
-            self.distinct.insert(self.tuple.clone());
+            self.distinct.insert(self.tuple.iter().copied().collect());
         }
         ControlFlow::Continue(())
     }

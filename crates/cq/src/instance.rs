@@ -1,12 +1,14 @@
 //! Database instances: finite sets of facts with per-relation indexes.
 
+use std::borrow::Cow;
 use std::cell::Cell;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 
-use crate::fact::Fact;
+use crate::fact::{Fact, Tuple};
 use crate::intern::{Symbol, SymbolMap};
 use crate::schema::Schema;
 use crate::value::Value;
@@ -111,26 +113,43 @@ impl<'a> RelationView<'a> {
     }
 }
 
-/// Up to this many facts [`Instance::from_facts`] inserts one by one: the
-/// decision procedures build tens of thousands of query-body-sized instances
-/// (a valuation's required facts), where the bulk builder's sort buffer costs
-/// more than it saves (3 facts: 170 ns inserted, 210 ns bulk; 6: equal).
-const BULK_BUILD_MIN: usize = 4;
+/// One relation's facts: the rows behind [`Instance::facts_of`].
+#[derive(Clone, Default)]
+struct Relation {
+    /// Append-only between two `remove`s, so the row ids in the posting
+    /// lists stay valid while the relation grows.
+    rows: Vec<Fact>,
+    /// `rows[..sorted]` is strictly ascending; the rows past it arrived out
+    /// of order and are also in [`Instance::late`].
+    sorted: usize,
+}
 
 /// A database instance: a finite set of facts.
 ///
-/// Facts are kept in a global ordered set (for deterministic iteration and
-/// set semantics), in a per-relation vector used by the evaluation engine,
-/// and — built lazily on first use — in per-relation secondary hash indexes
-/// keyed by `(argument position, value)` that let the evaluator retrieve
-/// only the candidate facts matching a partially bound atom. Insertion
-/// maintains built indexes incrementally (appended rows keep the posting
-/// lists sorted); `remove` invalidates them, and they are rebuilt in one
-/// pass on the next indexed lookup.
+/// Every fact is stored **once**, in its relation's row vector
+/// ([`Instance::facts_of`]). A relation's rows are strictly ascending — all
+/// of them when the instance was bulk-built ([`Instance::from_facts`], a
+/// decode, a `distribute` chunk, an `Extend` into an empty instance) or
+/// grown in ascending order — so membership is a binary search and
+/// [`Instance::facts`] walks relation after relation. Only a fact inserted
+/// *out of order into a non-empty relation* (an accumulator absorbing a
+/// later round) is also remembered in a small ordered side set that
+/// `facts()` merges in: iteration order, equality, ordering, hashing and the
+/// wire bytes depend on the fact set alone, never on how it was built.
+///
+/// Per-relation secondary hash indexes keyed by `(argument position,
+/// value)`, built lazily on first use, let the evaluator retrieve only the
+/// candidate facts matching a partially bound atom. Insertion maintains
+/// built indexes incrementally (appended row ids keep the posting lists
+/// sorted); `remove` invalidates them, and they are rebuilt in one pass on
+/// the next indexed lookup.
 #[derive(Default)]
 pub struct Instance {
-    facts: BTreeSet<Fact>,
-    by_relation: BTreeMap<Symbol, Vec<Fact>>,
+    relations: BTreeMap<Symbol, Relation>,
+    /// The facts past their relation's ascending prefix, in order. Empty
+    /// unless facts were inserted out of order.
+    late: BTreeSet<Fact>,
+    len: usize,
     indexes: OnceLock<BTreeMap<Symbol, RelationIndex>>,
     /// How many times the secondary indexes were built from scratch over
     /// this instance's lifetime — the regression counter behind
@@ -145,39 +164,74 @@ pub struct Instance {
 impl Clone for Instance {
     fn clone(&self) -> Instance {
         Instance {
-            facts: self.facts.clone(),
-            by_relation: self.by_relation.clone(),
-            indexes: OnceLock::new(),
-            index_builds: AtomicU64::new(0),
+            relations: self.relations.clone(),
+            late: self.late.clone(),
+            len: self.len,
+            ..Instance::default()
         }
     }
 }
 
-// Equality is on the fact set only; the per-relation index is a cache whose
-// internal ordering depends on insertion order.
+// Equality, order and hash are on the fact set only: they read the one
+// sorted `facts()` order, whatever the rows' insertion order.
 impl PartialEq for Instance {
     fn eq(&self, other: &Self) -> bool {
-        self.facts == other.facts
+        self.len == other.len && self.facts().eq(other.facts())
     }
 }
 
 impl Eq for Instance {}
 
 impl PartialOrd for Instance {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Instance {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.facts.cmp(&other.facts)
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.facts().cmp(other.facts())
     }
 }
 
 impl std::hash::Hash for Instance {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.facts.hash(state);
+        state.write_usize(self.len);
+        self.facts().for_each(|fact| fact.hash(state));
+    }
+}
+
+/// [`Instance::facts`]: the relations' ascending prefixes, one after the
+/// other, merged with the out-of-order side set.
+struct Facts<'a> {
+    relations: std::collections::btree_map::Values<'a, Symbol, Relation>,
+    run: std::slice::Iter<'a, Fact>,
+    late: std::iter::Peekable<std::collections::btree_set::Iter<'a, Fact>>,
+    remaining: usize,
+}
+
+impl<'a> Iterator for Facts<'a> {
+    type Item = &'a Fact;
+
+    fn next(&mut self) -> Option<&'a Fact> {
+        self.remaining = self.remaining.saturating_sub(1);
+        loop {
+            let Some(next) = self.run.as_slice().first() else {
+                match self.relations.next() {
+                    Some(relation) => self.run = relation.rows[..relation.sorted].iter(),
+                    None => return self.late.next(),
+                }
+                continue;
+            };
+            return match self.late.peek() {
+                Some(&late) if late < next => self.late.next(),
+                _ => self.run.next(),
+            };
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -190,35 +244,35 @@ impl Instance {
     /// Builds an instance from an iterator of facts (duplicates collapse).
     ///
     /// This is the bulk builder every reshuffle, decode and merge goes
-    /// through: one sort + dedup, then the ordered set is built bottom-up
-    /// from the sorted run instead of by one tree search per fact (inputs
-    /// known to hold a handful of facts are simply inserted). The sort
-    /// is a run-detecting merge sort, so input that is already sorted — a
-    /// chunk cut out of another instance, or several such chunks
-    /// concatenated — costs a linear pass. The order of the rows behind
-    /// [`Instance::facts_of`] (and hence the row ids in
-    /// [`Instance::posting`]) is unspecified; callers must go through
-    /// `facts_of(relation)[row]`.
+    /// through: one sort + dedup, then the sorted run is cut into its
+    /// relations' row vectors — facts are moved, never copied, and nothing
+    /// else is built. The sort is a run-detecting merge sort, so input that
+    /// is already sorted — a chunk cut out of another instance, or several
+    /// such chunks concatenated — costs a linear pass. `facts_of(relation)`
+    /// of the result is in [`Instance::facts`] order; the side set is empty.
     pub fn from_facts<I: IntoIterator<Item = Fact>>(facts: I) -> Instance {
-        let facts = facts.into_iter();
-        if facts.size_hint().1.is_some_and(|n| n <= BULK_BUILD_MIN) {
-            let mut tiny = Instance::new();
-            facts.for_each(|fact| {
-                tiny.insert(fact);
-            });
-            return tiny;
-        }
-        let mut sorted: Vec<Fact> = facts.collect();
-        sorted.sort();
-        sorted.dedup();
-        // `Fact` orders by relation first, so every relation is one run.
-        let mut by_relation = BTreeMap::new();
-        for rows in sorted.chunk_by(|a, b| a.relation == b.relation) {
-            by_relation.insert(rows[0].relation, rows.to_vec());
+        let mut rows: Vec<Fact> = facts.into_iter().collect();
+        rows.sort();
+        rows.dedup();
+        let len = rows.len();
+        // `Fact` orders by relation first, so every relation is one run;
+        // cutting them off the back moves each fact once.
+        let mut relations = BTreeMap::new();
+        while let Some(last) = rows.last() {
+            let relation = last.relation;
+            let start = rows.partition_point(|fact| fact.relation < relation);
+            let run = if start == 0 {
+                rows.shrink_to_fit();
+                std::mem::take(&mut rows)
+            } else {
+                rows.split_off(start)
+            };
+            let sorted = run.len();
+            relations.insert(relation, Relation { rows: run, sorted });
         }
         Instance {
-            facts: sorted.into_iter().collect(),
-            by_relation,
+            relations,
+            len,
             ..Instance::default()
         }
     }
@@ -231,44 +285,32 @@ impl Instance {
     /// `Pⁿ` restriction of Section 3 of the paper). The size is
     /// `Σ_R |values|^{ar(R)}`, so keep `values` small.
     pub fn complete_over(schema: &Schema, values: &[Value]) -> Instance {
-        let mut inst = Instance::new();
+        let mut facts = Vec::new();
         for rel in schema.relations() {
-            if values.is_empty() && rel.arity > 0 {
-                continue;
-            }
-            let mut idx = vec![0usize; rel.arity];
-            loop {
-                inst.insert(Fact::new(
-                    rel.name,
-                    idx.iter().map(|&i| values[i]).collect(),
-                ));
-                // advance the odometer; stop after wrapping around
-                let mut pos = 0;
-                loop {
-                    if pos == rel.arity {
-                        break;
-                    }
-                    idx[pos] += 1;
-                    if idx[pos] == values.len() {
-                        idx[pos] = 0;
-                        pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if pos == rel.arity {
-                    break;
-                }
-            }
+            // every `arity`-digit number in base `|values|` (0⁰ = 1: the
+            // nullary fact exists over an empty domain)
+            let arity = u32::try_from(rel.arity).expect("arity fits u32");
+            let tuples = values.len().checked_pow(arity).expect("universe too large");
+            facts.extend((0..tuples).map(|mut digits| {
+                let tuple = (0..rel.arity).map(|_| {
+                    let digit = digits % values.len();
+                    digits /= values.len();
+                    values[digit]
+                });
+                Fact::new(rel.name, Tuple::from_iter(tuple))
+            }));
         }
-        inst
+        Instance::from_facts(facts)
     }
 
     /// Inserts a fact. Returns `true` if the fact was not already present.
     ///
-    /// Membership is tested first, so a fact that is already there — the
-    /// common case when a round re-derives old facts — costs a search and
-    /// no copy.
+    /// One membership search decides: a fact above its relation's ascending
+    /// rows is appended after a single comparison, anything else is looked up
+    /// by binary search, and a fact that is already there — the common case
+    /// when a round re-derives old facts — costs that search and no copy. A
+    /// new fact that arrives out of order is appended all the same (rows
+    /// never move) and remembered in the side set.
     ///
     /// If the secondary indexes are already built, they are **maintained
     /// incrementally**: the new fact is appended to the per-position posting
@@ -277,48 +319,55 @@ impl Instance {
     /// evaluation — never throws away index work. Only [`Instance::remove`]
     /// still invalidates.
     pub fn insert(&mut self, fact: Fact) -> bool {
-        let new = !self.facts.contains(&fact);
-        if new {
-            self.push_new(fact);
-        }
-        new
+        self.insert_cow(Cow::Owned(fact))
     }
 
     /// [`Instance::insert`] for a borrowed fact: copies it only when it is
     /// not already present.
     pub fn insert_cloned(&mut self, fact: &Fact) -> bool {
-        let new = !self.facts.contains(fact);
-        if new {
-            self.push_new(fact.clone());
-        }
-        new
+        self.insert_cow(Cow::Borrowed(fact))
     }
 
-    /// Adds a fact known to be absent to the set, the relation's rows and
-    /// the built indexes.
-    fn push_new(&mut self, fact: Fact) {
-        self.facts.insert(fact.clone());
-        let rows = self.by_relation.entry(fact.relation).or_default();
+    fn insert_cow(&mut self, fact: Cow<'_, Fact>) -> bool {
+        let relation = self.relations.entry(fact.relation).or_default();
+        let ascending = &relation.rows[..relation.sorted];
+        let above = ascending.last().is_none_or(|last| *last < *fact);
+        if above && relation.sorted == relation.rows.len() {
+            relation.sorted += 1;
+        } else if (!above && ascending.binary_search(&fact).is_ok())
+            || !self.late.insert(Fact::clone(&fact))
+        {
+            return false;
+        }
         if let Some(indexes) = self.indexes.get_mut() {
-            let row = u32::try_from(rows.len()).expect("relation larger than u32::MAX facts");
+            let row = u32::try_from(relation.rows.len()).expect("relation larger than u32::MAX");
             indexes.entry(fact.relation).or_default().append(row, &fact);
         }
-        rows.push(fact);
+        relation.rows.push(fact.into_owned());
+        self.len += 1;
+        true
     }
 
     /// Removes a fact. Returns `true` if it was present.
     ///
-    /// Invalidates the secondary indexes.
+    /// Invalidates the secondary indexes (the rows behind it move up). The
+    /// scan starts at the back, where an undo finds what it just inserted.
     pub fn remove(&mut self, fact: &Fact) -> bool {
-        if self.facts.remove(fact) {
-            self.invalidate_indexes();
-            if let Some(v) = self.by_relation.get_mut(&fact.relation) {
-                v.retain(|f| f != fact);
-            }
-            true
+        let Some(relation) = self.relations.get_mut(&fact.relation) else {
+            return false;
+        };
+        let Some(row) = relation.rows.iter().rposition(|row| row == fact) else {
+            return false;
+        };
+        relation.rows.remove(row);
+        if row < relation.sorted {
+            relation.sorted -= 1;
         } else {
-            false
+            self.late.remove(fact);
         }
+        self.len -= 1;
+        self.invalidate_indexes();
+        true
     }
 
     /// Drops the lazily built secondary indexes; the next indexed lookup
@@ -330,10 +379,10 @@ impl Instance {
     /// The secondary indexes, building them on first use.
     fn indexes(&self) -> &BTreeMap<Symbol, RelationIndex> {
         self.indexes.get_or_init(|| {
-            self.index_builds.fetch_add(1, Ordering::Relaxed);
-            self.by_relation
+            self.index_builds.fetch_add(1, Relaxed);
+            self.relations
                 .iter()
-                .map(|(&rel, facts)| (rel, RelationIndex::build(facts)))
+                .map(|(&rel, relation)| (rel, RelationIndex::build(&relation.rows)))
                 .collect()
         })
     }
@@ -350,7 +399,7 @@ impl Instance {
     /// this to catch code that rebuilds per candidate instead of reusing a
     /// warm instance; clones restart at 0.
     pub fn index_builds(&self) -> u64 {
-        self.index_builds.load(Ordering::Relaxed)
+        self.index_builds.load(Relaxed)
     }
 
     /// The sorted positions (into [`Instance::facts_of`]) of the facts of
@@ -390,43 +439,52 @@ impl Instance {
             .map_or(0, |idx| idx.distinct_values_at(position))
     }
 
-    /// Whether the instance contains `fact`.
+    /// Whether the instance contains `fact`: a binary search of its
+    /// relation's ascending rows, then of the (usually empty) side set.
     pub fn contains(&self, fact: &Fact) -> bool {
-        self.facts.contains(fact)
+        self.relations.get(&fact.relation).is_some_and(|relation| {
+            relation.rows[..relation.sorted].binary_search(fact).is_ok() || self.late.contains(fact)
+        })
     }
 
     /// Whether `other` is a subset of this instance.
     pub fn contains_all(&self, other: &Instance) -> bool {
-        other.facts.is_subset(&self.facts)
+        other.len <= self.len && other.facts().all(|fact| self.contains(fact))
     }
 
     /// Number of facts.
     pub fn len(&self) -> usize {
-        self.facts.len()
+        self.len
     }
 
     /// Whether the instance is empty.
     pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
+        self.len == 0
     }
 
-    /// Iterates over all facts in deterministic order.
+    /// Iterates over all facts in ascending order — the one order equality,
+    /// hashing, `Display` and the wire bytes are defined by.
     pub fn facts(&self) -> impl Iterator<Item = &Fact> + '_ {
-        self.facts.iter()
+        Facts {
+            relations: self.relations.values(),
+            run: [].iter(),
+            late: self.late.iter().peekable(),
+            remaining: self.len,
+        }
     }
 
-    /// The facts of relation `relation` (empty slice if none).
+    /// The facts of relation `relation` (empty slice if none): the rows
+    /// [`Instance::posting`] indexes into — ascending for a bulk-built
+    /// instance, later inserts following in insertion order.
     pub fn facts_of(&self, relation: Symbol) -> &[Fact] {
-        self.by_relation
+        self.relations
             .get(&relation)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], |relation| &relation.rows)
     }
 
     /// The active domain: all data values occurring in the instance.
     pub fn adom(&self) -> BTreeSet<Value> {
-        self.facts
-            .iter()
+        self.facts()
             .flat_map(|f| f.values.iter().copied())
             .collect()
     }
@@ -436,7 +494,7 @@ impl Instance {
     /// seen; [`Instance::is_well_formed`] reports such anomalies.
     pub fn schema(&self) -> Schema {
         let mut schema = Schema::new();
-        for f in &self.facts {
+        for f in self.facts() {
             if schema.arity(f.relation).is_none() {
                 schema.add(f.relation, f.arity());
             }
@@ -447,7 +505,7 @@ impl Instance {
     /// Checks that every relation is used with a single arity.
     pub fn is_well_formed(&self) -> bool {
         let schema = self.schema();
-        self.facts.iter().all(|f| schema.admits(f))
+        self.facts().all(|f| schema.admits(f))
     }
 
     /// Set union.
@@ -457,18 +515,18 @@ impl Instance {
 
     /// Set intersection.
     pub fn intersection(&self, other: &Instance) -> Instance {
-        Instance::from_facts(self.facts.intersection(&other.facts).cloned())
+        Instance::from_facts(self.facts().filter(|f| other.contains(f)).cloned())
     }
 
     /// Facts of `self` not in `other`.
     pub fn difference(&self, other: &Instance) -> Instance {
-        Instance::from_facts(self.facts.difference(&other.facts).cloned())
+        Instance::from_facts(self.facts().filter(|f| !other.contains(f)).cloned())
     }
 
     /// All subsets of this instance (used by brute-force cross-checks in
     /// tests; exponential, only call on tiny instances).
     pub fn subsets(&self) -> Vec<Instance> {
-        let facts: Vec<&Fact> = self.facts.iter().collect();
+        let facts: Vec<&Fact> = self.facts().collect();
         assert!(
             facts.len() <= 20,
             "subsets() is exponential; instance too large ({} facts)",
@@ -489,7 +547,7 @@ impl Instance {
 
     /// Converts to a plain ordered set of facts.
     pub fn to_set(&self) -> BTreeSet<Fact> {
-        self.facts.clone()
+        self.facts().cloned().collect()
     }
 }
 
@@ -505,10 +563,7 @@ impl Extend<Fact> for Instance {
     /// secondary indexes warm.
     fn extend<T: IntoIterator<Item = Fact>>(&mut self, iter: T) {
         if self.is_empty() {
-            let built = Instance::from_facts(iter);
-            self.facts = built.facts;
-            self.by_relation = built.by_relation;
-            self.invalidate_indexes();
+            *self = Instance::from_facts(iter);
         } else {
             for f in iter {
                 self.insert(f);
@@ -534,12 +589,22 @@ impl<'a> Extend<&'a Fact> for Instance {
 
 impl IntoIterator for Instance {
     type Item = Fact;
-    type IntoIter = std::collections::btree_set::IntoIter<Fact>;
+    type IntoIter = std::vec::IntoIter<Fact>;
 
     /// The facts by value, in the order of [`Instance::facts`] — merging
     /// instances moves facts instead of cloning them.
     fn into_iter(self) -> Self::IntoIter {
-        self.facts.into_iter()
+        let mut facts = Vec::with_capacity(self.len);
+        for mut relation in self.relations.into_values() {
+            relation.rows.truncate(relation.sorted);
+            facts.append(&mut relation.rows);
+        }
+        if !self.late.is_empty() {
+            // two ascending runs: the stable sort merges them in one pass
+            facts.extend(self.late);
+            facts.sort();
+        }
+        facts.into_iter()
     }
 }
 
@@ -552,7 +617,7 @@ impl fmt::Debug for Instance {
 impl fmt::Display for Instance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, fact) in self.facts.iter().enumerate() {
+        for (i, fact) in self.facts().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -842,5 +907,20 @@ mod tests {
         // both facts carry "a" at position 0; only the binary one has position 1
         assert_eq!(i.posting(r, 0, Value::new("a")).len(), 2);
         assert_eq!(i.posting(r, 1, Value::new("b")).len(), 1);
+
+        // a fact wide enough to spill out of its inline tuple, inserted
+        // into the warm index: positions 2..7 exist for it alone
+        let wide = Fact::from_names("R", &["a", "b", "c", "d", "e", "f", "g"]);
+        assert!(i.insert(wide.clone()));
+        assert!(i.indexes_built());
+        assert_eq!(i.posting(r, 0, Value::new("a")).len(), 3);
+        assert_eq!(i.posting(r, 1, Value::new("b")).len(), 2);
+        assert_eq!(posted(&i, "R", 6, "g"), BTreeSet::from([wide.clone()]));
+        assert!(i.posting(r, 7, Value::new("g")).is_empty());
+        // and the same after a rebuild from scratch
+        let rebuilt = Instance::from_facts(i.facts().cloned());
+        assert_eq!(posted(&rebuilt, "R", 6, "g"), BTreeSet::from([wide]));
+        assert_eq!(rebuilt.posting(r, 0, Value::new("a")).len(), 3);
+        assert!(!rebuilt.is_well_formed());
     }
 }

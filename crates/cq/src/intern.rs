@@ -74,6 +74,9 @@ fn intern_locked(map: &mut HashMap<&'static str, u32>, name: &str) -> Symbol {
 }
 
 impl Symbol {
+    /// See [`crate::Value::PAD`].
+    pub(crate) const PAD: Symbol = Symbol(0);
+
     /// Interns `name` and returns its symbol.
     pub fn new(name: &str) -> Symbol {
         if let Some(&id) = interner().read().get(name) {

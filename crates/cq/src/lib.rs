@@ -6,7 +6,8 @@
 //! data model of Section 2 of the paper:
 //!
 //! * interned [`Symbol`]s, data [`Value`]s and [`Variable`]s,
-//! * database [`Schema`]s, [`Atom`]s, [`Fact`]s and [`Instance`]s,
+//! * database [`Schema`]s, [`Atom`]s, [`Fact`]s (over inline [`Tuple`]s) and
+//!   [`Instance`]s,
 //! * [`ConjunctiveQuery`] with the paper's safety conditions,
 //! * [`Valuation`]s, satisfaction and query evaluation ([`evaluate`]),
 //! * [`Substitution`]s, *simplifications* and *foldings* (Definition 2.1),
@@ -58,7 +59,7 @@ pub use eval::{
     for_each_satisfying, satisfying_valuations, satisfying_valuations_with, Bindings,
     CompiledQuery, EvalOptions, JoinOrdering, JoinStrategy, Slots,
 };
-pub use fact::Fact;
+pub use fact::{Fact, Tuple};
 pub use hom::{
     contained_in, equivalent, find_cover, find_homomorphism, for_each_atom_mapping, CoverProblem,
 };

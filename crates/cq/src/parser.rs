@@ -15,7 +15,7 @@
 use std::fmt;
 
 use crate::atom::{Atom, Variable};
-use crate::fact::Fact;
+use crate::fact::{Fact, Tuple};
 use crate::instance::Instance;
 use crate::query::ConjunctiveQuery;
 use crate::value::Value;
@@ -112,38 +112,39 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.error("identifier is not valid UTF-8"))
     }
 
-    fn name_list(&mut self) -> Result<Vec<&'a str>, ParseError> {
+    /// A parenthesised, comma-separated list of identifiers, each mapped by
+    /// `make` and collected straight into `C` — a fact's values land in its
+    /// [`crate::Tuple`] without an intermediate vector.
+    fn name_list<T, C: FromIterator<T>>(
+        &mut self,
+        make: impl Fn(&'a str) -> T,
+    ) -> Result<C, ParseError> {
         self.skip_ws();
         self.expect(b'(')?;
-        self.skip_ws();
-        let mut names = Vec::new();
-        if self.eat(b')') {
-            return Ok(names);
-        }
-        loop {
-            names.push(self.ident()?);
+        let mut first = true;
+        std::iter::from_fn(|| {
             self.skip_ws();
             if self.eat(b')') {
-                return Ok(names);
+                return None;
             }
-            self.expect(b',')?;
-            self.skip_ws();
-        }
+            if !std::mem::take(&mut first) {
+                if let Err(error) = self.expect(b',') {
+                    return Some(Err(error));
+                }
+            }
+            Some(self.ident().map(&make))
+        })
+        .collect()
     }
 
     fn atom(&mut self) -> Result<Atom, ParseError> {
         let rel = self.ident()?;
-        let args = self.name_list()?;
-        Ok(Atom::new(
-            rel,
-            args.into_iter().map(Variable::new).collect(),
-        ))
+        Ok(Atom::new(rel, self.name_list(Variable::new)?))
     }
 
     fn fact(&mut self) -> Result<Fact, ParseError> {
         let rel = self.ident()?;
-        let args = self.name_list()?;
-        Ok(Fact::new(rel, args.into_iter().map(Value::new).collect()))
+        Ok(Fact::new(rel, self.name_list::<_, Tuple>(Value::new)?))
     }
 
     fn query(&mut self) -> Result<ConjunctiveQuery, ParseError> {

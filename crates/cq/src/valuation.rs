@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::atom::{Atom, Variable};
-use crate::fact::Fact;
+use crate::fact::{Fact, Tuple};
 use crate::instance::Instance;
 use crate::query::ConjunctiveQuery;
 use crate::value::Value;
@@ -110,11 +110,8 @@ impl Valuation {
     ///
     /// Returns `None` if some argument variable is unbound.
     pub fn apply_atom(&self, atom: &Atom) -> Option<Fact> {
-        let mut values = Vec::with_capacity(atom.args.len());
-        for &v in &atom.args {
-            values.push(self.get(v)?);
-        }
-        Some(Fact::new(atom.relation, values))
+        let values: Option<Tuple> = atom.args.iter().map(|&v| self.get(v)).collect();
+        Some(Fact::new(atom.relation, values?))
     }
 
     /// The facts *required by* the valuation for `Q`, i.e. `V(body_Q)`.

@@ -15,6 +15,10 @@ use crate::intern::Symbol;
 pub struct Value(Symbol);
 
 impl Value {
+    /// Filler for storage that is never read — the unused inline slots of a
+    /// [`crate::Tuple`]. It names nothing and must never be observable.
+    pub(crate) const PAD: Value = Value(Symbol::PAD);
+
     /// Interns `name` as a data value.
     pub fn new(name: &str) -> Value {
         Value(Symbol::new(name))

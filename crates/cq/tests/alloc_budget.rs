@@ -1,33 +1,51 @@
-//! Allocation budget of the join kernel: evaluating a query allocates in
-//! proportion to its distinct *answers*, not to the valuations that derive
-//! them.
+//! Allocation budgets of the storage layer and the join kernel.
+//!
+//! **Storage.** A fact of arity ≤ 5 owns no heap block and an instance
+//! stores it once, so building, copying, parsing and growing an instance
+//! allocate per *relation* (plus logarithmic vector growth), never per fact.
+//! Before inline tuples and the single-copy `Instance`, `from_facts` over
+//! the 10 000 facts below made 20 916 allocations, `clone` 20 913 (82
+//! requested bytes per fact) and `parse_instance` 30 928.
+//!
+//! **Join kernel.** Evaluating a query allocates in proportion to its
+//! distinct *answers* at most — with inline head tuples, not even that —
+//! and never to the valuations that derive them.
 //!
 //! The two-path query over the transitive tournament on 48 values has
 //! C(48, 3) = 17 296 satisfying valuations but only 1 081 answers (the pairs
-//! at distance ≥ 2), so a kernel that builds a fact — or anything else on
-//! the heap — per derivation blows a budget that is a small multiple of the
-//! answer count.
+//! at distance ≥ 2), so a kernel that builds anything on the heap per
+//! derivation — or per answer — blows a budget far below the answer count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cq::{evaluate, evaluate_seminaive_step, ConjunctiveQuery, Fact, Instance, Value};
+use cq::{
+    evaluate, evaluate_seminaive_step, parse_instance, ConjunctiveQuery, Fact, Instance, Symbol,
+    Value,
+};
 
 thread_local! {
     /// Heap allocations made by this thread (the test harness runs other
     /// threads, whose allocations must not count).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a `realloc` counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn record(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    let _ = BYTES.try_with(|count| count.set(count.get() + bytes as u64));
 }
 
 struct CountingAllocator;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a thread-local `Cell`
-// with a const initializer and no destructor, so touching it allocates
+// upholds the `GlobalAlloc` contract; the counters are thread-local `Cell`s
+// with const initializers and no destructors, so touching them allocates
 // nothing and cannot re-enter the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        record(layout.size());
         System.alloc(layout)
     }
 
@@ -36,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,11 +62,78 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Runs `f` and returns its result with the number of allocations it made.
-fn counting<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
+/// What a piece of code asked of the allocator.
+#[derive(Debug)]
+struct Heap {
+    allocations: u64,
+    bytes: u64,
+}
+
+/// Runs `f` and returns its result with the allocations it made.
+fn counting<R>(f: impl FnOnce() -> R) -> (R, Heap) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let result = f();
-    (result, ALLOCATIONS.with(Cell::get) - before)
+    let heap = Heap {
+        allocations: ALLOCATIONS.with(Cell::get) - before.0,
+        bytes: BYTES.with(Cell::get) - before.1,
+    };
+    (result, heap)
+}
+
+const FACTS: u64 = 10_000;
+
+/// 10 000 binary facts, half in `BudgetA` and half in `BudgetB`, over 100
+/// values, in an order that is neither sorted nor grouped by relation.
+fn two_relations() -> Vec<Fact> {
+    let values: Vec<Value> = (0..100).map(|i| Value::indexed("b", i)).collect();
+    let relations = [Symbol::new("BudgetA"), Symbol::new("BudgetB")];
+    (0..FACTS as usize)
+        .map(|i| i * 7919 % FACTS as usize) // a permutation: 7919 is prime
+        .map(|i| Fact::new(relations[i % 2], vec![values[i / 2 % 100], values[i / 200]]))
+        .collect()
+}
+
+#[test]
+fn building_copying_and_parsing_allocate_per_relation_not_per_fact() {
+    let facts = two_relations();
+    let text: String = facts.iter().map(|fact| format!("{fact}. ")).collect();
+
+    let (instance, heap) = counting(|| Instance::from_facts(facts.iter().cloned()));
+    assert_eq!(instance.len() as u64, FACTS);
+    assert!(heap.allocations <= 16, "from_facts: {heap:?}");
+
+    let (copy, heap) = counting(|| instance.clone());
+    assert_eq!(copy, instance);
+    assert!(heap.allocations <= 8, "clone: {heap:?}");
+    assert!(heap.bytes <= 40 * FACTS, "clone: {heap:?}");
+
+    // every name is interned by now: what is left is the parser's own
+    let (parsed, heap) = counting(|| parse_instance(&text).unwrap());
+    assert_eq!(parsed, instance);
+    assert!(heap.allocations <= 64, "parse_instance: {heap:?}");
+}
+
+#[test]
+fn ascending_growth_of_a_warm_instance_allocates_for_growth_only() {
+    let mut facts = two_relations();
+    facts.sort();
+    let mut grown = Instance::new();
+    let _ = grown.posting(facts[0].relation, 0, facts[0].values[0]);
+    let ((), heap) = counting(|| {
+        for fact in &facts {
+            grown.insert_cloned(fact);
+        }
+    });
+    assert!(grown.indexes_built() && grown.index_builds() == 1);
+    assert_eq!(grown.len() as u64, FACTS);
+    // Rows, the 300 posting lists and their hash tables double as they
+    // fill (about 1 700 steps in all); nothing is allocated per fact.
+    assert!(heap.allocations <= FACTS / 4, "warm inserts: {heap:?}");
+    // Nor was any fact remembered a second time in the out-of-order side
+    // set, whose tree nodes a clone would have to copy.
+    let (_, heap) = counting(|| grown.clone());
+    assert!(heap.allocations <= 8, "clone after growth: {heap:?}");
+    assert!(heap.bytes <= 40 * FACTS, "clone after growth: {heap:?}");
 }
 
 const VALUES: usize = 48;
@@ -73,11 +158,15 @@ fn evaluation_allocates_per_answer_not_per_valuation() {
         VALUATIONS
     );
     // The call above built the instance's secondary indexes: from here on
-    // an evaluation pays for its answers and its own fixed-size scratch.
-    let budget = 4 * ANSWERS;
-    assert!(budget < VALUATIONS / 2);
+    // an evaluation pays for its fixed-size scratch and for the answer
+    // set's doubling — a binary head tuple is inline, so not even an answer
+    // costs a block (40 allocations measured; 4 × ANSWERS was the budget
+    // while every answer owned a `Vec`).
+    let budget = 64;
+    assert!(budget < ANSWERS / 8);
 
-    let (answers, allocations) = counting(|| evaluate(&two_path, &tournament));
+    let (answers, heap) = counting(|| evaluate(&two_path, &tournament));
+    let allocations = heap.allocations;
     assert_eq!(answers.len() as u64, ANSWERS);
     assert!(
         allocations <= budget,
@@ -87,8 +176,8 @@ fn evaluation_allocates_per_answer_not_per_valuation() {
 
     // With everything new, both pivots of the differential step enumerate
     // every valuation: twice the derivations, the same answers.
-    let (step, allocations) =
-        counting(|| evaluate_seminaive_step(&two_path, &tournament, &tournament));
+    let (step, heap) = counting(|| evaluate_seminaive_step(&two_path, &tournament, &tournament));
+    let allocations = heap.allocations;
     assert_eq!(step, answers);
     assert!(
         allocations <= budget,

@@ -4,13 +4,15 @@
 //! on: genericity, monotonicity, soundness of containment/minimization, and
 //! parser/printer round-tripping.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 
 use cq::{
     contained_in, equivalent, evaluate, evaluate_with, is_minimal, minimize, Atom,
-    ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Valuation, Value,
-    Variable,
+    ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Tuple, Valuation,
+    Value, Variable,
 };
 use proptest::prelude::*;
 
@@ -112,7 +114,10 @@ fn apply_permutation(instance: &Instance, perm: &[usize]) -> Instance {
     Instance::from_facts(instance.facts().map(|f| {
         Fact::new(
             f.relation,
-            f.values.iter().map(|v| *map.get(v).unwrap_or(v)).collect(),
+            f.values
+                .iter()
+                .map(|v| *map.get(v).unwrap_or(v))
+                .collect::<Tuple>(),
         )
     }))
 }
@@ -406,6 +411,42 @@ proptest! {
         }
     }
 
+    /// A tuple is a slice in everything but storage: random pairs on both
+    /// sides of the spill (arities 0, 1, 5, 6, 12) that share a prefix of
+    /// random length compare, order and hash as their `Vec<Value>`s do.
+    #[test]
+    fn tuples_compare_order_and_hash_as_slices(
+        arities in (0..5usize, 0..5usize),
+        left in proptest::collection::vec(0..3usize, 12..13),
+        right in proptest::collection::vec(0..3usize, 12..13),
+        shared in 0..13usize,
+    ) {
+        const ARITIES: [usize; 5] = [0, 1, 5, 6, 12];
+        fn hash_of(value: &impl Hash) -> u64 {
+            let mut hasher = DefaultHasher::new();
+            value.hash(&mut hasher);
+            hasher.finish()
+        }
+        let mut right = right;
+        right[..shared].copy_from_slice(&left[..shared]);
+        let values = |raw: &[usize], arity: usize| -> Vec<Value> {
+            raw[..ARITIES[arity]].iter().map(|&v| Value::indexed("d", v)).collect()
+        };
+        let (a, b) = (values(&left, arities.0), values(&right, arities.1));
+        let ta: Tuple = a.iter().copied().collect();
+        let tb = Tuple::from(b.clone());
+        prop_assert_eq!(ta.as_slice(), a.as_slice());
+        prop_assert_eq!(&ta, &Tuple::from(a.clone()));
+        prop_assert_eq!(ta.cmp(&tb), a.cmp(&b), "{:?} vs {:?}", a, b);
+        prop_assert_eq!(ta == tb, a == b);
+        prop_assert_eq!(hash_of(&ta), hash_of(&a));
+        let set: HashSet<Tuple> = [ta.clone()].into();
+        prop_assert!(set.contains(a.as_slice()));
+        prop_assert_eq!(set.contains(b.as_slice()), a == b);
+        let (fa, fb) = (Fact::new("R0", ta), Fact::new("R0", tb));
+        prop_assert_eq!(fa.cmp(&fb), a.cmp(&b));
+    }
+
     /// Canonical partition enumeration produces only valid restricted-growth
     /// strings and at least one injective and one constant assignment.
     #[test]
@@ -463,6 +504,40 @@ fn repeated_variables_inside_one_atom_agree_with_the_scan_oracle() {
         for opts in all_options() {
             let got = valuations(&q, &instance, &Valuation::new(), opts);
             assert_eq!(got, scan, "{q}: {opts:?} disagrees with scan/naive");
+        }
+    }
+}
+
+/// Arity-7 facts — past the inline tuple — in a relation that also holds
+/// shorter and longer ones: the binary join (acyclic query), the multiway
+/// join (cyclic query) and a head wide enough to spill all agree with the
+/// scan oracle, under every strategy and in the semi-naive step.
+#[test]
+fn wide_tuples_join_like_narrow_ones() {
+    let v = |i: usize| Value::indexed("w", i % 4);
+    let mut facts: Vec<Fact> = (0..24)
+        .map(|i| Fact::new("W", (0..7).map(|p| v(i + i / 4 * p)).collect::<Tuple>()))
+        .collect();
+    facts.extend((0..4).map(|i| Fact::new("W", vec![v(i), v(i + 1)])));
+    facts.push(Fact::new("W", (0..9).map(v).collect::<Tuple>()));
+    facts.extend((0..16).map(|i| Fact::new("E", vec![v(i / 4), v(i)])));
+    let instance = Instance::from_facts(facts);
+    for text in [
+        "T(a, g) :- W(a, b, c, d, e, f, g), E(g, a).",
+        "T(a, b, c, d, e, f, g) :- W(a, b, c, d, e, f, g), E(g, a).",
+        "T(a, h) :- W(a, b, c, d, e, f, g), E(g, h), E(h, a).",
+        "T(b) :- W(a, b, a, d, e, f, b), E(b, d).",
+    ] {
+        let q = ConjunctiveQuery::parse(text).unwrap();
+        let scan = valuations(&q, &instance, &Valuation::new(), EvalOptions::scan_naive());
+        let answers = evaluate_with(&q, &instance, EvalOptions::scan_naive());
+        assert!(!answers.is_empty(), "{q} should have answers on {instance}");
+        for opts in all_options() {
+            let got = valuations(&q, &instance, &Valuation::new(), opts);
+            assert_eq!(got, scan, "{q}: {opts:?} disagrees with scan/naive");
+            assert_eq!(evaluate_with(&q, &instance, opts), answers, "{q}: {opts:?}");
+            let step = cq::evaluate_seminaive_step_with(&q, &instance, &instance, opts);
+            assert_eq!(step, answers, "{q}: semi-naive {opts:?}");
         }
     }
 }

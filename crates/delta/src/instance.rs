@@ -1,6 +1,8 @@
 //! The delta-tracking instance: full state plus the facts new since the
 //! last round.
 
+use std::borrow::Borrow;
+
 use cq::{evaluate_seminaive_step_with, ConjunctiveQuery, EvalOptions, Fact, Instance};
 
 /// An instance that makes *change* observable: next to the full fact set it
@@ -50,17 +52,17 @@ impl DeltaInstance {
         &self.delta
     }
 
-    /// Adds facts to the instance; only the genuinely new ones enter the
-    /// delta (a re-announced fact is dropped before anything is copied).
-    /// Returns how many facts were actually new.
-    pub fn absorb<I: IntoIterator<Item = Fact>>(&mut self, facts: I) -> usize {
-        let new: Vec<Fact> = facts
-            .into_iter()
-            .filter(|fact| self.full.insert_cloned(fact))
-            .collect();
-        let added = new.len();
-        self.delta.extend(new);
-        added
+    /// Adds facts, owned or borrowed; only the genuinely new ones enter the
+    /// delta. A re-announced fact costs one membership search and no copy, a
+    /// new one a copy into each instance. Returns how many facts were new.
+    pub fn absorb<F: Borrow<Fact>>(&mut self, facts: impl IntoIterator<Item = F>) -> usize {
+        let before = self.full.len();
+        for fact in facts {
+            if self.full.insert_cloned(fact.borrow()) {
+                self.delta.insert_cloned(fact.borrow());
+            }
+        }
+        self.full.len() - before
     }
 
     /// Closes the current round: returns the accumulated delta and resets
@@ -156,10 +158,7 @@ mod tests {
             acc.take_delta();
             cumulative.extend(new.facts().cloned());
             assert_eq!(cumulative, evaluate(&q, acc.full()));
-            let feedback: Vec<Fact> = new
-                .facts()
-                .map(|f| Fact::new("R", f.values.clone()))
-                .collect();
+            let feedback = new.facts().map(|f| Fact::new("R", f.values.clone()));
             if acc.absorb(feedback) == 0 {
                 break;
             }

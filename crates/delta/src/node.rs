@@ -43,7 +43,7 @@ impl DeltaNode {
         delta_chunk: &Instance,
         opts: EvalOptions,
     ) -> Instance {
-        self.data.absorb(delta_chunk.facts().cloned());
+        self.data.absorb(delta_chunk.facts());
         let new = self.data.evaluate_new_with(query, opts);
         self.data.take_delta();
         new.into_iter()

@@ -28,7 +28,7 @@ use std::fmt;
 
 use cq::{
     Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Symbol,
-    SymbolMap, Value, Variable,
+    SymbolMap, Tuple, Value, Variable,
 };
 use distribution::{Network, Node};
 
@@ -405,15 +405,27 @@ impl<T: Encode> Encode for Vec<T> {
     }
 }
 
+/// Reads an element count. Each element consumes at least one payload
+/// byte, so a count beyond the remaining input is corrupt.
+fn decode_len(dec: &mut Decoder<'_>) -> Result<usize, DecodeError> {
+    let len = dec.usize()?;
+    if len > dec.remaining() {
+        return Err(DecodeError::Truncated);
+    }
+    Ok(len)
+}
+
+/// The most elements a vector reserves on the strength of its declared
+/// count alone. A count is only known not to exceed the remaining *bytes*,
+/// and an element can be far larger in memory than its one byte on the wire
+/// (a `Fact` is 32), so beyond this the vector grows as elements actually
+/// decode: memory follows validated input, not a length field.
+const MAX_RESERVED_ELEMENTS: usize = 4096;
+
 impl<T: Decode> Decode for Vec<T> {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let len = dec.usize()?;
-        // Each element consumes at least one payload byte, so a length
-        // beyond the remaining input is corrupt — check before reserving.
-        if len > dec.remaining() {
-            return Err(DecodeError::Truncated);
-        }
-        let mut out = Vec::with_capacity(len);
+        let len = decode_len(dec)?;
+        let mut out = Vec::with_capacity(len.min(MAX_RESERVED_ELEMENTS));
         for _ in 0..len {
             out.push(T::decode(dec)?);
         }
@@ -446,6 +458,24 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
+impl Encode for Tuple {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.usize(self.len());
+        for value in self {
+            value.encode(enc);
+        }
+    }
+}
+
+impl Decode for Tuple {
+    /// The layout of a `Vec<Value>`, read straight into the tuple's inline
+    /// slots.
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let len = decode_len(dec)?;
+        (0..len).map(|_| Value::decode(dec)).collect()
+    }
+}
+
 impl Encode for Fact {
     fn encode(&self, enc: &mut Encoder) {
         enc.symbol(self.relation);
@@ -456,8 +486,7 @@ impl Encode for Fact {
 impl Decode for Fact {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let relation = dec.symbol()?;
-        let values = Vec::<Value>::decode(dec)?;
-        Ok(Fact::new(relation, values))
+        Ok(Fact::new(relation, Tuple::decode(dec)?))
     }
 }
 

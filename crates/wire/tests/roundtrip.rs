@@ -7,7 +7,7 @@
 //! * robustness: corrupted and truncated frames return errors — decoding
 //!   never panics, whatever the bytes.
 
-use cq::{Atom, ConjunctiveQuery, Fact, Instance, Value, Variable};
+use cq::{Atom, ConjunctiveQuery, Fact, Instance, Tuple, Value, Variable};
 use distribution::Node;
 use proptest::prelude::*;
 use wire::{
@@ -22,7 +22,10 @@ fn fact_strategy() -> impl Strategy<Value = Fact> {
     (0..4usize, proptest::collection::vec(0..6usize, 0..4)).prop_map(|(rel, values)| {
         Fact::new(
             format!("R{rel}").as_str(),
-            values.into_iter().map(|v| Value::indexed("d", v)).collect(),
+            values
+                .into_iter()
+                .map(|v| Value::indexed("d", v))
+                .collect::<Tuple>(),
         )
     })
 }
@@ -148,6 +151,30 @@ proptest! {
     fn instances_round_trip_through_the_codec(instance in instance_strategy()) {
         let framed = encode_frame(&instance);
         prop_assert_eq!(decode_frame::<Instance>(&framed).unwrap(), instance);
+    }
+
+    /// Both sides of the inline/spilled tuple boundary, mixed inside one
+    /// relation: a tuple goes over the wire as the `Vec<Value>` it replaced,
+    /// byte for byte, and every truncation of it is a clean error.
+    #[test]
+    fn wide_tuples_round_trip_through_the_codec(
+        rows in proptest::collection::vec(proptest::collection::vec(0..6usize, 0..13), 1..12),
+        cut_permille in 0..1000usize,
+    ) {
+        let rows: Vec<Vec<Value>> = rows
+            .into_iter()
+            .map(|row| row.into_iter().map(|v| Value::indexed("d", v)).collect())
+            .collect();
+        for row in &rows {
+            let tuple = Tuple::from(row.clone());
+            prop_assert_eq!(encode_body(&tuple), encode_body(row));
+            prop_assert_eq!(decode_body::<Tuple>(&encode_body(row)).unwrap(), tuple);
+        }
+        let instance = Instance::from_facts(rows.iter().map(|row| Fact::new("Wide", row.clone())));
+        let framed = encode_frame(&instance);
+        prop_assert_eq!(decode_frame::<Instance>(&framed).unwrap(), instance);
+        let cut = cut_permille * framed.len() / 1000;
+        prop_assert!(decode_frame::<Instance>(&framed[..cut]).is_err());
     }
 
     #[test]

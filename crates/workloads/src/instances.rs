@@ -1,6 +1,6 @@
 //! Random and skewed database instances.
 
-use cq::{Fact, Instance, Schema, Value};
+use cq::{Fact, Instance, Schema, Tuple, Value};
 use rand::Rng;
 
 /// Parameters for random instance generation.
@@ -31,7 +31,7 @@ pub fn random_instance<R: Rng>(rng: &mut R, schema: &Schema, params: InstancePar
     let mut out = Instance::new();
     for rel in schema.relations() {
         for _ in 0..params.facts_per_relation {
-            let tuple = (0..rel.arity)
+            let tuple: Tuple = (0..rel.arity)
                 .map(|_| value(rng.gen_range(0..params.domain_size)))
                 .collect();
             out.insert(Fact::new(rel.name, tuple));
@@ -69,7 +69,7 @@ pub fn zipf_instance<R: Rng>(
     let mut out = Instance::new();
     for rel in schema.relations() {
         for _ in 0..params.facts_per_relation {
-            let tuple = (0..rel.arity)
+            let tuple: Tuple = (0..rel.arity)
                 .map(|pos| {
                     if pos == 0 {
                         value(draw_zipf(rng))

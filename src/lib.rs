@@ -59,7 +59,7 @@ pub mod prelude {
     pub use cq::{
         evaluate, evaluate_seminaive_step, evaluate_with, parse_instance, Atom, ConjunctiveQuery,
         EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Schema, Substitution, Symbol,
-        Valuation, Value, Variable,
+        Tuple, Valuation, Value, Variable,
     };
     pub use delta::{CacheStats, DeltaInstance, DeltaNode, IndexCache};
     pub use distribution::{

@@ -478,12 +478,12 @@ fn wide_transfer_query() -> ConjunctiveQuery {
 /// and the identity valuation onto it.
 fn frozen_body(query: &ConjunctiveQuery) -> (Instance, Valuation) {
     let freeze = |v: &Variable| Value::new(v.as_str());
-    let body = Instance::from_facts(
-        query
-            .body()
-            .iter()
-            .map(|atom| Fact::new(atom.relation, atom.args.iter().map(freeze).collect())),
-    );
+    let body = Instance::from_facts(query.body().iter().map(|atom| {
+        Fact::new(
+            atom.relation,
+            atom.args.iter().map(freeze).collect::<Tuple>(),
+        )
+    }));
     let identity = Valuation::from_pairs(query.variables().iter().map(|v| (*v, freeze(v))));
     (body, identity)
 }
