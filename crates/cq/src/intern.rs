@@ -5,13 +5,19 @@
 //! workspace. Interning turns those comparisons into integer comparisons and
 //! makes all core types (`Atom`, `Fact`, `Valuation`, …) cheap to clone.
 //!
-//! Interned strings are leaked (they live for the duration of the process);
-//! the set of distinct names appearing in queries, instances and generated
-//! workloads is small and bounded, so this is an intentional trade-off.
+//! Interned strings live for the duration of the process: the set of
+//! distinct names appearing in queries, instances and generated workloads is
+//! bounded by the input, so this is an intentional trade-off. They are not
+//! leaked one heap block each, though — names are copied back to back into
+//! a bump [`Arena`], and a name is hashed **once** per interning call: the
+//! hash travels with the name through the read-locked probe, the
+//! write-locked probe and the insert, and stays beside the entry so that a
+//! growing table re-hashes no string either.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::OnceLock;
 
 use parking_lot::RwLock;
@@ -24,10 +30,158 @@ use parking_lot::RwLock;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
 
-/// The `name → id` map; ids are handed out in interning order.
-fn interner() -> &'static RwLock<HashMap<&'static str, u32>> {
-    static INTERNER: OnceLock<RwLock<HashMap<&'static str, u32>>> = OnceLock::new();
-    INTERNER.get_or_init(|| RwLock::new(HashMap::new()))
+/// A name with its hash under the interner's process-keyed SipHash. As a
+/// table key it compares the hash before touching the string and feeds the
+/// table nothing but the hash.
+#[derive(Clone, Copy)]
+struct Hashed<'a> {
+    hash: u64,
+    name: &'a str,
+}
+
+impl PartialEq for Hashed<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.name == other.name
+    }
+}
+
+impl Eq for Hashed<'_> {}
+
+impl Hash for Hashed<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Forwards the hash a [`Hashed`] key already carries. The names come from
+/// outside the program (instance files, wire frames), so the hash itself is
+/// the keyed default — [`Interner::keys`] — and this only saves computing
+/// it again.
+#[derive(Default)]
+struct ForwardedHash(u64);
+
+impl Hasher for ForwardedHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a Hashed key hashes through write_u64 only");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// The first [`Arena`] chunk: a process that interns a few hundred names
+/// (every `pc` / `transfer` call) pays one page.
+const FIRST_ARENA_CHUNK: usize = 4 << 10;
+
+/// Arena chunks double up to this size.
+const MAX_ARENA_CHUNK: usize = 256 << 10;
+
+/// A name at least this long gets a heap block of its own instead of a
+/// place in the arena, so what a chunk can waste at its end stays under
+/// 1/16 of the smallest chunk.
+const OWN_BLOCK_LEN: usize = FIRST_ARENA_CHUNK / 16;
+
+/// Bump storage for interned names: leaked chunks, handed out front to back
+/// by `split_at_mut`, never freed and never moved.
+struct Arena {
+    /// The unused tail of the newest chunk.
+    free: &'static mut [u8],
+    /// Size of the chunk to allocate when `free` runs out.
+    next_chunk: usize,
+}
+
+impl Arena {
+    /// Copies `name` into storage that lives as long as the process.
+    fn store(&mut self, name: &str) -> &'static str {
+        if name.len() >= OWN_BLOCK_LEN {
+            return Box::leak(name.into());
+        }
+        if name.len() > self.free.len() {
+            self.free = Box::leak(vec![0; self.next_chunk].into_boxed_slice());
+            self.next_chunk = (2 * self.next_chunk).min(MAX_ARENA_CHUNK);
+        }
+        let (slot, free) = std::mem::take(&mut self.free).split_at_mut(name.len());
+        self.free = free;
+        slot.copy_from_slice(name.as_bytes());
+        std::str::from_utf8(slot).expect("the bytes of a str are UTF-8")
+    }
+}
+
+/// The `name → id` table with the storage behind its keys; ids are handed
+/// out in interning order.
+struct Table {
+    ids: HashMap<Hashed<'static>, u32, BuildHasherDefault<ForwardedHash>>,
+    arena: Arena,
+}
+
+impl Table {
+    // `intern_all` is generic, so its loops are compiled in the caller's
+    // crate: without the hints every name pays two calls back into this one.
+    #[inline]
+    fn get(&self, name: Hashed<'_>) -> Option<Symbol> {
+        self.ids.get(&name).map(|&id| Symbol(id))
+    }
+
+    /// Looks `name` up, interning it if it is new.
+    fn intern(&mut self, name: Hashed<'_>) -> Symbol {
+        if let Some(symbol) = self.get(name) {
+            return symbol;
+        }
+        let stored = self.arena.store(name.name);
+        let id = u32::try_from(self.ids.len()).expect("interner overflow");
+        let (chunk, offset) = name_slot(id);
+        let slots = NAMES[chunk].get_or_init(|| {
+            (0..1usize << (FIRST_CHUNK_BITS + chunk as u32))
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        slots[offset]
+            .set(stored)
+            .expect("symbol ids are assigned once, under the write lock");
+        self.ids.insert(
+            Hashed {
+                hash: name.hash,
+                name: stored,
+            },
+            id,
+        );
+        Symbol(id)
+    }
+}
+
+struct Interner {
+    /// The per-process SipHash keys every name is hashed under.
+    keys: RandomState,
+    table: RwLock<Table>,
+}
+
+impl Interner {
+    #[inline]
+    fn hashed<'a>(&self, name: &'a str) -> Hashed<'a> {
+        Hashed {
+            hash: self.keys.hash_one(name),
+            name,
+        }
+    }
+}
+
+fn interner() -> &'static Interner {
+    static INTERNER: OnceLock<Interner> = OnceLock::new();
+    INTERNER.get_or_init(|| Interner {
+        keys: RandomState::new(),
+        table: RwLock::new(Table {
+            ids: HashMap::default(),
+            arena: Arena {
+                free: &mut [],
+                next_chunk: FIRST_ARENA_CHUNK,
+            },
+        }),
+    })
 }
 
 /// Chunk `k` of [`NAMES`] holds `1 << (FIRST_CHUNK_BITS + k)` names; small
@@ -53,36 +207,18 @@ fn name_slot(id: u32) -> (usize, usize) {
     (chunk as usize, (id - first_id) as usize)
 }
 
-/// Looks `name` up, interning it if it is new; the caller holds the write lock.
-fn intern_locked(map: &mut HashMap<&'static str, u32>, name: &str) -> Symbol {
-    if let Some(&id) = map.get(name) {
-        return Symbol(id);
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    let id = u32::try_from(map.len()).expect("interner overflow");
-    let (chunk, offset) = name_slot(id);
-    let slots = NAMES[chunk].get_or_init(|| {
-        (0..1usize << (FIRST_CHUNK_BITS + chunk as u32))
-            .map(|_| OnceLock::new())
-            .collect()
-    });
-    slots[offset]
-        .set(leaked)
-        .expect("symbol ids are assigned once, under the write lock");
-    map.insert(leaked, id);
-    Symbol(id)
-}
-
 impl Symbol {
     /// See [`crate::Value::PAD`].
     pub(crate) const PAD: Symbol = Symbol(0);
 
     /// Interns `name` and returns its symbol.
     pub fn new(name: &str) -> Symbol {
-        if let Some(&id) = interner().read().get(name) {
-            return Symbol(id);
+        let interner = interner();
+        let name = interner.hashed(name);
+        if let Some(symbol) = interner.table.read().get(name) {
+            return symbol;
         }
-        intern_locked(&mut interner().write(), name)
+        interner.table.write().intern(name)
     }
 
     /// Interns every name of `names`, in order, taking the interner lock
@@ -90,18 +226,26 @@ impl Symbol {
     /// symbol table goes through here. Known names resolve under the shared
     /// read lock; the write lock is taken from the first new name on.
     pub fn intern_all<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<Symbol> {
-        let mut names = names.into_iter().peekable();
+        let interner = interner();
+        let mut names = names.into_iter().map(|name| interner.hashed(name));
         let mut symbols = Vec::with_capacity(names.size_hint().0);
+        let mut first_new = None;
         {
-            let known = interner().read();
-            while let Some(&id) = names.peek().and_then(|name| known.get(name)) {
-                symbols.push(Symbol(id));
-                names.next();
+            let table = interner.table.read();
+            for name in names.by_ref() {
+                match table.get(name) {
+                    Some(symbol) => symbols.push(symbol),
+                    None => {
+                        first_new = Some(name);
+                        break;
+                    }
+                }
             }
         }
-        if names.peek().is_some() {
-            let mut map = interner().write();
-            symbols.extend(names.map(|name| intern_locked(&mut map, name)));
+        if let Some(first_new) = first_new {
+            let mut table = interner.table.write();
+            symbols.push(table.intern(first_new));
+            symbols.extend(names.map(|name| table.intern(name)));
         }
         symbols
     }

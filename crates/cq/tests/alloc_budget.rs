@@ -7,6 +7,11 @@
 //! the 10 000 facts below made 20 916 allocations, `clone` 20 913 (82
 //! requested bytes per fact) and `parse_instance` 30 928.
 //!
+//! **Interner.** A new name is copied into a bump arena and hashed once, so
+//! interning allocates for arena chunks and table growth — logarithmically —
+//! never per name. While every name was a leaked `String` of its own,
+//! 10 000 fresh names made over 10 000 allocations.
+//!
 //! **Join kernel.** Evaluating a query allocates in proportion to its
 //! distinct *answers* at most — with inline head tuples, not even that —
 //! and never to the valuations that derive them.
@@ -111,6 +116,26 @@ fn building_copying_and_parsing_allocate_per_relation_not_per_fact() {
     let (parsed, heap) = counting(|| parse_instance(&text).unwrap());
     assert_eq!(parsed, instance);
     assert!(heap.allocations <= 64, "parse_instance: {heap:?}");
+}
+
+#[test]
+fn interning_fresh_names_allocates_for_growth_not_per_name() {
+    let names: Vec<String> = (0..FACTS).map(|i| format!("fresh_name_{i}")).collect();
+    let (one_by_one, batched) = names.split_at(names.len() / 2);
+    let (symbols, heap) = counting(|| {
+        let mut symbols: Vec<Symbol> = Vec::with_capacity(names.len());
+        symbols.extend(one_by_one.iter().map(|name| Symbol::new(name)));
+        symbols.append(&mut Symbol::intern_all(batched.iter().map(String::as_str)));
+        symbols
+    });
+    assert!(names
+        .iter()
+        .map(String::as_str)
+        .eq(symbols.iter().map(|s| s.as_str())));
+    // Arena chunks (4 KiB doubling: 6 for these 150 KB), the id table's
+    // doublings (≤ 14), the id → name chunks (≤ 7) and the two result
+    // vectors; other tests of this binary intern on their own threads.
+    assert!(heap.allocations <= 64, "interning: {heap:?}");
 }
 
 #[test]

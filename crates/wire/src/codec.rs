@@ -1,5 +1,5 @@
-//! The binary codec: varint primitives, the per-message symbol table and
-//! the [`Encode`] / [`Decode`] traits with impls for every shippable type.
+//! The binary codec: varint primitives, the symbol dictionary and the
+//! [`Encode`] / [`Decode`] traits with impls for every shippable type.
 //!
 //! ## Layout
 //!
@@ -12,23 +12,40 @@
 //! ```
 //!
 //! Every interned name in a message — relation names, data values,
-//! variables, node names — is collected into the message's symbol table
-//! while the payload is encoded, and the payload references it by varint
-//! index. A chunk of ten thousand facts over relation `R` ships the string
-//! `"R"` once, not ten thousand times, and repeated data values (the
-//! common case under skew) ship as small integers.
+//! variables, node names — is referenced from the payload by varint index
+//! into a **dictionary**, and a body's `symtab` lists the names its payload
+//! is the first to use. A chunk of ten thousand facts over relation `R`
+//! ships the string `"R"` once, not ten thousand times, and repeated data
+//! values (the common case under skew) ship as small integers.
+//!
+//! ## Dictionary scope
+//!
+//! The dictionary belongs to whoever codes a *sequence* of bodies: the
+//! sender's half is the [`Encoder`] (symbol → index), the receiver's half a
+//! [`Dictionary`] (index → symbol), and indices count from the first body
+//! coded through them. A connection keeps one pair per direction for its
+//! whole life, so a name crosses it once: later bodies refer to it by index
+//! and list only names the dictionary does not hold yet. A *self-contained*
+//! body — [`encode_body`] / [`decode_body`], a file, the `encode` / `decode`
+//! CLI — is the same code over a fresh dictionary: exactly the first body
+//! of a connection, its `symtab` listing every name it uses. Both halves
+//! die with their connection; nothing about them is negotiated, versioned
+//! or optional.
 //!
 //! Varints are LEB128: 7 payload bits per byte, high bit = continuation.
 //!
 //! Decoding never panics: every length is bounds-checked against the
-//! remaining input, symbol references are checked against the table, and
-//! semantic invariants (e.g. query safety) are re-validated on decode.
+//! remaining input, symbol references are checked against the dictionary,
+//! and semantic invariants (e.g. query safety) are re-validated on decode.
+//! A receiver's dictionary grows only by `symtab` entries that were
+//! validated inside a body it was handed, so its memory follows received
+//! bytes, never a length field.
 
 use std::fmt;
 
 use cq::{
-    Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Symbol,
-    SymbolMap, Tuple, Value, Variable,
+    Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Symbol, Tuple,
+    Value, Variable,
 };
 use distribution::{Network, Node};
 
@@ -40,14 +57,16 @@ pub enum DecodeError {
     Truncated,
     /// A varint ran over 10 bytes (no u64 needs more).
     VarintOverflow,
-    /// The payload referenced a symbol index outside the message's table.
+    /// The payload referenced a symbol index outside the dictionary.
     SymbolIndexOutOfRange {
         /// The out-of-range index.
         index: u64,
-        /// Number of entries in the message's symbol table.
+        /// Number of entries in the dictionary the body was decoded
+        /// against: its own symbol table plus, on a connection, those of
+        /// every body before it.
         table_len: usize,
     },
-    /// A symbol table entry was not valid UTF-8.
+    /// A symbol table entry or an inline string was not valid UTF-8.
     InvalidUtf8,
     /// An enum tag byte had no corresponding variant.
     UnknownTag {
@@ -90,7 +109,7 @@ impl fmt::Display for DecodeError {
                     "symbol index {index} out of range (table has {table_len})"
                 )
             }
-            DecodeError::InvalidUtf8 => write!(f, "symbol table entry is not valid UTF-8"),
+            DecodeError::InvalidUtf8 => write!(f, "string is not valid UTF-8"),
             DecodeError::UnknownTag { context, tag } => {
                 write!(f, "unknown tag {tag} while decoding {context}")
             }
@@ -152,18 +171,31 @@ pub(crate) fn read_varint(input: &[u8]) -> Result<(u64, usize), DecodeError> {
     Err(DecodeError::Truncated)
 }
 
-/// Builds one message body: collects symbols into the per-message table
-/// while the payload is written, then [`Encoder::finish`] emits
-/// `symtab ++ payload`.
+/// The sending half of a symbol dictionary, with the body being written.
+///
+/// Values are [encoded](Encode) into the payload, which assigns every
+/// symbol the dictionary does not hold yet the next index;
+/// [`Encoder::finish_body`] then emits `symtab ++ payload` with those new
+/// names as the `symtab` and keeps the dictionary for the next body.
+/// [`Encoder::new`] followed by [`Encoder::finish`] codes a self-contained
+/// body.
 #[derive(Default)]
 pub struct Encoder {
-    symbols: Vec<Symbol>,
-    index: SymbolMap<Symbol, u64>,
+    /// By [`Symbol::id`]: one more than the dictionary index of every
+    /// symbol sent so far, the body being written included; 0 = not sent.
+    /// Symbol ids are dense, so next to a hash map this is a fraction of
+    /// the memory (4 bytes per symbol the *process* knows, at most) and no
+    /// hashing — a coordinator keeps one per worker for a whole run.
+    sent: Vec<u32>,
+    /// Number of symbols the dictionary holds.
+    len: u32,
+    /// The symbols this body is the first to use, in index order.
+    new_symbols: Vec<Symbol>,
     payload: Vec<u8>,
 }
 
 impl Encoder {
-    /// An empty encoder.
+    /// An encoder over an empty dictionary.
     pub fn new() -> Encoder {
         Encoder::default()
     }
@@ -188,43 +220,82 @@ impl Encoder {
         self.byte(u8::from(value));
     }
 
-    /// Writes a symbol as its table index, interning it into the table on
-    /// first occurrence.
+    /// Writes a symbol as its dictionary index, entering it into the
+    /// dictionary on first occurrence.
     pub fn symbol(&mut self, symbol: Symbol) {
-        let next = self.symbols.len() as u64;
-        let index = *self.index.entry(symbol).or_insert_with(|| {
-            self.symbols.push(symbol);
-            next
-        });
-        self.u64(index);
+        let id = symbol.id() as usize;
+        if id >= self.sent.len() {
+            self.sent.resize(id + 1, 0);
+        }
+        let slot = &mut self.sent[id];
+        if *slot == 0 {
+            self.new_symbols.push(symbol);
+            self.len = self.len.checked_add(1).expect("symbol ids fit in a u32");
+            *slot = self.len;
+        }
+        write_varint(&mut self.payload, u64::from(*slot - 1));
     }
 
-    /// Finishes the body: symbol table first, then the payload.
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload.len() + 16 * self.symbols.len() + 4);
-        write_varint(&mut out, self.symbols.len() as u64);
-        for symbol in &self.symbols {
+    /// Writes a string inline (length, then bytes), bypassing the
+    /// dictionary — for text that does not repeat, which would only grow
+    /// the dictionaries and the receiver's interner.
+    pub fn str(&mut self, value: &str) {
+        self.usize(value.len());
+        self.payload.extend_from_slice(value.as_bytes());
+    }
+
+    /// Number of symbols the dictionary holds.
+    pub fn dictionary_len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Finishes the body — the table of its new symbols, then the payload —
+    /// and keeps the dictionary, so the next body continues the sequence.
+    pub fn finish_body(&mut self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.payload.len() + 16 * self.new_symbols.len() + 4);
+        write_varint(&mut out, self.new_symbols.len() as u64);
+        for symbol in self.new_symbols.drain(..) {
             let bytes = symbol.as_str().as_bytes();
             write_varint(&mut out, bytes.len() as u64);
             out.extend_from_slice(bytes);
         }
-        out.extend_from_slice(&self.payload);
+        out.append(&mut self.payload);
         out
+    }
+
+    /// Finishes the body and drops the dictionary with it.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.finish_body()
     }
 }
 
-/// Reads one message body produced by [`Encoder`]: the symbol table is
-/// parsed (and re-interned) up front, then values are read from the
-/// payload cursor.
-pub struct Decoder<'a> {
+/// The receiving half of a symbol dictionary: the symbols of every body
+/// decoded through it so far, in index order.
+#[derive(Default)]
+pub struct Dictionary {
     symbols: Vec<Symbol>,
-    payload: &'a [u8],
 }
 
-impl<'a> Decoder<'a> {
-    /// Parses the symbol table at the front of `body` and positions the
-    /// cursor on the payload.
-    pub fn new(body: &'a [u8]) -> Result<Decoder<'a>, DecodeError> {
+impl Dictionary {
+    /// An empty dictionary.
+    pub fn new() -> Dictionary {
+        Dictionary::default()
+    }
+
+    /// Number of symbols the dictionary holds.
+    pub fn len(&self) -> usize {
+        self.symbols.len()
+    }
+
+    /// Whether no body has added a symbol yet.
+    pub fn is_empty(&self) -> bool {
+        self.symbols.is_empty()
+    }
+
+    /// Parses the symbol table at the front of `body`, appends its names
+    /// (re-interned) to the dictionary and returns a decoder positioned on
+    /// the payload. A table that does not parse adds nothing.
+    pub fn decoder<'a>(&'a mut self, body: &'a [u8]) -> Result<Decoder<'a>, DecodeError> {
         let mut rest = body;
         let (count, used) = read_varint(rest)?;
         rest = &rest[used..];
@@ -236,21 +307,39 @@ impl<'a> Decoder<'a> {
         }
         let mut names = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let (len, used) = read_varint(rest)?;
-            rest = &rest[used..];
-            if len > rest.len() as u64 {
-                return Err(DecodeError::Truncated);
-            }
-            let (name, tail) = rest.split_at(len as usize);
-            names.push(std::str::from_utf8(name).map_err(|_| DecodeError::InvalidUtf8)?);
+            let (name, tail) = read_str(rest)?;
+            names.push(name);
             rest = tail;
         }
+        self.symbols.append(&mut Symbol::intern_all(names));
         Ok(Decoder {
-            symbols: Symbol::intern_all(names),
+            symbols: &self.symbols,
             payload: rest,
         })
     }
+}
 
+/// Splits a length-prefixed UTF-8 string off the front of `input`.
+fn read_str(input: &[u8]) -> Result<(&str, &[u8]), DecodeError> {
+    let (len, used) = read_varint(input)?;
+    let rest = &input[used..];
+    if len > rest.len() as u64 {
+        return Err(DecodeError::Truncated);
+    }
+    let (bytes, rest) = rest.split_at(len as usize);
+    let string = std::str::from_utf8(bytes).map_err(|_| DecodeError::InvalidUtf8)?;
+    Ok((string, rest))
+}
+
+/// Reads the payload of one body produced by [`Encoder`], resolving symbol
+/// references against the [`Dictionary`] that [made](Dictionary::decoder)
+/// it.
+pub struct Decoder<'a> {
+    symbols: &'a [Symbol],
+    payload: &'a [u8],
+}
+
+impl<'a> Decoder<'a> {
     /// Reads a varint.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
         let (value, used) = read_varint(self.payload)?;
@@ -282,7 +371,7 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Reads a symbol-table reference.
+    /// Reads a dictionary reference.
     pub fn symbol(&mut self) -> Result<Symbol, DecodeError> {
         let index = self.u64()?;
         self.symbols
@@ -292,6 +381,15 @@ impl<'a> Decoder<'a> {
                 index,
                 table_len: self.symbols.len(),
             })
+    }
+
+    /// Reads an inline string written by [`Encoder::str`]: its length is
+    /// checked against the remaining payload and its bytes are validated
+    /// as UTF-8.
+    pub fn str(&mut self) -> Result<&'a str, DecodeError> {
+        let (string, rest) = read_str(self.payload)?;
+        self.payload = rest;
+        Ok(string)
     }
 
     /// Number of unread payload bytes.
@@ -313,8 +411,8 @@ impl<'a> Decoder<'a> {
 
 /// A value that can be written to the binary wire format.
 pub trait Encode {
-    /// Appends `self` to the encoder's payload (interning symbols into the
-    /// message's table as a side effect).
+    /// Appends `self` to the encoder's payload (entering symbols into the
+    /// dictionary as a side effect).
     fn encode(&self, enc: &mut Encoder);
 }
 
@@ -608,18 +706,35 @@ impl Decode for EvalOptions {
     }
 }
 
-/// Encodes `value` as a bare codec body (symbol table + payload) without
-/// the frame header; see [`crate::frame::encode_frame`] for framed bytes.
+/// Encodes `value` as a self-contained codec body (symbol table + payload)
+/// without the frame header; see [`crate::frame::encode_frame`] for framed
+/// bytes.
 pub fn encode_body<T: Encode>(value: &T) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    value.encode(&mut enc);
-    enc.finish()
+    encode_body_with(&mut Encoder::new(), value)
 }
 
-/// Decodes one value from a bare codec body, requiring the payload to be
-/// fully consumed.
+/// Encodes `value` as the next body of `encoder`'s sequence: its symbol
+/// table lists only the names no earlier body of the sequence carried.
+pub fn encode_body_with<T: Encode>(encoder: &mut Encoder, value: &T) -> Vec<u8> {
+    value.encode(encoder);
+    encoder.finish_body()
+}
+
+/// Decodes one value from a self-contained codec body, requiring the
+/// payload to be fully consumed.
 pub fn decode_body<T: Decode>(body: &[u8]) -> Result<T, DecodeError> {
-    let mut dec = Decoder::new(body)?;
+    decode_body_with(&mut Dictionary::new(), body)
+}
+
+/// Decodes one value from the next body of the sequence `dictionary` has
+/// read so far, requiring the payload to be fully consumed. After an error
+/// the dictionary may be ahead of the sender's (the body's table is entered
+/// before its payload is read): the sequence cannot be resumed.
+pub fn decode_body_with<T: Decode>(
+    dictionary: &mut Dictionary,
+    body: &[u8],
+) -> Result<T, DecodeError> {
+    let mut dec = dictionary.decoder(body)?;
     let value = T::decode(&mut dec)?;
     dec.finish()?;
     Ok(value)
@@ -715,6 +830,85 @@ mod tests {
             matches!(err, DecodeError::SymbolIndexOutOfRange { index: 999, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_sequence_of_bodies_lists_each_name_once() {
+        let first = Instance::from_facts([Fact::from_names("SeqR", &["seq_a", "seq_b"])]);
+        let second = Instance::from_facts([
+            Fact::from_names("SeqR", &["seq_b", "seq_c"]),
+            Fact::from_names("SeqS", &["seq_a"]),
+        ]);
+        let mut encoder = Encoder::new();
+        let bodies = [
+            encode_body_with(&mut encoder, &first),
+            encode_body_with(&mut encoder, &second),
+            encode_body_with(&mut encoder, &first),
+        ];
+        // The first body is the self-contained one; the second lists its
+        // two new names only; the third lists none and is all indices.
+        assert_eq!(bodies[0], encode_body(&first));
+        assert_eq!(bodies[1][0], 2);
+        assert_eq!(bodies[2], [0, 1, 0, 2, 1, 2]);
+        assert_eq!(encoder.dictionary_len(), 5);
+
+        let mut dictionary = Dictionary::new();
+        for (body, sent) in bodies.iter().zip([&first, &second, &first]) {
+            assert_eq!(
+                &decode_body_with::<Instance>(&mut dictionary, body).unwrap(),
+                sent
+            );
+        }
+        assert_eq!(dictionary.len(), 5);
+
+        // An index is checked against everything the sequence has named...
+        assert_eq!(
+            decode_body_with::<Instance>(&mut dictionary, &[0, 1, 0, 2, 1, 5]),
+            Err(DecodeError::SymbolIndexOutOfRange {
+                index: 5,
+                table_len: 5
+            })
+        );
+        // ...and a body cut loose from its sequence is an error, not a guess.
+        assert_eq!(
+            decode_body::<Instance>(&bodies[2]),
+            Err(DecodeError::SymbolIndexOutOfRange {
+                index: 0,
+                table_len: 0
+            })
+        );
+        assert!(decode_body::<Instance>(&bodies[1]).is_err());
+    }
+
+    #[test]
+    fn inline_strings_are_bounds_checked_and_validated() {
+        let mut enc = Encoder::new();
+        for text in ["", "facts=4444", "名前 é"] {
+            enc.str(text);
+        }
+        let body = enc.finish();
+        assert_eq!(body[0], 0, "inline strings stay out of the symbol table");
+        let mut dictionary = Dictionary::new();
+        let mut dec = dictionary.decoder(&body).unwrap();
+        for text in ["", "facts=4444", "名前 é"] {
+            assert_eq!(dec.str(), Ok(text));
+        }
+        assert_eq!(dec.finish(), Ok(()));
+
+        for (bytes, error) in [
+            (&[0, 3, b'a', b'b'][..], DecodeError::Truncated),
+            (&[0, 0x80][..], DecodeError::Truncated),
+            (
+                &[
+                    0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+                ][..],
+                DecodeError::Truncated,
+            ),
+            (&[0, 2, 0xc3, 0x28][..], DecodeError::InvalidUtf8),
+        ] {
+            let mut dictionary = Dictionary::new();
+            assert_eq!(dictionary.decoder(bytes).unwrap().str(), Err(error));
+        }
     }
 
     #[test]

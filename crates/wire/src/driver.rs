@@ -27,6 +27,16 @@
 //! bidirectional communication volume (round-control frames are O(1) per
 //! round and excluded).
 //!
+//! **Symbol dictionaries.** Every [`Endpoint`] owns the two dictionary
+//! halves of its connection (see [`crate::codec`]): the [`Encoder`] its
+//! request frames are written through and the [`Dictionary`] its reply
+//! frames are read through, so a name crosses a connection once per
+//! direction however many frames use it. A job is encoded when it is
+//! written, against the dictionary of the worker it is written to; the
+//! dictionaries die with the connection, so a requeued job simply carries
+//! its names again on the survivor's, and a frame that fails to decode
+//! leaves the endpoint dead like any other protocol error.
+//!
 //! **Fault tolerance.** When a worker dies mid-round (broken pipe, closed
 //! socket, crash), the driver marks it dead, reaps its process, and
 //! requeues the jobs the worker never answered onto the survivors via the
@@ -50,7 +60,8 @@ use cq::{ConjunctiveQuery, EvalOptions, Instance};
 use distribution::{Node, NodeResult, Shipment, Transport, TransportError};
 use obs::TraceEvent;
 
-use crate::frame::{encode_frame, read_frame_counted, write_frame};
+use crate::codec::{Dictionary, Encoder};
+use crate::frame::{encode_frame_with, read_frame_counted, write_frame};
 use crate::message::{EvalChunkRef, EvalDeltaRef, Message, TraceContext};
 
 /// Default number of jobs the writer may run ahead of the replies.
@@ -137,12 +148,53 @@ impl StderrTail {
     }
 }
 
-/// One worker's two stream halves. For a subprocess these are its stdin
-/// and stdout pipes; for a socket worker, the two clones of the TCP
-/// stream.
+/// The doubling sleep schedule of a loop that has to poll — a child's exit
+/// and a non-blocking listener have no wait-with-deadline in `std`. It
+/// starts at 100 µs, because what is polled for usually happens within a
+/// millisecond and the poll sits on the run's blocking path, and doubles up
+/// to `cap`, so a long wait costs no more wake-ups than a fixed `cap`-sized
+/// sleep would. It never yields a zero delay: a poll loop must not spin.
+pub(crate) struct Backoff {
+    next: Duration,
+    cap: Duration,
+}
+
+impl Backoff {
+    const FIRST: Duration = Duration::from_micros(100);
+
+    pub(crate) fn new(cap: Duration) -> Backoff {
+        Backoff {
+            next: Backoff::FIRST.min(cap),
+            cap,
+        }
+    }
+
+    /// The delay to sleep before the next poll.
+    fn next_delay(&mut self) -> Duration {
+        let delay = self.next;
+        self.next = (2 * delay).min(self.cap);
+        delay
+    }
+
+    pub(crate) fn sleep(&mut self) {
+        std::thread::sleep(self.next_delay());
+    }
+}
+
+/// The longest sleep between two polls for a worker's exit after
+/// `Shutdown`.
+const REAP_POLL_CAP: Duration = Duration::from_millis(10);
+
+/// One worker's connection: its two stream halves — for a subprocess its
+/// stdin and stdout pipes, for a socket worker two clones of the TCP stream
+/// — each with its half of that direction's symbol dictionary.
 pub(crate) struct Endpoint {
     writer: BufWriter<Box<dyn Write + Send>>,
+    /// Sender half of the coordinator → worker dictionary.
+    encoder: Encoder,
     reader: BufReader<Box<dyn Read + Send>>,
+    /// Receiver half of the worker → coordinator dictionary.
+    dictionary: Dictionary,
 }
 
 impl Endpoint {
@@ -153,13 +205,15 @@ impl Endpoint {
     ) -> Endpoint {
         Endpoint {
             writer: BufWriter::new(Box::new(writer)),
+            encoder: Encoder::new(),
             reader: BufReader::new(Box::new(reader)),
+            dictionary: Dictionary::new(),
         }
     }
 
     /// Best-effort clean-shutdown frame (used on drop).
     fn send_shutdown(&mut self) {
-        let _ = write_frame(&mut self.writer, &Message::Shutdown);
+        let _ = write_frame(&mut self.writer, &mut self.encoder, &Message::Shutdown);
     }
 }
 
@@ -177,37 +231,49 @@ struct Job {
 }
 
 impl Job {
+    /// The job's request frame, as the next frame of the connection
+    /// `encoder` writes.
     fn encode(
         &self,
+        encoder: &mut Encoder,
         query: &ConjunctiveQuery,
         options: EvalOptions,
         trace: TraceContext,
     ) -> Vec<u8> {
         let Job { round, node, .. } = *self;
         match &self.work {
-            Shipment::Full(chunk) => encode_frame(&EvalChunkRef {
-                query,
-                options,
-                round,
-                node,
-                chunk,
-                trace,
-            }),
-            Shipment::Delta(delta) => encode_frame(&EvalDeltaRef {
-                query,
-                options,
-                round,
-                node,
-                delta,
-                trace,
-            }),
-            Shipment::Resident => encode_frame(&Message::EvalResident {
-                round,
-                node,
-                query: query.clone(),
-                options,
-                trace,
-            }),
+            Shipment::Full(chunk) => encode_frame_with(
+                encoder,
+                &EvalChunkRef {
+                    query,
+                    options,
+                    round,
+                    node,
+                    chunk,
+                    trace,
+                },
+            ),
+            Shipment::Delta(delta) => encode_frame_with(
+                encoder,
+                &EvalDeltaRef {
+                    query,
+                    options,
+                    round,
+                    node,
+                    delta,
+                    trace,
+                },
+            ),
+            Shipment::Resident => encode_frame_with(
+                encoder,
+                &Message::EvalResident {
+                    round,
+                    node,
+                    query: query.clone(),
+                    options,
+                    trace,
+                },
+            ),
         }
     }
 }
@@ -277,13 +343,14 @@ struct DriveReport {
 /// wire length.
 fn read_reply(
     reader: &mut BufReader<Box<dyn Read + Send>>,
+    dictionary: &mut Dictionary,
     job: &Job,
     events: &mut Vec<TraceEvent>,
 ) -> Result<(Node, NodeResult, u64), TransportError> {
     let node = job.node;
     let mut total_bytes = 0u64;
     let (reply, reply_bytes) = loop {
-        match read_frame_counted::<Message>(reader) {
+        match read_frame_counted::<Message>(reader, dictionary) {
             Ok(Some((Message::TraceFlush { events: flushed }, bytes))) => {
                 total_bytes += bytes;
                 events.extend(flushed);
@@ -366,7 +433,12 @@ fn drive(
 ) -> DriveReport {
     let window = window.max(1);
     let gate = WindowGate::new();
-    let Endpoint { writer, reader } = endpoint;
+    let Endpoint {
+        writer,
+        encoder,
+        reader,
+        dictionary,
+    } = endpoint;
 
     let (results, bytes, error, events) = std::thread::scope(|scope| {
         let gate = &gate;
@@ -386,7 +458,7 @@ fn drive(
                     // writing so the thread can be joined.
                     return (sent, None);
                 }
-                let frame = job.encode(query, options, trace);
+                let frame = job.encode(encoder, query, options, trace);
                 metrics.frame_bytes.record(frame.len() as u64);
                 sent += frame.len() as u64;
                 if let Err(e) = writer.write_all(&frame).and_then(|()| writer.flush()) {
@@ -401,6 +473,7 @@ fn drive(
             }
             match write_frame(
                 writer,
+                encoder,
                 &Message::Barrier {
                     round: barrier_round,
                 },
@@ -418,7 +491,7 @@ fn drive(
         let mut reply_bytes = 0u64;
         let mut error: Option<TransportError> = None;
         for job in jobs {
-            match read_reply(reader, job, &mut events) {
+            match read_reply(reader, dictionary, job, &mut events) {
                 Ok((node, result, bytes)) => {
                     reply_bytes += bytes;
                     results.push((node, result));
@@ -434,7 +507,7 @@ fn drive(
             // Workers flush their trace buffers right before acking the
             // barrier; absorb those frames here.
             error = loop {
-                match read_frame_counted::<Message>(reader) {
+                match read_frame_counted::<Message>(reader, dictionary) {
                     Ok(Some((Message::TraceFlush { events: flushed }, bytes))) => {
                         reply_bytes += bytes;
                         events.extend(flushed);
@@ -568,7 +641,8 @@ impl WireTransport {
     /// The driver's metrics registry: `driver_requeues`, `worker_deaths`
     /// and `state_rebuilds` accumulate here over the transport's lifetime,
     /// next to the `chunk_facts`, `window_wait_us` and `frame_bytes`
-    /// histograms.
+    /// histograms; dropping the transport adds `shutdown_polls`, the
+    /// number of times it slept waiting for a worker to exit.
     pub fn metrics_registry(&self) -> Arc<obs::Registry> {
         self.registry.clone()
     }
@@ -909,7 +983,12 @@ impl Drop for WireTransport {
         // Bounded reaping: a wedged worker that ignores both signals is
         // killed after the grace period instead of hanging the drop.
         let deadline = Instant::now() + self.shutdown_grace;
+        let polls = self.registry.counter("shutdown_polls");
         for child in self.children.iter_mut().flatten() {
+            // A worker exits within a millisecond of `Shutdown`, and the
+            // CLI drops its transport before the verify: every wire run
+            // waits here.
+            let mut backoff = Backoff::new(REAP_POLL_CAP);
             loop {
                 match child.try_wait() {
                     Ok(Some(_)) => break,
@@ -919,7 +998,8 @@ impl Drop for WireTransport {
                             let _ = child.wait();
                             break;
                         }
-                        std::thread::sleep(Duration::from_millis(10));
+                        polls.inc();
+                        backoff.sleep();
                     }
                     Err(_) => break,
                 }
@@ -1035,6 +1115,59 @@ mod tests {
         assert_eq!(rebuild.round, 0);
         assert!(Arc::ptr_eq(&delta, &core.shipped_state[&node]));
         assert_eq!(delta, facts("R(a, b). R(b, c)."));
+    }
+
+    #[test]
+    fn a_requeued_job_carries_its_names_again_on_the_survivors_connection() {
+        let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+        let chunk = Arc::new(cq::parse_instance("R(dict_a, dict_b). R(dict_b, dict_c).").unwrap());
+        let (options, trace) = (EvalOptions::default(), TraceContext::default());
+        let mut core = inert_core(2);
+        core.begin_round(0, &query, options).unwrap();
+        core.send(Node::numbered(0), Shipment::Full(chunk)).unwrap();
+        let job = core.jobs[0][0].clone();
+        let encode_for = |core: &mut WireTransport, worker: usize, job: &Job| {
+            let endpoint = core.endpoints[worker].as_mut().expect("a live endpoint");
+            job.encode(&mut endpoint.encoder, &query, options, trace)
+        };
+
+        // On worker 0's connection the names cross once: the same job
+        // written again is indices only.
+        let first = encode_for(&mut core, 0, &job);
+        let repeat = encode_for(&mut core, 0, &job);
+        assert!(repeat.len() < first.len());
+        assert!(crate::frame::decode_frame::<Message>(&repeat).is_err());
+
+        // Worker 0 dies and its dictionary with it: on worker 1's
+        // connection the requeued job is a first frame again — the bytes a
+        // self-contained frame has, names and all.
+        core.mark_dead(0);
+        let requeued = core.requeued_job(job);
+        let on_survivor = encode_for(&mut core, 1, &requeued);
+        assert_eq!(on_survivor, first);
+        assert!(matches!(
+            crate::frame::decode_frame::<Message>(&on_survivor),
+            Ok(Message::EvalChunk { .. })
+        ));
+    }
+
+    #[test]
+    fn poll_backoff_starts_short_doubles_to_its_cap_and_never_spins() {
+        let mut backoff = Backoff::new(Duration::from_millis(10));
+        let delays: Vec<u64> = (0..10)
+            .map(|_| backoff.next_delay().as_micros() as u64)
+            .collect();
+        assert_eq!(
+            delays,
+            [100, 200, 400, 800, 1600, 3200, 6400, 10_000, 10_000, 10_000]
+        );
+        // Seven polls — everything a worker that exits promptly needs —
+        // sleep less in total than one poll of the fixed 10 ms schedule did.
+        assert!(delays[..6].iter().sum::<u64>() < 10_000);
+        // A cap below the first delay is honoured, and no delay is zero.
+        let mut tight = Backoff::new(Duration::from_micros(30));
+        assert_eq!(tight.next_delay(), Duration::from_micros(30));
+        assert_eq!(tight.next_delay(), Duration::from_micros(30));
     }
 
     #[test]

@@ -11,11 +11,19 @@
 //! explicit length makes frames self-delimiting so they can be
 //! concatenated on a pipe. The body is a codec body
 //! (see [`crate::codec`]): symbol table followed by payload.
+//!
+//! The frames of one connection share a symbol dictionary per direction,
+//! which the stream functions are handed — [`write_frame`] the sender's
+//! [`Encoder`], [`read_frame`] the receiver's [`Dictionary`] — so a frame
+//! lists only the names no earlier frame of the connection carried.
+//! [`encode_frame`] / [`decode_frame`] code a *self-contained* frame: the
+//! same bytes as the first frame of a connection.
 
 use std::io::{Read, Write};
 
 use crate::codec::{
-    decode_body, encode_body, read_varint, write_varint, Decode, DecodeError, Encode,
+    decode_body, decode_body_with, encode_body_with, read_varint, write_varint, Decode,
+    DecodeError, Dictionary, Encode, Encoder,
 };
 
 /// The four magic bytes opening every frame.
@@ -28,9 +36,14 @@ pub const VERSION: u8 = 1;
 /// corruption rather than trusted with an allocation (1 GiB).
 pub const MAX_BODY_LEN: u64 = 1 << 30;
 
-/// Encodes `value` as one complete frame.
+/// Encodes `value` as one self-contained frame.
 pub fn encode_frame<T: Encode>(value: &T) -> Vec<u8> {
-    let body = encode_body(value);
+    encode_frame_with(&mut Encoder::new(), value)
+}
+
+/// Encodes `value` as the next frame of the connection `encoder` writes.
+pub fn encode_frame_with<T: Encode>(encoder: &mut Encoder, value: &T) -> Vec<u8> {
+    let body = encode_body_with(encoder, value);
     let mut out = Vec::with_capacity(body.len() + 16);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
@@ -39,8 +52,9 @@ pub fn encode_frame<T: Encode>(value: &T) -> Vec<u8> {
     out
 }
 
-/// Decodes one value from `bytes`, which must contain exactly one frame
-/// (no trailing bytes). Never panics on corrupted input.
+/// Decodes one value from `bytes`, which must contain exactly one
+/// self-contained frame (no trailing bytes). Never panics on corrupted
+/// input.
 pub fn decode_frame<T: Decode>(bytes: &[u8]) -> Result<T, DecodeError> {
     let (body, rest) = split_frame(bytes)?;
     if !rest.is_empty() {
@@ -79,25 +93,37 @@ pub fn split_frame(bytes: &[u8]) -> Result<(&[u8], &[u8]), DecodeError> {
     Ok(rest.split_at(len as usize))
 }
 
-/// Writes one frame to a stream and flushes it.
-pub fn write_frame<T: Encode>(w: &mut impl Write, value: &T) -> Result<(), DecodeError> {
-    w.write_all(&encode_frame(value))
+/// Writes `value` to a stream as the next frame of the connection
+/// `encoder` writes, and flushes it.
+pub fn write_frame<T: Encode>(
+    w: &mut impl Write,
+    encoder: &mut Encoder,
+    value: &T,
+) -> Result<(), DecodeError> {
+    w.write_all(&encode_frame_with(encoder, value))
         .and_then(|()| w.flush())
         .map_err(|e| DecodeError::Io(e.to_string()))
 }
 
-/// Reads one frame from a stream. Returns `Ok(None)` on a clean EOF at a
-/// frame boundary (the peer closed the pipe between messages); EOF in the
-/// middle of a frame is [`DecodeError::Truncated`].
-pub fn read_frame<T: Decode>(r: &mut impl Read) -> Result<Option<T>, DecodeError> {
-    Ok(read_frame_counted(r)?.map(|(value, _)| value))
+/// Reads the next frame of the connection `dictionary` reads from a
+/// stream. Returns `Ok(None)` on a clean EOF at a frame boundary (the peer
+/// closed the pipe between messages); EOF in the middle of a frame is
+/// [`DecodeError::Truncated`].
+pub fn read_frame<T: Decode>(
+    r: &mut impl Read,
+    dictionary: &mut Dictionary,
+) -> Result<Option<T>, DecodeError> {
+    Ok(read_frame_counted(r, dictionary)?.map(|(value, _)| value))
 }
 
 /// Reads one frame from a stream like [`read_frame`] and also reports the
 /// number of bytes the frame occupied on the wire (magic + version +
 /// length varint + body) — the honest size transports add to their
 /// communication-volume counters for worker→coordinator reply frames.
-pub fn read_frame_counted<T: Decode>(r: &mut impl Read) -> Result<Option<(T, u64)>, DecodeError> {
+pub fn read_frame_counted<T: Decode>(
+    r: &mut impl Read,
+    dictionary: &mut Dictionary,
+) -> Result<Option<(T, u64)>, DecodeError> {
     let mut magic = [0u8; 4];
     match read_exact_or_eof(r, &mut magic)? {
         0 => return Ok(None),
@@ -130,7 +156,7 @@ pub fn read_frame_counted<T: Decode>(r: &mut impl Read) -> Result<Option<(T, u64
         return Err(DecodeError::Truncated);
     }
     let wire_len = MAGIC.len() as u64 + 1 + varint_bytes as u64 + len;
-    decode_body(&body).map(|value| Some((value, wire_len)))
+    decode_body_with(dictionary, &body).map(|value| Some((value, wire_len)))
 }
 
 /// Fills `buf` from `r`, tolerating EOF: returns how many bytes were read
@@ -178,6 +204,16 @@ fn read_stream_varint(r: &mut impl Read) -> Result<(u64, usize), DecodeError> {
 mod tests {
     use super::*;
     use cq::Fact;
+
+    /// Reads one self-contained frame off a stream.
+    fn read_frame<T: Decode>(r: &mut impl Read) -> Result<Option<T>, DecodeError> {
+        super::read_frame(r, &mut Dictionary::new())
+    }
+
+    /// [`read_frame`], with the frame's wire length.
+    fn read_frame_counted<T: Decode>(r: &mut impl Read) -> Result<Option<(T, u64)>, DecodeError> {
+        super::read_frame_counted(r, &mut Dictionary::new())
+    }
 
     #[test]
     fn frames_round_trip_and_self_delimit() {

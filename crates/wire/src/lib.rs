@@ -3,10 +3,11 @@
 //! Everything that crosses a process boundary (or a file boundary) in this
 //! workspace is owned by this crate:
 //!
-//! * [`codec`] — the compact binary codec: varint lengths, a per-message
-//!   symbol table (interned names ship as small integers), and the
-//!   [`Encode`] / [`Decode`] impls for facts, instances, queries, networks,
-//!   chunk batches and round-control messages,
+//! * [`codec`] — the compact binary codec: varint lengths, a symbol
+//!   dictionary (interned names ship as small integers, and cross a
+//!   connection once), and the [`Encode`] / [`Decode`] impls for facts,
+//!   instances, queries, networks, chunk batches and round-control
+//!   messages,
 //! * [`frame`] — the framing layer: `PCQW` magic, version byte, varint
 //!   body length; frames are self-delimiting so they concatenate on pipes,
 //! * [`Message`] — the protocol vocabulary: chunk shipping plus the
@@ -74,9 +75,14 @@ mod socket;
 pub mod trace_diff;
 pub mod trace_export;
 
-pub use codec::{decode_body, encode_body, Decode, DecodeError, Decoder, Encode, Encoder};
+pub use codec::{
+    decode_body, decode_body_with, encode_body, encode_body_with, Decode, DecodeError, Decoder,
+    Dictionary, Encode, Encoder,
+};
 pub use driver::WireTransport;
-pub use frame::{decode_frame, encode_frame, read_frame, read_frame_counted, write_frame};
+pub use frame::{
+    decode_frame, encode_frame, encode_frame_with, read_frame, read_frame_counted, write_frame,
+};
 pub use json::JsonValue;
 pub use message::{ChunkBatch, DeltaBatch, EvalChunkRef, EvalDeltaRef, Message, TraceContext};
 pub use metrics_export::{merged_registry_json, registry_json};

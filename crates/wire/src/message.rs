@@ -83,6 +83,10 @@ impl Decode for TraceContext {
 const KIND_SPAN: u8 = 0;
 const KIND_INSTANT: u8 = 1;
 
+/// Span names and argument keys are a small fixed vocabulary and go through
+/// the symbol dictionary; argument *values* (`facts=4444`, counts, error
+/// texts) hardly ever repeat, so they travel as inline strings and are
+/// neither interned nor kept in a connection's dictionaries.
 impl Encode for TraceEvent {
     fn encode(&self, enc: &mut Encoder) {
         enc.symbol(Symbol::new(&self.name));
@@ -99,7 +103,7 @@ impl Encode for TraceEvent {
         enc.usize(self.args.len());
         for (key, value) in &self.args {
             enc.symbol(Symbol::new(key));
-            enc.symbol(Symbol::new(value));
+            enc.str(value);
         }
     }
 }
@@ -131,7 +135,7 @@ impl Decode for TraceEvent {
         let mut args = Vec::with_capacity(len);
         for _ in 0..len {
             let key = dec.symbol()?.as_str().to_string();
-            let value = dec.symbol()?.as_str().to_string();
+            let value = dec.str()?.to_string();
             args.push((key, value));
         }
         Ok(TraceEvent {
@@ -626,7 +630,13 @@ mod tests {
                         tid: 2,
                         id: 9,
                         parent: 4,
-                        args: vec![("node".to_string(), "n1".to_string())],
+                        args: vec![
+                            ("node".to_string(), "n1".to_string()),
+                            ("facts".to_string(), "4444".to_string()),
+                            ("error".to_string(), "ошибка: ∅ → \"x\"".to_string()),
+                            ("empty".to_string(), String::new()),
+                            ("long".to_string(), "v".repeat(300)),
+                        ],
                     },
                     TraceEvent {
                         name: "requeue".to_string(),
@@ -712,6 +722,41 @@ mod tests {
     }
 
     #[test]
+    fn trace_argument_values_travel_inline_not_through_the_dictionary() {
+        let event = |facts: u64| TraceEvent {
+            name: "worker_eval_chunk".to_string(),
+            kind: EventKind::Span,
+            ts_us: 10,
+            dur_us: 25,
+            pid: 0,
+            tid: 2,
+            id: 9,
+            parent: 4,
+            args: vec![
+                ("node".to_string(), format!("n{facts}")),
+                ("facts".to_string(), facts.to_string()),
+            ],
+        };
+        // One connection, two flushes: the span name and the two argument
+        // keys enter the dictionaries once; no value ever does, so a long
+        // traced run cannot grow them (or the receiver's interner).
+        let mut encoder = Encoder::new();
+        let mut dictionary = crate::codec::Dictionary::new();
+        for flush in [
+            vec![event(4444), event(4445)],
+            vec![event(4446)],
+            vec![event(u64::MAX)],
+        ] {
+            let message = Message::TraceFlush { events: flush };
+            let body = crate::codec::encode_body_with(&mut encoder, &message);
+            let back: Message = crate::codec::decode_body_with(&mut dictionary, &body).unwrap();
+            assert_eq!(back, message);
+            assert_eq!(encoder.dictionary_len(), 3);
+            assert_eq!(dictionary.len(), 3);
+        }
+    }
+
+    #[test]
     fn truncated_trace_flush_frames_error_without_panicking() {
         let flush = Message::TraceFlush {
             events: vec![TraceEvent {
@@ -723,7 +768,10 @@ mod tests {
                 tid: 2,
                 id: 9,
                 parent: 4,
-                args: vec![("node".to_string(), "n1".to_string())],
+                args: vec![
+                    ("node".to_string(), "n1".to_string()),
+                    ("facts".to_string(), "4444".to_string()),
+                ],
             }],
         };
         let frame = encode_frame(&flush);
@@ -742,6 +790,25 @@ mod tests {
         let body = enc.finish();
         let err = crate::codec::decode_body::<Message>(&body).unwrap_err();
         assert_eq!(err, DecodeError::Truncated);
+
+        // The last argument value is the inline string `4444` at the very
+        // end of the body: a length running past the payload and bytes
+        // that are not UTF-8 are typed errors too.
+        let body = crate::codec::encode_body(&flush);
+        let (head, value) = body.split_at(body.len() - 5);
+        assert_eq!(value, b"\x044444");
+        let mut overlong = head.to_vec();
+        overlong.extend_from_slice(b"\x054444");
+        assert_eq!(
+            crate::codec::decode_body::<Message>(&overlong),
+            Err(DecodeError::Truncated)
+        );
+        let mut not_utf8 = head.to_vec();
+        not_utf8.extend_from_slice(b"\x0444\xff\xfe");
+        assert_eq!(
+            crate::codec::decode_body::<Message>(&not_utf8),
+            Err(DecodeError::InvalidUtf8)
+        );
     }
 
     #[test]

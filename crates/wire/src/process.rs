@@ -18,7 +18,10 @@
 //! Workers persist across rounds — a multi-round run pays the spawn cost
 //! once. [`run_worker`] is the other side: the read-eval-respond loop
 //! behind the `pcq-analyze worker` subcommand, whichever byte stream it
-//! is reached over.
+//! is reached over. It owns the worker's halves of the connection's two
+//! symbol dictionaries (see [`crate::codec`]) for as long as it runs: a
+//! name the coordinator has sent once, or the worker has answered once, is
+//! an index from then on.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -29,6 +32,7 @@ use std::time::Instant;
 
 use distribution::{Node, NodeState, Shipment, TransportError};
 
+use crate::codec::{Dictionary, Encoder};
 use crate::driver::{Endpoint, StderrTail, WireTransport};
 use crate::frame::{read_frame, write_frame};
 use crate::message::{ChunkBatch, DeltaBatch, Message};
@@ -101,10 +105,12 @@ pub fn run_worker(
 ) -> Result<(), String> {
     let mut input = BufReader::new(input);
     let mut output = BufWriter::new(output);
+    let mut dictionary = Dictionary::new();
+    let mut encoder = Encoder::new();
     let mut nodes: BTreeMap<Node, NodeState> = BTreeMap::new();
     let mut evals_seen = 0u64;
     loop {
-        let message = match read_frame::<Message>(&mut input) {
+        let message = match read_frame::<Message>(&mut input, &mut dictionary) {
             Ok(None) | Ok(Some(Message::Shutdown)) => return Ok(()),
             Ok(Some(message)) => message,
             Err(e) => return Err(format!("bad frame on worker stdin: {e}")),
@@ -142,11 +148,11 @@ pub fn run_worker(
                 if obs::enabled() {
                     let events = obs::take_events();
                     if !events.is_empty() {
-                        write_frame(&mut output, &Message::TraceFlush { events })
+                        write_frame(&mut output, &mut encoder, &Message::TraceFlush { events })
                             .map_err(|e| e.to_string())?;
                     }
                 }
-                write_frame(&mut output, &Message::BarrierAck { round })
+                write_frame(&mut output, &mut encoder, &Message::BarrierAck { round })
                     .map_err(|e| e.to_string())?;
                 continue;
             }
@@ -202,14 +208,14 @@ pub fn run_worker(
                 eval_us,
             }
         };
-        write_frame(&mut output, &reply).map_err(|e| e.to_string())?;
+        write_frame(&mut output, &mut encoder, &reply).map_err(|e| e.to_string())?;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::encode_frame;
+    use crate::frame::encode_frame_with;
     use crate::message::TraceContext;
     use cq::{ConjunctiveQuery, EvalOptions, Instance};
 
@@ -220,20 +226,24 @@ mod tests {
     }
 
     /// Like [`worker_script`] but with fault injection, and always
-    /// returning whatever replies made it out before a failure.
+    /// returning whatever replies made it out before a failure. The script
+    /// and the replies are one connection: each direction is coded through
+    /// one dictionary from its first frame to its last.
     fn worker_script_with_fault(
         messages: &[Message],
         fail_after: Option<u64>,
     ) -> (Result<Vec<Message>, String>, Vec<Message>) {
         let mut input = Vec::new();
+        let mut encoder = Encoder::new();
         for m in messages {
-            input.extend(encode_frame(m));
+            input.extend(encode_frame_with(&mut encoder, m));
         }
         let mut output = Vec::new();
         let run = run_worker(std::io::Cursor::new(input), &mut output, fail_after, 0);
         let mut replies = Vec::new();
         let mut cursor = std::io::Cursor::new(output);
-        while let Ok(Some(m)) = read_frame::<Message>(&mut cursor) {
+        let mut dictionary = Dictionary::new();
+        while let Ok(Some(m)) = read_frame::<Message>(&mut cursor, &mut dictionary) {
             replies.push(m);
         }
         (run.map(|()| replies.clone()), replies)

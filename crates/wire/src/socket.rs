@@ -15,7 +15,10 @@
 //!       ◀───────────  ChunkResult…      pipelined under the same driver)
 //! ```
 //!
-//! The `PCQW` frames are self-delimiting, so they concatenate on the
+//! `Hello` names nothing, so it leaves both ends' symbol dictionaries (see
+//! [`crate::codec`]) empty — the coordinator insists on that — and the
+//! connection's dictionaries count from the first frame after it. The
+//! `PCQW` frames are self-delimiting, so they concatenate on the
 //! stream without any extra record layer; `TCP_NODELAY` keeps the small
 //! control frames from stalling behind Nagle's algorithm. After the
 //! handshake the connections are ordinary endpoints of the pipelined
@@ -29,7 +32,8 @@ use std::time::{Duration, Instant};
 
 use distribution::TransportError;
 
-use crate::driver::{Endpoint, StderrTail, WireTransport};
+use crate::codec::{Dictionary, Encoder};
+use crate::driver::{Backoff, Endpoint, StderrTail, WireTransport};
 use crate::frame::{read_frame, write_frame};
 use crate::message::Message;
 use crate::process::run_worker;
@@ -39,6 +43,9 @@ const SPAWN_ACCEPT_DEADLINE: Duration = Duration::from_secs(10);
 
 /// How long a connected socket may dawdle over its `Hello` frame.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The longest sleep between two polls of the listener.
+const ACCEPT_POLL_CAP: Duration = Duration::from_millis(5);
 
 impl WireTransport {
     /// Spawns one subprocess of `program` per argument list (each gets
@@ -101,6 +108,9 @@ fn accept_workers(
     let deadline = Instant::now() + SPAWN_ACCEPT_DEADLINE;
     let mut slots: Vec<Option<Endpoint>> = (0..expected).map(|_| None).collect();
     let mut connected = 0usize;
+    // A spawned worker connects back within a few milliseconds, and the
+    // run cannot start before the last one has.
+    let mut backoff = Backoff::new(ACCEPT_POLL_CAP);
     while connected < expected {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -121,6 +131,7 @@ fn accept_workers(
                     .map_err(|e| TransportError::Io(format!("cannot clone worker stream: {e}")))?;
                 *slot = Some(Endpoint::new(writer, stream));
                 connected += 1;
+                backoff = Backoff::new(ACCEPT_POLL_CAP);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 for (i, child) in children.iter_mut().enumerate() {
@@ -138,7 +149,7 @@ fn accept_workers(
                         "only {connected} of {expected} workers connected before the deadline"
                     )));
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                backoff.sleep();
             }
             Err(e) => return Err(TransportError::Io(format!("accept failed: {e}"))),
         }
@@ -163,7 +174,16 @@ fn handshake(stream: &TcpStream) -> Result<u64, TransportError> {
         .set_read_timeout(Some(HELLO_TIMEOUT))
         .map_err(|e| TransportError::Io(format!("cannot configure worker stream: {e}")))?;
     let mut reader = stream;
-    let hello = match read_frame::<Message>(&mut reader) {
+    let mut dictionary = Dictionary::new();
+    let hello = match read_frame::<Message>(&mut reader, &mut dictionary) {
+        // The endpoint's dictionary starts empty after the handshake, as
+        // the worker's encoder does: a hello that named something would
+        // leave the two out of step.
+        Ok(Some(Message::Hello { .. })) if !dictionary.is_empty() => {
+            return Err(TransportError::Protocol(
+                "hello frame carried a symbol table".to_string(),
+            ))
+        }
         Ok(Some(Message::Hello { worker })) => worker,
         Ok(Some(other)) => {
             return Err(TransportError::Protocol(format!(
@@ -203,7 +223,11 @@ pub fn run_worker_connect(
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("cannot clone stream: {e}"))?;
-    write_frame(&mut writer, &Message::Hello { worker: token })
-        .map_err(|e| format!("cannot send hello: {e}"))?;
+    write_frame(
+        &mut writer,
+        &mut Encoder::new(),
+        &Message::Hello { worker: token },
+    )
+    .map_err(|e| format!("cannot send hello: {e}"))?;
     run_worker(stream, writer, fail_after, slow_eval_us)
 }

@@ -10,7 +10,9 @@ use std::cell::Cell;
 use cq::{ConjunctiveQuery, Fact, Instance, Symbol, Tuple, Value};
 use delta::DeltaNode;
 use distribution::{DistributionPolicy, HypercubePolicy};
-use wire::{decode_body, encode_body, DecodeError, Encoder};
+use wire::{
+    decode_body, decode_body_with, encode_body, encode_body_with, DecodeError, Dictionary, Encoder,
+};
 
 thread_local! {
     /// Heap allocations made by this thread (the test harness runs other
@@ -105,6 +107,32 @@ fn decoding_a_chunk_allocates_per_relation_not_per_fact() {
     assert_eq!(decoded.as_ref(), Ok(&chunk));
     assert!(heap.allocations <= 32, "decode: {heap:?}");
     assert_holds_every_fact_once(&decoded.unwrap(), "a decoded chunk");
+}
+
+/// On a connection the second chunk over the same names is indices only:
+/// its table is empty, so decoding it interns nothing, adds nothing to the
+/// dictionary and allocates what the fact vector and the bulk build need.
+#[test]
+fn a_chunk_repeating_a_connections_names_adds_nothing_to_its_dictionary() {
+    let chunk = chunk();
+    let mut encoder = Encoder::new();
+    let first = encode_body_with(&mut encoder, &chunk);
+    let second = encode_body_with(&mut encoder, &chunk);
+    assert_eq!(first, encode_body(&chunk));
+    assert_eq!(second[0], 0, "no name crosses the connection twice");
+    assert_eq!(second[1..], first[first.len() - (second.len() - 1)..]);
+
+    let mut dictionary = Dictionary::new();
+    assert_eq!(
+        decode_body_with(&mut dictionary, &first).as_ref(),
+        Ok(&chunk)
+    );
+    let names = dictionary.len();
+    assert_eq!(names, encoder.dictionary_len());
+    let (decoded, heap) = counting(|| decode_body_with::<Instance>(&mut dictionary, &second));
+    assert_eq!(decoded.as_ref(), Ok(&chunk));
+    assert_eq!(dictionary.len(), names);
+    assert!(heap.allocations <= 32, "decode of a repeat chunk: {heap:?}");
 }
 
 #[test]

@@ -5,14 +5,24 @@
 //!   body and the framed byte stream,
 //! * textual: `parse(print(s)) == s` for random scenarios,
 //! * robustness: corrupted and truncated frames return errors — decoding
-//!   never panics, whatever the bytes.
+//!   never panics, whatever the bytes,
+//! * connection: any sequence of messages coded through one dictionary per
+//!   side decodes to what self-contained frames decode to, names each
+//!   symbol in exactly one frame, and fails with a typed error when a frame
+//!   is cut short, cut loose from its connection or indexes past the
+//!   dictionary.
 
-use cq::{Atom, ConjunctiveQuery, Fact, Instance, Tuple, Value, Variable};
+use std::collections::BTreeSet;
+use std::io::Cursor;
+
+use cq::{Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, Symbol, Tuple, Value, Variable};
 use distribution::Node;
+use obs::{EventKind, TraceEvent};
 use proptest::prelude::*;
 use wire::{
-    decode_body, decode_frame, encode_body, encode_frame, ChunkBatch, DeltaBatch, ExplicitSpec,
-    Message, NetworkSpec, PolicySpec, Scenario,
+    decode_body, decode_body_with, decode_frame, encode_body, encode_frame, encode_frame_with,
+    read_frame, ChunkBatch, DecodeError, DeltaBatch, Dictionary, Encoder, ExplicitSpec, Message,
+    NetworkSpec, PolicySpec, Scenario, TraceContext,
 };
 
 // ---------------------------------------------------------------- strategies
@@ -136,6 +146,233 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
                 }
             },
         )
+}
+
+/// Every kind of message a connection carries, over the shared pools of
+/// relation, value and variable names — so later frames of a sequence
+/// repeat names of earlier ones.
+fn message_strategy() -> impl Strategy<Value = Message> {
+    (
+        0..10usize,
+        query_strategy(),
+        instance_strategy(),
+        0..5u64,
+        0..8usize,
+    )
+        .prop_map(|(kind, query, facts, round, node)| {
+            let (options, trace) = (EvalOptions::default(), TraceContext::default());
+            let node = Node::numbered(node);
+            let chunk = ChunkBatch {
+                round,
+                node,
+                chunk: facts.clone(),
+            };
+            let delta = DeltaBatch {
+                round,
+                node,
+                delta: facts.clone(),
+            };
+            match kind {
+                0 => Message::EvalChunk {
+                    query,
+                    options,
+                    batch: chunk,
+                    trace,
+                },
+                1 => Message::ChunkResult {
+                    batch: chunk,
+                    eval_us: round,
+                },
+                2 => Message::EvalDelta {
+                    query,
+                    options,
+                    batch: delta,
+                    trace,
+                },
+                3 => Message::DeltaResult {
+                    batch: delta,
+                    eval_us: round,
+                },
+                4 => Message::EvalResident {
+                    round,
+                    node,
+                    query,
+                    options,
+                    trace,
+                },
+                5 => Message::Barrier { round },
+                6 => Message::BarrierAck { round },
+                7 => Message::Instance(facts),
+                8 => Message::Query(query),
+                _ => Message::TraceFlush {
+                    events: vec![TraceEvent {
+                        name: "worker_eval_chunk".to_string(),
+                        kind: EventKind::Span,
+                        ts_us: round,
+                        dur_us: 3,
+                        pid: 0,
+                        tid: 1,
+                        id: 2,
+                        parent: 0,
+                        args: vec![
+                            ("node".to_string(), node.to_string()),
+                            ("facts".to_string(), facts.len().to_string()),
+                        ],
+                    }],
+                },
+            }
+        })
+}
+
+/// Reads a LEB128 varint off the front of `bytes` (the codec keeps its own
+/// reader private).
+fn varint(bytes: &[u8]) -> (u64, &[u8]) {
+    let mut value = 0;
+    for (i, &byte) in bytes.iter().enumerate() {
+        value |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            return (value, &bytes[i + 1..]);
+        }
+    }
+    panic!("unterminated varint");
+}
+
+/// The names listed by the symbol table of a frame.
+fn symtab(frame: &[u8]) -> Vec<String> {
+    let (body, rest) = wire::frame::split_frame(frame).unwrap();
+    assert!(rest.is_empty());
+    let (count, mut rest) = varint(body);
+    (0..count)
+        .map(|_| {
+            let (len, tail) = varint(rest);
+            let (name, tail) = tail.split_at(len as usize);
+            rest = tail;
+            String::from_utf8(name.to_vec()).unwrap()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48).with_rng_seed(0x18_D1C7))]
+
+    /// One sender dictionary, one receiver dictionary, any sequence of
+    /// messages: the connection is a compression of self-contained frames,
+    /// never a different meaning.
+    #[test]
+    fn a_connection_decodes_like_self_contained_frames(
+        messages in proptest::collection::vec(message_strategy(), 1..7),
+    ) {
+        let mut encoder = Encoder::new();
+        let frames: Vec<Vec<u8>> = messages
+            .iter()
+            .map(|message| encode_frame_with(&mut encoder, message))
+            .collect();
+        let self_contained: Vec<Vec<u8>> = messages.iter().map(encode_frame).collect();
+        prop_assert_eq!(&frames[0], &self_contained[0], "a first frame is self-contained");
+
+        let stream = frames.concat();
+        let mut cursor = Cursor::new(&stream);
+        let mut dictionary = Dictionary::new();
+        for (message, alone) in messages.iter().zip(&self_contained) {
+            let back = read_frame::<Message>(&mut cursor, &mut dictionary).unwrap();
+            prop_assert_eq!(back.as_ref(), Some(message));
+            prop_assert_eq!(&decode_frame::<Message>(alone).unwrap(), message);
+        }
+        prop_assert_eq!(read_frame::<Message>(&mut cursor, &mut dictionary).unwrap(), None);
+        prop_assert_eq!(dictionary.len(), encoder.dictionary_len());
+
+        // A name is in exactly one frame's table — the first to use it —
+        // and in every self-contained frame that uses it.
+        let mut named = BTreeSet::new();
+        for (frame, alone) in frames.iter().zip(&self_contained) {
+            let names = symtab(frame);
+            let all: BTreeSet<String> = symtab(alone).into_iter().collect();
+            prop_assert!(frame.len() <= alone.len());
+            for name in names {
+                prop_assert!(all.contains(&name));
+                prop_assert!(named.insert(name), "a name crossed the connection twice");
+            }
+            prop_assert!(all.is_subset(&named));
+        }
+        prop_assert_eq!(named.len(), dictionary.len());
+
+        // An index is checked against the cumulative table: the last name
+        // of the connection resolves, the one after it does not.
+        let len = dictionary.len() as u8;
+        prop_assert!(len < 0x80, "one varint byte");
+        prop_assert_eq!(
+            decode_body_with::<Symbol>(&mut dictionary, &[0, len]),
+            Err(DecodeError::SymbolIndexOutOfRange { index: len.into(), table_len: len.into() })
+        );
+        if len > 0 {
+            let last = decode_body_with::<Symbol>(&mut dictionary, &[0, len - 1]).unwrap();
+            prop_assert!(named.contains(last.as_str()));
+        }
+
+        // A later frame replayed on a fresh dictionary either means what it
+        // meant (it never leaned on an earlier frame, so it *is* the
+        // self-contained frame) or is a typed error.
+        for ((frame, alone), message) in frames.iter().zip(&self_contained).zip(&messages).skip(1) {
+            match read_frame::<Message>(&mut Cursor::new(frame), &mut Dictionary::new()) {
+                Ok(back) => {
+                    prop_assert_eq!(frame, alone);
+                    prop_assert_eq!(back.as_ref(), Some(message));
+                }
+                // Mostly `SymbolIndexOutOfRange`; indices that happen to
+                // fall inside the frame's own table name the wrong things,
+                // which query re-validation may catch first.
+                Err(_) => prop_assert!(frame != alone),
+            }
+        }
+    }
+
+    /// Every truncation of every frame of a connection: the frames before
+    /// the cut decode, the cut one is a typed error (or a clean end of
+    /// stream at a frame boundary), and nothing panics.
+    #[test]
+    fn every_truncation_of_a_connection_errors_and_never_panics(
+        messages in proptest::collection::vec(message_strategy(), 1..5),
+    ) {
+        let mut encoder = Encoder::new();
+        let mut boundaries = vec![0];
+        let mut stream = Vec::new();
+        for message in &messages {
+            stream.extend(encode_frame_with(&mut encoder, message));
+            boundaries.push(stream.len());
+        }
+        for cut in 0..stream.len() {
+            let whole = boundaries.iter().filter(|&&end| end != 0 && end <= cut).count();
+            let mut cursor = Cursor::new(&stream[..cut]);
+            let mut dictionary = Dictionary::new();
+            for message in &messages[..whole] {
+                let back = read_frame::<Message>(&mut cursor, &mut dictionary).unwrap();
+                prop_assert_eq!(back.as_ref(), Some(message));
+            }
+            match read_frame::<Message>(&mut cursor, &mut dictionary) {
+                Ok(None) => prop_assert!(boundaries.contains(&cut)),
+                Ok(Some(message)) => prop_assert!(false, "cut {} decoded {}", cut, message.kind()),
+                Err(_) => prop_assert!(!boundaries.contains(&cut)),
+            }
+        }
+    }
+}
+
+#[test]
+fn hello_adds_nothing_to_a_connections_dictionaries() {
+    // The socket handshake codes `Hello` outside the connection's
+    // dictionaries (the worker through a scratch encoder, the coordinator
+    // through a scratch dictionary it requires to stay empty): sound
+    // because `Hello` names nothing.
+    let hello = Message::Hello { worker: 7 };
+    let mut encoder = Encoder::new();
+    let frame = encode_frame_with(&mut encoder, &hello);
+    assert_eq!(encoder.dictionary_len(), 0);
+    assert_eq!(frame, encode_frame(&hello));
+    assert!(symtab(&frame).is_empty());
+    let mut dictionary = Dictionary::new();
+    let back = read_frame::<Message>(&mut Cursor::new(&frame), &mut dictionary).unwrap();
+    assert_eq!(back, Some(hello));
+    assert!(dictionary.is_empty());
 }
 
 proptest! {

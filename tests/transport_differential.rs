@@ -339,26 +339,33 @@ fn scenario_files_drive_identical_runs_across_transports() {
 fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
     // Broadcast gives every node the full instance, so the request frames
     // are exactly reconstructible here: one EvalChunk per node carrying the
-    // whole instance. A transport that only counted requests (the old bug)
-    // would report exactly this sum; counting the replies too must land
-    // strictly above it on a high-output round.
+    // whole instance, the four nodes dealt round-robin over the two
+    // workers' connections — and a connection names each symbol once, so a
+    // worker's second frame is indices only. A transport that only counted
+    // requests (the old bug) would report exactly this sum; counting the
+    // replies too must land strictly above it on a high-output round.
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 11);
     let network = Network::with_size(4);
     let policy = ExplicitPolicy::broadcast(&network, &instance);
     let engine = OneRoundEngine::new(&policy);
 
+    let mut connections = [pcq::wire::Encoder::new(), pcq::wire::Encoder::new()];
     let request_bytes: u64 = network
         .nodes()
-        .map(|node| {
-            pcq::wire::encode_frame(&pcq::wire::EvalChunkRef {
-                query: &query,
-                options: EvalOptions::default(),
-                round: 0,
-                node,
-                chunk: &instance,
-                trace: pcq::wire::TraceContext::default(),
-            })
+        .enumerate()
+        .map(|(dealt, node)| {
+            pcq::wire::encode_frame_with(
+                &mut connections[dealt % 2],
+                &pcq::wire::EvalChunkRef {
+                    query: &query,
+                    options: EvalOptions::default(),
+                    round: 0,
+                    node,
+                    chunk: &instance,
+                    trace: pcq::wire::TraceContext::default(),
+                },
+            )
             .len() as u64
         })
         .sum();
@@ -388,6 +395,15 @@ fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
         request_bytes
     );
     assert_eq!(via_socket.result, via_process.result);
+    // Both transports put the same frames on their connections (the socket
+    // handshake is a control frame and names nothing): the totals differ by
+    // the replies' `eval_us` varints at most, one per node.
+    assert!(
+        via_socket.comm_bytes.abs_diff(via_process.comm_bytes) <= 4 * 9,
+        "socket {} vs process {} comm bytes",
+        via_socket.comm_bytes,
+        via_process.comm_bytes
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -732,6 +748,38 @@ fn dropping_a_transport_with_a_wedged_worker_is_bounded() {
         "drop took {:?} — the shutdown grace is not bounding the wait",
         start.elapsed()
     );
+}
+
+/// The fast twin of the test above: workers that do exit on `Shutdown` are
+/// found gone by a poll schedule that starts at 100 µs, not after a fixed
+/// 10 ms sleep — the drop sits on every wire run's blocking path (the CLI
+/// drops its transport before the verify). Counted in polls, not wall time:
+/// the schedule is pinned by `wire`'s `poll_backoff_…` unit test, under
+/// which five sleeps total 3.1 ms.
+#[test]
+fn dropping_a_transport_whose_workers_exit_on_shutdown_polls_briefly() {
+    let query = named_query("chain:2").unwrap();
+    let instance = instance_for(&query, 5);
+    let policy = HypercubePolicy::uniform(&query, 2).unwrap();
+    for spawn in [PIPES, SOCKETS] {
+        // A busy test machine can hold up a worker's exit; the property is
+        // the schedule's, so one undisturbed attempt shows it.
+        let polls: Vec<u64> = (0..3)
+            .map(|_| {
+                let mut transport = spawn_workers(spawn, 2);
+                OneRoundEngine::new(&policy)
+                    .evaluate_via(&mut transport, 0, &query, &instance)
+                    .expect("the workers serve a round before shutting down");
+                let registry = transport.metrics_registry();
+                drop(transport);
+                registry.counter_value("shutdown_polls")
+            })
+            .collect();
+        assert!(
+            polls.iter().any(|&polls| polls <= 5),
+            "reaping two exiting workers slept {polls:?} times"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
