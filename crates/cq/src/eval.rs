@@ -8,9 +8,11 @@
 //!   *slots*: every body atom becomes a list of argument slots, the head a
 //!   slot projection. The search binds a flat `[Option<Value>]` slot array
 //!   and undoes through one shared trail, so a visited search node allocates
-//!   nothing and touches no ordered map. Each atom's relation is resolved
-//!   once into a `RelationView` (rows plus the lazily resolved secondary
-//!   index), so a posting lookup inside the search is one hash probe.
+//!   nothing and touches no ordered map. For the binary join each atom's
+//!   relation is resolved once into a `RelationView` (rows plus the lazily
+//!   resolved secondary index), so a posting lookup inside the search is one
+//!   hash probe; the multiway join resolves each atom to a sorted column
+//!   order and probes nothing.
 //! * **Answers before facts.** `evaluate*` project every satisfying
 //!   assignment onto the head slots and collect the tuples with set
 //!   semantics *before any [`Fact`] exists*: a hash probe on the projection,
@@ -18,7 +20,10 @@
 //!   allocation, up to a head of arity 5), and one [`Instance::from_facts`]
 //!   over the distinct set at the end. The work per derivation is a probe;
 //!   the allocations are at most O(answers), never O(valuations).
-//!   (`evaluate_done` in a trace carries both counts.)
+//!   (`evaluate_done` in a trace carries both counts.) A full evaluation of
+//!   a query whose head mentions every variable skips the set: each leaf of
+//!   one enumeration is a new answer there, valuations = answers, and the
+//!   bulk build's sort and dedup finish the job.
 //! * **Valuations only at the boundary.** [`CompiledQuery`] is public:
 //!   [`CompiledQuery::for_each_satisfying`] hands every leaf's slot array to
 //!   the caller, which is what the decision procedures of `pc-core` loop
@@ -43,17 +48,26 @@
 //! * **Join strategy** — under [`JoinStrategy::Auto`] (the default) acyclic
 //!   queries run the atom-at-a-time binary join, while queries whose join
 //!   graph is cyclic (GYO reduction, [`crate::is_acyclic`]) switch to the
-//!   leapfrog-style *worst-case-optimal multiway join*: one variable is
-//!   bound at a time and every atom containing it narrows its candidate
-//!   rows by posting-list intersection, which avoids the intermediate-result
-//!   blowup binary plans pay on triangles and other cycles. The candidate
-//!   values of a depth are sorted and deduplicated in a per-depth buffer,
-//!   narrowed row sets live in per-(depth, occurrence) buffers that are
-//!   swapped in and out, lists are intersected by merge or by galloping
-//!   according to their length ratio, and the last variable's narrowing is
-//!   an early-exit existence test. The multiway join *is* a posting-list
-//!   intersection, so it needs `use_indexes: true`; without indexes the
-//!   evaluator always falls back to the binary scan join.
+//!   *worst-case-optimal multiway join*, a leapfrog triejoin: one variable
+//!   is bound at a time, and its values are the intersection of the columns
+//!   it fills in every atom containing it, which avoids the
+//!   intermediate-result blowup binary plans pay on triangles and other
+//!   cycles. Each atom walks a *trie* — its relation's rows of the atom's
+//!   arity, columns permuted into the order the search binds them, sorted,
+//!   flat; built once per `(relation, column order)` and cached by the
+//!   [`Instance`] — as a stack of row ranges: binding a variable is a
+//!   galloping seek to the value's run in the next column, undoing it pops
+//!   the range. No row set is materialised, nothing is hashed and nothing
+//!   allocated inside the search, and the secondary hash indexes are never
+//!   built. Variables are bound most-occurrences-first (ties by first
+//!   occurrence) and each one's values ascend, so the leaves come out in
+//!   lexicographic order of that variable order: **the leaf order is part of
+//!   the contract** (first-violation witnesses and
+//!   [`satisfying_valuations`] order rest on it). With `use_indexes: false`
+//!   the evaluator still falls back to the binary scan join — not because
+//!   the multiway join needs the hash indexes, but because
+//!   [`EvalOptions::scan_naive`] is the oracle and must not share a kernel
+//!   with what it checks.
 //! * **Adaptive reordering** — with a nonzero `adaptive_factor`, the binary
 //!   join compares each depth's observed candidate count against the
 //!   planner's estimate and re-ranks the remaining atoms mid-search (using
@@ -66,13 +80,13 @@
 //! of its own arity, so ill-formed (mixed-arity) relations evaluate the same
 //! under every strategy.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
 
 use crate::atom::{Atom, Variable};
 use crate::fact::{Fact, Tuple};
-use crate::instance::{Instance, RelationView};
+use crate::instance::{Instance, RelationView, SortedOrder};
 use crate::intern::{Symbol, SymbolHashBuilder};
 use crate::query::ConjunctiveQuery;
 use crate::valuation::Valuation;
@@ -93,9 +107,10 @@ pub enum JoinOrdering {
 pub enum JoinStrategy {
     /// The classic atom-at-a-time backtracking join.
     Binary,
-    /// The leapfrog-style variable-at-a-time multiway join over the sorted
-    /// posting lists. Requires `use_indexes: true`; falls back to binary
-    /// otherwise.
+    /// The variable-at-a-time multiway join, a leapfrog triejoin over the
+    /// instance's cached sorted column orders; its leaves come out in
+    /// lexicographic order of its variable order. With `use_indexes: false`
+    /// — the oracle configuration — the binary scan join runs instead.
     Multiway,
     /// Plan per query: multiway when the join graph is cyclic (GYO
     /// reduction), binary otherwise.
@@ -172,10 +187,11 @@ impl EvalOptions {
     }
 
     /// The join algorithm these options select for `query`: the multiway
-    /// matcher on an explicit [`JoinStrategy::Multiway`] or on
-    /// [`JoinStrategy::Auto`] with a cyclic join graph — and only when the
-    /// secondary indexes are enabled, because the multiway join *is* a
-    /// posting-list intersection.
+    /// join on an explicit [`JoinStrategy::Multiway`] or on
+    /// [`JoinStrategy::Auto`] with a cyclic join graph — unless
+    /// `use_indexes` is off: that is the oracle configuration
+    /// ([`EvalOptions::scan_naive`]), which always runs the binary scan join
+    /// so that it shares no kernel with what it is compared against.
     pub fn resolved_strategy(&self, query: &ConjunctiveQuery) -> JoinStrategy {
         if !self.use_indexes {
             return JoinStrategy::Binary;
@@ -318,13 +334,13 @@ impl<'q> CompiledQuery<'q> {
         L: FnMut(&Slots) -> ControlFlow<()>,
     {
         let slots = self.bind(fixed);
-        let views = self.views(instance, opts.use_indexes);
         if opts.resolved_strategy(self.query) == JoinStrategy::Multiway {
-            return match Leapfrog::new(self, views, slots, leaf) {
+            return match Leapfrog::new(self, instance, slots, leaf) {
                 Some(mut join) => join.search(0),
                 None => ControlFlow::Continue(()),
             };
         }
+        let views = self.views(instance, opts.use_indexes);
         BinaryJoin::new(self, views, slots, opts, None, leaf).search(0)
     }
 
@@ -639,110 +655,140 @@ where
     }
 }
 
-/// From this length ratio on, two sorted lists are intersected by galloping
-/// through the longer one instead of merging them step by step.
-const GALLOP_RATIO: usize = 8;
-
-/// The index of the first element of the sorted `list` that is not below
-/// `target`, found by doubling steps from the front: O(log distance), which
-/// is what makes intersecting a short list with a long one cheap.
-fn gallop_to(list: &[u32], target: u32) -> usize {
-    let (mut lo, mut step) = (0, 1);
-    while lo + step < list.len() && list[lo + step] < target {
-        lo += step;
-        step *= 2;
-    }
-    let hi = (lo + step + 1).min(list.len());
-    lo + list[lo..hi].partition_point(|&row| row < target)
-}
-
-/// Visits the common elements of two sorted, duplicate-free row-id lists in
-/// ascending order, by merge or by galloping according to the length ratio.
-fn for_each_common(
-    a: &[u32],
-    b: &[u32],
-    mut visit: impl FnMut(u32) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let (small, mut large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.len().saturating_mul(GALLOP_RATIO) < large.len() {
-        for &row in small {
-            large = &large[gallop_to(large, row)..];
-            match large.first() {
-                None => break,
-                Some(&found) if found == row => visit(row)?,
-                Some(_) => {}
-            }
-        }
-    } else {
-        let (mut i, mut j) = (0, 0);
-        while i < small.len() && j < large.len() {
-            match small[i].cmp(&large[j]) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    visit(small[i])?;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    ControlFlow::Continue(())
-}
-
-/// Replaces the contents of `out` with the intersection of `a` and `b`.
-fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    out.clear();
-    let _ = for_each_common(a, b, |row| {
-        out.push(row);
-        ControlFlow::Continue(())
-    });
-}
-
-/// Whether `a` and `b` share an element; stops at the first one.
-fn intersects(a: &[u32], b: &[u32]) -> bool {
-    for_each_common(a, b, |_| ControlFlow::Break(())).is_break()
-}
-
-/// One occurrence of a variable in the body.
+/// The rows of a trie that agree with the columns bound so far.
 #[derive(Clone, Copy)]
-struct Occurrence {
-    atom: usize,
-    position: usize,
-    /// Whether no later occurrence of the same variable lies in the same
-    /// atom (occurrences are kept in body order, so those would follow
-    /// directly).
-    last_in_atom: bool,
+struct Run {
+    start: usize,
+    end: usize,
+    /// How far the walk of the next column has come: `start..next` is
+    /// passed.
+    next: usize,
 }
 
-/// The worst-case-optimal multiway join: binds one *variable* at a time
-/// instead of matching one atom at a time.
+/// One body atom's position in its trie — the [`SortedOrder`] of the atom's
+/// relation whose columns are in the order the search binds them.
+struct TrieCursor<'a> {
+    values: &'a [Value],
+    arity: usize,
+    /// `runs[c]` agrees with the `c` columns bound so far: binding a column
+    /// pushes a run, undoing the binding pops it.
+    runs: Vec<Run>,
+}
+
+impl<'a> TrieCursor<'a> {
+    fn new(order: &'a SortedOrder) -> Self {
+        let mut runs = Vec::with_capacity(order.arity() + 1);
+        runs.push(Run {
+            start: 0,
+            end: order.rows(),
+            next: 0,
+        });
+        TrieCursor {
+            values: order.values(),
+            arity: order.arity(),
+            runs,
+        }
+    }
+
+    /// The first of the rows `lo..hi` whose column `col` is no longer
+    /// `below` (which must hold for a prefix of them), found by doubling
+    /// steps from `lo`: O(log distance), which is what makes intersecting a
+    /// short column with a long one cheap.
+    fn gallop(&self, lo: usize, hi: usize, col: usize, below: impl Fn(Value) -> bool) -> usize {
+        let below = |row: usize| below(self.values[row * self.arity + col]);
+        if lo == hi || !below(lo) {
+            return lo;
+        }
+        let (mut lo, mut step) = (lo, 1);
+        while lo + step < hi && below(lo + step) {
+            lo += step;
+            step *= 2;
+        }
+        let mut hi = hi.min(lo + step);
+        lo += 1;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if below(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The innermost run and the column that is next to bind in it.
+    fn top(&self) -> (Run, usize) {
+        let col = self.runs.len() - 1;
+        (self.runs[col], col)
+    }
+
+    /// Starts the walk of the next unbound column over.
+    fn rewind(&mut self) {
+        let (run, col) = self.top();
+        self.runs[col].next = run.start;
+    }
+
+    /// The next unbound column's value in the first row not yet passed.
+    fn key(&self) -> Option<Value> {
+        let (run, col) = self.top();
+        (run.next < run.end).then(|| self.values[run.next * self.arity + col])
+    }
+
+    /// Passes the rows whose next unbound column is below `target`; the
+    /// [`TrieCursor::key`] it arrives at.
+    fn seek(&mut self, target: Value) -> Option<Value> {
+        let (run, col) = self.top();
+        self.runs[col].next = self.gallop(run.next, run.end, col, |value| value < target);
+        self.key()
+    }
+
+    /// Binds the next unbound column to `value`: passes the rows up to and
+    /// including the value's run and pushes that run. Whether it is
+    /// non-empty; [`TrieCursor::close`] undoes the binding either way.
+    fn open(&mut self, value: Value) -> bool {
+        let (run, col) = self.top();
+        let start = self.gallop(run.next, run.end, col, |other| other < value);
+        let end = self.gallop(start, run.end, col, |other| other <= value);
+        self.runs[col].next = end;
+        let next = start;
+        self.runs.push(Run { start, end, next });
+        start < end
+    }
+
+    /// Unbinds the column bound last.
+    fn close(&mut self) {
+        self.runs.pop();
+    }
+}
+
+/// The worst-case-optimal multiway join, a leapfrog triejoin (Veldhuizen,
+/// ICDT 2014): binds one *variable* at a time instead of matching one atom
+/// at a time.
 ///
-/// Every atom keeps a sorted set of candidate row ids into its relation's
-/// fact vector, seeded with the rows of the atom's arity. Binding a
-/// variable to a value intersects, for every position of every atom the
-/// variable occurs in, the atom's candidate rows with the posting list of
-/// that value — so all atoms narrow together, leapfrog-style, and a binary
-/// join's intermediate results (pairs that can never close a cycle) are
-/// never materialized. Once all variables are bound, every surviving row
-/// set is non-empty and agrees with the binding at every position, so the
-/// binding satisfies the query.
+/// Every body atom walks a trie — its relation's rows of the atom's arity,
+/// columns permuted into the order the search binds them, sorted
+/// ([`Instance::sorted_order`]; atoms with the same relation and column
+/// order share one). The values a variable can take are the intersection of
+/// the next column of every atom it occurs in, found by leapfrogging: each
+/// cursor in turn gallops to the largest value any of them has reached until
+/// all agree. Binding the value narrows each of those atoms to the value's
+/// run of rows; a binary join's intermediate results (pairs that can never
+/// close a cycle) are never materialized, and neither is anything else —
+/// the search allocates nothing and hashes nothing. Once all variables are
+/// bound, every atom is down to a non-empty run that agrees with the binding
+/// in every column, so the binding satisfies the query.
+///
+/// Values are visited in ascending order at every depth, so the leaves come
+/// out in lexicographic order of `var_order` — an order callers pin.
 struct Leapfrog<'a, L> {
-    views: Vec<RelationView<'a>>,
     /// The slot bound at each depth: most-constrained (most occurrences)
     /// first, ties in first-occurrence order.
     var_order: Vec<usize>,
-    /// `occurrences[d]` = where `var_order[d]` occurs, in body order.
-    occurrences: Vec<Vec<Occurrence>>,
-    /// Per-atom sorted candidate row ids (into the view's `facts`).
-    rows: Vec<Vec<u32>>,
-    /// `spare[d][k]` receives the narrowing for `occurrences[d][k]` and is
-    /// swapped with the atom's `rows`, so it holds the rows to restore while
-    /// the search is below depth `d`: no row set is allocated after the
-    /// buffers have grown.
-    spare: Vec<Vec<Vec<u32>>>,
-    /// `candidates[d]`: the reusable buffer of depth `d`'s candidate values.
-    candidates: Vec<Vec<Value>>,
+    /// `participants[d]` = the atoms `var_order[d]` occurs in, in body
+    /// order, each with the number of its columns the variable fills.
+    participants: Vec<Vec<(usize, usize)>>,
+    cursors: Vec<TrieCursor<'a>>,
     slots: Vec<Option<Value>>,
     leaf: L,
 }
@@ -751,36 +797,16 @@ impl<'a, L> Leapfrog<'a, L>
 where
     L: FnMut(&Slots) -> ControlFlow<()>,
 {
-    /// Seeds each atom's candidate rows — the facts of the atom's arity,
-    /// narrowed by the pre-bound slots' posting lists — and orders the
-    /// unbound slots. `None` when some atom cannot match at all (empty
-    /// relation, or a pre-bound value that occurs nowhere): no valuations.
+    /// Orders the unbound slots, opens each atom's trie in the matching
+    /// column order and binds the columns of the pre-bound slots. `None`
+    /// when some atom cannot match at all (no row of its arity, or a
+    /// pre-bound value that occurs nowhere): no valuations.
     fn new(
         query: &CompiledQuery<'_>,
-        views: Vec<RelationView<'a>>,
+        instance: &'a Instance,
         slots: Vec<Option<Value>>,
         leaf: L,
     ) -> Option<Self> {
-        let mut rows: Vec<Vec<u32>> = Vec::with_capacity(views.len());
-        let mut scratch = Vec::new();
-        for (atom, view) in views.iter().enumerate() {
-            let args = query.atom(atom);
-            let count =
-                u32::try_from(view.facts.len()).expect("relation larger than u32::MAX facts");
-            let mut seeded: Vec<u32> = (0..count)
-                .filter(|&row| view.facts[row as usize].arity() == args.len())
-                .collect();
-            for (position, &slot) in args.iter().enumerate() {
-                if let Some(value) = slots[slot] {
-                    intersect_into(&seeded, view.posting(position, value), &mut scratch);
-                    std::mem::swap(&mut seeded, &mut scratch);
-                }
-            }
-            if seeded.is_empty() {
-                return None;
-            }
-            rows.push(seeded);
-        }
         let mut occurrence_count = vec![0usize; slots.len()];
         for &slot in &query.args {
             occurrence_count[slot] += 1;
@@ -790,39 +816,70 @@ where
             .filter(|&slot| slots[slot].is_none())
             .collect();
         var_order.sort_by_key(|&slot| Reverse(occurrence_count[slot]));
-        let mut depth_of = vec![usize::MAX; slots.len()];
+        // When a slot is bound: 0 for the pre-bound ones, then by depth.
+        let mut bound_at = vec![0; slots.len()];
         for (depth, &slot) in var_order.iter().enumerate() {
-            depth_of[slot] = depth;
+            bound_at[slot] = depth + 1;
         }
-        let mut occurrences: Vec<Vec<Occurrence>> = vec![Vec::new(); var_order.len()];
-        for atom in 0..query.atom_count() {
-            for (position, &slot) in query.atom(atom).iter().enumerate() {
-                let Some(at_depth) = occurrences.get_mut(depth_of[slot]) else {
-                    continue; // a pre-bound slot
-                };
-                if let Some(previous) = at_depth.last_mut() {
-                    previous.last_in_atom = previous.atom != atom;
-                }
-                at_depth.push(Occurrence {
-                    atom,
-                    position,
-                    last_in_atom: true,
-                });
+        let mut participants = vec![Vec::new(); var_order.len()];
+        let mut cursors = Vec::with_capacity(query.atom_count());
+        let mut columns = Vec::new();
+        for (atom, body_atom) in query.query.body().iter().enumerate() {
+            let args = query.atom(atom);
+            // A variable repeated in the atom fills adjacent columns.
+            columns.clear();
+            columns.extend(0..args.len());
+            columns.sort_by_key(|&position| bound_at[args[position]]);
+            let order = instance.sorted_order(body_atom.relation, &columns);
+            if order.rows() == 0 {
+                return None;
             }
+            let mut cursor = TrieCursor::new(order);
+            for &position in &columns {
+                let slot = args[position];
+                match slots[slot] {
+                    Some(value) => {
+                        if !cursor.open(value) {
+                            return None;
+                        }
+                    }
+                    None => {
+                        let at_depth = &mut participants[bound_at[slot] - 1];
+                        match at_depth.last_mut() {
+                            Some((last, filled)) if *last == atom => *filled += 1,
+                            _ => at_depth.push((atom, 1)),
+                        }
+                    }
+                }
+            }
+            cursors.push(cursor);
         }
         Some(Leapfrog {
-            views,
-            spare: occurrences
-                .iter()
-                .map(|at_depth| vec![Vec::new(); at_depth.len()])
-                .collect(),
-            candidates: vec![Vec::new(); var_order.len()],
             var_order,
-            occurrences,
-            rows,
+            participants,
+            cursors,
             slots,
             leaf,
         })
+    }
+
+    /// Moves the cursors of `depth`'s atoms to the smallest value not yet
+    /// passed that all of them carry in their next column, if there is one.
+    fn next_common(&mut self, depth: usize) -> Option<Value> {
+        let atoms = &self.participants[depth];
+        let mut target = self.cursors[atoms[0].0].key()?;
+        // `agreed` atoms in a row, ending at `at`, sit at `target`.
+        let (mut agreed, mut at) = (1, 0);
+        while agreed < atoms.len() {
+            at = if at + 1 == atoms.len() { 0 } else { at + 1 };
+            let key = self.cursors[atoms[at].0].seek(target)?;
+            if key == target {
+                agreed += 1;
+            } else {
+                (target, agreed) = (key, 1);
+            }
+        }
+        Some(target)
     }
 
     fn search(&mut self, depth: usize) -> ControlFlow<()> {
@@ -830,62 +887,16 @@ where
             return (self.leaf)(&self.slots);
         }
         let slot = self.var_order[depth];
-        let last = depth + 1 == self.var_order.len();
-        // Take the frame's buffers out of `self` so narrowing can borrow
-        // the join mutably; restored before returning.
-        let occurrences = std::mem::take(&mut self.occurrences[depth]);
-        let mut spare = std::mem::take(&mut self.spare[depth]);
-        let mut candidates = std::mem::take(&mut self.candidates[depth]);
-        // The atom with the fewest candidate rows bounds the value set.
-        let source = *occurrences
-            .iter()
-            .min_by_key(|occurrence| self.rows[occurrence.atom].len())
-            .expect("ordered variables occur in at least one atom");
-        let source_facts = self.views[source.atom].facts;
-        candidates.clear();
-        'rows: for &row in &self.rows[source.atom] {
-            let values = source_facts[row as usize].values.as_slice();
-            let value = values[source.position];
-            // A variable repeated inside the source atom must agree across
-            // its positions for the row to propose a value at all.
-            for occurrence in &occurrences {
-                if occurrence.atom == source.atom && values[occurrence.position] != value {
-                    continue 'rows;
-                }
-            }
-            candidates.push(value);
+        for &(atom, _) in &self.participants[depth] {
+            self.cursors[atom].rewind();
         }
-        candidates.sort_unstable();
-        candidates.dedup();
-        // Below the last variable nothing reads the row sets again, so an
-        // atom's final narrowing there is an existence test — and the source
-        // atom needs none: the row that proposed the value is in it.
-        let materializes = |occurrence: &Occurrence| {
-            !(last && (occurrence.last_in_atom || occurrence.atom == source.atom))
-        };
-        let mut result = ControlFlow::Continue(());
-        for &value in &candidates {
-            // Narrow every occurrence to the rows carrying `value` at that
-            // position; an empty intersection prunes the whole branch.
-            let mut narrowed = 0;
+        while let Some(value) = self.next_common(depth) {
+            // Only a variable repeated inside an atom can still fail here:
+            // its later columns must carry the value too.
             let mut alive = true;
-            for (k, occurrence) in occurrences.iter().enumerate() {
-                if last && occurrence.atom == source.atom {
-                    narrowed = k + 1;
-                    continue;
-                }
-                let posting = self.views[occurrence.atom].posting(occurrence.position, value);
-                let rows = &mut self.rows[occurrence.atom];
-                if materializes(occurrence) {
-                    intersect_into(rows, posting, &mut spare[k]);
-                    std::mem::swap(rows, &mut spare[k]);
-                    alive = !rows.is_empty();
-                } else {
-                    alive = intersects(rows, posting);
-                }
-                narrowed = k + 1;
-                if !alive {
-                    break;
+            for &(atom, filled) in &self.participants[depth] {
+                for _ in 0..filled {
+                    alive &= self.cursors[atom].open(value);
                 }
             }
             let flow = if alive {
@@ -896,20 +907,14 @@ where
             } else {
                 ControlFlow::Continue(())
             };
-            for (k, occurrence) in occurrences[..narrowed].iter().enumerate().rev() {
-                if materializes(occurrence) {
-                    std::mem::swap(&mut self.rows[occurrence.atom], &mut spare[k]);
+            for &(atom, filled) in &self.participants[depth] {
+                for _ in 0..filled {
+                    self.cursors[atom].close();
                 }
             }
-            if flow.is_break() {
-                result = ControlFlow::Break(());
-                break;
-            }
+            flow?;
         }
-        self.occurrences[depth] = occurrences;
-        self.spare[depth] = spare;
-        self.candidates[depth] = candidates;
-        result
+        ControlFlow::Continue(())
     }
 }
 
@@ -941,26 +946,42 @@ where
     })
 }
 
-/// The distinct head tuples of an evaluation, collected with set semantics
-/// before any [`Fact`] exists.
+/// The head tuples of an evaluation.
+enum Collected {
+    /// Set semantics *before any [`Fact`] exists*: the general case.
+    Distinct(HashSet<Tuple, SymbolHashBuilder>),
+    /// Every leaf is a new answer, so there is nothing to look up: the leaves
+    /// of one enumeration are distinct valuations, and a head in which every
+    /// variable occurs keeps them apart.
+    Each(Vec<Fact>),
+}
+
+/// The answers of an evaluation: every leaf's projection onto the head.
 struct Answers {
     relation: Symbol,
     /// The head projection: the slot of each head argument.
     head: Vec<usize>,
     /// The projection of the leaf at hand, reused across leaves.
     tuple: Vec<Value>,
-    distinct: HashSet<Tuple, SymbolHashBuilder>,
+    collected: Collected,
     valuations: u64,
 }
 
 impl Answers {
-    fn new(compiled: &CompiledQuery<'_>) -> Answers {
+    /// `single_pass`: whether the leaves will come from one enumeration (a
+    /// semi-naive step's pivoted passes derive one valuation several times).
+    fn new(compiled: &CompiledQuery<'_>, single_pass: bool) -> Answers {
         let head = compiled.query.head();
+        let full_head = (0..compiled.vars.len()).all(|slot| compiled.head.contains(&slot));
         Answers {
             relation: head.relation,
             head: compiled.head.clone(),
             tuple: Vec::with_capacity(head.arity()),
-            distinct: HashSet::default(),
+            collected: if single_pass && full_head {
+                Collected::Each(Vec::new())
+            } else {
+                Collected::Distinct(HashSet::default())
+            },
             valuations: 0,
         }
     }
@@ -969,31 +990,42 @@ impl Answers {
     /// when it is new (and allocates only if it is wider than 5 as well).
     fn collect(&mut self, slots: &Slots) -> ControlFlow<()> {
         self.valuations += 1;
-        self.tuple.clear();
-        self.tuple.extend(
-            self.head
-                .iter()
-                .map(|&slot| slots[slot].expect("every slot is bound at a leaf")),
-        );
-        if !self.distinct.contains(self.tuple.as_slice()) {
-            self.distinct.insert(self.tuple.iter().copied().collect());
+        let head = self.head.iter();
+        let mut values = head.map(|&slot| slots[slot].expect("every slot is bound at a leaf"));
+        match &mut self.collected {
+            Collected::Each(facts) => {
+                facts.push(Fact::new(self.relation, Tuple::from_iter(values)))
+            }
+            Collected::Distinct(distinct) => {
+                self.tuple.clear();
+                self.tuple.extend(&mut values);
+                if !distinct.contains(self.tuple.as_slice()) {
+                    distinct.insert(self.tuple.iter().copied().collect());
+                }
+            }
         }
         ControlFlow::Continue(())
     }
 
-    /// The answers as an instance (one bulk build over the distinct set).
+    /// The answers as an instance: one bulk build, whose sort is a linear
+    /// pass over answers that arrive ascending (as the multiway join's do
+    /// when the head lists the variables in search order) and whose dedup
+    /// keeps set semantics whatever the collection assumed.
     fn finish(self) -> Instance {
+        let relation = self.relation;
+        let facts: Vec<Fact> = match self.collected {
+            Collected::Each(facts) => facts,
+            Collected::Distinct(distinct) => {
+                let distinct = distinct.into_iter();
+                distinct.map(|values| Fact::new(relation, values)).collect()
+            }
+        };
         obs::instant!(
             "evaluate_done",
             valuations = self.valuations,
-            answers = self.distinct.len()
+            answers = facts.len()
         );
-        let relation = self.relation;
-        Instance::from_facts(
-            self.distinct
-                .into_iter()
-                .map(|values| Fact::new(relation, values)),
-        )
+        Instance::from_facts(facts)
     }
 }
 
@@ -1027,13 +1059,15 @@ pub fn evaluate_seminaive_step_with(
     delta: &Instance,
     opts: EvalOptions,
 ) -> Instance {
+    // Every differential pass is a pivoted binary join, whatever strategy
+    // `opts` resolves to for a full evaluation of `query`.
     let _span = obs::span!(
         "seminaive_step",
-        strategy = opts.resolved_strategy(query).label(),
+        strategy = JoinStrategy::Binary.label(),
         delta_facts = delta.len()
     );
     let compiled = CompiledQuery::new(query);
-    let mut answers = Answers::new(&compiled);
+    let mut answers = Answers::new(&compiled, false);
     for (pivot, atom) in query.body().iter().enumerate() {
         // The pivot is matched first, with nothing bound: a scan.
         let pivot_view = delta.view(atom.relation, false);
@@ -1095,7 +1129,7 @@ pub fn evaluate_with(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOp
         facts = instance.len()
     );
     let compiled = CompiledQuery::new(query);
-    let mut answers = Answers::new(&compiled);
+    let mut answers = Answers::new(&compiled, true);
     let _ = compiled.for_each_satisfying(instance, &Valuation::new(), opts, |slots| {
         answers.collect(slots)
     });
@@ -1281,6 +1315,24 @@ mod tests {
     }
 
     #[test]
+    fn multiway_never_builds_the_posting_index() {
+        let query = q("T(x, y, z) :- E(x, y), E(y, z), E(z, x).");
+        let i = parse_instance("E(a, b). E(b, c). E(c, a). E(a, d).").unwrap();
+        for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
+            for join_strategy in [JoinStrategy::Multiway, JoinStrategy::Auto] {
+                let opts = EvalOptions {
+                    ordering,
+                    join_strategy,
+                    ..EvalOptions::default()
+                };
+                assert_eq!(opts.resolved_strategy(&query), JoinStrategy::Multiway);
+                assert_eq!(evaluate_with(&query, &i, opts).len(), 3);
+                assert!(!i.indexes_built(), "the multiway join walks sorted orders");
+            }
+        }
+    }
+
+    #[test]
     fn auto_strategy_resolves_by_cyclicity() {
         let triangle = q("T(x, y, z) :- E(x, y), E(y, z), E(z, x).");
         let chain = q("T(x, z) :- R(x, y), R(y, z).");
@@ -1293,7 +1345,7 @@ mod tests {
         assert_eq!(
             scan.resolved_strategy(&triangle),
             JoinStrategy::Binary,
-            "multiway needs the secondary indexes"
+            "the scan oracle never runs the multiway kernel"
         );
     }
 

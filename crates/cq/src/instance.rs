@@ -113,6 +113,67 @@ impl<'a> RelationView<'a> {
     }
 }
 
+/// One relation's rows of one arity, their columns permuted and the rows
+/// sorted lexicographically, laid out flat and row-major: the trie the
+/// multiway join walks. Column `c` holds argument position `columns[c]`, so
+/// the rows agreeing on their first `c` columns are one contiguous range in
+/// which column `c` ascends.
+pub(crate) struct SortedOrder {
+    relation: Symbol,
+    columns: Box<[usize]>,
+    /// Kept apart from `values`: a nullary row has none.
+    rows: usize,
+    values: Vec<Value>,
+}
+
+impl SortedOrder {
+    fn build(relation: Symbol, columns: &[usize], facts: &[Fact]) -> SortedOrder {
+        let arity = columns.len();
+        let mut values = Vec::with_capacity(arity * facts.len());
+        let mut rows = 0;
+        // A fact only matches an atom of its own arity.
+        for fact in facts.iter().filter(|fact| fact.arity() == arity) {
+            values.extend(columns.iter().map(|&position| fact.values[position]));
+            rows += 1;
+        }
+        // The identity order over bulk-built rows is sorted as it stands.
+        if arity > 0 && !values.chunks_exact(arity).is_sorted() {
+            let mut sorted: Vec<&[Value]> = values.chunks_exact(arity).collect();
+            sorted.sort_unstable();
+            values = sorted.concat();
+        }
+        SortedOrder {
+            relation,
+            columns: columns.into(),
+            rows,
+            values,
+        }
+    }
+
+    /// The number of rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The number of columns.
+    pub(crate) fn arity(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// The rows, flat: row `r` is `values()[r * arity()..][..arity()]`.
+    pub(crate) fn values(&self) -> &[Value] {
+        &self.values
+    }
+}
+
+/// One cached [`SortedOrder`] and the link to the next: an append-only list,
+/// so an order handed out stays put while later ones are added through
+/// `&self`.
+struct OrderNode {
+    order: SortedOrder,
+    next: OnceLock<Box<OrderNode>>,
+}
+
 /// One relation's facts: the rows behind [`Instance::facts_of`].
 #[derive(Clone, Default)]
 struct Relation {
@@ -143,6 +204,16 @@ struct Relation {
 /// built indexes incrementally (appended row ids keep the posting lists
 /// sorted); `remove` invalidates them, and they are rebuilt in one pass on
 /// the next indexed lookup.
+///
+/// The multiway join reads neither: it walks *sorted column orders* — a
+/// relation's rows of one arity with the columns permuted into the order
+/// the search binds them, sorted, flat (4·arity bytes a row). Each asked-for
+/// `(relation, column order)` is built once, on first use, and cached; any
+/// change of the fact set — an `insert` that adds a fact, any `remove` —
+/// drops every cached order, so none can be observed stale.
+///
+/// Both caches are invisible: clones start without them, and equality,
+/// order, hash, `Display` and the wire codec read the fact set only.
 #[derive(Default)]
 pub struct Instance {
     relations: BTreeMap<Symbol, Relation>,
@@ -156,11 +227,13 @@ pub struct Instance {
     /// [`Instance::index_builds`]. Atomic because lazily building through
     /// `&self` must stay `Sync`.
     index_builds: AtomicU64,
+    /// The sorted column orders asked for since the fact set last changed.
+    orders: OnceLock<Box<OrderNode>>,
 }
 
-// The secondary indexes are a caching layer: they are never cloned (the
-// clone rebuilds lazily if and when it evaluates queries). The build
-// counter restarts with the fresh cache.
+// The secondary indexes and the sorted orders are caching layers: they are
+// never cloned (the clone rebuilds lazily if and when it evaluates
+// queries). The build counter restarts with the fresh cache.
 impl Clone for Instance {
     fn clone(&self) -> Instance {
         Instance {
@@ -317,7 +390,8 @@ impl Instance {
     /// lists (which stay sorted, because the new row id is the largest), so
     /// growing an instance — the hot path of delta-driven multi-round
     /// evaluation — never throws away index work. Only [`Instance::remove`]
-    /// still invalidates.
+    /// still invalidates. The sorted column orders of the multiway join are
+    /// not maintained: a fact that is added drops them.
     pub fn insert(&mut self, fact: Fact) -> bool {
         self.insert_cow(Cow::Owned(fact))
     }
@@ -345,13 +419,15 @@ impl Instance {
         }
         relation.rows.push(fact.into_owned());
         self.len += 1;
+        self.orders = OnceLock::new();
         true
     }
 
     /// Removes a fact. Returns `true` if it was present.
     ///
-    /// Invalidates the secondary indexes (the rows behind it move up). The
-    /// scan starts at the back, where an undo finds what it just inserted.
+    /// Invalidates the secondary indexes (the rows behind it move up) and the
+    /// sorted orders. The scan starts at the back, where an undo finds what
+    /// it just inserted.
     pub fn remove(&mut self, fact: &Fact) -> bool {
         let Some(relation) = self.relations.get_mut(&fact.relation) else {
             return false;
@@ -367,6 +443,7 @@ impl Instance {
         }
         self.len -= 1;
         self.invalidate_indexes();
+        self.orders = OnceLock::new();
         true
     }
 
@@ -421,6 +498,27 @@ impl Instance {
             facts: self.facts_of(relation),
             source: indexed.then_some((self, relation)),
             index: Cell::new(None),
+        }
+    }
+
+    /// The rows of `relation` with as many values as `columns` has entries,
+    /// column `c` holding argument position `columns[c]`, sorted — built on
+    /// first use and shared by every later caller (from any thread) until
+    /// the fact set changes.
+    pub(crate) fn sorted_order(&self, relation: Symbol, columns: &[usize]) -> &SortedOrder {
+        let mut link = &self.orders;
+        loop {
+            // Losing the race for the end of the list hands back the
+            // winner's node, which is checked like any other.
+            let node = link.get_or_init(|| {
+                let order = SortedOrder::build(relation, columns, self.facts_of(relation));
+                let next = OnceLock::new();
+                Box::new(OrderNode { order, next })
+            });
+            if node.order.relation == relation && *node.order.columns == *columns {
+                return &node.order;
+            }
+            link = &node.next;
         }
     }
 
@@ -897,6 +995,71 @@ mod tests {
         assert!(!j.indexes_built());
         assert_eq!(posted(&j, "R", 0, "a"), BTreeSet::from([edge("a", "b")]));
         assert_eq!(i, j);
+    }
+
+    /// How many sorted orders `i` holds at the moment.
+    fn cached_orders(i: &Instance) -> usize {
+        std::iter::successors(i.orders.get(), |node| node.next.get()).count()
+    }
+
+    /// The rows of a sorted order, checked to be flat, complete and sorted.
+    fn order_rows<'a>(i: &'a Instance, relation: &str, columns: &[usize]) -> Vec<&'a [Value]> {
+        let order = i.sorted_order(Symbol::new(relation), columns);
+        assert_eq!(order.arity(), columns.len());
+        assert_eq!(order.values().len(), order.rows() * order.arity());
+        let rows: Vec<&[Value]> = order.values().chunks(order.arity().max(1)).collect();
+        assert!(rows.is_sorted(), "{rows:?}");
+        rows
+    }
+
+    #[test]
+    fn sorted_orders_permute_the_rows_of_one_arity() {
+        let [a, b, c] = ["a", "b", "c"].map(Value::new);
+        let mut i = sample();
+        i.insert(Fact::from_names("R", &["a"]));
+        i.insert(Fact::from_names("B", &[]));
+        // (which of the two rows is first depends on the interning order)
+        let swapped = order_rows(&i, "R", &[1, 0]);
+        assert!(
+            swapped.len() == 2 && swapped.contains(&&[b, a][..]) && swapped.contains(&&[c, b][..])
+        );
+        assert_eq!(order_rows(&i, "R", &[0, 1]).len(), 2);
+        assert_eq!(order_rows(&i, "R", &[0]), [[a]]);
+        assert!(order_rows(&i, "R", &[0, 1, 2]).is_empty());
+        assert!(order_rows(&i, "Missing", &[0]).is_empty());
+        // a nullary row has no values, but it is a row
+        assert_eq!(i.sorted_order(Symbol::new("B"), &[]).rows(), 1);
+        assert_eq!(i.sorted_order(Symbol::new("R"), &[]).rows(), 0);
+        assert!(!i.indexes_built(), "sorted orders are not the hash index");
+    }
+
+    #[test]
+    fn sorted_orders_are_built_once_and_dropped_with_the_fact_set() {
+        let mut i = sample();
+        let r = Symbol::new("R");
+        let first: *const SortedOrder = i.sorted_order(r, &[1, 0]);
+        let _ = i.sorted_order(r, &[0, 1]);
+        assert!(std::ptr::eq(i.sorted_order(r, &[1, 0]), first));
+        assert_eq!(cached_orders(&i), 2, "asked for twice, built once");
+
+        // neither a fact that is already there nor one that is not there to
+        // remove changes the fact set
+        assert!(!i.insert(edge("a", "b")));
+        assert!(!i.remove(&edge("x", "y")));
+        assert_eq!(cached_orders(&i), 2);
+
+        assert!(i.insert(edge("c", "d")));
+        assert_eq!(cached_orders(&i), 0, "a new fact drops every order");
+        assert_eq!(i.sorted_order(r, &[1, 0]).rows(), 3);
+        assert!(i.remove(&edge("c", "d")));
+        assert_eq!(cached_orders(&i), 0, "so does a removed one");
+        assert_eq!(i.sorted_order(r, &[1, 0]).rows(), 2);
+
+        // a clone starts cold, and the cache is no part of the value
+        let j = i.clone();
+        assert_eq!((cached_orders(&i), cached_orders(&j)), (1, 0));
+        assert_eq!(i, j);
+        assert_eq!(format!("{i}"), format!("{j}"));
     }
 
     #[test]

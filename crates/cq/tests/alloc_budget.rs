@@ -20,13 +20,21 @@
 //! C(48, 3) = 17 296 satisfying valuations but only 1 081 answers (the pairs
 //! at distance ≥ 2), so a kernel that builds anything on the heap per
 //! derivation — or per answer — blows a budget far below the answer count.
+//!
+//! The multiway join gets the same budget on the triangle over the
+//! tournament plus its back edges (every one of the C(48, 3) vertex sets in
+//! its six orders): it walks sorted column orders the instance caches, so a warm
+//! evaluation allocates for its cursors and the growing answer list, and a
+//! cold one a few blocks per distinct order on top — never per row, per
+//! candidate value or per visited node.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::ops::ControlFlow;
 
 use cq::{
-    evaluate, evaluate_seminaive_step, parse_instance, ConjunctiveQuery, Fact, Instance, Symbol,
-    Value,
+    evaluate, evaluate_seminaive_step, evaluate_with, parse_instance, CompiledQuery,
+    ConjunctiveQuery, EvalOptions, Fact, Instance, JoinStrategy, Symbol, Valuation, Value,
 };
 
 thread_local! {
@@ -210,4 +218,62 @@ fn evaluation_allocates_per_answer_not_per_valuation() {
          ({} derivations); budget {budget}",
         2 * VALUATIONS
     );
+}
+
+/// `R(vᵢ, vⱼ)` for every `i ≠ j` below `values`.
+fn complete_digraph(values: usize) -> Instance {
+    let value = |i: usize| Value::indexed("v", i);
+    Instance::from_facts((0..values).flat_map(|i| {
+        let others = (0..values).filter(move |&j| j != i);
+        others.map(move |j| Fact::new("R", vec![value(i), value(j)]))
+    }))
+}
+
+#[test]
+fn multiway_evaluation_allocates_per_atom_not_per_row_or_value() {
+    let triangle = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), R(y, z), R(z, x).").unwrap();
+    let complete = complete_digraph(VALUES);
+    let rows = complete.len() as u64;
+    let opts = EvalOptions::default().with_join_strategy(JoinStrategy::Multiway);
+    let budget = 64;
+    assert!(budget < rows / 8 && budget < VALUATIONS / 8);
+
+    // Cold: the two distinct column orders of the three atoms are built —
+    // four blocks each (the cache node, the rows, the sort's index and
+    // output).
+    let (answers, cold) = counting(|| evaluate_with(&triangle, &complete, opts));
+    assert_eq!(answers.len() as u64, 6 * VALUATIONS);
+    // Warm: the cursors and plan of three atoms, and the doublings of the
+    // answer list.
+    let (again, warm) = counting(|| evaluate_with(&triangle, &complete, opts));
+    assert_eq!(again, answers);
+    assert!(
+        warm.allocations <= budget,
+        "warm multiway evaluate: {warm:?} for {rows} rows; budget {budget}"
+    );
+    assert!(
+        cold.allocations <= warm.allocations + 16,
+        "order building: cold {cold:?} against warm {warm:?}"
+    );
+    assert!(!complete.indexes_built());
+
+    // The search itself — no answers collected — allocates for the query
+    // alone: as much on 8 times the leaves as on 8 times fewer.
+    let compiled = CompiledQuery::new(&triangle);
+    let enumerate = |instance: &Instance| {
+        let mut leaves = 0u64;
+        let ((), heap) = counting(|| {
+            let _ = compiled.for_each_satisfying(instance, &Valuation::new(), opts, |_| {
+                leaves += 1;
+                ControlFlow::Continue(())
+            });
+        });
+        (leaves, heap.allocations)
+    };
+    let small = complete_digraph(VALUES / 2);
+    let _ = enumerate(&small); // warm its orders
+    let (leaves, allocations) = enumerate(&complete);
+    assert_eq!(leaves, 6 * VALUATIONS);
+    assert_eq!(enumerate(&small).1, allocations);
+    assert!(allocations <= 16, "{allocations} allocations");
 }

@@ -7,16 +7,18 @@ use cq::Instance;
 use obs::Counter;
 
 /// A small LRU cache that lets repeated `evaluate` calls on **equal**
-/// instances share one instance value — and therefore share its lazily
-/// built secondary hash indexes instead of rebuilding them per call.
+/// instances share one instance value — and therefore share what it builds
+/// lazily for evaluation, instead of rebuilding it per call: the secondary
+/// hash indexes (posting lists) the binary join probes, and the sorted
+/// column orders the multiway join walks.
 ///
 /// The motivating pattern is a broadcast (or highly replicated) round:
 /// every node's chunk is the same instance, but each materialized copy
-/// would build its own indexes from scratch. Warming the chunks through a
-/// shared `IndexCache` collapses them onto one [`Arc`]`<`[`Instance`]`>`,
-/// whose indexes are built once (the first evaluation that needs them) and
-/// reused by every other node — across rounds too, for as long as the
-/// entry stays resident.
+/// would build its own indexes and orders from scratch. Warming the chunks
+/// through a shared `IndexCache` collapses them onto one
+/// [`Arc`]`<`[`Instance`]`>`, whose indexes and orders are built once (by
+/// the first evaluation that needs them) and reused by every other node —
+/// across rounds too, for as long as the entry stays resident.
 ///
 /// Keys are a hash of the fact set; a hit is confirmed by full equality,
 /// so a hash collision can cost a comparison but never wrong results.

@@ -18,7 +18,8 @@
 //!   evaluation-ready instances for the many `evaluate` calls the engines
 //!   and decision procedures make on *identical* instances (a broadcast
 //!   round evaluates the same chunk at every node): repeated calls share
-//!   one instance whose secondary indexes are built once.
+//!   one instance whose secondary indexes and sorted column orders are
+//!   built once.
 //!
 //! ## Example
 //!

@@ -141,6 +141,36 @@ fn evaluate_done_reports_derivations_against_distinct_answers() {
 }
 
 #[test]
+fn join_spans_name_the_kernel_that_runs() {
+    // A cyclic query resolves `auto` to the multiway join for a full
+    // evaluation, but every differential pass of a semi-naive round is a
+    // pivoted binary join: `trace diff` attributes time by these labels.
+    let query = ConjunctiveQuery::parse("T(x, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
+    let instance = cq::parse_instance("E(a,b). E(b,c). E(c,a). E(c,d). E(d,a).").unwrap();
+    let policy = HypercubePolicy::uniform(&query, 2).unwrap();
+    let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
+        .rounds(3)
+        .feedback_into("E")
+        .semi_naive(true);
+    let (_, events) = traced(|| {
+        let _ = cq::evaluate(&query, &instance);
+        engine.evaluate(&query, &instance)
+    });
+    let strategies = |span: &str| -> Vec<&str> {
+        let spans = events.iter().filter(|e| e.name == span);
+        spans
+            .map(|e| {
+                let (_, strategy) = e.args.iter().find(|(k, _)| k == "strategy").unwrap();
+                strategy.as_str()
+            })
+            .collect()
+    };
+    assert!(strategies("evaluate").contains(&"multiway"));
+    let steps = strategies("seminaive_step");
+    assert!(!steps.is_empty() && steps.iter().all(|&strategy| strategy == "binary"));
+}
+
+#[test]
 fn decisions_trace_their_span_and_how_minimality_was_asked() {
     // `pc_check` / `transfer_check` bracket the two decision procedures, and
     // each leaves one `minimality_stats` instant inside its span: the
