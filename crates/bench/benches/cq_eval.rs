@@ -1,5 +1,5 @@
-//! Ablation — the conjunctive-query evaluator: cost-aware join ordering
-//! versus naive source order, index-backed candidate retrieval versus
+//! Ablation — the conjunctive-query evaluator: the one indexed join (a
+//! leapfrog triejoin over sorted column orders) versus the scan oracle's
 //! full-relation scans, and core computation cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -8,11 +8,10 @@ use rand::SeedableRng;
 
 use std::ops::ControlFlow;
 
-use cq::{for_each_satisfying, ConjunctiveQuery, EvalOptions, Instance, JoinOrdering, Valuation};
+use cq::{for_each_satisfying, ConjunctiveQuery, EvalOptions, Instance, Valuation};
 use workloads::{chain_query, star_query, triangle_query, InstanceParams};
 
-/// The four query shapes of the join-ordering ablation. `two_hop` joins a
-/// large R against a small S, so source order is a genuinely bad plan.
+/// The four query shapes of the ablation: one cyclic, three acyclic.
 fn shapes() -> Vec<(&'static str, ConjunctiveQuery)> {
     vec![
         ("triangle", triangle_query()),
@@ -48,74 +47,15 @@ fn count_valuations(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOpt
     count
 }
 
-fn bench_join_ordering(c: &mut Criterion) {
-    let mut group = c.benchmark_group("join_ordering");
-    group.sample_size(10);
-    for (name, query) in &shapes() {
-        let mut instance = instance_for(query, 7);
-        if *name == "two_hop" {
-            // shrink S so plan choice matters: a good plan starts at S
-            let small = Instance::from_facts(
-                instance
-                    .facts()
-                    .filter(|f| f.relation != cq::Symbol::new("S"))
-                    .cloned()
-                    .chain(
-                        instance
-                            .facts_of(cq::Symbol::new("S"))
-                            .iter()
-                            .take(10)
-                            .cloned(),
-                    ),
-            );
-            instance = small;
-        }
-        group.bench_with_input(BenchmarkId::new("greedy", name), &instance, |b, i| {
-            b.iter(|| {
-                count_valuations(
-                    query,
-                    i,
-                    EvalOptions {
-                        ordering: JoinOrdering::CostAware,
-                        ..EvalOptions::default()
-                    },
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("naive", name), &instance, |b, i| {
-            b.iter(|| {
-                count_valuations(
-                    query,
-                    i,
-                    EvalOptions {
-                        ordering: JoinOrdering::Naive,
-                        ..EvalOptions::default()
-                    },
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Index-backed candidate retrieval versus the seed full-relation scan, both
-/// under the default cost-aware ordering, on the large workload instances.
+/// The triejoin (warm: the sorted orders are built by the first iteration)
+/// versus the seed full-relation scan, on the large workload instances.
 fn bench_eval_backend(c: &mut Criterion) {
     let mut group = c.benchmark_group("eval_backend");
     group.sample_size(10);
     for (name, query) in &shapes() {
         let instance = instance_for(query, 11);
         group.bench_with_input(BenchmarkId::new("indexed", name), &instance, |b, i| {
-            b.iter(|| {
-                count_valuations(
-                    query,
-                    i,
-                    EvalOptions {
-                        ordering: JoinOrdering::CostAware,
-                        ..EvalOptions::default()
-                    },
-                )
-            })
+            b.iter(|| count_valuations(query, i, EvalOptions::default()))
         });
         group.bench_with_input(BenchmarkId::new("scan", name), &instance, |b, i| {
             b.iter(|| count_valuations(query, i, EvalOptions::scan_naive()))
@@ -149,10 +89,5 @@ fn bench_minimization(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_join_ordering,
-    bench_eval_backend,
-    bench_minimization
-);
+criterion_group!(benches, bench_eval_backend, bench_minimization);
 criterion_main!(benches);

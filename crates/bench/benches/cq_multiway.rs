@@ -1,42 +1,39 @@
-//! Binary versus worst-case-optimal multiway joins on cyclic queries.
+//! The leapfrog triejoin versus the scan oracle on cyclic queries.
 //!
 //! The instances are "tripartite traps": `p` sources fan out densely onto
 //! `k` middle vertices, the middles fan out densely onto `p` sinks, and a
-//! single back edge closes the cycle. The binary (atom-at-a-time) join
-//! enumerates every dense 2-path before discovering that almost none of
-//! them close — `Θ(p²k)` work — while the multiway join, a leapfrog
-//! triejoin, intersects sorted columns variable-at-a-time and touches only
+//! single back edge closes the cycle. An atom-at-a-time join enumerates
+//! every dense 2-path before discovering that almost none of them close —
+//! `Θ(p²k)` partial matches, each a full scan for the oracle — while the
+//! triejoin intersects sorted columns variable-at-a-time and touches only
 //! the `Θ(k)` bindings that can still complete a cycle. All three query
-//! shapes (triangle, chordal 4-cycle, 4-clique) are cyclic, so `Auto` routes
-//! them to the multiway join.
+//! shapes (triangle, chordal 4-cycle, 4-clique) are cyclic.
 //!
-//! The trap groups evaluate one instance over and over, so the multiway
-//! join's sorted column orders (and the binary join's hash index) are built
-//! once and every timed iteration runs warm. A one-round run is the
-//! opposite: every chunk is evaluated once. The `dense` group covers that
-//! traffic — the triangle over a regular digraph of the end-to-end
-//! benchmark's shape (200 values, in- and out-degree 30, ≈ 25 000
-//! triangles), on a fresh clone per iteration, so building the orders is
-//! inside the timer.
+//! The trap group evaluates one instance over and over, so the triejoin's
+//! sorted column orders are built once and every timed iteration runs warm.
+//! A one-round run is the opposite: every chunk is evaluated once. The
+//! `dense` group covers that traffic — the triangle over a regular digraph
+//! of the end-to-end benchmark's shape (200 values, in- and out-degree 30,
+//! ≈ 25 000 triangles), on a fresh clone per iteration, so building the
+//! orders is inside the timer.
 //!
-//! After the timed groups, the bench asserts that both strategies agree on
-//! the result and that multiway actually beats binary on the triangle and
-//! chordal shapes — the worst-case-optimality claim the evaluator rests on,
-//! pinned in CI.
+//! After the timed groups, the bench asserts that kernel and oracle agree on
+//! the result and that the triejoin actually beats the scan on every trap —
+//! the worst-case-optimality claim the evaluator rests on, pinned in CI.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use cq::{evaluate_with, ConjunctiveQuery, EvalOptions, Fact, Instance, JoinStrategy};
+use cq::{evaluate, evaluate_with, ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use workloads::{chordal4_query, clique4_query, triangle_query};
 
 /// The trap graph: sources `s*` → middles `m*` (dense), middles → sinks
 /// `w*` (dense), plus the single closing edge `w0 → s0`. Every edge is in
-/// relation `E`, so cardinality-based atom ordering cannot help the binary
-/// join — all atoms look alike.
+/// relation `E`, so cardinality-based atom ordering cannot help an
+/// atom-at-a-time join — all atoms look alike.
 fn trap_instance(p: usize, k: usize) -> Instance {
     let mut instance = Instance::new();
     for a in 0..p {
@@ -72,12 +69,12 @@ fn regular_digraph(vertices: usize, degree: usize) -> Instance {
     Instance::from_facts(facts)
 }
 
-fn options(strategy: JoinStrategy) -> EvalOptions {
-    EvalOptions {
-        join_strategy: strategy,
-        ..EvalOptions::default()
-    }
-}
+/// The scan oracle under its cost-aware atom order: in source order the
+/// 4-clique alone takes it seconds an evaluation.
+const SCAN: EvalOptions = EvalOptions {
+    ordering: JoinOrdering::CostAware,
+    use_indexes: false,
+};
 
 fn shapes() -> Vec<(&'static str, ConjunctiveQuery)> {
     vec![
@@ -87,23 +84,16 @@ fn shapes() -> Vec<(&'static str, ConjunctiveQuery)> {
     ]
 }
 
-fn bench_multiway_vs_binary(c: &mut Criterion) {
+fn bench_multiway_vs_scan(c: &mut Criterion) {
     let instance = trap_instance(24, 24);
     let mut group = c.benchmark_group("cq_multiway");
     group.sample_size(10);
     for (name, query) in shapes() {
-        // Sanity inside the loop, outside the timers: the planner must
-        // actually route these cyclic shapes to the multiway matcher.
-        assert_eq!(
-            options(JoinStrategy::Auto).resolved_strategy(&query),
-            JoinStrategy::Multiway,
-            "{name} must resolve Auto to multiway"
-        );
-        group.bench_with_input(BenchmarkId::new("binary", name), &query, |b, q| {
-            b.iter(|| evaluate_with(q, &instance, options(JoinStrategy::Binary)).len())
+        group.bench_with_input(BenchmarkId::new("scan", name), &query, |b, q| {
+            b.iter(|| evaluate_with(q, &instance, SCAN).len())
         });
         group.bench_with_input(BenchmarkId::new("multiway", name), &query, |b, q| {
-            b.iter(|| evaluate_with(q, &instance, options(JoinStrategy::Multiway)).len())
+            b.iter(|| evaluate(q, &instance).len())
         });
     }
     group.finish();
@@ -113,55 +103,48 @@ fn bench_multiway_vs_binary(c: &mut Criterion) {
     let mut group = c.benchmark_group("cq_multiway_dense");
     group.sample_size(10);
     group.bench_function("multiway/triangle", |b| {
-        b.iter(|| evaluate_with(&triangle, &dense.clone(), options(JoinStrategy::Multiway)).len())
+        b.iter(|| evaluate(&triangle, &dense.clone()).len())
     });
     group.finish();
-    let triangles = evaluate_with(&triangle, &dense, options(JoinStrategy::Multiway));
+    let triangles = evaluate(&triangle, &dense);
     println!(
         "dense: {} edges, {} triangles",
         dense.len(),
         triangles.len()
-    );
-    assert_eq!(
-        triangles,
-        evaluate_with(&triangle, &dense, options(JoinStrategy::Binary)),
-        "dense: strategies disagree"
     );
 
     // Outside the timing loops: identical answers, and the worst-case-
     // optimal join must win on the shapes the trap is built for.
     const ROUNDS: usize = 5;
     for (name, query) in shapes() {
-        let binary = evaluate_with(&query, &instance, options(JoinStrategy::Binary));
-        let multiway = evaluate_with(&query, &instance, options(JoinStrategy::Multiway));
-        assert_eq!(binary, multiway, "{name}: strategies disagree");
+        let scan = evaluate_with(&query, &instance, SCAN);
+        let multiway = evaluate(&query, &instance);
+        assert_eq!(scan, multiway, "{name}: kernel and oracle disagree");
 
         let start = Instant::now();
         for _ in 0..ROUNDS {
-            evaluate_with(&query, &instance, options(JoinStrategy::Binary));
+            evaluate_with(&query, &instance, SCAN);
         }
-        let binary_time = start.elapsed();
+        let scan_time = start.elapsed();
         let start = Instant::now();
         for _ in 0..ROUNDS {
-            evaluate_with(&query, &instance, options(JoinStrategy::Multiway));
+            evaluate(&query, &instance);
         }
         let multiway_time = start.elapsed();
         println!(
-            "{name} x{ROUNDS}: binary={}µs multiway={}µs ({:.2}x)",
-            binary_time.as_micros(),
+            "{name} x{ROUNDS}: scan={}µs multiway={}µs ({:.2}x)",
+            scan_time.as_micros(),
             multiway_time.as_micros(),
-            binary_time.as_secs_f64() / multiway_time.as_secs_f64().max(1e-9)
+            scan_time.as_secs_f64() / multiway_time.as_secs_f64().max(1e-9)
         );
-        if matches!(name, "triangle" | "chordal4") {
-            assert!(
-                multiway_time < binary_time,
-                "{name}: multiway must beat binary on the trap instance: {}µs vs {}µs",
-                multiway_time.as_micros(),
-                binary_time.as_micros()
-            );
-        }
+        assert!(
+            multiway_time < scan_time,
+            "{name}: the triejoin must beat the scan on the trap instance: {}µs vs {}µs",
+            multiway_time.as_micros(),
+            scan_time.as_micros()
+        );
     }
 }
 
-criterion_group!(benches, bench_multiway_vs_binary);
+criterion_group!(benches, bench_multiway_vs_scan);
 criterion_main!(benches);

@@ -1,18 +1,44 @@
 //! Evaluation of conjunctive queries over instances.
 //!
 //! Every entry point — [`evaluate_with`], [`evaluate_seminaive_step_with`],
-//! [`for_each_satisfying`] — runs the same **compiled kernel**:
+//! [`for_each_satisfying`] — compiles the query once per call and runs **one
+//! indexed join kernel**, a leapfrog triejoin, for every query, cyclic or
+//! not:
 //!
-//! * **Slots, not maps.** A query is compiled once per call
-//!   (`CompiledQuery`, one pass over its atoms) into dense variable
-//!   *slots*: every body atom becomes a list of argument slots, the head a
-//!   slot projection. The search binds a flat `[Option<Value>]` slot array
-//!   and undoes through one shared trail, so a visited search node allocates
-//!   nothing and touches no ordered map. For the binary join each atom's
-//!   relation is resolved once into a `RelationView` (rows plus the lazily
-//!   resolved secondary index), so a posting lookup inside the search is one
-//!   hash probe; the multiway join resolves each atom to a sorted column
-//!   order and probes nothing.
+//! * **Slots, not maps.** A query is compiled (`CompiledQuery`, one pass
+//!   over its atoms) into dense variable *slots*: every body atom becomes a
+//!   list of argument slots, the head a slot projection. The search binds a
+//!   flat `[Option<Value>]` slot array, so a visited search node allocates
+//!   nothing and touches no ordered map.
+//! * **One variable at a time.** The kernel (Veldhuizen's leapfrog
+//!   triejoin, ICDT 2014) binds one *variable* at a time; its values are the
+//!   intersection of the columns it fills in every atom containing it, which
+//!   avoids the intermediate-result blowup atom-at-a-time plans pay on
+//!   triangles and other cycles, and costs an acyclic query no more than the
+//!   rows it narrows to. Each atom walks a *trie* — its relation's rows of
+//!   the atom's arity, columns permuted into the order the search binds
+//!   them, sorted, flat; cached per `(relation, column order)` by the
+//!   [`Instance`], which keeps its orders as it grows — as a stack of row
+//!   ranges: binding a variable is a galloping seek to the value's run in
+//!   the next column, undoing it pops the range. A variable that occurs in
+//!   one atom only and fills that atom's last column is not intersected
+//!   with anything: its values are read straight off the run. No row set is
+//!   materialised, nothing is hashed and nothing allocated inside the
+//!   search.
+//! * **The variable order, and so the leaf order, is fixed by the query.**
+//!   Pre-bound slots come first. Then, one at a time: a variable that shares
+//!   an atom with a variable already bound goes before one that does not
+//!   (so the search stays inside the rows it has narrowed to), the variable
+//!   with the most occurrences in the body goes before one with fewer, and
+//!   ties go to the first occurrence. Each variable's values ascend, so the
+//!   leaves come out in lexicographic order of that variable order: **the
+//!   leaf order is part of the contract** (first-violation witnesses and
+//!   [`satisfying_valuations`] order rest on it).
+//! * **Differential passes run the same kernel.** A pass of
+//!   [`evaluate_seminaive_step_with`] points its pivot atom at the delta's
+//!   sorted order and every other atom at the full instance's, and binds the
+//!   pivot atom's variables first: a pass costs in proportion to the delta,
+//!   not to the accumulated instance.
 //! * **Answers before facts.** `evaluate*` project every satisfying
 //!   assignment onto the head slots and collect the tuples with set
 //!   semantics *before any [`Fact`] exists*: a hash probe on the projection,
@@ -31,131 +57,52 @@
 //!   adapter that refills one reused [`Valuation`] from the slots at each
 //!   leaf.
 //!
-//! [`EvalOptions`] selects among the kernel's strategies:
+//! **The oracle.** `use_indexes: false` ([`EvalOptions::scan_naive`]) runs
+//! the seed evaluator instead: an atom-at-a-time backtracking join in which
+//! every atom scans its whole relation, in source order or
+//! ([`JoinOrdering::CostAware`]) smallest-estimated-candidate-set-first. It
+//! builds no sorted order and shares no search code with the triejoin — it
+//! is what the property suites compare the kernel against, never a
+//! production path.
 //!
-//! * **Candidate retrieval** — by default an atom with at least one bound
-//!   argument iterates the shortest posting list of its bound positions and
-//!   skips rows absent from the others. `use_indexes: false` hands the
-//!   kernel unindexed views instead: every atom scans its relation and the
-//!   planner uses an index-free estimate, so no index is ever built. That
-//!   is [`EvalOptions::scan_naive`], the oracle of the property suites —
-//!   the same code path minus the index.
-//! * **Join ordering** — by default atoms are ordered by a cost model that
-//!   estimates each atom's candidate-set size from the index statistics
-//!   (exact posting-list lengths for slots pre-bound to known values,
-//!   average selectivity `|R| / distinct(position)` for slots bound by
-//!   earlier atoms). [`JoinOrdering::Naive`] keeps source order.
-//! * **Join strategy** — under [`JoinStrategy::Auto`] (the default) acyclic
-//!   queries run the atom-at-a-time binary join, while queries whose join
-//!   graph is cyclic (GYO reduction, [`crate::is_acyclic`]) switch to the
-//!   *worst-case-optimal multiway join*, a leapfrog triejoin: one variable
-//!   is bound at a time, and its values are the intersection of the columns
-//!   it fills in every atom containing it, which avoids the
-//!   intermediate-result blowup binary plans pay on triangles and other
-//!   cycles. Each atom walks a *trie* — its relation's rows of the atom's
-//!   arity, columns permuted into the order the search binds them, sorted,
-//!   flat; built once per `(relation, column order)` and cached by the
-//!   [`Instance`] — as a stack of row ranges: binding a variable is a
-//!   galloping seek to the value's run in the next column, undoing it pops
-//!   the range. No row set is materialised, nothing is hashed and nothing
-//!   allocated inside the search, and the secondary hash indexes are never
-//!   built. Variables are bound most-occurrences-first (ties by first
-//!   occurrence) and each one's values ascend, so the leaves come out in
-//!   lexicographic order of that variable order: **the leaf order is part of
-//!   the contract** (first-violation witnesses and
-//!   [`satisfying_valuations`] order rest on it). With `use_indexes: false`
-//!   the evaluator still falls back to the binary scan join — not because
-//!   the multiway join needs the hash indexes, but because
-//!   [`EvalOptions::scan_naive`] is the oracle and must not share a kernel
-//!   with what it checks.
-//! * **Adaptive reordering** — with a nonzero `adaptive_factor`, the binary
-//!   join compares each depth's observed candidate count against the
-//!   planner's estimate and re-ranks the remaining atoms mid-search (using
-//!   the now-concrete bindings as known values, i.e. exact posting counts)
-//!   when observation exceeds the estimate by more than the factor, so one
-//!   bad early estimate stops poisoning the rest of the search.
-//!
-//! All strategies enumerate exactly the same valuations; only the order and
-//! shape of the backtracking search differ. A fact only ever matches an atom
-//! of its own arity, so ill-formed (mixed-arity) relations evaluate the same
-//! under every strategy.
+//! Both enumerate exactly the same valuations; only the order and shape of
+//! the search differ. A fact only ever matches an atom of its own arity, so
+//! ill-formed (mixed-arity) relations evaluate the same under both.
 
-use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 use crate::atom::{Atom, Variable};
 use crate::fact::{Fact, Tuple};
-use crate::instance::{Instance, RelationView, SortedOrder};
+use crate::instance::{Instance, SortedOrder};
 use crate::intern::{Symbol, SymbolHashBuilder};
 use crate::query::ConjunctiveQuery;
 use crate::valuation::Valuation;
 use crate::value::Value;
 
-/// How the evaluator orders the body atoms before the backtracking search.
+/// How the scan oracle (`use_indexes: false`) orders the body atoms before
+/// its backtracking search. The triejoin binds variables, not atoms, in the
+/// order the module docs give, whatever this says.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum JoinOrdering {
-    /// Source order — the baseline for the join-ordering ablation.
+    /// Source order.
     Naive,
-    /// Cheapest-estimated-candidate-set-first, using index statistics.
+    /// Smallest-estimated-candidate-set-first: relation size, discounted
+    /// for every argument an earlier atom binds.
     #[default]
     CostAware,
-}
-
-/// Which join algorithm the evaluator runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// The classic atom-at-a-time backtracking join.
-    Binary,
-    /// The variable-at-a-time multiway join, a leapfrog triejoin over the
-    /// instance's cached sorted column orders; its leaves come out in
-    /// lexicographic order of its variable order. With `use_indexes: false`
-    /// — the oracle configuration — the binary scan join runs instead.
-    Multiway,
-    /// Plan per query: multiway when the join graph is cyclic (GYO
-    /// reduction), binary otherwise.
-    #[default]
-    Auto,
-}
-
-impl JoinStrategy {
-    /// Parses a CLI-style strategy name.
-    pub fn parse(name: &str) -> Option<JoinStrategy> {
-        match name {
-            "binary" => Some(JoinStrategy::Binary),
-            "multiway" => Some(JoinStrategy::Multiway),
-            "auto" => Some(JoinStrategy::Auto),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style name of the strategy.
-    pub fn label(&self) -> &'static str {
-        match self {
-            JoinStrategy::Binary => "binary",
-            JoinStrategy::Multiway => "multiway",
-            JoinStrategy::Auto => "auto",
-        }
-    }
 }
 
 /// Options controlling the evaluation strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EvalOptions {
-    /// Join-order selection strategy (default: cost-aware).
+    /// Atom order of the scan oracle (default: cost-aware).
     pub ordering: JoinOrdering,
-    /// Retrieve candidate facts through the secondary hash indexes
-    /// (default). When `false`, every atom scans its whole relation.
+    /// Run the leapfrog triejoin over the instance's sorted column orders
+    /// (default). When `false`, the scan oracle runs instead: every atom
+    /// scans its whole relation and no order is built.
     pub use_indexes: bool,
-    /// Join algorithm selection (default: [`JoinStrategy::Auto`] — multiway
-    /// on cyclic queries, binary otherwise).
-    pub join_strategy: JoinStrategy,
-    /// Adaptive mid-search reordering threshold for the binary join: when
-    /// an atom's observed candidate count exceeds `adaptive_factor ×` its
-    /// planned estimate, the remaining atoms are re-ranked with the current
-    /// concrete bindings. `0` disables; only applies under
-    /// [`JoinOrdering::CostAware`].
-    pub adaptive_factor: u32,
 }
 
 impl Default for EvalOptions {
@@ -163,53 +110,30 @@ impl Default for EvalOptions {
         EvalOptions {
             ordering: JoinOrdering::CostAware,
             use_indexes: true,
-            join_strategy: JoinStrategy::Auto,
-            adaptive_factor: 4,
         }
     }
 }
 
 impl EvalOptions {
-    /// The seed evaluator: full-relation scans in source order.
+    /// The seed evaluator: full-relation scans in source order — the oracle
+    /// of the property suites.
     pub fn scan_naive() -> EvalOptions {
         EvalOptions {
             ordering: JoinOrdering::Naive,
             use_indexes: false,
-            join_strategy: JoinStrategy::Binary,
-            adaptive_factor: 0,
         }
     }
 
-    /// Returns the options with the given join strategy.
-    pub fn with_join_strategy(mut self, strategy: JoinStrategy) -> EvalOptions {
-        self.join_strategy = strategy;
-        self
-    }
-
-    /// The join algorithm these options select for `query`: the multiway
-    /// join on an explicit [`JoinStrategy::Multiway`] or on
-    /// [`JoinStrategy::Auto`] with a cyclic join graph — unless
-    /// `use_indexes` is off: that is the oracle configuration
-    /// ([`EvalOptions::scan_naive`]), which always runs the binary scan join
-    /// so that it shares no kernel with what it is compared against.
-    pub fn resolved_strategy(&self, query: &ConjunctiveQuery) -> JoinStrategy {
-        if !self.use_indexes {
-            return JoinStrategy::Binary;
-        }
-        match self.join_strategy {
-            JoinStrategy::Binary => JoinStrategy::Binary,
-            JoinStrategy::Multiway => JoinStrategy::Multiway,
-            JoinStrategy::Auto => {
-                if crate::acyclic::is_acyclic(query) {
-                    JoinStrategy::Binary
-                } else {
-                    JoinStrategy::Multiway
-                }
-            }
+    /// The join these options run, as trace spans name it: `"multiway"`
+    /// (the triejoin) or `"binary"` (the scan oracle).
+    fn kernel(&self) -> &'static str {
+        if self.use_indexes {
+            "multiway"
+        } else {
+            "binary"
         }
     }
 }
-
 /// The kernel's view of a partial valuation: slot `s` holds the value bound
 /// to the `s`-th query variable, if any. At a leaf every slot is bound.
 pub type Slots = [Option<Value>];
@@ -333,24 +257,51 @@ impl<'q> CompiledQuery<'q> {
     where
         L: FnMut(&Slots) -> ControlFlow<()>,
     {
-        let slots = self.bind(fixed);
-        if opts.resolved_strategy(self.query) == JoinStrategy::Multiway {
-            return match Leapfrog::new(self, instance, slots, leaf) {
-                Some(mut join) => join.search(0),
-                None => ControlFlow::Continue(()),
-            };
-        }
-        let views = self.views(instance, opts.use_indexes);
-        BinaryJoin::new(self, views, slots, opts, None, leaf).search(0)
+        self.search(instance, None, self.bind(fixed), opts, leaf)
     }
 
-    /// One view per body atom over `instance`.
-    fn views<'a>(&self, instance: &'a Instance, indexed: bool) -> Vec<RelationView<'a>> {
-        self.query
-            .body()
-            .iter()
-            .map(|atom| instance.view(atom.relation, indexed))
-            .collect()
+    /// The one search behind every entry point: the assignments extending
+    /// `slots` under which every body atom matches a fact of `full` — or,
+    /// for the atom `pivot` names, a fact of the instance next to it (the
+    /// shape of a semi-naive differential pass).
+    fn search<L>(
+        &self,
+        full: &Instance,
+        pivot: Option<(usize, &Instance)>,
+        slots: Vec<Option<Value>>,
+        opts: EvalOptions,
+        leaf: L,
+    ) -> ControlFlow<()>
+    where
+        L: FnMut(&Slots) -> ControlFlow<()>,
+    {
+        let source = |atom: usize| match pivot {
+            Some((pivoted, delta)) if pivoted == atom => delta,
+            _ => full,
+        };
+        let pivot = pivot.map(|(atom, _)| atom);
+        let body = self.query.body().iter().enumerate();
+        if !opts.use_indexes {
+            let scans = body.map(|(atom, body_atom)| source(atom).facts_of(body_atom.relation));
+            let scans = scans.collect();
+            return BinaryJoin::new(self, scans, slots, opts.ordering, pivot, leaf).search(0);
+        }
+        let plan = TriePlan::new(self, &slots, pivot);
+        // The orders are held here, outside the join whose cursors borrow
+        // them, for as long as it runs.
+        let mut orders: Vec<Arc<SortedOrder>> = Vec::with_capacity(self.atom_count());
+        for (atom, body_atom) in body {
+            let order = source(atom).sorted_order(body_atom.relation, plan.columns(self, atom));
+            // No row of the atom's arity: nothing satisfies the query.
+            if order.rows() == 0 {
+                return ControlFlow::Continue(());
+            }
+            orders.push(order);
+        }
+        match Leapfrog::new(self, &plan, &orders, slots, leaf) {
+            Some(mut join) => join.search(0),
+            None => ControlFlow::Continue(()),
+        }
     }
 }
 
@@ -420,29 +371,21 @@ impl Bindings {
     }
 }
 
-/// The atom-at-a-time backtracking join: plan, bindings and per-depth
-/// scratch space.
+/// The scan oracle: the atom-at-a-time backtracking join of the seed
+/// evaluator, in which every atom scans its whole relation. It reads the
+/// rows themselves and never a sorted order, so it shares nothing with the
+/// triejoin it is compared against but the compiled query and the bindings.
 ///
-/// `views[a]` is where body atom `a` draws its candidate facts from. The
+/// `scans[a]` is where body atom `a` draws its candidate facts from. The
 /// plain evaluator uses the same instance for every atom; the semi-naive
 /// differential pass points its pivot atom at the delta instance and every
 /// other atom at the full one.
 struct BinaryJoin<'a, L> {
     query: &'a CompiledQuery<'a>,
-    views: Vec<RelationView<'a>>,
-    opts: EvalOptions,
-    /// The atom processing order and the planner's per-depth candidate
-    /// estimates; the adaptive reorderer compares the estimates against
-    /// observed counts.
+    scans: Vec<&'a [Fact]>,
+    /// The atom processing order.
     order: Vec<usize>,
-    estimates: Vec<f64>,
-    /// Whether mid-search re-ranking is enabled: pivot-free searches under
-    /// cost-aware ordering with a nonzero `adaptive_factor`.
-    adaptive: bool,
     bindings: Bindings,
-    /// One reusable buffer per search depth for the posting lists of the
-    /// depth's bound argument positions.
-    postings: Vec<Vec<&'a [u32]>>,
     leaf: L,
 }
 
@@ -450,121 +393,63 @@ impl<'a, L> BinaryJoin<'a, L>
 where
     L: FnMut(&Slots) -> ControlFlow<()>,
 {
-    /// A planned join over `views` starting from the pre-bound `slots`
-    /// (see [`BinaryJoin::plan`] for `pivot`).
-    fn new(
-        query: &'a CompiledQuery<'a>,
-        views: Vec<RelationView<'a>>,
-        slots: Vec<Option<Value>>,
-        opts: EvalOptions,
-        pivot: Option<usize>,
-        leaf: L,
-    ) -> Self {
-        let depths = query.atom_count();
-        let mut join = BinaryJoin {
-            query,
-            views,
-            opts,
-            order: Vec::with_capacity(depths),
-            estimates: Vec::with_capacity(depths),
-            adaptive: false,
-            bindings: Bindings::new(slots),
-            postings: vec![Vec::new(); depths],
-            leaf,
-        };
-        join.plan(pivot);
-        join
-    }
-
-    /// Computes the atom processing order. Cost-aware ordering greedily
-    /// picks the atom with the smallest estimated candidate set next;
-    /// [`JoinOrdering::Naive`] keeps source order and never estimates.
+    /// A planned join over `scans` starting from the pre-bound `slots`.
     ///
     /// With a `pivot`, that atom is forced to the front and its slots count
     /// as bound for the rest — the plan shape of a semi-naive differential
     /// pass: the pivot matches the (small) delta first, everything else
-    /// joins against the full instance. Such passes pin `views[pivot]`, so
-    /// mid-search re-ranking (which permutes the tail) stays off for them.
-    fn plan(&mut self, pivot: Option<usize>) {
-        self.order.extend(pivot);
-        self.estimates.extend(pivot.map(|_| f64::INFINITY));
-        let remaining: Vec<usize> = (0..self.query.atom_count())
+    /// joins against the full instance. [`JoinOrdering::Naive`] keeps the
+    /// other atoms in source order; cost-aware ordering greedily picks the
+    /// atom with the smallest estimated candidate set next (ties resolved in
+    /// source order, so plans are deterministic and degrade to source order
+    /// when the model cannot tell atoms apart).
+    fn new(
+        query: &'a CompiledQuery<'a>,
+        scans: Vec<&'a [Fact]>,
+        slots: Vec<Option<Value>>,
+        ordering: JoinOrdering,
+        pivot: Option<usize>,
+        leaf: L,
+    ) -> Self {
+        let mut order: Vec<usize> = pivot.into_iter().collect();
+        let mut remaining: Vec<usize> = (0..query.atom_count())
             .filter(|&atom| Some(atom) != pivot)
             .collect();
-        if self.opts.ordering == JoinOrdering::Naive {
-            self.estimates
-                .extend(remaining.iter().map(|_| f64::INFINITY));
-            self.order.extend(remaining);
-            return;
+        if ordering == JoinOrdering::Naive {
+            order.append(&mut remaining);
         }
-        self.adaptive = pivot.is_none() && self.opts.adaptive_factor > 0;
-        let mut bound: Vec<bool> = self.bindings.slots.iter().map(Option::is_some).collect();
-        for &slot in pivot.map_or(&[][..], |atom| self.query.atom(atom)) {
+        let mut bound: Vec<bool> = slots.iter().map(Option::is_some).collect();
+        for &slot in pivot.map_or(&[][..], |atom| query.atom(atom)) {
             bound[slot] = true;
         }
-        self.rank(bound, remaining);
-    }
-
-    /// Appends `remaining` to the plan, greedily cheapest-estimate-first
-    /// (ties resolved in the given order, so plans are deterministic and
-    /// degrade to source order when the model cannot tell atoms apart).
-    /// `bound` marks the slots earlier atoms bind — to values unknown at
-    /// planning time, unless the slot array already holds them. Shared by
-    /// the upfront planner and the adaptive mid-search re-ranking.
-    fn rank(&mut self, mut bound: Vec<bool>, mut remaining: Vec<usize>) {
         while !remaining.is_empty() {
-            let mut best_pos = 0;
-            let mut best_cost = f64::INFINITY;
-            for (pos, &atom) in remaining.iter().enumerate() {
-                let cost = self.estimate(atom, &bound);
-                if cost < best_cost {
-                    best_cost = cost;
-                    best_pos = pos;
+            // The relation size, of which each bound argument keeps about
+            // a quarter: an estimate that reads no index.
+            let estimate = |&atom: &usize| {
+                let bound_args = query.atom(atom).iter().filter(|&&slot| bound[slot]);
+                scans[atom].len() as f64 / 4f64.powi(bound_args.count() as i32)
+            };
+            let costs = remaining.iter().map(estimate).enumerate();
+            let cheapest = costs.fold((0, f64::INFINITY), |best, (pos, cost)| {
+                if cost < best.1 {
+                    (pos, cost)
+                } else {
+                    best
                 }
-            }
-            let best = remaining.remove(best_pos);
-            self.order.push(best);
-            self.estimates.push(best_cost);
-            for &slot in self.query.atom(best) {
+            });
+            let best = remaining.remove(cheapest.0);
+            order.push(best);
+            for &slot in query.atom(best) {
                 bound[slot] = true;
             }
         }
-    }
-
-    /// Estimated number of candidate facts for `atom`: the relation size
-    /// times one selectivity factor per bound argument position — the exact
-    /// posting-list fraction when the slot's value is known, the average
-    /// `1 / distinct(position)` when it is only `bound`. An unindexed view
-    /// gets the index-free estimate instead (each bound argument keeps
-    /// about a quarter of the candidates), so the scan configuration never
-    /// builds an index, ordering included.
-    fn estimate(&self, atom: usize, bound: &[bool]) -> f64 {
-        let view = &self.views[atom];
-        let args = self.query.atom(atom);
-        let known = &self.bindings.slots;
-        let n = view.facts.len() as f64;
-        if !view.is_indexed() {
-            let bound_args = args
-                .iter()
-                .filter(|&&slot| known[slot].is_some() || bound[slot])
-                .count();
-            return n / 4f64.powi(bound_args as i32);
+        BinaryJoin {
+            query,
+            scans,
+            order,
+            bindings: Bindings::new(slots),
+            leaf,
         }
-        if view.facts.is_empty() {
-            return 0.0;
-        }
-        let mut estimate = n;
-        for (position, &slot) in args.iter().enumerate() {
-            if let Some(value) = known[slot] {
-                estimate *= view.posting(position, value).len() as f64 / n;
-            } else if bound[slot] {
-                let distinct = view.distinct_values_at(position);
-                if distinct > 0 {
-                    estimate /= distinct as f64;
-                }
-            }
-        }
-        estimate
     }
 
     fn search(&mut self, depth: usize) -> ControlFlow<()> {
@@ -572,86 +457,16 @@ where
             return (self.leaf)(&self.bindings.slots);
         }
         let query = self.query;
-        // The posting lists of the atom's bound argument positions,
-        // shortest first. An unindexed view has none and is scanned.
-        let mut postings = std::mem::take(&mut self.postings[depth]);
-        postings.clear();
-        let view = &self.views[self.order[depth]];
-        let facts = view.facts;
-        if view.is_indexed() {
-            for (position, &slot) in query.atom(self.order[depth]).iter().enumerate() {
-                if let Some(value) = self.bindings.slots[slot] {
-                    postings.push(view.posting(position, value));
-                }
+        let atom = self.order[depth];
+        for fact in self.scans[atom] {
+            let mark = self.bindings.mark();
+            if self.bindings.unify(query.atom(atom), fact) {
+                let flow = self.search(depth + 1);
+                self.bindings.undo(mark);
+                flow?;
             }
         }
-        if let Some(shortest) = (0..postings.len()).min_by_key(|&i| postings[i].len()) {
-            postings.swap(0, shortest);
-        }
-        if self.adaptive && depth + 2 < self.order.len() {
-            let observed = postings.first().map_or(facts.len(), |rows| rows.len());
-            self.maybe_rerank_tail(depth, observed);
-        }
-        let args = query.atom(self.order[depth]);
-        match postings.split_first() {
-            None => {
-                for fact in facts {
-                    self.descend(depth, args, fact)?;
-                }
-            }
-            // Rows absent from another bound position's list cannot match.
-            Some((shortest, others)) => {
-                for &row in *shortest {
-                    if others.iter().all(|rows| rows.binary_search(&row).is_ok()) {
-                        self.descend(depth, args, &facts[row as usize])?;
-                    }
-                }
-            }
-        }
-        self.postings[depth] = postings;
         ControlFlow::Continue(())
-    }
-
-    /// Matches the atom at `depth` onto `fact` and searches on below it.
-    fn descend(&mut self, depth: usize, args: &[usize], fact: &Fact) -> ControlFlow<()> {
-        let mark = self.bindings.trail.len();
-        if !self.bindings.unify(args, fact) {
-            return ControlFlow::Continue(());
-        }
-        let flow = self.search(depth + 1);
-        self.bindings.undo(mark);
-        flow
-    }
-
-    /// The adaptive reorderer: when the candidate count observed at `depth`
-    /// exceeds `adaptive_factor ×` the planner's estimate, the remaining
-    /// atoms are re-ranked through the same cost model — but with the
-    /// concrete bindings accumulated so far as known values, so the model
-    /// now works from exact posting counts instead of planning-time
-    /// averages. Re-ranking only permutes the tail of `order`; every
-    /// subtree still covers all atoms, so the enumerated valuations are
-    /// unchanged.
-    fn maybe_rerank_tail(&mut self, depth: usize, observed: usize) {
-        let factor = f64::from(self.opts.adaptive_factor);
-        if (observed as f64) <= factor * self.estimates[depth].max(1.0) {
-            return;
-        }
-        obs::instant!(
-            "adaptive_reorder",
-            depth = depth,
-            observed = observed,
-            estimate = self.estimates[depth]
-        );
-        // Remember the surprise so sibling subtrees with similar observed
-        // counts do not replan over and over.
-        self.estimates[depth] = observed as f64;
-        let mut bound: Vec<bool> = self.bindings.slots.iter().map(Option::is_some).collect();
-        for &slot in self.query.atom(self.order[depth]) {
-            bound[slot] = true;
-        }
-        let remaining = self.order.split_off(depth + 1);
-        self.estimates.truncate(depth + 1);
-        self.rank(bound, remaining);
     }
 }
 
@@ -665,11 +480,27 @@ struct Run {
     next: usize,
 }
 
+/// The rows of a [`SortedOrder`], flat.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    values: &'a [Value],
+    arity: usize,
+}
+
+impl Rows<'_> {
+    /// The value in column `col` of row `row`: every read of the search.
+    #[inline]
+    fn at(self, row: usize, col: usize) -> Value {
+        #[cfg(test)]
+        tests::VALUES_READ.with(|reads| reads.set(reads.get() + 1));
+        self.values[row * self.arity + col]
+    }
+}
+
 /// One body atom's position in its trie — the [`SortedOrder`] of the atom's
 /// relation whose columns are in the order the search binds them.
 struct TrieCursor<'a> {
-    values: &'a [Value],
-    arity: usize,
+    rows: Rows<'a>,
     /// `runs[c]` agrees with the `c` columns bound so far: binding a column
     /// pushes a run, undoing the binding pops it.
     runs: Vec<Run>,
@@ -683,11 +514,11 @@ impl<'a> TrieCursor<'a> {
             end: order.rows(),
             next: 0,
         });
-        TrieCursor {
+        let rows = Rows {
             values: order.values(),
             arity: order.arity(),
-            runs,
-        }
+        };
+        TrieCursor { rows, runs }
     }
 
     /// The first of the rows `lo..hi` whose column `col` is no longer
@@ -695,7 +526,7 @@ impl<'a> TrieCursor<'a> {
     /// steps from `lo`: O(log distance), which is what makes intersecting a
     /// short column with a long one cheap.
     fn gallop(&self, lo: usize, hi: usize, col: usize, below: impl Fn(Value) -> bool) -> usize {
-        let below = |row: usize| below(self.values[row * self.arity + col]);
+        let below = |row: usize| below(self.rows.at(row, col));
         if lo == hi || !below(lo) {
             return lo;
         }
@@ -732,7 +563,7 @@ impl<'a> TrieCursor<'a> {
     /// The next unbound column's value in the first row not yet passed.
     fn key(&self) -> Option<Value> {
         let (run, col) = self.top();
-        (run.next < run.end).then(|| self.values[run.next * self.arity + col])
+        (run.next < run.end).then(|| self.rows.at(run.next, col))
     }
 
     /// Passes the rows whose next unbound column is below `target`; the
@@ -762,9 +593,102 @@ impl<'a> TrieCursor<'a> {
     }
 }
 
-/// The worst-case-optimal multiway join, a leapfrog triejoin (Veldhuizen,
-/// ICDT 2014): binds one *variable* at a time instead of matching one atom
-/// at a time.
+/// One depth of a triejoin: the slot it binds and where its values come
+/// from.
+struct Depth {
+    slot: usize,
+    /// The atoms the slot's variable occurs in, in body order, each with the
+    /// number of its columns the variable fills.
+    atoms: Vec<(usize, usize)>,
+    /// The variable occurs once, in the last column of its one atom: its
+    /// values are that atom's innermost run, read row by row.
+    direct: bool,
+}
+
+/// The order a triejoin binds the unbound slots of one query in — see the
+/// module docs for the rule — and with it the column order of every atom's
+/// trie.
+struct TriePlan {
+    depths: Vec<Depth>,
+    /// Every atom's argument positions in the order the search binds them,
+    /// laid out like [`CompiledQuery::args`].
+    columns: Vec<usize>,
+}
+
+impl TriePlan {
+    /// Plans the search that starts from `slots`. With a `pivot` — a
+    /// semi-naive differential pass — that atom's variables lead the order.
+    fn new(query: &CompiledQuery<'_>, slots: &Slots, pivot: Option<usize>) -> TriePlan {
+        let atoms = || (0..query.atom_count()).map(|atom| (atom, query.atom(atom)));
+        let occurrences = |slot: usize| query.args.iter().filter(|&&s| s == slot).count();
+        // When a slot is bound: 0 for the pre-bound ones, then by depth.
+        let mut bound_at: Vec<Option<usize>> = slots.iter().map(|v| v.map(|_| 0)).collect();
+        let unbound = bound_at.iter().filter(|at| at.is_none()).count();
+        let mut depths = Vec::with_capacity(unbound);
+        for depth in 0..unbound {
+            // 2: in the pivot atom; 1: in an atom with a slot that is
+            // bound by now; 0: in neither.
+            let reach = |slot: usize| {
+                let reach = atoms().filter(|(_, args)| args.contains(&slot));
+                let reach = reach.map(|(atom, args)| {
+                    if Some(atom) == pivot {
+                        2
+                    } else {
+                        usize::from(args.iter().any(|&s| bound_at[s].is_some()))
+                    }
+                });
+                reach.max()
+            };
+            // Slot order is first-occurrence order: the first of the best.
+            let open = (0..slots.len()).rev().filter(|&s| bound_at[s].is_none());
+            let slot = open
+                .max_by_key(|&slot| (reach(slot), occurrences(slot)))
+                .expect("one unbound slot a depth");
+            bound_at[slot] = Some(depth + 1);
+            let (atoms, direct) = (Vec::new(), false);
+            depths.push(Depth {
+                slot,
+                atoms,
+                direct,
+            });
+        }
+        let mut plan = TriePlan {
+            depths,
+            columns: Vec::with_capacity(query.args.len()),
+        };
+        for (atom, args) in atoms() {
+            // A variable repeated in the atom fills adjacent columns.
+            let start = plan.columns.len();
+            plan.columns.extend(0..args.len());
+            plan.columns[start..].sort_by_key(|&position| bound_at[args[position]]);
+            for &position in &plan.columns[start..] {
+                // (pre-bound columns are opened before the search starts)
+                if let Some(depth) = bound_at[args[position]].and_then(|at| at.checked_sub(1)) {
+                    let at_depth = &mut plan.depths[depth].atoms;
+                    match at_depth.last_mut() {
+                        Some((last, filled)) if *last == atom => *filled += 1,
+                        _ => at_depth.push((atom, 1)),
+                    }
+                }
+            }
+        }
+        for depth in 0..plan.depths.len() {
+            if let [(atom, 1)] = plan.depths[depth].atoms[..] {
+                let last = *plan.columns(query, atom).last().expect("the slot's column");
+                plan.depths[depth].direct = query.atom(atom)[last] == plan.depths[depth].slot;
+            }
+        }
+        plan
+    }
+
+    /// The column order of body atom `atom`'s trie.
+    fn columns(&self, query: &CompiledQuery<'_>, atom: usize) -> &[usize] {
+        &self.columns[query.starts[atom]..query.starts[atom + 1]]
+    }
+}
+
+/// The one indexed join, a leapfrog triejoin (Veldhuizen, ICDT 2014): binds
+/// one *variable* at a time instead of matching one atom at a time.
 ///
 /// Every body atom walks a trie — its relation's rows of the atom's arity,
 /// columns permuted into the order the search binds them, sorted
@@ -780,14 +704,10 @@ impl<'a> TrieCursor<'a> {
 /// in every column, so the binding satisfies the query.
 ///
 /// Values are visited in ascending order at every depth, so the leaves come
-/// out in lexicographic order of `var_order` — an order callers pin.
+/// out in lexicographic order of the plan's variable order — an order
+/// callers pin.
 struct Leapfrog<'a, L> {
-    /// The slot bound at each depth: most-constrained (most occurrences)
-    /// first, ties in first-occurrence order.
-    var_order: Vec<usize>,
-    /// `participants[d]` = the atoms `var_order[d]` occurs in, in body
-    /// order, each with the number of its columns the variable fills.
-    participants: Vec<Vec<(usize, usize)>>,
+    depths: &'a [Depth],
     cursors: Vec<TrieCursor<'a>>,
     slots: Vec<Option<Value>>,
     leaf: L,
@@ -797,66 +717,29 @@ impl<'a, L> Leapfrog<'a, L>
 where
     L: FnMut(&Slots) -> ControlFlow<()>,
 {
-    /// Orders the unbound slots, opens each atom's trie in the matching
-    /// column order and binds the columns of the pre-bound slots. `None`
-    /// when some atom cannot match at all (no row of its arity, or a
-    /// pre-bound value that occurs nowhere): no valuations.
+    /// Opens each atom's trie — `orders[atom]`, in the plan's column order —
+    /// and binds the columns of the pre-bound slots, which come first in
+    /// it. `None` when a pre-bound value occurs nowhere: no valuations.
     fn new(
         query: &CompiledQuery<'_>,
-        instance: &'a Instance,
+        plan: &'a TriePlan,
+        orders: &'a [Arc<SortedOrder>],
         slots: Vec<Option<Value>>,
         leaf: L,
     ) -> Option<Self> {
-        let mut occurrence_count = vec![0usize; slots.len()];
-        for &slot in &query.args {
-            occurrence_count[slot] += 1;
-        }
-        // Slot order is first-occurrence order; the sort is stable.
-        let mut var_order: Vec<usize> = (0..slots.len())
-            .filter(|&slot| slots[slot].is_none())
-            .collect();
-        var_order.sort_by_key(|&slot| Reverse(occurrence_count[slot]));
-        // When a slot is bound: 0 for the pre-bound ones, then by depth.
-        let mut bound_at = vec![0; slots.len()];
-        for (depth, &slot) in var_order.iter().enumerate() {
-            bound_at[slot] = depth + 1;
-        }
-        let mut participants = vec![Vec::new(); var_order.len()];
-        let mut cursors = Vec::with_capacity(query.atom_count());
-        let mut columns = Vec::new();
-        for (atom, body_atom) in query.query.body().iter().enumerate() {
-            let args = query.atom(atom);
-            // A variable repeated in the atom fills adjacent columns.
-            columns.clear();
-            columns.extend(0..args.len());
-            columns.sort_by_key(|&position| bound_at[args[position]]);
-            let order = instance.sorted_order(body_atom.relation, &columns);
-            if order.rows() == 0 {
-                return None;
-            }
+        let mut cursors = Vec::with_capacity(orders.len());
+        for (atom, order) in orders.iter().enumerate() {
             let mut cursor = TrieCursor::new(order);
-            for &position in &columns {
-                let slot = args[position];
-                match slots[slot] {
-                    Some(value) => {
-                        if !cursor.open(value) {
-                            return None;
-                        }
-                    }
-                    None => {
-                        let at_depth = &mut participants[bound_at[slot] - 1];
-                        match at_depth.last_mut() {
-                            Some((last, filled)) if *last == atom => *filled += 1,
-                            _ => at_depth.push((atom, 1)),
-                        }
-                    }
+            let columns = plan.columns(query, atom).iter();
+            for value in columns.map_while(|&position| slots[query.atom(atom)[position]]) {
+                if !cursor.open(value) {
+                    return None;
                 }
             }
             cursors.push(cursor);
         }
         Some(Leapfrog {
-            var_order,
-            participants,
+            depths: &plan.depths,
             cursors,
             slots,
             leaf,
@@ -866,7 +749,7 @@ where
     /// Moves the cursors of `depth`'s atoms to the smallest value not yet
     /// passed that all of them carry in their next column, if there is one.
     fn next_common(&mut self, depth: usize) -> Option<Value> {
-        let atoms = &self.participants[depth];
+        let atoms = &self.depths[depth].atoms;
         let mut target = self.cursors[atoms[0].0].key()?;
         // `agreed` atoms in a row, ending at `at`, sit at `target`.
         let (mut agreed, mut at) = (1, 0);
@@ -883,31 +766,52 @@ where
     }
 
     fn search(&mut self, depth: usize) -> ControlFlow<()> {
-        if depth == self.var_order.len() {
+        let depths = self.depths;
+        let Some(Depth {
+            slot,
+            atoms,
+            direct,
+        }) = depths.get(depth)
+        else {
             return (self.leaf)(&self.slots);
+        };
+        if *direct {
+            // Distinct rows that agree everywhere else differ here: every
+            // row of the run is one value, and no column is left to narrow.
+            let cursor = &self.cursors[atoms[0].0];
+            let ((run, col), rows) = (cursor.top(), cursor.rows);
+            let mut flow = ControlFlow::Continue(());
+            for row in run.start..run.end {
+                self.slots[*slot] = Some(rows.at(row, col));
+                flow = self.search(depth + 1);
+                if flow.is_break() {
+                    break;
+                }
+            }
+            self.slots[*slot] = None;
+            return flow;
         }
-        let slot = self.var_order[depth];
-        for &(atom, _) in &self.participants[depth] {
+        for &(atom, _) in atoms {
             self.cursors[atom].rewind();
         }
         while let Some(value) = self.next_common(depth) {
             // Only a variable repeated inside an atom can still fail here:
             // its later columns must carry the value too.
             let mut alive = true;
-            for &(atom, filled) in &self.participants[depth] {
+            for &(atom, filled) in atoms {
                 for _ in 0..filled {
                     alive &= self.cursors[atom].open(value);
                 }
             }
             let flow = if alive {
-                self.slots[slot] = Some(value);
+                self.slots[*slot] = Some(value);
                 let flow = self.search(depth + 1);
-                self.slots[slot] = None;
+                self.slots[*slot] = None;
                 flow
             } else {
                 ControlFlow::Continue(())
             };
-            for &(atom, filled) in &self.participants[depth] {
+            for &(atom, filled) in atoms {
                 for _ in 0..filled {
                     self.cursors[atom].close();
                 }
@@ -1008,8 +912,8 @@ impl Answers {
     }
 
     /// The answers as an instance: one bulk build, whose sort is a linear
-    /// pass over answers that arrive ascending (as the multiway join's do
-    /// when the head lists the variables in search order) and whose dedup
+    /// pass over answers that arrive ascending (as the triejoin's do when
+    /// the head lists the variables in search order) and whose dedup
     /// keeps set semantics whatever the collection assumed.
     fn finish(self) -> Instance {
         let relation = self.relation;
@@ -1059,26 +963,20 @@ pub fn evaluate_seminaive_step_with(
     delta: &Instance,
     opts: EvalOptions,
 ) -> Instance {
-    // Every differential pass is a pivoted binary join, whatever strategy
-    // `opts` resolves to for a full evaluation of `query`.
     let _span = obs::span!(
         "seminaive_step",
-        strategy = JoinStrategy::Binary.label(),
+        strategy = opts.kernel(),
         delta_facts = delta.len()
     );
     let compiled = CompiledQuery::new(query);
     let mut answers = Answers::new(&compiled, false);
     for (pivot, atom) in query.body().iter().enumerate() {
-        // The pivot is matched first, with nothing bound: a scan.
-        let pivot_view = delta.view(atom.relation, false);
-        if pivot_view.facts.is_empty() {
+        if delta.facts_of(atom.relation).is_empty() {
             continue;
         }
-        let mut views = compiled.views(full, opts.use_indexes);
-        views[pivot] = pivot_view;
         let slots = vec![None; compiled.vars.len()];
         let leaf = |slots: &Slots| answers.collect(slots);
-        let _ = BinaryJoin::new(&compiled, views, slots, opts, Some(pivot), leaf).search(0);
+        let _ = compiled.search(full, Some((pivot, delta)), slots, opts, leaf);
     }
     answers.finish()
 }
@@ -1123,11 +1021,7 @@ pub fn evaluate(query: &ConjunctiveQuery, instance: &Instance) -> Instance {
 
 /// Evaluates `query` on `instance` under explicit evaluation options.
 pub fn evaluate_with(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOptions) -> Instance {
-    let _span = obs::span!(
-        "evaluate",
-        strategy = opts.resolved_strategy(query).label(),
-        facts = instance.len()
-    );
+    let _span = obs::span!("evaluate", strategy = opts.kernel(), facts = instance.len());
     let compiled = CompiledQuery::new(query);
     let mut answers = Answers::new(&compiled, true);
     let _ = compiled.for_each_satisfying(instance, &Valuation::new(), opts, |slots| {
@@ -1135,7 +1029,6 @@ pub fn evaluate_with(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOp
     });
     answers.finish()
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1145,40 +1038,63 @@ mod tests {
         ConjunctiveQuery::parse(text).unwrap()
     }
 
-    /// The binary join's atom processing order, optionally with a forced
+    thread_local! {
+        /// How many values this thread's triejoin cursors have read.
+        pub(super) static VALUES_READ: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Runs `search` and returns how many values the triejoin read in it.
+    fn values_read(search: impl FnOnce()) -> u64 {
+        let before = VALUES_READ.get();
+        search();
+        VALUES_READ.get() - before
+    }
+
+    /// The scan oracle's atom processing order, optionally with a forced
     /// first atom (the plan of a semi-naive pass pivoted there).
     fn atom_order(
         query: &ConjunctiveQuery,
         instance: &Instance,
         fixed: &Valuation,
-        opts: EvalOptions,
+        ordering: JoinOrdering,
         pivot: Option<usize>,
     ) -> Vec<usize> {
         let compiled = CompiledQuery::new(query);
-        let views = compiled.views(instance, opts.use_indexes);
+        let body = query.body().iter();
+        let scans = body.map(|atom| instance.facts_of(atom.relation)).collect();
         let slots = compiled.bind(fixed);
         let leaf = |_: &Slots| ControlFlow::Continue(());
-        BinaryJoin::new(&compiled, views, slots, opts, pivot, leaf).order
+        BinaryJoin::new(&compiled, scans, slots, ordering, pivot, leaf).order
     }
 
-    /// The four strategy combinations the ablation axes span.
+    /// The leaves of one search — a full one, or the differential pass
+    /// pivoted on an atom of `pivot`'s instance — in the order they come.
+    fn leaves(
+        query: &ConjunctiveQuery,
+        full: &Instance,
+        pivot: Option<(usize, &Instance)>,
+        fixed: &Valuation,
+        opts: EvalOptions,
+    ) -> Vec<Vec<Value>> {
+        let compiled = CompiledQuery::new(query);
+        let mut leaves = Vec::new();
+        let _ = compiled.search(full, pivot, compiled.bind(fixed), opts, |slots| {
+            leaves.push(slots.iter().map(|value| value.unwrap()).collect());
+            ControlFlow::Continue(())
+        });
+        leaves
+    }
+
+    /// Both kernels, under both atom orders of the scan oracle.
     fn all_options() -> [EvalOptions; 4] {
+        let options = |ordering, use_indexes| EvalOptions {
+            ordering,
+            use_indexes,
+        };
         [
-            EvalOptions {
-                ordering: JoinOrdering::CostAware,
-                use_indexes: true,
-                ..EvalOptions::default()
-            },
-            EvalOptions {
-                ordering: JoinOrdering::CostAware,
-                use_indexes: false,
-                ..EvalOptions::default()
-            },
-            EvalOptions {
-                ordering: JoinOrdering::Naive,
-                use_indexes: true,
-                ..EvalOptions::default()
-            },
+            options(JoinOrdering::CostAware, true),
+            options(JoinOrdering::CostAware, false),
+            options(JoinOrdering::Naive, true),
             EvalOptions::scan_naive(),
         ]
     }
@@ -1291,62 +1207,71 @@ mod tests {
         let query = q("T(x, z) :- R(x, y), S(y, z).");
         let i = parse_instance("R(a, b). R(b, c). S(b, c). S(c, d).").unwrap();
         for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-            // even an explicit Multiway request must fall back to the scan
-            // join rather than build the indexes it was told not to use
-            for join_strategy in [
-                JoinStrategy::Binary,
-                JoinStrategy::Multiway,
-                JoinStrategy::Auto,
-            ] {
-                let opts = EvalOptions {
-                    ordering,
-                    use_indexes: false,
-                    join_strategy,
-                    ..EvalOptions::default()
-                };
-                let vals = satisfying_valuations_with(&query, &i, &Valuation::new(), opts);
-                assert!(!vals.is_empty());
-                assert!(
-                    !i.indexes_built(),
-                    "{ordering:?}/{join_strategy:?} with use_indexes: false must not touch the indexes"
-                );
-            }
+            let opts = EvalOptions {
+                ordering,
+                use_indexes: false,
+            };
+            let vals = satisfying_valuations_with(&query, &i, &Valuation::new(), opts);
+            assert!(!vals.is_empty());
+            let step = evaluate_seminaive_step_with(&query, &i, &i, opts);
+            assert_eq!(step, evaluate(&query, &i.clone()));
+            assert_eq!(
+                i.cached_orders(),
+                0,
+                "{ordering:?} with use_indexes: false must not build a sorted order"
+            );
         }
     }
 
     #[test]
     fn multiway_never_builds_the_posting_index() {
+        // There is none to build: the sorted orders are all the kernel
+        // reads and all an instance caches — one for `E(x, y)` and
+        // `E(y, z)`, one for `E(z, x)`, whose `x` is bound first.
         let query = q("T(x, y, z) :- E(x, y), E(y, z), E(z, x).");
-        let i = parse_instance("E(a, b). E(b, c). E(c, a). E(a, d).").unwrap();
         for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-            for join_strategy in [JoinStrategy::Multiway, JoinStrategy::Auto] {
-                let opts = EvalOptions {
-                    ordering,
-                    join_strategy,
-                    ..EvalOptions::default()
-                };
-                assert_eq!(opts.resolved_strategy(&query), JoinStrategy::Multiway);
-                assert_eq!(evaluate_with(&query, &i, opts).len(), 3);
-                assert!(!i.indexes_built(), "the multiway join walks sorted orders");
-            }
+            let i = parse_instance("E(a, b). E(b, c). E(c, a). E(a, d).").unwrap();
+            let opts = EvalOptions {
+                ordering,
+                ..EvalOptions::default()
+            };
+            assert_eq!(evaluate_with(&query, &i, opts).len(), 3);
+            assert_eq!(evaluate_with(&query, &i, opts).len(), 3);
+            assert_eq!(i.cached_orders(), 2, "the triejoin walks sorted orders");
         }
     }
 
     #[test]
     fn auto_strategy_resolves_by_cyclicity() {
+        // No rule is left to resolve: cyclic or not, a query runs the
+        // triejoin — seen by the orders it leaves on the instance — and
+        // `use_indexes: false` alone selects the scan oracle, which leaves
+        // none, whatever the query.
         let triangle = q("T(x, y, z) :- E(x, y), E(y, z), E(z, x).");
-        let chain = q("T(x, z) :- R(x, y), R(y, z).");
-        let opts = EvalOptions::default();
-        assert_eq!(opts.resolved_strategy(&triangle), JoinStrategy::Multiway);
-        assert_eq!(opts.resolved_strategy(&chain), JoinStrategy::Binary);
-        let forced = opts.with_join_strategy(JoinStrategy::Multiway);
-        assert_eq!(forced.resolved_strategy(&chain), JoinStrategy::Multiway);
-        let scan = EvalOptions::scan_naive().with_join_strategy(JoinStrategy::Multiway);
-        assert_eq!(
-            scan.resolved_strategy(&triangle),
-            JoinStrategy::Binary,
-            "the scan oracle never runs the multiway kernel"
-        );
+        let chain = q("T(x, z) :- E(x, y), E(y, z).");
+        for query in [&triangle, &chain] {
+            for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
+                let i = parse_instance("E(a, b). E(b, c). E(c, a). E(a, d). E(b, a).").unwrap();
+                let scan = EvalOptions {
+                    ordering,
+                    use_indexes: false,
+                };
+                assert_eq!(scan.kernel(), "binary");
+                let mut scanned = leaves(query, &i, None, &Valuation::new(), scan);
+                assert_eq!(i.cached_orders(), 0, "{query}: the oracle builds no order");
+                let indexed = EvalOptions {
+                    ordering,
+                    use_indexes: true,
+                };
+                assert_eq!(indexed.kernel(), "multiway");
+                let mut walked = leaves(query, &i, None, &Valuation::new(), indexed);
+                assert_eq!(i.cached_orders(), 2, "{query}: the triejoin walks orders");
+                assert!(walked.len() >= 3, "{query}");
+                walked.sort();
+                scanned.sort();
+                assert_eq!(walked, scanned, "{query}");
+            }
+        }
     }
 
     #[test]
@@ -1368,22 +1293,15 @@ mod tests {
                 satisfying_valuations_with(query, &i, &Valuation::new(), EvalOptions::scan_naive())
                     .into_iter()
                     .collect();
-            for base in all_options() {
-                for strategy in [
-                    JoinStrategy::Binary,
-                    JoinStrategy::Multiway,
-                    JoinStrategy::Auto,
-                ] {
-                    let opts = base.with_join_strategy(strategy);
-                    let got: BTreeSet<_> =
-                        satisfying_valuations_with(query, &i, &Valuation::new(), opts)
-                            .into_iter()
-                            .collect();
-                    assert_eq!(
-                        got, reference,
-                        "{query}: {opts:?} disagrees with scan/naive"
-                    );
-                }
+            for opts in all_options() {
+                let got: BTreeSet<_> =
+                    satisfying_valuations_with(query, &i, &Valuation::new(), opts)
+                        .into_iter()
+                        .collect();
+                assert_eq!(
+                    got, reference,
+                    "{query}: {opts:?} disagrees with scan/naive"
+                );
             }
         }
     }
@@ -1392,7 +1310,7 @@ mod tests {
     fn multiway_respects_fixed_bindings() {
         let query = q("T(x, y, z) :- E(x, y), E(y, z), E(z, x).");
         let i = parse_instance("E(a, b). E(b, c). E(c, a). E(a, d).").unwrap();
-        let opts = EvalOptions::default().with_join_strategy(JoinStrategy::Multiway);
+        let opts = EvalOptions::default();
         let fixed = Valuation::from_names([("x", "a")]);
         let vals = satisfying_valuations_with(&query, &i, &fixed, opts);
         assert_eq!(vals.len(), 1);
@@ -1409,7 +1327,7 @@ mod tests {
     fn multiway_early_termination_stops_the_search() {
         let query = q("T(x, y, z) :- E(x, y), E(y, z), E(z, x).");
         let i = parse_instance("E(a, b). E(b, c). E(c, a).").unwrap();
-        let opts = EvalOptions::default().with_join_strategy(JoinStrategy::Multiway);
+        let opts = EvalOptions::default();
         let mut count = 0;
         let flow = for_each_satisfying(&query, &i, &Valuation::new(), opts, |_| {
             count += 1;
@@ -1417,45 +1335,6 @@ mod tests {
         });
         assert_eq!(count, 1);
         assert_eq!(flow, ControlFlow::Break(()));
-    }
-
-    #[test]
-    fn adaptive_reordering_matches_static_order_results() {
-        let queries = [
-            q("T(x, w) :- R(x, y), S(y, z), R(z, w)."),
-            q("T(x, z) :- R(x, y), R(y, z), R(x, x)."),
-            q("T(x, y, z) :- E(x, y), E(y, z), E(z, x)."),
-        ];
-        let i = parse_instance(
-            "R(a, b). R(b, c). R(c, d). R(d, a). R(a, a). S(b, c). S(c, d). S(d, b). S(a, a). \
-             E(a, b). E(b, c). E(c, a). E(a, d).",
-        )
-        .unwrap();
-        for query in &queries {
-            for use_indexes in [true, false] {
-                let bare = EvalOptions {
-                    use_indexes,
-                    adaptive_factor: 0,
-                    join_strategy: JoinStrategy::Binary,
-                    ..EvalOptions::default()
-                };
-                // factor 1 re-ranks on any divergence — the most aggressive
-                // setting, and still only a permutation of the search
-                let eager = EvalOptions {
-                    adaptive_factor: 1,
-                    ..bare
-                };
-                let static_vals: BTreeSet<_> =
-                    satisfying_valuations_with(query, &i, &Valuation::new(), bare)
-                        .into_iter()
-                        .collect();
-                let adaptive_vals: BTreeSet<_> =
-                    satisfying_valuations_with(query, &i, &Valuation::new(), eager)
-                        .into_iter()
-                        .collect();
-                assert_eq!(adaptive_vals, static_vals, "{query}: adaptive diverged");
-            }
-        }
     }
 
     #[test]
@@ -1468,29 +1347,40 @@ mod tests {
         }
         text.push_str("S(b0, c0).");
         let i = parse_instance(&text).unwrap();
-        let order = atom_order(&query, &i, &Valuation::new(), EvalOptions::default(), None);
+        let order = atom_order(&query, &i, &Valuation::new(), JoinOrdering::CostAware, None);
         assert_eq!(order[0], 1, "the selective S atom must be matched first");
+        let order = atom_order(&query, &i, &Valuation::new(), JoinOrdering::Naive, None);
+        assert_eq!(order, [0, 1], "naive ordering keeps source order");
     }
 
     #[test]
     fn cost_aware_order_ties_break_to_source_order() {
         let query = q("T(x, z) :- R(x, y), R(y, z).");
         let i = parse_instance("R(a, b). R(b, c).").unwrap();
-        let order = atom_order(&query, &i, &Valuation::new(), EvalOptions::default(), None);
+        let order = atom_order(&query, &i, &Valuation::new(), JoinOrdering::CostAware, None);
         assert_eq!(order, vec![0, 1]);
     }
 
     #[test]
     fn known_fixed_values_use_exact_posting_counts() {
-        // With x pre-bound to a value that occurs once in R but S unbound,
-        // the R atom becomes cheapest even though R is larger.
+        // A pre-bound value's run in a sorted order is its posting list: the
+        // triejoin narrows the atoms that carry it to that run before the
+        // search starts, so the search reads what matches — here one R row
+        // of 2 000 and its one S partner — and never the rest.
         let query = q("T(x, z) :- S(y, z), R(x, y).");
-        let i = parse_instance(
-            "R(a, b). R(c, d). R(e, f). S(b, u). S(d, u). S(f, u). S(g, u). S(h, u).",
-        )
-        .unwrap();
-        let fixed = Valuation::from_names([("x", "a")]);
-        let order = atom_order(&query, &i, &fixed, EvalOptions::default(), None);
+        let names = (0..2000).map(|i| format!("R(a{i}, b{i}). S(b{i}, u{}).", i % 7));
+        let i = parse_instance(&names.collect::<String>()).unwrap();
+        let fixed = Valuation::from_names([("x", "a1234")]);
+        let _ = leaves(&query, &i, None, &fixed, EvalOptions::default()); // builds the orders
+        let mut found = Vec::new();
+        let reads = values_read(|| {
+            found = leaves(&query, &i, None, &fixed, EvalOptions::default());
+        });
+        assert_eq!(found.len(), 1);
+        assert!(reads < 200, "{reads} values read for one match among 2 000");
+        // The scan oracle's planner has no index to ask: a known value
+        // counts as a bound argument, which is enough to start at R.
+        let order = atom_order(&query, &i, &fixed, JoinOrdering::CostAware, None);
         assert_eq!(order[0], 1, "the pre-bound R atom must be matched first");
     }
 
@@ -1596,12 +1486,201 @@ mod tests {
     }
 
     #[test]
+    fn a_differential_pass_costs_in_proportion_to_the_delta() {
+        // Three relations of 3 000 rows each, chained one to one — except
+        // for a hub: 50 R-rows end in `bh`, 50 Q-rows start at `ch`. One
+        // delta fact per relation, so every pivot has a pass to run.
+        let query = q("T(x, w) :- R(x, y), S(y, z), Q(z, w).");
+        let mut text: String = (0..3000)
+            .map(|i| format!("R(a{i}, b{i}). S(b{i}, c{i}). Q(c{i}, d{i}). "))
+            .collect();
+        text.extend((0..50).map(|i| format!("R(ha{i}, bh). Q(ch, hd{i}). ")));
+        text.push_str("S(bh, ch).");
+        let full = parse_instance(&text).unwrap();
+        let opts = EvalOptions::default();
+        for (delta, matches) in [
+            ("R(a5, b5). S(b9, c9). Q(c11, d11).", 1),
+            ("R(ha7, bh). S(bh, ch). Q(ch, hd7).", 50 * 50),
+        ] {
+            let delta = parse_instance(delta).unwrap();
+            assert!(full.contains_all(&delta));
+            for pivot in 0..3 {
+                let pass = Some((pivot, &delta));
+                let scanned = leaves(
+                    &query,
+                    &full,
+                    pass,
+                    &Valuation::new(),
+                    EvalOptions::scan_naive(),
+                );
+                let mut walked = leaves(&query, &full, pass, &Valuation::new(), opts); // builds the orders
+                let reads = values_read(|| {
+                    walked = leaves(&query, &full, pass, &Valuation::new(), opts);
+                });
+                assert!(walked.len() <= matches && !walked.is_empty());
+                assert_eq!(
+                    walked.iter().collect::<BTreeSet<_>>(),
+                    scanned.iter().collect::<BTreeSet<_>>(),
+                    "pivot {pivot}"
+                );
+                // A few gallops of ≈ 2 log₂ 3 000 reads to find the delta
+                // fact's partners, then about one read a leaf.
+                let budget = 4 * walked.len() as u64 + 400;
+                assert!(
+                    reads <= budget,
+                    "pivot {pivot}: {reads} values read for {} leaves over {} facts",
+                    walked.len(),
+                    full.len()
+                );
+            }
+        }
+    }
+
+    /// xorshift64: the seeded source of the random differential below.
+    struct Random(u64);
+
+    impl Random {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % bound as u64) as usize
+        }
+    }
+
+    /// The relations of the random differential, by arity; the binary ones
+    /// twice, for more cycles.
+    const RELATIONS: [(&str, usize); 7] = [
+        ("N", 0),
+        ("U", 1),
+        ("R", 2),
+        ("S", 2),
+        ("R", 2),
+        ("S", 2),
+        ("W", 3),
+    ];
+
+    /// A random safe query of 1 to 5 atoms over [`RELATIONS`] and 4
+    /// variables: acyclic or cyclic, variables repeated inside atoms.
+    fn random_query(random: &mut Random) -> ConjunctiveQuery {
+        let vars = ["x", "y", "z", "w"];
+        let mut used: Vec<&str> = Vec::new();
+        let body: Vec<String> = (0..1 + random.below(5))
+            .map(|_| {
+                let (relation, arity) = RELATIONS[random.below(RELATIONS.len())];
+                let args: Vec<&str> = (0..arity).map(|_| vars[random.below(4)]).collect();
+                used.extend(&args);
+                format!("{relation}({})", args.join(", "))
+            })
+            .collect();
+        used.sort_unstable();
+        used.dedup();
+        used.retain(|_| random.below(3) > 0);
+        q(&format!("T({}) :- {}.", used.join(", "), body.join(", ")))
+    }
+
+    /// Up to `facts` random facts over [`RELATIONS`] and 4 values, one in
+    /// eight of another arity than its relation's.
+    fn random_instance(random: &mut Random, facts: usize) -> Instance {
+        Instance::from_facts((0..random.below(facts + 1)).map(|_| {
+            let (relation, arity) = RELATIONS[random.below(RELATIONS.len())];
+            let arity = if random.below(8) == 0 {
+                random.below(4)
+            } else {
+                arity
+            };
+            let values = (0..arity).map(|_| Value::indexed("r", random.below(4)));
+            Fact::new(relation, values.collect::<Vec<_>>())
+        }))
+    }
+
+    #[test]
+    fn triejoin_equals_the_scan_oracle_on_random_queries_and_instances() {
+        let mut random = Random(0x5EED_2015);
+        let (mut cyclic, mut satisfied, mut stepped) = (0, 0, 0);
+        for round in 0..600 {
+            let query = random_query(&mut random);
+            cyclic += usize::from(!crate::is_acyclic(&query));
+            let old = random_instance(&mut random, 30);
+            let delta = random_instance(&mut random, 8);
+            let full = old.union(&delta);
+            // a full search, free and under a random pre-bound valuation
+            let compiled = CompiledQuery::new(&query);
+            let mut fixed = Valuation::new();
+            for &var in compiled.variables() {
+                if random.below(4) == 0 {
+                    fixed.bind(var, Value::indexed("r", random.below(5)));
+                }
+            }
+            for fixed in [Valuation::new(), fixed] {
+                let scanned = leaves(&query, &full, None, &fixed, EvalOptions::scan_naive());
+                let walked = leaves(&query, &full, None, &fixed, EvalOptions::default());
+                // lexicographically ascending in the plan's variable order
+                let plan = TriePlan::new(&compiled, &compiled.bind(&fixed), None);
+                let in_order = |leaf: &Vec<Value>| -> Vec<Value> {
+                    plan.depths.iter().map(|depth| leaf[depth.slot]).collect()
+                };
+                let ordered: Vec<Vec<Value>> = walked.iter().map(in_order).collect();
+                assert!(
+                    ordered.windows(2).all(|pair| pair[0] < pair[1]),
+                    "round {round}: {query} on {full} under {fixed}: {walked:?}"
+                );
+                assert_eq!(
+                    walked.iter().collect::<BTreeSet<_>>(),
+                    scanned.iter().collect::<BTreeSet<_>>(),
+                    "round {round}: {query} on {full} under {fixed}"
+                );
+                satisfied += usize::from(!walked.is_empty());
+            }
+            // every pivot of a differential step, and the step's law
+            for pivot in 0..query.body_size() {
+                let pass = Some((pivot, &delta));
+                let scanned = leaves(
+                    &query,
+                    &full,
+                    pass,
+                    &Valuation::new(),
+                    EvalOptions::scan_naive(),
+                );
+                let walked = leaves(
+                    &query,
+                    &full,
+                    pass,
+                    &Valuation::new(),
+                    EvalOptions::default(),
+                );
+                assert_eq!(
+                    walked.len(),
+                    walked.iter().collect::<BTreeSet<_>>().len(),
+                    "round {round}: {query}, pivot {pivot}: a leaf twice"
+                );
+                assert_eq!(
+                    walked.iter().collect::<BTreeSet<_>>(),
+                    scanned.iter().collect::<BTreeSet<_>>(),
+                    "round {round}: {query}, pivot {pivot}, {delta} into {full}"
+                );
+                stepped += usize::from(!walked.is_empty());
+            }
+            let step = evaluate_seminaive_step(&query, &full, &delta);
+            assert_eq!(
+                evaluate(&query, &old).union(&step),
+                evaluate_with(&query, &full, EvalOptions::scan_naive()),
+                "round {round}: {query}, {delta} into {old}"
+            );
+        }
+        assert!(
+            cyclic > 20 && satisfied > 200 && stepped > 200,
+            "{cyclic} cyclic queries, {satisfied} searches and {stepped} passes with a leaf"
+        );
+    }
+
+    #[test]
     fn forced_first_atom_order_is_a_permutation() {
         let query = q("T(x, w) :- R(x, y), S(y, z), R(z, w).");
         let i = parse_instance("R(a, b). S(b, c). R(c, d).").unwrap();
-        for opts in all_options() {
+        for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
             for first in 0..query.body_size() {
-                let order = atom_order(&query, &i, &Valuation::new(), opts, Some(first));
+                let order = atom_order(&query, &i, &Valuation::new(), ordering, Some(first));
                 assert_eq!(order[0], first);
                 let mut sorted = order.clone();
                 sorted.sort_unstable();

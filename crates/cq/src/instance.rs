@@ -1,152 +1,92 @@
-//! Database instances: finite sets of facts with per-relation indexes.
+//! Database instances: finite sets of facts with per-relation sorted orders.
 
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex};
 
 use crate::fact::{Fact, Tuple};
-use crate::intern::{Symbol, SymbolMap};
+use crate::intern::Symbol;
 use crate::schema::Schema;
 use crate::value::Value;
 
-/// Secondary hash index for one relation: for every argument position, a map
-/// from data value to the (sorted, ascending) positions in the relation's
-/// fact vector whose tuple carries that value at that position.
-///
-/// Facts shorter than a position simply do not appear in that position's
-/// map, so mixed-arity (ill-formed) relations index safely; the evaluator
-/// re-checks arity when matching.
-#[derive(Debug, Default)]
-struct RelationIndex {
-    by_position: Vec<SymbolMap<Value, Vec<u32>>>,
-}
-
-impl RelationIndex {
-    /// Appends one fact's postings for the row that is about to be pushed at
-    /// the end of the relation's fact vector. Because `row` is larger than
-    /// every row already indexed, pushing keeps the posting lists sorted —
-    /// this is what makes insertion maintain the index instead of
-    /// invalidating it.
-    fn append(&mut self, row: u32, fact: &Fact) {
-        if fact.arity() > self.by_position.len() {
-            self.by_position
-                .resize_with(fact.arity(), SymbolMap::default);
-        }
-        for (position, &value) in fact.values.iter().enumerate() {
-            self.by_position[position]
-                .entry(value)
-                .or_default()
-                .push(row);
-        }
-    }
-
-    fn build(facts: &[Fact]) -> RelationIndex {
-        let max_arity = facts.iter().map(Fact::arity).max().unwrap_or(0);
-        let mut by_position: Vec<SymbolMap<Value, Vec<u32>>> = Vec::with_capacity(max_arity);
-        by_position.resize_with(max_arity, SymbolMap::default);
-        for (row, fact) in facts.iter().enumerate() {
-            let row = u32::try_from(row).expect("relation larger than u32::MAX facts");
-            for (position, &value) in fact.values.iter().enumerate() {
-                by_position[position].entry(value).or_default().push(row);
-            }
-        }
-        RelationIndex { by_position }
-    }
-
-    fn posting(&self, position: usize, value: Value) -> &[u32] {
-        self.by_position
-            .get(position)
-            .and_then(|m| m.get(&value))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    fn distinct_values_at(&self, position: usize) -> usize {
-        self.by_position.get(position).map_or(0, SymbolMap::len)
-    }
-}
-
-/// One relation of an instance, resolved once: its rows and — on the first
-/// probe — its secondary index. The join kernel takes one view per body atom,
-/// so a posting lookup inside the search is a single hash probe instead of
-/// the `OnceLock` → relation map → position map walk of
-/// [`Instance::posting`]. The index is resolved lazily so an evaluation that
-/// never probes (a single-atom scan, the pivot of a semi-naive pass) never
-/// builds one.
-pub(crate) struct RelationView<'a> {
-    /// The relation's rows ([`Instance::facts_of`]).
-    pub(crate) facts: &'a [Fact],
-    /// Where the index comes from; `None` for index-free evaluation.
-    source: Option<(&'a Instance, Symbol)>,
-    index: Cell<Option<&'a RelationIndex>>,
-}
-
-impl<'a> RelationView<'a> {
-    /// Whether the view may be probed; an unindexed view is scanned.
-    pub(crate) fn is_indexed(&self) -> bool {
-        self.source.is_some()
-    }
-
-    fn index(&self) -> Option<&'a RelationIndex> {
-        if self.index.get().is_none() && !self.facts.is_empty() {
-            if let Some((instance, relation)) = self.source {
-                self.index.set(instance.indexes().get(&relation));
-            }
-        }
-        self.index.get()
-    }
-
-    /// [`Instance::posting`] for this relation.
-    pub(crate) fn posting(&self, position: usize, value: Value) -> &'a [u32] {
-        self.index()
-            .map_or(&[], |index| index.posting(position, value))
-    }
-
-    /// [`Instance::distinct_values_at`] for this relation.
-    pub(crate) fn distinct_values_at(&self, position: usize) -> usize {
-        self.index()
-            .map_or(0, |index| index.distinct_values_at(position))
-    }
-}
-
 /// One relation's rows of one arity, their columns permuted and the rows
 /// sorted lexicographically, laid out flat and row-major: the trie the
-/// multiway join walks. Column `c` holds argument position `columns[c]`, so
+/// join kernel walks. Column `c` holds argument position `columns[c]`, so
 /// the rows agreeing on their first `c` columns are one contiguous range in
 /// which column `c` ascends.
+#[derive(Clone)]
 pub(crate) struct SortedOrder {
     relation: Symbol,
     columns: Box<[usize]>,
+    /// How many of the relation's rows ([`Instance::facts_of`], of any
+    /// arity) are in the order or were passed over: rows are only ever
+    /// appended between two `remove`s, so the rest is what it lacks.
+    covered: usize,
     /// Kept apart from `values`: a nullary row has none.
     rows: usize,
     values: Vec<Value>,
 }
 
 impl SortedOrder {
-    fn build(relation: Symbol, columns: &[usize], facts: &[Fact]) -> SortedOrder {
-        let arity = columns.len();
-        let mut values = Vec::with_capacity(arity * facts.len());
-        let mut rows = 0;
-        // A fact only matches an atom of its own arity.
-        for fact in facts.iter().filter(|fact| fact.arity() == arity) {
-            values.extend(columns.iter().map(|&position| fact.values[position]));
-            rows += 1;
-        }
-        // The identity order over bulk-built rows is sorted as it stands.
-        if arity > 0 && !values.chunks_exact(arity).is_sorted() {
-            let mut sorted: Vec<&[Value]> = values.chunks_exact(arity).collect();
-            sorted.sort_unstable();
-            values = sorted.concat();
-        }
+    fn new(relation: Symbol, columns: &[usize]) -> SortedOrder {
         SortedOrder {
             relation,
             columns: columns.into(),
-            rows,
-            values,
+            covered: 0,
+            rows: 0,
+            values: Vec::new(),
+        }
+    }
+
+    /// Takes in the rows of `facts` past the covered ones: only they are
+    /// sorted, and one pass from the back merges them in place.
+    fn catch_up(&mut self, facts: &[Fact]) {
+        let arity = self.columns.len();
+        let mut fresh = Vec::with_capacity(arity * (facts.len() - self.covered));
+        // A fact only matches an atom of its own arity.
+        for fact in facts[self.covered..].iter().filter(|f| f.arity() == arity) {
+            fresh.extend(self.columns.iter().map(|&position| fact.values[position]));
+            self.rows += 1;
+        }
+        self.covered = facts.len();
+        if arity == 0 || fresh.is_empty() {
+            return;
+        }
+        // The identity order over bulk-built rows is sorted as it stands.
+        if !fresh.chunks_exact(arity).is_sorted() {
+            let mut sorted: Vec<&[Value]> = fresh.chunks_exact(arity).collect();
+            sorted.sort_unstable();
+            fresh = sorted.concat();
+        }
+        if self.values.is_empty() {
+            self.values = fresh;
+            return;
+        }
+        // `values[..old]` is still to merge, `values[merged..]` is final,
+        // and the gap between them is as wide as the fresh rows still to
+        // place. No two rows are equal: facts are distinct.
+        let mut old = self.values.len();
+        self.values.resize(old + fresh.len(), fresh[0]);
+        let mut merged = self.values.len();
+        for row in fresh.chunks_exact(arity).rev() {
+            // The old rows above `row` move up as one block.
+            let (mut lo, mut hi) = (0, old / arity);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.values[mid * arity..][..arity] < *row {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let above = lo * arity..old;
+            merged -= above.len();
+            old = above.start;
+            self.values.copy_within(above, merged);
+            merged -= arity;
+            self.values[merged..][..arity].copy_from_slice(row);
         }
     }
 
@@ -166,19 +106,11 @@ impl SortedOrder {
     }
 }
 
-/// One cached [`SortedOrder`] and the link to the next: an append-only list,
-/// so an order handed out stays put while later ones are added through
-/// `&self`.
-struct OrderNode {
-    order: SortedOrder,
-    next: OnceLock<Box<OrderNode>>,
-}
-
 /// One relation's facts: the rows behind [`Instance::facts_of`].
 #[derive(Clone, Default)]
 struct Relation {
-    /// Append-only between two `remove`s, so the row ids in the posting
-    /// lists stay valid while the relation grows.
+    /// Append-only between two `remove`s, so a sorted order that covers a
+    /// prefix stays valid while the relation grows.
     rows: Vec<Fact>,
     /// `rows[..sorted]` is strictly ascending; the rows past it arrived out
     /// of order and are also in [`Instance::late`].
@@ -198,22 +130,19 @@ struct Relation {
 /// `facts()` merges in: iteration order, equality, ordering, hashing and the
 /// wire bytes depend on the fact set alone, never on how it was built.
 ///
-/// Per-relation secondary hash indexes keyed by `(argument position,
-/// value)`, built lazily on first use, let the evaluator retrieve only the
-/// candidate facts matching a partially bound atom. Insertion maintains
-/// built indexes incrementally (appended row ids keep the posting lists
-/// sorted); `remove` invalidates them, and they are rebuilt in one pass on
-/// the next indexed lookup.
+/// The join kernel does not read the rows: it walks *sorted column orders*
+/// — a relation's rows of one arity with the columns permuted into the order
+/// the search binds them, sorted, flat (4·arity bytes a row) — the one index
+/// an instance has. Each asked-for `(relation, column order)` is built on
+/// first use and **kept as the instance grows**: an order remembers how many
+/// of its relation's rows it covers, and the next evaluation catches it up
+/// by sorting only the rows added since and merging them in one pass, so
+/// the index work of one round of an iterated evaluation is reused by every
+/// later one. `remove` drops every order (the rows behind the removed one
+/// move up); they are rebuilt on the next use.
 ///
-/// The multiway join reads neither: it walks *sorted column orders* — a
-/// relation's rows of one arity with the columns permuted into the order
-/// the search binds them, sorted, flat (4·arity bytes a row). Each asked-for
-/// `(relation, column order)` is built once, on first use, and cached; any
-/// change of the fact set — an `insert` that adds a fact, any `remove` —
-/// drops every cached order, so none can be observed stale.
-///
-/// Both caches are invisible: clones start without them, and equality,
-/// order, hash, `Display` and the wire codec read the fact set only.
+/// The orders are invisible: clones start without them, and equality, order,
+/// hash, `Display` and the wire codec read the fact set only.
 #[derive(Default)]
 pub struct Instance {
     relations: BTreeMap<Symbol, Relation>,
@@ -221,19 +150,15 @@ pub struct Instance {
     /// unless facts were inserted out of order.
     late: BTreeSet<Fact>,
     len: usize,
-    indexes: OnceLock<BTreeMap<Symbol, RelationIndex>>,
-    /// How many times the secondary indexes were built from scratch over
-    /// this instance's lifetime — the regression counter behind
-    /// [`Instance::index_builds`]. Atomic because lazily building through
-    /// `&self` must stay `Sync`.
-    index_builds: AtomicU64,
-    /// The sorted column orders asked for since the fact set last changed.
-    orders: OnceLock<Box<OrderNode>>,
+    /// The sorted column orders asked for since the last `remove`, one per
+    /// `(relation, column order)`. Behind a lock because they are built and
+    /// caught up through `&self`; an evaluation holds on to the ones it
+    /// walks, and nothing can grow the instance while it does.
+    orders: Mutex<Vec<Arc<SortedOrder>>>,
 }
 
-// The secondary indexes and the sorted orders are caching layers: they are
-// never cloned (the clone rebuilds lazily if and when it evaluates
-// queries). The build counter restarts with the fresh cache.
+// The sorted orders are a caching layer: they are never cloned (the clone
+// rebuilds lazily if and when it evaluates queries).
 impl Clone for Instance {
     fn clone(&self) -> Instance {
         Instance {
@@ -385,13 +310,11 @@ impl Instance {
     /// new fact that arrives out of order is appended all the same (rows
     /// never move) and remembered in the side set.
     ///
-    /// If the secondary indexes are already built, they are **maintained
-    /// incrementally**: the new fact is appended to the per-position posting
-    /// lists (which stay sorted, because the new row id is the largest), so
-    /// growing an instance — the hot path of delta-driven multi-round
-    /// evaluation — never throws away index work. Only [`Instance::remove`]
-    /// still invalidates. The sorted column orders of the multiway join are
-    /// not maintained: a fact that is added drops them.
+    /// The sorted column orders stay: rows are only ever appended, so an
+    /// order built before the insert covers a prefix of them and is caught
+    /// up by the next evaluation — growing an instance, the hot path of
+    /// delta-driven multi-round evaluation, never throws away index work.
+    /// Only [`Instance::remove`] drops them.
     pub fn insert(&mut self, fact: Fact) -> bool {
         self.insert_cow(Cow::Owned(fact))
     }
@@ -413,21 +336,15 @@ impl Instance {
         {
             return false;
         }
-        if let Some(indexes) = self.indexes.get_mut() {
-            let row = u32::try_from(relation.rows.len()).expect("relation larger than u32::MAX");
-            indexes.entry(fact.relation).or_default().append(row, &fact);
-        }
         relation.rows.push(fact.into_owned());
         self.len += 1;
-        self.orders = OnceLock::new();
         true
     }
 
     /// Removes a fact. Returns `true` if it was present.
     ///
-    /// Invalidates the secondary indexes (the rows behind it move up) and the
-    /// sorted orders. The scan starts at the back, where an undo finds what
-    /// it just inserted.
+    /// Drops the sorted orders (the rows behind the fact move up). The scan
+    /// starts at the back, where an undo finds what it just inserted.
     pub fn remove(&mut self, fact: &Fact) -> bool {
         let Some(relation) = self.relations.get_mut(&fact.relation) else {
             return false;
@@ -442,99 +359,40 @@ impl Instance {
             self.late.remove(fact);
         }
         self.len -= 1;
-        self.invalidate_indexes();
-        self.orders = OnceLock::new();
+        self.orders = Mutex::default();
         true
     }
 
-    /// Drops the lazily built secondary indexes; the next indexed lookup
-    /// rebuilds them from the current fact set.
-    fn invalidate_indexes(&mut self) {
-        self.indexes = OnceLock::new();
-    }
-
-    /// The secondary indexes, building them on first use.
-    fn indexes(&self) -> &BTreeMap<Symbol, RelationIndex> {
-        self.indexes.get_or_init(|| {
-            self.index_builds.fetch_add(1, Relaxed);
-            self.relations
-                .iter()
-                .map(|(&rel, relation)| (rel, RelationIndex::build(&relation.rows)))
-                .collect()
-        })
-    }
-
-    /// Whether the secondary indexes are currently built (test/diagnostic
-    /// hook; lookups build them transparently).
-    pub fn indexes_built(&self) -> bool {
-        self.indexes.get().is_some()
-    }
-
-    /// How many times this instance built its secondary indexes from
-    /// scratch (incremental insert maintenance does not count; `remove`
-    /// invalidates, so the next lookup counts again). Regression tests pin
-    /// this to catch code that rebuilds per candidate instead of reusing a
-    /// warm instance; clones restart at 0.
-    pub fn index_builds(&self) -> u64 {
-        self.index_builds.load(Relaxed)
-    }
-
-    /// The sorted positions (into [`Instance::facts_of`]) of the facts of
-    /// `relation` whose tuple has `value` at argument position `position`.
-    ///
-    /// Builds the secondary index for the instance on first use. Facts
-    /// shorter than `position` never appear in the posting list.
-    pub fn posting(&self, relation: Symbol, position: usize, value: Value) -> &[u32] {
-        self.indexes()
-            .get(&relation)
-            .map(|idx| idx.posting(position, value))
-            .unwrap_or(&[])
-    }
-
-    /// The rows of `relation` with (when `indexed`) lazy access to its
-    /// secondary index, resolved once for a whole evaluation.
-    pub(crate) fn view(&self, relation: Symbol, indexed: bool) -> RelationView<'_> {
-        RelationView {
-            facts: self.facts_of(relation),
-            source: indexed.then_some((self, relation)),
-            index: Cell::new(None),
-        }
-    }
-
     /// The rows of `relation` with as many values as `columns` has entries,
-    /// column `c` holding argument position `columns[c]`, sorted — built on
-    /// first use and shared by every later caller (from any thread) until
-    /// the fact set changes.
-    pub(crate) fn sorted_order(&self, relation: Symbol, columns: &[usize]) -> &SortedOrder {
-        let mut link = &self.orders;
-        loop {
-            // Losing the race for the end of the list hands back the
-            // winner's node, which is checked like any other.
-            let node = link.get_or_init(|| {
-                let order = SortedOrder::build(relation, columns, self.facts_of(relation));
-                let next = OnceLock::new();
-                Box::new(OrderNode { order, next })
-            });
-            if node.order.relation == relation && *node.order.columns == *columns {
-                return &node.order;
-            }
-            link = &node.next;
+    /// column `c` holding argument position `columns[c]`, sorted: built on
+    /// first use, caught up with the rows added since the last, and shared
+    /// by every caller (from any thread; the lock is held while an order is
+    /// built, so it is built once).
+    pub(crate) fn sorted_order(&self, relation: Symbol, columns: &[usize]) -> Arc<SortedOrder> {
+        let facts = self.facts_of(relation);
+        let mut orders = self.orders.lock().expect("no order is left half built");
+        let cached = orders
+            .iter()
+            .position(|order| order.relation == relation && *order.columns == *columns);
+        let at = cached.unwrap_or_else(|| {
+            orders.push(Arc::new(SortedOrder::new(relation, columns)));
+            orders.len() - 1
+        });
+        if orders[at].covered < facts.len() {
+            // Whoever held the order before the instance grew is gone: this
+            // changes it in place.
+            Arc::make_mut(&mut orders[at]).catch_up(facts);
         }
+        Arc::clone(&orders[at])
     }
 
-    /// The number of facts of `relation` with `value` at `position`
-    /// (posting-list length; exact, not an estimate).
-    pub fn count_matching(&self, relation: Symbol, position: usize, value: Value) -> usize {
-        self.posting(relation, position, value).len()
-    }
-
-    /// The number of distinct values occurring at argument position
-    /// `position` of `relation`. Cost estimation uses this as the
-    /// denominator of the average selectivity `|R| / distinct`.
-    pub fn distinct_values_at(&self, relation: Symbol, position: usize) -> usize {
-        self.indexes()
-            .get(&relation)
-            .map_or(0, |idx| idx.distinct_values_at(position))
+    /// How many sorted column orders the instance holds at the moment
+    /// (test/diagnostic hook; evaluation builds them transparently): one
+    /// per `(relation, column order)` asked for since the last `remove`,
+    /// however much the instance has grown in between. Clones start at 0.
+    pub fn cached_orders(&self) -> usize {
+        let orders = self.orders.lock().expect("no order is left half built");
+        orders.len()
     }
 
     /// Whether the instance contains `fact`: a binary search of its
@@ -571,9 +429,9 @@ impl Instance {
         }
     }
 
-    /// The facts of relation `relation` (empty slice if none): the rows
-    /// [`Instance::posting`] indexes into — ascending for a bulk-built
-    /// instance, later inserts following in insertion order.
+    /// The facts of relation `relation` (empty slice if none): ascending
+    /// for a bulk-built instance, later inserts following in insertion
+    /// order.
     pub fn facts_of(&self, relation: Symbol) -> &[Fact] {
         self.relations
             .get(&relation)
@@ -657,8 +515,8 @@ impl FromIterator<Fact> for Instance {
 
 impl Extend<Fact> for Instance {
     /// Growing an empty instance is a bulk build ([`Instance::from_facts`]);
-    /// growing a non-empty one inserts fact by fact, which keeps its
-    /// secondary indexes warm.
+    /// growing a non-empty one inserts fact by fact, which keeps its sorted
+    /// orders.
     fn extend<T: IntoIterator<Item = Fact>>(&mut self, iter: T) {
         if self.is_empty() {
             *self = Instance::from_facts(iter);
@@ -735,16 +593,6 @@ mod tests {
             Fact::from_names("R", &["b", "c"]),
             Fact::from_names("S", &["a"]),
         ])
-    }
-
-    /// The facts a posting list resolves to — row ids themselves are
-    /// unspecified, so tests compare what the rows *are*.
-    fn posted(i: &Instance, relation: &str, position: usize, value: &str) -> BTreeSet<Fact> {
-        let relation = Symbol::new(relation);
-        i.posting(relation, position, Value::new(value))
-            .iter()
-            .map(|&row| i.facts_of(relation)[row as usize].clone())
-            .collect()
     }
 
     fn edge(a: &str, b: &str) -> Fact {
@@ -848,168 +696,121 @@ mod tests {
         assert!(inst.contains(&Fact::from_names("B", &[])));
     }
 
-    #[test]
-    fn postings_select_matching_rows() {
-        let i = sample();
-        let r = Symbol::new("R");
-        assert_eq!(posted(&i, "R", 0, "a"), BTreeSet::from([edge("a", "b")]));
-        assert_eq!(posted(&i, "R", 0, "b"), BTreeSet::from([edge("b", "c")]));
-        assert_eq!(posted(&i, "R", 1, "b"), BTreeSet::from([edge("a", "b")]));
-        assert!(i.posting(r, 0, Value::new("z")).is_empty());
-        assert!(i.posting(r, 7, Value::new("a")).is_empty());
-        assert!(i
-            .posting(Symbol::new("Missing"), 0, Value::new("a"))
-            .is_empty());
-        assert_eq!(i.count_matching(r, 0, Value::new("a")), 1);
-        assert_eq!(i.distinct_values_at(r, 0), 2);
-        assert_eq!(i.distinct_values_at(Symbol::new("S"), 0), 1);
+    /// The rows of a sorted order, checked to be flat, complete and sorted.
+    fn order_rows(i: &Instance, relation: &str, columns: &[usize]) -> Vec<Vec<Value>> {
+        let order = i.sorted_order(Symbol::new(relation), columns);
+        assert_eq!(order.arity(), columns.len());
+        assert_eq!(order.values().len(), order.rows() * order.arity());
+        let rows = order.values().chunks(order.arity().max(1));
+        let rows: Vec<Vec<Value>> = rows.map(<[Value]>::to_vec).collect();
+        assert!(rows.is_sorted(), "{rows:?}");
+        rows
     }
+
+    /// What a sorted order has to hold: the facts of the arity, permuted.
+    fn expected_rows(i: &Instance, relation: &str, columns: &[usize]) -> Vec<Vec<Value>> {
+        let facts = i
+            .facts()
+            .filter(|fact| fact.relation == Symbol::new(relation));
+        let facts = facts.filter(|fact| fact.arity() == columns.len());
+        let mut rows: Vec<Vec<Value>> = facts
+            .map(|fact| columns.iter().map(|&c| fact.values[c]).collect())
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    /// Every column order the tests below ask binary `R` for.
+    const ORDERS: [&[usize]; 2] = [&[0, 1], &[1, 0]];
 
     #[test]
     fn insert_maintains_the_secondary_indexes_incrementally() {
         let mut i = sample();
-        let r = Symbol::new("R");
-        assert!(!i.indexes_built());
-        assert_eq!(i.posting(r, 0, Value::new("a")).len(), 1);
-        assert!(i.indexes_built());
+        assert_eq!(i.cached_orders(), 0);
+        for columns in ORDERS {
+            assert_eq!(order_rows(&i, "R", columns).len(), 2);
+        }
+        assert_eq!(i.cached_orders(), 2);
 
         // a second fact with the same leading value must show up after
-        // insert — without dropping the already-built index
+        // insert — without dropping the orders that are there
         assert!(i.insert(Fact::from_names("R", &["a", "z"])));
-        assert!(i.indexes_built(), "insert must keep the index warm");
-        assert_eq!(
-            posted(&i, "R", 0, "a"),
-            BTreeSet::from([edge("a", "b"), edge("a", "z")])
-        );
-        let rows = i.posting(r, 0, Value::new("a"));
-        assert!(rows.is_sorted(), "appended rows keep the posting sorted");
+        assert_eq!(i.cached_orders(), 2, "insert must keep the orders");
+        for columns in ORDERS {
+            assert_eq!(
+                order_rows(&i, "R", columns),
+                expected_rows(&i, "R", columns)
+            );
+        }
+        assert_eq!(i.cached_orders(), 2, "caught up in place, not rebuilt");
 
-        // inserting a duplicate leaves the set — and the index — unchanged
+        // inserting a duplicate leaves the set — and the orders — unchanged
         assert!(!i.insert(Fact::from_names("R", &["a", "z"])));
-        assert_eq!(i.posting(r, 0, Value::new("a")).len(), 2);
+        assert_eq!(order_rows(&i, "R", &[1, 0]).len(), 3);
 
-        // a brand-new relation indexes through the same incremental path
+        // a brand-new relation gets its orders the same way
         assert!(i.insert(Fact::from_names("W", &["a"])));
-        assert!(i.indexes_built());
-        assert_eq!(
-            posted(&i, "W", 0, "a"),
-            BTreeSet::from([Fact::from_names("W", &["a"])])
-        );
+        assert_eq!(order_rows(&i, "W", &[0]), [[Value::new("a")]]);
+        assert_eq!(i.cached_orders(), 3);
     }
 
     #[test]
     fn incremental_insert_equals_a_fresh_rebuild() {
-        // Growing an indexed instance fact by fact must leave postings that
-        // resolve to exactly the facts a from-scratch bulk build finds.
-        let facts = [
-            Fact::from_names("R", &["a", "b"]),
-            Fact::from_names("R", &["a", "c"]),
-            Fact::from_names("S", &["b"]),
-            Fact::from_names("R", &["b", "b"]),
-            Fact::from_names("S", &["a"]),
-        ];
+        // Growing an instance whose orders are built, a few facts at a time
+        // and out of order, must leave orders that hold exactly the rows a
+        // from-scratch bulk build sorts — merged at the front, in the middle
+        // and at the back.
+        let mut state = 0x5EED_2015u64;
+        let mut random = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
         let mut grown = Instance::new();
-        let _ = grown.posting(Symbol::new("R"), 0, Value::new("a")); // force-build
-        for f in &facts {
-            grown.insert(f.clone());
-            assert!(grown.indexes_built());
-        }
-        let fresh = Instance::from_facts(facts.iter().cloned());
-        for rel in ["R", "S"] {
-            for position in 0..2 {
-                for value in ["a", "b", "c"] {
-                    assert_eq!(
-                        posted(&grown, rel, position, value),
-                        posted(&fresh, rel, position, value),
-                        "postings diverged at {rel}/{position}/{value}"
-                    );
-                }
-                let rel = Symbol::new(rel);
-                assert_eq!(
-                    grown.distinct_values_at(rel, position),
-                    fresh.distinct_values_at(rel, position)
-                );
+        let _ = order_rows(&grown, "R", &[1, 0]); // asked for while empty
+        for round in 0..40 {
+            for _ in 0..random(6) {
+                let values = [random(12), random(12)].map(|v| Value::indexed("m", v as usize));
+                grown.insert(Fact::new("R", values.to_vec()));
+                // another arity and another relation in between
+                grown.insert(Fact::new("R", vec![values[0]]));
+                grown.insert(Fact::new("S", vec![values[1], values[0]]));
             }
+            let fresh = Instance::from_facts(grown.facts().cloned());
+            for columns in ORDERS {
+                let rows = order_rows(&grown, "R", columns);
+                assert_eq!(rows, expected_rows(&grown, "R", columns), "round {round}");
+                assert_eq!(rows, order_rows(&fresh, "R", columns), "round {round}");
+            }
+            if round % 3 == 0 {
+                let rows = order_rows(&grown, "S", &[1, 0]);
+                assert_eq!(rows, order_rows(&fresh, "S", &[1, 0]), "round {round}");
+            }
+            assert_eq!(order_rows(&grown, "R", &[0]), order_rows(&fresh, "R", &[0]));
         }
+        assert!(grown.len() > 100);
+        assert_eq!(grown.cached_orders(), 4, "one per (relation, column order)");
     }
 
     #[test]
     fn remove_invalidates_the_secondary_indexes() {
         let mut i = sample();
-        let r = Symbol::new("R");
-        assert_eq!(i.posting(r, 0, Value::new("b")).len(), 1);
+        assert_eq!(order_rows(&i, "R", &[1, 0]).len(), 2);
         assert!(i.remove(&Fact::from_names("R", &["b", "c"])));
-        assert!(!i.indexes_built(), "remove must drop the index cache");
-        assert!(i.posting(r, 0, Value::new("b")).is_empty());
-        assert_eq!(posted(&i, "R", 0, "a"), BTreeSet::from([edge("a", "b")]));
-    }
-
-    #[test]
-    fn postings_intersect_to_the_matching_rows() {
-        let i = Instance::from_facts([
-            Fact::from_names("R", &["a", "b"]),
-            Fact::from_names("R", &["a", "c"]),
-            Fact::from_names("R", &["b", "b"]),
-        ]);
-        let r = Symbol::new("R");
-        // posting lists are sorted, so intersection by binary search works
-        let first_a = i.posting(r, 0, Value::new("a"));
-        let second_b = i.posting(r, 1, Value::new("b"));
-        assert_eq!(first_a.len(), 2);
-        assert_eq!(second_b.len(), 2);
-        assert!(first_a.is_sorted() && second_b.is_sorted());
-        let both: Vec<u32> = first_a
-            .iter()
-            .copied()
-            .filter(|row| second_b.binary_search(row).is_ok())
-            .collect();
-        assert_eq!(both.len(), 1);
-        assert_eq!(i.facts_of(r)[both[0] as usize], edge("a", "b"));
-    }
-
-    #[test]
-    fn index_builds_counts_scratch_builds_only() {
-        let mut i = sample();
-        assert_eq!(i.index_builds(), 0);
-        let _ = i.posting(Symbol::new("R"), 0, Value::new("a"));
-        let _ = i.posting(Symbol::new("R"), 1, Value::new("b"));
-        assert_eq!(i.index_builds(), 1, "repeated lookups reuse one build");
-        // incremental insert maintenance is not a rebuild
-        i.insert(Fact::from_names("R", &["x", "y"]));
-        let _ = i.posting(Symbol::new("R"), 0, Value::new("x"));
-        assert_eq!(i.index_builds(), 1);
-        // remove invalidates; the next lookup builds again
-        assert!(i.remove(&Fact::from_names("R", &["x", "y"])));
-        let _ = i.posting(Symbol::new("R"), 0, Value::new("a"));
-        assert_eq!(i.index_builds(), 2);
-        // clones start over with a cold cache and a zero counter
-        let j = i.clone();
-        assert_eq!(j.index_builds(), 0);
+        assert_eq!(i.cached_orders(), 0, "remove must drop the orders");
+        let [a, b] = ["a", "b"].map(Value::new);
+        assert_eq!(order_rows(&i, "R", &[1, 0]), [[b, a]]);
     }
 
     #[test]
     fn clone_rebuilds_indexes_lazily() {
         let i = sample();
-        let _ = i.posting(Symbol::new("R"), 0, Value::new("a"));
+        let rows = order_rows(&i, "R", &[1, 0]);
         let j = i.clone();
-        assert!(!j.indexes_built());
-        assert_eq!(posted(&j, "R", 0, "a"), BTreeSet::from([edge("a", "b")]));
+        assert_eq!((i.cached_orders(), j.cached_orders()), (1, 0));
+        assert_eq!(order_rows(&j, "R", &[1, 0]), rows);
         assert_eq!(i, j);
-    }
-
-    /// How many sorted orders `i` holds at the moment.
-    fn cached_orders(i: &Instance) -> usize {
-        std::iter::successors(i.orders.get(), |node| node.next.get()).count()
-    }
-
-    /// The rows of a sorted order, checked to be flat, complete and sorted.
-    fn order_rows<'a>(i: &'a Instance, relation: &str, columns: &[usize]) -> Vec<&'a [Value]> {
-        let order = i.sorted_order(Symbol::new(relation), columns);
-        assert_eq!(order.arity(), columns.len());
-        assert_eq!(order.values().len(), order.rows() * order.arity());
-        let rows: Vec<&[Value]> = order.values().chunks(order.arity().max(1)).collect();
-        assert!(rows.is_sorted(), "{rows:?}");
-        rows
     }
 
     #[test]
@@ -1021,7 +822,7 @@ mod tests {
         // (which of the two rows is first depends on the interning order)
         let swapped = order_rows(&i, "R", &[1, 0]);
         assert!(
-            swapped.len() == 2 && swapped.contains(&&[b, a][..]) && swapped.contains(&&[c, b][..])
+            swapped.len() == 2 && swapped.contains(&vec![b, a]) && swapped.contains(&vec![c, b])
         );
         assert_eq!(order_rows(&i, "R", &[0, 1]).len(), 2);
         assert_eq!(order_rows(&i, "R", &[0]), [[a]]);
@@ -1030,34 +831,42 @@ mod tests {
         // a nullary row has no values, but it is a row
         assert_eq!(i.sorted_order(Symbol::new("B"), &[]).rows(), 1);
         assert_eq!(i.sorted_order(Symbol::new("R"), &[]).rows(), 0);
-        assert!(!i.indexes_built(), "sorted orders are not the hash index");
     }
 
     #[test]
     fn sorted_orders_are_built_once_and_dropped_with_the_fact_set() {
         let mut i = sample();
         let r = Symbol::new("R");
-        let first: *const SortedOrder = i.sorted_order(r, &[1, 0]);
+        let first = i.sorted_order(r, &[1, 0]);
         let _ = i.sorted_order(r, &[0, 1]);
-        assert!(std::ptr::eq(i.sorted_order(r, &[1, 0]), first));
-        assert_eq!(cached_orders(&i), 2, "asked for twice, built once");
+        assert!(Arc::ptr_eq(&i.sorted_order(r, &[1, 0]), &first));
+        assert_eq!(i.cached_orders(), 2, "asked for twice, built once");
+        drop(first);
 
         // neither a fact that is already there nor one that is not there to
         // remove changes the fact set
         assert!(!i.insert(edge("a", "b")));
         assert!(!i.remove(&edge("x", "y")));
-        assert_eq!(cached_orders(&i), 2);
+        assert_eq!(i.cached_orders(), 2);
 
+        // a new fact leaves the orders where they are, to be caught up …
         assert!(i.insert(edge("c", "d")));
-        assert_eq!(cached_orders(&i), 0, "a new fact drops every order");
+        assert_eq!(i.cached_orders(), 2);
         assert_eq!(i.sorted_order(r, &[1, 0]).rows(), 3);
+        // … and only a removed one drops them
         assert!(i.remove(&edge("c", "d")));
-        assert_eq!(cached_orders(&i), 0, "so does a removed one");
+        assert_eq!(i.cached_orders(), 0, "a removed fact drops every order");
         assert_eq!(i.sorted_order(r, &[1, 0]).rows(), 2);
+
+        // an order someone still holds is not changed under them
+        let held = i.sorted_order(r, &[1, 0]);
+        assert!(i.insert(edge("c", "d")));
+        assert_eq!(i.sorted_order(r, &[1, 0]).rows(), 3);
+        assert_eq!((held.rows(), i.cached_orders()), (2, 1));
 
         // a clone starts cold, and the cache is no part of the value
         let j = i.clone();
-        assert_eq!((cached_orders(&i), cached_orders(&j)), (1, 0));
+        assert_eq!((i.cached_orders(), j.cached_orders()), (1, 0));
         assert_eq!(i, j);
         assert_eq!(format!("{i}"), format!("{j}"));
     }
@@ -1066,24 +875,25 @@ mod tests {
     fn mixed_arity_relations_index_safely() {
         let mut i = Instance::from_facts([Fact::from_names("R", &["a", "b"])]);
         i.insert(Fact::from_names("R", &["a"]));
-        let r = Symbol::new("R");
-        // both facts carry "a" at position 0; only the binary one has position 1
-        assert_eq!(i.posting(r, 0, Value::new("a")).len(), 2);
-        assert_eq!(i.posting(r, 1, Value::new("b")).len(), 1);
+        // each order holds the facts of its own arity only
+        assert_eq!(order_rows(&i, "R", &[1, 0]).len(), 1);
+        assert_eq!(order_rows(&i, "R", &[0]).len(), 1);
 
         // a fact wide enough to spill out of its inline tuple, inserted
-        // into the warm index: positions 2..7 exist for it alone
+        // next to the built orders: it enters none of them, and the order
+        // of its own arity holds it alone
         let wide = Fact::from_names("R", &["a", "b", "c", "d", "e", "f", "g"]);
         assert!(i.insert(wide.clone()));
-        assert!(i.indexes_built());
-        assert_eq!(i.posting(r, 0, Value::new("a")).len(), 3);
-        assert_eq!(i.posting(r, 1, Value::new("b")).len(), 2);
-        assert_eq!(posted(&i, "R", 6, "g"), BTreeSet::from([wide.clone()]));
-        assert!(i.posting(r, 7, Value::new("g")).is_empty());
+        assert_eq!(order_rows(&i, "R", &[1, 0]).len(), 1);
+        assert_eq!(order_rows(&i, "R", &[0]).len(), 1);
+        let reversed: Vec<usize> = (0..7).rev().collect();
+        let mut values = wide.values.to_vec();
+        values.reverse();
+        assert_eq!(order_rows(&i, "R", &reversed), [values.clone()]);
         // and the same after a rebuild from scratch
         let rebuilt = Instance::from_facts(i.facts().cloned());
-        assert_eq!(posted(&rebuilt, "R", 6, "g"), BTreeSet::from([wide]));
-        assert_eq!(rebuilt.posting(r, 0, Value::new("a")).len(), 3);
+        assert_eq!(order_rows(&rebuilt, "R", &reversed), [values]);
+        assert_eq!(order_rows(&rebuilt, "R", &[1, 0]).len(), 1);
         assert!(!rebuilt.is_well_formed());
     }
 }

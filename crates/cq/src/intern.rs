@@ -293,13 +293,21 @@ impl From<String> for Symbol {
 /// A fast, deterministic hasher for symbol-backed keys (`Symbol`, `Value`,
 /// `Variable` all hash through a single `u32` id).
 ///
-/// The secondary indexes of [`crate::Instance`] key hash maps by data value
-/// on the evaluator's hot path; SipHash (the `std` default) is overkill for
-/// a 4-byte id, so this hasher applies one round of Fibonacci
-/// multiply-and-xor-fold instead. It is *not* DoS-resistant — use it only
-/// for keys derived from interned symbols.
+/// The evaluator's answer set and the tuple-keyed tables of the decision
+/// procedures probe hash maps by data value on their hot paths; SipHash (the
+/// `std` default) is overkill for a 4-byte id, so this hasher applies one
+/// round of Fibonacci multiply-and-xor-fold per word instead — an id, or
+/// the length prefix of a tuple key. It is *not* DoS-resistant — use it
+/// only for keys derived from interned symbols.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SymbolHasher(u64);
+
+impl SymbolHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 impl Hasher for SymbolHasher {
     fn finish(&self) -> u64 {
@@ -308,14 +316,23 @@ impl Hasher for SymbolHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        // Fallback for composite keys; symbols take the write_u32 path.
+        // Fallback for composite keys; symbols and lengths take the word
+        // paths below.
         for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
         }
     }
 
     fn write_u32(&mut self, id: u32) {
-        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.fold(u64::from(id));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.fold(word);
+    }
+
+    fn write_usize(&mut self, length: usize) {
+        self.fold(length as u64);
     }
 }
 
@@ -424,6 +441,33 @@ mod tests {
         let mut h = SymbolHasher::default();
         Symbol::new("a").hash(&mut h);
         assert_eq!(h.finish(), build.hash_one(Symbol::new("a")));
+    }
+
+    #[test]
+    fn a_tuple_key_hashes_in_one_step_per_word() {
+        use std::hash::BuildHasher;
+        // The length prefix of a slice is one fold like every id after it:
+        // the byte-wise fallback would take eight dependent steps for it.
+        let ids = ["a", "b", "c"].map(Symbol::new);
+        let mut by_word = SymbolHasher::default();
+        by_word.fold(ids.len() as u64);
+        for id in ids {
+            by_word.fold(u64::from(id.id()));
+        }
+        assert_eq!(SymbolHashBuilder.hash_one(&ids[..]), by_word.finish());
+        assert_eq!(SymbolHashBuilder.hash_one(ids.to_vec()), by_word.finish());
+        // …and the prefix still tells a tuple from its extension by id 0
+        let mut longer = SymbolHasher::default();
+        longer.write_usize(1);
+        longer.write_u32(0);
+        let mut shorter = SymbolHasher::default();
+        shorter.write_usize(0);
+        assert_ne!(longer.finish(), shorter.finish());
+        let mut wide = SymbolHasher::default();
+        wide.write_u64(u64::MAX);
+        let mut narrow = SymbolHasher::default();
+        narrow.write_u32(u32::MAX);
+        assert_ne!(wide.finish(), narrow.finish());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! at distance ≥ 2), so a kernel that builds anything on the heap per
 //! derivation — or per answer — blows a budget far below the answer count.
 //!
-//! The multiway join gets the same budget on the triangle over the
+//! The same kernel gets the same budget on the triangle over the
 //! tournament plus its back edges (every one of the C(48, 3) vertex sets in
 //! its six orders): it walks sorted column orders the instance caches, so a warm
 //! evaluation allocates for its cursors and the growing answer list, and a
@@ -34,7 +34,7 @@ use std::ops::ControlFlow;
 
 use cq::{
     evaluate, evaluate_seminaive_step, evaluate_with, parse_instance, CompiledQuery,
-    ConjunctiveQuery, EvalOptions, Fact, Instance, JoinStrategy, Symbol, Valuation, Value,
+    ConjunctiveQuery, EvalOptions, Fact, Instance, Symbol, Valuation, Value,
 };
 
 thread_local! {
@@ -150,23 +150,33 @@ fn interning_fresh_names_allocates_for_growth_not_per_name() {
 fn ascending_growth_of_a_warm_instance_allocates_for_growth_only() {
     let mut facts = two_relations();
     facts.sort();
-    let mut grown = Instance::new();
-    let _ = grown.posting(facts[0].relation, 0, facts[0].values[0]);
+    let join = ConjunctiveQuery::parse("T(x, z) :- BudgetA(x, y), BudgetB(y, z).").unwrap();
+    let mut grown = Instance::from_facts(facts[..1].iter().cloned());
+    let _ = evaluate(&join, &grown); // asks for the sorted orders
+    let orders = grown.cached_orders();
+    assert!(orders > 0);
     let ((), heap) = counting(|| {
         for fact in &facts {
             grown.insert_cloned(fact);
         }
     });
-    assert!(grown.indexes_built() && grown.index_builds() == 1);
+    assert_eq!(grown.cached_orders(), orders, "growth keeps the orders");
     assert_eq!(grown.len() as u64, FACTS);
-    // Rows, the 300 posting lists and their hash tables double as they
-    // fill (about 1 700 steps in all); nothing is allocated per fact.
-    assert!(heap.allocations <= FACTS / 4, "warm inserts: {heap:?}");
+    // The two row vectors double as they fill; nothing is allocated per
+    // fact, and nothing for the orders, which wait to be caught up.
+    assert!(heap.allocations <= 64, "warm inserts: {heap:?}");
     // Nor was any fact remembered a second time in the out-of-order side
     // set, whose tree nodes a clone would have to copy.
     let (_, heap) = counting(|| grown.clone());
     assert!(heap.allocations <= 8, "clone after growth: {heap:?}");
     assert!(heap.bytes <= 40 * FACTS, "clone after growth: {heap:?}");
+    // Catching an order up takes the fresh rows, their sort and the merged
+    // block: a handful of blocks an order, none per row.
+    let fresh = Instance::from_facts(facts.iter().cloned());
+    let (answers, heap) = counting(|| evaluate(&join, &grown));
+    assert_eq!(answers, evaluate(&join, &fresh));
+    assert_eq!(grown.cached_orders(), fresh.cached_orders());
+    assert!(heap.allocations <= 128, "catch-up and evaluate: {heap:?}");
 }
 
 const VALUES: usize = 48;
@@ -190,7 +200,7 @@ fn evaluation_allocates_per_answer_not_per_valuation() {
         cq::satisfying_valuations(&two_path, &tournament).len() as u64,
         VALUATIONS
     );
-    // The call above built the instance's secondary indexes: from here on
+    // The call above built the instance's sorted orders: from here on
     // an evaluation pays for its fixed-size scratch and for the answer
     // set's doubling — a binary head tuple is inline, so not even an answer
     // costs a block (40 allocations measured; 4 × ANSWERS was the budget
@@ -234,7 +244,7 @@ fn multiway_evaluation_allocates_per_atom_not_per_row_or_value() {
     let triangle = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), R(y, z), R(z, x).").unwrap();
     let complete = complete_digraph(VALUES);
     let rows = complete.len() as u64;
-    let opts = EvalOptions::default().with_join_strategy(JoinStrategy::Multiway);
+    let opts = EvalOptions::default();
     let budget = 64;
     assert!(budget < rows / 8 && budget < VALUATIONS / 8);
 
@@ -255,7 +265,6 @@ fn multiway_evaluation_allocates_per_atom_not_per_row_or_value() {
         cold.allocations <= warm.allocations + 16,
         "order building: cold {cold:?} against warm {warm:?}"
     );
-    assert!(!complete.indexes_built());
 
     // The search itself — no answers collected — allocates for the query
     // alone: as much on 8 times the leaves as on 8 times fewer.

@@ -11,8 +11,7 @@ use std::ops::ControlFlow;
 
 use cq::{
     contained_in, equivalent, evaluate, evaluate_with, is_minimal, minimize, Atom,
-    ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Tuple, Valuation,
-    Value, Variable,
+    ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, Tuple, Valuation, Value, Variable,
 };
 use proptest::prelude::*;
 
@@ -68,24 +67,16 @@ fn mixed_arity_instance_strategy() -> impl Strategy<Value = Instance> {
     })
 }
 
-/// Every evaluation-strategy combination: indexed/scan × cost-aware/naive
-/// ordering × binary/multiway/auto join.
+/// Every evaluation-strategy combination: the triejoin and the scan oracle,
+/// each under both atom orders of the oracle.
 fn all_options() -> Vec<EvalOptions> {
     let mut all = Vec::new();
     for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
         for use_indexes in [false, true] {
-            for join_strategy in [
-                JoinStrategy::Binary,
-                JoinStrategy::Multiway,
-                JoinStrategy::Auto,
-            ] {
-                all.push(EvalOptions {
-                    ordering,
-                    use_indexes,
-                    join_strategy,
-                    ..EvalOptions::default()
-                });
-            }
+            all.push(EvalOptions {
+                ordering,
+                use_indexes,
+            });
         }
     }
     all
@@ -275,29 +266,6 @@ proptest! {
         }
     }
 
-    /// Adaptive mid-search reordering only permutes the backtracking search:
-    /// the most aggressive re-ranking threshold (factor 1) enumerates
-    /// exactly the valuations the static plan does.
-    #[test]
-    fn adaptive_reordering_equals_static_order(q in query_strategy(), i in instance_strategy()) {
-        for use_indexes in [false, true] {
-            let static_opts = EvalOptions {
-                use_indexes,
-                join_strategy: JoinStrategy::Binary,
-                adaptive_factor: 0,
-                ..EvalOptions::default()
-            };
-            let adaptive_opts = EvalOptions { adaptive_factor: 1, ..static_opts };
-            let static_vals: std::collections::BTreeSet<_> = cq::satisfying_valuations_with(
-                &q, &i, &Valuation::new(), static_opts,
-            ).into_iter().collect();
-            let adaptive_vals: std::collections::BTreeSet<_> = cq::satisfying_valuations_with(
-                &q, &i, &Valuation::new(), adaptive_opts,
-            ).into_iter().collect();
-            prop_assert_eq!(&adaptive_vals, &static_vals, "adaptive diverged on {}", i);
-        }
-    }
-
     /// The semi-naive differential law the incremental round engine is
     /// built on: evaluating `old ∪ delta` equals evaluating `old` plus one
     /// differential step joining the delta against the combined instance —
@@ -308,7 +276,7 @@ proptest! {
         let reference = evaluate(&q, &full);
         for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
             for use_indexes in [false, true] {
-                let opts = EvalOptions { ordering, use_indexes, ..EvalOptions::default() };
+                let opts = EvalOptions { ordering, use_indexes };
                 let step = cq::evaluate_seminaive_step_with(&q, &full, &delta, opts);
                 prop_assert_eq!(
                     evaluate(&q, &old).union(&step),
@@ -327,9 +295,9 @@ proptest! {
     #[test]
     fn index_maintenance_preserves_evaluation(q in query_strategy(), i in instance_strategy(), j in instance_strategy()) {
         let mut grown = i.clone();
-        // evaluate first so grown's indexes are built, then mutate: the
-        // inserts maintain the postings in place, and the second evaluation
-        // must see exactly the candidates a fresh build would produce
+        // evaluate first so grown's sorted orders are built, then mutate:
+        // the second evaluation catches the orders up with the inserts and
+        // must see exactly the rows a fresh build would sort
         let _ = evaluate(&q, &grown);
         for f in j.facts() {
             grown.insert(f.clone());
@@ -355,7 +323,7 @@ proptest! {
     /// Differential: the bulk builder equals inserting one fact at a time —
     /// on input with duplicates, several relations and mixed arities — in
     /// the `facts()` sequence, in every relation's rows (as a multiset: row
-    /// order is unspecified), and in what every posting list resolves to.
+    /// order is unspecified), and in what the sorted orders hold.
     /// `extend` into an empty instance and `union` take the same bulk path.
     #[test]
     fn bulk_build_equals_inserting_one_by_one(
@@ -393,20 +361,26 @@ proptest! {
             prop_assert!(built.facts().eq(one_by_one.facts()));
             for rel in (0..3).map(|r| cq::Symbol::new(&format!("R{r}"))) {
                 prop_assert_eq!(sorted(built.facts_of(rel)), sorted(one_by_one.facts_of(rel)));
-                for position in 0..3 {
-                    for value in (0..4).map(|v| Value::indexed("d", v)) {
-                        let posted = |i: &Instance| {
-                            let rows = i.posting(rel, position, value);
-                            assert!(rows.is_sorted());
-                            let rows: Vec<Fact> = rows
-                                .iter()
-                                .map(|&row| i.facts_of(rel)[row as usize].clone())
-                                .collect();
-                            sorted(&rows)
-                        };
-                        prop_assert_eq!(posted(built), posted(&one_by_one));
-                    }
-                }
+            }
+            // The sorted orders hold the same rows however the rows came in:
+            // the triejoin's leaves come out the same, in the same order —
+            // over permuted columns, every arity, a repeated variable.
+            for text in [
+                "T(a, b, c) :- R0(a, b), R1(b, c).",
+                "T(a, b, c) :- R2(a, b, c), R0(c), R1(b, a), R1(b, b).",
+            ] {
+                let query = ConjunctiveQuery::parse(text).unwrap();
+                let leaves = |i: &Instance| {
+                    let mut leaves: Vec<Vec<Option<Value>>> = Vec::new();
+                    let compiled = cq::CompiledQuery::new(&query);
+                    let opts = EvalOptions::default();
+                    let _ = compiled.for_each_satisfying(i, &Valuation::new(), opts, |slots| {
+                        leaves.push(slots.to_vec());
+                        ControlFlow::Continue(())
+                    });
+                    leaves
+                };
+                prop_assert_eq!(leaves(built), leaves(&one_by_one), "{}", text);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! A content-addressed cache of evaluation-ready instances.
 
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use cq::Instance;
@@ -8,20 +8,20 @@ use obs::Counter;
 
 /// A small LRU cache that lets repeated `evaluate` calls on **equal**
 /// instances share one instance value — and therefore share what it builds
-/// lazily for evaluation, instead of rebuilding it per call: the secondary
-/// hash indexes (posting lists) the binary join probes, and the sorted
-/// column orders the multiway join walks.
+/// lazily for evaluation, instead of rebuilding it per call: the sorted
+/// column orders the join kernel walks.
 ///
 /// The motivating pattern is a broadcast (or highly replicated) round:
 /// every node's chunk is the same instance, but each materialized copy
-/// would build its own indexes and orders from scratch. Warming the chunks
-/// through a shared `IndexCache` collapses them onto one
-/// [`Arc`]`<`[`Instance`]`>`, whose indexes and orders are built once (by
-/// the first evaluation that needs them) and reused by every other node —
-/// across rounds too, for as long as the entry stays resident.
+/// would sort its own orders from scratch. Warming the chunks through a
+/// shared `IndexCache` collapses them onto one
+/// [`Arc`]`<`[`Instance`]`>`, whose orders are built once (by the first
+/// evaluation that needs them) and reused by every other node — across
+/// rounds too, for as long as the entry stays resident.
 ///
-/// Keys are a hash of the fact set; a hit is confirmed by full equality,
-/// so a hash collision can cost a comparison but never wrong results.
+/// Keys are a fingerprint of the fact set — a fast, unkeyed hash, since a
+/// hit is confirmed by full equality: a collision can cost a comparison
+/// but never wrong results.
 #[derive(Debug)]
 pub struct IndexCache {
     capacity: usize,
@@ -55,9 +55,7 @@ impl CacheStats {
 }
 
 fn fingerprint(instance: &Instance) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    instance.hash(&mut hasher);
-    hasher.finish()
+    cq::SymbolHashBuilder.hash_one(instance)
 }
 
 impl IndexCache {
@@ -104,7 +102,7 @@ impl IndexCache {
 
     /// Returns the cached instance equal to `instance`, admitting
     /// `instance` itself (the handle, not a copy) on a miss. The returned
-    /// handle keeps its built indexes for as long as any caller holds it.
+    /// handle keeps its built orders for as long as any caller holds it.
     pub fn warm_shared(&mut self, instance: Arc<Instance>) -> Arc<Instance> {
         let key = fingerprint(&instance);
         match self.lookup(key, &instance) {
@@ -193,12 +191,14 @@ mod tests {
         let mut cache = IndexCache::new(4);
         let chunk = parse_instance("R(a, b). R(b, c).").unwrap();
         let first = cache.warm_shared(Arc::new(chunk.clone()));
-        // Force an indexed lookup on the shared handle…
-        let _ = first.posting(cq::Symbol::new("R"), 0, cq::Value::new("a"));
-        assert!(first.indexes_built());
+        // An evaluation on the shared handle builds its sorted orders…
+        let query = cq::ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+        assert_eq!(cq::evaluate(&query, &first).len(), 1);
+        let built = first.cached_orders();
+        assert!(built > 0);
         // …and the next warm of an equal chunk sees them already built.
         let second = cache.warm_shared(Arc::new(chunk));
-        assert!(second.indexes_built());
+        assert_eq!(second.cached_orders(), built);
     }
 
     #[test]

@@ -15,10 +15,11 @@ use cq::{evaluate_seminaive_step_with, ConjunctiveQuery, EvalOptions, Fact, Inst
 ///   to the full instance and records only the genuinely new ones in the
 ///   delta; re-announced facts are ignored, so the delta is exactly
 ///   `full_after \ full_before` accumulated since the last round boundary.
-/// * **Indexes stay warm** — the full instance only ever grows, and
-///   `cq::Instance::insert` maintains built secondary indexes
-///   incrementally, so the index work of round `r` is reused by every
-///   later round instead of being rebuilt from scratch.
+/// * **Indexes stay warm** — the full instance only ever grows, and a
+///   growing `cq::Instance` keeps its sorted column orders: the next
+///   evaluation catches each up by merging in the rows added since, so the
+///   index work of round `r` is reused by every later round instead of
+///   being rebuilt from scratch.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaInstance {
     full: Instance,
@@ -172,15 +173,18 @@ mod tests {
     fn growth_keeps_the_full_instances_indexes_warm() {
         let q = square();
         let mut acc = DeltaInstance::from_initial(parse_instance("R(a, b). R(b, c).").unwrap());
-        let _ = acc.evaluate_new(&q); // builds the indexes
+        let _ = acc.evaluate_new(&q); // builds the sorted orders
         acc.take_delta();
-        assert!(acc.full().indexes_built());
+        let built = acc.full().cached_orders();
+        assert!(built > 0);
         acc.absorb([Fact::from_names("R", &["c", "d"])]);
-        assert!(
-            acc.full().indexes_built(),
-            "absorb must maintain the indexes incrementally, not drop them"
+        assert_eq!(
+            acc.full().cached_orders(),
+            built,
+            "absorb must leave the orders to be caught up, not drop them"
         );
         let new = acc.evaluate_new(&q);
         assert!(new.contains(&Fact::from_names("T", &["b", "d"])));
+        assert_eq!(acc.full().cached_orders(), built, "caught up, not rebuilt");
     }
 }

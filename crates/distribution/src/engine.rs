@@ -251,7 +251,7 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     }
 
     /// Sets the [`EvalOptions`] every node's local evaluation runs with —
-    /// notably the join strategy (`Binary`, `Multiway` or `Auto`). The
+    /// the indexed kernel (the default) or the scan oracle. The
     /// options travel with [`Transport::begin_round`], so they apply on
     /// every transport: the in-process pool and wire workers that live in
     /// other processes.
@@ -482,7 +482,7 @@ mod tests {
 
     #[test]
     fn eval_options_strategies_agree_and_broadcast_reports_cache_hits() {
-        use cq::JoinStrategy;
+        use cq::JoinOrdering;
         let q = ConjunctiveQuery::parse("T(x, y, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
         let i = parse_instance(
             "E(a, b). E(b, c). E(c, a). E(b, d). E(d, b). E(c, d). E(d, a). E(a, c).",
@@ -491,18 +491,17 @@ mod tests {
         let network = Network::with_size(3);
         let p = ExplicitPolicy::broadcast(&network, &i);
         let baseline = OneRoundEngine::new(&p).evaluate(&q, &i);
-        for strategy in [
-            JoinStrategy::Binary,
-            JoinStrategy::Multiway,
-            JoinStrategy::Auto,
-        ] {
-            let outcome = OneRoundEngine::new(&p)
-                .eval_options(EvalOptions {
-                    join_strategy: strategy,
-                    ..EvalOptions::default()
-                })
-                .evaluate(&q, &i);
-            assert_eq!(outcome.result, baseline.result, "{strategy:?}");
+        for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
+            for use_indexes in [false, true] {
+                let options = EvalOptions {
+                    ordering,
+                    use_indexes,
+                };
+                let outcome = OneRoundEngine::new(&p)
+                    .eval_options(options)
+                    .evaluate(&q, &i);
+                assert_eq!(outcome.result, baseline.result, "{options:?}");
+            }
         }
         // Broadcast ships three equal chunks: the transport's shared index
         // cache admits one and reuses it twice, and the outcome surfaces it.

@@ -304,7 +304,7 @@ impl<'a> MultiRoundEngine<'a> {
     }
 
     /// Sets the [`EvalOptions`] every round's local evaluation runs with —
-    /// the join strategy in particular. The options travel with the round
+    /// the indexed kernel (the default) or the scan oracle. The options travel with the round
     /// over every transport (they are part of the wire protocol), so
     /// in-memory and cross-process rounds evaluate identically.
     pub fn eval_options(mut self, options: EvalOptions) -> Self {

@@ -547,7 +547,7 @@ mod tests {
         // The `begin_round` contract: every node evaluates with exactly the
         // announced options — delta rounds included. With
         // `use_indexes: false` the node's accumulated state must never grow
-        // hash indexes (a default-options step would build them).
+        // sorted orders (a default-options step would build them).
         let scans = EvalOptions {
             use_indexes: false,
             ..EvalOptions::default()
@@ -561,16 +561,17 @@ mod tests {
         let NodeState::Incremental(state) = &transport.nodes[&node] else {
             panic!("delta rounds leave incremental state");
         };
-        assert!(
-            !state.data().full().indexes_built(),
-            "a delta round under use_indexes: false must not touch the indexes"
+        assert_eq!(
+            state.data().full().cached_orders(),
+            0,
+            "a delta round under use_indexes: false must not build an order"
         );
         // Control: the same rounds under default options do build them.
         round(&mut transport, 0, EvalOptions::default(), node, seed());
         let NodeState::Incremental(state) = &transport.nodes[&node] else {
             panic!("delta rounds leave incremental state");
         };
-        assert!(state.data().full().indexes_built());
+        assert!(state.data().full().cached_orders() > 0);
     }
 
     #[test]

@@ -44,8 +44,8 @@
 use std::fmt;
 
 use cq::{
-    Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Symbol, Tuple,
-    Value, Variable,
+    Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, Symbol, Tuple, Value,
+    Variable,
 };
 use distribution::{Network, Node};
 
@@ -662,12 +662,6 @@ impl Encode for EvalOptions {
             JoinOrdering::CostAware => 1,
         });
         enc.bool(self.use_indexes);
-        enc.byte(match self.join_strategy {
-            JoinStrategy::Binary => 0,
-            JoinStrategy::Multiway => 1,
-            JoinStrategy::Auto => 2,
-        });
-        enc.u64(u64::from(self.adaptive_factor));
     }
 }
 
@@ -684,24 +678,9 @@ impl Decode for EvalOptions {
             }
         };
         let use_indexes = dec.bool()?;
-        let join_strategy = match dec.byte()? {
-            0 => JoinStrategy::Binary,
-            1 => JoinStrategy::Multiway,
-            2 => JoinStrategy::Auto,
-            tag => {
-                return Err(DecodeError::UnknownTag {
-                    context: "JoinStrategy",
-                    tag,
-                })
-            }
-        };
-        let adaptive_factor = u32::try_from(dec.u64()?)
-            .map_err(|_| DecodeError::Invalid("adaptive factor exceeds u32".to_string()))?;
         Ok(EvalOptions {
             ordering,
             use_indexes,
-            join_strategy,
-            adaptive_factor,
         })
     }
 }
@@ -1008,22 +987,14 @@ mod tests {
     fn eval_options_round_trip_every_combination() {
         for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
             for use_indexes in [false, true] {
-                for join_strategy in [
-                    JoinStrategy::Binary,
-                    JoinStrategy::Multiway,
-                    JoinStrategy::Auto,
-                ] {
-                    for adaptive_factor in [0, 4, u32::MAX] {
-                        let options = EvalOptions {
-                            ordering,
-                            use_indexes,
-                            join_strategy,
-                            adaptive_factor,
-                        };
-                        let body = encode_body(&options);
-                        assert_eq!(decode_body::<EvalOptions>(&body).unwrap(), options);
-                    }
-                }
+                let options = EvalOptions {
+                    ordering,
+                    use_indexes,
+                };
+                let body = encode_body(&options);
+                // an empty symbol table, then one byte a field
+                assert_eq!(body.len(), 1 + 2);
+                assert_eq!(decode_body::<EvalOptions>(&body).unwrap(), options);
             }
         }
     }
@@ -1044,22 +1015,30 @@ mod tests {
             ),
             "{err}"
         );
-        // A strategy byte nothing encodes
+        // An index flag that is neither 0 nor 1
         let mut enc = Encoder::new();
         enc.byte(0);
-        enc.bool(true);
         enc.byte(7);
         let err = decode_body::<EvalOptions>(&enc.finish()).unwrap_err();
         assert!(
             matches!(
                 err,
                 DecodeError::UnknownTag {
-                    context: "JoinStrategy",
+                    context: "bool",
                     tag: 7
                 }
             ),
             "{err}"
         );
+        // The two bytes a version-1 body carried after them — join strategy
+        // and adaptive factor — are trailing bytes now
+        let mut enc = Encoder::new();
+        enc.byte(1);
+        enc.bool(true);
+        enc.byte(2);
+        enc.u64(4);
+        let err = decode_body::<EvalOptions>(&enc.finish()).unwrap_err();
+        assert_eq!(err, DecodeError::TrailingBytes { count: 2 });
     }
 
     #[test]

@@ -29,8 +29,9 @@ use crate::codec::{
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"PCQW";
 
-/// The current wire-format version.
-pub const VERSION: u8 = 1;
+/// The current wire-format version. Version 2 shrank the `EvalOptions` of
+/// an eval message from four fields to two.
+pub const VERSION: u8 = 2;
 
 /// Sanity cap on a frame body: a declared length beyond this is treated as
 /// corruption rather than trusted with an allocation (1 GiB).
@@ -269,6 +270,12 @@ mod tests {
         assert_eq!(
             decode_frame::<Fact>(&frame),
             Err(DecodeError::UnsupportedVersion(99))
+        );
+        // the version this one replaced is another format, not a subset
+        frame[4] = VERSION - 1;
+        assert_eq!(
+            decode_frame::<Fact>(&frame),
+            Err(DecodeError::UnsupportedVersion(1))
         );
     }
 

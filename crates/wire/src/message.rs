@@ -234,7 +234,7 @@ pub enum Message {
     EvalChunk {
         /// The query to evaluate locally.
         query: ConjunctiveQuery,
-        /// How to evaluate it (join strategy, ordering, indexing) — the
+        /// How to evaluate it (indexed kernel or scan oracle, atom order) — the
         /// worker must honor these exactly, so a wire round behaves
         /// identically to an in-process one.
         options: EvalOptions,
@@ -581,10 +581,7 @@ mod tests {
             },
             Message::EvalDelta {
                 query: query.clone(),
-                options: EvalOptions {
-                    join_strategy: cq::JoinStrategy::Multiway,
-                    ..EvalOptions::default()
-                },
+                options: EvalOptions::scan_naive(),
                 batch: DeltaBatch {
                     round: 4,
                     node: Node::numbered(2),
@@ -609,9 +606,8 @@ mod tests {
                 node: Node::numbered(4),
                 query: query.clone(),
                 options: EvalOptions {
-                    ordering: cq::JoinOrdering::Naive,
+                    ordering: cq::JoinOrdering::CostAware,
                     use_indexes: false,
-                    ..EvalOptions::default()
                 },
                 trace: TraceContext {
                     trace_id: 5,
@@ -668,10 +664,7 @@ mod tests {
             node: Node::numbered(3),
             chunk: parse_instance("R(a, b). R(b, c).").unwrap(),
         };
-        let options = EvalOptions {
-            join_strategy: cq::JoinStrategy::Multiway,
-            ..EvalOptions::default()
-        };
+        let options = EvalOptions::scan_naive();
         let trace = TraceContext {
             trace_id: 3,
             parent_span: 8,

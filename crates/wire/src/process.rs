@@ -411,20 +411,17 @@ mod tests {
 
     #[test]
     fn worker_honors_shipped_eval_options() {
-        // A chunk evaluated with multiway vs binary strategies must agree —
-        // and both must actually run (regression for the wire transports
-        // silently dropping eval options).
+        // A chunk evaluated by the triejoin and by the scan oracle must
+        // agree — and both must actually run (regression for the wire
+        // transports silently dropping eval options).
         let query = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), S(y, z), U(z, x).").unwrap();
         let chunk = cq::parse_instance("R(a, b). S(b, c). U(c, a). R(b, c).").unwrap();
         let mut outputs = Vec::new();
-        for strategy in [cq::JoinStrategy::Binary, cq::JoinStrategy::Multiway] {
+        for options in [EvalOptions::scan_naive(), EvalOptions::default()] {
             let replies = worker_script(&[
                 Message::EvalChunk {
                     query: query.clone(),
-                    options: EvalOptions {
-                        join_strategy: strategy,
-                        ..EvalOptions::default()
-                    },
+                    options,
                     batch: ChunkBatch {
                         round: 0,
                         node: Node::numbered(0),

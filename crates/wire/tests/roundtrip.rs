@@ -501,8 +501,9 @@ fn arbitrary_garbage_is_rejected() {
         b"PCQX\x01\x00",
         b"not a frame at all",
         b"PCQW",
-        b"PCQW\x01",
-        b"PCQW\x02\x00",
+        b"PCQW\x02",
+        b"PCQW\x01\x00",
+        b"PCQW\x03\x00",
     ] {
         assert!(
             decode_frame::<Message>(garbage).is_err(),

@@ -10,7 +10,6 @@
 //!   pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]
 //!                          [--rounds N] [--schedule S] [--feedback R]
 //!                          [--semi-naive] [--distribute-workers N]
-//!                          [--join-strategy binary|multiway|auto]
 //!                          [--transport memory|process|socket]
 //!                          [--fault-inject N] [--trace FILE]
 //!                          [--metrics FILE] [--slow-eval-us N]
@@ -61,11 +60,9 @@
 //! accumulated state across rounds, and each local evaluation is one
 //! differential pass over the delta — the final result is identical to
 //! full re-evaluation, the late-round work is not.
-//! `--distribute-workers` shards the reshuffle phase. `--join-strategy`
-//! picks the local join algorithm every node runs (`binary` = pairwise hash joins, `multiway` = the leapfrog-style
-//! worst-case-optimal join, `auto` = multiway exactly for cyclic queries;
-//! default auto); the options travel with every round, so wire workers
-//! and the multi-round engine honor them too. With
+//! `--distribute-workers` shards the reshuffle phase. Every node runs the
+//! one indexed join kernel, a leapfrog triejoin, on cyclic and acyclic
+//! queries alike; no flag selects it. With
 //! `--transport process` local evaluation leaves this process entirely:
 //! chunks are binary-encoded and shipped over stdio pipes to `--workers N`
 //! `pcq-analyze worker` subprocesses; `--transport socket` carries the
@@ -136,11 +133,41 @@
 //! equals the centralized reference; for `bench-diff`: no regression),
 //! 1 means it does not, 2 means a usage or parse error.
 
+use std::io::Write;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use pcq::obs;
 use pcq::prelude::*;
 use pcq::wire;
+
+/// `println!` for a stdout whose reader may leave early (`… | head`): see
+/// [`emit`].
+macro_rules! say {
+    ($($line:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($line)*)))
+    };
+}
+
+/// Writes `text` to stdout. The first write that finds the pipe closed ends
+/// the output quietly, and the command runs on to its verdict and exit
+/// status; any other failure panics as `print!` does.
+fn emit(text: std::fmt::Arguments<'_>) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    // (the test harness captures what `print!` writes, and only that)
+    if cfg!(test) {
+        return print!("{text}");
+    }
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().lock().write_fmt(text) {
+        Err(error) if error.kind() == std::io::ErrorKind::BrokenPipe => {
+            CLOSED.store(true, Ordering::Relaxed)
+        }
+        result => result.expect("failed printing to stdout"),
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -166,7 +193,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip | --strongly-minimal]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--semi-naive] [--distribute-workers N]\n                         [--join-strategy binary|multiway|auto]\n                         [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--metrics FILE] [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R] [--semi-naive]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE] [--metrics FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n  pcq-analyze bench-diff <trajectory-file> [--threshold-pct P] [--min-ns N]\n                         [--window N] [--bench NAME]...\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies: hash-join:<k> | hypercube:<b> | broadcast:<n>\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
+    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip | --strongly-minimal]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--semi-naive] [--distribute-workers N]\n                         [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--metrics FILE] [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R] [--semi-naive]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE] [--metrics FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n  pcq-analyze bench-diff <trajectory-file> [--threshold-pct P] [--min-ns N]\n                         [--window N] [--bench NAME]...\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies: hash-join:<k> | hypercube:<b> | broadcast:<n>\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
@@ -326,9 +353,6 @@ struct RunOptions {
     /// `--fault-inject N`: worker 0 dies after N eval jobs, exercising the
     /// wire transports' mid-round requeue path.
     fault_inject: Option<usize>,
-    /// `--join-strategy`: the local join algorithm every node evaluates
-    /// with (`None` = the evaluator's default, auto).
-    join_strategy: Option<JoinStrategy>,
     /// `--reshuffle-always`: disable transferability-driven reshuffle
     /// elision in multi-query scenarios (the measurement baseline).
     reshuffle_always: bool,
@@ -428,9 +452,9 @@ fn trace_command(args: &[String]) -> Result<bool, String> {
             let path = path.ok_or("trace summarize needs a trace file")?;
             let summary = load_trace_summary(path)?;
             if json {
-                println!("{}", summary.to_json());
+                say!("{}", summary.to_json());
             } else {
-                print!("{summary}");
+                emit(format_args!("{summary}"));
             }
             Ok(true)
         }
@@ -471,9 +495,9 @@ fn trace_command(args: &[String]) -> Result<bool, String> {
             let new = load_trace_summary(new_path)?;
             let diff = wire::diff_summaries(&base, &new, options);
             if json {
-                println!("{}", diff.to_json());
+                say!("{}", diff.to_json());
             } else {
-                print!("{diff}");
+                emit(format_args!("{diff}"));
             }
             Ok(diff.clean())
         }
@@ -604,7 +628,6 @@ fn run_command(args: &[String]) -> Result<bool, String> {
         scenario: None,
         transport: TransportChoice::Memory,
         fault_inject: None,
-        join_strategy: None,
         reshuffle_always: false,
         trace: None,
         metrics: None,
@@ -689,12 +712,6 @@ fn run_command(args: &[String]) -> Result<bool, String> {
                         .parse()
                         .map_err(|_| format!("--slow-eval-us: '{value}' is not a number"))?,
                 );
-            }
-            "--join-strategy" => {
-                let name = iter.next().ok_or("--join-strategy needs a name")?;
-                opts.join_strategy = Some(JoinStrategy::parse(name).ok_or(format!(
-                    "--join-strategy: '{name}' is not 'binary', 'multiway' or 'auto'"
-                ))?);
             }
             other if other.starts_with("--") => return Err(format!("unknown flag '{other}'")),
             _ => positional.push(arg),
@@ -838,12 +855,9 @@ fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, Strin
     }
 
     let policy = load_run_policy(policy_spec, &query, &instance)?;
-    let eval_options = run_eval_options(opts);
-    let resolved = eval_options.resolved_strategy(&query);
     let engine = OneRoundEngine::new(policy.as_ref())
         .workers(opts.workers)
-        .distribute_workers(opts.distribute_workers)
-        .eval_options(eval_options);
+        .distribute_workers(opts.distribute_workers);
     // `total` covers only the one-round run; the centralized evaluation
     // below is a correctness check, not part of the round being measured.
     let total_start = std::time::Instant::now();
@@ -893,16 +907,6 @@ fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, Strin
             ("workers", JsonValue::from(outcome.workers)),
             ("transport", JsonValue::from(opts.transport.label())),
             (
-                "join_strategy",
-                JsonValue::object([
-                    (
-                        "requested",
-                        JsonValue::from(eval_options.join_strategy.label()),
-                    ),
-                    ("resolved", JsonValue::from(resolved.label())),
-                ]),
-            ),
-            (
                 "index_cache",
                 JsonValue::object([
                     ("hits", JsonValue::from(outcome.index_cache_hits)),
@@ -950,24 +954,20 @@ fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, Strin
             ("histograms", histograms_block(&metrics)),
         ]);
         let doc = with_dropped_events(doc, opts);
-        println!("{doc}");
+        say!("{doc}");
     } else {
-        println!("query:       {query}");
-        println!("policy:      {policy_spec}");
-        println!("instance:    {instance_spec} ({} facts)", instance.len());
-        println!("workers:     {}", outcome.workers);
-        println!("transport:   {}", opts.transport.label());
-        println!(
-            "join:        {} (resolved: {})",
-            eval_options.join_strategy.label(),
-            resolved.label()
-        );
-        println!(
+        say!("query:       {query}");
+        say!("policy:      {policy_spec}");
+        say!("instance:    {instance_spec} ({} facts)", instance.len());
+        say!("workers:     {}", outcome.workers);
+        say!("transport:   {}", opts.transport.label());
+        say!(
             "index cache: {} hits / {} misses",
-            outcome.index_cache_hits, outcome.index_cache_misses
+            outcome.index_cache_hits,
+            outcome.index_cache_misses
         );
-        println!("result size: {}", outcome.result.len());
-        println!(
+        say!("result size: {}", outcome.result.len());
+        say!(
             "correct:     {}",
             if correct {
                 "yes"
@@ -975,9 +975,9 @@ fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, Strin
                 "NO (one-round result differs from centralized)"
             }
         );
-        println!("distribution: {}", outcome.stats);
-        println!("comm bytes:  {} on the wire", outcome.comm_bytes);
-        println!(
+        say!("distribution: {}", outcome.stats);
+        say!("comm bytes:  {} on the wire", outcome.comm_bytes);
+        say!(
             "timings:     distribute={}µs local_eval={}µs total={}µs skew={:.2}",
             outcome.distribute_time.as_micros(),
             outcome.local_eval_time.as_micros(),
@@ -985,7 +985,7 @@ fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, Strin
             outcome.time_skew()
         );
         for (node, output) in &outcome.per_node_output {
-            println!(
+            say!(
                 "  {node}: load={} output={} time={}µs",
                 outcome.per_node_load.get(node).copied().unwrap_or(0),
                 output,
@@ -999,16 +999,6 @@ fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, Strin
         }
     }
     Ok(correct)
-}
-
-/// The evaluation options every node runs with, as selected by the `run`
-/// flags — shipped with each round, so they hold across wire transports
-/// and the multi-round engine alike.
-fn run_eval_options(opts: &RunOptions) -> EvalOptions {
-    EvalOptions {
-        join_strategy: opts.join_strategy.unwrap_or_default(),
-        ..EvalOptions::default()
-    }
 }
 
 /// Collects the run's metrics registries into one JSON document
@@ -1088,7 +1078,6 @@ fn run_multi_query(
         .workers(opts.workers)
         .distribute_workers(opts.distribute_workers)
         .semi_naive(opts.semi_naive)
-        .eval_options(run_eval_options(opts))
         .reshuffle_always(opts.reshuffle_always);
     if let Some(feedback) = feedback {
         for (i, query) in queries.iter().enumerate() {
@@ -1163,28 +1152,28 @@ fn run_multi_query(
             ("histograms", histograms_block(&metrics)),
         ]);
         let doc = with_dropped_events(doc, opts);
-        println!("{doc}");
+        say!("{doc}");
     } else {
-        println!("scenario:    {scenario_label} ({} queries)", queries.len());
+        say!("scenario:    {scenario_label} ({} queries)", queries.len());
         if let Some(s) = &schedule_label {
-            println!("schedule:    {s}");
+            say!("schedule:    {s}");
         }
         if let Some(feedback) = feedback {
-            println!("feedback:    outputs re-enter as {feedback}");
+            say!("feedback:    outputs re-enter as {feedback}");
         }
-        println!("instance:    {} facts", instance.len());
-        println!("transport:   {}", opts.transport.label());
+        say!("instance:    {} facts", instance.len());
+        say!("transport:   {}", opts.transport.label());
         if opts.semi_naive {
-            println!("mode:        semi-naive (rounds ship deltas, nodes keep state)");
+            say!("mode:        semi-naive (rounds ship deltas, nodes keep state)");
         }
         if opts.reshuffle_always {
-            println!("mode:        reshuffle-always (transferability elision disabled)");
+            say!("mode:        reshuffle-always (transferability elision disabled)");
         }
-        println!(
+        say!(
             "transfer:    {transfer_checks} check(s), {elided} reshuffle(s) elided, \
              {reshards} re-shard round(s)"
         );
-        println!(
+        say!(
             "correct:     {}",
             if correct {
                 "yes (every query equals its global fixpoint)"
@@ -1192,14 +1181,14 @@ fn run_multi_query(
                 "NO (some query's distributed result differs from its fixpoint)"
             }
         );
-        println!(
+        say!(
             "comm volume: {comm_volume} fact-assignments over all queries \
              ({comm_bytes} bytes on the wire)"
         );
-        println!("timings:     total={}µs", total.as_micros());
+        say!("timings:     total={}µs", total.as_micros());
         for (i, (query, report)) in queries.iter().zip(&reports).enumerate() {
             let o = &report.outcome;
-            println!(
+            say!(
                 "  query {i}: {query} — {} round(s), {}, output={}{}",
                 o.rounds_run(),
                 if o.elided_reshuffles > 0 {
@@ -1235,8 +1224,7 @@ fn run_multi_round(
         .rounds(rounds)
         .workers(opts.workers)
         .distribute_workers(opts.distribute_workers)
-        .semi_naive(opts.semi_naive)
-        .eval_options(run_eval_options(opts));
+        .semi_naive(opts.semi_naive);
     if let Some(feedback) = feedback {
         validate_feedback(query, feedback)?;
         engine = engine.feedback_into(feedback);
@@ -1328,30 +1316,30 @@ fn run_multi_round(
             ("histograms", histograms_block(&metrics)),
         ]);
         let doc = with_dropped_events(doc, opts);
-        println!("{doc}");
+        say!("{doc}");
     } else {
-        println!("query:       {query}");
+        say!("query:       {query}");
         match &schedule_label {
-            Some(s) => println!("schedule:    {s}"),
-            None => println!("policy:      {policy_label} (every round)"),
+            Some(s) => say!("schedule:    {s}"),
+            None => say!("policy:      {policy_label} (every round)"),
         }
         if let Some(feedback) = feedback {
-            println!("feedback:    outputs re-enter as {feedback}");
+            say!("feedback:    outputs re-enter as {feedback}");
         }
-        println!("instance:    {instance_label} ({} facts)", instance.len());
-        println!("transport:   {}", opts.transport.label());
+        say!("instance:    {instance_label} ({} facts)", instance.len());
+        say!("transport:   {}", opts.transport.label());
         if opts.semi_naive {
-            println!("mode:        semi-naive (rounds ship deltas, nodes keep state)");
+            say!("mode:        semi-naive (rounds ship deltas, nodes keep state)");
         }
-        println!(
+        say!(
             "rounds:      {} run / {} requested (reference fixpoint: {})",
             outcome.rounds_run(),
             rounds,
             report.reference_rounds
         );
-        println!("converged:   {}", outcome.converged);
-        println!("result size: {}", outcome.result.len());
-        println!(
+        say!("converged:   {}", outcome.converged);
+        say!("result size: {}", outcome.result.len());
+        say!(
             "correct:     {}",
             if report.correct {
                 "yes (equals the global fixpoint)"
@@ -1359,19 +1347,19 @@ fn run_multi_round(
                 "NO (distributed result differs from the iterated fixpoint)"
             }
         );
-        println!(
+        say!(
             "comm volume: {} fact-assignments over all rounds ({} bytes on the wire)",
             outcome.total_comm_volume(),
             outcome.total_comm_bytes()
         );
-        println!(
+        say!(
             "timings:     distribute={}µs local_eval={}µs total={}µs",
             outcome.total_distribute_time().as_micros(),
             outcome.total_local_eval_time().as_micros(),
             total.as_micros()
         );
         for (i, round) in outcome.rounds.iter().enumerate() {
-            println!(
+            say!(
                 "  round {i}: output={} {} time={}µs",
                 round.result.len(),
                 round.stats,
@@ -1409,7 +1397,6 @@ fn encode_command(args: &[String]) -> Result<bool, String> {
         }
         other => return Err(format!("cannot encode '{other}' (query|instance|scenario)")),
     };
-    use std::io::Write;
     std::io::stdout()
         .write_all(&wire::encode_frame(&message))
         .map_err(|e| format!("cannot write frame: {e}"))?;
@@ -1431,17 +1418,17 @@ fn decode_command(args: &[String]) -> Result<bool, String> {
     let message: wire::Message =
         wire::decode_frame(&bytes).map_err(|e| format!("cannot decode frame: {e}"))?;
     match message {
-        wire::Message::Query(query) => println!("{query}"),
+        wire::Message::Query(query) => say!("{query}"),
         wire::Message::Instance(instance) => {
             for fact in instance.facts() {
-                println!("{fact}.");
+                say!("{fact}.");
             }
         }
-        wire::Message::Scenario(scenario) => print!("{scenario}"),
+        wire::Message::Scenario(scenario) => emit(format_args!("{scenario}")),
         other => {
             // Protocol messages decode fine but have no canonical textual
             // source form; describe them instead of inventing one.
-            println!("{}: {other:?}", other.kind());
+            say!("{}: {other:?}", other.kind());
         }
     }
     Ok(true)
@@ -1585,7 +1572,7 @@ fn bench_diff(args: &[String]) -> Result<bool, String> {
             unreachable!("history entries are created non-empty");
         };
         if baseline_runs.is_empty() {
-            println!("bench-diff: {bench}: only one run recorded, nothing to compare");
+            say!("bench-diff: {bench}: only one run recorded, nothing to compare");
             continue;
         }
         // Trend-aware baseline: per benchmark id, the median over the last
@@ -1611,14 +1598,14 @@ fn bench_diff(args: &[String]) -> Result<bool, String> {
             let change_pct = (*new_ns as f64 - old_ns as f64) / old_ns as f64 * 100.0;
             if change_pct > threshold_pct {
                 regressions += 1;
-                println!(
+                say!(
                     "REGRESSION {bench}/{id}: median({} run(s)) {old_ns}ns -> {new_ns}ns (+{change_pct:.1}% > {threshold_pct:.0}%)",
                     history_ns.len()
                 );
             }
         }
     }
-    println!(
+    say!(
         "bench-diff: {compared} benchmarks compared, {regressions} regression(s) above {threshold_pct:.0}% (window {window})"
     );
     Ok(regressions == 0)
@@ -1670,19 +1657,19 @@ fn load_policy(path: &str) -> Result<ExplicitPolicy, String> {
 }
 
 fn analyze(query: &ConjunctiveQuery) -> bool {
-    println!("query:             {query}");
-    println!("input schema:      {}", query.schema());
-    println!("full:              {}", query.is_full());
-    println!("boolean:           {}", query.is_boolean());
-    println!("self-joins:        {}", query.has_self_joins());
-    println!("acyclic (GYO):     {}", cq::is_acyclic(query));
-    println!("minimal:           {}", cq::is_minimal(query));
+    say!("query:             {query}");
+    say!("input schema:      {}", query.schema());
+    say!("full:              {}", query.is_full());
+    say!("boolean:           {}", query.is_boolean());
+    say!("self-joins:        {}", query.has_self_joins());
+    say!("acyclic (GYO):     {}", cq::is_acyclic(query));
+    say!("minimal:           {}", cq::is_minimal(query));
     let strongly = is_strongly_minimal(query);
-    println!("strongly minimal:  {strongly}");
-    println!("Lemma 4.8 applies: {}", pc_core::satisfies_lemma_4_8(query));
+    say!("strongly minimal:  {strongly}");
+    say!("Lemma 4.8 applies: {}", pc_core::satisfies_lemma_4_8(query));
     let min = cq::minimize(query);
     if min.core.body_size() < query.body_size() {
-        println!("core:              {}", min.core);
+        say!("core:              {}", min.core);
     }
     true
 }
@@ -1698,22 +1685,22 @@ fn minimality_line(asks: CacheStats) -> String {
 }
 
 fn parallel_correctness(query: &ConjunctiveQuery, policy: &ExplicitPolicy) -> bool {
-    println!("query:   {query}");
-    println!("network: {}", policy.network());
+    say!("query:   {query}");
+    say!("network: {}", policy.network());
     let report = check_parallel_correctness(query, policy);
-    println!("{}", minimality_line(report.cache_stats()));
+    say!("{}", minimality_line(report.cache_stats()));
     if report.is_correct() {
-        println!("parallel-correct: yes (every minimal valuation meets at some node)");
+        say!("parallel-correct: yes (every minimal valuation meets at some node)");
         true
     } else {
-        println!("parallel-correct: NO");
+        say!("parallel-correct: NO");
         if let Some(violation) = &report.violation {
-            println!("  minimal valuation:       {}", violation.valuation);
-            println!(
+            say!("  minimal valuation:       {}", violation.valuation);
+            say!(
                 "  counterexample instance: {}",
                 violation.counterexample_instance
             );
-            println!("  lost fact:               {}", violation.lost_fact);
+            say!("  lost fact:               {}", violation.lost_fact);
         }
         false
     }
@@ -1724,8 +1711,8 @@ fn transfer(
     to: &ConjunctiveQuery,
     mode: Option<&str>,
 ) -> Result<bool, String> {
-    println!("from: {from}");
-    println!("to:   {to}");
+    say!("from: {from}");
+    say!("to:   {to}");
     let report = match mode {
         None => check_transfer(from, to),
         Some("--no-skip") => pc_core::check_transfer_no_skip(from, to),
@@ -1737,15 +1724,15 @@ fn transfer(
         }
         Some(other) => return Err(format!("unknown flag '{other}'")),
     };
-    println!("{}", minimality_line(report.cache_stats()));
-    println!(
+    say!("{}", minimality_line(report.cache_stats()));
+    say!(
         "parallel-correctness transfers ({}): {}",
         report.method,
         if report.transfers { "yes" } else { "NO" }
     );
     if let Some(violation) = &report.violation {
-        println!("  witness valuation of Q':  {}", violation.valuation);
-        println!(
+        say!("  witness valuation of Q':  {}", violation.valuation);
+        say!(
             "  facts no minimal valuation of Q covers: {}",
             violation.required_facts
         );
@@ -1754,10 +1741,10 @@ fn transfer(
 }
 
 fn hypercube(query: &ConjunctiveQuery, prime: &ConjunctiveQuery) -> bool {
-    println!("family of: {query}");
-    println!("candidate: {prime}");
+    say!("family of: {query}");
+    say!("candidate: {prime}");
     let report = hypercube_parallel_correct(query, prime);
-    println!(
+    say!(
         "parallel-correct for the Hypercube family H_Q: {}",
         if report.parallel_correct { "yes" } else { "NO" }
     );

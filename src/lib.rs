@@ -58,8 +58,8 @@ pub use workloads;
 pub mod prelude {
     pub use cq::{
         evaluate, evaluate_seminaive_step, evaluate_with, parse_instance, Atom, ConjunctiveQuery,
-        EvalOptions, Fact, Instance, JoinOrdering, JoinStrategy, Schema, Substitution, Symbol,
-        Tuple, Valuation, Value, Variable,
+        EvalOptions, Fact, Instance, JoinOrdering, Schema, Substitution, Symbol, Tuple, Valuation,
+        Value, Variable,
     };
     pub use delta::{CacheStats, DeltaInstance, DeltaNode, IndexCache};
     pub use distribution::{

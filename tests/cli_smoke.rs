@@ -74,9 +74,10 @@ fn pc_distinguishes_correct_from_incorrect_policies() {
 #[test]
 fn pc_no_report_names_the_valuation_the_instance_and_the_lost_fact() {
     // The whole report of a NO verdict, as printed: the first minimal
-    // valuation (in enumeration order) whose facts do not meet, its required
-    // facts as the counterexample instance, the fact the nodes lose — and how
-    // many candidates it took.
+    // valuation (in enumeration order: the triejoin binds `y`, then `x`,
+    // then `z`, each ascending) whose facts do not meet, its required facts
+    // as the counterexample instance, the fact the nodes lose — and how many
+    // candidates it took.
     let path = write_temp("no-policy.txt", EXAMPLE_3_5_POLICY);
     let (code, stdout) = pcq_analyze_output(&["pc", PATH_2, path.to_str().unwrap()]);
     let _ = std::fs::remove_file(path);
@@ -85,11 +86,11 @@ fn pc_no_report_names_the_valuation_the_instance_and_the_lost_fact() {
         stdout,
         "query:   T(x, z) :- R(x, y), R(y, z).\n\
          network: {n0, n1}\n\
-         minimality: 3 candidates, 0 by equality type, 3 searched\n\
+         minimality: 4 candidates, 0 by equality type, 4 searched\n\
          parallel-correct: NO\n\
-         \x20 minimal valuation:       {x ↦ a, z ↦ a, y ↦ b}\n\
+         \x20 minimal valuation:       {x ↦ b, z ↦ b, y ↦ a}\n\
          \x20 counterexample instance: {R(a, b), R(b, a)}\n\
-         \x20 lost fact:               T(a, a)\n"
+         \x20 lost fact:               T(b, b)\n"
     );
 }
 
@@ -386,45 +387,40 @@ fn run_rejects_multi_round_flags_without_rounds() {
 }
 
 #[test]
-fn run_join_strategy_flag_selects_and_reports_the_strategy() {
-    // The triangle is cyclic: auto resolves to multiway; every strategy
-    // produces the same (correct) result.
-    for (requested, resolved) in [
-        ("binary", "binary"),
-        ("multiway", "multiway"),
-        ("auto", "multiway"),
-    ] {
-        let (code, stdout) = pcq_analyze_output(&[
-            "run",
-            "triangle",
-            "broadcast:2",
-            "E(a, b). E(b, c). E(c, a). E(a, c).",
-            "--join-strategy",
-            requested,
-        ]);
-        assert_eq!(code, 0, "{requested}: {stdout}");
+fn run_rejects_the_removed_join_strategy_flag() {
+    // `--join-strategy` went with the join it selected: every query, cyclic
+    // or not, runs the one indexed kernel. The flag is an ordinary unknown
+    // flag now, whatever name follows it.
+    for name in [&["auto"][..], &["binary"], &["multiway"], &[]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_pcq-analyze"))
+            .args(["run", "triangle", "broadcast:2", CHAIN_FACTS])
+            .arg("--join-strategy")
+            .args(name)
+            .output()
+            .expect("failed to spawn pcq-analyze");
+        assert_eq!(output.status.code(), Some(2), "{name:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
-            stdout.contains(&format!("join:        {requested} (resolved: {resolved})")),
-            "{requested}: {stdout}"
+            stderr.starts_with("error: unknown flag '--join-strategy'"),
+            "{stderr}"
         );
-        assert!(stdout.contains("index cache:"), "{stdout}");
     }
-    // The acyclic 2-path resolves auto to binary, and --json carries the
-    // strategy and the transport's index-cache counters.
-    let (code, stdout) = pcq_analyze_output(&[
-        "run",
-        "chain:2",
-        "broadcast:2",
-        CHAIN_FACTS,
-        "--join-strategy",
-        "auto",
-        "--json",
-    ]);
-    assert_eq!(code, 0, "{stdout}");
-    for key in [
-        "\"join_strategy\":{\"requested\":\"auto\",\"resolved\":\"binary\"}",
-        "\"index_cache\":{\"hits\":1,\"misses\":1}",
-    ] {
+    // The reports name no strategy any more, cyclic or acyclic, and still
+    // carry the transport's index-cache counters.
+    for query in ["triangle", "chain:2"] {
+        let facts = "E(a, b). E(b, c). E(c, a). E(a, c). R(a, b). R(b, c).";
+        let (code, stdout) = pcq_analyze_output(&["run", query, "broadcast:2", facts]);
+        assert_eq!(code, 0, "{query}: {stdout}");
+        assert!(!stdout.contains("join:"), "{query}: {stdout}");
+        assert!(
+            stdout.contains("index cache: 1 hits / 1 misses"),
+            "{stdout}"
+        );
+        let (code, stdout) = pcq_analyze_output(&["run", query, "broadcast:2", facts, "--json"]);
+        assert_eq!(code, 0, "{query}: {stdout}");
+        assert!(!stdout.contains("join_strategy"), "{query}: {stdout}");
+        assert!(stdout.contains("\"parallel_correct\":true"), "{stdout}");
+        let key = "\"index_cache\":{\"hits\":1,\"misses\":1}";
         assert!(stdout.contains(key), "missing {key} in {stdout}");
     }
 }
@@ -433,68 +429,62 @@ fn run_join_strategy_flag_selects_and_reports_the_strategy() {
 fn run_join_strategies_agree_on_mixed_arity_relations() {
     // A fact matches atoms of its own arity only: the unary E(a) used to
     // panic the multiway join, and E(b, a, d) used to match E(y, z) there,
-    // so the centralized verify disagreed with a binary run.
+    // so the centralized verify disagreed with the run. One kernel runs on
+    // both sides now; the cyclic and the acyclic query still have to agree
+    // with the answers counted by hand, in memory and on workers.
     for instance in [
         "E(a,b). E(b,c). E(c,a). E(a).",
         "E(a,b). E(b,c). E(c,a). E(a,b,c). E(b,a,d). E(a,a,e).",
     ] {
-        for strategy in ["auto", "binary", "multiway"] {
-            let (code, stdout) = pcq_analyze_output(&[
-                "run",
-                TRIANGLE,
-                "hypercube:2",
-                instance,
-                "--join-strategy",
-                strategy,
-                "--json",
-            ]);
-            assert_eq!(code, 0, "{strategy} on {instance}: {stdout}");
-            assert!(
-                stdout.contains("\"result_size\":3"),
-                "{strategy} on {instance}: {stdout}"
-            );
+        for (query, answers) in [(TRIANGLE, 3), ("T(x, z) :- E(x, y), E(y, z).", 3)] {
+            for transport in ["memory", "process"] {
+                let (code, stdout) = pcq_analyze_output(&[
+                    "run",
+                    query,
+                    "hypercube:2",
+                    instance,
+                    "--transport",
+                    transport,
+                    "--json",
+                ]);
+                assert_eq!(code, 0, "{query} on {instance} ({transport}): {stdout}");
+                assert!(
+                    stdout.contains(&format!("\"result_size\":{answers}")),
+                    "{query} on {instance} ({transport}): {stdout}"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn run_join_strategy_flag_is_validated() {
-    // unknown strategy names
-    assert_eq!(
-        pcq_analyze(&[
+    // Validated as any flag the program does not know: a usage error, with
+    // a strategy name, with a made-up one, and with none.
+    for name in [&["multiway"][..], &["leapfrog"], &[]] {
+        let mut args = vec![
             "run",
             "chain:2",
             "hypercube:2",
             CHAIN_FACTS,
             "--join-strategy",
-            "leapfrog"
-        ]),
-        2
-    );
-    assert_eq!(
-        pcq_analyze(&[
-            "run",
-            "chain:2",
-            "hypercube:2",
-            CHAIN_FACTS,
-            "--join-strategy"
-        ]),
-        2
-    );
+        ];
+        args.extend(name);
+        assert_eq!(pcq_analyze(&args), 2, "{name:?}");
+    }
 }
 
 #[test]
 fn run_join_strategy_rides_wire_transports_and_multi_round_runs() {
-    // The options travel with every round now: wire workers and the
-    // multi-round engine evaluate with the strategy the coordinator chose
-    // (both combinations used to be usage errors).
+    // No flag selects the join any more, so there is nothing to ship but the
+    // default: acyclic queries run the triejoin on wire workers and in every
+    // round of a multi-round run too — a kernel that used to be reachable
+    // there only through the flag, and before that not at all.
     let (code, stdout) = pcq_analyze_output(&[
         "run",
         "chain:2",
         "hypercube:2",
         CHAIN_FACTS,
-        "--join-strategy",
-        "multiway",
         "--transport",
         "process",
         "--workers",
@@ -502,18 +492,16 @@ fn run_join_strategy_rides_wire_transports_and_multi_round_runs() {
     ]);
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("correct:     yes"), "{stdout}");
-    let (code, stdout) = pcq_analyze_output(&[
-        "run",
-        "chain:2",
-        "hypercube:2",
-        CHAIN_FACTS,
-        "--join-strategy",
-        "multiway",
-        "--rounds",
-        "2",
-    ]);
-    assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("correct:     yes"), "{stdout}");
+    for rounds in [
+        &["--rounds", "2"][..],
+        &["--rounds", "8", "--feedback", "R", "--semi-naive"],
+    ] {
+        let mut args = vec!["run", "chain:2", "hypercube:2", CHAIN_FACTS];
+        args.extend(rounds);
+        let (code, stdout) = pcq_analyze_output(&args);
+        assert_eq!(code, 0, "{rounds:?}: {stdout}");
+        assert!(stdout.contains("correct:     yes"), "{stdout}");
+    }
 }
 
 #[test]
@@ -696,6 +684,53 @@ fn pcq_analyze_piped(args: &[&str], stdin_bytes: &[u8]) -> (i32, Vec<u8>) {
         output.status.code().expect("terminated by signal"),
         output.stdout,
     )
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly_and_keeps_the_verdict() {
+    use std::io::Write;
+    use std::process::Stdio;
+    // `… | head`: the reader leaves before the program has printed
+    // everything. That is not the program's failure: no panic text, and the
+    // exit status is still the verdict's.
+    let close_early = |args: &[&str], stdin: &[u8]| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pcq-analyze"))
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("failed to spawn pcq-analyze");
+        // The read end goes first, the input after it: a command that reads
+        // stdin cannot have printed a byte by then.
+        drop(child.stdout.take());
+        let mut input = child.stdin.take().expect("stdin piped");
+        input.write_all(stdin).expect("cannot write to stdin");
+        drop(input);
+        let output = child.wait_with_output().expect("wait failed");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        (output.status.code(), stderr)
+    };
+    // decode prints a line per fact — after it has read its frame
+    let facts: String = (0..2000).map(|i| format!("R(a{i}, b{i}). ")).collect();
+    let (code, frame) = pcq_analyze_piped(&["encode", "instance", &facts], b"");
+    assert_eq!(code, 0);
+    assert_eq!(close_early(&["decode"], &frame), (Some(0), String::new()));
+    // a run's report, text and JSON: correct, exit 0
+    for json in [&[][..], &["--json"]] {
+        let mut args = vec!["run", "chain:2", "hypercube:4", "random:10:60"];
+        args.extend(json);
+        assert_eq!(
+            close_early(&args, b""),
+            (Some(0), String::new()),
+            "{json:?}"
+        );
+    }
+    // a NO verdict stays exit 1
+    let path = write_temp("closed-stdout-policy.txt", EXAMPLE_3_5_POLICY);
+    let outcome = close_early(&["pc", PATH_2, path.to_str().unwrap()], b"");
+    let _ = std::fs::remove_file(path);
+    assert_eq!(outcome, (Some(1), String::new()));
 }
 
 #[test]

@@ -1,12 +1,15 @@
 //! `Instance` against a `BTreeSet<Fact>` model: whatever sequence of bulk
 //! builds, in-order and out-of-order inserts, extends and removes produced
 //! an instance, everything observable depends on its fact set alone — and
-//! the rows behind the posting lists stay consistent while it grows warm.
+//! the sorted orders the join kernel walks, kept while it grows and dropped
+//! by a remove, hold what a fresh build would sort.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
+use std::ops::ControlFlow;
 
+use pcq::cq::CompiledQuery;
 use pcq::prelude::*;
 use proptest::prelude::*;
 
@@ -39,6 +42,49 @@ fn hash_of(instance: &Instance) -> u64 {
     hasher.finish()
 }
 
+/// Queries that between them walk every relation of the pool in permuted
+/// column orders, at every arity, with a variable repeated inside an atom.
+const PROBE_QUERIES: [&str; 4] = [
+    "Q(x, y) :- M0(x, y), M1(y).",
+    "Q(x, y, z) :- M1(x, y, z), M2(z, x), M0().",
+    "Q(a, g) :- M2(a, b, c, d, e, f, g), M0(g, a), M1(c, c).",
+    "Q(x, z) :- M0(x, y), M0(y, z), M2(z).",
+];
+
+/// The leaves of `query` on `instance`, in the order the triejoin finds
+/// them: its view of the instance's sorted orders.
+fn leaves(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOptions) -> Vec<Vec<Value>> {
+    let mut leaves = Vec::new();
+    let compiled = CompiledQuery::new(query);
+    let _ = compiled.for_each_satisfying(instance, &Valuation::new(), opts, |slots| {
+        leaves.push(slots.iter().map(|value| value.unwrap()).collect());
+        ControlFlow::Continue(())
+    });
+    leaves
+}
+
+/// The sorted orders `instance` holds or builds now, against a fresh bulk
+/// build of `model` — leaf for leaf, in order — and the scan oracle.
+fn assert_orders_match_a_fresh_build(instance: &Instance, model: &BTreeSet<Fact>) {
+    let fresh = Instance::from_facts(model.iter().cloned());
+    for text in PROBE_QUERIES {
+        let query = ConjunctiveQuery::parse(text).unwrap();
+        let walked = leaves(&query, instance, EvalOptions::default());
+        assert_eq!(
+            walked,
+            leaves(&query, &fresh, EvalOptions::default()),
+            "{text}"
+        );
+        let scanned = leaves(&query, &fresh, EvalOptions::scan_naive());
+        assert_eq!(
+            walked.iter().collect::<BTreeSet<_>>(),
+            scanned.iter().collect::<BTreeSet<_>>(),
+            "{text}"
+        );
+        assert_eq!(walked.len(), scanned.len(), "{text}");
+    }
+}
+
 /// Everything the instance lets a caller observe, against the model.
 fn assert_matches_model(instance: &Instance, model: &BTreeSet<Fact>, probes: &[Fact]) {
     let in_order: Vec<Fact> = model.iter().cloned().collect();
@@ -65,27 +111,18 @@ fn assert_matches_model(instance: &Instance, model: &BTreeSet<Fact>, probes: &[F
         let of_relation: BTreeSet<&Fact> = model.iter().filter(|f| f.relation == rel).collect();
         assert_eq!(rows.len(), of_relation.len(), "a row per fact, no more");
         assert_eq!(rows.iter().collect::<BTreeSet<_>>(), of_relation);
-        for position in 0..7 {
-            for probed in (0..VALUES).map(value) {
-                let posting = instance.posting(rel, position, probed);
-                assert!(posting.is_sorted());
-                assert!(posting
-                    .iter()
-                    .all(|&row| rows[row as usize].value_at(position) == Some(probed)));
-                let expected = of_relation
-                    .iter()
-                    .filter(|f| f.value_at(position) == Some(probed));
-                assert_eq!(posting.len(), expected.count());
-            }
-        }
     }
+    // A copy starts without sorted orders: built from rows in this
+    // history's order, they hold what a bulk build's hold.
+    assert_orders_match_a_fresh_build(&instance.clone(), model);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48).with_rng_seed(0x17_FAC7))]
 
-    /// Random interleavings of every way to change an instance, with the
-    /// secondary indexes probed (so: warm) in between.
+    /// Random interleavings of every way to change an instance, with its
+    /// sorted orders asked for (so: kept and caught up from then on, until
+    /// a remove drops them) in between.
     #[test]
     fn every_history_matches_the_ordered_set_model(
         steps in proptest::collection::vec(
@@ -119,14 +156,16 @@ proptest! {
                 5 => for fact in batch.iter().chain(&probes).take(6) {
                     prop_assert_eq!(instance.remove(fact), model.remove(fact));
                 },
-                // a probe warms the indexes: later steps grow them in place
+                // an evaluation builds the orders, or catches up the ones
+                // the steps since the last have outgrown
                 _ => {
-                    let _ = instance.posting(relation(0), 0, value(0));
-                    prop_assert!(instance.indexes_built());
+                    assert_orders_match_a_fresh_build(&instance, &model);
+                    prop_assert!(instance.cached_orders() > 0);
                 }
             }
             assert_matches_model(&instance, &model, &probes);
         }
+        assert_orders_match_a_fresh_build(&instance, &model);
     }
 
     /// Equal fact sets are equal instances, however they came about: bulk
@@ -144,7 +183,7 @@ proptest! {
         let mut shuffled = Instance::new();
         facts.iter().for_each(|fact| { shuffled.insert_cloned(fact); });
         let mut pruned = Instance::new();
-        let _ = pruned.posting(relation(0), 0, value(0));
+        assert_orders_match_a_fresh_build(&pruned, &BTreeSet::new());
         extra.iter().chain(&facts).for_each(|fact| { pruned.insert_cloned(fact); });
         for fact in extra.iter().filter(|fact| !model.contains(fact)) {
             pruned.remove(fact);
@@ -166,4 +205,43 @@ proptest! {
         prop_assert_eq!(&decoded, &bulk);
         prop_assert_eq!(cache.misses(), 1);
     }
+}
+
+#[test]
+fn twelve_rounds_of_growth_keep_one_order_per_relation_and_column_order() {
+    // The 2-path walks `M0` in both column orders. Twelve rounds absorb a
+    // batch each into the one accumulated instance and evaluate on it, the
+    // differential step and in full: the two orders are caught up round
+    // after round — never dropped, never piled up next to stale ones — and
+    // hold at every round what a fresh build sorts.
+    let query = ConjunctiveQuery::parse("Q(x, z) :- M0(x, y), M0(y, z).").unwrap();
+    let edge = |i: usize| Fact::new(relation(0), vec![value(i * 7 % 40), value(i * 11 % 37)]);
+    let mut data = DeltaInstance::new();
+    let mut answers = Instance::new();
+    for round in 0..12 {
+        let added = data.absorb((0..25).map(|i| edge(round * 25 + i)));
+        assert!(added > 0, "round {round} grows the instance");
+        answers.extend(data.evaluate_new(&query).facts());
+        data.take_delta();
+        let fresh = Instance::from_facts(data.full().facts().cloned());
+        assert_eq!(evaluate(&query, data.full()), answers, "round {round}");
+        assert_eq!(
+            answers,
+            evaluate_with(&query, &fresh, EvalOptions::scan_naive()),
+            "round {round}"
+        );
+        assert_eq!(
+            leaves(&query, data.full(), EvalOptions::default()),
+            leaves(&query, &fresh, EvalOptions::default()),
+            "round {round}"
+        );
+        assert_eq!(data.full().cached_orders(), 2, "round {round}");
+    }
+    assert!(answers.len() > 100);
+    // a remove is what drops them
+    let mut full = data.full().clone();
+    let _ = evaluate(&query, &full);
+    assert_eq!(full.cached_orders(), 2);
+    assert!(full.remove(&edge(0)));
+    assert_eq!(full.cached_orders(), 0);
 }

@@ -511,17 +511,18 @@ fn kernel_handles_queries_with_more_than_64_variables() {
         assert!(v.is_total_for(&query) && v.satisfies(&query, &frozen_body));
     }
     let answers = cq::evaluate_with(&query, &frozen_body, EvalOptions::scan_naive());
-    for strategy in [
-        JoinStrategy::Binary,
-        JoinStrategy::Multiway,
-        JoinStrategy::Auto,
-    ] {
-        let opts = EvalOptions::default().with_join_strategy(strategy);
-        assert_eq!(valuations(opts), oracle, "{strategy:?}");
-        assert_eq!(
-            cq::evaluate_with(&query, &frozen_body, opts),
-            answers,
-            "{strategy:?}"
-        );
+    for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
+        for use_indexes in [false, true] {
+            let opts = EvalOptions {
+                ordering,
+                use_indexes,
+            };
+            assert_eq!(valuations(opts), oracle, "{opts:?}");
+            assert_eq!(
+                cq::evaluate_with(&query, &frozen_body, opts),
+                answers,
+                "{opts:?}"
+            );
+        }
     }
 }

@@ -142,9 +142,10 @@ fn evaluate_done_reports_derivations_against_distinct_answers() {
 
 #[test]
 fn join_spans_name_the_kernel_that_runs() {
-    // A cyclic query resolves `auto` to the multiway join for a full
-    // evaluation, but every differential pass of a semi-naive round is a
-    // pivoted binary join: `trace diff` attributes time by these labels.
+    // One indexed kernel runs full evaluations and the differential passes
+    // of a semi-naive round alike, cyclic query or not; the scan oracle is
+    // named when it is asked for. `trace diff` attributes time by these
+    // labels.
     let query = ConjunctiveQuery::parse("T(x, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
     let instance = cq::parse_instance("E(a,b). E(b,c). E(c,a). E(c,d). E(d,a).").unwrap();
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
@@ -152,8 +153,11 @@ fn join_spans_name_the_kernel_that_runs() {
         .rounds(3)
         .feedback_into("E")
         .semi_naive(true);
+    let chain = ConjunctiveQuery::parse("T(x, z) :- E(x, y), E(y, z).").unwrap();
     let (_, events) = traced(|| {
         let _ = cq::evaluate(&query, &instance);
+        let _ = cq::evaluate(&chain, &instance);
+        let _ = cq::evaluate_with(&chain, &instance, EvalOptions::scan_naive());
         engine.evaluate(&query, &instance)
     });
     let strategies = |span: &str| -> Vec<&str> {
@@ -165,9 +169,12 @@ fn join_spans_name_the_kernel_that_runs() {
             })
             .collect()
     };
-    assert!(strategies("evaluate").contains(&"multiway"));
+    assert_eq!(
+        strategies("evaluate")[..3],
+        ["multiway", "multiway", "binary"]
+    );
     let steps = strategies("seminaive_step");
-    assert!(!steps.is_empty() && steps.iter().all(|&strategy| strategy == "binary"));
+    assert!(!steps.is_empty() && steps.iter().all(|&strategy| strategy == "multiway"));
 }
 
 #[test]

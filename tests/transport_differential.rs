@@ -414,12 +414,10 @@ fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
 #[test]
 fn wire_workers_honor_the_coordinators_join_strategy() {
     // The options travel with every round since they joined the wire
-    // protocol; under an explicitly forced multiway strategy all three
-    // transports must produce the centralized answers on every family.
-    let options = EvalOptions {
-        join_strategy: JoinStrategy::Multiway,
-        ..EvalOptions::default()
-    };
+    // protocol; with every node told to run the scan oracle, all three
+    // transports must produce the answers the triejoin computes centrally,
+    // on every family.
+    let options = EvalOptions::scan_naive();
     let mut process = spawn_transport(2);
     let mut socket = spawn_workers(SOCKETS, 2);
     for (name, _) in named_workloads() {
@@ -434,7 +432,7 @@ fn wire_workers_honor_the_coordinators_join_strategy() {
         assert_eq!(
             in_memory.result,
             cq::evaluate(&query, &instance),
-            "{name}: multiway in-memory run lost answers"
+            "{name}: scan-oracle in-memory run lost answers"
         );
         let via_process = engine
             .evaluate_via(&mut process, 0, &query, &instance)
@@ -444,11 +442,11 @@ fn wire_workers_honor_the_coordinators_join_strategy() {
             .unwrap_or_else(|e| panic!("{name}: socket transport failed: {e}"));
         assert_eq!(
             via_process.result, in_memory.result,
-            "{name}: process transport diverged under multiway"
+            "{name}: process transport diverged under the scan oracle"
         );
         assert_eq!(
             via_socket.result, in_memory.result,
-            "{name}: socket transport diverged under multiway"
+            "{name}: socket transport diverged under the scan oracle"
         );
     }
 }
@@ -456,11 +454,10 @@ fn wire_workers_honor_the_coordinators_join_strategy() {
 #[test]
 fn multi_round_wire_runs_honor_the_coordinators_join_strategy() {
     // The multi-round engine forwards its options into every round's
-    // transport calls — including delta rounds of an incremental run.
-    let options = EvalOptions {
-        join_strategy: JoinStrategy::Multiway,
-        ..EvalOptions::default()
-    };
+    // transport calls — including delta rounds of an incremental run:
+    // scan-oracle rounds on either transport, against the fixpoint the
+    // triejoin computes centrally.
+    let options = EvalOptions::scan_naive();
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 43);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
@@ -480,9 +477,13 @@ fn multi_round_wire_runs_honor_the_coordinators_join_strategy() {
         assert_eq!(
             via_process.result.to_string(),
             in_memory.result.to_string(),
-            "semi_naive={semi_naive}: multiway multi-round answers diverged"
+            "semi_naive={semi_naive}: scan-oracle multi-round answers diverged"
         );
         assert_eq!(via_process.rounds_run(), in_memory.rounds_run());
+        assert_eq!(
+            in_memory.result,
+            build_engine().reference_fixpoint(&query, &instance).result
+        );
     }
 }
 
