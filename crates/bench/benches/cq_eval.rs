@@ -58,7 +58,7 @@ fn bench_eval_backend(c: &mut Criterion) {
             b.iter(|| count_valuations(query, i, EvalOptions::default()))
         });
         group.bench_with_input(BenchmarkId::new("scan", name), &instance, |b, i| {
-            b.iter(|| count_valuations(query, i, EvalOptions::scan_naive()))
+            b.iter(|| count_valuations(query, i, EvalOptions::ScanOracle))
         });
     }
     group.finish();

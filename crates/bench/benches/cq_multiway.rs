@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use cq::{evaluate, evaluate_with, ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering};
+use cq::{evaluate, evaluate_with, ConjunctiveQuery, EvalOptions, Fact, Instance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use workloads::{chordal4_query, clique4_query, triangle_query};
@@ -69,12 +69,8 @@ fn regular_digraph(vertices: usize, degree: usize) -> Instance {
     Instance::from_facts(facts)
 }
 
-/// The scan oracle under its cost-aware atom order: in source order the
-/// 4-clique alone takes it seconds an evaluation.
-const SCAN: EvalOptions = EvalOptions {
-    ordering: JoinOrdering::CostAware,
-    use_indexes: false,
-};
+/// The scan oracle.
+const SCAN: EvalOptions = EvalOptions::ScanOracle;
 
 fn shapes() -> Vec<(&'static str, ConjunctiveQuery)> {
     vec![

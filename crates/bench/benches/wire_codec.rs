@@ -9,8 +9,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use cq::{ConjunctiveQuery, Instance};
-use distribution::Node;
-use wire::{ChunkBatch, Message, Scenario};
+use distribution::{Node, Shipment};
+use wire::{Message, Scenario};
 use workloads::{chain_query, star_query, triangle_query, InstanceParams};
 
 /// The `cq_eval` query shapes with their bench instances (domain 20, 250
@@ -48,15 +48,13 @@ fn bench_encode_decode(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("decode", name), &body, |b, body| {
             b.iter(|| wire::decode_body::<Instance>(body).unwrap());
         });
-        let message = Message::EvalChunk {
+        let message = Message::Eval {
             query: query.clone(),
             options: cq::EvalOptions::default(),
+            round: 0,
+            node: Node::numbered(0),
+            shipment: Shipment::Full(std::sync::Arc::new(instance.clone())),
             trace: wire::TraceContext::default(),
-            batch: ChunkBatch {
-                round: 0,
-                node: Node::numbered(0),
-                chunk: instance.clone(),
-            },
         };
         group.bench_with_input(
             BenchmarkId::new("frame_roundtrip", name),

@@ -57,13 +57,12 @@
 //!   adapter that refills one reused [`Valuation`] from the slots at each
 //!   leaf.
 //!
-//! **The oracle.** `use_indexes: false` ([`EvalOptions::scan_naive`]) runs
-//! the seed evaluator instead: an atom-at-a-time backtracking join in which
-//! every atom scans its whole relation, in source order or
-//! ([`JoinOrdering::CostAware`]) smallest-estimated-candidate-set-first. It
-//! builds no sorted order and shares no search code with the triejoin — it
-//! is what the property suites compare the kernel against, never a
-//! production path.
+//! **The oracle.** [`EvalOptions::ScanOracle`] runs the seed evaluator
+//! instead: an atom-at-a-time backtracking join in which every atom scans
+//! its whole relation, smallest-estimated-candidate-set-first. It builds no
+//! sorted order and shares no search code with the triejoin — it is what
+//! the property suites compare the kernel against, never a production
+//! path.
 //!
 //! Both enumerate exactly the same valuations; only the order and shape of
 //! the search differ. A fact only ever matches an atom of its own arity, so
@@ -81,59 +80,31 @@ use crate::query::ConjunctiveQuery;
 use crate::valuation::Valuation;
 use crate::value::Value;
 
-/// How the scan oracle (`use_indexes: false`) orders the body atoms before
-/// its backtracking search. The triejoin binds variables, not atoms, in the
-/// order the module docs give, whatever this says.
+/// Which evaluator runs: the production kernel, or the oracle the property
+/// suites compare it against. It rides every eval frame of the wire
+/// protocol, so a cross-process differential test can ask workers for the
+/// oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum JoinOrdering {
-    /// Source order.
-    Naive,
-    /// Smallest-estimated-candidate-set-first: relation size, discounted
-    /// for every argument an earlier atom binds.
+pub enum EvalOptions {
+    /// The leapfrog triejoin over the instance's sorted column orders.
     #[default]
-    CostAware,
-}
-
-/// Options controlling the evaluation strategy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EvalOptions {
-    /// Atom order of the scan oracle (default: cost-aware).
-    pub ordering: JoinOrdering,
-    /// Run the leapfrog triejoin over the instance's sorted column orders
-    /// (default). When `false`, the scan oracle runs instead: every atom
-    /// scans its whole relation and no order is built.
-    pub use_indexes: bool,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            ordering: JoinOrdering::CostAware,
-            use_indexes: true,
-        }
-    }
+    Triejoin,
+    /// The scan oracle: every atom scans its whole relation and no order is
+    /// built.
+    ScanOracle,
 }
 
 impl EvalOptions {
-    /// The seed evaluator: full-relation scans in source order — the oracle
-    /// of the property suites.
-    pub fn scan_naive() -> EvalOptions {
-        EvalOptions {
-            ordering: JoinOrdering::Naive,
-            use_indexes: false,
-        }
-    }
-
     /// The join these options run, as trace spans name it: `"multiway"`
     /// (the triejoin) or `"binary"` (the scan oracle).
     fn kernel(&self) -> &'static str {
-        if self.use_indexes {
-            "multiway"
-        } else {
-            "binary"
+        match self {
+            EvalOptions::Triejoin => "multiway",
+            EvalOptions::ScanOracle => "binary",
         }
     }
 }
+
 /// The kernel's view of a partial valuation: slot `s` holds the value bound
 /// to the `s`-th query variable, if any. At a leaf every slot is bound.
 pub type Slots = [Option<Value>];
@@ -281,10 +252,10 @@ impl<'q> CompiledQuery<'q> {
         };
         let pivot = pivot.map(|(atom, _)| atom);
         let body = self.query.body().iter().enumerate();
-        if !opts.use_indexes {
+        if opts == EvalOptions::ScanOracle {
             let scans = body.map(|(atom, body_atom)| source(atom).facts_of(body_atom.relation));
             let scans = scans.collect();
-            return BinaryJoin::new(self, scans, slots, opts.ordering, pivot, leaf).search(0);
+            return BinaryJoin::new(self, scans, slots, pivot, leaf).search(0);
         }
         let plan = TriePlan::new(self, &slots, pivot);
         // The orders are held here, outside the join whose cursors borrow
@@ -398,16 +369,14 @@ where
     /// With a `pivot`, that atom is forced to the front and its slots count
     /// as bound for the rest — the plan shape of a semi-naive differential
     /// pass: the pivot matches the (small) delta first, everything else
-    /// joins against the full instance. [`JoinOrdering::Naive`] keeps the
-    /// other atoms in source order; cost-aware ordering greedily picks the
-    /// atom with the smallest estimated candidate set next (ties resolved in
-    /// source order, so plans are deterministic and degrade to source order
-    /// when the model cannot tell atoms apart).
+    /// joins against the full instance. The other atoms follow greedily,
+    /// the one with the smallest estimated candidate set next (ties
+    /// resolved in source order, so plans are deterministic and degrade to
+    /// source order when the model cannot tell atoms apart).
     fn new(
         query: &'a CompiledQuery<'a>,
         scans: Vec<&'a [Fact]>,
         slots: Vec<Option<Value>>,
-        ordering: JoinOrdering,
         pivot: Option<usize>,
         leaf: L,
     ) -> Self {
@@ -415,9 +384,6 @@ where
         let mut remaining: Vec<usize> = (0..query.atom_count())
             .filter(|&atom| Some(atom) != pivot)
             .collect();
-        if ordering == JoinOrdering::Naive {
-            order.append(&mut remaining);
-        }
         let mut bound: Vec<bool> = slots.iter().map(Option::is_some).collect();
         for &slot in pivot.map_or(&[][..], |atom| query.atom(atom)) {
             bound[slot] = true;
@@ -1056,7 +1022,6 @@ mod tests {
         query: &ConjunctiveQuery,
         instance: &Instance,
         fixed: &Valuation,
-        ordering: JoinOrdering,
         pivot: Option<usize>,
     ) -> Vec<usize> {
         let compiled = CompiledQuery::new(query);
@@ -1064,7 +1029,7 @@ mod tests {
         let scans = body.map(|atom| instance.facts_of(atom.relation)).collect();
         let slots = compiled.bind(fixed);
         let leaf = |_: &Slots| ControlFlow::Continue(());
-        BinaryJoin::new(&compiled, scans, slots, ordering, pivot, leaf).order
+        BinaryJoin::new(&compiled, scans, slots, pivot, leaf).order
     }
 
     /// The leaves of one search — a full one, or the differential pass
@@ -1085,18 +1050,9 @@ mod tests {
         leaves
     }
 
-    /// Both kernels, under both atom orders of the scan oracle.
-    fn all_options() -> [EvalOptions; 4] {
-        let options = |ordering, use_indexes| EvalOptions {
-            ordering,
-            use_indexes,
-        };
-        [
-            options(JoinOrdering::CostAware, true),
-            options(JoinOrdering::CostAware, false),
-            options(JoinOrdering::Naive, true),
-            EvalOptions::scan_naive(),
-        ]
+    /// Both evaluators.
+    fn all_options() -> [EvalOptions; 2] {
+        [EvalOptions::Triejoin, EvalOptions::ScanOracle]
     }
 
     #[test]
@@ -1188,7 +1144,7 @@ mod tests {
         .unwrap();
         for query in &queries {
             let reference: BTreeSet<_> =
-                satisfying_valuations_with(query, &i, &Valuation::new(), EvalOptions::scan_naive())
+                satisfying_valuations_with(query, &i, &Valuation::new(), EvalOptions::ScanOracle)
                     .into_iter()
                     .collect();
             assert!(!reference.is_empty() || query.body_size() > 1);
@@ -1206,71 +1162,52 @@ mod tests {
     fn scan_mode_never_builds_the_secondary_indexes() {
         let query = q("T(x, z) :- R(x, y), S(y, z).");
         let i = parse_instance("R(a, b). R(b, c). S(b, c). S(c, d).").unwrap();
-        for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-            let opts = EvalOptions {
-                ordering,
-                use_indexes: false,
-            };
-            let vals = satisfying_valuations_with(&query, &i, &Valuation::new(), opts);
-            assert!(!vals.is_empty());
-            let step = evaluate_seminaive_step_with(&query, &i, &i, opts);
-            assert_eq!(step, evaluate(&query, &i.clone()));
-            assert_eq!(
-                i.cached_orders(),
-                0,
-                "{ordering:?} with use_indexes: false must not build a sorted order"
-            );
-        }
+        let opts = EvalOptions::ScanOracle;
+        let vals = satisfying_valuations_with(&query, &i, &Valuation::new(), opts);
+        assert!(!vals.is_empty());
+        let step = evaluate_seminaive_step_with(&query, &i, &i, opts);
+        assert_eq!(step, evaluate(&query, &i.clone()));
+        assert_eq!(
+            i.cached_orders(),
+            0,
+            "the scan oracle must not build a sorted order"
+        );
     }
 
     #[test]
-    fn multiway_never_builds_the_posting_index() {
-        // There is none to build: the sorted orders are all the kernel
-        // reads and all an instance caches — one for `E(x, y)` and
-        // `E(y, z)`, one for `E(z, x)`, whose `x` is bound first.
+    fn the_triejoin_caches_one_order_per_column_order_it_walks() {
+        // The sorted orders are all the kernel reads and all an instance
+        // caches — one for `E(x, y)` and `E(y, z)`, one for `E(z, x)`,
+        // whose `x` is bound first — and a second evaluation builds none.
         let query = q("T(x, y, z) :- E(x, y), E(y, z), E(z, x).");
-        for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-            let i = parse_instance("E(a, b). E(b, c). E(c, a). E(a, d).").unwrap();
-            let opts = EvalOptions {
-                ordering,
-                ..EvalOptions::default()
-            };
-            assert_eq!(evaluate_with(&query, &i, opts).len(), 3);
-            assert_eq!(evaluate_with(&query, &i, opts).len(), 3);
-            assert_eq!(i.cached_orders(), 2, "the triejoin walks sorted orders");
-        }
+        let i = parse_instance("E(a, b). E(b, c). E(c, a). E(a, d).").unwrap();
+        assert_eq!(evaluate(&query, &i).len(), 3);
+        assert_eq!(evaluate(&query, &i).len(), 3);
+        assert_eq!(i.cached_orders(), 2, "the triejoin walks sorted orders");
     }
 
     #[test]
     fn auto_strategy_resolves_by_cyclicity() {
         // No rule is left to resolve: cyclic or not, a query runs the
         // triejoin — seen by the orders it leaves on the instance — and
-        // `use_indexes: false` alone selects the scan oracle, which leaves
-        // none, whatever the query.
+        // `ScanOracle` alone selects the scan oracle, which leaves none,
+        // whatever the query.
         let triangle = q("T(x, y, z) :- E(x, y), E(y, z), E(z, x).");
         let chain = q("T(x, z) :- E(x, y), E(y, z).");
         for query in [&triangle, &chain] {
-            for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-                let i = parse_instance("E(a, b). E(b, c). E(c, a). E(a, d). E(b, a).").unwrap();
-                let scan = EvalOptions {
-                    ordering,
-                    use_indexes: false,
-                };
-                assert_eq!(scan.kernel(), "binary");
-                let mut scanned = leaves(query, &i, None, &Valuation::new(), scan);
-                assert_eq!(i.cached_orders(), 0, "{query}: the oracle builds no order");
-                let indexed = EvalOptions {
-                    ordering,
-                    use_indexes: true,
-                };
-                assert_eq!(indexed.kernel(), "multiway");
-                let mut walked = leaves(query, &i, None, &Valuation::new(), indexed);
-                assert_eq!(i.cached_orders(), 2, "{query}: the triejoin walks orders");
-                assert!(walked.len() >= 3, "{query}");
-                walked.sort();
-                scanned.sort();
-                assert_eq!(walked, scanned, "{query}");
-            }
+            let i = parse_instance("E(a, b). E(b, c). E(c, a). E(a, d). E(b, a).").unwrap();
+            let scan = EvalOptions::ScanOracle;
+            assert_eq!(scan.kernel(), "binary");
+            let mut scanned = leaves(query, &i, None, &Valuation::new(), scan);
+            assert_eq!(i.cached_orders(), 0, "{query}: the oracle builds no order");
+            let indexed = EvalOptions::default();
+            assert_eq!(indexed.kernel(), "multiway");
+            let mut walked = leaves(query, &i, None, &Valuation::new(), indexed);
+            assert_eq!(i.cached_orders(), 2, "{query}: the triejoin walks orders");
+            assert!(walked.len() >= 3, "{query}");
+            walked.sort();
+            scanned.sort();
+            assert_eq!(walked, scanned, "{query}");
         }
     }
 
@@ -1290,7 +1227,7 @@ mod tests {
         .unwrap();
         for query in &queries {
             let reference: BTreeSet<_> =
-                satisfying_valuations_with(query, &i, &Valuation::new(), EvalOptions::scan_naive())
+                satisfying_valuations_with(query, &i, &Valuation::new(), EvalOptions::ScanOracle)
                     .into_iter()
                     .collect();
             for opts in all_options() {
@@ -1347,26 +1284,24 @@ mod tests {
         }
         text.push_str("S(b0, c0).");
         let i = parse_instance(&text).unwrap();
-        let order = atom_order(&query, &i, &Valuation::new(), JoinOrdering::CostAware, None);
+        let order = atom_order(&query, &i, &Valuation::new(), None);
         assert_eq!(order[0], 1, "the selective S atom must be matched first");
-        let order = atom_order(&query, &i, &Valuation::new(), JoinOrdering::Naive, None);
-        assert_eq!(order, [0, 1], "naive ordering keeps source order");
     }
 
     #[test]
     fn cost_aware_order_ties_break_to_source_order() {
         let query = q("T(x, z) :- R(x, y), R(y, z).");
         let i = parse_instance("R(a, b). R(b, c).").unwrap();
-        let order = atom_order(&query, &i, &Valuation::new(), JoinOrdering::CostAware, None);
+        let order = atom_order(&query, &i, &Valuation::new(), None);
         assert_eq!(order, vec![0, 1]);
     }
 
     #[test]
-    fn known_fixed_values_use_exact_posting_counts() {
-        // A pre-bound value's run in a sorted order is its posting list: the
-        // triejoin narrows the atoms that carry it to that run before the
-        // search starts, so the search reads what matches — here one R row
-        // of 2 000 and its one S partner — and never the rest.
+    fn a_pre_bound_value_narrows_the_search_to_its_run() {
+        // The triejoin narrows the atoms that carry a pre-bound value to
+        // that value's run in their sorted order before the search starts,
+        // so the search reads what matches — here one R row of 2 000 and
+        // its one S partner — and never the rest.
         let query = q("T(x, z) :- S(y, z), R(x, y).");
         let names = (0..2000).map(|i| format!("R(a{i}, b{i}). S(b{i}, u{}).", i % 7));
         let i = parse_instance(&names.collect::<String>()).unwrap();
@@ -1380,7 +1315,7 @@ mod tests {
         assert!(reads < 200, "{reads} values read for one match among 2 000");
         // The scan oracle's planner has no index to ask: a known value
         // counts as a bound argument, which is enough to start at R.
-        let order = atom_order(&query, &i, &fixed, JoinOrdering::CostAware, None);
+        let order = atom_order(&query, &i, &fixed, None);
         assert_eq!(order[0], 1, "the pre-bound R atom must be matched first");
     }
 
@@ -1511,7 +1446,7 @@ mod tests {
                     &full,
                     pass,
                     &Valuation::new(),
-                    EvalOptions::scan_naive(),
+                    EvalOptions::ScanOracle,
                 );
                 let mut walked = leaves(&query, &full, pass, &Valuation::new(), opts); // builds the orders
                 let reads = values_read(|| {
@@ -1613,7 +1548,7 @@ mod tests {
                 }
             }
             for fixed in [Valuation::new(), fixed] {
-                let scanned = leaves(&query, &full, None, &fixed, EvalOptions::scan_naive());
+                let scanned = leaves(&query, &full, None, &fixed, EvalOptions::ScanOracle);
                 let walked = leaves(&query, &full, None, &fixed, EvalOptions::default());
                 // lexicographically ascending in the plan's variable order
                 let plan = TriePlan::new(&compiled, &compiled.bind(&fixed), None);
@@ -1640,7 +1575,7 @@ mod tests {
                     &full,
                     pass,
                     &Valuation::new(),
-                    EvalOptions::scan_naive(),
+                    EvalOptions::ScanOracle,
                 );
                 let walked = leaves(
                     &query,
@@ -1664,7 +1599,7 @@ mod tests {
             let step = evaluate_seminaive_step(&query, &full, &delta);
             assert_eq!(
                 evaluate(&query, &old).union(&step),
-                evaluate_with(&query, &full, EvalOptions::scan_naive()),
+                evaluate_with(&query, &full, EvalOptions::ScanOracle),
                 "round {round}: {query}, {delta} into {old}"
             );
         }
@@ -1678,14 +1613,12 @@ mod tests {
     fn forced_first_atom_order_is_a_permutation() {
         let query = q("T(x, w) :- R(x, y), S(y, z), R(z, w).");
         let i = parse_instance("R(a, b). S(b, c). R(c, d).").unwrap();
-        for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-            for first in 0..query.body_size() {
-                let order = atom_order(&query, &i, &Valuation::new(), ordering, Some(first));
-                assert_eq!(order[0], first);
-                let mut sorted = order.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted, vec![0, 1, 2], "{order:?} is not a permutation");
-            }
+        for first in 0..query.body_size() {
+            let order = atom_order(&query, &i, &Valuation::new(), Some(first));
+            assert_eq!(order[0], first);
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, vec![0, 1, 2], "{order:?} is not a permutation");
         }
     }
 

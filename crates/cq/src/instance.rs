@@ -724,7 +724,7 @@ mod tests {
     const ORDERS: [&[usize]; 2] = [&[0, 1], &[1, 0]];
 
     #[test]
-    fn insert_maintains_the_secondary_indexes_incrementally() {
+    fn insert_catches_the_sorted_orders_up_in_place() {
         let mut i = sample();
         assert_eq!(i.cached_orders(), 0);
         for columns in ORDERS {
@@ -794,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_invalidates_the_secondary_indexes() {
+    fn remove_drops_the_sorted_orders() {
         let mut i = sample();
         assert_eq!(order_rows(&i, "R", &[1, 0]).len(), 2);
         assert!(i.remove(&Fact::from_names("R", &["b", "c"])));
@@ -804,7 +804,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_rebuilds_indexes_lazily() {
+    fn a_clone_starts_without_orders_and_builds_its_own() {
         let i = sample();
         let rows = order_rows(&i, "R", &[1, 0]);
         let j = i.clone();

@@ -57,7 +57,7 @@ pub use canonical::{all_assignments, partition_assignments, CanonicalValuations}
 pub use eval::{
     evaluate, evaluate_seminaive_step, evaluate_seminaive_step_with, evaluate_with,
     for_each_satisfying, satisfying_valuations, satisfying_valuations_with, Bindings,
-    CompiledQuery, EvalOptions, JoinOrdering, Slots,
+    CompiledQuery, EvalOptions, Slots,
 };
 pub use fact::{Fact, Tuple};
 pub use hom::{

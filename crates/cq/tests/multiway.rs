@@ -12,7 +12,7 @@ use std::sync::{Arc, Barrier};
 
 use cq::{
     evaluate, evaluate_seminaive_step, evaluate_with, satisfying_valuations_with, CompiledQuery,
-    ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, Valuation, Value,
+    ConjunctiveQuery, EvalOptions, Fact, Instance, Valuation, Value,
 };
 
 fn q(text: &str) -> ConjunctiveQuery {
@@ -76,12 +76,8 @@ const CYCLE5: &str = "T(a, b, c, d, e) :- E(a, b), E(b, c), E(c, d), E(d, e), E(
 /// `x` repeated inside an atom, and a nullary atom.
 const LOOPED: &str = "T(x, y, z) :- E(x, y), E(y, z), E(z, x), L(x, x, z), B().";
 
-/// The reference: the scan oracle, its atoms ordered by the index-free
-/// estimate so that it gets through graphs of this size at all.
-const SCAN: EvalOptions = EvalOptions {
-    ordering: JoinOrdering::CostAware,
-    use_indexes: false,
-};
+/// The reference: the scan oracle.
+const SCAN: EvalOptions = EvalOptions::ScanOracle;
 
 /// The dense graph's shape at a size the scan oracle can take: 60 values,
 /// out-degree 8, a hub of in- and out-degree 40.

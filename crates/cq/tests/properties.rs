@@ -11,7 +11,7 @@ use std::ops::ControlFlow;
 
 use cq::{
     contained_in, equivalent, evaluate, evaluate_with, is_minimal, minimize, Atom,
-    ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, Tuple, Valuation, Value, Variable,
+    ConjunctiveQuery, EvalOptions, Fact, Instance, Tuple, Valuation, Value, Variable,
 };
 use proptest::prelude::*;
 
@@ -67,19 +67,9 @@ fn mixed_arity_instance_strategy() -> impl Strategy<Value = Instance> {
     })
 }
 
-/// Every evaluation-strategy combination: the triejoin and the scan oracle,
-/// each under both atom orders of the oracle.
-fn all_options() -> Vec<EvalOptions> {
-    let mut all = Vec::new();
-    for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-        for use_indexes in [false, true] {
-            all.push(EvalOptions {
-                ordering,
-                use_indexes,
-            });
-        }
-    }
-    all
+/// Both evaluators: the triejoin and the scan oracle.
+fn all_options() -> [EvalOptions; 2] {
+    [EvalOptions::Triejoin, EvalOptions::ScanOracle]
 }
 
 fn valuations(
@@ -193,7 +183,7 @@ proptest! {
     /// against the binary one on the same inputs.
     #[test]
     fn indexed_evaluation_equals_scan_evaluation(q in query_strategy(), i in instance_strategy()) {
-        let scan = valuations(&q, &i, &Valuation::new(), EvalOptions::scan_naive());
+        let scan = valuations(&q, &i, &Valuation::new(), EvalOptions::ScanOracle);
         for opts in all_options() {
             let got = valuations(&q, &i, &Valuation::new(), opts);
             prop_assert_eq!(&got, &scan, "{:?} disagrees with scan/naive on {}", opts, i);
@@ -206,13 +196,13 @@ proptest! {
     /// scan oracle, which in turn sees nothing but the well-formed part.
     #[test]
     fn strategies_agree_on_mixed_arity_instances(q in query_strategy(), i in mixed_arity_instance_strategy()) {
-        let scan = valuations(&q, &i, &Valuation::new(), EvalOptions::scan_naive());
+        let scan = valuations(&q, &i, &Valuation::new(), EvalOptions::ScanOracle);
         let binary_facts = Instance::from_facts(i.facts().filter(|f| f.arity() == 2).cloned());
         prop_assert_eq!(
             &scan,
-            &valuations(&q, &binary_facts, &Valuation::new(), EvalOptions::scan_naive())
+            &valuations(&q, &binary_facts, &Valuation::new(), EvalOptions::ScanOracle)
         );
-        let answers = evaluate_with(&q, &i, EvalOptions::scan_naive());
+        let answers = evaluate_with(&q, &i, EvalOptions::ScanOracle);
         for opts in all_options() {
             let got = valuations(&q, &i, &Valuation::new(), opts);
             prop_assert_eq!(&got, &scan, "{:?} disagrees with scan/naive on {}", opts, i);
@@ -237,7 +227,7 @@ proptest! {
             bindings.iter().map(|&(var, value)| (Variable::indexed("x", var), Value::indexed("d", value))),
         );
         let query_vars = q.variables();
-        let expected: BTreeSet<Valuation> = valuations(&q, &i, &Valuation::new(), EvalOptions::scan_naive())
+        let expected: BTreeSet<Valuation> = valuations(&q, &i, &Valuation::new(), EvalOptions::ScanOracle)
             .into_iter()
             .filter(|v| fixed.bindings().all(|(var, value)| !query_vars.contains(&var) || v.get(var) == Some(value)))
             .collect();
@@ -252,7 +242,7 @@ proptest! {
     /// prefix of satisfying valuations.
     #[test]
     fn early_break_stops_every_strategy(q in query_strategy(), i in instance_strategy(), stop_after in 1usize..4) {
-        let all = valuations(&q, &i, &Valuation::new(), EvalOptions::scan_naive());
+        let all = valuations(&q, &i, &Valuation::new(), EvalOptions::ScanOracle);
         for opts in all_options() {
             let mut seen = Vec::new();
             let flow = cq::for_each_satisfying(&q, &i, &Valuation::new(), opts, |v| {
@@ -269,23 +259,20 @@ proptest! {
     /// The semi-naive differential law the incremental round engine is
     /// built on: evaluating `old ∪ delta` equals evaluating `old` plus one
     /// differential step joining the delta against the combined instance —
-    /// under every evaluation-strategy combination.
+    /// under both evaluators.
     #[test]
     fn seminaive_step_equals_full_reevaluation(q in query_strategy(), old in instance_strategy(), delta in instance_strategy()) {
         let full = old.union(&delta);
         let reference = evaluate(&q, &full);
-        for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-            for use_indexes in [false, true] {
-                let opts = EvalOptions { ordering, use_indexes };
-                let step = cq::evaluate_seminaive_step_with(&q, &full, &delta, opts);
-                prop_assert_eq!(
-                    evaluate(&q, &old).union(&step),
-                    reference.clone(),
-                    "options {:?}", opts
-                );
-                // soundness on its own: the step derives nothing beyond Q(full)
-                prop_assert!(reference.contains_all(&step));
-            }
+        for opts in all_options() {
+            let step = cq::evaluate_seminaive_step_with(&q, &full, &delta, opts);
+            prop_assert_eq!(
+                evaluate(&q, &old).union(&step),
+                reference.clone(),
+                "options {:?}", opts
+            );
+            // soundness on its own: the step derives nothing beyond Q(full)
+            prop_assert!(reference.contains_all(&step));
         }
     }
 
@@ -473,7 +460,7 @@ fn repeated_variables_inside_one_atom_agree_with_the_scan_oracle() {
         "T(y) :- S(x, y), R(y, y, x), S(y, x).",
     ] {
         let q = ConjunctiveQuery::parse(text).unwrap();
-        let scan = valuations(&q, &instance, &Valuation::new(), EvalOptions::scan_naive());
+        let scan = valuations(&q, &instance, &Valuation::new(), EvalOptions::ScanOracle);
         assert!(!scan.is_empty(), "{q} should have answers on {instance}");
         for opts in all_options() {
             let got = valuations(&q, &instance, &Valuation::new(), opts);
@@ -503,8 +490,8 @@ fn wide_tuples_join_like_narrow_ones() {
         "T(b) :- W(a, b, a, d, e, f, b), E(b, d).",
     ] {
         let q = ConjunctiveQuery::parse(text).unwrap();
-        let scan = valuations(&q, &instance, &Valuation::new(), EvalOptions::scan_naive());
-        let answers = evaluate_with(&q, &instance, EvalOptions::scan_naive());
+        let scan = valuations(&q, &instance, &Valuation::new(), EvalOptions::ScanOracle);
+        let answers = evaluate_with(&q, &instance, EvalOptions::ScanOracle);
         assert!(!answers.is_empty(), "{q} should have answers on {instance}");
         for opts in all_options() {
             let got = valuations(&q, &instance, &Valuation::new(), opts);

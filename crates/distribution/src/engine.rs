@@ -481,8 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_options_strategies_agree_and_broadcast_reports_cache_hits() {
-        use cq::JoinOrdering;
+    fn both_evaluators_agree_and_broadcast_reports_cache_hits() {
         let q = ConjunctiveQuery::parse("T(x, y, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
         let i = parse_instance(
             "E(a, b). E(b, c). E(c, a). E(b, d). E(d, b). E(c, d). E(d, a). E(a, c).",
@@ -491,17 +490,11 @@ mod tests {
         let network = Network::with_size(3);
         let p = ExplicitPolicy::broadcast(&network, &i);
         let baseline = OneRoundEngine::new(&p).evaluate(&q, &i);
-        for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-            for use_indexes in [false, true] {
-                let options = EvalOptions {
-                    ordering,
-                    use_indexes,
-                };
-                let outcome = OneRoundEngine::new(&p)
-                    .eval_options(options)
-                    .evaluate(&q, &i);
-                assert_eq!(outcome.result, baseline.result, "{options:?}");
-            }
+        for options in [EvalOptions::Triejoin, EvalOptions::ScanOracle] {
+            let outcome = OneRoundEngine::new(&p)
+                .eval_options(options)
+                .evaluate(&q, &i);
+            assert_eq!(outcome.result, baseline.result, "{options:?}");
         }
         // Broadcast ships three equal chunks: the transport's shared index
         // cache admits one and reuses it twice, and the outcome surfaces it.

@@ -69,7 +69,7 @@ impl std::error::Error for TransportError {}
 /// What one round sends to one node. The facts sit behind an [`Arc`] so
 /// queueing a shipment, remembering it for fault recovery and sharing one
 /// broadcast chunk between nodes never copy it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Shipment {
     /// The node's whole portion of `dist_P(I)`. It replaces whatever the
     /// node held before.
@@ -545,13 +545,10 @@ mod tests {
     #[test]
     fn delta_rounds_evaluate_with_the_rounds_eval_options() {
         // The `begin_round` contract: every node evaluates with exactly the
-        // announced options — delta rounds included. With
-        // `use_indexes: false` the node's accumulated state must never grow
-        // sorted orders (a default-options step would build them).
-        let scans = EvalOptions {
-            use_indexes: false,
-            ..EvalOptions::default()
-        };
+        // announced options — delta rounds included. Under the scan oracle
+        // the node's accumulated state must never grow sorted orders (a
+        // default-options step would build them).
+        let scans = EvalOptions::ScanOracle;
         let node = Node::numbered(0);
         let mut transport = InMemoryTransport::new(2);
         let seed = || delta("R(a, b). S(b, c).");
@@ -564,7 +561,7 @@ mod tests {
         assert_eq!(
             state.data().full().cached_orders(),
             0,
-            "a delta round under use_indexes: false must not build an order"
+            "a delta round under the scan oracle must not build an order"
         );
         // Control: the same rounds under default options do build them.
         round(&mut transport, 0, EvalOptions::default(), node, seed());

@@ -43,11 +43,10 @@
 
 use std::fmt;
 
-use cq::{
-    Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, JoinOrdering, Symbol, Tuple, Value,
-    Variable,
-};
-use distribution::{Network, Node};
+use std::sync::Arc;
+
+use cq::{Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, Symbol, Tuple, Value, Variable};
+use distribution::{Network, Node, Shipment};
 
 /// Errors raised while decoding wire data. Corrupted, truncated or
 /// malicious input surfaces here; decoding never panics.
@@ -657,31 +656,58 @@ impl Decode for Network {
 
 impl Encode for EvalOptions {
     fn encode(&self, enc: &mut Encoder) {
-        enc.byte(match self.ordering {
-            JoinOrdering::Naive => 0,
-            JoinOrdering::CostAware => 1,
+        enc.byte(match self {
+            EvalOptions::Triejoin => 0,
+            EvalOptions::ScanOracle => 1,
         });
-        enc.bool(self.use_indexes);
     }
 }
 
 impl Decode for EvalOptions {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let ordering = match dec.byte()? {
-            0 => JoinOrdering::Naive,
-            1 => JoinOrdering::CostAware,
-            tag => {
-                return Err(DecodeError::UnknownTag {
-                    context: "JoinOrdering",
-                    tag,
-                })
+        match dec.byte()? {
+            0 => Ok(EvalOptions::Triejoin),
+            1 => Ok(EvalOptions::ScanOracle),
+            tag => Err(DecodeError::UnknownTag {
+                context: "EvalOptions",
+                tag,
+            }),
+        }
+    }
+}
+
+const SHIPMENT_FULL: u8 = 0;
+const SHIPMENT_DELTA: u8 = 1;
+const SHIPMENT_RESIDENT: u8 = 2;
+
+/// One kind byte, then the facts, if the kind carries any.
+impl Encode for Shipment {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            Shipment::Full(facts) => {
+                enc.byte(SHIPMENT_FULL);
+                facts.encode(enc);
             }
-        };
-        let use_indexes = dec.bool()?;
-        Ok(EvalOptions {
-            ordering,
-            use_indexes,
-        })
+            Shipment::Delta(facts) => {
+                enc.byte(SHIPMENT_DELTA);
+                facts.encode(enc);
+            }
+            Shipment::Resident => enc.byte(SHIPMENT_RESIDENT),
+        }
+    }
+}
+
+impl Decode for Shipment {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        match dec.byte()? {
+            SHIPMENT_FULL => Ok(Shipment::Full(Arc::new(Instance::decode(dec)?))),
+            SHIPMENT_DELTA => Ok(Shipment::Delta(Arc::new(Instance::decode(dec)?))),
+            SHIPMENT_RESIDENT => Ok(Shipment::Resident),
+            tag => Err(DecodeError::UnknownTag {
+                context: "Shipment",
+                tag,
+            }),
+        }
     }
 }
 
@@ -985,23 +1011,17 @@ mod tests {
 
     #[test]
     fn eval_options_round_trip_every_combination() {
-        for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-            for use_indexes in [false, true] {
-                let options = EvalOptions {
-                    ordering,
-                    use_indexes,
-                };
-                let body = encode_body(&options);
-                // an empty symbol table, then one byte a field
-                assert_eq!(body.len(), 1 + 2);
-                assert_eq!(decode_body::<EvalOptions>(&body).unwrap(), options);
-            }
+        for options in [EvalOptions::Triejoin, EvalOptions::ScanOracle] {
+            let body = encode_body(&options);
+            // an empty symbol table, then the one switch byte
+            assert_eq!(body.len(), 1 + 1);
+            assert_eq!(decode_body::<EvalOptions>(&body).unwrap(), options);
         }
     }
 
     #[test]
     fn eval_options_reject_unknown_enum_bytes() {
-        // An ordering byte nothing encodes
+        // A switch byte nothing encodes
         let mut enc = Encoder::new();
         enc.byte(9);
         let err = decode_body::<EvalOptions>(&enc.finish()).unwrap_err();
@@ -1009,36 +1029,44 @@ mod tests {
             matches!(
                 err,
                 DecodeError::UnknownTag {
-                    context: "JoinOrdering",
+                    context: "EvalOptions",
                     tag: 9
                 }
             ),
             "{err}"
         );
-        // An index flag that is neither 0 nor 1
-        let mut enc = Encoder::new();
-        enc.byte(0);
-        enc.byte(7);
-        let err = decode_body::<EvalOptions>(&enc.finish()).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                DecodeError::UnknownTag {
-                    context: "bool",
-                    tag: 7
-                }
-            ),
-            "{err}"
-        );
-        // The two bytes a version-1 body carried after them — join strategy
-        // and adaptive factor — are trailing bytes now
+        // The index flag a version-2 body carried after the ordering byte
+        // is a trailing byte now
         let mut enc = Encoder::new();
         enc.byte(1);
         enc.bool(true);
-        enc.byte(2);
-        enc.u64(4);
         let err = decode_body::<EvalOptions>(&enc.finish()).unwrap_err();
-        assert_eq!(err, DecodeError::TrailingBytes { count: 2 });
+        assert_eq!(err, DecodeError::TrailingBytes { count: 1 });
+    }
+
+    #[test]
+    fn shipments_round_trip_as_a_kind_byte_and_their_facts() {
+        let facts = Arc::new(cq::parse_instance("R(a, b). R(b, c).").unwrap());
+        let carried = encode_body(&*facts).len();
+        for (shipment, payload) in [
+            (Shipment::Full(facts.clone()), carried),
+            (Shipment::Delta(facts.clone()), carried),
+            (Shipment::Resident, 1),
+        ] {
+            let body = encode_body(&shipment);
+            assert_eq!(body.len(), 1 + payload, "{shipment:?}");
+            assert_eq!(decode_body::<Shipment>(&body).unwrap(), shipment);
+        }
+        let mut enc = Encoder::new();
+        enc.byte(3);
+        let err = decode_body::<Shipment>(&enc.finish()).unwrap_err();
+        assert!(matches!(
+            err,
+            DecodeError::UnknownTag {
+                context: "Shipment",
+                tag: 3
+            }
+        ));
     }
 
     #[test]

@@ -62,7 +62,7 @@ use obs::TraceEvent;
 
 use crate::codec::{Dictionary, Encoder};
 use crate::frame::{encode_frame_with, read_frame_counted, write_frame};
-use crate::message::{EvalChunkRef, EvalDeltaRef, Message, TraceContext};
+use crate::message::{EvalRef, Message, TraceContext};
 
 /// Default number of jobs the writer may run ahead of the replies.
 const DEFAULT_WINDOW: usize = 8;
@@ -240,41 +240,15 @@ impl Job {
         options: EvalOptions,
         trace: TraceContext,
     ) -> Vec<u8> {
-        let Job { round, node, .. } = *self;
-        match &self.work {
-            Shipment::Full(chunk) => encode_frame_with(
-                encoder,
-                &EvalChunkRef {
-                    query,
-                    options,
-                    round,
-                    node,
-                    chunk,
-                    trace,
-                },
-            ),
-            Shipment::Delta(delta) => encode_frame_with(
-                encoder,
-                &EvalDeltaRef {
-                    query,
-                    options,
-                    round,
-                    node,
-                    delta,
-                    trace,
-                },
-            ),
-            Shipment::Resident => encode_frame_with(
-                encoder,
-                &Message::EvalResident {
-                    round,
-                    node,
-                    query: query.clone(),
-                    options,
-                    trace,
-                },
-            ),
-        }
+        let frame = EvalRef {
+            query,
+            options,
+            round: self.round,
+            node: self.node,
+            shipment: &self.work,
+            trace,
+        };
+        encode_frame_with(encoder, &frame)
     }
 }
 
@@ -365,29 +339,21 @@ fn read_reply(
         }
     };
     let reply_bytes = total_bytes + reply_bytes;
-    let (answered_round, answered_node, output, eval_us) = match (&job.work, reply) {
-        (Shipment::Full(_) | Shipment::Resident, Message::ChunkResult { batch, eval_us }) => {
-            (batch.round, batch.node, batch.chunk, eval_us)
-        }
-        (Shipment::Delta(_), Message::DeltaResult { batch, eval_us }) => {
-            (batch.round, batch.node, batch.delta, eval_us)
-        }
-        (Shipment::Full(_) | Shipment::Resident, other) => {
-            return Err(TransportError::Protocol(format!(
-                "expected a chunk-result, worker sent {}",
-                other.kind()
-            )))
-        }
-        (Shipment::Delta(_), other) => {
-            return Err(TransportError::Protocol(format!(
-                "expected a delta-result, worker sent {}",
-                other.kind()
-            )))
-        }
-    };
-    if answered_round != job.round || answered_node != node {
+    let Message::EvalResult {
+        round,
+        node: answered_node,
+        output,
+        eval_us,
+    } = reply
+    else {
         return Err(TransportError::Protocol(format!(
-            "worker answered round {answered_round} node {answered_node} \
+            "expected an eval-result, worker sent {}",
+            reply.kind()
+        )));
+    };
+    if round != job.round || answered_node != node {
+        return Err(TransportError::Protocol(format!(
+            "worker answered round {round} node {answered_node} \
              to a round {} job for {node}",
             job.round
         )));
@@ -1147,7 +1113,7 @@ mod tests {
         assert_eq!(on_survivor, first);
         assert!(matches!(
             crate::frame::decode_frame::<Message>(&on_survivor),
-            Ok(Message::EvalChunk { .. })
+            Ok(Message::Eval { .. })
         ));
     }
 

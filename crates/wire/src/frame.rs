@@ -29,9 +29,10 @@ use crate::codec::{
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"PCQW";
 
-/// The current wire-format version. Version 2 shrank the `EvalOptions` of
-/// an eval message from four fields to two.
-pub const VERSION: u8 = 2;
+/// The current wire-format version. Version 3 made `EvalOptions` one
+/// switch byte and folded the three eval messages and two result messages
+/// into one of each, the eval carrying its shipment's kind.
+pub const VERSION: u8 = 3;
 
 /// Sanity cap on a frame body: a declared length beyond this is treated as
 /// corruption rather than trusted with an allocation (1 GiB).
@@ -275,7 +276,7 @@ mod tests {
         frame[4] = VERSION - 1;
         assert_eq!(
             decode_frame::<Fact>(&frame),
-            Err(DecodeError::UnsupportedVersion(1))
+            Err(DecodeError::UnsupportedVersion(2))
         );
     }
 

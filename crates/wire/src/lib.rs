@@ -6,12 +6,13 @@
 //! * [`codec`] — the compact binary codec: varint lengths, a symbol
 //!   dictionary (interned names ship as small integers, and cross a
 //!   connection once), and the [`Encode`] / [`Decode`] impls for facts,
-//!   instances, queries, networks, chunk batches and round-control
+//!   instances, queries, networks, shipments and round-control
 //!   messages,
 //! * [`frame`] — the framing layer: `PCQW` magic, version byte, varint
 //!   body length; frames are self-delimiting so they concatenate on pipes,
-//! * [`Message`] — the protocol vocabulary: chunk shipping plus the
-//!   `Barrier` / `BarrierAck` / `Shutdown` round-control messages,
+//! * [`Message`] — the protocol vocabulary: `Eval` / `EvalResult` ship a
+//!   node's `Shipment` and its answer, next to the `Barrier` /
+//!   `BarrierAck` / `Shutdown` round-control messages,
 //! * [`Scenario`] — the textual scenario format: one file describing
 //!   query, instance, network/policy schedule, round cap and feedback
 //!   relation, with a pretty-printer that is the parser's exact inverse,
@@ -23,7 +24,8 @@
 //! * [`trace_diff`] — phase/process/round comparison of two trace
 //!   summaries with cause attribution, behind `pcq-analyze trace diff`,
 //! * [`metrics_export`] — JSON export of [`obs::Registry`] counters and
-//!   histogram quantiles, behind `pcq-analyze run --metrics`,
+//!   histogram quantiles, behind the `counters` / `histograms` blocks of
+//!   `pcq-analyze run --json`,
 //! * [`WireTransport`] — the [`distribution::Transport`] that makes
 //!   engine rounds genuinely cross-process: it ships binary-encoded
 //!   shipments to `pcq-analyze worker` subprocesses, keeps a bounded
@@ -84,7 +86,7 @@ pub use frame::{
     decode_frame, encode_frame, encode_frame_with, read_frame, read_frame_counted, write_frame,
 };
 pub use json::JsonValue;
-pub use message::{ChunkBatch, DeltaBatch, EvalChunkRef, EvalDeltaRef, Message, TraceContext};
+pub use message::{EvalRef, Message, TraceContext};
 pub use metrics_export::{merged_registry_json, registry_json};
 pub use process::run_worker;
 pub use scenario::{ExplicitSpec, NetworkSpec, PolicySpec, Scenario, ScenarioError};

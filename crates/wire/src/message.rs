@@ -1,18 +1,17 @@
 //! The top-level message vocabulary of the wire protocol.
 //!
-//! Every frame on a wire stream carries one [`Message`]. The
-//! `EvalChunk`/`ChunkResult` pair ships work to workers and answers back;
-//! `EvalDelta`/`DeltaResult` are their incremental counterparts — the
-//! [`DeltaBatch`] carries only the facts new since the previous round, the
-//! worker keeps its accumulated per-node state, and the answer carries only
-//! the node's new derivations; `Barrier`/`BarrierAck`/`Shutdown` are the
-//! round-control messages the
-//! [`WireTransport`](crate::WireTransport) synchronizes rounds with;
+//! Every frame on a wire stream carries one [`Message`]. `Eval` ships one
+//! node's [`Shipment`] for one round to a worker — a full chunk, only the
+//! facts new since the previous round (the worker keeps the node's
+//! accumulated state), or nothing at all (the node evaluates over the shard
+//! it already holds) — and `EvalResult` carries the node's local output
+//! back; `Barrier`/`BarrierAck`/`Shutdown` are the round-control messages
+//! the [`WireTransport`](crate::WireTransport) synchronizes rounds with;
 //! the `Query`/`Instance`/`Scenario` variants are standalone payloads used
 //! by `pcq-analyze encode`/`decode`.
 
 use cq::{ConjunctiveQuery, EvalOptions, Instance, Symbol};
-use distribution::Node;
+use distribution::{Node, Shipment};
 use obs::{EventKind, TraceEvent};
 
 use crate::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
@@ -152,75 +151,6 @@ impl Decode for TraceEvent {
     }
 }
 
-/// One node's data chunk for one round — the unit the reshuffle phase
-/// ships across the wire.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChunkBatch {
-    /// The round the chunk belongs to (guards against stream desync).
-    pub round: u64,
-    /// The node the chunk is addressed to.
-    pub node: Node,
-    /// The facts assigned to the node by the round's policy.
-    pub chunk: Instance,
-}
-
-/// The shared layout of [`ChunkBatch`] and [`DeltaBatch`] — also written
-/// by the borrowed [`EvalChunkRef`] / [`EvalDeltaRef`] views, so owned and
-/// borrowed frames are byte-identical by construction.
-fn encode_batch(enc: &mut Encoder, round: u64, node: Node, facts: &Instance) {
-    enc.u64(round);
-    node.encode(enc);
-    facts.encode(enc);
-}
-
-impl Encode for ChunkBatch {
-    fn encode(&self, enc: &mut Encoder) {
-        encode_batch(enc, self.round, self.node, &self.chunk);
-    }
-}
-
-impl Decode for ChunkBatch {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ChunkBatch {
-            round: dec.u64()?,
-            node: Node::decode(dec)?,
-            chunk: Instance::decode(dec)?,
-        })
-    }
-}
-
-/// One node's **delta** for one incremental round: only the facts that are
-/// new since the previous round (coordinator → worker), or only the facts
-/// the node derived for the first time (worker → coordinator). The shape
-/// mirrors [`ChunkBatch`]; the distinct type keeps full-chunk and delta
-/// rounds from being confused on a stream.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeltaBatch {
-    /// The round the delta belongs to. Round 0 resets the node's
-    /// accumulated state on the worker.
-    pub round: u64,
-    /// The node the delta is addressed to (or answering for).
-    pub node: Node,
-    /// The new facts (inbound) or new derivations (outbound).
-    pub delta: Instance,
-}
-
-impl Encode for DeltaBatch {
-    fn encode(&self, enc: &mut Encoder) {
-        encode_batch(enc, self.round, self.node, &self.delta);
-    }
-}
-
-impl Decode for DeltaBatch {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(DeltaBatch {
-            round: dec.u64()?,
-            node: Node::decode(dec)?,
-            delta: Instance::decode(dec)?,
-        })
-    }
-}
-
 /// A complete wire message (the payload of one frame).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
@@ -230,27 +160,38 @@ pub enum Message {
     Instance(Instance),
     /// A standalone evaluation scenario.
     Scenario(Scenario),
-    /// Coordinator → worker: evaluate `query` over the batch's chunk.
-    EvalChunk {
+    /// Coordinator → worker: apply `shipment` to `node` and evaluate
+    /// `query` there (what each kind of shipment does to the node is
+    /// `distribution::NodeState::apply`).
+    Eval {
         /// The query to evaluate locally.
         query: ConjunctiveQuery,
-        /// How to evaluate it (indexed kernel or scan oracle, atom order) — the
-        /// worker must honor these exactly, so a wire round behaves
-        /// identically to an in-process one.
+        /// Which evaluator runs it — the worker must honor this exactly, so
+        /// a wire round behaves identically to an in-process one.
         options: EvalOptions,
-        /// The chunk to evaluate it over.
-        batch: ChunkBatch,
+        /// The round the shipment belongs to (guards against stream
+        /// desync). A delta of round 0 resets the node's accumulated state.
+        round: u64,
+        /// The node the shipment is addressed to.
+        node: Node,
+        /// What the node is sent this round.
+        shipment: Shipment,
         /// The coordinator's trace context (all-zeros when tracing is off).
         trace: TraceContext,
     },
-    /// Worker → coordinator: the local output for one chunk.
-    ChunkResult {
-        /// The batch's round/node with the node's local output as `chunk`.
-        batch: ChunkBatch,
+    /// Worker → coordinator: one node's local output for one `Eval`.
+    EvalResult {
+        /// The round of the `Eval` being answered.
+        round: u64,
+        /// The node answering.
+        node: Node,
+        /// The node's local output: its full local answer, or for a delta
+        /// shipment only the facts it derived for the first time.
+        output: Instance,
         /// Local evaluation wall-clock time, in microseconds.
         eval_us: u64,
     },
-    /// Coordinator → worker: the round's chunks are all sent.
+    /// Coordinator → worker: the round's shipments are all sent.
     Barrier {
         /// The round being closed.
         round: u64,
@@ -262,26 +203,6 @@ pub enum Message {
     },
     /// Coordinator → worker: exit cleanly.
     Shutdown,
-    /// Coordinator → worker: absorb the delta into the node's accumulated
-    /// state and evaluate `query` semi-naively over it (round 0 starts the
-    /// node from an empty state).
-    EvalDelta {
-        /// The query of the incremental run.
-        query: ConjunctiveQuery,
-        /// How to evaluate it (see [`Message::EvalChunk`]).
-        options: EvalOptions,
-        /// The node's new facts for this round.
-        batch: DeltaBatch,
-        /// The coordinator's trace context (all-zeros when tracing is off).
-        trace: TraceContext,
-    },
-    /// Worker → coordinator: the node's new derivations for one delta.
-    DeltaResult {
-        /// The batch's round/node with the node's output delta as `delta`.
-        batch: DeltaBatch,
-        /// Local evaluation wall-clock time, in microseconds.
-        eval_us: u64,
-    },
     /// Worker → coordinator: the first frame on a freshly connected socket.
     /// `worker` echoes the spawn token the coordinator handed the worker on
     /// its command line, so the coordinator can map the anonymous TCP
@@ -289,23 +210,6 @@ pub enum Message {
     Hello {
         /// The worker's slot index in the coordinator's pool.
         worker: u64,
-    },
-    /// Coordinator → worker: evaluate `query` over the shard the node
-    /// **already holds** (the chunk or accumulated delta state left by a
-    /// previous round), shipping zero input facts — the reshuffle-elision
-    /// round of a multi-query run. The worker answers with an ordinary
-    /// `ChunkResult` carrying its full local output.
-    EvalResident {
-        /// The round the request belongs to.
-        round: u64,
-        /// The node whose resident shard is evaluated.
-        node: Node,
-        /// The query to evaluate over the resident shard.
-        query: ConjunctiveQuery,
-        /// How to evaluate it (see [`Message::EvalChunk`]).
-        options: EvalOptions,
-        /// The coordinator's trace context (all-zeros when tracing is off).
-        trace: TraceContext,
     },
     /// Worker → coordinator: the worker's locally recorded trace events,
     /// flushed just before each `BarrierAck` (and at shutdown). The
@@ -321,16 +225,13 @@ pub enum Message {
 const TAG_QUERY: u8 = 0;
 const TAG_INSTANCE: u8 = 1;
 const TAG_SCENARIO: u8 = 2;
-const TAG_EVAL_CHUNK: u8 = 3;
-const TAG_CHUNK_RESULT: u8 = 4;
+const TAG_EVAL: u8 = 3;
+const TAG_EVAL_RESULT: u8 = 4;
 const TAG_BARRIER: u8 = 5;
 const TAG_BARRIER_ACK: u8 = 6;
 const TAG_SHUTDOWN: u8 = 7;
-const TAG_EVAL_DELTA: u8 = 8;
-const TAG_DELTA_RESULT: u8 = 9;
-const TAG_HELLO: u8 = 10;
-const TAG_EVAL_RESIDENT: u8 = 11;
-const TAG_TRACE_FLUSH: u8 = 12;
+const TAG_HELLO: u8 = 8;
+const TAG_TRACE_FLUSH: u8 = 9;
 
 impl Message {
     /// A short human-readable name for the message kind (log lines,
@@ -340,73 +241,44 @@ impl Message {
             Message::Query(_) => "query",
             Message::Instance(_) => "instance",
             Message::Scenario(_) => "scenario",
-            Message::EvalChunk { .. } => "eval-chunk",
-            Message::ChunkResult { .. } => "chunk-result",
+            Message::Eval { .. } => "eval",
+            Message::EvalResult { .. } => "eval-result",
             Message::Barrier { .. } => "barrier",
             Message::BarrierAck { .. } => "barrier-ack",
             Message::Shutdown => "shutdown",
-            Message::EvalDelta { .. } => "eval-delta",
-            Message::DeltaResult { .. } => "delta-result",
             Message::Hello { .. } => "hello",
-            Message::EvalResident { .. } => "eval-resident",
             Message::TraceFlush { .. } => "trace-flush",
         }
     }
 }
 
-/// A borrowed view of [`Message::EvalDelta`]: encodes the identical frame
-/// bytes without cloning the query or the delta (cf. [`EvalChunkRef`]).
-pub struct EvalDeltaRef<'a> {
-    /// The query of the incremental run.
-    pub query: &'a ConjunctiveQuery,
-    /// How the worker must evaluate it.
-    pub options: EvalOptions,
-    /// The round the delta belongs to (0 resets the node's state).
-    pub round: u64,
-    /// The node the delta is addressed to.
-    pub node: Node,
-    /// The delta to absorb and evaluate.
-    pub delta: &'a Instance,
-    /// The coordinator's trace context.
-    pub trace: TraceContext,
-}
-
-impl Encode for EvalDeltaRef<'_> {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.byte(TAG_EVAL_DELTA);
-        self.query.encode(enc);
-        self.options.encode(enc);
-        encode_batch(enc, self.round, self.node, self.delta);
-        self.trace.encode(enc);
-    }
-}
-
-/// A borrowed view of [`Message::EvalChunk`]: encodes the identical
-/// frame bytes without cloning the query or the chunk. The transport
-/// ships one of these per node per round — from the chunk it shares with
-/// its fault-tolerance ledger — so the owned `Message` variant would cost
-/// a full chunk copy per send.
-pub struct EvalChunkRef<'a> {
+/// A borrowed view of [`Message::Eval`]: encodes the identical frame bytes
+/// without cloning the query or the shipment. The transport ships one of
+/// these per node per round, from the shipment it shares with its
+/// fault-tolerance ledger.
+pub struct EvalRef<'a> {
     /// The query the worker should evaluate.
     pub query: &'a ConjunctiveQuery,
-    /// How the worker must evaluate it.
+    /// Which evaluator the worker must run.
     pub options: EvalOptions,
-    /// The round the chunk belongs to.
+    /// The round the shipment belongs to.
     pub round: u64,
-    /// The node the chunk is addressed to.
+    /// The node the shipment is addressed to.
     pub node: Node,
-    /// The chunk to evaluate the query over.
-    pub chunk: &'a Instance,
+    /// What the node is sent.
+    pub shipment: &'a Shipment,
     /// The coordinator's trace context.
     pub trace: TraceContext,
 }
 
-impl Encode for EvalChunkRef<'_> {
+impl Encode for EvalRef<'_> {
     fn encode(&self, enc: &mut Encoder) {
-        enc.byte(TAG_EVAL_CHUNK);
+        enc.byte(TAG_EVAL);
         self.query.encode(enc);
         self.options.encode(enc);
-        encode_batch(enc, self.round, self.node, self.chunk);
+        enc.u64(self.round);
+        self.node.encode(enc);
+        self.shipment.encode(enc);
         self.trace.encode(enc);
     }
 }
@@ -426,23 +298,32 @@ impl Encode for Message {
                 enc.byte(TAG_SCENARIO);
                 scenario.encode(enc);
             }
-            Message::EvalChunk {
+            Message::Eval {
                 query,
                 options,
-                batch,
+                round,
+                node,
+                shipment,
                 trace,
-            } => EvalChunkRef {
+            } => EvalRef {
                 query,
                 options: *options,
-                round: batch.round,
-                node: batch.node,
-                chunk: &batch.chunk,
+                round: *round,
+                node: *node,
+                shipment,
                 trace: *trace,
             }
             .encode(enc),
-            Message::ChunkResult { batch, eval_us } => {
-                enc.byte(TAG_CHUNK_RESULT);
-                batch.encode(enc);
+            Message::EvalResult {
+                round,
+                node,
+                output,
+                eval_us,
+            } => {
+                enc.byte(TAG_EVAL_RESULT);
+                enc.u64(*round);
+                node.encode(enc);
+                output.encode(enc);
                 enc.u64(*eval_us);
             }
             Message::Barrier { round } => {
@@ -454,42 +335,9 @@ impl Encode for Message {
                 enc.u64(*round);
             }
             Message::Shutdown => enc.byte(TAG_SHUTDOWN),
-            Message::EvalDelta {
-                query,
-                options,
-                batch,
-                trace,
-            } => EvalDeltaRef {
-                query,
-                options: *options,
-                round: batch.round,
-                node: batch.node,
-                delta: &batch.delta,
-                trace: *trace,
-            }
-            .encode(enc),
-            Message::DeltaResult { batch, eval_us } => {
-                enc.byte(TAG_DELTA_RESULT);
-                batch.encode(enc);
-                enc.u64(*eval_us);
-            }
             Message::Hello { worker } => {
                 enc.byte(TAG_HELLO);
                 enc.u64(*worker);
-            }
-            Message::EvalResident {
-                round,
-                node,
-                query,
-                options,
-                trace,
-            } => {
-                enc.byte(TAG_EVAL_RESIDENT);
-                enc.u64(*round);
-                node.encode(enc);
-                query.encode(enc);
-                options.encode(enc);
-                trace.encode(enc);
             }
             Message::TraceFlush { events } => {
                 enc.byte(TAG_TRACE_FLUSH);
@@ -505,37 +353,24 @@ impl Decode for Message {
             TAG_QUERY => Ok(Message::Query(ConjunctiveQuery::decode(dec)?)),
             TAG_INSTANCE => Ok(Message::Instance(Instance::decode(dec)?)),
             TAG_SCENARIO => Ok(Message::Scenario(Scenario::decode(dec)?)),
-            TAG_EVAL_CHUNK => Ok(Message::EvalChunk {
+            TAG_EVAL => Ok(Message::Eval {
                 query: ConjunctiveQuery::decode(dec)?,
                 options: EvalOptions::decode(dec)?,
-                batch: ChunkBatch::decode(dec)?,
+                round: dec.u64()?,
+                node: Node::decode(dec)?,
+                shipment: Shipment::decode(dec)?,
                 trace: TraceContext::decode(dec)?,
             }),
-            TAG_CHUNK_RESULT => Ok(Message::ChunkResult {
-                batch: ChunkBatch::decode(dec)?,
+            TAG_EVAL_RESULT => Ok(Message::EvalResult {
+                round: dec.u64()?,
+                node: Node::decode(dec)?,
+                output: Instance::decode(dec)?,
                 eval_us: dec.u64()?,
             }),
             TAG_BARRIER => Ok(Message::Barrier { round: dec.u64()? }),
             TAG_BARRIER_ACK => Ok(Message::BarrierAck { round: dec.u64()? }),
             TAG_SHUTDOWN => Ok(Message::Shutdown),
-            TAG_EVAL_DELTA => Ok(Message::EvalDelta {
-                query: ConjunctiveQuery::decode(dec)?,
-                options: EvalOptions::decode(dec)?,
-                batch: DeltaBatch::decode(dec)?,
-                trace: TraceContext::decode(dec)?,
-            }),
-            TAG_DELTA_RESULT => Ok(Message::DeltaResult {
-                batch: DeltaBatch::decode(dec)?,
-                eval_us: dec.u64()?,
-            }),
             TAG_HELLO => Ok(Message::Hello { worker: dec.u64()? }),
-            TAG_EVAL_RESIDENT => Ok(Message::EvalResident {
-                round: dec.u64()?,
-                node: Node::decode(dec)?,
-                query: ConjunctiveQuery::decode(dec)?,
-                options: EvalOptions::decode(dec)?,
-                trace: TraceContext::decode(dec)?,
-            }),
             TAG_TRACE_FLUSH => Ok(Message::TraceFlush {
                 events: Vec::<TraceEvent>::decode(dec)?,
             }),
@@ -552,69 +387,54 @@ mod tests {
     use super::*;
     use crate::frame::{decode_frame, encode_frame};
     use cq::parse_instance;
+    use std::sync::Arc;
 
     #[test]
     fn every_message_variant_round_trips() {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let instance = parse_instance("R(a, b). R(b, c).").unwrap();
-        let batch = ChunkBatch {
-            round: 3,
-            node: Node::numbered(1),
-            chunk: instance.clone(),
+        let eval = |round, node, options, shipment, trace| Message::Eval {
+            query: query.clone(),
+            options,
+            round,
+            node: Node::numbered(node),
+            shipment,
+            trace,
         };
+        let traced = TraceContext {
+            trace_id: 77,
+            parent_span: 12,
+            clock_us: 99_000,
+        };
+        let facts = Arc::new(instance.clone());
         let messages = [
             Message::Query(query.clone()),
             Message::Instance(instance.clone()),
-            Message::EvalChunk {
-                query: query.clone(),
-                options: EvalOptions::default(),
-                batch: batch.clone(),
-                trace: TraceContext {
-                    trace_id: 77,
-                    parent_span: 12,
-                    clock_us: 99_000,
-                },
-            },
-            Message::ChunkResult {
-                batch,
+            eval(
+                3,
+                1,
+                EvalOptions::default(),
+                Shipment::Full(facts.clone()),
+                traced,
+            ),
+            eval(
+                4,
+                2,
+                EvalOptions::ScanOracle,
+                Shipment::Delta(facts),
+                TraceContext::default(),
+            ),
+            eval(0, 4, EvalOptions::ScanOracle, Shipment::Resident, traced),
+            Message::EvalResult {
+                round: 4,
+                node: Node::numbered(2),
+                output: instance,
                 eval_us: 1234,
-            },
-            Message::EvalDelta {
-                query: query.clone(),
-                options: EvalOptions::scan_naive(),
-                batch: DeltaBatch {
-                    round: 4,
-                    node: Node::numbered(2),
-                    delta: instance.clone(),
-                },
-                trace: TraceContext::default(),
-            },
-            Message::DeltaResult {
-                batch: DeltaBatch {
-                    round: 4,
-                    node: Node::numbered(2),
-                    delta: instance.clone(),
-                },
-                eval_us: 99,
             },
             Message::Barrier { round: 7 },
             Message::BarrierAck { round: 7 },
             Message::Shutdown,
             Message::Hello { worker: 3 },
-            Message::EvalResident {
-                round: 0,
-                node: Node::numbered(4),
-                query: query.clone(),
-                options: EvalOptions {
-                    ordering: cq::JoinOrdering::CostAware,
-                    use_indexes: false,
-                },
-                trace: TraceContext {
-                    trace_id: 5,
-                    parent_span: 0,
-                    clock_us: 1,
-                },
-            },
             Message::TraceFlush {
                 events: vec![
                     TraceEvent {
@@ -656,62 +476,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn borrowed_eval_chunk_encodes_the_identical_frame() {
+    /// The borrowed and the owned eval frame of one shipment.
+    fn borrowed_and_owned(shipment: Shipment) -> (Vec<u8>, Vec<u8>) {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
-        let batch = ChunkBatch {
-            round: 2,
-            node: Node::numbered(3),
-            chunk: parse_instance("R(a, b). R(b, c).").unwrap(),
-        };
-        let options = EvalOptions::scan_naive();
+        let (options, round, node) = (EvalOptions::ScanOracle, 2, Node::numbered(3));
         let trace = TraceContext {
             trace_id: 3,
             parent_span: 8,
             clock_us: 500,
         };
-        let borrowed = encode_frame(&EvalChunkRef {
+        let borrowed = encode_frame(&EvalRef {
             query: &query,
             options,
-            round: batch.round,
-            node: batch.node,
-            chunk: &batch.chunk,
+            round,
+            node,
+            shipment: &shipment,
             trace,
         });
-        let owned = encode_frame(&Message::EvalChunk {
+        let owned = encode_frame(&Message::Eval {
             query,
             options,
-            batch,
+            round,
+            node,
+            shipment,
             trace,
         });
+        (borrowed, owned)
+    }
+
+    #[test]
+    fn borrowed_eval_chunk_encodes_the_identical_frame() {
+        let chunk = Arc::new(parse_instance("R(a, b). R(b, c).").unwrap());
+        let (borrowed, owned) = borrowed_and_owned(Shipment::Full(chunk));
         assert_eq!(borrowed, owned);
+        // a resident request is that frame without its facts
+        let (resident, owned) = borrowed_and_owned(Shipment::Resident);
+        assert_eq!(resident, owned);
+        assert!(resident.len() < borrowed.len());
     }
 
     #[test]
     fn borrowed_eval_delta_encodes_the_identical_frame() {
-        let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
-        let batch = DeltaBatch {
-            round: 5,
-            node: Node::numbered(1),
-            delta: parse_instance("R(a, b).").unwrap(),
-        };
-        let options = EvalOptions::default();
-        let trace = TraceContext::default();
-        let borrowed = encode_frame(&EvalDeltaRef {
-            query: &query,
-            options,
-            round: batch.round,
-            node: batch.node,
-            delta: &batch.delta,
-            trace,
-        });
-        let owned = encode_frame(&Message::EvalDelta {
-            query,
-            options,
-            batch,
-            trace,
-        });
+        let delta = Arc::new(parse_instance("R(a, b).").unwrap());
+        let (borrowed, owned) = borrowed_and_owned(Shipment::Delta(delta.clone()));
         assert_eq!(borrowed, owned);
+        // and differs from the full chunk of the same facts in its kind byte
+        let (full, _) = borrowed_and_owned(Shipment::Full(delta));
+        assert_eq!(borrowed.len(), full.len());
+        assert_ne!(borrowed, full);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! ```text
 //! coordinator                        worker k
-//!   EvalChunk{query, batch}  ──────▶  evaluate locally
-//!   EvalChunk{query, batch}  ──────▶  (up to `window` in flight)
-//!   …                        ◀──────  ChunkResult{batch, eval_us}
+//!   Eval{query, shipment}    ──────▶  evaluate locally
+//!   Eval{query, shipment}    ──────▶  (up to `window` in flight)
+//!   …                        ◀──────  EvalResult{output, eval_us}
 //!   Barrier{round}           ──────▶
 //!                            ◀──────  BarrierAck{round}
 //!   (Drop) Shutdown          ──────▶  exit 0
@@ -27,7 +27,6 @@ use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::process::{Command, Stdio};
-use std::sync::Arc;
 use std::time::Instant;
 
 use distribution::{Node, NodeState, Shipment, TransportError};
@@ -35,7 +34,7 @@ use distribution::{Node, NodeState, Shipment, TransportError};
 use crate::codec::{Dictionary, Encoder};
 use crate::driver::{Endpoint, StderrTail, WireTransport};
 use crate::frame::{read_frame, write_frame};
-use crate::message::{ChunkBatch, DeltaBatch, Message};
+use crate::message::Message;
 
 impl WireTransport {
     /// Spawns one subprocess of `program` per argument list and talks to
@@ -79,11 +78,10 @@ impl WireTransport {
 }
 
 /// The worker side of the protocol: reads [`Message`] frames from `input`,
-/// turns every eval frame into the [`Shipment`] it carries — `EvalChunk` a
-/// full chunk, `EvalDelta` a delta, `EvalResident` nothing — applies it to
-/// the addressed node's [`NodeState`] with the frame's `EvalOptions`
-/// (what each shipment does to the node is [`NodeState::apply`], shared
-/// with the in-memory transport) and replies with the node's output;
+/// applies every `Eval` frame's [`Shipment`] to the addressed node's
+/// [`NodeState`] with the frame's `EvalOptions` (what each shipment does to
+/// the node is [`NodeState::apply`], shared with the in-memory transport)
+/// and replies with the node's output;
 /// acknowledges `Barrier`s, and exits on `Shutdown` or a clean EOF.
 /// Returns an error message on protocol or I/O failure (the CLI maps it to
 /// a non-zero exit).
@@ -115,32 +113,15 @@ pub fn run_worker(
             Ok(Some(message)) => message,
             Err(e) => return Err(format!("bad frame on worker stdin: {e}")),
         };
-        let (round, node, query, options, trace, shipment) = match message {
-            Message::EvalChunk {
+        let (query, options, round, node, shipment, trace) = match message {
+            Message::Eval {
                 query,
                 options,
-                batch,
-                trace,
-            } => {
-                let shipment = Shipment::Full(Arc::new(batch.chunk));
-                (batch.round, batch.node, query, options, trace, shipment)
-            }
-            Message::EvalDelta {
-                query,
-                options,
-                batch,
-                trace,
-            } => {
-                let shipment = Shipment::Delta(Arc::new(batch.delta));
-                (batch.round, batch.node, query, options, trace, shipment)
-            }
-            Message::EvalResident {
                 round,
                 node,
-                query,
-                options,
+                shipment,
                 trace,
-            } => (round, node, query, options, trace, Shipment::Resident),
+            } => (query, options, round, node, shipment, trace),
             Message::Barrier { round } => {
                 // Flush this round's trace buffers to the coordinator
                 // right before the ack — the driver absorbs `TraceFlush`
@@ -165,10 +146,10 @@ pub fn run_worker(
             ));
         }
         trace.adopt();
-        let (span_name, incremental) = match shipment {
-            Shipment::Full(_) => ("worker_eval_chunk", false),
-            Shipment::Delta(_) => ("worker_eval_delta", true),
-            Shipment::Resident => ("worker_eval_resident", false),
+        let span_name = match shipment {
+            Shipment::Full(_) => "worker_eval_chunk",
+            Shipment::Delta(_) => "worker_eval_delta",
+            Shipment::Resident => "worker_eval_resident",
         };
         let start = Instant::now();
         let span = obs::span_under(span_name, trace.parent_span, || {
@@ -188,25 +169,11 @@ pub fn run_worker(
             .or_default()
             .apply(round, &query, options, shipment);
         drop(span);
-        let eval_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let reply = if incremental {
-            Message::DeltaResult {
-                batch: DeltaBatch {
-                    round,
-                    node,
-                    delta: local,
-                },
-                eval_us,
-            }
-        } else {
-            Message::ChunkResult {
-                batch: ChunkBatch {
-                    round,
-                    node,
-                    chunk: local,
-                },
-                eval_us,
-            }
+        let reply = Message::EvalResult {
+            round,
+            node,
+            output: local,
+            eval_us: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
         };
         write_frame(&mut output, &mut encoder, &reply).map_err(|e| e.to_string())?;
     }
@@ -218,6 +185,7 @@ mod tests {
     use crate::frame::encode_frame_with;
     use crate::message::TraceContext;
     use cq::{ConjunctiveQuery, EvalOptions, Instance};
+    use std::sync::Arc;
 
     /// Drives `run_worker` entirely in memory (no subprocess): feed it a
     /// frame script, collect its reply frames.
@@ -249,33 +217,59 @@ mod tests {
         (run.map(|()| replies.clone()), replies)
     }
 
+    /// An untraced eval frame under the default options.
+    fn eval(query: &ConjunctiveQuery, round: u64, node: Node, shipment: Shipment) -> Message {
+        eval_with(query, EvalOptions::default(), round, node, shipment)
+    }
+
+    fn eval_with(
+        query: &ConjunctiveQuery,
+        options: EvalOptions,
+        round: u64,
+        node: Node,
+        shipment: Shipment,
+    ) -> Message {
+        Message::Eval {
+            query: query.clone(),
+            options,
+            round,
+            node,
+            shipment,
+            trace: TraceContext::default(),
+        }
+    }
+
+    fn full(text: &str) -> Shipment {
+        Shipment::Full(Arc::new(cq::parse_instance(text).unwrap()))
+    }
+
+    fn delta(text: &str) -> Shipment {
+        Shipment::Delta(Arc::new(cq::parse_instance(text).unwrap()))
+    }
+
+    /// The node and output of an eval result.
+    fn result_of(message: &Message) -> (Node, &Instance) {
+        match message {
+            Message::EvalResult { node, output, .. } => (*node, output),
+            other => panic!("expected an eval-result, got {}", other.kind()),
+        }
+    }
+
     #[test]
     fn worker_evaluates_chunks_and_acks_barriers() {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let chunk = cq::parse_instance("R(a, b). R(b, c).").unwrap();
         let replies = worker_script(&[
-            Message::EvalChunk {
-                query: query.clone(),
-                options: EvalOptions::default(),
-                batch: ChunkBatch {
-                    round: 0,
-                    node: Node::numbered(0),
-                    chunk: chunk.clone(),
-                },
-                trace: TraceContext::default(),
-            },
+            eval(&query, 0, Node::numbered(0), full("R(a, b). R(b, c).")),
             Message::Barrier { round: 0 },
             Message::Shutdown,
         ])
         .unwrap();
         assert_eq!(replies.len(), 2);
-        match &replies[0] {
-            Message::ChunkResult { batch, .. } => {
-                assert_eq!(batch.node, Node::numbered(0));
-                assert_eq!(batch.chunk, cq::evaluate(&query, &chunk));
-            }
-            other => panic!("expected a chunk-result, got {}", other.kind()),
-        }
+        assert_eq!(
+            result_of(&replies[0]),
+            (Node::numbered(0), &cq::evaluate(&query, &chunk))
+        );
         assert_eq!(replies[1], Message::BarrierAck { round: 0 });
     }
 
@@ -283,33 +277,17 @@ mod tests {
     fn worker_accumulates_deltas_and_resets_on_round_zero() {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), S(y, z).").unwrap();
         let node = Node::numbered(0);
-        let delta = |round, text: &str| Message::EvalDelta {
-            query: query.clone(),
-            options: EvalOptions::default(),
-            batch: DeltaBatch {
-                round,
-                node,
-                delta: cq::parse_instance(text).unwrap(),
-            },
-            trace: TraceContext::default(),
-        };
         let replies = worker_script(&[
             // Run 1: the join closes in round 1 against round-0 state.
-            delta(0, "R(a, b)."),
-            delta(1, "S(b, c)."),
+            eval(&query, 0, node, delta("R(a, b).")),
+            eval(&query, 1, node, delta("S(b, c).")),
             // Run 2 (round 0 again): state must reset, so the same S fact
             // alone derives nothing.
-            delta(0, "S(b, c)."),
+            eval(&query, 0, node, delta("S(b, c).")),
             Message::Shutdown,
         ])
         .unwrap();
-        let outputs: Vec<&Instance> = replies
-            .iter()
-            .map(|m| match m {
-                Message::DeltaResult { batch, .. } => &batch.delta,
-                other => panic!("expected a delta-result, got {}", other.kind()),
-            })
-            .collect();
+        let outputs: Vec<&Instance> = replies.iter().map(|m| result_of(m).1).collect();
         assert!(outputs[0].is_empty(), "R alone joins nothing");
         assert_eq!(outputs[1], &cq::parse_instance("T(a, c).").unwrap());
         assert!(
@@ -326,87 +304,41 @@ mod tests {
         let node = Node::numbered(0);
         let chunk = cq::parse_instance("R(a, a). R(a, b).").unwrap();
         let replies = worker_script(&[
-            Message::EvalChunk {
-                query: loop_q,
-                options: EvalOptions::default(),
-                batch: ChunkBatch {
-                    round: 0,
-                    node,
-                    chunk: chunk.clone(),
-                },
-                trace: TraceContext::default(),
-            },
+            eval(&loop_q, 0, node, full("R(a, a). R(a, b).")),
             // A different query over the shard the chunk left behind —
             // no facts travel with this request.
-            Message::EvalResident {
-                round: 0,
-                node,
-                query: path_q.clone(),
-                options: EvalOptions::default(),
-                trace: TraceContext::default(),
-            },
+            eval(&path_q, 0, node, Shipment::Resident),
             // A node never shipped anything holds the empty shard.
-            Message::EvalResident {
-                round: 0,
-                node: Node::numbered(9),
-                query: path_q.clone(),
-                options: EvalOptions::default(),
-                trace: TraceContext::default(),
-            },
+            eval(&path_q, 0, Node::numbered(9), Shipment::Resident),
             Message::Shutdown,
         ])
         .unwrap();
         assert_eq!(replies.len(), 3);
-        match &replies[1] {
-            Message::ChunkResult { batch, .. } => {
-                assert_eq!(batch.node, node);
-                assert_eq!(batch.chunk, cq::evaluate(&path_q, &chunk));
-            }
-            other => panic!("expected a chunk-result, got {}", other.kind()),
-        }
-        match &replies[2] {
-            Message::ChunkResult { batch, .. } => {
-                assert_eq!(batch.node, Node::numbered(9));
-                assert!(batch.chunk.is_empty(), "unknown node must answer empty");
-            }
-            other => panic!("expected a chunk-result, got {}", other.kind()),
-        }
+        assert_eq!(
+            result_of(&replies[1]),
+            (node, &cq::evaluate(&path_q, &chunk))
+        );
+        let (unknown, output) = result_of(&replies[2]);
+        assert_eq!(unknown, Node::numbered(9));
+        assert!(output.is_empty(), "unknown node must answer empty");
     }
 
     #[test]
     fn resident_requests_prefer_accumulated_delta_state() {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), S(y, z).").unwrap();
         let node = Node::numbered(0);
-        let delta = |round, text: &str| Message::EvalDelta {
-            query: query.clone(),
-            options: EvalOptions::default(),
-            batch: DeltaBatch {
-                round,
-                node,
-                delta: cq::parse_instance(text).unwrap(),
-            },
-            trace: TraceContext::default(),
-        };
         let replies = worker_script(&[
-            delta(0, "R(a, b)."),
-            delta(1, "S(b, c)."),
-            Message::EvalResident {
-                round: 0,
-                node,
-                query: query.clone(),
-                options: EvalOptions::default(),
-                trace: TraceContext::default(),
-            },
+            eval(&query, 0, node, delta("R(a, b).")),
+            eval(&query, 1, node, delta("S(b, c).")),
+            eval(&query, 0, node, Shipment::Resident),
             Message::Shutdown,
         ])
         .unwrap();
-        match replies.last().unwrap() {
-            Message::ChunkResult { batch, .. } => {
-                // The shard is the accumulated R+S state, so the join closes.
-                assert_eq!(batch.chunk, cq::parse_instance("T(a, c).").unwrap());
-            }
-            other => panic!("expected a chunk-result, got {}", other.kind()),
-        }
+        // The shard is the accumulated R+S state, so the join closes.
+        assert_eq!(
+            result_of(replies.last().unwrap()).1,
+            &cq::parse_instance("T(a, c).").unwrap()
+        );
     }
 
     #[test]
@@ -415,29 +347,18 @@ mod tests {
         // agree — and both must actually run (regression for the wire
         // transports silently dropping eval options).
         let query = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), S(y, z), U(z, x).").unwrap();
-        let chunk = cq::parse_instance("R(a, b). S(b, c). U(c, a). R(b, c).").unwrap();
+        let text = "R(a, b). S(b, c). U(c, a). R(b, c).";
         let mut outputs = Vec::new();
-        for options in [EvalOptions::scan_naive(), EvalOptions::default()] {
+        for options in [EvalOptions::ScanOracle, EvalOptions::default()] {
             let replies = worker_script(&[
-                Message::EvalChunk {
-                    query: query.clone(),
-                    options,
-                    batch: ChunkBatch {
-                        round: 0,
-                        node: Node::numbered(0),
-                        chunk: chunk.clone(),
-                    },
-                    trace: TraceContext::default(),
-                },
+                eval_with(&query, options, 0, Node::numbered(0), full(text)),
                 Message::Shutdown,
             ])
             .unwrap();
-            match &replies[0] {
-                Message::ChunkResult { batch, .. } => outputs.push(batch.chunk.clone()),
-                other => panic!("expected a chunk-result, got {}", other.kind()),
-            }
+            outputs.push(result_of(&replies[0]).1.clone());
         }
         assert_eq!(outputs[0], outputs[1]);
+        let chunk = cq::parse_instance(text).unwrap();
         assert_eq!(outputs[0], cq::evaluate(&query, &chunk));
     }
 
@@ -460,16 +381,7 @@ mod tests {
     #[test]
     fn fault_injection_dies_on_the_exact_eval_job_without_replying() {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
-        let eval = |node| Message::EvalChunk {
-            query: query.clone(),
-            options: EvalOptions::default(),
-            batch: ChunkBatch {
-                round: 0,
-                node: Node::numbered(node),
-                chunk: cq::parse_instance("R(a, b). R(b, c).").unwrap(),
-            },
-            trace: TraceContext::default(),
-        };
+        let eval = |node| eval(&query, 0, Node::numbered(node), full("R(a, b). R(b, c)."));
         // Barriers must not count toward the limit: with fail-after 2 the
         // worker answers two evals (and the barrier between them), then
         // dies on the third eval without replying to it.
@@ -484,9 +396,9 @@ mod tests {
         let err = run.unwrap_err();
         assert!(err.contains("injected fault"), "{err}");
         assert_eq!(replies.len(), 3, "two results + one barrier-ack");
-        assert!(matches!(replies[0], Message::ChunkResult { .. }));
+        assert!(matches!(replies[0], Message::EvalResult { .. }));
         assert_eq!(replies[1], Message::BarrierAck { round: 0 });
-        assert!(matches!(replies[2], Message::ChunkResult { .. }));
+        assert!(matches!(replies[2], Message::EvalResult { .. }));
 
         // Without the fault flag the same script completes.
         let (run, _) = worker_script_with_fault(&script, None);

@@ -20,14 +20,21 @@
 //!           | "default" ":" IDENT*                #   or terminated by ';')
 //! policy   := "broadcast"   network
 //!           | "round-robin" network
-//!           | "hash"        "(" NUMBER ")"        # buckets on the join var
-//!           | "hypercube"   "(" NUMBER ("," NUMBER)* ")"
-//!                                                 # one uniform budget, or
+//!           | "hash"        counts                # one count: buckets on the
+//!                                                 # join var ("hash-join"
+//!                                                 # is the same policy)
+//!           | "hypercube"   counts                # one uniform budget, or
 //!                                                 # per-dimension buckets
 //!           | "explicit"                          # the policy stanza
-//! network  := "(" NUMBER ")"                      # n0 … n{N-1}
+//! network  := "(" NUMBER ")" | ":" NUMBER         # n0 … n{N-1}
 //!           | "{" IDENT+ "}"                      # explicitly named nodes
+//! counts   := "(" NUMBER ("," NUMBER)* ")" | ":" NUMBER
 //! ```
+//!
+//! `name:n` is the command line's spelling of `name(n)`: the positional
+//! `<policy>` and `--schedule` of `pcq-analyze run` are policy lists in this
+//! grammar ([`PolicySpec::parse_schedule`]), so one resolver names the
+//! policies of every run.
 //!
 //! Exactly one of `query` / `queries` is required (the former is sugar for
 //! a one-element sequence; a multi-query scenario runs its queries in
@@ -241,7 +248,7 @@ pub enum PolicySpec {
     /// `round-robin:<n>` spec does).
     RoundRobin(NetworkSpec),
     /// Single-key hash partitioning on the query's first join variable
-    /// (`workloads::hash_join_policy`).
+    /// (`workloads::hash_join_policy`); `hash-join` names it too.
     Hash {
         /// Number of hash buckets (= nodes).
         buckets: usize,
@@ -258,6 +265,17 @@ pub enum PolicySpec {
 }
 
 impl PolicySpec {
+    /// Parses a comma-separated policy list: the body of a `schedule`
+    /// stanza, on its own.
+    pub fn parse_schedule(text: &str) -> Result<Vec<PolicySpec>, ScenarioError> {
+        let mut parser = Parser::new(text);
+        let schedule = parser.schedule()?;
+        if parser.pos < text.len() {
+            return Err(parser.error("expected ',' or the end of the policy list"));
+        }
+        Ok(schedule)
+    }
+
     /// Builds the concrete policy for `query` over `instance` (round-robin
     /// enumerates the instance's facts; the hash-based policies only need
     /// the query).
@@ -722,6 +740,9 @@ impl<'a> Parser<'a> {
 
     fn network_spec(&mut self) -> Result<NetworkSpec, ScenarioError> {
         self.skip_ws();
+        if self.eat(b':') {
+            return Ok(NetworkSpec::Size(self.number()?));
+        }
         if self.eat(b'(') {
             let n = self.number()?;
             self.skip_ws();
@@ -729,7 +750,7 @@ impl<'a> Parser<'a> {
             return Ok(NetworkSpec::Size(n));
         }
         self.expect(b'{')
-            .map_err(|_| self.error("expected '(size)' or '{node names}'"))?;
+            .map_err(|_| self.error("expected '(size)', ':size' or '{node names}'"))?;
         let mut names = Vec::new();
         loop {
             self.skip_ws();
@@ -755,33 +776,48 @@ impl<'a> Parser<'a> {
         match name {
             "broadcast" => Ok(PolicySpec::Broadcast(self.network_spec()?)),
             "round-robin" => Ok(PolicySpec::RoundRobin(self.network_spec()?)),
-            "hash" => {
-                self.skip_ws();
-                self.expect(b'(')?;
-                let buckets = self.number()?;
-                self.skip_ws();
-                self.expect(b')')?;
-                Ok(PolicySpec::Hash { buckets })
-            }
-            "hypercube" => {
-                self.skip_ws();
-                self.expect(b'(')?;
-                let mut buckets = vec![self.number()?];
-                loop {
-                    self.skip_ws();
-                    if self.eat(b')') {
-                        break;
-                    }
-                    self.expect(b',')?;
-                    buckets.push(self.number()?);
-                }
-                Ok(PolicySpec::Hypercube { buckets })
-            }
+            "hash" | "hash-join" => match self.counts()?[..] {
+                [buckets] => Ok(PolicySpec::Hash { buckets }),
+                _ => Err(self.error(format!("{name} takes one bucket count"))),
+            },
+            "hypercube" => Ok(PolicySpec::Hypercube {
+                buckets: self.counts()?,
+            }),
             "explicit" => Ok(PolicySpec::Explicit),
             other => Err(self.error(format!(
                 "unknown policy '{other}' (expected broadcast, round-robin, hash, \
-                 hypercube or explicit)"
+                 hash-join, hypercube or explicit)"
             ))),
+        }
+    }
+
+    /// `(n, n, …)`, or `:n` for a single count.
+    fn counts(&mut self) -> Result<Vec<usize>, ScenarioError> {
+        self.skip_ws();
+        if self.eat(b':') {
+            return Ok(vec![self.number()?]);
+        }
+        self.expect(b'(')?;
+        let mut counts = vec![self.number()?];
+        loop {
+            self.skip_ws();
+            if self.eat(b')') {
+                return Ok(counts);
+            }
+            self.expect(b',')?;
+            counts.push(self.number()?);
+        }
+    }
+
+    /// `policy ("," policy)*`, and the whitespace after it.
+    fn schedule(&mut self) -> Result<Vec<PolicySpec>, ScenarioError> {
+        let mut policies = vec![self.policy()?];
+        loop {
+            self.skip_ws();
+            if !self.eat(b',') {
+                return Ok(policies);
+            }
+            policies.push(self.policy()?);
         }
     }
 
@@ -958,16 +994,7 @@ impl<'a> Parser<'a> {
                     if schedule.is_some() {
                         return Err(duplicate(self));
                     }
-                    let mut policies = vec![self.policy()?];
-                    loop {
-                        self.skip_ws();
-                        if self.eat(b',') {
-                            policies.push(self.policy()?);
-                        } else {
-                            break;
-                        }
-                    }
-                    schedule = Some(policies);
+                    schedule = Some(self.schedule()?);
                 }
                 "rounds" => {
                     if rounds.is_some() {
@@ -1254,6 +1281,74 @@ mod tests {
         let outcome = distribution::OneRoundEngine::new(policies[0].as_ref())
             .evaluate(s.query(), &s.instance);
         assert_eq!(outcome.result, cq::evaluate(s.query(), &s.instance));
+    }
+
+    /// Parses a policy list and builds it for `query` over no facts.
+    fn resolve(
+        spec: &str,
+        query: &ConjunctiveQuery,
+    ) -> Result<Vec<Box<dyn DistributionPolicy>>, String> {
+        let schedule = PolicySpec::parse_schedule(spec).map_err(|e| e.to_string())?;
+        let built = schedule.iter().map(|p| p.build(query, &Instance::new()));
+        built.collect()
+    }
+
+    #[test]
+    fn policy_lists_resolve_in_both_spellings_and_reject_garbage() {
+        let q = ConjunctiveQuery::parse("T(x, z) :- R(x, y), S(y, z).").unwrap();
+        let schedule = resolve("hash-join:4,hypercube:2", &q).unwrap();
+        assert_eq!(schedule.len(), 2);
+        assert_eq!(schedule[0].network().len(), 4);
+        assert_eq!(schedule[1].network().len(), 8); // 2^3 variables
+
+        // `name:n` is `name(n)`, `hash-join` is `hash`, and the printer
+        // keeps to one spelling of each
+        for (colon, canonical) in [
+            ("hypercube:2", "hypercube(2)"),
+            ("broadcast:2", "broadcast(2)"),
+            ("round-robin : 2", "round-robin(2)"),
+            ("hash-join:3,hypercube:2", "hash(3), hypercube(2)"),
+            ("hash-join(3)", "hash(3)"),
+            (
+                "hash-join:2,broadcast:3,hypercube:2",
+                "hash(2), broadcast(3), hypercube(2)",
+            ),
+            (
+                "explicit, hypercube(2, 2, 2)",
+                "explicit, hypercube(2, 2, 2)",
+            ),
+        ] {
+            let parsed = PolicySpec::parse_schedule(colon).unwrap();
+            assert_eq!(parsed, PolicySpec::parse_schedule(canonical).unwrap());
+            let printed: Vec<String> = parsed.iter().map(ToString::to_string).collect();
+            assert_eq!(printed.join(", "), canonical);
+        }
+        // a broadcast is total: a fact of no instance still goes everywhere
+        let broadcast = &resolve("broadcast:3", &q).unwrap()[0];
+        assert_eq!(
+            broadcast
+                .nodes_for(&Fact::from_names("Z", &["q", "r"]))
+                .len(),
+            3
+        );
+
+        for bad in [
+            "",
+            "hash-join",
+            "hash-join:x",
+            "hash-join:0",
+            "hash-join(2, 3)",
+            "frobnicate:3",
+            "broadcast:0",
+            "hypercube:2,",
+            "hypercube:2 hash:2",
+            "hypercube:2:3",
+        ] {
+            assert!(resolve(bad, &q).is_err(), "{bad:?} must be rejected");
+        }
+        // a hash policy needs a variable to hash on
+        let nullary = ConjunctiveQuery::parse("T() :- R().").unwrap();
+        assert!(resolve("hash-join:2", &nullary).is_err());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! coordinator (listener)              worker k  (pcq-analyze worker --connect addr --token k)
 //!       ◀───────────  connect
 //!       ◀───────────  Hello{worker: k}
-//!   EvalChunk…  ───▶                   (then exactly the stdio protocol,
-//!       ◀───────────  ChunkResult…      pipelined under the same driver)
+//!   Eval…       ───▶                   (then exactly the stdio protocol,
+//!       ◀───────────  EvalResult…       pipelined under the same driver)
 //! ```
 //!
 //! `Hello` names nothing, so it leaves both ends' symbol dictionaries (see

@@ -1,7 +1,7 @@
 //! Property-based round-trip laws of the wire subsystem:
 //!
 //! * binary: `decode(encode(x)) == x` for random facts, instances,
-//!   queries, chunk batches and scenarios, through both the bare codec
+//!   queries, shipments and scenarios, through both the bare codec
 //!   body and the framed byte stream,
 //! * textual: `parse(print(s)) == s` for random scenarios,
 //! * robustness: corrupted and truncated frames return errors — decoding
@@ -14,15 +14,16 @@
 
 use std::collections::BTreeSet;
 use std::io::Cursor;
+use std::sync::Arc;
 
 use cq::{Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, Symbol, Tuple, Value, Variable};
-use distribution::Node;
+use distribution::{Node, Shipment};
 use obs::{EventKind, TraceEvent};
 use proptest::prelude::*;
 use wire::{
     decode_body, decode_body_with, decode_frame, encode_body, encode_frame, encode_frame_with,
-    read_frame, ChunkBatch, DecodeError, DeltaBatch, Dictionary, Encoder, ExplicitSpec, Message,
-    NetworkSpec, PolicySpec, Scenario, TraceContext,
+    read_frame, DecodeError, Dictionary, Encoder, ExplicitSpec, Message, NetworkSpec, PolicySpec,
+    Scenario, TraceContext,
 };
 
 // ---------------------------------------------------------------- strategies
@@ -148,6 +149,22 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         )
 }
 
+/// An untraced eval message under the default options.
+fn eval_message(query: ConjunctiveQuery, round: u64, node: usize, shipment: Shipment) -> Message {
+    Message::Eval {
+        query,
+        options: EvalOptions::default(),
+        round,
+        node: Node::numbered(node),
+        shipment,
+        trace: TraceContext::default(),
+    }
+}
+
+fn path_query() -> ConjunctiveQuery {
+    ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap()
+}
+
 /// Every kind of message a connection carries, over the shared pools of
 /// relation, value and variable names — so later frames of a sequence
 /// repeat names of earlier ones.
@@ -160,46 +177,18 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         0..8usize,
     )
         .prop_map(|(kind, query, facts, round, node)| {
-            let (options, trace) = (EvalOptions::default(), TraceContext::default());
+            let eval = |query, shipment| eval_message(query, round, node, shipment);
             let node = Node::numbered(node);
-            let chunk = ChunkBatch {
-                round,
-                node,
-                chunk: facts.clone(),
-            };
-            let delta = DeltaBatch {
-                round,
-                node,
-                delta: facts.clone(),
-            };
             match kind {
-                0 => Message::EvalChunk {
-                    query,
-                    options,
-                    batch: chunk,
-                    trace,
-                },
-                1 => Message::ChunkResult {
-                    batch: chunk,
-                    eval_us: round,
-                },
-                2 => Message::EvalDelta {
-                    query,
-                    options,
-                    batch: delta,
-                    trace,
-                },
-                3 => Message::DeltaResult {
-                    batch: delta,
-                    eval_us: round,
-                },
-                4 => Message::EvalResident {
+                0 => eval(query, Shipment::Full(Arc::new(facts))),
+                1 | 3 => Message::EvalResult {
                     round,
                     node,
-                    query,
-                    options,
-                    trace,
+                    output: facts,
+                    eval_us: round,
                 },
+                2 => eval(query, Shipment::Delta(Arc::new(facts))),
+                4 => eval(query, Shipment::Resident),
                 5 => Message::Barrier { round },
                 6 => Message::BarrierAck { round },
                 7 => Message::Instance(facts),
@@ -426,9 +415,12 @@ proptest! {
         round in 0..5u64,
         node in 0..8usize,
     ) {
-        let batch = ChunkBatch { round, node: Node::numbered(node), chunk: instance };
-        let framed = encode_frame(&batch);
-        prop_assert_eq!(decode_frame::<ChunkBatch>(&framed).unwrap(), batch);
+        let shipment = Shipment::Full(Arc::new(instance));
+        let framed = encode_frame(&shipment);
+        prop_assert_eq!(decode_frame::<Shipment>(&framed).unwrap(), shipment.clone());
+        // and inside the eval message that ships it
+        let message = eval_message(path_query(), round, node, shipment);
+        prop_assert_eq!(decode_frame::<Message>(&encode_frame(&message)).unwrap(), message);
     }
 
     #[test]
@@ -437,11 +429,14 @@ proptest! {
         round in 0..5u64,
         node in 0..8usize,
     ) {
-        let batch = DeltaBatch { round, node: Node::numbered(node), delta: instance };
-        let framed = encode_frame(&batch);
-        prop_assert_eq!(decode_frame::<DeltaBatch>(&framed).unwrap(), batch.clone());
-        // and as full protocol messages
-        let message = Message::DeltaResult { batch, eval_us: 7 };
+        let shipment = Shipment::Delta(Arc::new(instance.clone()));
+        let framed = encode_frame(&shipment);
+        prop_assert_eq!(decode_frame::<Shipment>(&framed).unwrap(), shipment.clone());
+        // and as full protocol messages, there and back
+        let message = eval_message(path_query(), round, node, shipment);
+        prop_assert_eq!(decode_frame::<Message>(&encode_frame(&message)).unwrap(), message);
+        let node = Node::numbered(node);
+        let message = Message::EvalResult { round, node, output: instance, eval_us: 7 };
         prop_assert_eq!(decode_frame::<Message>(&encode_frame(&message)).unwrap(), message);
     }
 
@@ -483,10 +478,8 @@ proptest! {
         // *something* (an error, or — e.g. for a flipped value index that
         // stays in range — a structurally valid other message) without
         // panicking or over-allocating.
-        let batch = ChunkBatch { round: 0, node: Node::numbered(0), chunk: instance };
-        let options = cq::EvalOptions::default();
-        let trace = wire::TraceContext::default();
-        let mut framed = encode_frame(&Message::EvalChunk { query, options, batch, trace });
+        let message = eval_message(query, 0, 0, Shipment::Full(Arc::new(instance)));
+        let mut framed = encode_frame(&message);
         let at = byte % framed.len();
         framed[at] ^= flip;
         let _ = decode_frame::<Message>(&framed);
@@ -501,9 +494,9 @@ fn arbitrary_garbage_is_rejected() {
         b"PCQX\x01\x00",
         b"not a frame at all",
         b"PCQW",
-        b"PCQW\x02",
-        b"PCQW\x01\x00",
-        b"PCQW\x03\x00",
+        b"PCQW\x03",
+        b"PCQW\x02\x00",
+        b"PCQW\x04\x00",
     ] {
         assert!(
             decode_frame::<Message>(garbage).is_err(),

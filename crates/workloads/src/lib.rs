@@ -5,8 +5,8 @@
 //! that the paper's examples revolve around (paths, triangles, the query of
 //! Example 3.5), random conjunctive queries with tunable shape, random and
 //! skewed database instances, random explicit distribution policies, and
-//! named round schedules for the multi-round engine (hash-join /
-//! hypercube / broadcast policies per round).
+//! the total per-round policies of the multi-round engine (hash-join /
+//! broadcast).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,4 +25,4 @@ pub use queries::{
     named_query_sequence, query_sequence_names, random_query, star_query, triangle_query,
     QueryParams,
 };
-pub use schedules::{hash_join_policy, named_schedule, total_broadcast_policy};
+pub use schedules::{hash_join_policy, total_broadcast_policy};

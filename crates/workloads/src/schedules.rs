@@ -1,15 +1,13 @@
-//! Round-schedule specifications for multi-round evaluation.
+//! Policies for the rounds of a multi-round evaluation.
 //!
-//! A schedule spec is a comma-separated list of per-round policy specs, e.g.
-//! `hash-join:4,hypercube:2`: round 0 hash-partitions on the query's first
-//! join variable, every later round uses a uniform hypercube. The policies
-//! built here are **total over the query's schema** (hash-based, or
-//! broadcast-by-default), so facts produced in later rounds — which an
+//! The policies built here are **total over the query's schema** (hash-based,
+//! or broadcast-by-default), so facts produced in later rounds — which an
 //! explicit per-fact policy built from the initial instance could never have
-//! listed — are still assigned somewhere.
+//! listed — are still assigned somewhere. Naming them (`hash-join:4`,
+//! `hypercube(2)`, …) is `wire::PolicySpec`'s job.
 
 use cq::ConjunctiveQuery;
-use distribution::{DistributionPolicy, ExplicitPolicy, HypercubePolicy, Network};
+use distribution::{ExplicitPolicy, HypercubePolicy, Network};
 
 /// The classic single-key hash partitioning, expressed as a degenerate
 /// hypercube: the first variable shared by at least two body atoms (the
@@ -58,59 +56,25 @@ pub fn total_broadcast_policy(nodes: usize) -> Result<ExplicitPolicy, String> {
     Ok(ExplicitPolicy::new(network.clone()).with_default(network.nodes()))
 }
 
-/// Resolves a round-schedule spec into one boxed policy per scheduled round
-/// (the caller repeats the last policy past the end of the schedule, as
-/// `distribution::RoundSchedule` does).
-///
-/// Accepted per-round specs: `hypercube:<budget>`, `hash-join:<buckets>`,
-/// `broadcast:<nodes>`.
-pub fn named_schedule(
-    spec: &str,
-    query: &ConjunctiveQuery,
-) -> Result<Vec<Box<dyn DistributionPolicy>>, String> {
-    let mut policies: Vec<Box<dyn DistributionPolicy>> = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        let (name, param) = part
-            .split_once(':')
-            .ok_or(format!("schedule entry '{part}': expected <policy>:<n>"))?;
-        let n: usize = param
-            .parse()
-            .map_err(|_| format!("schedule entry '{part}': '{param}' is not a number"))?;
-        match name {
-            "hypercube" => {
-                let policy = HypercubePolicy::uniform(query, n)
-                    .map_err(|e| format!("schedule entry '{part}': {e}"))?;
-                policies.push(Box::new(policy));
-            }
-            "hash-join" => {
-                let policy =
-                    hash_join_policy(query, n).map_err(|e| format!("schedule entry '{part}': {e}"))?;
-                policies.push(Box::new(policy));
-            }
-            "broadcast" => {
-                let policy = total_broadcast_policy(n)
-                    .map_err(|e| format!("schedule entry '{part}': {e}"))?;
-                policies.push(Box::new(policy));
-            }
-            other => {
-                return Err(format!(
-                    "unknown schedule policy '{other}' (expected hypercube:<budget>, hash-join:<buckets> or broadcast:<nodes>)"
-                ))
-            }
-        }
-    }
-    if policies.is_empty() {
-        return Err("the schedule names no policies".to_string());
-    }
-    Ok(policies)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cq::{evaluate, parse_instance, Fact};
-    use distribution::{MultiRoundEngine, OneRoundEngine, RoundSchedule};
+    use distribution::{DistributionPolicy, MultiRoundEngine, OneRoundEngine, RoundSchedule};
+
+    type Schedule = Vec<Box<dyn DistributionPolicy>>;
+
+    fn hash(query: &ConjunctiveQuery, buckets: usize) -> Box<dyn DistributionPolicy> {
+        Box::new(hash_join_policy(query, buckets).unwrap())
+    }
+
+    fn cube(query: &ConjunctiveQuery, budget: usize) -> Box<dyn DistributionPolicy> {
+        Box::new(HypercubePolicy::uniform(query, budget).unwrap())
+    }
+
+    fn broadcast(nodes: usize) -> Box<dyn DistributionPolicy> {
+        Box::new(total_broadcast_policy(nodes).unwrap())
+    }
 
     fn two_hop() -> ConjunctiveQuery {
         ConjunctiveQuery::parse("T(x, z) :- R(x, y), S(y, z).").unwrap()
@@ -149,7 +113,6 @@ mod tests {
         // panic on an empty variable list.
         let q = ConjunctiveQuery::parse("T() :- R().").unwrap();
         assert!(hash_join_policy(&q, 2).is_err());
-        assert!(named_schedule("hash-join:2", &q).is_err());
     }
 
     #[test]
@@ -160,28 +123,12 @@ mod tests {
     }
 
     #[test]
-    fn named_schedules_resolve_and_reject_garbage() {
-        let q = two_hop();
-        let schedule = named_schedule("hash-join:4,hypercube:2", &q).unwrap();
-        assert_eq!(schedule.len(), 2);
-        assert_eq!(schedule[0].network().len(), 4);
-        assert_eq!(schedule[1].network().len(), 8); // 2^3 variables
-
-        assert!(named_schedule("", &q).is_err());
-        assert!(named_schedule("hash-join", &q).is_err());
-        assert!(named_schedule("hash-join:x", &q).is_err());
-        assert!(named_schedule("hash-join:0", &q).is_err());
-        assert!(named_schedule("frobnicate:3", &q).is_err());
-        assert!(named_schedule("broadcast:0", &q).is_err());
-    }
-
-    #[test]
     fn scheduled_multi_round_closure_reaches_the_fixpoint() {
         // hash-join round first (cheap, no replication), hypercube after:
         // the mixed schedule still computes the exact transitive closure.
         let q = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let i = parse_instance("R(a, b). R(b, c). R(c, d). R(d, e).").unwrap();
-        let boxed = named_schedule("hash-join:3,hypercube:2", &q).unwrap();
+        let boxed: Schedule = vec![hash(&q, 3), cube(&q, 2)];
         let refs: Vec<&dyn DistributionPolicy> = boxed.iter().map(Box::as_ref).collect();
         let engine = MultiRoundEngine::new(RoundSchedule::of(refs))
             .rounds(8)
@@ -201,12 +148,16 @@ mod tests {
         let q = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let i = parse_instance("R(a, b). R(b, c). R(c, d). R(d, e). R(e, f). R(f, a). R(c, g).")
             .unwrap();
-        for spec in [
-            "hypercube:2",
-            "broadcast:2",
-            "hash-join:3,hypercube:2",
-            "hash-join:2,broadcast:3,hypercube:2",
-        ] {
+        let schedules: [(&str, Schedule); 4] = [
+            ("hypercube:2", vec![cube(&q, 2)]),
+            ("broadcast:2", vec![broadcast(2)]),
+            ("hash-join:3,hypercube:2", vec![hash(&q, 3), cube(&q, 2)]),
+            (
+                "hash-join:2,broadcast:3,hypercube:2",
+                vec![hash(&q, 2), broadcast(3), cube(&q, 2)],
+            ),
+        ];
+        for (spec, boxed) in &schedules {
             for feedback in [Some("R"), None] {
                 let mut state = i.clone();
                 let mut visited = BTreeSet::from([state.to_set()]);
@@ -227,7 +178,6 @@ mod tests {
                     state = next;
                 }
 
-                let boxed = named_schedule(spec, &q).unwrap();
                 let engine = |semi_naive: bool| {
                     let refs: Vec<&dyn DistributionPolicy> =
                         boxed.iter().map(Box::as_ref).collect();

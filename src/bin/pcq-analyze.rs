@@ -12,11 +12,11 @@
 //!                          [--semi-naive] [--distribute-workers N]
 //!                          [--transport memory|process|socket]
 //!                          [--fault-inject N] [--trace FILE]
-//!                          [--metrics FILE] [--slow-eval-us N]
+//!                          [--slow-eval-us N]
 //!   pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]
 //!                          [--rounds N] [--feedback R] [--semi-naive]
 //!                          [--transport T] [--reshuffle-always]
-//!                          [--trace FILE] [--metrics FILE]
+//!                          [--trace FILE]
 //!   pcq-analyze trace      summarize <trace.json> [--json]
 //!   pcq-analyze trace      diff <base.json> <new.json> [--json]
 //!                          [--threshold PCT] [--min-us N]
@@ -35,8 +35,10 @@
 //!                      n0: R(a, b) R(b, c)
 //!                      n1: R(b, a)
 //!                  an optional line `default: n0 n1` assigns unlisted facts.
-//!   <policy>       hypercube:<budget>, broadcast:<nodes>,
-//!                  round-robin:<nodes>, or a policy file as above.
+//!   <policy>       hypercube:<budget>, hash-join:<buckets>,
+//!                  broadcast:<nodes>, round-robin:<nodes> — or any other
+//!                  policy of the scenario grammar, `name:n` being its
+//!                  `name(n)` — or a policy file as above.
 //!   <instance>     random:<domain>:<facts>[:seed],
 //!                  zipf:<domain>:<facts>:<exponent-percent>[:seed], a file
 //!                  of facts, or literal facts such as "R(a, b). R(b, c)."
@@ -45,16 +47,20 @@
 //!                  schedule, rounds, feedback in one file.
 //! ```
 //!
-//! `run` reshuffles the instance under the policy and evaluates the query
-//! through the one-round engine, reporting result size, per-node load and
-//! per-node timings (`--json` for machine-readable output, emitted through
-//! the `wire::json` serializer). With `--rounds N` it iterates
-//! distribute→evaluate cycles through the multi-round engine instead:
-//! `--schedule` names per-round policies (`hash-join:<k>,hypercube:<b>,…`;
-//! default: the `<policy>` argument every round), `--feedback R` renames
-//! each round's outputs into relation `R` before the next reshuffle
-//! (making the query effectively recursive), and the result is compared
-//! against the global fixpoint of the centralized iterated query.
+//! `run` reshuffles the instance under the policy, evaluates the query
+//! locally at every node and takes the union, reporting result size,
+//! per-node load and per-node timings (`--json` for machine-readable
+//! output, emitted through the `wire::json` serializer). Either grammar —
+//! the positional specs or `--scenario` — lowers into one `wire::Scenario`,
+//! which one executor runs and one report describes; what differs between
+//! runs is what the answer is compared with. Without `--rounds` that is the
+//! centralized answer (Definition 3.1). With `--rounds N` the run iterates
+//! distribute→evaluate cycles: `--schedule` names per-round policies (a
+//! comma-separated list of the `<policy>` names; default: the `<policy>`
+//! argument every round), `--feedback R` renames each round's outputs into
+//! relation `R` before the next reshuffle (making the query effectively
+//! recursive), and the result is compared against the global fixpoint of
+//! the centralized iterated query.
 //! `--semi-naive` switches the rounds to incremental mode: only the facts
 //! new since the previous round are reshuffled, nodes keep their
 //! accumulated state across rounds, and each local evaluation is one
@@ -105,12 +111,11 @@
 //! 1000µs) — point it at a stored baseline trace in CI to gate on
 //! distributed-performance regressions, not just result correctness.
 //!
-//! `run --metrics FILE` writes the merged metrics registries (engine +
-//! transport) as one JSON document: every counter, and for every
-//! histogram (`round_latency_us`, `chunk_facts`, `window_wait_us`,
-//! `frame_bytes`) the exact count/sum/min/max plus p50/p90/p99
-//! nearest-rank quantiles over the most recent 4096 samples. The same
-//! block appears under `"histograms"` in `run --json` output.
+//! `run --json` carries the merged metrics registries (engine +
+//! transport) under `"counters"` and `"histograms"`: every counter, and
+//! for every histogram (`round_latency_us`, `chunk_facts`,
+//! `window_wait_us`, `frame_bytes`) the exact count/sum/min/max plus
+//! p50/p90/p99 nearest-rank quantiles over the most recent 4096 samples.
 //! `--slow-eval-us N` makes every wire worker sleep N µs per eval job —
 //! an injected-latency knob for exercising `trace diff` end to end.
 //!
@@ -137,9 +142,10 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use distribution::{DistributionStats, OneRoundOutcome};
 use pcq::obs;
 use pcq::prelude::*;
-use pcq::wire;
+use pcq::wire::{self, PolicySpec};
 
 /// `println!` for a stdout whose reader may leave early (`… | head`): see
 /// [`emit`].
@@ -193,7 +199,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip | --strongly-minimal]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--semi-naive] [--distribute-workers N]\n                         [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--metrics FILE] [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R] [--semi-naive]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE] [--metrics FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n  pcq-analyze bench-diff <trajectory-file> [--threshold-pct P] [--min-ns N]\n                         [--window N] [--bench NAME]...\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies: hash-join:<k> | hypercube:<b> | broadcast:<n>\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
+    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip | --strongly-minimal]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--semi-naive] [--distribute-workers N]\n                         [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R] [--semi-naive]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n  pcq-analyze bench-diff <trajectory-file> [--threshold-pct P] [--min-ns N]\n                         [--window N] [--bench NAME]...\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | hash-join:<buckets> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies, by the <policy> names\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
@@ -272,49 +278,6 @@ fn load_run_instance(arg: &str, query: &ConjunctiveQuery) -> Result<Instance, St
     }
 }
 
-/// Resolves a `run` policy spec: `hypercube:<budget>`, `broadcast:<nodes>`,
-/// `round-robin:<nodes>`, or a policy file. Boxed so single- and
-/// multi-round paths can mix spec-named and schedule-named policies.
-fn load_run_policy(
-    arg: &str,
-    query: &ConjunctiveQuery,
-    instance: &Instance,
-) -> Result<Box<dyn DistributionPolicy>, String> {
-    let named_err = match arg.split_once(':') {
-        Some(("hypercube", budget)) => {
-            let budget: usize = budget
-                .parse()
-                .map_err(|_| format!("policy spec '{arg}': '{budget}' is not a number"))?;
-            return HypercubePolicy::uniform(query, budget)
-                .map(|p| Box::new(p) as Box<dyn DistributionPolicy>)
-                .map_err(|e| format!("policy spec '{arg}': {e}"));
-        }
-        Some(("broadcast", nodes)) | Some(("round-robin", nodes)) => {
-            let n: usize = nodes
-                .parse()
-                .map_err(|_| format!("policy spec '{arg}': '{nodes}' is not a number"))?;
-            if n == 0 {
-                return Err(format!("policy spec '{arg}': need at least one node"));
-            }
-            let network = Network::with_size(n);
-            let policy = if arg.starts_with("broadcast") {
-                ExplicitPolicy::broadcast(&network, instance)
-            } else {
-                ExplicitPolicy::round_robin(&network, instance)
-            };
-            return Ok(Box::new(policy));
-        }
-        _ => format!("'{arg}' is not hypercube:<budget>, broadcast:<nodes> or round-robin:<nodes>"),
-    };
-    if std::path::Path::new(arg).exists() {
-        load_policy(arg).map(|p| Box::new(p) as Box<dyn DistributionPolicy>)
-    } else {
-        Err(format!(
-            "cannot resolve policy spec: {named_err}, and no such policy file exists"
-        ))
-    }
-}
-
 /// Which side of the [`Transport`] seam evaluates node chunks.
 enum TransportChoice {
     /// The classic simulated cluster: chunks evaluate on an in-process
@@ -361,56 +324,30 @@ struct RunOptions {
     /// as Chrome trace-event JSON (loadable in Perfetto, summarizable with
     /// `pcq-analyze trace summarize`).
     trace: Option<String>,
-    /// `--metrics FILE`: write the merged metrics registries (counters +
-    /// histogram quantiles) as a JSON document after the run.
-    metrics: Option<String>,
     /// `--slow-eval-us N`: every worker sleeps N microseconds inside each
     /// eval span — an artificial latency regression for `trace diff`
     /// fixtures (requires a wire transport).
     slow_eval_us: Option<u64>,
 }
 
-/// Brackets a traced `run`: starts the process-wide trace recorder and the
-/// root span before the selected arm executes, and on finish drains the
-/// merged timeline and writes the Chrome trace-event file.
-struct TraceSession {
-    path: Option<String>,
-    root: Option<obs::Span>,
-}
-
-impl TraceSession {
-    fn begin(path: Option<&str>) -> TraceSession {
-        let root = path.map(|_| {
-            obs::start_trace();
-            obs::span!("run")
-        });
-        TraceSession {
-            path: path.map(str::to_string),
-            root,
-        }
+/// Ends a traced `run`: drains the merged timeline and writes the Chrome
+/// trace-event file, passing the run's `result` through.
+fn write_trace(path: &str, result: Result<bool, String>) -> Result<bool, String> {
+    let events = obs::end_trace();
+    let dropped = obs::dropped_events();
+    let mut doc = wire::trace_export::chrome_trace(&events);
+    if dropped > 0 {
+        eprintln!(
+            "trace: WARNING: {dropped} events dropped (per-thread buffer full) — \
+             the timeline in {path} is incomplete"
+        );
+        doc.push("droppedEvents", JsonValue::from(dropped));
     }
-
-    fn finish(self, result: Result<bool, String>) -> Result<bool, String> {
-        let Some(path) = self.path else {
-            return result;
-        };
-        drop(self.root);
-        let events = obs::end_trace();
-        let dropped = obs::dropped_events();
-        let mut doc = wire::trace_export::chrome_trace(&events);
-        if dropped > 0 {
-            eprintln!(
-                "trace: WARNING: {dropped} events dropped (per-thread buffer full) — \
-                 the timeline in {path} is incomplete"
-            );
-            doc.push("droppedEvents", JsonValue::from(dropped));
-        }
-        match std::fs::write(&path, format!("{doc}\n")) {
-            // A failed run is the primary error; only surface a write
-            // failure when it would otherwise be silently lost.
-            Ok(()) => result,
-            Err(e) => result.and(Err(format!("cannot write trace to {path}: {e}"))),
-        }
+    match std::fs::write(path, format!("{doc}\n")) {
+        // A failed run is the primary error; only surface a write
+        // failure when it would otherwise be silently lost.
+        Ok(()) => result,
+        Err(e) => result.and(Err(format!("cannot write trace to {path}: {e}"))),
     }
 }
 
@@ -532,8 +469,8 @@ fn worker_argv(
         .collect()
 }
 
-/// Turns `--transport` into the transport every `run` arm evaluates
-/// through, paired with its metrics registry: the in-process pool, or
+/// Turns `--transport` into the transport a run evaluates through, paired
+/// with its metrics registry: the in-process pool, or
 /// `--workers` subprocesses of this executable reached over pipes or
 /// loopback sockets.
 fn open_transport(
@@ -609,12 +546,14 @@ fn worker_command(args: &[String]) -> Result<bool, String> {
     .map_err(|e| format!("worker failed: {e}"))
 }
 
-/// The `run` subcommand: one-round evaluation of a workload triple, or —
-/// with `--rounds` or `--scenario` — the iterated multi-round evaluation.
+/// The `run` subcommand: reshuffle, evaluate locally, take the union — once,
+/// or iterated with `--rounds` or a scenario — and compare the answer with
+/// the centralized reference.
 ///
-/// Exit-code contract: 0 = the distributed result equals the centralized
-/// reference (one-round result, or the global fixpoint of the iterated
-/// query), 1 = answers lost or round cap too small.
+/// Exit-code contract: 0 = the distributed result equals the reference
+/// (the centralized answer of a one-round run, else the global fixpoint of
+/// every query's centralized iteration), 1 = answers lost or round cap too
+/// small.
 fn run_command(args: &[String]) -> Result<bool, String> {
     let mut positional: Vec<&String> = Vec::new();
     let mut opts = RunOptions {
@@ -630,7 +569,6 @@ fn run_command(args: &[String]) -> Result<bool, String> {
         fault_inject: None,
         reshuffle_always: false,
         trace: None,
-        metrics: None,
         slow_eval_us: None,
     };
     let mut iter = args.iter();
@@ -644,6 +582,9 @@ fn run_command(args: &[String]) -> Result<bool, String> {
         }
         Ok(n)
     };
+    let text = |flag: &str, what: &str, value: Option<&String>| -> Result<String, String> {
+        value.cloned().ok_or(format!("{flag} needs {what}"))
+    };
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--json" => opts.json = true,
@@ -654,27 +595,11 @@ fn run_command(args: &[String]) -> Result<bool, String> {
                 opts.distribute_workers = parse_count("--distribute-workers", iter.next())?
             }
             "--rounds" => opts.rounds = Some(parse_count("--rounds", iter.next())?),
-            "--schedule" => {
-                opts.schedule = Some(
-                    iter.next()
-                        .ok_or("--schedule needs a policy list")?
-                        .to_string(),
-                )
-            }
+            "--schedule" => opts.schedule = Some(text("--schedule", "a policy list", iter.next())?),
             "--feedback" => {
-                opts.feedback = Some(
-                    iter.next()
-                        .ok_or("--feedback needs a relation name")?
-                        .to_string(),
-                )
+                opts.feedback = Some(text("--feedback", "a relation name", iter.next())?)
             }
-            "--scenario" => {
-                opts.scenario = Some(
-                    iter.next()
-                        .ok_or("--scenario needs a file path")?
-                        .to_string(),
-                )
-            }
+            "--scenario" => opts.scenario = Some(text("--scenario", "a file path", iter.next())?),
             "--transport" => {
                 let name = iter.next().ok_or("--transport needs a name")?;
                 opts.transport = match name.as_str() {
@@ -691,20 +616,7 @@ fn run_command(args: &[String]) -> Result<bool, String> {
             "--fault-inject" => {
                 opts.fault_inject = Some(parse_count("--fault-inject", iter.next())?)
             }
-            "--trace" => {
-                opts.trace = Some(
-                    iter.next()
-                        .ok_or("--trace needs an output file path")?
-                        .to_string(),
-                )
-            }
-            "--metrics" => {
-                opts.metrics = Some(
-                    iter.next()
-                        .ok_or("--metrics needs an output file path")?
-                        .to_string(),
-                )
-            }
+            "--trace" => opts.trace = Some(text("--trace", "an output file path", iter.next())?),
             "--slow-eval-us" => {
                 let value = iter.next().ok_or("--slow-eval-us needs a number")?;
                 opts.slow_eval_us = Some(
@@ -747,20 +659,90 @@ fn run_command(args: &[String]) -> Result<bool, String> {
                 .to_string(),
         );
     }
-    if opts.semi_naive && opts.rounds.is_none() && opts.scenario.is_none() {
-        return Err("--semi-naive requires --rounds (it is a multi-round mode)".to_string());
+    if opts.rounds.is_none() && opts.scenario.is_none() {
+        // These flags only mean something across rounds; silently running a
+        // single round instead would misreport what the user asked for.
+        let across_rounds = [
+            ("--schedule", opts.schedule.is_some()),
+            ("--feedback", opts.feedback.is_some()),
+            ("--semi-naive", opts.semi_naive),
+        ];
+        if let Some((flag, _)) = across_rounds.iter().find(|(_, given)| *given) {
+            return Err(format!("{flag} requires --rounds"));
+        }
     }
 
-    let session = TraceSession::begin(opts.trace.as_deref());
-    session.finish(run_dispatch(&positional, &opts))
+    // The trace recorder and the root span bracket the whole run, from the
+    // lowering to the printed report.
+    let root = opts.trace.as_ref().map(|_| {
+        obs::start_trace();
+        obs::span!("run")
+    });
+    let verdict = lower(&positional, &opts).and_then(|run| {
+        let report = execute(&run, &opts)?;
+        if opts.json {
+            say!("{}", report.to_json());
+        } else {
+            report.print();
+        }
+        Ok(report.correct())
+    });
+    drop(root);
+    match &opts.trace {
+        Some(path) => write_trace(path, verdict),
+        None => verdict,
+    }
 }
 
-/// The selected `run` arm — multi-query scenario, single-query
-/// multi-round, or plain one-round evaluation — after flag parsing and
-/// validation. Split out of [`run_command`] so a [`TraceSession`] can
-/// bracket every arm uniformly.
-fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, String> {
-    if let Some(path) = opts.scenario.clone() {
+/// What the answer of a run is compared with — the one thing in which a
+/// one-round run differs from the others.
+#[derive(Clone, Copy, PartialEq)]
+enum Reference {
+    /// One centralized `cq::evaluate` (Definition 3.1, reported as
+    /// `parallel_correct`): a run given without `--rounds`. It runs the
+    /// one-round engine, which carries no state from round to round.
+    OneRound,
+    /// The global fixpoint of every query's centralized iteration
+    /// (`multi_round_correct`).
+    Fixpoint,
+}
+
+/// A run, lowered from either grammar: the positional specs with `--rounds`
+/// / `--schedule` / `--feedback`, or a scenario file with the flags that
+/// override its stanzas.
+struct Run {
+    scenario: Scenario,
+    reference: Reference,
+    /// How the report names the policy, the schedule and the instance: the
+    /// specs as they were given.
+    policy_label: String,
+    schedule_label: Option<String>,
+    instance_label: String,
+}
+
+/// Resolves the positional `<policy>`: one policy named in the schedule
+/// grammar, or a policy file — the scenario's `policy` stanza, run by an
+/// `explicit` schedule entry.
+fn lower_policy(arg: &str) -> Result<(PolicySpec, Option<ExplicitSpec>), String> {
+    match PolicySpec::parse_schedule(arg) {
+        Ok(named) => match <[PolicySpec; 1]>::try_from(named) {
+            Ok([policy]) => Ok((policy, None)),
+            Err(_) => Err(format!(
+                "policy spec '{arg}' names several policies (that is a --schedule)"
+            )),
+        },
+        Err(_) if std::path::Path::new(arg).exists() => {
+            Ok((PolicySpec::Explicit, Some(load_policy_spec(arg)?)))
+        }
+        Err(named_err) => Err(format!(
+            "cannot resolve policy spec '{arg}': {named_err}, and no such policy file exists"
+        )),
+    }
+}
+
+fn lower(positional: &[&String], opts: &RunOptions) -> Result<Run, String> {
+    let feedback = opts.feedback.as_deref().map(Symbol::new);
+    if let Some(path) = &opts.scenario {
         if !positional.is_empty() {
             return Err(
                 "--scenario replaces the positional <query> <policy> <instance> specs".to_string(),
@@ -772,270 +754,50 @@ fn run_dispatch(positional: &[&String], opts: &RunOptions) -> Result<bool, Strin
                     .to_string(),
             );
         }
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let scenario = Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        let policies = scenario
-            .build_schedule()
-            .map_err(|e| format!("{path}: {e}"))?;
-        let rounds = opts.rounds.unwrap_or(scenario.rounds);
-        let feedback = opts
-            .feedback
-            .clone()
-            .or_else(|| scenario.feedback.map(|f| f.to_string()));
-        let schedule_label = scenario
-            .schedule
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        if scenario.queries.len() > 1 {
-            return run_multi_query(
-                &scenario.queries,
-                Some(schedule_label),
-                &path,
-                &scenario.instance,
-                policies,
-                rounds,
-                feedback.as_deref(),
-                opts,
-            );
-        }
-        return run_multi_round(
-            scenario.query(),
-            &format!("scenario:{path}"),
-            Some(schedule_label),
-            &path,
-            &scenario.instance,
-            policies,
-            rounds,
-            feedback.as_deref(),
-            opts,
-        );
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let mut scenario = Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        scenario.rounds = opts.rounds.unwrap_or(scenario.rounds);
+        scenario.feedback = feedback.or(scenario.feedback);
+        let schedule: Vec<String> = scenario.schedule.iter().map(ToString::to_string).collect();
+        return Ok(Run {
+            scenario,
+            reference: Reference::Fixpoint,
+            policy_label: format!("scenario:{path}"),
+            schedule_label: Some(schedule.join(", ")),
+            instance_label: path.clone(),
+        });
     }
 
     let [query_spec, policy_spec, instance_spec] = positional[..] else {
         return Err("run needs <query> <policy> <instance> (or --scenario <file>)".to_string());
     };
-
-    if opts.rounds.is_none() {
-        // These flags only mean something across rounds; silently running a
-        // single round instead would misreport what the user asked for.
-        if opts.schedule.is_some() {
-            return Err("--schedule requires --rounds".to_string());
-        }
-        if opts.feedback.is_some() {
-            return Err("--feedback requires --rounds".to_string());
-        }
-    }
-
     let query = load_run_query(query_spec)?;
     let instance = load_run_instance(instance_spec, &query)?;
-
-    if let Some(rounds) = opts.rounds {
-        // The <policy> positional is always resolved — a typo'd spec must
-        // fail even when --schedule overrides which policies actually run;
-        // without --schedule the single <policy> spec repeats every round.
-        let positional_policy = load_run_policy(policy_spec, &query, &instance)?;
-        let policies: Vec<Box<dyn DistributionPolicy>> = match &opts.schedule {
-            Some(spec) => workloads::named_schedule(spec, &query)?,
-            None => vec![positional_policy],
-        };
-        return run_multi_round(
-            &query,
-            policy_spec,
-            opts.schedule.clone(),
-            instance_spec,
-            &instance,
-            policies,
-            rounds,
-            opts.feedback.as_deref(),
-            opts,
-        );
-    }
-
-    let policy = load_run_policy(policy_spec, &query, &instance)?;
-    let engine = OneRoundEngine::new(policy.as_ref())
-        .workers(opts.workers)
-        .distribute_workers(opts.distribute_workers);
-    // `total` covers only the one-round run; the centralized evaluation
-    // below is a correctness check, not part of the round being measured.
-    let total_start = std::time::Instant::now();
-    let (mut transport, transport_registry) = open_transport(opts)?;
-    let outcome = engine
-        .evaluate_via(transport.as_mut(), 0, &query, &instance)
-        .map_err(|e| e.to_string())?;
-    // Stop the workers and release the shipped chunks before the verify.
-    drop(transport);
-    let total = total_start.elapsed();
-    let metrics = export_metrics(opts, &[transport_registry])?;
-    let correct = {
-        let _span = obs::span!("central_verify", facts = instance.len());
-        outcome.result == cq::evaluate(&query, &instance)
+    // The <policy> positional is always resolved — a typo'd spec must fail
+    // even when --schedule overrides which policies actually run; without
+    // --schedule it repeats every round.
+    let (named, policy) = lower_policy(policy_spec)?;
+    let schedule = match &opts.schedule {
+        Some(spec) => PolicySpec::parse_schedule(spec).map_err(|e| format!("--schedule: {e}"))?,
+        None => vec![named],
     };
-
-    if opts.json {
-        let per_node = JsonValue::array(outcome.per_node_output.keys().map(|node| {
-            JsonValue::object([
-                ("node", JsonValue::from(node.as_str())),
-                (
-                    "load",
-                    JsonValue::from(outcome.per_node_load.get(node).copied().unwrap_or(0)),
-                ),
-                (
-                    "output",
-                    JsonValue::from(outcome.per_node_output.get(node).copied().unwrap_or(0)),
-                ),
-                (
-                    "time_us",
-                    JsonValue::from(
-                        outcome
-                            .per_node_time
-                            .get(node)
-                            .copied()
-                            .unwrap_or_default()
-                            .as_micros(),
-                    ),
-                ),
-            ])
-        }));
-        let doc = JsonValue::object([
-            ("query", JsonValue::from(query.to_string())),
-            ("policy", JsonValue::from(policy_spec.as_str())),
-            ("instance", JsonValue::from(instance_spec.as_str())),
-            ("instance_facts", JsonValue::from(instance.len())),
-            ("workers", JsonValue::from(outcome.workers)),
-            ("transport", JsonValue::from(opts.transport.label())),
-            (
-                "index_cache",
-                JsonValue::object([
-                    ("hits", JsonValue::from(outcome.index_cache_hits)),
-                    ("misses", JsonValue::from(outcome.index_cache_misses)),
-                ]),
-            ),
-            ("result_size", JsonValue::from(outcome.result.len())),
-            ("parallel_correct", JsonValue::from(correct)),
-            ("comm_bytes", JsonValue::from(outcome.comm_bytes)),
-            (
-                "stats",
-                JsonValue::object([
-                    ("nodes", JsonValue::from(outcome.stats.nodes)),
-                    (
-                        "total_assigned",
-                        JsonValue::from(outcome.stats.total_assigned),
-                    ),
-                    (
-                        "distinct_assigned",
-                        JsonValue::from(outcome.stats.distinct_assigned),
-                    ),
-                    ("max_load", JsonValue::from(outcome.stats.max_load)),
-                    ("skipped", JsonValue::from(outcome.stats.skipped)),
-                    (
-                        "replication_factor",
-                        JsonValue::fixed(outcome.stats.replication_factor, 4),
-                    ),
-                ]),
-            ),
-            (
-                "timings_us",
-                JsonValue::object([
-                    (
-                        "distribute",
-                        JsonValue::from(outcome.distribute_time.as_micros()),
-                    ),
-                    (
-                        "local_eval",
-                        JsonValue::from(outcome.local_eval_time.as_micros()),
-                    ),
-                    ("total", JsonValue::from(total.as_micros())),
-                ]),
-            ),
-            ("per_node", per_node),
-            ("histograms", histograms_block(&metrics)),
-        ]);
-        let doc = with_dropped_events(doc, opts);
-        say!("{doc}");
-    } else {
-        say!("query:       {query}");
-        say!("policy:      {policy_spec}");
-        say!("instance:    {instance_spec} ({} facts)", instance.len());
-        say!("workers:     {}", outcome.workers);
-        say!("transport:   {}", opts.transport.label());
-        say!(
-            "index cache: {} hits / {} misses",
-            outcome.index_cache_hits,
-            outcome.index_cache_misses
-        );
-        say!("result size: {}", outcome.result.len());
-        say!(
-            "correct:     {}",
-            if correct {
-                "yes"
-            } else {
-                "NO (one-round result differs from centralized)"
-            }
-        );
-        say!("distribution: {}", outcome.stats);
-        say!("comm bytes:  {} on the wire", outcome.comm_bytes);
-        say!(
-            "timings:     distribute={}µs local_eval={}µs total={}µs skew={:.2}",
-            outcome.distribute_time.as_micros(),
-            outcome.local_eval_time.as_micros(),
-            total.as_micros(),
-            outcome.time_skew()
-        );
-        for (node, output) in &outcome.per_node_output {
-            say!(
-                "  {node}: load={} output={} time={}µs",
-                outcome.per_node_load.get(node).copied().unwrap_or(0),
-                output,
-                outcome
-                    .per_node_time
-                    .get(node)
-                    .copied()
-                    .unwrap_or_default()
-                    .as_micros()
-            );
-        }
-    }
-    Ok(correct)
-}
-
-/// Collects the run's metrics registries into one JSON document
-/// (counters summed, histograms unioned), writing it to `--metrics` when
-/// requested. Returns the document so the `--json` arms can lift its
-/// `histograms` block into their reports.
-fn export_metrics(
-    opts: &RunOptions,
-    registries: &[std::sync::Arc<obs::Registry>],
-) -> Result<JsonValue, String> {
-    let refs: Vec<&obs::Registry> = registries.iter().map(AsRef::as_ref).collect();
-    let doc = wire::merged_registry_json(&refs);
-    if let Some(path) = &opts.metrics {
-        std::fs::write(path, format!("{doc}\n"))
-            .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-    }
-    Ok(doc)
-}
-
-/// The `histograms` block of a metrics document — per-name count / sum /
-/// min / max / mean / p50 / p90 / p99, identical to the `--metrics`
-/// file's block.
-fn histograms_block(metrics: &JsonValue) -> JsonValue {
-    metrics
-        .get("histograms")
-        .cloned()
-        .unwrap_or(JsonValue::Null)
-}
-
-/// Appends a `dropped_events` field to a traced run's JSON report: the
-/// machine-readable counterpart of the stderr warning, so automation
-/// learns the trace is incomplete without scraping stderr.
-fn with_dropped_events(mut doc: JsonValue, opts: &RunOptions) -> JsonValue {
-    if opts.trace.is_some() {
-        doc.push("dropped_events", JsonValue::from(obs::dropped_events()));
-    }
-    doc
+    Ok(Run {
+        scenario: Scenario {
+            queries: vec![query],
+            instance,
+            policy,
+            schedule,
+            rounds: opts.rounds.unwrap_or(1),
+            feedback,
+        },
+        reference: match opts.rounds {
+            Some(_) => Reference::Fixpoint,
+            None => Reference::OneRound,
+        },
+        policy_label: policy_spec.to_string(),
+        schedule_label: opts.schedule.clone(),
+        instance_label: instance_spec.to_string(),
+    })
 }
 
 /// Rejects a `--feedback` relation the query never reads — or reads at a
@@ -1054,114 +816,338 @@ fn validate_feedback(query: &ConjunctiveQuery, feedback: &str) -> Result<(), Str
     }
 }
 
-/// The multi-query arm of `run --scenario`: the queries run in sequence
-/// over the same instance; between consecutive queries the engine checks
-/// pc-transferability and elides the reshuffle when it holds (the next
-/// query evaluates on the shards resident from its predecessor).
-///
-/// Exit-code contract: 0 = every query's distributed result equals the
-/// global fixpoint of its centralized iterated form.
-#[allow(clippy::too_many_arguments)]
-fn run_multi_query(
-    queries: &[ConjunctiveQuery],
-    schedule_label: Option<String>,
-    scenario_label: &str,
-    instance: &Instance,
-    policies: Vec<Box<dyn DistributionPolicy>>,
-    rounds: usize,
-    feedback: Option<&str>,
-    opts: &RunOptions,
-) -> Result<bool, String> {
+/// What the transport phase of a run hands to the verify.
+enum Answer {
+    OneRound(Box<OneRoundOutcome>),
+    Fixpoint(MultiQueryOutcome),
+}
+
+/// One query's part of a run: its rounds, and how its answer compared with
+/// the reference.
+struct QueryReport {
+    query: String,
+    rounds: Vec<OneRoundOutcome>,
+    result_size: usize,
+    converged: bool,
+    elided_reshuffles: usize,
+    reshard_rounds: usize,
+    correct: bool,
+    /// Facts of the reference the distributed answer lacks.
+    missing: usize,
+    reference_rounds: usize,
+}
+
+impl QueryReport {
+    /// Definition 3.1: the one-round answer against the centralized one.
+    fn one_round(
+        query: &ConjunctiveQuery,
+        instance: &Instance,
+        outcome: OneRoundOutcome,
+    ) -> QueryReport {
+        let expected = cq::evaluate(query, instance);
+        QueryReport {
+            query: query.to_string(),
+            result_size: outcome.result.len(),
+            converged: true,
+            elided_reshuffles: 0,
+            reshard_rounds: 0,
+            correct: outcome.result == expected,
+            // (a query is monotone: a node derives only centralized answers)
+            missing: expected.len().saturating_sub(outcome.result.len()),
+            reference_rounds: 1,
+            rounds: vec![outcome],
+        }
+    }
+
+    /// The accumulated answer against the global fixpoint of the query's
+    /// centralized iteration.
+    fn fixpoint(
+        query: &ConjunctiveQuery,
+        engine: &MultiRoundEngine<'_>,
+        instance: &Instance,
+        outcome: MultiRoundOutcome,
+    ) -> QueryReport {
+        let report = MultiRoundInstanceReport::from_outcome(query, engine, instance, outcome);
+        QueryReport {
+            query: query.to_string(),
+            result_size: report.outcome.result.len(),
+            converged: report.outcome.converged,
+            elided_reshuffles: report.outcome.elided_reshuffles,
+            reshard_rounds: report.outcome.reshard_rounds.len(),
+            correct: report.correct,
+            missing: report.missing.len(),
+            reference_rounds: report.reference_rounds,
+            rounds: report.outcome.rounds,
+        }
+    }
+
+    /// `(fact, node)` assignments shipped over all rounds.
+    fn comm_volume(&self) -> usize {
+        self.rounds.iter().map(|r| r.stats.total_assigned).sum()
+    }
+
+    /// Bytes serialized onto a process boundary over all rounds.
+    fn comm_bytes(&self) -> u64 {
+        self.rounds.iter().map(|r| r.comm_bytes).sum()
+    }
+
+    /// `timings_us`: the reshuffle and local-evaluation phases summed over
+    /// the rounds, next to the run's `total`.
+    fn timings_json(&self, total: std::time::Duration) -> JsonValue {
+        let distribute: std::time::Duration = self.rounds.iter().map(|r| r.distribute_time).sum();
+        let local_eval: std::time::Duration = self.rounds.iter().map(|r| r.local_eval_time).sum();
+        JsonValue::object([
+            ("distribute", JsonValue::from(distribute.as_micros())),
+            ("local_eval", JsonValue::from(local_eval.as_micros())),
+            ("total", JsonValue::from(total.as_micros())),
+        ])
+    }
+}
+
+/// The members of a round's reshuffle statistics.
+fn stats_json(stats: &DistributionStats) -> Vec<(&'static str, JsonValue)> {
+    vec![
+        ("nodes", JsonValue::from(stats.nodes)),
+        ("total_assigned", JsonValue::from(stats.total_assigned)),
+        (
+            "distinct_assigned",
+            JsonValue::from(stats.distinct_assigned),
+        ),
+        ("max_load", JsonValue::from(stats.max_load)),
+        ("skipped", JsonValue::from(stats.skipped)),
+        (
+            "replication_factor",
+            JsonValue::fixed(stats.replication_factor, 4),
+        ),
+    ]
+}
+
+/// Everything a run reports, rendered once as text ([`RunReport::print`])
+/// and once as JSON ([`RunReport::to_json`]).
+struct RunReport<'a> {
+    run: &'a Run,
+    opts: &'a RunOptions,
+    queries: Vec<QueryReport>,
+    transfer_checks: usize,
+    /// The distributed run alone: the centralized reference is a
+    /// correctness check, not part of what is being measured.
+    total: std::time::Duration,
+    /// The merged engine and transport registries: `counters` and
+    /// `histograms`.
+    metrics: JsonValue,
+}
+
+/// The one executor: builds the scenario's policies, opens the transport,
+/// runs, drops the transport, and verifies.
+fn execute<'a>(run: &'a Run, opts: &'a RunOptions) -> Result<RunReport<'a>, String> {
+    let Scenario {
+        queries, instance, ..
+    } = &run.scenario;
+    let policies = run.scenario.build_schedule()?;
     let refs: Vec<&dyn DistributionPolicy> = policies.iter().map(Box::as_ref).collect();
+    let first_policy = refs[0];
     let mut engine = MultiRoundEngine::new(RoundSchedule::of(refs))
-        .rounds(rounds)
+        .rounds(run.scenario.rounds)
         .workers(opts.workers)
         .distribute_workers(opts.distribute_workers)
         .semi_naive(opts.semi_naive)
         .reshuffle_always(opts.reshuffle_always);
-    if let Some(feedback) = feedback {
-        for (i, query) in queries.iter().enumerate() {
-            validate_feedback(query, feedback).map_err(|e| format!("query {i}: {e}"))?;
+    if let Some(feedback) = run.scenario.feedback {
+        for query in queries {
+            validate_feedback(query, feedback.as_str()).map_err(|e| format!("{query}: {e}"))?;
         }
-        engine = engine.feedback_into(feedback);
+        engine = engine.feedback_into(feedback.as_str());
     }
 
-    // Memoized so repeated query pairs (common in alternating workloads)
-    // pay for the containment checks once.
-    let mut cache = TransferCache::new();
     let total_start = std::time::Instant::now();
     let (mut transport, transport_registry) = open_transport(opts)?;
-    let outcome = engine
-        .evaluate_queries_via(transport.as_mut(), queries, instance, &mut |p, q| {
-            cache.transfers(p, q)
-        })
-        .map_err(|e| e.to_string())?;
+    let answer = match run.reference {
+        Reference::OneRound => OneRoundEngine::new(first_policy)
+            .workers(opts.workers)
+            .distribute_workers(opts.distribute_workers)
+            .evaluate_via(transport.as_mut(), 0, &queries[0], instance)
+            .map(|outcome| Answer::OneRound(Box::new(outcome))),
+        Reference::Fixpoint => {
+            // Memoized so repeated query pairs (common in alternating
+            // workloads) pay for the containment checks once.
+            let mut cache = TransferCache::new();
+            engine
+                .evaluate_queries_via(transport.as_mut(), queries, instance, &mut |p, q| {
+                    cache.transfers(p, q)
+                })
+                .map(Answer::Fixpoint)
+        }
+    }
+    .map_err(|e| e.to_string())?;
+    // Stop the workers and release the shipped chunks before the verify.
     drop(transport);
     let total = total_start.elapsed();
-    let metrics = export_metrics(opts, &[engine.registry(), transport_registry])?;
+    let metrics = wire::merged_registry_json(&[&engine.registry(), &transport_registry]);
 
-    let transfer_checks = outcome.transfer_checks;
-    let elided = outcome.elided_reshuffles();
-    let reshards = outcome.reshard_rounds();
-    let comm_volume = outcome.total_comm_volume();
-    let comm_bytes = outcome.total_comm_bytes();
-    let reports: Vec<MultiRoundInstanceReport> = {
-        let _span = obs::span!("central_verify", queries = queries.len());
-        outcome
-            .per_query
-            .into_iter()
-            .zip(queries)
-            .map(|(o, query)| MultiRoundInstanceReport::from_outcome(query, &engine, instance, o))
-            .collect()
-    };
-    let correct = reports.iter().all(|r| r.correct);
-
-    if opts.json {
-        let per_query = JsonValue::array(queries.iter().zip(&reports).map(|(query, report)| {
-            let o = &report.outcome;
-            JsonValue::object([
-                ("query", JsonValue::from(query.to_string())),
-                ("rounds_run", JsonValue::from(o.rounds_run())),
-                ("converged", JsonValue::from(o.converged)),
-                ("elided_reshuffles", JsonValue::from(o.elided_reshuffles)),
-                ("reshard_rounds", JsonValue::from(o.reshard_rounds.len())),
-                ("result_size", JsonValue::from(o.result.len())),
-                ("correct", JsonValue::from(report.correct)),
-                ("comm_volume", JsonValue::from(o.total_comm_volume())),
-                ("comm_bytes", JsonValue::from(o.total_comm_bytes())),
-            ])
-        }));
-        let doc = JsonValue::object([
-            ("scenario", JsonValue::from(scenario_label)),
-            ("schedule", JsonValue::from(schedule_label)),
-            ("queries", JsonValue::from(queries.len())),
-            ("instance_facts", JsonValue::from(instance.len())),
-            ("workers", JsonValue::from(opts.workers)),
-            ("semi_naive", JsonValue::from(opts.semi_naive)),
-            ("transport", JsonValue::from(opts.transport.label())),
-            ("reshuffle_always", JsonValue::from(opts.reshuffle_always)),
-            ("rounds_requested", JsonValue::from(rounds)),
-            ("transfer_checks", JsonValue::from(transfer_checks)),
-            ("elided_reshuffles", JsonValue::from(elided)),
-            ("reshard_rounds", JsonValue::from(reshards)),
-            ("multi_round_correct", JsonValue::from(correct)),
-            ("total_comm_volume", JsonValue::from(comm_volume)),
-            ("total_comm_bytes", JsonValue::from(comm_bytes)),
-            ("total_us", JsonValue::from(total.as_micros())),
-            ("per_query", per_query),
-            ("histograms", histograms_block(&metrics)),
-        ]);
-        let doc = with_dropped_events(doc, opts);
-        say!("{doc}");
-    } else {
-        say!("scenario:    {scenario_label} ({} queries)", queries.len());
-        if let Some(s) = &schedule_label {
-            say!("schedule:    {s}");
+    let _span = obs::span!("central_verify", facts = instance.len());
+    let (queries, transfer_checks) = match answer {
+        Answer::OneRound(outcome) => {
+            let report = QueryReport::one_round(&queries[0], instance, *outcome);
+            (vec![report], 0)
         }
-        if let Some(feedback) = feedback {
+        Answer::Fixpoint(outcome) => {
+            let reports = outcome.per_query.into_iter().zip(queries);
+            let reports = reports.map(|(o, q)| QueryReport::fixpoint(q, &engine, instance, o));
+            (reports.collect(), outcome.transfer_checks)
+        }
+    };
+    Ok(RunReport {
+        run,
+        opts,
+        queries,
+        transfer_checks,
+        total,
+        metrics,
+    })
+}
+
+impl RunReport<'_> {
+    fn correct(&self) -> bool {
+        self.queries.iter().all(|q| q.correct)
+    }
+
+    /// The sum of `count` over the queries.
+    fn sum<T: std::iter::Sum<T>>(&self, count: impl Fn(&QueryReport) -> T) -> T {
+        self.queries.iter().map(count).sum()
+    }
+
+    /// The `--json` document. A one-round run, a single-query run against
+    /// the fixpoint and a multi-query run each keep the keys they have
+    /// always printed.
+    fn to_json(&self) -> JsonValue {
+        let RunReport { run, opts, .. } = self;
+        let (first, many) = (&self.queries[0], self.queries.len() > 1);
+        let one_round = run.reference == Reference::OneRound;
+        let mut doc = JsonValue::object::<&str>([]);
+        let mut put = |key: &str, value: JsonValue| {
+            doc.push(key, value);
+        };
+        if many {
+            put("scenario", run.instance_label.as_str().into());
+            put("schedule", run.schedule_label.clone().into());
+            put("queries", self.queries.len().into());
+        } else {
+            put("query", first.query.as_str().into());
+            put("policy", run.policy_label.as_str().into());
+            if !one_round {
+                put("schedule", run.schedule_label.clone().into());
+            }
+            put("instance", run.instance_label.as_str().into());
+        }
+        put("instance_facts", run.scenario.instance.len().into());
+        put("transport", opts.transport.label().into());
+        if one_round {
+            let round = &first.rounds[0];
+            put("workers", round.workers.into());
+            let cache = [
+                ("hits", round.index_cache_hits.into()),
+                ("misses", round.index_cache_misses.into()),
+            ];
+            put("index_cache", JsonValue::object(cache));
+            put("result_size", first.result_size.into());
+            put("parallel_correct", first.correct.into());
+            put("comm_bytes", round.comm_bytes.into());
+            put("stats", JsonValue::object(stats_json(&round.stats)));
+            put("timings_us", first.timings_json(self.total));
+            let per_node = round.per_node_output.iter().map(|(node, &output)| {
+                JsonValue::object([
+                    ("node", JsonValue::from(node.as_str())),
+                    ("load", round.per_node_load[node].into()),
+                    ("output", output.into()),
+                    ("time_us", round.per_node_time[node].as_micros().into()),
+                ])
+            });
+            put("per_node", JsonValue::array(per_node));
+        } else {
+            put("workers", opts.workers.into());
+            put("semi_naive", opts.semi_naive.into());
+            put("rounds_requested", run.scenario.rounds.into());
+            put("multi_round_correct", self.correct().into());
+            put(
+                "total_comm_volume",
+                self.sum(QueryReport::comm_volume).into(),
+            );
+            put("total_comm_bytes", self.sum(QueryReport::comm_bytes).into());
+        }
+        if many {
+            put("reshuffle_always", opts.reshuffle_always.into());
+            put("transfer_checks", self.transfer_checks.into());
+            put(
+                "elided_reshuffles",
+                self.sum(|q| q.elided_reshuffles).into(),
+            );
+            put("reshard_rounds", self.sum(|q| q.reshard_rounds).into());
+            put("total_us", self.total.as_micros().into());
+            let per_query = self.queries.iter().map(|q| {
+                JsonValue::object([
+                    ("query", JsonValue::from(q.query.as_str())),
+                    ("rounds_run", q.rounds.len().into()),
+                    ("converged", q.converged.into()),
+                    ("elided_reshuffles", q.elided_reshuffles.into()),
+                    ("reshard_rounds", q.reshard_rounds.into()),
+                    ("result_size", q.result_size.into()),
+                    ("correct", q.correct.into()),
+                    ("comm_volume", q.comm_volume().into()),
+                    ("comm_bytes", q.comm_bytes().into()),
+                ])
+            });
+            put("per_query", JsonValue::array(per_query));
+        } else if !one_round {
+            put("rounds_run", first.rounds.len().into());
+            put("reference_rounds", first.reference_rounds.into());
+            put("converged", first.converged.into());
+            put("result_size", first.result_size.into());
+            put("missing", first.missing.into());
+            put("timings_us", first.timings_json(self.total));
+            let rounds = first.rounds.iter().enumerate().map(|(i, round)| {
+                let mut entry = vec![
+                    ("round", JsonValue::from(i)),
+                    ("result_size", round.result.len().into()),
+                ];
+                entry.extend(stats_json(&round.stats));
+                entry.extend([
+                    ("comm_bytes", JsonValue::from(round.comm_bytes)),
+                    ("distribute_us", round.distribute_time.as_micros().into()),
+                    ("local_eval_us", round.local_eval_time.as_micros().into()),
+                ]);
+                JsonValue::object(entry)
+            });
+            put("rounds", JsonValue::array(rounds));
+        }
+        // `counters` and `histograms`, as the registries export them.
+        if let JsonValue::Object(members) = &self.metrics {
+            for (key, value) in members {
+                put(key, value.clone());
+            }
+        }
+        if opts.trace.is_some() {
+            // The machine-readable counterpart of the stderr warning, so
+            // automation learns the trace is incomplete without scraping it.
+            put("dropped_events", obs::dropped_events().into());
+        }
+        doc
+    }
+
+    /// The human-readable report: the run, then every query with its
+    /// rounds, then the verdict.
+    fn print(&self) {
+        let RunReport { run, opts, .. } = self;
+        let scenario = &run.scenario;
+        let many = self.queries.len() > 1;
+        match &run.schedule_label {
+            Some(schedule) => say!("schedule:    {schedule}"),
+            None => say!("policy:      {}", run.policy_label),
+        }
+        if let Some(feedback) = scenario.feedback {
             say!("feedback:    outputs re-enter as {feedback}");
         }
-        say!("instance:    {} facts", instance.len());
+        let facts = scenario.instance.len();
+        say!("instance:    {} ({facts} facts)", run.instance_label);
         say!("transport:   {}", opts.transport.label());
         if opts.semi_naive {
             say!("mode:        semi-naive (rounds ship deltas, nodes keep state)");
@@ -1169,205 +1155,65 @@ fn run_multi_query(
         if opts.reshuffle_always {
             say!("mode:        reshuffle-always (transferability elision disabled)");
         }
-        say!(
-            "transfer:    {transfer_checks} check(s), {elided} reshuffle(s) elided, \
-             {reshards} re-shard round(s)"
-        );
-        say!(
-            "correct:     {}",
-            if correct {
-                "yes (every query equals its global fixpoint)"
-            } else {
-                "NO (some query's distributed result differs from its fixpoint)"
+        for q in &self.queries {
+            say!("query:       {}", q.query);
+            if run.reference == Reference::Fixpoint {
+                let (ran, cap, reference) = (q.rounds.len(), scenario.rounds, q.reference_rounds);
+                say!("rounds:      {ran} run / {cap} requested (reference fixpoint: {reference})");
+                say!("converged:   {}", q.converged);
             }
-        );
-        say!(
-            "comm volume: {comm_volume} fact-assignments over all queries \
-             ({comm_bytes} bytes on the wire)"
-        );
-        say!("timings:     total={}µs", total.as_micros());
-        for (i, (query, report)) in queries.iter().zip(&reports).enumerate() {
-            let o = &report.outcome;
+            if many {
+                let shards = match q.elided_reshuffles {
+                    0 => "resharded",
+                    _ => "elided (ran on resident shards)",
+                };
+                say!("shards:      {shards}");
+            }
+            let verdict = if q.correct { "" } else { " INCORRECT" };
+            say!("result size: {}{verdict}", q.result_size);
+            for (i, round) in q.rounds.iter().enumerate() {
+                let (output, stats, skew) = (round.result.len(), &round.stats, round.time_skew());
+                let distribute = round.distribute_time.as_micros();
+                let local_eval = round.local_eval_time.as_micros();
+                say!(
+                    "  round {i}: output={output} {stats} distribute={distribute}µs \
+                     local_eval={local_eval}µs skew={skew:.2}"
+                );
+            }
+        }
+        if let (Reference::OneRound, [round]) = (run.reference, &self.queries[0].rounds[..]) {
+            for (node, output) in &round.per_node_output {
+                let time = round.per_node_time[node].as_micros();
+                let load = round.per_node_load[node];
+                say!("  {node}: load={load} output={output} time={time}µs");
+            }
+            let (hits, misses) = (round.index_cache_hits, round.index_cache_misses);
+            say!("workers:     {}", round.workers);
+            say!("index cache: {hits} hits / {misses} misses");
+        }
+        if many {
+            let elided = self.sum(|q| q.elided_reshuffles);
+            let reshards = self.sum(|q| q.reshard_rounds);
+            let checks = self.transfer_checks;
             say!(
-                "  query {i}: {query} — {} round(s), {}, output={}{}",
-                o.rounds_run(),
-                if o.elided_reshuffles > 0 {
-                    "elided (ran on resident shards)"
-                } else {
-                    "resharded"
-                },
-                o.result.len(),
-                if report.correct { "" } else { " INCORRECT" },
+                "transfer:    {checks} check(s), {elided} reshuffle(s) elided, \
+                 {reshards} re-shard round(s)"
             );
         }
+        let reference = match run.reference {
+            Reference::OneRound => "the centralized answer",
+            Reference::Fixpoint => "the global fixpoint of every query",
+        };
+        if self.correct() {
+            say!("correct:     yes (equals {reference})");
+        } else {
+            say!("correct:     NO (differs from {reference})");
+        }
+        let volume = self.sum(QueryReport::comm_volume);
+        let bytes = self.sum(QueryReport::comm_bytes);
+        say!("comm volume: {volume} fact-assignments ({bytes} bytes on the wire)");
+        say!("timings:     total={}µs", self.total.as_micros());
     }
-    Ok(correct)
-}
-
-/// The multi-round arm of `run`: iterated distribute→evaluate cycles under
-/// a resolved policy schedule, compared against the global fixpoint of the
-/// centralized iterated query.
-#[allow(clippy::too_many_arguments)]
-fn run_multi_round(
-    query: &ConjunctiveQuery,
-    policy_label: &str,
-    schedule_label: Option<String>,
-    instance_label: &str,
-    instance: &Instance,
-    policies: Vec<Box<dyn DistributionPolicy>>,
-    rounds: usize,
-    feedback: Option<&str>,
-    opts: &RunOptions,
-) -> Result<bool, String> {
-    let refs: Vec<&dyn DistributionPolicy> = policies.iter().map(Box::as_ref).collect();
-    let mut engine = MultiRoundEngine::new(RoundSchedule::of(refs))
-        .rounds(rounds)
-        .workers(opts.workers)
-        .distribute_workers(opts.distribute_workers)
-        .semi_naive(opts.semi_naive);
-    if let Some(feedback) = feedback {
-        validate_feedback(query, feedback)?;
-        engine = engine.feedback_into(feedback);
-    }
-
-    // `total` covers only the distributed multi-round run (same contract as
-    // the one-round arm); the centralized reference fixpoint inside the
-    // report is a correctness check, not part of the rounds being measured.
-    let total_start = std::time::Instant::now();
-    let (mut transport, transport_registry) = open_transport(opts)?;
-    let outcome = engine
-        .evaluate_via(transport.as_mut(), query, instance)
-        .map_err(|e| e.to_string())?;
-    drop(transport);
-    let total = total_start.elapsed();
-    let metrics = export_metrics(opts, &[engine.registry(), transport_registry])?;
-    let report = {
-        let _span = obs::span!("central_verify", facts = instance.len());
-        MultiRoundInstanceReport::from_outcome(query, &engine, instance, outcome)
-    };
-    let outcome = &report.outcome;
-
-    if opts.json {
-        let per_round = JsonValue::array(outcome.rounds.iter().enumerate().map(|(i, round)| {
-            JsonValue::object([
-                ("round", JsonValue::from(i)),
-                ("result_size", JsonValue::from(round.result.len())),
-                ("nodes", JsonValue::from(round.stats.nodes)),
-                (
-                    "total_assigned",
-                    JsonValue::from(round.stats.total_assigned),
-                ),
-                ("max_load", JsonValue::from(round.stats.max_load)),
-                ("skipped", JsonValue::from(round.stats.skipped)),
-                (
-                    "replication_factor",
-                    JsonValue::fixed(round.stats.replication_factor, 4),
-                ),
-                ("comm_bytes", JsonValue::from(round.comm_bytes)),
-                (
-                    "distribute_us",
-                    JsonValue::from(round.distribute_time.as_micros()),
-                ),
-                (
-                    "local_eval_us",
-                    JsonValue::from(round.local_eval_time.as_micros()),
-                ),
-            ])
-        }));
-        let doc = JsonValue::object([
-            ("query", JsonValue::from(query.to_string())),
-            ("policy", JsonValue::from(policy_label)),
-            ("schedule", JsonValue::from(schedule_label)),
-            ("instance", JsonValue::from(instance_label)),
-            ("instance_facts", JsonValue::from(instance.len())),
-            ("workers", JsonValue::from(opts.workers)),
-            ("semi_naive", JsonValue::from(opts.semi_naive)),
-            ("transport", JsonValue::from(opts.transport.label())),
-            ("rounds_requested", JsonValue::from(rounds)),
-            ("rounds_run", JsonValue::from(outcome.rounds_run())),
-            ("reference_rounds", JsonValue::from(report.reference_rounds)),
-            ("converged", JsonValue::from(outcome.converged)),
-            ("multi_round_correct", JsonValue::from(report.correct)),
-            ("result_size", JsonValue::from(outcome.result.len())),
-            ("missing", JsonValue::from(report.missing.len())),
-            (
-                "total_comm_volume",
-                JsonValue::from(outcome.total_comm_volume()),
-            ),
-            (
-                "total_comm_bytes",
-                JsonValue::from(outcome.total_comm_bytes()),
-            ),
-            (
-                "timings_us",
-                JsonValue::object([
-                    (
-                        "distribute",
-                        JsonValue::from(outcome.total_distribute_time().as_micros()),
-                    ),
-                    (
-                        "local_eval",
-                        JsonValue::from(outcome.total_local_eval_time().as_micros()),
-                    ),
-                    ("total", JsonValue::from(total.as_micros())),
-                ]),
-            ),
-            ("rounds", per_round),
-            ("histograms", histograms_block(&metrics)),
-        ]);
-        let doc = with_dropped_events(doc, opts);
-        say!("{doc}");
-    } else {
-        say!("query:       {query}");
-        match &schedule_label {
-            Some(s) => say!("schedule:    {s}"),
-            None => say!("policy:      {policy_label} (every round)"),
-        }
-        if let Some(feedback) = feedback {
-            say!("feedback:    outputs re-enter as {feedback}");
-        }
-        say!("instance:    {instance_label} ({} facts)", instance.len());
-        say!("transport:   {}", opts.transport.label());
-        if opts.semi_naive {
-            say!("mode:        semi-naive (rounds ship deltas, nodes keep state)");
-        }
-        say!(
-            "rounds:      {} run / {} requested (reference fixpoint: {})",
-            outcome.rounds_run(),
-            rounds,
-            report.reference_rounds
-        );
-        say!("converged:   {}", outcome.converged);
-        say!("result size: {}", outcome.result.len());
-        say!(
-            "correct:     {}",
-            if report.correct {
-                "yes (equals the global fixpoint)"
-            } else {
-                "NO (distributed result differs from the iterated fixpoint)"
-            }
-        );
-        say!(
-            "comm volume: {} fact-assignments over all rounds ({} bytes on the wire)",
-            outcome.total_comm_volume(),
-            outcome.total_comm_bytes()
-        );
-        say!(
-            "timings:     distribute={}µs local_eval={}µs total={}µs",
-            outcome.total_distribute_time().as_micros(),
-            outcome.total_local_eval_time().as_micros(),
-            total.as_micros()
-        );
-        for (i, round) in outcome.rounds.iter().enumerate() {
-            say!(
-                "  round {i}: output={} {} time={}µs",
-                round.result.len(),
-                round.stats,
-                (round.distribute_time + round.local_eval_time).as_micros()
-            );
-        }
-    }
-    Ok(report.correct)
 }
 
 /// The `encode` subcommand: writes one binary frame for a query, an
@@ -1620,10 +1466,10 @@ fn median(samples: &mut [u128]) -> u128 {
 }
 
 /// Parses the policy-file format described in the module documentation
-/// into a `wire::ExplicitSpec` and delegates the materialization — the
-/// file format and the scenario `policy { … }` stanza share one
-/// definition of what an explicit policy *means*.
-fn parse_policy(text: &str) -> Result<ExplicitPolicy, String> {
+/// into a `wire::ExplicitSpec`, which materializes it — the file format
+/// and the scenario `policy { … }` stanza share one definition of what an
+/// explicit policy *means*.
+fn parse_policy_spec(text: &str) -> Result<ExplicitSpec, String> {
     let mut spec = ExplicitSpec::default();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -1648,12 +1494,16 @@ fn parse_policy(text: &str) -> Result<ExplicitPolicy, String> {
             .or_default()
             .extend(facts.facts().cloned());
     }
-    spec.build_policy()
+    Ok(spec)
+}
+
+fn load_policy_spec(path: &str) -> Result<ExplicitSpec, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_policy_spec(&text)
 }
 
 fn load_policy(path: &str) -> Result<ExplicitPolicy, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_policy(&text)
+    load_policy_spec(path)?.build_policy()
 }
 
 fn analyze(query: &ConjunctiveQuery) -> bool {
@@ -1755,6 +1605,10 @@ fn hypercube(query: &ConjunctiveQuery, prime: &ConjunctiveQuery) -> bool {
 mod tests {
     use super::*;
     use distribution::DistributionPolicy;
+
+    fn parse_policy(text: &str) -> Result<ExplicitPolicy, String> {
+        parse_policy_spec(text)?.build_policy()
+    }
 
     #[test]
     fn policy_file_parsing() {

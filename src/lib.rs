@@ -58,8 +58,8 @@ pub use workloads;
 pub mod prelude {
     pub use cq::{
         evaluate, evaluate_seminaive_step, evaluate_with, parse_instance, Atom, ConjunctiveQuery,
-        EvalOptions, Fact, Instance, JoinOrdering, Schema, Substitution, Symbol, Tuple, Valuation,
-        Value, Variable,
+        EvalOptions, Fact, Instance, Schema, Substitution, Symbol, Tuple, Valuation, Value,
+        Variable,
     };
     pub use delta::{CacheStats, DeltaInstance, DeltaNode, IndexCache};
     pub use distribution::{
@@ -76,10 +76,10 @@ pub mod prelude {
         multi_round_correct_on, validate_hypercube_family, IncrementalPcReport, IncrementalPcStats,
         MultiRoundInstanceReport, PcReport, TransferCache, TransferReport,
     };
-    pub use wire::{DeltaBatch, ExplicitSpec, JsonValue, Scenario, WireTransport};
+    pub use wire::{ExplicitSpec, JsonValue, Scenario, WireTransport};
     pub use workloads::{
         chain_query, example_3_5_query, named_instance, named_query, named_query_sequence,
-        named_schedule, query_sequence_names, random_instance, random_query, star_query,
-        triangle_query, zipf_instance, InstanceParams, QueryParams,
+        query_sequence_names, random_instance, random_query, star_query, triangle_query,
+        zipf_instance, InstanceParams, QueryParams,
     };
 }

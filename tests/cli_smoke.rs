@@ -386,6 +386,146 @@ fn run_rejects_multi_round_flags_without_rounds() {
     }
 }
 
+/// Every `skipped=N` a multi-round text report prints, one per round.
+fn skipped_per_round(stdout: &str) -> Vec<&str> {
+    let rounds = stdout.lines().filter(|line| line.contains(" round "));
+    let words = rounds.flat_map(str::split_whitespace);
+    words.filter(|word| word.starts_with("skipped=")).collect()
+}
+
+#[test]
+fn a_positional_broadcast_stays_total_when_feedback_adds_facts() {
+    // A broadcast policy is parallel-correct for every query. The positional
+    // resolver used to enumerate the input instance, so the facts fed back
+    // in round 1 were skipped and the verdict was NO; it is the policy
+    // `--schedule broadcast:3` and `schedule broadcast(3)` always named.
+    let run = |policy: &str, extra: &[&str]| {
+        let mut args = vec!["run", "chain:2", policy, CHAIN_FACTS, "--rounds", "6"];
+        args.extend(["--feedback", "R"]);
+        args.extend(extra);
+        pcq_analyze_output(&args)
+    };
+    for (policy, extra) in [
+        ("broadcast:3", &[][..]),
+        ("hypercube:2", &["--schedule", "broadcast:3"]),
+    ] {
+        let (code, stdout) = run(policy, extra);
+        assert_eq!(code, 0, "{policy} {extra:?}: {stdout}");
+        assert!(stdout.contains("correct:     yes"), "{stdout}");
+        assert_eq!(skipped_per_round(&stdout), ["skipped=0"; 3], "{stdout}");
+    }
+}
+
+#[test]
+fn one_resolver_names_the_policies_of_both_positions() {
+    // Each resolver used to know a different subset: `hash-join` only in
+    // `--schedule`, `round-robin` only as the positional policy.
+    let run = |policy: &str, extra: &[&str]| {
+        let mut args = vec!["run", "chain:2", policy, CHAIN_FACTS];
+        args.extend(extra);
+        pcq_analyze_output(&args)
+    };
+    let (code, stdout) = run("hash-join:3", &[]);
+    assert_eq!(code, 0, "{stdout}");
+    assert!(stdout.contains("nodes=3 "), "{stdout}");
+    let (code, stdout) = run("hash(3)", &["--rounds", "2"]);
+    assert_eq!(code, 0, "{stdout}");
+    // round-robin deals the input's facts and skips what later rounds add:
+    // accepted and resolved, though it loses answers
+    let schedule = ["--rounds", "2", "--schedule", "round-robin:2"];
+    let (code, stdout) = run("hypercube:2", &schedule);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stdout.contains("schedule:    round-robin:2"), "{stdout}");
+    // A typo in the positional policy still fails when --schedule overrides
+    // which policies run, and so does a list where one policy belongs.
+    let overridden = ["--rounds", "2", "--schedule", "hypercube:2"];
+    for typo in ["hypercub:2", "hypercube:x", "hypercube:2,broadcast:2"] {
+        assert_eq!(run(typo, &overridden).0, 2, "{typo}");
+    }
+}
+
+/// The `run --json` fields both grammars must agree on: the verdict (the
+/// exit status), `result_size`, `rounds_run`, and per round
+/// `total_assigned`, whose sum is `total_comm_volume`.
+fn run_digest(args: &[&str]) -> (i32, Vec<u64>) {
+    use pcq::wire::json::JsonValue;
+    let (code, stdout) = pcq_analyze_output(args);
+    let doc = JsonValue::parse(stdout.trim()).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+    let number = |doc: &JsonValue, key: &str| doc.get(key).and_then(JsonValue::as_u64);
+    let mut digest = vec![number(&doc, "result_size").expect("result_size")];
+    match doc.get("rounds").and_then(JsonValue::as_array) {
+        Some(rounds) => {
+            digest.push(number(&doc, "rounds_run").expect("rounds_run"));
+            assert_eq!(rounds.len() as u64, digest[1]);
+            let assigned = rounds.iter().map(|r| number(r, "total_assigned").unwrap());
+            digest.extend(assigned);
+            let volume = number(&doc, "total_comm_volume").expect("total_comm_volume");
+            assert_eq!(digest[2..].iter().sum::<u64>(), volume);
+        }
+        // a one-round report: its one round's statistics
+        None => {
+            let stats = doc.get("stats").expect("a one-round report has stats");
+            digest.extend([1, number(stats, "total_assigned").unwrap()]);
+        }
+    }
+    (code, digest)
+}
+
+#[test]
+fn a_positional_run_and_the_scenario_stating_the_same_report_the_same() {
+    let facts = "R(a,b). R(b,c). R(c,d). R(d,e). R(e,f). R(f,a). R(c,g). R(g,g).";
+    let policy_file = write_temp("same-policy.txt", "n0: R(a, b) R(b, c)\ndefault: n0 n1\n");
+    let policy_file = policy_file.to_str().unwrap();
+    let stanza = "policy { n0: R(a, b) R(b, c)\n default: n0 n1 }";
+    let shapes: [(&str, &[&str], &str, &[&str]); 4] = [
+        ("hypercube:4", &[], "schedule hypercube(4)", &[]),
+        (
+            "hypercube:2",
+            &["--rounds", "6", "--feedback", "R"],
+            "schedule hypercube(2)\nrounds 6\nfeedback R",
+            &[],
+        ),
+        (
+            "hypercube:2",
+            &["--rounds", "6", "--schedule", "hash-join:3,hypercube:2"],
+            "schedule hash(3), hypercube(2)\nrounds 6",
+            &["--semi-naive"],
+        ),
+        (
+            policy_file,
+            &[],
+            &format!("{stanza}\nschedule explicit"),
+            &[],
+        ),
+    ];
+    for (i, (policy, flags, stanzas, both)) in shapes.into_iter().enumerate() {
+        let text = format!("query {PATH_2}\ninstance {{ {facts} }}\n{stanzas}\n");
+        let scenario = write_temp(&format!("same-{i}.pcq"), &text);
+        for transport in ["memory", "process"] {
+            let common = [
+                both,
+                &["--transport", transport, "--workers", "2", "--json"],
+            ]
+            .concat();
+            let positional = [&["run", PATH_2, policy, facts], flags, &common].concat();
+            let file = [
+                &["run", "--scenario", scenario.to_str().unwrap()],
+                &common[..],
+            ]
+            .concat();
+            let context = format!("{policy} {flags:?} on {transport}");
+            let positional = run_digest(&positional);
+            assert_eq!(
+                positional.0, 0,
+                "{context}: every shape is parallel-correct"
+            );
+            assert_eq!(positional, run_digest(&file), "{context}");
+        }
+        let _ = std::fs::remove_file(scenario);
+    }
+    let _ = std::fs::remove_file(policy_file);
+}
+
 #[test]
 fn run_rejects_the_removed_join_strategy_flag() {
     // `--join-strategy` went with the join it selected: every query, cyclic
@@ -426,7 +566,7 @@ fn run_rejects_the_removed_join_strategy_flag() {
 }
 
 #[test]
-fn run_join_strategies_agree_on_mixed_arity_relations() {
+fn run_matches_only_facts_of_an_atoms_arity_on_every_transport() {
     // A fact matches atoms of its own arity only: the unary E(a) used to
     // panic the multiway join, and E(b, a, d) used to match E(y, z) there,
     // so the centralized verify disagreed with the run. One kernel runs on
@@ -454,53 +594,6 @@ fn run_join_strategies_agree_on_mixed_arity_relations() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn run_join_strategy_flag_is_validated() {
-    // Validated as any flag the program does not know: a usage error, with
-    // a strategy name, with a made-up one, and with none.
-    for name in [&["multiway"][..], &["leapfrog"], &[]] {
-        let mut args = vec![
-            "run",
-            "chain:2",
-            "hypercube:2",
-            CHAIN_FACTS,
-            "--join-strategy",
-        ];
-        args.extend(name);
-        assert_eq!(pcq_analyze(&args), 2, "{name:?}");
-    }
-}
-
-#[test]
-fn run_join_strategy_rides_wire_transports_and_multi_round_runs() {
-    // No flag selects the join any more, so there is nothing to ship but the
-    // default: acyclic queries run the triejoin on wire workers and in every
-    // round of a multi-round run too — a kernel that used to be reachable
-    // there only through the flag, and before that not at all.
-    let (code, stdout) = pcq_analyze_output(&[
-        "run",
-        "chain:2",
-        "hypercube:2",
-        CHAIN_FACTS,
-        "--transport",
-        "process",
-        "--workers",
-        "2",
-    ]);
-    assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("correct:     yes"), "{stdout}");
-    for rounds in [
-        &["--rounds", "2"][..],
-        &["--rounds", "8", "--feedback", "R", "--semi-naive"],
-    ] {
-        let mut args = vec!["run", "chain:2", "hypercube:2", CHAIN_FACTS];
-        args.extend(rounds);
-        let (code, stdout) = pcq_analyze_output(&args);
-        assert_eq!(code, 0, "{rounds:?}: {stdout}");
-        assert!(stdout.contains("correct:     yes"), "{stdout}");
     }
 }
 
@@ -1232,9 +1325,7 @@ fn bench_diff_window_still_catches_real_regressions() {
 fn run_json_carries_a_histograms_block_with_ordered_quantiles() {
     use pcq::wire::json::JsonValue;
 
-    let dir = std::env::temp_dir();
-    let metrics = dir.join(format!("pcq-smoke-metrics-{}.json", std::process::id()));
-    let (code, stdout) = pcq_analyze_output(&[
+    let args = [
         "run",
         PATH_2,
         "hypercube:4",
@@ -1244,9 +1335,8 @@ fn run_json_carries_a_histograms_block_with_ordered_quantiles() {
         "--feedback",
         "R",
         "--json",
-        "--metrics",
-        metrics.to_str().unwrap(),
-    ]);
+    ];
+    let (code, stdout) = pcq_analyze_output(&args);
     assert_eq!(code, 0);
     let doc = JsonValue::parse(stdout.trim()).expect("run --json must stay valid JSON");
     let latency = doc
@@ -1265,17 +1355,22 @@ fn run_json_carries_a_histograms_block_with_ordered_quantiles() {
     assert!(field("p90") <= field("p99"));
     assert!(field("p99") <= field("max"));
 
-    // --metrics writes the same registry export to a file.
-    let text = std::fs::read_to_string(&metrics).expect("--metrics must write the file");
-    let exported = JsonValue::parse(text.trim()).expect("metrics file must be valid JSON");
-    assert_eq!(
-        exported
-            .get("histograms")
-            .and_then(|h| h.get("round_latency_us")),
-        Some(latency),
-        "the metrics file and the --json block are the same export"
+    // The registries' counters sit beside the histograms: the report is the
+    // whole export, and the flag that wrote it to a second file is gone.
+    let counters = doc
+        .get("counters")
+        .expect("run --json must report counters");
+    let hits = counters.get("index_cache_hits").and_then(JsonValue::as_u64);
+    let misses = counters
+        .get("index_cache_misses")
+        .and_then(JsonValue::as_u64);
+    assert!(
+        hits.is_some() && misses.is_some_and(|n| n > 0),
+        "{counters}"
     );
-    let _ = std::fs::remove_file(metrics);
+    let mut with_flag = args.to_vec();
+    with_flag.extend(["--metrics", "metrics.json"]);
+    assert_eq!(pcq_analyze(&with_flag), 2, "--metrics is an unknown flag");
 }
 
 #[test]

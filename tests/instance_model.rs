@@ -75,7 +75,7 @@ fn assert_orders_match_a_fresh_build(instance: &Instance, model: &BTreeSet<Fact>
             leaves(&query, &fresh, EvalOptions::default()),
             "{text}"
         );
-        let scanned = leaves(&query, &fresh, EvalOptions::scan_naive());
+        let scanned = leaves(&query, &fresh, EvalOptions::ScanOracle);
         assert_eq!(
             walked.iter().collect::<BTreeSet<_>>(),
             scanned.iter().collect::<BTreeSet<_>>(),
@@ -227,7 +227,7 @@ fn twelve_rounds_of_growth_keep_one_order_per_relation_and_column_order() {
         assert_eq!(evaluate(&query, data.full()), answers, "round {round}");
         assert_eq!(
             answers,
-            evaluate_with(&query, &fresh, EvalOptions::scan_naive()),
+            evaluate_with(&query, &fresh, EvalOptions::ScanOracle),
             "round {round}"
         );
         assert_eq!(

@@ -505,24 +505,13 @@ fn kernel_handles_queries_with_more_than_64_variables() {
             .into_iter()
             .collect()
     };
-    let oracle = valuations(EvalOptions::scan_naive());
+    let oracle = valuations(EvalOptions::ScanOracle);
     assert!(oracle.contains(&identity));
     for v in &oracle {
         assert!(v.is_total_for(&query) && v.satisfies(&query, &frozen_body));
     }
-    let answers = cq::evaluate_with(&query, &frozen_body, EvalOptions::scan_naive());
-    for ordering in [JoinOrdering::Naive, JoinOrdering::CostAware] {
-        for use_indexes in [false, true] {
-            let opts = EvalOptions {
-                ordering,
-                use_indexes,
-            };
-            assert_eq!(valuations(opts), oracle, "{opts:?}");
-            assert_eq!(
-                cq::evaluate_with(&query, &frozen_body, opts),
-                answers,
-                "{opts:?}"
-            );
-        }
-    }
+    let answers = cq::evaluate_with(&query, &frozen_body, EvalOptions::ScanOracle);
+    let opts = EvalOptions::Triejoin;
+    assert_eq!(valuations(opts), oracle, "{opts:?}");
+    assert_eq!(cq::evaluate_with(&query, &frozen_body, opts), answers);
 }

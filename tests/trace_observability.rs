@@ -157,7 +157,7 @@ fn join_spans_name_the_kernel_that_runs() {
     let (_, events) = traced(|| {
         let _ = cq::evaluate(&query, &instance);
         let _ = cq::evaluate(&chain, &instance);
-        let _ = cq::evaluate_with(&chain, &instance, EvalOptions::scan_naive());
+        let _ = cq::evaluate_with(&chain, &instance, EvalOptions::ScanOracle);
         engine.evaluate(&query, &instance)
     });
     let strategies = |span: &str| -> Vec<&str> {
@@ -398,8 +398,8 @@ fn round_latency_quantiles_in_the_export_match_the_registry_exactly() {
     assert!(snapshot.min <= snapshot.p50);
 
     // The wire export must carry the registry's quantiles bit-for-bit —
-    // the pinned contract behind `run --metrics` and the `histograms`
-    // block of `run --json`.
+    // the pinned contract behind the `counters` and `histograms` blocks of
+    // `run --json`.
     let doc = pcq::wire::registry_json(&registry);
     let exported = doc
         .get("histograms")

@@ -338,7 +338,7 @@ fn scenario_files_drive_identical_runs_across_transports() {
 #[test]
 fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
     // Broadcast gives every node the full instance, so the request frames
-    // are exactly reconstructible here: one EvalChunk per node carrying the
+    // are exactly reconstructible here: one eval frame per node carrying the
     // whole instance, the four nodes dealt round-robin over the two
     // workers' connections — and a connection names each symbol once, so a
     // worker's second frame is indices only. A transport that only counted
@@ -351,18 +351,19 @@ fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
     let engine = OneRoundEngine::new(&policy);
 
     let mut connections = [pcq::wire::Encoder::new(), pcq::wire::Encoder::new()];
+    let chunk = Shipment::Full(Arc::new(instance.clone()));
     let request_bytes: u64 = network
         .nodes()
         .enumerate()
         .map(|(dealt, node)| {
             pcq::wire::encode_frame_with(
                 &mut connections[dealt % 2],
-                &pcq::wire::EvalChunkRef {
+                &pcq::wire::EvalRef {
                     query: &query,
                     options: EvalOptions::default(),
                     round: 0,
                     node,
-                    chunk: &instance,
+                    shipment: &chunk,
                     trace: pcq::wire::TraceContext::default(),
                 },
             )
@@ -417,7 +418,7 @@ fn wire_workers_honor_the_coordinators_join_strategy() {
     // protocol; with every node told to run the scan oracle, all three
     // transports must produce the answers the triejoin computes centrally,
     // on every family.
-    let options = EvalOptions::scan_naive();
+    let options = EvalOptions::ScanOracle;
     let mut process = spawn_transport(2);
     let mut socket = spawn_workers(SOCKETS, 2);
     for (name, _) in named_workloads() {
@@ -457,7 +458,7 @@ fn multi_round_wire_runs_honor_the_coordinators_join_strategy() {
     // transport calls — including delta rounds of an incremental run:
     // scan-oracle rounds on either transport, against the fixpoint the
     // triejoin computes centrally.
-    let options = EvalOptions::scan_naive();
+    let options = EvalOptions::ScanOracle;
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 43);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
