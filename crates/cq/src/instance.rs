@@ -275,6 +275,35 @@ impl Instance {
         }
     }
 
+    /// Builds an instance from whole relations, each listed with its rows —
+    /// what a wire body holds. Row vectors that are strictly ascending, one
+    /// per relation, are **moved in as they stand**: no sort, no copy. That
+    /// is what a peer reading [`Instance::facts`] in the same id space
+    /// sends, but nothing rests on it: a row out of order or repeated, a
+    /// relation listed twice or a row filed under another relation sends
+    /// the lot through [`Instance::from_facts`] instead. The result depends
+    /// on the fact set alone; only the speed depends on the order.
+    pub fn from_relations(blocks: Vec<(Symbol, Vec<Fact>)>) -> Instance {
+        let mut listed = BTreeSet::new();
+        let ascending = blocks.iter().all(|(relation, rows)| {
+            listed.insert(*relation)
+                && rows.iter().all(|fact| fact.relation == *relation)
+                && rows.is_sorted_by(|a, b| a.values < b.values)
+        });
+        if !ascending {
+            return Instance::from_facts(blocks.into_iter().flat_map(|(_, rows)| rows));
+        }
+        let mut instance = Instance::default();
+        for (relation, rows) in blocks {
+            let sorted = rows.len();
+            instance.len += sorted;
+            instance
+                .relations
+                .insert(relation, Relation { rows, sorted });
+        }
+        instance
+    }
+
     /// The complete instance over `schema` with values drawn from `values`:
     /// every relation contains every possible tuple.
     ///
@@ -672,6 +701,44 @@ mod tests {
         assert_eq!(subs.len(), 4);
         assert!(subs.iter().any(|s| s.is_empty()));
         assert!(subs.iter().any(|s| s == &i));
+    }
+
+    #[test]
+    fn from_relations_is_from_facts_whatever_the_order() {
+        let [r, s] = ["R", "S"].map(Symbol::new);
+        let whole = Instance::from_facts([
+            edge("a", "b"),
+            edge("b", "c"),
+            Fact::from_names("R", &["b"]),
+            Fact::from_names("S", &["a"]),
+        ]);
+        let rows = |relation| whole.facts_of(relation).to_vec();
+        // ascending rows, one block a relation (in any block order): moved in
+        let moved = Instance::from_relations(vec![(s, rows(s)), (r, rows(r))]);
+        assert_eq!(moved, whole);
+        assert_eq!(moved.facts_of(r), whole.facts_of(r));
+        assert_eq!(moved.late.len(), 0);
+        assert!(moved.contains(&edge("b", "c")) && !moved.contains(&edge("c", "b")));
+
+        // descending and repeated rows, a relation listed twice, a row filed
+        // under the wrong relation: the same set, through the sort
+        let mut reversed = rows(r);
+        reversed.reverse();
+        reversed.push(edge("a", "b"));
+        let split = vec![
+            (r, vec![edge("b", "c")]),
+            (s, rows(s)),
+            (r, reversed.clone()),
+        ];
+        let misfiled = vec![(s, [rows(s), rows(r)].concat())];
+        for blocks in [vec![(r, reversed), (s, rows(s))], split, misfiled] {
+            let built = Instance::from_relations(blocks);
+            assert_eq!(built, whole);
+            assert_eq!(built.facts_of(r), whole.facts_of(r));
+            assert_eq!(built.late.len(), 0);
+        }
+        assert_eq!(Instance::from_relations(vec![]), Instance::new());
+        assert_eq!(Instance::from_relations(vec![(r, vec![])]), Instance::new());
     }
 
     #[test]

@@ -18,6 +18,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::RwLock;
@@ -27,8 +28,31 @@ use parking_lot::RwLock;
 /// `Symbol` is a cheap (`Copy`) handle; two symbols are equal if and only if
 /// the underlying strings are equal. Ordering is by interning order, which is
 /// deterministic within a process run but carries no semantic meaning.
+///
+/// The interner hands out ids below 2³¹ only. The upper half of the id
+/// space holds **opaque** symbols ([`Symbol::opaque`]): ids of *another*
+/// process's interner, carried without their names — what a wire worker
+/// holds for every data value. They compare, order and hash by id like any
+/// symbol (so they keep their sender's order, after every interned symbol),
+/// display as `#<id>`, and have no name here: [`Symbol::as_str`] answers a
+/// placeholder, never another symbol's name and never a panic.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
+
+/// The first id the interner never hands out: the bit that marks an
+/// [opaque](Symbol::opaque) symbol.
+const OPAQUE: u32 = 1 << 31;
+
+/// What [`Symbol::as_str`] answers for an opaque symbol.
+const OPAQUE_NAME: &str = "#";
+
+/// The id of the next interned name when `interned` names have one.
+fn next_id(interned: usize) -> u32 {
+    u32::try_from(interned)
+        .ok()
+        .filter(|&id| id < OPAQUE)
+        .expect("interner overflow")
+}
 
 /// A name with its hash under the interner's process-keyed SipHash. As a
 /// table key it compares the hash before touching the string and feeds the
@@ -133,7 +157,7 @@ impl Table {
             return symbol;
         }
         let stored = self.arena.store(name.name);
-        let id = u32::try_from(self.ids.len()).expect("interner overflow");
+        let id = next_id(self.ids.len());
         let (chunk, offset) = name_slot(id);
         let slots = NAMES[chunk].get_or_init(|| {
             (0..1usize << (FIRST_CHUNK_BITS + chunk as u32))
@@ -150,6 +174,7 @@ impl Table {
             },
             id,
         );
+        INTERNED.store(id + 1, Ordering::Release);
         Symbol(id)
     }
 }
@@ -199,6 +224,13 @@ const NAME_CHUNKS: usize = 33 - FIRST_CHUNK_BITS as usize;
 /// strictly before the symbol that names them is handed out.
 static NAMES: [OnceLock<Box<[OnceLock<&'static str>]>>; NAME_CHUNKS] =
     [const { OnceLock::new() }; NAME_CHUNKS];
+
+/// How many names have been interned: every id below it is a symbol whose
+/// name is in [`NAMES`]. Stored (`Release`) under the interner's write
+/// lock, after the name; loaded (`Acquire`) without any lock by
+/// [`Symbol::from_id`], which a reply decoder asks once per value — so a
+/// thread that is told an id exists also sees its name.
+static INTERNED: AtomicU32 = AtomicU32::new(0);
 
 /// The `(chunk, offset)` of symbol `id` in [`NAMES`].
 fn name_slot(id: u32) -> (usize, usize) {
@@ -250,9 +282,13 @@ impl Symbol {
         symbols
     }
 
-    /// Returns the interned string. Lock-free: it reads the append-only
-    /// name table, never the interner's map.
+    /// Returns the interned string — for an [opaque](Symbol::opaque)
+    /// symbol, which has none, the placeholder `#`. Lock-free: it reads the
+    /// append-only name table, never the interner's map.
     pub fn as_str(self) -> &'static str {
+        if self.is_opaque() {
+            return OPAQUE_NAME;
+        }
         let (chunk, offset) = name_slot(self.0);
         NAMES[chunk]
             .get()
@@ -260,20 +296,46 @@ impl Symbol {
             .expect("a symbol's name is stored before the symbol exists")
     }
 
-    /// Numeric identity of the symbol (stable within a process run).
+    /// Numeric identity of the symbol (stable within a process run): for an
+    /// interned symbol the id the interner gave it, for an opaque one the
+    /// id it was [made](Symbol::opaque) from.
     pub fn id(self) -> u32 {
-        self.0
+        self.0 & !OPAQUE
+    }
+
+    /// The symbol this process interned as `id`, or `None` if it never
+    /// interned that many names — an id read off a wire is checked here,
+    /// never trusted. Lock-free: one load of a counter.
+    pub fn from_id(id: u32) -> Option<Symbol> {
+        (id < INTERNED.load(Ordering::Acquire)).then_some(Symbol(id))
+    }
+
+    /// The nameless symbol standing for id `id` of another process's
+    /// interner, or `None` for an id no interner hands out (≥ 2³¹).
+    pub fn opaque(id: u32) -> Option<Symbol> {
+        (id < OPAQUE).then_some(Symbol(id | OPAQUE))
+    }
+
+    /// Whether the symbol is [opaque](Symbol::opaque).
+    pub fn is_opaque(self) -> bool {
+        self.0 >= OPAQUE
     }
 }
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_opaque() {
+            return write!(f, "Symbol({self})");
+        }
         write!(f, "Symbol({:?})", self.as_str())
     }
 }
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_opaque() {
+            return write!(f, "#{}", self.id());
+        }
         f.write_str(self.as_str())
     }
 }
@@ -408,6 +470,49 @@ mod tests {
         let s = Symbol::new("Edge");
         assert_eq!(s.to_string(), "Edge");
         assert_eq!(format!("{s:?}"), "Symbol(\"Edge\")");
+    }
+
+    #[test]
+    fn opaque_symbols_carry_an_id_and_no_name() {
+        let seven = Symbol::opaque(7).unwrap();
+        assert!(seven.is_opaque());
+        assert_eq!(seven.id(), 7);
+        assert_eq!(seven.to_string(), "#7");
+        assert_eq!(format!("{seven:?}"), "Symbol(#7)");
+        // no name, and no panic asking for one
+        assert_eq!(seven.as_str(), "#");
+        // the sender's order, after everything interned here
+        assert!(seven < Symbol::opaque(8).unwrap());
+        assert!(Symbol::new("opaque_neighbour") < Symbol::opaque(0).unwrap());
+        assert_ne!(Symbol::opaque(0).unwrap(), Symbol::PAD);
+        // the ids no interner hands out are no opaque ids either
+        assert_eq!(Symbol::opaque((1 << 31) - 1).unwrap().id(), (1 << 31) - 1);
+        assert_eq!(Symbol::opaque(1 << 31), None);
+        assert_eq!(Symbol::opaque(u32::MAX), None);
+    }
+
+    #[test]
+    fn from_id_resolves_only_what_was_interned() {
+        let known = Symbol::new("from_id_known");
+        assert!(!known.is_opaque());
+        assert_eq!(Symbol::from_id(known.id()), Some(known));
+        // far past anything a test process interns, but inside the range
+        assert_eq!(Symbol::from_id((1 << 31) - 1), None);
+        // an opaque id is nobody's interned id
+        assert_eq!(Symbol::from_id(1 << 31), None);
+        assert_eq!(Symbol::from_id(u32::MAX), None);
+    }
+
+    #[test]
+    fn the_interner_hands_out_ids_below_the_opaque_range() {
+        assert_eq!(next_id(0), 0);
+        assert_eq!(next_id((1 << 31) - 1), (1 << 31) - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "interner overflow")]
+    fn the_interner_refuses_an_id_in_the_opaque_range() {
+        next_id(1 << 31);
     }
 
     #[test]

@@ -11,6 +11,11 @@ use crate::intern::Symbol;
 /// compare. Synthetic values (used when the decision procedures need "fresh"
 /// values that cannot clash with user data) are created with
 /// [`Value::synthetic`].
+///
+/// A value may also be **opaque** ([`Value::opaque`]): an id of another
+/// process's interner without its name, which is all a wire worker ever
+/// holds. Joining, deduplicating and ordering read ids only, so opaque
+/// values evaluate like any others; they display as `#<id>`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Value(Symbol);
 
@@ -37,7 +42,20 @@ impl Value {
         Value(Symbol::new(&format!("{prefix}{index}")))
     }
 
-    /// The string representation of the value.
+    /// The value that stands for id `id` of another process's interner
+    /// (see [`Symbol::opaque`]); `None` for an id ≥ 2³¹.
+    pub fn opaque(id: u32) -> Option<Value> {
+        Symbol::opaque(id).map(Value)
+    }
+
+    /// The id of the value in the id space it came from: this process's
+    /// interner for a named value, the sender's for an opaque one.
+    pub fn id(self) -> u32 {
+        self.0.id()
+    }
+
+    /// The string representation of the value (the placeholder `#` for an
+    /// opaque one, which has none; `Display` prints `#<id>`).
     pub fn as_str(self) -> &'static str {
         self.0.as_str()
     }
@@ -55,13 +73,13 @@ impl Value {
 
 impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Value({})", self.as_str())
+        write!(f, "Value({})", self.0)
     }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+        self.0.fmt(f)
     }
 }
 
@@ -107,6 +125,22 @@ mod tests {
     fn numeric_values_display_as_digits() {
         let v: Value = 42u64.into();
         assert_eq!(v.to_string(), "42");
+    }
+
+    #[test]
+    fn opaque_values_display_their_id_and_order_by_it() {
+        let seven = Value::opaque(7).unwrap();
+        assert_eq!(seven.to_string(), "#7");
+        assert_eq!(format!("{seven:?}"), "Value(#7)");
+        assert_eq!(seven.id(), 7);
+        assert_eq!(seven.as_str(), "#");
+        assert!(!seven.is_synthetic());
+        assert!(Value::opaque(6).unwrap() < seven && seven < Value::opaque(8).unwrap());
+        assert!(Value::new("named") < Value::opaque(0).unwrap());
+        assert_eq!(Value::opaque(1 << 31), None);
+        // a named value's id is its symbol's
+        let named = Value::new("named");
+        assert_eq!(named.id(), named.symbol().id());
     }
 
     #[test]

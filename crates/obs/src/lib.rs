@@ -34,6 +34,6 @@ pub mod trace;
 pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry};
 pub use trace::{
     adopt_trace, current_span, current_trace, dropped_events, enabled, end_trace, instant_args,
-    now_us, span, span_args, span_under, start_trace, submit_events, take_events, EventKind, Span,
-    TraceEvent,
+    now_us, span, span_args, span_ended, span_under, start_trace, submit_events, take_events,
+    EventKind, Span, TraceEvent,
 };

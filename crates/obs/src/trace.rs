@@ -426,6 +426,25 @@ pub fn span_under(
     open_span(name, Some(parent), args())
 }
 
+/// Records a span that is already over: it took `elapsed` and ended just
+/// now. For work done before the process can know whether it is traced — a
+/// worker decodes the very frame that carries the trace context. Parented
+/// like [`span_under`]; `args` runs only when a trace is active.
+pub fn span_ended(
+    name: &'static str,
+    parent: u64,
+    elapsed: std::time::Duration,
+    args: impl FnOnce() -> Vec<(String, String)>,
+) {
+    if !enabled() {
+        return;
+    }
+    let mut span = open_span(name, Some(parent), args());
+    span.start_us = span
+        .start_us
+        .saturating_sub(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+}
+
 /// Records a point-in-time event under the current span; `args` runs
 /// only when a trace is active. Prefer the [`instant!`](crate::instant!)
 /// macro.
@@ -540,6 +559,33 @@ mod tests {
         // Temporal containment: the inner span lies within the outer.
         assert!(outer.ts_us <= inner.ts_us);
         assert!(inner.ts_us + inner.dur_us <= outer.ts_us + outer.dur_us);
+    }
+
+    #[test]
+    fn an_ended_span_is_recorded_backdated_under_its_parent() {
+        let _gate = serial();
+        let evaluated = std::cell::Cell::new(false);
+        span_ended("late", 7, std::time::Duration::from_millis(3), || {
+            evaluated.set(true);
+            vec![]
+        });
+        assert!(!evaluated.get(), "nothing is recorded while disabled");
+        start_trace();
+        std::thread::sleep(std::time::Duration::from_millis(4));
+        let before = now_us();
+        span_ended("late", 7, std::time::Duration::from_millis(3), || {
+            vec![("facts".to_string(), "9".to_string())]
+        });
+        assert_eq!(current_span(), 0, "it leaves no span open");
+        let events = end_trace();
+        assert_eq!(events.len(), 1);
+        let late = &events[0];
+        assert_eq!((late.name.as_str(), late.parent), ("late", 7));
+        assert_eq!(late.args, vec![("facts".to_string(), "9".to_string())]);
+        assert!(
+            late.dur_us >= 3000 && late.ts_us <= before - 2900,
+            "{late:?}"
+        );
     }
 
     #[test]

@@ -1,22 +1,64 @@
-//! The binary codec: varint primitives, the symbol dictionary and the
-//! [`Encode`] / [`Decode`] traits with impls for every shippable type.
+//! The binary codec: varint primitives, the name dictionary, the three ways
+//! a receiver resolves a data value, and the [`Encode`] / [`Decode`] traits
+//! with impls for every shippable type.
 //!
 //! ## Layout
 //!
 //! A codec *body* (the payload of one [frame](crate::frame)) is:
 //!
 //! ```text
-//! body    := symtab payload
-//! symtab  := varint(count) { varint(len) utf8-bytes }*
-//! payload := type-specific, see the Encode impls
+//! body     := symtab payload
+//! symtab   := varint(count) { varint(len) utf8-bytes }*
+//! payload  := type-specific, see the Encode impls
+//!
+//! instance := varint(facts) { run }*            -- runs until `facts` rows are read
+//! run      := symbol varint(arity) varint(rows) { value-id × arity }*rows
 //! ```
 //!
-//! Every interned name in a message — relation names, data values,
-//! variables, node names — is referenced from the payload by varint index
-//! into a **dictionary**, and a body's `symtab` lists the names its payload
-//! is the first to use. A chunk of ten thousand facts over relation `R`
-//! ships the string `"R"` once, not ten thousand times, and repeated data
-//! values (the common case under skew) ship as small integers.
+//! **Vocabulary** — relation names, variables, node names, span names: a
+//! few per run — is referenced from the payload by varint index into a
+//! **dictionary**, and a body's `symtab` lists the names its payload is the
+//! first to use. **Data values** are the bulk of what crosses a wire, and a
+//! value in a payload is one bare varint, a *value id*; what that id means
+//! is the receiver's business (below).
+//!
+//! An [`Instance`] is **relation-blocked**: its facts in
+//! [`Instance::facts`] order, cut into *runs* of one relation and one arity
+//! (a relation of a single arity is one run, its symbol written once), each
+//! run a header and then nothing but value ids, row after row. The decoder
+//! reads a run in one tight loop and hands the rows, relation by relation,
+//! to [`Instance::from_relations`], which moves strictly ascending rows in
+//! as they are and sorts only a body that is not ascending: correctness
+//! never rests on the peer's order, only speed does.
+//!
+//! ## The three receivers
+//!
+//! How a receiver resolves a value id is fixed when its half of a
+//! connection is made — by the constructor of its [`Dictionary`] — and is
+//! the only thing that differs between the three receivers there are:
+//!
+//! * **A worker** ([`Dictionary::worker`]). A worker connection speaks one
+//!   id space, the coordinator's: a value id is the coordinator's
+//!   [`Symbol::id`]. The worker holds it as an *opaque* value
+//!   ([`Value::opaque`]) — it interns nothing per value and keeps no
+//!   per-value state, so its time and memory follow its load, not the
+//!   vocabulary. A worker may join, deduplicate, order and ship back
+//!   opaque values; it may not name them (they display as `#<id>`), hash
+//!   their names, or put them into a self-contained body. An id ≥ 2³¹ is
+//!   [`DecodeError::UnknownValueId`].
+//! * **The coordinator reading replies** ([`Dictionary::coordinator`]).
+//!   Replies carry the same ids back; each is resolved with the checked
+//!   [`Symbol::from_id`], and an id this process never interned is
+//!   [`DecodeError::UnknownValueId`], not a symbol.
+//! * **A self-contained body** ([`Dictionary::new`]): [`encode_body`] /
+//!   [`decode_body`], a file, the `encode` / `decode` CLI. Its reader may be
+//!   another process with another interner, so values cross *by name*: the
+//!   `symtab` lists the value names next to the vocabulary and a value id is
+//!   the position of its name in it.
+//!
+//! Both ends of a worker connection write through [`Encoder::connection`]
+//! (a value is its id, no name); [`Encoder::new`] writes self-contained
+//! bodies.
 //!
 //! ## Dictionary scope
 //!
@@ -25,21 +67,23 @@
 //! [`Dictionary`] (index → symbol), and indices count from the first body
 //! coded through them. A connection keeps one pair per direction for its
 //! whole life, so a name crosses it once: later bodies refer to it by index
-//! and list only names the dictionary does not hold yet. A *self-contained*
-//! body — [`encode_body`] / [`decode_body`], a file, the `encode` / `decode`
-//! CLI — is the same code over a fresh dictionary: exactly the first body
-//! of a connection, its `symtab` listing every name it uses. Both halves
-//! die with their connection; nothing about them is negotiated, versioned
-//! or optional.
+//! and list only names the dictionary does not hold yet — a `symtab` that
+//! lists a name the dictionary already holds (a replayed frame) is a typed
+//! error, not a silent renumbering. A *self-contained* body is the same
+//! code over a fresh dictionary: exactly the first body of a sequence, its
+//! `symtab` listing every name it uses. Both halves die with their
+//! connection; nothing about them is negotiated, versioned or optional.
 //!
 //! Varints are LEB128: 7 payload bits per byte, high bit = continuation.
 //!
 //! Decoding never panics: every length is bounds-checked against the
 //! remaining input, symbol references are checked against the dictionary,
-//! and semantic invariants (e.g. query safety) are re-validated on decode.
-//! A receiver's dictionary grows only by `symtab` entries that were
-//! validated inside a body it was handed, so its memory follows received
-//! bytes, never a length field.
+//! value ids against their id space, and semantic invariants (e.g. query
+//! safety) are re-validated on decode. A receiver's dictionary grows only
+//! by `symtab` entries that were validated inside a body it was handed, and
+//! a run reserves no more than a fixed few thousand rows on the
+//! strength of its header, so memory follows received bytes, never a
+//! length field.
 
 use std::fmt;
 
@@ -64,6 +108,13 @@ pub enum DecodeError {
         /// against: its own symbol table plus, on a connection, those of
         /// every body before it.
         table_len: usize,
+    },
+    /// A value id names no value in the receiver's id space: on a worker
+    /// an id no interner hands out (≥ 2³¹), on the coordinator an id it
+    /// never interned.
+    UnknownValueId {
+        /// The offending id.
+        id: u64,
     },
     /// A symbol table entry or an inline string was not valid UTF-8.
     InvalidUtf8,
@@ -108,6 +159,9 @@ impl fmt::Display for DecodeError {
                     "symbol index {index} out of range (table has {table_len})"
                 )
             }
+            DecodeError::UnknownValueId { id } => {
+                write!(f, "value id {id} names no value of this connection")
+            }
             DecodeError::InvalidUtf8 => write!(f, "string is not valid UTF-8"),
             DecodeError::UnknownTag { context, tag } => {
                 write!(f, "unknown tag {tag} while decoding {context}")
@@ -147,8 +201,20 @@ pub(crate) fn write_varint(out: &mut Vec<u8>, mut value: u64) {
 }
 
 /// Reads a LEB128 varint from the front of `input`, returning the value
-/// and the number of bytes consumed.
+/// and the number of bytes consumed. Varints of up to three bytes — every
+/// count, index and value id of an ordinary body — return before the loop.
+#[inline]
 pub(crate) fn read_varint(input: &[u8]) -> Result<(u64, usize), DecodeError> {
+    let bits = |byte: u8, at: u32| u64::from(byte & 0x7f) << (7 * at);
+    match *input {
+        [a, ..] if a < 0x80 => Ok((u64::from(a), 1)),
+        [a, b, ..] if b < 0x80 => Ok((bits(a, 0) | bits(b, 1), 2)),
+        [a, b, c, ..] if c < 0x80 => Ok((bits(a, 0) | bits(b, 1) | bits(c, 2), 3)),
+        _ => read_long_varint(input),
+    }
+}
+
+fn read_long_varint(input: &[u8]) -> Result<(u64, usize), DecodeError> {
     let mut value: u64 = 0;
     for (i, &byte) in input.iter().enumerate() {
         if i >= 10 {
@@ -180,6 +246,9 @@ pub(crate) fn read_varint(input: &[u8]) -> Result<(u64, usize), DecodeError> {
 /// body.
 #[derive(Default)]
 pub struct Encoder {
+    /// Whether data values are written as bare ids (a worker connection)
+    /// instead of going through the dictionary by name.
+    bare_values: bool,
     /// By [`Symbol::id`]: one more than the dictionary index of every
     /// symbol sent so far, the body being written included; 0 = not sent.
     /// Symbol ids are dense, so next to a hash map this is a fraction of
@@ -194,9 +263,20 @@ pub struct Encoder {
 }
 
 impl Encoder {
-    /// An encoder over an empty dictionary.
+    /// An encoder over an empty dictionary whose bodies are self-contained:
+    /// data values cross by name, through the dictionary.
     pub fn new() -> Encoder {
         Encoder::default()
+    }
+
+    /// The sending half of either direction of a worker connection: a data
+    /// value is written as its bare [`Value::id`] — the coordinator's id,
+    /// whichever end writes it — and never enters the dictionary.
+    pub fn connection() -> Encoder {
+        Encoder {
+            bare_values: true,
+            ..Encoder::default()
+        }
     }
 
     /// Writes a varint.
@@ -222,6 +302,10 @@ impl Encoder {
     /// Writes a symbol as its dictionary index, entering it into the
     /// dictionary on first occurrence.
     pub fn symbol(&mut self, symbol: Symbol) {
+        assert!(
+            !symbol.is_opaque(),
+            "{symbol} is an opaque id: it has no name to put into a body"
+        );
         let id = symbol.id() as usize;
         if id >= self.sent.len() {
             self.sent.resize(id + 1, 0);
@@ -233,6 +317,25 @@ impl Encoder {
             *slot = self.len;
         }
         write_varint(&mut self.payload, u64::from(*slot - 1));
+    }
+
+    /// Writes a data value as its value id: on a worker connection the bare
+    /// id, in a self-contained body its name's dictionary index.
+    #[inline]
+    pub fn value(&mut self, value: Value) {
+        if self.bare_values {
+            write_varint(&mut self.payload, u64::from(value.id()));
+        } else {
+            self.symbol(value.symbol());
+        }
+    }
+
+    /// Writes `value` as a varint `at` a position of the payload already
+    /// passed: the count of what was written from there on.
+    fn insert_usize(&mut self, at: usize, value: usize) {
+        let mut varint = Vec::with_capacity(10);
+        write_varint(&mut varint, value as u64);
+        self.payload.splice(at..at, varint);
     }
 
     /// Writes a string inline (length, then bytes), bypassing the
@@ -268,17 +371,91 @@ impl Encoder {
     }
 }
 
+/// How a receiver resolves a value id (see the module docs).
+#[derive(Clone, Copy, Default)]
+enum ValueIds {
+    /// The position of the value's name in the dictionary.
+    #[default]
+    Named,
+    /// The coordinator's id, held opaque by a worker.
+    Opaque,
+    /// An id of this process's own interner, back from a worker.
+    Interned,
+}
+
+impl ValueIds {
+    #[inline]
+    fn resolve(self, id: u64, symbols: &[Symbol]) -> Result<Value, DecodeError> {
+        let in_id_space = |value_of: fn(u32) -> Option<Value>| {
+            let id32 = u32::try_from(id).ok();
+            id32.and_then(value_of)
+                .ok_or(DecodeError::UnknownValueId { id })
+        };
+        match self {
+            ValueIds::Named => symbol_at(symbols, id).map(Value::from),
+            ValueIds::Opaque => in_id_space(Value::opaque),
+            ValueIds::Interned => in_id_space(|id| Symbol::from_id(id).map(Value::from)),
+        }
+    }
+}
+
+/// The dictionary entry `index` refers to.
+#[inline]
+fn symbol_at(symbols: &[Symbol], index: u64) -> Result<Symbol, DecodeError> {
+    symbols
+        .get(usize::try_from(index).unwrap_or(usize::MAX))
+        .copied()
+        .ok_or(DecodeError::SymbolIndexOutOfRange {
+            index,
+            table_len: symbols.len(),
+        })
+}
+
 /// The receiving half of a symbol dictionary: the symbols of every body
-/// decoded through it so far, in index order.
+/// decoded through it so far, in index order, and how this receiver
+/// resolves a value id.
 #[derive(Default)]
 pub struct Dictionary {
     symbols: Vec<Symbol>,
+    /// One bit per [`Symbol::id`]: set for the symbols the dictionary holds.
+    held: Vec<u64>,
+    values: ValueIds,
 }
 
 impl Dictionary {
-    /// An empty dictionary.
+    /// An empty dictionary reading self-contained bodies: data values are
+    /// resolved by name.
     pub fn new() -> Dictionary {
         Dictionary::default()
+    }
+
+    /// The dictionary a worker reads its connection through: a value id is
+    /// the coordinator's and is held as an opaque value.
+    pub fn worker() -> Dictionary {
+        Dictionary {
+            values: ValueIds::Opaque,
+            ..Dictionary::default()
+        }
+    }
+
+    /// The dictionary the coordinator reads a worker's replies through: a
+    /// value id is one of its own, checked against its interner.
+    pub fn coordinator() -> Dictionary {
+        Dictionary {
+            values: ValueIds::Interned,
+            ..Dictionary::default()
+        }
+    }
+
+    /// Marks `symbol` as held; `false` if it already was.
+    fn hold(&mut self, symbol: Symbol) -> bool {
+        let (word, bit) = (symbol.id() as usize / 64, 1u64 << (symbol.id() % 64));
+        if word >= self.held.len() {
+            self.held.resize(word + 1, 0);
+        }
+        let fresh = self.held[word] & bit == 0;
+        self.held[word] |= bit;
+        fresh
     }
 
     /// Number of symbols the dictionary holds.
@@ -293,7 +470,9 @@ impl Dictionary {
 
     /// Parses the symbol table at the front of `body`, appends its names
     /// (re-interned) to the dictionary and returns a decoder positioned on
-    /// the payload. A table that does not parse adds nothing.
+    /// the payload. A table that does not parse adds nothing; one that
+    /// lists a name the dictionary holds already — no sender does: a
+    /// replayed frame, or a corrupt one — is an error.
     pub fn decoder<'a>(&'a mut self, body: &'a [u8]) -> Result<Decoder<'a>, DecodeError> {
         let mut rest = body;
         let (count, used) = read_varint(rest)?;
@@ -310,9 +489,16 @@ impl Dictionary {
             names.push(name);
             rest = tail;
         }
-        self.symbols.append(&mut Symbol::intern_all(names));
+        let names = Symbol::intern_all(names);
+        if let Some(repeated) = names.iter().find(|&&name| !self.hold(name)) {
+            return Err(DecodeError::Invalid(format!(
+                "symbol table lists {repeated}, which the dictionary already holds"
+            )));
+        }
+        self.symbols.extend(names);
         Ok(Decoder {
             symbols: &self.symbols,
+            values: self.values,
             payload: rest,
         })
     }
@@ -335,6 +521,7 @@ fn read_str(input: &[u8]) -> Result<(&str, &[u8]), DecodeError> {
 /// it.
 pub struct Decoder<'a> {
     symbols: &'a [Symbol],
+    values: ValueIds,
     payload: &'a [u8],
 }
 
@@ -373,13 +560,13 @@ impl<'a> Decoder<'a> {
     /// Reads a dictionary reference.
     pub fn symbol(&mut self) -> Result<Symbol, DecodeError> {
         let index = self.u64()?;
-        self.symbols
-            .get(usize::try_from(index).unwrap_or(usize::MAX))
-            .copied()
-            .ok_or(DecodeError::SymbolIndexOutOfRange {
-                index,
-                table_len: self.symbols.len(),
-            })
+        symbol_at(self.symbols, index)
+    }
+
+    /// Reads a value id and resolves it the way this receiver does.
+    pub fn value(&mut self) -> Result<Value, DecodeError> {
+        let id = self.u64()?;
+        self.values.resolve(id, self.symbols)
     }
 
     /// Reads an inline string written by [`Encoder::str`]: its length is
@@ -459,13 +646,13 @@ impl Decode for Symbol {
 
 impl Encode for Value {
     fn encode(&self, enc: &mut Encoder) {
-        enc.symbol(self.symbol());
+        enc.value(*self);
     }
 }
 
 impl Decode for Value {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Value::from(dec.symbol()?))
+        dec.value()
     }
 }
 
@@ -602,19 +789,76 @@ impl Decode for Atom {
     }
 }
 
+/// The facts in [`Instance::facts`] order, cut into runs of one relation
+/// and one arity (see the module docs).
 impl Encode for Instance {
     fn encode(&self, enc: &mut Encoder) {
         enc.usize(self.len());
-        for fact in self.facts() {
-            fact.encode(enc);
+        let mut facts = self.facts().peekable();
+        while let Some(mut fact) = facts.next() {
+            let (relation, arity) = (fact.relation, fact.arity());
+            enc.symbol(relation);
+            enc.usize(arity);
+            // The run ends where the relation or the arity changes: its row
+            // count is known once its rows are written.
+            let rows_at = enc.payload.len();
+            let mut rows = 1;
+            loop {
+                for &value in &fact.values {
+                    enc.value(value);
+                }
+                let same_run = |next: &&Fact| next.relation == relation && next.arity() == arity;
+                match facts.next_if(same_run) {
+                    Some(next) => fact = next,
+                    None => break,
+                }
+                rows += 1;
+            }
+            enc.insert_usize(rows_at, rows);
         }
     }
 }
 
 impl Decode for Instance {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let facts = Vec::<Fact>::decode(dec)?;
-        Ok(Instance::from_facts(facts))
+        let facts = dec.usize()?;
+        // The rows of the runs read so far, by relation: consecutive runs of
+        // one relation (its arities interleave) share a block.
+        let mut blocks: Vec<(Symbol, Vec<Fact>)> = Vec::new();
+        let mut row = Vec::new();
+        let mut read = 0;
+        while read < facts {
+            let relation = dec.symbol()?;
+            let arity = dec.usize()?;
+            let rows = dec.usize()?;
+            // Every value is at least a byte. A nullary row is no bytes at
+            // all, so nothing but the set it belongs to bounds a nullary
+            // run: a relation holds the empty tuple once.
+            let values = rows.checked_mul(arity).ok_or(DecodeError::Truncated)?;
+            if values > dec.remaining() {
+                return Err(DecodeError::Truncated);
+            }
+            if rows == 0 || rows > facts - read || (arity == 0 && rows > 1) {
+                return Err(DecodeError::Invalid(format!(
+                    "a run of {rows} rows of arity {arity} with {} facts to go",
+                    facts - read
+                )));
+            }
+            read += rows;
+            if blocks.last().is_none_or(|(last, _)| *last != relation) {
+                blocks.push((relation, Vec::new()));
+            }
+            let block = &mut blocks.last_mut().expect("just pushed").1;
+            block.reserve(rows.min(MAX_RESERVED_ELEMENTS));
+            for _ in 0..rows {
+                row.clear();
+                for _ in 0..arity {
+                    row.push(dec.value()?);
+                }
+                block.push(Fact::new(relation, row.iter().copied().collect::<Tuple>()));
+            }
+        }
+        Ok(Instance::from_relations(blocks))
     }
 }
 
@@ -851,10 +1095,11 @@ mod tests {
             encode_body_with(&mut encoder, &first),
         ];
         // The first body is the self-contained one; the second lists its
-        // two new names only; the third lists none and is all indices.
+        // two new names only; the third lists none and is all indices: one
+        // fact, then the run `SeqR`, arity 2, one row, its two values.
         assert_eq!(bodies[0], encode_body(&first));
         assert_eq!(bodies[1][0], 2);
-        assert_eq!(bodies[2], [0, 1, 0, 2, 1, 2]);
+        assert_eq!(bodies[2], [0, 1, 0, 2, 1, 1, 2]);
         assert_eq!(encoder.dictionary_len(), 5);
 
         let mut dictionary = Dictionary::new();
@@ -868,7 +1113,7 @@ mod tests {
 
         // An index is checked against everything the sequence has named...
         assert_eq!(
-            decode_body_with::<Instance>(&mut dictionary, &[0, 1, 0, 2, 1, 5]),
+            decode_body_with::<Instance>(&mut dictionary, &[0, 1, 0, 2, 1, 1, 5]),
             Err(DecodeError::SymbolIndexOutOfRange {
                 index: 5,
                 table_len: 5
@@ -883,6 +1128,41 @@ mod tests {
             })
         );
         assert!(decode_body::<Instance>(&bodies[1]).is_err());
+    }
+
+    #[test]
+    fn a_body_replayed_on_its_sequence_is_refused_not_renumbered() {
+        let instance = Instance::from_facts([Fact::from_names("ReplayR", &["replay_a"])]);
+        let mut encoder = Encoder::new();
+        let named = encode_body_with(&mut encoder, &instance);
+        let nameless = encode_body_with(&mut encoder, &instance);
+        let mut dictionary = Dictionary::new();
+        assert_eq!(
+            decode_body_with(&mut dictionary, &named),
+            Ok(instance.clone())
+        );
+        // The body that listed the names, again: its table would enter them
+        // a second time and shift every later index.
+        let err = decode_body_with::<Instance>(&mut dictionary, &named).unwrap_err();
+        assert!(
+            matches!(&err, DecodeError::Invalid(why) if why.contains("ReplayR")),
+            "{err}"
+        );
+        // A body that lists nothing leans on the sequence, not on its place
+        // in it: read twice it means the same twice.
+        let mut dictionary = Dictionary::new();
+        decode_body_with::<Instance>(&mut dictionary, &named).unwrap();
+        for _ in 0..2 {
+            assert_eq!(
+                decode_body_with(&mut dictionary, &nameless),
+                Ok(instance.clone())
+            );
+        }
+        // One table naming a thing twice is the same corruption.
+        assert!(matches!(
+            decode_body::<Symbol>(&[2, 1, b'x', 1, b'x', 0]),
+            Err(DecodeError::Invalid(_))
+        ));
     }
 
     #[test]
@@ -920,9 +1200,7 @@ mod tests {
     fn instance_bodies_keep_their_pinned_bytes() {
         // Fresh names interned here in a fixed order: facts encode in
         // interning order, so the bytes cannot depend on what other tests
-        // interned first. The expectation was produced by the per-fact
-        // insert/SipHash-table codec this one replaced — the wire format
-        // must stay byte-identical.
+        // interned first. Pinned once per `frame::VERSION`; this is 4's.
         for name in ["GoldenEdge", "GoldenMark", "g_hub", "g_a", "g_b"] {
             Symbol::new(name);
         }
@@ -939,9 +1217,29 @@ mod tests {
             golden.push(name.len() as u8);
             golden.extend_from_slice(name.as_bytes());
         }
-        golden.extend_from_slice(&[5, 0, 2, 1, 2, 0, 2, 1, 3, 0, 2, 2, 1, 4, 0, 4, 1, 2]);
+        golden.push(5); // facts
+        golden.extend_from_slice(&[0, 2, 3, 1, 2, 1, 3, 2, 1]); // GoldenEdge/2: 3 rows
+        golden.extend_from_slice(&[4, 0, 1]); // GoldenMark/0: the empty row
+        golden.extend_from_slice(&[4, 1, 1, 2]); // GoldenMark/1: 1 row
         assert_eq!(encode_body(&chunk), golden);
         assert_eq!(decode_body::<Instance>(&golden).unwrap(), chunk);
+
+        // On a worker connection the same payload, its values the bare ids
+        // of this process and its table the two relation names alone.
+        let [hub, a, b] = ["g_hub", "g_a", "g_b"].map(|name| Value::new(name).id() as u8);
+        assert!(b < 0x80, "one varint byte each");
+        let mut golden = vec![2];
+        for name in ["GoldenEdge", "GoldenMark"] {
+            golden.push(name.len() as u8);
+            golden.extend_from_slice(name.as_bytes());
+        }
+        golden.push(5);
+        golden.extend_from_slice(&[0, 2, 3, hub, a, hub, b, a, hub]);
+        golden.extend_from_slice(&[1, 0, 1]);
+        golden.extend_from_slice(&[1, 1, 1, a]);
+        assert_eq!(encode_body_with(&mut Encoder::connection(), &chunk), golden);
+        let back = decode_body_with::<Instance>(&mut Dictionary::coordinator(), &golden);
+        assert_eq!(back.unwrap(), chunk);
     }
 
     #[test]
@@ -950,8 +1248,11 @@ mod tests {
         let other = Fact::from_names("R", &["b", "a"]);
         let mut enc = Encoder::new();
         enc.usize(3);
+        enc.symbol(fact.relation);
+        enc.usize(2);
+        enc.usize(3);
         for f in [&fact, &other, &fact] {
-            f.encode(&mut enc);
+            f.values.iter().for_each(|&value| enc.value(value));
         }
         let back: Instance = decode_body(&enc.finish()).unwrap();
         assert_eq!(
@@ -966,15 +1267,15 @@ mod tests {
     #[test]
     fn hostile_instance_bodies_get_typed_errors() {
         let body = encode_body(&Instance::from_facts([Fact::from_names("R", &["a", "b"])]));
-        // table: 3 symbols; payload: 1 fact = relation, arity, two values
-        let (table, payload) = body.split_at(body.len() - 5);
-        assert_eq!(payload, [1, 0, 2, 1, 2]);
+        // table: 3 symbols; payload: 1 fact = one run of relation, arity,
+        // row count and two values
+        let (table, payload) = body.split_at(body.len() - 6);
+        assert_eq!(payload, [1, 0, 2, 1, 1, 2]);
+        let with_payload = |payload: &[u8]| [table, payload].concat();
 
         // a value index past the table
-        let mut bad = table.to_vec();
-        bad.extend_from_slice(&[1, 0, 2, 1, 9]);
         assert_eq!(
-            decode_body::<Instance>(&bad),
+            decode_body::<Instance>(&with_payload(&[1, 0, 2, 1, 1, 9])),
             Err(DecodeError::SymbolIndexOutOfRange {
                 index: 9,
                 table_len: 3
@@ -995,10 +1296,213 @@ mod tests {
             decode_body::<Instance>(&[1, 2, 0xff, 0xfe, 0]),
             Err(DecodeError::InvalidUtf8)
         );
-        // a fact count beyond the remaining payload
-        let mut bad = table.to_vec();
-        bad.extend_from_slice(&[7, 0, 2, 1, 2]);
-        assert_eq!(decode_body::<Instance>(&bad), Err(DecodeError::Truncated));
+        // a fact count no run delivers, a run of more values than there are
+        // bytes, and one whose `rows x arity` overflows
+        for payload in [
+            &[7, 0, 2, 1, 1, 2][..],
+            &[7, 0, 2, 7, 1, 2],
+            &[1, 0, 2, 2, 1, 2],
+            &[
+                1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 3, 1, 2,
+            ],
+        ] {
+            assert_eq!(
+                decode_body::<Instance>(&with_payload(payload)),
+                Err(DecodeError::Truncated),
+                "{payload:?}"
+            );
+        }
+        // runs that cannot be: empty, more rows than the instance has facts
+        // left, and a second empty tuple — which no byte count bounds
+        for payload in [
+            &[1, 0, 2, 0][..],
+            &[1, 0, 1, 2, 1, 2],
+            &[2, 0, 0, 2],
+            &[0xff, 0xff, 0xff, 0x7f, 0, 0, 0xff, 0xff, 0xff, 0x7f],
+        ] {
+            let err = decode_body::<Instance>(&with_payload(payload)).unwrap_err();
+            assert!(matches!(err, DecodeError::Invalid(_)), "{payload:?}: {err}");
+        }
+    }
+
+    /// How a receiver is made, and how its sender: (name, sender, receiver).
+    type Receiver = (&'static str, fn() -> Encoder, fn() -> Dictionary);
+
+    /// The three receivers there are.
+    const RECEIVERS: [Receiver; 3] = [
+        ("self-contained", Encoder::new, Dictionary::new),
+        ("worker", Encoder::connection, Dictionary::worker),
+        ("coordinator", Encoder::connection, Dictionary::coordinator),
+    ];
+
+    /// What a worker holds for `instance`: the same relations over the
+    /// opaque ids of its values.
+    fn held_by_a_worker(instance: &Instance) -> Instance {
+        Instance::from_facts(instance.facts().map(|fact| {
+            let opaque = |value: &Value| Value::opaque(value.id()).unwrap();
+            Fact::new(
+                fact.relation,
+                fact.values.iter().map(opaque).collect::<Tuple>(),
+            )
+        }))
+    }
+
+    #[test]
+    fn every_receiver_reads_the_same_instance_its_own_way() {
+        let instance = cq::parse_instance(
+            "Mix(m_a, m_b). Mix(m_b). Mix(m_b, m_a). Mix(). Flag(). \
+             Wide(m_a, m_b, m_c, m_d, m_e, m_f). Wide(m_a, m_b, m_c, m_d, m_e, m_a).",
+        )
+        .unwrap();
+        for (receiver, encoder, dictionary) in RECEIVERS {
+            let body = encode_body_with(&mut encoder(), &instance);
+            let back = decode_body_with::<Instance>(&mut dictionary(), &body).unwrap();
+            if receiver == "worker" {
+                // nothing named, nothing interned, the sender's order kept
+                assert_eq!(back, held_by_a_worker(&instance));
+                assert!(back
+                    .facts()
+                    .all(|f| f.values.iter().all(|v| v.symbol().is_opaque())));
+                // ...and what a worker sends back is what it was sent
+                let reply = encode_body_with(&mut Encoder::connection(), &back);
+                assert_eq!(reply, body);
+            } else {
+                assert_eq!(back, instance, "{receiver}");
+            }
+        }
+        // The empty instance is one byte after the empty table.
+        assert_eq!(encode_body(&Instance::new()), [0, 0]);
+        assert_eq!(decode_body::<Instance>(&[0, 0]), Ok(Instance::new()));
+    }
+
+    #[test]
+    fn a_value_id_outside_the_receivers_id_space_is_a_typed_error() {
+        let relation = Symbol::new("IdSpace");
+        let body_with = |id: u64| {
+            let mut enc = Encoder::connection();
+            enc.usize(1);
+            enc.symbol(relation);
+            enc.usize(1);
+            enc.usize(1);
+            enc.u64(id);
+            enc.finish()
+        };
+        let read = |dictionary: fn() -> Dictionary, id: u64| {
+            decode_body_with::<Instance>(&mut dictionary(), &body_with(id))
+        };
+        let known = u64::from(Value::new("id_space_known").id());
+        // An id the coordinator never interned is no symbol...
+        assert!(read(Dictionary::coordinator, known).is_ok());
+        for id in [(1 << 31) - 1, 1 << 31, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(
+                read(Dictionary::coordinator, id),
+                Err(DecodeError::UnknownValueId { id })
+            );
+        }
+        // ...and a worker takes any id an interner can hand out, no other.
+        let held = read(Dictionary::worker, (1 << 31) - 1).unwrap();
+        assert_eq!(held.to_string(), "{IdSpace(#2147483647)}");
+        for id in [1 << 31, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(
+                read(Dictionary::worker, id),
+                Err(DecodeError::UnknownValueId { id })
+            );
+        }
+    }
+
+    #[test]
+    fn mutated_blocked_bodies_never_panic_or_overallocate_for_any_receiver() {
+        // Rows the mutations reorder, repeat and cut: two relations, three
+        // arities, the empty tuple.
+        let mut text = String::from("Hostile(). ");
+        for i in 0..40 {
+            text += &format!("Hostile(h{}, h{}). Other(h{}). ", i % 7, i % 5, i % 11);
+        }
+        let instance = cq::parse_instance(&text).unwrap();
+        let mut state = 0x5EED_2015u64;
+        let mut random = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for (receiver, encoder, dictionary) in RECEIVERS {
+            let body = encode_body_with(&mut encoder(), &instance);
+            assert!(decode_body_with::<Instance>(&mut dictionary(), &body).is_ok());
+            for _ in 0..300 {
+                let mut mutated = body.clone();
+                match random(4) {
+                    0 => mutated.truncate(random(body.len())),
+                    1 => {
+                        let at = random(body.len());
+                        mutated[at] = random(256) as u8;
+                    }
+                    2 => {
+                        let (a, b) = (random(body.len()), random(body.len()));
+                        mutated.swap(a, b);
+                    }
+                    _ => {
+                        let at = random(body.len());
+                        mutated.insert(at, [0x80, 0xff, 0x7f, 0][random(4)]);
+                    }
+                }
+                // Typed error or an instance: never a panic, never an
+                // allocation sized by a count (the run is `cargo test`'s
+                // memory: a 2^60-row reservation would abort it).
+                match decode_body_with::<Instance>(&mut dictionary(), &mutated) {
+                    // a row is at least a byte, a nullary run three
+                    Ok(decoded) => assert!(decoded.len() <= mutated.len(), "{receiver}"),
+                    Err(DecodeError::Io(_) | DecodeError::BadMagic(_)) => {
+                        panic!("{receiver}: a body error, not a frame error")
+                    }
+                    Err(_) => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_out_of_order_or_repeated_decode_to_the_same_set_through_the_sort() {
+        let instance = cq::parse_instance("Ord(o_a, o_b). Ord(o_b, o_a). Ord(o_c, o_c).").unwrap();
+        let rows: Vec<&Fact> = instance.facts().collect();
+        for (receiver, encoder, dictionary) in RECEIVERS {
+            let expected = match receiver {
+                "worker" => held_by_a_worker(&instance),
+                _ => instance.clone(),
+            };
+            for order in [vec![2, 1, 0], vec![0, 0, 1, 2, 2], vec![1, 2, 0, 1]] {
+                let mut enc = encoder();
+                enc.usize(order.len());
+                enc.symbol(rows[0].relation);
+                enc.usize(2);
+                enc.usize(order.len());
+                for &row in &order {
+                    rows[row].values.iter().for_each(|&value| enc.value(value));
+                }
+                let back = decode_body_with::<Instance>(&mut dictionary(), &enc.finish());
+                assert_eq!(back.as_ref(), Ok(&expected), "{receiver} {order:?}");
+            }
+            // the relation split over two runs that are not neighbours
+            let mut enc = encoder();
+            let nullary = Fact::new("OrdOther", Tuple::from(vec![]));
+            enc.usize(4);
+            for (relation, arity, picked) in [
+                (rows[0].relation, 2, &[2][..]),
+                (nullary.relation, 0, &[][..]),
+                (rows[0].relation, 2, &[0, 1][..]),
+            ] {
+                enc.symbol(relation);
+                enc.usize(arity);
+                enc.usize(picked.len().max(1));
+                for &row in picked {
+                    rows[row].values.iter().for_each(|&value| enc.value(value));
+                }
+            }
+            let back = decode_body_with::<Instance>(&mut dictionary(), &enc.finish()).unwrap();
+            let mut expected = expected;
+            expected.insert(nullary);
+            assert_eq!(back, expected, "{receiver}");
+        }
     }
 
     #[test]

@@ -27,15 +27,18 @@
 //! bidirectional communication volume (round-control frames are O(1) per
 //! round and excluded).
 //!
-//! **Symbol dictionaries.** Every [`Endpoint`] owns the two dictionary
-//! halves of its connection (see [`crate::codec`]): the [`Encoder`] its
-//! request frames are written through and the [`Dictionary`] its reply
-//! frames are read through, so a name crosses a connection once per
-//! direction however many frames use it. A job is encoded when it is
-//! written, against the dictionary of the worker it is written to; the
-//! dictionaries die with the connection, so a requeued job simply carries
-//! its names again on the survivor's, and a frame that fails to decode
-//! leaves the endpoint dead like any other protocol error.
+//! **One id space.** A data value crosses a worker connection as the
+//! coordinator's [`cq::Symbol::id`], in both directions, and never by name
+//! (see [`crate::codec`]): a request needs no earlier frame to be read, and
+//! a reply's ids are checked against the coordinator's interner. The few
+//! *names* a run has — relations, variables, nodes — go through the two
+//! dictionary halves every [`Endpoint`] owns: the [`Encoder`] its request
+//! frames are written through and the [`Dictionary`] its reply frames are
+//! read through, so a name crosses a connection once per direction. A job
+//! is encoded when it is written, against the dictionary of the worker it
+//! is written to; the dictionaries die with the connection, so a requeued
+//! job simply carries its names again on the survivor's, and a frame that
+//! fails to decode leaves the endpoint dead like any other protocol error.
 //!
 //! **Fault tolerance.** When a worker dies mid-round (broken pipe, closed
 //! socket, crash), the driver marks it dead, reaps its process, and
@@ -60,8 +63,8 @@ use cq::{ConjunctiveQuery, EvalOptions, Instance};
 use distribution::{Node, NodeResult, Shipment, Transport, TransportError};
 use obs::TraceEvent;
 
-use crate::codec::{Dictionary, Encoder};
-use crate::frame::{encode_frame_with, read_frame_counted, write_frame};
+use crate::codec::{decode_body_with, DecodeError, Dictionary, Encoder};
+use crate::frame::{encode_frame_with, read_body, write_frame};
 use crate::message::{EvalRef, Message, TraceContext};
 
 /// Default number of jobs the writer may run ahead of the replies.
@@ -205,9 +208,9 @@ impl Endpoint {
     ) -> Endpoint {
         Endpoint {
             writer: BufWriter::new(Box::new(writer)),
-            encoder: Encoder::new(),
+            encoder: Encoder::connection(),
             reader: BufReader::new(Box::new(reader)),
-            dictionary: Dictionary::new(),
+            dictionary: Dictionary::coordinator(),
         }
     }
 
@@ -311,6 +314,20 @@ struct DriveReport {
     events: Vec<TraceEvent>,
 }
 
+/// Reads the next frame of a worker's reply stream and decodes it, the
+/// decode under a `reply_decode` span of its own: the wait for the bytes is
+/// the worker's time, not the codec's.
+fn read_message(
+    reader: &mut BufReader<Box<dyn Read + Send>>,
+    dictionary: &mut Dictionary,
+) -> Result<Option<(Message, u64)>, DecodeError> {
+    let Some((body, wire_len)) = read_body(reader)? else {
+        return Ok(None);
+    };
+    let _span = obs::span!("reply_decode", bytes = body.len());
+    decode_body_with(dictionary, &body).map(|message| Some((message, wire_len)))
+}
+
 /// Decodes one reply frame and validates it against the job it answers,
 /// absorbing any `TraceFlush` frames the worker interleaved (their events
 /// go into `events`). Returns the node's result plus the frames' total
@@ -324,7 +341,7 @@ fn read_reply(
     let node = job.node;
     let mut total_bytes = 0u64;
     let (reply, reply_bytes) = loop {
-        match read_frame_counted::<Message>(reader, dictionary) {
+        match read_message(reader, dictionary) {
             Ok(Some((Message::TraceFlush { events: flushed }, bytes))) => {
                 total_bytes += bytes;
                 events.extend(flushed);
@@ -424,7 +441,11 @@ fn drive(
                     // writing so the thread can be joined.
                     return (sent, None);
                 }
-                let frame = job.encode(encoder, query, options, trace);
+                let frame = {
+                    let _encode =
+                        obs::span!("wire_encode", node = job.node, facts = job.work.len());
+                    job.encode(encoder, query, options, trace)
+                };
                 metrics.frame_bytes.record(frame.len() as u64);
                 sent += frame.len() as u64;
                 if let Err(e) = writer.write_all(&frame).and_then(|()| writer.flush()) {
@@ -473,7 +494,7 @@ fn drive(
             // Workers flush their trace buffers right before acking the
             // barrier; absorb those frames here.
             error = loop {
-                match read_frame_counted::<Message>(reader, dictionary) {
+                match read_message(reader, dictionary) {
                     Ok(Some((Message::TraceFlush { events: flushed }, bytes))) => {
                         reply_bytes += bytes;
                         events.extend(flushed);
@@ -1090,31 +1111,187 @@ mod tests {
         let (options, trace) = (EvalOptions::default(), TraceContext::default());
         let mut core = inert_core(2);
         core.begin_round(0, &query, options).unwrap();
-        core.send(Node::numbered(0), Shipment::Full(chunk)).unwrap();
+        core.send(Node::numbered(0), Shipment::Full(chunk.clone()))
+            .unwrap();
         let job = core.jobs[0][0].clone();
         let encode_for = |core: &mut WireTransport, worker: usize, job: &Job| {
             let endpoint = core.endpoints[worker].as_mut().expect("a live endpoint");
             job.encode(&mut endpoint.encoder, &query, options, trace)
         };
+        // What a worker makes of a frame, through its half of a connection.
+        let read = |dictionary: &mut Dictionary, frame: &[u8]| {
+            crate::frame::read_frame::<Message>(&mut std::io::Cursor::new(frame), dictionary)
+        };
+        let shipped = |message| match message {
+            Ok(Some(Message::Eval {
+                shipment: Shipment::Full(facts),
+                ..
+            })) => facts,
+            other => panic!("expected a full eval, got {other:?}"),
+        };
+        // What a worker read is the chunk, nameless: every value prints as
+        // an id, and sent back over the connection it is the chunk again.
+        let is_the_chunk = |held: &Instance| {
+            let body = crate::codec::encode_body_with(&mut Encoder::connection(), held);
+            let home = decode_body_with::<Instance>(&mut Dictionary::coordinator(), &body);
+            held.to_string().matches('#').count() == 4 && home.as_ref() == Ok(&*chunk)
+        };
 
-        // On worker 0's connection the names cross once: the same job
-        // written again is indices only.
+        // On worker 0's connection the names — relation, variables, node —
+        // cross once: the same job written again lists none, and leans on
+        // the frame before it for them.
         let first = encode_for(&mut core, 0, &job);
         let repeat = encode_for(&mut core, 0, &job);
         assert!(repeat.len() < first.len());
-        assert!(crate::frame::decode_frame::<Message>(&repeat).is_err());
+        let mut worker_0 = Dictionary::worker();
+        assert!(is_the_chunk(&shipped(read(&mut worker_0, &first))));
+        assert!(is_the_chunk(&shipped(read(&mut worker_0, &repeat))));
+        assert!(read(&mut Dictionary::worker(), &repeat).is_err());
 
         // Worker 0 dies and its dictionary with it: on worker 1's
-        // connection the requeued job is a first frame again — the bytes a
-        // self-contained frame has, names and all.
+        // connection the requeued job is a first frame again, and the
+        // survivor reads it with nothing before it. Its values never leaned
+        // on a frame in the first place: they are the coordinator's ids.
         core.mark_dead(0);
         let requeued = core.requeued_job(job);
         let on_survivor = encode_for(&mut core, 1, &requeued);
         assert_eq!(on_survivor, first);
-        assert!(matches!(
-            crate::frame::decode_frame::<Message>(&on_survivor),
-            Ok(Message::Eval { .. })
-        ));
+        let fresh = &mut Dictionary::worker();
+        assert!(is_the_chunk(&shipped(read(fresh, &on_survivor))));
+    }
+
+    /// A writer that hands each flushed frame to `tamper` and writes what
+    /// comes back: the wire between the coordinator and one worker, bent.
+    struct Tampered<W, F> {
+        wire: W,
+        frame: Vec<u8>,
+        tamper: F,
+    }
+
+    impl<W: Write, F: FnMut(Vec<u8>) -> Vec<u8>> Write for Tampered<W, F> {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.frame.extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            let frame = (self.tamper)(std::mem::take(&mut self.frame));
+            self.wire.write_all(&frame)?;
+            self.wire.flush()
+        }
+    }
+
+    /// A one-worker transport whose worker is [`crate::run_worker`] on a
+    /// thread of this process behind OS pipes, its error printed to a
+    /// captured "stderr" the way the `worker` subcommand prints it; every
+    /// frame the coordinator flushes goes through `tamper` first.
+    fn tampered_worker(
+        tamper: impl FnMut(Vec<u8>) -> Vec<u8> + Send + 'static,
+    ) -> (WireTransport, std::thread::JoinHandle<Result<(), String>>) {
+        let (requests, to_worker) = std::io::pipe().unwrap();
+        let (replies, from_worker) = std::io::pipe().unwrap();
+        let (stderr, mut worker_stderr) = std::io::pipe().unwrap();
+        let worker = std::thread::spawn(move || {
+            let run = crate::run_worker(requests, from_worker, None, 0);
+            if let Err(error) = &run {
+                let _ = writeln!(worker_stderr, "pcq-analyze worker: {error}");
+            }
+            run
+        });
+        let wire = Tampered {
+            wire: to_worker,
+            frame: Vec::new(),
+            tamper,
+        };
+        let transport = WireTransport::new(
+            vec![Endpoint::new(wire, replies)],
+            vec![None],
+            vec![Some(StderrTail::capture(stderr))],
+        );
+        (transport.fault_tolerance(false), worker)
+    }
+
+    /// Ships one chunk a round for `rounds` rounds; the first error ends it.
+    fn run_rounds(transport: &mut WireTransport, rounds: usize) -> Result<(), TransportError> {
+        let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+        let chunk = Arc::new(cq::parse_instance("R(a, b). R(b, c).").unwrap());
+        for round in 0..rounds {
+            transport.begin_round(round, &query, EvalOptions::default())?;
+            transport.send(Node::numbered(0), Shipment::Full(chunk.clone()))?;
+            transport.barrier()?;
+            transport.recv(Node::numbered(0))?;
+        }
+        Ok(())
+    }
+
+    /// Runs `rounds` rounds against a worker behind `tamper` and returns the
+    /// error the coordinator ends with and the worker's own verdict — both
+    /// within a bound, whatever the tampering.
+    fn outcome_of(
+        rounds: usize,
+        tamper: impl FnMut(Vec<u8>) -> Vec<u8> + Send + 'static,
+    ) -> (String, Result<(), String>) {
+        let started = Instant::now();
+        let (mut transport, worker) = tampered_worker(tamper);
+        let error = run_rounds(&mut transport, rounds).expect_err("the connection was bent");
+        assert!(
+            matches!(error, TransportError::Io(_) | TransportError::Protocol(_)),
+            "{error:?}"
+        );
+        drop(transport);
+        let verdict = worker.join().expect("the worker does not panic");
+        assert!(started.elapsed() < Duration::from_secs(5), "not bounded");
+        (error.to_string(), verdict)
+    }
+
+    #[test]
+    fn a_replayed_eval_frame_ends_in_typed_errors_on_both_sides() {
+        // The first eval frame names the query's symbols: read again, its
+        // table would enter them twice and renumber the dictionary.
+        let mut frames = 0;
+        let (error, worker) = outcome_of(1, move |frame| {
+            frames += 1;
+            match frames {
+                1 => [frame.clone(), frame].concat(),
+                _ => frame,
+            }
+        });
+        let refusal = worker.expect_err("the worker refuses the replay");
+        assert!(refusal.contains("bad frame") && refusal.contains("already holds"));
+        assert!(
+            error.contains("worker stderr") && error.contains(&refusal),
+            "{error}"
+        );
+
+        // A later eval frame names nothing and means the same read twice;
+        // the worker answers twice, and the coordinator refuses the reply
+        // nobody asked for.
+        let mut frames = 0;
+        let (error, worker) = outcome_of(2, move |frame| {
+            frames += 1;
+            match frames {
+                // round 0: eval, barrier; round 1: eval
+                3 => [frame.clone(), frame].concat(),
+                _ => frame,
+            }
+        });
+        assert!(error.contains("expected barrier-ack"), "{error}");
+        assert_eq!(worker, Ok(()), "shut down when its connection closed");
+    }
+
+    #[test]
+    fn a_frame_of_the_previous_version_ends_in_typed_errors_on_both_sides() {
+        let (error, worker) = outcome_of(1, |mut frame| {
+            assert_eq!(frame[4], crate::frame::VERSION);
+            frame[4] = 3;
+            frame
+        });
+        let refusal = worker.expect_err("the worker refuses the version");
+        assert!(refusal.contains("unsupported frame version 3"), "{refusal}");
+        assert!(
+            error.contains("worker stderr") && error.contains(&refusal),
+            "{error}"
+        );
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! The frames of one connection share a symbol dictionary per direction,
 //! which the stream functions are handed — [`write_frame`] the sender's
 //! [`Encoder`], [`read_frame`] the receiver's [`Dictionary`] — so a frame
-//! lists only the names no earlier frame of the connection carried.
-//! [`encode_frame`] / [`decode_frame`] code a *self-contained* frame: the
-//! same bytes as the first frame of a connection.
+//! lists only the names no earlier frame of the connection carried; the
+//! same two halves say how data values cross (by id on a worker connection,
+//! by name otherwise). [`encode_frame`] / [`decode_frame`] code a
+//! *self-contained* frame: the first frame of a sequence of named bodies.
 
 use std::io::{Read, Write};
 
@@ -29,10 +30,10 @@ use crate::codec::{
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"PCQW";
 
-/// The current wire-format version. Version 3 made `EvalOptions` one
-/// switch byte and folded the three eval messages and two result messages
-/// into one of each, the eval carrying its shipment's kind.
-pub const VERSION: u8 = 3;
+/// The current wire-format version. Version 4 made instance bodies
+/// relation-blocked rows of bare value ids and took data values out of a
+/// worker connection's dictionaries (a value is the coordinator's id there).
+pub const VERSION: u8 = 4;
 
 /// Sanity cap on a frame body: a declared length beyond this is treated as
 /// corruption rather than trusted with an allocation (1 GiB).
@@ -126,6 +127,17 @@ pub fn read_frame_counted<T: Decode>(
     r: &mut impl Read,
     dictionary: &mut Dictionary,
 ) -> Result<Option<(T, u64)>, DecodeError> {
+    let Some((body, wire_len)) = read_body(r)? else {
+        return Ok(None);
+    };
+    decode_body_with(dictionary, &body).map(|value| Some((value, wire_len)))
+}
+
+/// Reads the next frame off a stream without decoding it: its body and the
+/// number of bytes the frame occupied. `Ok(None)` on a clean EOF at a frame
+/// boundary. The callers that time the decode apart from the wait for the
+/// bytes read frames through here.
+pub(crate) fn read_body(r: &mut impl Read) -> Result<Option<(Vec<u8>, u64)>, DecodeError> {
     let mut magic = [0u8; 4];
     match read_exact_or_eof(r, &mut magic)? {
         0 => return Ok(None),
@@ -158,7 +170,7 @@ pub fn read_frame_counted<T: Decode>(
         return Err(DecodeError::Truncated);
     }
     let wire_len = MAGIC.len() as u64 + 1 + varint_bytes as u64 + len;
-    decode_body_with(dictionary, &body).map(|value| Some((value, wire_len)))
+    Ok(Some((body, wire_len)))
 }
 
 /// Fills `buf` from `r`, tolerating EOF: returns how many bytes were read
@@ -276,7 +288,7 @@ mod tests {
         frame[4] = VERSION - 1;
         assert_eq!(
             decode_frame::<Fact>(&frame),
-            Err(DecodeError::UnsupportedVersion(2))
+            Err(DecodeError::UnsupportedVersion(3))
         );
     }
 

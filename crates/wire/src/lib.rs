@@ -3,11 +3,13 @@
 //! Everything that crosses a process boundary (or a file boundary) in this
 //! workspace is owned by this crate:
 //!
-//! * [`codec`] — the compact binary codec: varint lengths, a symbol
-//!   dictionary (interned names ship as small integers, and cross a
-//!   connection once), and the [`Encode`] / [`Decode`] impls for facts,
-//!   instances, queries, networks, shipments and round-control
-//!   messages,
+//! * [`codec`] — the compact binary codec: varint lengths, a name
+//!   dictionary (relation, variable and node names ship as small integers,
+//!   and cross a connection once), data values as bare ids in one id space
+//!   per worker connection — the coordinator's — and by name in
+//!   self-contained bodies, relation-blocked instance bodies, and the
+//!   [`Encode`] / [`Decode`] impls for facts, instances, queries,
+//!   networks, shipments and round-control messages,
 //! * [`frame`] — the framing layer: `PCQW` magic, version byte, varint
 //!   body length; frames are self-delimiting so they concatenate on pipes,
 //! * [`Message`] — the protocol vocabulary: `Eval` / `EvalResult` ship a

@@ -19,9 +19,11 @@
 //! once. [`run_worker`] is the other side: the read-eval-respond loop
 //! behind the `pcq-analyze worker` subcommand, whichever byte stream it
 //! is reached over. It owns the worker's halves of the connection's two
-//! symbol dictionaries (see [`crate::codec`]) for as long as it runs: a
-//! name the coordinator has sent once, or the worker has answered once, is
-//! an index from then on.
+//! name dictionaries (see [`crate::codec`]) for as long as it runs: a
+//! relation, variable or node name the coordinator has sent once, or the
+//! worker has answered once, is an index from then on. Data values have no
+//! part in that: a worker receives them as the coordinator's ids, holds
+//! them opaque and sends the same ids back — it never learns a value's name.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -31,9 +33,9 @@ use std::time::Instant;
 
 use distribution::{Node, NodeState, Shipment, TransportError};
 
-use crate::codec::{Dictionary, Encoder};
+use crate::codec::{decode_body_with, Dictionary, Encoder};
 use crate::driver::{Endpoint, StderrTail, WireTransport};
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_body, write_frame};
 use crate::message::Message;
 
 impl WireTransport {
@@ -103,16 +105,19 @@ pub fn run_worker(
 ) -> Result<(), String> {
     let mut input = BufReader::new(input);
     let mut output = BufWriter::new(output);
-    let mut dictionary = Dictionary::new();
-    let mut encoder = Encoder::new();
+    let mut dictionary = Dictionary::worker();
+    let mut encoder = Encoder::connection();
     let mut nodes: BTreeMap<Node, NodeState> = BTreeMap::new();
     let mut evals_seen = 0u64;
     loop {
-        let message = match read_frame::<Message>(&mut input, &mut dictionary) {
-            Ok(None) | Ok(Some(Message::Shutdown)) => return Ok(()),
-            Ok(Some(message)) => message,
-            Err(e) => return Err(format!("bad frame on worker stdin: {e}")),
+        let bad_frame = |e| format!("bad frame on worker stdin: {e}");
+        let Some((body, _)) = read_body(&mut input).map_err(bad_frame)? else {
+            return Ok(());
         };
+        // Timed by hand: whether the run is traced is inside the frame.
+        let decode_started = Instant::now();
+        let message = decode_body_with::<Message>(&mut dictionary, &body).map_err(bad_frame)?;
+        let decode_time = decode_started.elapsed();
         let (query, options, round, node, shipment, trace) = match message {
             Message::Eval {
                 query,
@@ -137,6 +142,7 @@ pub fn run_worker(
                     .map_err(|e| e.to_string())?;
                 continue;
             }
+            Message::Shutdown => return Ok(()),
             other => return Err(format!("unexpected {} message on a worker", other.kind())),
         };
         evals_seen += 1;
@@ -146,6 +152,13 @@ pub fn run_worker(
             ));
         }
         trace.adopt();
+        obs::span_ended("worker_decode", trace.parent_span, decode_time, || {
+            vec![
+                ("node".to_string(), node.to_string()),
+                ("facts".to_string(), shipment.len().to_string()),
+                ("bytes".to_string(), body.len().to_string()),
+            ]
+        });
         let span_name = match shipment {
             Shipment::Full(_) => "worker_eval_chunk",
             Shipment::Delta(_) => "worker_eval_delta",
@@ -182,9 +195,9 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::encode_frame_with;
+    use crate::frame::{encode_frame_with, read_frame};
     use crate::message::TraceContext;
-    use cq::{ConjunctiveQuery, EvalOptions, Instance};
+    use cq::{ConjunctiveQuery, EvalOptions, Fact, Instance};
     use std::sync::Arc;
 
     /// Drives `run_worker` entirely in memory (no subprocess): feed it a
@@ -195,14 +208,16 @@ mod tests {
 
     /// Like [`worker_script`] but with fault injection, and always
     /// returning whatever replies made it out before a failure. The script
-    /// and the replies are one connection: each direction is coded through
-    /// one dictionary from its first frame to its last.
+    /// and the replies are one worker connection, this end the
+    /// coordinator's: values cross as this process's ids, and each
+    /// direction's names through one dictionary from its first frame to its
+    /// last.
     fn worker_script_with_fault(
         messages: &[Message],
         fail_after: Option<u64>,
     ) -> (Result<Vec<Message>, String>, Vec<Message>) {
         let mut input = Vec::new();
-        let mut encoder = Encoder::new();
+        let mut encoder = Encoder::connection();
         for m in messages {
             input.extend(encode_frame_with(&mut encoder, m));
         }
@@ -210,7 +225,7 @@ mod tests {
         let run = run_worker(std::io::Cursor::new(input), &mut output, fail_after, 0);
         let mut replies = Vec::new();
         let mut cursor = std::io::Cursor::new(output);
-        let mut dictionary = Dictionary::new();
+        let mut dictionary = Dictionary::coordinator();
         while let Ok(Some(m)) = read_frame::<Message>(&mut cursor, &mut dictionary) {
             replies.push(m);
         }
@@ -360,6 +375,67 @@ mod tests {
         assert_eq!(outputs[0], outputs[1]);
         let chunk = cq::parse_instance(text).unwrap();
         assert_eq!(outputs[0], cq::evaluate(&query, &chunk));
+    }
+
+    #[test]
+    fn frame_lengths_do_not_depend_on_value_names() {
+        let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+        let varint_len = |value: u64| crate::codec::encode_body(&value).len() - 1;
+        let id_bytes = |instance: &Instance| -> usize {
+            let values = instance.facts().flat_map(|fact| fact.values.iter());
+            values.map(|value| varint_len(value.id().into())).sum()
+        };
+        // The lengths of an eval frame and of its eval-result frame, less
+        // the bytes of their value ids (two vocabularies cannot have the
+        // same ids) and of the measured `eval_us`.
+        let lengths = |suffix: &str| {
+            let name = |i: usize| format!("nf{i}{suffix}");
+            let chunk = Arc::new(Instance::from_facts(
+                (0..40).map(|i| Fact::from_names("R", &[&name(i), &name(i + 1)])),
+            ));
+            let request = eval(&query, 0, Node::numbered(0), Shipment::Full(chunk.clone()));
+            let frame = encode_frame_with(&mut Encoder::connection(), &request);
+            assert!(!frame.windows(3).any(|bytes| bytes == b"nf1"));
+            let mut output = Vec::new();
+            run_worker(std::io::Cursor::new(&frame), &mut output, None, 0).unwrap();
+            assert!(!output.windows(3).any(|bytes| bytes == b"nf1"));
+            let reply = read_frame::<Message>(
+                &mut std::io::Cursor::new(&output),
+                &mut Dictionary::coordinator(),
+            );
+            let Ok(Some(Message::EvalResult {
+                output: answers,
+                eval_us,
+                ..
+            })) = reply
+            else {
+                panic!("expected an eval-result, got {reply:?}")
+            };
+            assert_eq!(answers, cq::evaluate(&query, &chunk));
+            assert_eq!(answers.len(), 39);
+            (
+                frame.len() - id_bytes(&chunk),
+                output.len() - id_bytes(&answers) - varint_len(eval_us),
+            )
+        };
+        assert_eq!(lengths(""), lengths(&"x".repeat(100)));
+    }
+
+    #[test]
+    fn an_opaque_value_round_trips_through_a_worker_reply() {
+        // What a worker holds it can send back: the id, not a name.
+        let held = Instance::from_facts([Fact::new(
+            "Held",
+            vec![
+                cq::Value::opaque(7).unwrap(),
+                cq::Value::opaque(300).unwrap(),
+            ],
+        )]);
+        assert_eq!(held.to_string(), "{Held(#7, #300)}");
+        let body = crate::codec::encode_body_with(&mut Encoder::connection(), &held);
+        assert_eq!(body[body.len() - 3..], [7, 0xac, 0x02]);
+        let back = crate::codec::decode_body_with::<Instance>(&mut Dictionary::worker(), &body);
+        assert_eq!(back, Ok(held));
     }
 
     #[test]

@@ -100,8 +100,9 @@ fn decoding_a_chunk_allocates_per_relation_not_per_fact() {
     let chunk = chunk();
     let body = encode_body(&chunk);
     // Every name of the body is interned already (this process encoded it),
-    // so the symbol table costs its two vectors; the rest is the fact
-    // vector's growth past its capped reservation and one bulk build.
+    // so the symbol table costs its two vectors; the rest is each relation's
+    // row vector growing past its capped reservation — the rows arrive
+    // ascending and are moved into the instance as they are.
     // Before inline tuples this was two blocks per fact.
     let (decoded, heap) = counting(|| decode_body::<Instance>(&body));
     assert_eq!(decoded.as_ref(), Ok(&chunk));
@@ -109,9 +110,9 @@ fn decoding_a_chunk_allocates_per_relation_not_per_fact() {
     assert_holds_every_fact_once(&decoded.unwrap(), "a decoded chunk");
 }
 
-/// On a connection the second chunk over the same names is indices only:
-/// its table is empty, so decoding it interns nothing, adds nothing to the
-/// dictionary and allocates what the fact vector and the bulk build need.
+/// In a sequence of named bodies the second chunk over the same names is
+/// indices only: its table is empty, so decoding it interns nothing, adds
+/// nothing to the dictionary and allocates what the row vectors need.
 #[test]
 fn a_chunk_repeating_a_connections_names_adds_nothing_to_its_dictionary() {
     let chunk = chunk();
@@ -147,9 +148,9 @@ fn distributed_chunks_hold_every_fact_once() {
     }
 }
 
-/// An `Instance` count is only known not to exceed the body's remaining
+/// A run's row count is only known not to exceed the body's remaining
 /// *bytes*; a fact is 32 bytes in memory. Reserving on the strength of the
-/// count asked for 32 MiB here before looking at the first fact — and up to
+/// count asked for 32 MiB here before looking at the first row — and up to
 /// 32 GiB (an abort, not an error) for a frame at the 1 GiB body limit.
 #[test]
 fn a_corrupt_count_cannot_size_an_allocation() {
@@ -158,9 +159,13 @@ fn a_corrupt_count_cannot_size_an_allocation() {
     let mut body = enc.finish();
     body.pop(); // keep the table, drop the payload's reference to it
     let table = body.len();
-    body.extend_from_slice(&[0x80, 0x80, 0x40]); // count: 1 Mi facts
-    body.push(9); // first fact: relation = symbol 9 of a 1-entry table
-    body.resize(table + 3 + (1 << 20), 0);
+    const MI: [u8; 3] = [0x80, 0x80, 0x40];
+    body.extend_from_slice(&MI); // 1 Mi facts ...
+    body.push(0); // ... of `WireA` ...
+    body.push(1); // ... unary ...
+    body.extend_from_slice(&MI); // ... 1 Mi rows in this run,
+    body.push(9); // whose first value is name 9 of a 1-entry table
+    body.resize(table + 9 + (1 << 20), 0); // and the bytes to back the count
 
     let (result, heap) = counting(|| decode_body::<Instance>(&body));
     assert_eq!(
@@ -171,6 +176,16 @@ fn a_corrupt_count_cannot_size_an_allocation() {
         })
     );
     assert!(heap.bytes < 1 << 20, "decode of a corrupt count: {heap:?}");
+
+    // A worker reads the same run as ids: the first one, 2^32 - 1, is none.
+    body.truncate(table + 8);
+    body.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x0f]);
+    body.resize(table + 9 + (1 << 20), 0);
+    let worker = || decode_body_with::<Instance>(&mut Dictionary::worker(), &body);
+    let (result, heap) = counting(worker);
+    let id = u64::from(u32::MAX);
+    assert_eq!(result, Err(DecodeError::UnknownValueId { id }));
+    assert!(heap.bytes < 1 << 20, "decode on a worker: {heap:?}");
 }
 
 /// The worker's incremental round over a delta frame that announces only

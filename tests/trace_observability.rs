@@ -268,10 +268,10 @@ fn process_transport_merges_worker_timelines_into_the_coordinator_trace() {
     for event in &worker_events {
         if coordinator_spans.contains(&event.parent) {
             // The top of each worker lane: the shipped trace context makes
-            // the worker's evaluation span a child of the coordinator span
-            // that sent the job.
+            // the worker's decode and evaluation spans children of the
+            // coordinator span that sent the job.
             assert!(
-                event.name.starts_with("worker_eval"),
+                event.name.starts_with("worker_eval") || event.name == "worker_decode",
                 "unexpected worker-side root event {}",
                 event.name
             );
@@ -282,6 +282,25 @@ fn process_transport_merges_worker_timelines_into_the_coordinator_trace() {
         cross_process_links >= 2,
         "worker spans must link under coordinator spans across the process boundary"
     );
+    // The codec is on the timeline too: one decode span per eval frame on
+    // the workers — the first one included, though it was decoded before
+    // the worker knew of the trace — saying what it decoded, and the
+    // coordinator's encode and reply-decode spans around them.
+    let named = |name: &str| events.iter().filter(|e| e.name == name).collect::<Vec<_>>();
+    let evals = events
+        .iter()
+        .filter(|e| e.name.starts_with("worker_eval"))
+        .count();
+    let decodes = named("worker_decode");
+    assert_eq!(decodes.len(), evals);
+    for decode in &decodes {
+        assert!(decode.pid > 0);
+        let keys: Vec<&str> = decode.args.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, ["node", "facts", "bytes"]);
+    }
+    assert_eq!(named("wire_encode").len(), evals);
+    assert!(named("wire_encode").iter().all(|e| e.pid == 0));
+    assert!(named("reply_decode").len() >= evals);
 }
 
 #[test]

@@ -330,6 +330,60 @@ fn scenario_files_drive_identical_runs_across_transports() {
     assert!(in_memory.converged && cross_process.converged);
 }
 
+#[test]
+fn named_values_go_in_and_named_values_come_out_on_every_transport() {
+    // Workers never see a value's name — only the coordinator's ids — so
+    // everything a name could get lost in is here at once: multi-byte
+    // names, a relation of mixed arity, the empty tuple, a fact wide enough
+    // to spill out of its inline tuple, and a semi-naive feedback run whose
+    // accumulated state takes every round's facts in out of order.
+    let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+    let names = ["αλφα", "ßeta", "日本", "ünï", "plain", "💡"];
+    let mut facts: Vec<Fact> = names
+        .windows(2)
+        .map(|edge| Fact::from_names("R", edge))
+        .collect();
+    facts.push(Fact::from_names("R", &names[..1]));
+    facts.push(Fact::from_names("Flag", &[]));
+    facts.push(Fact::from_names("Wide", &names));
+    let instance = Instance::from_facts(facts);
+    // Every fact, first-round or fed back, goes to every node: the odd
+    // ones really cross the wire.
+    let network = Network::with_size(3);
+    let policy = ExplicitPolicy::broadcast(&network, &instance).with_default(network.nodes());
+    let build_engine = || {
+        MultiRoundEngine::new(RoundSchedule::repeat(&policy))
+            .rounds(6)
+            .feedback_into("R")
+            .semi_naive(true)
+    };
+
+    let in_memory = build_engine().evaluate(&query, &instance);
+    assert!(in_memory.converged && in_memory.rounds_run() > 2);
+    assert_eq!(
+        in_memory.result,
+        build_engine().reference_fixpoint(&query, &instance).result
+    );
+    let printed = in_memory.result.to_string();
+    assert!(printed.contains("T(αλφα, 💡)"), "{printed}");
+    for spawn in [PIPES, SOCKETS] {
+        let mut transport = spawn_workers(spawn, 2);
+        let on_wire = build_engine()
+            .evaluate_via(&mut transport, &query, &instance)
+            .unwrap();
+        assert_eq!(on_wire.result.to_string(), printed);
+        assert_eq!(
+            on_wire.final_state.to_string(),
+            in_memory.final_state.to_string()
+        );
+        assert!(!on_wire.final_state.to_string().contains('#'));
+        assert_eq!(on_wire.rounds_run(), in_memory.rounds_run());
+        for fact in instance.facts() {
+            assert!(on_wire.final_state.contains(fact), "{fact} was lost");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Byte accounting: comm_bytes must count worker→coordinator result frames,
 // not just the requests.
@@ -339,9 +393,10 @@ fn scenario_files_drive_identical_runs_across_transports() {
 fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
     // Broadcast gives every node the full instance, so the request frames
     // are exactly reconstructible here: one eval frame per node carrying the
-    // whole instance, the four nodes dealt round-robin over the two
-    // workers' connections — and a connection names each symbol once, so a
-    // worker's second frame is indices only. A transport that only counted
+    // whole instance — its values the coordinator's ids, no names — the
+    // four nodes dealt round-robin over the two workers' connections, and a
+    // connection names each relation, variable and node once, so a worker's
+    // second frame lists its node alone. A transport that only counted
     // requests (the old bug) would report exactly this sum; counting the
     // replies too must land strictly above it on a high-output round.
     let query = named_query("chain:2").unwrap();
@@ -350,7 +405,7 @@ fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
     let policy = ExplicitPolicy::broadcast(&network, &instance);
     let engine = OneRoundEngine::new(&policy);
 
-    let mut connections = [pcq::wire::Encoder::new(), pcq::wire::Encoder::new()];
+    let mut connections = [(); 2].map(|()| pcq::wire::Encoder::connection());
     let chunk = Shipment::Full(Arc::new(instance.clone()));
     let request_bytes: u64 = network
         .nodes()
