@@ -1,6 +1,6 @@
-//! Database instances: finite sets of facts with per-relation sorted orders.
+//! Database instances: finite sets of facts, each relation's rows strictly
+//! ascending, grown by merging, with sorted column orders carried forward.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -21,8 +21,8 @@ pub(crate) struct SortedOrder {
     relation: Symbol,
     columns: Box<[usize]>,
     /// How many of the relation's rows ([`Instance::facts_of`], of any
-    /// arity) are in the order or were passed over: rows are only ever
-    /// appended between two `remove`s, so the rest is what it lacks.
+    /// arity) are in the order or were passed over; the rest were appended
+    /// by in-order inserts since (an absorb merges its rows in on the spot).
     covered: usize,
     /// Kept apart from `values`: a nullary row has none.
     rows: usize,
@@ -40,21 +40,26 @@ impl SortedOrder {
         }
     }
 
-    /// Takes in the rows of `facts` past the covered ones: only they are
-    /// sorted, and one pass from the back merges them in place.
+    /// Takes in the rows of `facts` past the covered ones.
     fn catch_up(&mut self, facts: &[Fact]) {
+        self.take_in(&facts[self.covered..]);
+        self.covered = facts.len();
+    }
+
+    /// Takes in `facts`, none of which it holds: only they are sorted, and
+    /// one pass from the back merges them in place.
+    fn take_in(&mut self, facts: &[Fact]) {
         let arity = self.columns.len();
-        let mut fresh = Vec::with_capacity(arity * (facts.len() - self.covered));
+        let mut fresh = Vec::with_capacity(arity * facts.len());
         // A fact only matches an atom of its own arity.
-        for fact in facts[self.covered..].iter().filter(|f| f.arity() == arity) {
+        for fact in facts.iter().filter(|f| f.arity() == arity) {
             fresh.extend(self.columns.iter().map(|&position| fact.values[position]));
             self.rows += 1;
         }
-        self.covered = facts.len();
         if arity == 0 || fresh.is_empty() {
             return;
         }
-        // The identity order over bulk-built rows is sorted as it stands.
+        // The identity order over ascending rows is sorted as it stands.
         if !fresh.chunks_exact(arity).is_sorted() {
             let mut sorted: Vec<&[Value]> = fresh.chunks_exact(arity).collect();
             sorted.sort_unstable();
@@ -106,54 +111,79 @@ impl SortedOrder {
     }
 }
 
-/// One relation's facts: the rows behind [`Instance::facts_of`].
-#[derive(Clone, Default)]
-struct Relation {
-    /// Append-only between two `remove`s, so a sorted order that covers a
-    /// prefix stays valid while the relation grows.
-    rows: Vec<Fact>,
-    /// `rows[..sorted]` is strictly ascending; the rows past it arrived out
-    /// of order and are also in [`Instance::late`].
-    sorted: usize,
+/// Each of the ascending `rows` with its place among the ascending
+/// `theirs`: how many of those are below it, and whether it is one of them.
+/// One walk that gallops — a row landing `d` places past the previous one
+/// costs O(log d) comparisons — so a small run against a large instance
+/// costs a binary search a row, and two runs of equal size a merge.
+fn placed<'a>(
+    rows: &'a [Fact],
+    theirs: &'a [Fact],
+) -> impl Iterator<Item = (&'a Fact, usize, bool)> + 'a {
+    let mut at = 0;
+    rows.iter().map(move |fact| {
+        let mut step = 1;
+        while theirs.get(at + step).is_some_and(|row| row < fact) {
+            at += step;
+            step *= 2;
+        }
+        at += theirs[at..theirs.len().min(at + step)].partition_point(|row| row < fact);
+        (fact, at, theirs.get(at) == Some(fact))
+    })
+}
+
+/// Merges `fresh` (ascending, none of it in `rows`, and `slots[i]` of the
+/// old rows below `fresh[i]`) into the ascending `rows` in place, from the
+/// back: the vector grows once, by exactly `fresh.len()`, and every old row
+/// moves at most once, straight to its final place.
+fn merge_in(rows: &mut Vec<Fact>, fresh: &[Fact], slots: &[usize]) {
+    let mut old = rows.len();
+    // Nullary placeholders own no heap block; each is overwritten.
+    let gap = Fact::new(fresh[0].relation, Tuple::from_iter([]));
+    rows.resize(old + fresh.len(), gap);
+    for (placed, (fact, &slot)) in fresh.iter().zip(slots).enumerate().rev() {
+        // The old rows above `fact` jump the `placed + 1` gaps still open.
+        for row in (slot..old).rev() {
+            rows.swap(row, row + placed + 1);
+        }
+        rows[slot + placed] = fact.clone();
+        old = slot;
+    }
 }
 
 /// A database instance: a finite set of facts.
 ///
-/// Every fact is stored **once**, in its relation's row vector
-/// ([`Instance::facts_of`]). A relation's rows are strictly ascending — all
-/// of them when the instance was bulk-built ([`Instance::from_facts`], a
-/// decode, a `distribute` chunk, an `Extend` into an empty instance) or
-/// grown in ascending order — so membership is a binary search and
-/// [`Instance::facts`] walks relation after relation. Only a fact inserted
-/// *out of order into a non-empty relation* (an accumulator absorbing a
-/// later round) is also remembered in a small ordered side set that
-/// `facts()` merges in: iteration order, equality, ordering, hashing and the
-/// wire bytes depend on the fact set alone, never on how it was built.
+/// One invariant: every fact is stored **once**, in its relation's row
+/// vector ([`Instance::facts_of`]), and a relation's rows are **strictly
+/// ascending, always**. Membership is one binary search, [`Instance::facts`]
+/// walks relation after relation, and iteration order, equality, ordering,
+/// hashing and the wire bytes depend on the fact set alone.
+///
+/// **Growth is a merge.** Every bulk growth — a round's output, a delta,
+/// `Extend` into a non-empty instance, `union` — is [`Instance::absorb`]:
+/// the new rows are found by one walk and merged in place, from the back.
 ///
 /// The join kernel does not read the rows: it walks *sorted column orders*
 /// — a relation's rows of one arity with the columns permuted into the order
 /// the search binds them, sorted, flat (4·arity bytes a row) — the one index
 /// an instance has. Each asked-for `(relation, column order)` is built on
-/// first use and **kept as the instance grows**: an order remembers how many
-/// of its relation's rows it covers, and the next evaluation catches it up
-/// by sorting only the rows added since and merging them in one pass, so
-/// the index work of one round of an iterated evaluation is reused by every
-/// later one. `remove` drops every order (the rows behind the removed one
-/// move up); they are rebuilt on the next use.
+/// first use and **carried forward as the instance grows**: an absorb
+/// merges its new rows into the orders of their relation, and rows an
+/// in-order insert appended are merged in by the next evaluation, so the
+/// index work of one round is reused by every later one. Only moving rows
+/// — an out-of-order insert, a remove — drops a relation's orders.
 ///
 /// The orders are invisible: clones start without them, and equality, order,
 /// hash, `Display` and the wire codec read the fact set only.
 #[derive(Default)]
 pub struct Instance {
-    relations: BTreeMap<Symbol, Relation>,
-    /// The facts past their relation's ascending prefix, in order. Empty
-    /// unless facts were inserted out of order.
-    late: BTreeSet<Fact>,
+    /// Every relation's rows, strictly ascending.
+    relations: BTreeMap<Symbol, Vec<Fact>>,
     len: usize,
-    /// The sorted column orders asked for since the last `remove`, one per
-    /// `(relation, column order)`. Behind a lock because they are built and
-    /// caught up through `&self`; an evaluation holds on to the ones it
-    /// walks, and nothing can grow the instance while it does.
+    /// The sorted column orders asked for since their relation's rows last
+    /// moved, one per `(relation, column order)`. Behind a lock because
+    /// they are built and caught up through `&self`; an evaluation holds on
+    /// to the ones it walks, and nothing can grow the instance while it does.
     orders: Mutex<Vec<Arc<SortedOrder>>>,
 }
 
@@ -163,7 +193,6 @@ impl Clone for Instance {
     fn clone(&self) -> Instance {
         Instance {
             relations: self.relations.clone(),
-            late: self.late.clone(),
             len: self.len,
             ..Instance::default()
         }
@@ -171,7 +200,7 @@ impl Clone for Instance {
 }
 
 // Equality, order and hash are on the fact set only: they read the one
-// sorted `facts()` order, whatever the rows' insertion order.
+// sorted `facts()` order.
 impl PartialEq for Instance {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.facts().eq(other.facts())
@@ -199,12 +228,10 @@ impl std::hash::Hash for Instance {
     }
 }
 
-/// [`Instance::facts`]: the relations' ascending prefixes, one after the
-/// other, merged with the out-of-order side set.
+/// [`Instance::facts`]: the relations' rows, one after the other.
 struct Facts<'a> {
-    relations: std::collections::btree_map::Values<'a, Symbol, Relation>,
-    run: std::slice::Iter<'a, Fact>,
-    late: std::iter::Peekable<std::collections::btree_set::Iter<'a, Fact>>,
+    relations: std::collections::btree_map::Values<'a, Symbol, Vec<Fact>>,
+    rows: std::slice::Iter<'a, Fact>,
     remaining: usize,
 }
 
@@ -212,19 +239,12 @@ impl<'a> Iterator for Facts<'a> {
     type Item = &'a Fact;
 
     fn next(&mut self) -> Option<&'a Fact> {
-        self.remaining = self.remaining.saturating_sub(1);
         loop {
-            let Some(next) = self.run.as_slice().first() else {
-                match self.relations.next() {
-                    Some(relation) => self.run = relation.rows[..relation.sorted].iter(),
-                    None => return self.late.next(),
-                }
-                continue;
-            };
-            return match self.late.peek() {
-                Some(&late) if late < next => self.late.next(),
-                _ => self.run.next(),
-            };
+            if let Some(fact) = self.rows.next() {
+                self.remaining -= 1;
+                return Some(fact);
+            }
+            self.rows = self.relations.next()?.iter();
         }
     }
 
@@ -246,8 +266,7 @@ impl Instance {
     /// relations' row vectors — facts are moved, never copied, and nothing
     /// else is built. The sort is a run-detecting merge sort, so input that
     /// is already sorted — a chunk cut out of another instance, or several
-    /// such chunks concatenated — costs a linear pass. `facts_of(relation)`
-    /// of the result is in [`Instance::facts`] order; the side set is empty.
+    /// such chunks concatenated — costs a linear pass.
     pub fn from_facts<I: IntoIterator<Item = Fact>>(facts: I) -> Instance {
         let mut rows: Vec<Fact> = facts.into_iter().collect();
         rows.sort();
@@ -265,8 +284,7 @@ impl Instance {
             } else {
                 rows.split_off(start)
             };
-            let sorted = run.len();
-            relations.insert(relation, Relation { rows: run, sorted });
+            relations.insert(relation, run);
         }
         Instance {
             relations,
@@ -295,11 +313,8 @@ impl Instance {
         }
         let mut instance = Instance::default();
         for (relation, rows) in blocks {
-            let sorted = rows.len();
-            instance.len += sorted;
-            instance
-                .relations
-                .insert(relation, Relation { rows, sorted });
+            instance.len += rows.len();
+            instance.relations.insert(relation, rows);
         }
         instance
     }
@@ -332,71 +347,90 @@ impl Instance {
 
     /// Inserts a fact. Returns `true` if the fact was not already present.
     ///
-    /// One membership search decides: a fact above its relation's ascending
-    /// rows is appended after a single comparison, anything else is looked up
-    /// by binary search, and a fact that is already there — the common case
-    /// when a round re-derives old facts — costs that search and no copy. A
-    /// new fact that arrives out of order is appended all the same (rows
-    /// never move) and remembered in the side set.
-    ///
-    /// The sorted column orders stay: rows are only ever appended, so an
-    /// order built before the insert covers a prefix of them and is caught
-    /// up by the next evaluation — growing an instance, the hot path of
-    /// delta-driven multi-round evaluation, never throws away index work.
-    /// Only [`Instance::remove`] drops them.
+    /// A fact above its relation's last row is appended, and the sorted
+    /// orders stay, to be caught up by the next evaluation. Anything else
+    /// is one binary search, and a new fact goes in at its place: that moves
+    /// rows, so it drops the relation's orders, as [`Instance::remove`]
+    /// does. Growth by more than a fact or two is [`Instance::absorb`]'s.
     pub fn insert(&mut self, fact: Fact) -> bool {
-        self.insert_cow(Cow::Owned(fact))
-    }
-
-    /// [`Instance::insert`] for a borrowed fact: copies it only when it is
-    /// not already present.
-    pub fn insert_cloned(&mut self, fact: &Fact) -> bool {
-        self.insert_cow(Cow::Borrowed(fact))
-    }
-
-    fn insert_cow(&mut self, fact: Cow<'_, Fact>) -> bool {
-        let relation = self.relations.entry(fact.relation).or_default();
-        let ascending = &relation.rows[..relation.sorted];
-        let above = ascending.last().is_none_or(|last| *last < *fact);
-        if above && relation.sorted == relation.rows.len() {
-            relation.sorted += 1;
-        } else if (!above && ascending.binary_search(&fact).is_ok())
-            || !self.late.insert(Fact::clone(&fact))
-        {
-            return false;
+        let relation = fact.relation;
+        let rows = self.relations.entry(relation).or_default();
+        if rows.last().is_none_or(|last| *last < fact) {
+            rows.push(fact);
+        } else {
+            let Err(at) = rows.binary_search(&fact) else {
+                return false;
+            };
+            rows.insert(at, fact);
+            self.drop_orders(relation);
         }
-        relation.rows.push(fact.into_owned());
         self.len += 1;
         true
     }
 
+    /// Adds the facts of `run` and returns the ones that were new, in
+    /// ascending order — `run \ self` before the call.
+    ///
+    /// Per relation, one galloping walk finds the new rows and where each
+    /// goes, the row vector grows by exactly that many and merges them in
+    /// place from the back, and every sorted order of the relation takes in
+    /// just those rows (one someone still holds is copied first).
+    pub fn absorb(&mut self, run: &Instance) -> Instance {
+        let mut new = Instance::default();
+        for (&relation, incoming) in &run.relations {
+            let mut fresh = Vec::with_capacity(incoming.len());
+            let mut slots = Vec::with_capacity(incoming.len());
+            for (fact, slot, _) in placed(incoming, self.facts_of(relation)).filter(|p| !p.2) {
+                fresh.push(fact.clone());
+                slots.push(slot);
+            }
+            if fresh.is_empty() {
+                continue;
+            }
+            fresh.shrink_to_fit();
+            let rows = self.relations.entry(relation).or_default();
+            let orders = self.orders.get_mut().expect("no order is left half built");
+            for order in orders.iter_mut().filter(|order| order.relation == relation) {
+                let order = Arc::make_mut(order);
+                order.catch_up(rows);
+                order.take_in(&fresh);
+                order.covered += fresh.len();
+            }
+            merge_in(rows, &fresh, &slots);
+            new.len += fresh.len();
+            new.relations.insert(relation, fresh);
+        }
+        self.len += new.len;
+        new
+    }
+
     /// Removes a fact. Returns `true` if it was present.
     ///
-    /// Drops the sorted orders (the rows behind the fact move up). The scan
-    /// starts at the back, where an undo finds what it just inserted.
+    /// Drops its relation's sorted orders (the rows behind it move up).
     pub fn remove(&mut self, fact: &Fact) -> bool {
-        let Some(relation) = self.relations.get_mut(&fact.relation) else {
+        let Some(rows) = self.relations.get_mut(&fact.relation) else {
             return false;
         };
-        let Some(row) = relation.rows.iter().rposition(|row| row == fact) else {
+        let Ok(at) = rows.binary_search(fact) else {
             return false;
         };
-        relation.rows.remove(row);
-        if row < relation.sorted {
-            relation.sorted -= 1;
-        } else {
-            self.late.remove(fact);
-        }
+        rows.remove(at);
         self.len -= 1;
-        self.orders = Mutex::default();
+        self.drop_orders(fact.relation);
         true
+    }
+
+    /// Drops the sorted orders of `relation`: its rows moved.
+    fn drop_orders(&mut self, relation: Symbol) {
+        let orders = self.orders.get_mut().expect("no order is left half built");
+        orders.retain(|order| order.relation != relation);
     }
 
     /// The rows of `relation` with as many values as `columns` has entries,
     /// column `c` holding argument position `columns[c]`, sorted: built on
-    /// first use, caught up with the rows added since the last, and shared
-    /// by every caller (from any thread; the lock is held while an order is
-    /// built, so it is built once).
+    /// first use, caught up with the rows appended since the last, and
+    /// shared by every caller (from any thread; the lock is held while an
+    /// order is built, so it is built once).
     pub(crate) fn sorted_order(&self, relation: Symbol, columns: &[usize]) -> Arc<SortedOrder> {
         let facts = self.facts_of(relation);
         let mut orders = self.orders.lock().expect("no order is left half built");
@@ -417,24 +451,26 @@ impl Instance {
 
     /// How many sorted column orders the instance holds at the moment
     /// (test/diagnostic hook; evaluation builds them transparently): one
-    /// per `(relation, column order)` asked for since the last `remove`,
-    /// however much the instance has grown in between. Clones start at 0.
+    /// per `(relation, column order)` asked for since that relation's rows
+    /// last moved, however much the instance has grown in between. Clones
+    /// start at 0.
     pub fn cached_orders(&self) -> usize {
         let orders = self.orders.lock().expect("no order is left half built");
         orders.len()
     }
 
-    /// Whether the instance contains `fact`: a binary search of its
-    /// relation's ascending rows, then of the (usually empty) side set.
+    /// Whether the instance contains `fact`: one binary search of its
+    /// relation's rows.
     pub fn contains(&self, fact: &Fact) -> bool {
-        self.relations.get(&fact.relation).is_some_and(|relation| {
-            relation.rows[..relation.sorted].binary_search(fact).is_ok() || self.late.contains(fact)
-        })
+        self.facts_of(fact.relation).binary_search(fact).is_ok()
     }
 
-    /// Whether `other` is a subset of this instance.
+    /// Whether `other` is a subset of this instance: one walk per relation.
     pub fn contains_all(&self, other: &Instance) -> bool {
-        other.len <= self.len && other.facts().all(|fact| self.contains(fact))
+        other.len <= self.len
+            && other.relations.iter().all(|(&relation, rows)| {
+                placed(rows, self.facts_of(relation)).all(|(_, _, held)| held)
+            })
     }
 
     /// Number of facts.
@@ -452,19 +488,14 @@ impl Instance {
     pub fn facts(&self) -> impl Iterator<Item = &Fact> + '_ {
         Facts {
             relations: self.relations.values(),
-            run: [].iter(),
-            late: self.late.iter().peekable(),
+            rows: [].iter(),
             remaining: self.len,
         }
     }
 
-    /// The facts of relation `relation` (empty slice if none): ascending
-    /// for a bulk-built instance, later inserts following in insertion
-    /// order.
+    /// The facts of relation `relation` (empty slice if none), ascending.
     pub fn facts_of(&self, relation: Symbol) -> &[Fact] {
-        self.relations
-            .get(&relation)
-            .map_or(&[], |relation| &relation.rows)
+        self.relations.get(&relation).map_or(&[], Vec::as_slice)
     }
 
     /// The active domain: all data values occurring in the instance.
@@ -493,19 +524,40 @@ impl Instance {
         self.facts().all(|f| schema.admits(f))
     }
 
-    /// Set union.
+    /// Set union: the larger instance copied, absorbing the smaller.
     pub fn union(&self, other: &Instance) -> Instance {
-        Instance::from_facts(self.facts().chain(other.facts()).cloned())
+        let mut pair = [self, other];
+        pair.sort_by_key(|instance| instance.len);
+        let mut union = pair[1].clone();
+        union.absorb(pair[0]);
+        union
     }
 
     /// Set intersection.
     pub fn intersection(&self, other: &Instance) -> Instance {
-        Instance::from_facts(self.facts().filter(|f| other.contains(f)).cloned())
+        self.filtered(other, true)
     }
 
     /// Facts of `self` not in `other`.
     pub fn difference(&self, other: &Instance) -> Instance {
-        Instance::from_facts(self.facts().filter(|f| !other.contains(f)).cloned())
+        self.filtered(other, false)
+    }
+
+    /// The facts of `self` that `other` holds (`held`) or lacks (`!held`):
+    /// one walk per relation, the kept rows ascending as they come.
+    fn filtered(&self, other: &Instance, held: bool) -> Instance {
+        let mut out = Instance::default();
+        for (&relation, rows) in &self.relations {
+            let kept: Vec<Fact> = placed(rows, other.facts_of(relation))
+                .filter(|p| p.2 == held)
+                .map(|p| p.0.clone())
+                .collect();
+            if !kept.is_empty() {
+                out.len += kept.len();
+                out.relations.insert(relation, kept);
+            }
+        }
+        out
     }
 
     /// All subsets of this instance (used by brute-force cross-checks in
@@ -544,31 +596,22 @@ impl FromIterator<Fact> for Instance {
 
 impl Extend<Fact> for Instance {
     /// Growing an empty instance is a bulk build ([`Instance::from_facts`]);
-    /// growing a non-empty one inserts fact by fact, which keeps its sorted
-    /// orders.
+    /// growing a non-empty one bulk-builds the incoming facts and absorbs
+    /// them ([`Instance::absorb`]), which keeps its sorted orders.
     fn extend<T: IntoIterator<Item = Fact>>(&mut self, iter: T) {
+        let run = Instance::from_facts(iter);
         if self.is_empty() {
-            *self = Instance::from_facts(iter);
+            *self = run;
         } else {
-            for f in iter {
-                self.insert(f);
-            }
+            self.absorb(&run);
         }
     }
 }
 
 impl<'a> Extend<&'a Fact> for Instance {
-    /// Grows the instance from borrowed facts, copying only the ones it
-    /// does not hold yet — merging a round's output into an accumulated
-    /// state costs nothing per re-derived fact.
+    /// Copies the facts, then grows as `Extend<Fact>` does.
     fn extend<T: IntoIterator<Item = &'a Fact>>(&mut self, iter: T) {
-        if self.is_empty() {
-            self.extend(iter.into_iter().cloned());
-        } else {
-            for fact in iter {
-                self.insert_cloned(fact);
-            }
-        }
+        self.extend(iter.into_iter().cloned());
     }
 }
 
@@ -580,14 +623,8 @@ impl IntoIterator for Instance {
     /// instances moves facts instead of cloning them.
     fn into_iter(self) -> Self::IntoIter {
         let mut facts = Vec::with_capacity(self.len);
-        for mut relation in self.relations.into_values() {
-            relation.rows.truncate(relation.sorted);
-            facts.append(&mut relation.rows);
-        }
-        if !self.late.is_empty() {
-            // two ascending runs: the stable sort merges them in one pass
-            facts.extend(self.late);
-            facts.sort();
+        for mut rows in self.relations.into_values() {
+            facts.append(&mut rows);
         }
         facts.into_iter()
     }
@@ -626,6 +663,12 @@ mod tests {
 
     fn edge(a: &str, b: &str) -> Fact {
         Fact::from_names("R", &[a, b])
+    }
+
+    /// A value above every named one, ordered by `id` (named values order
+    /// by interning, which other tests of the binary share).
+    fn top(id: u32) -> Value {
+        Value::opaque(id).unwrap()
     }
 
     #[test]
@@ -717,7 +760,6 @@ mod tests {
         let moved = Instance::from_relations(vec![(s, rows(s)), (r, rows(r))]);
         assert_eq!(moved, whole);
         assert_eq!(moved.facts_of(r), whole.facts_of(r));
-        assert_eq!(moved.late.len(), 0);
         assert!(moved.contains(&edge("b", "c")) && !moved.contains(&edge("c", "b")));
 
         // descending and repeated rows, a relation listed twice, a row filed
@@ -735,7 +777,6 @@ mod tests {
             let built = Instance::from_relations(blocks);
             assert_eq!(built, whole);
             assert_eq!(built.facts_of(r), whole.facts_of(r));
-            assert_eq!(built.late.len(), 0);
         }
         assert_eq!(Instance::from_relations(vec![]), Instance::new());
         assert_eq!(Instance::from_relations(vec![(r, vec![])]), Instance::new());
@@ -799,10 +840,11 @@ mod tests {
         }
         assert_eq!(i.cached_orders(), 2);
 
-        // a second fact with the same leading value must show up after
-        // insert — without dropping the orders that are there
-        assert!(i.insert(Fact::from_names("R", &["a", "z"])));
-        assert_eq!(i.cached_orders(), 2, "insert must keep the orders");
+        // a fact above the last row is appended: the orders stay, and the
+        // next use catches them up in place
+        let above = Fact::new("R", vec![top(1), Value::new("a")]);
+        assert!(i.insert(above.clone()));
+        assert_eq!(i.cached_orders(), 2, "an append must keep the orders");
         for columns in ORDERS {
             assert_eq!(
                 order_rows(&i, "R", columns),
@@ -812,20 +854,98 @@ mod tests {
         assert_eq!(i.cached_orders(), 2, "caught up in place, not rebuilt");
 
         // inserting a duplicate leaves the set — and the orders — unchanged
-        assert!(!i.insert(Fact::from_names("R", &["a", "z"])));
+        assert!(!i.insert(above));
+        assert!(!i.insert(edge("a", "b")));
         assert_eq!(order_rows(&i, "R", &[1, 0]).len(), 3);
+        assert_eq!(i.cached_orders(), 2);
+
+        // a new fact below the last row goes in at its place, which moves
+        // rows: its relation's orders go, and only those
+        assert_eq!(order_rows(&i, "S", &[0]).len(), 1);
+        assert!(i.insert(edge("a", "z")));
+        assert_eq!(i.cached_orders(), 1, "S keeps its order");
+        for columns in ORDERS {
+            assert_eq!(
+                order_rows(&i, "R", columns),
+                expected_rows(&i, "R", columns)
+            );
+        }
 
         // a brand-new relation gets its orders the same way
         assert!(i.insert(Fact::from_names("W", &["a"])));
         assert_eq!(order_rows(&i, "W", &[0]), [[Value::new("a")]]);
-        assert_eq!(i.cached_orders(), 3);
+        assert_eq!(i.cached_orders(), 4);
+    }
+
+    #[test]
+    fn absorb_merges_a_run_in_place_and_returns_what_was_new() {
+        let v = |ids: [u32; 2]| ids.map(top).to_vec();
+        let [r, s] = ["R", "S"].map(Symbol::new);
+        let mut i = Instance::from_facts([10, 20, 30].map(|x| Fact::new(r, v([x, 0]))));
+        for columns in ORDERS {
+            assert_eq!(order_rows(&i, "R", columns).len(), 3);
+        }
+        // new rows at the front, in between, at the back; a known one; a
+        // new relation; and another arity of `R`
+        let run = Instance::from_facts([
+            Fact::new(r, v([5, 1])),
+            Fact::new(r, v([20, 0])),
+            Fact::new(r, v([25, 9])),
+            Fact::new(r, v([26, 0])),
+            Fact::new(r, v([40, 2])),
+            Fact::new(r, vec![top(1)]),
+            Fact::new(s, v([1, 1])),
+        ]);
+        let before = i.to_set();
+        let new = i.absorb(&run);
+        let expected: BTreeSet<Fact> = run.to_set().difference(&before).cloned().collect();
+        assert!(new.facts().eq(expected.iter()), "{new}");
+        assert_eq!(i.to_set(), before.union(&run.to_set()).cloned().collect());
+        assert_eq!((i.len(), new.len()), (9, 6));
+        assert!(i.facts_of(r).is_sorted_by(|a, b| a < b));
+        // the orders took the rows in on the spot: kept, and already right
+        assert_eq!(i.cached_orders(), 2);
+        for columns in ORDERS {
+            assert_eq!(
+                order_rows(&i, "R", columns),
+                expected_rows(&i, "R", columns)
+            );
+        }
+        assert_eq!(i.cached_orders(), 2);
+        // absorbing it again adds nothing
+        assert!(i.absorb(&run).is_empty());
+        assert!(i.absorb(&Instance::new()).is_empty());
+        assert_eq!(i.len(), 9);
+    }
+
+    #[test]
+    fn an_order_held_across_an_absorb_keeps_its_rows() {
+        let r = Symbol::new("R");
+        let mut i = sample();
+        let held = i.sorted_order(r, &[1, 0]);
+        let new = i.absorb(&Instance::from_facts([edge("a", "c"), edge("a", "b")]));
+        assert_eq!(new.len(), 1);
+        // the instance's order took the new row in — a copy, since the
+        // caller's is shared — and the caller's still has the old rows
+        let now = i.sorted_order(r, &[1, 0]);
+        assert!(!Arc::ptr_eq(&held, &now));
+        assert_eq!((held.rows(), now.rows(), i.cached_orders()), (2, 3, 1));
+        assert_eq!(
+            order_rows(&i, "R", &[1, 0]),
+            expected_rows(&i, "R", &[1, 0])
+        );
+        // nobody holds the new one: the next absorb changes it in place
+        drop((held, now));
+        let _ = i.absorb(&Instance::from_facts([edge("c", "a")]));
+        assert_eq!(i.sorted_order(r, &[1, 0]).rows(), 4);
     }
 
     #[test]
     fn incremental_insert_equals_a_fresh_rebuild() {
         // Growing an instance whose orders are built, a few facts at a time
-        // and out of order, must leave orders that hold exactly the rows a
-        // from-scratch bulk build sorts — merged at the front, in the middle
+        // and out of order — absorbed as a run one round, inserted one by
+        // one the next — must leave orders that hold exactly the rows a
+        // from-scratch bulk build sorts: merged at the front, in the middle
         // and at the back.
         let mut state = 0x5EED_2015u64;
         let mut random = move |bound: u64| {
@@ -837,12 +957,24 @@ mod tests {
         let mut grown = Instance::new();
         let _ = order_rows(&grown, "R", &[1, 0]); // asked for while empty
         for round in 0..40 {
+            let mut batch = Vec::new();
             for _ in 0..random(6) {
                 let values = [random(12), random(12)].map(|v| Value::indexed("m", v as usize));
-                grown.insert(Fact::new("R", values.to_vec()));
+                batch.push(Fact::new("R", values.to_vec()));
                 // another arity and another relation in between
-                grown.insert(Fact::new("R", vec![values[0]]));
-                grown.insert(Fact::new("S", vec![values[1], values[0]]));
+                batch.push(Fact::new("R", vec![values[0]]));
+                batch.push(Fact::new("S", vec![values[1], values[0]]));
+            }
+            if round % 2 == 0 {
+                let (before, orders) = (grown.to_set(), grown.cached_orders());
+                let new = grown.absorb(&Instance::from_facts(batch.iter().cloned()));
+                let batch: BTreeSet<Fact> = batch.into_iter().collect();
+                assert_eq!(new.to_set(), &batch - &before, "round {round}");
+                assert_eq!(grown.cached_orders(), orders, "absorb keeps the orders");
+            } else {
+                for fact in batch {
+                    grown.insert(fact);
+                }
             }
             let fresh = Instance::from_facts(grown.facts().cloned());
             for columns in ORDERS {
@@ -916,18 +1048,24 @@ mod tests {
         assert!(!i.remove(&edge("x", "y")));
         assert_eq!(i.cached_orders(), 2);
 
-        // a new fact leaves the orders where they are, to be caught up …
-        assert!(i.insert(edge("c", "d")));
+        // a new fact above the last row leaves the orders where they are,
+        // to be caught up …
+        let above = Fact::new(r, vec![top(2), top(3)]);
+        assert!(i.insert(above.clone()));
         assert_eq!(i.cached_orders(), 2);
         assert_eq!(i.sorted_order(r, &[1, 0]).rows(), 3);
-        // … and only a removed one drops them
-        assert!(i.remove(&edge("c", "d")));
-        assert_eq!(i.cached_orders(), 0, "a removed fact drops every order");
+        // … and a removed one drops them
+        assert!(i.remove(&above));
+        assert_eq!(
+            i.cached_orders(),
+            0,
+            "a removed fact drops its relation's orders"
+        );
         assert_eq!(i.sorted_order(r, &[1, 0]).rows(), 2);
 
         // an order someone still holds is not changed under them
         let held = i.sorted_order(r, &[1, 0]);
-        assert!(i.insert(edge("c", "d")));
+        assert!(i.insert(above));
         assert_eq!(i.sorted_order(r, &[1, 0]).rows(), 3);
         assert_eq!((held.rows(), i.cached_orders()), (2, 1));
 

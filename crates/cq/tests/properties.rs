@@ -283,8 +283,9 @@ proptest! {
     fn index_maintenance_preserves_evaluation(q in query_strategy(), i in instance_strategy(), j in instance_strategy()) {
         let mut grown = i.clone();
         // evaluate first so grown's sorted orders are built, then mutate:
-        // the second evaluation catches the orders up with the inserts and
-        // must see exactly the rows a fresh build would sort
+        // the second evaluation catches the orders up with the appends (and
+        // rebuilds those a positional insert dropped) and must see exactly
+        // the rows a fresh build would sort
         let _ = evaluate(&q, &grown);
         for f in j.facts() {
             grown.insert(f.clone());
@@ -305,6 +306,28 @@ proptest! {
         prop_assert!(i.contains_all(&diff));
         prop_assert_eq!(diff.len() + inter.len(), i.len());
         prop_assert_eq!(union.len() + inter.len(), i.len() + j.len());
+    }
+
+    /// The set operations — merge walks over the ascending rows, relation
+    /// by relation — are `BTreeSet`'s, fact for fact and in order, on
+    /// instances whose relations mix arities; and absorbing `j` into `i`
+    /// grows it to the union and hands back exactly `j \ i`.
+    #[test]
+    fn set_operations_are_the_ordered_set_operations(
+        i in mixed_arity_instance_strategy(),
+        j in mixed_arity_instance_strategy(),
+    ) {
+        let (a, b) = (i.to_set(), j.to_set());
+        let same = |instance: &Instance, set: BTreeSet<Fact>| instance.facts().eq(set.iter());
+        prop_assert!(same(&i.union(&j), &a | &b));
+        prop_assert!(same(&i.intersection(&j), &a & &b));
+        prop_assert!(same(&i.difference(&j), &a - &b));
+        prop_assert_eq!(i.contains_all(&j), b.is_subset(&a));
+        prop_assert!(i.contains_all(&i.intersection(&j)) && i.union(&j).contains_all(&j));
+        let mut grown = i.clone();
+        let new = grown.absorb(&j);
+        prop_assert!(same(&new, &b - &a));
+        prop_assert!(same(&grown, &a | &b));
     }
 
     /// Differential: the bulk builder equals inserting one fact at a time —

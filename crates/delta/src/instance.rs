@@ -1,9 +1,7 @@
 //! The delta-tracking instance: full state plus the facts new since the
 //! last round.
 
-use std::borrow::Borrow;
-
-use cq::{evaluate_seminaive_step_with, ConjunctiveQuery, EvalOptions, Fact, Instance};
+use cq::{evaluate_seminaive_step_with, ConjunctiveQuery, EvalOptions, Instance};
 
 /// An instance that makes *change* observable: next to the full fact set it
 /// keeps the set of facts added since the last [`DeltaInstance::take_delta`]
@@ -11,15 +9,14 @@ use cq::{evaluate_seminaive_step_with, ConjunctiveQuery, EvalOptions, Fact, Inst
 ///
 /// Two properties make it the storage layer of semi-naive rounds:
 ///
-/// * **Absorption is differential** — [`DeltaInstance::absorb`] adds facts
-///   to the full instance and records only the genuinely new ones in the
-///   delta; re-announced facts are ignored, so the delta is exactly
+/// * **Absorption is differential** — [`DeltaInstance::absorb`] merges a
+///   run into the full instance and records only the genuinely new facts in
+///   the delta; re-announced facts are ignored, so the delta is exactly
 ///   `full_after \ full_before` accumulated since the last round boundary.
-/// * **Indexes stay warm** — the full instance only ever grows, and a
-///   growing `cq::Instance` keeps its sorted column orders: the next
-///   evaluation catches each up by merging in the rows added since, so the
-///   index work of round `r` is reused by every later round instead of
-///   being rebuilt from scratch.
+/// * **Indexes stay warm** — the full instance only ever grows, by
+///   `cq::Instance::absorb`, which merges the new rows into its sorted
+///   column orders on the spot: the index work of round `r` is reused by
+///   every later round instead of being rebuilt from scratch.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaInstance {
     full: Instance,
@@ -53,17 +50,18 @@ impl DeltaInstance {
         &self.delta
     }
 
-    /// Adds facts, owned or borrowed; only the genuinely new ones enter the
-    /// delta. A re-announced fact costs one membership search and no copy, a
-    /// new one a copy into each instance. Returns how many facts were new.
-    pub fn absorb<F: Borrow<Fact>>(&mut self, facts: impl IntoIterator<Item = F>) -> usize {
-        let before = self.full.len();
-        for fact in facts {
-            if self.full.insert_cloned(fact.borrow()) {
-                self.delta.insert_cloned(fact.borrow());
-            }
+    /// Merges `run` into the full instance; only the genuinely new facts
+    /// enter the delta. A re-announced fact costs its step of one merge walk
+    /// and no copy. Returns how many facts were new.
+    pub fn absorb(&mut self, run: &Instance) -> usize {
+        let new = self.full.absorb(run);
+        let added = new.len();
+        if self.delta.is_empty() {
+            self.delta = new;
+        } else {
+            self.delta.absorb(&new);
         }
-        self.full.len() - before
+        added
     }
 
     /// Closes the current round: returns the accumulated delta and resets
@@ -104,7 +102,7 @@ impl DeltaInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cq::{evaluate, parse_instance};
+    use cq::{evaluate, parse_instance, Fact};
 
     fn square() -> ConjunctiveQuery {
         ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap()
@@ -125,12 +123,12 @@ mod tests {
         let mut acc = DeltaInstance::from_initial(parse_instance("R(a, b).").unwrap());
         acc.take_delta();
         assert!(acc.is_quiescent());
-        let added = acc.absorb([
+        let run = Instance::from_facts([
             Fact::from_names("R", &["a", "b"]), // already known
             Fact::from_names("R", &["b", "c"]), // new
             Fact::from_names("R", &["b", "c"]), // duplicate within the batch
         ]);
-        assert_eq!(added, 1);
+        assert_eq!(acc.absorb(&run), 1);
         assert_eq!(acc.delta(), &parse_instance("R(b, c).").unwrap());
         assert_eq!(acc.full().len(), 2);
     }
@@ -160,7 +158,7 @@ mod tests {
             cumulative.extend(new.facts().cloned());
             assert_eq!(cumulative, evaluate(&q, acc.full()));
             let feedback = new.facts().map(|f| Fact::new("R", f.values.clone()));
-            if acc.absorb(feedback) == 0 {
+            if acc.absorb(&feedback.collect()) == 0 {
                 break;
             }
         }
@@ -177,11 +175,11 @@ mod tests {
         acc.take_delta();
         let built = acc.full().cached_orders();
         assert!(built > 0);
-        acc.absorb([Fact::from_names("R", &["c", "d"])]);
+        acc.absorb(&parse_instance("R(c, d).").unwrap());
         assert_eq!(
             acc.full().cached_orders(),
             built,
-            "absorb must leave the orders to be caught up, not drop them"
+            "absorb must merge into the orders, not drop them"
         );
         let new = acc.evaluate_new(&q);
         assert!(new.contains(&Fact::from_names("T", &["b", "d"])));

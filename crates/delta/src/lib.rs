@@ -4,9 +4,9 @@
 //! instance every round. This crate owns the storage side of doing better:
 //!
 //! * [`DeltaInstance`] — an instance that tracks, next to its full fact
-//!   set, the facts that are *new since the last round*. Growth keeps the
-//!   full instance's secondary hash indexes warm (insertion maintains them
-//!   incrementally — see `cq::Instance::insert`), so every round's
+//!   set, the facts that are *new since the last round*. Growth is a merge
+//!   that keeps the full instance's sorted column orders warm (it merges
+//!   the new rows into them — see `cq::Instance::absorb`), so every round's
 //!   evaluation reuses the index work of all earlier rounds.
 //! * [`DeltaNode`] — the node-side state of a semi-naive distributed
 //!   round: absorb the round's delta chunk, derive only what is new
@@ -18,8 +18,7 @@
 //!   evaluation-ready instances for the many `evaluate` calls the engines
 //!   and decision procedures make on *identical* instances (a broadcast
 //!   round evaluates the same chunk at every node): repeated calls share
-//!   one instance whose secondary indexes and sorted column orders are
-//!   built once.
+//!   one instance whose sorted column orders are built once.
 //!
 //! ## Example
 //!
@@ -35,7 +34,7 @@
 //! acc.take_delta();
 //!
 //! // Round 2: one new edge; only derivations touching it are recomputed.
-//! acc.absorb([cq::Fact::from_names("R", &["b", "c"])]);
+//! acc.absorb(&parse_instance("R(b, c).").unwrap());
 //! let new = acc.evaluate_new(&q);
 //! assert_eq!(new, parse_instance("T(a, c).").unwrap());
 //! ```

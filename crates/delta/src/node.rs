@@ -17,7 +17,11 @@ use crate::instance::DeltaInstance;
 /// 2. derive the facts reachable through at least one new local fact
 ///    (the semi-naive differential step),
 /// 3. ship back only the derivations this node has never produced before
-///    (the *output* delta).
+///    (the *output* delta): what absorbing them into the shipped set adds.
+///
+/// Both growth steps are merges (`cq::Instance::absorb`), each traced as
+/// an `absorb` span with args `facts` (the run) and `new` (what it added),
+/// next to the step's `seminaive_step` span.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaNode {
     data: DeltaInstance,
@@ -43,12 +47,16 @@ impl DeltaNode {
         delta_chunk: &Instance,
         opts: EvalOptions,
     ) -> Instance {
-        self.data.absorb(delta_chunk.facts());
+        let mut span = obs::span!("absorb", facts = delta_chunk.len());
+        let added = self.data.absorb(delta_chunk);
+        span.arg("new", added);
+        drop(span);
         let new = self.data.evaluate_new_with(query, opts);
         self.data.take_delta();
-        new.into_iter()
-            .filter(|fact| self.derived.insert_cloned(fact))
-            .collect()
+        let mut span = obs::span!("absorb", facts = new.len());
+        let shipped = self.derived.absorb(&new);
+        span.arg("new", shipped.len());
+        shipped
     }
 
     /// The node's accumulated local data.

@@ -463,8 +463,8 @@ impl<'a> MultiRoundEngine<'a> {
     ///
     /// Termination tests whole **states**, not individual facts. With
     /// carried input states grow monotonically, so a revisited state is
-    /// exactly "this round contributed nothing new" — a size comparison,
-    /// and the one accumulated instance absorbs only the facts it lacks.
+    /// exactly "this round contributed nothing new": the accumulated
+    /// instance's absorb came back empty.
     /// In dataflow mode (`carry_input = false`) states need not grow, and a
     /// round whose facts are all individually stale can still be a *novel
     /// combination* whose evaluation derives new facts — only an exact
@@ -477,22 +477,18 @@ impl<'a> MultiRoundEngine<'a> {
         state: &mut RoundState,
         fresh: Option<&mut Instance>,
     ) -> bool {
-        result.extend(output.facts());
+        result.absorb(output);
         match state {
             RoundState::Carried(accumulated) => {
-                let before = accumulated.len();
-                match (fresh, self.feedback) {
-                    (Some(fresh), _) => {
-                        *fresh = self
-                            .feedback_facts(output)
-                            .into_iter()
-                            .filter(|fact| accumulated.insert_cloned(fact))
-                            .collect();
-                    }
-                    (None, Some(_)) => accumulated.extend(self.feedback_facts(output)),
-                    (None, None) => accumulated.extend(output.facts()),
+                let added = match self.feedback {
+                    Some(_) => accumulated.absorb(&self.feedback_facts(output)),
+                    None => accumulated.absorb(output),
+                };
+                let done = added.is_empty();
+                if let Some(fresh) = fresh {
+                    *fresh = added;
                 }
-                accumulated.len() == before
+                done
             }
             RoundState::Dataflow {
                 current,
@@ -500,7 +496,7 @@ impl<'a> MultiRoundEngine<'a> {
                 visited,
             } => {
                 let next = self.feedback_facts(output);
-                seen.extend(next.facts());
+                seen.absorb(&next);
                 if !visited.insert(next.to_set()) {
                     return true;
                 }

@@ -140,35 +140,36 @@ impl Histogram {
 
     /// The current count/sum/min/max plus reservoir quantiles.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let inner = &self.0;
-        let count = inner.count.load(Ordering::Relaxed);
-        let (p50, p90, p99) = {
-            let samples = inner.samples.lock().expect("histogram reservoir poisoned");
-            if samples.is_empty() {
-                (0, 0, 0)
-            } else {
-                let mut sorted = samples.clone();
-                sorted.sort_unstable();
-                (
-                    quantile(&sorted, 50),
-                    quantile(&sorted, 90),
-                    quantile(&sorted, 99),
-                )
-            }
+        Histogram::merged_snapshot(std::slice::from_ref(self))
+    }
+
+    /// One snapshot of several histograms read as one: count, sum, min and
+    /// max exact over every sample of every histogram, the quantiles
+    /// nearest-rank over the union of their reservoirs.
+    pub fn merged_snapshot(histograms: &[Histogram]) -> HistogramSnapshot {
+        let mut merged = HistogramSnapshot {
+            min: u64::MAX,
+            ..HistogramSnapshot::default()
         };
-        HistogramSnapshot {
-            count,
-            sum: inner.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                inner.min.load(Ordering::Relaxed)
-            },
-            max: inner.max.load(Ordering::Relaxed),
-            p50,
-            p90,
-            p99,
+        let mut sorted = Vec::new();
+        for histogram in histograms {
+            let inner = &histogram.0;
+            merged.count += inner.count.load(Ordering::Relaxed);
+            merged.sum = merged.sum.wrapping_add(inner.sum.load(Ordering::Relaxed));
+            merged.min = merged.min.min(inner.min.load(Ordering::Relaxed));
+            merged.max = merged.max.max(inner.max.load(Ordering::Relaxed));
+            sorted.extend_from_slice(&inner.samples.lock().expect("histogram reservoir poisoned"));
         }
+        if merged.count == 0 {
+            merged.min = 0;
+        }
+        if !sorted.is_empty() {
+            sorted.sort_unstable();
+            merged.p50 = quantile(&sorted, 50);
+            merged.p90 = quantile(&sorted, 90);
+            merged.p99 = quantile(&sorted, 99);
+        }
+        merged
     }
 
     /// Mean sample value (0 when empty).
@@ -224,10 +225,29 @@ impl Registry {
 
     /// A snapshot of every histogram, sorted by name.
     pub fn histograms(&self) -> BTreeMap<String, HistogramSnapshot> {
-        let histograms = self.histograms.lock().expect("metrics registry poisoned");
-        histograms
-            .iter()
-            .map(|(name, h)| (name.clone(), h.snapshot()))
+        Registry::merged_histograms(&[self])
+    }
+
+    /// A snapshot of every histogram of `registries`, sorted by name; the
+    /// histograms sharing a name are read as one
+    /// ([`Histogram::merged_snapshot`]).
+    pub fn merged_histograms(registries: &[&Registry]) -> BTreeMap<String, HistogramSnapshot> {
+        let mut named: BTreeMap<String, Vec<Histogram>> = BTreeMap::new();
+        for registry in registries {
+            let histograms = registry
+                .histograms
+                .lock()
+                .expect("metrics registry poisoned");
+            for (name, histogram) in histograms.iter() {
+                named
+                    .entry(name.clone())
+                    .or_default()
+                    .push(histogram.clone());
+            }
+        }
+        named
+            .into_iter()
+            .map(|(name, histograms)| (name, Histogram::merged_snapshot(&histograms)))
             .collect()
     }
 }
@@ -305,6 +325,42 @@ mod tests {
         assert_eq!(snap.min, 0);
         assert_eq!(snap.p50, 1);
         assert_eq!(snap.p99, 1);
+    }
+
+    #[test]
+    fn same_named_histograms_merge_exactly_and_pool_their_reservoirs() {
+        let (a, b) = (Registry::new(), Registry::new());
+        for value in [3, 1, 2] {
+            a.histogram("lat_us").record(value);
+        }
+        for value in [20, 10] {
+            b.histogram("lat_us").record(value);
+        }
+        b.histogram("only_b").record(7);
+        let merged = Registry::merged_histograms(&[&a, &b]);
+        // count, sum, min, max over all five; quantiles over 1 2 3 10 20
+        let expected = HistogramSnapshot {
+            count: 5,
+            sum: 36,
+            min: 1,
+            max: 20,
+            p50: 3,
+            p90: 10,
+            p99: 10,
+        };
+        assert_eq!(merged["lat_us"], expected);
+        assert_eq!(merged["only_b"], b.histograms()["only_b"]);
+        // an empty histogram adds nothing, and a lone one is its snapshot
+        a.histogram("empty");
+        let h = a.histogram("lat_us");
+        assert_eq!(
+            Histogram::merged_snapshot(&[h.clone(), Histogram::detached()]),
+            h.snapshot()
+        );
+        assert_eq!(
+            Registry::merged_histograms(&[&a])["empty"],
+            HistogramSnapshot::default()
+        );
     }
 
     #[test]

@@ -334,6 +334,14 @@ impl Span {
     pub fn id(&self) -> u64 {
         self.id
     }
+
+    /// Adds an argument only known once the work is done (how many facts
+    /// a merge added); a disabled site's guard ignores it for free.
+    pub fn arg(&mut self, key: &str, value: impl ToString) {
+        if self.trace != 0 {
+            self.args.push((key.to_string(), value.to_string()));
+        }
+    }
 }
 
 impl Drop for Span {
@@ -527,6 +535,7 @@ mod tests {
                 vec![]
             });
             crate::instant!("quiet_instant", x = 1);
+            span("quiet_late").arg("new", 1);
         }
         assert!(!evaluated.get(), "args must not be built when disabled");
         start_trace();
@@ -541,9 +550,10 @@ mod tests {
             let outer = crate::span!("outer");
             let outer_id = outer.id();
             {
-                let inner = crate::span!("inner", node = "n0");
+                let mut inner = crate::span!("inner", node = "n0");
                 assert_ne!(inner.id(), outer_id);
                 crate::instant!("tick");
+                inner.arg("new", 3);
             }
         }
         let events = end_trace();
@@ -555,7 +565,8 @@ mod tests {
         assert_eq!(inner.parent, outer.id);
         assert_eq!(tick.parent, inner.id);
         assert_eq!(tick.kind, EventKind::Instant);
-        assert_eq!(inner.args, vec![("node".to_string(), "n0".to_string())]);
+        let args = [("node", "n0"), ("new", "3")].map(|(k, v)| (k.to_string(), v.to_string()));
+        assert_eq!(inner.args, args);
         // Temporal containment: the inner span lies within the outer.
         assert!(outer.ts_us <= inner.ts_us);
         assert!(inner.ts_us + inner.dur_us <= outer.ts_us + outer.dur_us);

@@ -759,7 +759,7 @@ impl WireTransport {
         match shipment {
             Shipment::Delta(delta) if round > 0 => {
                 let state = self.shipped_state.entry(node).or_default();
-                Arc::make_mut(state).extend(delta.facts().cloned());
+                Arc::make_mut(state).absorb(&delta);
                 if self.needs_rebuild.remove(&node) {
                     // Ship the full accumulated state as a round-0 reset.
                     (0, Shipment::Delta(state.clone()))

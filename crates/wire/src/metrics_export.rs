@@ -3,8 +3,8 @@
 //! A run touches several registries — the multi-round engine owns one
 //! (transfer-cache counters, round latencies), each transport owns one
 //! (index-cache counters, chunk sizes; the pipelined driver adds frame
-//! bytes and window waits). Their metric names are disjoint by
-//! convention, so a report merges them into a single document:
+//! bytes and window waits). A report merges them into a single document,
+//! a metric named in several registries into one entry:
 //!
 //! ```json
 //! {"counters": {"transfer_checks": 3},
@@ -13,8 +13,8 @@
 //! ```
 //!
 //! Quantiles follow [`obs::HistogramSnapshot`] semantics: nearest-rank
-//! over the retained reservoir of recent samples, exact until the
-//! reservoir wraps.
+//! over the retained reservoir of recent samples (of every histogram of
+//! the name), exact until a reservoir wraps.
 
 use obs::{HistogramSnapshot, Registry};
 
@@ -40,21 +40,17 @@ pub fn registry_json(registry: &Registry) -> JsonValue {
 }
 
 /// Renders several registries as one document. Counters appearing in
-/// more than one registry are summed; a histogram name appearing twice
-/// keeps the first occurrence (names are disjoint by convention, so this
-/// only matters for pathological collisions).
+/// more than one registry are summed; histograms sharing a name are merged
+/// — count, sum, min and max exactly, the quantiles over the union of their
+/// reservoirs ([`Registry::merged_histograms`]).
 pub fn merged_registry_json(registries: &[&Registry]) -> JsonValue {
     let mut counters: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut histograms: std::collections::BTreeMap<String, HistogramSnapshot> =
-        std::collections::BTreeMap::new();
     for registry in registries {
         for (name, value) in registry.counters() {
             *counters.entry(name).or_default() += value;
         }
-        for (name, snapshot) in registry.histograms() {
-            histograms.entry(name).or_insert(snapshot);
-        }
     }
+    let histograms = Registry::merged_histograms(registries);
     JsonValue::object([
         (
             "counters",
@@ -125,5 +121,30 @@ mod tests {
         let histograms = doc.get("histograms").unwrap();
         assert!(histograms.get("only_a").is_some());
         assert!(histograms.get("only_b").is_some());
+    }
+
+    #[test]
+    fn same_named_histograms_of_two_registries_export_as_one() {
+        let (a, b) = (Registry::new(), Registry::new());
+        for value in [5, 1] {
+            a.histogram("round_latency_us").record(value);
+        }
+        for value in [9, 3, 7] {
+            b.histogram("round_latency_us").record(value);
+        }
+        let doc = merged_registry_json(&[&a, &b]);
+        let reparsed = JsonValue::parse(&doc.to_string()).unwrap();
+        let lat = reparsed
+            .get("histograms")
+            .and_then(|h| h.get("round_latency_us"))
+            .unwrap();
+        let field = |k: &str| lat.get(k).and_then(JsonValue::as_u64).unwrap();
+        // not the first registry's (count 2, max 5): both, merged
+        assert_eq!(
+            ["count", "sum", "min", "max", "mean"].map(field),
+            [5, 25, 1, 9, 5]
+        );
+        // nearest rank over 1 3 5 7 9
+        assert_eq!(["p50", "p90", "p99"].map(field), [5, 7, 7]);
     }
 }

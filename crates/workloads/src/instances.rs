@@ -28,16 +28,16 @@ fn value(i: usize) -> Value {
 /// A uniformly random instance over `schema`.
 pub fn random_instance<R: Rng>(rng: &mut R, schema: &Schema, params: InstanceParams) -> Instance {
     assert!(params.domain_size >= 1);
-    let mut out = Instance::new();
+    let mut facts = Vec::new();
     for rel in schema.relations() {
         for _ in 0..params.facts_per_relation {
             let tuple: Tuple = (0..rel.arity)
                 .map(|_| value(rng.gen_range(0..params.domain_size)))
                 .collect();
-            out.insert(Fact::new(rel.name, tuple));
+            facts.push(Fact::new(rel.name, tuple));
         }
     }
-    out
+    Instance::from_facts(facts)
 }
 
 /// A skewed instance over `schema`: the first attribute of every fact follows
@@ -66,7 +66,7 @@ pub fn zipf_instance<R: Rng>(
         cumulative.iter().position(|&c| u <= c).unwrap_or(0)
     };
 
-    let mut out = Instance::new();
+    let mut facts = Vec::new();
     for rel in schema.relations() {
         for _ in 0..params.facts_per_relation {
             let tuple: Tuple = (0..rel.arity)
@@ -78,10 +78,10 @@ pub fn zipf_instance<R: Rng>(
                     }
                 })
                 .collect();
-            out.insert(Fact::new(rel.name, tuple));
+            facts.push(Fact::new(rel.name, tuple));
         }
     }
-    out
+    Instance::from_facts(facts)
 }
 
 /// Resolves a named workload instance spec over `schema`:
@@ -160,13 +160,11 @@ pub fn named_instance(spec: &str, schema: &Schema) -> Result<Instance, String> {
 
 /// The complete binary relation `name` over the given values (all pairs).
 pub fn complete_binary_relation(name: &str, values: &[&str]) -> Instance {
-    let mut out = Instance::new();
-    for x in values {
-        for y in values {
-            out.insert(Fact::from_names(name, &[x, y]));
-        }
-    }
-    out
+    Instance::from_facts(
+        values
+            .iter()
+            .flat_map(|x| values.iter().map(move |y| Fact::from_names(name, &[x, y]))),
+    )
 }
 
 #[cfg(test)]

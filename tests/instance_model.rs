@@ -1,8 +1,9 @@
 //! `Instance` against a `BTreeSet<Fact>` model: whatever sequence of bulk
-//! builds, in-order and out-of-order inserts, extends and removes produced
-//! an instance, everything observable depends on its fact set alone — and
-//! the sorted orders the join kernel walks, kept while it grows and dropped
-//! by a remove, hold what a fresh build would sort.
+//! builds, in-order and out-of-order inserts, absorbed runs, extends and
+//! removes produced an instance, everything observable depends on its fact
+//! set alone — and the sorted orders the join kernel walks, carried forward
+//! while it grows and dropped when rows move, hold what a fresh build would
+//! sort.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
@@ -121,12 +122,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48).with_rng_seed(0x17_FAC7))]
 
     /// Random interleavings of every way to change an instance, with its
-    /// sorted orders asked for (so: kept and caught up from then on, until
-    /// a remove drops them) in between.
+    /// sorted orders asked for after every step (so: carried forward by
+    /// appends and absorbs, dropped and rebuilt when rows move).
     #[test]
     fn every_history_matches_the_ordered_set_model(
         steps in proptest::collection::vec(
-            (0..7usize, proptest::collection::vec(fact_strategy(), 0..12)),
+            (0..8usize, proptest::collection::vec(fact_strategy(), 0..12)),
             1..14,
         ),
         probes in proptest::collection::vec(fact_strategy(), 8..9),
@@ -142,9 +143,16 @@ proptest! {
                 1 => for fact in &batch {
                     prop_assert_eq!(instance.insert(fact.clone()), model.insert(fact.clone()));
                 },
-                2 => for fact in &batch {
-                    prop_assert_eq!(instance.insert_cloned(fact), model.insert(fact.clone()));
-                },
+                // a run merged in: what comes back is exactly `run \ before`
+                2 => {
+                    let run = Instance::from_facts(batch.iter().cloned());
+                    let orders = instance.cached_orders();
+                    let new = instance.absorb(&run);
+                    let expected = run.facts().filter(|fact| !model.contains(*fact));
+                    prop_assert!(new.facts().eq(expected), "{} absorbing {}", new, run);
+                    prop_assert_eq!(instance.cached_orders(), orders, "absorb keeps the orders");
+                    model.extend(batch.iter().cloned());
+                }
                 3 => {
                     instance.extend(batch.iter().cloned());
                     model.extend(batch.iter().cloned());
@@ -156,6 +164,15 @@ proptest! {
                 5 => for fact in batch.iter().chain(&probes).take(6) {
                     prop_assert_eq!(instance.remove(fact), model.remove(fact));
                 },
+                // descending: every new fact but the first lands below its
+                // relation's last row, a positional insert
+                6 => {
+                    let mut descending = batch.clone();
+                    descending.sort_by(|a, b| b.cmp(a));
+                    for fact in descending {
+                        prop_assert_eq!(instance.insert(fact.clone()), model.insert(fact));
+                    }
+                }
                 // an evaluation builds the orders, or catches up the ones
                 // the steps since the last have outgrown
                 _ => {
@@ -164,13 +181,14 @@ proptest! {
                 }
             }
             assert_matches_model(&instance, &model, &probes);
+            // and the instance's own orders, carried forward or rebuilt
+            assert_orders_match_a_fresh_build(&instance, &model);
         }
-        assert_orders_match_a_fresh_build(&instance, &model);
     }
 
     /// Equal fact sets are equal instances, however they came about: bulk
     /// build, ascending inserts, shuffled inserts (the out-of-order path),
-    /// and inserts followed by removes.
+    /// runs absorbed one after another, and inserts followed by removes.
     #[test]
     fn build_history_is_unobservable(
         facts in proptest::collection::vec(fact_strategy(), 0..40),
@@ -179,19 +197,29 @@ proptest! {
         let model: BTreeSet<Fact> = facts.iter().cloned().collect();
         let bulk = Instance::from_facts(facts.iter().cloned());
         let mut ascending = Instance::new();
-        model.iter().for_each(|fact| { ascending.insert_cloned(fact); });
+        model.iter().for_each(|fact| { ascending.insert(fact.clone()); });
         let mut shuffled = Instance::new();
-        facts.iter().for_each(|fact| { shuffled.insert_cloned(fact); });
+        facts.iter().for_each(|fact| { shuffled.insert(fact.clone()); });
+        let mut absorbed = Instance::new();
+        for run in facts.chunks(7) {
+            absorbed.absorb(&Instance::from_facts(run.iter().cloned()));
+        }
         let mut pruned = Instance::new();
         assert_orders_match_a_fresh_build(&pruned, &BTreeSet::new());
-        extra.iter().chain(&facts).for_each(|fact| { pruned.insert_cloned(fact); });
+        extra.iter().chain(&facts).for_each(|fact| { pruned.insert(fact.clone()); });
         for fact in extra.iter().filter(|fact| !model.contains(fact)) {
             pruned.remove(fact);
         }
 
         let mut cache = IndexCache::new(4);
         cache.warm(&bulk);
-        for (name, other) in [("ascending", &ascending), ("shuffled", &shuffled), ("pruned", &pruned)] {
+        let histories = [
+            ("ascending", &ascending),
+            ("shuffled", &shuffled),
+            ("absorbed", &absorbed),
+            ("pruned", &pruned),
+        ];
+        for (name, other) in histories {
             prop_assert_eq!(other, &bulk, "{}", name);
             prop_assert_eq!(other.cmp(&bulk), std::cmp::Ordering::Equal, "{}", name);
             prop_assert_eq!(hash_of(other), hash_of(&bulk), "{}", name);
@@ -211,15 +239,15 @@ proptest! {
 fn twelve_rounds_of_growth_keep_one_order_per_relation_and_column_order() {
     // The 2-path walks `M0` in both column orders. Twelve rounds absorb a
     // batch each into the one accumulated instance and evaluate on it, the
-    // differential step and in full: the two orders are caught up round
-    // after round — never dropped, never piled up next to stale ones — and
-    // hold at every round what a fresh build sorts.
+    // differential step and in full: the two orders take the new rows in
+    // round after round — never dropped, never piled up next to stale ones
+    // — and hold at every round what a fresh build sorts.
     let query = ConjunctiveQuery::parse("Q(x, z) :- M0(x, y), M0(y, z).").unwrap();
     let edge = |i: usize| Fact::new(relation(0), vec![value(i * 7 % 40), value(i * 11 % 37)]);
     let mut data = DeltaInstance::new();
     let mut answers = Instance::new();
     for round in 0..12 {
-        let added = data.absorb((0..25).map(|i| edge(round * 25 + i)));
+        let added = data.absorb(&(0..25).map(|i| edge(round * 25 + i)).collect());
         assert!(added > 0, "round {round} grows the instance");
         answers.extend(data.evaluate_new(&query).facts());
         data.take_delta();
