@@ -39,17 +39,22 @@
 //!   sorted order and every other atom at the full instance's, and binds the
 //!   pivot atom's variables first: a pass costs in proportion to the delta,
 //!   not to the accumulated instance.
-//! * **Answers before facts.** `evaluate*` project every satisfying
-//!   assignment onto the head slots and collect the tuples with set
-//!   semantics *before any [`Fact`] exists*: a hash probe on the projection,
-//!   a [`Tuple`] only for one seen for the first time (inline, so no
-//!   allocation, up to a head of arity 5), and one [`Instance::from_facts`]
-//!   over the distinct set at the end. The work per derivation is a probe;
-//!   the allocations are at most O(answers), never O(valuations).
-//!   (`evaluate_done` in a trace carries both counts.) A full evaluation of
-//!   a query whose head mentions every variable skips the set: each leaf of
-//!   one enumeration is a new answer there, valuations = answers, and the
-//!   bulk build's sort and dedup finish the job.
+//! * **Answers as packed keys.** `evaluate*` project every satisfying
+//!   assignment onto the head slots and collect the projections with set
+//!   semantics *before any [`Fact`] exists*. A head of arity ≤ 4 — every
+//!   projecting head the workloads use — packs into one `u128` key, each
+//!   value's 32-bit symbol id with the first head value in the high bits, so
+//!   a derivation costs one integer hash probe. The keys of one head order
+//!   as its tuples do (an opaque id keeps its place after the named ones),
+//!   so the distinct keys are sorted as integers and unpacked into ascending
+//!   rows that [`Instance::from_relations`] moves in: no [`Fact`] is sorted.
+//!   A wider head keeps a set of [`Tuple`]s and one [`Instance::from_facts`]
+//!   at the end. Either way the work per derivation is a probe and the
+//!   allocations are O(answers), never O(valuations). (`evaluate_done` in a
+//!   trace carries both counts.) A full evaluation of a query whose head
+//!   mentions every variable skips the set: each leaf of one enumeration is
+//!   a new answer there, valuations = answers, and the bulk build's sort
+//!   and dedup finish the job.
 //! * **Valuations only at the boundary.** [`CompiledQuery`] is public:
 //!   [`CompiledQuery::for_each_satisfying`] hands every leaf's slot array to
 //!   the caller, which is what the decision procedures of `pc-core` loop
@@ -68,7 +73,7 @@
 //! the search differ. A fact only ever matches an atom of its own arity, so
 //! ill-formed (mixed-arity) relations evaluate the same under both.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -816,10 +821,23 @@ where
     })
 }
 
+/// The widest head whose projection packs into one `u128` answer key: four
+/// 32-bit ids.
+const PACKED_ARITY: usize = 4;
+
 /// The head tuples of an evaluation.
 enum Collected {
-    /// Set semantics *before any [`Fact`] exists*: the general case.
-    Distinct(HashSet<Tuple, SymbolHashBuilder>),
+    /// Set semantics over packed keys *before any [`Fact`] exists*, for a
+    /// head of arity ≤ [`PACKED_ARITY`]: each head value's [`Value::raw`]
+    /// id, the first in the high bits. The keys of one head order as its
+    /// tuples do, so sorting the integers sorts the answers.
+    Packed(HashSet<u128, SymbolHashBuilder>),
+    /// Set semantics over tuples, for a head too wide to pack; `scratch`
+    /// holds the projection of the leaf at hand.
+    Tuples {
+        distinct: HashSet<Tuple, SymbolHashBuilder>,
+        scratch: Vec<Value>,
+    },
     /// Every leaf is a new answer, so there is nothing to look up: the leaves
     /// of one enumeration are distinct valuations, and a head in which every
     /// variable occurs keeps them apart.
@@ -831,8 +849,6 @@ struct Answers {
     relation: Symbol,
     /// The head projection: the slot of each head argument.
     head: Vec<usize>,
-    /// The projection of the leaf at hand, reused across leaves.
-    tuple: Vec<Value>,
     collected: Collected,
     valuations: u64,
 }
@@ -841,61 +857,78 @@ impl Answers {
     /// `single_pass`: whether the leaves will come from one enumeration (a
     /// semi-naive step's pivoted passes derive one valuation several times).
     fn new(compiled: &CompiledQuery<'_>, single_pass: bool) -> Answers {
-        let head = compiled.query.head();
+        let arity = compiled.head.len();
         let full_head = (0..compiled.vars.len()).all(|slot| compiled.head.contains(&slot));
+        let collected = if single_pass && full_head {
+            Collected::Each(Vec::new())
+        } else if arity <= PACKED_ARITY {
+            Collected::Packed(HashSet::default())
+        } else {
+            Collected::Tuples {
+                distinct: HashSet::default(),
+                scratch: Vec::with_capacity(arity),
+            }
+        };
         Answers {
-            relation: head.relation,
+            relation: compiled.query.head().relation,
             head: compiled.head.clone(),
-            tuple: Vec::with_capacity(head.arity()),
-            collected: if single_pass && full_head {
-                Collected::Each(Vec::new())
-            } else {
-                Collected::Distinct(HashSet::default())
-            },
+            collected,
             valuations: 0,
         }
     }
 
-    /// Records the head tuple of one satisfying assignment; copies it only
-    /// when it is new (and allocates only if it is wider than 5 as well).
+    /// Records the head tuple of one satisfying assignment: one key probe
+    /// for a packed head; a wide one is copied only when it is new.
     fn collect(&mut self, slots: &Slots) -> ControlFlow<()> {
         self.valuations += 1;
         let head = self.head.iter();
-        let mut values = head.map(|&slot| slots[slot].expect("every slot is bound at a leaf"));
+        let values = head.map(|&slot| slots[slot].expect("every slot is bound at a leaf"));
         match &mut self.collected {
+            Collected::Packed(keys) => {
+                keys.insert(values.fold(0, |key, value| key << 32 | u128::from(value.raw())));
+            }
+            Collected::Tuples { distinct, scratch } => {
+                scratch.clear();
+                scratch.extend(values);
+                if !distinct.contains(scratch.as_slice()) {
+                    distinct.insert(scratch.iter().copied().collect());
+                }
+            }
             Collected::Each(facts) => {
                 facts.push(Fact::new(self.relation, Tuple::from_iter(values)))
-            }
-            Collected::Distinct(distinct) => {
-                self.tuple.clear();
-                self.tuple.extend(&mut values);
-                if !distinct.contains(self.tuple.as_slice()) {
-                    distinct.insert(self.tuple.iter().copied().collect());
-                }
             }
         }
         ControlFlow::Continue(())
     }
 
-    /// The answers as an instance: one bulk build, whose sort is a linear
-    /// pass over answers that arrive ascending (as the triejoin's do when
-    /// the head lists the variables in search order) and whose dedup
-    /// keeps set semantics whatever the collection assumed.
+    /// The answers as an instance. Packed keys are sorted as integers and
+    /// unpacked into ascending rows, which move in as they stand; the other
+    /// collections go through the bulk build's sort and dedup.
     fn finish(self) -> Instance {
         let relation = self.relation;
-        let facts: Vec<Fact> = match self.collected {
-            Collected::Each(facts) => facts,
-            Collected::Distinct(distinct) => {
-                let distinct = distinct.into_iter();
-                distinct.map(|values| Fact::new(relation, values)).collect()
+        let arity = self.head.len();
+        let answers = match self.collected {
+            Collected::Packed(keys) => {
+                let mut keys: Vec<u128> = keys.into_iter().collect();
+                keys.sort_unstable();
+                let unpack = |key: u128| {
+                    let ids = (0..arity).rev().map(|at| (key >> (32 * at)) as u32);
+                    Fact::new(relation, ids.map(Value::from_raw).collect::<Tuple>())
+                };
+                Instance::from_relations(vec![(relation, keys.into_iter().map(unpack).collect())])
             }
+            Collected::Tuples { distinct, .. } => {
+                let distinct = distinct.into_iter();
+                Instance::from_facts(distinct.map(|values| Fact::new(relation, values)))
+            }
+            Collected::Each(facts) => Instance::from_facts(facts),
         };
         obs::instant!(
             "evaluate_done",
             valuations = self.valuations,
-            answers = facts.len()
+            answers = answers.len()
         );
-        Instance::from_facts(facts)
+        answers
     }
 }
 
@@ -961,7 +994,8 @@ pub fn satisfying_valuations(query: &ConjunctiveQuery, instance: &Instance) -> V
     satisfying_valuations_with(query, instance, &Valuation::new(), EvalOptions::default())
 }
 
-/// All satisfying valuations extending the partial valuation `fixed`.
+/// All satisfying valuations extending the partial valuation `fixed`, each
+/// once: the leaves of one enumeration are distinct valuations.
 pub fn satisfying_valuations_with(
     query: &ConjunctiveQuery,
     instance: &Instance,
@@ -969,11 +1003,8 @@ pub fn satisfying_valuations_with(
     opts: EvalOptions,
 ) -> Vec<Valuation> {
     let mut out = Vec::new();
-    let mut seen = BTreeSet::new();
     let _ = for_each_satisfying(query, instance, fixed, opts, |v| {
-        if seen.insert(v.clone()) {
-            out.push(v.clone());
-        }
+        out.push(v.clone());
         ControlFlow::Continue(())
     });
     out
@@ -999,6 +1030,7 @@ pub fn evaluate_with(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOp
 mod tests {
     use super::*;
     use crate::parse_instance;
+    use std::collections::BTreeSet;
 
     fn q(text: &str) -> ConjunctiveQuery {
         ConjunctiveQuery::parse(text).unwrap()
@@ -1159,22 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_mode_never_builds_the_secondary_indexes() {
-        let query = q("T(x, z) :- R(x, y), S(y, z).");
-        let i = parse_instance("R(a, b). R(b, c). S(b, c). S(c, d).").unwrap();
-        let opts = EvalOptions::ScanOracle;
-        let vals = satisfying_valuations_with(&query, &i, &Valuation::new(), opts);
-        assert!(!vals.is_empty());
-        let step = evaluate_seminaive_step_with(&query, &i, &i, opts);
-        assert_eq!(step, evaluate(&query, &i.clone()));
-        assert_eq!(
-            i.cached_orders(),
-            0,
-            "the scan oracle must not build a sorted order"
-        );
-    }
-
-    #[test]
     fn the_triejoin_caches_one_order_per_column_order_it_walks() {
         // The sorted orders are all the kernel reads and all an instance
         // caches — one for `E(x, y)` and `E(y, z)`, one for `E(z, x)`,
@@ -1187,27 +1203,84 @@ mod tests {
     }
 
     #[test]
-    fn auto_strategy_resolves_by_cyclicity() {
-        // No rule is left to resolve: cyclic or not, a query runs the
-        // triejoin — seen by the orders it leaves on the instance — and
-        // `ScanOracle` alone selects the scan oracle, which leaves none,
-        // whatever the query.
-        let triangle = q("T(x, y, z) :- E(x, y), E(y, z), E(z, x).");
-        let chain = q("T(x, z) :- E(x, y), E(y, z).");
-        for query in [&triangle, &chain] {
-            let i = parse_instance("E(a, b). E(b, c). E(c, a). E(a, d). E(b, a).").unwrap();
+    fn only_the_scan_oracle_builds_no_sorted_order() {
+        // Cyclic or not, a query runs the triejoin — seen by the orders it
+        // leaves on the instance — and `ScanOracle` alone selects the scan
+        // oracle, which leaves none, whatever the query, in a full search
+        // and in a semi-naive step alike.
+        let edges = "E(a, b). E(b, c). E(c, a). E(a, d). E(b, a).";
+        for (query, instance) in [
+            ("T(x, y, z) :- E(x, y), E(y, z), E(z, x).", edges),
+            ("T(x, z) :- E(x, y), E(y, z).", edges),
+            (
+                "T(x, z) :- R(x, y), S(y, z).",
+                "R(a, b). R(b, c). S(b, c). S(c, d). S(c, a).",
+            ),
+        ] {
+            let (query, i) = (q(query), parse_instance(instance).unwrap());
             let scan = EvalOptions::ScanOracle;
             assert_eq!(scan.kernel(), "binary");
-            let mut scanned = leaves(query, &i, None, &Valuation::new(), scan);
+            let mut scanned = leaves(&query, &i, None, &Valuation::new(), scan);
+            let step = evaluate_seminaive_step_with(&query, &i, &i, scan);
+            assert_eq!(step, evaluate(&query, &i.clone()), "{query}");
             assert_eq!(i.cached_orders(), 0, "{query}: the oracle builds no order");
             let indexed = EvalOptions::default();
             assert_eq!(indexed.kernel(), "multiway");
-            let mut walked = leaves(query, &i, None, &Valuation::new(), indexed);
+            let mut walked = leaves(&query, &i, None, &Valuation::new(), indexed);
             assert_eq!(i.cached_orders(), 2, "{query}: the triejoin walks orders");
             assert!(walked.len() >= 3, "{query}");
             walked.sort();
             scanned.sort();
             assert_eq!(walked, scanned, "{query}");
+        }
+    }
+
+    #[test]
+    fn projected_answers_are_the_projection_of_every_valuation() {
+        // Opaque ids sort after every named one, and a packed key must keep
+        // them there: heads of arity 0 to 5 — the last too wide to pack —
+        // with repeated head variables, over values of both kinds.
+        let named = ["a", "b", "c"].map(Value::new);
+        let opaque = [3, 1 << 30, (1 << 31) - 1].map(|id| Value::opaque(id).unwrap());
+        let values: Vec<Value> = named.into_iter().chain(opaque).collect();
+        let r = Symbol::new("R");
+        let edges = (0..values.len()).flat_map(|i| [(i, (i + 1) % 6), (i, (i * 5 + 2) % 6)]);
+        let edge = |(i, j): (usize, usize)| Fact::new(r, vec![values[i], values[j]]);
+        let full = Instance::from_facts(edges.map(edge));
+        let opaque_value = |value: &Value| value.symbol().is_opaque();
+        let from_opaque = full.facts().filter(|fact| opaque_value(&fact.values[0]));
+        let delta: Instance = from_opaque.cloned().collect();
+        for text in [
+            "T() :- R(x, y), R(y, z).",
+            "T(z) :- R(x, y), R(y, z).",
+            "T(z, x) :- R(x, y), R(y, z).",
+            "T(x, x, z) :- R(x, y), R(y, z).",
+            "T(w, z, y, x) :- R(x, y), R(y, z), R(z, w), R(w, v).",
+            "T(v, w, z, y, x) :- R(x, y), R(y, z), R(z, w), R(w, v), R(v, u).",
+        ] {
+            let query = q(text);
+            // The head of every valuation on `full` that uses a fact of
+            // `used`, one fact at a time: no answer set involved.
+            let projected = |used: &Instance| -> Instance {
+                let valuations = satisfying_valuations(&query, &full).into_iter();
+                let valuations = valuations.filter(|v| {
+                    let required = v.required_facts(&query);
+                    !required.intersection(used).is_empty()
+                });
+                valuations.map(|v| v.derived_fact(&query)).collect()
+            };
+            let (answers, derived_anew) = (projected(&full), projected(&delta));
+            assert!(!derived_anew.is_empty(), "{query}");
+            let mixed = answers
+                .facts()
+                .any(|fact| fact.values.iter().any(opaque_value));
+            assert!(mixed || query.head().arity() == 0, "{query}");
+            for opts in all_options() {
+                let evaluated = evaluate_with(&query, &full, opts);
+                assert_eq!(evaluated, answers, "{query}: {opts:?}");
+                let step = evaluate_seminaive_step_with(&query, &full, &delta, opts);
+                assert_eq!(step, derived_anew, "{query}: {opts:?}");
+            }
         }
     }
 

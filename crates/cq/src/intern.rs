@@ -320,6 +320,18 @@ impl Symbol {
     pub fn is_opaque(self) -> bool {
         self.0 >= OPAQUE
     }
+
+    /// The whole 32-bit id, opaque bit included: it orders as the symbol
+    /// does, so packed side by side such ids order as the symbols would.
+    pub(crate) fn raw(self) -> u32 {
+        self.0
+    }
+
+    /// The symbol whose [`Symbol::raw`] id is `raw`, unchecked: only ever
+    /// given back what `raw` answered.
+    pub(crate) fn from_raw(raw: u32) -> Symbol {
+        Symbol(raw)
+    }
 }
 
 impl fmt::Debug for Symbol {
@@ -358,8 +370,9 @@ impl From<String> for Symbol {
 /// The evaluator's answer set and the tuple-keyed tables of the decision
 /// procedures probe hash maps by data value on their hot paths; SipHash (the
 /// `std` default) is overkill for a 4-byte id, so this hasher applies one
-/// round of Fibonacci multiply-and-xor-fold per word instead — an id, or
-/// the length prefix of a tuple key. It is *not* DoS-resistant — use it
+/// round of Fibonacci multiply-and-xor-fold per word instead — an id, the
+/// length prefix of a tuple key, or either half of the evaluator's packed
+/// `u128` answer key. It is *not* DoS-resistant — use it
 /// only for keys derived from interned symbols.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SymbolHasher(u64);
@@ -395,6 +408,12 @@ impl Hasher for SymbolHasher {
 
     fn write_usize(&mut self, length: usize) {
         self.fold(length as u64);
+    }
+
+    /// A packed answer key: its high word, then its low word.
+    fn write_u128(&mut self, key: u128) {
+        self.fold((key >> 64) as u64);
+        self.fold(key as u64);
     }
 }
 
@@ -573,6 +592,18 @@ mod tests {
         let mut narrow = SymbolHasher::default();
         narrow.write_u32(u32::MAX);
         assert_ne!(wide.finish(), narrow.finish());
+        // A packed answer key is two folds, high word first — not the
+        // sixteen steps of the byte-wise fallback.
+        let key = u128::from(ids[0].raw()) << 96 | u128::from(Symbol::opaque(9).unwrap().raw());
+        let mut halves = SymbolHasher::default();
+        halves.fold((key >> 64) as u64);
+        halves.fold(key as u64);
+        assert_eq!(SymbolHashBuilder.hash_one(key), halves.finish());
+        let mut bytes = SymbolHasher::default();
+        bytes.write(&key.to_ne_bytes());
+        assert_ne!(SymbolHashBuilder.hash_one(key), bytes.finish());
+        let swapped = key.rotate_left(64);
+        assert_ne!(SymbolHashBuilder.hash_one(swapped), halves.finish());
     }
 
     #[test]

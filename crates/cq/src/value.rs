@@ -65,6 +65,17 @@ impl Value {
         self.0
     }
 
+    /// The symbol's whole id, opaque bit included ([`Symbol::raw`]): values
+    /// order as these do.
+    pub(crate) fn raw(self) -> u32 {
+        self.0.raw()
+    }
+
+    /// The value whose [`Value::raw`] id is `raw`.
+    pub(crate) fn from_raw(raw: u32) -> Value {
+        Value(Symbol::from_raw(raw))
+    }
+
     /// Whether this value was produced by [`Value::synthetic`].
     pub fn is_synthetic(self) -> bool {
         self.as_str().starts_with("$v")
