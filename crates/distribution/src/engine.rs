@@ -15,8 +15,7 @@
 //! shard it already holds. [`OneRoundEngine::evaluate`] is a full round
 //! over an [`InMemoryTransport`], whose barrier evaluates on a **bounded
 //! worker pool**; [`OneRoundEngine::evaluate_via`] is the same round over
-//! any transport. [`OneRoundEngine::distribute_workers`] shards the
-//! reshuffle's `nodes_for` calls over threads.
+//! any transport.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use cq::{evaluate, ConjunctiveQuery, EvalOptions, Instance};
 
-use crate::distribute::DistributionStats;
+use crate::distribute::{reshuffle, DistributionStats};
 use crate::network::Node;
 use crate::policy::DistributionPolicy;
 use crate::transport::{InMemoryTransport, Shipment, Transport, TransportError};
@@ -204,18 +203,16 @@ pub(crate) fn run_round(
 pub struct OneRoundEngine<'a, P: DistributionPolicy + ?Sized> {
     policy: &'a P,
     workers: usize,
-    distribute_workers: usize,
     eval_options: EvalOptions,
 }
 
 impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
-    /// Creates an engine over the given policy (sequential local evaluation,
-    /// sequential reshuffle).
+    /// Creates an engine over the given policy (sequential local
+    /// evaluation).
     pub fn new(policy: &'a P) -> OneRoundEngine<'a, P> {
         OneRoundEngine {
             policy,
             workers: 1,
-            distribute_workers: 1,
             eval_options: EvalOptions::default(),
         }
     }
@@ -228,25 +225,6 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     /// nothing.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Evaluates the per-node chunks on a worker pool sized to the machine's
-    /// available parallelism (`false` restores sequential evaluation).
-    pub fn parallel(self, enabled: bool) -> Self {
-        let workers = if enabled {
-            std::thread::available_parallelism().map_or(4, usize::from)
-        } else {
-            1
-        };
-        self.workers(workers)
-    }
-
-    /// Sets the number of threads sharding the reshuffle phase itself
-    /// (`nodes_for` calls). `1` (the default) keeps the reshuffle on the
-    /// calling thread; the result is identical either way.
-    pub fn distribute_workers(mut self, workers: usize) -> Self {
-        self.distribute_workers = workers.max(1);
         self
     }
 
@@ -288,22 +266,23 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     }
 
     /// The reshuffle phase of a round: `dist_P(facts)` as one `ship`-kind
-    /// shipment per node, with the reshuffle's statistics (read off the
-    /// stream's own counters, so they cost `O(nodes)`) and wall-clock
-    /// time.
+    /// shipment per node, with the reshuffle's statistics (read off its
+    /// own count of assigned facts, so they cost `O(nodes)`) and
+    /// wall-clock time.
     pub(crate) fn plan(&self, facts: &Instance, ship: fn(Arc<Instance>) -> Shipment) -> RoundPlan {
         let start = Instant::now();
         let _span = obs::span!("distribute", facts = facts.len());
-        let stream = self
-            .policy
-            .distribute_stream(facts, self.distribute_workers);
+        let (distribution, distinct_assigned) = reshuffle(self.policy, facts);
         let stats = {
             let _span = obs::span!("reshuffle_stats");
-            stream.stats(facts)
+            DistributionStats::tally(
+                distribution.chunks().map(|(_, chunk)| chunk.len()),
+                (distinct_assigned, facts.len() - distinct_assigned),
+            )
         };
         let mut per_node_load = BTreeMap::new();
         let mut shipments = Vec::with_capacity(stats.nodes);
-        for (node, chunk) in stream.materialize().into_chunks() {
+        for (node, chunk) in distribution.into_chunks() {
             per_node_load.insert(node, chunk.len());
             shipments.push((node, ship(Arc::new(chunk))));
         }
@@ -392,8 +371,6 @@ mod tests {
             assert_eq!(seq.per_node_load, par.per_node_load);
             assert!(par.workers >= 2, "pool must actually engage");
         }
-        let auto = OneRoundEngine::new(&p).parallel(true).evaluate(&q, &i);
-        assert_eq!(seq.result, auto.result);
     }
 
     #[test]
@@ -422,25 +399,6 @@ mod tests {
             assert_eq!(nodes, timed, "every node must report a timing");
             assert!(outcome.local_eval_time >= outcome.max_node_time() / 2);
             assert!(outcome.time_skew() >= 1.0);
-        }
-    }
-
-    #[test]
-    fn parallel_reshuffle_agrees_with_sequential_reshuffle() {
-        let q = chain_query();
-        let i = parse_instance(
-            "R(a, b). R(b, c). R(c, d). R(d, e). S(b, x). S(c, y). S(d, z). S(e, w).",
-        )
-        .unwrap();
-        let p = HypercubePolicy::uniform(&q, 3).unwrap();
-        let seq = OneRoundEngine::new(&p).evaluate(&q, &i);
-        for dw in [2, 3, 8] {
-            let par = OneRoundEngine::new(&p)
-                .distribute_workers(dw)
-                .evaluate(&q, &i);
-            assert_eq!(seq.result, par.result);
-            assert_eq!(seq.per_node_load, par.per_node_load);
-            assert_eq!(seq.stats, par.stats);
         }
     }
 

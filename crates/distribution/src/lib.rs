@@ -14,13 +14,10 @@
 //! * [`HypercubePolicy`] and [`HypercubeFamily`] — the Hypercube
 //!   distributions of Section 5.2,
 //! * [`Distribution`] — the result of reshuffling an instance
-//!   (`dist_P(I)`), with load and replication statistics, and
-//!   [`ChunkStream`] — the reshuffle itself: borrowed per-node fact
-//!   slices built in one pass, from which the owned chunks are
-//!   materialized,
-//! * [`OneRoundEngine`] — the one-round evaluation algorithm: reshuffle
-//!   (optionally sharded over threads), evaluate locally at every node,
-//!   union the results,
+//!   (`dist_P(I)`, one pass of [`DistributionPolicy::distribute`]), with
+//!   load and replication statistics,
+//! * [`OneRoundEngine`] — the one-round evaluation algorithm: reshuffle,
+//!   evaluate locally at every node, union the results,
 //! * [`MultiRoundEngine`] — the iterated (MPC-style multi-round) algorithm:
 //!   distribute→evaluate cycles under a per-round [`RoundSchedule`], with
 //!   an optional feedback relation, fixpoint detection and a round cap;
@@ -67,7 +64,7 @@ mod rounds;
 mod rules;
 mod transport;
 
-pub use distribute::{ChunkStream, Distribution, DistributionStats};
+pub use distribute::{Distribution, DistributionStats};
 pub use engine::{OneRoundEngine, OneRoundOutcome};
 pub use explicit::ExplicitPolicy;
 pub use hash::{fnv1a, HashScheme};

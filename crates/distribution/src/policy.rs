@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 
 use cq::{Fact, Instance};
 
-use crate::distribute::{ChunkStream, Distribution};
+use crate::distribute::{reshuffle, Distribution};
 use crate::network::{Network, Node};
 
 /// A distribution policy `P` for a database schema and a network: a total
@@ -13,11 +13,8 @@ use crate::network::{Network, Node};
 /// Policies may *skip* facts by mapping them to the empty set of nodes (as
 /// Hypercube distributions do for facts irrelevant to their query).
 ///
-/// Policies are required to be [`Sync`]: the reshuffle phase shards
-/// `nodes_for` calls across worker threads ([`distribute_parallel`]) and the
-/// evaluation engine shares the policy with its worker pool.
-///
-/// [`distribute_parallel`]: DistributionPolicy::distribute_parallel
+/// Policies are required to be [`Sync`], so one policy can be shared by
+/// engines and worker pools on several threads.
 pub trait DistributionPolicy: Sync {
     /// The network the policy distributes over.
     fn network(&self) -> &Network;
@@ -26,38 +23,9 @@ pub trait DistributionPolicy: Sync {
     fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node>;
 
     /// Distributes an instance: computes `dist_P(I)`, the function mapping
-    /// every node to its data chunk.
+    /// every node to its data chunk `{f ∈ I : node ∈ P(f)}`.
     fn distribute(&self, instance: &Instance) -> Distribution {
-        self.distribute_parallel(instance, 1)
-    }
-
-    /// Like [`DistributionPolicy::distribute`], but shards the input facts
-    /// over up to `workers` scoped threads, each computing `nodes_for` for
-    /// its contiguous shard. The resulting distribution is identical to the
-    /// single-threaded one — both are the materialized [`ChunkStream`] —
-    /// only the reshuffle wall-clock changes.
-    fn distribute_parallel(&self, instance: &Instance, workers: usize) -> Distribution {
-        self.distribute_stream(instance, workers).materialize()
-    }
-
-    /// Streaming reshuffle: computes `dist_P(I)` as borrowed per-node fact
-    /// slices instead of owned chunks (see [`ChunkStream`]). With
-    /// `workers > 1` the `nodes_for` calls are sharded over that many
-    /// threads, as in [`DistributionPolicy::distribute_parallel`].
-    fn distribute_stream<'a>(&self, instance: &'a Instance, workers: usize) -> ChunkStream<'a> {
-        ChunkStream::build(self, instance, workers)
-    }
-
-    /// The data chunk of a single node, computed without materializing (or
-    /// even visiting) any other node's chunk: the lazy counterpart of
-    /// `distribute(instance).chunk(node)`.
-    fn for_node_lazy(&self, instance: &Instance, node: Node) -> Instance {
-        Instance::from_facts(
-            instance
-                .facts()
-                .filter(|f| self.nodes_for(f).contains(&node))
-                .cloned(),
-        )
+        reshuffle(self, instance).0
     }
 
     /// Whether all facts required by a set meet at some node:

@@ -265,7 +265,6 @@ pub struct MultiRoundEngine<'a> {
     carry_input: bool,
     feedback: Option<Symbol>,
     workers: usize,
-    distribute_workers: usize,
     semi_naive: bool,
     eval_options: EvalOptions,
     reshuffle_always: bool,
@@ -280,8 +279,7 @@ pub struct MultiRoundEngine<'a> {
 impl<'a> MultiRoundEngine<'a> {
     /// Creates a single-round engine over `schedule`; raise the cap with
     /// [`MultiRoundEngine::rounds`]. Defaults mirror [`OneRoundEngine`]:
-    /// sequential evaluation, sequential reshuffle, carried input, no
-    /// feedback relation.
+    /// sequential evaluation, carried input, no feedback relation.
     pub fn new(schedule: RoundSchedule<'a>) -> MultiRoundEngine<'a> {
         MultiRoundEngine {
             schedule,
@@ -289,7 +287,6 @@ impl<'a> MultiRoundEngine<'a> {
             carry_input: true,
             feedback: None,
             workers: 1,
-            distribute_workers: 1,
             semi_naive: false,
             eval_options: EvalOptions::default(),
             reshuffle_always: false,
@@ -352,24 +349,6 @@ impl<'a> MultiRoundEngine<'a> {
     /// parallelism.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sizes the local-evaluation pool to the machine (cf.
-    /// [`OneRoundEngine::parallel`]).
-    pub fn parallel(self, enabled: bool) -> Self {
-        let workers = if enabled {
-            std::thread::available_parallelism().map_or(4, usize::from)
-        } else {
-            1
-        };
-        self.workers(workers)
-    }
-
-    /// Threads sharding each round's reshuffle phase (cf.
-    /// [`OneRoundEngine::distribute_workers`]).
-    pub fn distribute_workers(mut self, workers: usize) -> Self {
-        self.distribute_workers = workers.max(1);
         self
     }
 
@@ -561,7 +540,6 @@ impl<'a> MultiRoundEngine<'a> {
             let switched = policy_index != active_policy;
             active_policy = policy_index;
             let engine = OneRoundEngine::new(self.schedule.policy_for(round))
-                .distribute_workers(self.distribute_workers)
                 .eval_options(self.eval_options);
             let outcome = match &delta {
                 None => engine.evaluate_via(transport, round, query, state.current())?,

@@ -269,46 +269,33 @@ proptest! {
         prop_assert!(outcome.max_node_output() <= outcome.result.len() || outcome.result.is_empty());
     }
 
-    /// Differential: parallel and streaming reshuffle agree chunk-for-chunk
-    /// with the materialized single-threaded `distribute`, across all four
-    /// policy shapes.
+    /// `distribute` is `dist_P(I)` by definition: for every policy of the
+    /// zoo and every node of its network, the node's chunk is exactly
+    /// `{f ∈ I : node ∈ nodes_for(f)}`, and no other node gets a chunk.
     #[test]
-    fn reshuffle_modes_agree_with_materialized_distribute(
+    fn distribute_equals_the_definition(
         i in instance_strategy(),
         q in query_strategy(),
         nodes in 1usize..4,
         buckets in 1usize..4,
-        workers in 2usize..5,
     ) {
         for (name, policy) in policy_zoo(&i, &q, nodes, buckets) {
-            let reference = policy.distribute(&i);
-            let parallel = policy.distribute_parallel(&i, workers);
-            prop_assert_eq!(&reference, &parallel, "parallel distribute diverged for {}", name);
-
-            let stream = policy.distribute_stream(&i, workers);
-            prop_assert_eq!(
-                &reference, &stream.materialize(),
-                "streamed chunks diverged for {}", name
-            );
-            prop_assert_eq!(
-                reference.stats(&i), stream.stats(&i),
-                "stream stats diverged for {}", name
-            );
-            for (node, chunk) in reference.chunks() {
-                prop_assert_eq!(
-                    chunk, &stream.for_node_lazy(node),
-                    "lazy chunk of {} diverged for {}", node, name
+            let dist = policy.distribute(&i);
+            prop_assert!(dist.nodes().eq(policy.network().nodes()), "nodes of {}", name);
+            for node in policy.network().nodes() {
+                let expected = Instance::from_facts(
+                    i.facts().filter(|f| policy.nodes_for(f).contains(&node)).cloned(),
                 );
-                prop_assert_eq!(chunk, &policy.for_node_lazy(&i, node));
+                prop_assert_eq!(dist.chunk(node), &expected, "chunk of {} under {}", node, name);
             }
         }
     }
 
-    /// Differential: `stats` — of the materialized distribution and of the
-    /// stream, against the instance they were built from (the stream's
-    /// counted fast path), an equal copy of it, and an unrelated instance —
-    /// equals the union-building definition. The zoo is extended by a
-    /// policy that skips facts (round-robin over half of the instance).
+    /// Differential: `Distribution::stats` — against the instance it was
+    /// built from, an equal copy of it, an unrelated instance and the empty
+    /// one — and the engine's counted statistics of a round over the
+    /// source equal the union-building definition. The zoo is extended by
+    /// a policy that skips facts (round-robin over half of the instance).
     #[test]
     fn stats_agree_with_the_union_based_definition(
         i in instance_strategy(),
@@ -316,7 +303,6 @@ proptest! {
         q in query_strategy(),
         nodes in 1usize..4,
         buckets in 1usize..4,
-        workers in 1usize..4,
     ) {
         let half = Instance::from_facts(i.facts().step_by(2).cloned());
         let skipping = ExplicitPolicy::round_robin(&Network::with_size(nodes), &half);
@@ -324,12 +310,12 @@ proptest! {
         zoo.push(("skipping", Box::new(skipping)));
         for (name, policy) in zoo {
             let dist = policy.distribute(&i);
-            let stream = policy.distribute_stream(&i, workers);
             for original in [&i, &i.clone(), &other, &Instance::new()] {
                 let expected = stats_by_union(&dist, original);
                 prop_assert_eq!(dist.stats(original), expected, "distribution stats of {}", name);
-                prop_assert_eq!(stream.stats(original), expected, "stream stats of {}", name);
             }
+            let counted = OneRoundEngine::new(policy.as_ref()).evaluate(&q, &i).stats;
+            prop_assert_eq!(counted, stats_by_union(&dist, &i), "engine stats of {}", name);
             if name == "skipping" {
                 prop_assert_eq!(dist.stats(&i).skipped, i.len() - half.len());
             }
@@ -375,8 +361,8 @@ proptest! {
         }
     }
 
-    /// Differential: a pooled engine with a sharded reshuffle produces the
-    /// same outcome as the sequential one (modulo timings).
+    /// Differential: a pooled engine produces the same outcome as the
+    /// sequential one (modulo timings).
     #[test]
     fn pooled_engine_agrees_with_sequential_engine(
         i in instance_strategy(),
@@ -389,7 +375,6 @@ proptest! {
             let sequential = OneRoundEngine::new(policy.as_ref()).evaluate(&q, &i);
             let pooled = OneRoundEngine::new(policy.as_ref())
                 .workers(workers)
-                .distribute_workers(workers)
                 .evaluate(&q, &i);
             prop_assert_eq!(&sequential.result, &pooled.result, "result diverged for {}", name);
             prop_assert_eq!(&sequential.per_node_load, &pooled.per_node_load);

@@ -28,7 +28,7 @@ fn print_header() {
 
 fn run(workload: &str, instance: &Instance, query: &ConjunctiveQuery, buckets: usize) {
     let policy = HypercubePolicy::uniform(query, buckets).expect("policy");
-    let engine = OneRoundEngine::new(&policy).parallel(true);
+    let engine = OneRoundEngine::new(&policy).workers(4);
     let outcome = engine.evaluate(query, instance);
     let correct = outcome.result == evaluate(query, instance);
     println!(

@@ -116,7 +116,7 @@ fn main() {
         policy.network().len(),
         anchor.name
     );
-    let engine = OneRoundEngine::new(&policy).parallel(true);
+    let engine = OneRoundEngine::new(&policy).workers(4);
     for (j, wq) in queries.iter().enumerate() {
         let outcome = engine.evaluate(&wq.query, &data);
         let expected = evaluate(&wq.query, &data);

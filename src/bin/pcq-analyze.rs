@@ -9,8 +9,7 @@
 //!   pcq-analyze hypercube  <query> <query-prime>
 //!   pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]
 //!                          [--rounds N] [--schedule S] [--feedback R]
-//!                          [--semi-naive] [--distribute-workers N]
-//!                          [--transport memory|process|socket]
+//!                          [--semi-naive] [--transport memory|process|socket]
 //!                          [--fault-inject N] [--trace FILE]
 //!                          [--slow-eval-us N]
 //!   pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]
@@ -64,7 +63,7 @@
 //! accumulated state across rounds, and each local evaluation is one
 //! differential pass over the delta — the final result is identical to
 //! full re-evaluation, the late-round work is not.
-//! `--distribute-workers` shards the reshuffle phase. Every node runs the
+//! The reshuffle is one sequential pass over the instance. Every node runs the
 //! one indexed join kernel, a leapfrog triejoin, on cyclic and acyclic
 //! queries alike; no flag selects it. With
 //! `--transport process` local evaluation leaves this process entirely:
@@ -190,7 +189,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip | --strongly-minimal]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--semi-naive] [--distribute-workers N]\n                         [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R] [--semi-naive]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | hash-join:<buckets> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies, by the <policy> names\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
+    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip | --strongly-minimal]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--semi-naive] [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R] [--semi-naive]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | hash-join:<buckets> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies, by the <policy> names\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
@@ -295,7 +294,6 @@ impl TransportChoice {
 /// Parsed flags of the `run` subcommand.
 struct RunOptions {
     workers: usize,
-    distribute_workers: usize,
     semi_naive: bool,
     json: bool,
     rounds: Option<usize>,
@@ -548,7 +546,6 @@ fn run_command(args: &[String]) -> Result<bool, String> {
     let mut positional: Vec<&String> = Vec::new();
     let mut opts = RunOptions {
         workers: 1,
-        distribute_workers: 1,
         semi_naive: false,
         json: false,
         rounds: None,
@@ -581,9 +578,6 @@ fn run_command(args: &[String]) -> Result<bool, String> {
             "--reshuffle-always" => opts.reshuffle_always = true,
             "--semi-naive" => opts.semi_naive = true,
             "--workers" => opts.workers = parse_count("--workers", iter.next())?,
-            "--distribute-workers" => {
-                opts.distribute_workers = parse_count("--distribute-workers", iter.next())?
-            }
             "--rounds" => opts.rounds = Some(parse_count("--rounds", iter.next())?),
             "--schedule" => opts.schedule = Some(text("--schedule", "a policy list", iter.next())?),
             "--feedback" => {
@@ -939,7 +933,6 @@ fn execute<'a>(run: &'a Run, opts: &'a RunOptions) -> Result<RunReport<'a>, Stri
     let mut engine = MultiRoundEngine::new(RoundSchedule::of(refs))
         .rounds(run.scenario.rounds)
         .workers(opts.workers)
-        .distribute_workers(opts.distribute_workers)
         .semi_naive(opts.semi_naive)
         .reshuffle_always(opts.reshuffle_always);
     if let Some(feedback) = run.scenario.feedback {
@@ -954,7 +947,6 @@ fn execute<'a>(run: &'a Run, opts: &'a RunOptions) -> Result<RunReport<'a>, Stri
     let answer = match run.reference {
         Reference::OneRound => OneRoundEngine::new(first_policy)
             .workers(opts.workers)
-            .distribute_workers(opts.distribute_workers)
             .evaluate_via(transport.as_mut(), 0, &queries[0], instance)
             .map(|outcome| Answer::OneRound(Box::new(outcome))),
         Reference::Fixpoint => {

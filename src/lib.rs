@@ -63,10 +63,9 @@ pub mod prelude {
     };
     pub use delta::{CacheStats, DeltaInstance, DeltaNode, IndexCache};
     pub use distribution::{
-        ChunkStream, DistributionPolicy, ExplicitPolicy, FinitePolicy, HypercubeFamily,
-        HypercubePolicy, InMemoryTransport, MultiQueryOutcome, MultiRoundEngine, MultiRoundOutcome,
-        Network, Node, OneRoundEngine, RoundSchedule, RuleBasedPolicy, Shipment, Transport,
-        TransportError,
+        DistributionPolicy, ExplicitPolicy, FinitePolicy, HypercubeFamily, HypercubePolicy,
+        InMemoryTransport, MultiQueryOutcome, MultiRoundEngine, MultiRoundOutcome, Network, Node,
+        OneRoundEngine, RoundSchedule, RuleBasedPolicy, Shipment, Transport, TransportError,
     };
     pub use pc_core::{
         check_parallel_correctness, check_parallel_correctness_bounded,

@@ -274,8 +274,6 @@ fn run_multi_round_json_has_the_per_round_shape() {
         "6",
         "--feedback",
         "R",
-        "--distribute-workers",
-        "2",
         "--workers",
         "2",
         "--json",
@@ -562,6 +560,32 @@ fn run_rejects_the_removed_join_strategy_flag() {
         assert!(stdout.contains("\"parallel_correct\":true"), "{stdout}");
         let key = "\"index_cache\":{\"hits\":1,\"misses\":1}";
         assert!(stdout.contains(key), "missing {key} in {stdout}");
+    }
+}
+
+#[test]
+fn run_rejects_the_removed_distribute_workers_flag() {
+    // The reshuffle is one sequential pass; no flag shards it any more. The
+    // old flag is an unknown flag, a usage error, never silently ignored.
+    for count in [&["2"][..], &["1"], &[]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_pcq-analyze"))
+            .args(["run", "triangle", "hypercube:2", CHAIN_FACTS])
+            .arg("--distribute-workers")
+            .args(count)
+            .output()
+            .expect("failed to spawn pcq-analyze");
+        assert_eq!(output.status.code(), Some(2), "{count:?}");
+        assert!(
+            output.stdout.is_empty(),
+            "{count:?}: a rejected run prints no report"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.starts_with("error: unknown flag '--distribute-workers'"),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(!stderr.contains("--distribute-workers N"), "{stderr}");
     }
 }
 

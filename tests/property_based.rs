@@ -238,7 +238,7 @@ proptest! {
         }
     }
 
-    /// Pooled, parallel-reshuffle multi-round runs agree with the
+    /// Pooled multi-round runs agree with the
     /// sequential engine round for round at the whole-stack level.
     #[test]
     fn pooled_multi_round_agrees_with_sequential(
@@ -255,7 +255,6 @@ proptest! {
             let base = configure().evaluate(&query, &instance);
             let pooled = configure()
                 .workers(3)
-                .distribute_workers(2)
                 .evaluate(&query, &instance);
             prop_assert_eq!(&base.result, &pooled.result);
             prop_assert_eq!(base.converged, pooled.converged);
