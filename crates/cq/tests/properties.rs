@@ -499,10 +499,10 @@ fn repeated_variables_inside_one_atom_agree_with_the_scan_oracle() {
 }
 
 /// Arity-7 facts — past the inline tuple — in a relation that also holds
-/// shorter and longer ones: the binary join (acyclic query), the multiway
-/// join (cyclic query), a head wide enough to spill and a projecting head
-/// too wide to pack into one answer key (arity 5) all agree with the scan
-/// oracle, under every strategy and in the semi-naive step.
+/// shorter and longer ones: acyclic and cyclic queries, a head wide enough
+/// to spill and a projecting head too wide to pack into one answer key
+/// (arity 5) all agree with the scan oracle, under both evaluators and in
+/// the semi-naive step.
 #[test]
 fn wide_tuples_join_like_narrow_ones() {
     let v = |i: usize| Value::indexed("w", i % 4);

@@ -33,8 +33,13 @@ impl ExplicitPolicy {
     }
 
     /// Sets the node set used for facts without an explicit assignment.
+    /// Nodes are added to the network if missing, as [`assign`](Self::assign)
+    /// does.
     pub fn with_default<I: IntoIterator<Item = Node>>(mut self, nodes: I) -> ExplicitPolicy {
         self.default_nodes = nodes.into_iter().collect();
+        for &n in &self.default_nodes {
+            self.network.add(n);
+        }
         self
     }
 
@@ -63,10 +68,14 @@ impl ExplicitPolicy {
     }
 
     /// A policy that distributes the facts of `universe` round-robin over the
-    /// nodes of `network` (each fact to exactly one node).
+    /// nodes of `network` (each fact to exactly one node). On an empty
+    /// network there is no node to send a fact to: every fact is skipped.
     pub fn round_robin(network: &Network, universe: &Instance) -> ExplicitPolicy {
         let nodes: Vec<Node> = network.nodes().collect();
         let mut p = ExplicitPolicy::new(network.clone());
+        if nodes.is_empty() {
+            return p;
+        }
         for (i, fact) in universe.facts().enumerate() {
             p.assign(fact.clone(), [nodes[i % nodes.len()]]);
         }
@@ -203,6 +212,17 @@ mod tests {
     }
 
     #[test]
+    fn round_robin_on_an_empty_network_skips_every_fact() {
+        let universe = Instance::from_facts(facts3());
+        let p = ExplicitPolicy::round_robin(&Network::default(), &universe);
+        for f in universe.facts() {
+            assert!(p.nodes_for(f).is_empty());
+        }
+        assert!(p.fact_universe().is_empty());
+        assert!(p.distribute(&universe).nodes().next().is_none());
+    }
+
+    #[test]
     fn unlisted_facts_use_the_default() {
         let network = Network::with_size(2);
         let p = ExplicitPolicy::new(network.clone());
@@ -210,6 +230,17 @@ mod tests {
 
         let p2 = ExplicitPolicy::new(network.clone()).with_default(network.nodes());
         assert_eq!(p2.nodes_for(&Fact::from_names("R", &["x", "y"])).len(), 2);
+    }
+
+    #[test]
+    fn default_nodes_join_the_network() {
+        let fresh = Node::new("fresh");
+        let p = ExplicitPolicy::new(Network::with_size(2)).with_default([fresh]);
+        assert!(p.network().contains(fresh));
+        assert_eq!(p.network().len(), 3);
+        let dist = p.distribute(&Instance::from_facts(facts3()));
+        assert!(dist.nodes().eq(p.network().nodes()));
+        assert_eq!(dist.chunk(fresh).len(), 3);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property-based tests for distribution policies and the one-round and
-//! multi-round engines, including the differential suites: parallel and
-//! streaming reshuffle must agree exactly with the materialized
-//! single-threaded `distribute`, a one-round-capped `MultiRoundEngine`
-//! must agree exactly with `OneRoundEngine`, and the counting `stats` and
-//! arithmetic `nodes_for` must agree exactly with the definitions they
-//! replaced (kept here as oracles).
+//! multi-round engines, including the differential suites: `distribute`
+//! must build exactly the chunks `{f ∈ I : node ∈ nodes_for(f)}` of its
+//! definition on every policy, a pooled engine must agree with the
+//! sequential one, a one-round-capped `MultiRoundEngine` must agree exactly
+//! with `OneRoundEngine`, and the counting `stats` and arithmetic
+//! `nodes_for` must agree exactly with the definitions they replaced (kept
+//! here as oracles).
 
 use std::collections::{BTreeMap, BTreeSet};
 

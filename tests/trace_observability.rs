@@ -12,9 +12,16 @@ use pcq::obs;
 use pcq::prelude::*;
 use pcq::wire::trace_export;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 static TRACE_GATE: Mutex<()> = Mutex::new(());
+
+/// Held for a whole test, untraced reference runs included: a span such a
+/// run opens while another test's trace is active and closes after it ends
+/// would leave its children in that trace without their parent.
+fn gate() -> MutexGuard<'static, ()> {
+    TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn worker_binary() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_pcq-analyze"))
@@ -53,9 +60,8 @@ fn instance_for(query: &ConjunctiveQuery, seed: u64) -> Instance {
 }
 
 /// Runs `f` under an active trace with a `"run"` root span and returns
-/// its result together with the merged timeline.
+/// its result together with the merged timeline. The caller holds [`gate`].
 fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<obs::TraceEvent>) {
-    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
     obs::start_trace();
     let result = {
         let _root = obs::span!("run");
@@ -77,6 +83,7 @@ fn assert_time_ordered(events: &[obs::TraceEvent]) {
 
 #[test]
 fn in_memory_trace_nests_rounds_under_the_root_span() {
+    let _gate = gate();
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 11);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
@@ -112,6 +119,7 @@ fn in_memory_trace_nests_rounds_under_the_root_span() {
 
 #[test]
 fn evaluate_done_reports_derivations_against_distinct_answers() {
+    let _gate = gate();
     // The join layer's "useful outcomes per attempt": the two-path query
     // over the transitive tournament on 6 values has C(6, 3) = 20
     // satisfying valuations for 10 distinct answers; the differential step
@@ -142,6 +150,7 @@ fn evaluate_done_reports_derivations_against_distinct_answers() {
 
 #[test]
 fn join_spans_name_the_kernel_that_runs() {
+    let _gate = gate();
     // One indexed kernel runs full evaluations and the differential passes
     // of a semi-naive round alike, cyclic query or not; the scan oracle is
     // named when it is asked for. `trace diff` attributes time by these
@@ -179,6 +188,7 @@ fn join_spans_name_the_kernel_that_runs() {
 
 #[test]
 fn decisions_trace_their_span_and_how_minimality_was_asked() {
+    let _gate = gate();
     // `pc_check` / `transfer_check` bracket the two decision procedures, and
     // each leaves one `minimality_stats` instant inside its span: the
     // 2-path over the complete relation on 3 values has 27 candidate
@@ -227,6 +237,7 @@ fn decisions_trace_their_span_and_how_minimality_was_asked() {
 
 #[test]
 fn process_transport_merges_worker_timelines_into_the_coordinator_trace() {
+    let _gate = gate();
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 11);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
@@ -305,6 +316,7 @@ fn process_transport_merges_worker_timelines_into_the_coordinator_trace() {
 
 #[test]
 fn fault_injected_socket_trace_records_requeues_and_registry_agrees() {
+    let _gate = gate();
     // Worker 0 dies after its first job; the trace must show the death
     // and the requeues, and the metrics registry — the single source of
     // truth behind those counters — must report exactly what the trace
@@ -340,6 +352,7 @@ fn fault_injected_socket_trace_records_requeues_and_registry_agrees() {
 
 #[test]
 fn chrome_export_of_a_live_run_round_trips_and_summarizes() {
+    let _gate = gate();
     let query = named_query("triangle").unwrap();
     let instance = instance_for(&query, 7);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
@@ -372,7 +385,7 @@ fn a_dead_workers_stderr_surfaces_in_the_transport_error() {
     // Without fault tolerance a death is a clean error — and since the
     // worker is a spawned child, its last words must ride along instead
     // of vanishing with the process.
-    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _gate = gate();
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 11);
     let network = Network::with_size(6);
@@ -394,7 +407,7 @@ fn a_dead_workers_stderr_surfaces_in_the_transport_error() {
 
 #[test]
 fn round_latency_quantiles_in_the_export_match_the_registry_exactly() {
-    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _gate = gate();
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 11);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
@@ -591,7 +604,7 @@ fn disabled_tracing_costs_under_two_percent_of_a_closure_run() {
     // event per site it hits. In an unoptimized build on two cores it is
     // about 0.015 % (217 sites x 35 ns of a 49 ms run), so the bound has
     // a hundredfold margin.
-    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _gate = gate();
     let query = named_query("chain:2").unwrap();
     let chain: Vec<Fact> = (0..47)
         .map(|i| {
