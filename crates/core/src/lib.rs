@@ -72,7 +72,8 @@ pub use family::{
 };
 pub use minimality::{
     is_minimal_valuation, is_strongly_minimal, minimal_valuations_over, satisfies_lemma_4_8,
-    strong_minimality_witness, MinimalityOracle, MinimalityStats, StrongMinimalityReport,
+    strong_minimality_witness, CacheStats, MinimalityOracle, MinimalityStats,
+    StrongMinimalityReport,
 };
 pub use pc::{
     check_parallel_correctness, check_parallel_correctness_bounded,

@@ -30,7 +30,18 @@ use cq::{
     CanonicalValuations, CompiledQuery, ConjunctiveQuery, EvalOptions, Instance, Slots, Valuation,
     Value,
 };
-use delta::CacheStats;
+
+/// The minimality asks of a decision report ([`crate::PcReport`],
+/// [`crate::TransferReport`]) as a cache's counters: `hits` answered by the
+/// candidate's equality type, `misses` searched; their sum is the number of
+/// candidate valuations.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Asks answered by equality type.
+    pub hits: u64,
+    /// Asks that ran the search.
+    pub misses: u64,
+}
 
 /// How the minimality asks of a decision were answered.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -3,12 +3,12 @@
 //! global fixpoint of the iterated query.
 
 use cq::{evaluate, ConjunctiveQuery, Instance};
-use delta::CacheStats;
 use distribution::{
     DistributionPolicy, FinitePolicy, MultiRoundEngine, MultiRoundOutcome, OneRoundEngine,
 };
 
 use crate::conditions::{meet_violation, C1Violation};
+use crate::minimality::CacheStats;
 
 /// A violation of parallel-correctness: a minimal valuation whose required
 /// facts never meet, together with the concrete counterexample instance and

@@ -3,10 +3,9 @@
 use std::collections::BTreeMap;
 
 use cq::{ConjunctiveQuery, Instance, Valuation};
-use delta::CacheStats;
 
 use crate::conditions::{c2_search, c3_witness};
-use crate::minimality::is_strongly_minimal;
+use crate::minimality::{is_strongly_minimal, CacheStats};
 
 /// A witness that parallel-correctness does **not** transfer: a minimal
 /// valuation of `Q'` whose required facts are not contained in the required

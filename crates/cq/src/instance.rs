@@ -940,6 +940,95 @@ mod tests {
         assert_eq!(i.sorted_order(r, &[1, 0]).rows(), 4);
     }
 
+    // An iterated evaluation carries one instance: each round's delta is
+    // what that round's absorb returned.
+
+    fn square() -> crate::ConjunctiveQuery {
+        crate::ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap()
+    }
+
+    fn parsed(text: &str) -> Instance {
+        crate::parse_instance(text).unwrap()
+    }
+
+    #[test]
+    fn initial_facts_all_count_as_delta() {
+        // The first absorb, into the empty state, returns the whole input,
+        // so the first differential step is a full evaluation.
+        let i = parsed("R(a, b). R(b, c).");
+        let mut state = Instance::new();
+        let delta = state.absorb(&i);
+        assert_eq!((&state, &delta), (&i, &i));
+        let step = crate::evaluate_seminaive_step(&square(), &state, &delta);
+        assert_eq!(step, crate::evaluate(&square(), &i));
+    }
+
+    #[test]
+    fn absorb_records_only_genuinely_new_facts() {
+        let mut state = parsed("R(a, b).");
+        let run = Instance::from_facts([
+            edge("a", "b"), // already known
+            edge("b", "c"), // new
+            edge("b", "c"), // duplicate within the batch
+        ]);
+        assert_eq!(state.absorb(&run), parsed("R(b, c)."));
+        assert_eq!(state.len(), 2);
+    }
+
+    #[test]
+    fn take_delta_resets_the_delta_but_keeps_the_facts() {
+        // Each absorb's delta covers that absorb only; the facts stay.
+        let mut state = Instance::new();
+        assert_eq!(state.absorb(&parsed("R(a, b).")), parsed("R(a, b)."));
+        let run = parsed("R(a, b). R(b, c).");
+        assert_eq!(state.absorb(&run), parsed("R(b, c)."));
+        assert!(state.absorb(&run).is_empty());
+        assert_eq!(state, run);
+    }
+
+    #[test]
+    fn round_by_round_equals_full_reevaluation() {
+        // Drive a transitive-closure iteration by hand: at every round the
+        // cumulative semi-naive output must equal evaluating the full
+        // instance from scratch.
+        let q = square();
+        let mut state = Instance::new();
+        let mut delta = state.absorb(&parsed("R(a, b). R(b, c). R(c, d)."));
+        let mut cumulative = Instance::new();
+        for _ in 0..6 {
+            let new = crate::evaluate_seminaive_step(&q, &state, &delta);
+            cumulative.absorb(&new);
+            assert_eq!(cumulative, crate::evaluate(&q, &state));
+            let feedback = new.facts().map(|f| Fact::new("R", f.values.clone()));
+            delta = state.absorb(&feedback.collect());
+            if delta.is_empty() {
+                break;
+            }
+        }
+        assert!(delta.is_empty());
+        // a 3-edge chain closes to all pairs at distance >= 2
+        assert!(state.contains(&edge("a", "d")));
+    }
+
+    #[test]
+    fn growth_keeps_the_full_instances_indexes_warm() {
+        let q = square();
+        let mut state = Instance::new();
+        let delta = state.absorb(&parsed("R(a, b). R(b, c)."));
+        let _ = crate::evaluate_seminaive_step(&q, &state, &delta); // builds the orders
+        let built = state.cached_orders();
+        assert!(built > 0);
+        let delta = state.absorb(&parsed("R(c, d)."));
+        assert_eq!(
+            state.cached_orders(),
+            built,
+            "absorb must merge into the orders, not drop them"
+        );
+        let new = crate::evaluate_seminaive_step(&q, &state, &delta);
+        assert!(new.contains(&Fact::from_names("T", &["b", "d"])));
+        assert_eq!(state.cached_orders(), built, "caught up, not rebuilt");
+    }
+
     #[test]
     fn incremental_insert_equals_a_fresh_rebuild() {
         // Growing an instance whose orders are built, a few facts at a time

@@ -1,8 +1,6 @@
 //! The node-side state of a semi-naive distributed round.
 
-use cq::{ConjunctiveQuery, EvalOptions, Instance};
-
-use crate::instance::DeltaInstance;
+use cq::{evaluate_seminaive_step_with, ConjunctiveQuery, EvalOptions, Instance};
 
 /// One simulated node's persistent state across the rounds of an
 /// incremental (delta-shipping) run: the accumulated local data and the
@@ -13,8 +11,9 @@ use crate::instance::DeltaInstance;
 /// [`DeltaNode::step`], so the two paths share one definition of what a
 /// semi-naive round *is*:
 ///
-/// 1. absorb the round's incoming delta chunk into the local data,
-/// 2. derive the facts reachable through at least one new local fact
+/// 1. absorb the round's incoming delta chunk into the local data; what
+///    the absorb adds is the round's local delta,
+/// 2. derive the facts reachable through at least one fact of that delta
 ///    (the semi-naive differential step),
 /// 3. ship back only the derivations this node has never produced before
 ///    (the *output* delta): what absorbing them into the shipped set adds.
@@ -24,7 +23,7 @@ use crate::instance::DeltaInstance;
 /// next to the step's `seminaive_step` span.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaNode {
-    data: DeltaInstance,
+    data: Instance,
     derived: Instance,
 }
 
@@ -48,11 +47,10 @@ impl DeltaNode {
         opts: EvalOptions,
     ) -> Instance {
         let mut span = obs::span!("absorb", facts = delta_chunk.len());
-        let added = self.data.absorb(delta_chunk);
-        span.arg("new", added);
+        let fresh = self.data.absorb(delta_chunk);
+        span.arg("new", fresh.len());
         drop(span);
-        let new = self.data.evaluate_new_with(query, opts);
-        self.data.take_delta();
+        let new = evaluate_seminaive_step_with(query, &self.data, &fresh, opts);
         let mut span = obs::span!("absorb", facts = new.len());
         let shipped = self.derived.absorb(&new);
         span.arg("new", shipped.len());
@@ -60,7 +58,7 @@ impl DeltaNode {
     }
 
     /// The node's accumulated local data.
-    pub fn data(&self) -> &DeltaInstance {
+    pub fn data(&self) -> &Instance {
         &self.data
     }
 
@@ -96,7 +94,7 @@ mod tests {
             assert_eq!(shipped, evaluate(&q, &all), "cumulative outputs diverged");
             assert_eq!(node.derived(), &shipped);
         }
-        assert_eq!(node.data().full(), &all);
+        assert_eq!(node.data(), &all);
     }
 
     #[test]

@@ -55,14 +55,6 @@ pub struct OneRoundOutcome {
     /// counterpart of `stats.total_assigned`, which counts `(fact, node)`
     /// assignments.
     pub comm_bytes: u64,
-    /// Hits of the transport's shared index cache this round: how many node
-    /// chunks reused another node's indexed instance instead of rebuilding
-    /// hash indexes (nonzero only for replicating policies on transports
-    /// that keep a cache; see [`Transport::index_cache_stats`]).
-    pub index_cache_hits: u64,
-    /// Misses of the transport's shared index cache this round (chunks that
-    /// entered the cache without finding an equal resident).
-    pub index_cache_misses: u64,
     /// Communication/load statistics of the reshuffle phase.
     pub stats: DistributionStats,
 }
@@ -178,7 +170,6 @@ pub(crate) fn run_round(
     }
     let local_eval_time = local_start.elapsed();
     let comm_bytes = transport.take_bytes_shipped();
-    let (index_cache_hits, index_cache_misses) = transport.index_cache_stats();
     let result = {
         let _span = obs::span!("merge_results", nodes = outputs.len());
         // The node outputs are owned: their facts move into the union.
@@ -193,8 +184,6 @@ pub(crate) fn run_round(
         local_eval_time,
         workers: transport.parallelism().min(nodes.len()).max(1),
         comm_bytes,
-        index_cache_hits,
-        index_cache_misses,
         stats,
     })
 }
@@ -439,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn both_evaluators_agree_and_broadcast_reports_cache_hits() {
+    fn both_evaluators_agree_on_a_broadcast() {
         let q = ConjunctiveQuery::parse("T(x, y, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
         let i = parse_instance(
             "E(a, b). E(b, c). E(c, a). E(b, d). E(d, b). E(c, d). E(d, a). E(a, c).",
@@ -454,10 +443,7 @@ mod tests {
                 .evaluate(&q, &i);
             assert_eq!(outcome.result, baseline.result, "{options:?}");
         }
-        // Broadcast ships three equal chunks: the transport's shared index
-        // cache admits one and reuses it twice, and the outcome surfaces it.
-        assert_eq!(baseline.index_cache_misses, 1);
-        assert_eq!(baseline.index_cache_hits, 2);
+        assert_eq!(baseline.result, cq::evaluate(&q, &i));
     }
 
     #[test]

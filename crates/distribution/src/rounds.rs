@@ -21,17 +21,15 @@
 //! squaring is then simply `T(x, z) :- R(x, y), R(y, z)` iterated with
 //! feedback into `R`.
 //!
-//! Rounds stop at the **fixpoint** (the next round instance repeats an
-//! already-visited state, so no future round can derive anything new) or at
-//! the round cap, whichever comes first; [`MultiRoundOutcome::converged`]
-//! records which. Since conjunctive queries cannot invent new data values,
+//! Rounds stop at the **fixpoint** (a round adds nothing to the carried
+//! state, so no future round can derive anything new) or at the round cap,
+//! whichever comes first; [`MultiRoundOutcome::converged`] records which. Since conjunctive queries cannot invent new data values,
 //! the reachable states are finite and the centralized iterated evaluation
 //! always terminates — [`MultiRoundEngine::reference_fixpoint`] computes
 //! that *global* fixpoint, the correctness yardstick for the distributed
 //! run (`pc_core::multi_round_correct_on`).
 
-use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cq::{evaluate, ConjunctiveQuery, EvalOptions, Fact, Instance, Symbol};
 
@@ -114,14 +112,12 @@ pub struct MultiRoundOutcome {
     pub rounds: Vec<OneRoundOutcome>,
     /// The union of all rounds' outputs (head-relation facts).
     pub result: Instance,
-    /// Every fact the run has ever seen: the initial input plus every
-    /// feedback fact produced by any round (in dataflow mode the rounds
-    /// re-distribute only the latest feedback facts, but this set still
-    /// accumulates — it is what the fixpoint test runs against).
+    /// The carried state at the end of the run: the initial input plus
+    /// every feedback fact produced by any round.
     pub final_state: Instance,
-    /// Whether the run reached its fixpoint (the next round instance
-    /// repeated an already-visited state, so no future round could derive
-    /// anything new) before exhausting the round cap.
+    /// Whether the run reached its fixpoint (a round added nothing to the
+    /// carried state, so no future round could derive anything new) before
+    /// exhausting the round cap.
     pub converged: bool,
     /// How many reshuffles this run elided by evaluating directly on the
     /// shards resident from a previous query (`1` for a run that is a
@@ -156,16 +152,6 @@ impl MultiRoundOutcome {
     /// serialized — an honest zero, not an estimate).
     pub fn total_comm_bytes(&self) -> u64 {
         self.rounds.iter().map(|r| r.comm_bytes).sum()
-    }
-
-    /// Cumulative wall-clock time of all reshuffle phases.
-    pub fn total_distribute_time(&self) -> Duration {
-        self.rounds.iter().map(|r| r.distribute_time).sum()
-    }
-
-    /// Cumulative wall-clock time of all local-evaluation phases.
-    pub fn total_local_eval_time(&self) -> Duration {
-        self.rounds.iter().map(|r| r.local_eval_time).sum()
     }
 
     /// The largest per-round maximum node load (the bottleneck of the run).
@@ -225,44 +211,11 @@ impl MultiQueryOutcome {
     }
 }
 
-/// What a round loop carries from round to round.
-enum RoundState {
-    /// Carried input: one growing instance is the round instance and
-    /// everything the run has seen; states grow monotonically, so "the
-    /// state repeated" is "its size did not change".
-    Carried(Instance),
-    /// Dataflow: the round instance is the previous round's feedback only,
-    /// so every state ever reached is kept for cycle detection, next to
-    /// every fact ever seen (the reported `final_state`).
-    Dataflow {
-        current: Instance,
-        seen: Instance,
-        visited: BTreeSet<BTreeSet<Fact>>,
-    },
-}
-
-impl RoundState {
-    /// The instance the next round evaluates.
-    fn current(&self) -> &Instance {
-        match self {
-            RoundState::Carried(current) | RoundState::Dataflow { current, .. } => current,
-        }
-    }
-
-    /// Every fact the run has seen.
-    fn into_seen(self) -> Instance {
-        match self {
-            RoundState::Carried(seen) | RoundState::Dataflow { seen, .. } => seen,
-        }
-    }
-}
-
 /// A simulated cluster iterating the one-round algorithm under a
 /// [`RoundSchedule`], with fixpoint detection and a round cap.
 pub struct MultiRoundEngine<'a> {
     schedule: RoundSchedule<'a>,
     max_rounds: usize,
-    carry_input: bool,
     feedback: Option<Symbol>,
     workers: usize,
     semi_naive: bool,
@@ -279,12 +232,11 @@ pub struct MultiRoundEngine<'a> {
 impl<'a> MultiRoundEngine<'a> {
     /// Creates a single-round engine over `schedule`; raise the cap with
     /// [`MultiRoundEngine::rounds`]. Defaults mirror [`OneRoundEngine`]:
-    /// sequential evaluation, carried input, no feedback relation.
+    /// sequential evaluation, no feedback relation.
     pub fn new(schedule: RoundSchedule<'a>) -> MultiRoundEngine<'a> {
         MultiRoundEngine {
             schedule,
             max_rounds: 1,
-            carry_input: true,
             feedback: None,
             workers: 1,
             semi_naive: false,
@@ -325,15 +277,6 @@ impl<'a> MultiRoundEngine<'a> {
         self
     }
 
-    /// Whether each round re-distributes the accumulated instance (`true`,
-    /// the default) or only the previous round's feedback facts (`false`) —
-    /// the difference between stateful workers and a pure dataflow of
-    /// reshuffled outputs.
-    pub fn carry_input(mut self, carry: bool) -> Self {
-        self.carry_input = carry;
-        self
-    }
-
     /// Renames every round's output facts into `relation` before merging
     /// them into the next round's instance, making the query effectively
     /// recursive (see the module docs).
@@ -363,12 +306,10 @@ impl<'a> MultiRoundEngine<'a> {
     /// identical** to full re-evaluation mode; per-round
     /// [`OneRoundOutcome`]s differ in the documented ways (each round's
     /// `result` holds only the *new* facts, and the loads/statistics
-    /// describe the delta reshuffle). Requires carried input — checked at
-    /// evaluation time — because in dataflow mode the round instance is
-    /// not monotone, so there is no delta to ship. A schedule that
-    /// switches policies between rounds is handled with an explicit
-    /// **re-shard round**: the full accumulated state is re-shipped under
-    /// the new policy as a fresh round-0 reset (recorded in
+    /// describe the delta reshuffle). A schedule that switches policies
+    /// between rounds is handled with an explicit **re-shard round**: the
+    /// full accumulated state is re-shipped under the new policy as a
+    /// fresh round-0 reset (recorded in
     /// [`MultiRoundOutcome::reshard_rounds`]), and delta shipping resumes
     /// from the rebuilt state.
     pub fn semi_naive(mut self, enabled: bool) -> Self {
@@ -376,119 +317,36 @@ impl<'a> MultiRoundEngine<'a> {
         self
     }
 
-    /// Whether the engine runs semi-naive incremental rounds.
-    pub fn is_semi_naive(&self) -> bool {
-        self.semi_naive
-    }
-
-    /// Panics unless the configuration combination supports incremental
-    /// rounds (see [`MultiRoundEngine::semi_naive`]).
-    fn check_semi_naive_config(&self) {
-        assert!(
-            self.carry_input,
-            "semi-naive rounds require carried input: in dataflow mode the \
-             round instance is not monotone, so there is no delta to ship"
-        );
-    }
-
-    /// The configured round cap.
-    pub fn max_rounds(&self) -> usize {
-        self.max_rounds
-    }
-
-    /// The configured feedback relation, if any.
-    pub fn feedback(&self) -> Option<Symbol> {
-        self.feedback
-    }
-
-    /// Whether rounds re-distribute the accumulated instance.
-    pub fn carries_input(&self) -> bool {
-        self.carry_input
-    }
-
-    /// The round's output facts as they re-enter the next round.
-    fn feedback_facts(&self, output: &Instance) -> Instance {
-        match self.feedback {
-            Some(relation) => output
-                .facts()
-                .map(|f| Fact::new(relation, f.values.clone()))
-                .collect(),
-            None => output.clone(),
-        }
-    }
-
-    /// The iteration state of a round loop starting from `instance`.
-    fn initial_state(&self, instance: &Instance) -> RoundState {
-        if self.carry_input {
-            RoundState::Carried(instance.clone())
-        } else {
-            RoundState::Dataflow {
-                current: instance.clone(),
-                seen: instance.clone(),
-                visited: BTreeSet::from([instance.to_set()]),
-            }
-        }
-    }
-
     /// One iteration step shared by [`MultiRoundEngine::evaluate_via`] and
     /// [`MultiRoundEngine::reference_fixpoint`], so the distributed run and
     /// its centralized yardstick can never drift apart in their
-    /// carry/feedback/fixpoint semantics. Merges a round's `output` into
-    /// the accumulated `result` and advances `state`, reporting whether
-    /// iteration has terminated: the next round instance repeats one
-    /// already visited, so no future round can ever produce a new fact.
-    /// A semi-naive run passes `fresh` and gets back exactly the facts this
-    /// round added to the carried state — its next delta.
-    ///
-    /// Termination tests whole **states**, not individual facts. With
-    /// carried input states grow monotonically, so a revisited state is
-    /// exactly "this round contributed nothing new": the accumulated
-    /// instance's absorb came back empty.
-    /// In dataflow mode (`carry_input = false`) states need not grow, and a
-    /// round whose facts are all individually stale can still be a *novel
-    /// combination* whose evaluation derives new facts — only an exact
-    /// state repeat (a cycle) guarantees the run is exhausted, so every
-    /// visited state is kept.
+    /// feedback/fixpoint semantics: merges a round's `output` into the
+    /// accumulated `result`, absorbs its feedback into the carried `state`
+    /// and returns what that added — a semi-naive run's next delta. The
+    /// state only grows, so an empty return means the state repeated: the
+    /// fixpoint, after which no round can produce a new fact.
     fn advance_round(
         &self,
         output: &Instance,
         result: &mut Instance,
-        state: &mut RoundState,
-        fresh: Option<&mut Instance>,
-    ) -> bool {
+        state: &mut Instance,
+    ) -> Instance {
         result.absorb(output);
-        match state {
-            RoundState::Carried(accumulated) => {
-                let added = match self.feedback {
-                    Some(_) => accumulated.absorb(&self.feedback_facts(output)),
-                    None => accumulated.absorb(output),
-                };
-                let done = added.is_empty();
-                if let Some(fresh) = fresh {
-                    *fresh = added;
-                }
-                done
-            }
-            RoundState::Dataflow {
-                current,
-                seen,
-                visited,
-            } => {
-                let next = self.feedback_facts(output);
-                seen.absorb(&next);
-                if !visited.insert(next.to_set()) {
-                    return true;
-                }
-                *current = next;
-                false
-            }
+        match self.feedback {
+            Some(relation) => state.absorb(
+                &output
+                    .facts()
+                    .map(|f| Fact::new(relation, f.values.clone()))
+                    .collect(),
+            ),
+            None => state.absorb(output),
         }
     }
 
-    /// Runs up to [`MultiRoundEngine::max_rounds`] distribute→local-eval
-    /// cycles for `query` starting from `instance`: exactly
-    /// [`MultiRoundEngine::evaluate_via`] over an [`InMemoryTransport`]
-    /// with the configured worker pool.
+    /// Runs up to the round cap ([`MultiRoundEngine::rounds`])
+    /// distribute→local-eval cycles for `query` starting from `instance`:
+    /// exactly [`MultiRoundEngine::evaluate_via`] over an
+    /// [`InMemoryTransport`] with the configured worker pool.
     pub fn evaluate(&self, query: &ConjunctiveQuery, instance: &Instance) -> MultiRoundOutcome {
         let mut transport = InMemoryTransport::new(self.workers);
         self.evaluate_via(&mut transport, query, instance)
@@ -500,26 +358,21 @@ impl<'a> MultiRoundEngine<'a> {
     /// cross-process when the transport is wire-backed — then
     /// `advance_round` merges the outputs and tests for the fixpoint.
     ///
-    /// A full round ships every node the whole round instance
+    /// A full round ships every node its chunk of the whole carried state
     /// ([`Shipment::Full`]). With [`MultiRoundEngine::semi_naive`] a round
     /// ships only the facts the previous round added
     /// ([`Shipment::Delta`]; round 0 ships everything), and a policy
-    /// switch re-ships the whole state as a fresh round-0 reset. With
-    /// carried input "the delta is empty" is exactly the repeated-state
-    /// test, so the two modes converge on the same round with the same
-    /// cumulative result (the differential suites pin this).
+    /// switch re-ships the whole state as a fresh round-0 reset. "The
+    /// delta is empty" is exactly the fixpoint test, so the two modes
+    /// converge on the same round with the same cumulative result (the
+    /// differential suites pin this).
     pub fn evaluate_via(
         &self,
         transport: &mut dyn Transport,
         query: &ConjunctiveQuery,
         instance: &Instance,
     ) -> Result<MultiRoundOutcome, TransportError> {
-        if self.semi_naive {
-            self.check_semi_naive_config();
-        }
-        // States over a fixed active domain are finite, so a repeat — and
-        // hence termination — is guaranteed even in dataflow mode.
-        let mut state = self.initial_state(instance);
+        let mut state = instance.clone();
         let mut result = Instance::new();
         let mut rounds = Vec::new();
         let mut reshard_rounds = Vec::new();
@@ -534,15 +387,14 @@ impl<'a> MultiRoundEngine<'a> {
         let round_latency = self.registry.histogram("round_latency_us");
         for round in 0..self.max_rounds {
             let round_started = Instant::now();
-            let _round_span =
-                obs::span!("eval_round", round = round, facts = state.current().len());
+            let _round_span = obs::span!("eval_round", round = round, facts = state.len());
             let policy_index = self.schedule.policy_index(round);
             let switched = policy_index != active_policy;
             active_policy = policy_index;
             let engine = OneRoundEngine::new(self.schedule.policy_for(round))
                 .eval_options(self.eval_options);
             let outcome = match &delta {
-                None => engine.evaluate_via(transport, round, query, state.current())?,
+                None => engine.evaluate_via(transport, round, query, &state)?,
                 Some(delta) => {
                     let new_facts = if switched {
                         // A policy switch re-routes facts that were already
@@ -550,7 +402,7 @@ impl<'a> MultiRoundEngine<'a> {
                         obs::instant!("reshard", round = round);
                         reshard_rounds.push(round);
                         delta_round = 0;
-                        state.current()
+                        &state
                     } else {
                         delta
                     };
@@ -569,10 +421,14 @@ impl<'a> MultiRoundEngine<'a> {
                     outcome
                 }
             };
-            let done = {
+            let added = {
                 let _span = obs::span!("merge_results", round = round);
-                self.advance_round(&outcome.result, &mut result, &mut state, delta.as_mut())
+                self.advance_round(&outcome.result, &mut result, &mut state)
             };
+            let done = added.is_empty();
+            if let Some(delta) = delta.as_mut() {
+                *delta = added;
+            }
             rounds.push(outcome);
             round_latency
                 .record(u64::try_from(round_started.elapsed().as_micros()).unwrap_or(u64::MAX));
@@ -584,7 +440,7 @@ impl<'a> MultiRoundEngine<'a> {
         Ok(MultiRoundOutcome {
             rounds,
             result,
-            final_state: state.into_seen(),
+            final_state: state,
             converged,
             elided_reshuffles: 0,
             reshard_rounds,
@@ -614,8 +470,8 @@ impl<'a> MultiRoundEngine<'a> {
     /// [`MultiRoundEngine::evaluate_queries`] through an explicit
     /// transport. The elision decision per boundary is:
     ///
-    /// 1. The previous query's run must have **converged with carried
-    ///    input and no feedback rewrite** — only then is the fixpoint
+    /// 1. The previous query's run must have **converged with no feedback
+    ///    rewrite** — only then is the fixpoint
     ///    state resident at the nodes, sharded by the last round's policy.
     /// 2. [`MultiRoundEngine::reshuffle_always`] must be off (the
     ///    baseline knob for measuring what elision saves).
@@ -706,15 +562,14 @@ impl<'a> MultiRoundEngine<'a> {
     }
 
     /// Which nodes hold the just-finished run's fixpoint, if any do:
-    /// requires carried input (dataflow rounds drop state), no feedback
-    /// rewrite (the resident facts would be renamed copies, not the
-    /// state), and convergence (a round-capped run's nodes hold an
+    /// requires no feedback rewrite (the resident facts would be renamed
+    /// copies, not the state) and convergence (a round-capped run's nodes hold an
     /// intermediate state, not the fixpoint). The shards then sit exactly
     /// where the anchor round shipped them — the last round in full mode
     /// (each full round re-ships the whole state), the last reset round in
     /// semi-naive mode (later delta rounds only top nodes up).
     fn resident_nodes(&self, outcome: &MultiRoundOutcome) -> Option<Vec<Node>> {
-        if !self.carry_input || self.feedback.is_some() || !outcome.converged {
+        if self.feedback.is_some() || !outcome.converged {
             return None;
         }
         let anchor = if self.semi_naive {
@@ -729,7 +584,7 @@ impl<'a> MultiRoundEngine<'a> {
     }
 
     /// The centralized reference: iterates `evaluate(query, ·)` with the
-    /// same carry/feedback semantics but **no round cap**, until the global
+    /// same feedback semantics but **no round cap**, until the global
     /// fixpoint (a repeated state). Terminates on every input because
     /// conjunctive queries cannot introduce new data values, so the set of
     /// reachable states over the input's active domain is finite.
@@ -738,13 +593,16 @@ impl<'a> MultiRoundEngine<'a> {
         query: &ConjunctiveQuery,
         instance: &Instance,
     ) -> IteratedFixpoint {
-        let mut state = self.initial_state(instance);
+        let mut state = instance.clone();
         let mut result = Instance::new();
         let mut rounds = 0usize;
         loop {
             rounds += 1;
-            let output = evaluate(query, state.current());
-            if self.advance_round(&output, &mut result, &mut state, None) {
+            let output = evaluate(query, &state);
+            if self
+                .advance_round(&output, &mut result, &mut state)
+                .is_empty()
+            {
                 break;
             }
         }
@@ -877,57 +735,6 @@ mod tests {
         assert_eq!(outcome.rounds[0].stats.nodes, 3);
         assert!(outcome.rounds.len() > 1);
         assert_eq!(outcome.rounds[1].stats.nodes, hypercube.network().len());
-        assert_eq!(outcome.result, engine.reference_fixpoint(&q, &i).result);
-    }
-
-    #[test]
-    fn dataflow_mode_redistributes_only_the_outputs() {
-        // Without carried input, round 2's instance is only the feedback
-        // facts of round 1 — loads must shrink accordingly on a broadcast
-        // policy, and the seen-set still guarantees termination.
-        let q = square_query();
-        let i = chain_instance(4);
-        let network = Network::with_size(2);
-        let broadcast = ExplicitPolicy::new(network.clone()).with_default(network.nodes());
-        let outcome = MultiRoundEngine::new(RoundSchedule::repeat(&broadcast))
-            .rounds(10)
-            .feedback_into("R")
-            .carry_input(false)
-            .evaluate(&q, &i);
-        assert!(outcome.converged);
-        assert!(outcome.rounds.len() >= 2);
-        let first_load = outcome.rounds[0].stats.max_load;
-        let second_load = outcome.rounds[1].stats.max_load;
-        assert_eq!(first_load, i.len());
-        assert!(second_load < first_load, "{second_load} !< {first_load}");
-    }
-
-    #[test]
-    fn dataflow_mode_continues_past_individually_stale_rounds() {
-        // Regression test for the dataflow fixpoint rule: here round 3's
-        // feedback facts have all been seen in earlier rounds, yet they
-        // form a NEW combination whose evaluation still derives new facts
-        // (T(a, b) among them). A per-fact staleness test would stop early
-        // and silently drop those answers; only an exact state repeat may
-        // end the run.
-        let q = square_query();
-        let i = parse_instance("R(a, c). R(b, c). R(c, d). R(d, b). R(d, c).").unwrap();
-        let network = Network::with_size(1);
-        let broadcast = ExplicitPolicy::new(network.clone()).with_default(network.nodes());
-        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&broadcast))
-            .rounds(50)
-            .feedback_into("R")
-            .carry_input(false);
-        let outcome = engine.evaluate(&q, &i);
-        assert!(outcome.converged);
-        for fact in ["T(a, b)", "T(b, b)"] {
-            let fact = cq::parse_instance(&format!("{fact}.")).unwrap();
-            assert!(
-                outcome.result.contains_all(&fact),
-                "dataflow run must still derive {fact} (got {})",
-                outcome.result
-            );
-        }
         assert_eq!(outcome.result, engine.reference_fixpoint(&q, &i).result);
     }
 
@@ -1089,18 +896,6 @@ mod tests {
         assert!(semi.converged);
         assert_eq!(semi.rounds_run(), 2);
         assert!(semi.rounds[1].result.is_empty(), "round 2 is a pure probe");
-    }
-
-    #[test]
-    #[should_panic(expected = "carried input")]
-    fn semi_naive_rejects_dataflow_mode() {
-        let q = square_query();
-        let p = HypercubePolicy::uniform(&q, 2).unwrap();
-        let _ = MultiRoundEngine::new(RoundSchedule::repeat(&p))
-            .rounds(4)
-            .carry_input(false)
-            .semi_naive(true)
-            .evaluate(&q, &chain_instance(3));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cq::{evaluate_with, ConjunctiveQuery, EvalOptions, Instance};
-use delta::{DeltaNode, IndexCache};
+use delta::DeltaNode;
 
 use crate::network::Node;
 
@@ -119,8 +119,7 @@ pub enum NodeState {
     /// Never shipped anything: the node holds the empty shard.
     #[default]
     Empty,
-    /// The last full chunk the node evaluated. Equal chunks of one round
-    /// (a broadcast) may share one instance.
+    /// The last full chunk the node evaluated.
     Chunk(Arc<Instance>),
     /// The accumulated state of an incremental run (boxed: it is far
     /// larger than the other variants, and states move in and out of the
@@ -160,7 +159,7 @@ impl NodeState {
             Shipment::Resident => match self {
                 NodeState::Empty => evaluate_with(query, &Instance::new(), options),
                 NodeState::Chunk(chunk) => evaluate_with(query, chunk, options),
-                NodeState::Incremental(state) => evaluate_with(query, state.data().full(), options),
+                NodeState::Incremental(state) => evaluate_with(query, state.data(), options),
             },
         }
     }
@@ -220,15 +219,6 @@ pub trait Transport {
     fn parallelism(&self) -> usize {
         1
     }
-
-    /// Cumulative `(hits, misses)` of the transport's shared index cache,
-    /// if it keeps one: a hit means a node's chunk reused another node's
-    /// indexed instance instead of rebuilding hash indexes from scratch.
-    /// Transports without a cache (including the wire transport, where
-    /// every worker owns its memory) report `(0, 0)`.
-    fn index_cache_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
 }
 
 /// Drains `items` through `f` on a bounded pool: `workers` scoped threads
@@ -276,27 +266,13 @@ pub struct InMemoryTransport {
     ready: BTreeMap<Node, NodeResult>,
     /// What every node holds between rounds.
     nodes: BTreeMap<Node, NodeState>,
-    /// Shares one indexed instance between equal chunks (a broadcast round
-    /// evaluates the same chunk at every node). Cleared at every
-    /// `begin_round`: chunks can only repeat within a round, so holding
-    /// them longer would pin memory without ever hitting.
-    cache: IndexCache,
-    /// The transport's metrics registry; the index cache's hit/miss
-    /// counters live here (`index_cache_hits` / `index_cache_misses`),
-    /// so [`InMemoryTransport::cache_stats`] and the registry report one
-    /// value.
+    /// The transport's metrics registry (the `chunk_facts` histogram).
     registry: Arc<obs::Registry>,
 }
 
 impl InMemoryTransport {
     /// A transport evaluating on a pool of up to `workers` threads.
     pub fn new(workers: usize) -> InMemoryTransport {
-        let registry = Arc::new(obs::Registry::new());
-        let cache = IndexCache::with_counters(
-            16,
-            registry.counter("index_cache_hits"),
-            registry.counter("index_cache_misses"),
-        );
         InMemoryTransport {
             workers: workers.max(1),
             query: None,
@@ -305,20 +281,11 @@ impl InMemoryTransport {
             pending: Vec::new(),
             ready: BTreeMap::new(),
             nodes: BTreeMap::new(),
-            cache,
-            registry,
+            registry: Arc::new(obs::Registry::new()),
         }
     }
 
-    /// Index-cache statistics: `(hits, misses)` of the shared chunk cache
-    /// (diagnostic hook for tests and benches).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
-    }
-
-    /// The transport's metrics registry — the single source of truth
-    /// behind [`InMemoryTransport::cache_stats`] and any future
-    /// transport-level counters.
+    /// The transport's metrics registry.
     pub fn registry(&self) -> Arc<obs::Registry> {
         self.registry.clone()
     }
@@ -336,8 +303,6 @@ impl Transport for InMemoryTransport {
         self.eval_options = options;
         self.pending.clear();
         self.ready.clear();
-        // Chunks can only repeat within one round; drop last round's.
-        self.cache.clear();
         Ok(())
     }
 
@@ -354,13 +319,6 @@ impl Transport for InMemoryTransport {
     /// Drains the round's shipments through [`NodeState::apply`] on the
     /// pool. Each node's state is taken out of the map for the duration of
     /// its job and reinstated with the result.
-    ///
-    /// Only full chunks whose size another full chunk of the round repeats
-    /// go through the index cache — distinct sizes cannot be equal, so
-    /// hashing them (and pinning them in the cache) would be pure overhead
-    /// on the common partitioning policies. Replicating policies
-    /// (broadcast) get the full benefit: their equal chunks collapse onto
-    /// one shared instance whose indexes are built once.
     fn barrier(&mut self) -> Result<(), TransportError> {
         let query = self
             .query
@@ -368,21 +326,9 @@ impl Transport for InMemoryTransport {
             .ok_or_else(|| TransportError::Protocol("barrier before begin_round".into()))?;
         let pending = std::mem::take(&mut self.pending);
         let _span = obs::span!("barrier", round = self.round, chunks = pending.len());
-        let mut size_counts: BTreeMap<usize, usize> = BTreeMap::new();
-        for (_, shipment) in &pending {
-            if let Shipment::Full(chunk) = shipment {
-                *size_counts.entry(chunk.len()).or_default() += 1;
-            }
-        }
         let jobs: Vec<Mutex<Option<(Node, Shipment, NodeState)>>> = pending
             .into_iter()
             .map(|(node, shipment)| {
-                let shipment = match shipment {
-                    Shipment::Full(chunk) if size_counts[&chunk.len()] > 1 => {
-                        Shipment::Full(self.cache.warm_shared(chunk))
-                    }
-                    other => other,
-                };
                 let state = self.nodes.remove(&node).unwrap_or_default();
                 Mutex::new(Some((node, shipment, state)))
             })
@@ -418,10 +364,6 @@ impl Transport for InMemoryTransport {
 
     fn parallelism(&self) -> usize {
         self.workers
-    }
-
-    fn index_cache_stats(&self) -> (u64, u64) {
-        self.cache_stats()
     }
 }
 
@@ -559,7 +501,7 @@ mod tests {
             panic!("delta rounds leave incremental state");
         };
         assert_eq!(
-            state.data().full().cached_orders(),
+            state.data().cached_orders(),
             0,
             "a delta round under the scan oracle must not build an order"
         );
@@ -568,54 +510,7 @@ mod tests {
         let NodeState::Incremental(state) = &transport.nodes[&node] else {
             panic!("delta rounds leave incremental state");
         };
-        assert!(state.data().full().cached_orders() > 0);
-    }
-
-    #[test]
-    fn broadcast_chunks_share_one_cached_instance() {
-        // Every node of a broadcast round receives an equal chunk: the
-        // index cache must collapse them onto one entry (nodes - 1 hits).
-        let q = two_hop();
-        let i = parse_instance("R(a, b). S(b, c). R(c, d). S(d, e).").unwrap();
-        let network = Network::with_size(4);
-        let policy = ExplicitPolicy::broadcast(&network, &i);
-        let dist = policy.distribute(&i);
-        let mut transport = InMemoryTransport::new(2);
-        transport
-            .begin_round(0, &q, EvalOptions::default())
-            .unwrap();
-        for (node, chunk) in dist.chunks() {
-            transport
-                .send(node, Shipment::Full(Arc::new(chunk.clone())))
-                .unwrap();
-        }
-        transport.barrier().unwrap();
-        let (hits, misses) = transport.cache_stats();
-        assert_eq!((hits, misses), (3, 1), "4 equal chunks, one build");
-        for node in network.nodes() {
-            assert_eq!(transport.recv(node).unwrap().output, cq::evaluate(&q, &i));
-        }
-    }
-
-    #[test]
-    fn distinct_size_chunks_never_touch_the_cache() {
-        // A partitioning policy's chunks (all different sizes here) cannot
-        // be equal, so the transport must not pay to hash or retain them.
-        let q = two_hop();
-        let mut transport = InMemoryTransport::new(2);
-        transport
-            .begin_round(0, &q, EvalOptions::default())
-            .unwrap();
-        transport.send(Node::numbered(0), full("R(a, b).")).unwrap();
-        transport
-            .send(Node::numbered(1), full("R(a, b). S(b, c)."))
-            .unwrap();
-        transport.barrier().unwrap();
-        assert_eq!(transport.cache_stats(), (0, 0), "no chunk may be hashed");
-        assert_eq!(
-            transport.recv(Node::numbered(1)).unwrap().output,
-            parse_instance("T(a, c).").unwrap()
-        );
+        assert!(state.data().cached_orders() > 0);
     }
 
     #[test]

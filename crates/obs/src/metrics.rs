@@ -19,12 +19,6 @@ use std::sync::{Arc, Mutex};
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A counter not registered anywhere — for components that work
-    /// standalone but can be handed registry-backed handles instead.
-    pub fn detached() -> Counter {
-        Counter::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);
@@ -180,7 +174,7 @@ impl Histogram {
 
 /// A named collection of counters and histograms. `counter(name)`
 /// returns the existing handle when the name is already registered, so
-/// every component asking for `"index_cache_hits"` shares one value.
+/// every component asking for `"transfer_checks"` shares one value.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,

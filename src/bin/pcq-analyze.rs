@@ -1026,11 +1026,6 @@ impl RunReport<'_> {
         if one_round {
             let round = &first.rounds[0];
             put("workers", round.workers.into());
-            let cache = [
-                ("hits", round.index_cache_hits.into()),
-                ("misses", round.index_cache_misses.into()),
-            ];
-            put("index_cache", JsonValue::object(cache));
             put("result_size", first.result_size.into());
             put("parallel_correct", first.correct.into());
             put("comm_bytes", round.comm_bytes.into());
@@ -1169,9 +1164,7 @@ impl RunReport<'_> {
                 let load = round.per_node_load[node];
                 say!("  {node}: load={load} output={output} time={time}µs");
             }
-            let (hits, misses) = (round.index_cache_hits, round.index_cache_misses);
             say!("workers:     {}", round.workers);
-            say!("index cache: {hits} hits / {misses} misses");
         }
         if many {
             let elided = self.sum(|q| q.elided_reshuffles);

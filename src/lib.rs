@@ -9,8 +9,7 @@
 //!
 //! * [`cq`] — conjunctive-query substrate (schemas, instances, valuations,
 //!   evaluation, homomorphisms, minimization).
-//! * [`delta`] — the incremental-evaluation substrate: delta-tracking
-//!   instances, node-side semi-naive state and the index-reuse cache.
+//! * [`delta`] — the node side of semi-naive rounds (`DeltaNode`).
 //! * [`distribution`] — distribution policies, Hypercube distributions and
 //!   the simulated one-round evaluation engine.
 //! * [`pc_core`] — the paper's contribution: parallel-correctness,
@@ -61,7 +60,7 @@ pub mod prelude {
         EvalOptions, Fact, Instance, Schema, Substitution, Symbol, Tuple, Valuation, Value,
         Variable,
     };
-    pub use delta::{CacheStats, DeltaInstance, DeltaNode, IndexCache};
+    pub use delta::{DeltaNode, IndexCache};
     pub use distribution::{
         DistributionPolicy, ExplicitPolicy, FinitePolicy, HypercubeFamily, HypercubePolicy,
         InMemoryTransport, MultiQueryOutcome, MultiRoundEngine, MultiRoundOutcome, Network, Node,
@@ -71,7 +70,7 @@ pub mod prelude {
         check_parallel_correctness, check_parallel_correctness_bounded,
         check_parallel_correctness_on_instance, check_transfer, check_transfer_strongly_minimal,
         holds_c0, holds_c1, holds_c2, holds_c3, hypercube_parallel_correct, is_minimal_valuation,
-        is_strongly_minimal, multi_round_correct_on, validate_hypercube_family,
+        is_strongly_minimal, multi_round_correct_on, validate_hypercube_family, CacheStats,
         MultiRoundInstanceReport, PcReport, TransferCache, TransferReport,
     };
     pub use wire::{ExplicitSpec, JsonValue, Scenario, WireTransport};

@@ -543,23 +543,19 @@ fn run_rejects_the_removed_join_strategy_flag() {
             "{stderr}"
         );
     }
-    // The reports name no strategy any more, cyclic or acyclic, and still
-    // carry the transport's index-cache counters.
+    // The reports name no strategy any more, cyclic or acyclic, and no
+    // index cache either: the in-memory transport keeps none.
     for query in ["triangle", "chain:2"] {
         let facts = "E(a, b). E(b, c). E(c, a). E(a, c). R(a, b). R(b, c).";
         let (code, stdout) = pcq_analyze_output(&["run", query, "broadcast:2", facts]);
         assert_eq!(code, 0, "{query}: {stdout}");
         assert!(!stdout.contains("join:"), "{query}: {stdout}");
-        assert!(
-            stdout.contains("index cache: 1 hits / 1 misses"),
-            "{stdout}"
-        );
+        assert!(!stdout.contains("index cache"), "{stdout}");
         let (code, stdout) = pcq_analyze_output(&["run", query, "broadcast:2", facts, "--json"]);
         assert_eq!(code, 0, "{query}: {stdout}");
         assert!(!stdout.contains("join_strategy"), "{query}: {stdout}");
         assert!(stdout.contains("\"parallel_correct\":true"), "{stdout}");
-        let key = "\"index_cache\":{\"hits\":1,\"misses\":1}";
-        assert!(stdout.contains(key), "missing {key} in {stdout}");
+        assert!(!stdout.contains("index_cache"), "{stdout}");
     }
 }
 
@@ -1245,14 +1241,17 @@ fn run_json_carries_a_histograms_block_with_ordered_quantiles() {
     let counters = doc
         .get("counters")
         .expect("run --json must report counters");
-    let hits = counters.get("index_cache_hits").and_then(JsonValue::as_u64);
-    let misses = counters
-        .get("index_cache_misses")
+    assert!(!counters.to_string().contains("index_cache"), "{counters}");
+    let path = write_temp("counters-multi-query.pcq", MULTI_QUERY_SCENARIO);
+    let (code, stdout) =
+        pcq_analyze_output(&["run", "--scenario", path.to_str().unwrap(), "--json"]);
+    assert_eq!(code, 0, "{stdout}");
+    let doc = JsonValue::parse(stdout.trim()).expect("run --json must stay valid JSON");
+    let checks = doc
+        .get("counters")
+        .and_then(|c| c.get("transfer_checks"))
         .and_then(JsonValue::as_u64);
-    assert!(
-        hits.is_some() && misses.is_some_and(|n| n > 0),
-        "{counters}"
-    );
+    assert_eq!(checks, Some(2), "{doc}");
     let mut with_flag = args.to_vec();
     with_flag.extend(["--metrics", "metrics.json"]);
     assert_eq!(pcq_analyze(&with_flag), 2, "--metrics is an unknown flag");
