@@ -86,9 +86,10 @@ use crate::valuation::Valuation;
 use crate::value::Value;
 
 /// Which evaluator runs: the production kernel, or the oracle the property
-/// suites compare it against. It rides every eval frame of the wire
-/// protocol, so a cross-process differential test can ask workers for the
-/// oracle.
+/// suites compare it against. Only callers of this crate choose: every
+/// node of a distributed run evaluates with the default, and a
+/// differential test compares the run against a central
+/// [`evaluate_with`]`(.., EvalOptions::ScanOracle)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalOptions {
     /// The leapfrog triejoin over the instance's sorted column orders.

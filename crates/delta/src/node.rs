@@ -1,6 +1,6 @@
 //! The node-side state of a semi-naive distributed round.
 
-use cq::{evaluate_seminaive_step_with, ConjunctiveQuery, EvalOptions, Instance};
+use cq::{evaluate_seminaive_step, ConjunctiveQuery, Instance};
 
 /// One simulated node's persistent state across the rounds of an
 /// incremental (delta-shipping) run: the accumulated local data and the
@@ -33,24 +33,14 @@ impl DeltaNode {
         DeltaNode::default()
     }
 
-    /// Runs one incremental round under the default [`EvalOptions`]: see
-    /// the type docs for the three phases. Returns the node's output delta.
+    /// Runs one incremental round: see the type docs for the three
+    /// phases. Returns the node's output delta.
     pub fn step(&mut self, query: &ConjunctiveQuery, delta_chunk: &Instance) -> Instance {
-        self.step_with(query, delta_chunk, EvalOptions::default())
-    }
-
-    /// [`DeltaNode::step`] under explicit [`EvalOptions`].
-    pub fn step_with(
-        &mut self,
-        query: &ConjunctiveQuery,
-        delta_chunk: &Instance,
-        opts: EvalOptions,
-    ) -> Instance {
         let mut span = obs::span!("absorb", facts = delta_chunk.len());
         let fresh = self.data.absorb(delta_chunk);
         span.arg("new", fresh.len());
         drop(span);
-        let new = evaluate_seminaive_step_with(query, &self.data, &fresh, opts);
+        let new = evaluate_seminaive_step(query, &self.data, &fresh);
         let mut span = obs::span!("absorb", facts = new.len());
         let shipped = self.derived.absorb(&new);
         span.arg("new", shipped.len());

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cq::{evaluate, ConjunctiveQuery, EvalOptions, Instance};
+use cq::{evaluate, ConjunctiveQuery, Instance};
 
 use crate::distribute::{reshuffle, DistributionStats};
 use crate::network::Node;
@@ -140,7 +140,6 @@ pub(crate) fn run_round(
     transport: &mut dyn Transport,
     round: usize,
     query: &ConjunctiveQuery,
-    options: EvalOptions,
     plan: RoundPlan,
 ) -> Result<OneRoundOutcome, TransportError> {
     let RoundPlan {
@@ -150,7 +149,7 @@ pub(crate) fn run_round(
         distribute_time,
     } = plan;
     let local_start = Instant::now();
-    transport.begin_round(round, query, options)?;
+    transport.begin_round(round, query)?;
     let mut nodes = Vec::with_capacity(shipments.len());
     for (node, shipment) in shipments {
         nodes.push(node);
@@ -192,18 +191,13 @@ pub(crate) fn run_round(
 pub struct OneRoundEngine<'a, P: DistributionPolicy + ?Sized> {
     policy: &'a P,
     workers: usize,
-    eval_options: EvalOptions,
 }
 
 impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     /// Creates an engine over the given policy (sequential local
     /// evaluation).
     pub fn new(policy: &'a P) -> OneRoundEngine<'a, P> {
-        OneRoundEngine {
-            policy,
-            workers: 1,
-            eval_options: EvalOptions::default(),
-        }
+        OneRoundEngine { policy, workers: 1 }
     }
 
     /// Sets the size of the worker pool [`OneRoundEngine::evaluate`]
@@ -214,16 +208,6 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     /// nothing.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the [`EvalOptions`] every node's local evaluation runs with —
-    /// the indexed kernel (the default) or the scan oracle. The
-    /// options travel with [`Transport::begin_round`], so they apply on
-    /// every transport: the in-process pool and wire workers that live in
-    /// other processes.
-    pub fn eval_options(mut self, options: EvalOptions) -> Self {
-        self.eval_options = options;
         self
     }
 
@@ -251,7 +235,7 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     ) -> Result<OneRoundOutcome, TransportError> {
         let _round_span = obs::span!("one_round", round = round, facts = instance.len());
         let plan = self.plan(instance, Shipment::Full);
-        run_round(transport, round, query, self.eval_options, plan)
+        run_round(transport, round, query, plan)
     }
 
     /// The reshuffle phase of a round: `dist_P(facts)` as one `ship`-kind
@@ -436,14 +420,10 @@ mod tests {
         .unwrap();
         let network = Network::with_size(3);
         let p = ExplicitPolicy::broadcast(&network, &i);
-        let baseline = OneRoundEngine::new(&p).evaluate(&q, &i);
-        for options in [EvalOptions::Triejoin, EvalOptions::ScanOracle] {
-            let outcome = OneRoundEngine::new(&p)
-                .eval_options(options)
-                .evaluate(&q, &i);
-            assert_eq!(outcome.result, baseline.result, "{options:?}");
-        }
-        assert_eq!(baseline.result, cq::evaluate(&q, &i));
+        let outcome = OneRoundEngine::new(&p).evaluate(&q, &i);
+        let oracle = cq::evaluate_with(&q, &i, cq::EvalOptions::ScanOracle);
+        assert!(!oracle.is_empty());
+        assert_eq!(outcome.result, oracle);
     }
 
     #[test]

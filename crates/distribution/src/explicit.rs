@@ -67,6 +67,14 @@ impl ExplicitPolicy {
         p
     }
 
+    /// A total broadcast policy: every fact, listed or not, goes to every
+    /// node of `network`. Unlike [`ExplicitPolicy::broadcast`], which
+    /// enumerates a concrete universe, this stays total when later rounds
+    /// feed new facts back in.
+    pub fn total_broadcast(network: &Network) -> ExplicitPolicy {
+        ExplicitPolicy::new(network.clone()).with_default(network.nodes())
+    }
+
     /// A policy that distributes the facts of `universe` round-robin over the
     /// nodes of `network` (each fact to exactly one node). On an empty
     /// network there is no node to send a fact to: every fact is skipped.

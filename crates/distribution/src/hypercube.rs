@@ -102,6 +102,40 @@ impl HypercubePolicy {
         )
     }
 
+    /// The classic single-key hash partitioning, expressed as a degenerate
+    /// hypercube: the first variable shared by at least two body atoms (the
+    /// join variable) gets `buckets` hash buckets, every other dimension a
+    /// single bucket. Falls back to the query's first variable when no
+    /// variable is shared.
+    ///
+    /// For `T(x, z) :- R(x, y), S(y, z)` this is exactly "hash both
+    /// relations on `y`": no replication, but the whole join key space
+    /// lands on `buckets` nodes. Like every Hypercube policy it is total
+    /// over the query's schema, so it can serve any round of a multi-round
+    /// run.
+    pub fn hash_join(query: &ConjunctiveQuery, buckets: usize) -> Result<HypercubePolicy, String> {
+        if buckets == 0 {
+            return Err("hash-join needs at least one bucket".to_string());
+        }
+        let variables = query.variables();
+        let Some(&first) = variables.first() else {
+            return Err(format!(
+                "hash-join policy for {query}: the query has no variables to hash on"
+            ));
+        };
+        let join_variable = variables
+            .iter()
+            .copied()
+            .find(|&v| query.body().iter().filter(|atom| atom.contains(v)).count() >= 2)
+            .unwrap_or(first);
+        let dimension_buckets: Vec<usize> = variables
+            .iter()
+            .map(|&v| if v == join_variable { buckets } else { 1 })
+            .collect();
+        HypercubePolicy::with_buckets(query, &dimension_buckets)
+            .map_err(|e| format!("hash-join policy for {query}: {e}"))
+    }
+
     /// The `(Q, I)`-scattered member of the family used in the proof of
     /// Lemma 5.7: every dimension uses the identity hash over `adom(I)`, so
     /// each node receives facts from at most one valuation.

@@ -62,6 +62,8 @@ mod network;
 mod policy;
 mod rounds;
 mod rules;
+#[cfg(test)]
+mod schedules;
 mod transport;
 
 pub use distribute::{Distribution, DistributionStats};

@@ -31,7 +31,7 @@
 
 use std::time::Instant;
 
-use cq::{evaluate, ConjunctiveQuery, EvalOptions, Fact, Instance, Symbol};
+use cq::{evaluate, ConjunctiveQuery, Fact, Instance, Symbol};
 
 use crate::engine::{run_round, OneRoundEngine, OneRoundOutcome, RoundPlan};
 use crate::network::Node;
@@ -219,7 +219,6 @@ pub struct MultiRoundEngine<'a> {
     feedback: Option<Symbol>,
     workers: usize,
     semi_naive: bool,
-    eval_options: EvalOptions,
     reshuffle_always: bool,
     /// The engine's metrics registry: `transfer_checks`, `transfer_hits`,
     /// `transfer_misses` and `elided_reshuffles` accumulate here across
@@ -240,7 +239,6 @@ impl<'a> MultiRoundEngine<'a> {
             feedback: None,
             workers: 1,
             semi_naive: false,
-            eval_options: EvalOptions::default(),
             reshuffle_always: false,
             registry: std::sync::Arc::new(obs::Registry::new()),
         }
@@ -250,15 +248,6 @@ impl<'a> MultiRoundEngine<'a> {
     /// counters; see the field docs).
     pub fn registry(&self) -> std::sync::Arc<obs::Registry> {
         self.registry.clone()
-    }
-
-    /// Sets the [`EvalOptions`] every round's local evaluation runs with —
-    /// the indexed kernel (the default) or the scan oracle. The options travel with the round
-    /// over every transport (they are part of the wire protocol), so
-    /// in-memory and cross-process rounds evaluate identically.
-    pub fn eval_options(mut self, options: EvalOptions) -> Self {
-        self.eval_options = options;
-        self
     }
 
     /// Disables reshuffle elision in [`MultiRoundEngine::evaluate_queries`]:
@@ -391,8 +380,7 @@ impl<'a> MultiRoundEngine<'a> {
             let policy_index = self.schedule.policy_index(round);
             let switched = policy_index != active_policy;
             active_policy = policy_index;
-            let engine = OneRoundEngine::new(self.schedule.policy_for(round))
-                .eval_options(self.eval_options);
+            let engine = OneRoundEngine::new(self.schedule.policy_for(round));
             let outcome = match &delta {
                 None => engine.evaluate_via(transport, round, query, &state)?,
                 Some(delta) => {
@@ -415,8 +403,7 @@ impl<'a> MultiRoundEngine<'a> {
                     if delta_round > 0 {
                         plan.skip_empty();
                     }
-                    let outcome =
-                        run_round(transport, delta_round, query, self.eval_options, plan)?;
+                    let outcome = run_round(transport, delta_round, query, plan)?;
                     delta_round += 1;
                     outcome
                 }
@@ -529,7 +516,7 @@ impl<'a> MultiRoundEngine<'a> {
                 let (_, nodes) = resident.as_ref().expect("elide implies resident shards");
                 let _span = obs::span!("resident_round", nodes = nodes.len());
                 let plan = RoundPlan::resident(nodes);
-                let round = run_round(transport, 0, query, self.eval_options, plan)?;
+                let round = run_round(transport, 0, query, plan)?;
                 let result = round.result.clone();
                 MultiRoundOutcome {
                     rounds: vec![round],

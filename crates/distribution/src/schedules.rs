@@ -1,71 +1,18 @@
-//! Policies for the rounds of a multi-round evaluation.
-//!
-//! The policies built here are **total over the query's schema** (hash-based,
-//! or broadcast-by-default), so facts produced in later rounds — which an
-//! explicit per-fact policy built from the initial instance could never have
-//! listed — are still assigned somewhere. Naming them (`hash-join:4`,
-//! `hypercube(2)`, …) is `wire::PolicySpec`'s job.
+//! Tests of the total per-round policies (`HypercubePolicy::hash_join`,
+//! `ExplicitPolicy::total_broadcast`) and of the mixed schedules built from
+//! them, run through the engines.
 
-use cq::ConjunctiveQuery;
-use distribution::{ExplicitPolicy, HypercubePolicy, Network};
-
-/// The classic single-key hash partitioning, expressed as a degenerate
-/// hypercube: the first variable shared by at least two body atoms (the
-/// join variable) gets `buckets` hash buckets, every other dimension gets a
-/// single bucket. Falls back to the query's first variable when no variable
-/// is shared.
-///
-/// For `T(x, z) :- R(x, y), S(y, z)` this is exactly "hash both relations
-/// on `y`": no replication, but the whole join key space lands on `buckets`
-/// nodes.
-pub fn hash_join_policy(
-    query: &ConjunctiveQuery,
-    buckets: usize,
-) -> Result<HypercubePolicy, String> {
-    if buckets == 0 {
-        return Err("hash-join needs at least one bucket".to_string());
-    }
-    let variables = query.variables();
-    let Some(&first) = variables.first() else {
-        return Err(format!(
-            "hash-join policy for {query}: the query has no variables to hash on"
-        ));
-    };
-    let join_variable = variables
-        .iter()
-        .copied()
-        .find(|&v| query.body().iter().filter(|atom| atom.contains(v)).count() >= 2)
-        .unwrap_or(first);
-    let dimension_buckets: Vec<usize> = variables
-        .iter()
-        .map(|&v| if v == join_variable { buckets } else { 1 })
-        .collect();
-    HypercubePolicy::with_buckets(query, &dimension_buckets)
-        .map_err(|e| format!("hash-join policy for {query}: {e}"))
-}
-
-/// A total broadcast policy over `nodes` nodes: every fact — listed or not —
-/// goes to every node. Unlike [`ExplicitPolicy::broadcast`], which
-/// enumerates a concrete universe, this stays total when later rounds feed
-/// new facts back in.
-pub fn total_broadcast_policy(nodes: usize) -> Result<ExplicitPolicy, String> {
-    if nodes == 0 {
-        return Err("broadcast needs at least one node".to_string());
-    }
-    let network = Network::with_size(nodes);
-    Ok(ExplicitPolicy::new(network.clone()).with_default(network.nodes()))
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cq::{evaluate, parse_instance, Fact};
-    use distribution::{DistributionPolicy, MultiRoundEngine, OneRoundEngine, RoundSchedule};
+    use crate::{
+        DistributionPolicy, ExplicitPolicy, HypercubePolicy, MultiRoundEngine, Network,
+        OneRoundEngine, RoundSchedule,
+    };
+    use cq::{evaluate, parse_instance, ConjunctiveQuery, Fact};
 
     type Schedule = Vec<Box<dyn DistributionPolicy>>;
 
     fn hash(query: &ConjunctiveQuery, buckets: usize) -> Box<dyn DistributionPolicy> {
-        Box::new(hash_join_policy(query, buckets).unwrap())
+        Box::new(HypercubePolicy::hash_join(query, buckets).unwrap())
     }
 
     fn cube(query: &ConjunctiveQuery, budget: usize) -> Box<dyn DistributionPolicy> {
@@ -73,7 +20,7 @@ mod tests {
     }
 
     fn broadcast(nodes: usize) -> Box<dyn DistributionPolicy> {
-        Box::new(total_broadcast_policy(nodes).unwrap())
+        Box::new(ExplicitPolicy::total_broadcast(&Network::with_size(nodes)))
     }
 
     fn two_hop() -> ConjunctiveQuery {
@@ -83,7 +30,7 @@ mod tests {
     #[test]
     fn hash_join_hashes_only_the_join_variable() {
         let q = two_hop();
-        let p = hash_join_policy(&q, 4).unwrap();
+        let p = HypercubePolicy::hash_join(&q, 4).unwrap();
         // one dimension with 4 buckets, two with 1 bucket: 4 nodes
         assert_eq!(p.network().len(), 4);
         // no replication: every fact goes to exactly one node
@@ -102,7 +49,7 @@ mod tests {
     fn hash_join_is_parallel_correct_for_its_query() {
         let q = two_hop();
         let i = parse_instance("R(a, b). R(b, c). R(c, d). S(b, x). S(c, y). S(d, z).").unwrap();
-        let p = hash_join_policy(&q, 3).unwrap();
+        let p = HypercubePolicy::hash_join(&q, 3).unwrap();
         let outcome = OneRoundEngine::new(&p).evaluate(&q, &i);
         assert_eq!(outcome.result, evaluate(&q, &i));
     }
@@ -112,14 +59,17 @@ mod tests {
         // The parser accepts nullary atoms, so this must be an error, not a
         // panic on an empty variable list.
         let q = ConjunctiveQuery::parse("T() :- R().").unwrap();
-        assert!(hash_join_policy(&q, 2).is_err());
+        assert!(HypercubePolicy::hash_join(&q, 2).is_err());
     }
 
     #[test]
     fn total_broadcast_assigns_unseen_facts_everywhere() {
-        let p = total_broadcast_policy(3).unwrap();
-        assert_eq!(p.nodes_for(&Fact::from_names("Z", &["q", "r"])).len(), 3);
-        assert!(total_broadcast_policy(0).is_err());
+        let unseen = Fact::from_names("Z", &["q", "r"]);
+        let p = ExplicitPolicy::total_broadcast(&Network::with_size(3));
+        assert_eq!(p.nodes_for(&unseen).len(), 3);
+        // An empty network has no node to send a fact to.
+        let p = ExplicitPolicy::total_broadcast(&Network::default());
+        assert!(p.nodes_for(&unseen).is_empty());
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! the same four-step conversation:
 //!
 //! ```text
-//! begin_round(r, Q, options)     announce the round, its query and options
-//! send(node, shipment) …         at most one shipment per node
-//! barrier()                      wait until every node finished evaluating
-//! recv(node) …                   collect every node's local output, once
+//! begin_round(r, Q)        announce the round and its query
+//! send(node, shipment) …   at most one shipment per node
+//! barrier()                wait until every node finished evaluating
+//! recv(node) …             collect every node's local output, once
 //! ```
 //!
 //! What a node does with a shipment is written down exactly once, in
@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cq::{evaluate_with, ConjunctiveQuery, EvalOptions, Instance};
+use cq::{evaluate, ConjunctiveQuery, Instance};
 use delta::DeltaNode;
 
 use crate::network::Node;
@@ -133,17 +133,10 @@ impl NodeState {
     /// [`Shipment::Resident`], only the first-time derivations for
     /// [`Shipment::Delta`]. `round` is the round as announced to the
     /// transport; it matters only to deltas, where `0` resets the node.
-    /// Every evaluation runs with exactly `options`.
-    pub fn apply(
-        &mut self,
-        round: u64,
-        query: &ConjunctiveQuery,
-        options: EvalOptions,
-        shipment: Shipment,
-    ) -> Instance {
+    pub fn apply(&mut self, round: u64, query: &ConjunctiveQuery, shipment: Shipment) -> Instance {
         match shipment {
             Shipment::Full(chunk) => {
-                let output = evaluate_with(query, &chunk, options);
+                let output = evaluate(query, &chunk);
                 *self = NodeState::Chunk(chunk);
                 output
             }
@@ -154,12 +147,12 @@ impl NodeState {
                 let NodeState::Incremental(state) = self else {
                     unreachable!("the node was just made incremental");
                 };
-                state.step_with(query, &delta, options)
+                state.step(query, &delta)
             }
             Shipment::Resident => match self {
-                NodeState::Empty => evaluate_with(query, &Instance::new(), options),
-                NodeState::Chunk(chunk) => evaluate_with(query, chunk, options),
-                NodeState::Incremental(state) => evaluate_with(query, state.data(), options),
+                NodeState::Empty => evaluate(query, &Instance::new()),
+                NodeState::Chunk(chunk) => evaluate(query, chunk),
+                NodeState::Incremental(state) => evaluate(query, state.data()),
             },
         }
     }
@@ -182,16 +175,9 @@ pub struct NodeResult {
 /// Implementations may evaluate eagerly on `send` or lazily at the
 /// `barrier`; callers must not read results before the barrier returns.
 pub trait Transport {
-    /// Announces a new round: `query` is what every node will evaluate, and
-    /// `options` is how — every node must evaluate with exactly these
-    /// [`EvalOptions`], so a run behaves identically whether its nodes live
-    /// in this process or behind a wire.
-    fn begin_round(
-        &mut self,
-        round: usize,
-        query: &ConjunctiveQuery,
-        options: EvalOptions,
-    ) -> Result<(), TransportError>;
+    /// Announces a new round: `query` is what every node will evaluate.
+    fn begin_round(&mut self, round: usize, query: &ConjunctiveQuery)
+        -> Result<(), TransportError>;
 
     /// Ships `shipment` to `node` (at most one shipment per node per
     /// round); what the node does with it is [`NodeState::apply`].
@@ -261,7 +247,6 @@ pub struct InMemoryTransport {
     workers: usize,
     query: Option<ConjunctiveQuery>,
     round: u64,
-    eval_options: EvalOptions,
     pending: Vec<(Node, Shipment)>,
     ready: BTreeMap<Node, NodeResult>,
     /// What every node holds between rounds.
@@ -277,7 +262,6 @@ impl InMemoryTransport {
             workers: workers.max(1),
             query: None,
             round: 0,
-            eval_options: EvalOptions::default(),
             pending: Vec::new(),
             ready: BTreeMap::new(),
             nodes: BTreeMap::new(),
@@ -296,11 +280,9 @@ impl Transport for InMemoryTransport {
         &mut self,
         round: usize,
         query: &ConjunctiveQuery,
-        options: EvalOptions,
     ) -> Result<(), TransportError> {
         self.query = Some(query.clone());
         self.round = round as u64;
-        self.eval_options = options;
         self.pending.clear();
         self.ready.clear();
         Ok(())
@@ -336,7 +318,7 @@ impl Transport for InMemoryTransport {
         // The pool is bounded by the job count: asking for more workers
         // than shipments costs nothing.
         let workers = self.workers.min(jobs.len()).max(1);
-        let (round, options) = (self.round, self.eval_options);
+        let round = self.round;
         let done = drain_pool(&jobs, workers, |slot| {
             let (node, shipment, mut state) = slot
                 .lock()
@@ -345,7 +327,7 @@ impl Transport for InMemoryTransport {
                 .expect("each job is drained exactly once");
             let _span = obs::span!(shipment.eval_span(), node = node, facts = shipment.len());
             let start = Instant::now();
-            let output = state.apply(round, &query, options, shipment);
+            let output = state.apply(round, &query, shipment);
             let eval_time = start.elapsed();
             (node, state, NodeResult { output, eval_time })
         });
@@ -389,18 +371,17 @@ mod tests {
 
     /// Applies `shipment` to `state` as round `round` of the two-hop query.
     fn apply(state: &mut NodeState, round: u64, shipment: Shipment) -> Instance {
-        state.apply(round, &two_hop(), EvalOptions::default(), shipment)
+        state.apply(round, &two_hop(), shipment)
     }
 
     /// One single-node round of the two-hop query through the transport.
     fn round(
         transport: &mut InMemoryTransport,
         round: usize,
-        options: EvalOptions,
         node: Node,
         shipment: Shipment,
     ) -> Instance {
-        transport.begin_round(round, &two_hop(), options).unwrap();
+        transport.begin_round(round, &two_hop()).unwrap();
         transport.send(node, shipment).unwrap();
         transport.barrier().unwrap();
         transport.recv(node).unwrap().output
@@ -416,9 +397,7 @@ mod tests {
 
         for workers in [1, 3] {
             let mut transport = InMemoryTransport::new(workers);
-            transport
-                .begin_round(0, &q, EvalOptions::default())
-                .unwrap();
+            transport.begin_round(0, &q).unwrap();
             for (node, chunk) in dist.chunks() {
                 transport
                     .send(node, Shipment::Full(Arc::new(chunk.clone())))
@@ -435,9 +414,7 @@ mod tests {
     #[test]
     fn recv_without_send_reports_unknown_node() {
         let mut transport = InMemoryTransport::new(1);
-        transport
-            .begin_round(0, &two_hop(), EvalOptions::default())
-            .unwrap();
+        transport.begin_round(0, &two_hop()).unwrap();
         transport.barrier().unwrap();
         let node = Node::numbered(9);
         assert!(matches!(
@@ -485,46 +462,16 @@ mod tests {
     }
 
     #[test]
-    fn delta_rounds_evaluate_with_the_rounds_eval_options() {
-        // The `begin_round` contract: every node evaluates with exactly the
-        // announced options — delta rounds included. Under the scan oracle
-        // the node's accumulated state must never grow sorted orders (a
-        // default-options step would build them).
-        let scans = EvalOptions::ScanOracle;
-        let node = Node::numbered(0);
-        let mut transport = InMemoryTransport::new(2);
-        let seed = || delta("R(a, b). S(b, c).");
-        round(&mut transport, 0, scans, node, seed());
-        let out = round(&mut transport, 1, scans, node, delta("R(c, b)."));
-        assert_eq!(out, parse_instance("T(c, c).").unwrap());
-        let NodeState::Incremental(state) = &transport.nodes[&node] else {
-            panic!("delta rounds leave incremental state");
-        };
-        assert_eq!(
-            state.data().cached_orders(),
-            0,
-            "a delta round under the scan oracle must not build an order"
-        );
-        // Control: the same rounds under default options do build them.
-        round(&mut transport, 0, EvalOptions::default(), node, seed());
-        let NodeState::Incremental(state) = &transport.nodes[&node] else {
-            panic!("delta rounds leave incremental state");
-        };
-        assert!(state.data().cached_orders() > 0);
-    }
-
-    #[test]
     fn resident_rounds_reuse_chunks_from_the_previous_query() {
         let loop_q = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z), R(y, y).").unwrap();
         let path_q = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let i = parse_instance("R(a, a). R(a, b). R(b, c).").unwrap();
-        let options = EvalOptions::default();
         let mut state = NodeState::default();
-        let first = state.apply(0, &loop_q, options, Shipment::Full(Arc::new(i.clone())));
+        let first = state.apply(0, &loop_q, Shipment::Full(Arc::new(i.clone())));
         assert_eq!(first, cq::evaluate(&loop_q, &i));
         // The next query runs over the shard the chunk left behind — no
         // facts travel in this round.
-        let second = state.apply(0, &path_q, options, Shipment::Resident);
+        let second = state.apply(0, &path_q, Shipment::Resident);
         assert_eq!(second, cq::evaluate(&path_q, &i));
     }
 
@@ -551,8 +498,8 @@ mod tests {
     #[test]
     fn resident_round_on_an_unknown_node_yields_empty_output() {
         let mut transport = InMemoryTransport::new(1);
-        let (options, node) = (EvalOptions::default(), Node::numbered(7));
-        assert!(round(&mut transport, 0, options, node, Shipment::Resident).is_empty());
+        let node = Node::numbered(7);
+        assert!(round(&mut transport, 0, node, Shipment::Resident).is_empty());
     }
 
     #[test]
@@ -562,7 +509,7 @@ mod tests {
         let mut transport = InMemoryTransport::new(2);
         let node = Node::numbered(0);
         let chunk = full("R(a, b). S(b, c).");
-        let out = round(&mut transport, 0, EvalOptions::default(), node, chunk);
+        let out = round(&mut transport, 0, node, chunk);
         assert_eq!(out.len(), 1);
         // a second recv for the same node is an error (results are moved out)
         assert!(transport.recv(node).is_err());

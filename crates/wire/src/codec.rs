@@ -89,7 +89,7 @@ use std::fmt;
 
 use std::sync::Arc;
 
-use cq::{Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, Symbol, Tuple, Value, Variable};
+use cq::{Atom, ConjunctiveQuery, Fact, Instance, Symbol, Tuple, Value, Variable};
 use distribution::{Network, Node, Shipment};
 
 /// Errors raised while decoding wire data. Corrupted, truncated or
@@ -898,28 +898,6 @@ impl Decode for Network {
     }
 }
 
-impl Encode for EvalOptions {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.byte(match self {
-            EvalOptions::Triejoin => 0,
-            EvalOptions::ScanOracle => 1,
-        });
-    }
-}
-
-impl Decode for EvalOptions {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.byte()? {
-            0 => Ok(EvalOptions::Triejoin),
-            1 => Ok(EvalOptions::ScanOracle),
-            tag => Err(DecodeError::UnknownTag {
-                context: "EvalOptions",
-                tag,
-            }),
-        }
-    }
-}
-
 const SHIPMENT_FULL: u8 = 0;
 const SHIPMENT_DELTA: u8 = 1;
 const SHIPMENT_RESIDENT: u8 = 2;
@@ -1200,7 +1178,8 @@ mod tests {
     fn instance_bodies_keep_their_pinned_bytes() {
         // Fresh names interned here in a fixed order: facts encode in
         // interning order, so the bytes cannot depend on what other tests
-        // interned first. Pinned once per `frame::VERSION`; this is 4's.
+        // interned first. Pinned when version 4 introduced this layout;
+        // version 5 changed only the `Eval` message around it.
         for name in ["GoldenEdge", "GoldenMark", "g_hub", "g_a", "g_b"] {
             Symbol::new(name);
         }
@@ -1510,41 +1489,6 @@ mod tests {
         let mut body = encode_body(&Fact::from_names("R", &["a"]));
         body.push(0x00);
         let err = decode_body::<Fact>(&body).unwrap_err();
-        assert_eq!(err, DecodeError::TrailingBytes { count: 1 });
-    }
-
-    #[test]
-    fn eval_options_round_trip_every_combination() {
-        for options in [EvalOptions::Triejoin, EvalOptions::ScanOracle] {
-            let body = encode_body(&options);
-            // an empty symbol table, then the one switch byte
-            assert_eq!(body.len(), 1 + 1);
-            assert_eq!(decode_body::<EvalOptions>(&body).unwrap(), options);
-        }
-    }
-
-    #[test]
-    fn eval_options_reject_unknown_enum_bytes() {
-        // A switch byte nothing encodes
-        let mut enc = Encoder::new();
-        enc.byte(9);
-        let err = decode_body::<EvalOptions>(&enc.finish()).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                DecodeError::UnknownTag {
-                    context: "EvalOptions",
-                    tag: 9
-                }
-            ),
-            "{err}"
-        );
-        // The index flag a version-2 body carried after the ordering byte
-        // is a trailing byte now
-        let mut enc = Encoder::new();
-        enc.byte(1);
-        enc.bool(true);
-        let err = decode_body::<EvalOptions>(&enc.finish()).unwrap_err();
         assert_eq!(err, DecodeError::TrailingBytes { count: 1 });
     }
 

@@ -59,7 +59,7 @@ use std::process::Child;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cq::{ConjunctiveQuery, EvalOptions, Instance};
+use cq::{ConjunctiveQuery, Instance};
 use distribution::{Node, NodeResult, Shipment, Transport, TransportError};
 use obs::TraceEvent;
 
@@ -240,12 +240,10 @@ impl Job {
         &self,
         encoder: &mut Encoder,
         query: &ConjunctiveQuery,
-        options: EvalOptions,
         trace: TraceContext,
     ) -> Vec<u8> {
         let frame = EvalRef {
             query,
-            options,
             round: self.round,
             node: self.node,
             shipment: &self.work,
@@ -403,11 +401,9 @@ struct DriveMetrics {
 /// reader drains the reply pipe concurrently, so the writer cannot wedge
 /// on a full buffer, and a dead worker surfaces as a write error or a
 /// read-side EOF, never a hang.
-#[allow(clippy::too_many_arguments)] // one call site, in barrier()
 fn drive(
     endpoint: &mut Endpoint,
     query: &ConjunctiveQuery,
-    options: EvalOptions,
     barrier_round: u64,
     jobs: &[Job],
     trace: TraceContext,
@@ -442,7 +438,7 @@ fn drive(
                 let frame = {
                     let _encode =
                         obs::span!("wire_encode", node = job.node, facts = job.work.len());
-                    job.encode(encoder, query, options, trace)
+                    job.encode(encoder, query, trace)
                 };
                 metrics.frame_bytes.record(frame.len() as u64);
                 sent += frame.len() as u64;
@@ -551,7 +547,6 @@ pub struct WireTransport {
     /// The spawned workers' processes (`None` once a dead one is reaped).
     children: Vec<Option<Child>>,
     query: Option<ConjunctiveQuery>,
-    options: EvalOptions,
     round: u64,
     /// Per-worker job queues for the current round.
     jobs: Vec<Vec<Job>>,
@@ -604,7 +599,6 @@ impl WireTransport {
             endpoints: endpoints.into_iter().map(Some).collect(),
             children,
             query: None,
-            options: EvalOptions::default(),
             round: 0,
             jobs: vec![Vec::new(); count],
             worker_for: BTreeMap::new(),
@@ -800,10 +794,8 @@ impl Transport for WireTransport {
         &mut self,
         round: usize,
         query: &ConjunctiveQuery,
-        options: EvalOptions,
     ) -> Result<(), TransportError> {
         self.query = Some(query.clone());
-        self.options = options;
         self.round = round as u64;
         // Capture the active trace (if any) once per round: every frame
         // this round ships the same context, and workers parent their
@@ -835,7 +827,6 @@ impl Transport for WireTransport {
             .query
             .clone()
             .ok_or_else(|| TransportError::Protocol("barrier before begin_round".to_string()))?;
-        let options = self.options;
         let round = self.round;
         let trace = self.trace;
         let metrics = DriveMetrics {
@@ -862,10 +853,7 @@ impl Transport for WireTransport {
                         let metrics = &metrics;
                         let endpoint = endpoint.as_mut().expect("filtered on live endpoints");
                         scope.spawn(move || {
-                            (
-                                i,
-                                drive(endpoint, query, options, round, queue, trace, metrics),
-                            )
+                            (i, drive(endpoint, query, round, queue, trace, metrics))
                         })
                     })
                     .collect();
@@ -1007,13 +995,13 @@ mod tests {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let mut core = inert_core(3);
 
-        core.begin_round(0, &query, EvalOptions::default()).unwrap();
+        core.begin_round(0, &query).unwrap();
         core.send(Node::numbered(0), empty_chunk()).unwrap();
         core.send(Node::numbered(1), empty_chunk()).unwrap();
         assert_eq!(core.assignment_of(Node::numbered(0)), Some(0));
         assert_eq!(core.assignment_of(Node::numbered(1)), Some(1));
 
-        core.begin_round(1, &query, EvalOptions::default()).unwrap();
+        core.begin_round(1, &query).unwrap();
         core.send(Node::numbered(2), empty_chunk()).unwrap();
         core.send(Node::numbered(3), empty_chunk()).unwrap();
         assert_eq!(
@@ -1037,9 +1025,9 @@ mod tests {
     fn earlier_assignments_are_sticky() {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let mut core = inert_core(2);
-        core.begin_round(0, &query, EvalOptions::default()).unwrap();
+        core.begin_round(0, &query).unwrap();
         core.send(Node::numbered(0), empty_chunk()).unwrap();
-        core.begin_round(1, &query, EvalOptions::default()).unwrap();
+        core.begin_round(1, &query).unwrap();
         core.send(Node::numbered(0), empty_chunk()).unwrap();
         core.send(Node::numbered(1), empty_chunk()).unwrap();
         assert_eq!(core.assignment_of(Node::numbered(0)), Some(0));
@@ -1057,7 +1045,7 @@ mod tests {
         let node = Node::numbered(0);
         let mut core = inert_core(2);
 
-        core.begin_round(0, &query, EvalOptions::default()).unwrap();
+        core.begin_round(0, &query).unwrap();
         core.send(node, Shipment::Delta(facts("R(a, b)."))).unwrap();
         let Shipment::Delta(delta) = &core.jobs[0][0].work else {
             panic!("a delta job was queued");
@@ -1068,7 +1056,7 @@ mod tests {
         );
 
         // Round 1 extends the ledger entry; the job ships only the delta.
-        core.begin_round(1, &query, EvalOptions::default()).unwrap();
+        core.begin_round(1, &query).unwrap();
         core.send(node, Shipment::Delta(facts("R(b, c)."))).unwrap();
         assert_eq!(core.shipped_state[&node], facts("R(a, b). R(b, c)."));
         let job = core.jobs[0][0].clone();
@@ -1093,15 +1081,15 @@ mod tests {
     fn a_requeued_job_carries_its_names_again_on_the_survivors_connection() {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let chunk = Arc::new(cq::parse_instance("R(dict_a, dict_b). R(dict_b, dict_c).").unwrap());
-        let (options, trace) = (EvalOptions::default(), TraceContext::default());
+        let trace = TraceContext::default();
         let mut core = inert_core(2);
-        core.begin_round(0, &query, options).unwrap();
+        core.begin_round(0, &query).unwrap();
         core.send(Node::numbered(0), Shipment::Full(chunk.clone()))
             .unwrap();
         let job = core.jobs[0][0].clone();
         let encode_for = |core: &mut WireTransport, worker: usize, job: &Job| {
             let endpoint = core.endpoints[worker].as_mut().expect("a live endpoint");
-            job.encode(&mut endpoint.encoder, &query, options, trace)
+            job.encode(&mut endpoint.encoder, &query, trace)
         };
         // What a worker makes of a frame, through its half of a connection.
         let read = |dictionary: &mut Dictionary, frame: &[u8]| {
@@ -1201,7 +1189,7 @@ mod tests {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let chunk = Arc::new(cq::parse_instance("R(a, b). R(b, c).").unwrap());
         for round in 0..rounds {
-            transport.begin_round(round, &query, EvalOptions::default())?;
+            transport.begin_round(round, &query)?;
             transport.send(Node::numbered(0), Shipment::Full(chunk.clone()))?;
             transport.barrier()?;
             transport.recv(Node::numbered(0))?;

@@ -32,8 +32,10 @@ pub const MAGIC: [u8; 4] = *b"PCQW";
 
 /// The current wire-format version. Version 4 made instance bodies
 /// relation-blocked rows of bare value ids and took data values out of a
-/// worker connection's dictionaries (a value is the coordinator's id there).
-pub const VERSION: u8 = 4;
+/// worker connection's dictionaries (a value is the coordinator's id there);
+/// version 5 dropped the evaluator byte from `Eval` (a node always runs the
+/// production evaluator).
+pub const VERSION: u8 = 5;
 
 /// Sanity cap on a frame body: a declared length beyond this is treated as
 /// corruption rather than trusted with an allocation (1 GiB).
@@ -288,7 +290,7 @@ mod tests {
         frame[4] = VERSION - 1;
         assert_eq!(
             decode_frame::<Fact>(&frame),
-            Err(DecodeError::UnsupportedVersion(3))
+            Err(DecodeError::UnsupportedVersion(VERSION - 1))
         );
     }
 

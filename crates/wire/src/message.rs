@@ -10,7 +10,7 @@
 //! the `Query`/`Instance`/`Scenario` variants are standalone payloads used
 //! by `pcq-analyze encode`/`decode`.
 
-use cq::{ConjunctiveQuery, EvalOptions, Instance, Symbol};
+use cq::{ConjunctiveQuery, Instance, Symbol};
 use distribution::{Node, Shipment};
 use obs::{EventKind, TraceEvent};
 
@@ -166,9 +166,6 @@ pub enum Message {
     Eval {
         /// The query to evaluate locally.
         query: ConjunctiveQuery,
-        /// Which evaluator runs it — the worker must honor this exactly, so
-        /// a wire round behaves identically to an in-process one.
-        options: EvalOptions,
         /// The round the shipment belongs to (guards against stream
         /// desync). A delta of round 0 resets the node's accumulated state.
         round: u64,
@@ -259,8 +256,6 @@ impl Message {
 pub struct EvalRef<'a> {
     /// The query the worker should evaluate.
     pub query: &'a ConjunctiveQuery,
-    /// Which evaluator the worker must run.
-    pub options: EvalOptions,
     /// The round the shipment belongs to.
     pub round: u64,
     /// The node the shipment is addressed to.
@@ -275,7 +270,6 @@ impl Encode for EvalRef<'_> {
     fn encode(&self, enc: &mut Encoder) {
         enc.byte(TAG_EVAL);
         self.query.encode(enc);
-        self.options.encode(enc);
         enc.u64(self.round);
         self.node.encode(enc);
         self.shipment.encode(enc);
@@ -300,14 +294,12 @@ impl Encode for Message {
             }
             Message::Eval {
                 query,
-                options,
                 round,
                 node,
                 shipment,
                 trace,
             } => EvalRef {
                 query,
-                options: *options,
                 round: *round,
                 node: *node,
                 shipment,
@@ -355,7 +347,6 @@ impl Decode for Message {
             TAG_SCENARIO => Ok(Message::Scenario(Scenario::decode(dec)?)),
             TAG_EVAL => Ok(Message::Eval {
                 query: ConjunctiveQuery::decode(dec)?,
-                options: EvalOptions::decode(dec)?,
                 round: dec.u64()?,
                 node: Node::decode(dec)?,
                 shipment: Shipment::decode(dec)?,
@@ -393,9 +384,8 @@ mod tests {
     fn every_message_variant_round_trips() {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let instance = parse_instance("R(a, b). R(b, c).").unwrap();
-        let eval = |round, node, options, shipment, trace| Message::Eval {
+        let eval = |round, node, shipment, trace| Message::Eval {
             query: query.clone(),
-            options,
             round,
             node: Node::numbered(node),
             shipment,
@@ -410,21 +400,9 @@ mod tests {
         let messages = [
             Message::Query(query.clone()),
             Message::Instance(instance.clone()),
-            eval(
-                3,
-                1,
-                EvalOptions::default(),
-                Shipment::Full(facts.clone()),
-                traced,
-            ),
-            eval(
-                4,
-                2,
-                EvalOptions::ScanOracle,
-                Shipment::Delta(facts),
-                TraceContext::default(),
-            ),
-            eval(0, 4, EvalOptions::ScanOracle, Shipment::Resident, traced),
+            eval(3, 1, Shipment::Full(facts.clone()), traced),
+            eval(4, 2, Shipment::Delta(facts), TraceContext::default()),
+            eval(0, 4, Shipment::Resident, traced),
             Message::EvalResult {
                 round: 4,
                 node: Node::numbered(2),
@@ -479,7 +457,7 @@ mod tests {
     /// The borrowed and the owned eval frame of one shipment.
     fn borrowed_and_owned(shipment: Shipment) -> (Vec<u8>, Vec<u8>) {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
-        let (options, round, node) = (EvalOptions::ScanOracle, 2, Node::numbered(3));
+        let (round, node) = (2, Node::numbered(3));
         let trace = TraceContext {
             trace_id: 3,
             parent_span: 8,
@@ -487,7 +465,6 @@ mod tests {
         };
         let borrowed = encode_frame(&EvalRef {
             query: &query,
-            options,
             round,
             node,
             shipment: &shipment,
@@ -495,7 +472,6 @@ mod tests {
         });
         let owned = encode_frame(&Message::Eval {
             query,
-            options,
             round,
             node,
             shipment,
@@ -524,6 +500,45 @@ mod tests {
         let (full, _) = borrowed_and_owned(Shipment::Full(delta));
         assert_eq!(borrowed.len(), full.len());
         assert_ne!(borrowed, full);
+    }
+
+    #[test]
+    fn eval_frames_keep_their_pinned_bytes() {
+        // Fresh names interned here in a fixed order, so the chunk's rows
+        // (ascending value ids) cannot depend on what other tests interned
+        // first. Pinned once per `frame::VERSION`; this is 5's.
+        for name in ["PinHead", "PinEdge", "pin_a", "pin_b", "pin_c"] {
+            Symbol::new(name);
+        }
+        let query = ConjunctiveQuery::parse("PinHead(x, z) :- PinEdge(x, y), PinEdge(y, z).");
+        let chunk = parse_instance("PinEdge(pin_b, pin_c). PinEdge(pin_a, pin_b).").unwrap();
+        let eval = Message::Eval {
+            query: query.unwrap(),
+            round: 2,
+            node: Node::numbered(3),
+            shipment: Shipment::Full(Arc::new(chunk)),
+            trace: TraceContext::default(),
+        };
+        // The symbol table, in order of first use.
+        let names = [
+            "PinHead", "x", "z", "PinEdge", "y", "n3", "pin_a", "pin_b", "pin_c",
+        ];
+        let mut body = vec![names.len() as u8];
+        for name in names {
+            body.push(name.len() as u8);
+            body.extend_from_slice(name.as_bytes());
+        }
+        body.push(TAG_EVAL);
+        body.extend_from_slice(&[0, 2, 1, 2]); // head PinHead(x, z)
+        body.extend_from_slice(&[2, 3, 2, 1, 4, 3, 2, 4, 2]); // two body atoms
+        body.extend_from_slice(&[2, 5]); // round 2, node n3
+        body.extend_from_slice(&[0, 2, 3, 2, 2, 6, 7, 7, 8]); // Full: one run of 2 rows
+        body.extend_from_slice(&[0, 0, 0]); // untraced
+        let mut golden = b"PCQW".to_vec();
+        golden.extend_from_slice(&[5, body.len() as u8]);
+        golden.extend_from_slice(&body);
+        assert_eq!(encode_frame(&eval), golden);
+        assert_eq!(decode_frame::<Message>(&golden).unwrap(), eval);
     }
 
     #[test]

@@ -81,9 +81,9 @@ impl WireTransport {
 
 /// The worker side of the protocol: reads [`Message`] frames from `input`,
 /// applies every `Eval` frame's [`Shipment`] to the addressed node's
-/// [`NodeState`] with the frame's `EvalOptions` (what each shipment does to
-/// the node is [`NodeState::apply`], shared with the in-memory transport)
-/// and replies with the node's output;
+/// [`NodeState`] (what each shipment does to the node is
+/// [`NodeState::apply`], shared with the in-memory transport) and replies
+/// with the node's output;
 /// acknowledges `Barrier`s, and exits on `Shutdown` or a clean EOF.
 /// Returns an error message on protocol or I/O failure (the CLI maps it to
 /// a non-zero exit).
@@ -118,15 +118,14 @@ pub fn run_worker(
         let decode_started = Instant::now();
         let message = decode_body_with::<Message>(&mut dictionary, &body).map_err(bad_frame)?;
         let decode_time = decode_started.elapsed();
-        let (query, options, round, node, shipment, trace) = match message {
+        let (query, round, node, shipment, trace) = match message {
             Message::Eval {
                 query,
-                options,
                 round,
                 node,
                 shipment,
                 trace,
-            } => (query, options, round, node, shipment, trace),
+            } => (query, round, node, shipment, trace),
             Message::Barrier { round } => {
                 // Flush this round's trace buffers to the coordinator
                 // right before the ack — the driver absorbs `TraceFlush`
@@ -180,7 +179,7 @@ pub fn run_worker(
         let local = nodes
             .entry(node)
             .or_default()
-            .apply(round, &query, options, shipment);
+            .apply(round, &query, shipment);
         drop(span);
         let reply = Message::EvalResult {
             round,
@@ -197,7 +196,7 @@ mod tests {
     use super::*;
     use crate::frame::{encode_frame_with, read_frame};
     use crate::message::TraceContext;
-    use cq::{ConjunctiveQuery, EvalOptions, Fact, Instance};
+    use cq::{ConjunctiveQuery, Fact, Instance};
     use std::sync::Arc;
 
     /// Drives `run_worker` entirely in memory (no subprocess): feed it a
@@ -232,21 +231,10 @@ mod tests {
         (run.map(|()| replies.clone()), replies)
     }
 
-    /// An untraced eval frame under the default options.
+    /// An untraced eval frame.
     fn eval(query: &ConjunctiveQuery, round: u64, node: Node, shipment: Shipment) -> Message {
-        eval_with(query, EvalOptions::default(), round, node, shipment)
-    }
-
-    fn eval_with(
-        query: &ConjunctiveQuery,
-        options: EvalOptions,
-        round: u64,
-        node: Node,
-        shipment: Shipment,
-    ) -> Message {
         Message::Eval {
             query: query.clone(),
-            options,
             round,
             node,
             shipment,
@@ -256,10 +244,6 @@ mod tests {
 
     fn full(text: &str) -> Shipment {
         Shipment::Full(Arc::new(cq::parse_instance(text).unwrap()))
-    }
-
-    fn delta(text: &str) -> Shipment {
-        Shipment::Delta(Arc::new(cq::parse_instance(text).unwrap()))
     }
 
     /// The node and output of an eval result.
@@ -286,95 +270,6 @@ mod tests {
             (Node::numbered(0), &cq::evaluate(&query, &chunk))
         );
         assert_eq!(replies[1], Message::BarrierAck { round: 0 });
-    }
-
-    #[test]
-    fn worker_accumulates_deltas_and_resets_on_round_zero() {
-        let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), S(y, z).").unwrap();
-        let node = Node::numbered(0);
-        let replies = worker_script(&[
-            // Run 1: the join closes in round 1 against round-0 state.
-            eval(&query, 0, node, delta("R(a, b).")),
-            eval(&query, 1, node, delta("S(b, c).")),
-            // Run 2 (round 0 again): state must reset, so the same S fact
-            // alone derives nothing.
-            eval(&query, 0, node, delta("S(b, c).")),
-            Message::Shutdown,
-        ])
-        .unwrap();
-        let outputs: Vec<&Instance> = replies.iter().map(|m| result_of(m).1).collect();
-        assert!(outputs[0].is_empty(), "R alone joins nothing");
-        assert_eq!(outputs[1], &cq::parse_instance("T(a, c).").unwrap());
-        assert!(
-            outputs[2].is_empty(),
-            "round 0 must reset the node's state, got {}",
-            outputs[2]
-        );
-    }
-
-    #[test]
-    fn worker_evaluates_resident_shards_without_receiving_facts() {
-        let loop_q = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z), R(y, y).").unwrap();
-        let path_q = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
-        let node = Node::numbered(0);
-        let chunk = cq::parse_instance("R(a, a). R(a, b).").unwrap();
-        let replies = worker_script(&[
-            eval(&loop_q, 0, node, full("R(a, a). R(a, b).")),
-            // A different query over the shard the chunk left behind —
-            // no facts travel with this request.
-            eval(&path_q, 0, node, Shipment::Resident),
-            // A node never shipped anything holds the empty shard.
-            eval(&path_q, 0, Node::numbered(9), Shipment::Resident),
-            Message::Shutdown,
-        ])
-        .unwrap();
-        assert_eq!(replies.len(), 3);
-        assert_eq!(
-            result_of(&replies[1]),
-            (node, &cq::evaluate(&path_q, &chunk))
-        );
-        let (unknown, output) = result_of(&replies[2]);
-        assert_eq!(unknown, Node::numbered(9));
-        assert!(output.is_empty(), "unknown node must answer empty");
-    }
-
-    #[test]
-    fn resident_requests_prefer_accumulated_delta_state() {
-        let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), S(y, z).").unwrap();
-        let node = Node::numbered(0);
-        let replies = worker_script(&[
-            eval(&query, 0, node, delta("R(a, b).")),
-            eval(&query, 1, node, delta("S(b, c).")),
-            eval(&query, 0, node, Shipment::Resident),
-            Message::Shutdown,
-        ])
-        .unwrap();
-        // The shard is the accumulated R+S state, so the join closes.
-        assert_eq!(
-            result_of(replies.last().unwrap()).1,
-            &cq::parse_instance("T(a, c).").unwrap()
-        );
-    }
-
-    #[test]
-    fn worker_honors_shipped_eval_options() {
-        // A chunk evaluated by the triejoin and by the scan oracle must
-        // agree — and both must actually run (regression for the wire
-        // transports silently dropping eval options).
-        let query = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), S(y, z), U(z, x).").unwrap();
-        let text = "R(a, b). S(b, c). U(c, a). R(b, c).";
-        let mut outputs = Vec::new();
-        for options in [EvalOptions::ScanOracle, EvalOptions::default()] {
-            let replies = worker_script(&[
-                eval_with(&query, options, 0, Node::numbered(0), full(text)),
-                Message::Shutdown,
-            ])
-            .unwrap();
-            outputs.push(result_of(&replies[0]).1.clone());
-        }
-        assert_eq!(outputs[0], outputs[1]);
-        let chunk = cq::parse_instance(text).unwrap();
-        assert_eq!(outputs[0], cq::evaluate(&query, &chunk));
     }
 
     #[test]

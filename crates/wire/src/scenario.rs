@@ -60,7 +60,6 @@ use std::fmt;
 
 use cq::{ConjunctiveQuery, Fact, Instance, Symbol};
 use distribution::{DistributionPolicy, ExplicitPolicy, HypercubePolicy, Network, Node};
-use workloads::hash_join_policy;
 
 use crate::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 
@@ -248,7 +247,7 @@ pub enum PolicySpec {
     /// `round-robin:<n>` spec does).
     RoundRobin(NetworkSpec),
     /// Single-key hash partitioning on the query's first join variable
-    /// (`workloads::hash_join_policy`); `hash-join` names it too.
+    /// ([`HypercubePolicy::hash_join`]); `hash-join` names it too.
     Hash {
         /// Number of hash buckets (= nodes).
         buckets: usize,
@@ -286,16 +285,13 @@ impl PolicySpec {
     ) -> Result<Box<dyn DistributionPolicy>, String> {
         match self {
             PolicySpec::Broadcast(network) => {
-                let network = network.build()?;
-                Ok(Box::new(
-                    ExplicitPolicy::new(network.clone()).with_default(network.nodes()),
-                ))
+                Ok(Box::new(ExplicitPolicy::total_broadcast(&network.build()?)))
             }
             PolicySpec::RoundRobin(network) => {
                 let network = network.build()?;
                 Ok(Box::new(ExplicitPolicy::round_robin(&network, instance)))
             }
-            PolicySpec::Hash { buckets } => hash_join_policy(query, *buckets)
+            PolicySpec::Hash { buckets } => HypercubePolicy::hash_join(query, *buckets)
                 .map(|p| Box::new(p) as Box<dyn DistributionPolicy>),
             PolicySpec::Hypercube { buckets } => {
                 let policy = match buckets.as_slice() {

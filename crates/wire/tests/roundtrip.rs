@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use std::io::Cursor;
 use std::sync::Arc;
 
-use cq::{Atom, ConjunctiveQuery, EvalOptions, Fact, Instance, Symbol, Tuple, Value, Variable};
+use cq::{Atom, ConjunctiveQuery, Fact, Instance, Symbol, Tuple, Value, Variable};
 use distribution::{Node, Shipment};
 use obs::{EventKind, TraceEvent};
 use proptest::prelude::*;
@@ -149,11 +149,10 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         )
 }
 
-/// An untraced eval message under the default options.
+/// An untraced eval message.
 fn eval_message(query: ConjunctiveQuery, round: u64, node: usize, shipment: Shipment) -> Message {
     Message::Eval {
         query,
-        options: EvalOptions::default(),
         round,
         node: Node::numbered(node),
         shipment,

@@ -4,9 +4,7 @@
 //! and the benchmark harness of the reproduction: the named query families
 //! that the paper's examples revolve around (paths, triangles, the query of
 //! Example 3.5), random conjunctive queries with tunable shape, random and
-//! skewed database instances, random explicit distribution policies, and
-//! the total per-round policies of the multi-round engine (hash-join /
-//! broadcast).
+//! skewed database instances and random explicit distribution policies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,7 +12,6 @@
 pub mod instances;
 pub mod policies;
 pub mod queries;
-pub mod schedules;
 
 pub use instances::{
     complete_binary_relation, named_instance, random_instance, zipf_instance, InstanceParams,
@@ -25,4 +22,3 @@ pub use queries::{
     named_query_sequence, query_sequence_names, random_query, star_query, triangle_query,
     QueryParams,
 };
-pub use schedules::{hash_join_policy, total_broadcast_policy};

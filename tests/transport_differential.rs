@@ -415,7 +415,6 @@ fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
                 &mut connections[dealt % 2],
                 &pcq::wire::EvalRef {
                     query: &query,
-                    options: EvalOptions::default(),
                     round: 0,
                     node,
                     shipment: &chunk,
@@ -463,83 +462,70 @@ fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
 }
 
 // ---------------------------------------------------------------------------
-// Shipped evaluation options: wire workers must honor the coordinator's
-// EvalOptions instead of silently falling back to their own defaults.
+// The oracle: every node runs the triejoin, and every transport's answer must
+// equal the central scan-oracle evaluation (one round) or the central
+// reference fixpoint (iterated runs).
 // ---------------------------------------------------------------------------
 
 #[test]
-fn wire_workers_honor_the_coordinators_join_strategy() {
-    // The options travel with every round since they joined the wire
-    // protocol; with every node told to run the scan oracle, all three
-    // transports must produce the answers the triejoin computes centrally,
-    // on every family.
-    let options = EvalOptions::ScanOracle;
+fn every_transport_equals_the_central_scan_oracle() {
     let mut process = spawn_transport(2);
     let mut socket = spawn_workers(SOCKETS, 2);
     for (name, _) in named_workloads() {
         let query = named_query(name).unwrap();
         let instance = instance_for(&query, 43);
+        let oracle = cq::evaluate_with(&query, &instance, EvalOptions::ScanOracle);
         let policy = HypercubePolicy::uniform(&query, 2).unwrap();
-        let engine = OneRoundEngine::new(&policy)
-            .workers(2)
-            .eval_options(options);
+        let engine = OneRoundEngine::new(&policy).workers(2);
 
         let in_memory = engine.evaluate(&query, &instance);
-        assert_eq!(
-            in_memory.result,
-            cq::evaluate(&query, &instance),
-            "{name}: scan-oracle in-memory run lost answers"
-        );
         let via_process = engine
             .evaluate_via(&mut process, 0, &query, &instance)
             .unwrap_or_else(|e| panic!("{name}: process transport failed: {e}"));
         let via_socket = engine
             .evaluate_via(&mut socket, 0, &query, &instance)
             .unwrap_or_else(|e| panic!("{name}: socket transport failed: {e}"));
-        assert_eq!(
-            via_process.result, in_memory.result,
-            "{name}: process transport diverged under the scan oracle"
-        );
-        assert_eq!(
-            via_socket.result, in_memory.result,
-            "{name}: socket transport diverged under the scan oracle"
-        );
+        for (label, outcome) in [
+            ("memory", in_memory),
+            ("process", via_process),
+            ("socket", via_socket),
+        ] {
+            assert_eq!(
+                outcome.result, oracle,
+                "{name}: the {label} run differs from the scan oracle"
+            );
+        }
     }
 }
 
 #[test]
-fn multi_round_wire_runs_honor_the_coordinators_join_strategy() {
-    // The multi-round engine forwards its options into every round's
-    // transport calls — including delta rounds of an incremental run:
-    // scan-oracle rounds on either transport, against the fixpoint the
-    // triejoin computes centrally.
-    let options = EvalOptions::ScanOracle;
+fn multi_round_wire_runs_equal_the_reference_fixpoint() {
+    // Full and delta rounds alike, on every transport.
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 43);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
+    let mut process = spawn_transport(2);
+    let mut socket = spawn_workers(SOCKETS, 2);
     for semi_naive in [false, true] {
-        let build_engine = || {
-            MultiRoundEngine::new(RoundSchedule::repeat(&policy))
-                .rounds(6)
-                .feedback_into("R")
-                .semi_naive(semi_naive)
-                .eval_options(options)
-        };
-        let in_memory = build_engine().evaluate(&query, &instance);
-        let mut process = spawn_transport(2);
-        let via_process = build_engine()
+        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
+            .rounds(6)
+            .feedback_into("R")
+            .semi_naive(semi_naive);
+        let reference = engine.reference_fixpoint(&query, &instance);
+        let in_memory = engine.evaluate(&query, &instance);
+        let via_process = engine
             .evaluate_via(&mut process, &query, &instance)
             .unwrap();
-        assert_eq!(
-            via_process.result.to_string(),
-            in_memory.result.to_string(),
-            "semi_naive={semi_naive}: scan-oracle multi-round answers diverged"
-        );
-        assert_eq!(via_process.rounds_run(), in_memory.rounds_run());
-        assert_eq!(
-            in_memory.result,
-            build_engine().reference_fixpoint(&query, &instance).result
-        );
+        let via_socket = engine.evaluate_via(&mut socket, &query, &instance).unwrap();
+        for (label, outcome) in [
+            ("memory", in_memory),
+            ("process", via_process),
+            ("socket", via_socket),
+        ] {
+            let context = format!("semi_naive={semi_naive}: the {label} run");
+            assert_eq!(outcome.result, reference.result, "{context}");
+            assert_eq!(outcome.rounds_run(), reference.rounds, "{context}");
+        }
     }
 }
 
@@ -567,7 +553,7 @@ fn multi_query_elision_matches_reshuffle_always_on_all_sequences_and_transports(
     for name in query_sequence_names() {
         let queries = named_query_sequence(name).unwrap();
         let instance = instance_for_sequence(&queries, 19);
-        let policy = workloads::total_broadcast_policy(3).unwrap();
+        let policy = ExplicitPolicy::total_broadcast(&Network::with_size(3));
         for semi_naive in [false, true] {
             let build = |reshuffle_always: bool| {
                 MultiRoundEngine::new(RoundSchedule::repeat(&policy))
@@ -848,14 +834,16 @@ fn dropping_a_transport_whose_workers_exit_on_shutdown_polls_briefly() {
 #[test]
 fn every_transport_applies_shipments_by_the_same_node_state_rule() {
     let two_hop = ConjunctiveQuery::parse("T(x, z) :- R(x, y), S(y, z).").unwrap();
+    let reversed = ConjunctiveQuery::parse("T(z, x) :- R(x, y), S(y, z).").unwrap();
     let facts = |text: &str| Arc::new(cq::parse_instance(text).unwrap());
     let full = |text: &str| Shipment::Full(facts(text));
     let delta = |text: &str| Shipment::Delta(facts(text));
     let (n0, n7) = (Node::numbered(0), Node::numbered(7));
-    // (what the step shows, round, node, shipment, expected output)
+    // (what the step shows, query, round, node, shipment, expected output)
     let script = [
         (
             "a full chunk is evaluated",
+            &two_hop,
             0,
             n0,
             full("R(a, b). S(b, c)."),
@@ -863,13 +851,23 @@ fn every_transport_applies_shipments_by_the_same_node_state_rule() {
         ),
         (
             "a resident round sees the same shard",
+            &two_hop,
             0,
             n0,
             Shipment::Resident,
             "T(a, c).",
         ),
         (
+            "a different query runs over the resident shard",
+            &reversed,
+            0,
+            n0,
+            Shipment::Resident,
+            "T(c, a).",
+        ),
+        (
             "a round-0 delta resets the node",
+            &two_hop,
             0,
             n0,
             delta("R(a, b)."),
@@ -877,6 +875,7 @@ fn every_transport_applies_shipments_by_the_same_node_state_rule() {
         ),
         (
             "a later delta joins against retained state",
+            &two_hop,
             1,
             n0,
             delta("S(b, c)."),
@@ -884,13 +883,31 @@ fn every_transport_applies_shipments_by_the_same_node_state_rule() {
         ),
         (
             "a re-announced delta derives nothing",
+            &two_hop,
             2,
             n0,
             delta("R(a, b)."),
             "",
         ),
         (
+            "a round-0 delta after delta state resets the node",
+            &two_hop,
+            0,
+            n0,
+            delta("S(b, c)."),
+            "",
+        ),
+        (
+            "the reset node derives its answers afresh",
+            &two_hop,
+            1,
+            n0,
+            delta("R(a, b)."),
+            "T(a, c).",
+        ),
+        (
             "a resident round sees the accumulated state",
+            &two_hop,
             0,
             n0,
             Shipment::Resident,
@@ -898,6 +915,7 @@ fn every_transport_applies_shipments_by_the_same_node_state_rule() {
         ),
         (
             "a full chunk supersedes the delta state",
+            &two_hop,
             3,
             n0,
             full("R(a, b)."),
@@ -905,6 +923,7 @@ fn every_transport_applies_shipments_by_the_same_node_state_rule() {
         ),
         (
             "the superseded state is gone",
+            &two_hop,
             0,
             n0,
             Shipment::Resident,
@@ -912,6 +931,7 @@ fn every_transport_applies_shipments_by_the_same_node_state_rule() {
         ),
         (
             "a never-shipped node holds nothing",
+            &two_hop,
             0,
             n7,
             Shipment::Resident,
@@ -928,10 +948,8 @@ fn every_transport_applies_shipments_by_the_same_node_state_rule() {
             matches!(transport.barrier(), Err(TransportError::Protocol(_))),
             "{label}: a barrier before begin_round is a protocol error"
         );
-        for (what, round, node, shipment, expected) in script.clone() {
-            transport
-                .begin_round(round, &two_hop, EvalOptions::default())
-                .unwrap();
+        for (what, query, round, node, shipment, expected) in script.clone() {
+            transport.begin_round(round, query).unwrap();
             transport.send(node, shipment).unwrap();
             transport.barrier().unwrap();
             assert_eq!(
