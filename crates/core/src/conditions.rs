@@ -32,8 +32,7 @@ use std::ops::ControlFlow;
 
 use cq::{
     for_each_atom_mapping, Atom, Bindings, CanonicalValuations, CompiledQuery, ConjunctiveQuery,
-    CoverProblem, EvalOptions, Fact, Instance, Slots, Substitution, Symbol, SymbolHashBuilder,
-    Valuation, Value,
+    CoverProblem, Fact, Instance, Slots, Substitution, Symbol, SymbolHashBuilder, Valuation, Value,
 };
 use distribution::{DistributionPolicy, Node};
 
@@ -124,23 +123,17 @@ pub(crate) fn meet_violation<P: DistributionPolicy + ?Sized>(
     let mut oracle = MinimalityOracle::new(&compiled);
     let mut table = MeetTable::new(policy, universe);
     let mut violation = None;
-    let _ = compiled.for_each_satisfying(
-        universe,
-        &Valuation::new(),
-        EvalOptions::default(),
-        |slots| {
-            if (minimal_only && !oracle.is_minimal_by_type(slots)) || table.meets(&compiled, slots)
-            {
-                return ControlFlow::Continue(());
-            }
-            let valuation = compiled.valuation(slots);
-            violation = Some(C1Violation {
-                required_facts: valuation.required_facts(query),
-                valuation,
-            });
-            ControlFlow::Break(())
-        },
-    );
+    let _ = compiled.for_each_satisfying(universe, &Valuation::new(), |slots| {
+        if (minimal_only && !oracle.is_minimal_by_type(slots)) || table.meets(&compiled, slots) {
+            return ControlFlow::Continue(());
+        }
+        let valuation = compiled.valuation(slots);
+        violation = Some(C1Violation {
+            required_facts: valuation.required_facts(query),
+            valuation,
+        });
+        ControlFlow::Break(())
+    });
     (violation, oracle.stats())
 }
 
@@ -528,18 +521,13 @@ mod tests {
         for (i, policy) in policies.iter().enumerate() {
             let mut table = MeetTable::new(*policy, &universe);
             let (mut met, mut split) = (0, 0);
-            let _ = compiled.for_each_satisfying(
-                &universe,
-                &Valuation::new(),
-                EvalOptions::default(),
-                |slots| {
-                    let required = compiled.valuation(slots).required_facts(&query);
-                    let expected = policy.facts_meet(&required);
-                    assert_eq!(table.meets(&compiled, slots), expected, "policy {i}");
-                    *(if expected { &mut met } else { &mut split }) += 1;
-                    ControlFlow::Continue(())
-                },
-            );
+            let _ = compiled.for_each_satisfying(&universe, &Valuation::new(), |slots| {
+                let required = compiled.valuation(slots).required_facts(&query);
+                let expected = policy.facts_meet(&required);
+                assert_eq!(table.meets(&compiled, slots), expected, "policy {i}");
+                *(if expected { &mut met } else { &mut split }) += 1;
+                ControlFlow::Continue(())
+            });
             assert!(met > 0, "policy {i}: no valuation meets");
             assert!(split > 0 || i == 5, "policy {i}: every valuation meets");
 

@@ -26,10 +26,7 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 
-use cq::{
-    CanonicalValuations, CompiledQuery, ConjunctiveQuery, EvalOptions, Instance, Slots, Valuation,
-    Value,
-};
+use cq::{CanonicalValuations, CompiledQuery, ConjunctiveQuery, Instance, Slots, Valuation, Value};
 
 /// The minimality asks of a decision report ([`crate::PcReport`],
 /// [`crate::TransferReport`]) as a cache's counters: `hits` answered by the
@@ -296,7 +293,7 @@ where
 {
     let compiled = CompiledQuery::new(query);
     let mut oracle = MinimalityOracle::new(&compiled);
-    compiled.for_each_satisfying(facts, &Valuation::new(), EvalOptions::default(), |slots| {
+    compiled.for_each_satisfying(facts, &Valuation::new(), |slots| {
         if oracle.is_minimal_by_type(slots) {
             callback(&compiled.valuation(slots))
         } else {

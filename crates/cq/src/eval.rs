@@ -221,10 +221,24 @@ impl<'q> CompiledQuery<'q> {
     }
 
     /// Calls `leaf` with the slot array of every satisfying assignment of
-    /// the query on `instance` that extends `fixed`, through the join
-    /// `opts` selects — [`for_each_satisfying`] without the [`Valuation`]
-    /// per leaf, in the same order.
+    /// the query on `instance` that extends `fixed`, through the triejoin —
+    /// [`for_each_satisfying`] without the [`Valuation`] per leaf, in the
+    /// same order.
     pub fn for_each_satisfying<L>(
+        &self,
+        instance: &Instance,
+        fixed: &Valuation,
+        leaf: L,
+    ) -> ControlFlow<()>
+    where
+        L: FnMut(&Slots) -> ControlFlow<()>,
+    {
+        self.for_each_satisfying_with(instance, fixed, EvalOptions::default(), leaf)
+    }
+
+    /// [`CompiledQuery::for_each_satisfying`] through the join `opts`
+    /// selects.
+    pub fn for_each_satisfying_with<L>(
         &self,
         instance: &Instance,
         fixed: &Valuation,
@@ -814,7 +828,7 @@ where
     // One valuation serves every leaf: rebinding a bound variable
     // overwrites in place.
     let mut valuation = Valuation::new();
-    compiled.for_each_satisfying(instance, fixed, opts, |slots| {
+    compiled.for_each_satisfying_with(instance, fixed, opts, |slots| {
         for (&var, value) in compiled.vars.iter().zip(slots) {
             valuation.bind(var, value.expect("every slot is bound at a leaf"));
         }
@@ -1022,7 +1036,7 @@ pub fn evaluate_with(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOp
     let _span = obs::span!("evaluate", strategy = opts.kernel(), facts = instance.len());
     let compiled = CompiledQuery::new(query);
     let mut answers = Answers::new(&compiled, true);
-    let _ = compiled.for_each_satisfying(instance, &Valuation::new(), opts, |slots| {
+    let _ = compiled.for_each_satisfying_with(instance, &Valuation::new(), opts, |slots| {
         answers.collect(slots)
     });
     answers.finish()

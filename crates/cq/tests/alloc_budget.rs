@@ -318,7 +318,7 @@ fn multiway_evaluation_allocates_per_atom_not_per_row_or_value() {
     let enumerate = |instance: &Instance| {
         let mut leaves = 0u64;
         let ((), heap) = counting(|| {
-            let _ = compiled.for_each_satisfying(instance, &Valuation::new(), opts, |_| {
+            let _ = compiled.for_each_satisfying_with(instance, &Valuation::new(), opts, |_| {
                 leaves += 1;
                 ControlFlow::Continue(())
             });

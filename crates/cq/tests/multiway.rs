@@ -211,7 +211,7 @@ fn multiway_leaves_ascend_in_the_documented_variable_order() {
         let instance = if text == TREE { &sparse } else { &dense };
         let mut leaves: Vec<Vec<Value>> = Vec::new();
         let opts = EvalOptions::default();
-        let flow = compiled.for_each_satisfying(instance, &Valuation::new(), opts, |slots| {
+        let flow = compiled.for_each_satisfying_with(instance, &Valuation::new(), opts, |slots| {
             leaves.push(order.iter().map(|&slot| slots[slot].unwrap()).collect());
             ControlFlow::Continue(())
         });
@@ -223,7 +223,7 @@ fn multiway_leaves_ascend_in_the_documented_variable_order() {
         );
 
         let mut visited = 0;
-        let flow = compiled.for_each_satisfying(instance, &Valuation::new(), opts, |_| {
+        let flow = compiled.for_each_satisfying_with(instance, &Valuation::new(), opts, |_| {
             visited += 1;
             ControlFlow::Break(())
         });

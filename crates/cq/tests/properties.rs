@@ -390,7 +390,7 @@ proptest! {
                     let mut leaves: Vec<Vec<Option<Value>>> = Vec::new();
                     let compiled = cq::CompiledQuery::new(&query);
                     let opts = EvalOptions::default();
-                    let _ = compiled.for_each_satisfying(i, &Valuation::new(), opts, |slots| {
+                    let _ = compiled.for_each_satisfying_with(i, &Valuation::new(), opts, |slots| {
                         leaves.push(slots.to_vec());
                         ControlFlow::Continue(())
                     });

@@ -57,7 +57,7 @@ const PROBE_QUERIES: [&str; 4] = [
 fn leaves(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOptions) -> Vec<Vec<Value>> {
     let mut leaves = Vec::new();
     let compiled = CompiledQuery::new(query);
-    let _ = compiled.for_each_satisfying(instance, &Valuation::new(), opts, |slots| {
+    let _ = compiled.for_each_satisfying_with(instance, &Valuation::new(), opts, |slots| {
         leaves.push(slots.iter().map(|value| value.unwrap()).collect());
         ControlFlow::Continue(())
     });
