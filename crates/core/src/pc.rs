@@ -31,9 +31,11 @@ pub struct PcReport {
     pub correct: bool,
     /// A violation witness when the query is not parallel-correct.
     pub violation: Option<PcViolation>,
+    /// How many valuations over the fact universe the (C1) search visited.
+    pub candidates: u64,
     /// How the minimality asks were answered: `hits` by the candidate's
-    /// equality type, `misses` by running the search; their sum is the
-    /// number of candidate valuations.
+    /// equality type, `misses` by running the search. Only a candidate whose
+    /// facts do not meet is asked about.
     pub cache: CacheStats,
 }
 
@@ -41,6 +43,11 @@ impl PcReport {
     /// Whether the query is parallel-correct.
     pub fn is_correct(&self) -> bool {
         self.correct
+    }
+
+    /// How many valuations the search visited.
+    pub fn candidates(&self) -> u64 {
+        self.candidates
     }
 
     /// The minimality-ask counters accumulated while deciding the verdict.
@@ -178,7 +185,7 @@ pub fn check_parallel_correctness_bounded<P: DistributionPolicy + ?Sized>(
     universe: &Instance,
 ) -> PcReport {
     let _span = obs::span!("pc_check", universe = universe.len());
-    let (violation, stats) = meet_violation(query, policy, universe, true);
+    let (violation, stats, candidates) = meet_violation(query, policy, universe, true);
     let violation = violation.map(|found| {
         let C1Violation {
             valuation,
@@ -193,7 +200,8 @@ pub fn check_parallel_correctness_bounded<P: DistributionPolicy + ?Sized>(
     PcReport {
         correct: violation.is_none(),
         violation,
-        cache: stats.record(),
+        candidates,
+        cache: stats.record(candidates),
     }
 }
 

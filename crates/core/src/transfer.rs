@@ -45,6 +45,12 @@ impl TransferReport {
         self.transfers
     }
 
+    /// How many valuations the search visited: (C2) asks about every one,
+    /// so this is the number of asks.
+    pub fn candidates(&self) -> u64 {
+        self.cache.hits + self.cache.misses
+    }
+
     /// The minimality-ask counters accumulated while deciding the verdict.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache
@@ -70,7 +76,7 @@ fn transfer_by_c2(from: &ConjunctiveQuery, to: &ConjunctiveQuery, no_skip: bool)
             required_facts: valuation.required_facts(to),
             valuation,
         }),
-        cache: stats.record(),
+        cache: stats.record(stats.asks()),
     }
 }
 

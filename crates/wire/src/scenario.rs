@@ -136,9 +136,10 @@ impl fmt::Display for NetworkSpec {
 /// pretty-printer's output re-parses to an equal value; the default node
 /// list keeps its written order (it is an argument list, not a set).
 /// Node names must satisfy [`ExplicitSpec::is_node_name`] — in particular
-/// an assignment key may not be the reserved word `default` — which both
-/// the stanza parser and the binary decoder enforce, so every parsed *or
-/// decoded* spec survives the print∘parse round trip.
+/// an assignment key may not be the reserved word `default` — which the
+/// stanza parser, the binary decoder and [`ExplicitSpec::build_policy`]
+/// enforce, so every parsed *or decoded* spec survives the print∘parse
+/// round trip, and a `pc` policy file names its nodes as the stanza does.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExplicitSpec {
     /// Per-node fact assignments.
@@ -161,7 +162,7 @@ impl ExplicitSpec {
 
     /// Checks the invariants the textual format relies on (see the type
     /// docs); the parser upholds them by construction, the binary decoder
-    /// by calling this.
+    /// and [`ExplicitSpec::build_policy`] by calling this.
     fn validate(&self) -> Result<(), String> {
         for name in self.assignments.keys() {
             if name.as_str() == "default" {
@@ -189,24 +190,23 @@ impl ExplicitSpec {
 
     /// [`ExplicitSpec::build`] with the concrete policy type — the one
     /// materialization of the `pc` policy-file semantics (the CLI's
-    /// policy-file loader delegates here too).
+    /// policy-file loader delegates here too). A node name the stanza would
+    /// reject is an error that names it.
     pub fn build_policy(&self) -> Result<ExplicitPolicy, String> {
         if self.assignments.is_empty() && self.default.is_empty() {
             return Err("the policy stanza assigns no facts".to_string());
         }
+        self.validate()?;
         let mut network = Network::default();
-        for name in self.assignments.keys().chain(self.default.iter()) {
-            network.add(Node::new(name.as_str()));
+        for &name in self.assignments.keys().chain(self.default.iter()) {
+            network.add(Node::from(name));
         }
-        let default_nodes: Vec<Node> = self.default.iter().map(|n| Node::new(n.as_str())).collect();
+        let default_nodes: Vec<Node> = self.default.iter().map(|&n| Node::from(n)).collect();
         let mut policy = ExplicitPolicy::new(network).with_default(default_nodes);
         let mut by_fact: BTreeMap<&Fact, Vec<Node>> = BTreeMap::new();
-        for (node, facts) in &self.assignments {
+        for (&node, facts) in &self.assignments {
             for fact in facts.facts() {
-                by_fact
-                    .entry(fact)
-                    .or_default()
-                    .push(Node::new(node.as_str()));
+                by_fact.entry(fact).or_default().push(Node::from(node));
             }
         }
         for (fact, nodes) in by_fact {

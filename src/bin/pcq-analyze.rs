@@ -1314,13 +1314,12 @@ fn analyze(query: &ConjunctiveQuery) -> bool {
     true
 }
 
-/// How the minimality asks of a `pc` / `transfer` decision were answered.
-fn minimality_line(asks: CacheStats) -> String {
+/// How many valuations a `pc` / `transfer` decision visited, and how its
+/// minimality asks were answered.
+fn minimality_line(candidates: u64, asks: CacheStats) -> String {
     format!(
-        "minimality: {} candidates, {} by equality type, {} searched",
-        asks.hits + asks.misses,
-        asks.hits,
-        asks.misses
+        "minimality: {candidates} candidates, {} by equality type, {} searched",
+        asks.hits, asks.misses
     )
 }
 
@@ -1328,7 +1327,10 @@ fn parallel_correctness(query: &ConjunctiveQuery, policy: &ExplicitPolicy) -> bo
     say!("query:   {query}");
     say!("network: {}", policy.network());
     let report = check_parallel_correctness(query, policy);
-    say!("{}", minimality_line(report.cache_stats()));
+    say!(
+        "{}",
+        minimality_line(report.candidates(), report.cache_stats())
+    );
     if report.is_correct() {
         say!("parallel-correct: yes (every minimal valuation meets at some node)");
         true
@@ -1364,7 +1366,10 @@ fn transfer(
         }
         Some(other) => return Err(format!("unknown flag '{other}'")),
     };
-    say!("{}", minimality_line(report.cache_stats()));
+    say!(
+        "{}",
+        minimality_line(report.candidates(), report.cache_stats())
+    );
     say!(
         "parallel-correctness transfers ({}): {}",
         report.method,

@@ -77,7 +77,8 @@ fn pc_no_report_names_the_valuation_the_instance_and_the_lost_fact() {
     // valuation (in enumeration order: the triejoin binds `y`, then `x`,
     // then `z`, each ascending) whose facts do not meet, its required facts
     // as the counterexample instance, the fact the nodes lose — and how many
-    // candidates it took.
+    // candidates it took. Only the candidates whose facts do not meet ask
+    // about minimality: here the fourth, the witness.
     let path = write_temp("no-policy.txt", EXAMPLE_3_5_POLICY);
     let (code, stdout) = pcq_analyze_output(&["pc", PATH_2, path.to_str().unwrap()]);
     let _ = std::fs::remove_file(path);
@@ -86,7 +87,7 @@ fn pc_no_report_names_the_valuation_the_instance_and_the_lost_fact() {
         stdout,
         "query:   T(x, z) :- R(x, y), R(y, z).\n\
          network: {n0, n1}\n\
-         minimality: 4 candidates, 0 by equality type, 4 searched\n\
+         minimality: 4 candidates, 0 by equality type, 1 searched\n\
          parallel-correct: NO\n\
          \x20 minimal valuation:       {x ↦ b, z ↦ b, y ↦ a}\n\
          \x20 counterexample instance: {R(a, b), R(b, a)}\n\
@@ -99,6 +100,34 @@ fn pc_rejects_malformed_policy_files() {
     let path = write_temp("bad-policy.txt", "n0 R(a, b)\n");
     assert_eq!(pcq_analyze(&["pc", PATH_2, path.to_str().unwrap()]), 2);
     let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn pc_and_run_reject_node_names_the_policy_stanza_rejects() {
+    // A space, parentheses and an empty name: each policy file exits 2 and
+    // the message names the bad name.
+    for (file, name) in [
+        ("n 0: R(a, b)\n", "'n 0'"),
+        ("n(0): R(a, b)\n", "'n(0)'"),
+        (": R(a, b)\n", "''"),
+    ] {
+        let path = write_temp("bad-name-policy.txt", file);
+        let policy = path.to_str().unwrap();
+        for args in [
+            &["pc", PATH_2, policy][..],
+            &["run", PATH_2, policy, "R(a, b)."][..],
+        ] {
+            let output = Command::new(env!("CARGO_BIN_EXE_pcq-analyze"))
+                .args(args)
+                .output()
+                .expect("spawn pcq-analyze");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+            let named = format!("{name} is not a node name");
+            assert!(stderr.contains(&named), "{args:?}: {stderr}");
+        }
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]

@@ -192,18 +192,23 @@ fn decisions_trace_their_span_and_how_minimality_was_asked() {
     // `pc_check` / `transfer_check` bracket the two decision procedures, and
     // each leaves one `minimality_stats` instant inside its span: the
     // 2-path over the complete relation on 3 values has 27 candidate
-    // valuations of Bell(3) = 5 equality types, all minimal; the (C2) search
-    // never asks by type.
+    // valuations of Bell(3) = 5 equality types, all minimal. (C1) asks only
+    // about candidates whose facts do not meet: none under broadcast; under
+    // round-robin over 9 nodes the first candidate requires one fact and
+    // meets, the second does not and is the witness. The (C2) search never
+    // asks by type.
     let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
     let universe = workloads::complete_binary_relation("R", &["a", "b", "c"]);
-    let policy = ExplicitPolicy::broadcast(&Network::with_size(2), &universe);
-    let ((pc, transfer), events) = traced(|| {
+    let broadcast = ExplicitPolicy::broadcast(&Network::with_size(2), &universe);
+    let split = ExplicitPolicy::round_robin(&Network::with_size(9), &universe);
+    let ((pc, pc_split, transfer), events) = traced(|| {
         (
-            pcq::pc_core::check_parallel_correctness(&query, &policy),
+            pcq::pc_core::check_parallel_correctness(&query, &broadcast),
+            pcq::pc_core::check_parallel_correctness(&query, &split),
             pcq::pc_core::check_transfer(&query, &query),
         )
     });
-    assert!(pc.is_correct() && transfer.transfers());
+    assert!(pc.is_correct() && !pc_split.is_correct() && transfer.transfers());
     trace_export::check_well_formed(&events).unwrap();
 
     let stats: Vec<_> = events
@@ -218,15 +223,16 @@ fn decisions_trace_their_span_and_how_minimality_was_asked() {
                 let (_, value) = e.args.iter().find(|(k, _)| k == key).expect(key);
                 value.parse().expect("a count")
             };
-            let counts = ["asks", "by_type", "searched", "minimal"].map(arg);
+            let counts = ["candidates", "asks", "by_type", "searched", "minimal"].map(arg);
             (parent.name.as_str(), counts)
         })
         .collect();
     let asked = transfer.cache_stats().misses;
-    assert_eq!(stats[0], ("pc_check", [27, 22, 5, 27]));
-    assert_eq!(stats[1].0, "transfer_check");
-    assert_eq!(stats[1].1[..3], [asked, 0, asked]);
-    assert_eq!(stats.len(), 2);
+    assert_eq!(stats[0], ("pc_check", [27, 0, 0, 0, 0]));
+    assert_eq!(stats[1], ("pc_check", [2, 1, 0, 1, 1]));
+    assert_eq!(stats[2].0, "transfer_check");
+    assert_eq!(stats[2].1[..4], [asked, asked, 0, asked]);
+    assert_eq!(stats.len(), 3);
 
     // `trace summarize` rolls the spans up as phases and lists the instant.
     let summary = trace_export::TraceSummary::from_events(&events).to_string();
