@@ -1,5 +1,7 @@
 //! The conditions (C0), (C1), (C2) and (C3) of the paper, as checkable
-//! predicates with witnesses.
+//! predicates with witnesses. (C1) is decided by
+//! [`crate::check_parallel_correctness_bounded`], which reports its witness
+//! as a [`crate::PcViolation`].
 //!
 //! * **(C0)** — for every valuation `V` for `Q`, the facts `V(body_Q)` meet
 //!   at some node. Sufficient but not necessary for parallel-correctness.
@@ -208,26 +210,6 @@ pub fn c0_violation<P: DistributionPolicy + ?Sized>(
     universe: &Instance,
 ) -> Option<C1Violation> {
     meet_violation(query, policy, universe, false).0
-}
-
-/// Condition (C1) relative to the finite fact universe `universe`:
-/// every **minimal** valuation of `query` over `universe` has its required
-/// facts meeting at some node of `policy` (Lemma 3.4 / Lemma B.4).
-pub fn holds_c1<P: DistributionPolicy + ?Sized>(
-    query: &ConjunctiveQuery,
-    policy: &P,
-    universe: &Instance,
-) -> bool {
-    c1_violation(query, policy, universe).is_none()
-}
-
-/// Searches for a violation of (C1).
-pub fn c1_violation<P: DistributionPolicy + ?Sized>(
-    query: &ConjunctiveQuery,
-    policy: &P,
-    universe: &Instance,
-) -> Option<C1Violation> {
-    meet_violation(query, policy, universe, true).0
 }
 
 /// Condition (C2): for every minimal valuation `V'` of `to`, there is a
@@ -461,8 +443,7 @@ mod tests {
             .required_facts
             .contains(&Fact::from_names("R", &["b", "a"])));
 
-        assert!(holds_c1(&query, &policy, &universe));
-        assert!(c1_violation(&query, &policy, &universe).is_none());
+        assert!(meet_violation(&query, &policy, &universe, true).0.is_none());
     }
 
     fn assert_same_witness(got: Option<C1Violation>, want: Option<C1Violation>, context: &str) {
@@ -567,7 +548,9 @@ mod tests {
         assert!(none.is_none());
         assert_eq!((stats.asks(), stats.minimal), (18, 0));
         assert!(c0_violation(&queries[0], &own_node, &universe).is_some());
-        assert!(c1_violation(&queries[1], &own_node, &universe).is_some());
+        assert!(meet_violation(&queries[1], &own_node, &universe, true)
+            .0
+            .is_some());
     }
 
     #[test]
@@ -650,8 +633,7 @@ mod tests {
         // Round-robin splits R(a,b) and R(b,a) over different nodes, so the
         // minimal valuation x=a,y=b,z=a never meets.
         let policy = ExplicitPolicy::round_robin(&Network::with_size(4), &universe);
-        assert!(!holds_c1(&query, &policy, &universe));
-        let violation = c1_violation(&query, &policy, &universe).unwrap();
+        let violation = meet_violation(&query, &policy, &universe, true).0.unwrap();
         assert!(is_minimal_valuation(&query, &violation.valuation));
     }
 
@@ -661,7 +643,9 @@ mod tests {
         let universe = all_r_facts(&["a", "b", "c"]);
         let broadcast = ExplicitPolicy::broadcast(&Network::with_size(3), &universe);
         assert!(holds_c0(&query, &broadcast, &universe));
-        assert!(holds_c1(&query, &broadcast, &universe));
+        assert!(meet_violation(&query, &broadcast, &universe, true)
+            .0
+            .is_none());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use cq::{evaluate, ConjunctiveQuery, Instance};
 use distribution::{DistributionPolicy, HypercubeFamily, HypercubePolicy};
 
-use crate::conditions::{c3_witness, holds_c3};
+use crate::conditions::c3_witness;
 
 /// Report on whether a query is parallel-correct for the `Q`-generous and
 /// `Q`-scattered families associated with a query `Q` (in particular, for
@@ -135,18 +135,10 @@ fn chunks_are_scattered(
     scattered
 }
 
-/// Convenience wrapper: condition (C3) seen as "is `q_prime` parallel-correct
-/// for every `Q`-generous and `Q`-scattered family of `query`" (Lemma 5.2).
-pub fn parallel_correct_for_generous_scattered_families(
-    query: &ConjunctiveQuery,
-    q_prime: &ConjunctiveQuery,
-) -> bool {
-    holds_c3(query, q_prime)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conditions::holds_c3;
     use cq::parse_instance;
 
     fn q(text: &str) -> ConjunctiveQuery {
@@ -189,9 +181,7 @@ mod tests {
         let query = q("T(x, y, z) :- R(x, y), S(y, z).");
         let sub = q("U(x, y) :- R(x, y).");
         assert!(hypercube_parallel_correct(&query, &sub).parallel_correct);
-        assert!(parallel_correct_for_generous_scattered_families(
-            &query, &sub
-        ));
+        assert!(holds_c3(&query, &sub));
     }
 
     #[test]

@@ -12,15 +12,19 @@
 //! * deciders for **parallel-correctness** on an instance (`PCI`,
 //!   Definition 3.1) and for all instances over a finite policy (`PC(Pfin)`,
 //!   Theorem 3.8) — module [`pc`],
-//! * deciders for **parallel-correctness transfer** (`pc-trans`,
-//!   Theorem 4.3) in the general case and the NP procedure for strongly
-//!   minimal queries (Theorem 4.7) — module [`transfer`],
+//! * one decider for **parallel-correctness transfer** (`pc-trans`,
+//!   Theorem 4.3), which takes the NP procedure of Theorem 4.7 where the
+//!   source passes Lemma 4.8 and the general (C2) search otherwise — module
+//!   [`transfer`],
 //! * parallel-correctness for **Q-generous / Q-scattered families** and in
 //!   particular the Hypercube family (Lemma 5.2, Theorem 5.3, Lemma 5.7,
 //!   Corollary 5.8) — module [`family`].
 //!
 //! All deciders return *reports* carrying witnesses or counterexamples, so
-//! the examples and benches can show not only "yes/no" but also why.
+//! the examples and the CLI can show not only "yes/no" but also why: every
+//! NO of [`check_parallel_correctness`] names a lost fact, and every NO of
+//! [`check_transfer`] a valuation that no minimal valuation of the source
+//! covers.
 //!
 //! ## Example: the query and policy of Example 3.5
 //!
@@ -66,14 +70,13 @@ pub mod pc;
 mod reference;
 pub mod transfer;
 
-pub use conditions::{holds_c0, holds_c1, holds_c2, holds_c3, C1Violation, C3Witness};
+pub use conditions::{holds_c0, holds_c2, holds_c3, C1Violation, C3Witness};
 pub use family::{
     hypercube_parallel_correct, validate_hypercube_family, FamilyReport, FamilyValidation,
 };
 pub use minimality::{
-    is_minimal_valuation, is_strongly_minimal, minimal_valuations_over, satisfies_lemma_4_8,
-    strong_minimality_witness, CacheStats, MinimalityOracle, MinimalityStats,
-    StrongMinimalityReport,
+    is_minimal_valuation, is_strongly_minimal, satisfies_lemma_4_8, strong_minimality_witness,
+    CacheStats, MinimalityOracle, MinimalityStats,
 };
 pub use pc::{
     check_parallel_correctness, check_parallel_correctness_bounded,
@@ -81,6 +84,5 @@ pub use pc::{
     multi_round_correct_on, MultiRoundInstanceReport, PcInstanceReport, PcReport, PcViolation,
 };
 pub use transfer::{
-    check_transfer, check_transfer_no_skip, check_transfer_strongly_minimal, TransferCache,
-    TransferReport, TransferViolation,
+    check_transfer, check_transfer_no_skip, TransferCache, TransferReport, TransferViolation,
 };

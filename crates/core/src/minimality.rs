@@ -10,7 +10,8 @@
 //!   identifies (genericity, Claim C.4). The oracle reduces a candidate to
 //!   its *equality type* — the restricted-growth string of class ids over
 //!   the query's variable slots — and searches over class ids: no
-//!   [`Instance`], no index, no [`Valuation`], no allocation per ask.
+//!   [`Instance`](cq::Instance), no index, no [`Valuation`], no allocation
+//!   per ask.
 //! * **The search** finds the candidate's distinct atom images (one hash key
 //!   per image; class ids are compared only where keys match) and assigns
 //!   the body atoms onto them, never taking the last unused image: what
@@ -19,12 +20,12 @@
 //!   image without a choice; the others go in a static most-bound-first
 //!   order.
 //! * **The memo.** Where types repeat — valuations enumerated over a fact
-//!   universe, as (C1) and [`for_each_minimal_valuation`] do —
-//!   [`MinimalityOracle::is_minimal_by_type`] searches once per type (a
-//!   4-variable query has 15). (C1) asks only about the valuations whose
-//!   facts do not meet, and (C0) asks nothing. Canonical enumerations and
-//!   the covering search of (C2) meet (almost) every type once and call
-//!   the search, [`MinimalityOracle::is_minimal`], directly.
+//!   universe, as in (C1) — [`MinimalityOracle::is_minimal_by_type`]
+//!   searches once per type (a 4-variable query has 15). (C1) asks only
+//!   about the valuations whose facts do not meet, and (C0) asks nothing.
+//!   Canonical enumerations and the covering search of (C2) meet (almost)
+//!   every type once and call the search, [`MinimalityOracle::is_minimal`],
+//!   directly.
 //!
 //! On the benchmark's `decide_pc_transfer` inputs (seed 20150531, 2-vCPU
 //! box, traced probe, median of 4 runs) the (C2) decision and its 4 116
@@ -35,11 +36,10 @@
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::ops::ControlFlow;
 
 use cq::{
-    CanonicalValuations, CompiledQuery, ConjunctiveQuery, Instance, Slots, SymbolHashBuilder,
-    Valuation, Value,
+    CanonicalValuations, CompiledQuery, ConjunctiveQuery, Slots, SymbolHashBuilder, Valuation,
+    Value,
 };
 
 /// The minimality asks of a decision report ([`crate::PcReport`],
@@ -328,51 +328,6 @@ pub fn is_minimal_valuation(query: &ConjunctiveQuery, valuation: &Valuation) -> 
     MinimalityOracle::new(&CompiledQuery::new(query)).is_minimal_valuation(valuation)
 }
 
-/// Enumerates the valuations of `query` that are satisfying on `facts` and
-/// minimal, invoking `callback` for each.
-pub fn for_each_minimal_valuation<F>(
-    query: &ConjunctiveQuery,
-    facts: &Instance,
-    mut callback: F,
-) -> ControlFlow<()>
-where
-    F: FnMut(&Valuation) -> ControlFlow<()>,
-{
-    let compiled = CompiledQuery::new(query);
-    let mut oracle = MinimalityOracle::new(&compiled);
-    compiled.for_each_satisfying(facts, &Valuation::new(), |slots| {
-        if oracle.is_minimal_by_type(slots) {
-            callback(&compiled.valuation(slots))
-        } else {
-            ControlFlow::Continue(())
-        }
-    })
-}
-
-/// The satisfying valuations of `query` on `facts` that are minimal.
-pub fn minimal_valuations_over(query: &ConjunctiveQuery, facts: &Instance) -> Vec<Valuation> {
-    let mut out = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    let _ = for_each_minimal_valuation(query, facts, |v| {
-        if seen.insert(v.clone()) {
-            out.push(v.clone());
-        }
-        ControlFlow::Continue(())
-    });
-    out
-}
-
-/// A report on the strong minimality of a query.
-#[derive(Clone, Debug)]
-pub struct StrongMinimalityReport {
-    /// Whether the query is strongly minimal.
-    pub strongly_minimal: bool,
-    /// Whether the sufficient syntactic condition of Lemma 4.8 holds.
-    pub lemma_4_8: bool,
-    /// Number of canonical valuations inspected by the complete check.
-    pub valuations_checked: usize,
-}
-
 /// Whether `query` is *strongly minimal* (Definition 4.4): every valuation
 /// for the query is minimal.
 ///
@@ -389,32 +344,9 @@ pub fn strong_minimality_witness(query: &ConjunctiveQuery) -> Option<Valuation> 
     if satisfies_lemma_4_8(query) {
         return None;
     }
-    first_non_minimal(query).0
-}
-
-/// The first canonical valuation of `query` that is not minimal, and how
-/// many were checked to find it (all of them when there is none).
-fn first_non_minimal(query: &ConjunctiveQuery) -> (Option<Valuation>, usize) {
     let compiled = CompiledQuery::new(query);
     let mut oracle = MinimalityOracle::new(&compiled);
-    let witness =
-        CanonicalValuations::new(query.variables()).find(|v| !oracle.is_minimal_valuation(v));
-    (witness, oracle.stats().searched as usize)
-}
-
-/// Full report on strong minimality, including which path decided it.
-pub fn strong_minimality_report(query: &ConjunctiveQuery) -> StrongMinimalityReport {
-    let lemma_4_8 = satisfies_lemma_4_8(query);
-    let (witness, valuations_checked) = if lemma_4_8 {
-        (None, 0)
-    } else {
-        first_non_minimal(query)
-    };
-    StrongMinimalityReport {
-        strongly_minimal: witness.is_none(),
-        lemma_4_8,
-        valuations_checked,
-    }
+    CanonicalValuations::new(query.variables()).find(|v| !oracle.is_minimal_valuation(v))
 }
 
 /// The sufficient condition of Lemma 4.8: if a variable `x` occurs at a
@@ -446,6 +378,8 @@ pub fn satisfies_lemma_4_8(query: &ConjunctiveQuery) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cq::Instance;
+    use std::ops::ControlFlow;
 
     fn q(text: &str) -> ConjunctiveQuery {
         ConjunctiveQuery::parse(text).unwrap()
@@ -500,25 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn minimal_valuations_over_an_instance() {
-        let query = q("T(x, z) :- R(x, y), R(y, z), R(x, x).");
-        let instance = cq::parse_instance("R(a, a). R(a, b). R(b, a).").unwrap();
-        let minimal = minimal_valuations_over(&query, &instance);
-        // The valuation x=a,y=b,z=a is satisfying but NOT minimal (x=y=z=a is
-        // smaller); the all-a valuation is minimal; x=a,y=a|b,z=b requires
-        // R(a,b),(R(a,a) or R(b,b)),… — check that every returned valuation
-        // is indeed minimal and satisfying.
-        assert!(!minimal.is_empty());
-        for v in &minimal {
-            assert!(v.satisfies(&query, &instance));
-            assert!(is_minimal_valuation(&query, v));
-        }
-        // the non-minimal valuation is not in the list
-        let non_minimal = Valuation::from_names([("x", "a"), ("y", "b"), ("z", "a")]);
-        assert!(!minimal.contains(&non_minimal));
-    }
-
-    #[test]
     fn example_4_5_strongly_minimal_queries() {
         // Q1 is full (the paper's Example 4.5 argues "by fullness of Q1";
         // we spell the head with all body variables); Q2 has no self-joins.
@@ -534,7 +449,7 @@ mod tests {
     #[test]
     fn projected_chain_with_self_joins_is_not_strongly_minimal() {
         // The literal head of the paper's Example 4.5 (which omits x3) makes
-        // the query non-strongly-minimal: collapsing x3 onto x2's value can
+        // the query not strongly minimal: collapsing x3 onto x2's value can
         // shrink the required facts while deriving the same head fact.
         let query = q("T(x1, x2, x2, x4) :- R(x1, x2), R(x2, x3), R(x3, x4).");
         assert!(!is_strongly_minimal(&query));
@@ -556,10 +471,6 @@ mod tests {
         let query = q("T() :- R(x1, x2), R(x2, x1).");
         assert!(!satisfies_lemma_4_8(&query));
         assert!(is_strongly_minimal(&query));
-        let report = strong_minimality_report(&query);
-        assert!(report.strongly_minimal);
-        assert!(!report.lemma_4_8);
-        assert!(report.valuations_checked >= 2);
     }
 
     #[test]

@@ -4,8 +4,8 @@ use std::collections::BTreeMap;
 
 use cq::{ConjunctiveQuery, Instance, Valuation};
 
-use crate::conditions::{c2_search, c3_witness};
-use crate::minimality::{is_strongly_minimal, CacheStats};
+use crate::conditions::{c2_search, holds_c3};
+use crate::minimality::{satisfies_lemma_4_8, CacheStats, MinimalityStats};
 
 /// A witness that parallel-correctness does **not** transfer: a minimal
 /// valuation of `Q'` whose required facts are not contained in the required
@@ -28,14 +28,15 @@ pub struct TransferViolation {
 pub struct TransferReport {
     /// Whether parallel-correctness transfers from `Q` to `Q'`.
     pub transfers: bool,
-    /// Which decision procedure was used (`"C2"` or `"C3"`).
+    /// Which characterization decided: `"C3"` (a yes for a Lemma 4.8
+    /// source), `"C2"`, or `"C2'"` for [`check_transfer_no_skip`].
     pub method: &'static str,
     /// A violation witness when transfer fails.
     pub violation: Option<TransferViolation>,
     /// How the minimality asks were answered: `hits` by the candidate's
     /// equality type, `misses` by running the search (the (C2) search visits
-    /// almost every type once, so it asks the search directly); all zero for
-    /// the syntactic C3 procedure.
+    /// almost every type once, so it asks the search directly); all zero
+    /// when (C3) decided.
     pub cache: CacheStats,
 }
 
@@ -58,50 +59,20 @@ impl TransferReport {
 }
 
 /// Decides whether parallel-correctness transfers from `from` to `to`
-/// (Definition 4.1) using the semantic characterization by condition (C2)
-/// (Lemma 4.2). This is the general, ΠP3-complete problem (Theorem 4.3).
+/// (Definition 4.1) under arbitrary policies, picking the characterization
+/// from the source query:
+///
+/// * when `from` passes the syntactic test of Lemma 4.8 it is strongly
+///   minimal, so condition (C3) decides (Lemma 4.6, the NP procedure of
+///   Theorem 4.7); a (C3) witness answers yes with `method: "C3"`;
+/// * every other case, every NO included, runs the (C2) search (Lemma 4.2,
+///   ΠP3-complete by Theorem 4.3), so a NO always carries its
+///   [`TransferViolation`].
+///
+/// Strong minimality itself is coNP-complete (Lemma 4.10) and is never
+/// tested here: a source outside Lemma 4.8 goes to (C2).
 pub fn check_transfer(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> TransferReport {
-    transfer_by_c2(from, to, false)
-}
-
-/// The (C2) decision, or with `no_skip` its relaxation (C2').
-fn transfer_by_c2(from: &ConjunctiveQuery, to: &ConjunctiveQuery, no_skip: bool) -> TransferReport {
-    let method = if no_skip { "C2'" } else { "C2" };
-    let _span = obs::span!("transfer_check", method = method);
-    let (violation, stats) = c2_search(from, to, no_skip);
-    TransferReport {
-        transfers: violation.is_none(),
-        method,
-        violation: violation.map(|valuation| TransferViolation {
-            required_facts: valuation.required_facts(to),
-            valuation,
-        }),
-        cache: stats.record(stats.asks()),
-    }
-}
-
-/// Decides transferability from a **strongly minimal** query `from` to `to`
-/// using condition (C3) (Lemma 4.6) — the NP procedure of Theorem 4.7.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if `from` is not strongly minimal; the
-/// characterization by (C3) is only valid for strongly minimal `from`.
-pub fn check_transfer_strongly_minimal(
-    from: &ConjunctiveQuery,
-    to: &ConjunctiveQuery,
-) -> TransferReport {
-    debug_assert!(
-        is_strongly_minimal(from),
-        "check_transfer_strongly_minimal requires a strongly minimal source query"
-    );
-    let transfers = c3_witness(from, to).is_some();
-    TransferReport {
-        transfers,
-        method: "C3",
-        violation: None,
-        cache: CacheStats::default(),
-    }
+    decide(from, to, false)
 }
 
 /// Decides transferability in the setting of Remark C.3 of the paper, where
@@ -113,7 +84,34 @@ pub fn check_transfer_strongly_minimal(
 /// covering valuation of `Q`, because a non-skipping policy always places
 /// that single fact somewhere.
 pub fn check_transfer_no_skip(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> TransferReport {
-    transfer_by_c2(from, to, true)
+    decide(from, to, true)
+}
+
+/// The one transfer decision: (C3) where Lemma 4.8 licenses it and it holds,
+/// else (C2), or with `no_skip` its relaxation (C2').
+fn decide(from: &ConjunctiveQuery, to: &ConjunctiveQuery, no_skip: bool) -> TransferReport {
+    let mut span = obs::span!("transfer_check");
+    let report = if !no_skip && satisfies_lemma_4_8(from) && holds_c3(from, to) {
+        TransferReport {
+            transfers: true,
+            method: "C3",
+            violation: None,
+            cache: MinimalityStats::default().record(0),
+        }
+    } else {
+        let (violation, stats) = c2_search(from, to, no_skip);
+        TransferReport {
+            transfers: violation.is_none(),
+            method: if no_skip { "C2'" } else { "C2" },
+            violation: violation.map(|valuation| TransferViolation {
+                required_facts: valuation.required_facts(to),
+                valuation,
+            }),
+            cache: stats.record(stats.asks()),
+        }
+    };
+    span.arg("method", report.method);
+    report
 }
 
 /// Memoizes [`check_transfer`] verdicts per `(from, to)` query pair — the
@@ -122,7 +120,7 @@ pub fn check_transfer_no_skip(from: &ConjunctiveQuery, to: &ConjunctiveQuery) ->
 /// The multi-query engine (`distribution::MultiRoundEngine::
 /// evaluate_queries`) consults transferability at every query boundary
 /// where shards are resident; a workload cycling through a handful of
-/// queries would otherwise re-run the ΠP3-hard (C2) decision procedure for
+/// queries would otherwise re-run the decision, ΠP3-hard in general, for
 /// the same pair over and over. The cache is keyed by the queries'
 /// canonical printed form (equal queries print equally), stores only the
 /// boolean verdict, and adapts directly to the engine's
@@ -208,6 +206,8 @@ pub fn violation_separates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conditions::holds_c2;
+    use crate::minimality::is_strongly_minimal;
 
     fn q(text: &str) -> ConjunctiveQuery {
         ConjunctiveQuery::parse(text).unwrap()
@@ -260,7 +260,8 @@ mod tests {
     }
 
     /// `report` against the reference (C2)/(C2') search: verdict, witness
-    /// valuation and its required facts.
+    /// valuation and its required facts. (C3) decides exactly the yes
+    /// answers from a Lemma 4.8 source.
     fn assert_matches_reference(from: &ConjunctiveQuery, to: &ConjunctiveQuery, no_skip: bool) {
         let report = if no_skip {
             check_transfer_no_skip(from, to)
@@ -268,7 +269,14 @@ mod tests {
             check_transfer(from, to)
         };
         let expected = crate::reference::c2_violation(from, to, no_skip);
-        assert_eq!(report.method, if no_skip { "C2'" } else { "C2" });
+        let method = if no_skip {
+            "C2'"
+        } else if expected.is_none() && satisfies_lemma_4_8(from) {
+            "C3"
+        } else {
+            "C2"
+        };
+        assert_eq!(report.method, method, "{from} => {to}");
         assert_eq!(report.transfers(), expected.is_none(), "{from} => {to}");
         match (report.violation, expected) {
             (None, None) => {}
@@ -279,6 +287,89 @@ mod tests {
             }
             (got, want) => panic!("witness mismatch for {from} => {to}: {got:?} vs {want:?}"),
         }
+    }
+
+    /// A seeded query over `R` and `S` with up to three atoms on four
+    /// variables: self-join-free (`kind` 0), full (1) or either (2).
+    fn random_query(rng: &mut rand::rngs::StdRng, kind: usize) -> ConjunctiveQuery {
+        use rand::Rng;
+        let atoms = if kind == 0 {
+            rng.gen_range(1..3usize)
+        } else {
+            rng.gen_range(1..4usize)
+        };
+        let first = rng.gen_range(0..2usize);
+        let (mut body, mut variables) = (Vec::new(), Vec::new());
+        for atom in 0..atoms {
+            let relation = match kind {
+                0 => ["R", "S"][(first + atom) % 2],
+                _ => ["R", "S"][rng.gen_range(0..2usize)],
+            };
+            let args: Vec<String> = (0..2)
+                .map(|_| format!("x{}", rng.gen_range(0..4usize)))
+                .collect();
+            variables.extend(args.iter().cloned());
+            body.push(format!("{relation}({})", args.join(", ")));
+        }
+        variables.sort();
+        variables.dedup();
+        if kind != 1 {
+            variables.retain(|_| rng.gen_bool(0.5));
+        }
+        q(&format!(
+            "T({}) :- {}.",
+            variables.join(", "),
+            body.join(", ")
+        ))
+    }
+
+    #[test]
+    fn check_transfer_takes_c3_for_lemma_4_8_sources_and_decides_like_the_reference() {
+        // Every ordered pair over self-join-free and full queries, the chain
+        // and cycle sources of Lemma 4.8, the `relax` workload, Example 3.5
+        // and seeded queries of each kind: the verdict and the witness are
+        // the reference (C2) search's, "C3" answers exactly the yes of a
+        // Lemma 4.8 source, every NO witness separates the pair on Lemma
+        // 4.2's policy, and the cache replays the decider.
+        use rand::SeedableRng;
+        let mut pool: Vec<ConjunctiveQuery> = [
+            "T(x, y, z) :- R(x, y), S(y, z).",
+            "U(x, y) :- R(x, y).",
+            "U(x) :- S(x, x).",
+            "T(x, y) :- R(x, y), R(y, x).",
+            "T(x0, x1, x2, x3) :- R(x0, x1), R(x1, x2), R(x2, x3).",
+            "T(x, y, z) :- R(x, y), R(y, z), R(z, x).",
+            "T(x, y, z, w) :- R(x, y), R(y, z), R(z, w), R(w, x).",
+            "T(x, z) :- R(x, y), R(y, z).",
+            "T(x, w) :- R(x, y), R(y, z), R(z, w).",
+            "T(x, z) :- R(x, y), R(y, z), R(y, y).",
+            "T(x, z) :- R(x, y), R(y, z), R(x, x).",
+        ]
+        .map(q)
+        .into();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20150531);
+        for at in 0..9 {
+            pool.push(random_query(&mut rng, at % 3));
+        }
+        let mut cache = TransferCache::new();
+        let mut routes = BTreeMap::new();
+        for from in &pool {
+            for to in &pool {
+                assert_matches_reference(from, to, false);
+                let report = check_transfer(from, to);
+                if let Some(violation) = &report.violation {
+                    assert!(violation_separates(from, to, violation), "{from} => {to}");
+                }
+                assert_eq!(cache.transfers(from, to), report.transfers());
+                let key = (satisfies_lemma_4_8(from), report.method);
+                *routes.entry(key).or_insert(0) += 1;
+            }
+        }
+        // Both routes ran, and Lemma 4.8 sources were refuted by (C2).
+        for key in [(true, "C3"), (true, "C2"), (false, "C2")] {
+            assert!(routes.get(&key).is_some_and(|&n| n > 0), "{routes:?}");
+        }
+        assert_eq!(routes.len(), 3, "{routes:?}");
     }
 
     #[test]
@@ -400,8 +491,8 @@ mod tests {
 
     #[test]
     fn strongly_minimal_path_queries_c3_agrees_with_c2() {
-        // Both queries are full/self-join-free (strongly minimal), so the
-        // C3-based NP procedure must agree with the general C2 procedure.
+        // Both queries are full/self-join-free (strongly minimal), so
+        // condition (C3) must agree with the general (C2) (Lemma 4.6).
         let pairs = [
             (
                 q("T(x, y, z) :- R(x, y), S(y, z)."),
@@ -422,8 +513,8 @@ mod tests {
         ];
         for (from, to) in &pairs {
             assert!(is_strongly_minimal(from));
-            let general = check_transfer(from, to).transfers();
-            let fast = check_transfer_strongly_minimal(from, to).transfers();
+            let general = holds_c2(from, to);
+            let fast = holds_c3(from, to);
             assert_eq!(general, fast, "C2 vs C3 disagree for {from} => {to}");
         }
     }
@@ -431,8 +522,8 @@ mod tests {
     #[test]
     fn chain_and_cycle_sources_are_strongly_minimal_and_c3_agrees_with_c2() {
         // Full chains, the triangle and the 4-cycle over one relation are
-        // strongly minimal (Lemma 4.8), so Theorem 4.7's (C3) procedure
-        // applies to them and must reach the general (C2) verdict.
+        // strongly minimal (Lemma 4.8), so condition (C3) characterizes
+        // transfer from them and must reach the general (C2) verdict.
         let full3 = q("T(x0, x1, x2, x3) :- R(x0, x1), R(x1, x2), R(x2, x3).");
         let full4 = q("T(x0, x1, x2, x3, x4) :- R(x0, x1), R(x1, x2), R(x2, x3), R(x3, x4).");
         let triangle = q("T(x, y, z) :- R(x, y), R(y, z), R(z, x).");
@@ -449,8 +540,8 @@ mod tests {
         ];
         for (from, to) in pairs {
             assert!(is_strongly_minimal(from), "{from}");
-            let general = check_transfer(from, to).transfers();
-            let fast = check_transfer_strongly_minimal(from, to).transfers();
+            let general = holds_c2(from, to);
+            let fast = holds_c3(from, to);
             assert_eq!(general, fast, "C2 vs C3 disagree for {from} => {to}");
             assert!(general, "{from} => {to}");
         }
@@ -479,8 +570,9 @@ mod tests {
         // minimal valuation of Q mapping both variables to the same value.
         let from = q("T(x, y) :- R(x, y).");
         let to = q("U(x) :- R(x, x).");
-        assert!(check_transfer(&from, &to).transfers());
-        assert!(check_transfer_strongly_minimal(&from, &to).transfers());
+        let report = check_transfer(&from, &to);
+        assert!(report.transfers());
+        assert_eq!(report.method, "C3");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cq::{evaluate, ConjunctiveQuery, Instance};
+use cq::{ConjunctiveQuery, Instance};
 
 use crate::distribute::{reshuffle, DistributionStats};
 use crate::network::Node;
@@ -266,12 +266,6 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
             distribute_time: start.elapsed(),
         }
     }
-
-    /// Whether the one-round result equals the centralized result on this
-    /// instance (Definition 3.1: parallel-correctness *on* an instance).
-    pub fn is_correct_on(&self, query: &ConjunctiveQuery, instance: &Instance) -> bool {
-        self.evaluate(query, instance).result == evaluate(query, instance)
-    }
 }
 
 #[cfg(test)]
@@ -292,9 +286,8 @@ mod tests {
         let i = parse_instance("R(a, b). R(b, c). S(b, c). S(c, d).").unwrap();
         let network = Network::with_size(4);
         let p = ExplicitPolicy::broadcast(&network, &i);
-        let engine = OneRoundEngine::new(&p);
-        assert!(engine.is_correct_on(&q, &i));
-        let outcome = engine.evaluate(&q, &i);
+        let outcome = OneRoundEngine::new(&p).evaluate(&q, &i);
+        assert_eq!(outcome.result, cq::evaluate(&q, &i));
         assert_eq!(outcome.stats.replication_factor, 4.0);
     }
 
@@ -305,10 +298,9 @@ mod tests {
         let i = parse_instance("R(a, b). S(b, c).").unwrap();
         let network = Network::with_size(2);
         let p = ExplicitPolicy::round_robin(&network, &i);
-        let engine = OneRoundEngine::new(&p);
-        let outcome = engine.evaluate(&q, &i);
+        let outcome = OneRoundEngine::new(&p).evaluate(&q, &i);
         assert!(outcome.result.is_empty());
-        assert!(!engine.is_correct_on(&q, &i));
+        assert_ne!(outcome.result, cq::evaluate(&q, &i));
     }
 
     #[test]

@@ -31,9 +31,9 @@ use std::time::{Duration, Instant};
 use cq::{ConjunctiveQuery, Instance, Schema};
 use distribution::{DistributionPolicy, HypercubePolicy, OneRoundEngine};
 use pc_core::{
-    check_parallel_correctness, check_parallel_correctness_on_instance, check_transfer,
-    check_transfer_strongly_minimal, holds_c0, holds_c1, holds_c3, is_strongly_minimal,
-    validate_hypercube_family,
+    check_parallel_correctness, check_parallel_correctness_bounded,
+    check_parallel_correctness_on_instance, check_transfer, holds_c0, holds_c2, holds_c3,
+    is_strongly_minimal, validate_hypercube_family,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -92,7 +92,7 @@ fn table_t1() -> String {
                 },
             );
             let c0 = holds_c0(query, &policy, &universe);
-            let pc = holds_c1(query, &policy, &universe);
+            let pc = check_parallel_correctness_bounded(query, &policy, &universe).is_correct();
             assert!(!c0 || pc, "C0 must imply C1");
             if c0 {
                 c0_count += 1;
@@ -203,9 +203,10 @@ fn table_t3() -> String {
     out
 }
 
-/// T4 — the general C2 procedure versus the C3 procedure for strongly
-/// minimal sources (Theorem 4.7): agreement and speed on chain/star/cycle
-/// query families.
+/// T4 — the general condition (C2) versus condition (C3) for strongly
+/// minimal sources (Lemma 4.6, Theorem 4.7): agreement and speed on
+/// chain/cycle query families. `check_transfer` takes (C3) for these
+/// sources whenever it holds.
 fn table_t4() -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -241,8 +242,8 @@ fn table_t4() -> String {
             is_strongly_minimal(&from),
             "{name}: source must be strongly minimal"
         );
-        let (general, c2_t) = time(|| check_transfer(&from, &to).transfers());
-        let (fast, c3_t) = time(|| check_transfer_strongly_minimal(&from, &to).transfers());
+        let (general, c2_t) = time(|| holds_c2(&from, &to));
+        let (fast, c3_t) = time(|| holds_c3(&from, &to));
         assert_eq!(general, fast, "{name}: C2 and C3 disagree");
         let speedup = c2_t.as_secs_f64() / c3_t.as_secs_f64().max(1e-9);
         let _ = writeln!(

@@ -69,7 +69,7 @@ fn main() {
     }
 
     // --------------------------------------------- 3-SAT → strong minimality
-    println!("\n3-SAT   →  ¬strongly-minimal   (Lemma 4.10 / C.9)");
+    println!("\n3-SAT   →  ¬strongly minimal   (Lemma 4.10 / C.9)");
     println!(
         "{:>4} {:>6} {:>10} {:>18} {:>8}",
         "#", "SAT?", "body atoms", "strongly minimal", "agree"

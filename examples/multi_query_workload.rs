@@ -74,13 +74,9 @@ fn main() {
     for (i, from) in queries.iter().enumerate() {
         print!("{:<20}", from.name);
         for (j, to) in queries.iter().enumerate() {
-            // Use the cheaper C3-based check when the source is strongly
-            // minimal (Theorem 4.7), the general C2-based check otherwise.
-            let transfers = if is_strongly_minimal(&from.query) {
-                check_transfer_strongly_minimal(&from.query, &to.query).transfers()
-            } else {
-                check_transfer(&from.query, &to.query).transfers()
-            };
+            // The decider takes the NP procedure (C3) itself where the
+            // source passes Lemma 4.8, the general (C2) search otherwise.
+            let transfers = check_transfer(&from.query, &to.query).transfers();
             matrix[i][j] = transfers;
             print!("{:<20}", if transfers { "yes" } else { "-" });
         }

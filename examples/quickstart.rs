@@ -58,7 +58,7 @@ fn main() {
     );
     println!(
         "condition (C1) holds: {}",
-        holds_c1(&query, &policy, &universe)
+        check_parallel_correctness_bounded(&query, &policy, &universe).is_correct()
     );
 
     // -------------------------------------------------- parallel-correctness

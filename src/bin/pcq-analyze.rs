@@ -5,7 +5,7 @@
 //! USAGE:
 //!   pcq-analyze analyze    <query>
 //!   pcq-analyze pc         <query> <policy-file>
-//!   pcq-analyze transfer   <query-from> <query-to> [--no-skip | --strongly-minimal]
+//!   pcq-analyze transfer   <query-from> <query-to> [--no-skip]
 //!   pcq-analyze hypercube  <query> <query-prime>
 //!   pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]
 //!                          [--rounds N] [--schedule S] [--feedback R]
@@ -43,6 +43,13 @@
 //!                  query (or a `queries { … }` sequence), instance,
 //!                  schedule, rounds, feedback in one file.
 //! ```
+//!
+//! `transfer` picks its characterization from the source query: when the
+//! source passes the syntactic test of Lemma 4.8 (so it is strongly
+//! minimal) and condition (C3) holds, it answers yes by (C3), the NP
+//! procedure of Theorem 4.7; every other case, every NO included, runs the
+//! general (C2) search and prints its witness. `--no-skip` decides (C2')
+//! instead, for policies that never drop a fact (Remark C.3).
 //!
 //! `run` reshuffles the instance under the policy, evaluates the query
 //! locally at every node and takes the union, reporting result size,
@@ -189,31 +196,35 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip | --strongly-minimal]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--semi-naive] [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R] [--semi-naive]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | hash-join:<buckets> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies, by the <policy> names\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
+    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--semi-naive] [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R] [--semi-naive]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | hash-join:<buckets> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies, by the <policy> names\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
     let command = args.first().ok_or("missing command")?;
     match command.as_str() {
         "analyze" => {
-            let query = load_query(args.get(1).ok_or("missing <query>")?)?;
-            Ok(analyze(&query))
+            let ([query], _) = operands(&args[1..], ["<query>"], 0)?;
+            Ok(analyze(&load_query(query)?))
         }
         "pc" => {
-            let query = load_query(args.get(1).ok_or("missing <query>")?)?;
-            let policy = load_policy(args.get(2).ok_or("missing <policy-file>")?)?;
-            Ok(parallel_correctness(&query, &policy))
+            let ([query, policy], _) = operands(&args[1..], ["<query>", "<policy-file>"], 0)?;
+            Ok(parallel_correctness(
+                &load_query(query)?,
+                &load_policy(policy)?,
+            ))
         }
         "transfer" => {
-            let from = load_query(args.get(1).ok_or("missing <query-from>")?)?;
-            let to = load_query(args.get(2).ok_or("missing <query-to>")?)?;
-            let mode = args.get(3).map(String::as_str);
-            transfer(&from, &to, mode)
+            let ([from, to], flags) = operands(&args[1..], ["<query-from>", "<query-to>"], 1)?;
+            let no_skip = match flags.first().map(String::as_str) {
+                None => false,
+                Some("--no-skip") => true,
+                Some(other) => return Err(format!("unknown flag '{other}'")),
+            };
+            Ok(transfer(&load_query(from)?, &load_query(to)?, no_skip))
         }
         "hypercube" => {
-            let query = load_query(args.get(1).ok_or("missing <query>")?)?;
-            let prime = load_query(args.get(2).ok_or("missing <query-prime>")?)?;
-            Ok(hypercube(&query, &prime))
+            let ([query, prime], _) = operands(&args[1..], ["<query>", "<query-prime>"], 0)?;
+            Ok(hypercube(&load_query(query)?, &load_query(prime)?))
         }
         "run" => run_command(&args[1..]),
         "trace" => trace_command(&args[1..]),
@@ -222,6 +233,24 @@ fn run(args: &[String]) -> Result<bool, String> {
         "worker" => worker_command(&args[1..]),
         other => Err(format!("unknown command '{other}'")),
     }
+}
+
+/// The `N` positional arguments of a subcommand (named by `names` when one
+/// is missing) and the at most `optional` arguments after them; any further
+/// argument is a usage error rather than silently dropped.
+fn operands<'a, const N: usize>(
+    args: &'a [String],
+    names: [&str; N],
+    optional: usize,
+) -> Result<([&'a str; N], &'a [String]), String> {
+    if let Some(missing) = names.get(args.len()) {
+        return Err(format!("missing {missing}"));
+    }
+    let rest = &args[N..];
+    if let Some(extra) = rest.get(optional) {
+        return Err(format!("unexpected argument '{extra}'"));
+    }
+    Ok((std::array::from_fn(|at| args[at].as_str()), rest))
 }
 
 /// Reads `spec` as a file when one exists at that path, else treats the
@@ -1348,23 +1377,13 @@ fn parallel_correctness(query: &ConjunctiveQuery, policy: &ExplicitPolicy) -> bo
     }
 }
 
-fn transfer(
-    from: &ConjunctiveQuery,
-    to: &ConjunctiveQuery,
-    mode: Option<&str>,
-) -> Result<bool, String> {
+fn transfer(from: &ConjunctiveQuery, to: &ConjunctiveQuery, no_skip: bool) -> bool {
     say!("from: {from}");
     say!("to:   {to}");
-    let report = match mode {
-        None => check_transfer(from, to),
-        Some("--no-skip") => pc_core::check_transfer_no_skip(from, to),
-        Some("--strongly-minimal") => {
-            if !is_strongly_minimal(from) {
-                return Err("--strongly-minimal requires a strongly minimal source query".into());
-            }
-            check_transfer_strongly_minimal(from, to)
-        }
-        Some(other) => return Err(format!("unknown flag '{other}'")),
+    let report = if no_skip {
+        pc_core::check_transfer_no_skip(from, to)
+    } else {
+        check_transfer(from, to)
     };
     say!(
         "{}",
@@ -1382,7 +1401,7 @@ fn transfer(
             violation.required_facts
         );
     }
-    Ok(report.transfers)
+    report.transfers
 }
 
 fn hypercube(query: &ConjunctiveQuery, prime: &ConjunctiveQuery) -> bool {

@@ -68,10 +68,10 @@ pub mod prelude {
     };
     pub use pc_core::{
         check_parallel_correctness, check_parallel_correctness_bounded,
-        check_parallel_correctness_on_instance, check_transfer, check_transfer_strongly_minimal,
-        holds_c0, holds_c1, holds_c2, holds_c3, hypercube_parallel_correct, is_minimal_valuation,
-        is_strongly_minimal, multi_round_correct_on, validate_hypercube_family, CacheStats,
-        MultiRoundInstanceReport, PcReport, TransferCache, TransferReport,
+        check_parallel_correctness_on_instance, check_transfer, holds_c0, holds_c2, holds_c3,
+        hypercube_parallel_correct, is_minimal_valuation, is_strongly_minimal,
+        multi_round_correct_on, validate_hypercube_family, CacheStats, MultiRoundInstanceReport,
+        PcReport, TransferCache, TransferReport,
     };
     pub use wire::{ExplicitSpec, JsonValue, Scenario, WireTransport};
     pub use workloads::{

@@ -138,12 +138,69 @@ fn transfer_holds_reflexively_and_rejects_unknown_flags() {
 
 #[test]
 fn transfer_strongly_minimal_fast_path_agrees() {
-    // The full 2-path is strongly minimal, so the C3 fast path applies and
-    // must agree with the general decision (exit 0 either way here).
+    // `transfer` picks its characterization itself: the removed
+    // `--strongly-minimal` flag is an unknown flag, a usage error.
     assert_eq!(
         pcq_analyze(&["transfer", PATH_2, PATH_2, "--strongly-minimal"]),
-        0
+        2
     );
+    // A full source passes Lemma 4.8, so (C3) decides its yes; the plain
+    // 2-path does not, so (C2) decides.
+    let full = "T(x, y, z) :- R(x, y), R(y, z).";
+    let (code, stdout) = pcq_analyze_output(&["transfer", full, PATH_2]);
+    assert_eq!(code, 0, "{stdout}");
+    assert!(
+        stdout.contains("parallel-correctness transfers (C3): yes"),
+        "{stdout}"
+    );
+    let (code, stdout) = pcq_analyze_output(&["transfer", PATH_2, PATH_2]);
+    assert_eq!(code, 0, "{stdout}");
+    assert!(
+        stdout.contains("parallel-correctness transfers (C2): yes"),
+        "{stdout}"
+    );
+    // A Lemma 4.8 source whose answer is NO is refuted by (C2), witness
+    // and all.
+    let (code, stdout) =
+        pcq_analyze_output(&["transfer", "T(x, y) :- R(x, y).", "U(x) :- S(x, x)."]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(
+        stdout.contains("parallel-correctness transfers (C2): NO"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("witness valuation of Q'"), "{stdout}");
+    assert!(
+        stdout.contains("facts no minimal valuation of Q covers"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn decision_commands_reject_trailing_arguments() {
+    // Every positional subcommand takes exactly its arguments (and
+    // `transfer` one optional flag): anything after them is a usage
+    // error, never silently dropped.
+    let path = write_temp("trailing-policy.txt", EXAMPLE_3_5_POLICY);
+    let policy = path.to_str().unwrap();
+    for args in [
+        &["analyze", PATH_2, "extra"][..],
+        &["pc", PATH_2_WITH_LOOP, policy, "extra"],
+        &["transfer", PATH_2, PATH_2, "--no-skip", "--json"],
+        &["transfer", PATH_2, PATH_2, "extra"],
+        &["hypercube", TRIANGLE, "U(x, y) :- E(x, y).", "extra"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_pcq-analyze"))
+            .args(args)
+            .output()
+            .expect("spawn pcq-analyze");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+    }
+    // Without the trailing argument each of them decides.
+    assert_eq!(pcq_analyze(&["analyze", PATH_2]), 0);
+    assert_eq!(pcq_analyze(&["pc", PATH_2_WITH_LOOP, policy]), 0);
+    assert_eq!(pcq_analyze(&["transfer", PATH_2, PATH_2, "--no-skip"]), 0);
+    let _ = std::fs::remove_file(path);
 }
 
 #[test]

@@ -89,8 +89,8 @@ fn failed_transfers_produce_separating_policies() {
     }
 }
 
-/// For strongly minimal source queries the C3-based NP procedure
-/// (Theorem 4.7) agrees with the general C2-based procedure (Theorem 4.3) on
+/// For strongly minimal source queries condition (C3), the NP procedure of
+/// Theorem 4.7, agrees with the general condition (C2) (Lemma 4.6) on
 /// randomly generated query pairs.
 #[test]
 fn c2_and_c3_agree_for_strongly_minimal_sources() {
@@ -122,8 +122,8 @@ fn c2_and_c3_agree_for_strongly_minimal_sources() {
                 allow_self_joins: true,
             },
         );
-        let general = check_transfer(&from, &to).transfers();
-        let fast = check_transfer_strongly_minimal(&from, &to).transfers();
+        let general = holds_c2(&from, &to);
+        let fast = holds_c3(&from, &to);
         assert_eq!(general, fast, "C2 vs C3 disagree for {from} => {to}");
         compared += 1;
     }

@@ -90,7 +90,7 @@ proptest! {
             workloads::PolicyParams { nodes, replication, skip_probability: 0.0 },
         );
         let c0 = holds_c0(&query, &policy, &universe);
-        let c1 = holds_c1(&query, &policy, &universe);
+        let c1 = check_parallel_correctness_bounded(&query, &policy, &universe).is_correct();
         let pc = check_parallel_correctness(&query, &policy).is_correct();
         prop_assert!(!c0 || c1, "C0 must imply C1");
         prop_assert_eq!(c1, pc, "C1 must characterize parallel-correctness");
@@ -145,8 +145,8 @@ proptest! {
         }
     }
 
-    /// The strongly-minimal fast path never disagrees with the general
-    /// transfer decision when it applies, and Lemma 4.8 never misclassifies.
+    /// For a strongly minimal source (C3) never disagrees with the general
+    /// condition (C2) (Lemma 4.6), and Lemma 4.8 never misclassifies.
     #[test]
     fn strong_minimality_consistency(qseed in 0u64..1000, toseed in 0u64..1000) {
         let query = query_from(qseed, 3, 4, 2);
@@ -155,10 +155,7 @@ proptest! {
         }
         if is_strongly_minimal(&query) {
             let to = query_from(toseed, 2, 3, 1);
-            prop_assert_eq!(
-                check_transfer(&query, &to).transfers(),
-                check_transfer_strongly_minimal(&query, &to).transfers()
-            );
+            prop_assert_eq!(holds_c2(&query, &to), holds_c3(&query, &to));
         }
     }
 

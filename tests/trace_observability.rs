@@ -242,6 +242,50 @@ fn decisions_trace_their_span_and_how_minimality_was_asked() {
 }
 
 #[test]
+fn transfer_check_spans_name_the_characterization_that_decided() {
+    let _gate = gate();
+    // One `transfer_check` span per decision, its `method` arg set once the
+    // decider knows it: (C3) for the yes of a full (Lemma 4.8) source, (C2)
+    // for the plain 2-path, (C2') without skipping. Each leaves its
+    // `minimality_stats` instant; (C3) asks nothing.
+    let full = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), R(y, z).").unwrap();
+    let path = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+    let (methods, events) = traced(|| {
+        [
+            pcq::pc_core::check_transfer(&full, &path),
+            pcq::pc_core::check_transfer(&path, &path),
+            pcq::pc_core::check_transfer_no_skip(&path, &path),
+        ]
+        .map(|report| report.method)
+    });
+    assert_eq!(methods, ["C3", "C2", "C2'"]);
+    trace_export::check_well_formed(&events).unwrap();
+    let spans: Vec<&str> = events
+        .iter()
+        .filter(|e| e.name == "transfer_check")
+        .map(|e| {
+            let (_, method) = e.args.iter().find(|(k, _)| k == "method").expect("method");
+            method.as_str()
+        })
+        .collect();
+    assert_eq!(spans, methods);
+    let asks: Vec<&str> = events
+        .iter()
+        .filter(|e| e.name == "minimality_stats")
+        .map(|e| {
+            e.args
+                .iter()
+                .find(|(k, _)| k == "asks")
+                .expect("asks")
+                .1
+                .as_str()
+        })
+        .collect();
+    assert_eq!(asks.len(), 3);
+    assert_eq!(asks[0], "0");
+}
+
+#[test]
 fn process_transport_merges_worker_timelines_into_the_coordinator_trace() {
     let _gate = gate();
     let query = named_query("chain:2").unwrap();
