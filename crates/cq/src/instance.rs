@@ -493,6 +493,14 @@ impl Instance {
         }
     }
 
+    /// The relations with at least one fact, ascending.
+    pub fn relations(&self) -> impl Iterator<Item = Symbol> + '_ {
+        self.relations
+            .iter()
+            .filter(|(_, rows)| !rows.is_empty())
+            .map(|(&relation, _)| relation)
+    }
+
     /// The facts of relation `relation` (empty slice if none), ascending.
     pub fn facts_of(&self, relation: Symbol) -> &[Fact] {
         self.relations.get(&relation).map_or(&[], Vec::as_slice)

@@ -6,7 +6,9 @@ use std::fmt;
 
 use cq::{Fact, Instance};
 
+use crate::hypercube::HypercubePolicy;
 use crate::network::Node;
+use crate::parts::AtomSplit;
 use crate::policy::DistributionPolicy;
 
 /// The result of reshuffling an instance under a policy: `dist_P(I)`, the
@@ -42,6 +44,64 @@ pub(crate) fn reshuffle<P: DistributionPolicy + ?Sized>(
         .map(|(node, rows)| (node, Instance::from_facts(rows.into_iter().cloned())))
         .collect();
     (Distribution { chunks }, distinct_assigned)
+}
+
+/// The split reshuffle of a round (see [`crate::parts`]), in one pass: the
+/// fact that rule `k` of `policy` — body atom `k` of its query — sends to a
+/// node goes into that node's chunk as a fact of part `k` of `split`.
+/// Returns every network node with its chunk and its load, in node order,
+/// and how many facts reached at least one node. A node's load counts the
+/// distinct facts of `instance` it received, which is exactly the size of
+/// its plain chunk, so the statistics of a split round equal those of the
+/// plain one.
+pub(crate) fn reshuffle_by_atom(
+    policy: &HypercubePolicy,
+    split: &AtomSplit,
+    instance: &Instance,
+) -> (Vec<(Node, Instance, usize)>, usize) {
+    let (policy, parts) = (policy.as_rules(), split.parts());
+    let nodes = policy.network().len();
+    // Node-major: the rows of node `n`'s part `k` are `rows[n * parts + k]`.
+    let mut rows: Vec<Vec<Fact>> = vec![Vec::new(); nodes * parts.len()];
+    let mut loads = vec![0usize; nodes];
+    // The position of the last fact counted into each node's load.
+    let mut counted = vec![usize::MAX; nodes];
+    let mut distinct_assigned = 0;
+    for (position, fact) in instance.facts().enumerate() {
+        let mut assigned = false;
+        policy.for_each_target(fact, |rule, node| {
+            rows[node * parts.len() + rule].push(Fact::new(parts[rule], fact.values.clone()));
+            if counted[node] != position {
+                counted[node] = position;
+                loads[node] += 1;
+            }
+            assigned = true;
+        });
+        distinct_assigned += usize::from(assigned);
+    }
+    // A rule matches one relation and visits it in the instance's order,
+    // so every part's rows are ascending and move into the chunk as they
+    // stand.
+    let mut rows = rows.into_iter();
+    let mut chunks: Vec<(Node, Instance, usize)> = loads
+        .into_iter()
+        .enumerate()
+        .map(|(node, load)| {
+            let blocks = parts
+                .iter()
+                .copied()
+                .zip(rows.by_ref().take(parts.len()))
+                .filter(|(_, rows)| !rows.is_empty())
+                .collect();
+            (
+                policy.node_by_index(node),
+                Instance::from_relations(blocks),
+                load,
+            )
+        })
+        .collect();
+    chunks.sort_unstable_by_key(|&(node, ..)| node);
+    (chunks, distinct_assigned)
 }
 
 impl Distribution {

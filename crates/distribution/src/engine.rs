@@ -16,6 +16,17 @@
 //! over an [`InMemoryTransport`], whose barrier evaluates on a **bounded
 //! worker pool**; [`OneRoundEngine::evaluate_via`] is the same round over
 //! any transport.
+//!
+//! A full round is **split by body atom** when its policy is a
+//! [`HypercubePolicy`] built for the round's own query, every hash scheme
+//! of it is total, and the query repeats a relation (see [`crate::parts`]).
+//! The fact that rule `k` sends to a node then arrives as a fact of part
+//! `R#k`, and the round announces the split query, so every valuation is
+//! enumerated exactly once, at its home node (Lemma 5.7,
+//! [`HypercubePolicy::node_for_valuation`]). Loads and statistics are those
+//! of the plain reshuffle. Every other round — another policy, a
+//! self-join-free query, a query other than the policy's own, a delta —
+//! ships plain chunks.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,8 +34,10 @@ use std::time::{Duration, Instant};
 
 use cq::{ConjunctiveQuery, Instance};
 
-use crate::distribute::{reshuffle, DistributionStats};
+use crate::distribute::{reshuffle, reshuffle_by_atom, DistributionStats};
+use crate::hypercube::HypercubePolicy;
 use crate::network::Node;
+use crate::parts::AtomSplit;
 use crate::policy::DistributionPolicy;
 use crate::transport::{InMemoryTransport, Shipment, Transport, TransportError};
 
@@ -35,7 +48,11 @@ pub struct OneRoundOutcome {
     pub result: Instance,
     /// Input chunk size at each node (the node's load).
     pub per_node_load: BTreeMap<Node, usize>,
-    /// Output size at each node.
+    /// Output size at each node: the distinct answers the node derived.
+    /// In a split round (see [`OneRoundEngine`]) a node derives exactly the
+    /// answers of the valuations whose home it is, so with a full head the
+    /// outputs are disjoint and sum to the result size; in a plain round
+    /// node `n` answers `Q(chunk_n)`.
     pub per_node_output: BTreeMap<Node, usize>,
     /// Wall-clock time of the local evaluation at each node, so skew is
     /// observable: a straggler shows up as a per-node time far above the
@@ -94,6 +111,9 @@ impl OneRoundOutcome {
 /// What one round sends where, plus the numbers of the reshuffle that
 /// decided it.
 pub(crate) struct RoundPlan {
+    /// The query the round announces in place of its own: the split query
+    /// of a split round, whose chunks hold atom parts.
+    announce: Option<ConjunctiveQuery>,
     /// The shipment of every node that takes part in the round.
     shipments: Vec<(Node, Shipment)>,
     /// How many facts the round's reshuffle assigned to each node. Nodes
@@ -110,6 +130,7 @@ impl RoundPlan {
     /// distribution side of the outcome is all zeros.
     pub(crate) fn resident(nodes: &[Node]) -> RoundPlan {
         RoundPlan {
+            announce: None,
             shipments: nodes.iter().map(|&n| (n, Shipment::Resident)).collect(),
             per_node_load: nodes.iter().map(|&n| (n, 0)).collect(),
             stats: DistributionStats {
@@ -143,13 +164,14 @@ pub(crate) fn run_round(
     plan: RoundPlan,
 ) -> Result<OneRoundOutcome, TransportError> {
     let RoundPlan {
+        announce,
         shipments,
         per_node_load,
         stats,
         distribute_time,
     } = plan;
     let local_start = Instant::now();
-    transport.begin_round(round, query)?;
+    transport.begin_round(round, announce.as_ref().unwrap_or(query))?;
     let mut nodes = Vec::with_capacity(shipments.len());
     for (node, shipment) in shipments {
         nodes.push(node);
@@ -170,7 +192,8 @@ pub(crate) fn run_round(
     let local_eval_time = local_start.elapsed();
     let comm_bytes = transport.take_bytes_shipped();
     let result = {
-        let _span = obs::span!("merge_results", nodes = outputs.len());
+        let facts: usize = outputs.iter().map(Instance::len).sum();
+        let _span = obs::span!("merge_results", nodes = outputs.len(), facts = facts);
         // The node outputs are owned: their facts move into the union.
         outputs.into_iter().flatten().collect()
     };
@@ -188,6 +211,14 @@ pub(crate) fn run_round(
 }
 
 /// A simulated cluster executing the one-round algorithm for a policy.
+///
+/// A round of the query a [`HypercubePolicy`] was built for is **split by
+/// body atom** when that query repeats a relation and every hash of the
+/// policy is total: the fact `R(ā)` that rule `k` sends to a node arrives
+/// as `R#k(ā)`, and the nodes evaluate the query with atom `k` over `R#k`.
+/// A valuation is then found only at its home node
+/// ([`HypercubePolicy::node_for_valuation`]), once. Every other round ships
+/// the plain chunks of [`DistributionPolicy::distribute`].
 pub struct OneRoundEngine<'a, P: DistributionPolicy + ?Sized> {
     policy: &'a P,
     workers: usize,
@@ -234,32 +265,56 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         instance: &Instance,
     ) -> Result<OneRoundOutcome, TransportError> {
         let _round_span = obs::span!("one_round", round = round, facts = instance.len());
-        let plan = self.plan(instance, Shipment::Full);
+        let split = self
+            .policy
+            .as_hypercube()
+            .and_then(|policy| Some((policy, policy.split_for(query)?)));
+        let plan = self.plan(instance, Shipment::Full, split);
         run_round(transport, round, query, plan)
     }
 
     /// The reshuffle phase of a round: `dist_P(facts)` as one `ship`-kind
     /// shipment per node, with the reshuffle's statistics (read off its
     /// own count of assigned facts, so they cost `O(nodes)`) and
-    /// wall-clock time.
-    pub(crate) fn plan(&self, facts: &Instance, ship: fn(Arc<Instance>) -> Shipment) -> RoundPlan {
+    /// wall-clock time. With a `split` — the policy as a Hypercube and
+    /// the split of the round's query — every chunk is split by body atom
+    /// and the plan announces the split query; the loads and statistics
+    /// are those of the plain reshuffle all the same.
+    pub(crate) fn plan(
+        &self,
+        facts: &Instance,
+        ship: fn(Arc<Instance>) -> Shipment,
+        split: Option<(&HypercubePolicy, &AtomSplit)>,
+    ) -> RoundPlan {
         let start = Instant::now();
-        let _span = obs::span!("distribute", facts = facts.len());
-        let (distribution, distinct_assigned) = reshuffle(self.policy, facts);
+        let parts = split.map_or(0, |(_, split)| split.parts().len());
+        let _span = obs::span!("distribute", facts = facts.len(), parts = parts);
+        let (chunks, distinct_assigned) = match split {
+            Some((policy, split)) => reshuffle_by_atom(policy, split, facts),
+            None => {
+                let (distribution, distinct_assigned) = reshuffle(self.policy, facts);
+                let chunks = distribution.into_chunks().map(|(node, chunk)| {
+                    let load = chunk.len();
+                    (node, chunk, load)
+                });
+                (chunks.collect(), distinct_assigned)
+            }
+        };
         let stats = {
             let _span = obs::span!("reshuffle_stats");
             DistributionStats::tally(
-                distribution.chunks().map(|(_, chunk)| chunk.len()),
+                chunks.iter().map(|&(_, _, load)| load),
                 (distinct_assigned, facts.len() - distinct_assigned),
             )
         };
         let mut per_node_load = BTreeMap::new();
         let mut shipments = Vec::with_capacity(stats.nodes);
-        for (node, chunk) in distribution.into_chunks() {
-            per_node_load.insert(node, chunk.len());
+        for (node, chunk, load) in chunks {
+            per_node_load.insert(node, load);
             shipments.push((node, ship(Arc::new(chunk))));
         }
         RoundPlan {
+            announce: split.map(|(_, split)| split.query().clone()),
             shipments,
             per_node_load,
             stats,

@@ -18,6 +18,7 @@ use cq::{ConjunctiveQuery, Fact, Instance, Variable};
 
 use crate::hash::HashScheme;
 use crate::network::{Network, Node};
+use crate::parts::AtomSplit;
 use crate::policy::DistributionPolicy;
 use crate::rules::{AddressTerm, DistributionRule, RuleBasedPolicy, RulePolicyError};
 
@@ -27,6 +28,10 @@ pub struct HypercubePolicy {
     query: ConjunctiveQuery,
     dimensions: Vec<Variable>,
     inner: RuleBasedPolicy,
+    /// How a full round of `query` ships (see [`crate::parts`]): split by
+    /// body atom when `query` repeats a relation and every hash is total,
+    /// so that every valuation has a home node.
+    split: Option<AtomSplit>,
 }
 
 impl HypercubePolicy {
@@ -59,10 +64,14 @@ impl HypercubePolicy {
                     .collect(),
             })
             .collect();
+        let total = schemes
+            .iter()
+            .all(|scheme| matches!(scheme, HashScheme::Modulo { .. }));
         Ok(HypercubePolicy {
             query: query.clone(),
             dimensions,
             inner: RuleBasedPolicy::new(rules, schemes)?,
+            split: total.then(|| AtomSplit::of(query)).flatten(),
         })
     }
 
@@ -179,6 +188,13 @@ impl HypercubePolicy {
         }
         self.inner.node_at(&address)
     }
+
+    /// The body-atom split a full round of `query` ships under, if any: the
+    /// policy must be built for `query` itself — rule `k` is then atom `k`
+    /// — and its split must exist (see the `split` field).
+    pub(crate) fn split_for(&self, query: &ConjunctiveQuery) -> Option<&AtomSplit> {
+        self.split.as_ref().filter(|_| self.query == *query)
+    }
 }
 
 impl DistributionPolicy for HypercubePolicy {
@@ -188,6 +204,10 @@ impl DistributionPolicy for HypercubePolicy {
 
     fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node> {
         self.inner.nodes_for(fact)
+    }
+
+    fn as_hypercube(&self) -> Option<&HypercubePolicy> {
+        Some(self)
     }
 }
 

@@ -17,7 +17,9 @@
 //!   (`dist_P(I)`, one pass of [`DistributionPolicy::distribute`]), with
 //!   load and replication statistics,
 //! * [`OneRoundEngine`] — the one-round evaluation algorithm: reshuffle,
-//!   evaluate locally at every node, union the results,
+//!   evaluate locally at every node, union the results; a Hypercube round
+//!   of a query that repeats a relation ships its chunks split by body
+//!   atom, so each answer is derived once, at its home node,
 //! * [`MultiRoundEngine`] — the iterated (MPC-style multi-round) algorithm:
 //!   distribute→evaluate cycles under a per-round [`RoundSchedule`], with
 //!   an optional feedback relation, fixpoint detection and a round cap;
@@ -59,6 +61,7 @@ mod explicit;
 mod hash;
 mod hypercube;
 mod network;
+mod parts;
 mod policy;
 mod rounds;
 mod rules;
@@ -72,6 +75,7 @@ pub use explicit::ExplicitPolicy;
 pub use hash::{fnv1a, HashScheme};
 pub use hypercube::{HypercubeFamily, HypercubePolicy};
 pub use network::{Network, Node};
+pub use parts::merged_parts;
 pub use policy::{DistributionPolicy, FinitePolicy};
 pub use rounds::{
     IteratedFixpoint, MultiQueryOutcome, MultiRoundEngine, MultiRoundOutcome, RoundSchedule,

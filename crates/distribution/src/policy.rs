@@ -5,6 +5,7 @@ use std::collections::BTreeSet;
 use cq::{Fact, Instance};
 
 use crate::distribute::{reshuffle, Distribution};
+use crate::hypercube::HypercubePolicy;
 use crate::network::{Network, Node};
 
 /// A distribution policy `P` for a database schema and a network: a total
@@ -21,6 +22,14 @@ pub trait DistributionPolicy: Sync {
 
     /// The set of nodes responsible for `fact` (`P(f)`).
     fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node>;
+
+    /// The policy as a [`HypercubePolicy`], if it is one. A full round of
+    /// the Hypercube policy's own query ships its chunks split by body atom
+    /// (see [`OneRoundEngine`](crate::OneRoundEngine)); every other policy
+    /// keeps this default and ships plain chunks.
+    fn as_hypercube(&self) -> Option<&HypercubePolicy> {
+        None
+    }
 
     /// Distributes an instance: computes `dist_P(I)`, the function mapping
     /// every node to its data chunk `{f ∈ I : node ∈ P(f)}`.

@@ -399,7 +399,7 @@ impl<'a> MultiRoundEngine<'a> {
                         round = delta_round,
                         delta_facts = new_facts.len()
                     );
-                    let mut plan = engine.plan(new_facts, Shipment::Delta);
+                    let mut plan = engine.plan(new_facts, Shipment::Delta, None);
                     if delta_round > 0 {
                         plan.skip_empty();
                     }
@@ -1111,6 +1111,25 @@ mod tests {
                 elided.total_comm_volume() < baseline.total_comm_volume(),
                 "semi={semi}: elision must ship strictly less"
             );
+        }
+    }
+
+    #[test]
+    fn an_elided_query_runs_over_split_hypercube_shards() {
+        // The relax sequence under a Hypercube policy of its first query:
+        // the loop query's full rounds ship split chunks, the path query
+        // runs over those shards with the parts merged back, and the last
+        // query re-shards (its transfer is refused) and splits again.
+        let queries = [loop_query(), square_query(), loop_query()];
+        let i = parse_instance("R(a, a). R(a, b). R(b, b). R(b, c). R(c, a). R(c, c).").unwrap();
+        let p = HypercubePolicy::uniform(&loop_query(), 2).unwrap();
+        let outcome = MultiRoundEngine::new(RoundSchedule::repeat(&p))
+            .rounds(4)
+            .evaluate_queries(&queries, &i, &mut |from, _| *from == loop_query());
+        assert_eq!(outcome.transfer_checks, 2);
+        assert_eq!(outcome.elided_reshuffles(), 1);
+        for (query, run) in queries.iter().zip(&outcome.per_query) {
+            assert_eq!(run.result, cq::evaluate(query, &i), "{query}");
         }
     }
 }

@@ -212,6 +212,51 @@ impl RuleBasedPolicy {
         }
         self.nodes.get(index).copied()
     }
+
+    /// The one addressing loop: calls `visit(rule, index)` for every rule
+    /// that fires on `fact` and every node it addresses, where `index` is
+    /// the node's position in the mixed-radix address space
+    /// ([`RuleBasedPolicy::node_by_index`]). One rule never names a node
+    /// twice; two rules may name the same node.
+    pub(crate) fn for_each_target(&self, fact: &Fact, mut visit: impl FnMut(usize, usize)) {
+        'rules: for (rule_index, (rule, compiled)) in
+            self.rules.iter().zip(&self.compiled).enumerate()
+        {
+            if rule.atom.relation != fact.relation || rule.atom.arity() != fact.arity() {
+                continue;
+            }
+            let values = &fact.values;
+            if compiled.equal.iter().any(|&(a, b)| values[a] != values[b]) {
+                continue;
+            }
+            // The constrained digits fix a base index ...
+            let mut base = 0;
+            for &(position, dim) in &compiled.hashed {
+                match self.schemes[dim].bucket_of(values[position]) {
+                    Some(bucket) => base += bucket * self.strides[dim],
+                    // hash undefined on this value: rule does not fire
+                    None => continue 'rules,
+                }
+            }
+            // ... and the unconstrained ones range over all their buckets:
+            // `choice` counts through them as a mixed-radix number.
+            let buckets = |dim: &usize| self.schemes[*dim].buckets();
+            for mut choice in 0..compiled.free.iter().map(buckets).product() {
+                let mut index = base;
+                for dim in &compiled.free {
+                    index += choice % buckets(dim) * self.strides[*dim];
+                    choice /= buckets(dim);
+                }
+                visit(rule_index, index);
+            }
+        }
+    }
+
+    /// The node at position `index` of the address space (`index` below
+    /// the network size).
+    pub(crate) fn node_by_index(&self, index: usize) -> Node {
+        self.nodes[index]
+    }
 }
 
 impl CompiledRule {
@@ -250,35 +295,9 @@ impl DistributionPolicy for RuleBasedPolicy {
 
     fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node> {
         let mut nodes = BTreeSet::new();
-        'rules: for (rule, compiled) in self.rules.iter().zip(&self.compiled) {
-            if rule.atom.relation != fact.relation || rule.atom.arity() != fact.arity() {
-                continue;
-            }
-            let values = &fact.values;
-            if compiled.equal.iter().any(|&(a, b)| values[a] != values[b]) {
-                continue;
-            }
-            // The constrained digits fix a base index ...
-            let mut base = 0;
-            for &(position, dim) in &compiled.hashed {
-                match self.schemes[dim].bucket_of(values[position]) {
-                    Some(bucket) => base += bucket * self.strides[dim],
-                    // hash undefined on this value: rule does not fire
-                    None => continue 'rules,
-                }
-            }
-            // ... and the unconstrained ones range over all their buckets:
-            // `choice` counts through them as a mixed-radix number.
-            let buckets = |dim: &usize| self.schemes[*dim].buckets();
-            for mut choice in 0..compiled.free.iter().map(buckets).product() {
-                let mut index = base;
-                for dim in &compiled.free {
-                    index += choice % buckets(dim) * self.strides[*dim];
-                    choice /= buckets(dim);
-                }
-                nodes.insert(self.nodes[index]);
-            }
-        }
+        self.for_each_target(fact, |_, index| {
+            nodes.insert(self.nodes[index]);
+        });
         nodes
     }
 }

@@ -12,8 +12,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use cq::{Atom, ConjunctiveQuery, Fact, Instance, Value, Variable};
 use distribution::{
     AddressTerm, Distribution, DistributionPolicy, DistributionRule, DistributionStats,
-    ExplicitPolicy, HashScheme, HypercubePolicy, MultiRoundEngine, Network, Node, OneRoundEngine,
-    RoundSchedule, RuleBasedPolicy,
+    ExplicitPolicy, HashScheme, HypercubePolicy, InMemoryTransport, MultiRoundEngine, Network,
+    Node, NodeResult, OneRoundEngine, RoundSchedule, RuleBasedPolicy, Shipment, Transport,
+    TransportError,
 };
 use proptest::prelude::*;
 
@@ -175,6 +176,98 @@ fn policy_zoo(
     ]
 }
 
+/// A policy zoo for split rounds of `q`: `(name, policy, parallel-correct
+/// for q, splits)`. The Hypercube members built for `q` itself — uniform,
+/// per-dimension buckets from `spread`, single-key hash join — split
+/// exactly when `q` repeats a relation. An explicit broadcast, a Hypercube
+/// policy of another query over `R` and the scattered member (identity
+/// hashes over `adom(i)`, which are partial) stay plain.
+fn split_zoo(
+    i: &Instance,
+    q: &ConjunctiveQuery,
+    buckets: usize,
+    spread: &[usize],
+) -> Vec<(&'static str, Box<dyn DistributionPolicy>, bool, bool)> {
+    let splits = q.has_self_joins();
+    let dims = &spread[..q.variables().len()];
+    // Over other variable names than every shape of `q`, so never `q`.
+    let other = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+    let mut zoo = vec![
+        (
+            "uniform",
+            Box::new(HypercubePolicy::uniform(q, buckets).unwrap()) as Box<dyn DistributionPolicy>,
+            true,
+            splits,
+        ),
+        (
+            "with_buckets",
+            Box::new(HypercubePolicy::with_buckets(q, dims).unwrap()),
+            true,
+            splits,
+        ),
+        (
+            "hash_join",
+            Box::new(HypercubePolicy::hash_join(q, buckets + 1).unwrap()),
+            true,
+            splits,
+        ),
+        (
+            "explicit",
+            Box::new(ExplicitPolicy::broadcast(&Network::with_size(2), i)),
+            true,
+            false,
+        ),
+        (
+            "other_query",
+            Box::new(HypercubePolicy::uniform(&other, buckets + 1).unwrap()),
+            false,
+            false,
+        ),
+    ];
+    // Identity hashes over an empty active domain have no buckets at all.
+    if !i.is_empty() {
+        let scattered = HypercubePolicy::scattered_for(q, i).unwrap();
+        zoo.push(("scattered", Box::new(scattered), true, false));
+    }
+    zoo
+}
+
+/// An in-memory transport that keeps every node's output of the round.
+#[derive(Default)]
+struct Recording {
+    inner: Option<InMemoryTransport>,
+    outputs: BTreeMap<Node, Instance>,
+}
+
+impl Transport for Recording {
+    fn begin_round(
+        &mut self,
+        round: usize,
+        query: &ConjunctiveQuery,
+    ) -> Result<(), TransportError> {
+        self.inner
+            .get_or_insert_with(|| InMemoryTransport::new(1))
+            .begin_round(round, query)
+    }
+
+    fn send(&mut self, node: Node, shipment: Shipment) -> Result<(), TransportError> {
+        self.inner
+            .as_mut()
+            .expect("the round began")
+            .send(node, shipment)
+    }
+
+    fn barrier(&mut self) -> Result<(), TransportError> {
+        self.inner.as_mut().expect("the round began").barrier()
+    }
+
+    fn recv(&mut self, node: Node) -> Result<NodeResult, TransportError> {
+        let result = self.inner.as_mut().expect("the round began").recv(node)?;
+        self.outputs.insert(node, result.output.clone());
+        Ok(result)
+    }
+}
+
 /// A strategy for small instances over one binary relation `R`.
 fn instance_strategy() -> impl Strategy<Value = Instance> {
     let fact = (0..6usize, 0..6usize);
@@ -260,14 +353,70 @@ proptest! {
         prop_assert!(expected.contains_all(&s.result));
     }
 
-    /// The engine's per-node outputs are consistent with the union result.
+    /// The engine's per-node outputs against the definitions, on path
+    /// queries, triangles and a relax-shaped body with a loop atom. Every
+    /// round answers exactly what the scan oracle answers centrally when
+    /// its policy is parallel-correct. A split round — a total Hypercube
+    /// policy of the round's own query, which repeats a relation — answers
+    /// at every node exactly the valuations whose home it is
+    /// (`node_for_valuation`); with a full head the node outputs are then
+    /// disjoint and sum to the result. Every other round is plain: node `n`
+    /// answers `Q(chunk_n)` of the plain reshuffle.
     #[test]
-    fn per_node_outputs_are_consistent(i in instance_strategy(), q in query_strategy(), buckets in 1usize..3) {
-        let policy = HypercubePolicy::uniform(&q, buckets).unwrap();
-        let outcome = OneRoundEngine::new(&policy).evaluate(&q, &i);
-        let total: usize = outcome.per_node_output.values().sum();
-        prop_assert!(outcome.result.len() <= total || outcome.result.is_empty());
-        prop_assert!(outcome.max_node_output() <= outcome.result.len() || outcome.result.is_empty());
+    fn per_node_outputs_are_consistent(
+        i in instance_strategy(),
+        path in query_strategy(),
+        shape in 0usize..3,
+        buckets in 1usize..3,
+        spread in proptest::collection::vec(1usize..4, 4..5),
+    ) {
+        let q = match shape {
+            0 => path,
+            1 => ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), R(y, z), R(z, x).").unwrap(),
+            _ => ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z), R(y, y).").unwrap(),
+        };
+        let oracle = cq::evaluate_with(&q, &i, cq::EvalOptions::ScanOracle);
+        for (name, policy, parallel_correct, splits) in split_zoo(&i, &q, buckets, &spread) {
+            let mut transport = Recording::default();
+            let outcome = OneRoundEngine::new(policy.as_ref())
+                .evaluate_via(&mut transport, 0, &q, &i)
+                .unwrap();
+            let outputs = transport.outputs;
+            prop_assert_eq!(
+                &outcome.result,
+                &Instance::from_facts(outputs.values().flat_map(Instance::facts).cloned()),
+                "{}: the result is the union of the node outputs", name
+            );
+            if parallel_correct {
+                prop_assert_eq!(&outcome.result, &oracle, "{} on {}", name, q);
+            }
+            for (node, output) in &outputs {
+                prop_assert_eq!(outcome.per_node_output[node], output.len(), "{}", name);
+            }
+            if splits {
+                let hypercube = policy.as_hypercube().expect("only Hypercube policies split");
+                let mut homes: BTreeMap<Node, Instance> = BTreeMap::new();
+                for v in cq::satisfying_valuations(&q, &i) {
+                    let home = hypercube.node_for_valuation(&v).expect("total hashes");
+                    homes.entry(home).or_default().insert(v.derived_fact(&q));
+                }
+                for (node, output) in &outputs {
+                    let home = homes.remove(node).unwrap_or_default();
+                    prop_assert_eq!(output, &home, "{} at {}: home answers of {}", name, node, q);
+                }
+                prop_assert!(homes.is_empty(), "{}: a home node was not shipped", name);
+                if q.is_full() {
+                    let total: usize = outcome.per_node_output.values().sum();
+                    prop_assert_eq!(total, outcome.result.len(), "{}: disjoint outputs", name);
+                }
+            } else {
+                let dist = policy.distribute(&i);
+                for (node, output) in &outputs {
+                    let local = cq::evaluate(&q, dist.chunk(*node));
+                    prop_assert_eq!(output, &local, "{} at {}: plain chunk of {}", name, node, q);
+                }
+            }
+        }
     }
 
     /// `distribute` is `dist_P(I)` by definition: for every policy of the

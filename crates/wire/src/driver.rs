@@ -60,7 +60,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cq::{ConjunctiveQuery, Instance};
-use distribution::{Node, NodeResult, Shipment, Transport, TransportError};
+use distribution::{merged_parts, Node, NodeResult, Shipment, Transport, TransportError};
 use obs::TraceEvent;
 
 use crate::codec::{decode_body_with, DecodeError, Dictionary, Encoder};
@@ -759,8 +759,7 @@ impl WireTransport {
             Shipment::Resident if self.needs_rebuild.remove(&node) => {
                 // Re-ship the ledger copy as a full chunk instead of asking
                 // a fresh worker for state it does not have.
-                let shard = self.shipped_state.get(&node).cloned();
-                (round, Shipment::Full(shard.unwrap_or_default()))
+                (round, self.resident_shard(node))
             }
             Shipment::Resident => (round, Shipment::Resident),
         }
@@ -779,13 +778,25 @@ impl WireTransport {
             obs::instant!("state_rebuild", node = node);
             self.needs_rebuild.remove(&node);
         }
-        let ledger = self.shipped_state.get(&node).cloned();
         let (round, work) = match work {
             Shipment::Full(chunk) => (round, Shipment::Full(chunk)),
-            Shipment::Delta(delta) => (0, Shipment::Delta(ledger.unwrap_or(delta))),
-            Shipment::Resident => (round, Shipment::Full(ledger.unwrap_or_default())),
+            Shipment::Delta(delta) => {
+                let ledger = self.shipped_state.get(&node).cloned();
+                (0, Shipment::Delta(ledger.unwrap_or(delta)))
+            }
+            Shipment::Resident => (round, self.resident_shard(node)),
         };
         Job { round, node, work }
+    }
+
+    /// The ledger copy of `node`'s shard as the full chunk a resident job
+    /// becomes on a worker that does not hold it. A split round's atom
+    /// parts are merged back first, as the node rule does for a resident
+    /// round (`distribution::merged_parts`): the round's query reads the
+    /// plain relations.
+    fn resident_shard(&self, node: Node) -> Shipment {
+        let shard = self.shipped_state.get(&node).cloned().unwrap_or_default();
+        Shipment::Full(merged_parts(&shard).map_or(shard, Arc::new))
     }
 }
 
@@ -1075,6 +1086,37 @@ mod tests {
         assert_eq!(rebuild.round, 0);
         assert!(Arc::ptr_eq(&delta, &core.shipped_state[&node]));
         assert_eq!(delta, facts("R(a, b). R(b, c)."));
+    }
+
+    #[test]
+    fn a_requeued_resident_job_ships_the_split_shard_merged() {
+        // The node's shard came from a split round (atom parts R#0, R#1);
+        // its worker dies before the resident round of the plain query is
+        // answered, so the survivor gets the shard as a full chunk — with
+        // the parts merged back, as the node rule reads a resident shard.
+        let path = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+        let parts = path
+            .body()
+            .iter()
+            .enumerate()
+            .map(|(k, atom)| cq::Atom::new(format!("R#{k}").as_str(), atom.args.clone()));
+        let split = path.with_body(parts.collect()).unwrap();
+        let chunk = Instance::from_facts([
+            cq::Fact::from_names("R#0", &["a", "a"]),
+            cq::Fact::from_names("R#1", &["a", "b"]),
+        ]);
+        let node = Node::numbered(0);
+        let mut core = inert_core(2);
+        core.begin_round(0, &split).unwrap();
+        core.send(node, Shipment::Full(Arc::new(chunk))).unwrap();
+        core.begin_round(0, &path).unwrap();
+        core.send(node, Shipment::Resident).unwrap();
+        let job = core.jobs[0][0].clone();
+        core.mark_dead(0);
+        let Shipment::Full(shard) = core.requeued_job(job).work else {
+            panic!("a resident job requeues as a full chunk");
+        };
+        assert_eq!(*shard, cq::parse_instance("R(a, a). R(a, b).").unwrap());
     }
 
     #[test]

@@ -117,6 +117,41 @@ fn in_memory_trace_nests_rounds_under_the_root_span() {
     }
 }
 
+/// The value of `key` on the one span named `name` in `events`.
+fn span_arg<'e>(events: &'e [obs::TraceEvent], name: &str, key: &str) -> &'e str {
+    let spans: Vec<_> = events.iter().filter(|e| e.name == name).collect();
+    assert_eq!(spans.len(), 1, "one {name} span");
+    let (_, value) = spans[0].args.iter().find(|(k, _)| k == key).expect(key);
+    value
+}
+
+#[test]
+fn a_split_round_traces_its_parts_and_merges_only_home_answers() {
+    let _gate = gate();
+    // The triangle repeats `E`: its Hypercube round ships three atom parts,
+    // and every answer is derived once, at its home node, so the merge
+    // takes exactly the answers (the head is full).
+    let triangle = named_query("triangle").unwrap();
+    let instance = instance_for(&triangle, 5);
+    let policy = HypercubePolicy::uniform(&triangle, 2).unwrap();
+    let (outcome, events) = traced(|| OneRoundEngine::new(&policy).evaluate(&triangle, &instance));
+    assert!(!outcome.result.is_empty());
+    assert_eq!(span_arg(&events, "distribute", "parts"), "3");
+    let merged = outcome.result.len().to_string();
+    assert_eq!(span_arg(&events, "merge_results", "facts"), merged);
+    // A self-join-free query's round stays plain.
+    let join = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), S(y, z).").unwrap();
+    let instance = instance_for(&join, 5);
+    let policy = HypercubePolicy::uniform(&join, 2).unwrap();
+    let (outcome, events) = traced(|| OneRoundEngine::new(&policy).evaluate(&join, &instance));
+    assert_eq!(span_arg(&events, "distribute", "parts"), "0");
+    let answers: usize = outcome.per_node_output.values().sum();
+    assert_eq!(
+        span_arg(&events, "merge_results", "facts"),
+        answers.to_string()
+    );
+}
+
 #[test]
 fn evaluate_done_reports_derivations_against_distinct_answers() {
     let _gate = gate();

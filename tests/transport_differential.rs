@@ -835,6 +835,23 @@ fn dropping_a_transport_whose_workers_exit_on_shutdown_polls_briefly() {
 fn every_transport_applies_shipments_by_the_same_node_state_rule() {
     let two_hop = ConjunctiveQuery::parse("T(x, z) :- R(x, y), S(y, z).").unwrap();
     let reversed = ConjunctiveQuery::parse("T(z, x) :- R(x, y), S(y, z).").unwrap();
+    // A split round of the two-path query: atom k ranges over part R#k.
+    // The grammar cannot write a part, so the query and chunk are built.
+    let path = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+    let split_body = path.body().iter().enumerate();
+    let split = path
+        .with_body(
+            split_body
+                .map(|(k, atom)| Atom::new(format!("R#{k}").as_str(), atom.args.clone()))
+                .collect(),
+        )
+        .unwrap();
+    // R(a, a) arrived for atom 0 and R(a, b) for atom 1: the one valuation
+    // whose home this is takes x = y = a, z = b.
+    let split_chunk = Shipment::Full(Arc::new(Instance::from_facts([
+        Fact::from_names("R#0", &["a", "a"]),
+        Fact::from_names("R#1", &["a", "b"]),
+    ])));
     let facts = |text: &str| Arc::new(cq::parse_instance(text).unwrap());
     let full = |text: &str| Shipment::Full(facts(text));
     let delta = |text: &str| Shipment::Delta(facts(text));
@@ -928,6 +945,22 @@ fn every_transport_applies_shipments_by_the_same_node_state_rule() {
             n0,
             Shipment::Resident,
             "",
+        ),
+        (
+            "a split Full chunk answers only its home valuations",
+            &split,
+            4,
+            n0,
+            split_chunk,
+            "T(a, b).",
+        ),
+        (
+            "a resident query over a split shard sees the merged shard",
+            &path,
+            0,
+            n0,
+            Shipment::Resident,
+            "T(a, a). T(a, b).",
         ),
         (
             "a never-shipped node holds nothing",
