@@ -87,7 +87,7 @@ pub fn validate_hypercube_family(
         }
         // Parallel-correctness of Q itself on this instance.
         let outcome = distribution::OneRoundEngine::new(member).evaluate(query, instance);
-        if outcome.result != expected {
+        if *outcome.result != expected {
             self_pc = false;
         }
     }
@@ -226,7 +226,7 @@ mod tests {
         for buckets in 1..=3 {
             let member = HypercubePolicy::uniform(&query, buckets).unwrap();
             let outcome = distribution::OneRoundEngine::new(&member).evaluate(&good, &instance);
-            assert_eq!(outcome.result, evaluate(&good, &instance));
+            assert_eq!(*outcome.result, evaluate(&good, &instance));
         }
 
         assert!(!hypercube_parallel_correct(&query, &bad).parallel_correct);
@@ -235,6 +235,6 @@ mod tests {
         // whose required facts contain both), so the answer T(a,c) is lost.
         let scattered = HypercubePolicy::scattered_for(&query, &instance).unwrap();
         let outcome = distribution::OneRoundEngine::new(&scattered).evaluate(&bad, &instance);
-        assert_ne!(outcome.result, evaluate(&bad, &instance));
+        assert_ne!(*outcome.result, evaluate(&bad, &instance));
     }
 }

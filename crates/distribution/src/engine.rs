@@ -44,8 +44,8 @@ use crate::transport::{InMemoryTransport, Shipment, Transport, TransportError};
 /// The outcome of a one-round evaluation.
 #[derive(Clone, Debug)]
 pub struct OneRoundOutcome {
-    /// The union of the per-node results.
-    pub result: Instance,
+    /// The union of the per-node results (shared with its run's result).
+    pub result: Arc<Instance>,
     /// Input chunk size at each node (the node's load).
     pub per_node_load: BTreeMap<Node, usize>,
     /// Output size at each node: the distinct answers the node derived.
@@ -195,7 +195,7 @@ pub(crate) fn run_round(
         let facts: usize = outputs.iter().map(Instance::len).sum();
         let _span = obs::span!("merge_results", nodes = outputs.len(), facts = facts);
         // The node outputs are owned: their facts move into the union.
-        outputs.into_iter().flatten().collect()
+        Arc::new(outputs.into_iter().flatten().collect())
     };
     Ok(OneRoundOutcome {
         result,
@@ -342,7 +342,7 @@ mod tests {
         let network = Network::with_size(4);
         let p = ExplicitPolicy::broadcast(&network, &i);
         let outcome = OneRoundEngine::new(&p).evaluate(&q, &i);
-        assert_eq!(outcome.result, cq::evaluate(&q, &i));
+        assert_eq!(*outcome.result, cq::evaluate(&q, &i));
         assert_eq!(outcome.stats.replication_factor, 4.0);
     }
 
@@ -355,7 +355,7 @@ mod tests {
         let p = ExplicitPolicy::round_robin(&network, &i);
         let outcome = OneRoundEngine::new(&p).evaluate(&q, &i);
         assert!(outcome.result.is_empty());
-        assert_ne!(outcome.result, cq::evaluate(&q, &i));
+        assert_ne!(*outcome.result, cq::evaluate(&q, &i));
     }
 
     #[test]
@@ -368,7 +368,7 @@ mod tests {
         let p = HypercubePolicy::uniform(&q, 2).unwrap();
         let engine = OneRoundEngine::new(&p);
         let outcome = engine.evaluate(&q, &i);
-        assert_eq!(outcome.result, cq::evaluate(&q, &i));
+        assert_eq!(*outcome.result, cq::evaluate(&q, &i));
         assert_eq!(outcome.stats.skipped, 0);
         assert!(outcome.stats.max_load <= i.len());
         assert!(outcome.max_node_output() <= outcome.result.len());
@@ -470,7 +470,7 @@ mod tests {
         let outcome = OneRoundEngine::new(&p).evaluate(&q, &i);
         let oracle = cq::evaluate_with(&q, &i, cq::EvalOptions::ScanOracle);
         assert!(!oracle.is_empty());
-        assert_eq!(outcome.result, oracle);
+        assert_eq!(*outcome.result, oracle);
     }
 
     #[test]

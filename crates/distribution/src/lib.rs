@@ -49,7 +49,7 @@
 //! let outcome = engine.evaluate(&q, &i);
 //!
 //! // Hypercube distributions are parallel-correct for their query:
-//! assert_eq!(outcome.result, evaluate(&q, &i));
+//! assert_eq!(*outcome.result, evaluate(&q, &i));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -13,6 +13,7 @@
 //! facts the previous round added, and a query whose parallel correctness
 //! transfers from its predecessor runs as one reshuffle-free round on the
 //! shards already resident ([`MultiRoundEngine::evaluate_queries_via`]).
+//! A one-round run is this loop capped at one round.
 //!
 //! Because a conjunctive query's head relation must be outside its input
 //! schema, iteration is expressed through an optional **feedback relation**:
@@ -21,14 +22,30 @@
 //! squaring is then simply `T(x, z) :- R(x, y), R(y, z)` iterated with
 //! feedback into `R`.
 //!
-//! Rounds stop at the **fixpoint** (a round adds nothing to the carried
-//! state, so no future round can derive anything new) or at the round cap,
-//! whichever comes first; [`MultiRoundOutcome::converged`] records which. Since conjunctive queries cannot invent new data values,
+//! With feedback, rounds stop at the **fixpoint** (a round adds nothing to
+//! the carried state, so no future round can derive anything new) or at the
+//! round cap, whichever comes first; [`MultiRoundOutcome::converged`]
+//! records which. Since conjunctive queries cannot invent new data values,
 //! the reachable states are finite and the centralized iterated evaluation
 //! always terminates — [`MultiRoundEngine::reference_fixpoint`] computes
 //! that *global* fixpoint, the correctness yardstick for the distributed
 //! run (`pc_core::multi_round_correct_on`).
+//!
+//! **Without feedback** no round can change what the query reads: the head
+//! relation is not in the body, so every round evaluates over the input
+//! itself, which the loop borrows instead of copying. A round's output is
+//! then a function of the input and the round's policy alone, so a round
+//! that runs the same schedule entry as the round before it derives that
+//! round's output once more and adds nothing. The run therefore stops after
+//! round `r`, converged, when `r` added nothing to the result (as with
+//! feedback) **or** when round `r + 1` would run `r`'s schedule entry
+//! again; a schedule of `k` entries runs at most `k` rounds. The global
+//! fixpoint is one centralized evaluation. Iterating until the whole state
+//! repeats would only append that provably empty round, so the answers are
+//! the same.
 
+use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Instant;
 
 use cq::{evaluate, ConjunctiveQuery, Fact, Instance, Symbol};
@@ -87,8 +104,9 @@ impl<'a> RoundSchedule<'a> {
     }
 
     /// The schedule index of the policy used in round `round` — two rounds
-    /// with equal indices run the *same* policy, which is what the
-    /// semi-naive loop uses to detect a policy switch (a re-shard point).
+    /// with equal indices run the *same* policy, which is what the round
+    /// loop uses to detect a policy switch (a semi-naive re-shard point)
+    /// and, without feedback, a round that would repeat the last.
     fn policy_index(&self, round: usize) -> usize {
         round.min(self.policies.len() - 1)
     }
@@ -107,17 +125,15 @@ impl<'a> RoundSchedule<'a> {
 /// The outcome of a multi-round evaluation.
 #[derive(Clone, Debug)]
 pub struct MultiRoundOutcome {
-    /// The per-round one-round outcomes, in round order (including the
-    /// final, converging round when the run reached its fixpoint).
+    /// The per-round one-round outcomes, in round order, up to the round
+    /// that stopped the run (a round that would repeat the last is not run;
+    /// see the module docs).
     pub rounds: Vec<OneRoundOutcome>,
-    /// The union of all rounds' outputs (head-relation facts).
-    pub result: Instance,
-    /// The carried state at the end of the run: the initial input plus
-    /// every feedback fact produced by any round.
-    pub final_state: Instance,
-    /// Whether the run reached its fixpoint (a round added nothing to the
-    /// carried state, so no future round could derive anything new) before
-    /// exhausting the round cap.
+    /// The union of all rounds' outputs (head-relation facts), sharing the
+    /// rounds' own results instead of copying them.
+    pub result: Arc<Instance>,
+    /// Whether the run stopped by the stop rule of the module docs, before
+    /// exhausting the round cap: no further round could derive anything new.
     pub converged: bool,
     /// How many reshuffles this run elided by evaluating directly on the
     /// shards resident from a previous query (`1` for a run that is a
@@ -153,15 +169,6 @@ impl MultiRoundOutcome {
     pub fn total_comm_bytes(&self) -> u64 {
         self.rounds.iter().map(|r| r.comm_bytes).sum()
     }
-
-    /// The largest per-round maximum node load (the bottleneck of the run).
-    pub fn max_load(&self) -> usize {
-        self.rounds
-            .iter()
-            .map(|r| r.stats.max_load)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// The centralized reference for a multi-round run: the global fixpoint of
@@ -170,7 +177,8 @@ impl MultiRoundOutcome {
 pub struct IteratedFixpoint {
     /// The union of all rounds' centralized outputs.
     pub result: Instance,
-    /// Rounds needed to reach the fixpoint (including the converging one).
+    /// Rounds needed to reach the fixpoint (including the converging one;
+    /// 1 without feedback).
     pub rounds: usize,
 }
 
@@ -191,11 +199,6 @@ impl MultiQueryOutcome {
     /// that ran directly on the resident shards of their predecessor.
     pub fn elided_reshuffles(&self) -> usize {
         self.per_query.iter().map(|o| o.elided_reshuffles).sum()
-    }
-
-    /// Total explicit re-shard rounds shipped across all queries.
-    pub fn reshard_rounds(&self) -> usize {
-        self.per_query.iter().map(|o| o.reshard_rounds.len()).sum()
     }
 
     /// Cumulative `(fact, node)` assignments shipped across all queries.
@@ -306,32 +309,6 @@ impl<'a> MultiRoundEngine<'a> {
         self
     }
 
-    /// One iteration step shared by [`MultiRoundEngine::evaluate_via`] and
-    /// [`MultiRoundEngine::reference_fixpoint`], so the distributed run and
-    /// its centralized yardstick can never drift apart in their
-    /// feedback/fixpoint semantics: merges a round's `output` into the
-    /// accumulated `result`, absorbs its feedback into the carried `state`
-    /// and returns what that added — a semi-naive run's next delta. The
-    /// state only grows, so an empty return means the state repeated: the
-    /// fixpoint, after which no round can produce a new fact.
-    fn advance_round(
-        &self,
-        output: &Instance,
-        result: &mut Instance,
-        state: &mut Instance,
-    ) -> Instance {
-        result.absorb(output);
-        match self.feedback {
-            Some(relation) => state.absorb(
-                &output
-                    .facts()
-                    .map(|f| Fact::new(relation, f.values.clone()))
-                    .collect(),
-            ),
-            None => state.absorb(output),
-        }
-    }
-
     /// Runs up to the round cap ([`MultiRoundEngine::rounds`])
     /// distribute→local-eval cycles for `query` starting from `instance`:
     /// exactly [`MultiRoundEngine::evaluate_via`] over an
@@ -344,8 +321,8 @@ impl<'a> MultiRoundEngine<'a> {
 
     /// The round loop: every round reshuffles under the schedule's policy
     /// and ships through `transport` — the rounds become genuinely
-    /// cross-process when the transport is wire-backed — then
-    /// `advance_round` merges the outputs and tests for the fixpoint.
+    /// cross-process when the transport is wire-backed — then merges the
+    /// outputs and applies the stop rule of the module docs.
     ///
     /// A full round ships every node its chunk of the whole carried state
     /// ([`Shipment::Full`]). With [`MultiRoundEngine::semi_naive`] a round
@@ -361,65 +338,70 @@ impl<'a> MultiRoundEngine<'a> {
         query: &ConjunctiveQuery,
         instance: &Instance,
     ) -> Result<MultiRoundOutcome, TransportError> {
-        let mut state = instance.clone();
-        let mut result = Instance::new();
+        // Only feedback makes a round read what an earlier one derived.
+        let mut state = match self.feedback {
+            Some(_) => Cow::Owned(instance.clone()),
+            None => Cow::Borrowed(instance),
+        };
+        let mut result = Arc::new(Instance::new());
         let mut rounds = Vec::new();
         let mut reshard_rounds = Vec::new();
         let mut converged = false;
-        // Semi-naive only: what the next round ships — everything at
-        // first, then whatever the previous round added to the state.
-        let mut delta = self.semi_naive.then(|| instance.clone());
+        // Semi-naive only: what the previous round added to the state.
+        let mut delta = Instance::new();
         // Delta rounds as numbered towards the transport: 0 resets
-        // per-node state, so every re-shard restarts the count.
+        // per-node state and ships the whole state, so every re-shard
+        // restarts the count.
         let mut delta_round = 0;
-        let mut active_policy = self.schedule.policy_index(0);
         let round_latency = self.registry.histogram("round_latency_us");
         for round in 0..self.max_rounds {
             let round_started = Instant::now();
             let _round_span = obs::span!("eval_round", round = round, facts = state.len());
             let policy_index = self.schedule.policy_index(round);
-            let switched = policy_index != active_policy;
-            active_policy = policy_index;
             let engine = OneRoundEngine::new(self.schedule.policy_for(round));
-            let outcome = match &delta {
-                None => engine.evaluate_via(transport, round, query, &state)?,
-                Some(delta) => {
-                    let new_facts = if switched {
-                        // A policy switch re-routes facts that were already
-                        // shipped: reset the nodes and re-shard everything.
-                        obs::instant!("reshard", round = round);
-                        reshard_rounds.push(round);
-                        delta_round = 0;
-                        &state
-                    } else {
-                        delta
-                    };
-                    let _span = obs::span!(
-                        "delta_round",
-                        round = delta_round,
-                        delta_facts = new_facts.len()
-                    );
-                    let mut plan = engine.plan(new_facts, Shipment::Delta, None);
-                    if delta_round > 0 {
-                        plan.skip_empty();
+            let outcome = if self.semi_naive {
+                if round > 0 && policy_index != self.schedule.policy_index(round - 1) {
+                    // A policy switch re-routes facts that were already
+                    // shipped: reset the nodes and re-shard everything.
+                    obs::instant!("reshard", round = round);
+                    reshard_rounds.push(round);
+                    delta_round = 0;
+                }
+                let new_facts = if delta_round == 0 { &*state } else { &delta };
+                let _span = obs::span!(
+                    "delta_round",
+                    round = delta_round,
+                    delta_facts = new_facts.len()
+                );
+                let mut plan = engine.plan(new_facts, Shipment::Delta, None);
+                if delta_round > 0 {
+                    plan.skip_empty();
+                }
+                let outcome = run_round(transport, delta_round, query, plan)?;
+                delta_round += 1;
+                outcome
+            } else {
+                engine.evaluate_via(transport, round, query, &state)?
+            };
+            let progressed = {
+                let _span = obs::span!("merge_results", round = round);
+                let answered = merge_output(&mut result, &outcome.result);
+                match self.feedback {
+                    Some(relation) => {
+                        delta = feed_back(relation, &outcome.result, state.to_mut());
+                        !delta.is_empty()
                     }
-                    let outcome = run_round(transport, delta_round, query, plan)?;
-                    delta_round += 1;
-                    outcome
+                    None => answered,
                 }
             };
-            let added = {
-                let _span = obs::span!("merge_results", round = round);
-                self.advance_round(&outcome.result, &mut result, &mut state)
-            };
-            let done = added.is_empty();
-            if let Some(delta) = delta.as_mut() {
-                *delta = added;
-            }
             rounds.push(outcome);
             round_latency
                 .record(u64::try_from(round_started.elapsed().as_micros()).unwrap_or(u64::MAX));
-            if done {
+            // Without feedback a next round on the same schedule entry
+            // would read the same input and repeat this one.
+            let repeats =
+                self.feedback.is_none() && self.schedule.policy_index(round + 1) == policy_index;
+            if !progressed || repeats {
                 converged = true;
                 break;
             }
@@ -427,7 +409,6 @@ impl<'a> MultiRoundEngine<'a> {
         Ok(MultiRoundOutcome {
             rounds,
             result,
-            final_state: state,
             converged,
             elided_reshuffles: 0,
             reshard_rounds,
@@ -505,41 +486,32 @@ impl<'a> MultiRoundEngine<'a> {
                 }
                 _ => false,
             };
-            if elide {
+            let outcome = if elide {
                 elisions.inc();
                 obs::instant!("reshuffle_elided");
-            }
-            let outcome = if elide {
                 // One reshuffle-free round: every node evaluates over the
                 // shard it already holds. `comm_bytes` still counts whatever
                 // result frames a wire transport ships back.
-                let (_, nodes) = resident.as_ref().expect("elide implies resident shards");
-                let _span = obs::span!("resident_round", nodes = nodes.len());
-                let plan = RoundPlan::resident(nodes);
-                let round = run_round(transport, 0, query, plan)?;
-                let result = round.result.clone();
+                let (prev, nodes) = resident.as_mut().expect("elide implies resident shards");
+                let _span = obs::span!("resident_round", round = 0, nodes = nodes.len());
+                let round = run_round(transport, 0, query, RoundPlan::resident(nodes))?;
+                // The shards are untouched, but the transferability chain
+                // now hangs off this query (transitivity keeps it sound).
+                *prev = query.clone();
                 MultiRoundOutcome {
+                    result: Arc::clone(&round.result),
                     rounds: vec![round],
-                    final_state: instance.union(&result),
-                    result,
                     converged: true,
                     elided_reshuffles: 1,
                     reshard_rounds: Vec::new(),
                 }
             } else {
-                self.evaluate_via(transport, query, instance)?
-            };
-            if elide {
-                // The shards are untouched, but the transferability chain
-                // now hangs off this query (transitivity keeps it sound).
-                if let Some((prev, _)) = resident.as_mut() {
-                    *prev = query.clone();
-                }
-            } else {
+                let outcome = self.evaluate_via(transport, query, instance)?;
                 resident = self
                     .resident_nodes(&outcome)
                     .map(|nodes| (query.clone(), nodes));
-            }
+                outcome
+            };
             per_query.push(outcome);
         }
         Ok(MultiQueryOutcome {
@@ -572,29 +544,60 @@ impl<'a> MultiRoundEngine<'a> {
 
     /// The centralized reference: iterates `evaluate(query, ·)` with the
     /// same feedback semantics but **no round cap**, until the global
-    /// fixpoint (a repeated state). Terminates on every input because
-    /// conjunctive queries cannot introduce new data values, so the set of
-    /// reachable states over the input's active domain is finite.
+    /// fixpoint (a repeated state; without feedback, one evaluation).
+    /// Terminates on every input because conjunctive queries cannot
+    /// introduce new data values, so the set of reachable states over the
+    /// input's active domain is finite.
     pub fn reference_fixpoint(
         &self,
         query: &ConjunctiveQuery,
         instance: &Instance,
     ) -> IteratedFixpoint {
+        let Some(relation) = self.feedback else {
+            return IteratedFixpoint {
+                result: evaluate(query, instance),
+                rounds: 1,
+            };
+        };
         let mut state = instance.clone();
         let mut result = Instance::new();
         let mut rounds = 0usize;
         loop {
             rounds += 1;
             let output = evaluate(query, &state);
-            if self
-                .advance_round(&output, &mut result, &mut state)
-                .is_empty()
-            {
+            result.absorb(&output);
+            if feed_back(relation, &output, &mut state).is_empty() {
                 break;
             }
         }
         IteratedFixpoint { result, rounds }
     }
+}
+
+/// One feedback step shared by [`MultiRoundEngine::evaluate_via`] and
+/// [`MultiRoundEngine::reference_fixpoint`], so the distributed run and its
+/// centralized yardstick can never drift apart in their feedback/fixpoint
+/// semantics: renames a round's `output` into `relation`, absorbs it into
+/// the carried `state` and returns what that added — a semi-naive run's
+/// next delta. The state only grows, so an empty return means the state
+/// repeated: the fixpoint, after which no round can produce a new fact.
+fn feed_back(relation: Symbol, output: &Instance, state: &mut Instance) -> Instance {
+    state.absorb(
+        &output
+            .facts()
+            .map(|f| Fact::new(relation, f.values.clone()))
+            .collect(),
+    )
+}
+
+/// Merges a round's `output` into the run's `result`, sharing the first
+/// output instead of copying it, and says whether it added a fact.
+fn merge_output(result: &mut Arc<Instance>, output: &Arc<Instance>) -> bool {
+    if result.is_empty() {
+        *result = Arc::clone(output);
+        return !output.is_empty();
+    }
+    !Arc::make_mut(result).absorb(output).is_empty()
 }
 
 #[cfg(test)]
@@ -636,7 +639,7 @@ mod tests {
         assert_eq!(multi.rounds[0].per_node_output, one.per_node_output);
         assert_eq!(multi.rounds[0].stats, one.stats);
         assert_eq!(multi.total_comm_volume(), one.stats.total_assigned);
-        assert!(!multi.converged, "new T-facts appeared, no fixpoint yet");
+        assert!(multi.converged, "a second round would repeat the first");
     }
 
     #[test]
@@ -664,7 +667,7 @@ mod tests {
         let expected_pairs: usize = (2..=8).map(|d| 9 - d).sum();
         assert_eq!(outcome.result.len(), expected_pairs);
         let reference = engine.reference_fixpoint(&q, &i);
-        assert_eq!(outcome.result, reference.result);
+        assert_eq!(*outcome.result, reference.result);
         assert_eq!(outcome.rounds_run(), reference.rounds);
     }
 
@@ -691,18 +694,19 @@ mod tests {
     }
 
     #[test]
-    fn without_feedback_the_second_round_converges() {
+    fn without_feedback_the_first_round_converges() {
         // Outputs keep their head relation, which the query does not read:
-        // round 2 reproduces round 1 exactly and the engine detects it.
+        // a second round under the same policy would reproduce the first
+        // exactly, so the engine does not run it.
         let q = square_query();
         let i = chain_instance(4);
         let p = HypercubePolicy::uniform(&q, 2).unwrap();
-        let outcome = MultiRoundEngine::new(RoundSchedule::repeat(&p))
-            .rounds(10)
-            .evaluate(&q, &i);
+        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&p)).rounds(10);
+        let outcome = engine.evaluate(&q, &i);
         assert!(outcome.converged);
-        assert_eq!(outcome.rounds_run(), 2);
-        assert_eq!(outcome.result, cq::evaluate(&q, &i));
+        assert_eq!(outcome.rounds_run(), 1);
+        assert_eq!(engine.reference_fixpoint(&q, &i).rounds, 1);
+        assert_eq!(*outcome.result, cq::evaluate(&q, &i));
     }
 
     #[test]
@@ -722,7 +726,7 @@ mod tests {
         assert_eq!(outcome.rounds[0].stats.nodes, 3);
         assert!(outcome.rounds.len() > 1);
         assert_eq!(outcome.rounds[1].stats.nodes, hypercube.network().len());
-        assert_eq!(outcome.result, engine.reference_fixpoint(&q, &i).result);
+        assert_eq!(*outcome.result, engine.reference_fixpoint(&q, &i).result);
     }
 
     #[test]
@@ -755,7 +759,6 @@ mod tests {
             full.rounds_run(),
             "round counts diverged"
         );
-        assert_eq!(semi.final_state, full.final_state, "final states diverged");
         (full, semi)
     }
 
@@ -772,7 +775,7 @@ mod tests {
         };
         let (full, semi) = assert_semi_naive_parity(engine, &q, &i);
         assert!(semi.converged);
-        assert_eq!(semi.result, engine().reference_fixpoint(&q, &i).result);
+        assert_eq!(*semi.result, engine().reference_fixpoint(&q, &i).result);
         // The whole point: late rounds ship deltas, not the accumulated
         // state, so the cumulative fact-shipping volume must shrink.
         assert!(
@@ -851,7 +854,7 @@ mod tests {
         let (_, semi) = assert_semi_naive_parity(engine, &q, &i);
         assert!(semi.converged);
         assert_eq!(semi.rounds_run(), 1, "nothing new ever enters the state");
-        assert_eq!(semi.result, cq::parse_instance("T(a, c).").unwrap());
+        assert_eq!(*semi.result, cq::parse_instance("T(a, c).").unwrap());
     }
 
     #[test]
@@ -874,15 +877,15 @@ mod tests {
     }
 
     #[test]
-    fn semi_naive_without_feedback_converges_on_the_second_round() {
+    fn semi_naive_without_feedback_converges_on_the_first_round() {
         let q = square_query();
         let i = chain_instance(4);
         let p = HypercubePolicy::uniform(&q, 2).unwrap();
         let engine = || MultiRoundEngine::new(RoundSchedule::repeat(&p)).rounds(10);
         let (_, semi) = assert_semi_naive_parity(engine, &q, &i);
         assert!(semi.converged);
-        assert_eq!(semi.rounds_run(), 2);
-        assert!(semi.rounds[1].result.is_empty(), "round 2 is a pure probe");
+        assert_eq!(semi.rounds_run(), 1);
+        assert_eq!(*semi.result, cq::evaluate(&q, &i));
     }
 
     #[test]
@@ -901,8 +904,7 @@ mod tests {
         // the switch and must agree with full re-evaluation exactly.
         let q = square_query();
         let i = chain_instance(8);
-        let network = Network::with_size(3);
-        let broadcast = ExplicitPolicy::new(network.clone()).with_default(network.nodes());
+        let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(3));
         let hypercube = HypercubePolicy::uniform(&q, 2).unwrap();
         let engine = || {
             MultiRoundEngine::new(RoundSchedule::of(vec![&broadcast, &hypercube]))
@@ -917,7 +919,7 @@ mod tests {
             "the policy switch at round 1 must re-shard"
         );
         assert!(full.reshard_rounds.is_empty());
-        assert_eq!(semi.result, engine().reference_fixpoint(&q, &i).result);
+        assert_eq!(*semi.result, engine().reference_fixpoint(&q, &i).result);
         // The re-shard round ships the full accumulated state under the
         // new policy, exactly like full mode's same round.
         assert_eq!(
@@ -941,8 +943,7 @@ mod tests {
     fn transferable_query_sequences_elide_the_reshuffle() {
         let queries = [loop_query(), square_query()];
         let i = parse_instance("R(a, a). R(a, b). R(b, c).").unwrap();
-        let network = Network::with_size(2);
-        let broadcast = ExplicitPolicy::new(network.clone()).with_default(network.nodes());
+        let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(2));
         let mut checked = Vec::new();
         let outcome = broadcast_engine(&broadcast).evaluate_queries(
             &queries,
@@ -956,7 +957,7 @@ mod tests {
         assert_eq!(outcome.elided_reshuffles(), 1);
         assert_eq!(checked, vec![(queries[0].clone(), queries[1].clone())]);
         // The elided query's answers match a from-scratch evaluation...
-        assert_eq!(outcome.per_query[1].result, cq::evaluate(&queries[1], &i));
+        assert_eq!(*outcome.per_query[1].result, cq::evaluate(&queries[1], &i));
         // ...yet it shipped zero input facts.
         assert_eq!(outcome.per_query[1].total_comm_volume(), 0);
         assert!(outcome.per_query[0].total_comm_volume() > 0);
@@ -969,8 +970,7 @@ mod tests {
         // though the shards never move.
         let queries = [loop_query(), square_query(), loop_query()];
         let i = parse_instance("R(a, a). R(a, b).").unwrap();
-        let network = Network::with_size(2);
-        let broadcast = ExplicitPolicy::new(network.clone()).with_default(network.nodes());
+        let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(2));
         let mut pairs = Vec::new();
         let outcome = broadcast_engine(&broadcast).evaluate_queries(
             &queries,
@@ -994,13 +994,12 @@ mod tests {
     fn non_transferable_boundaries_reshard_from_scratch() {
         let queries = [square_query(), loop_query()];
         let i = parse_instance("R(a, a). R(a, b). R(b, c).").unwrap();
-        let network = Network::with_size(2);
-        let broadcast = ExplicitPolicy::new(network.clone()).with_default(network.nodes());
+        let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(2));
         let outcome =
             broadcast_engine(&broadcast).evaluate_queries(&queries, &i, &mut |_, _| false);
         assert_eq!(outcome.transfer_checks, 1);
         assert_eq!(outcome.elided_reshuffles(), 0);
-        assert_eq!(outcome.per_query[1].result, cq::evaluate(&queries[1], &i));
+        assert_eq!(*outcome.per_query[1].result, cq::evaluate(&queries[1], &i));
         assert!(
             outcome.per_query[1].total_comm_volume() > 0,
             "a refused transfer must re-shard"
@@ -1014,8 +1013,7 @@ mod tests {
         // can never drift.
         let queries = [loop_query(), square_query(), loop_query()];
         let i = parse_instance("R(a, a). R(a, b). R(b, c).").unwrap();
-        let network = Network::with_size(2);
-        let broadcast = ExplicitPolicy::new(network.clone()).with_default(network.nodes());
+        let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(2));
         let engine = broadcast_engine(&broadcast);
         let registry = engine.registry();
         let mut verdicts = [true, false].iter().copied().cycle();
@@ -1046,8 +1044,7 @@ mod tests {
     fn reshuffle_always_never_consults_the_oracle() {
         let queries = [loop_query(), square_query()];
         let i = parse_instance("R(a, a). R(a, b).").unwrap();
-        let network = Network::with_size(2);
-        let broadcast = ExplicitPolicy::new(network.clone()).with_default(network.nodes());
+        let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(2));
         let outcome = broadcast_engine(&broadcast)
             .reshuffle_always(true)
             .evaluate_queries(&queries, &i, &mut |_, _| {
@@ -1061,16 +1058,17 @@ mod tests {
     fn unconverged_or_feedback_runs_leave_no_resident_shards() {
         let queries = [loop_query(), square_query()];
         let i = parse_instance("R(a, a). R(a, b). R(b, c).").unwrap();
-        let network = Network::with_size(2);
-        let broadcast = ExplicitPolicy::new(network.clone()).with_default(network.nodes());
-        // Round cap 1: query 1 cannot converge, so its shards are an
-        // intermediate state and must not be reused.
-        let capped = MultiRoundEngine::new(RoundSchedule::repeat(&broadcast))
+        let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(2));
+        // A two-entry schedule capped at one round: query 1 stops before
+        // its second entry ran, so its shards are an intermediate state and
+        // must not be reused.
+        let capped = MultiRoundEngine::new(RoundSchedule::of(vec![&broadcast, &broadcast]))
             .rounds(1)
             .evaluate_queries(&queries, &i, &mut |_, _| {
                 panic!("no resident shards, no transfer check")
             });
         assert_eq!(capped.transfer_checks, 0);
+        assert!(!capped.per_query[0].converged);
         // A feedback rewrite renames the resident facts, so they are not
         // the state either.
         let feedback = broadcast_engine(&broadcast)
@@ -1086,30 +1084,32 @@ mod tests {
     #[test]
     fn elided_and_resharded_multi_query_runs_agree() {
         // The elision is an optimization, never a semantics change: for a
-        // transferring sequence, per-query results and final states match
+        // transferring sequence, per-query results and convergence match
         // the reshuffle-always baseline in both evaluation modes — while
-        // shipping strictly fewer fact-assignments.
+        // shipping strictly fewer fact-assignments. Capped at one round, a
+        // query without feedback has converged all the same (a second round
+        // would repeat the first), so its shards stay resident too.
         let queries = [loop_query(), square_query()];
         let i = parse_instance("R(a, a). R(a, b). R(b, c). R(c, a).").unwrap();
-        let network = Network::with_size(3);
-        let broadcast = ExplicitPolicy::new(network.clone()).with_default(network.nodes());
-        for semi in [false, true] {
-            let engine = || broadcast_engine(&broadcast).semi_naive(semi);
+        let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(3));
+        for (semi, rounds) in [(false, 4), (true, 4), (false, 1), (true, 1)] {
+            let engine = || broadcast_engine(&broadcast).semi_naive(semi).rounds(rounds);
             let elided = engine().evaluate_queries(&queries, &i, &mut |_, _| true);
             let baseline =
                 engine()
                     .reshuffle_always(true)
                     .evaluate_queries(&queries, &i, &mut |_, _| true);
-            assert_eq!(elided.elided_reshuffles(), 1, "semi={semi}");
+            let row = format!("semi={semi}, rounds {rounds}");
+            assert_eq!(elided.elided_reshuffles(), 1, "{row}");
             assert_eq!(baseline.elided_reshuffles(), 0);
             for (e, b) in elided.per_query.iter().zip(&baseline.per_query) {
-                assert_eq!(e.result, b.result, "semi={semi}");
-                assert_eq!(e.final_state, b.final_state, "semi={semi}");
-                assert_eq!(e.converged, b.converged, "semi={semi}");
+                assert_eq!(e.result, b.result, "{row}");
+                assert!(e.converged && b.converged, "{row}");
+                assert_eq!(e.rounds_run(), 1, "{row}");
             }
             assert!(
                 elided.total_comm_volume() < baseline.total_comm_volume(),
-                "semi={semi}: elision must ship strictly less"
+                "{row}: elision must ship strictly less"
             );
         }
     }
@@ -1129,7 +1129,7 @@ mod tests {
         assert_eq!(outcome.transfer_checks, 2);
         assert_eq!(outcome.elided_reshuffles(), 1);
         for (query, run) in queries.iter().zip(&outcome.per_query) {
-            assert_eq!(run.result, cq::evaluate(query, &i), "{query}");
+            assert_eq!(*run.result, cq::evaluate(query, &i), "{query}");
         }
     }
 }

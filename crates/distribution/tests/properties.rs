@@ -341,7 +341,7 @@ proptest! {
 
         let broadcast = ExplicitPolicy::broadcast(&network, &i);
         let b = OneRoundEngine::new(&broadcast).evaluate(&q, &i);
-        prop_assert_eq!(&b.result, &expected);
+        prop_assert_eq!(&*b.result, &expected);
 
         // A deterministic "random" single-assignment policy from the seed mask.
         let mut single = ExplicitPolicy::new(network.clone());
@@ -383,12 +383,12 @@ proptest! {
                 .unwrap();
             let outputs = transport.outputs;
             prop_assert_eq!(
-                &outcome.result,
+                &*outcome.result,
                 &Instance::from_facts(outputs.values().flat_map(Instance::facts).cloned()),
                 "{}: the result is the union of the node outputs", name
             );
             if parallel_correct {
-                prop_assert_eq!(&outcome.result, &oracle, "{} on {}", name, q);
+                prop_assert_eq!(&*outcome.result, &oracle, "{} on {}", name, q);
             }
             for (node, output) in &outputs {
                 prop_assert_eq!(outcome.per_node_output[node], output.len(), "{}", name);

@@ -1276,7 +1276,7 @@ mod tests {
         // a broadcast round is parallel-correct: one round must match
         let outcome = distribution::OneRoundEngine::new(policies[0].as_ref())
             .evaluate(s.query(), &s.instance);
-        assert_eq!(outcome.result, cq::evaluate(s.query(), &s.instance));
+        assert_eq!(*outcome.result, cq::evaluate(s.query(), &s.instance));
     }
 
     /// Parses a policy list and builds it for `query` over no facts.
@@ -1413,7 +1413,7 @@ mod tests {
         let policies = s.build_schedule().unwrap();
         let outcome = distribution::OneRoundEngine::new(policies[0].as_ref())
             .evaluate(s.query(), &s.instance);
-        assert_eq!(outcome.result, cq::evaluate(s.query(), &s.instance));
+        assert_eq!(*outcome.result, cq::evaluate(s.query(), &s.instance));
         // and the whole thing round-trips
         assert_eq!(Scenario::parse(&s.to_string()).unwrap(), s);
     }

@@ -274,8 +274,9 @@ pub struct TraceSummary {
     pub instants: BTreeMap<String, u64>,
     /// Per-process-lane aggregates, keyed by pid.
     pub processes: BTreeMap<u32, ProcessStats>,
-    /// Coordinator `eval_round` / `one_round` spans in timeline order:
-    /// the round-by-round critical path.
+    /// Coordinator `eval_round` / `resident_round` spans in timeline order,
+    /// one per round that ran (the `one_round` nested in an `eval_round` is
+    /// no round of its own): the round-by-round critical path.
     pub rounds: Vec<RoundStats>,
     /// Events the recording session dropped (per-thread buffer
     /// overflow): when nonzero the timeline is incomplete and every
@@ -308,7 +309,9 @@ impl TraceSummary {
                     phase.total_us += event.dur_us;
                     phase.min_us = phase.min_us.min(event.dur_us);
                     phase.max_us = phase.max_us.max(event.dur_us);
-                    if event.pid == 0 && (event.name == "eval_round" || event.name == "one_round") {
+                    if event.pid == 0
+                        && matches!(event.name.as_str(), "eval_round" | "resident_round")
+                    {
                         let round = event
                             .args
                             .iter()
@@ -569,6 +572,25 @@ mod tests {
         );
         // json rendering parses back
         JsonValue::parse(&summary.to_json().to_string()).unwrap();
+    }
+
+    #[test]
+    fn a_summary_has_one_entry_per_round_that_ran() {
+        // Two full rounds, each with the `one_round` it runs nested inside,
+        // then a resident round; a worker's span never counts.
+        let events = vec![
+            span("run", 0, 100, 0, 1, 0),
+            span("eval_round", 10, 20, 0, 2, 1),
+            span("one_round", 11, 18, 0, 3, 2),
+            span("eval_round", 40, 30, 0, 4, 1),
+            span("one_round", 41, 28, 0, 5, 4),
+            span("eval_round", 42, 5, 1, (1 << 40) | 1, 5),
+            span("resident_round", 80, 10, 0, 6, 1),
+        ];
+        check_well_formed(&events).unwrap();
+        let rounds = TraceSummary::from_events(&events).rounds;
+        let durations: Vec<u64> = rounds.iter().map(|r| r.dur_us).collect();
+        assert_eq!(durations, [20, 30, 10]);
     }
 
     #[test]

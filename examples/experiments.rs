@@ -544,7 +544,7 @@ fn table_t8() -> String {
                 outcome.stats.max_load,
                 outcome.stats.replication_factor,
                 expected.len(),
-                outcome.result == expected,
+                *outcome.result == expected,
                 ms(t)
             );
         }

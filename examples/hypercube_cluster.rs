@@ -30,7 +30,7 @@ fn run(workload: &str, instance: &Instance, query: &ConjunctiveQuery, buckets: u
     let policy = HypercubePolicy::uniform(query, buckets).expect("policy");
     let engine = OneRoundEngine::new(&policy).workers(4);
     let outcome = engine.evaluate(query, instance);
-    let correct = outcome.result == evaluate(query, instance);
+    let correct = *outcome.result == evaluate(query, instance);
     println!(
         "{:<10} {:>8} {:>8} {:>12} {:>10} {:>12.2} {:>10}",
         workload,

@@ -116,7 +116,7 @@ fn main() {
     for (j, wq) in queries.iter().enumerate() {
         let outcome = engine.evaluate(&wq.query, &data);
         let expected = evaluate(&wq.query, &data);
-        let correct = outcome.result == expected;
+        let correct = *outcome.result == expected;
         println!(
             "  {:<20} answers={:<6} one-round correct: {:<5} (transfer predicted: {})",
             wq.name,

@@ -91,7 +91,7 @@ fn main() {
     println!("  distributed result: {}", outcome.result);
     println!("  centralized result: {}", evaluate(&query, &instance));
     println!("  reshuffle stats:    {}", outcome.stats);
-    assert_eq!(outcome.result, evaluate(&query, &instance));
+    assert_eq!(*outcome.result, evaluate(&query, &instance));
 
     // ------------------------------------------------------- transferability
     // Can the distribution used for Q be reused for the path query?

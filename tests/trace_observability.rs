@@ -441,7 +441,10 @@ fn chrome_export_of_a_live_run_round_trips_and_summarizes() {
     let query = named_query("triangle").unwrap();
     let instance = instance_for(&query, 7);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
-    let engine = OneRoundEngine::new(&policy).workers(2);
+    // A one-round run as `run` executes it: the round loop capped at one.
+    let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
+        .rounds(1)
+        .workers(2);
 
     let (_, events) = traced(|| engine.evaluate(&query, &instance));
     let doc = trace_export::chrome_trace(&events).to_string();

@@ -123,7 +123,6 @@ fn multi_round_matches_memory(spawn: Spawn) {
         );
         assert_eq!(on_wire.converged, in_memory.converged, "{name}");
         assert_eq!(on_wire.rounds_run(), in_memory.rounds_run(), "{name}");
-        assert_eq!(on_wire.final_state, in_memory.final_state, "{name}");
         for (mem_round, wire_round) in in_memory.rounds.iter().zip(&on_wire.rounds) {
             assert_eq!(
                 mem_round.result, wire_round.result,
@@ -179,7 +178,6 @@ fn semi_naive_matches_full_and_memory(spawn: Spawn) {
             );
             assert_eq!(semi.converged, full.converged, "{name}/{label}");
             assert_eq!(semi.rounds_run(), full.rounds_run(), "{name}/{label}");
-            assert_eq!(semi.final_state, full.final_state, "{name}/{label}");
         }
         // The two semi-naive paths must agree round by round, not just in
         // the end: same delta loads, same delta outputs.
@@ -361,7 +359,7 @@ fn named_values_go_in_and_named_values_come_out_on_every_transport() {
     let in_memory = build_engine().evaluate(&query, &instance);
     assert!(in_memory.converged && in_memory.rounds_run() > 2);
     assert_eq!(
-        in_memory.result,
+        *in_memory.result,
         build_engine().reference_fixpoint(&query, &instance).result
     );
     let printed = in_memory.result.to_string();
@@ -372,15 +370,7 @@ fn named_values_go_in_and_named_values_come_out_on_every_transport() {
             .evaluate_via(&mut transport, &query, &instance)
             .unwrap();
         assert_eq!(on_wire.result.to_string(), printed);
-        assert_eq!(
-            on_wire.final_state.to_string(),
-            in_memory.final_state.to_string()
-        );
-        assert!(!on_wire.final_state.to_string().contains('#'));
         assert_eq!(on_wire.rounds_run(), in_memory.rounds_run());
-        for fact in instance.facts() {
-            assert!(on_wire.final_state.contains(fact), "{fact} was lost");
-        }
     }
 }
 
@@ -491,7 +481,7 @@ fn every_transport_equals_the_central_scan_oracle() {
             ("socket", via_socket),
         ] {
             assert_eq!(
-                outcome.result, oracle,
+                *outcome.result, oracle,
                 "{name}: the {label} run differs from the scan oracle"
             );
         }
@@ -523,7 +513,7 @@ fn multi_round_wire_runs_equal_the_reference_fixpoint() {
             ("socket", via_socket),
         ] {
             let context = format!("semi_naive={semi_naive}: the {label} run");
-            assert_eq!(outcome.result, reference.result, "{context}");
+            assert_eq!(*outcome.result, reference.result, "{context}");
             assert_eq!(outcome.rounds_run(), reference.rounds, "{context}");
         }
     }
@@ -609,10 +599,6 @@ fn multi_query_elision_matches_reshuffle_always_on_all_sequences_and_transports(
                     e.result.to_string(),
                     b.result.to_string(),
                     "{name}[{i}] semi_naive={semi_naive}: elided answers diverged"
-                );
-                assert_eq!(
-                    e.final_state, b.final_state,
-                    "{name}[{i}] semi_naive={semi_naive}"
                 );
                 assert_eq!(e.converged, b.converged, "{name}[{i}]");
             }
