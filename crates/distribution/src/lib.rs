@@ -23,11 +23,12 @@
 //! * [`MultiRoundEngine`] — the iterated (MPC-style multi-round) algorithm:
 //!   distribute→evaluate cycles under a per-round [`RoundSchedule`], with
 //!   an optional feedback relation, fixpoint detection and a round cap;
-//!   [`MultiRoundEngine::semi_naive`] switches the rounds to **incremental
-//!   mode** — only the facts new since the previous round are reshuffled
-//!   ([`Shipment::Delta`]), nodes keep their accumulated state across
-//!   rounds, and local evaluation is one semi-naive differential pass
-//!   instead of a full re-evaluation,
+//!   the feedback relation decides how rounds ship: with it every round is
+//!   **incremental** — only the facts new since the previous round are
+//!   reshuffled ([`Shipment::Delta`]), nodes keep their accumulated state
+//!   across rounds, and local evaluation is one semi-naive differential
+//!   pass instead of a full re-evaluation — and without it every round
+//!   ships full chunks ([`Shipment::Full`]),
 //! * [`Transport`] — the seam between the engines and wherever local
 //!   evaluation happens: `begin_round` / `send(node, `[`Shipment`]`)` /
 //!   `barrier` / `recv(node)`. [`InMemoryTransport`] evaluates on an

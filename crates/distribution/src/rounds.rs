@@ -8,12 +8,11 @@
 //! round's policy (a [`RoundSchedule`] may change policies between rounds),
 //! evaluates locally at every node, and merges the round's outputs back into
 //! the next round's instance. There is one round loop
-//! ([`MultiRoundEngine::evaluate_via`]) over any [`Transport`]: a full
-//! round ships every node its whole chunk, a semi-naive round only the
-//! facts the previous round added, and a query whose parallel correctness
-//! transfers from its predecessor runs as one reshuffle-free round on the
-//! shards already resident ([`MultiRoundEngine::evaluate_queries_via`]).
-//! A one-round run is this loop capped at one round.
+//! ([`MultiRoundEngine::evaluate_via`]) over any [`Transport`], and a query
+//! whose parallel correctness transfers from its predecessor runs as one
+//! reshuffle-free round on the shards already resident
+//! ([`MultiRoundEngine::evaluate_queries_via`]). A one-round run is this
+//! loop capped at one round.
 //!
 //! Because a conjunctive query's head relation must be outside its input
 //! schema, iteration is expressed through an optional **feedback relation**:
@@ -43,8 +42,16 @@
 //! fixpoint is one centralized evaluation. Iterating until the whole state
 //! repeats would only append that provably empty round, so the answers are
 //! the same.
+//!
+//! **How a round ships follows from the feedback relation.** With feedback
+//! every round is a semi-naive [`Shipment::Delta`] round: round 0 and each
+//! policy switch (a re-shard) ship the whole state, later rounds only what
+//! the previous round added, to nodes that keep their state. Without
+//! feedback every round is a [`Shipment::Full`] round, which may split by
+//! body atom ([`OneRoundEngine`]). That is enough: a delta only saves on a
+//! round that follows its own schedule entry, and without feedback no round
+//! does.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -105,8 +112,8 @@ impl<'a> RoundSchedule<'a> {
 
     /// The schedule index of the policy used in round `round` — two rounds
     /// with equal indices run the *same* policy, which is what the round
-    /// loop uses to detect a policy switch (a semi-naive re-shard point)
-    /// and, without feedback, a round that would repeat the last.
+    /// loop uses to detect a policy switch (with feedback, a re-shard
+    /// point) and, without feedback, a round that would repeat the last.
     fn policy_index(&self, round: usize) -> usize {
         round.min(self.policies.len() - 1)
     }
@@ -140,9 +147,10 @@ pub struct MultiRoundOutcome {
     /// single resident round, `0` for a run that re-distributed normally).
     pub elided_reshuffles: usize,
     /// Round indices that were explicit state-reset/re-shard rounds: a
-    /// semi-naive run whose schedule switched policies re-ships the full
+    /// feedback run whose schedule switched policies re-ships the full
     /// accumulated state under the new policy at these rounds (their
-    /// statistics describe that full re-shard, not a delta).
+    /// statistics describe that full re-shard, not a delta). Always empty
+    /// without feedback, where every round ships its whole input anyway.
     pub reshard_rounds: Vec<usize>,
 }
 
@@ -154,10 +162,9 @@ impl MultiRoundOutcome {
 
     /// Cumulative communication volume: total `(fact, node)` assignments
     /// shipped across all reshuffle phases. Each round's statistics
-    /// describe what that round **actually distributed** — the accumulated
-    /// state in full re-evaluation mode, only the per-round delta in
-    /// semi-naive mode — so the two modes report their genuinely different
-    /// shipping honestly.
+    /// describe what that round **actually distributed**: the input in a
+    /// run without feedback; with feedback the whole carried state at
+    /// round 0 and at each re-shard, and only the round's delta otherwise.
     pub fn total_comm_volume(&self) -> usize {
         self.rounds.iter().map(|r| r.stats.total_assigned).sum()
     }
@@ -221,7 +228,6 @@ pub struct MultiRoundEngine<'a> {
     max_rounds: usize,
     feedback: Option<Symbol>,
     workers: usize,
-    semi_naive: bool,
     reshuffle_always: bool,
     /// The engine's metrics registry: `transfer_checks`, `transfer_hits`,
     /// `transfer_misses` and `elided_reshuffles` accumulate here across
@@ -241,7 +247,6 @@ impl<'a> MultiRoundEngine<'a> {
             max_rounds: 1,
             feedback: None,
             workers: 1,
-            semi_naive: false,
             reshuffle_always: false,
             registry: std::sync::Arc::new(obs::Registry::new()),
         }
@@ -287,25 +292,12 @@ impl<'a> MultiRoundEngine<'a> {
         self
     }
 
-    /// Switches the run to **semi-naive incremental** rounds: each round
-    /// reshuffles only the facts that are new since the previous round
-    /// (round 0 ships everything), the nodes keep their accumulated state
-    /// across rounds inside the transport ([`Shipment::Delta`]), and each
-    /// node's local evaluation is one differential pass over its delta
-    /// (`cq::evaluate_seminaive_step`) rather than a full re-evaluation.
-    ///
-    /// The final `result`, `converged` flag and round count are **provably
-    /// identical** to full re-evaluation mode; per-round
-    /// [`OneRoundOutcome`]s differ in the documented ways (each round's
-    /// `result` holds only the *new* facts, and the loads/statistics
-    /// describe the delta reshuffle). A schedule that switches policies
-    /// between rounds is handled with an explicit **re-shard round**: the
-    /// full accumulated state is re-shipped under the new policy as a
-    /// fresh round-0 reset (recorded in
-    /// [`MultiRoundOutcome::reshard_rounds`]), and delta shipping resumes
-    /// from the rebuilt state.
-    pub fn semi_naive(mut self, enabled: bool) -> Self {
-        self.semi_naive = enabled;
+    /// Ignored: how a round ships follows from the feedback relation (see
+    /// the module docs), so a feedback run always ships semi-naive deltas
+    /// and any other run full chunks. Kept only because the benchmark
+    /// harness calls it; the benchmark change that drops `--semi-naive`
+    /// deletes it.
+    pub fn semi_naive(self, _enabled: bool) -> Self {
         self
     }
 
@@ -324,31 +316,28 @@ impl<'a> MultiRoundEngine<'a> {
     /// cross-process when the transport is wire-backed — then merges the
     /// outputs and applies the stop rule of the module docs.
     ///
-    /// A full round ships every node its chunk of the whole carried state
-    /// ([`Shipment::Full`]). With [`MultiRoundEngine::semi_naive`] a round
-    /// ships only the facts the previous round added
-    /// ([`Shipment::Delta`]; round 0 ships everything), and a policy
-    /// switch re-ships the whole state as a fresh round-0 reset. "The
-    /// delta is empty" is exactly the fixpoint test, so the two modes
-    /// converge on the same round with the same cumulative result (the
-    /// differential suites pin this).
+    /// The feedback relation picks how rounds ship. Without feedback every
+    /// round ships every node its chunk of the input, which the loop
+    /// borrows ([`Shipment::Full`]). With feedback the loop owns the
+    /// carried state and every round is a delta round ([`Shipment::Delta`]):
+    /// round 0 ships the whole state, later rounds only what the previous
+    /// round added, and a policy switch re-ships the whole state as a fresh
+    /// round-0 reset ([`MultiRoundOutcome::reshard_rounds`]).
     pub fn evaluate_via(
         &self,
         transport: &mut dyn Transport,
         query: &ConjunctiveQuery,
         instance: &Instance,
     ) -> Result<MultiRoundOutcome, TransportError> {
-        // Only feedback makes a round read what an earlier one derived.
-        let mut state = match self.feedback {
-            Some(_) => Cow::Owned(instance.clone()),
-            None => Cow::Borrowed(instance),
-        };
+        // With feedback: the relation, the carried state it grows, and what
+        // the previous round added to that state.
+        let mut carried = self
+            .feedback
+            .map(|relation| (relation, instance.clone(), Instance::new()));
         let mut result = Arc::new(Instance::new());
         let mut rounds = Vec::new();
         let mut reshard_rounds = Vec::new();
         let mut converged = false;
-        // Semi-naive only: what the previous round added to the state.
-        let mut delta = Instance::new();
         // Delta rounds as numbered towards the transport: 0 resets
         // per-node state and ships the whole state, so every re-shard
         // restarts the count.
@@ -356,53 +345,56 @@ impl<'a> MultiRoundEngine<'a> {
         let round_latency = self.registry.histogram("round_latency_us");
         for round in 0..self.max_rounds {
             let round_started = Instant::now();
-            let _round_span = obs::span!("eval_round", round = round, facts = state.len());
+            let facts = carried
+                .as_ref()
+                .map_or(instance, |(_, state, _)| state)
+                .len();
+            let _round_span = obs::span!("eval_round", round = round, facts = facts);
             let policy_index = self.schedule.policy_index(round);
             let engine = OneRoundEngine::new(self.schedule.policy_for(round));
-            let outcome = if self.semi_naive {
-                if round > 0 && policy_index != self.schedule.policy_index(round - 1) {
-                    // A policy switch re-routes facts that were already
-                    // shipped: reset the nodes and re-shard everything.
-                    obs::instant!("reshard", round = round);
-                    reshard_rounds.push(round);
-                    delta_round = 0;
+            let outcome = match &mut carried {
+                None => {
+                    let outcome = engine.evaluate_via(transport, round, query, instance)?;
+                    let _span = obs::span!("merge_results", round = round);
+                    // A next round on the same schedule entry would read
+                    // the same input and repeat this one.
+                    converged = !merge_output(&mut result, &outcome.result)
+                        || self.schedule.policy_index(round + 1) == policy_index;
+                    outcome
                 }
-                let new_facts = if delta_round == 0 { &*state } else { &delta };
-                let _span = obs::span!(
-                    "delta_round",
-                    round = delta_round,
-                    delta_facts = new_facts.len()
-                );
-                let mut plan = engine.plan(new_facts, Shipment::Delta, None);
-                if delta_round > 0 {
-                    plan.skip_empty();
-                }
-                let outcome = run_round(transport, delta_round, query, plan)?;
-                delta_round += 1;
-                outcome
-            } else {
-                engine.evaluate_via(transport, round, query, &state)?
-            };
-            let progressed = {
-                let _span = obs::span!("merge_results", round = round);
-                let answered = merge_output(&mut result, &outcome.result);
-                match self.feedback {
-                    Some(relation) => {
-                        delta = feed_back(relation, &outcome.result, state.to_mut());
-                        !delta.is_empty()
+                Some((relation, state, delta)) => {
+                    if round > 0 && policy_index != self.schedule.policy_index(round - 1) {
+                        // A policy switch re-routes facts that were already
+                        // shipped: reset the nodes and re-shard everything.
+                        obs::instant!("reshard", round = round);
+                        reshard_rounds.push(round);
+                        delta_round = 0;
                     }
-                    None => answered,
+                    let outcome = {
+                        let new_facts = if delta_round == 0 { &*state } else { &*delta };
+                        let _span = obs::span!(
+                            "delta_round",
+                            round = delta_round,
+                            delta_facts = new_facts.len()
+                        );
+                        let mut plan = engine.plan(new_facts, Shipment::Delta, None);
+                        if delta_round > 0 {
+                            plan.skip_empty();
+                        }
+                        run_round(transport, delta_round, query, plan)?
+                    };
+                    delta_round += 1;
+                    let _span = obs::span!("merge_results", round = round);
+                    merge_output(&mut result, &outcome.result);
+                    *delta = feed_back(*relation, &outcome.result, state);
+                    converged = delta.is_empty();
+                    outcome
                 }
             };
             rounds.push(outcome);
             round_latency
                 .record(u64::try_from(round_started.elapsed().as_micros()).unwrap_or(u64::MAX));
-            // Without feedback a next round on the same schedule entry
-            // would read the same input and repeat this one.
-            let repeats =
-                self.feedback.is_none() && self.schedule.policy_index(round + 1) == policy_index;
-            if !progressed || repeats {
-                converged = true;
+            if converged {
                 break;
             }
         }
@@ -522,24 +514,16 @@ impl<'a> MultiRoundEngine<'a> {
 
     /// Which nodes hold the just-finished run's fixpoint, if any do:
     /// requires no feedback rewrite (the resident facts would be renamed
-    /// copies, not the state) and convergence (a round-capped run's nodes hold an
-    /// intermediate state, not the fixpoint). The shards then sit exactly
-    /// where the anchor round shipped them — the last round in full mode
-    /// (each full round re-ships the whole state), the last reset round in
-    /// semi-naive mode (later delta rounds only top nodes up).
+    /// copies, not the state) and convergence (a round-capped run's nodes
+    /// hold an intermediate state, not the fixpoint). The shards then sit
+    /// exactly where the last round shipped them: without feedback every
+    /// round is a full round, which ships the whole input.
     fn resident_nodes(&self, outcome: &MultiRoundOutcome) -> Option<Vec<Node>> {
         if self.feedback.is_some() || !outcome.converged {
             return None;
         }
-        let anchor = if self.semi_naive {
-            *outcome.reshard_rounds.last().unwrap_or(&0)
-        } else {
-            outcome.rounds.len().saturating_sub(1)
-        };
-        outcome
-            .rounds
-            .get(anchor)
-            .map(|round| round.per_node_load.keys().copied().collect())
+        let last = outcome.rounds.last()?;
+        Some(last.per_node_load.keys().copied().collect())
     }
 
     /// The centralized reference: iterates `evaluate(query, ·)` with the
@@ -578,8 +562,8 @@ impl<'a> MultiRoundEngine<'a> {
 /// [`MultiRoundEngine::reference_fixpoint`], so the distributed run and its
 /// centralized yardstick can never drift apart in their feedback/fixpoint
 /// semantics: renames a round's `output` into `relation`, absorbs it into
-/// the carried `state` and returns what that added — a semi-naive run's
-/// next delta. The state only grows, so an empty return means the state
+/// the carried `state` and returns what that added — the next round's
+/// delta. The state only grows, so an empty return means the state
 /// repeated: the fixpoint, after which no round can produce a new fact.
 fn feed_back(relation: Symbol, output: &Instance, state: &mut Instance) -> Instance {
     state.absorb(
@@ -742,24 +726,47 @@ mod tests {
         assert_eq!(schedule.policy_for(7).network().len(), b.network().len());
     }
 
-    /// Runs the same workload in full-re-evaluation and semi-naive modes
-    /// and asserts the outcome-level contract: same cumulative result,
-    /// same convergence verdict, same round count.
-    fn assert_semi_naive_parity<'a>(
-        engine: impl Fn() -> MultiRoundEngine<'a>,
+    /// Runs `engine` and checks it against the engine-independent oracles:
+    /// it converges on the reference fixpoint's answers, in the reference's
+    /// rounds (every policy here is parallel-correct for the query).
+    fn assert_matches_reference(
+        engine: MultiRoundEngine<'_>,
         q: &ConjunctiveQuery,
         i: &Instance,
-    ) -> (MultiRoundOutcome, MultiRoundOutcome) {
-        let full = engine().evaluate(q, i);
-        let semi = engine().semi_naive(true).evaluate(q, i);
-        assert_eq!(semi.result, full.result, "results diverged");
-        assert_eq!(semi.converged, full.converged, "convergence diverged");
+    ) -> MultiRoundOutcome {
+        let outcome = engine.evaluate(q, i);
+        let reference = engine.reference_fixpoint(q, i);
+        assert!(outcome.converged, "the run did not converge");
+        assert_eq!(*outcome.result, reference.result, "results diverged");
         assert_eq!(
-            semi.rounds_run(),
-            full.rounds_run(),
+            outcome.rounds_run(),
+            reference.rounds,
             "round counts diverged"
         );
-        (full, semi)
+        outcome
+    }
+
+    /// What full rounds ship on the way to the fixpoint of `q` with feedback
+    /// into `R`: round `r` reshuffles the whole state of the centralized
+    /// iteration under round `r`'s policy (the last one repeats).
+    fn full_round_volumes(
+        policies: &[&dyn DistributionPolicy],
+        q: &ConjunctiveQuery,
+        i: &Instance,
+    ) -> Vec<usize> {
+        let mut state = i.clone();
+        let mut volumes = Vec::new();
+        loop {
+            let policy = policies[volumes.len().min(policies.len() - 1)];
+            volumes.push(policy.distribute(&state).stats(&state).total_assigned);
+            let output: Instance = evaluate(q, &state)
+                .facts()
+                .map(|f| Fact::new(Symbol::new("R"), f.values.clone()))
+                .collect();
+            if state.absorb(&output).is_empty() {
+                return volumes;
+            }
+        }
     }
 
     #[test]
@@ -767,50 +774,42 @@ mod tests {
         let q = square_query();
         let i = chain_instance(8);
         let p = HypercubePolicy::uniform(&q, 2).unwrap();
-        let engine = || {
-            MultiRoundEngine::new(RoundSchedule::repeat(&p))
-                .rounds(16)
-                .feedback_into("R")
-                .workers(2)
-        };
-        let (full, semi) = assert_semi_naive_parity(engine, &q, &i);
-        assert!(semi.converged);
-        assert_eq!(*semi.result, engine().reference_fixpoint(&q, &i).result);
+        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&p))
+            .rounds(16)
+            .feedback_into("R")
+            .workers(2);
+        let semi = assert_matches_reference(engine, &q, &i);
         // The whole point: late rounds ship deltas, not the accumulated
         // state, so the cumulative fact-shipping volume must shrink.
+        let full = full_round_volumes(&[&p], &q, &i);
+        assert_eq!(semi.rounds_run(), full.len());
         assert!(
-            semi.total_comm_volume() < full.total_comm_volume(),
-            "semi-naive shipped {} fact-assignments, full mode {}",
+            semi.total_comm_volume() < full.iter().sum(),
+            "semi-naive shipped {} fact-assignments, full rounds {full:?}",
             semi.total_comm_volume(),
-            full.total_comm_volume()
         );
-        // Round 0 ships the same initial instance in both modes; every
-        // later round ships a strict subset (the delta, not the
-        // accumulated state).
-        assert_eq!(
-            semi.rounds[0].stats.total_assigned,
-            full.rounds[0].stats.total_assigned
-        );
-        for (r, (s, f)) in semi.rounds.iter().zip(&full.rounds).enumerate().skip(1) {
+        // Round 0 ships the whole initial instance; every later round ships
+        // a strict subset (the delta, not the accumulated state).
+        assert_eq!(semi.rounds[0].stats.total_assigned, full[0]);
+        for (r, (s, &f)) in semi.rounds.iter().zip(&full).enumerate().skip(1) {
             assert!(
-                s.stats.total_assigned < f.stats.total_assigned,
-                "round {r}: semi shipped {} >= full {}",
+                s.stats.total_assigned < f,
+                "round {r}: semi shipped {} >= full {f}",
                 s.stats.total_assigned,
-                f.stats.total_assigned
             );
         }
     }
 
     #[test]
     fn semi_naive_round_one_delta_is_the_whole_input() {
-        // Round 0 of an incremental run ships everything (every fact is
-        // new), making it exactly a full evaluation.
+        // Round 0 of a feedback run ships everything (every fact is new),
+        // making it exactly a full evaluation.
         let q = square_query();
         let i = chain_instance(5);
         let p = HypercubePolicy::uniform(&q, 2).unwrap();
         let semi = MultiRoundEngine::new(RoundSchedule::repeat(&p))
             .rounds(1)
-            .semi_naive(true)
+            .feedback_into("R")
             .evaluate(&q, &i);
         let one = OneRoundEngine::new(&p).evaluate(&q, &i);
         assert_eq!(semi.rounds[0].result, one.result);
@@ -822,16 +821,13 @@ mod tests {
     fn semi_naive_empty_instance_converges_on_empty_round_one_deltas() {
         // Edge case: the very first delta is already empty. Every node
         // receives an empty round-0 chunk, derives nothing, and the run
-        // converges after one round — in both modes.
+        // converges after one round.
         let q = square_query();
         let p = HypercubePolicy::uniform(&q, 2).unwrap();
-        let engine = || {
-            MultiRoundEngine::new(RoundSchedule::repeat(&p))
-                .rounds(4)
-                .feedback_into("R")
-        };
-        let (_, semi) = assert_semi_naive_parity(engine, &q, &Instance::new());
-        assert!(semi.converged);
+        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&p))
+            .rounds(4)
+            .feedback_into("R");
+        let semi = assert_matches_reference(engine, &q, &Instance::new());
         assert_eq!(semi.rounds_run(), 1);
         assert!(semi.result.is_empty());
         assert!(semi.rounds[0].per_node_load.values().all(|&l| l == 0));
@@ -846,46 +842,57 @@ mod tests {
         let q = square_query();
         let i = cq::parse_instance("R(a, b). R(b, c). R(a, c).").unwrap();
         let p = HypercubePolicy::uniform(&q, 2).unwrap();
-        let engine = || {
-            MultiRoundEngine::new(RoundSchedule::repeat(&p))
-                .rounds(8)
-                .feedback_into("R")
-        };
-        let (_, semi) = assert_semi_naive_parity(engine, &q, &i);
-        assert!(semi.converged);
+        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&p))
+            .rounds(8)
+            .feedback_into("R");
+        let semi = assert_matches_reference(engine, &q, &i);
         assert_eq!(semi.rounds_run(), 1, "nothing new ever enters the state");
         assert_eq!(*semi.result, cq::parse_instance("T(a, c).").unwrap());
     }
 
     #[test]
     fn semi_naive_round_cap_short_of_fixpoint_reports_not_converged() {
-        // Edge case: the cap stops the run mid-closure; both modes must
-        // agree on the partial result and on not having converged.
+        // Edge case: the cap stops the run mid-closure, short of the
+        // reference fixpoint and without having converged.
         let q = square_query();
         let i = chain_instance(8);
         let p = HypercubePolicy::uniform(&q, 2).unwrap();
-        let engine = || {
-            MultiRoundEngine::new(RoundSchedule::repeat(&p))
-                .rounds(2)
-                .feedback_into("R")
-        };
-        let (_, semi) = assert_semi_naive_parity(engine, &q, &i);
+        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&p))
+            .rounds(2)
+            .feedback_into("R");
+        let semi = engine.evaluate(&q, &i);
         assert!(!semi.converged);
         assert_eq!(semi.rounds_run(), 2);
-        let fixpoint = engine().rounds(16).reference_fixpoint(&q, &i);
+        let fixpoint = engine.reference_fixpoint(&q, &i);
+        assert!(fixpoint.rounds > 2);
+        assert!(fixpoint.result.contains_all(&semi.result));
         assert!(semi.result.len() < fixpoint.result.len());
     }
 
     #[test]
     fn semi_naive_without_feedback_converges_on_the_first_round() {
+        // `semi_naive` is inert: without feedback every round is a full
+        // round, split by body atom under the query's own Hypercube, with
+        // or without it.
         let q = square_query();
         let i = chain_instance(4);
         let p = HypercubePolicy::uniform(&q, 2).unwrap();
         let engine = || MultiRoundEngine::new(RoundSchedule::repeat(&p)).rounds(10);
-        let (_, semi) = assert_semi_naive_parity(engine, &q, &i);
+        let full = engine().evaluate(&q, &i);
+        let semi = engine().semi_naive(true).evaluate(&q, &i);
         assert!(semi.converged);
         assert_eq!(semi.rounds_run(), 1);
         assert_eq!(*semi.result, cq::evaluate(&q, &i));
+        assert_eq!(semi.result, full.result);
+        assert!(semi.reshard_rounds.is_empty());
+        // On a chain every answer has one valuation, found at its home node.
+        let split: usize = full.rounds[0].per_node_output.values().sum();
+        assert_eq!(split, full.result.len());
+        for (s, f) in semi.rounds.iter().zip(&full.rounds) {
+            assert_eq!(s.stats, f.stats);
+            assert_eq!(s.per_node_load, f.per_node_load);
+            assert_eq!(s.per_node_output, f.per_node_output);
+        }
     }
 
     #[test]
@@ -899,33 +906,25 @@ mod tests {
 
     #[test]
     fn semi_naive_multi_policy_schedule_reshards_and_matches_full_mode() {
-        // A schedule that switches policies used to be rejected in
-        // semi-naive mode; it now runs via an explicit re-shard round at
-        // the switch and must agree with full re-evaluation exactly.
+        // A schedule that switches policies runs via an explicit re-shard
+        // round at the switch and must reach the reference fixpoint.
         let q = square_query();
         let i = chain_instance(8);
         let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(3));
         let hypercube = HypercubePolicy::uniform(&q, 2).unwrap();
-        let engine = || {
-            MultiRoundEngine::new(RoundSchedule::of(vec![&broadcast, &hypercube]))
-                .rounds(16)
-                .feedback_into("R")
-        };
-        let (full, semi) = assert_semi_naive_parity(engine, &q, &i);
-        assert!(semi.converged);
+        let engine = MultiRoundEngine::new(RoundSchedule::of(vec![&broadcast, &hypercube]))
+            .rounds(16)
+            .feedback_into("R");
+        let semi = assert_matches_reference(engine, &q, &i);
         assert_eq!(
             semi.reshard_rounds,
             vec![1],
             "the policy switch at round 1 must re-shard"
         );
-        assert!(full.reshard_rounds.is_empty());
-        assert_eq!(*semi.result, engine().reference_fixpoint(&q, &i).result);
         // The re-shard round ships the full accumulated state under the
-        // new policy, exactly like full mode's same round.
-        assert_eq!(
-            semi.rounds[1].stats.total_assigned,
-            full.rounds[1].stats.total_assigned
-        );
+        // new policy, exactly like a full round.
+        let full = full_round_volumes(&[&broadcast, &hypercube], &q, &i);
+        assert_eq!(semi.rounds[1].stats.total_assigned, full[1]);
     }
 
     // ------------------------------------------------- multi-query elision
@@ -1085,21 +1084,21 @@ mod tests {
     fn elided_and_resharded_multi_query_runs_agree() {
         // The elision is an optimization, never a semantics change: for a
         // transferring sequence, per-query results and convergence match
-        // the reshuffle-always baseline in both evaluation modes — while
+        // the reshuffle-always baseline — while
         // shipping strictly fewer fact-assignments. Capped at one round, a
         // query without feedback has converged all the same (a second round
         // would repeat the first), so its shards stay resident too.
         let queries = [loop_query(), square_query()];
         let i = parse_instance("R(a, a). R(a, b). R(b, c). R(c, a).").unwrap();
         let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(3));
-        for (semi, rounds) in [(false, 4), (true, 4), (false, 1), (true, 1)] {
-            let engine = || broadcast_engine(&broadcast).semi_naive(semi).rounds(rounds);
+        for rounds in [4, 1] {
+            let engine = || broadcast_engine(&broadcast).rounds(rounds);
             let elided = engine().evaluate_queries(&queries, &i, &mut |_, _| true);
             let baseline =
                 engine()
                     .reshuffle_always(true)
                     .evaluate_queries(&queries, &i, &mut |_, _| true);
-            let row = format!("semi={semi}, rounds {rounds}");
+            let row = format!("rounds {rounds}");
             assert_eq!(elided.elided_reshuffles(), 1, "{row}");
             assert_eq!(baseline.elided_reshuffles(), 0);
             for (e, b) in elided.per_query.iter().zip(&baseline.per_query) {

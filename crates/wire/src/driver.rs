@@ -50,8 +50,8 @@
 //! accumulated input. The rebuilt node re-derives outputs it had already
 //! shipped — harmless for the fixpoint (the engine unions results and
 //! deduplicates deltas) — and later rounds go back to shipping plain
-//! deltas. With fault tolerance off, the first worker failure surfaces as
-//! the round's `TransportError`.
+//! deltas. When no worker survives, the round fails with the last death's
+//! `TransportError`, the worker's stderr tail appended.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -561,13 +561,12 @@ pub struct WireTransport {
     results: BTreeMap<Node, NodeResult>,
     /// Request + reply payload bytes since the last `take_bytes_shipped`.
     bytes_shipped: u64,
-    fault_tolerance: bool,
-    /// Every node's shipped state this run (fault tolerance only): the
-    /// accumulated deltas of an incremental run, or the last full chunk of
-    /// a classic run — what to re-ship when the node's worker dies, and
-    /// what a requeued resident job must fall back to. An entry shares its
-    /// `Arc` with the job that shipped it; a later delta extends it
-    /// copy-on-write, which is in place once that job has been answered.
+    /// Every node's shipped state this run: the accumulated deltas of an
+    /// incremental run, or the last full chunk of a classic run — what to
+    /// re-ship when the node's worker dies, and what a requeued resident
+    /// job must fall back to. An entry shares its `Arc` with the job that
+    /// shipped it; a later delta extends it copy-on-write, which is in
+    /// place once that job has been answered.
     shipped_state: BTreeMap<Node, Arc<Instance>>,
     /// Nodes whose worker died after they were shipped state; their next
     /// delta becomes a round-0 rebuild on the new worker.
@@ -605,7 +604,6 @@ impl WireTransport {
             next_worker: 0,
             results: BTreeMap::new(),
             bytes_shipped: 0,
-            fault_tolerance: true,
             shipped_state: BTreeMap::new(),
             needs_rebuild: BTreeSet::new(),
             shutdown_grace: DEFAULT_SHUTDOWN_GRACE,
@@ -622,18 +620,6 @@ impl WireTransport {
     /// number of times it slept waiting for a worker to exit.
     pub fn metrics_registry(&self) -> Arc<obs::Registry> {
         self.registry.clone()
-    }
-
-    /// Enables (default) or disables mid-round worker-failure recovery;
-    /// when off, the first worker failure surfaces as the round's
-    /// [`TransportError`].
-    pub fn fault_tolerance(mut self, enabled: bool) -> WireTransport {
-        self.fault_tolerance = enabled;
-        if !enabled {
-            self.shipped_state.clear();
-            self.needs_rebuild.clear();
-        }
-        self
     }
 
     /// Bounds how long `Drop` waits for a worker to exit after `Shutdown`
@@ -825,11 +811,7 @@ impl Transport for WireTransport {
                 .histogram("chunk_facts")
                 .record(shipment.len() as u64);
         }
-        let (round, work) = if self.fault_tolerance {
-            self.ledgered(node, shipment)
-        } else {
-            (self.round, shipment)
-        };
+        let (round, work) = self.ledgered(node, shipment);
         self.enqueue(Job { round, node, work })
     }
 
@@ -844,6 +826,8 @@ impl Transport for WireTransport {
             window_wait_us: self.registry.histogram("window_wait_us"),
             frame_bytes: self.registry.histogram("frame_bytes"),
         };
+        // The error that ended the last worker to die, with its stderr.
+        let mut last_death = None;
         loop {
             let count = self.endpoints.len();
             let jobs = std::mem::replace(&mut self.jobs, vec![Vec::new(); count]);
@@ -900,23 +884,22 @@ impl Transport for WireTransport {
                 }
                 if let Some(error) = report.error {
                     let error = self.stderr_annotated(worker, error);
-                    if !self.fault_tolerance {
-                        return Err(error);
-                    }
                     self.registry.counter("worker_deaths").inc();
                     obs::instant!("worker_dead", worker = worker, error = error);
                     self.mark_dead(worker);
                     requeue.extend(report.failed);
+                    last_death = Some(error);
+                }
+            }
+            if self.alive_workers() == 0 {
+                if let Some(error) = last_death {
+                    // No survivor to requeue onto or to run the next round
+                    // on: the death is the round's error.
+                    return Err(error);
                 }
             }
             if requeue.is_empty() {
                 return Ok(());
-            }
-            if self.alive_workers() == 0 {
-                return Err(TransportError::Io(format!(
-                    "all {count} workers died; {} unanswered job(s) cannot be requeued",
-                    requeue.len()
-                )));
             }
             for job in requeue {
                 self.registry.counter("driver_requeues").inc();
@@ -1223,7 +1206,7 @@ mod tests {
             vec![None],
             vec![Some(StderrTail::capture(stderr))],
         );
-        (transport.fault_tolerance(false), worker)
+        (transport, worker)
     }
 
     /// Ships one chunk a round for `rounds` rounds; the first error ends it.

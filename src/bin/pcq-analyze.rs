@@ -9,11 +9,11 @@
 //!   pcq-analyze hypercube  <query> <query-prime>
 //!   pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]
 //!                          [--rounds N] [--schedule S] [--feedback R]
-//!                          [--semi-naive] [--transport memory|process|socket]
+//!                          [--transport memory|process|socket]
 //!                          [--fault-inject N] [--trace FILE]
 //!                          [--slow-eval-us N]
 //!   pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]
-//!                          [--rounds N] [--feedback R] [--semi-naive]
+//!                          [--rounds N] [--feedback R]
 //!                          [--transport T] [--reshuffle-always]
 //!                          [--trace FILE]
 //!   pcq-analyze trace      summarize <trace.json> [--json]
@@ -71,11 +71,13 @@
 //! centralized evaluation (`reference_rounds` 1) and the run stops, as
 //! converged, before a round that would repeat its schedule entry: `--rounds
 //! 4` with one policy runs one round, `--schedule a,b` at most two.
-//! `--semi-naive` switches the rounds to incremental mode: only the facts
-//! new since the previous round are reshuffled, nodes keep their
-//! accumulated state across rounds, and each local evaluation is one
-//! differential pass over the delta — the final result is identical to
-//! full re-evaluation, the late-round work is not.
+//! With `--feedback` every round is incremental: only the facts new since
+//! the previous round are reshuffled, nodes keep their accumulated state
+//! across rounds, and each local evaluation is one differential pass over
+//! the delta (the report's `semi_naive` and `mode:` line say so). Without
+//! feedback every round ships full chunks. `--semi-naive` is accepted, with
+//! `--rounds` or a scenario, and ignored: the mode follows from feedback,
+//! and the benchmark change that stops passing it deletes the flag.
 //! The reshuffle is one sequential pass over the instance. Every node runs the
 //! one indexed join kernel, a leapfrog triejoin, on cyclic and acyclic
 //! queries alike; no flag selects it. With
@@ -202,7 +204,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--semi-naive] [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R] [--semi-naive]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | hash-join:<buckets> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies, by the <policy> names\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
+    "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | hash-join:<buckets> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies, by the <policy> names\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
@@ -329,6 +331,7 @@ impl TransportChoice {
 /// Parsed flags of the `run` subcommand.
 struct RunOptions {
     workers: usize,
+    /// `--semi-naive`: ignored (the mode follows from feedback).
     semi_naive: bool,
     json: bool,
     rounds: Option<usize>,
@@ -906,7 +909,6 @@ fn execute<'a>(run: &'a Run, opts: &'a RunOptions) -> Result<RunReport<'a>, Stri
     let mut engine = MultiRoundEngine::new(RoundSchedule::of(refs))
         .rounds(run.scenario.rounds)
         .workers(opts.workers)
-        .semi_naive(opts.semi_naive)
         .reshuffle_always(opts.reshuffle_always);
     if let Some(feedback) = run.scenario.feedback {
         for query in queries {
@@ -1011,7 +1013,7 @@ impl RunReport<'_> {
             put("per_node", JsonValue::array(per_node));
         } else {
             put("workers", opts.workers.into());
-            put("semi_naive", opts.semi_naive.into());
+            put("semi_naive", run.scenario.feedback.is_some().into());
             put("rounds_requested", run.scenario.rounds.into());
             put("multi_round_correct", self.correct().into());
             put(
@@ -1101,7 +1103,7 @@ impl RunReport<'_> {
         let facts = scenario.instance.len();
         say!("instance:    {} ({facts} facts)", run.instance_label);
         say!("transport:   {}", opts.transport.label());
-        if opts.semi_naive {
+        if scenario.feedback.is_some() {
             say!("mode:        semi-naive (rounds ship deltas, nodes keep state)");
         }
         if opts.reshuffle_always {

@@ -561,36 +561,25 @@ fn a_positional_run_and_the_scenario_stating_the_same_report_the_same() {
     let policy_file = write_temp("same-policy.txt", "n0: R(a, b) R(b, c)\ndefault: n0 n1\n");
     let policy_file = policy_file.to_str().unwrap();
     let stanza = "policy { n0: R(a, b) R(b, c)\n default: n0 n1 }";
-    let shapes: [(&str, &[&str], &str, &[&str]); 4] = [
-        ("hypercube:4", &[], "schedule hypercube(4)", &[]),
+    let shapes: [(&str, &[&str], &str); 4] = [
+        ("hypercube:4", &[], "schedule hypercube(4)"),
         (
             "hypercube:2",
             &["--rounds", "6", "--feedback", "R"],
             "schedule hypercube(2)\nrounds 6\nfeedback R",
-            &[],
         ),
         (
             "hypercube:2",
             &["--rounds", "6", "--schedule", "hash-join:3,hypercube:2"],
             "schedule hash(3), hypercube(2)\nrounds 6",
-            &["--semi-naive"],
         ),
-        (
-            policy_file,
-            &[],
-            &format!("{stanza}\nschedule explicit"),
-            &[],
-        ),
+        (policy_file, &[], &format!("{stanza}\nschedule explicit")),
     ];
-    for (i, (policy, flags, stanzas, both)) in shapes.into_iter().enumerate() {
+    for (i, (policy, flags, stanzas)) in shapes.into_iter().enumerate() {
         let text = format!("query {PATH_2}\ninstance {{ {facts} }}\n{stanzas}\n");
         let scenario = write_temp(&format!("same-{i}.pcq"), &text);
         for transport in ["memory", "process"] {
-            let common = [
-                both,
-                &["--transport", transport, "--workers", "2", "--json"],
-            ]
-            .concat();
+            let common = ["--transport", transport, "--workers", "2", "--json"];
             let positional = [&["run", PATH_2, policy, facts], flags, &common].concat();
             let file = [
                 &["run", "--scenario", scenario.to_str().unwrap()],
@@ -1014,6 +1003,7 @@ fn run_scenario_file_reaches_the_fixpoint() {
 
 #[test]
 fn run_semi_naive_matches_the_fixpoint_and_reports_itself() {
+    // A feedback run ships deltas, and its report says so.
     let long_chain = "R(a,b). R(b,c). R(c,d). R(d,e). R(e,f). R(f,g). R(g,h). R(h,i).";
     let (code, stdout) = pcq_analyze_output(&[
         "run",
@@ -1024,7 +1014,6 @@ fn run_semi_naive_matches_the_fixpoint_and_reports_itself() {
         "8",
         "--feedback",
         "R",
-        "--semi-naive",
         "--workers",
         "2",
         "--json",
@@ -1050,7 +1039,6 @@ fn run_semi_naive_matches_the_fixpoint_and_reports_itself() {
         "8",
         "--feedback",
         "R",
-        "--semi-naive",
     ]);
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("mode:        semi-naive"));
@@ -1066,23 +1054,58 @@ fn run_semi_naive_flag_combinations_are_validated() {
     );
 }
 
+/// Runs `args` with and without the inert `--semi-naive`, on memory and
+/// on worker processes, and asserts the four runs report the same verdict,
+/// `semi_naive` (`with_feedback`) and, at the top level and per query,
+/// `result_size`, `rounds_run`, `converged`, `total_comm_volume` and
+/// `reshard_rounds`.
+fn assert_semi_naive_is_inert(args: &[&str], with_feedback: bool) {
+    use pcq::wire::json::JsonValue;
+    const KEYS: [&str; 5] = [
+        "result_size",
+        "rounds_run",
+        "converged",
+        "total_comm_volume",
+        "reshard_rounds",
+    ];
+    let mut digests = Vec::new();
+    for transport in ["memory", "process"] {
+        for flag in [&[][..], &["--semi-naive"]] {
+            let run = [args, flag, &["--transport", transport, "--json"]].concat();
+            let (code, stdout) = pcq_analyze_output(&run);
+            assert_eq!(code, 0, "{run:?}: {stdout}");
+            let semi = format!("\"semi_naive\":{with_feedback}");
+            assert!(stdout.contains(&semi), "{run:?}: {stdout}");
+            let doc = JsonValue::parse(stdout.trim()).unwrap();
+            let per_query = doc.get("per_query").and_then(JsonValue::as_array);
+            let digest: Vec<String> = std::iter::once(&doc)
+                .chain(per_query.unwrap_or_default())
+                .flat_map(|d| KEYS.map(|key| format!("{key}={:?}", d.get(key))))
+                .collect();
+            assert!(digest.iter().any(|d| d.contains("Some")), "{run:?}");
+            digests.push((run, digest));
+        }
+    }
+    for (run, digest) in &digests[1..] {
+        assert_eq!(digest, &digests[0].1, "{run:?} vs {:?}", digests[0].0);
+    }
+}
+
 #[test]
 fn run_semi_naive_accepts_multi_policy_schedules() {
-    // A policy switch now triggers an explicit re-shard round instead of
-    // being rejected; the run must still match the fixpoint.
-    let (code, stdout) = pcq_analyze_output(&[
+    // Without feedback every round ships full chunks, flag or no flag; the
+    // schedule's switch is no re-shard.
+    let args = [
         "run",
         "chain:2",
         "hypercube:2",
         CHAIN_FACTS,
         "--rounds",
         "4",
-        "--semi-naive",
         "--schedule",
         "broadcast:2,hypercube:2",
-    ]);
-    assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("correct:     yes"), "{stdout}");
+    ];
+    assert_semi_naive_is_inert(&args, false);
 }
 
 #[test]
@@ -1156,7 +1179,9 @@ fn encode_decode_round_trips_scenarios_with_policy_stanzas() {
 
 #[test]
 fn run_multi_round_semi_naive_process_transport_converges() {
-    let (code, stdout) = pcq_analyze_output(&[
+    // A feedback run ships deltas, flag or no flag: as one query, and as a
+    // two-query scenario whose schedule switch re-shards.
+    let args = [
         "run",
         "chain:2",
         "hypercube:2",
@@ -1167,15 +1192,13 @@ fn run_multi_round_semi_naive_process_transport_converges() {
         "R",
         "--workers",
         "3",
-        "--transport",
-        "process",
-        "--semi-naive",
-        "--json",
-    ]);
+    ];
+    assert_semi_naive_is_inert(&args, true);
+    let (code, stdout) =
+        pcq_analyze_output(&[&args[..], &["--transport", "process", "--json"]].concat());
     assert_eq!(code, 0, "{stdout}");
     for key in [
         "\"transport\":\"process\"",
-        "\"semi_naive\":true",
         "\"multi_round_correct\":true",
         "\"converged\":true",
     ] {
@@ -1183,6 +1206,19 @@ fn run_multi_round_semi_naive_process_transport_converges() {
     }
     // real bytes crossed the pipes
     assert!(!stdout.contains("\"total_comm_bytes\":0"), "{stdout}");
+
+    let scenario = write_temp(
+        "inert-semi-naive.pcq",
+        &format!(
+            "queries {{\n{PATH_2}\n{PATH_2}\n}}\ninstance {{ {CHAIN_FACTS} }}\n\
+             schedule broadcast(2), hypercube(2)\nrounds 6\nfeedback R\n"
+        ),
+    );
+    let args = ["run", "--scenario", scenario.to_str().unwrap()];
+    assert_semi_naive_is_inert(&args, true);
+    let (_, stdout) = pcq_analyze_output(&[&args[..], &["--json"]].concat());
+    assert!(stdout.contains("\"reshard_rounds\":2"), "{stdout}");
+    let _ = std::fs::remove_file(scenario);
 }
 
 #[test]

@@ -112,7 +112,9 @@ fn in_memory_trace_nests_rounds_under_the_root_span() {
         );
     }
     let all = names(&events);
-    for expected in ["distribute", "eval_chunk", "evaluate"] {
+    // A feedback run's rounds ship deltas, and a node evaluates each by
+    // one differential pass.
+    for expected in ["distribute", "eval_delta", "seminaive_step"] {
         assert!(all.contains(&expected), "missing {expected} span: {all:?}");
     }
 }
@@ -195,8 +197,7 @@ fn join_spans_name_the_kernel_that_runs() {
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
     let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
         .rounds(3)
-        .feedback_into("E")
-        .semi_naive(true);
+        .feedback_into("E");
     let chain = ConjunctiveQuery::parse("T(x, z) :- E(x, y), E(y, z).").unwrap();
     let (_, events) = traced(|| {
         let _ = cq::evaluate(&query, &instance);
@@ -470,9 +471,9 @@ fn chrome_export_of_a_live_run_round_trips_and_summarizes() {
 
 #[test]
 fn a_dead_workers_stderr_surfaces_in_the_transport_error() {
-    // Without fault tolerance a death is a clean error — and since the
-    // worker is a spawned child, its last words must ride along instead
-    // of vanishing with the process.
+    // With no survivor to requeue onto, a death is a clean error — and
+    // since the worker is a spawned child, its last words must ride along
+    // instead of vanishing with the process.
     let _gate = gate();
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 11);
@@ -481,12 +482,10 @@ fn a_dead_workers_stderr_surfaces_in_the_transport_error() {
     let engine = OneRoundEngine::new(&policy);
 
     for spawn in [WireTransport::spawn_pipes, WireTransport::spawn_sockets] {
-        let mut transport = spawn(&worker_binary(), &faulty_argv(2, 0))
-            .unwrap()
-            .fault_tolerance(false);
+        let mut transport = spawn(&worker_binary(), &faulty_argv(1, 0)).unwrap();
         let err = engine
             .evaluate_via(&mut transport, 0, &query, &instance)
-            .expect_err("a dead worker without fault tolerance must error")
+            .expect_err("a dead worker with no survivor must error")
             .to_string();
         assert!(err.contains("worker stderr"), "no stderr tail in: {err}");
         assert!(err.contains("injected fault"), "tail lost the cause: {err}");

@@ -144,10 +144,34 @@ fn multi_round_socket_transport_matches_memory_on_all_named_workloads() {
     multi_round_matches_memory(SOCKETS);
 }
 
+/// The states a full re-evaluation visits on the way to the fixpoint of
+/// `query` with feedback into `relation`: the input, then the input grown by
+/// each round's renamed output.
+fn reference_states(
+    query: &ConjunctiveQuery,
+    instance: &Instance,
+    relation: &str,
+) -> Vec<Instance> {
+    let relation = Symbol::new(relation);
+    let mut states = vec![instance.clone()];
+    loop {
+        let mut next = states.last().unwrap().clone();
+        let output: Instance = cq::evaluate(query, &next)
+            .facts()
+            .map(|f| Fact::new(relation, f.values.clone()))
+            .collect();
+        if next.absorb(&output).is_empty() {
+            return states;
+        }
+        states.push(next);
+    }
+}
+
 /// The acceptance differential: on every named workload, the incremental
 /// run (deltas over the wire, per-node state in the workers, semi-naive
-/// local evaluation) must produce byte-identical answers to the classic
-/// full-chunk run — in memory and across processes.
+/// local evaluation) must produce byte-identical answers to the reference
+/// fixpoint in its rounds — in memory and across processes — and ship no
+/// more than full rounds of every state would.
 fn semi_naive_matches_full_and_memory(spawn: Spawn) {
     let mut transport = spawn_workers(spawn, 2);
     for (name, feedback) in named_workloads() {
@@ -163,21 +187,35 @@ fn semi_naive_matches_full_and_memory(spawn: Spawn) {
             engine
         };
 
-        let full = build_engine().evaluate(&query, &instance);
-        let semi_memory = build_engine().semi_naive(true).evaluate(&query, &instance);
+        let reference = build_engine().reference_fixpoint(&query, &instance);
+        let states = match feedback {
+            Some(relation) => reference_states(&query, &instance, relation),
+            None => vec![instance.clone()],
+        };
+        let full_volume: usize = states
+            .iter()
+            .map(|state| policy.distribute(state).stats(state).total_assigned)
+            .sum();
+        let semi_memory = build_engine().evaluate(&query, &instance);
         let semi_wire = build_engine()
-            .semi_naive(true)
             .evaluate_via(&mut transport, &query, &instance)
             .unwrap_or_else(|e| panic!("{name}: semi-naive wire transport failed: {e}"));
 
         for (label, semi) in [("memory", &semi_memory), ("wire", &semi_wire)] {
             assert_eq!(
                 semi.result.to_string(),
-                full.result.to_string(),
-                "{name}/{label}: semi-naive answers diverged from full re-evaluation"
+                reference.result.to_string(),
+                "{name}/{label}: semi-naive answers diverged from the reference fixpoint"
             );
-            assert_eq!(semi.converged, full.converged, "{name}/{label}");
-            assert_eq!(semi.rounds_run(), full.rounds_run(), "{name}/{label}");
+            assert!(semi.converged, "{name}/{label}");
+            assert_eq!(semi.rounds_run(), reference.rounds, "{name}/{label}");
+            // Past round 0 a round ships its delta, a strict subset of the
+            // state; a one-round run ships exactly what a full round would.
+            let volume = semi.total_comm_volume();
+            match states.len() {
+                1 => assert_eq!(volume, full_volume, "{name}/{label}"),
+                _ => assert!(volume < full_volume, "{name}/{label}: {volume}"),
+            }
         }
         // The two semi-naive paths must agree round by round, not just in
         // the end: same delta loads, same delta outputs.
@@ -201,10 +239,11 @@ fn semi_naive_socket_transport_matches_memory_on_all_named_workloads() {
 
 #[test]
 fn delta_shipping_moves_fewer_bytes_than_full_chunk_shipping() {
-    // On a TC-style feedback workload the late rounds of a full-chunk run
-    // re-ship the whole accumulated state; the incremental run ships only
-    // deltas. The transport counts real serialized bytes, so the saving is
-    // measured, not estimated.
+    // On a TC-style feedback workload full chunks would re-ship the whole
+    // accumulated state every round: one full round of each state the
+    // reference visits. The feedback run ships only deltas. The transport
+    // counts real serialized bytes, so the saving is measured, not
+    // estimated.
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 23);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
@@ -215,20 +254,25 @@ fn delta_shipping_moves_fewer_bytes_than_full_chunk_shipping() {
     };
 
     let mut transport = spawn_transport(2);
-    let full = build_engine()
-        .evaluate_via(&mut transport, &query, &instance)
-        .unwrap();
     let semi = build_engine()
-        .semi_naive(true)
         .evaluate_via(&mut transport, &query, &instance)
         .unwrap();
-    assert_eq!(semi.result, full.result);
+    let states = reference_states(&query, &instance, "R");
+    let mut full_bytes = 0;
+    for state in &states {
+        full_bytes += OneRoundEngine::new(&policy)
+            .evaluate_via(&mut transport, 0, &query, state)
+            .unwrap()
+            .comm_bytes;
+    }
+    let reference = build_engine().reference_fixpoint(&query, &instance);
+    assert_eq!(*semi.result, reference.result);
+    assert_eq!(semi.rounds_run(), states.len());
     assert!(semi.rounds_run() > 1, "need late rounds for the claim");
     assert!(
-        semi.total_comm_bytes() < full.total_comm_bytes(),
-        "delta shipping moved {} bytes, full-chunk shipping {}",
+        semi.total_comm_bytes() < full_bytes,
+        "delta shipping moved {} bytes, full-chunk shipping {full_bytes}",
         semi.total_comm_bytes(),
-        full.total_comm_bytes()
     );
     // In-memory runs serialize nothing and must say so.
     assert_eq!(
@@ -256,7 +300,6 @@ fn one_process_transport_serves_consecutive_incremental_runs() {
         let semi = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
             .rounds(5)
             .feedback_into("R")
-            .semi_naive(true)
             .evaluate_via(&mut transport, &query, &instance)
             .unwrap();
         assert_eq!(semi.result, reference.result, "run {run} diverged");
@@ -353,7 +396,6 @@ fn named_values_go_in_and_named_values_come_out_on_every_transport() {
         MultiRoundEngine::new(RoundSchedule::repeat(&policy))
             .rounds(6)
             .feedback_into("R")
-            .semi_naive(true)
     };
 
     let in_memory = build_engine().evaluate(&query, &instance);
@@ -490,17 +532,19 @@ fn every_transport_equals_the_central_scan_oracle() {
 
 #[test]
 fn multi_round_wire_runs_equal_the_reference_fixpoint() {
-    // Full and delta rounds alike, on every transport.
+    // Full rounds without feedback and delta rounds with it, on every
+    // transport.
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 43);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
     let mut process = spawn_transport(2);
     let mut socket = spawn_workers(SOCKETS, 2);
-    for semi_naive in [false, true] {
-        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
-            .rounds(6)
-            .feedback_into("R")
-            .semi_naive(semi_naive);
+    for feedback in [false, true] {
+        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy)).rounds(6);
+        let engine = match feedback {
+            true => engine.feedback_into("R"),
+            false => engine,
+        };
         let reference = engine.reference_fixpoint(&query, &instance);
         let in_memory = engine.evaluate(&query, &instance);
         let via_process = engine
@@ -512,7 +556,7 @@ fn multi_round_wire_runs_equal_the_reference_fixpoint() {
             ("process", via_process),
             ("socket", via_socket),
         ] {
-            let context = format!("semi_naive={semi_naive}: the {label} run");
+            let context = format!("feedback={feedback}: the {label} run");
             assert_eq!(*outcome.result, reference.result, "{context}");
             assert_eq!(outcome.rounds_run(), reference.rounds, "{context}");
         }
@@ -522,7 +566,7 @@ fn multi_round_wire_runs_equal_the_reference_fixpoint() {
 // ---------------------------------------------------------------------------
 // Multi-query runs: transferability-driven reshuffle elision must be
 // answer-invisible against the reshuffle-always baseline, on every named
-// query sequence, every transport, in full and semi-naive mode.
+// query sequence and every transport.
 // ---------------------------------------------------------------------------
 
 /// One instance covering every relation any query of the sequence reads:
@@ -544,96 +588,93 @@ fn multi_query_elision_matches_reshuffle_always_on_all_sequences_and_transports(
         let queries = named_query_sequence(name).unwrap();
         let instance = instance_for_sequence(&queries, 19);
         let policy = ExplicitPolicy::total_broadcast(&Network::with_size(3));
-        for semi_naive in [false, true] {
-            let build = |reshuffle_always: bool| {
-                MultiRoundEngine::new(RoundSchedule::repeat(&policy))
-                    .rounds(4)
-                    .semi_naive(semi_naive)
-                    .reshuffle_always(reshuffle_always)
-            };
-            let mut cache = TransferCache::new();
+        let build = |reshuffle_always: bool| {
+            MultiRoundEngine::new(RoundSchedule::repeat(&policy))
+                .rounds(4)
+                .reshuffle_always(reshuffle_always)
+        };
+        let mut cache = TransferCache::new();
 
-            let baseline = build(true)
-                .evaluate_queries(&queries, &instance, &mut |p, q| cache.transfers(p, q));
-            let elided_memory = build(false)
-                .evaluate_queries(&queries, &instance, &mut |p, q| cache.transfers(p, q));
-            let baseline_process = build(true)
-                .evaluate_queries_via(&mut process, &queries, &instance, &mut |p, q| {
-                    cache.transfers(p, q)
-                })
-                .unwrap_or_else(|e| panic!("{name}: process baseline failed: {e}"));
-            let elided_process = build(false)
-                .evaluate_queries_via(&mut process, &queries, &instance, &mut |p, q| {
-                    cache.transfers(p, q)
-                })
-                .unwrap_or_else(|e| panic!("{name}: process transport failed: {e}"));
-            let elided_socket = build(false)
-                .evaluate_queries_via(&mut socket, &queries, &instance, &mut |p, q| {
-                    cache.transfers(p, q)
-                })
-                .unwrap_or_else(|e| panic!("{name}: socket transport failed: {e}"));
+        let baseline =
+            build(true).evaluate_queries(&queries, &instance, &mut |p, q| cache.transfers(p, q));
+        let elided_memory =
+            build(false).evaluate_queries(&queries, &instance, &mut |p, q| cache.transfers(p, q));
+        let baseline_process = build(true)
+            .evaluate_queries_via(&mut process, &queries, &instance, &mut |p, q| {
+                cache.transfers(p, q)
+            })
+            .unwrap_or_else(|e| panic!("{name}: process baseline failed: {e}"));
+        let elided_process = build(false)
+            .evaluate_queries_via(&mut process, &queries, &instance, &mut |p, q| {
+                cache.transfers(p, q)
+            })
+            .unwrap_or_else(|e| panic!("{name}: process transport failed: {e}"));
+        let elided_socket = build(false)
+            .evaluate_queries_via(&mut socket, &queries, &instance, &mut |p, q| {
+                cache.transfers(p, q)
+            })
+            .unwrap_or_else(|e| panic!("{name}: socket transport failed: {e}"));
 
-            // Every named sequence contains a transferring pair, so the
-            // engine must actually elide — otherwise this differential
-            // silently compares reshuffle-always to itself.
-            assert_eq!(baseline.elided_reshuffles(), 0, "{name}");
-            assert!(
-                elided_memory.elided_reshuffles() >= 1,
-                "{name} semi_naive={semi_naive}: no reshuffle was elided"
+        // Every named sequence contains a transferring pair, so the
+        // engine must actually elide — otherwise this differential
+        // silently compares reshuffle-always to itself.
+        assert_eq!(baseline.elided_reshuffles(), 0, "{name}");
+        assert!(
+            elided_memory.elided_reshuffles() >= 1,
+            "{name}: no reshuffle was elided"
+        );
+        assert!(
+            elided_memory.total_comm_volume() < baseline.total_comm_volume(),
+            "{name}: elision did not reduce comm volume \
+             ({} vs {})",
+            elided_memory.total_comm_volume(),
+            baseline.total_comm_volume()
+        );
+
+        for (i, (b, e)) in baseline
+            .per_query
+            .iter()
+            .zip(&elided_memory.per_query)
+            .enumerate()
+        {
+            assert_eq!(
+                e.result.to_string(),
+                b.result.to_string(),
+                "{name}[{i}]: elided answers diverged"
             );
-            assert!(
-                elided_memory.total_comm_volume() < baseline.total_comm_volume(),
-                "{name} semi_naive={semi_naive}: elision did not reduce comm volume \
-                 ({} vs {})",
-                elided_memory.total_comm_volume(),
-                baseline.total_comm_volume()
+            assert_eq!(e.converged, b.converged, "{name}[{i}]");
+        }
+        for (label, run) in [("process", &elided_process), ("socket", &elided_socket)] {
+            assert_eq!(
+                run.elided_reshuffles(),
+                elided_memory.elided_reshuffles(),
+                "{name}/{label}: elision decisions diverged"
             );
-
-            for (i, (b, e)) in baseline
+            assert_eq!(
+                run.transfer_checks, elided_memory.transfer_checks,
+                "{name}/{label}"
+            );
+            for (i, (m, w)) in elided_memory
                 .per_query
                 .iter()
-                .zip(&elided_memory.per_query)
+                .zip(&run.per_query)
                 .enumerate()
             {
                 assert_eq!(
-                    e.result.to_string(),
-                    b.result.to_string(),
-                    "{name}[{i}] semi_naive={semi_naive}: elided answers diverged"
+                    w.result.to_string(),
+                    m.result.to_string(),
+                    "{name}[{i}]/{label}: wire answers diverged"
                 );
-                assert_eq!(e.converged, b.converged, "{name}[{i}]");
             }
-            for (label, run) in [("process", &elided_process), ("socket", &elided_socket)] {
-                assert_eq!(
-                    run.elided_reshuffles(),
-                    elided_memory.elided_reshuffles(),
-                    "{name}/{label} semi_naive={semi_naive}: elision decisions diverged"
-                );
-                assert_eq!(
-                    run.transfer_checks, elided_memory.transfer_checks,
-                    "{name}/{label}"
-                );
-                for (i, (m, w)) in elided_memory
-                    .per_query
-                    .iter()
-                    .zip(&run.per_query)
-                    .enumerate()
-                {
-                    assert_eq!(
-                        w.result.to_string(),
-                        m.result.to_string(),
-                        "{name}[{i}]/{label} semi_naive={semi_naive}: wire answers diverged"
-                    );
-                }
-            }
-            // The headline saving, measured on real serialized frames: the
-            // elided run ships strictly fewer bytes than the baseline.
-            assert!(
-                elided_process.total_comm_bytes() < baseline_process.total_comm_bytes(),
-                "{name} semi_naive={semi_naive}: elision shipped {} bytes, baseline {}",
-                elided_process.total_comm_bytes(),
-                baseline_process.total_comm_bytes()
-            );
         }
+        // The headline saving, measured on real serialized frames: the
+        // elided run ships strictly fewer bytes than the baseline.
+        assert!(
+            elided_process.total_comm_bytes() < baseline_process.total_comm_bytes(),
+            "{name}: elision shipped {} bytes, baseline {}",
+            elided_process.total_comm_bytes(),
+            baseline_process.total_comm_bytes()
+        );
     }
 }
 
@@ -707,7 +748,6 @@ fn semi_naive_run_rebuilds_dead_workers_state_on_survivors() {
         MultiRoundEngine::new(RoundSchedule::repeat(&policy))
             .rounds(8)
             .feedback_into("R")
-            .semi_naive(true)
     };
     let reference = build_engine().evaluate(&query, &instance);
     assert!(reference.rounds_run() > 3, "need rounds after the death");
@@ -740,8 +780,9 @@ fn semi_naive_run_rebuilds_dead_workers_state_on_survivors() {
 
 #[test]
 fn with_fault_tolerance_off_a_worker_death_is_a_clean_error() {
-    // No panic, no hang: the engine surfaces the first failure as a
-    // TransportError and the transport still drops promptly.
+    // No panic, no hang: with no survivor to requeue onto, the engine
+    // surfaces the death as a TransportError and the transport still drops
+    // promptly.
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 11);
     let network = Network::with_size(6);
@@ -749,12 +790,10 @@ fn with_fault_tolerance_off_a_worker_death_is_a_clean_error() {
     let engine = OneRoundEngine::new(&policy);
 
     for (label, spawn) in [("pipes", PIPES), ("sockets", SOCKETS)] {
-        let mut t = spawn(&worker_binary(), &faulty_argv(2, 0))
-            .unwrap()
-            .fault_tolerance(false);
+        let mut t = spawn(&worker_binary(), &faulty_argv(1, 0)).unwrap();
         let err = engine
             .evaluate_via(&mut t, 0, &query, &instance)
-            .expect_err("a dead worker without fault tolerance must error");
+            .expect_err("a dead worker with no survivor must error");
         match err {
             TransportError::Io(_) | TransportError::Protocol(_) => {}
             other => panic!("{label}: unexpected error kind: {other:?}"),
