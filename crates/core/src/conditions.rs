@@ -24,8 +24,8 @@
 //! No loop below builds an [`Instance`] or a [`Valuation`] per candidate.
 //! (C0)/(C1) enumerate the universe through the compiled slot kernel of
 //! `cq` and first test "the facts meet" against a `MeetTable` (one
-//! `nodes_for` per universe fact, kept as a node bitset; an atom whose
-//! image did not change keeps its fact's row). Only a candidate whose
+//! `for_each_node` visit per universe fact, kept as a node bitset; an atom
+//! whose image did not change keeps its fact's row). Only a candidate whose
 //! facts do not meet is a (C1) witness if minimal, so only it is put to
 //! the [`MinimalityOracle`], by equality type; under a policy where every
 //! valuation meets the oracle is never asked. (C2) and its no-skip variant
@@ -91,10 +91,10 @@ impl<'u> MeetTable<'u> {
         let facts: Vec<&Fact> = universe.facts().collect();
         for (row, fact) in facts.iter().enumerate() {
             rows.insert((fact.relation, fact.values.as_slice()), row);
-            for node in policy.nodes_for(fact) {
+            policy.for_each_node(fact, &mut |_, node| {
                 let fresh = ids.len();
                 sent.push((row, *ids.entry(node).or_insert(fresh)));
-            }
+            });
         }
         let words = ids.len().div_ceil(64).max(1);
         let mut bits = vec![0u64; universe.len() * words];

@@ -8,13 +8,12 @@
 //! instance — or anything else on the heap — per candidate blows a budget
 //! that is a small multiple of the universe. Under the broadcast policy
 //! below every valuation's facts meet, so the search visits all of them and
-//! asks the minimality oracle about none. The decision makes 315
-//! allocations here (332 while it still asked the oracle about every
-//! candidate and kept a memo key per equality type); before the
-//! `MinimalityOracle` and the meet table it made 5 141 058. Most of the 315
-//! are not the decision's own: `fact_universe` and `nodes_for` allocate per
-//! fact, which is why this test runs the larger shape, where those fixed
-//! costs stay well inside 4 × 256.
+//! asks the minimality oracle about none. The decision makes 59
+//! allocations here (315 while the meet table built a node set per
+//! universe fact through `nodes_for`, 332 while it still asked the oracle
+//! about every candidate and kept a memo key per equality type); before
+//! the `MinimalityOracle` and the meet table it made 5 141 058. The budget
+//! of 4 × 256 leaves room for fixed costs that grow with the universe.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -6,7 +6,6 @@ use std::fmt;
 
 use cq::{Fact, Instance};
 
-use crate::hypercube::HypercubePolicy;
 use crate::network::Node;
 use crate::parts::AtomSplit;
 use crate::policy::DistributionPolicy;
@@ -15,92 +14,85 @@ use crate::policy::DistributionPolicy;
 /// mapping from nodes to their data chunks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Distribution {
-    chunks: BTreeMap<Node, Instance>,
+    pub(crate) chunks: BTreeMap<Node, Instance>,
 }
 
-/// The one reshuffle, `dist_P(I)`: every fact of `instance` goes into the
-/// chunk of each node in `policy.nodes_for(fact)`. Every network node gets a
-/// chunk, empty or not. Also returns how many facts reached at least one
-/// node, so a caller reshuffling its own source reads the statistics off
-/// that count in `O(nodes)` instead of [`Distribution::stats`]' sort.
+/// The one reshuffle, `dist_P(I)`, in one pass over
+/// [`DistributionPolicy::for_each_node`]: every fact of `instance` goes
+/// into the chunk of each node of `P(f)`. A plain round (`split` is
+/// `None`) files the fact once per node; a split round (see
+/// [`crate::parts`]) files the fact that rule `k` sent to a node under
+/// part `k` of `split`, as a fact of that part's relation.
+///
+/// Returns every network node with its chunk and its load, in node order,
+/// and how many facts reached at least one node, so a caller reads the
+/// statistics off these counts in `O(nodes)` instead of
+/// [`Distribution::stats`]' sort. A node's load counts the distinct facts
+/// of `instance` it received, which is the size of its plain chunk, so a
+/// split round has the loads and statistics of the plain one.
 pub(crate) fn reshuffle<P: DistributionPolicy + ?Sized>(
     policy: &P,
-    instance: &Instance,
-) -> (Distribution, usize) {
-    let mut rows: BTreeMap<Node, Vec<&Fact>> =
-        policy.network().nodes().map(|n| (n, Vec::new())).collect();
-    let mut distinct_assigned = 0;
-    for fact in instance.facts() {
-        let nodes = policy.nodes_for(fact);
-        distinct_assigned += usize::from(!nodes.is_empty());
-        for node in nodes {
-            rows.entry(node).or_default().push(fact);
-        }
-    }
-    // Each node's rows follow the instance's fact order, so every chunk is
-    // bulk-built from an already sorted run, cloned once into place.
-    let chunks = rows
-        .into_iter()
-        .map(|(node, rows)| (node, Instance::from_facts(rows.into_iter().cloned())))
-        .collect();
-    (Distribution { chunks }, distinct_assigned)
-}
-
-/// The split reshuffle of a round (see [`crate::parts`]), in one pass: the
-/// fact that rule `k` of `policy` — body atom `k` of its query — sends to a
-/// node goes into that node's chunk as a fact of part `k` of `split`.
-/// Returns every network node with its chunk and its load, in node order,
-/// and how many facts reached at least one node. A node's load counts the
-/// distinct facts of `instance` it received, which is exactly the size of
-/// its plain chunk, so the statistics of a split round equal those of the
-/// plain one.
-pub(crate) fn reshuffle_by_atom(
-    policy: &HypercubePolicy,
-    split: &AtomSplit,
+    split: Option<&AtomSplit>,
     instance: &Instance,
 ) -> (Vec<(Node, Instance, usize)>, usize) {
-    let (policy, parts) = (policy.as_rules(), split.parts());
-    let nodes = policy.network().len();
-    // Node-major: the rows of node `n`'s part `k` are `rows[n * parts + k]`.
-    let mut rows: Vec<Vec<Fact>> = vec![Vec::new(); nodes * parts.len()];
-    let mut loads = vec![0usize; nodes];
+    let nodes: Vec<Node> = policy.network().nodes().collect();
+    let parts = split.map_or(1, |split| split.parts().len());
+    // Node-major: the rows of node `i`'s part `k` are `rows[i * parts + k]`.
+    // They stay borrowed until the node's chunk is built at its exact size.
+    let mut rows: Vec<Vec<&Fact>> = vec![Vec::new(); nodes.len() * parts];
+    let mut loads = vec![0usize; nodes.len()];
     // The position of the last fact counted into each node's load.
-    let mut counted = vec![usize::MAX; nodes];
+    let mut counted = vec![usize::MAX; nodes.len()];
     let mut distinct_assigned = 0;
     for (position, fact) in instance.facts().enumerate() {
         let mut assigned = false;
-        policy.for_each_target(fact, |rule, node| {
-            rows[node * parts.len() + rule].push(Fact::new(parts[rule], fact.values.clone()));
-            if counted[node] != position {
-                counted[node] = position;
-                loads[node] += 1;
+        policy.for_each_node(fact, &mut |rule, node| {
+            let slot = nodes
+                .binary_search(&node)
+                .expect("a policy visits only nodes of its network");
+            let fresh = counted[slot] != position;
+            if fresh {
+                counted[slot] = position;
+                loads[slot] += 1;
+            }
+            if split.is_some() {
+                rows[slot * parts + rule].push(fact);
+            } else if fresh {
+                rows[slot].push(fact);
             }
             assigned = true;
         });
         distinct_assigned += usize::from(assigned);
     }
-    // A rule matches one relation and visits it in the instance's order,
-    // so every part's rows are ascending and move into the chunk as they
-    // stand.
+    // Each row vector follows the instance's fact order — a part's rule
+    // matches one relation — so every chunk is built from sorted runs.
     let mut rows = rows.into_iter();
-    let mut chunks: Vec<(Node, Instance, usize)> = loads
+    let chunks = nodes
         .into_iter()
-        .enumerate()
+        .zip(loads)
         .map(|(node, load)| {
-            let blocks = parts
-                .iter()
-                .copied()
-                .zip(rows.by_ref().take(parts.len()))
-                .filter(|(_, rows)| !rows.is_empty())
-                .collect();
-            (
-                policy.node_by_index(node),
-                Instance::from_relations(blocks),
-                load,
-            )
+            let mut node_rows = rows.by_ref().take(parts);
+            let chunk = match split {
+                None => {
+                    let rows = node_rows.next().unwrap_or_default();
+                    Instance::from_facts(rows.into_iter().cloned())
+                }
+                Some(split) => Instance::from_relations(
+                    split
+                        .parts()
+                        .iter()
+                        .zip(node_rows)
+                        .filter(|(_, rows)| !rows.is_empty())
+                        .map(|(&part, rows)| {
+                            let facts = rows.iter().map(|f| Fact::new(part, f.values.clone()));
+                            (part, facts.collect())
+                        })
+                        .collect(),
+                ),
+            };
+            (node, chunk, load)
         })
         .collect();
-    chunks.sort_unstable_by_key(|&(node, ..)| node);
     (chunks, distinct_assigned)
 }
 
@@ -126,13 +118,6 @@ impl Distribution {
     /// The union of all chunks (the facts that were not skipped).
     pub fn union_of_chunks(&self) -> Instance {
         Instance::from_facts(self.chunks.values().flat_map(Instance::facts).cloned())
-    }
-
-    /// Consumes the distribution into owned `(node, chunk)` pairs in node
-    /// order — the shipping side of a round hands each chunk to a
-    /// [`Transport`](crate::Transport) without re-cloning it.
-    pub fn into_chunks(self) -> impl Iterator<Item = (Node, Instance)> {
-        self.chunks.into_iter()
     }
 
     /// Communication and balance statistics of the distribution. The

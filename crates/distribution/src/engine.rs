@@ -27,6 +27,9 @@
 //! of the plain reshuffle. Every other round — another policy, a
 //! self-join-free query, a query other than the policy's own, a delta —
 //! ships plain chunks.
+//!
+//! [`HypercubePolicy`]: crate::HypercubePolicy
+//! [`HypercubePolicy::node_for_valuation`]: crate::HypercubePolicy::node_for_valuation
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -34,8 +37,7 @@ use std::time::{Duration, Instant};
 
 use cq::{ConjunctiveQuery, Instance};
 
-use crate::distribute::{reshuffle, reshuffle_by_atom, DistributionStats};
-use crate::hypercube::HypercubePolicy;
+use crate::distribute::{reshuffle, DistributionStats};
 use crate::network::Node;
 use crate::parts::AtomSplit;
 use crate::policy::DistributionPolicy;
@@ -219,6 +221,9 @@ pub(crate) fn run_round(
 /// A valuation is then found only at its home node
 /// ([`HypercubePolicy::node_for_valuation`]), once. Every other round ships
 /// the plain chunks of [`DistributionPolicy::distribute`].
+///
+/// [`HypercubePolicy`]: crate::HypercubePolicy
+/// [`HypercubePolicy::node_for_valuation`]: crate::HypercubePolicy::node_for_valuation
 pub struct OneRoundEngine<'a, P: DistributionPolicy + ?Sized> {
     policy: &'a P,
     workers: usize,
@@ -268,38 +273,27 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         let split = self
             .policy
             .as_hypercube()
-            .and_then(|policy| Some((policy, policy.split_for(query)?)));
+            .and_then(|policy| policy.split_for(query));
         let plan = self.plan(instance, Shipment::Full, split);
         run_round(transport, round, query, plan)
     }
 
     /// The reshuffle phase of a round: `dist_P(facts)` as one `ship`-kind
     /// shipment per node, with the reshuffle's statistics (read off its
-    /// own count of assigned facts, so they cost `O(nodes)`) and
-    /// wall-clock time. With a `split` — the policy as a Hypercube and
-    /// the split of the round's query — every chunk is split by body atom
-    /// and the plan announces the split query; the loads and statistics
-    /// are those of the plain reshuffle all the same.
+    /// own counts, so they cost `O(nodes)`) and wall-clock time. With the
+    /// `split` of the round's query every chunk is split by body atom and
+    /// the plan announces the split query; the loads and statistics are
+    /// those of the plain reshuffle all the same.
     pub(crate) fn plan(
         &self,
         facts: &Instance,
         ship: fn(Arc<Instance>) -> Shipment,
-        split: Option<(&HypercubePolicy, &AtomSplit)>,
+        split: Option<&AtomSplit>,
     ) -> RoundPlan {
         let start = Instant::now();
-        let parts = split.map_or(0, |(_, split)| split.parts().len());
+        let parts = split.map_or(0, |split| split.parts().len());
         let _span = obs::span!("distribute", facts = facts.len(), parts = parts);
-        let (chunks, distinct_assigned) = match split {
-            Some((policy, split)) => reshuffle_by_atom(policy, split, facts),
-            None => {
-                let (distribution, distinct_assigned) = reshuffle(self.policy, facts);
-                let chunks = distribution.into_chunks().map(|(node, chunk)| {
-                    let load = chunk.len();
-                    (node, chunk, load)
-                });
-                (chunks.collect(), distinct_assigned)
-            }
-        };
+        let (chunks, distinct_assigned) = reshuffle(self.policy, split, facts);
         let stats = {
             let _span = obs::span!("reshuffle_stats");
             DistributionStats::tally(
@@ -314,7 +308,7 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
             shipments.push((node, ship(Arc::new(chunk))));
         }
         RoundPlan {
-            announce: split.map(|(_, split)| split.query().clone()),
+            announce: split.map(|split| split.query().clone()),
             shipments,
             per_node_load,
             stats,

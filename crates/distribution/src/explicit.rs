@@ -158,11 +158,11 @@ impl DistributionPolicy for ExplicitPolicy {
         &self.network
     }
 
-    fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node> {
-        self.assignments
-            .get(fact)
-            .cloned()
-            .unwrap_or_else(|| self.default_nodes.clone())
+    fn for_each_node(&self, fact: &Fact, visit: &mut dyn FnMut(usize, Node)) {
+        let nodes = self.assignments.get(fact).unwrap_or(&self.default_nodes);
+        for &node in nodes {
+            visit(0, node);
+        }
     }
 }
 

@@ -12,8 +12,6 @@
 //! [`HypercubeFamily`] represents the family `H_Q` of all hypercube policies
 //! of a query, which Lemma 5.7 shows to be `Q`-generous and `Q`-scattered.
 
-use std::collections::BTreeSet;
-
 use cq::{ConjunctiveQuery, Fact, Instance, Variable};
 
 use crate::hash::HashScheme;
@@ -202,8 +200,8 @@ impl DistributionPolicy for HypercubePolicy {
         self.inner.network()
     }
 
-    fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node> {
-        self.inner.nodes_for(fact)
+    fn for_each_node(&self, fact: &Fact, visit: &mut dyn FnMut(usize, Node)) {
+        self.inner.for_each_node(fact, visit)
     }
 
     fn as_hypercube(&self) -> Option<&HypercubePolicy> {

@@ -6,16 +6,19 @@
 //!
 //! * [`Node`]s and [`Network`]s of computing nodes,
 //! * the [`DistributionPolicy`] trait — a total function mapping facts to
-//!   sets of nodes (Section 2 of the paper), with finite, explicitly
-//!   enumerated policies ([`ExplicitPolicy`], the class `Pfin`),
+//!   sets of nodes (Section 2 of the paper), answered by one addressing
+//!   visitor, [`DistributionPolicy::for_each_node`], that also names the
+//!   rule behind each node — with finite, explicitly enumerated policies
+//!   ([`ExplicitPolicy`], the class `Pfin`),
 //! * the declarative, rule-based specification formalism of Section 5.2
 //!   ([`RuleBasedPolicy`], [`DistributionRule`]) with `bucket`/`bucket*`
 //!   predicates realized as [`HashScheme`]s,
 //! * [`HypercubePolicy`] and [`HypercubeFamily`] — the Hypercube
 //!   distributions of Section 5.2,
 //! * [`Distribution`] — the result of reshuffling an instance
-//!   (`dist_P(I)`, one pass of [`DistributionPolicy::distribute`]), with
-//!   load and replication statistics,
+//!   (`dist_P(I)`, [`DistributionPolicy::distribute`]), with load and
+//!   replication statistics; the reshuffle is one pass over the visitor,
+//!   shared by plain rounds and rounds split by body atom,
 //! * [`OneRoundEngine`] — the one-round evaluation algorithm: reshuffle,
 //!   evaluate locally at every node, union the results; a Hypercube round
 //!   of a query that repeats a relation ships its chunks split by body

@@ -14,14 +14,32 @@ use crate::network::{Network, Node};
 /// Policies may *skip* facts by mapping them to the empty set of nodes (as
 /// Hypercube distributions do for facts irrelevant to their query).
 ///
+/// A policy implements [`network`](Self::network) and the addressing
+/// visitor [`for_each_node`](Self::for_each_node); the rest is provided.
+///
 /// Policies are required to be [`Sync`], so one policy can be shared by
 /// engines and worker pools on several threads.
 pub trait DistributionPolicy: Sync {
     /// The network the policy distributes over.
     fn network(&self) -> &Network;
 
-    /// The set of nodes responsible for `fact` (`P(f)`).
-    fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node>;
+    /// Visits `P(f)`, the nodes responsible for `fact`, the one way any
+    /// layer asks for it: calls `visit(rule, node)` for each node, where
+    /// `rule` is the Section 5.2 rule that sent the fact there, or `0` for
+    /// a policy without rules. The reshuffle relies on this contract: every
+    /// visited node is in [`network`](Self::network), and one rule names a
+    /// node at most once (two rules may name the same node).
+    fn for_each_node(&self, fact: &Fact, visit: &mut dyn FnMut(usize, Node));
+
+    /// The set of nodes responsible for `fact` (`P(f)`): the visits of
+    /// [`for_each_node`](Self::for_each_node), collected.
+    fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node> {
+        let mut nodes = BTreeSet::new();
+        self.for_each_node(fact, &mut |_, node| {
+            nodes.insert(node);
+        });
+        nodes
+    }
 
     /// The policy as a [`HypercubePolicy`], if it is one. A full round of
     /// the Hypercube policy's own query ships its chunks split by body atom
@@ -34,7 +52,11 @@ pub trait DistributionPolicy: Sync {
     /// Distributes an instance: computes `dist_P(I)`, the function mapping
     /// every node to its data chunk `{f ∈ I : node ∈ P(f)}`.
     fn distribute(&self, instance: &Instance) -> Distribution {
-        reshuffle(self, instance).0
+        let (chunks, _) = reshuffle(self, None, instance);
+        let chunks = chunks.into_iter().map(|(node, chunk, _)| (node, chunk));
+        Distribution {
+            chunks: chunks.collect(),
+        }
     }
 
     /// Whether all facts required by a set meet at some node:

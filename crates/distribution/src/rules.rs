@@ -11,7 +11,6 @@
 //! the i-th address component ranges over all buckets. A fact matching the
 //! rule body is sent to every node whose address satisfies the constraints.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use cq::{Atom, Fact, Variable};
@@ -86,6 +85,9 @@ impl fmt::Display for RulePolicyError {
                 f,
                 "rule {rule} hashes variable {variable} which does not occur in its atom"
             ),
+            RulePolicyError::AddressSpaceTooLarge { size: 0, .. } => {
+                write!(f, "the address space is empty: a dimension has 0 buckets")
+            }
             RulePolicyError::AddressSpaceTooLarge { size, limit } => {
                 write!(f, "address space of size {size} exceeds the limit {limit}")
             }
@@ -212,51 +214,6 @@ impl RuleBasedPolicy {
         }
         self.nodes.get(index).copied()
     }
-
-    /// The one addressing loop: calls `visit(rule, index)` for every rule
-    /// that fires on `fact` and every node it addresses, where `index` is
-    /// the node's position in the mixed-radix address space
-    /// ([`RuleBasedPolicy::node_by_index`]). One rule never names a node
-    /// twice; two rules may name the same node.
-    pub(crate) fn for_each_target(&self, fact: &Fact, mut visit: impl FnMut(usize, usize)) {
-        'rules: for (rule_index, (rule, compiled)) in
-            self.rules.iter().zip(&self.compiled).enumerate()
-        {
-            if rule.atom.relation != fact.relation || rule.atom.arity() != fact.arity() {
-                continue;
-            }
-            let values = &fact.values;
-            if compiled.equal.iter().any(|&(a, b)| values[a] != values[b]) {
-                continue;
-            }
-            // The constrained digits fix a base index ...
-            let mut base = 0;
-            for &(position, dim) in &compiled.hashed {
-                match self.schemes[dim].bucket_of(values[position]) {
-                    Some(bucket) => base += bucket * self.strides[dim],
-                    // hash undefined on this value: rule does not fire
-                    None => continue 'rules,
-                }
-            }
-            // ... and the unconstrained ones range over all their buckets:
-            // `choice` counts through them as a mixed-radix number.
-            let buckets = |dim: &usize| self.schemes[*dim].buckets();
-            for mut choice in 0..compiled.free.iter().map(buckets).product() {
-                let mut index = base;
-                for dim in &compiled.free {
-                    index += choice % buckets(dim) * self.strides[*dim];
-                    choice /= buckets(dim);
-                }
-                visit(rule_index, index);
-            }
-        }
-    }
-
-    /// The node at position `index` of the address space (`index` below
-    /// the network size).
-    pub(crate) fn node_by_index(&self, index: usize) -> Node {
-        self.nodes[index]
-    }
 }
 
 impl CompiledRule {
@@ -293,12 +250,41 @@ impl DistributionPolicy for RuleBasedPolicy {
         &self.network
     }
 
-    fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node> {
-        let mut nodes = BTreeSet::new();
-        self.for_each_target(fact, |_, index| {
-            nodes.insert(self.nodes[index]);
-        });
-        nodes
+    /// The addressing loop: every rule whose atom matches `fact` fixes the
+    /// address digits it hashes and ranges over the ones it leaves free,
+    /// visiting each node at the resulting mixed-radix position.
+    fn for_each_node(&self, fact: &Fact, visit: &mut dyn FnMut(usize, Node)) {
+        'rules: for (rule_index, (rule, compiled)) in
+            self.rules.iter().zip(&self.compiled).enumerate()
+        {
+            if rule.atom.relation != fact.relation || rule.atom.arity() != fact.arity() {
+                continue;
+            }
+            let values = &fact.values;
+            if compiled.equal.iter().any(|&(a, b)| values[a] != values[b]) {
+                continue;
+            }
+            // The constrained digits fix a base index ...
+            let mut base = 0;
+            for &(position, dim) in &compiled.hashed {
+                match self.schemes[dim].bucket_of(values[position]) {
+                    Some(bucket) => base += bucket * self.strides[dim],
+                    // hash undefined on this value: rule does not fire
+                    None => continue 'rules,
+                }
+            }
+            // ... and the unconstrained ones range over all their buckets:
+            // `choice` counts through them as a mixed-radix number.
+            let buckets = |dim: &usize| self.schemes[*dim].buckets();
+            for mut choice in 0..compiled.free.iter().map(buckets).product() {
+                let mut index = base;
+                for dim in &compiled.free {
+                    index += choice % buckets(dim) * self.strides[*dim];
+                    choice /= buckets(dim);
+                }
+                visit(rule_index, self.nodes[index]);
+            }
+        }
     }
 }
 
@@ -352,6 +338,25 @@ mod tests {
             err,
             RulePolicyError::UnboundAddressVariable { .. }
         ));
+    }
+
+    #[test]
+    fn address_space_errors_name_their_cause() {
+        let r = rule(
+            Atom::from_names("R", &["x"]),
+            vec![AddressTerm::HashOfVar(Variable::new("x"))],
+        );
+        for (buckets, message) in [
+            (0, "the address space is empty: a dimension has 0 buckets"),
+            (
+                MAX_NETWORK_SIZE + 1,
+                "address space of size 1048577 exceeds the limit 1048576",
+            ),
+        ] {
+            let scheme = HashScheme::Modulo { buckets, seed: 0 };
+            let err = RuleBasedPolicy::new(vec![r.clone()], vec![scheme]).unwrap_err();
+            assert_eq!(err.to_string(), message);
+        }
     }
 
     #[test]

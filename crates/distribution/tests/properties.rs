@@ -142,9 +142,11 @@ fn mixed_fact_strategy() -> impl Strategy<Value = Fact> {
     })
 }
 
-/// The four policy shapes of the differential suites over a binary `R`
-/// (broadcast, round-robin, single-key hash, hypercube), built for the
-/// given instance and query.
+/// The policy shapes of the differential suites over a binary `R`
+/// (broadcast, total broadcast, round-robin, round-robin over half of the
+/// instance, single-key hash, hypercube), built for the given instance and
+/// query. The total broadcast sends every fact through its default node
+/// set; the half round-robin skips the other half (it visits no node).
 fn policy_zoo(
     i: &Instance,
     q: &ConjunctiveQuery,
@@ -156,14 +158,23 @@ fn policy_zoo(
     let dims = q.variables().len();
     let mut hash_buckets = vec![1usize; dims];
     hash_buckets[0] = buckets.max(1);
+    let half = Instance::from_facts(i.facts().step_by(2).cloned());
     vec![
         (
             "broadcast",
             Box::new(ExplicitPolicy::broadcast(&network, i)) as Box<dyn DistributionPolicy>,
         ),
         (
+            "total_broadcast",
+            Box::new(ExplicitPolicy::total_broadcast(&network)),
+        ),
+        (
             "round_robin",
             Box::new(ExplicitPolicy::round_robin(&network, i)),
+        ),
+        (
+            "skipping",
+            Box::new(ExplicitPolicy::round_robin(&network, &half)),
         ),
         (
             "hash",
@@ -354,14 +365,15 @@ proptest! {
     }
 
     /// The engine's per-node outputs against the definitions, on path
-    /// queries, triangles and a relax-shaped body with a loop atom. Every
-    /// round answers exactly what the scan oracle answers centrally when
-    /// its policy is parallel-correct. A split round — a total Hypercube
-    /// policy of the round's own query, which repeats a relation — answers
-    /// at every node exactly the valuations whose home it is
-    /// (`node_for_valuation`); with a full head the node outputs are then
-    /// disjoint and sum to the result. Every other round is plain: node `n`
-    /// answers `Q(chunk_n)` of the plain reshuffle.
+    /// queries, triangles and a relax-shaped body with a loop atom. Split
+    /// or plain, every node's load is the size of its chunk in
+    /// `distribute`. Every round answers exactly what the scan oracle
+    /// answers centrally when its policy is parallel-correct. A split
+    /// round — a total Hypercube policy of the round's own query, which
+    /// repeats a relation — answers at every node exactly the valuations
+    /// whose home it is (`node_for_valuation`); with a full head the node
+    /// outputs are then disjoint and sum to the result. Every other round
+    /// is plain: node `n` answers `Q(chunk_n)` of the plain reshuffle.
     #[test]
     fn per_node_outputs_are_consistent(
         i in instance_strategy(),
@@ -393,6 +405,10 @@ proptest! {
             for (node, output) in &outputs {
                 prop_assert_eq!(outcome.per_node_output[node], output.len(), "{}", name);
             }
+            let dist = policy.distribute(&i);
+            for (node, &load) in &outcome.per_node_load {
+                prop_assert_eq!(load, dist.chunk(*node).len(), "{} at {}: load", name, node);
+            }
             if splits {
                 let hypercube = policy.as_hypercube().expect("only Hypercube policies split");
                 let mut homes: BTreeMap<Node, Instance> = BTreeMap::new();
@@ -410,7 +426,6 @@ proptest! {
                     prop_assert_eq!(total, outcome.result.len(), "{}: disjoint outputs", name);
                 }
             } else {
-                let dist = policy.distribute(&i);
                 for (node, output) in &outputs {
                     let local = cq::evaluate(&q, dist.chunk(*node));
                     prop_assert_eq!(output, &local, "{} at {}: plain chunk of {}", name, node, q);
@@ -444,8 +459,7 @@ proptest! {
     /// Differential: `Distribution::stats` — against the instance it was
     /// built from, an equal copy of it, an unrelated instance and the empty
     /// one — and the engine's counted statistics of a round over the
-    /// source equal the union-building definition. The zoo is extended by
-    /// a policy that skips facts (round-robin over half of the instance).
+    /// source equal the union-building definition.
     #[test]
     fn stats_agree_with_the_union_based_definition(
         i in instance_strategy(),
@@ -454,11 +468,7 @@ proptest! {
         nodes in 1usize..4,
         buckets in 1usize..4,
     ) {
-        let half = Instance::from_facts(i.facts().step_by(2).cloned());
-        let skipping = ExplicitPolicy::round_robin(&Network::with_size(nodes), &half);
-        let mut zoo = policy_zoo(&i, &q, nodes, buckets);
-        zoo.push(("skipping", Box::new(skipping)));
-        for (name, policy) in zoo {
+        for (name, policy) in policy_zoo(&i, &q, nodes, buckets) {
             let dist = policy.distribute(&i);
             for original in [&i, &i.clone(), &other, &Instance::new()] {
                 let expected = stats_by_union(&dist, original);
@@ -467,7 +477,7 @@ proptest! {
             let counted = OneRoundEngine::new(policy.as_ref()).evaluate(&q, &i).stats;
             prop_assert_eq!(counted, stats_by_union(&dist, &i), "engine stats of {}", name);
             if name == "skipping" {
-                prop_assert_eq!(dist.stats(&i).skipped, i.len() - half.len());
+                prop_assert_eq!(dist.stats(&i).skipped, i.len() / 2);
             }
         }
     }

@@ -49,7 +49,8 @@
 //! facts"): it defines one explicit fact→nodes policy, and a schedule
 //! entry `explicit` runs a round under it. Entries end at a newline, a
 //! `;`, or the closing `}`; facts on an entry line use the cq fact syntax
-//! with flexible separators.
+//! with flexible separators. The stanza's body and a policy file are one
+//! format, parsed by one [`ExplicitSpec::parse`].
 //!
 //! [`Scenario`]'s `Display` impl is the pretty-printer; parsing is its
 //! exact inverse (`Scenario::parse(s.to_string()) == s` for every value),
@@ -149,6 +150,15 @@ pub struct ExplicitSpec {
 }
 
 impl ExplicitSpec {
+    /// Parses the policy-file format, which is also the body of a
+    /// scenario's `policy { … }` stanza: `node: facts…` entries plus at
+    /// most one `default: nodes…` entry, each ending at a newline or a `;`.
+    /// An entry's head is the text before its `:`. Positions in an error
+    /// count from the start of `text`.
+    pub fn parse(text: &str) -> Result<ExplicitSpec, ScenarioError> {
+        Parser::new(text).policy_entries()
+    }
+
     /// Whether `name` can appear as a node name in the textual stanza: the
     /// scenario identifier charset (alphanumerics, `_`, `'`, interior
     /// dashes), non-empty.
@@ -817,10 +827,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Captures one policy-stanza entry body: everything up to the next
-    /// newline, `;` or `}` (the `}` is left for the stanza loop). A `%`/`#`
-    /// comment ends the body early and is skipped to its end of line.
-    fn entry_body(&mut self) -> &'a str {
+    /// Captures one policy entry: everything up to the next newline or `;`
+    /// (consumed) or the end of the input. A `%`/`#` comment ends the entry
+    /// early and is skipped to its end of line.
+    fn entry(&mut self) -> &'a str {
         let bytes = self.bytes();
         let start = self.pos;
         let mut end = self.pos;
@@ -830,7 +840,6 @@ impl<'a> Parser<'a> {
                     self.pos += 1; // consume the terminator
                     return &self.input[start..end];
                 }
-                b'}' => return &self.input[start..end],
                 b'%' | b'#' => {
                     while self.pos < bytes.len() && bytes[self.pos] != b'\n' {
                         self.pos += 1;
@@ -845,65 +854,54 @@ impl<'a> Parser<'a> {
         &self.input[start..end]
     }
 
-    /// Parses the body of a `policy { … }` stanza (the `{` is already
-    /// consumed): `node: facts…` entries plus at most one
-    /// `default: nodes…` line.
-    fn policy_stanza(&mut self) -> Result<ExplicitSpec, ScenarioError> {
+    /// The policy entries that make up the whole input (see
+    /// [`ExplicitSpec::parse`]).
+    fn policy_entries(&mut self) -> Result<ExplicitSpec, ScenarioError> {
         let mut spec = ExplicitSpec::default();
         let mut saw_default = false;
         loop {
             self.skip_ws();
-            if self.eat(b'}') {
-                break;
-            }
             if self.eat(b';') {
                 continue;
             }
             if self.pos == self.input.len() {
-                return Err(self.error("unterminated policy stanza: expected '}'"));
+                break;
             }
             let entry_at = self.pos;
-            let name = self.ident()?;
-            self.skip_ws();
-            self.expect(b':')
-                .map_err(|_| self.error(format!("expected ':' after '{name}'")))?;
-            let body = self.entry_body();
-            if name == "default" {
+            let error = |message: String| ScenarioError {
+                position: entry_at,
+                message,
+            };
+            let entry = self.entry();
+            let (head, body) = entry
+                .split_once(':')
+                .ok_or_else(|| error(format!("expected ':' in policy entry '{}'", entry.trim())))?;
+            let head = head.trim();
+            if head == "default" {
                 if saw_default {
-                    return Err(ScenarioError {
-                        position: entry_at,
-                        message: "duplicate 'default' line in the policy stanza".to_string(),
-                    });
+                    return Err(error("duplicate 'default' line in the policy".to_string()));
                 }
                 saw_default = true;
                 for node in body.split_whitespace() {
                     if !ExplicitSpec::is_node_name(node) {
-                        return Err(ScenarioError {
-                            position: entry_at,
-                            message: format!("'{node}' is not a node name"),
-                        });
+                        return Err(error(format!("'{node}' is not a node name")));
                     }
                     spec.default.push(Symbol::new(node));
                 }
             } else {
-                if !ExplicitSpec::is_node_name(name) {
-                    return Err(ScenarioError {
-                        position: entry_at,
-                        message: format!("'{name}' is not a node name"),
-                    });
+                if !ExplicitSpec::is_node_name(head) {
+                    return Err(error(format!("'{head}' is not a node name")));
                 }
-                let facts = cq::parse_instance(body).map_err(|e| ScenarioError {
-                    position: entry_at,
-                    message: format!("in policy entry '{name}': {e}"),
-                })?;
+                let facts = cq::parse_instance(body)
+                    .map_err(|e| error(format!("in policy entry '{head}': {e}")))?;
                 spec.assignments
-                    .entry(Symbol::new(name))
+                    .entry(Symbol::new(head))
                     .or_default()
                     .extend(facts.facts().cloned());
             }
         }
         if spec.assignments.is_empty() && spec.default.is_empty() {
-            return Err(self.error("the policy stanza assigns no facts"));
+            return Err(self.error("the policy assigns no facts"));
         }
         Ok(spec)
     }
@@ -984,7 +982,11 @@ impl<'a> Parser<'a> {
                     }
                     self.skip_ws();
                     self.expect(b'{')?;
-                    policy = Some(self.policy_stanza()?);
+                    policy = Some(self.delegate(b'}', "policy stanza", |text| {
+                        ExplicitSpec::parse(text).map_err(|e| {
+                            format!("in policy stanza at byte {}: {}", e.position, e.message)
+                        })
+                    })?);
                 }
                 "schedule" => {
                     if schedule.is_some() {

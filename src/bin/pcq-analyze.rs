@@ -28,10 +28,12 @@
 //!   <query>        a named workload family (triangle, example3.5,
 //!                  chain:<len>, star:<rays>, cycle:<len>), a file path, or a
 //!                  literal query such as "T(x, z) :- R(x, y), R(y, z)."
-//!   <policy-file>  a text file with one line per node:
+//!   <policy-file>  a text file with one entry per node, each ending at a
+//!                  newline or a `;` (the body of a scenario's `policy { … }`
+//!                  stanza):
 //!                      n0: R(a, b) R(b, c)
 //!                      n1: R(b, a)
-//!                  an optional line `default: n0 n1` assigns unlisted facts.
+//!                  an optional entry `default: n0 n1` assigns unlisted facts.
 //!   <policy>       hypercube:<budget>, hash-join:<buckets>,
 //!                  broadcast:<nodes>, round-robin:<nodes> — or any other
 //!                  policy of the scenario grammar, `name:n` being its
@@ -160,6 +162,14 @@ macro_rules! say {
     };
 }
 
+/// `eprintln!` for a stderr whose reader may be gone: a failed write is
+/// dropped, so a usage or parse error still ends with exit status 2.
+macro_rules! complain {
+    ($($line:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($line)*);
+    }};
+}
+
 /// Writes `text` to stdout. The first write that finds the pipe closed ends
 /// the output quietly, and the command runs on to its verdict and exit
 /// status; any other failure panics as `print!` does.
@@ -191,12 +201,12 @@ fn main() -> ExitCode {
             }
         }
         Err(message) => {
-            eprintln!("error: {message}");
+            complain!("error: {message}");
             // A worker's runtime failure (protocol desync, injected fault)
             // is not a usage mistake; the usage text would only bury it.
             if !message.starts_with("worker failed:") {
-                eprintln!();
-                eprintln!("{}", usage());
+                complain!();
+                complain!("{}", usage());
             }
             ExitCode::from(2)
         }
@@ -363,7 +373,7 @@ fn write_trace(path: &str, result: Result<bool, String>) -> Result<bool, String>
     let dropped = obs::dropped_events();
     let mut doc = wire::trace_export::chrome_trace(&events);
     if dropped > 0 {
-        eprintln!(
+        complain!(
             "trace: WARNING: {dropped} events dropped (per-thread buffer full) — \
              the timeline in {path} is incomplete"
         );
@@ -1234,41 +1244,11 @@ fn decode_command(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-/// Parses the policy-file format described in the module documentation
-/// into a `wire::ExplicitSpec`, which materializes it — the file format
-/// and the scenario `policy { … }` stanza share one definition of what an
-/// explicit policy *means*.
-fn parse_policy_spec(text: &str) -> Result<ExplicitSpec, String> {
-    let mut spec = ExplicitSpec::default();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-            continue;
-        }
-        let (head, rest) = line
-            .split_once(':')
-            .ok_or(format!("line {}: expected 'node: facts…'", lineno + 1))?;
-        let head = head.trim();
-        if head == "default" {
-            for name in rest.split_whitespace() {
-                spec.default.push(Symbol::new(name));
-            }
-            continue;
-        }
-        // facts are separated by whitespace outside parentheses; reuse the
-        // instance parser which accepts whitespace/comma/period separators.
-        let facts = cq::parse_instance(rest).map_err(|e| format!("line {}: {}", lineno + 1, e))?;
-        spec.assignments
-            .entry(Symbol::new(head))
-            .or_default()
-            .extend(facts.facts().cloned());
-    }
-    Ok(spec)
-}
-
+/// Reads a policy file: the body of a scenario's `policy { … }` stanza,
+/// parsed by the stanza's own parser.
 fn load_policy_spec(path: &str) -> Result<ExplicitSpec, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_policy_spec(&text)
+    ExplicitSpec::parse(&text).map_err(|e| format!("{path}: byte {}: {}", e.position, e.message))
 }
 
 fn load_policy(path: &str) -> Result<ExplicitPolicy, String> {
@@ -1371,7 +1351,9 @@ mod tests {
     use distribution::DistributionPolicy;
 
     fn parse_policy(text: &str) -> Result<ExplicitPolicy, String> {
-        parse_policy_spec(text)?.build_policy()
+        ExplicitSpec::parse(text)
+            .map_err(|e| e.to_string())?
+            .build_policy()
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! contract (0 = property holds, 1 = it does not, 2 = usage/parse error).
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const TRIANGLE: &str = "T(x, y, z) :- E(x, y), E(y, z), E(z, x).";
 const PATH_2: &str = "T(x, z) :- R(x, y), R(y, z).";
@@ -128,6 +128,40 @@ fn pc_and_run_reject_node_names_the_policy_stanza_rejects() {
         }
         let _ = std::fs::remove_file(path);
     }
+}
+
+#[test]
+fn policy_files_parse_as_the_policy_stanza_does() {
+    // A second `default:` entry is an error, as it is in a scenario.
+    let path = write_temp(
+        "two-defaults-policy.txt",
+        "n0: R(a, b)\ndefault: n0\ndefault: n1\n",
+    );
+    let policy = path.to_str().unwrap();
+    for args in [
+        &["pc", PATH_2, policy][..],
+        &["run", PATH_2, policy, "R(a, b)."][..],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_pcq-analyze"))
+            .args(args)
+            .output()
+            .expect("spawn pcq-analyze");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("duplicate 'default'"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(path);
+    // A `;` ends an entry, as it does in a scenario: two nodes, whose facts
+    // R(a, b) and R(b, c) meet nowhere, so the 2-path loses T(a, c).
+    let path = write_temp("semicolon-policy.txt", "n0: R(a, b); n1: R(b, c)\n");
+    let policy = path.to_str().unwrap();
+    assert_eq!(pcq_analyze(&["pc", PATH_2, policy]), 1);
+    let (code, stdout) =
+        pcq_analyze_output(&["run", PATH_2, policy, "R(a, b). R(b, c).", "--json"]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stdout.contains("\"nodes\":2"), "{stdout}");
+    assert!(stdout.contains("\"parallel_correct\":false"), "{stdout}");
+    let _ = std::fs::remove_file(path);
 }
 
 #[test]
@@ -857,7 +891,6 @@ fn hypercube_family_membership_answers_both_ways() {
 /// stdout bytes and stderr text.
 fn pcq_analyze_piped(args: &[&str], stdin_bytes: &[u8]) -> (i32, Vec<u8>) {
     use std::io::Write;
-    use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_pcq-analyze"))
         .args(args)
         .stdin(Stdio::piped())
@@ -881,7 +914,6 @@ fn pcq_analyze_piped(args: &[&str], stdin_bytes: &[u8]) -> (i32, Vec<u8>) {
 #[test]
 fn a_closed_stdout_ends_the_output_quietly_and_keeps_the_verdict() {
     use std::io::Write;
-    use std::process::Stdio;
     // `… | head`: the reader leaves before the program has printed
     // everything. That is not the program's failure: no panic text, and the
     // exit status is still the verdict's.
@@ -923,6 +955,19 @@ fn a_closed_stdout_ends_the_output_quietly_and_keeps_the_verdict() {
     let outcome = close_early(&["pc", PATH_2, path.to_str().unwrap()], b"");
     let _ = std::fs::remove_file(path);
     assert_eq!(outcome, (Some(1), String::new()));
+}
+
+#[test]
+fn usage_errors_exit_2_when_stderr_is_a_closed_pipe() {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_pcq-analyze"))
+        .arg("nope")
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("spawn pcq-analyze");
+    assert_eq!(status.code(), Some(2));
 }
 
 #[test]
