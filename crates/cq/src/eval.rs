@@ -78,7 +78,7 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crate::atom::{Atom, Variable};
-use crate::fact::{Fact, Tuple};
+use crate::fact::{self, Fact, Tuple, PACKED_ARITY};
 use crate::instance::{Instance, SortedOrder};
 use crate::intern::{Symbol, SymbolHashBuilder};
 use crate::query::ConjunctiveQuery;
@@ -836,16 +836,12 @@ where
     })
 }
 
-/// The widest head whose projection packs into one `u128` answer key: four
-/// 32-bit ids.
-const PACKED_ARITY: usize = 4;
-
 /// The head tuples of an evaluation.
 enum Collected {
     /// Set semantics over packed keys *before any [`Fact`] exists*, for a
-    /// head of arity ≤ [`PACKED_ARITY`]: each head value's [`Value::raw`]
-    /// id, the first in the high bits. The keys of one head order as its
-    /// tuples do, so sorting the integers sorts the answers.
+    /// head of arity ≤ [`PACKED_ARITY`] (the key layout is
+    /// [`fact::pack`]'s). The keys of one head order as its tuples do, so
+    /// sorting the integers sorts the answers.
     Packed(HashSet<u128, SymbolHashBuilder>),
     /// Set semantics over tuples, for a head too wide to pack; `scratch`
     /// holds the projection of the leaf at hand.
@@ -900,7 +896,7 @@ impl Answers {
         let values = head.map(|&slot| slots[slot].expect("every slot is bound at a leaf"));
         match &mut self.collected {
             Collected::Packed(keys) => {
-                keys.insert(values.fold(0, |key, value| key << 32 | u128::from(value.raw())));
+                keys.insert(fact::pack(values));
             }
             Collected::Tuples { distinct, scratch } => {
                 scratch.clear();
@@ -924,13 +920,8 @@ impl Answers {
         let arity = self.head.len();
         let answers = match self.collected {
             Collected::Packed(keys) => {
-                let mut keys: Vec<u128> = keys.into_iter().collect();
-                keys.sort_unstable();
-                let unpack = |key: u128| {
-                    let ids = (0..arity).rev().map(|at| (key >> (32 * at)) as u32);
-                    Fact::new(relation, ids.map(Value::from_raw).collect::<Tuple>())
-                };
-                Instance::from_relations(vec![(relation, keys.into_iter().map(unpack).collect())])
+                let rows = fact::unpack_sorted(relation, arity, keys.into_iter().collect());
+                Instance::from_relations(vec![(relation, rows)])
             }
             Collected::Tuples { distinct, .. } => {
                 let distinct = distinct.into_iter();

@@ -207,6 +207,31 @@ impl fmt::Display for Fact {
     }
 }
 
+/// The widest fact whose values pack into one `u128` key: four 32-bit ids.
+pub(crate) const PACKED_ARITY: usize = 4;
+
+/// The packed key of at most [`PACKED_ARITY`] values: each value's
+/// [`Value::raw`] id, the first in the high bits. Keys of one arity order
+/// as their tuples do, so sorting the integers sorts the facts.
+pub(crate) fn pack(values: impl IntoIterator<Item = Value>) -> u128 {
+    values
+        .into_iter()
+        .fold(0, |key, value| key << 32 | u128::from(value.raw()))
+}
+
+/// The distinct facts of `relation` whose arity-`arity` [packed](pack)
+/// keys are `keys`, in ascending order: the keys are sorted as integers,
+/// deduplicated and unpacked, and freed before this returns.
+pub(crate) fn unpack_sorted(relation: Symbol, arity: usize, mut keys: Vec<u128>) -> Vec<Fact> {
+    keys.sort_unstable();
+    keys.dedup();
+    let unpack = |key: u128| {
+        let ids = (0..arity).rev().map(|at| (key >> (32 * at)) as u32);
+        Fact::new(relation, ids.map(Value::from_raw).collect::<Tuple>())
+    };
+    keys.into_iter().map(unpack).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,6 +315,28 @@ mod tests {
         let short = Fact::new(s, values(0, 1));
         assert!(long < short, "the relation decides first");
         assert!(Fact::new(r, values(5, 1)) < Fact::new(r, values(6, 1)));
+    }
+
+    #[test]
+    fn packed_keys_order_and_unpack_as_their_facts() {
+        let r = Symbol::new("PackR");
+        let opaque = Value::opaque(3).unwrap();
+        for arity in 0..=PACKED_ARITY {
+            let mut facts: Vec<Fact> = (0..12)
+                .map(|salt| {
+                    let mut v = values(arity, salt % 5);
+                    if salt % 3 == 0 && arity > 0 {
+                        v[arity - 1] = opaque; // after every named value
+                    }
+                    Fact::new(r, v)
+                })
+                .collect();
+            let keys = facts.iter().map(|fact| pack(fact.values.iter().copied()));
+            let unpacked = unpack_sorted(r, arity, keys.collect());
+            facts.sort();
+            facts.dedup();
+            assert_eq!(unpacked, facts, "arity {arity}");
+        }
     }
 
     #[test]

@@ -122,10 +122,15 @@ fn building_copying_and_parsing_allocate_per_relation_not_per_fact() {
     assert!(heap.allocations <= 8, "clone: {heap:?}");
     assert!(heap.bytes <= 40 * FACTS, "clone: {heap:?}");
 
-    // every name is interned by now: what is left is the parser's own
+    // Every name is interned by now: what is left is the parser's own. It
+    // grows its batch buffers once, asks for one symbol vector a batch, a
+    // growing key vector a run and the rows at their exact size: 57
+    // allocations and 1 620 376 bytes measured, against 17 and 1 688 768
+    // while it collected a `Vec<Fact>` and sorted it.
     let (parsed, heap) = counting(|| parse_instance(&text).unwrap());
     assert_eq!(parsed, instance);
     assert!(heap.allocations <= 64, "parse_instance: {heap:?}");
+    assert!(heap.bytes <= 200 * FACTS, "parse_instance: {heap:?}");
 }
 
 #[test]

@@ -712,11 +712,13 @@ impl<'a> Parser<'a> {
     /// (exclusive in the returned slice) and hands it to `parse`. A
     /// terminator inside a `%`/`#` line comment does not count — the
     /// captured text keeps its comments (the `cq` parsers skip them too).
+    /// `parse` fails with a position in the captured text, which the error
+    /// reports as a position in the whole input.
     fn delegate<T>(
         &mut self,
         terminator: u8,
         what: &str,
-        parse: impl FnOnce(&str) -> Result<T, String>,
+        parse: impl FnOnce(&str) -> Result<T, (usize, String)>,
     ) -> Result<T, ScenarioError> {
         self.skip_ws();
         let start = self.pos;
@@ -738,8 +740,8 @@ impl<'a> Parser<'a> {
         }
         let text = &self.input[start..self.pos];
         self.pos += 1; // consume the terminator
-        parse(text).map_err(|message| ScenarioError {
-            position: start,
+        parse(text).map_err(|(at, message)| ScenarioError {
+            position: start + at,
             message,
         })
     }
@@ -876,6 +878,7 @@ impl<'a> Parser<'a> {
             let (head, body) = entry
                 .split_once(':')
                 .ok_or_else(|| error(format!("expected ':' in policy entry '{}'", entry.trim())))?;
+            let body_at = entry_at + head.len() + 1;
             let head = head.trim();
             if head == "default" {
                 if saw_default {
@@ -892,8 +895,10 @@ impl<'a> Parser<'a> {
                 if !ExplicitSpec::is_node_name(head) {
                     return Err(error(format!("'{head}' is not a node name")));
                 }
-                let facts = cq::parse_instance(body)
-                    .map_err(|e| error(format!("in policy entry '{head}': {e}")))?;
+                let facts = cq::parse_instance(body).map_err(|e| ScenarioError {
+                    position: body_at + e.position,
+                    message: format!("in policy entry '{head}': {}", e.message),
+                })?;
                 spec.assignments
                     .entry(Symbol::new(head))
                     .or_default()
@@ -933,7 +938,7 @@ impl<'a> Parser<'a> {
                     // an identifier — capture through it and let cq parse.
                     queries = Some(vec![self.delegate(b'.', "query", |text| {
                         ConjunctiveQuery::parse(&format!("{text}."))
-                            .map_err(|e| format!("in query stanza: {e}"))
+                            .map_err(|e| (e.position, format!("in query stanza: {}", e.message)))
                     })?]);
                 }
                 "queries" => {
@@ -954,8 +959,9 @@ impl<'a> Parser<'a> {
                             );
                         }
                         sequence.push(self.delegate(b'.', "query", |text| {
-                            ConjunctiveQuery::parse(&format!("{text}."))
-                                .map_err(|e| format!("in queries stanza: {e}"))
+                            ConjunctiveQuery::parse(&format!("{text}.")).map_err(|e| {
+                                (e.position, format!("in queries stanza: {}", e.message))
+                            })
                         })?);
                     }
                     if sequence.is_empty() {
@@ -973,7 +979,8 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     self.expect(b'{')?;
                     instance = Some(self.delegate(b'}', "instance block", |text| {
-                        cq::parse_instance(text).map_err(|e| format!("in instance stanza: {e}"))
+                        cq::parse_instance(text)
+                            .map_err(|e| (e.position, format!("in instance stanza: {}", e.message)))
                     })?);
                 }
                 "policy" => {
@@ -983,9 +990,8 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     self.expect(b'{')?;
                     policy = Some(self.delegate(b'}', "policy stanza", |text| {
-                        ExplicitSpec::parse(text).map_err(|e| {
-                            format!("in policy stanza at byte {}: {}", e.position, e.message)
-                        })
+                        ExplicitSpec::parse(text)
+                            .map_err(|e| (e.position, format!("in policy stanza: {}", e.message)))
                     })?);
                 }
                 "schedule" => {
@@ -1226,6 +1232,48 @@ mod tests {
         );
         assert_eq!(s.rounds, 1);
         assert_eq!(Scenario::parse(&s.to_string()).unwrap(), s);
+    }
+
+    #[test]
+    fn stanza_errors_report_one_offset_into_the_file() {
+        let head = "query T(x) :- R(x, y).\n";
+        for (text, position, message) in [
+            (
+                format!("{head}instance {{ R(a, b). R(a, . }}\nschedule hash(2)\n"),
+                48,
+                "in instance stanza: expected an identifier",
+            ),
+            (
+                format!(
+                    "{head}instance {{ R(a, b). }}\npolicy {{\n  n0: R(a, b)\n  n1: R(a, b) R(b,\n}}\n\
+                     schedule explicit\n"
+                ),
+                86,
+                "in policy stanza: in policy entry 'n1': expected an identifier",
+            ),
+            (
+                format!("{head}instance {{ }}\npolicy {{ n0: R(a, b)\n b@d: R(b, c) }}\n"),
+                58,
+                "in policy stanza: 'b@d' is not a node name",
+            ),
+            (
+                "query T(x) :- R(x, y), S(y z).".to_string(),
+                27,
+                "in query stanza: expected ','",
+            ),
+            (
+                "queries { T(x) :- R(x).\n T(x) :- R(x) S(x). }".to_string(),
+                38,
+                "in queries stanza: unexpected trailing input after the query",
+            ),
+        ] {
+            let err = Scenario::parse(&text).unwrap_err();
+            assert_eq!(
+                (err.position, err.message.as_str()),
+                (position, message),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

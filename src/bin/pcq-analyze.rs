@@ -286,7 +286,7 @@ fn read_spec_text(spec: &str) -> Result<String, String> {
 /// not an existing file.
 fn load_query(arg: &str) -> Result<ConjunctiveQuery, String> {
     let text = read_spec_text(arg)?;
-    ConjunctiveQuery::parse(text.trim()).map_err(|e| format!("cannot parse query '{arg}': {e}"))
+    ConjunctiveQuery::parse(&text).map_err(|e| format!("cannot parse query '{arg}': {e}"))
 }
 
 /// Resolves a `run` query spec: a named workload family first, then the
@@ -307,7 +307,7 @@ fn load_run_instance(arg: &str, query: &ConjunctiveQuery) -> Result<Instance, St
         Ok(i) => Ok(i),
         Err(named_err) => {
             let text = read_spec_text(arg)?;
-            cq::parse_instance(text.trim()).map_err(|parse_err| {
+            cq::parse_instance(&text).map_err(|parse_err| {
                 format!("cannot resolve instance spec '{arg}': {named_err}; {parse_err}")
             })
         }
@@ -1195,7 +1195,7 @@ fn encode_command(args: &[String]) -> Result<bool, String> {
         "query" => wire::Message::Query(load_run_query(spec)?),
         "instance" => {
             let text = read_spec_text(spec)?;
-            let instance = cq::parse_instance(text.trim())
+            let instance = cq::parse_instance(&text)
                 .map_err(|e| format!("cannot parse instance '{spec}': {e}"))?;
             wire::Message::Instance(instance)
         }

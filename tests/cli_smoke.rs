@@ -165,6 +165,31 @@ fn policy_files_parse_as_the_policy_stanza_does() {
 }
 
 #[test]
+fn parse_errors_name_the_byte_of_the_file_as_written() {
+    // Leading blank lines count: the bad `.` is byte 17 of the facts file
+    // and byte 19 of the query file.
+    let facts = write_temp("blank-lines.facts", "\n\n\nR(a, b).\nR(a, .\n");
+    let query = write_temp("blank-lines.cq", "\n\nT(x) :- R(x, y), .\n");
+    let (facts, query) = (facts.to_str().unwrap(), query.to_str().unwrap());
+    for (args, byte) in [
+        (&["encode", "instance", facts][..], 17),
+        (&["run", PATH_2, "hash-join:2", facts][..], 17),
+        (&["analyze", query][..], 19),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_pcq-analyze"))
+            .args(args)
+            .output()
+            .expect("spawn pcq-analyze");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        let expected = format!("parse error at byte {byte}: expected an identifier");
+        assert!(stderr.contains(&expected), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(facts);
+    let _ = std::fs::remove_file(query);
+}
+
+#[test]
 fn transfer_holds_reflexively_and_rejects_unknown_flags() {
     assert_eq!(pcq_analyze(&["transfer", PATH_2, PATH_2]), 0);
     assert_eq!(pcq_analyze(&["transfer", PATH_2, PATH_2, "--bogus"]), 2);
