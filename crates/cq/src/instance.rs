@@ -319,32 +319,6 @@ impl Instance {
         instance
     }
 
-    /// The complete instance over `schema` with values drawn from `values`:
-    /// every relation contains every possible tuple.
-    ///
-    /// This is the finite fact universe used when checking
-    /// parallel-correctness of black-box policies over a bounded domain (the
-    /// `Pⁿ` restriction of Section 3 of the paper). The size is
-    /// `Σ_R |values|^{ar(R)}`, so keep `values` small.
-    pub fn complete_over(schema: &Schema, values: &[Value]) -> Instance {
-        let mut facts = Vec::new();
-        for rel in schema.relations() {
-            // every `arity`-digit number in base `|values|` (0⁰ = 1: the
-            // nullary fact exists over an empty domain)
-            let arity = u32::try_from(rel.arity).expect("arity fits u32");
-            let tuples = values.len().checked_pow(arity).expect("universe too large");
-            facts.extend((0..tuples).map(|mut digits| {
-                let tuple = (0..rel.arity).map(|_| {
-                    let digit = digits % values.len();
-                    digits /= values.len();
-                    values[digit]
-                });
-                Fact::new(rel.name, Tuple::from_iter(tuple))
-            }));
-        }
-        Instance::from_facts(facts)
-    }
-
     /// Inserts a fact. Returns `true` if the fact was not already present.
     ///
     /// A fact above its relation's last row is appended, and the sorted
@@ -788,28 +762,6 @@ mod tests {
         }
         assert_eq!(Instance::from_relations(vec![]), Instance::new());
         assert_eq!(Instance::from_relations(vec![(r, vec![])]), Instance::new());
-    }
-
-    #[test]
-    fn complete_over_enumerates_all_tuples() {
-        let schema = crate::Schema::from_relations([("R", 2), ("S", 1), ("B", 0)]);
-        let values = [Value::new("a"), Value::new("b"), Value::new("c")];
-        let inst = Instance::complete_over(&schema, &values);
-        // 3^2 + 3 + 1 tuples
-        assert_eq!(inst.len(), 9 + 3 + 1);
-        assert!(inst.contains(&Fact::from_names("R", &["c", "a"])));
-        assert!(inst.contains(&Fact::from_names("S", &["b"])));
-        assert!(inst.contains(&Fact::from_names("B", &[])));
-        assert!(inst.is_well_formed());
-    }
-
-    #[test]
-    fn complete_over_with_empty_domain() {
-        let schema = crate::Schema::from_relations([("R", 2), ("B", 0)]);
-        let inst = Instance::complete_over(&schema, &[]);
-        // only the nullary fact exists
-        assert_eq!(inst.len(), 1);
-        assert!(inst.contains(&Fact::from_names("B", &[])));
     }
 
     /// The rows of a sorted order, checked to be flat, complete and sorted.

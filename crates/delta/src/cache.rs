@@ -15,7 +15,7 @@ use cq::Instance;
 /// because the benchmark's frozen `index_warm`
 /// probe calls [`IndexCache::new`], [`IndexCache::warm`],
 /// [`IndexCache::hits`] and [`IndexCache::misses`]; deleting the type is
-/// ROADMAP item 1(ii)'s job, once that probe is thawed.
+/// ROADMAP item 1B's job, once that probe is thawed.
 ///
 /// Keys are a fingerprint of the fact set — a fast, unkeyed hash, since a
 /// hit is confirmed by full equality: a collision can cost a comparison

@@ -90,7 +90,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use cq::{Atom, ConjunctiveQuery, Fact, Instance, Symbol, Tuple, Value, Variable};
-use distribution::{Network, Node, Shipment};
+use distribution::{Node, Shipment};
 
 /// Errors raised while decoding wire data. Corrupted, truncated or
 /// malicious input surfaces here; decoding never panics.
@@ -292,11 +292,6 @@ impl Encoder {
     /// Writes a raw byte (enum tags).
     pub fn byte(&mut self, value: u8) {
         self.payload.push(value);
-    }
-
-    /// Writes a bool as a byte.
-    pub fn bool(&mut self, value: bool) {
-        self.byte(u8::from(value));
     }
 
     /// Writes a symbol as its dictionary index, entering it into the
@@ -545,18 +540,6 @@ impl<'a> Decoder<'a> {
         Ok(byte)
     }
 
-    /// Reads a bool byte (`0` or `1`).
-    pub fn bool(&mut self) -> Result<bool, DecodeError> {
-        match self.byte()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(DecodeError::UnknownTag {
-                context: "bool",
-                tag,
-            }),
-        }
-    }
-
     /// Reads a dictionary reference.
     pub fn symbol(&mut self) -> Result<Symbol, DecodeError> {
         let index = self.u64()?;
@@ -620,18 +603,6 @@ impl Decode for u64 {
     }
 }
 
-impl Encode for usize {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.usize(*self);
-    }
-}
-
-impl Decode for usize {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        dec.usize()
-    }
-}
-
 impl Encode for Symbol {
     fn encode(&self, enc: &mut Encoder) {
         enc.symbol(*self);
@@ -641,18 +612,6 @@ impl Encode for Symbol {
 impl Decode for Symbol {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         dec.symbol()
-    }
-}
-
-impl Encode for Value {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.value(*self);
-    }
-}
-
-impl Decode for Value {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        dec.value()
     }
 }
 
@@ -714,63 +673,6 @@ impl<T: Decode> Decode for Vec<T> {
             out.push(T::decode(dec)?);
         }
         Ok(out)
-    }
-}
-
-impl<T: Encode> Encode for Option<T> {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            None => enc.byte(0),
-            Some(value) => {
-                enc.byte(1);
-                value.encode(enc);
-            }
-        }
-    }
-}
-
-impl<T: Decode> Decode for Option<T> {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.byte()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(dec)?)),
-            tag => Err(DecodeError::UnknownTag {
-                context: "Option",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Encode for Tuple {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.usize(self.len());
-        for value in self {
-            value.encode(enc);
-        }
-    }
-}
-
-impl Decode for Tuple {
-    /// The layout of a `Vec<Value>`, read straight into the tuple's inline
-    /// slots.
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let len = decode_len(dec)?;
-        (0..len).map(|_| Value::decode(dec)).collect()
-    }
-}
-
-impl Encode for Fact {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.symbol(self.relation);
-        self.values.encode(enc);
-    }
-}
-
-impl Decode for Fact {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let relation = dec.symbol()?;
-        Ok(Fact::new(relation, Tuple::decode(dec)?))
     }
 }
 
@@ -880,21 +782,6 @@ impl Decode for ConjunctiveQuery {
         // head relation outside the body): bytes from an untrusted peer
         // must not bypass them.
         ConjunctiveQuery::new(head, body).map_err(|e| DecodeError::Invalid(e.to_string()))
-    }
-}
-
-impl Encode for Network {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.usize(self.len());
-        for node in self.nodes() {
-            node.encode(enc);
-        }
-    }
-}
-
-impl Decode for Network {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Network::new(Vec::<Node>::decode(dec)?))
     }
 }
 
@@ -1486,9 +1373,9 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut body = encode_body(&Fact::from_names("R", &["a"]));
+        let mut body = encode_body(&Instance::from_facts([Fact::from_names("R", &["a"])]));
         body.push(0x00);
-        let err = decode_body::<Fact>(&body).unwrap_err();
+        let err = decode_body::<Instance>(&body).unwrap_err();
         assert_eq!(err, DecodeError::TrailingBytes { count: 1 });
     }
 

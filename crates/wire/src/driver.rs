@@ -719,59 +719,57 @@ impl WireTransport {
 
     /// Brings the fault-tolerance ledger in step with a shipment about to
     /// be queued — the ledger must already hold what a rebuild of the node
-    /// would have to re-ship — and returns the round and shipment to queue,
-    /// which differ from the caller's when the node's worker has died since
-    /// the node was last shipped state.
-    fn ledgered(&mut self, node: Node, shipment: Shipment) -> (u64, Shipment) {
+    /// would have to re-ship — and returns the job to queue, which is
+    /// [`WireTransport::rebuilt`] when the node's worker has died since the
+    /// node was last shipped state.
+    fn ledgered(&mut self, node: Node, shipment: Shipment) -> Job {
         let round = self.round;
         match shipment {
-            Shipment::Delta(delta) if round > 0 => {
+            Shipment::Delta(ref delta) if round > 0 => {
                 let state = self.shipped_state.entry(node).or_default();
-                Arc::make_mut(state).absorb(&delta);
-                if self.needs_rebuild.remove(&node) {
-                    // Ship the full accumulated state as a round-0 reset.
-                    (0, Shipment::Delta(state.clone()))
-                } else {
-                    (round, Shipment::Delta(delta))
-                }
+                Arc::make_mut(state).absorb(delta);
             }
             // A full chunk, like a round-0 delta, replaces whatever the
             // node held before.
             Shipment::Full(ref facts) | Shipment::Delta(ref facts) => {
                 self.shipped_state.insert(node, facts.clone());
                 self.needs_rebuild.remove(&node);
-                (round, shipment)
             }
-            Shipment::Resident if self.needs_rebuild.remove(&node) => {
-                // Re-ship the ledger copy as a full chunk instead of asking
-                // a fresh worker for state it does not have.
-                (round, self.resident_shard(node))
-            }
-            Shipment::Resident => (round, Shipment::Resident),
+            Shipment::Resident => {}
+        }
+        let job = Job {
+            round,
+            node,
+            work: shipment,
+        };
+        if self.needs_rebuild.contains(&node) {
+            self.rebuilt(job)
+        } else {
+            job
         }
     }
 
-    /// Converts a job that died with its worker into the job to requeue on
-    /// a survivor: full chunks are stateless and go as-is; a delta's per-node
-    /// state is gone, so it becomes a round-0 rebuild carrying the node's
-    /// full shipped state (which already includes this round's delta); a
-    /// resident job's shard likewise died, so it becomes a full chunk
-    /// carrying the ledger copy of that shard.
-    fn requeued_job(&mut self, job: Job) -> Job {
-        let Job { round, node, work } = job;
-        if !matches!(work, Shipment::Full(_)) {
-            self.registry.counter("state_rebuilds").inc();
-            obs::instant!("state_rebuild", node = node);
-            self.needs_rebuild.remove(&node);
-        }
-        let (round, work) = match work {
-            Shipment::Full(chunk) => (round, Shipment::Full(chunk)),
+    /// The job that brings `job`'s node up on a worker that does not hold
+    /// its state: the node's worker died, and this is its next `send` or
+    /// its unanswered job requeued on a survivor. A full chunk is stateless
+    /// and goes as-is; a delta becomes a round-0 rebuild carrying the
+    /// node's whole ledger state (which already includes this delta); a
+    /// resident job becomes a full chunk carrying the ledger copy of the
+    /// shard. Each rebuild counts in `state_rebuilds` and leaves a
+    /// `state_rebuild` instant.
+    fn rebuilt(&mut self, job: Job) -> Job {
+        let node = job.node;
+        let (round, work) = match job.work {
+            Shipment::Full(_) => return job,
             Shipment::Delta(delta) => {
                 let ledger = self.shipped_state.get(&node).cloned();
                 (0, Shipment::Delta(ledger.unwrap_or(delta)))
             }
-            Shipment::Resident => (round, self.resident_shard(node)),
+            Shipment::Resident => (job.round, self.resident_shard(node)),
         };
+        self.registry.counter("state_rebuilds").inc();
+        obs::instant!("state_rebuild", node = node);
+        self.needs_rebuild.remove(&node);
         Job { round, node, work }
     }
 
@@ -811,8 +809,8 @@ impl Transport for WireTransport {
                 .histogram("chunk_facts")
                 .record(shipment.len() as u64);
         }
-        let (round, work) = self.ledgered(node, shipment);
-        self.enqueue(Job { round, node, work })
+        let job = self.ledgered(node, shipment);
+        self.enqueue(job)
     }
 
     fn barrier(&mut self) -> Result<(), TransportError> {
@@ -904,7 +902,7 @@ impl Transport for WireTransport {
             for job in requeue {
                 self.registry.counter("driver_requeues").inc();
                 obs::instant!("requeue", node = job.node);
-                let job = self.requeued_job(job);
+                let job = self.rebuilt(job);
                 self.enqueue(job)?;
             }
             // Loop: drive the requeued jobs on the survivors.
@@ -1062,13 +1060,58 @@ mod tests {
         // The node's worker dies with the job unanswered: the requeued job
         // is a round-0 rebuild carrying the extended ledger state itself.
         core.mark_dead(0);
-        let rebuild = core.requeued_job(job);
+        let rebuild = core.rebuilt(job);
         let Shipment::Delta(delta) = rebuild.work else {
             panic!("a delta job requeues as a delta");
         };
         assert_eq!(rebuild.round, 0);
         assert!(Arc::ptr_eq(&delta, &core.shipped_state[&node]));
         assert_eq!(delta, facts("R(a, b). R(b, c)."));
+        assert_eq!(core.registry.counter_value("state_rebuilds"), 1);
+    }
+
+    #[test]
+    fn a_node_whose_worker_died_after_answering_is_rebuilt_and_counted_at_its_next_send() {
+        let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+        let facts = |text| Arc::new(cq::parse_instance(text).unwrap());
+        let (delta_node, resident_node) = (Node::numbered(0), Node::numbered(1));
+        let mut core = inert_core(3);
+        core.begin_round(0, &query).unwrap();
+        core.send(delta_node, Shipment::Delta(facts("R(a, b).")))
+            .unwrap();
+        core.send(resident_node, Shipment::Full(facts("R(c, d).")))
+            .unwrap();
+
+        // Both workers answered round 0 and then died: nothing is requeued,
+        // so each node is rebuilt at its next `send`.
+        core.mark_dead(0);
+        core.mark_dead(1);
+        core.begin_round(1, &query).unwrap();
+        core.send(delta_node, Shipment::Delta(facts("R(b, c).")))
+            .unwrap();
+        core.send(resident_node, Shipment::Resident).unwrap();
+        let [Job {
+            round: 0,
+            work: Shipment::Delta(state),
+            ..
+        }, Job {
+            round: 1,
+            work: Shipment::Full(shard),
+            ..
+        }] = &core.jobs[2][..]
+        else {
+            panic!("two rebuilds were queued on the survivor");
+        };
+        assert_eq!(*state, facts("R(a, b). R(b, c)."));
+        assert_eq!(*shard, facts("R(c, d)."));
+        assert_eq!(core.registry.counter_value("state_rebuilds"), 2);
+
+        // Rebuilt once: the next round ships the plain delta again.
+        core.begin_round(2, &query).unwrap();
+        core.send(delta_node, Shipment::Delta(facts("R(c, d).")))
+            .unwrap();
+        assert!(matches!(core.jobs[2][..], [Job { round: 2, .. }]));
+        assert_eq!(core.registry.counter_value("state_rebuilds"), 2);
     }
 
     #[test]
@@ -1096,7 +1139,7 @@ mod tests {
         core.send(node, Shipment::Resident).unwrap();
         let job = core.jobs[0][0].clone();
         core.mark_dead(0);
-        let Shipment::Full(shard) = core.requeued_job(job).work else {
+        let Shipment::Full(shard) = core.rebuilt(job).work else {
             panic!("a resident job requeues as a full chunk");
         };
         assert_eq!(*shard, cq::parse_instance("R(a, a). R(a, b).").unwrap());
@@ -1151,7 +1194,7 @@ mod tests {
         // survivor reads it with nothing before it. Its values never leaned
         // on a frame in the first place: they are the coordinator's ids.
         core.mark_dead(0);
-        let requeued = core.requeued_job(job);
+        let requeued = core.rebuilt(job);
         let on_survivor = encode_for(&mut core, 1, &requeued);
         assert_eq!(on_survivor, first);
         let fresh = &mut Dictionary::worker();

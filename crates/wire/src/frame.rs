@@ -34,8 +34,9 @@ pub const MAGIC: [u8; 4] = *b"PCQW";
 /// relation-blocked rows of bare value ids and took data values out of a
 /// worker connection's dictionaries (a value is the coordinator's id there);
 /// version 5 dropped the evaluator byte from `Eval` (a node always runs the
-/// production evaluator).
-pub const VERSION: u8 = 5;
+/// production evaluator); version 6 made a `Scenario` payload the
+/// scenario's own text, read back by the scenario parser.
+pub const VERSION: u8 = 6;
 
 /// Sanity cap on a frame body: a declared length beyond this is treated as
 /// corruption rather than trusted with an allocation (1 GiB).
@@ -219,7 +220,12 @@ fn read_stream_varint(r: &mut impl Read) -> Result<(u64, usize), DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cq::Fact;
+    use cq::{Fact, Instance};
+
+    /// A one-fact instance: the smallest body with names in it.
+    fn fact(relation: &str, values: &[&str]) -> Instance {
+        Instance::from_facts([Fact::from_names(relation, values)])
+    }
 
     /// Reads one self-contained frame off a stream.
     fn read_frame<T: Decode>(r: &mut impl Read) -> Result<Option<T>, DecodeError> {
@@ -233,78 +239,82 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_self_delimit() {
-        let a = Fact::from_names("R", &["x", "y"]);
-        let b = Fact::from_names("S", &["z"]);
+        let a = fact("R", &["x", "y"]);
+        let b = fact("S", &["z"]);
         let mut stream = encode_frame(&a);
         stream.extend(encode_frame(&b));
 
         let (body_a, rest) = split_frame(&stream).unwrap();
         let (body_b, tail) = split_frame(rest).unwrap();
         assert!(tail.is_empty());
-        assert_eq!(crate::codec::decode_body::<Fact>(body_a).unwrap(), a);
-        assert_eq!(crate::codec::decode_body::<Fact>(body_b).unwrap(), b);
+        assert_eq!(crate::codec::decode_body::<Instance>(body_a).unwrap(), a);
+        assert_eq!(crate::codec::decode_body::<Instance>(body_b).unwrap(), b);
 
         // and through the stream API
         let mut cursor = std::io::Cursor::new(stream);
-        assert_eq!(read_frame::<Fact>(&mut cursor).unwrap(), Some(a));
-        assert_eq!(read_frame::<Fact>(&mut cursor).unwrap(), Some(b));
-        assert_eq!(read_frame::<Fact>(&mut cursor).unwrap(), None);
+        assert_eq!(read_frame::<Instance>(&mut cursor).unwrap(), Some(a));
+        assert_eq!(read_frame::<Instance>(&mut cursor).unwrap(), Some(b));
+        assert_eq!(read_frame::<Instance>(&mut cursor).unwrap(), None);
     }
 
     #[test]
     fn counted_reads_report_the_exact_wire_length() {
-        let a = Fact::from_names("R", &["x", "y"]);
-        let b = Fact::from_names("SomeLongerRelationName", &["value1", "value2", "value3"]);
+        let a = fact("R", &["x", "y"]);
+        let b = fact("SomeLongerRelationName", &["value1", "value2", "value3"]);
         let frame_a = encode_frame(&a);
         let frame_b = encode_frame(&b);
         let mut stream = frame_a.clone();
         stream.extend(frame_b.clone());
 
         let mut cursor = std::io::Cursor::new(stream);
-        let (back_a, len_a) = read_frame_counted::<Fact>(&mut cursor).unwrap().unwrap();
-        let (back_b, len_b) = read_frame_counted::<Fact>(&mut cursor).unwrap().unwrap();
+        let (back_a, len_a) = read_frame_counted::<Instance>(&mut cursor)
+            .unwrap()
+            .unwrap();
+        let (back_b, len_b) = read_frame_counted::<Instance>(&mut cursor)
+            .unwrap()
+            .unwrap();
         assert_eq!(back_a, a);
         assert_eq!(back_b, b);
         assert_eq!(len_a, frame_a.len() as u64, "counted = bytes produced");
         assert_eq!(len_b, frame_b.len() as u64);
-        assert_eq!(read_frame_counted::<Fact>(&mut cursor).unwrap(), None);
+        assert_eq!(read_frame_counted::<Instance>(&mut cursor).unwrap(), None);
     }
 
     #[test]
     fn bad_magic_and_version_are_rejected() {
-        let fact = Fact::from_names("R", &["a"]);
-        let mut frame = encode_frame(&fact);
+        let one = fact("R", &["a"]);
+        let mut frame = encode_frame(&one);
         frame[0] = b'X';
         assert!(matches!(
-            decode_frame::<Fact>(&frame),
+            decode_frame::<Instance>(&frame),
             Err(DecodeError::BadMagic(_))
         ));
 
-        let mut frame = encode_frame(&fact);
+        let mut frame = encode_frame(&one);
         frame[4] = 99;
         assert_eq!(
-            decode_frame::<Fact>(&frame),
+            decode_frame::<Instance>(&frame),
             Err(DecodeError::UnsupportedVersion(99))
         );
         // the version this one replaced is another format, not a subset
         frame[4] = VERSION - 1;
         assert_eq!(
-            decode_frame::<Fact>(&frame),
+            decode_frame::<Instance>(&frame),
             Err(DecodeError::UnsupportedVersion(VERSION - 1))
         );
     }
 
     #[test]
     fn every_truncation_of_a_frame_errors_not_panics() {
-        let fact = Fact::from_names("Edge", &["node1", "node2"]);
-        let frame = encode_frame(&fact);
+        let one = fact("Edge", &["node1", "node2"]);
+        let frame = encode_frame(&one);
         for cut in 0..frame.len() {
             assert!(
-                decode_frame::<Fact>(&frame[..cut]).is_err(),
+                decode_frame::<Instance>(&frame[..cut]).is_err(),
                 "truncation at byte {cut} must error"
             );
             let mut cursor = std::io::Cursor::new(&frame[..cut]);
-            match read_frame::<Fact>(&mut cursor) {
+            match read_frame::<Instance>(&mut cursor) {
                 Ok(None) if cut == 0 => {}
                 Err(_) => {}
                 other => panic!("stream truncation at {cut} gave {other:?}"),
@@ -319,22 +329,22 @@ mod tests {
         frame.push(VERSION);
         crate::codec::write_varint(&mut frame, u64::MAX);
         assert!(matches!(
-            decode_frame::<Fact>(&frame),
+            decode_frame::<Instance>(&frame),
             Err(DecodeError::FrameTooLarge { .. })
         ));
         let mut cursor = std::io::Cursor::new(frame);
         assert!(matches!(
-            read_frame::<Fact>(&mut cursor),
+            read_frame::<Instance>(&mut cursor),
             Err(DecodeError::FrameTooLarge { .. })
         ));
     }
 
     #[test]
     fn trailing_garbage_after_a_single_frame_is_rejected() {
-        let mut frame = encode_frame(&Fact::from_names("R", &["a"]));
+        let mut frame = encode_frame(&fact("R", &["a"]));
         frame.extend_from_slice(b"junk");
         assert!(matches!(
-            decode_frame::<Fact>(&frame),
+            decode_frame::<Instance>(&frame),
             Err(DecodeError::TrailingBytes { .. })
         ));
     }

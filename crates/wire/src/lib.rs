@@ -8,8 +8,8 @@
 //!   and cross a connection once), data values as bare ids in one id space
 //!   per worker connection — the coordinator's — and by name in
 //!   self-contained bodies, relation-blocked instance bodies, and the
-//!   [`Encode`] / [`Decode`] impls for facts, instances, queries,
-//!   networks, shipments and round-control messages,
+//!   [`Encode`] / [`Decode`] impls for instances, queries, shipments and
+//!   round-control messages,
 //! * [`frame`] — the framing layer: `PCQW` magic, version byte, varint
 //!   body length; frames are self-delimiting so they concatenate on pipes,
 //! * [`Message`] — the protocol vocabulary: `Eval` / `EvalResult` ship a
@@ -17,7 +17,8 @@
 //!   `BarrierAck` / `Shutdown` round-control messages,
 //! * [`Scenario`] — the textual scenario format: one file describing
 //!   query, instance, network/policy schedule, round cap and feedback
-//!   relation, with a pretty-printer that is the parser's exact inverse,
+//!   relation, with a pretty-printer that is the parser's exact inverse;
+//!   that text is also a scenario's wire form,
 //! * [`json`] — the JSON emitter (and parser) behind `pcq-analyze run
 //!   --json` and the Chrome-trace tooling,
 //! * [`trace_export`] — Chrome-trace-event export of merged coordinator
@@ -59,7 +60,7 @@
 //! // Textual round-trip: printing and re-parsing is the identity.
 //! assert_eq!(Scenario::parse(&scenario.to_string()).unwrap(), scenario);
 //!
-//! // Binary round-trip: framed bytes decode to an equal value.
+//! // Wire round-trip: the frame carries the text and decodes to an equal value.
 //! let bytes = frame::encode_frame(&scenario);
 //! assert_eq!(frame::decode_frame::<Scenario>(&bytes).unwrap(), scenario);
 //! ```

@@ -506,7 +506,8 @@ mod tests {
     fn eval_frames_keep_their_pinned_bytes() {
         // Fresh names interned here in a fixed order, so the chunk's rows
         // (ascending value ids) cannot depend on what other tests interned
-        // first. Pinned once per `frame::VERSION`; this is 5's.
+        // first. Pinned once per `frame::VERSION`; this is 6's, whose Eval
+        // bytes are 5's but for the version byte.
         for name in ["PinHead", "PinEdge", "pin_a", "pin_b", "pin_c"] {
             Symbol::new(name);
         }
@@ -535,7 +536,7 @@ mod tests {
         body.extend_from_slice(&[0, 2, 3, 2, 2, 6, 7, 7, 8]); // Full: one run of 2 rows
         body.extend_from_slice(&[0, 0, 0]); // untraced
         let mut golden = b"PCQW".to_vec();
-        golden.extend_from_slice(&[5, body.len() as u8]);
+        golden.extend_from_slice(&[6, body.len() as u8]);
         golden.extend_from_slice(&body);
         assert_eq!(encode_frame(&eval), golden);
         assert_eq!(decode_frame::<Message>(&golden).unwrap(), eval);

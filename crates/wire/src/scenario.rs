@@ -138,9 +138,9 @@ impl fmt::Display for NetworkSpec {
 /// list keeps its written order (it is an argument list, not a set).
 /// Node names must satisfy [`ExplicitSpec::is_node_name`] — in particular
 /// an assignment key may not be the reserved word `default` — which the
-/// stanza parser, the binary decoder and [`ExplicitSpec::build_policy`]
-/// enforce, so every parsed *or decoded* spec survives the print∘parse
-/// round trip, and a `pc` policy file names its nodes as the stanza does.
+/// stanza parser and [`ExplicitSpec::build_policy`] enforce, so every
+/// parsed spec survives the print∘parse round trip, and a `pc` policy file
+/// names its nodes as the stanza does.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExplicitSpec {
     /// Per-node fact assignments.
@@ -171,8 +171,8 @@ impl ExplicitSpec {
     }
 
     /// Checks the invariants the textual format relies on (see the type
-    /// docs); the parser upholds them by construction, the binary decoder
-    /// and [`ExplicitSpec::build_policy`] by calling this.
+    /// docs); the parser upholds them by construction,
+    /// [`ExplicitSpec::build_policy`] by calling this.
     fn validate(&self) -> Result<(), String> {
         for name in self.assignments.keys() {
             if name.as_str() == "default" {
@@ -353,7 +353,8 @@ impl fmt::Display for PolicySpec {
 }
 
 /// A complete distributed-evaluation scenario: everything `pcq-analyze run`
-/// needs, in one parseable, printable, binary-encodable value.
+/// needs, in one parseable, printable value. Its text is also its wire
+/// form (see the `Encode` impl).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Scenario {
     /// The conjunctive queries to evaluate, in order (non-empty). A
@@ -384,8 +385,8 @@ impl Scenario {
     }
 
     /// The scenario's first (for most scenarios: only) query. The sequence
-    /// is non-empty by construction — both the parser and the binary
-    /// decoder reject empty `queries`.
+    /// is non-empty by construction — the parser rejects empty `queries`,
+    /// and a decoded scenario is a parsed one.
     pub fn query(&self) -> &ConjunctiveQuery {
         &self.queries[0]
     }
@@ -453,171 +454,18 @@ impl fmt::Display for Scenario {
     }
 }
 
+/// A scenario crosses the wire as its own text: the payload is the
+/// pretty-printer's output, and decoding is [`Scenario::parse`], so the
+/// grammar is the one place that knows a scenario's invariants.
 impl Encode for Scenario {
     fn encode(&self, enc: &mut Encoder) {
-        enc.usize(self.queries.len());
-        for query in &self.queries {
-            query.encode(enc);
-        }
-        self.instance.encode(enc);
-        self.policy.encode(enc);
-        enc.usize(self.schedule.len());
-        for policy in &self.schedule {
-            policy.encode(enc);
-        }
-        enc.usize(self.rounds);
-        self.feedback.encode(enc);
+        enc.str(&self.to_string());
     }
 }
 
 impl Decode for Scenario {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let count = dec.usize()?;
-        if count == 0 {
-            return Err(DecodeError::Invalid("scenario has no queries".to_string()));
-        }
-        let mut queries = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            queries.push(ConjunctiveQuery::decode(dec)?);
-        }
-        let instance = Instance::decode(dec)?;
-        let policy = Option::<ExplicitSpec>::decode(dec)?;
-        let schedule = Vec::<PolicySpec>::decode(dec)?;
-        if schedule.is_empty() {
-            return Err(DecodeError::Invalid(
-                "scenario has an empty schedule".to_string(),
-            ));
-        }
-        if schedule.contains(&PolicySpec::Explicit) && policy.is_none() {
-            return Err(DecodeError::Invalid(
-                "scenario schedule says 'explicit' but carries no policy stanza".to_string(),
-            ));
-        }
-        let rounds = dec.usize()?;
-        if rounds == 0 {
-            return Err(DecodeError::Invalid("scenario has rounds 0".to_string()));
-        }
-        let feedback = Option::<Symbol>::decode(dec)?;
-        Ok(Scenario {
-            queries,
-            instance,
-            policy,
-            schedule,
-            rounds,
-            feedback,
-        })
-    }
-}
-
-impl Encode for ExplicitSpec {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.usize(self.assignments.len());
-        for (node, facts) in &self.assignments {
-            node.encode(enc);
-            facts.encode(enc);
-        }
-        self.default.encode(enc);
-    }
-}
-
-impl Decode for ExplicitSpec {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let entries = dec.usize()?;
-        let mut assignments = BTreeMap::new();
-        for _ in 0..entries {
-            let node = Symbol::decode(dec)?;
-            let facts = Instance::decode(dec)?;
-            assignments.insert(node, facts);
-        }
-        let default = Vec::<Symbol>::decode(dec)?;
-        let spec = ExplicitSpec {
-            assignments,
-            default,
-        };
-        // Decoded specs must satisfy the same naming invariants the stanza
-        // parser enforces, or printing them would not re-parse (e.g. a node
-        // literally named "default" would print as the default-nodes line).
-        spec.validate()
-            .map_err(|message| DecodeError::Invalid(format!("policy stanza: {message}")))?;
-        Ok(spec)
-    }
-}
-
-const TAG_BROADCAST: u8 = 0;
-const TAG_ROUND_ROBIN: u8 = 1;
-const TAG_HASH: u8 = 2;
-const TAG_HYPERCUBE: u8 = 3;
-const TAG_EXPLICIT: u8 = 4;
-
-impl Encode for PolicySpec {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            PolicySpec::Broadcast(network) => {
-                enc.byte(TAG_BROADCAST);
-                network.encode(enc);
-            }
-            PolicySpec::RoundRobin(network) => {
-                enc.byte(TAG_ROUND_ROBIN);
-                network.encode(enc);
-            }
-            PolicySpec::Hash { buckets } => {
-                enc.byte(TAG_HASH);
-                enc.usize(*buckets);
-            }
-            PolicySpec::Hypercube { buckets } => {
-                enc.byte(TAG_HYPERCUBE);
-                buckets.encode(enc);
-            }
-            PolicySpec::Explicit => enc.byte(TAG_EXPLICIT),
-        }
-    }
-}
-
-impl Decode for PolicySpec {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.byte()? {
-            TAG_BROADCAST => Ok(PolicySpec::Broadcast(NetworkSpec::decode(dec)?)),
-            TAG_ROUND_ROBIN => Ok(PolicySpec::RoundRobin(NetworkSpec::decode(dec)?)),
-            TAG_HASH => Ok(PolicySpec::Hash {
-                buckets: dec.usize()?,
-            }),
-            TAG_HYPERCUBE => Ok(PolicySpec::Hypercube {
-                buckets: Vec::<usize>::decode(dec)?,
-            }),
-            TAG_EXPLICIT => Ok(PolicySpec::Explicit),
-            tag => Err(DecodeError::UnknownTag {
-                context: "PolicySpec",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Encode for NetworkSpec {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            NetworkSpec::Size(n) => {
-                enc.byte(0);
-                enc.usize(*n);
-            }
-            NetworkSpec::Named(names) => {
-                enc.byte(1);
-                names.encode(enc);
-            }
-        }
-    }
-}
-
-impl Decode for NetworkSpec {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.byte()? {
-            0 => Ok(NetworkSpec::Size(dec.usize()?)),
-            1 => Ok(NetworkSpec::Named(Vec::<Symbol>::decode(dec)?)),
-            tag => Err(DecodeError::UnknownTag {
-                context: "NetworkSpec",
-                tag,
-            }),
-        }
+        Scenario::parse(dec.str()?).map_err(|e| DecodeError::Invalid(e.to_string()))
     }
 }
 
@@ -1144,7 +992,7 @@ mod tests {
         let printed = s.to_string();
         assert!(printed.contains("queries {"), "{printed}");
         assert_eq!(Scenario::parse(&printed).unwrap(), s);
-        // and the binary codec agrees
+        // and the wire codec agrees
         let bytes = crate::frame::encode_frame(&s);
         assert_eq!(crate::frame::decode_frame::<Scenario>(&bytes).unwrap(), s);
     }
@@ -1420,6 +1268,9 @@ mod tests {
     fn scenarios_round_trip_through_the_binary_codec() {
         for s in [sample(), sample_explicit()] {
             let bytes = crate::frame::encode_frame(&s);
+            // the frame's payload is the printed scenario, verbatim
+            let text = s.to_string();
+            assert!(bytes.ends_with(text.as_bytes()), "{bytes:?}");
             let back: Scenario = crate::frame::decode_frame(&bytes).unwrap();
             assert_eq!(back, s);
         }
@@ -1489,32 +1340,50 @@ mod tests {
 
     #[test]
     fn decoded_policy_stanzas_must_survive_the_print_parse_round_trip() {
-        // A spec whose assignment key is the reserved word "default" (or
-        // not a node name at all) would print as something the parser
-        // cannot read back; the binary decoder must reject it instead of
-        // producing a value that violates parse∘print = id.
+        // A scenario frame carries the scenario's text, so a value the
+        // grammar cannot print — a policy node named by the reserved word
+        // "default" or by no node name at all, no queries, an empty
+        // schedule, rounds 0, `explicit` without a policy stanza — decodes
+        // to a typed error with the parser's byte offset, never to a value
+        // that violates parse∘print = id.
+        let decoded =
+            |s: &Scenario| crate::frame::decode_frame::<Scenario>(&crate::frame::encode_frame(s));
+        let rejected = |s: Scenario, what: &str| {
+            let err = decoded(&s).unwrap_err();
+            assert!(
+                matches!(&err, DecodeError::Invalid(why) if why.starts_with("scenario error at byte")),
+                "{what} must be rejected, got {err:?}"
+            );
+        };
         for bad_name in ["default", "has space", "-dash", "a-"] {
             let mut assignments = BTreeMap::new();
             assignments.insert(Symbol::new(bad_name), cq::parse_instance("R(a).").unwrap());
-            let spec = ExplicitSpec {
+            let mut s = sample_explicit();
+            s.policy = Some(ExplicitSpec {
                 assignments,
                 default: vec![],
-            };
-            let bytes = crate::frame::encode_frame(&spec);
-            let err = crate::frame::decode_frame::<ExplicitSpec>(&bytes).unwrap_err();
-            assert!(
-                matches!(err, DecodeError::Invalid(_)),
-                "node name {bad_name:?} must be rejected, got {err:?}"
-            );
+            });
+            rejected(s, &format!("node name {bad_name:?}"));
         }
+        let mut s = sample();
+        s.queries.clear();
+        rejected(s, "no queries");
+        let mut s = sample();
+        s.schedule.clear();
+        rejected(s, "an empty schedule");
+        let mut s = sample();
+        s.rounds = 0;
+        rejected(s, "rounds 0");
+        let mut s = sample_explicit();
+        s.policy = None;
+        rejected(s, "'explicit' without a policy stanza");
         // Dashed-but-valid node names pass end to end, parser included.
         let s = Scenario::parse(
             "query T(x) :- R(x).\ninstance { R(a). }\n\
              policy { east-1: R(a)\n default: east-1 }\nschedule explicit",
         )
         .unwrap();
-        let bytes = crate::frame::encode_frame(&s);
-        assert_eq!(crate::frame::decode_frame::<Scenario>(&bytes).unwrap(), s);
+        assert_eq!(decoded(&s).unwrap(), s);
         assert_eq!(Scenario::parse(&s.to_string()).unwrap(), s);
     }
 

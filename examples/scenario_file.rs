@@ -1,5 +1,5 @@
 //! Scenario files end to end: author a scenario as text, round-trip it
-//! through the pretty-printer and the binary codec, then run it through
+//! through the pretty-printer and a wire frame, then run it through
 //! the multi-round engine — over the in-memory transport here; hand
 //! `evaluate_via` a `wire::WireTransport` (or run `pcq-analyze run
 //! --scenario file.pcq --transport process`) for genuinely cross-process
@@ -30,14 +30,14 @@ fn main() {
     assert_eq!(Scenario::parse(&printed).unwrap(), scenario);
     println!("--- canonical form ---\n{printed}");
 
-    // … and the binary codec round-trips the same value inside one frame.
+    // … and a wire frame carries that text, so it decodes to the same value.
     let frame = pcq::wire::encode_frame(&scenario);
     assert_eq!(
         pcq::wire::decode_frame::<Scenario>(&frame).unwrap(),
         scenario
     );
     println!(
-        "binary frame: {} bytes (text form: {} bytes)\n",
+        "wire frame: {} bytes (text form: {} bytes)\n",
         frame.len(),
         printed.len()
     );
