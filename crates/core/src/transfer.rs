@@ -117,9 +117,9 @@ fn decide(from: &ConjunctiveQuery, to: &ConjunctiveQuery, no_skip: bool) -> Tran
 /// Memoizes [`check_transfer`] verdicts per `(from, to)` query pair — the
 /// runtime face of the transfer decider.
 ///
-/// The multi-query engine (`distribution::MultiRoundEngine::
-/// evaluate_queries`) consults transferability at every query boundary
-/// where shards are resident; a workload cycling through a handful of
+/// The multi-query engine's plan (`distribution::MultiRoundEngine::plan`)
+/// consults transferability at every query boundary where elision is
+/// possible, before the first round; a workload cycling through a handful of
 /// queries would otherwise re-run the decision, ΠP3-hard in general, for
 /// the same pair over and over. The cache is keyed by the queries'
 /// canonical printed form (equal queries print equally), stores only the

@@ -7,29 +7,11 @@
 //! algorithm through a [`Transport`] and reports communication/load
 //! statistics and per-node timings.
 //!
-//! There is one round driver, [`run_round`]: *plan the shipments → send →
-//! barrier → recv → assemble*. What differs between the kinds of round is
-//! only the [`RoundPlan`] it is fed — a full round ships every node its
-//! chunk of `dist_P(I)`, a semi-naive round ships only the new facts, a
-//! reshuffle-elided round ships nothing and has every node evaluate the
-//! shard it already holds. [`OneRoundEngine::evaluate`] is a full round
-//! over an [`InMemoryTransport`], whose barrier evaluates on a **bounded
-//! worker pool**; [`OneRoundEngine::evaluate_via`] is the same round over
-//! any transport.
-//!
-//! A full round is **split by body atom** when its policy is a
-//! [`HypercubePolicy`] built for the round's own query, every hash scheme
-//! of it is total, and the query repeats a relation (see [`crate::parts`]).
-//! The fact that rule `k` sends to a node then arrives as a fact of part
-//! `R#k`, and the round announces the split query, so every valuation is
-//! enumerated exactly once, at its home node (Lemma 5.7,
-//! [`HypercubePolicy::node_for_valuation`]). Loads and statistics are those
-//! of the plain reshuffle. Every other round — another policy, a
-//! self-join-free query, a query other than the policy's own, a delta —
-//! ships plain chunks.
-//!
-//! [`HypercubePolicy`]: crate::HypercubePolicy
-//! [`HypercubePolicy::node_for_valuation`]: crate::HypercubePolicy::node_for_valuation
+//! There is one round driver, [`run_round`]: *send → barrier → recv →
+//! assemble* the shipments of one reshuffle, a [`RoundPlan`]: full chunks,
+//! new facts, or nothing (the nodes evaluate the shard they hold). Which a
+//! round ships, and whether it splits by body atom, the run's
+//! [`crate::RunPlan`] decides before the first round.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -40,6 +22,7 @@ use cq::{ConjunctiveQuery, Instance};
 use crate::distribute::{reshuffle, DistributionStats};
 use crate::network::Node;
 use crate::parts::AtomSplit;
+use crate::plan::split_of;
 use crate::policy::DistributionPolicy;
 use crate::transport::{InMemoryTransport, Shipment, Transport, TransportError};
 
@@ -79,20 +62,6 @@ pub struct OneRoundOutcome {
 }
 
 impl OneRoundOutcome {
-    /// The largest per-node output size.
-    pub fn max_node_output(&self) -> usize {
-        self.per_node_output.values().copied().max().unwrap_or(0)
-    }
-
-    /// The longest per-node local evaluation time (the straggler).
-    pub fn max_node_time(&self) -> Duration {
-        self.per_node_time
-            .values()
-            .copied()
-            .max()
-            .unwrap_or_default()
-    }
-
     /// Ratio of the slowest node's local evaluation time to the mean —
     /// `1.0` is perfectly balanced; large values mean one node dominates the
     /// round's makespan.
@@ -102,10 +71,11 @@ impl OneRoundOutcome {
         }
         let total: Duration = self.per_node_time.values().sum();
         let mean = total.as_secs_f64() / self.per_node_time.len() as f64;
+        let max = self.per_node_time.values().max().copied();
         if mean == 0.0 {
             1.0
         } else {
-            self.max_node_time().as_secs_f64() / mean
+            max.unwrap_or_default().as_secs_f64() / mean
         }
     }
 }
@@ -257,7 +227,8 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     }
 
     /// Runs one round of the algorithm through an explicit [`Transport`]:
-    /// reshuffle locally, ship every node its full chunk, wait at the
+    /// reshuffle locally — split or plain, as a run plan decides from the
+    /// policy and the query — ship every node its full chunk, wait at the
     /// barrier, collect the per-node outputs. `round` tags the transport
     /// messages (multi-round runs number their rounds; standalone calls
     /// pass 0). The chunks may cross a process boundary, so the call can
@@ -270,11 +241,7 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         instance: &Instance,
     ) -> Result<OneRoundOutcome, TransportError> {
         let _round_span = obs::span!("one_round", round = round, facts = instance.len());
-        let split = self
-            .policy
-            .as_hypercube()
-            .and_then(|policy| policy.split_for(query));
-        let plan = self.plan(instance, Shipment::Full, split);
+        let plan = self.plan(instance, Shipment::Full, split_of(self.policy, query));
         run_round(transport, round, query, plan)
     }
 
@@ -365,7 +332,7 @@ mod tests {
         assert_eq!(*outcome.result, cq::evaluate(&q, &i));
         assert_eq!(outcome.stats.skipped, 0);
         assert!(outcome.stats.max_load <= i.len());
-        assert!(outcome.max_node_output() <= outcome.result.len());
+        assert!(outcome.per_node_output.values().max() <= Some(&outcome.result.len()));
     }
 
     #[test]
@@ -411,7 +378,8 @@ mod tests {
             let nodes: Vec<_> = outcome.per_node_output.keys().collect();
             let timed: Vec<_> = outcome.per_node_time.keys().collect();
             assert_eq!(nodes, timed, "every node must report a timing");
-            assert!(outcome.local_eval_time >= outcome.max_node_time() / 2);
+            let slowest = *outcome.per_node_time.values().max().unwrap();
+            assert!(outcome.local_eval_time >= slowest / 2);
             assert!(outcome.time_skew() >= 1.0);
         }
     }
@@ -427,8 +395,8 @@ mod tests {
         let outcome = OneRoundEngine::new(&p).workers(4).evaluate(&q, &i);
         assert!(outcome.result.is_empty());
         assert!(outcome.per_node_time.is_empty());
-        assert_eq!(outcome.max_node_output(), 0);
-        assert_eq!(outcome.max_node_time(), Duration::ZERO);
+        assert_eq!(outcome.per_node_output.values().max().unwrap_or(&0), &0);
+        assert_eq!(outcome.per_node_time.values().max(), None);
         assert_eq!(outcome.time_skew(), 1.0, "empty network must report 1.0");
         assert_eq!(outcome.stats.nodes, 0);
         assert_eq!(outcome.stats.replication_factor, 0.0);
@@ -446,7 +414,7 @@ mod tests {
         let p = ExplicitPolicy::round_robin(&network, &i);
         let outcome = OneRoundEngine::new(&p).evaluate(&q, &i);
         assert!(outcome.result.is_empty());
-        assert_eq!(outcome.max_node_output(), 0);
+        assert_eq!(outcome.per_node_output.values().max().unwrap_or(&0), &0);
         assert!(outcome.per_node_output.values().all(|&o| o == 0));
         let skew = outcome.time_skew();
         assert!(skew.is_finite() && skew >= 1.0, "skew {skew} must be sane");

@@ -32,6 +32,9 @@
 //!   across rounds, and local evaluation is one semi-naive differential
 //!   pass instead of a full re-evaluation — and without it every round
 //!   ships full chunks ([`Shipment::Full`]),
+//! * [`RunPlan`] — every decision of a run (rounds, split or plain,
+//!   deltas, re-shards, reshuffle elision), made from the queries and the
+//!   schedule before the first reshuffle and carried out by the round loop,
 //! * [`Transport`] — the seam between the engines and wherever local
 //!   evaluation happens: `begin_round` / `send(node, `[`Shipment`]`)` /
 //!   `barrier` / `recv(node)`. [`InMemoryTransport`] evaluates on an
@@ -66,6 +69,7 @@ mod hash;
 mod hypercube;
 mod network;
 mod parts;
+mod plan;
 mod policy;
 mod rounds;
 mod rules;
@@ -80,6 +84,7 @@ pub use hash::{fnv1a, HashScheme};
 pub use hypercube::{HypercubeFamily, HypercubePolicy};
 pub use network::{Network, Node};
 pub use parts::merged_parts;
+pub use plan::{QueryPlan, RunPlan, Slot};
 pub use policy::{DistributionPolicy, FinitePolicy};
 pub use rounds::{
     IteratedFixpoint, MultiQueryOutcome, MultiRoundEngine, MultiRoundOutcome, RoundSchedule,

@@ -7,9 +7,8 @@
 //! [`OneRoundEngine`]: each round reshuffles the current instance under the
 //! round's policy (a [`RoundSchedule`] may change policies between rounds),
 //! evaluates locally at every node, and merges the round's outputs back into
-//! the next round's instance. There is one round loop
-//! ([`MultiRoundEngine::evaluate_via`]) over any [`Transport`], and a query
-//! whose parallel correctness transfers from its predecessor runs as one
+//! the next round's instance, over any [`Transport`]. A query whose
+//! parallel correctness transfers from its predecessor runs as one
 //! reshuffle-free round on the shards already resident
 //! ([`MultiRoundEngine::evaluate_queries_via`]). A one-round run is this
 //! loop capped at one round.
@@ -30,27 +29,15 @@
 //! that *global* fixpoint, the correctness yardstick for the distributed
 //! run (`pc_core::multi_round_correct_on`).
 //!
-//! **Without feedback** no round can change what the query reads: the head
-//! relation is not in the body, so every round evaluates over the input
-//! itself, which the loop borrows instead of copying. A round's output is
-//! then a function of the input and the round's policy alone, so a round
-//! that runs the same schedule entry as the round before it derives that
-//! round's output once more and adds nothing. The run therefore stops after
-//! round `r`, converged, when `r` added nothing to the result (as with
-//! feedback) **or** when round `r + 1` would run `r`'s schedule entry
-//! again; a schedule of `k` entries runs at most `k` rounds. The global
-//! fixpoint is one centralized evaluation. Iterating until the whole state
-//! repeats would only append that provably empty round, so the answers are
-//! the same.
+//! **Without feedback** every round evaluates over the input itself, which
+//! the loop borrows: the head relation is not in the body. A round's output
+//! then depends on its policy alone, so a round on the schedule entry
+//! before it would add nothing: the run takes at most one round per entry,
+//! and stops converged after the last entry or after a round that added
+//! nothing. The global fixpoint is one centralized evaluation.
 //!
-//! **How a round ships follows from the feedback relation.** With feedback
-//! every round is a semi-naive [`Shipment::Delta`] round: round 0 and each
-//! policy switch (a re-shard) ship the whole state, later rounds only what
-//! the previous round added, to nodes that keep their state. Without
-//! feedback every round is a [`Shipment::Full`] round, which may split by
-//! body atom ([`OneRoundEngine`]). That is enough: a delta only saves on a
-//! round that follows its own schedule entry, and without feedback no round
-//! does.
+//! Every decision of a run is made before its first round, by
+//! [`MultiRoundEngine::plan`] (see [`RunPlan`]); the loop carries it out.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,7 +45,7 @@ use std::time::Instant;
 use cq::{evaluate, ConjunctiveQuery, Fact, Instance, Symbol};
 
 use crate::engine::{run_round, OneRoundEngine, OneRoundOutcome, RoundPlan};
-use crate::network::Node;
+use crate::plan::{split_of, QueryPlan, RunPlan, Slot};
 use crate::policy::DistributionPolicy;
 use crate::transport::{InMemoryTransport, Shipment, Transport, TransportError};
 
@@ -74,7 +61,7 @@ pub type TransferOracle<'o> = &'o mut dyn FnMut(&ConjunctiveQuery, &ConjunctiveQ
 /// last policy repeats once the schedule is exhausted (so a one-element
 /// schedule is simply "the same policy every round").
 pub struct RoundSchedule<'a> {
-    policies: Vec<&'a dyn DistributionPolicy>,
+    pub(crate) policies: Vec<&'a dyn DistributionPolicy>,
 }
 
 impl<'a> RoundSchedule<'a> {
@@ -95,37 +82,13 @@ impl<'a> RoundSchedule<'a> {
     }
 
     /// A schedule from an explicit policy sequence (the last one repeats),
-    /// rejecting an empty sequence with an error instead of panicking —
-    /// [`RoundSchedule::policy_for`] would otherwise underflow its index
-    /// on the first round.
+    /// rejecting an empty sequence with an error instead of panicking: a
+    /// run's first round needs a policy.
     pub fn try_of(policies: Vec<&'a dyn DistributionPolicy>) -> Result<RoundSchedule<'a>, String> {
         if policies.is_empty() {
             return Err("a round schedule needs at least one policy".to_string());
         }
         Ok(RoundSchedule { policies })
-    }
-
-    /// The policy of round `round` (0-based; the last policy repeats).
-    pub fn policy_for(&self, round: usize) -> &'a dyn DistributionPolicy {
-        self.policies[self.policy_index(round)]
-    }
-
-    /// The schedule index of the policy used in round `round` — two rounds
-    /// with equal indices run the *same* policy, which is what the round
-    /// loop uses to detect a policy switch (with feedback, a re-shard
-    /// point) and, without feedback, a round that would repeat the last.
-    fn policy_index(&self, round: usize) -> usize {
-        round.min(self.policies.len() - 1)
-    }
-
-    /// The number of explicitly scheduled policies.
-    pub fn len(&self) -> usize {
-        self.policies.len()
-    }
-
-    /// Always `false`: schedules are non-empty by construction.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -146,11 +109,9 @@ pub struct MultiRoundOutcome {
     /// shards resident from a previous query (`1` for a run that is a
     /// single resident round, `0` for a run that re-distributed normally).
     pub elided_reshuffles: usize,
-    /// Round indices that were explicit state-reset/re-shard rounds: a
-    /// feedback run whose schedule switched policies re-ships the full
-    /// accumulated state under the new policy at these rounds (their
-    /// statistics describe that full re-shard, not a delta). Always empty
-    /// without feedback, where every round ships its whole input anyway.
+    /// The rounds past 0 at which a feedback run re-shipped its whole state
+    /// under a new schedule entry (a [`Slot`](crate::Slot)'s first round).
+    /// Always empty without feedback, where every round ships its input.
     pub reshard_rounds: Vec<usize>,
 }
 
@@ -196,8 +157,8 @@ pub struct IteratedFixpoint {
 pub struct MultiQueryOutcome {
     /// Per-query outcomes, in the order the queries were given.
     pub per_query: Vec<MultiRoundOutcome>,
-    /// How many transferability checks the run performed (one per query
-    /// boundary where shards were resident and elision was allowed).
+    /// How many transferability checks the run's plan asked: one per
+    /// elision claim ([`QueryPlan::elide`]).
     pub transfer_checks: usize,
 }
 
@@ -230,10 +191,8 @@ pub struct MultiRoundEngine<'a> {
     workers: usize,
     reshuffle_always: bool,
     /// The engine's metrics registry: `transfer_checks`, `transfer_hits`,
-    /// `transfer_misses` and `elided_reshuffles` accumulate here across
-    /// every run, and [`MultiQueryOutcome::transfer_checks`] is derived
-    /// from the `transfer_checks` counter — the registry is the single
-    /// source of truth, not a parallel tally.
+    /// `transfer_misses` (counted by [`MultiRoundEngine::plan`]) and
+    /// `elided_reshuffles` accumulate here across every run.
     registry: std::sync::Arc<obs::Registry>,
 }
 
@@ -311,64 +270,55 @@ impl<'a> MultiRoundEngine<'a> {
             .expect("in-memory rounds are infallible")
     }
 
-    /// The round loop: every round reshuffles under the schedule's policy
-    /// and ships through `transport` — the rounds become genuinely
-    /// cross-process when the transport is wire-backed — then merges the
-    /// outputs and applies the stop rule of the module docs.
-    ///
-    /// The feedback relation picks how rounds ship. Without feedback every
-    /// round ships every node its chunk of the input, which the loop
-    /// borrows ([`Shipment::Full`]). With feedback the loop owns the
-    /// carried state and every round is a delta round ([`Shipment::Delta`]):
-    /// round 0 ships the whole state, later rounds only what the previous
-    /// round added, and a policy switch re-ships the whole state as a fresh
-    /// round-0 reset ([`MultiRoundOutcome::reshard_rounds`]).
+    /// The round loop of one query through `transport`: the run of a
+    /// one-query plan ([`MultiRoundEngine::plan`]).
     pub fn evaluate_via(
         &self,
         transport: &mut dyn Transport,
         query: &ConjunctiveQuery,
         instance: &Instance,
     ) -> Result<MultiRoundOutcome, TransportError> {
+        // One query has no boundary to ask the oracle about.
+        let plan = self.plan(std::slice::from_ref(query), &mut |_, _| false);
+        self.run(transport, &plan, &plan.queries()[0], instance)
+    }
+
+    /// Carries out one query's slots — full chunks of the borrowed input,
+    /// or deltas of the carried state the loop owns — until it converged.
+    fn run(
+        &self,
+        transport: &mut dyn Transport,
+        plan: &RunPlan<'_>,
+        query: &QueryPlan<'_>,
+        instance: &Instance,
+    ) -> Result<MultiRoundOutcome, TransportError> {
         // With feedback: the relation, the carried state it grows, and what
         // the previous round added to that state.
-        let mut carried = self
+        let mut carried = plan
             .feedback
             .map(|relation| (relation, instance.clone(), Instance::new()));
         let mut result = Arc::new(Instance::new());
         let mut rounds = Vec::new();
         let mut reshard_rounds = Vec::new();
         let mut converged = false;
-        // Delta rounds as numbered towards the transport: 0 resets
-        // per-node state and ships the whole state, so every re-shard
-        // restarts the count.
-        let mut delta_round = 0;
         let round_latency = self.registry.histogram("round_latency_us");
-        for round in 0..self.max_rounds {
+        for round in 0..plan.rounds {
             let round_started = Instant::now();
             let facts = carried
                 .as_ref()
                 .map_or(instance, |(_, state, _)| state)
                 .len();
             let _round_span = obs::span!("eval_round", round = round, facts = facts);
-            let policy_index = self.schedule.policy_index(round);
-            let engine = OneRoundEngine::new(self.schedule.policy_for(round));
+            let slot = query.slot(round);
+            let engine = OneRoundEngine::new(slot.policy);
             let outcome = match &mut carried {
-                None => {
-                    let outcome = engine.evaluate_via(transport, round, query, instance)?;
-                    let _span = obs::span!("merge_results", round = round);
-                    // A next round on the same schedule entry would read
-                    // the same input and repeat this one.
-                    converged = !merge_output(&mut result, &outcome.result)
-                        || self.schedule.policy_index(round + 1) == policy_index;
-                    outcome
-                }
                 Some((relation, state, delta)) => {
-                    if round > 0 && policy_index != self.schedule.policy_index(round - 1) {
-                        // A policy switch re-routes facts that were already
-                        // shipped: reset the nodes and re-shard everything.
+                    // Delta rounds as numbered towards the transport: 0
+                    // resets per-node state and ships the whole state.
+                    let delta_round = round - slot.first_round;
+                    if delta_round == 0 && round > 0 {
                         obs::instant!("reshard", round = round);
                         reshard_rounds.push(round);
-                        delta_round = 0;
                     }
                     let outcome = {
                         let new_facts = if delta_round == 0 { &*state } else { &*delta };
@@ -381,13 +331,20 @@ impl<'a> MultiRoundEngine<'a> {
                         if delta_round > 0 {
                             plan.skip_empty();
                         }
-                        run_round(transport, delta_round, query, plan)?
+                        run_round(transport, delta_round, &query.query, plan)?
                     };
-                    delta_round += 1;
                     let _span = obs::span!("merge_results", round = round);
                     merge_output(&mut result, &outcome.result);
                     *delta = feed_back(*relation, &outcome.result, state);
                     converged = delta.is_empty();
+                    outcome
+                }
+                None => {
+                    let round_plan = engine.plan(instance, Shipment::Full, slot.split);
+                    let outcome = run_round(transport, round, &query.query, round_plan)?;
+                    let _span = obs::span!("merge_results", round = round);
+                    converged = !merge_output(&mut result, &outcome.result)
+                        || (round + 1 == plan.rounds && plan.converges_at_cap);
                     outcome
                 }
             };
@@ -407,15 +364,11 @@ impl<'a> MultiRoundEngine<'a> {
         })
     }
 
-    /// Runs a **sequence of queries** over `instance`, consulting
-    /// `transfer` at each query boundary: when the oracle says parallel
-    /// correctness transfers from the previous query to the next (and the
-    /// previous run left its fixpoint resident at the nodes), the next
-    /// query's reshuffle is **elided** — it evaluates directly on the
-    /// resident shards, shipping zero input facts. Otherwise the query
-    /// re-shards from scratch through the ordinary round loop.
-    ///
-    /// In-memory convenience over [`MultiRoundEngine::evaluate_queries_via`].
+    /// Runs a **sequence of queries** over `instance`: where `transfer` says
+    /// parallel correctness transfers from the previous query to the next,
+    /// the next query's reshuffle is **elided** and it evaluates on the
+    /// shards the previous run left resident. In-memory convenience over
+    /// [`MultiRoundEngine::evaluate_queries_via`].
     pub fn evaluate_queries(
         &self,
         queries: &[ConjunctiveQuery],
@@ -428,22 +381,8 @@ impl<'a> MultiRoundEngine<'a> {
     }
 
     /// [`MultiRoundEngine::evaluate_queries`] through an explicit
-    /// transport. The elision decision per boundary is:
-    ///
-    /// 1. The previous query's run must have **converged with no feedback
-    ///    rewrite** — only then is the fixpoint
-    ///    state resident at the nodes, sharded by the last round's policy.
-    /// 2. [`MultiRoundEngine::reshuffle_always`] must be off (the
-    ///    baseline knob for measuring what elision saves).
-    /// 3. The `transfer` oracle must confirm the previous query's parallel
-    ///    correctness transfers to the next one (paper §4): the new query
-    ///    is then correct on *any* shards the previous one was correct on
-    ///    — including the resident ones. Transferability is transitive, so
-    ///    checking consecutive pairs suffices across a chain of elisions.
-    ///
-    /// An elided query runs as a single reshuffle-free round and leaves
-    /// the resident shards untouched; a re-sharding query replaces them
-    /// with its own fixpoint.
+    /// transport: [`MultiRoundEngine::plan`], then
+    /// [`MultiRoundEngine::execute_via`].
     pub fn evaluate_queries_via(
         &self,
         transport: &mut dyn Transport,
@@ -451,45 +390,77 @@ impl<'a> MultiRoundEngine<'a> {
         instance: &Instance,
         transfer: TransferOracle<'_>,
     ) -> Result<MultiQueryOutcome, TransportError> {
-        let mut per_query = Vec::with_capacity(queries.len());
-        let checks = self.registry.counter("transfer_checks");
-        let check_hits = self.registry.counter("transfer_hits");
-        let check_misses = self.registry.counter("transfer_misses");
+        let plan = self.plan(queries, transfer);
+        self.execute_via(transport, &plan, instance)
+    }
+
+    /// The plan of running `queries` on this engine, with `transfer` asked
+    /// about every boundary where elision is possible without data (see
+    /// [`RunPlan`]). A `yes` makes the next query correct on *any* shards
+    /// the previous one was correct on (paper §4), the resident ones
+    /// included; by transitivity a chain of elisions needs only
+    /// consecutive pairs checked.
+    pub fn plan(&self, queries: &[ConjunctiveQuery], transfer: TransferOracle<'_>) -> RunPlan<'a> {
+        let _span = obs::span!("plan", queries = queries.len());
+        let [checks, hits, misses] = ["transfer_checks", "transfer_hits", "transfer_misses"]
+            .map(|name| self.registry.counter(name));
+        let policies = &self.schedule.policies;
+        let entries = self.max_rounds.min(policies.len());
+        let elision = self.feedback.is_none() && !self.reshuffle_always;
+        let plans = queries.iter().enumerate().map(|(index, query)| {
+            let elide = (elision && index > 0).then(|| {
+                let transfers = transfer(&queries[index - 1], query);
+                checks.inc();
+                if transfers { &hits } else { &misses }.inc();
+                obs::instant!("elision_claim", query = index, transfers = transfers);
+                transfers
+            });
+            let slots = policies[..entries].iter().enumerate();
+            let slots = slots.map(|(first_round, &policy)| Slot {
+                first_round,
+                policy,
+                split: split_of(policy, query).filter(|_| self.feedback.is_none()),
+            });
+            let (query, slots) = (query.clone(), slots.collect());
+            QueryPlan {
+                query,
+                elide,
+                slots,
+            }
+        });
+        RunPlan {
+            queries: plans.collect(),
+            rounds: match self.feedback {
+                Some(_) => self.max_rounds,
+                None => entries,
+            },
+            converges_at_cap: self.max_rounds >= policies.len(),
+            feedback: self.feedback,
+        }
+    }
+
+    /// Carries out `plan` on `instance` through `transport`: a `yes` claim
+    /// runs one reshuffle-free round over the shards a converged run left
+    /// resident where its last round shipped them.
+    pub fn execute_via(
+        &self,
+        transport: &mut dyn Transport,
+        plan: &RunPlan<'_>,
+        instance: &Instance,
+    ) -> Result<MultiQueryOutcome, TransportError> {
         let elisions = self.registry.counter("elided_reshuffles");
-        // The registry accumulates across runs; the outcome reports only
-        // this run's checks, so count from the entry value.
-        let checks_base = checks.get();
-        // The query whose fixpoint is currently sharded across the nodes,
-        // and which nodes hold a piece of it.
-        let mut resident: Option<(ConjunctiveQuery, Vec<Node>)> = None;
-        for (index, query) in queries.iter().enumerate() {
+        let mut per_query = Vec::with_capacity(plan.queries().len());
+        let mut resident = Vec::new();
+        for (index, query) in plan.queries().iter().enumerate() {
             let _query_span = obs::span!("query", index = index);
-            let elide = match &resident {
-                Some((prev, nodes)) if !self.reshuffle_always && !nodes.is_empty() => {
-                    checks.inc();
-                    let transferable = transfer(prev, query);
-                    if transferable {
-                        check_hits.inc();
-                    } else {
-                        check_misses.inc();
-                    }
-                    obs::instant!("transfer_check", transferable = transferable);
-                    transferable
-                }
-                _ => false,
-            };
-            let outcome = if elide {
+            let outcome = if query.elide == Some(true) && !resident.is_empty() {
                 elisions.inc();
                 obs::instant!("reshuffle_elided");
                 // One reshuffle-free round: every node evaluates over the
                 // shard it already holds. `comm_bytes` still counts whatever
                 // result frames a wire transport ships back.
-                let (prev, nodes) = resident.as_mut().expect("elide implies resident shards");
-                let _span = obs::span!("resident_round", round = 0, nodes = nodes.len());
-                let round = run_round(transport, 0, query, RoundPlan::resident(nodes))?;
-                // The shards are untouched, but the transferability chain
-                // now hangs off this query (transitivity keeps it sound).
-                *prev = query.clone();
+                let _span = obs::span!("resident_round", round = 0, nodes = resident.len());
+                let round = run_round(transport, 0, &query.query, RoundPlan::resident(&resident))?;
                 MultiRoundOutcome {
                     result: Arc::clone(&round.result),
                     rounds: vec![round],
@@ -498,32 +469,20 @@ impl<'a> MultiRoundEngine<'a> {
                     reshard_rounds: Vec::new(),
                 }
             } else {
-                let outcome = self.evaluate_via(transport, query, instance)?;
-                resident = self
-                    .resident_nodes(&outcome)
-                    .map(|nodes| (query.clone(), nodes));
+                let outcome = self.run(transport, plan, query, instance)?;
+                let last = query.slot(outcome.rounds_run() - 1).policy;
+                resident = match outcome.converged {
+                    true => last.network().nodes().collect(),
+                    false => Vec::new(),
+                };
                 outcome
             };
             per_query.push(outcome);
         }
         Ok(MultiQueryOutcome {
             per_query,
-            transfer_checks: (checks.get() - checks_base) as usize,
+            transfer_checks: plan.transfer_checks(),
         })
-    }
-
-    /// Which nodes hold the just-finished run's fixpoint, if any do:
-    /// requires no feedback rewrite (the resident facts would be renamed
-    /// copies, not the state) and convergence (a round-capped run's nodes
-    /// hold an intermediate state, not the fixpoint). The shards then sit
-    /// exactly where the last round shipped them: without feedback every
-    /// round is a full round, which ships the whole input.
-    fn resident_nodes(&self, outcome: &MultiRoundOutcome) -> Option<Vec<Node>> {
-        if self.feedback.is_some() || !outcome.converged {
-            return None;
-        }
-        let last = outcome.rounds.last()?;
-        Some(last.per_node_load.keys().copied().collect())
     }
 
     /// The centralized reference: iterates `evaluate(query, ·)` with the
@@ -718,12 +677,14 @@ mod tests {
         let q = square_query();
         let a = HypercubePolicy::uniform(&q, 2).unwrap();
         let b = HypercubePolicy::uniform(&q, 3).unwrap();
-        let schedule = RoundSchedule::of(vec![&a, &b]);
-        assert_eq!(schedule.len(), 2);
-        assert!(!schedule.is_empty());
-        assert_eq!(schedule.policy_for(0).network().len(), a.network().len());
-        assert_eq!(schedule.policy_for(1).network().len(), b.network().len());
-        assert_eq!(schedule.policy_for(7).network().len(), b.network().len());
+        let engine = MultiRoundEngine::new(RoundSchedule::of(vec![&a, &b])).rounds(8);
+        let plan = engine.feedback_into("R").plan(&[q], &mut |_, _| false);
+        let query = &plan.queries()[0];
+        assert_eq!(query.slots.len(), 2);
+        assert_eq!(query.slot(0).policy.network().len(), a.network().len());
+        assert_eq!(query.slot(1).policy.network().len(), b.network().len());
+        assert_eq!(query.slot(7).policy.network().len(), b.network().len());
+        assert_eq!(query.slot(7).first_round, 1);
     }
 
     /// Runs `engine` and checks it against the engine-independent oracles:
@@ -1060,13 +1021,14 @@ mod tests {
         let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(2));
         // A two-entry schedule capped at one round: query 1 stops before
         // its second entry ran, so its shards are an intermediate state and
-        // must not be reused.
+        // must not be reused. Whether a capped run converges is left to the
+        // data, so the plan asks about the boundary all the same, and the
+        // `yes` is not carried out.
         let capped = MultiRoundEngine::new(RoundSchedule::of(vec![&broadcast, &broadcast]))
             .rounds(1)
-            .evaluate_queries(&queries, &i, &mut |_, _| {
-                panic!("no resident shards, no transfer check")
-            });
-        assert_eq!(capped.transfer_checks, 0);
+            .evaluate_queries(&queries, &i, &mut |_, _| true);
+        assert_eq!(capped.transfer_checks, 1);
+        assert_eq!(capped.elided_reshuffles(), 0);
         assert!(!capped.per_query[0].converged);
         // A feedback rewrite renames the resident facts, so they are not
         // the state either.

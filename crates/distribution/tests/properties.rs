@@ -12,9 +12,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use cq::{Atom, ConjunctiveQuery, Fact, Instance, Value, Variable};
 use distribution::{
     AddressTerm, Distribution, DistributionPolicy, DistributionRule, DistributionStats,
-    ExplicitPolicy, HashScheme, HypercubePolicy, InMemoryTransport, MultiRoundEngine, Network,
-    Node, NodeResult, OneRoundEngine, RoundSchedule, RuleBasedPolicy, Shipment, Transport,
-    TransportError,
+    ExplicitPolicy, HashScheme, HypercubePolicy, InMemoryTransport, MultiQueryOutcome,
+    MultiRoundEngine, Network, Node, NodeResult, OneRoundEngine, RoundSchedule, RuleBasedPolicy,
+    RunPlan, Shipment, Transport, TransportError,
 };
 use proptest::prelude::*;
 
@@ -566,5 +566,210 @@ proptest! {
             prop_assert_eq!(round.workers, one.workers);
             prop_assert_eq!(multi.total_comm_volume(), one.stats.total_assigned);
         }
+    }
+}
+
+/// The queries of the plan property: binary heads over `R`, so any of them
+/// can feed back into `R`; two repeat `R` and split under their own
+/// Hypercube.
+const PLANNED_QUERIES: [&str; 4] = [
+    "T(x, z) :- R(x, y), R(y, z).",
+    "T(x, z) :- R(x, y), R(y, z), R(y, y).",
+    "T(x, y) :- R(x, y).",
+    "T(x, y) :- R(x, z), R(z, y), R(y, x).",
+];
+
+/// One decision of a run: `(query, round, kind, value)`, with `round`
+/// `None` outside a round of the query's own loop.
+type Decision = (usize, Option<usize>, &'static str, usize);
+
+/// The decisions a traced run recorded below the span `root`: the elision
+/// claims (`elision_claim`), `distribute`'s `parts`, `delta_round`,
+/// `reshard`, `reshuffle_elided` and the resident round's node count.
+fn recorded(events: &[obs::TraceEvent], root: u64) -> Vec<Decision> {
+    let spans: BTreeMap<u64, &obs::TraceEvent> = events
+        .iter()
+        .filter(|e| e.kind == obs::EventKind::Span)
+        .map(|e| (e.id, e))
+        .collect();
+    let arg = |e: &obs::TraceEvent, key: &str| -> usize {
+        match e.args.iter().find(|(k, _)| k == key) {
+            Some((_, v)) if v == "true" => 1,
+            Some((_, v)) if v == "false" => 0,
+            Some((_, v)) => v.parse().expect("a count"),
+            None => panic!("{} has no {key}", e.name),
+        }
+    };
+    let mut decisions = Vec::new();
+    for event in events.iter().filter(|e| e.pid == 0) {
+        let span = event.kind == obs::EventKind::Span;
+        let (kind, value) = match (event.name.as_str(), span) {
+            ("elision_claim", false) => ("claim", arg(event, "transfers")),
+            ("distribute", true) => ("parts", arg(event, "parts")),
+            ("delta_round", true) => ("delta", arg(event, "round")),
+            ("reshard", false) => ("reshard", arg(event, "round")),
+            ("reshuffle_elided", false) => ("elided", 0),
+            ("resident_round", true) => ("resident", arg(event, "nodes")),
+            _ => continue,
+        };
+        let (mut query, mut round, mut below_root) = (None, None, false);
+        let mut parent = if span { event.parent } else { event.id };
+        while let Some(ancestor) = spans.get(&parent) {
+            match ancestor.name.as_str() {
+                "query" => query = query.or(Some(arg(ancestor, "index"))),
+                "eval_round" => round = round.or(Some(arg(ancestor, "round"))),
+                _ => {}
+            }
+            below_root |= ancestor.id == root;
+            parent = ancestor.parent;
+        }
+        if kind == "claim" {
+            query = Some(arg(event, "query"));
+        }
+        if below_root {
+            decisions.push((query.unwrap_or(0), round, kind, value));
+        }
+    }
+    decisions.sort();
+    decisions
+}
+
+/// The decisions `plan` prescribes for a run whose per-query outcomes are
+/// `outcome`. The run's rounds, its convergence and the resident set are
+/// the guards the plan leaves to the data, read off the outcome; the plan
+/// decides everything else. Checks that every elision is backed by a `yes`
+/// claim and every `yes` with resident shards is carried out.
+fn planned(plan: &RunPlan<'_>, outcome: &MultiQueryOutcome, feedback: bool) -> Vec<Decision> {
+    let mut decisions = Vec::new();
+    let mut resident: Vec<Node> = Vec::new();
+    for (index, (query, run)) in plan.queries().iter().zip(&outcome.per_query).enumerate() {
+        if let Some(transfers) = query.elide {
+            decisions.push((index, None, "claim", usize::from(transfers)));
+        }
+        let elide = query.elide == Some(true) && !resident.is_empty();
+        assert_eq!(run.elided_reshuffles == 1, elide, "query {index}");
+        if elide {
+            let nodes: Vec<Node> = run.rounds[0].per_node_load.keys().copied().collect();
+            assert_eq!(nodes, resident, "query {index} ran on other nodes");
+            decisions.push((index, None, "elided", 0));
+            decisions.push((index, None, "resident", resident.len()));
+            continue;
+        }
+        for round in 0..run.rounds_run() {
+            let slot = query.slot(round);
+            decisions.push((index, Some(round), "parts", slot.parts()));
+            if feedback {
+                let delta = round - slot.first_round;
+                decisions.push((index, Some(round), "delta", delta));
+                if delta == 0 && round > 0 {
+                    decisions.push((index, Some(round), "reshard", round));
+                }
+            }
+        }
+        let last = query.slot(run.rounds_run() - 1).policy;
+        resident = match run.converged {
+            true => last.network().nodes().collect(),
+            false => Vec::new(),
+        };
+    }
+    decisions.sort();
+    decisions
+}
+
+/// An in-memory transport that logs every `begin_round` into `log`.
+struct Logged<'l> {
+    inner: InMemoryTransport,
+    log: &'l std::cell::RefCell<Vec<&'static str>>,
+}
+
+impl Transport for Logged<'_> {
+    fn begin_round(
+        &mut self,
+        round: usize,
+        query: &ConjunctiveQuery,
+    ) -> Result<(), TransportError> {
+        self.log.borrow_mut().push("begin_round");
+        self.inner.begin_round(round, query)
+    }
+
+    fn send(&mut self, node: Node, shipment: Shipment) -> Result<(), TransportError> {
+        self.inner.send(node, shipment)
+    }
+
+    fn barrier(&mut self) -> Result<(), TransportError> {
+        self.inner.barrier()
+    }
+
+    fn recv(&mut self, node: Node) -> Result<NodeResult, TransportError> {
+        self.inner.recv(node)
+    }
+}
+
+/// The span recorder is process-global: the one test of this binary that
+/// traces holds this gate, and reads only the events below its own root.
+static TRACE_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48).with_rng_seed(0x9_1A4))]
+
+    /// Plan before data, over the policy zoo × query sequences × feedback ×
+    /// round caps: the plan is built from the queries and the engine alone,
+    /// every oracle call of a run precedes its first round, the decisions
+    /// the run's trace records are the plan's, and the same plan carried
+    /// out on another instance again elides only where it claims `yes`.
+    #[test]
+    fn runs_carry_out_the_plan_made_before_the_data(
+        i in instance_strategy(),
+        sequence in proptest::collection::vec(0usize..4, 1..4),
+        entries in proptest::collection::vec(0usize..6, 1..3),
+        verdicts in 0u32..65536,
+        feedback in 0usize..2,
+        rounds in 1usize..5,
+        nodes in 1usize..4,
+        buckets in 1usize..3,
+    ) {
+        let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let feedback = feedback == 1;
+        let queries: Vec<ConjunctiveQuery> = sequence
+            .iter()
+            .map(|&k| ConjunctiveQuery::parse(PLANNED_QUERIES[k]).unwrap())
+            .collect();
+        let zoo = policy_zoo(&i, &queries[0], nodes, buckets);
+        let schedule: Vec<&dyn DistributionPolicy> =
+            entries.iter().map(|&k| zoo[k].1.as_ref()).collect();
+        let mut engine = MultiRoundEngine::new(RoundSchedule::of(schedule)).rounds(rounds);
+        if feedback {
+            engine = engine.feedback_into("R");
+        }
+        let id = |q: &ConjunctiveQuery| PLANNED_QUERIES.iter().position(|t| *t == q.to_string());
+        let verdict = |p: &ConjunctiveQuery, q: &ConjunctiveQuery| {
+            let bit = 4 * id(p).unwrap() + id(q).unwrap();
+            verdicts >> bit & 1 == 1
+        };
+        let plan = engine.plan(&queries, &mut |p, q| verdict(p, q));
+
+        let log = std::cell::RefCell::new(Vec::new());
+        let mut transport = Logged { inner: InMemoryTransport::new(1), log: &log };
+        obs::start_trace();
+        let root = obs::span!("case");
+        let root_id = root.id();
+        let outcome = engine
+            .evaluate_queries_via(&mut transport, &queries, &i, &mut |p, q| {
+                log.borrow_mut().push("oracle");
+                verdict(p, q)
+            })
+            .unwrap();
+        drop(root);
+        let events = obs::end_trace();
+        let log = log.into_inner();
+        let first_round = log.iter().position(|&e| e == "begin_round").unwrap_or(log.len());
+        prop_assert!(log[first_round..].iter().all(|&e| e != "oracle"), "{:?}", log);
+        prop_assert_eq!(log.iter().filter(|&&e| e == "oracle").count(), plan.transfer_checks());
+        prop_assert_eq!(outcome.transfer_checks, plan.transfer_checks());
+        prop_assert_eq!(recorded(&events, root_id), planned(&plan, &outcome, feedback));
+
+        let half = Instance::from_facts(i.facts().step_by(2).cloned());
+        let again = engine.execute_via(&mut InMemoryTransport::new(2), &plan, &half).unwrap();
+        planned(&plan, &again, feedback);
     }
 }

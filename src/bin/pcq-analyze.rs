@@ -58,9 +58,12 @@
 //! per-node load and per-node timings (`--json` for machine-readable
 //! output, emitted through the `wire::json` serializer). Either grammar —
 //! the positional specs or `--scenario` — lowers into one `wire::Scenario`,
-//! which one executor runs through one round loop
-//! (`MultiRoundEngine::evaluate_queries_via`) and verifies against one
-//! reference, the global fixpoint of the centralized iterated query. What
+//! which one executor plans before any data moves (`MultiRoundEngine::plan`:
+//! rounds, split or plain, deltas, re-shards and every transferability
+//! verdict), runs through one round loop (`MultiRoundEngine::execute_via`)
+//! and verifies against one reference, the global fixpoint of the
+//! centralized iterated query. The report prints the plan (`plan` in
+//! `--json`). What
 //! differs between runs is only the report's shape: without `--rounds` the
 //! run is one round, reported with its statistics and per-node loads, and
 //! the reference is the centralized answer (Definition 3.1). With
@@ -94,9 +97,9 @@
 //! N eval jobs (requires ≥ 2 workers and a wire transport). `--scenario
 //! file.pcq` replaces the three positional specs with one scenario file.
 //! A scenario may list several queries in a `queries { … }` block: the
-//! engine runs them in sequence over the same instance and checks
-//! **pc-transferability** between consecutive queries — when
-//! parallel-correctness transfers, the next query's reshuffle is elided
+//! engine runs them in sequence over the same instance, its plan holding
+//! the **pc-transferability** verdict of each pair of consecutive queries —
+//! when parallel-correctness transfers, the next query's reshuffle is elided
 //! and it evaluates directly on the shards resident from its predecessor;
 //! when it does not transfer, the instance is re-distributed from
 //! scratch. `--reshuffle-always` disables the elision (the baseline its
@@ -200,11 +203,9 @@ fn main() -> ExitCode {
                 ExitCode::from(1)
             }
         }
-        Err(message) => {
-            complain!("error: {message}");
-            // A worker's runtime failure (protocol desync, injected fault)
-            // is not a usage mistake; the usage text would only bury it.
-            if !message.starts_with("worker failed:") {
+        Err(failure) => {
+            complain!("error: {}", failure.message);
+            if failure.usage {
                 complain!();
                 complain!("{}", usage());
             }
@@ -213,12 +214,44 @@ fn main() -> ExitCode {
     }
 }
 
+/// Why a command failed. A usage mistake — an unknown command or flag, or a
+/// missing or extra operand — is followed by the usage text; any other
+/// error (a file that does not parse, a frame of another version, a worker
+/// that died) is its one line alone. Both exit 2.
+struct Failure {
+    message: String,
+    usage: bool,
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure {
+            message,
+            usage: false,
+        }
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Failure {
+        message.to_string().into()
+    }
+}
+
+/// A usage mistake (see [`Failure`]).
+fn misuse(message: impl Into<String>) -> Failure {
+    Failure {
+        message: message.into(),
+        usage: true,
+    }
+}
+
 fn usage() -> &'static str {
     "usage:\n  pcq-analyze analyze    <query>\n  pcq-analyze pc         <query> <policy-file>\n  pcq-analyze transfer   <query-from> <query-to> [--no-skip]\n  pcq-analyze hypercube  <query> <query-prime>\n  pcq-analyze run        <query> <policy> <instance> [--workers N] [--json]\n                         [--rounds N] [--schedule S] [--feedback R]\n                         [--transport memory|process|socket]\n                         [--fault-inject N] [--trace FILE]\n                         [--slow-eval-us N]\n  pcq-analyze run        --scenario <file.pcq> [--json] [--workers N]\n                         [--rounds N] [--feedback R]\n                         [--transport T] [--reshuffle-always]\n                         [--trace FILE]\n  pcq-analyze trace      summarize <trace.json> [--json]\n  pcq-analyze trace      diff <base.json> <new.json> [--json]\n                         [--threshold PCT] [--min-us N]\n  pcq-analyze encode     (query|instance|scenario) <spec>\n  pcq-analyze decode\n  pcq-analyze worker     [--connect host:port --token K] [--fail-after N]\n                         [--slow-eval-us N]\n\nrun specs:\n  <query>    triangle | example3.5 | chain:<len> | star:<rays> | cycle:<len> | file | literal\n  <policy>   hypercube:<budget> | hash-join:<buckets> | broadcast:<nodes> | round-robin:<nodes> | policy-file\n  <instance> random:<domain>:<facts>[:seed] | zipf:<domain>:<facts>:<exp-percent>[:seed] | file | literal\n  <schedule> comma-separated per-round policies, by the <policy> names\n  <file.pcq> a textual scenario file (see the README's wire-format section)"
 }
 
-fn run(args: &[String]) -> Result<bool, String> {
-    let command = args.first().ok_or("missing command")?;
+fn run(args: &[String]) -> Result<bool, Failure> {
+    let command = args.first().ok_or_else(|| misuse("missing command"))?;
     match command.as_str() {
         "analyze" => {
             let ([query], _) = operands(&args[1..], ["<query>"], 0)?;
@@ -236,7 +269,7 @@ fn run(args: &[String]) -> Result<bool, String> {
             let no_skip = match flags.first().map(String::as_str) {
                 None => false,
                 Some("--no-skip") => true,
-                Some(other) => return Err(format!("unknown flag '{other}'")),
+                Some(other) => return Err(misuse(format!("unknown flag '{other}'"))),
             };
             Ok(transfer(&load_query(from)?, &load_query(to)?, no_skip))
         }
@@ -249,7 +282,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         "encode" => encode_command(&args[1..]),
         "decode" => decode_command(&args[1..]),
         "worker" => worker_command(&args[1..]),
-        other => Err(format!("unknown command '{other}'")),
+        other => Err(misuse(format!("unknown command '{other}'"))),
     }
 }
 
@@ -260,13 +293,13 @@ fn operands<'a, const N: usize>(
     args: &'a [String],
     names: [&str; N],
     optional: usize,
-) -> Result<([&'a str; N], &'a [String]), String> {
+) -> Result<([&'a str; N], &'a [String]), Failure> {
     if let Some(missing) = names.get(args.len()) {
-        return Err(format!("missing {missing}"));
+        return Err(misuse(format!("missing {missing}")));
     }
     let rest = &args[N..];
     if let Some(extra) = rest.get(optional) {
-        return Err(format!("unexpected argument '{extra}'"));
+        return Err(misuse(format!("unexpected argument '{extra}'")));
     }
     Ok((std::array::from_fn(|at| args[at].as_str()), rest))
 }
@@ -407,7 +440,7 @@ fn load_trace_summary(path: &str) -> Result<wire::TraceSummary, String> {
 /// per-process and per-round rollups (`--json` for machine-readable
 /// output). `diff` compares two such files phase by phase and round by
 /// round, failing (exit 1) when anything regressed past the threshold.
-fn trace_command(args: &[String]) -> Result<bool, String> {
+fn trace_command(args: &[String]) -> Result<bool, Failure> {
     match args.first().map(String::as_str) {
         Some("summarize") => {
             let mut json = false;
@@ -416,13 +449,13 @@ fn trace_command(args: &[String]) -> Result<bool, String> {
                 match arg.as_str() {
                     "--json" => json = true,
                     other if other.starts_with("--") => {
-                        return Err(format!("unknown flag '{other}'"))
+                        return Err(misuse(format!("unknown flag '{other}'")))
                     }
                     _ if path.is_none() => path = Some(arg),
-                    other => return Err(format!("unexpected argument '{other}'")),
+                    other => return Err(misuse(format!("unexpected argument '{other}'"))),
                 }
             }
-            let path = path.ok_or("trace summarize needs a trace file")?;
+            let path = path.ok_or_else(|| misuse("trace summarize needs a trace file"))?;
             let summary = load_trace_summary(path)?;
             if json {
                 say!("{}", summary.to_json());
@@ -440,7 +473,9 @@ fn trace_command(args: &[String]) -> Result<bool, String> {
                 match arg.as_str() {
                     "--json" => json = true,
                     "--threshold" => {
-                        let value = iter.next().ok_or("--threshold needs a percentage")?;
+                        let value = iter
+                            .next()
+                            .ok_or_else(|| misuse("--threshold needs a percentage"))?;
                         options.threshold_pct = value
                             .parse::<f64>()
                             .ok()
@@ -450,19 +485,21 @@ fn trace_command(args: &[String]) -> Result<bool, String> {
                             ))?;
                     }
                     "--min-us" => {
-                        let value = iter.next().ok_or("--min-us needs a number")?;
+                        let value = iter
+                            .next()
+                            .ok_or_else(|| misuse("--min-us needs a number"))?;
                         options.min_us = value
                             .parse()
                             .map_err(|_| format!("--min-us: '{value}' is not a number"))?;
                     }
                     other if other.starts_with("--") => {
-                        return Err(format!("unknown flag '{other}'"))
+                        return Err(misuse(format!("unknown flag '{other}'")))
                     }
                     _ => paths.push(arg),
                 }
             }
             let [base_path, new_path] = paths[..] else {
-                return Err("trace diff needs <base.json> <new.json>".to_string());
+                return Err(misuse("trace diff needs <base.json> <new.json>"));
             };
             let base = load_trace_summary(base_path)?;
             let new = load_trace_summary(new_path)?;
@@ -474,8 +511,8 @@ fn trace_command(args: &[String]) -> Result<bool, String> {
             }
             Ok(diff.clean())
         }
-        Some(other) => Err(format!("unknown trace subcommand '{other}'")),
-        None => Err("trace needs a subcommand (summarize | diff)".to_string()),
+        Some(other) => Err(misuse(format!("unknown trace subcommand '{other}'"))),
+        None => Err(misuse("trace needs a subcommand (summarize | diff)")),
     }
 }
 
@@ -535,7 +572,7 @@ fn open_transport(
 /// `--connect host:port --token K` it dials a socket-transport
 /// coordinator. `--fail-after N` injects a mid-round death for
 /// fault-tolerance tests and smokes.
-fn worker_command(args: &[String]) -> Result<bool, String> {
+fn worker_command(args: &[String]) -> Result<bool, Failure> {
     let mut connect: Option<String> = None;
     let mut token: u64 = 0;
     let mut fail_after: Option<u64> = None;
@@ -544,16 +581,23 @@ fn worker_command(args: &[String]) -> Result<bool, String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--connect" => {
-                connect = Some(iter.next().ok_or("--connect needs host:port")?.to_string())
+                let value = iter
+                    .next()
+                    .ok_or_else(|| misuse("--connect needs host:port"))?;
+                connect = Some(value.to_string())
             }
             "--token" => {
-                let value = iter.next().ok_or("--token needs a number")?;
+                let value = iter
+                    .next()
+                    .ok_or_else(|| misuse("--token needs a number"))?;
                 token = value
                     .parse()
                     .map_err(|_| format!("--token: '{value}' is not a number"))?;
             }
             "--fail-after" => {
-                let value = iter.next().ok_or("--fail-after needs a number")?;
+                let value = iter
+                    .next()
+                    .ok_or_else(|| misuse("--fail-after needs a number"))?;
                 fail_after = Some(
                     value
                         .parse()
@@ -561,12 +605,14 @@ fn worker_command(args: &[String]) -> Result<bool, String> {
                 );
             }
             "--slow-eval-us" => {
-                let value = iter.next().ok_or("--slow-eval-us needs a number")?;
+                let value = iter
+                    .next()
+                    .ok_or_else(|| misuse("--slow-eval-us needs a number"))?;
                 slow_eval_us = value
                     .parse()
                     .map_err(|_| format!("--slow-eval-us: '{value}' is not a number"))?;
             }
-            other => return Err(format!("unknown worker argument '{other}'")),
+            other => return Err(misuse(format!("unknown worker argument '{other}'"))),
         }
     }
     match connect {
@@ -579,7 +625,7 @@ fn worker_command(args: &[String]) -> Result<bool, String> {
         ),
     }
     .map(|()| true)
-    .map_err(|e| format!("worker failed: {e}"))
+    .map_err(|e| format!("worker failed: {e}").into())
 }
 
 /// The `run` subcommand: reshuffle, evaluate locally, take the union — once,
@@ -590,7 +636,7 @@ fn worker_command(args: &[String]) -> Result<bool, String> {
 /// (the centralized answer of a one-round run, else the global fixpoint of
 /// every query's centralized iteration), 1 = answers lost or round cap too
 /// small.
-fn run_command(args: &[String]) -> Result<bool, String> {
+fn run_command(args: &[String]) -> Result<bool, Failure> {
     let mut positional: Vec<&String> = Vec::new();
     let mut opts = RunOptions {
         workers: 1,
@@ -607,18 +653,20 @@ fn run_command(args: &[String]) -> Result<bool, String> {
         slow_eval_us: None,
     };
     let mut iter = args.iter();
-    let parse_count = |flag: &str, value: Option<&String>| -> Result<usize, String> {
-        let value = value.ok_or(format!("{flag} needs a number"))?;
+    let parse_count = |flag: &str, value: Option<&String>| -> Result<usize, Failure> {
+        let value = value.ok_or_else(|| misuse(format!("{flag} needs a number")))?;
         let n: usize = value
             .parse()
             .map_err(|_| format!("{flag}: '{value}' is not a number"))?;
         if n == 0 {
-            return Err(format!("{flag} must be at least 1"));
+            return Err(format!("{flag} must be at least 1").into());
         }
         Ok(n)
     };
-    let text = |flag: &str, what: &str, value: Option<&String>| -> Result<String, String> {
-        value.cloned().ok_or(format!("{flag} needs {what}"))
+    let text = |flag: &str, what: &str, value: Option<&String>| -> Result<String, Failure> {
+        value
+            .cloned()
+            .ok_or_else(|| misuse(format!("{flag} needs {what}")))
     };
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -633,7 +681,9 @@ fn run_command(args: &[String]) -> Result<bool, String> {
             }
             "--scenario" => opts.scenario = Some(text("--scenario", "a file path", iter.next())?),
             "--transport" => {
-                let name = iter.next().ok_or("--transport needs a name")?;
+                let name = iter
+                    .next()
+                    .ok_or_else(|| misuse("--transport needs a name"))?;
                 opts.transport = match name.as_str() {
                     "memory" | "mem" => TransportChoice::Memory,
                     "process" => TransportChoice::Process,
@@ -641,7 +691,8 @@ fn run_command(args: &[String]) -> Result<bool, String> {
                     other => {
                         return Err(format!(
                             "--transport: '{other}' is not 'memory', 'process' or 'socket'"
-                        ))
+                        )
+                        .into())
                     }
                 };
             }
@@ -650,37 +701,39 @@ fn run_command(args: &[String]) -> Result<bool, String> {
             }
             "--trace" => opts.trace = Some(text("--trace", "an output file path", iter.next())?),
             "--slow-eval-us" => {
-                let value = iter.next().ok_or("--slow-eval-us needs a number")?;
+                let value = iter
+                    .next()
+                    .ok_or_else(|| misuse("--slow-eval-us needs a number"))?;
                 opts.slow_eval_us = Some(
                     value
                         .parse()
                         .map_err(|_| format!("--slow-eval-us: '{value}' is not a number"))?,
                 );
             }
-            other if other.starts_with("--") => return Err(format!("unknown flag '{other}'")),
+            other if other.starts_with("--") => {
+                return Err(misuse(format!("unknown flag '{other}'")))
+            }
             _ => positional.push(arg),
         }
     }
     if opts.fault_inject.is_some() {
         if matches!(opts.transport, TransportChoice::Memory) {
             return Err(
-                "--fault-inject needs a wire transport (--transport process|socket)".to_string(),
+                "--fault-inject needs a wire transport (--transport process|socket)".into(),
             );
         }
         if opts.workers < 2 {
             return Err(
                 "--fault-inject needs --workers >= 2 (survivors must absorb the dead \
                  worker's jobs)"
-                    .to_string(),
+                    .into(),
             );
         }
     }
     if opts.slow_eval_us.is_some() && matches!(opts.transport, TransportChoice::Memory) {
         // The sleep is injected on the worker side of the wire protocol;
         // in-memory evaluation has no worker process to slow down.
-        return Err(
-            "--slow-eval-us needs a wire transport (--transport process|socket)".to_string(),
-        );
+        return Err("--slow-eval-us needs a wire transport (--transport process|socket)".into());
     }
     if opts.reshuffle_always && opts.scenario.is_none() {
         // Elision only ever happens between the queries of a multi-query
@@ -688,7 +741,7 @@ fn run_command(args: &[String]) -> Result<bool, String> {
         return Err(
             "--reshuffle-always requires --scenario (it disables the reshuffle \
                     elision between a scenario's queries)"
-                .to_string(),
+                .into(),
         );
     }
     if opts.rounds.is_none() && opts.scenario.is_none() {
@@ -700,7 +753,20 @@ fn run_command(args: &[String]) -> Result<bool, String> {
             ("--semi-naive", opts.semi_naive),
         ];
         if let Some((flag, _)) = across_rounds.iter().find(|(_, given)| *given) {
-            return Err(format!("{flag} requires --rounds"));
+            return Err(format!("{flag} requires --rounds").into());
+        }
+    }
+    match (&opts.scenario, positional.len()) {
+        (None, 3) | (Some(_), 0) => {}
+        (None, _) => {
+            return Err(misuse(
+                "run needs <query> <policy> <instance> (or --scenario <file>)",
+            ))
+        }
+        (Some(_), _) => {
+            return Err(misuse(
+                "--scenario replaces the positional <query> <policy> <instance> specs",
+            ))
         }
     }
 
@@ -724,6 +790,7 @@ fn run_command(args: &[String]) -> Result<bool, String> {
         Some(path) => write_trace(path, verdict),
         None => verdict,
     }
+    .map_err(Failure::from)
 }
 
 /// The shape of a run's report — the one thing in which a one-round run
@@ -775,11 +842,6 @@ fn lower_policy(arg: &str) -> Result<(PolicySpec, Option<ExplicitSpec>), String>
 fn lower(positional: &[&String], opts: &RunOptions) -> Result<Run, String> {
     let feedback = opts.feedback.as_deref().map(Symbol::new);
     if let Some(path) = &opts.scenario {
-        if !positional.is_empty() {
-            return Err(
-                "--scenario replaces the positional <query> <policy> <instance> specs".to_string(),
-            );
-        }
         if opts.schedule.is_some() {
             return Err(
                 "--schedule cannot be combined with --scenario (the file has its own schedule)"
@@ -801,7 +863,7 @@ fn lower(positional: &[&String], opts: &RunOptions) -> Result<Run, String> {
     }
 
     let [query_spec, policy_spec, instance_spec] = positional[..] else {
-        return Err("run needs <query> <policy> <instance> (or --scenario <file>)".to_string());
+        unreachable!("run_command checks the operands");
     };
     let query = load_run_query(query_spec)?;
     let instance = load_run_instance(instance_spec, &query)?;
@@ -899,6 +961,8 @@ struct RunReport<'a> {
     run: &'a Run,
     opts: &'a RunOptions,
     queries: Vec<QueryReport>,
+    /// The run's plan, one line per string, as `RunPlan` prints it.
+    plan: Vec<String>,
     transfer_checks: usize,
     /// The distributed run alone: the centralized reference is a
     /// correctness check, not part of what is being measured.
@@ -932,10 +996,9 @@ fn execute<'a>(run: &'a Run, opts: &'a RunOptions) -> Result<RunReport<'a>, Stri
     // Memoized so repeated query pairs (common in alternating workloads)
     // pay for the containment checks once.
     let mut cache = TransferCache::new();
+    let plan = engine.plan(queries, &mut |p, q| cache.transfers(p, q));
     let outcome = engine
-        .evaluate_queries_via(transport.as_mut(), queries, instance, &mut |p, q| {
-            cache.transfers(p, q)
-        })
+        .execute_via(transport.as_mut(), &plan, instance)
         .map_err(|e| e.to_string())?;
     // Stop the workers and release the shipped chunks before the verify.
     drop(transport);
@@ -963,6 +1026,7 @@ fn execute<'a>(run: &'a Run, opts: &'a RunOptions) -> Result<RunReport<'a>, Stri
         run,
         opts,
         queries: reports.collect(),
+        plan: plan.to_string().lines().map(str::to_string).collect(),
         transfer_checks: outcome.transfer_checks,
         total,
         metrics,
@@ -1083,6 +1147,10 @@ impl RunReport<'_> {
             });
             put("rounds", JsonValue::array(rounds));
         }
+        put(
+            "plan",
+            JsonValue::array(self.plan.iter().map(|line| line.as_str().into())),
+        );
         // `counters` and `histograms`, as the registries export them.
         if let JsonValue::Object(members) = &self.metrics {
             for (key, value) in members {
@@ -1118,6 +1186,10 @@ impl RunReport<'_> {
         }
         if opts.reshuffle_always {
             say!("mode:        reshuffle-always (transferability elision disabled)");
+        }
+        say!("plan:");
+        for line in &self.plan {
+            say!("  {line}");
         }
         for q in &self.queries {
             say!("query:       {}", q.query);
@@ -1183,15 +1255,9 @@ impl RunReport<'_> {
 /// The `encode` subcommand: writes one binary frame for a query, an
 /// instance or a scenario to stdout (pipe it to `pcq-analyze decode`, a
 /// file, or another process).
-fn encode_command(args: &[String]) -> Result<bool, String> {
-    let kind = args
-        .first()
-        .ok_or("encode needs (query|instance|scenario)")?;
-    let spec = args.get(1).ok_or("encode needs a <spec> after the kind")?;
-    if args.len() > 2 {
-        return Err(format!("unexpected argument '{}'", args[2]));
-    }
-    let message = match kind.as_str() {
+fn encode_command(args: &[String]) -> Result<bool, Failure> {
+    let ([kind, spec], _) = operands(args, ["(query|instance|scenario)", "<spec>"], 0)?;
+    let message = match kind {
         "query" => wire::Message::Query(load_run_query(spec)?),
         "instance" => {
             let text = read_spec_text(spec)?;
@@ -1205,7 +1271,11 @@ fn encode_command(args: &[String]) -> Result<bool, String> {
                 .map_err(|e| format!("cannot parse scenario '{spec}': {e}"))?;
             wire::Message::Scenario(scenario)
         }
-        other => return Err(format!("cannot encode '{other}' (query|instance|scenario)")),
+        other => {
+            return Err(misuse(format!(
+                "cannot encode '{other}' (query|instance|scenario)"
+            )))
+        }
     };
     std::io::stdout()
         .write_all(&wire::encode_frame(&message))
@@ -1216,10 +1286,8 @@ fn encode_command(args: &[String]) -> Result<bool, String> {
 /// The `decode` subcommand: reads one binary frame from stdin and prints
 /// its textual form (queries and facts in `cq` syntax, scenarios in the
 /// scenario format) — the inverse of `encode`.
-fn decode_command(args: &[String]) -> Result<bool, String> {
-    if !args.is_empty() {
-        return Err("decode reads a frame from stdin and takes no arguments".to_string());
-    }
+fn decode_command(args: &[String]) -> Result<bool, Failure> {
+    operands(args, [], 0)?;
     use std::io::Read;
     let mut bytes = Vec::new();
     std::io::stdin()

@@ -64,7 +64,8 @@ pub mod prelude {
     pub use distribution::{
         DistributionPolicy, ExplicitPolicy, FinitePolicy, HypercubeFamily, HypercubePolicy,
         InMemoryTransport, MultiQueryOutcome, MultiRoundEngine, MultiRoundOutcome, Network, Node,
-        OneRoundEngine, RoundSchedule, RuleBasedPolicy, Shipment, Transport, TransportError,
+        OneRoundEngine, RoundSchedule, RuleBasedPolicy, RunPlan, Shipment, Transport,
+        TransportError,
     };
     pub use pc_core::{
         check_parallel_correctness, check_parallel_correctness_bounded,

@@ -659,7 +659,7 @@ fn a_positional_run_and_the_scenario_stating_the_same_report_the_same() {
 }
 
 /// The top-level keys of a one-round `run --json` report, in order.
-const ONE_ROUND_KEYS: [&str; 14] = [
+const ONE_ROUND_KEYS: [&str; 15] = [
     "query",
     "policy",
     "instance",
@@ -672,6 +672,7 @@ const ONE_ROUND_KEYS: [&str; 14] = [
     "stats",
     "timings_us",
     "per_node",
+    "plan",
     "counters",
     "histograms",
 ];
@@ -912,15 +913,21 @@ fn hypercube_family_membership_answers_both_ways() {
 // ------------------------------------------------------------ wire: encode /
 // decode / scenarios / transports
 
-/// Runs `pcq-analyze` with bytes piped to stdin, returning exit code,
-/// stdout bytes and stderr text.
+/// Runs `pcq-analyze` with bytes piped to stdin, returning exit code and
+/// stdout bytes.
 fn pcq_analyze_piped(args: &[&str], stdin_bytes: &[u8]) -> (i32, Vec<u8>) {
+    let (code, stdout, _) = pcq_analyze_with_stderr(args, stdin_bytes);
+    (code, stdout)
+}
+
+/// [`pcq_analyze_piped`], also returning the stderr text.
+fn pcq_analyze_with_stderr(args: &[&str], stdin_bytes: &[u8]) -> (i32, Vec<u8>, String) {
     use std::io::Write;
     let mut child = Command::new(env!("CARGO_BIN_EXE_pcq-analyze"))
         .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("failed to spawn pcq-analyze");
     child
@@ -933,7 +940,43 @@ fn pcq_analyze_piped(args: &[&str], stdin_bytes: &[u8]) -> (i32, Vec<u8>) {
     (
         output.status.code().expect("terminated by signal"),
         output.stdout,
+        String::from_utf8_lossy(&output.stderr).into_owned(),
     )
+}
+
+#[test]
+fn only_usage_mistakes_print_the_usage_text() {
+    // A frame of another wire version, a file that does not parse: one
+    // `error:` line, no usage text to bury it. An unknown flag, a missing
+    // or extra operand: the error, then the usage. All exit 2.
+    let (code, mut frame) = pcq_analyze_piped(&["encode", "query", PATH_2], b"");
+    assert_eq!(code, 0);
+    frame[4] = 5;
+    let garbage = write_temp("usage-garbage.query", "T(x) :- R(x,");
+    let errors: [(&[&str], &[u8]); 2] = [
+        (&["decode"], &frame),
+        (&["analyze", garbage.to_str().unwrap()], b""),
+    ];
+    for (args, stdin) in errors {
+        let (code, _, stderr) = pcq_analyze_with_stderr(args, stdin);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(errors, 1, "{args:?}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(garbage);
+    let mistakes: [&[&str]; 4] = [
+        &["run", "--no-such-flag"],
+        &["decode", "extra"],
+        &["pc", PATH_2],
+        &["frobnicate"],
+    ];
+    for args in mistakes {
+        let (code, _, stderr) = pcq_analyze_with_stderr(args, b"");
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

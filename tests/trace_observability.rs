@@ -664,7 +664,23 @@ fn cli_traced_socket_multi_query_run_produces_one_valid_merged_trace() {
         "trace must merge the coordinator and both workers"
     );
     assert!(events.iter().any(|e| e.name == "query"));
-    assert!(events.iter().any(|e| e.name == "transfer_check"));
+    // `transfer_check` names the decider's span alone; the plan records its
+    // verdict as an `elision_claim` instant inside the `plan` span, which
+    // closes before the first round.
+    let checks: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "transfer_check")
+        .collect();
+    assert!(!checks.is_empty());
+    assert!(checks.iter().all(|e| e.kind == obs::EventKind::Span));
+    let plan = events
+        .iter()
+        .find(|e| e.name == "plan")
+        .expect("a plan span");
+    let claim = events.iter().find(|e| e.name == "elision_claim");
+    assert_eq!(claim.expect("an elision claim").parent, plan.id);
+    let mut rounds = events.iter().filter(|e| e.name == "eval_round");
+    assert!(rounds.all(|round| round.ts_us >= plan.ts_us + plan.dur_us));
 
     let summarize = Command::new(worker_binary())
         .args(["trace", "summarize", trace.to_str().unwrap(), "--json"])
@@ -745,4 +761,213 @@ fn disabled_tracing_costs_under_two_percent_of_a_closure_run() {
         overhead * 100.0,
         untraced * 1e3
     );
+}
+
+/// One decision of a run: `(query, round, kind, value)`, with `round`
+/// `None` outside a round of the query's own loop.
+type Decision = (usize, Option<usize>, &'static str, usize);
+
+/// The decisions the coordinator's trace recorded: the elision claims,
+/// `distribute`'s `parts`, `delta_round`, `reshard`, `reshuffle_elided` and
+/// the resident round's node count, each placed by its enclosing `query`
+/// and `eval_round` spans.
+fn recorded_decisions(events: &[obs::TraceEvent]) -> Vec<Decision> {
+    let spans: std::collections::BTreeMap<u64, &obs::TraceEvent> = events
+        .iter()
+        .filter(|e| e.pid == 0 && e.kind == obs::EventKind::Span)
+        .map(|e| (e.id, e))
+        .collect();
+    let arg = |e: &obs::TraceEvent, key: &str| -> usize {
+        match e
+            .args
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+        {
+            Some("true") => 1,
+            Some("false") => 0,
+            Some(v) => v.parse().expect("a count"),
+            None => panic!("{} has no {key}", e.name),
+        }
+    };
+    let mut decisions = Vec::new();
+    for event in events.iter().filter(|e| e.pid == 0) {
+        let span = event.kind == obs::EventKind::Span;
+        let (kind, value) = match (event.name.as_str(), span) {
+            ("elision_claim", false) => ("claim", arg(event, "transfers")),
+            ("distribute", true) => ("parts", arg(event, "parts")),
+            ("delta_round", true) => ("delta", arg(event, "round")),
+            ("reshard", false) => ("reshard", arg(event, "round")),
+            ("reshuffle_elided", false) => ("elided", 0),
+            ("resident_round", true) => ("resident", arg(event, "nodes")),
+            _ => continue,
+        };
+        let (mut query, mut round) = (None, None);
+        let mut parent = if span { event.parent } else { event.id };
+        while let Some(ancestor) = spans.get(&parent) {
+            match ancestor.name.as_str() {
+                "query" => query = query.or(Some(arg(ancestor, "index"))),
+                "eval_round" => round = round.or(Some(arg(ancestor, "round"))),
+                _ => {}
+            }
+            parent = ancestor.parent;
+        }
+        if kind == "claim" {
+            query = Some(arg(event, "query"));
+        }
+        decisions.push((query.unwrap_or(0), round, kind, value));
+    }
+    decisions.sort();
+    decisions
+}
+
+/// The decisions `plan` prescribes for the run that ended in `outcome`,
+/// whose rounds, convergence and resident set — the guards the plan leaves
+/// to the data — are read off the outcome.
+fn planned_decisions(
+    plan: &RunPlan<'_>,
+    outcome: &MultiQueryOutcome,
+    feedback: bool,
+) -> Vec<Decision> {
+    let mut decisions = Vec::new();
+    let mut resident = 0;
+    for (index, (query, run)) in plan.queries().iter().zip(&outcome.per_query).enumerate() {
+        if let Some(transfers) = query.elide {
+            decisions.push((index, None, "claim", usize::from(transfers)));
+        }
+        if query.elide == Some(true) && resident > 0 {
+            decisions.push((index, None, "elided", 0));
+            decisions.push((index, None, "resident", resident));
+            continue;
+        }
+        for round in 0..run.rounds_run() {
+            let slot = query.slot(round);
+            decisions.push((index, Some(round), "parts", slot.parts()));
+            if feedback {
+                let delta = round - slot.first_round;
+                decisions.push((index, Some(round), "delta", delta));
+                if delta == 0 && round > 0 {
+                    decisions.push((index, Some(round), "reshard", round));
+                }
+            }
+        }
+        let last = query.slot(run.rounds_run() - 1).policy;
+        resident = if run.converged {
+            last.network().len()
+        } else {
+            0
+        };
+    }
+    decisions.sort();
+    decisions
+}
+
+#[test]
+fn every_run_shape_records_the_decisions_of_its_plan_on_every_transport() {
+    // One small scenario shaped like each `run` workload of the benchmark:
+    // a triangle under its Hypercube, one round (split rounds); a Zipf
+    // two-atom join under a hash join (plain rounds); a closure with
+    // feedback over a two-entry schedule (deltas and a re-shard); the relax
+    // sequence (a `yes` claim carried out and a `no`). On every transport
+    // the trace records exactly the plan's decisions.
+    let _gate = gate();
+    let triangle = named_query("triangle").unwrap();
+    let join = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), S(y, z).").unwrap();
+    let closure = named_query("chain:2").unwrap();
+    let relax = named_query_sequence("relax").unwrap();
+    let zipf = named_instance("zipf:30:80:110:7", &join.schema()).unwrap();
+    let relax_facts = "R(a, a). R(a, b). R(b, b). R(b, c). R(c, a). R(c, c). R(c, d).";
+    let policies: Vec<Box<dyn DistributionPolicy>> = vec![
+        Box::new(HypercubePolicy::uniform(&triangle, 2).unwrap()),
+        Box::new(HypercubePolicy::hash_join(&join, 3).unwrap()),
+        Box::new(HypercubePolicy::hash_join(&closure, 3).unwrap()),
+        Box::new(HypercubePolicy::uniform(&closure, 2).unwrap()),
+        Box::new(HypercubePolicy::uniform(&relax[0], 2).unwrap()),
+    ];
+    // (name, queries, instance, schedule entries, round cap, feedback)
+    type Shape<'s> = (
+        &'s str,
+        Vec<ConjunctiveQuery>,
+        Instance,
+        &'s [usize],
+        usize,
+        bool,
+    );
+    let shapes: [Shape; 4] = [
+        (
+            "tri",
+            vec![triangle.clone()],
+            instance_for(&triangle, 3),
+            &[0],
+            1,
+            false,
+        ),
+        ("sparse", vec![join], zipf, &[1], 1, false),
+        (
+            "closure",
+            vec![closure.clone()],
+            instance_for(&closure, 5),
+            &[2, 3],
+            8,
+            true,
+        ),
+        (
+            "relax",
+            relax,
+            cq::parse_instance(relax_facts).unwrap(),
+            &[4],
+            4,
+            false,
+        ),
+    ];
+    for (name, queries, instance, entries, rounds, feedback) in &shapes {
+        let schedule = entries.iter().map(|&k| policies[k].as_ref()).collect();
+        let mut engine = MultiRoundEngine::new(RoundSchedule::of(schedule)).rounds(*rounds);
+        if *feedback {
+            engine = engine.feedback_into("R");
+        }
+        let mut cache = TransferCache::new();
+        let plan = engine.plan(queries, &mut |p, q| cache.transfers(p, q));
+        let argv = vec![vec!["worker".to_string()]; 2];
+        let transports: [(&str, Box<dyn Transport>); 3] = [
+            ("memory", Box::new(InMemoryTransport::new(2))),
+            (
+                "process",
+                Box::new(WireTransport::spawn_pipes(&worker_binary(), &argv).unwrap()),
+            ),
+            (
+                "socket",
+                Box::new(WireTransport::spawn_sockets(&worker_binary(), &argv).unwrap()),
+            ),
+        ];
+        for (transport_name, mut transport) in transports {
+            let (outcome, events) = traced(|| {
+                engine.evaluate_queries_via(transport.as_mut(), queries, instance, &mut |p, q| {
+                    cache.transfers(p, q)
+                })
+            });
+            let outcome = outcome.unwrap();
+            let context = format!("{name} on {transport_name}");
+            let decisions = recorded_decisions(&events);
+            assert_eq!(
+                decisions,
+                planned_decisions(&plan, &outcome, *feedback),
+                "{context}"
+            );
+            let kinds = |kind: &str| decisions.iter().filter(|d| d.2 == kind).count();
+            match *name {
+                "tri" => assert_eq!(decisions, [(0, Some(0), "parts", 3)], "{context}"),
+                "sparse" => assert_eq!(decisions, [(0, Some(0), "parts", 0)], "{context}"),
+                "closure" => assert_eq!(kinds("reshard"), 1, "{context}: {decisions:?}"),
+                _ => {
+                    assert_eq!(kinds("elided"), 1, "{context}");
+                    assert_eq!(outcome.transfer_checks, 2, "{context}");
+                }
+            }
+            for (query, run) in queries.iter().zip(&outcome.per_query) {
+                let reference = engine.reference_fixpoint(query, instance);
+                assert_eq!(*run.result, reference.result, "{context}: {query}");
+            }
+        }
+    }
 }
