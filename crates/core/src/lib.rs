@@ -80,8 +80,8 @@ pub use minimality::{
 };
 pub use pc::{
     check_parallel_correctness, check_parallel_correctness_bounded,
-    check_parallel_correctness_naive, check_parallel_correctness_on_instance,
-    multi_round_correct_on, MultiRoundInstanceReport, PcInstanceReport, PcReport, PcViolation,
+    check_parallel_correctness_on_instance, multi_round_correct_on, MultiRoundInstanceReport,
+    PcInstanceReport, PcReport, PcViolation,
 };
 pub use transfer::{
     check_transfer, check_transfer_no_skip, TransferCache, TransferReport, TransferViolation,

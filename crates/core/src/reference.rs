@@ -8,9 +8,7 @@
 
 use std::ops::ControlFlow;
 
-use cq::{
-    for_each_satisfying, ConjunctiveQuery, EvalOptions, Instance, Valuation, Value, Variable,
-};
+use cq::{for_each_satisfying, ConjunctiveQuery, Instance, Valuation, Value, Variable};
 use distribution::DistributionPolicy;
 
 use crate::conditions::C1Violation;
@@ -20,19 +18,13 @@ use crate::conditions::C1Violation;
 pub fn is_minimal_valuation(query: &ConjunctiveQuery, valuation: &Valuation) -> bool {
     let required = valuation.required_facts(query);
     let head_binding = valuation.restrict(&query.head_variables());
-    for_each_satisfying(
-        query,
-        &required,
-        &head_binding,
-        EvalOptions::default(),
-        |candidate| {
-            if candidate.required_facts(query).len() < required.len() {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        },
-    )
+    for_each_satisfying(query, &required, &head_binding, |candidate| {
+        if candidate.required_facts(query).len() < required.len() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
     .is_continue()
 }
 
@@ -44,23 +36,17 @@ pub fn meet_violation<P: DistributionPolicy + ?Sized>(
     minimal_only: bool,
 ) -> Option<C1Violation> {
     let mut violation = None;
-    let _ = for_each_satisfying(
-        query,
-        universe,
-        &Valuation::new(),
-        EvalOptions::default(),
-        |v| {
-            let required = v.required_facts(query);
-            if (minimal_only && !is_minimal_valuation(query, v)) || policy.facts_meet(&required) {
-                return ControlFlow::Continue(());
-            }
-            violation = Some(C1Violation {
-                valuation: v.clone(),
-                required_facts: required,
-            });
-            ControlFlow::Break(())
-        },
-    );
+    let _ = for_each_satisfying(query, universe, &Valuation::new(), |v| {
+        let required = v.required_facts(query);
+        if (minimal_only && !is_minimal_valuation(query, v)) || policy.facts_meet(&required) {
+            return ControlFlow::Continue(());
+        }
+        violation = Some(C1Violation {
+            valuation: v.clone(),
+            required_facts: required,
+        });
+        ControlFlow::Break(())
+    });
     violation
 }
 

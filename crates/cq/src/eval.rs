@@ -1,6 +1,6 @@
 //! Evaluation of conjunctive queries over instances.
 //!
-//! Every entry point — [`evaluate_with`], [`evaluate_seminaive_step_with`],
+//! Every entry point — [`evaluate`], [`evaluate_seminaive_step`],
 //! [`for_each_satisfying`] — compiles the query once per call and runs **one
 //! indexed join kernel**, a leapfrog triejoin, for every query, cyclic or
 //! not:
@@ -35,7 +35,7 @@
 //!   leaf order is part of the contract** (first-violation witnesses and
 //!   [`satisfying_valuations`] order rest on it).
 //! * **Differential passes run the same kernel.** A pass of
-//!   [`evaluate_seminaive_step_with`] points its pivot atom at the delta's
+//!   [`evaluate_seminaive_step`] points its pivot atom at the delta's
 //!   sorted order and every other atom at the full instance's, and binds the
 //!   pivot atom's variables first: a pass costs in proportion to the delta,
 //!   not to the accumulated instance.
@@ -62,16 +62,12 @@
 //!   adapter that refills one reused [`Valuation`] from the slots at each
 //!   leaf.
 //!
-//! **The oracle.** [`EvalOptions::ScanOracle`] runs the seed evaluator
-//! instead: an atom-at-a-time backtracking join in which every atom scans
-//! its whole relation, smallest-estimated-candidate-set-first. It builds no
-//! sorted order and shares no search code with the triejoin — it is what
-//! the property suites compare the kernel against, never a production
-//! path.
-//!
-//! Both enumerate exactly the same valuations; only the order and shape of
-//! the search differ. A fact only ever matches an atom of its own arity, so
-//! ill-formed (mixed-arity) relations evaluate the same under both.
+//! **The oracle.** The property suites compare the kernel against the seed
+//! evaluator, an atom-at-a-time scan join that builds no sorted order and
+//! shares no search code with the triejoin. It lives in the dev-only
+//! `oracle` crate: no build of this crate can select it. A fact only ever
+//! matches an atom of its own arity, so ill-formed (mixed-arity) relations
+//! evaluate the same under both.
 
 use std::collections::HashSet;
 use std::ops::ControlFlow;
@@ -85,31 +81,13 @@ use crate::query::ConjunctiveQuery;
 use crate::valuation::Valuation;
 use crate::value::Value;
 
-/// Which evaluator runs: the production kernel, or the oracle the property
-/// suites compare it against. Only callers of this crate choose: every
-/// node of a distributed run evaluates with the default, and a
-/// differential test compares the run against a central
-/// [`evaluate_with`]`(.., EvalOptions::ScanOracle)`.
+/// The options of [`evaluate_with`]: there are none, since one kernel runs
+/// every query. The unit type is kept only because the benchmark's frozen
+/// probe calls `evaluate_with(.., EvalOptions::default())`; the benchmark
+/// change that drops that call deletes it (as it does
+/// `MultiRoundEngine::semi_naive`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvalOptions {
-    /// The leapfrog triejoin over the instance's sorted column orders.
-    #[default]
-    Triejoin,
-    /// The scan oracle: every atom scans its whole relation and no order is
-    /// built.
-    ScanOracle,
-}
-
-impl EvalOptions {
-    /// The join these options run, as trace spans name it: `"multiway"`
-    /// (the triejoin) or `"binary"` (the scan oracle).
-    fn kernel(&self) -> &'static str {
-        match self {
-            EvalOptions::Triejoin => "multiway",
-            EvalOptions::ScanOracle => "binary",
-        }
-    }
-}
+pub struct EvalOptions;
 
 /// The kernel's view of a partial valuation: slot `s` holds the value bound
 /// to the `s`-th query variable, if any. At a leaf every slot is bound.
@@ -233,22 +211,25 @@ impl<'q> CompiledQuery<'q> {
     where
         L: FnMut(&Slots) -> ControlFlow<()>,
     {
-        self.for_each_satisfying_with(instance, fixed, EvalOptions::default(), leaf)
+        self.search(instance, None, self.bind(fixed), leaf)
     }
 
-    /// [`CompiledQuery::for_each_satisfying`] through the join `opts`
-    /// selects.
-    pub fn for_each_satisfying_with<L>(
+    /// Calls `leaf` with the slot array of every assignment found by one
+    /// differential pass of [`evaluate_seminaive_step`]: body atom `pivot`
+    /// matches a fact of `delta`, every other atom a fact of `full`, and the
+    /// pivot atom's variables are bound first.
+    pub fn for_each_in_pass<L>(
         &self,
-        instance: &Instance,
-        fixed: &Valuation,
-        opts: EvalOptions,
+        full: &Instance,
+        pivot: usize,
+        delta: &Instance,
         leaf: L,
     ) -> ControlFlow<()>
     where
         L: FnMut(&Slots) -> ControlFlow<()>,
     {
-        self.search(instance, None, self.bind(fixed), opts, leaf)
+        let slots = vec![None; self.vars.len()];
+        self.search(full, Some((pivot, delta)), slots, leaf)
     }
 
     /// The one search behind every entry point: the assignments extending
@@ -260,7 +241,6 @@ impl<'q> CompiledQuery<'q> {
         full: &Instance,
         pivot: Option<(usize, &Instance)>,
         slots: Vec<Option<Value>>,
-        opts: EvalOptions,
         leaf: L,
     ) -> ControlFlow<()>
     where
@@ -272,11 +252,6 @@ impl<'q> CompiledQuery<'q> {
         };
         let pivot = pivot.map(|(atom, _)| atom);
         let body = self.query.body().iter().enumerate();
-        if opts == EvalOptions::ScanOracle {
-            let scans = body.map(|(atom, body_atom)| source(atom).facts_of(body_atom.relation));
-            let scans = scans.collect();
-            return BinaryJoin::new(self, scans, slots, pivot, leaf).search(0);
-        }
         let plan = TriePlan::new(self, &slots, pivot);
         // The orders are held here, outside the join whose cursors borrow
         // them, for as long as it runs.
@@ -299,7 +274,8 @@ impl<'q> CompiledQuery<'q> {
 /// The binding state of a search: the slot array plus the undo trail of the
 /// slots bound since the search began. Public for searches over a
 /// [`CompiledQuery`]'s slots outside the evaluator (the covering search of
-/// `pc-core`), which bind and backtrack the same way.
+/// `pc-core`, the scan join of the test oracle), which bind and backtrack
+/// the same way.
 pub struct Bindings {
     slots: Vec<Option<Value>>,
     trail: Vec<usize>,
@@ -359,100 +335,6 @@ impl Bindings {
             self.slots[slot] = None;
         }
         self.trail.truncate(mark);
-    }
-}
-
-/// The scan oracle: the atom-at-a-time backtracking join of the seed
-/// evaluator, in which every atom scans its whole relation. It reads the
-/// rows themselves and never a sorted order, so it shares nothing with the
-/// triejoin it is compared against but the compiled query and the bindings.
-///
-/// `scans[a]` is where body atom `a` draws its candidate facts from. The
-/// plain evaluator uses the same instance for every atom; the semi-naive
-/// differential pass points its pivot atom at the delta instance and every
-/// other atom at the full one.
-struct BinaryJoin<'a, L> {
-    query: &'a CompiledQuery<'a>,
-    scans: Vec<&'a [Fact]>,
-    /// The atom processing order.
-    order: Vec<usize>,
-    bindings: Bindings,
-    leaf: L,
-}
-
-impl<'a, L> BinaryJoin<'a, L>
-where
-    L: FnMut(&Slots) -> ControlFlow<()>,
-{
-    /// A planned join over `scans` starting from the pre-bound `slots`.
-    ///
-    /// With a `pivot`, that atom is forced to the front and its slots count
-    /// as bound for the rest — the plan shape of a semi-naive differential
-    /// pass: the pivot matches the (small) delta first, everything else
-    /// joins against the full instance. The other atoms follow greedily,
-    /// the one with the smallest estimated candidate set next (ties
-    /// resolved in source order, so plans are deterministic and degrade to
-    /// source order when the model cannot tell atoms apart).
-    fn new(
-        query: &'a CompiledQuery<'a>,
-        scans: Vec<&'a [Fact]>,
-        slots: Vec<Option<Value>>,
-        pivot: Option<usize>,
-        leaf: L,
-    ) -> Self {
-        let mut order: Vec<usize> = pivot.into_iter().collect();
-        let mut remaining: Vec<usize> = (0..query.atom_count())
-            .filter(|&atom| Some(atom) != pivot)
-            .collect();
-        let mut bound: Vec<bool> = slots.iter().map(Option::is_some).collect();
-        for &slot in pivot.map_or(&[][..], |atom| query.atom(atom)) {
-            bound[slot] = true;
-        }
-        while !remaining.is_empty() {
-            // The relation size, of which each bound argument keeps about
-            // a quarter: an estimate that reads no index.
-            let estimate = |&atom: &usize| {
-                let bound_args = query.atom(atom).iter().filter(|&&slot| bound[slot]);
-                scans[atom].len() as f64 / 4f64.powi(bound_args.count() as i32)
-            };
-            let costs = remaining.iter().map(estimate).enumerate();
-            let cheapest = costs.fold((0, f64::INFINITY), |best, (pos, cost)| {
-                if cost < best.1 {
-                    (pos, cost)
-                } else {
-                    best
-                }
-            });
-            let best = remaining.remove(cheapest.0);
-            order.push(best);
-            for &slot in query.atom(best) {
-                bound[slot] = true;
-            }
-        }
-        BinaryJoin {
-            query,
-            scans,
-            order,
-            bindings: Bindings::new(slots),
-            leaf,
-        }
-    }
-
-    fn search(&mut self, depth: usize) -> ControlFlow<()> {
-        if depth == self.order.len() {
-            return (self.leaf)(&self.bindings.slots);
-        }
-        let query = self.query;
-        let atom = self.order[depth];
-        for fact in self.scans[atom] {
-            let mark = self.bindings.mark();
-            if self.bindings.unify(query.atom(atom), fact) {
-                let flow = self.search(depth + 1);
-                self.bindings.undo(mark);
-                flow?;
-            }
-        }
-        ControlFlow::Continue(())
     }
 }
 
@@ -818,7 +700,6 @@ pub fn for_each_satisfying<F>(
     query: &ConjunctiveQuery,
     instance: &Instance,
     fixed: &Valuation,
-    opts: EvalOptions,
     mut callback: F,
 ) -> ControlFlow<()>
 where
@@ -828,7 +709,7 @@ where
     // One valuation serves every leaf: rebinding a bound variable
     // overwrites in place.
     let mut valuation = Valuation::new();
-    compiled.for_each_satisfying_with(instance, fixed, opts, |slots| {
+    compiled.for_each_satisfying(instance, fixed, |slots| {
         for (&var, value) in compiled.vars.iter().zip(slots) {
             valuation.bind(var, value.expect("every slot is bound at a leaf"));
         }
@@ -962,54 +843,29 @@ impl Answers {
 /// semantics. Facts already derivable from `old` can reappear (a *new*
 /// valuation may re-derive an *old* fact); callers tracking a derived-set
 /// difference filter against their previous output.
-pub fn evaluate_seminaive_step_with(
+pub fn evaluate_seminaive_step(
     query: &ConjunctiveQuery,
     full: &Instance,
     delta: &Instance,
-    opts: EvalOptions,
 ) -> Instance {
-    let _span = obs::span!(
-        "seminaive_step",
-        strategy = opts.kernel(),
-        delta_facts = delta.len()
-    );
+    let _span = obs::span!("seminaive_step", delta_facts = delta.len());
     let compiled = CompiledQuery::new(query);
     let mut answers = Answers::new(&compiled, false);
     for (pivot, atom) in query.body().iter().enumerate() {
         if delta.facts_of(atom.relation).is_empty() {
             continue;
         }
-        let slots = vec![None; compiled.vars.len()];
         let leaf = |slots: &Slots| answers.collect(slots);
-        let _ = compiled.search(full, Some((pivot, delta)), slots, opts, leaf);
+        let _ = compiled.for_each_in_pass(full, pivot, delta, leaf);
     }
     answers.finish()
 }
 
-/// [`evaluate_seminaive_step_with`] under the default [`EvalOptions`].
-pub fn evaluate_seminaive_step(
-    query: &ConjunctiveQuery,
-    full: &Instance,
-    delta: &Instance,
-) -> Instance {
-    evaluate_seminaive_step_with(query, full, delta, EvalOptions::default())
-}
-
-/// All satisfying valuations of `query` on `instance`.
+/// All satisfying valuations of `query` on `instance`, each once: the
+/// leaves of one enumeration are distinct valuations.
 pub fn satisfying_valuations(query: &ConjunctiveQuery, instance: &Instance) -> Vec<Valuation> {
-    satisfying_valuations_with(query, instance, &Valuation::new(), EvalOptions::default())
-}
-
-/// All satisfying valuations extending the partial valuation `fixed`, each
-/// once: the leaves of one enumeration are distinct valuations.
-pub fn satisfying_valuations_with(
-    query: &ConjunctiveQuery,
-    instance: &Instance,
-    fixed: &Valuation,
-    opts: EvalOptions,
-) -> Vec<Valuation> {
     let mut out = Vec::new();
-    let _ = for_each_satisfying(query, instance, fixed, opts, |v| {
+    let _ = for_each_satisfying(query, instance, &Valuation::new(), |v| {
         out.push(v.clone());
         ControlFlow::Continue(())
     });
@@ -1019,18 +875,17 @@ pub fn satisfying_valuations_with(
 /// Evaluates `query` on `instance`: the set of facts derived by satisfying
 /// valuations (`Q(I)` in the paper).
 pub fn evaluate(query: &ConjunctiveQuery, instance: &Instance) -> Instance {
-    evaluate_with(query, instance, EvalOptions::default())
-}
-
-/// Evaluates `query` on `instance` under explicit evaluation options.
-pub fn evaluate_with(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOptions) -> Instance {
-    let _span = obs::span!("evaluate", strategy = opts.kernel(), facts = instance.len());
+    let _span = obs::span!("evaluate", facts = instance.len());
     let compiled = CompiledQuery::new(query);
     let mut answers = Answers::new(&compiled, true);
-    let _ = compiled.for_each_satisfying_with(instance, &Valuation::new(), opts, |slots| {
-        answers.collect(slots)
-    });
+    let leaf = |slots: &Slots| answers.collect(slots);
+    let _ = compiled.for_each_satisfying(instance, &Valuation::new(), leaf);
     answers.finish()
+}
+
+/// [`evaluate`]; see [`EvalOptions`].
+pub fn evaluate_with(query: &ConjunctiveQuery, instance: &Instance, _: EvalOptions) -> Instance {
+    evaluate(query, instance)
 }
 #[cfg(test)]
 mod tests {
@@ -1054,22 +909,6 @@ mod tests {
         VALUES_READ.get() - before
     }
 
-    /// The scan oracle's atom processing order, optionally with a forced
-    /// first atom (the plan of a semi-naive pass pivoted there).
-    fn atom_order(
-        query: &ConjunctiveQuery,
-        instance: &Instance,
-        fixed: &Valuation,
-        pivot: Option<usize>,
-    ) -> Vec<usize> {
-        let compiled = CompiledQuery::new(query);
-        let body = query.body().iter();
-        let scans = body.map(|atom| instance.facts_of(atom.relation)).collect();
-        let slots = compiled.bind(fixed);
-        let leaf = |_: &Slots| ControlFlow::Continue(());
-        BinaryJoin::new(&compiled, scans, slots, pivot, leaf).order
-    }
-
     /// The leaves of one search — a full one, or the differential pass
     /// pivoted on an atom of `pivot`'s instance — in the order they come.
     fn leaves(
@@ -1077,20 +916,28 @@ mod tests {
         full: &Instance,
         pivot: Option<(usize, &Instance)>,
         fixed: &Valuation,
-        opts: EvalOptions,
     ) -> Vec<Vec<Value>> {
         let compiled = CompiledQuery::new(query);
         let mut leaves = Vec::new();
-        let _ = compiled.search(full, pivot, compiled.bind(fixed), opts, |slots| {
+        let _ = compiled.search(full, pivot, compiled.bind(fixed), |slots| {
             leaves.push(slots.iter().map(|value| value.unwrap()).collect());
             ControlFlow::Continue(())
         });
         leaves
     }
 
-    /// Both evaluators.
-    fn all_options() -> [EvalOptions; 2] {
-        [EvalOptions::Triejoin, EvalOptions::ScanOracle]
+    /// All satisfying valuations extending `fixed`.
+    fn satisfying(
+        query: &ConjunctiveQuery,
+        instance: &Instance,
+        fixed: &Valuation,
+    ) -> Vec<Valuation> {
+        let mut out = Vec::new();
+        let _ = for_each_satisfying(query, instance, fixed, |v| {
+            out.push(v.clone());
+            ControlFlow::Continue(())
+        });
+        out
     }
 
     #[test]
@@ -1159,41 +1006,12 @@ mod tests {
         let query = q("T(x, z) :- R(x, y), R(y, z).");
         let i = parse_instance("R(a, b). R(b, c). R(c, d).").unwrap();
         let fixed = Valuation::from_names([("x", "a")]);
-        for opts in all_options() {
-            let vals = satisfying_valuations_with(&query, &i, &fixed, opts);
-            assert_eq!(vals.len(), 1);
-            assert_eq!(
-                vals[0].get(Variable::new("z")),
-                Some(crate::Value::new("c"))
-            );
-        }
-    }
-
-    #[test]
-    fn all_strategies_enumerate_the_same_valuations() {
-        let queries = [
-            q("T(x, w) :- R(x, y), S(y, z), R(z, w)."),
-            q("T(x, z) :- R(x, y), R(y, z), R(x, x)."),
-            q("T() :- R(x, y), S(y, x)."),
-        ];
-        let i = parse_instance(
-            "R(a, b). R(b, c). R(c, d). R(d, a). R(a, a). S(b, c). S(c, d). S(d, b). S(a, a).",
-        )
-        .unwrap();
-        for query in &queries {
-            let reference: BTreeSet<_> =
-                satisfying_valuations_with(query, &i, &Valuation::new(), EvalOptions::ScanOracle)
-                    .into_iter()
-                    .collect();
-            assert!(!reference.is_empty() || query.body_size() > 1);
-            for opts in all_options() {
-                let got: BTreeSet<_> =
-                    satisfying_valuations_with(query, &i, &Valuation::new(), opts)
-                        .into_iter()
-                        .collect();
-                assert_eq!(got, reference, "options {opts:?} disagree with scan/naive");
-            }
-        }
+        let vals = satisfying(&query, &i, &fixed);
+        assert_eq!(vals.len(), 1);
+        assert_eq!(
+            vals[0].get(Variable::new("z")),
+            Some(crate::Value::new("c"))
+        );
     }
 
     #[test]
@@ -1206,39 +1024,6 @@ mod tests {
         assert_eq!(evaluate(&query, &i).len(), 3);
         assert_eq!(evaluate(&query, &i).len(), 3);
         assert_eq!(i.cached_orders(), 2, "the triejoin walks sorted orders");
-    }
-
-    #[test]
-    fn only_the_scan_oracle_builds_no_sorted_order() {
-        // Cyclic or not, a query runs the triejoin — seen by the orders it
-        // leaves on the instance — and `ScanOracle` alone selects the scan
-        // oracle, which leaves none, whatever the query, in a full search
-        // and in a semi-naive step alike.
-        let edges = "E(a, b). E(b, c). E(c, a). E(a, d). E(b, a).";
-        for (query, instance) in [
-            ("T(x, y, z) :- E(x, y), E(y, z), E(z, x).", edges),
-            ("T(x, z) :- E(x, y), E(y, z).", edges),
-            (
-                "T(x, z) :- R(x, y), S(y, z).",
-                "R(a, b). R(b, c). S(b, c). S(c, d). S(c, a).",
-            ),
-        ] {
-            let (query, i) = (q(query), parse_instance(instance).unwrap());
-            let scan = EvalOptions::ScanOracle;
-            assert_eq!(scan.kernel(), "binary");
-            let mut scanned = leaves(&query, &i, None, &Valuation::new(), scan);
-            let step = evaluate_seminaive_step_with(&query, &i, &i, scan);
-            assert_eq!(step, evaluate(&query, &i.clone()), "{query}");
-            assert_eq!(i.cached_orders(), 0, "{query}: the oracle builds no order");
-            let indexed = EvalOptions::default();
-            assert_eq!(indexed.kernel(), "multiway");
-            let mut walked = leaves(&query, &i, None, &Valuation::new(), indexed);
-            assert_eq!(i.cached_orders(), 2, "{query}: the triejoin walks orders");
-            assert!(walked.len() >= 3, "{query}");
-            walked.sort();
-            scanned.sort();
-            assert_eq!(walked, scanned, "{query}");
-        }
     }
 
     #[test]
@@ -1281,44 +1066,9 @@ mod tests {
                 .facts()
                 .any(|fact| fact.values.iter().any(opaque_value));
             assert!(mixed || query.head().arity() == 0, "{query}");
-            for opts in all_options() {
-                let evaluated = evaluate_with(&query, &full, opts);
-                assert_eq!(evaluated, answers, "{query}: {opts:?}");
-                let step = evaluate_seminaive_step_with(&query, &full, &delta, opts);
-                assert_eq!(step, derived_anew, "{query}: {opts:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn multiway_agrees_with_binary_on_cyclic_and_acyclic_queries() {
-        let queries = [
-            q("T(x, y, z) :- E(x, y), E(y, z), E(z, x)."), // cyclic
-            q("T(x) :- E(x, y), E(y, z), E(z, w), E(w, x), E(x, z)."), // chordal 4-cycle
-            q("T(x, w) :- R(x, y), S(y, z), R(z, w)."),    // acyclic chain
-            q("T(x, z) :- R(x, y), R(y, z), R(x, x)."),    // self-join
-            q("T() :- R(x, y), S(y, x)."),                 // boolean
-        ];
-        let i = parse_instance(
-            "R(a, b). R(b, c). R(c, d). R(d, a). R(a, a). S(b, c). S(c, d). S(d, b). S(a, a). \
-             E(a, b). E(b, c). E(c, a). E(a, d). E(d, c). E(c, c). E(b, a).",
-        )
-        .unwrap();
-        for query in &queries {
-            let reference: BTreeSet<_> =
-                satisfying_valuations_with(query, &i, &Valuation::new(), EvalOptions::ScanOracle)
-                    .into_iter()
-                    .collect();
-            for opts in all_options() {
-                let got: BTreeSet<_> =
-                    satisfying_valuations_with(query, &i, &Valuation::new(), opts)
-                        .into_iter()
-                        .collect();
-                assert_eq!(
-                    got, reference,
-                    "{query}: {opts:?} disagrees with scan/naive"
-                );
-            }
+            assert_eq!(evaluate(&query, &full), answers, "{query}");
+            let step = evaluate_seminaive_step(&query, &full, &delta);
+            assert_eq!(step, derived_anew, "{query}");
         }
     }
 
@@ -1326,9 +1076,8 @@ mod tests {
     fn multiway_respects_fixed_bindings() {
         let query = q("T(x, y, z) :- E(x, y), E(y, z), E(z, x).");
         let i = parse_instance("E(a, b). E(b, c). E(c, a). E(a, d).").unwrap();
-        let opts = EvalOptions::default();
         let fixed = Valuation::from_names([("x", "a")]);
-        let vals = satisfying_valuations_with(&query, &i, &fixed, opts);
+        let vals = satisfying(&query, &i, &fixed);
         assert_eq!(vals.len(), 1);
         assert_eq!(
             vals[0].get(Variable::new("y")),
@@ -1336,43 +1085,20 @@ mod tests {
         );
         // a pre-bound value absent from the instance prunes everything
         let absent = Valuation::from_names([("x", "zzz")]);
-        assert!(satisfying_valuations_with(&query, &i, &absent, opts).is_empty());
+        assert!(satisfying(&query, &i, &absent).is_empty());
     }
 
     #[test]
     fn multiway_early_termination_stops_the_search() {
         let query = q("T(x, y, z) :- E(x, y), E(y, z), E(z, x).");
         let i = parse_instance("E(a, b). E(b, c). E(c, a).").unwrap();
-        let opts = EvalOptions::default();
         let mut count = 0;
-        let flow = for_each_satisfying(&query, &i, &Valuation::new(), opts, |_| {
+        let flow = for_each_satisfying(&query, &i, &Valuation::new(), |_| {
             count += 1;
             ControlFlow::Break(())
         });
         assert_eq!(count, 1);
         assert_eq!(flow, ControlFlow::Break(()));
-    }
-
-    #[test]
-    fn cost_aware_order_prefers_selective_atoms() {
-        // S is tiny compared to R, so the cost model must start at S.
-        let query = q("T(x, z) :- R(x, y), S(y, z).");
-        let mut text = String::new();
-        for i in 0..50 {
-            text.push_str(&format!("R(a{i}, b{i}). "));
-        }
-        text.push_str("S(b0, c0).");
-        let i = parse_instance(&text).unwrap();
-        let order = atom_order(&query, &i, &Valuation::new(), None);
-        assert_eq!(order[0], 1, "the selective S atom must be matched first");
-    }
-
-    #[test]
-    fn cost_aware_order_ties_break_to_source_order() {
-        let query = q("T(x, z) :- R(x, y), R(y, z).");
-        let i = parse_instance("R(a, b). R(b, c).").unwrap();
-        let order = atom_order(&query, &i, &Valuation::new(), None);
-        assert_eq!(order, vec![0, 1]);
     }
 
     #[test]
@@ -1385,17 +1111,13 @@ mod tests {
         let names = (0..2000).map(|i| format!("R(a{i}, b{i}). S(b{i}, u{}).", i % 7));
         let i = parse_instance(&names.collect::<String>()).unwrap();
         let fixed = Valuation::from_names([("x", "a1234")]);
-        let _ = leaves(&query, &i, None, &fixed, EvalOptions::default()); // builds the orders
+        let _ = leaves(&query, &i, None, &fixed); // builds the orders
         let mut found = Vec::new();
         let reads = values_read(|| {
-            found = leaves(&query, &i, None, &fixed, EvalOptions::default());
+            found = leaves(&query, &i, None, &fixed);
         });
         assert_eq!(found.len(), 1);
         assert!(reads < 200, "{reads} values read for one match among 2 000");
-        // The scan oracle's planner has no index to ask: a known value
-        // counts as a bound argument, which is enough to start at R.
-        let order = atom_order(&query, &i, &fixed, None);
-        assert_eq!(order[0], 1, "the pre-bound R atom must be matched first");
     }
 
     #[test]
@@ -1403,16 +1125,10 @@ mod tests {
         let query = q("T(x) :- R(x, y).");
         let i = parse_instance("R(a, b). R(b, c). R(c, d).").unwrap();
         let mut count = 0;
-        let flow = for_each_satisfying(
-            &query,
-            &i,
-            &Valuation::new(),
-            EvalOptions::default(),
-            |_| {
-                count += 1;
-                ControlFlow::Break(())
-            },
-        );
+        let flow = for_each_satisfying(&query, &i, &Valuation::new(), |_| {
+            count += 1;
+            ControlFlow::Break(())
+        });
         assert_eq!(count, 1);
         assert_eq!(flow, ControlFlow::Break(()));
     }
@@ -1440,15 +1156,13 @@ mod tests {
         for query in &queries {
             for split in 0..=full_count {
                 let (old, delta, full) = split_instance(text, split);
-                for opts in all_options() {
-                    let step = evaluate_seminaive_step_with(query, &full, &delta, opts);
-                    let combined = evaluate(query, &old).union(&step);
-                    assert_eq!(
-                        combined,
-                        evaluate(query, &full),
-                        "query {query}, split {split}, options {opts:?}"
-                    );
-                }
+                let step = evaluate_seminaive_step(query, &full, &delta);
+                let combined = evaluate(query, &old).union(&step);
+                assert_eq!(
+                    combined,
+                    evaluate(query, &full),
+                    "query {query}, split {split}"
+                );
             }
         }
     }
@@ -1511,7 +1225,6 @@ mod tests {
         text.extend((0..50).map(|i| format!("R(ha{i}, bh). Q(ch, hd{i}). ")));
         text.push_str("S(bh, ch).");
         let full = parse_instance(&text).unwrap();
-        let opts = EvalOptions::default();
         for (delta, matches) in [
             ("R(a5, b5). S(b9, c9). Q(c11, d11).", 1),
             ("R(ha7, bh). S(bh, ch). Q(ch, hd7).", 50 * 50),
@@ -1520,23 +1233,11 @@ mod tests {
             assert!(full.contains_all(&delta));
             for pivot in 0..3 {
                 let pass = Some((pivot, &delta));
-                let scanned = leaves(
-                    &query,
-                    &full,
-                    pass,
-                    &Valuation::new(),
-                    EvalOptions::ScanOracle,
-                );
-                let mut walked = leaves(&query, &full, pass, &Valuation::new(), opts); // builds the orders
+                let mut walked = leaves(&query, &full, pass, &Valuation::new()); // builds the orders
                 let reads = values_read(|| {
-                    walked = leaves(&query, &full, pass, &Valuation::new(), opts);
+                    walked = leaves(&query, &full, pass, &Valuation::new());
                 });
                 assert!(walked.len() <= matches && !walked.is_empty());
-                assert_eq!(
-                    walked.iter().collect::<BTreeSet<_>>(),
-                    scanned.iter().collect::<BTreeSet<_>>(),
-                    "pivot {pivot}"
-                );
                 // A few gallops of ≈ 2 log₂ 3 000 reads to find the delta
                 // fact's partners, then about one read a leaf.
                 let budget = 4 * walked.len() as u64 + 400;
@@ -1609,7 +1310,11 @@ mod tests {
     }
 
     #[test]
-    fn triejoin_equals_the_scan_oracle_on_random_queries_and_instances() {
+    fn triejoin_leaves_ascend_once_each_on_random_queries_and_instances() {
+        // The kernel's half of the random differential against the scan
+        // oracle (in the `oracle` crate): the leaves come in the plan's
+        // order, a differential pass reaches no leaf twice, and the step
+        // completes the old evaluation.
         let mut random = Random(0x5EED_2015);
         let (mut cyclic, mut satisfied, mut stepped) = (0, 0, 0);
         for round in 0..600 {
@@ -1627,8 +1332,7 @@ mod tests {
                 }
             }
             for fixed in [Valuation::new(), fixed] {
-                let scanned = leaves(&query, &full, None, &fixed, EvalOptions::ScanOracle);
-                let walked = leaves(&query, &full, None, &fixed, EvalOptions::default());
+                let walked = leaves(&query, &full, None, &fixed);
                 // lexicographically ascending in the plan's variable order
                 let plan = TriePlan::new(&compiled, &compiled.bind(&fixed), None);
                 let in_order = |leaf: &Vec<Value>| -> Vec<Value> {
@@ -1639,46 +1343,22 @@ mod tests {
                     ordered.windows(2).all(|pair| pair[0] < pair[1]),
                     "round {round}: {query} on {full} under {fixed}: {walked:?}"
                 );
-                assert_eq!(
-                    walked.iter().collect::<BTreeSet<_>>(),
-                    scanned.iter().collect::<BTreeSet<_>>(),
-                    "round {round}: {query} on {full} under {fixed}"
-                );
                 satisfied += usize::from(!walked.is_empty());
             }
             // every pivot of a differential step, and the step's law
             for pivot in 0..query.body_size() {
-                let pass = Some((pivot, &delta));
-                let scanned = leaves(
-                    &query,
-                    &full,
-                    pass,
-                    &Valuation::new(),
-                    EvalOptions::ScanOracle,
-                );
-                let walked = leaves(
-                    &query,
-                    &full,
-                    pass,
-                    &Valuation::new(),
-                    EvalOptions::default(),
-                );
+                let walked = leaves(&query, &full, Some((pivot, &delta)), &Valuation::new());
                 assert_eq!(
                     walked.len(),
                     walked.iter().collect::<BTreeSet<_>>().len(),
                     "round {round}: {query}, pivot {pivot}: a leaf twice"
-                );
-                assert_eq!(
-                    walked.iter().collect::<BTreeSet<_>>(),
-                    scanned.iter().collect::<BTreeSet<_>>(),
-                    "round {round}: {query}, pivot {pivot}, {delta} into {full}"
                 );
                 stepped += usize::from(!walked.is_empty());
             }
             let step = evaluate_seminaive_step(&query, &full, &delta);
             assert_eq!(
                 evaluate(&query, &old).union(&step),
-                evaluate_with(&query, &full, EvalOptions::ScanOracle),
+                evaluate(&query, &full),
                 "round {round}: {query}, {delta} into {old}"
             );
         }
@@ -1686,19 +1366,6 @@ mod tests {
             cyclic > 20 && satisfied > 200 && stepped > 200,
             "{cyclic} cyclic queries, {satisfied} searches and {stepped} passes with a leaf"
         );
-    }
-
-    #[test]
-    fn forced_first_atom_order_is_a_permutation() {
-        let query = q("T(x, w) :- R(x, y), S(y, z), R(z, w).");
-        let i = parse_instance("R(a, b). S(b, c). R(c, d).").unwrap();
-        for first in 0..query.body_size() {
-            let order = atom_order(&query, &i, &Valuation::new(), Some(first));
-            assert_eq!(order[0], first);
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, vec![0, 1, 2], "{order:?} is not a permutation");
-        }
     }
 
     #[test]

@@ -542,28 +542,6 @@ impl Instance {
         out
     }
 
-    /// All subsets of this instance (used by brute-force cross-checks in
-    /// tests; exponential, only call on tiny instances).
-    pub fn subsets(&self) -> Vec<Instance> {
-        let facts: Vec<&Fact> = self.facts().collect();
-        assert!(
-            facts.len() <= 20,
-            "subsets() is exponential; instance too large ({} facts)",
-            facts.len()
-        );
-        let mut out = Vec::with_capacity(1 << facts.len());
-        for mask in 0..(1usize << facts.len()) {
-            let mut inst = Instance::new();
-            for (i, f) in facts.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    inst.insert((*f).clone());
-                }
-            }
-            out.push(inst);
-        }
-        out
-    }
-
     /// Converts to a plain ordered set of facts.
     pub fn to_set(&self) -> BTreeSet<Fact> {
         self.facts().cloned().collect()
@@ -714,18 +692,6 @@ mod tests {
         assert_eq!(i.intersection(&j).len(), 1);
         assert_eq!(i.difference(&j).len(), 2);
         assert!(i.union(&j).contains_all(&i));
-    }
-
-    #[test]
-    fn subsets_enumerates_the_powerset() {
-        let i = Instance::from_facts([
-            Fact::from_names("R", &["a", "b"]),
-            Fact::from_names("S", &["a"]),
-        ]);
-        let subs = i.subsets();
-        assert_eq!(subs.len(), 4);
-        assert!(subs.iter().any(|s| s.is_empty()));
-        assert!(subs.iter().any(|s| s == &i));
     }
 
     #[test]

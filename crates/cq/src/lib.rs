@@ -55,9 +55,8 @@ pub use acyclic::{is_acyclic, Hypergraph};
 pub use atom::{Atom, Variable};
 pub use canonical::{all_assignments, partition_assignments, CanonicalValuations};
 pub use eval::{
-    evaluate, evaluate_seminaive_step, evaluate_seminaive_step_with, evaluate_with,
-    for_each_satisfying, satisfying_valuations, satisfying_valuations_with, Bindings,
-    CompiledQuery, EvalOptions, Slots,
+    evaluate, evaluate_seminaive_step, evaluate_with, for_each_satisfying, satisfying_valuations,
+    Bindings, CompiledQuery, EvalOptions, Slots,
 };
 pub use fact::{Fact, Tuple};
 pub use hom::{

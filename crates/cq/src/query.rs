@@ -110,11 +110,6 @@ impl ConjunctiveQuery {
         &self.body
     }
 
-    /// The body atoms as an ordered set.
-    pub fn body_set(&self) -> BTreeSet<Atom> {
-        self.body.iter().cloned().collect()
-    }
-
     /// All variables occurring in the query, in first-occurrence order
     /// (body first, then head — but safety makes head vars a subset of body vars).
     pub fn variables(&self) -> Vec<Variable> {

@@ -35,8 +35,8 @@ use std::cell::Cell;
 use std::ops::ControlFlow;
 
 use cq::{
-    evaluate, evaluate_seminaive_step, evaluate_with, parse_instance, CompiledQuery,
-    ConjunctiveQuery, EvalOptions, Fact, Instance, Symbol, Valuation, Value,
+    evaluate, evaluate_seminaive_step, parse_instance, CompiledQuery, ConjunctiveQuery, Fact,
+    Instance, Symbol, Valuation, Value,
 };
 
 thread_local! {
@@ -295,18 +295,17 @@ fn multiway_evaluation_allocates_per_atom_not_per_row_or_value() {
     let triangle = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), R(y, z), R(z, x).").unwrap();
     let complete = complete_digraph(VALUES);
     let rows = complete.len() as u64;
-    let opts = EvalOptions::default();
     let budget = 64;
     assert!(budget < rows / 8 && budget < VALUATIONS / 8);
 
     // Cold: the two distinct column orders of the three atoms are built —
     // four blocks each (the cache node, the rows, the sort's index and
     // output).
-    let (answers, cold) = counting(|| evaluate_with(&triangle, &complete, opts));
+    let (answers, cold) = counting(|| evaluate(&triangle, &complete));
     assert_eq!(answers.len() as u64, 6 * VALUATIONS);
     // Warm: the cursors and plan of three atoms, and the doublings of the
     // answer list.
-    let (again, warm) = counting(|| evaluate_with(&triangle, &complete, opts));
+    let (again, warm) = counting(|| evaluate(&triangle, &complete));
     assert_eq!(again, answers);
     assert!(
         warm.allocations <= budget,
@@ -323,7 +322,7 @@ fn multiway_evaluation_allocates_per_atom_not_per_row_or_value() {
     let enumerate = |instance: &Instance| {
         let mut leaves = 0u64;
         let ((), heap) = counting(|| {
-            let _ = compiled.for_each_satisfying_with(instance, &Valuation::new(), opts, |_| {
+            let _ = compiled.for_each_satisfying(instance, &Valuation::new(), |_| {
                 leaves += 1;
                 ControlFlow::Continue(())
             });

@@ -9,7 +9,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use cq::{evaluate_with, ConjunctiveQuery, EvalOptions, Fact, Instance, Value};
+use cq::{evaluate, ConjunctiveQuery, Fact, Instance, Value};
 
 const THREADS: usize = 8;
 const QUERIES: usize = 200;
@@ -61,7 +61,7 @@ fn query(rng: &mut Rng) -> ConjunctiveQuery {
 
 /// The scan oracle's answer on a private copy of `instance`.
 fn oracle(query: &ConjunctiveQuery, instance: &Instance) -> Instance {
-    evaluate_with(query, &instance.clone(), EvalOptions::ScanOracle)
+    oracle::evaluate(query, &instance.clone())
 }
 
 #[test]
@@ -79,7 +79,7 @@ fn threads_building_orders_of_one_shared_instance_agree_with_the_scan_oracle() {
                     barrier.wait();
                     for _ in 0..QUERIES {
                         let q = query(&mut rng);
-                        let answer = evaluate_with(&q, shared, EvalOptions::default());
+                        let answer = evaluate(&q, shared);
                         assert_eq!(answer, oracle(&q, shared), "{q}");
                         answered += answer.len();
                     }
@@ -89,15 +89,15 @@ fn threads_building_orders_of_one_shared_instance_agree_with_the_scan_oracle() {
                     for _ in 0..QUERIES / 4 {
                         let q = query(&mut rng);
                         if thread % 2 == 0 {
-                            let answer = evaluate_with(&q, shared, EvalOptions::default());
+                            let answer = evaluate(&q, shared);
                             assert_eq!(answer, oracle(&q, shared), "{q}");
                             continue;
                         }
                         let mut grown = Instance::clone(shared);
-                        let _ = evaluate_with(&q, &grown, EvalOptions::default());
+                        let _ = evaluate(&q, &grown);
                         let new = grown.absorb(&Instance::from_facts(facts(&mut rng, 5)));
                         assert!(new.facts().all(|fact| !shared.contains(fact)));
-                        let answer = evaluate_with(&q, &grown, EvalOptions::default());
+                        let answer = evaluate(&q, &grown);
                         assert_eq!(answer, oracle(&q, &grown), "{q} on a grown clone");
                     }
                     answered
@@ -111,8 +111,5 @@ fn threads_building_orders_of_one_shared_instance_agree_with_the_scan_oracle() {
     // lock behind them still answers.
     assert_eq!(shared.cached_orders(), 2 * RELATIONS.len());
     let q = ConjunctiveQuery::parse("Q(x, z) :- R(x, y), S(z, y).").unwrap();
-    assert_eq!(
-        evaluate_with(&q, &shared, EvalOptions::default()),
-        oracle(&q, &shared)
-    );
+    assert_eq!(evaluate(&q, &shared), oracle(&q, &shared));
 }

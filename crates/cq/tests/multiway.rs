@@ -13,9 +13,10 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use cq::{
-    evaluate, evaluate_seminaive_step, evaluate_with, satisfying_valuations_with, CompiledQuery,
-    ConjunctiveQuery, EvalOptions, Fact, Instance, Valuation, Value,
+    evaluate, evaluate_seminaive_step, CompiledQuery, ConjunctiveQuery, Fact, Instance, Valuation,
+    Value,
 };
+use oracle::Evaluator;
 
 fn q(text: &str) -> ConjunctiveQuery {
     ConjunctiveQuery::parse(text).unwrap()
@@ -78,9 +79,6 @@ const CYCLE5: &str = "T(a, b, c, d, e) :- E(a, b), E(b, c), E(c, d), E(d, e), E(
 /// `x` repeated inside an atom, and a nullary atom.
 const LOOPED: &str = "T(x, y, z) :- E(x, y), E(y, z), E(z, x), L(x, x, z), B().";
 
-/// The reference: the scan oracle.
-const SCAN: EvalOptions = EvalOptions::ScanOracle;
-
 /// The dense graph's shape at a size the scan oracle can take: 60 values,
 /// out-degree 8, a hub of in- and out-degree 40.
 fn medium_graph() -> Instance {
@@ -102,8 +100,8 @@ fn multiway_agrees_with_binary_where_seeks_gallop() {
         (CHAIN3, &sparse),
     ] {
         let query = q(text);
-        let binary = evaluate_with(&query, instance, SCAN);
-        let multiway = evaluate_with(&query, instance, EvalOptions::default());
+        let binary = oracle::evaluate(&query, instance);
+        let multiway = evaluate(&query, instance);
         assert!(binary.len() > 100, "{text}: only {} answers", binary.len());
         assert_eq!(multiway, binary, "{text}");
     }
@@ -134,7 +132,7 @@ fn multiway_agrees_with_binary_where_seeks_gallop() {
 fn multiway_agrees_with_binary_under_pre_bound_slots() {
     let instance = medium_graph();
     let query = q(LOOPED);
-    let free = evaluate_with(&query, &instance, SCAN);
+    let free = oracle::evaluate(&query, &instance);
     assert!(free.len() > 100);
     // Every answer's (x, z) as the pre-bound pair — `x` is the
     // variable the `L` atom repeats — plus a pair that has no answer and a
@@ -148,13 +146,12 @@ fn multiway_agrees_with_binary_under_pre_bound_slots() {
     let mut non_empty = 0;
     for (x, z) in bound {
         let fixed = Valuation::from_names([("x", x.as_str()), ("z", z.as_str())]);
-        let by = |opts| -> BTreeSet<Valuation> {
-            satisfying_valuations_with(&query, &instance, &fixed, opts)
-                .into_iter()
-                .collect()
+        let by = |evaluator: Evaluator| -> BTreeSet<Valuation> {
+            let valuations = evaluator.satisfying_valuations(&query, &instance, &fixed);
+            valuations.into_iter().collect()
         };
-        let binary = by(SCAN);
-        assert_eq!(by(EvalOptions::default()), binary, "x = {x}, z = {z}");
+        let binary = by(Evaluator::Scan);
+        assert_eq!(by(Evaluator::Triejoin), binary, "x = {x}, z = {z}");
         non_empty += usize::from(!binary.is_empty());
     }
     assert!(non_empty > 100, "{non_empty}");
@@ -210,8 +207,7 @@ fn multiway_leaves_ascend_in_the_documented_variable_order() {
         assert_eq!(order, pinned, "{text}");
         let instance = if text == TREE { &sparse } else { &dense };
         let mut leaves: Vec<Vec<Value>> = Vec::new();
-        let opts = EvalOptions::default();
-        let flow = compiled.for_each_satisfying_with(instance, &Valuation::new(), opts, |slots| {
+        let flow = compiled.for_each_satisfying(instance, &Valuation::new(), |slots| {
             leaves.push(order.iter().map(|&slot| slots[slot].unwrap()).collect());
             ControlFlow::Continue(())
         });
@@ -223,7 +219,7 @@ fn multiway_leaves_ascend_in_the_documented_variable_order() {
         );
 
         let mut visited = 0;
-        let flow = compiled.for_each_satisfying_with(instance, &Valuation::new(), opts, |_| {
+        let flow = compiled.for_each_satisfying(instance, &Valuation::new(), |_| {
             visited += 1;
             ControlFlow::Break(())
         });
@@ -250,7 +246,7 @@ fn seminaive_steps_over_a_growing_instance_equal_full_reevaluation() {
             answers.extend(evaluate_seminaive_step(&query, &full, &delta).facts());
             assert_eq!(
                 answers,
-                evaluate_with(&query, &full, SCAN),
+                oracle::evaluate(&query, &full),
                 "{text}, round {round}"
             );
             assert_eq!(evaluate(&query, &full), answers, "{text}, round {round}");
@@ -266,28 +262,26 @@ fn seminaive_steps_over_a_growing_instance_equal_full_reevaluation() {
 #[test]
 fn a_changed_fact_set_is_never_evaluated_through_a_stale_order() {
     let query = q(TRIANGLE);
-    let opts = EvalOptions::default();
     let mut instance = Instance::from_facts([
         Fact::from_names("E", &["a", "b"]),
         Fact::from_names("E", &["b", "c"]),
     ]);
-    assert!(evaluate_with(&query, &instance, opts).is_empty());
+    assert!(evaluate(&query, &instance).is_empty());
     // the orders are warm now: the closing edge must still be seen …
     let closing = Fact::from_names("E", &["c", "a"]);
     assert!(instance.insert(closing.clone()));
-    assert_eq!(evaluate_with(&query, &instance, opts).len(), 3);
+    assert_eq!(evaluate(&query, &instance).len(), 3);
     // … re-inserting it changes nothing, and removing it is seen as well
     assert!(!instance.insert(closing.clone()));
-    assert_eq!(evaluate_with(&query, &instance, opts).len(), 3);
+    assert_eq!(evaluate(&query, &instance).len(), 3);
     assert!(instance.remove(&closing));
-    assert!(evaluate_with(&query, &instance, opts).is_empty());
+    assert!(evaluate(&query, &instance).is_empty());
 }
 
 #[test]
 fn threads_sharing_one_cold_instance_agree_with_the_sequential_answer() {
     let query = q(CHORDAL4);
-    let opts = EvalOptions::default();
-    let sequential = evaluate_with(&query, &dense_graph(), opts);
+    let sequential = evaluate(&query, &dense_graph());
     // Both threads ask the same cold instance for its orders at once.
     let shared = Arc::new(dense_graph());
     let barrier = Barrier::new(2);
@@ -296,7 +290,7 @@ fn threads_sharing_one_cold_instance_agree_with_the_sequential_answer() {
             .map(|_| {
                 scope.spawn(|| {
                     barrier.wait();
-                    evaluate_with(&query, &shared, opts)
+                    evaluate(&query, &shared)
                 })
             })
             .collect();
@@ -349,9 +343,9 @@ fn the_triejoin_beats_the_scan_oracle_on_the_trap_instance() {
     let instance = trap(10, 10);
     for text in [TRIANGLE, CHORDAL4, CLIQUE4] {
         let query = q(text);
-        let oracle = evaluate_with(&query, &instance, SCAN);
-        assert_eq!(evaluate(&query, &instance), oracle, "{text}");
-        let scan = fastest(3, || drop(evaluate_with(&query, &instance, SCAN)));
+        let scanned = oracle::evaluate(&query, &instance);
+        assert_eq!(evaluate(&query, &instance), scanned, "{text}");
+        let scan = fastest(3, || drop(oracle::evaluate(&query, &instance)));
         let triejoin = fastest(5, || drop(evaluate(&query, &instance)));
         let speedup = scan.as_secs_f64() / triejoin.as_secs_f64().max(1e-9);
         assert!(

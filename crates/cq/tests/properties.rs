@@ -10,9 +10,10 @@ use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 
 use cq::{
-    contained_in, equivalent, evaluate, evaluate_with, is_minimal, minimize, Atom,
-    ConjunctiveQuery, EvalOptions, Fact, Instance, Tuple, Valuation, Value, Variable,
+    contained_in, equivalent, evaluate, is_minimal, minimize, Atom, ConjunctiveQuery, Fact,
+    Instance, Tuple, Valuation, Value, Variable,
 };
+use oracle::Evaluator;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- strategies
@@ -71,18 +72,14 @@ fn mixed_arity_instance_strategy() -> impl Strategy<Value = Instance> {
     })
 }
 
-/// Both evaluators: the triejoin and the scan oracle.
-fn all_options() -> [EvalOptions; 2] {
-    [EvalOptions::Triejoin, EvalOptions::ScanOracle]
-}
-
 fn valuations(
     q: &ConjunctiveQuery,
     i: &Instance,
     fixed: &Valuation,
-    opts: EvalOptions,
+    evaluator: Evaluator,
 ) -> BTreeSet<Valuation> {
-    cq::satisfying_valuations_with(q, i, fixed, opts)
+    evaluator
+        .satisfying_valuations(q, i, fixed)
         .into_iter()
         .collect()
 }
@@ -177,22 +174,18 @@ proptest! {
         prop_assert_eq!(result.to_set(), derived);
     }
 
-    /// Index-backed evaluation is observationally identical to the scan
-    /// evaluator: every strategy combination (indexed/scan × cost-aware/
-    /// naive ordering × binary/multiway/auto join) enumerates exactly the
-    /// same satisfying valuations on random queries and instances. The
-    /// generated queries are a mix of cyclic and acyclic shapes, so the
-    /// auto planner exercises both joins and the multiway matcher is pinned
-    /// against the binary one on the same inputs.
+    /// The triejoin is observationally identical to the scan oracle: both
+    /// evaluators enumerate exactly the same satisfying valuations on
+    /// random queries and instances, a mix of cyclic and acyclic shapes.
     #[test]
     fn indexed_evaluation_equals_scan_evaluation(q in query_strategy(), i in instance_strategy()) {
-        let scan = valuations(&q, &i, &Valuation::new(), EvalOptions::ScanOracle);
-        for opts in all_options() {
-            let got = valuations(&q, &i, &Valuation::new(), opts);
-            prop_assert_eq!(&got, &scan, "{:?} disagrees with scan/naive on {}", opts, i);
+        let scan = valuations(&q, &i, &Valuation::new(), Evaluator::Scan);
+        for evaluator in Evaluator::BOTH {
+            let got = valuations(&q, &i, &Valuation::new(), evaluator);
+            prop_assert_eq!(&got, &scan, "{:?} disagrees with scan/naive on {}", evaluator, i);
             // one enumeration never reaches a valuation twice
-            let listed = cq::satisfying_valuations_with(&q, &i, &Valuation::new(), opts);
-            prop_assert_eq!(listed.len(), got.len(), "{:?} lists a valuation twice", opts);
+            let listed = evaluator.satisfying_valuations(&q, &i, &Valuation::new());
+            prop_assert_eq!(listed.len(), got.len(), "{:?} lists a valuation twice", evaluator);
         }
     }
 
@@ -202,19 +195,19 @@ proptest! {
     /// scan oracle, which in turn sees nothing but the well-formed part.
     #[test]
     fn strategies_agree_on_mixed_arity_instances(q in query_strategy(), i in mixed_arity_instance_strategy()) {
-        let scan = valuations(&q, &i, &Valuation::new(), EvalOptions::ScanOracle);
+        let scan = valuations(&q, &i, &Valuation::new(), Evaluator::Scan);
         let binary_facts = Instance::from_facts(i.facts().filter(|f| f.arity() == 2).cloned());
         prop_assert_eq!(
             &scan,
-            &valuations(&q, &binary_facts, &Valuation::new(), EvalOptions::ScanOracle)
+            &valuations(&q, &binary_facts, &Valuation::new(), Evaluator::Scan)
         );
-        let answers = evaluate_with(&q, &i, EvalOptions::ScanOracle);
-        for opts in all_options() {
-            let got = valuations(&q, &i, &Valuation::new(), opts);
-            prop_assert_eq!(&got, &scan, "{:?} disagrees with scan/naive on {}", opts, i);
-            prop_assert_eq!(&evaluate_with(&q, &i, opts), &answers, "{:?} on {}", opts, i);
-            let step = cq::evaluate_seminaive_step_with(&q, &i, &i, opts);
-            prop_assert_eq!(&step, &answers, "semi-naive {:?} on {}", opts, i);
+        let answers = oracle::evaluate(&q, &i);
+        for evaluator in Evaluator::BOTH {
+            let got = valuations(&q, &i, &Valuation::new(), evaluator);
+            prop_assert_eq!(&got, &scan, "{:?} disagrees with scan/naive on {}", evaluator, i);
+            prop_assert_eq!(&evaluator.evaluate(&q, &i), &answers, "{:?} on {}", evaluator, i);
+            let step = evaluator.evaluate_seminaive_step(&q, &i, &i);
+            prop_assert_eq!(&step, &answers, "semi-naive {:?} on {}", evaluator, i);
         }
     }
 
@@ -233,13 +226,13 @@ proptest! {
             bindings.iter().map(|&(var, value)| (Variable::indexed("x", var), Value::indexed("d", value))),
         );
         let query_vars = q.variables();
-        let expected: BTreeSet<Valuation> = valuations(&q, &i, &Valuation::new(), EvalOptions::ScanOracle)
+        let expected: BTreeSet<Valuation> = valuations(&q, &i, &Valuation::new(), Evaluator::Scan)
             .into_iter()
             .filter(|v| fixed.bindings().all(|(var, value)| !query_vars.contains(&var) || v.get(var) == Some(value)))
             .collect();
-        for opts in all_options() {
-            let got = valuations(&q, &i, &fixed, opts);
-            prop_assert_eq!(&got, &expected, "{:?} with fixed {} on {}", opts, fixed, i);
+        for evaluator in Evaluator::BOTH {
+            let got = valuations(&q, &i, &fixed, evaluator);
+            prop_assert_eq!(&got, &expected, "{:?} with fixed {} on {}", evaluator, fixed, i);
         }
     }
 
@@ -248,17 +241,17 @@ proptest! {
     /// prefix of satisfying valuations.
     #[test]
     fn early_break_stops_every_strategy(q in query_strategy(), i in instance_strategy(), stop_after in 1usize..4) {
-        let all = valuations(&q, &i, &Valuation::new(), EvalOptions::ScanOracle);
-        for opts in all_options() {
+        let all = valuations(&q, &i, &Valuation::new(), Evaluator::Scan);
+        for evaluator in Evaluator::BOTH {
             let mut seen = Vec::new();
-            let flow = cq::for_each_satisfying(&q, &i, &Valuation::new(), opts, |v| {
+            let flow = evaluator.for_each_satisfying(&q, &i, &Valuation::new(), |v| {
                 seen.push(v.clone());
                 if seen.len() == stop_after { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
             });
-            prop_assert_eq!(flow.is_break(), all.len() >= stop_after, "{:?}", opts);
-            prop_assert_eq!(seen.len(), stop_after.min(all.len()), "{:?}", opts);
-            prop_assert!(seen.iter().all(|v| all.contains(v)), "{:?}", opts);
-            prop_assert_eq!(seen.iter().collect::<BTreeSet<_>>().len(), seen.len(), "{:?}", opts);
+            prop_assert_eq!(flow.is_break(), all.len() >= stop_after, "{:?}", evaluator);
+            prop_assert_eq!(seen.len(), stop_after.min(all.len()), "{:?}", evaluator);
+            prop_assert!(seen.iter().all(|v| all.contains(v)), "{:?}", evaluator);
+            prop_assert_eq!(seen.iter().collect::<BTreeSet<_>>().len(), seen.len(), "{:?}", evaluator);
         }
     }
 
@@ -270,12 +263,12 @@ proptest! {
     fn seminaive_step_equals_full_reevaluation(q in query_strategy(), old in instance_strategy(), delta in instance_strategy()) {
         let full = old.union(&delta);
         let reference = evaluate(&q, &full);
-        for opts in all_options() {
-            let step = cq::evaluate_seminaive_step_with(&q, &full, &delta, opts);
+        for evaluator in Evaluator::BOTH {
+            let step = evaluator.evaluate_seminaive_step(&q, &full, &delta);
             prop_assert_eq!(
                 evaluate(&q, &old).union(&step),
                 reference.clone(),
-                "options {:?}", opts
+                "options {:?}", evaluator
             );
             // soundness on its own: the step derives nothing beyond Q(full)
             prop_assert!(reference.contains_all(&step));
@@ -389,8 +382,7 @@ proptest! {
                 let leaves = |i: &Instance| {
                     let mut leaves: Vec<Vec<Option<Value>>> = Vec::new();
                     let compiled = cq::CompiledQuery::new(&query);
-                    let opts = EvalOptions::default();
-                    let _ = compiled.for_each_satisfying_with(i, &Valuation::new(), opts, |slots| {
+                    let _ = compiled.for_each_satisfying(i, &Valuation::new(), |slots| {
                         leaves.push(slots.to_vec());
                         ControlFlow::Continue(())
                     });
@@ -489,11 +481,11 @@ fn repeated_variables_inside_one_atom_agree_with_the_scan_oracle() {
         "T(y) :- S(x, y), R(y, y, x), S(y, x).",
     ] {
         let q = ConjunctiveQuery::parse(text).unwrap();
-        let scan = valuations(&q, &instance, &Valuation::new(), EvalOptions::ScanOracle);
+        let scan = valuations(&q, &instance, &Valuation::new(), Evaluator::Scan);
         assert!(!scan.is_empty(), "{q} should have answers on {instance}");
-        for opts in all_options() {
-            let got = valuations(&q, &instance, &Valuation::new(), opts);
-            assert_eq!(got, scan, "{q}: {opts:?} disagrees with scan/naive");
+        for evaluator in Evaluator::BOTH {
+            let got = valuations(&q, &instance, &Valuation::new(), evaluator);
+            assert_eq!(got, scan, "{q}: {evaluator:?} disagrees with scan/naive");
         }
     }
 }
@@ -521,17 +513,21 @@ fn wide_tuples_join_like_narrow_ones() {
         "T(a, c, e, g, h) :- W(a, b, c, d, e, f, g), E(g, h).",
     ] {
         let q = ConjunctiveQuery::parse(text).unwrap();
-        let scan = valuations(&q, &instance, &Valuation::new(), EvalOptions::ScanOracle);
-        let answers = evaluate_with(&q, &instance, EvalOptions::ScanOracle);
+        let scan = valuations(&q, &instance, &Valuation::new(), Evaluator::Scan);
+        let answers = oracle::evaluate(&q, &instance);
         assert!(!answers.is_empty(), "{q} should have answers on {instance}");
         let derived: BTreeSet<Fact> = scan.iter().map(|v| v.derived_fact(&q)).collect();
         assert_eq!(answers.to_set(), derived, "{q}");
-        for opts in all_options() {
-            let got = valuations(&q, &instance, &Valuation::new(), opts);
-            assert_eq!(got, scan, "{q}: {opts:?} disagrees with scan/naive");
-            assert_eq!(evaluate_with(&q, &instance, opts), answers, "{q}: {opts:?}");
-            let step = cq::evaluate_seminaive_step_with(&q, &instance, &instance, opts);
-            assert_eq!(step, answers, "{q}: semi-naive {opts:?}");
+        for evaluator in Evaluator::BOTH {
+            let got = valuations(&q, &instance, &Valuation::new(), evaluator);
+            assert_eq!(got, scan, "{q}: {evaluator:?} disagrees with scan/naive");
+            assert_eq!(
+                evaluator.evaluate(&q, &instance),
+                answers,
+                "{q}: {evaluator:?}"
+            );
+            let step = evaluator.evaluate_seminaive_step(&q, &instance, &instance);
+            assert_eq!(step, answers, "{q}: semi-naive {evaluator:?}");
         }
     }
 }
@@ -547,11 +543,11 @@ fn triangle_ignores_facts_of_another_arity() {
         "E(a, b). E(b, c). E(c, a). E(a, b, c). E(b, a, d). E(a, a, e).",
     ] {
         let instance = cq::parse_instance(text).unwrap();
-        for opts in all_options() {
+        for evaluator in Evaluator::BOTH {
             assert_eq!(
-                evaluate_with(&triangle, &instance, opts),
+                evaluator.evaluate(&triangle, &instance),
                 expected,
-                "{opts:?} on {text}"
+                "{evaluator:?} on {text}"
             );
         }
     }

@@ -3,15 +3,20 @@
 //! Given a parallel-correct query/policy pair, the one-round algorithm of the
 //! paper (Section 3) proceeds as: reshuffle the input according to the
 //! policy, evaluate the query locally at every node without communication,
-//! and take the union of the local results. This module runs that
-//! algorithm through a [`Transport`] and reports communication/load
-//! statistics and per-node timings.
+//! and take the union of the local results. This module holds the two
+//! steps of one round that the round loop of [`crate::MultiRoundEngine`]
+//! calls, and the outcome it reports each round in, with
+//! communication/load statistics and per-node timings:
 //!
-//! There is one round driver, [`run_round`]: *send → barrier → recv →
-//! assemble* the shipments of one reshuffle, a [`RoundPlan`]: full chunks,
-//! new facts, or nothing (the nodes evaluate the shard they hold). Which a
-//! round ships, and whether it splits by body atom, the run's
-//! [`crate::RunPlan`] decides before the first round.
+//! * [`reshuffle_round`] — the reshuffle: `dist_P(facts)` as a
+//!   [`RoundPlan`], one shipment per node;
+//! * [`run_round`] — the one round driver: *send → barrier → recv →
+//!   assemble* the shipments of one [`RoundPlan`]: full chunks, new facts,
+//!   or nothing (the nodes evaluate the shard they hold).
+//!
+//! Which a round ships, and whether it splits by body atom, the run's
+//! [`crate::RunPlan`] decides before the first round. [`OneRoundEngine`] is
+//! that loop capped at one round.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -22,9 +27,9 @@ use cq::{ConjunctiveQuery, Instance};
 use crate::distribute::{reshuffle, DistributionStats};
 use crate::network::Node;
 use crate::parts::AtomSplit;
-use crate::plan::split_of;
 use crate::policy::DistributionPolicy;
-use crate::transport::{InMemoryTransport, Shipment, Transport, TransportError};
+use crate::rounds::{MultiRoundEngine, RoundSchedule};
+use crate::transport::{Shipment, Transport, TransportError};
 
 /// The outcome of a one-round evaluation.
 #[derive(Clone, Debug)]
@@ -126,6 +131,44 @@ impl RoundPlan {
     }
 }
 
+/// The reshuffle phase of a round: `dist_P(facts)` under `policy` as one
+/// `ship`-kind shipment per node, with the reshuffle's statistics (read off
+/// its own counts, so they cost `O(nodes)`) and wall-clock time. With the
+/// `split` of the round's query every chunk is split by body atom and the
+/// plan announces the split query; the loads and statistics are those of
+/// the plain reshuffle all the same.
+pub(crate) fn reshuffle_round(
+    policy: &dyn DistributionPolicy,
+    facts: &Instance,
+    ship: fn(Arc<Instance>) -> Shipment,
+    split: Option<&AtomSplit>,
+) -> RoundPlan {
+    let start = Instant::now();
+    let parts = split.map_or(0, |split| split.parts().len());
+    let _span = obs::span!("distribute", facts = facts.len(), parts = parts);
+    let (chunks, distinct_assigned) = reshuffle(policy, split, facts);
+    let stats = {
+        let _span = obs::span!("reshuffle_stats");
+        DistributionStats::tally(
+            chunks.iter().map(|&(_, _, load)| load),
+            (distinct_assigned, facts.len() - distinct_assigned),
+        )
+    };
+    let mut per_node_load = BTreeMap::new();
+    let mut shipments = Vec::with_capacity(stats.nodes);
+    for (node, chunk, load) in chunks {
+        per_node_load.insert(node, load);
+        shipments.push((node, ship(Arc::new(chunk))));
+    }
+    RoundPlan {
+        announce: split.map(|split| split.query().clone()),
+        shipments,
+        per_node_load,
+        stats,
+        distribute_time: start.elapsed(),
+    }
+}
+
 /// The one round driver: announce the round, send the plan's shipments,
 /// wait at the barrier, collect the per-node outputs and assemble the
 /// outcome. `round` tags the transport messages.
@@ -182,7 +225,8 @@ pub(crate) fn run_round(
     })
 }
 
-/// A simulated cluster executing the one-round algorithm for a policy.
+/// A simulated cluster executing the one-round algorithm for a policy: the
+/// round loop of [`MultiRoundEngine`] capped at one round, in memory.
 ///
 /// A round of the query a [`HypercubePolicy`] was built for is **split by
 /// body atom** when that query repeats a relation and every hash of the
@@ -194,15 +238,15 @@ pub(crate) fn run_round(
 ///
 /// [`HypercubePolicy`]: crate::HypercubePolicy
 /// [`HypercubePolicy::node_for_valuation`]: crate::HypercubePolicy::node_for_valuation
-pub struct OneRoundEngine<'a, P: DistributionPolicy + ?Sized> {
-    policy: &'a P,
+pub struct OneRoundEngine<'a> {
+    policy: &'a dyn DistributionPolicy,
     workers: usize,
 }
 
-impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
+impl<'a> OneRoundEngine<'a> {
     /// Creates an engine over the given policy (sequential local
     /// evaluation).
-    pub fn new(policy: &'a P) -> OneRoundEngine<'a, P> {
+    pub fn new(policy: &'a dyn DistributionPolicy) -> OneRoundEngine<'a> {
         OneRoundEngine { policy, workers: 1 }
     }
 
@@ -218,69 +262,13 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     }
 
     /// Runs the one-round algorithm for `query` on `instance`: exactly
-    /// [`OneRoundEngine::evaluate_via`] over an [`InMemoryTransport`] with
-    /// the configured worker pool.
+    /// [`MultiRoundEngine::evaluate`] over the one-policy schedule, whose
+    /// one round this returns. (Through another transport, call
+    /// [`MultiRoundEngine::evaluate_via`].)
     pub fn evaluate(&self, query: &ConjunctiveQuery, instance: &Instance) -> OneRoundOutcome {
-        let mut transport = InMemoryTransport::new(self.workers);
-        self.evaluate_via(&mut transport, 0, query, instance)
-            .expect("the in-memory transport is infallible")
-    }
-
-    /// Runs one round of the algorithm through an explicit [`Transport`]:
-    /// reshuffle locally — split or plain, as a run plan decides from the
-    /// policy and the query — ship every node its full chunk, wait at the
-    /// barrier, collect the per-node outputs. `round` tags the transport
-    /// messages (multi-round runs number their rounds; standalone calls
-    /// pass 0). The chunks may cross a process boundary, so the call can
-    /// fail with a [`TransportError`].
-    pub fn evaluate_via(
-        &self,
-        transport: &mut dyn Transport,
-        round: usize,
-        query: &ConjunctiveQuery,
-        instance: &Instance,
-    ) -> Result<OneRoundOutcome, TransportError> {
-        let _round_span = obs::span!("one_round", round = round, facts = instance.len());
-        let plan = self.plan(instance, Shipment::Full, split_of(self.policy, query));
-        run_round(transport, round, query, plan)
-    }
-
-    /// The reshuffle phase of a round: `dist_P(facts)` as one `ship`-kind
-    /// shipment per node, with the reshuffle's statistics (read off its
-    /// own counts, so they cost `O(nodes)`) and wall-clock time. With the
-    /// `split` of the round's query every chunk is split by body atom and
-    /// the plan announces the split query; the loads and statistics are
-    /// those of the plain reshuffle all the same.
-    pub(crate) fn plan(
-        &self,
-        facts: &Instance,
-        ship: fn(Arc<Instance>) -> Shipment,
-        split: Option<&AtomSplit>,
-    ) -> RoundPlan {
-        let start = Instant::now();
-        let parts = split.map_or(0, |split| split.parts().len());
-        let _span = obs::span!("distribute", facts = facts.len(), parts = parts);
-        let (chunks, distinct_assigned) = reshuffle(self.policy, split, facts);
-        let stats = {
-            let _span = obs::span!("reshuffle_stats");
-            DistributionStats::tally(
-                chunks.iter().map(|&(_, _, load)| load),
-                (distinct_assigned, facts.len() - distinct_assigned),
-            )
-        };
-        let mut per_node_load = BTreeMap::new();
-        let mut shipments = Vec::with_capacity(stats.nodes);
-        for (node, chunk, load) in chunks {
-            per_node_load.insert(node, load);
-            shipments.push((node, ship(Arc::new(chunk))));
-        }
-        RoundPlan {
-            announce: split.map(|split| split.query().clone()),
-            shipments,
-            per_node_load,
-            stats,
-            distribute_time: start.elapsed(),
-        }
+        let engine = MultiRoundEngine::new(RoundSchedule::repeat(self.policy));
+        let mut run = engine.workers(self.workers).evaluate(query, instance);
+        run.rounds.pop().expect("a run takes at least one round")
     }
 }
 
@@ -418,21 +406,6 @@ mod tests {
         assert!(outcome.per_node_output.values().all(|&o| o == 0));
         let skew = outcome.time_skew();
         assert!(skew.is_finite() && skew >= 1.0, "skew {skew} must be sane");
-    }
-
-    #[test]
-    fn both_evaluators_agree_on_a_broadcast() {
-        let q = ConjunctiveQuery::parse("T(x, y, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
-        let i = parse_instance(
-            "E(a, b). E(b, c). E(c, a). E(b, d). E(d, b). E(c, d). E(d, a). E(a, c).",
-        )
-        .unwrap();
-        let network = Network::with_size(3);
-        let p = ExplicitPolicy::broadcast(&network, &i);
-        let outcome = OneRoundEngine::new(&p).evaluate(&q, &i);
-        let oracle = cq::evaluate_with(&q, &i, cq::EvalOptions::ScanOracle);
-        assert!(!oracle.is_empty());
-        assert_eq!(*outcome.result, oracle);
     }
 
     #[test]

@@ -137,11 +137,6 @@ impl ExplicitPolicy {
         p
     }
 
-    /// The facts with explicit assignments (including skipped ones).
-    pub fn listed_facts(&self) -> impl Iterator<Item = &Fact> + '_ {
-        self.assignments.keys()
-    }
-
     /// Number of explicit assignments.
     pub fn len(&self) -> usize {
         self.assignments.len()

@@ -1,4 +1,4 @@
-//! # distribution — distribution policies and one-round evaluation
+//! # distribution — distribution policies and their rounds
 //!
 //! This crate implements the data-distribution side of
 //! *"Parallel-Correctness and Transferability for Conjunctive Queries"*
@@ -19,10 +19,6 @@
 //!   (`dist_P(I)`, [`DistributionPolicy::distribute`]), with load and
 //!   replication statistics; the reshuffle is one pass over the visitor,
 //!   shared by plain rounds and rounds split by body atom,
-//! * [`OneRoundEngine`] — the one-round evaluation algorithm: reshuffle,
-//!   evaluate locally at every node, union the results; a Hypercube round
-//!   of a query that repeats a relation ships its chunks split by body
-//!   atom, so each answer is derived once, at its home node,
 //! * [`MultiRoundEngine`] — the iterated (MPC-style multi-round) algorithm:
 //!   distribute→evaluate cycles under a per-round [`RoundSchedule`], with
 //!   an optional feedback relation, fixpoint detection and a round cap;
@@ -31,7 +27,12 @@
 //!   reshuffled ([`Shipment::Delta`]), nodes keep their accumulated state
 //!   across rounds, and local evaluation is one semi-naive differential
 //!   pass instead of a full re-evaluation — and without it every round
-//!   ships full chunks ([`Shipment::Full`]),
+//!   ships full chunks ([`Shipment::Full`]); a Hypercube round of a query
+//!   that repeats a relation ships its chunks split by body atom, so each
+//!   answer is derived once, at its home node,
+//! * [`OneRoundEngine`] — the one-round algorithm of the paper (reshuffle,
+//!   evaluate locally at every node, union the results) in memory: the
+//!   round loop capped at one round,
 //! * [`RunPlan`] — every decision of a run (rounds, split or plain,
 //!   deltas, re-shards, reshuffle elision), made from the queries and the
 //!   schedule before the first reshuffle and carried out by the round loop,
@@ -40,7 +41,8 @@
 //!   `barrier` / `recv(node)`. [`InMemoryTransport`] evaluates on an
 //!   in-process worker pool, `wire::WireTransport` ships binary-encoded
 //!   frames to `pcq-analyze worker` subprocesses over pipes or sockets;
-//!   both hand every shipment to the one [`NodeState::apply`].
+//!   both hand every shipment to the one [`NodeState::apply`], which keeps
+//!   a delta round's node state in a [`DeltaNode`].
 //!
 //! ## Example
 //!
@@ -68,13 +70,12 @@ mod explicit;
 mod hash;
 mod hypercube;
 mod network;
+mod node;
 mod parts;
 mod plan;
 mod policy;
 mod rounds;
 mod rules;
-#[cfg(test)]
-mod schedules;
 mod transport;
 
 pub use distribute::{Distribution, DistributionStats};
@@ -83,6 +84,7 @@ pub use explicit::ExplicitPolicy;
 pub use hash::{fnv1a, HashScheme};
 pub use hypercube::{HypercubeFamily, HypercubePolicy};
 pub use network::{Network, Node};
+pub use node::DeltaNode;
 pub use parts::merged_parts;
 pub use plan::{QueryPlan, RunPlan, Slot};
 pub use policy::{DistributionPolicy, FinitePolicy};

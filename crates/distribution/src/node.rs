@@ -1,4 +1,12 @@
 //! The node-side state of a semi-naive distributed round.
+//!
+//! A semi-naive run grows its state by `cq::Instance::absorb`, which merges
+//! a run into the instance (and into its sorted column orders, so the index
+//! work of one round is reused by every later one) and returns the facts
+//! that were new: that return value *is* the round's delta. The coordinator
+//! carries one plain `Instance`; a node carries a [`DeltaNode`], inside the
+//! [`NodeState`](crate::NodeState) its [`Shipment::Delta`](crate::Shipment)
+//! rounds build.
 
 use cq::{evaluate_seminaive_step, ConjunctiveQuery, Instance};
 
@@ -8,8 +16,8 @@ use cq::{evaluate_seminaive_step, ConjunctiveQuery, Instance};
 ///
 /// Every transport — in-memory pool worker or `pcq-analyze worker`
 /// subprocess — drives its incremental rounds through
-/// [`DeltaNode::step`], so the two paths share one definition of what a
-/// semi-naive round *is*:
+/// [`DeltaNode::step`] (from [`NodeState::apply`](crate::NodeState::apply)),
+/// so the two paths share one definition of what a semi-naive round *is*:
 ///
 /// 1. absorb the round's incoming delta chunk into the local data; what
 ///    the absorb adds is the round's local delta,
@@ -21,6 +29,23 @@ use cq::{evaluate_seminaive_step, ConjunctiveQuery, Instance};
 /// Both growth steps are merges (`cq::Instance::absorb`), each traced as
 /// an `absorb` span with args `facts` (the run) and `new` (what it added),
 /// next to the step's `seminaive_step` span.
+///
+/// ```
+/// use cq::{ConjunctiveQuery, parse_instance};
+/// use distribution::DeltaNode;
+///
+/// let q = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+/// let mut node = DeltaNode::new();
+///
+/// // Round 1: everything is new, the differential step is a full evaluation.
+/// let first = node.step(&q, &parse_instance("R(a, b).").unwrap());
+/// assert!(first.is_empty());
+///
+/// // Round 2: one new edge; only derivations touching it are recomputed.
+/// let second = node.step(&q, &parse_instance("R(b, c).").unwrap());
+/// assert_eq!(second, parse_instance("T(a, c).").unwrap());
+/// assert_eq!(node.data().len(), 2);
+/// ```
 #[derive(Clone, Debug, Default)]
 pub struct DeltaNode {
     data: Instance,

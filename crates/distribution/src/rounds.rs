@@ -3,15 +3,16 @@
 //! The paper studies parallel-correctness of a *single* communication round,
 //! but its Massively Parallel Communication setting is inherently
 //! multi-round: evaluate, reshuffle the outputs, evaluate again.
-//! [`MultiRoundEngine`] simulates that loop on top of
-//! [`OneRoundEngine`]: each round reshuffles the current instance under the
-//! round's policy (a [`RoundSchedule`] may change policies between rounds),
+//! [`MultiRoundEngine`] simulates that loop, one round at a time through
+//! the two steps of `engine.rs`: each round reshuffles the current instance
+//! under the round's policy (a [`RoundSchedule`] may change policies between rounds),
 //! evaluates locally at every node, and merges the round's outputs back into
 //! the next round's instance, over any [`Transport`]. A query whose
 //! parallel correctness transfers from its predecessor runs as one
 //! reshuffle-free round on the shards already resident
-//! ([`MultiRoundEngine::evaluate_queries_via`]). A one-round run is this
-//! loop capped at one round.
+//! ([`MultiRoundEngine::evaluate_queries_via`]). A one-round run, the
+//! [`OneRoundEngine`](crate::OneRoundEngine)'s included, is this loop
+//! capped at one round.
 //!
 //! Because a conjunctive query's head relation must be outside its input
 //! schema, iteration is expressed through an optional **feedback relation**:
@@ -44,7 +45,7 @@ use std::time::Instant;
 
 use cq::{evaluate, ConjunctiveQuery, Fact, Instance, Symbol};
 
-use crate::engine::{run_round, OneRoundEngine, OneRoundOutcome, RoundPlan};
+use crate::engine::{reshuffle_round, run_round, OneRoundOutcome, RoundPlan};
 use crate::plan::{split_of, QueryPlan, RunPlan, Slot};
 use crate::policy::DistributionPolicy;
 use crate::transport::{InMemoryTransport, Shipment, Transport, TransportError};
@@ -198,7 +199,7 @@ pub struct MultiRoundEngine<'a> {
 
 impl<'a> MultiRoundEngine<'a> {
     /// Creates a single-round engine over `schedule`; raise the cap with
-    /// [`MultiRoundEngine::rounds`]. Defaults mirror [`OneRoundEngine`]:
+    /// [`MultiRoundEngine::rounds`]. Defaults mirror [`OneRoundEngine`](crate::OneRoundEngine):
     /// sequential evaluation, no feedback relation.
     pub fn new(schedule: RoundSchedule<'a>) -> MultiRoundEngine<'a> {
         MultiRoundEngine {
@@ -244,7 +245,7 @@ impl<'a> MultiRoundEngine<'a> {
     /// Pool size of the in-memory transport behind
     /// [`MultiRoundEngine::evaluate`] and
     /// [`MultiRoundEngine::evaluate_queries`] (cf.
-    /// [`OneRoundEngine::workers`]); an explicit transport owns its own
+    /// [`OneRoundEngine::workers`](crate::OneRoundEngine::workers)); an explicit transport owns its own
     /// parallelism.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -310,7 +311,6 @@ impl<'a> MultiRoundEngine<'a> {
                 .len();
             let _round_span = obs::span!("eval_round", round = round, facts = facts);
             let slot = query.slot(round);
-            let engine = OneRoundEngine::new(slot.policy);
             let outcome = match &mut carried {
                 Some((relation, state, delta)) => {
                     // Delta rounds as numbered towards the transport: 0
@@ -327,22 +327,24 @@ impl<'a> MultiRoundEngine<'a> {
                             round = delta_round,
                             delta_facts = new_facts.len()
                         );
-                        let mut plan = engine.plan(new_facts, Shipment::Delta, None);
+                        let mut plan =
+                            reshuffle_round(slot.policy, new_facts, Shipment::Delta, None);
                         if delta_round > 0 {
                             plan.skip_empty();
                         }
                         run_round(transport, delta_round, &query.query, plan)?
                     };
-                    let _span = obs::span!("merge_results", round = round);
+                    let _span = obs::span!("merge_round", round = round);
                     merge_output(&mut result, &outcome.result);
                     *delta = feed_back(*relation, &outcome.result, state);
                     converged = delta.is_empty();
                     outcome
                 }
                 None => {
-                    let round_plan = engine.plan(instance, Shipment::Full, slot.split);
+                    let round_plan =
+                        reshuffle_round(slot.policy, instance, Shipment::Full, slot.split);
                     let outcome = run_round(transport, round, &query.query, round_plan)?;
-                    let _span = obs::span!("merge_results", round = round);
+                    let _span = obs::span!("merge_round", round = round);
                     converged = !merge_output(&mut result, &outcome.result)
                         || (round + 1 == plan.rounds && plan.converges_at_cap);
                     outcome
@@ -546,6 +548,7 @@ fn merge_output(result: &mut Arc<Instance>, output: &Arc<Instance>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::OneRoundEngine;
     use crate::explicit::ExplicitPolicy;
     use crate::hypercube::HypercubePolicy;
     use crate::network::Network;

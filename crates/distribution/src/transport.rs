@@ -18,7 +18,7 @@
 //! [`NodeState::apply`]: a [`Shipment::Full`] chunk is evaluated and
 //! becomes the node's shard (superseding whatever it held), a
 //! [`Shipment::Delta`] is absorbed into persistent incremental state (a
-//! [`delta::DeltaNode`]; round 0 starts it from empty, so one transport
+//! [`DeltaNode`]; round 0 starts it from empty, so one transport
 //! can serve several runs) and answered with only the facts derived for
 //! the first time, and [`Shipment::Resident`] evaluates over the shard the
 //! node already holds without receiving anything. A shard left by a split
@@ -38,9 +38,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cq::{evaluate, ConjunctiveQuery, Instance};
-use delta::DeltaNode;
 
 use crate::network::Node;
+use crate::node::DeltaNode;
 use crate::parts::merged_parts;
 
 /// Errors raised by a [`Transport`].

@@ -387,12 +387,12 @@ proptest! {
             1 => ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), R(y, z), R(z, x).").unwrap(),
             _ => ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z), R(y, y).").unwrap(),
         };
-        let oracle = cq::evaluate_with(&q, &i, cq::EvalOptions::ScanOracle);
+        let oracle = oracle::evaluate(&q, &i);
         for (name, policy, parallel_correct, splits) in split_zoo(&i, &q, buckets, &spread) {
             let mut transport = Recording::default();
-            let outcome = OneRoundEngine::new(policy.as_ref())
-                .evaluate_via(&mut transport, 0, &q, &i)
-                .unwrap();
+            let engine = MultiRoundEngine::new(RoundSchedule::repeat(policy.as_ref()));
+            let mut run = engine.evaluate_via(&mut transport, &q, &i).unwrap();
+            let outcome = run.rounds.remove(0);
             let outputs = transport.outputs;
             prop_assert_eq!(
                 &*outcome.result,
@@ -772,4 +772,21 @@ proptest! {
         let again = engine.execute_via(&mut InMemoryTransport::new(2), &plan, &half).unwrap();
         planned(&plan, &again, feedback);
     }
+}
+
+/// A one-round run under a broadcast policy returns what the scan oracle
+/// evaluates centrally.
+#[test]
+fn both_evaluators_agree_on_a_broadcast() {
+    let q = ConjunctiveQuery::parse("T(x, y, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
+    let i = cq::parse_instance(
+        "E(a, b). E(b, c). E(c, a). E(b, d). E(d, b). E(c, d). E(d, a). E(a, c).",
+    )
+    .unwrap();
+    let network = Network::with_size(3);
+    let p = ExplicitPolicy::broadcast(&network, &i);
+    let outcome = OneRoundEngine::new(&p).evaluate(&q, &i);
+    let oracle = oracle::evaluate(&q, &i);
+    assert!(!oracle.is_empty());
+    assert_eq!(*outcome.result, oracle);
 }

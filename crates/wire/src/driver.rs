@@ -616,8 +616,10 @@ impl WireTransport {
     /// The driver's metrics registry: `driver_requeues`, `worker_deaths`
     /// and `state_rebuilds` accumulate here over the transport's lifetime,
     /// next to the `chunk_facts`, `window_wait_us` and `frame_bytes`
-    /// histograms; dropping the transport adds `shutdown_polls`, the
-    /// number of times it slept waiting for a worker to exit.
+    /// histograms; dropping the transport adds the `shutdown_polls`
+    /// histogram, one sample per reaped worker: the number of times the
+    /// drop slept waiting for that worker to exit. (A timing, so not among
+    /// the counters, which identical runs repeat exactly.)
     pub fn metrics_registry(&self) -> Arc<obs::Registry> {
         self.registry.clone()
     }
@@ -935,12 +937,13 @@ impl Drop for WireTransport {
         // Bounded reaping: a wedged worker that ignores both signals is
         // killed after the grace period instead of hanging the drop.
         let deadline = Instant::now() + self.shutdown_grace;
-        let polls = self.registry.counter("shutdown_polls");
+        let polls = self.registry.histogram("shutdown_polls");
         for child in self.children.iter_mut().flatten() {
             // A worker exits within a millisecond of `Shutdown`, and the
             // CLI drops its transport before the verify: every wire run
             // waits here.
             let mut backoff = Backoff::new(REAP_POLL_CAP);
+            let mut slept = 0;
             loop {
                 match child.try_wait() {
                     Ok(Some(_)) => break,
@@ -950,12 +953,13 @@ impl Drop for WireTransport {
                             let _ = child.wait();
                             break;
                         }
-                        polls.inc();
+                        slept += 1;
                         backoff.sleep();
                     }
                     Err(_) => break,
                 }
             }
+            polls.record(slept);
         }
     }
 }

@@ -50,11 +50,6 @@ impl TraceContext {
         }
     }
 
-    /// Whether the context carries an active trace.
-    pub fn is_active(&self) -> bool {
-        self.trace_id != 0
-    }
-
     /// Worker side: joins the carried trace (no-op when inactive).
     pub fn adopt(&self) {
         obs::adopt_trace(self.trace_id, self.clock_us);

@@ -275,8 +275,7 @@ pub struct TraceSummary {
     /// Per-process-lane aggregates, keyed by pid.
     pub processes: BTreeMap<u32, ProcessStats>,
     /// Coordinator `eval_round` / `resident_round` spans in timeline order,
-    /// one per round that ran (the `one_round` nested in an `eval_round` is
-    /// no round of its own): the round-by-round critical path.
+    /// one per round that ran: the round-by-round critical path.
     pub rounds: Vec<RoundStats>,
     /// Events the recording session dropped (per-thread buffer
     /// overflow): when nonzero the timeline is incomplete and every
@@ -576,14 +575,14 @@ mod tests {
 
     #[test]
     fn a_summary_has_one_entry_per_round_that_ran() {
-        // Two full rounds, each with the `one_round` it runs nested inside,
+        // Two full rounds, each with the `distribute` it runs nested inside,
         // then a resident round; a worker's span never counts.
         let events = vec![
             span("run", 0, 100, 0, 1, 0),
             span("eval_round", 10, 20, 0, 2, 1),
-            span("one_round", 11, 18, 0, 3, 2),
+            span("distribute", 11, 18, 0, 3, 2),
             span("eval_round", 40, 30, 0, 4, 1),
-            span("one_round", 41, 28, 0, 5, 4),
+            span("distribute", 41, 28, 0, 5, 4),
             span("eval_round", 42, 5, 1, (1 << 40) | 1, 5),
             span("resident_round", 80, 10, 0, 6, 1),
         ];

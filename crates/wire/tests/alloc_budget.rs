@@ -8,8 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cq::{ConjunctiveQuery, Fact, Instance, Symbol, Tuple, Value};
-use delta::DeltaNode;
-use distribution::{DistributionPolicy, HypercubePolicy};
+use distribution::{DeltaNode, DistributionPolicy, HypercubePolicy};
 use wire::{
     decode_body, decode_body_with, encode_body, encode_body_with, DecodeError, Dictionary, Encoder,
 };

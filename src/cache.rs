@@ -10,10 +10,9 @@ use cq::Instance;
 /// lazily for evaluation, instead of rebuilding it per call: the sorted
 /// column orders the join kernel walks.
 ///
-/// No engine or transport uses it any more: it never hit on a named
-/// workload (no two chunks of a Hypercube round are equal). It stays only
-/// because the benchmark's frozen `index_warm`
-/// probe calls [`IndexCache::new`], [`IndexCache::warm`],
+/// No engine or transport uses it: it never hit on a named workload (no
+/// two chunks of a Hypercube round are equal). It stays, in the facade
+/// only, because the benchmark's frozen `index_warm` probe calls [`IndexCache::new`], [`IndexCache::warm`],
 /// [`IndexCache::hits`] and [`IndexCache::misses`]; deleting the type is
 /// ROADMAP item 1B's job, once that probe is thawed.
 ///

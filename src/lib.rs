@@ -9,9 +9,9 @@
 //!
 //! * [`cq`] — conjunctive-query substrate (schemas, instances, valuations,
 //!   evaluation, homomorphisms, minimization).
-//! * [`delta`] — the node side of semi-naive rounds (`DeltaNode`).
-//! * [`distribution`] — distribution policies, Hypercube distributions and
-//!   the simulated one-round evaluation engine.
+//! * [`distribution`] — distribution policies, Hypercube distributions, the
+//!   simulated round loop (a one-round run is that loop capped at one
+//!   round) and the node side of semi-naive rounds (`DeltaNode`).
 //! * [`pc_core`] — the paper's contribution: parallel-correctness,
 //!   transferability, strong minimality, conditions C0–C3.
 //! * [`logic`] — SAT / QBF solvers used as ground-truth oracles.
@@ -22,6 +22,12 @@
 //!   textual scenario format, JSON emitter and the cross-process
 //!   `WireTransport` (worker subprocesses over pipes or sockets).
 //! * [`workloads`] — random query / instance / policy generators.
+//!
+//! The `oracle` crate — the scan evaluator and the Definition-level deciders
+//! the differential tests compare against — is a dev-dependency only, so
+//! neither this facade nor `pcq-analyze` links it. The facade's own
+//! [`delta`] module keeps the names the benchmark's frozen probes import:
+//! `distribution::DeltaNode` and the unused [`delta::IndexCache`].
 //!
 //! ## Quick start
 //!
@@ -43,7 +49,6 @@
 #![forbid(unsafe_code)]
 
 pub use cq;
-pub use delta;
 pub use distribution;
 pub use logic;
 pub use obs;
@@ -51,6 +56,16 @@ pub use pc_core;
 pub use reductions;
 pub use wire;
 pub use workloads;
+
+mod cache;
+
+/// What the benchmark's frozen probes import under `pcq::delta`: the node
+/// state of a semi-naive round, which lives in `distribution`, and an
+/// instance cache that no runtime path uses.
+pub mod delta {
+    pub use crate::cache::IndexCache;
+    pub use distribution::DeltaNode;
+}
 
 /// Convenience prelude bringing the most commonly used types and functions
 /// into scope.
@@ -60,12 +75,11 @@ pub mod prelude {
         EvalOptions, Fact, Instance, Schema, Substitution, Symbol, Tuple, Valuation, Value,
         Variable,
     };
-    pub use delta::{DeltaNode, IndexCache};
     pub use distribution::{
-        DistributionPolicy, ExplicitPolicy, FinitePolicy, HypercubeFamily, HypercubePolicy,
-        InMemoryTransport, MultiQueryOutcome, MultiRoundEngine, MultiRoundOutcome, Network, Node,
-        OneRoundEngine, RoundSchedule, RuleBasedPolicy, RunPlan, Shipment, Transport,
-        TransportError,
+        DeltaNode, DistributionPolicy, ExplicitPolicy, FinitePolicy, HypercubeFamily,
+        HypercubePolicy, InMemoryTransport, MultiQueryOutcome, MultiRoundEngine, MultiRoundOutcome,
+        Network, Node, OneRoundEngine, RoundSchedule, RuleBasedPolicy, RunPlan, Shipment,
+        Transport, TransportError,
     };
     pub use pc_core::{
         check_parallel_correctness, check_parallel_correctness_bounded,

@@ -1595,6 +1595,48 @@ fn run_json_carries_a_histograms_block_with_ordered_quantiles() {
 }
 
 #[test]
+fn identical_process_runs_print_equal_counters() {
+    // `counters` holds counts that identical runs repeat exactly. How often
+    // dropping the transport slept waiting for its workers to exit is a
+    // timing: it is the `shutdown_polls` histogram, one sample per worker.
+    use pcq::wire::json::JsonValue;
+
+    let args = [
+        "run",
+        PATH_2,
+        "hypercube:4",
+        "random:12:80",
+        "--rounds",
+        "4",
+        "--feedback",
+        "R",
+        "--transport",
+        "process",
+        "--workers",
+        "2",
+        "--json",
+    ];
+    let run = || {
+        let (code, stdout) = pcq_analyze_output(&args);
+        assert_eq!(code, 0, "{stdout}");
+        JsonValue::parse(stdout.trim()).expect("run --json must stay valid JSON")
+    };
+    let first = run();
+    let counters = first.get("counters").expect("counters").to_string();
+    assert!(!counters.contains("shutdown_polls"), "{counters}");
+    let reaped = first
+        .get("histograms")
+        .and_then(|h| h.get("shutdown_polls"))
+        .and_then(|h| h.get("count"))
+        .and_then(JsonValue::as_u64);
+    assert_eq!(reaped, Some(2), "one sample per reaped worker");
+    for _ in 0..2 {
+        let again = run();
+        assert_eq!(again.get("counters").unwrap().to_string(), counters);
+    }
+}
+
+#[test]
 fn trace_summarize_handles_degenerate_inputs_without_panicking() {
     // An empty trace, a process with zero spans, and a zero-duration round
     // are all summarizable; malformed JSON is a clean usage error.

@@ -32,7 +32,7 @@ fn c1_decision_agrees_with_exhaustive_one_round_evaluation() {
         );
         for query in &queries {
             let decided = check_parallel_correctness(query, &policy).is_correct();
-            let exhaustive = pc_core::check_parallel_correctness_naive(query, &policy);
+            let exhaustive = oracle::check_parallel_correctness_naive(query, &policy);
             assert_eq!(
                 decided, exhaustive,
                 "C1 decision and exhaustive check disagree for {query} (trial {trial})"

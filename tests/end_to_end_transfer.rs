@@ -83,7 +83,7 @@ fn failed_transfers_produce_separating_policies() {
         assert!(!report.transfers());
         let violation = report.violation.expect("failed transfer carries a witness");
         assert!(
-            pc_core::transfer::violation_separates(&from, &to, &violation),
+            oracle::violation_separates(&from, &to, &violation),
             "the Lemma 4.2 policy does not separate {from_text} from {to_text}"
         );
     }

@@ -10,6 +10,7 @@ use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 
+use oracle::Evaluator;
 use pcq::cq::CompiledQuery;
 use pcq::prelude::*;
 use proptest::prelude::*;
@@ -52,12 +53,12 @@ const PROBE_QUERIES: [&str; 4] = [
     "Q(x, z) :- M0(x, y), M0(y, z), M2(z).",
 ];
 
-/// The leaves of `query` on `instance`, in the order the triejoin finds
-/// them: its view of the instance's sorted orders.
-fn leaves(query: &ConjunctiveQuery, instance: &Instance, opts: EvalOptions) -> Vec<Vec<Value>> {
+/// The leaves of `query` on `instance`, in the order `evaluator` finds
+/// them: the triejoin's are its view of the instance's sorted orders.
+fn leaves(query: &ConjunctiveQuery, instance: &Instance, evaluator: Evaluator) -> Vec<Vec<Value>> {
     let mut leaves = Vec::new();
     let compiled = CompiledQuery::new(query);
-    let _ = compiled.for_each_satisfying_with(instance, &Valuation::new(), opts, |slots| {
+    let _ = evaluator.search(&compiled, instance, None, &Valuation::new(), |slots| {
         leaves.push(slots.iter().map(|value| value.unwrap()).collect());
         ControlFlow::Continue(())
     });
@@ -70,13 +71,13 @@ fn assert_orders_match_a_fresh_build(instance: &Instance, model: &BTreeSet<Fact>
     let fresh = Instance::from_facts(model.iter().cloned());
     for text in PROBE_QUERIES {
         let query = ConjunctiveQuery::parse(text).unwrap();
-        let walked = leaves(&query, instance, EvalOptions::default());
+        let walked = leaves(&query, instance, Evaluator::Triejoin);
         assert_eq!(
             walked,
-            leaves(&query, &fresh, EvalOptions::default()),
+            leaves(&query, &fresh, Evaluator::Triejoin),
             "{text}"
         );
-        let scanned = leaves(&query, &fresh, EvalOptions::ScanOracle);
+        let scanned = leaves(&query, &fresh, Evaluator::Scan);
         assert_eq!(
             walked.iter().collect::<BTreeSet<_>>(),
             scanned.iter().collect::<BTreeSet<_>>(),
@@ -246,14 +247,10 @@ fn twelve_rounds_of_growth_keep_one_order_per_relation_and_column_order() {
         answers.extend(evaluate_seminaive_step(&query, &data, &delta).facts());
         let fresh = Instance::from_facts(data.facts().cloned());
         assert_eq!(evaluate(&query, &data), answers, "round {round}");
+        assert_eq!(answers, oracle::evaluate(&query, &fresh), "round {round}");
         assert_eq!(
-            answers,
-            evaluate_with(&query, &fresh, EvalOptions::ScanOracle),
-            "round {round}"
-        );
-        assert_eq!(
-            leaves(&query, &data, EvalOptions::default()),
-            leaves(&query, &fresh, EvalOptions::default()),
+            leaves(&query, &data, Evaluator::Triejoin),
+            leaves(&query, &fresh, Evaluator::Triejoin),
             "round {round}"
         );
         assert_eq!(data.cached_orders(), 2, "round {round}");

@@ -2,6 +2,7 @@
 //! transferability and the Hypercube machinery on randomly generated
 //! queries, instances and policies.
 
+use oracle::Evaluator;
 use pcq::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -95,7 +96,7 @@ proptest! {
         prop_assert!(!c0 || c1, "C0 must imply C1");
         prop_assert_eq!(c1, pc, "C1 must characterize parallel-correctness");
         // brute force over every subinstance of an 8-fact universe
-        let naive = pc_core::check_parallel_correctness_naive(&query, &policy);
+        let naive = oracle::check_parallel_correctness_naive(&query, &policy);
         prop_assert_eq!(pc, naive);
     }
 
@@ -511,18 +512,16 @@ fn kernel_handles_queries_with_more_than_64_variables() {
     let query = wide_transfer_query();
     let (frozen_body, identity) = frozen_body(&query);
 
-    let valuations = |opts: EvalOptions| -> BTreeSet<Valuation> {
-        cq::satisfying_valuations_with(&query, &frozen_body, &Valuation::new(), opts)
-            .into_iter()
-            .collect()
+    let valuations = |evaluator: Evaluator| -> BTreeSet<Valuation> {
+        let valuations = evaluator.satisfying_valuations(&query, &frozen_body, &Valuation::new());
+        valuations.into_iter().collect()
     };
-    let oracle = valuations(EvalOptions::ScanOracle);
-    assert!(oracle.contains(&identity));
-    for v in &oracle {
+    let scanned = valuations(Evaluator::Scan);
+    assert!(scanned.contains(&identity));
+    for v in &scanned {
         assert!(v.is_total_for(&query) && v.satisfies(&query, &frozen_body));
     }
-    let answers = cq::evaluate_with(&query, &frozen_body, EvalOptions::ScanOracle);
-    let opts = EvalOptions::Triejoin;
-    assert_eq!(valuations(opts), oracle, "{opts:?}");
-    assert_eq!(cq::evaluate_with(&query, &frozen_body, opts), answers);
+    let answers = oracle::evaluate(&query, &frozen_body);
+    assert_eq!(valuations(Evaluator::Triejoin), scanned);
+    assert_eq!(cq::evaluate(&query, &frozen_body), answers);
 }

@@ -189,9 +189,8 @@ fn evaluate_done_reports_derivations_against_distinct_answers() {
 fn join_spans_name_the_kernel_that_runs() {
     let _gate = gate();
     // One indexed kernel runs full evaluations and the differential passes
-    // of a semi-naive round alike, cyclic query or not; the scan oracle is
-    // named when it is asked for. `trace diff` attributes time by these
-    // labels.
+    // of a semi-naive round alike, cyclic query or not, and the scan oracle
+    // is not in the program: so no join span names a kernel.
     let query = ConjunctiveQuery::parse("T(x, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
     let instance = cq::parse_instance("E(a,b). E(b,c). E(c,a). E(c,d). E(d,a).").unwrap();
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
@@ -202,24 +201,19 @@ fn join_spans_name_the_kernel_that_runs() {
     let (_, events) = traced(|| {
         let _ = cq::evaluate(&query, &instance);
         let _ = cq::evaluate(&chain, &instance);
-        let _ = cq::evaluate_with(&chain, &instance, EvalOptions::ScanOracle);
         engine.evaluate(&query, &instance)
     });
-    let strategies = |span: &str| -> Vec<&str> {
-        let spans = events.iter().filter(|e| e.name == span);
-        spans
-            .map(|e| {
-                let (_, strategy) = e.args.iter().find(|(k, _)| k == "strategy").unwrap();
-                strategy.as_str()
-            })
-            .collect()
-    };
-    assert_eq!(
-        strategies("evaluate")[..3],
-        ["multiway", "multiway", "binary"]
-    );
-    let steps = strategies("seminaive_step");
-    assert!(!steps.is_empty() && steps.iter().all(|&strategy| strategy == "multiway"));
+    for span in ["evaluate", "seminaive_step"] {
+        let spans: Vec<_> = events.iter().filter(|e| e.name == span).collect();
+        assert!(spans.len() >= 2, "{span}: {} spans", spans.len());
+        for event in spans {
+            let keys: Vec<&str> = event.args.iter().map(|(key, _)| key.as_str()).collect();
+            assert!(
+                !keys.contains(&"strategy"),
+                "{span} names a kernel: {keys:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -411,11 +405,11 @@ fn fault_injected_socket_trace_records_requeues_and_registry_agrees() {
     let instance = instance_for(&query, 11);
     let network = Network::with_size(6);
     let policy = ExplicitPolicy::round_robin(&network, &instance);
-    let engine = OneRoundEngine::new(&policy);
-    let reference = engine.evaluate(&query, &instance);
+    let reference = OneRoundEngine::new(&policy).evaluate(&query, &instance);
 
     let mut transport = WireTransport::spawn_sockets(&worker_binary(), &faulty_argv(3, 1)).unwrap();
-    let (outcome, events) = traced(|| engine.evaluate_via(&mut transport, 0, &query, &instance));
+    let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy));
+    let (outcome, events) = traced(|| engine.evaluate_via(&mut transport, &query, &instance));
     let outcome = outcome.expect("round must survive the death");
     assert_eq!(outcome.result, reference.result);
     assert!(transport.alive_workers() < 3, "the fault never fired");
@@ -470,6 +464,23 @@ fn chrome_export_of_a_live_run_round_trips_and_summarizes() {
 }
 
 #[test]
+fn a_standalone_one_round_engine_run_summarizes_as_one_round() {
+    let _gate = gate();
+    // `OneRoundEngine::evaluate` is the round loop capped at one round, so
+    // its trace reads like a one-round `run`: one `eval_round` span and one
+    // critical-path row.
+    let query = named_query("triangle").unwrap();
+    let instance = instance_for(&query, 7);
+    let policy = HypercubePolicy::uniform(&query, 2).unwrap();
+    let (outcome, events) = traced(|| OneRoundEngine::new(&policy).evaluate(&query, &instance));
+    assert_eq!(*outcome.result, cq::evaluate(&query, &instance));
+    let rounds = events.iter().filter(|e| e.name == "eval_round").count();
+    assert_eq!(rounds, 1, "{:?}", names(&events));
+    let summary = trace_export::TraceSummary::from_events(&events);
+    assert_eq!(summary.rounds.len(), 1, "one critical-path row");
+}
+
+#[test]
 fn a_dead_workers_stderr_surfaces_in_the_transport_error() {
     // With no survivor to requeue onto, a death is a clean error — and
     // since the worker is a spawned child, its last words must ride along
@@ -479,12 +490,12 @@ fn a_dead_workers_stderr_surfaces_in_the_transport_error() {
     let instance = instance_for(&query, 11);
     let network = Network::with_size(6);
     let policy = ExplicitPolicy::round_robin(&network, &instance);
-    let engine = OneRoundEngine::new(&policy);
+    let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy));
 
     for spawn in [WireTransport::spawn_pipes, WireTransport::spawn_sockets] {
         let mut transport = spawn(&worker_binary(), &faulty_argv(1, 0)).unwrap();
         let err = engine
-            .evaluate_via(&mut transport, 0, &query, &instance)
+            .evaluate_via(&mut transport, &query, &instance)
             .expect_err("a dead worker with no survivor must error")
             .to_string();
         assert!(err.contains("worker stderr"), "no stderr tail in: {err}");

@@ -7,6 +7,7 @@
 //! binary re-invoked as `worker`, so this exercises the whole stack:
 //! reshuffle → binary encode → frame → pipe → decode → evaluate → reply.
 
+use pcq::distribution::OneRoundOutcome;
 use pcq::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -57,6 +58,21 @@ fn instance_for(query: &ConjunctiveQuery, seed: u64) -> Instance {
     )
 }
 
+/// One round of `policy` through `transport`: the round loop capped at one
+/// round, which is what a `OneRoundEngine` runs in memory.
+fn one_round_via(
+    policy: &dyn DistributionPolicy,
+    transport: &mut dyn Transport,
+    query: &ConjunctiveQuery,
+    instance: &Instance,
+) -> Result<OneRoundOutcome, TransportError> {
+    let engine = MultiRoundEngine::new(RoundSchedule::repeat(policy));
+    Ok(engine
+        .evaluate_via(transport, query, instance)?
+        .rounds
+        .remove(0))
+}
+
 fn one_round_matches_memory(spawn: Spawn) {
     let mut transport = spawn_workers(spawn, 3);
     for (name, _) in named_workloads() {
@@ -66,8 +82,7 @@ fn one_round_matches_memory(spawn: Spawn) {
         let engine = OneRoundEngine::new(&policy).workers(2);
 
         let in_memory = engine.evaluate(&query, &instance);
-        let on_wire = engine
-            .evaluate_via(&mut transport, 0, &query, &instance)
+        let on_wire = one_round_via(&policy, &mut transport, &query, &instance)
             .unwrap_or_else(|e| panic!("{name}: wire transport failed: {e}"));
 
         assert_eq!(
@@ -260,8 +275,7 @@ fn delta_shipping_moves_fewer_bytes_than_full_chunk_shipping() {
     let states = reference_states(&query, &instance, "R");
     let mut full_bytes = 0;
     for state in &states {
-        full_bytes += OneRoundEngine::new(&policy)
-            .evaluate_via(&mut transport, 0, &query, state)
+        full_bytes += one_round_via(&policy, &mut transport, &query, state)
             .unwrap()
             .comm_bytes;
     }
@@ -318,9 +332,7 @@ fn process_transport_survives_rounds_with_empty_and_skewed_chunks() {
     let engine = OneRoundEngine::new(&policy);
 
     let mut transport = spawn_transport(2);
-    let via_process = engine
-        .evaluate_via(&mut transport, 0, &query, &instance)
-        .unwrap();
+    let via_process = one_round_via(&policy, &mut transport, &query, &instance).unwrap();
     let in_memory = engine.evaluate(&query, &instance);
     assert_eq!(via_process.result, in_memory.result);
     assert_eq!(via_process.per_node_load, in_memory.per_node_load);
@@ -435,7 +447,6 @@ fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
     let instance = instance_for(&query, 11);
     let network = Network::with_size(4);
     let policy = ExplicitPolicy::broadcast(&network, &instance);
-    let engine = OneRoundEngine::new(&policy);
 
     let mut connections = [(); 2].map(|()| pcq::wire::Encoder::connection());
     let chunk = Shipment::Full(Arc::new(instance.clone()));
@@ -459,9 +470,7 @@ fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
     assert!(request_bytes > 0);
 
     let mut process = spawn_transport(2);
-    let via_process = engine
-        .evaluate_via(&mut process, 0, &query, &instance)
-        .unwrap();
+    let via_process = one_round_via(&policy, &mut process, &query, &instance).unwrap();
     assert!(!via_process.result.is_empty(), "need real result frames");
     assert!(
         via_process.comm_bytes > request_bytes,
@@ -472,9 +481,7 @@ fn comm_bytes_exceed_request_frames_alone_on_both_wire_transports() {
     );
 
     let mut socket = spawn_workers(SOCKETS, 2);
-    let via_socket = engine
-        .evaluate_via(&mut socket, 0, &query, &instance)
-        .unwrap();
+    let via_socket = one_round_via(&policy, &mut socket, &query, &instance).unwrap();
     assert!(
         via_socket.comm_bytes > request_bytes,
         "socket transport reported {} comm bytes; the requests alone are {}",
@@ -506,16 +513,14 @@ fn every_transport_equals_the_central_scan_oracle() {
     for (name, _) in named_workloads() {
         let query = named_query(name).unwrap();
         let instance = instance_for(&query, 43);
-        let oracle = cq::evaluate_with(&query, &instance, EvalOptions::ScanOracle);
+        let oracle = oracle::evaluate(&query, &instance);
         let policy = HypercubePolicy::uniform(&query, 2).unwrap();
         let engine = OneRoundEngine::new(&policy).workers(2);
 
         let in_memory = engine.evaluate(&query, &instance);
-        let via_process = engine
-            .evaluate_via(&mut process, 0, &query, &instance)
+        let via_process = one_round_via(&policy, &mut process, &query, &instance)
             .unwrap_or_else(|e| panic!("{name}: process transport failed: {e}"));
-        let via_socket = engine
-            .evaluate_via(&mut socket, 0, &query, &instance)
+        let via_socket = one_round_via(&policy, &mut socket, &query, &instance)
             .unwrap_or_else(|e| panic!("{name}: socket transport failed: {e}"));
         for (label, outcome) in [
             ("memory", in_memory),
@@ -716,8 +721,7 @@ fn full_mode_round_survives_a_worker_dying_mid_round() {
     for (label, spawn) in [("pipes", PIPES), ("sockets", SOCKETS)] {
         let mut t = spawn(&worker_binary(), &faulty_argv(3, 1)).unwrap();
         let before = t.alive_workers();
-        let outcome = engine
-            .evaluate_via(&mut t, 0, &query, &instance)
+        let outcome = one_round_via(&policy, &mut t, &query, &instance)
             .unwrap_or_else(|e| panic!("{label}: round did not survive: {e}"));
         assert_eq!(
             outcome.result, in_memory.result,
@@ -787,12 +791,10 @@ fn with_fault_tolerance_off_a_worker_death_is_a_clean_error() {
     let instance = instance_for(&query, 11);
     let network = Network::with_size(6);
     let policy = ExplicitPolicy::round_robin(&network, &instance);
-    let engine = OneRoundEngine::new(&policy);
 
     for (label, spawn) in [("pipes", PIPES), ("sockets", SOCKETS)] {
         let mut t = spawn(&worker_binary(), &faulty_argv(1, 0)).unwrap();
-        let err = engine
-            .evaluate_via(&mut t, 0, &query, &instance)
+        let err = one_round_via(&policy, &mut t, &query, &instance)
             .expect_err("a dead worker with no survivor must error");
         match err {
             TransportError::Io(_) | TransportError::Protocol(_) => {}
@@ -835,12 +837,13 @@ fn dropping_a_transport_whose_workers_exit_on_shutdown_polls_briefly() {
         let polls: Vec<u64> = (0..3)
             .map(|_| {
                 let mut transport = spawn_workers(spawn, 2);
-                OneRoundEngine::new(&policy)
-                    .evaluate_via(&mut transport, 0, &query, &instance)
+                one_round_via(&policy, &mut transport, &query, &instance)
                     .expect("the workers serve a round before shutting down");
                 let registry = transport.metrics_registry();
                 drop(transport);
-                registry.counter_value("shutdown_polls")
+                let reaped = registry.histogram("shutdown_polls").snapshot();
+                assert_eq!(reaped.count, 2, "one sample per reaped worker");
+                reaped.sum
             })
             .collect();
         assert!(
