@@ -4,7 +4,8 @@
 
 use cq::{evaluate, ConjunctiveQuery, Instance};
 use distribution::{
-    DistributionPolicy, FinitePolicy, MultiRoundEngine, MultiRoundOutcome, OneRoundEngine,
+    DistributionPolicy, FinitePolicy, IteratedFixpoint, MultiRoundEngine, MultiRoundOutcome,
+    OneRoundEngine,
 };
 
 use crate::conditions::{meet_violation, C1Violation};
@@ -133,6 +134,18 @@ impl MultiRoundInstanceReport {
         outcome: MultiRoundOutcome,
     ) -> MultiRoundInstanceReport {
         let reference = engine.reference_fixpoint(query, instance);
+        MultiRoundInstanceReport::from_reference(outcome, reference)
+    }
+
+    /// Judges `outcome` against an already-computed `reference`, the
+    /// engine's [`MultiRoundEngine::reference_fixpoint`] for the outcome's
+    /// query and instance: the verdict of
+    /// [`MultiRoundInstanceReport::from_outcome`], for callers that run
+    /// one query several times and compute its reference once.
+    pub fn from_reference(
+        outcome: MultiRoundOutcome,
+        reference: IteratedFixpoint,
+    ) -> MultiRoundInstanceReport {
         // One pass decides; `missing` is only computed when they differ.
         let correct = *outcome.result == reference.result;
         let missing = if correct {

@@ -26,7 +26,7 @@ pub struct HypercubePolicy {
     query: ConjunctiveQuery,
     dimensions: Vec<Variable>,
     inner: RuleBasedPolicy,
-    /// How a full round of `query` ships (see [`crate::parts`]): split by
+    /// How a round of `query`, full or delta, ships (see [`crate::parts`]): split by
     /// body atom when `query` repeats a relation and every hash is total,
     /// so that every valuation has a home node.
     split: Option<AtomSplit>,
@@ -187,7 +187,7 @@ impl HypercubePolicy {
         self.inner.node_at(&address)
     }
 
-    /// The body-atom split a full round of `query` ships under, if any: the
+    /// The body-atom split a round of `query` ships under, if any: the
     /// policy must be built for `query` itself — rule `k` is then atom `k`
     /// — and its split must exist (see the `split` field).
     pub(crate) fn split_for(&self, query: &ConjunctiveQuery) -> Option<&AtomSplit> {

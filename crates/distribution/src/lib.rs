@@ -28,8 +28,8 @@
 //!   across rounds, and local evaluation is one semi-naive differential
 //!   pass instead of a full re-evaluation — and without it every round
 //!   ships full chunks ([`Shipment::Full`]); a Hypercube round of a query
-//!   that repeats a relation ships its chunks split by body atom, so each
-//!   answer is derived once, at its home node,
+//!   that repeats a relation, full or delta, ships its chunks split by
+//!   body atom, so each valuation is derived once, at its home node,
 //! * [`OneRoundEngine`] — the one-round algorithm of the paper (reshuffle,
 //!   evaluate locally at every node, union the results) in memory: the
 //!   round loop capped at one round,

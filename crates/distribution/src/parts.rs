@@ -17,6 +17,16 @@
 //! home. `#` cannot be written in the query grammar, so no relation a user
 //! names is ever a part.
 //!
+//! A feedback run's delta rounds split the same way. A node's
+//! [`DeltaNode`](crate::DeltaNode) accumulates the part facts of every
+//! round, and the semi-naive step of the split query enumerates a valuation
+//! through a new fact only where all of its atoms' facts arrived from their
+//! own rules: at its home. So within a slot each valuation is derived once,
+//! in the first round that has all of its facts, and a node ships only
+//! home answers it has not shipped before. A re-shard resets the nodes and
+//! ships the whole state under the new slot's policy, split if that policy
+//! splits.
+//!
 //! A shard that still holds parts when another query runs over it
 //! ([`Shipment::Resident`](crate::Shipment::Resident)) is read with its
 //! parts merged back into their relations: [`merged_parts`].

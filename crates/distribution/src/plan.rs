@@ -23,9 +23,10 @@ use crate::parts::AtomSplit;
 use crate::policy::DistributionPolicy;
 
 /// One schedule entry of a query's run. Its rounds ship full chunks of the
-/// input, split by body atom when `split` is given; with feedback they
-/// ship deltas: the first resets the nodes and ships the whole state, every
-/// later one what the round before it added.
+/// input; with feedback they ship deltas: the first resets the nodes and
+/// ships the whole state, every later one what the round before it added.
+/// Either way the chunks are split by body atom when `split` is given, so
+/// a delta round too derives each valuation only at its home node.
 pub struct Slot<'p> {
     /// The round the entry starts at: its index in the schedule.
     pub first_round: usize,
@@ -124,18 +125,22 @@ impl fmt::Display for RunPlan<'_> {
                 } else {
                     rounds - 1
                 };
-                let how = match (self.feedback, slot.parts()) {
-                    (None, 0) => "full chunks".to_string(),
-                    (None, parts) => format!("full chunks split into {parts} atom parts"),
-                    (Some(_), _) if last > first => {
+                let how = match self.feedback {
+                    None => "full chunks".to_string(),
+                    Some(_) if last > first => {
                         format!("reset at round {first}, delta {}", range(first + 1, last))
                     }
-                    (Some(_), _) => format!("reset at round {first}"),
+                    Some(_) => format!("reset at round {first}"),
+                };
+                let split = match (slot.parts(), self.feedback) {
+                    (0, _) => String::new(),
+                    (parts, None) => format!(" split into {parts} atom parts"),
+                    (parts, Some(_)) => format!(", split into {parts} atom parts"),
                 };
                 let nodes = slot.policy.network().len();
                 writeln!(
                     f,
-                    "  {}: entry {first} ({nodes} nodes), {how}",
+                    "  {}: entry {first} ({nodes} nodes), {how}{split}",
                     range(first, last)
                 )?;
             }

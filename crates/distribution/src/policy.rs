@@ -41,10 +41,10 @@ pub trait DistributionPolicy: Sync {
         nodes
     }
 
-    /// The policy as a [`HypercubePolicy`], if it is one. A full round of
-    /// the Hypercube policy's own query ships its chunks split by body atom
-    /// (see [`OneRoundEngine`](crate::OneRoundEngine)); every other policy
-    /// keeps this default and ships plain chunks.
+    /// The policy as a [`HypercubePolicy`], if it is one. A round of the
+    /// Hypercube policy's own query, full or delta, ships its chunks split
+    /// by body atom (see [`OneRoundEngine`](crate::OneRoundEngine)); every
+    /// other policy keeps this default and ships plain chunks.
     fn as_hypercube(&self) -> Option<&HypercubePolicy> {
         None
     }

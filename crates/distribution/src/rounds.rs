@@ -43,7 +43,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cq::{evaluate, ConjunctiveQuery, Fact, Instance, Symbol};
+use cq::{evaluate, evaluate_seminaive_step, ConjunctiveQuery, Fact, Instance, Symbol};
 
 use crate::engine::{reshuffle_round, run_round, OneRoundOutcome, RoundPlan};
 use crate::plan::{split_of, QueryPlan, RunPlan, Slot};
@@ -328,7 +328,7 @@ impl<'a> MultiRoundEngine<'a> {
                             delta_facts = new_facts.len()
                         );
                         let mut plan =
-                            reshuffle_round(slot.policy, new_facts, Shipment::Delta, None);
+                            reshuffle_round(slot.policy, new_facts, Shipment::Delta, slot.split);
                         if delta_round > 0 {
                             plan.skip_empty();
                         }
@@ -421,7 +421,7 @@ impl<'a> MultiRoundEngine<'a> {
             let slots = slots.map(|(first_round, &policy)| Slot {
                 first_round,
                 policy,
-                split: split_of(policy, query).filter(|_| self.feedback.is_none()),
+                split: split_of(policy, query),
             });
             let (query, slots) = (query.clone(), slots.collect());
             QueryPlan {
@@ -493,27 +493,31 @@ impl<'a> MultiRoundEngine<'a> {
     /// Terminates on every input because conjunctive queries cannot
     /// introduce new data values, so the set of reachable states over the
     /// input's active domain is finite.
+    ///
+    /// Semi-naive: round 1 evaluates the input, and every later round only
+    /// the valuations through a fact of the last round's delta
+    /// (`cq::evaluate_seminaive_step`), feeding back just the answers that
+    /// are new. The state only grows, so `Q(Sₖ₊₁) = Q(Sₖ) ∪ step` and every
+    /// earlier answer is already in `Sₖ₊₁` under the feedback relation:
+    /// each round adds the delta a full re-evaluation of the state would
+    /// add, and `result` and `rounds` are those of the naive iteration
+    /// (`oracle::rounds::naive_fixpoint` in the test suite).
     pub fn reference_fixpoint(
         &self,
         query: &ConjunctiveQuery,
         instance: &Instance,
     ) -> IteratedFixpoint {
+        let mut result = evaluate(query, instance);
         let Some(relation) = self.feedback else {
-            return IteratedFixpoint {
-                result: evaluate(query, instance),
-                rounds: 1,
-            };
+            return IteratedFixpoint { result, rounds: 1 };
         };
         let mut state = instance.clone();
-        let mut result = Instance::new();
-        let mut rounds = 0usize;
-        loop {
+        let mut delta = feed_back(relation, &result, &mut state);
+        let mut rounds = 1;
+        while !delta.is_empty() {
             rounds += 1;
-            let output = evaluate(query, &state);
-            result.absorb(&output);
-            if feed_back(relation, &output, &mut state).is_empty() {
-                break;
-            }
+            let step = evaluate_seminaive_step(query, &state, &delta);
+            delta = feed_back(relation, &result.absorb(&step), &mut state);
         }
         IteratedFixpoint { result, rounds }
     }
@@ -571,6 +575,9 @@ mod tests {
 
     #[test]
     fn single_round_multi_round_matches_one_round_exactly() {
+        // `OneRoundEngine` is this loop capped at one round, so the two
+        // runs must report the same round; the query's own Hypercube is
+        // parallel-correct, so that round answers `Q(I)`.
         let q = square_query();
         let i = chain_instance(5);
         let p = HypercubePolicy::uniform(&q, 2).unwrap();
@@ -578,6 +585,8 @@ mod tests {
         let multi = MultiRoundEngine::new(RoundSchedule::repeat(&p))
             .rounds(1)
             .evaluate(&q, &i);
+        assert_eq!(*multi.result, evaluate(&q, &i));
+        assert_eq!(multi.result.len(), 4);
         assert_eq!(multi.rounds_run(), 1);
         assert_eq!(multi.result, one.result);
         assert_eq!(multi.rounds[0].result, one.result);

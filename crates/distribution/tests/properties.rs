@@ -2,8 +2,9 @@
 //! multi-round engines, including the differential suites: `distribute`
 //! must build exactly the chunks `{f ∈ I : node ∈ nodes_for(f)}` of its
 //! definition on every policy, a pooled engine must agree with the
-//! sequential one, a one-round-capped `MultiRoundEngine` must agree exactly
-//! with `OneRoundEngine`, and the counting `stats` and arithmetic
+//! sequential one, a one-round run must answer the union of its chunks'
+//! answers (`Q(I)` under a parallel-correct policy), and the counting
+//! `stats` and arithmetic
 //! `nodes_for` must agree exactly with the definitions they replaced (kept
 //! here as oracles).
 
@@ -543,8 +544,13 @@ proptest! {
         }
     }
 
-    /// Differential: a `MultiRoundEngine` capped at one round is exactly a
-    /// `OneRoundEngine`, across all four policy shapes.
+    /// A one-round run answers `⋃ₙ Q(dist_P(I)(n))` (Definition 3.1's
+    /// union, from `distribute` and a centralized evaluation per chunk) on
+    /// every policy shape, and `Q(I)` — by the triejoin and by the scan
+    /// oracle — where the policy is parallel-correct for the query: both
+    /// broadcasts and the two Hypercube policies of `q`. `OneRoundEngine`
+    /// is the round loop capped at one round, so comparing the two is a
+    /// determinism check: two runs of one path report the same round.
     #[test]
     fn single_round_multi_round_is_one_round(
         i in instance_strategy(),
@@ -552,11 +558,21 @@ proptest! {
         nodes in 1usize..4,
         buckets in 1usize..4,
     ) {
+        let central = cq::evaluate(&q, &i);
+        prop_assert_eq!(&central, &oracle::evaluate(&q, &i));
         for (name, policy) in policy_zoo(&i, &q, nodes, buckets) {
             let one = OneRoundEngine::new(policy.as_ref()).evaluate(&q, &i);
             let multi = MultiRoundEngine::new(RoundSchedule::repeat(policy.as_ref()))
                 .rounds(1)
                 .evaluate(&q, &i);
+            let mut union = Instance::new();
+            for (_, chunk) in policy.distribute(&i).chunks() {
+                union.absorb(&cq::evaluate(&q, chunk));
+            }
+            prop_assert_eq!(&*multi.result, &union, "{}: not the union of the chunks' answers", name);
+            if ["broadcast", "total_broadcast", "hash", "hypercube"].contains(&name) {
+                prop_assert_eq!(&*multi.result, &central, "{} is parallel-correct for {}", name, q);
+            }
             prop_assert_eq!(multi.rounds_run(), 1);
             prop_assert_eq!(&multi.result, &one.result, "result diverged for {}", name);
             let round = &multi.rounds[0];
@@ -771,6 +787,129 @@ proptest! {
         let half = Instance::from_facts(i.facts().step_by(2).cloned());
         let again = engine.execute_via(&mut InMemoryTransport::new(2), &plan, &half).unwrap();
         planned(&plan, &again, feedback);
+    }
+}
+
+/// A transport that evaluates nothing: it keeps the query each round
+/// announces and the facts each node is sent, and answers nothing.
+#[derive(Default)]
+struct Shipped {
+    announced: Option<ConjunctiveQuery>,
+    chunks: BTreeMap<Node, Instance>,
+}
+
+impl Transport for Shipped {
+    fn begin_round(
+        &mut self,
+        _round: usize,
+        query: &ConjunctiveQuery,
+    ) -> Result<(), TransportError> {
+        self.announced = Some(query.clone());
+        Ok(())
+    }
+
+    fn send(&mut self, node: Node, shipment: Shipment) -> Result<(), TransportError> {
+        let Shipment::Delta(chunk) = shipment else {
+            panic!("a feedback run ships deltas");
+        };
+        self.chunks.insert(node, (*chunk).clone());
+        Ok(())
+    }
+
+    fn barrier(&mut self) -> Result<(), TransportError> {
+        Ok(())
+    }
+
+    fn recv(&mut self, _node: Node) -> Result<NodeResult, TransportError> {
+        let eval_time = std::time::Duration::ZERO;
+        Ok(NodeResult {
+            output: Instance::new(),
+            eval_time,
+        })
+    }
+}
+
+/// What a feedback run's first round ships when its state is `facts`: the
+/// engine's own reshuffle of `facts` under `policy` (split when the plan
+/// splits), and the query the round announces.
+fn delta_chunks(
+    policy: &dyn DistributionPolicy,
+    q: &ConjunctiveQuery,
+    facts: &Instance,
+) -> (ConjunctiveQuery, BTreeMap<Node, Instance>) {
+    let mut transport = Shipped::default();
+    MultiRoundEngine::new(RoundSchedule::repeat(policy))
+        .feedback_into("R")
+        .evaluate_via(&mut transport, q, facts)
+        .unwrap();
+    (
+        transport.announced.expect("one round ran"),
+        transport.chunks,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48).with_rng_seed(0x5_D317A))]
+
+    /// Lemma 5.7 for delta rounds: under a Hypercube policy of the query
+    /// itself, a split reshuffle of a state and then of a delta, stepped
+    /// through one `DeltaNode` per node, derives each valuation only at
+    /// its home. Every fact node `n` ships in the delta step is the answer
+    /// of a valuation through a new fact whose home is `n`, and not one
+    /// `n` shipped before; the home answers through a new fact, over all
+    /// nodes, are exactly the central semi-naive step.
+    #[test]
+    fn split_delta_rounds_derive_each_valuation_at_its_home(
+        state in instance_strategy(),
+        delta in instance_strategy(),
+        which in 0usize..3,
+        buckets in 1usize..3,
+        spread in proptest::collection::vec(1usize..4, 4..5),
+    ) {
+        let splittable: Vec<&str> = PLANNED_QUERIES
+            .into_iter()
+            .filter(|t| ConjunctiveQuery::parse(t).unwrap().has_self_joins())
+            .collect();
+        let q = ConjunctiveQuery::parse(splittable[which]).unwrap();
+        let all = Instance::from_facts(state.facts().chain(delta.facts()).cloned());
+        let fresh = delta.difference(&state);
+        let step = cq::evaluate_seminaive_step(&q, &all, &fresh);
+        for (name, policy, _, splits) in split_zoo(&all, &q, buckets, &spread) {
+            if !splits {
+                continue;
+            }
+            let hypercube = policy.as_hypercube().expect("only Hypercube policies split");
+            let (split, first) = delta_chunks(policy.as_ref(), &q, &state);
+            let (again, second) = delta_chunks(policy.as_ref(), &q, &delta);
+            prop_assert_ne!(&split, &q, "{}: the round announces the split query", name);
+            prop_assert_eq!(&split, &again);
+            // The home answers of every node over the state, and over the
+            // state and delta through at least one new fact.
+            let mut homes: BTreeMap<Node, (Instance, Instance)> = BTreeMap::new();
+            for v in cq::satisfying_valuations(&q, &all) {
+                let home = hypercube.node_for_valuation(&v).expect("total hashes");
+                let (old, new) = homes.entry(home).or_default();
+                let body = v.required_facts(&q);
+                if state.contains_all(&body) {
+                    old.insert(v.derived_fact(&q));
+                }
+                if body.facts().any(|f| fresh.contains(f)) {
+                    new.insert(v.derived_fact(&q));
+                }
+            }
+            let mut union = Instance::new();
+            let empty = (Instance::new(), Instance::new());
+            for node in policy.network().nodes() {
+                let (old, new) = homes.get(&node).unwrap_or(&empty);
+                union.absorb(new);
+                let mut delta_node = distribution::DeltaNode::new();
+                let shipped = delta_node.step(&split, first.get(&node).unwrap_or(&empty.0));
+                prop_assert_eq!(&shipped, old, "{} at {}: state round", name, node);
+                let shipped = delta_node.step(&split, second.get(&node).unwrap_or(&empty.0));
+                prop_assert_eq!(&shipped, &new.difference(old), "{} at {}: delta round", name, node);
+            }
+            prop_assert_eq!(&union, &step, "{}: the home answers are the central step", name);
+        }
     }
 }
 

@@ -12,6 +12,9 @@
 //! * [`instance`] — every subinstance of an instance;
 //! * [`pc`] — parallel-correctness by Definition 3.1 on every subinstance
 //!   of `facts(P)`, the check Lemma 3.4's (C1) decider must agree with;
+//! * [`rounds`] — the iterated query's global fixpoint by re-evaluating the
+//!   whole state every round, which the semi-naive
+//!   `MultiRoundEngine::reference_fixpoint` must equal;
 //! * [`transfer`] — the separating policy of Lemma 4.2's proof, which every
 //!   transfer violation must witness.
 //!
@@ -34,6 +37,7 @@
 pub mod eval;
 pub mod instance;
 pub mod pc;
+pub mod rounds;
 pub mod transfer;
 
 pub use eval::{
@@ -42,4 +46,5 @@ pub use eval::{
 };
 pub use instance::subsets;
 pub use pc::check_parallel_correctness_naive;
+pub use rounds::naive_fixpoint;
 pub use transfer::violation_separates;

@@ -49,7 +49,7 @@
 //! requeued job into a round-0 **state rebuild** carrying the node's full
 //! accumulated input. The rebuilt node re-derives outputs it had already
 //! shipped — harmless for the fixpoint (the engine unions results and
-//! deduplicates deltas) — and later rounds go back to shipping plain
+//! deduplicates deltas) — and later rounds go back to shipping only the
 //! deltas. When no worker survives, the round fails with the last death's
 //! `TransportError`, the worker's stderr tail appended.
 
@@ -1110,7 +1110,7 @@ mod tests {
         assert_eq!(*shard, facts("R(c, d)."));
         assert_eq!(core.registry.counter_value("state_rebuilds"), 2);
 
-        // Rebuilt once: the next round ships the plain delta again.
+        // Rebuilt once: the next round ships only its delta again.
         core.begin_round(2, &query).unwrap();
         core.send(delta_node, Shipment::Delta(facts("R(c, d).")))
             .unwrap();

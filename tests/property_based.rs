@@ -183,9 +183,13 @@ proptest! {
         prop_assert!(expected.contains_all(&r.result));
     }
 
-    /// Differential: at the whole-stack level, a one-round-capped
-    /// `MultiRoundEngine` agrees exactly with `OneRoundEngine` on random
-    /// explicit policies (including skipping, replicating ones).
+    /// At the whole-stack level, on random explicit policies (including
+    /// skipping, replicating ones): a one-round run answers the union of
+    /// its chunks' answers under `distribute`, and `Q(I)` — by the triejoin
+    /// and by the scan oracle — where the (C1) decider says the policy is
+    /// parallel-correct on every subinstance of `I`. `OneRoundEngine` is
+    /// the loop capped at one round,
+    /// so comparing the two is a determinism check.
     #[test]
     fn multi_round_capped_at_one_agrees_with_one_round(
         qseed in 0u64..1000,
@@ -204,6 +208,15 @@ proptest! {
         let multi = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
             .rounds(1)
             .evaluate(&query, &instance);
+        let mut union = Instance::new();
+        for (_, chunk) in policy.distribute(&instance).chunks() {
+            union.absorb(&evaluate(&query, chunk));
+        }
+        prop_assert_eq!(&*multi.result, &union);
+        if check_parallel_correctness_bounded(&query, &policy, &instance).is_correct() {
+            prop_assert_eq!(&*multi.result, &evaluate(&query, &instance));
+            prop_assert_eq!(&*multi.result, &Evaluator::Scan.evaluate(&query, &instance));
+        }
         prop_assert_eq!(multi.rounds_run(), 1);
         prop_assert_eq!(&multi.result, &one.result);
         prop_assert_eq!(&multi.rounds[0].per_node_load, &one.per_node_load);

@@ -538,18 +538,53 @@ fn every_transport_equals_the_central_scan_oracle() {
 #[test]
 fn multi_round_wire_runs_equal_the_reference_fixpoint() {
     // Full rounds without feedback and delta rounds with it, on every
-    // transport.
+    // transport. chain:2 repeats `R` and every policy is its own
+    // Hypercube, so every round of all three runs is split by body atom.
     let query = named_query("chain:2").unwrap();
     let instance = instance_for(&query, 43);
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
+    // The second schedule entry of the re-sharding run: it resets the
+    // nodes at round 1 and ships its later rounds as split deltas.
+    let wider = HypercubePolicy::uniform(&query, 3).unwrap();
+    let resharded = RoundSchedule::of(vec![&policy as &dyn DistributionPolicy, &wider]);
     let mut process = spawn_transport(2);
     let mut socket = spawn_workers(SOCKETS, 2);
-    for feedback in [false, true] {
-        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy)).rounds(6);
-        let engine = match feedback {
-            true => engine.feedback_into("R"),
-            false => engine,
-        };
+    let repeat = || MultiRoundEngine::new(RoundSchedule::repeat(&policy)).rounds(6);
+    let runs = [
+        (
+            "full rounds",
+            repeat(),
+            vec![],
+            vec!["round 0: entry 0 (8 nodes), full chunks split into 2 atom parts"],
+        ),
+        (
+            "delta rounds",
+            repeat().feedback_into("R"),
+            vec![],
+            vec!["rounds 0-5: entry 0 (8 nodes), reset at round 0, delta rounds 1-5, split into 2 atom parts"],
+        ),
+        (
+            "delta rounds re-sharded at round 1",
+            MultiRoundEngine::new(resharded)
+                .rounds(6)
+                .feedback_into("R"),
+            vec![1],
+            vec![
+                "round 0: entry 0 (8 nodes), reset at round 0, split into 2 atom parts",
+                "rounds 1-5: entry 1 (27 nodes), reset at round 1, delta rounds 2-5, split into 2 atom parts",
+            ],
+        ),
+    ];
+    for (run, engine, reshards, slots) in &runs {
+        let plan = engine.plan(std::slice::from_ref(&query), &mut |_, _| false);
+        let printed: Vec<String> = plan
+            .to_string()
+            .lines()
+            .skip(2)
+            .map(str::trim)
+            .map(String::from)
+            .collect();
+        assert_eq!(&printed, slots, "{run}");
         let reference = engine.reference_fixpoint(&query, &instance);
         let in_memory = engine.evaluate(&query, &instance);
         let via_process = engine
@@ -561,9 +596,10 @@ fn multi_round_wire_runs_equal_the_reference_fixpoint() {
             ("process", via_process),
             ("socket", via_socket),
         ] {
-            let context = format!("feedback={feedback}: the {label} run");
+            let context = format!("{run}: the {label} run");
             assert_eq!(*outcome.result, reference.result, "{context}");
             assert_eq!(outcome.rounds_run(), reference.rounds, "{context}");
+            assert_eq!(&outcome.reshard_rounds, reshards, "{context}");
         }
     }
 }
