@@ -25,6 +25,17 @@
 //!   with anything: its values are read straight off the run. No row set is
 //!   materialised, nothing is hashed and nothing allocated inside the
 //!   search.
+//! * **The last variable opens no run.** At the plan's last depth, when
+//!   the variable fills one column of each of two or more atoms — the
+//!   triangle, the 4-cycle, the 4-clique — every other column is bound, so
+//!   that column is each atom's last and a common value is exactly one row
+//!   of each run. The runs are intersected without pushing a range: two
+//!   runs by one linear merge, which reads every row at most once, or, when
+//!   one run is at least 16 times the other, by a gallop through the long
+//!   run per row of the short one; three or more by leapfrogging and
+//!   stepping each cursor past its row. The values still ascend, so the
+//!   leaf order is unchanged. (A chain, a closure or a relax query ends in
+//!   a variable of one atom, read straight off its run.)
 //! * **The variable order, and so the leaf order, is fixed by the query.**
 //!   Pre-bound slots come first. Then, one at a time: a variable that shares
 //!   an atom with a variable already bound goes before one that does not
@@ -42,19 +53,22 @@
 //! * **Answers as packed keys.** `evaluate*` project every satisfying
 //!   assignment onto the head slots and collect the projections with set
 //!   semantics *before any [`Fact`] exists*. A head of arity ≤ 4 — every
-//!   projecting head the workloads use — packs into one `u128` key, each
-//!   value's 32-bit symbol id with the first head value in the high bits, so
-//!   a derivation costs one integer hash probe. The keys of one head order
-//!   as its tuples do (an opaque id keeps its place after the named ones),
-//!   so the distinct keys are sorted as integers and unpacked into ascending
-//!   rows that [`Instance::from_relations`] moves in: no [`Fact`] is sorted.
+//!   projecting head the workloads use — packs into one integer key (a
+//!   `u64` up to arity 2, a `u128` up to 4), each value's 32-bit symbol id
+//!   with the first head value in the high bits, so a derivation costs one
+//!   integer hash probe. The keys of one head order as its tuples do (an
+//!   opaque id keeps its place after the named ones), so the distinct keys
+//!   are sorted as integers and unpacked into ascending rows that
+//!   [`Instance::from_relations`] moves in: no [`Fact`] is sorted.
 //!   A wider head keeps a set of [`Tuple`]s and one [`Instance::from_facts`]
 //!   at the end. Either way the work per derivation is a probe and the
 //!   allocations are O(answers), never O(valuations). (`evaluate_done` in a
 //!   trace carries both counts.) A full evaluation of a query whose head
 //!   mentions every variable skips the set: each leaf of one enumeration is
-//!   a new answer there, valuations = answers, and the bulk build's sort
-//!   and dedup finish the job.
+//!   a new answer there, valuations = answers, so a packable head pushes
+//!   its key onto a plain vector, sorted as integers at the end — one pass
+//!   when the leaf order is the head order, as on the triangle — and only a
+//!   head wider than 4 collects [`Fact`]s for the bulk build's sort.
 //! * **Valuations only at the boundary.** [`CompiledQuery`] is public:
 //!   [`CompiledQuery::for_each_satisfying`] hands every leaf's slot array to
 //!   the caller, which is what the decision procedures of `pc-core` loop
@@ -69,12 +83,13 @@
 //! matches an atom of its own arity, so ill-formed (mixed-arity) relations
 //! evaluate the same under both.
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 use crate::atom::{Atom, Variable};
-use crate::fact::{self, Fact, Tuple, PACKED_ARITY};
+use crate::fact::{self, Fact, Key, Tuple, NARROW_ARITY, PACKED_ARITY};
 use crate::instance::{Instance, SortedOrder};
 use crate::intern::{Symbol, SymbolHashBuilder};
 use crate::query::ConjunctiveQuery;
@@ -363,6 +378,33 @@ impl Rows<'_> {
         tests::VALUES_READ.with(|reads| reads.set(reads.get() + 1));
         self.values[row * self.arity + col]
     }
+
+    /// The first of the rows `lo..hi` whose column `col` is no longer
+    /// `below` (which must hold for a prefix of them), found by doubling
+    /// steps from `lo`: O(log distance), which is what makes intersecting a
+    /// short column with a long one cheap.
+    fn gallop(self, lo: usize, hi: usize, col: usize, below: impl Fn(Value) -> bool) -> usize {
+        let below = |row: usize| below(self.at(row, col));
+        if lo == hi || !below(lo) {
+            return lo;
+        }
+        let (mut lo, mut step) = (lo, 1);
+        while lo + step < hi && below(lo + step) {
+            lo += step;
+            step *= 2;
+        }
+        let mut hi = hi.min(lo + step);
+        lo += 1;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if below(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
 }
 
 /// One body atom's position in its trie — the [`SortedOrder`] of the atom's
@@ -389,33 +431,6 @@ impl<'a> TrieCursor<'a> {
         TrieCursor { rows, runs }
     }
 
-    /// The first of the rows `lo..hi` whose column `col` is no longer
-    /// `below` (which must hold for a prefix of them), found by doubling
-    /// steps from `lo`: O(log distance), which is what makes intersecting a
-    /// short column with a long one cheap.
-    fn gallop(&self, lo: usize, hi: usize, col: usize, below: impl Fn(Value) -> bool) -> usize {
-        let below = |row: usize| below(self.rows.at(row, col));
-        if lo == hi || !below(lo) {
-            return lo;
-        }
-        let (mut lo, mut step) = (lo, 1);
-        while lo + step < hi && below(lo + step) {
-            lo += step;
-            step *= 2;
-        }
-        let mut hi = hi.min(lo + step);
-        lo += 1;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if below(mid) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
     /// The innermost run and the column that is next to bind in it.
     fn top(&self) -> (Run, usize) {
         let col = self.runs.len() - 1;
@@ -438,7 +453,9 @@ impl<'a> TrieCursor<'a> {
     /// [`TrieCursor::key`] it arrives at.
     fn seek(&mut self, target: Value) -> Option<Value> {
         let (run, col) = self.top();
-        self.runs[col].next = self.gallop(run.next, run.end, col, |value| value < target);
+        self.runs[col].next = self
+            .rows
+            .gallop(run.next, run.end, col, |value| value < target);
         self.key()
     }
 
@@ -447,8 +464,12 @@ impl<'a> TrieCursor<'a> {
     /// non-empty; [`TrieCursor::close`] undoes the binding either way.
     fn open(&mut self, value: Value) -> bool {
         let (run, col) = self.top();
-        let start = self.gallop(run.next, run.end, col, |other| other < value);
-        let end = self.gallop(start, run.end, col, |other| other <= value);
+        let start = self
+            .rows
+            .gallop(run.next, run.end, col, |other| other < value);
+        let end = self
+            .rows
+            .gallop(start, run.end, col, |other| other <= value);
         self.runs[col].next = end;
         let next = start;
         self.runs.push(Run { start, end, next });
@@ -459,6 +480,13 @@ impl<'a> TrieCursor<'a> {
     fn close(&mut self) {
         self.runs.pop();
     }
+
+    /// Passes the row at [`TrieCursor::key`]: in a run whose next column is
+    /// its last, a value is one row.
+    fn step(&mut self) {
+        let (run, col) = self.top();
+        self.runs[col].next = run.next + 1;
+    }
 }
 
 /// One depth of a triejoin: the slot it binds and where its values come
@@ -468,9 +496,23 @@ struct Depth {
     /// The atoms the slot's variable occurs in, in body order, each with the
     /// number of its columns the variable fills.
     atoms: Vec<(usize, usize)>,
+    bind: Bind,
+}
+
+/// How a depth finds its values.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Bind {
     /// The variable occurs once, in the last column of its one atom: its
     /// values are that atom's innermost run, read row by row.
-    direct: bool,
+    Direct,
+    /// The last depth, where every one of two or more atoms has the
+    /// variable in one column, its last: the runs' last columns are
+    /// intersected, and a common value is one row of each run, so no run
+    /// is opened.
+    Last,
+    /// Any other depth: leapfrog to each common value and open its run in
+    /// every atom before going deeper.
+    Open,
 }
 
 /// The order a triejoin binds the unbound slots of one query in — see the
@@ -513,12 +555,8 @@ impl TriePlan {
                 .max_by_key(|&slot| (reach(slot), occurrences(slot)))
                 .expect("one unbound slot a depth");
             bound_at[slot] = Some(depth + 1);
-            let (atoms, direct) = (Vec::new(), false);
-            depths.push(Depth {
-                slot,
-                atoms,
-                direct,
-            });
+            let (atoms, bind) = (Vec::new(), Bind::Open);
+            depths.push(Depth { slot, atoms, bind });
         }
         let mut plan = TriePlan {
             depths,
@@ -540,11 +578,24 @@ impl TriePlan {
                 }
             }
         }
+        let last = plan.depths.len().checked_sub(1);
         for depth in 0..plan.depths.len() {
-            if let [(atom, 1)] = plan.depths[depth].atoms[..] {
-                let last = *plan.columns(query, atom).last().expect("the slot's column");
-                plan.depths[depth].direct = query.atom(atom)[last] == plan.depths[depth].slot;
-            }
+            let Depth { slot, atoms, .. } = &plan.depths[depth];
+            let bind = if let [(atom, 1)] = atoms[..] {
+                let column = *plan.columns(query, atom).last().expect("the slot's column");
+                if query.atom(atom)[column] == *slot {
+                    Bind::Direct
+                } else {
+                    Bind::Open
+                }
+            } else if Some(depth) == last && atoms.iter().all(|&(_, filled)| filled == 1) {
+                // Every column is bound by now, so the slot's is each
+                // atom's last.
+                Bind::Last
+            } else {
+                Bind::Open
+            };
+            plan.depths[depth].bind = bind;
         }
         plan
     }
@@ -635,29 +686,37 @@ where
 
     fn search(&mut self, depth: usize) -> ControlFlow<()> {
         let depths = self.depths;
-        let Some(Depth {
-            slot,
-            atoms,
-            direct,
-        }) = depths.get(depth)
-        else {
+        let Some(Depth { slot, atoms, bind }) = depths.get(depth) else {
             return (self.leaf)(&self.slots);
         };
-        if *direct {
-            // Distinct rows that agree everywhere else differ here: every
-            // row of the run is one value, and no column is left to narrow.
-            let cursor = &self.cursors[atoms[0].0];
-            let ((run, col), rows) = (cursor.top(), cursor.rows);
-            let mut flow = ControlFlow::Continue(());
-            for row in run.start..run.end {
-                self.slots[*slot] = Some(rows.at(row, col));
-                flow = self.search(depth + 1);
-                if flow.is_break() {
-                    break;
+        let slot = *slot;
+        match bind {
+            Bind::Direct => {
+                // Distinct rows that agree everywhere else differ here:
+                // every row of the run is one value, and no column is left
+                // to narrow.
+                let cursor = &self.cursors[atoms[0].0];
+                let ((run, col), rows) = (cursor.top(), cursor.rows);
+                let mut flow = ControlFlow::Continue(());
+                for row in run.start..run.end {
+                    self.slots[slot] = Some(rows.at(row, col));
+                    flow = self.search(depth + 1);
+                    if flow.is_break() {
+                        break;
+                    }
                 }
+                self.slots[slot] = None;
+                return flow;
             }
-            self.slots[*slot] = None;
-            return flow;
+            Bind::Last => {
+                let flow = match atoms[..] {
+                    [(a, _), (b, _)] => self.merge_last(slot, [a, b]),
+                    _ => self.leapfrog_last(depth),
+                };
+                self.slots[slot] = None;
+                return flow;
+            }
+            Bind::Open => {}
         }
         for &(atom, _) in atoms {
             self.cursors[atom].rewind();
@@ -672,9 +731,9 @@ where
                 }
             }
             let flow = if alive {
-                self.slots[*slot] = Some(value);
+                self.slots[slot] = Some(value);
                 let flow = self.search(depth + 1);
-                self.slots[*slot] = None;
+                self.slots[slot] = None;
                 flow
             } else {
                 ControlFlow::Continue(())
@@ -688,7 +747,82 @@ where
         }
         ControlFlow::Continue(())
     }
+
+    /// The last depth over two atoms: the values both innermost runs carry
+    /// in their last column, each one row of each, every one a leaf. Runs
+    /// of comparable length are merged, which reads each row of either at
+    /// most once; a run [`GALLOP_RATIO`] times the other's length or longer
+    /// is galloped through, a seek per row of the short run.
+    fn merge_last(&mut self, slot: usize, atoms: [usize; 2]) -> ControlFlow<()> {
+        let [mut short, mut long] = atoms.map(|atom| {
+            let cursor = &self.cursors[atom];
+            let (run, col) = cursor.top();
+            (cursor.rows, run.start..run.end, col)
+        });
+        if short.1.len() > long.1.len() {
+            (short, long) = (long, short);
+        }
+        let mut leaf = |value: Value| {
+            self.slots[slot] = Some(value);
+            (self.leaf)(&self.slots)
+        };
+        // Each value is read once, when the walk comes to it.
+        let values = |(rows, run, col): (Rows<'a>, Range<usize>, usize)| {
+            run.map(move |row| rows.at(row, col))
+        };
+        let (long_rows, long_run, long_col) = long.clone();
+        if long_run.len() >= GALLOP_RATIO * short.1.len() {
+            let mut from = long_run.start;
+            for value in values(short) {
+                from = long_rows.gallop(from, long_run.end, long_col, |other| other < value);
+                if from == long_run.end {
+                    break;
+                }
+                if long_rows.at(from, long_col) == value {
+                    from += 1;
+                    leaf(value)?;
+                }
+            }
+            return ControlFlow::Continue(());
+        }
+        let (mut xs, mut ys) = (values(short), values(long));
+        let (mut x, mut y) = (xs.next(), ys.next());
+        while let (Some(a), Some(b)) = (x, y) {
+            match a.cmp(&b) {
+                Ordering::Less => x = xs.next(),
+                Ordering::Greater => y = ys.next(),
+                Ordering::Equal => {
+                    leaf(a)?;
+                    (x, y) = (xs.next(), ys.next());
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The last depth over three or more atoms: leapfrog to each common
+    /// value, a leaf, and step every cursor past its one row.
+    fn leapfrog_last(&mut self, depth: usize) -> ControlFlow<()> {
+        let Depth { slot, atoms, .. } = &self.depths[depth];
+        for &(atom, _) in atoms {
+            self.cursors[atom].rewind();
+        }
+        while let Some(value) = self.next_common(depth) {
+            for &(atom, _) in atoms {
+                self.cursors[atom].step();
+            }
+            self.slots[*slot] = Some(value);
+            (self.leaf)(&self.slots)?;
+        }
+        ControlFlow::Continue(())
+    }
 }
+
+/// How many times longer than the other a run must be for the last depth
+/// to gallop through it rather than merge: a seek costs about
+/// 2·log₂(distance) + 2 reads, which at this ratio stays below the rows a
+/// merge would read.
+const GALLOP_RATIO: usize = 16;
 
 /// Enumerates the satisfying valuations of `query` on `instance` that extend
 /// the partial valuation `fixed`, invoking `callback` for each.
@@ -719,21 +853,58 @@ where
 
 /// The head tuples of an evaluation.
 enum Collected {
-    /// Set semantics over packed keys *before any [`Fact`] exists*, for a
-    /// head of arity ≤ [`PACKED_ARITY`] (the key layout is
-    /// [`fact::pack`]'s). The keys of one head order as its tuples do, so
-    /// sorting the integers sorts the answers.
-    Packed(HashSet<u128, SymbolHashBuilder>),
+    /// A head of arity ≤ [`NARROW_ARITY`], as `u64` keys.
+    Narrow(Keys<u64>),
+    /// A head of arity ≤ [`PACKED_ARITY`], as `u128` keys.
+    Packed(Keys<u128>),
     /// Set semantics over tuples, for a head too wide to pack; `scratch`
     /// holds the projection of the leaf at hand.
     Tuples {
         distinct: HashSet<Tuple, SymbolHashBuilder>,
         scratch: Vec<Value>,
     },
-    /// Every leaf is a new answer, so there is nothing to look up: the leaves
-    /// of one enumeration are distinct valuations, and a head in which every
-    /// variable occurs keeps them apart.
+    /// A head too wide to pack whose leaves are all new answers (see
+    /// [`Keys::Each`]).
     Each(Vec<Fact>),
+}
+
+/// Head tuples as packed keys, *before any [`Fact`] exists* (the layout is
+/// [`fact::pack`]'s). The keys of one head order as its tuples do, so
+/// sorting the integers sorts the answers.
+enum Keys<K> {
+    /// Set semantics: one key probe a derivation.
+    Distinct(HashSet<K, SymbolHashBuilder>),
+    /// Every leaf is a new answer, so there is nothing to look up: the
+    /// leaves of one enumeration are distinct valuations, and a head in
+    /// which every variable occurs keeps them apart.
+    Each(Vec<K>),
+}
+
+impl<K: Key> Keys<K> {
+    fn new(each: bool) -> Keys<K> {
+        match each {
+            true => Keys::Each(Vec::new()),
+            false => Keys::Distinct(HashSet::default()),
+        }
+    }
+
+    fn push(&mut self, key: K) {
+        match self {
+            Keys::Distinct(keys) => {
+                keys.insert(key);
+            }
+            Keys::Each(keys) => keys.push(key),
+        }
+    }
+
+    /// The answers, as `relation`'s ascending rows of `arity` values.
+    fn rows(self, relation: Symbol, arity: usize) -> Vec<Fact> {
+        let keys = match self {
+            Keys::Distinct(keys) => keys.into_iter().collect(),
+            Keys::Each(keys) => keys,
+        };
+        fact::unpack_sorted(relation, arity, keys)
+    }
 }
 
 /// The answers of an evaluation: every leaf's projection onto the head.
@@ -751,15 +922,15 @@ impl Answers {
     fn new(compiled: &CompiledQuery<'_>, single_pass: bool) -> Answers {
         let arity = compiled.head.len();
         let full_head = (0..compiled.vars.len()).all(|slot| compiled.head.contains(&slot));
-        let collected = if single_pass && full_head {
-            Collected::Each(Vec::new())
-        } else if arity <= PACKED_ARITY {
-            Collected::Packed(HashSet::default())
-        } else {
-            Collected::Tuples {
+        let each = single_pass && full_head;
+        let collected = match arity {
+            0..=NARROW_ARITY => Collected::Narrow(Keys::new(each)),
+            3..=PACKED_ARITY => Collected::Packed(Keys::new(each)),
+            _ if each => Collected::Each(Vec::new()),
+            _ => Collected::Tuples {
                 distinct: HashSet::default(),
                 scratch: Vec::with_capacity(arity),
-            }
+            },
         };
         Answers {
             relation: compiled.query.head().relation,
@@ -776,9 +947,8 @@ impl Answers {
         let head = self.head.iter();
         let values = head.map(|&slot| slots[slot].expect("every slot is bound at a leaf"));
         match &mut self.collected {
-            Collected::Packed(keys) => {
-                keys.insert(fact::pack(values));
-            }
+            Collected::Narrow(keys) => keys.push(fact::pack(values)),
+            Collected::Packed(keys) => keys.push(fact::pack(values)),
             Collected::Tuples { distinct, scratch } => {
                 scratch.clear();
                 scratch.extend(values);
@@ -794,16 +964,16 @@ impl Answers {
     }
 
     /// The answers as an instance. Packed keys are sorted as integers and
-    /// unpacked into ascending rows, which move in as they stand; the other
-    /// collections go through the bulk build's sort and dedup.
+    /// unpacked into ascending rows, which move in as they stand (keys
+    /// that came in order cost one pass); the wider heads go through the
+    /// bulk build's sort and dedup.
     fn finish(self) -> Instance {
         let relation = self.relation;
         let arity = self.head.len();
+        let packed = |rows| Instance::from_relations(vec![(relation, rows)]);
         let answers = match self.collected {
-            Collected::Packed(keys) => {
-                let rows = fact::unpack_sorted(relation, arity, keys.into_iter().collect());
-                Instance::from_relations(vec![(relation, rows)])
-            }
+            Collected::Narrow(keys) => packed(keys.rows(relation, arity)),
+            Collected::Packed(keys) => packed(keys.rows(relation, arity)),
             Collected::Tuples { distinct, .. } => {
                 let distinct = distinct.into_iter();
                 Instance::from_facts(distinct.map(|values| Fact::new(relation, values)))
@@ -1121,6 +1291,74 @@ mod tests {
     }
 
     #[test]
+    fn the_last_variable_of_a_triangle_reads_each_row_once() {
+        // With `x` and `y` bound, `z` is the last variable and closes
+        // `R(y, z)` and `R(z, x)`: each common value is one row of each
+        // run, so the runs are merged — at most |run₁| + |run₂| reads, past
+        // the seeks that open the pre-bound values — instead of opening
+        // and closing a run per value.
+        let query = q("T(x, y, z) :- R(x, y), R(y, z), R(z, x).");
+        let n = 600;
+        let mut text = String::new();
+        for a in 0..4 {
+            text += &format!("R(a{a}, b{a}). ");
+            // b_a reaches every c_i with i ≡ a (mod 2), and the c_i with
+            // i ≡ a (mod 3) reach a_a: runs of n/2 and n/3 rows
+            text.extend(
+                (0..n)
+                    .filter(|i| i % 2 == a % 2)
+                    .map(|i| format!("R(b{a}, c{i}). ")),
+            );
+            text.extend(
+                (0..n)
+                    .filter(|i| i % 3 == a % 3)
+                    .map(|i| format!("R(c{i}, a{a}). ")),
+            );
+        }
+        let i = parse_instance(&text).unwrap();
+        let rows = i.len() as u64;
+        // Four pre-bound columns, each opened by two gallops of about
+        // 2·log₂(rows) + 2 reads.
+        let open = 8 * (2 * u64::from(rows.ilog2()) + 2);
+        for a in 0..4 {
+            let fixed = Valuation::from_names([("x", &*format!("a{a}")), ("y", &*format!("b{a}"))]);
+            let _ = leaves(&query, &i, None, &fixed); // builds the orders
+            let mut found = Vec::new();
+            let reads = values_read(|| found = leaves(&query, &i, None, &fixed));
+            assert_eq!(found.len(), n / 6, "the c_i with i ≡ {a} (mod 6)");
+            let runs = (n / 2 + n / 3) as u64;
+            assert!(
+                reads <= runs + open,
+                "({a}): {reads} values read for runs of {runs} rows"
+            );
+        }
+    }
+
+    #[test]
+    fn a_skewed_star_reads_no_more_than_opening_a_run_per_value() {
+        // A hub with 1 000 spokes each way and a ring through the spokes:
+        // at the last depth of most triangles one run is the hub's 1 000
+        // rows and the other a spoke's 2, so the merge gallops through the
+        // long run. It reads fewer values than the kernel that leapfrogged
+        // and opened a run per common value, which read PARENT_READS here.
+        const PARENT_READS: u64 = 148_386;
+        let query = q("T(x, y, z) :- R(x, y), R(y, z), R(z, x).");
+        let n = 1000;
+        let mut text = String::new();
+        for i in 0..n {
+            text += &format!("R(h, s{i}). R(s{i}, h). R(s{i}, s{}). ", (i + 1) % n);
+        }
+        let i = parse_instance(&text).unwrap();
+        assert_eq!(evaluate(&query, &i).len(), 3 * n); // builds the orders
+        let reads =
+            values_read(|| assert_eq!(leaves(&query, &i, None, &Valuation::new()).len(), 3 * n));
+        assert!(
+            reads <= PARENT_READS,
+            "{reads} values read, {PARENT_READS} before"
+        );
+    }
+
+    #[test]
     fn early_termination_stops_the_search() {
         let query = q("T(x) :- R(x, y).");
         let i = parse_instance("R(a, b). R(b, c). R(c, d).").unwrap();
@@ -1309,12 +1547,95 @@ mod tests {
         }))
     }
 
+    /// Cyclic queries whose last variable closes two atoms (the triangle,
+    /// projected or not, and the 4-cycle) or three (the 4-clique), and a
+    /// query whose last variable also fills both columns of `R(w, w)`.
+    const CYCLIC_SHAPES: [&str; 5] = [
+        "T(x, y, z) :- R(x, y), R(y, z), R(z, x).",
+        "T(z) :- R(x, y), S(y, z), R(z, x).",
+        "T(x, y, z, w) :- R(x, y), R(y, z), R(z, w), R(w, x).",
+        "T(x, y, z, w) :- R(x, y), R(x, z), R(x, w), R(y, z), R(y, w), R(z, w).",
+        "T(x, y, w) :- R(x, y), R(y, x), R(x, x), R(y, w), R(w, w).",
+    ];
+
+    /// Up to `facts` random `R` and `S` facts over `r0`–`r39`: uniform, or
+    /// skewed so that a few values carry most of the edges.
+    fn binary_instance(random: &mut Random, skewed: bool, facts: usize) -> Instance {
+        let value = |random: &mut Random| {
+            let mut at = random.below(40);
+            if skewed {
+                at = random.below(at + 1);
+                at = random.below(at + 1);
+            }
+            Value::indexed("r", at)
+        };
+        Instance::from_facts((0..facts).map(|_| {
+            let relation = ["R", "S"][random.below(2)];
+            Fact::new(relation, vec![value(random), value(random)])
+        }))
+    }
+
+    /// The kernel's laws on one query over `old ∪ delta`: the leaves of a
+    /// full search, free and under `fixed`, ascend in the plan's variable
+    /// order; a differential pass over `delta` reaches no leaf twice; and
+    /// the step completes the old evaluation. How many of the searches and
+    /// of the passes had a leaf.
+    fn kernel_laws(
+        query: &ConjunctiveQuery,
+        old: &Instance,
+        delta: &Instance,
+        fixed: Valuation,
+        context: &str,
+    ) -> (usize, usize) {
+        let full = old.union(delta);
+        let compiled = CompiledQuery::new(query);
+        let (mut satisfied, mut stepped) = (0, 0);
+        for fixed in [Valuation::new(), fixed] {
+            let walked = leaves(query, &full, None, &fixed);
+            let plan = TriePlan::new(&compiled, &compiled.bind(&fixed), None);
+            let in_order = |leaf: &Vec<Value>| -> Vec<Value> {
+                plan.depths.iter().map(|depth| leaf[depth.slot]).collect()
+            };
+            let ordered: Vec<Vec<Value>> = walked.iter().map(in_order).collect();
+            assert!(
+                ordered.windows(2).all(|pair| pair[0] < pair[1]),
+                "{context}: {query} on {full} under {fixed}: {walked:?}"
+            );
+            satisfied += usize::from(!walked.is_empty());
+        }
+        for pivot in 0..query.body_size() {
+            let walked = leaves(query, &full, Some((pivot, delta)), &Valuation::new());
+            assert_eq!(
+                walked.len(),
+                walked.iter().collect::<BTreeSet<_>>().len(),
+                "{context}: {query}, pivot {pivot}: a leaf twice"
+            );
+            stepped += usize::from(!walked.is_empty());
+        }
+        let step = evaluate_seminaive_step(query, &full, delta);
+        assert_eq!(
+            evaluate(query, old).union(&step),
+            evaluate(query, &full),
+            "{context}: {query}, {delta} into {old}"
+        );
+        (satisfied, stepped)
+    }
+
+    /// A random valuation of some of `query`'s variables over `r0`–`r4`.
+    fn random_fixed(random: &mut Random, query: &ConjunctiveQuery) -> Valuation {
+        let mut fixed = Valuation::new();
+        for &var in CompiledQuery::new(query).variables() {
+            if random.below(4) == 0 {
+                fixed.bind(var, Value::indexed("r", random.below(5)));
+            }
+        }
+        fixed
+    }
+
     #[test]
     fn triejoin_leaves_ascend_once_each_on_random_queries_and_instances() {
         // The kernel's half of the random differential against the scan
-        // oracle (in the `oracle` crate): the leaves come in the plan's
-        // order, a differential pass reaches no leaf twice, and the step
-        // completes the old evaluation.
+        // oracle (in the `oracle` crate, which checks the same shapes).
         let mut random = Random(0x5EED_2015);
         let (mut cyclic, mut satisfied, mut stepped) = (0, 0, 0);
         for round in 0..600 {
@@ -1322,49 +1643,46 @@ mod tests {
             cyclic += usize::from(!crate::is_acyclic(&query));
             let old = random_instance(&mut random, 30);
             let delta = random_instance(&mut random, 8);
-            let full = old.union(&delta);
-            // a full search, free and under a random pre-bound valuation
-            let compiled = CompiledQuery::new(&query);
-            let mut fixed = Valuation::new();
-            for &var in compiled.variables() {
-                if random.below(4) == 0 {
-                    fixed.bind(var, Value::indexed("r", random.below(5)));
-                }
-            }
-            for fixed in [Valuation::new(), fixed] {
-                let walked = leaves(&query, &full, None, &fixed);
-                // lexicographically ascending in the plan's variable order
-                let plan = TriePlan::new(&compiled, &compiled.bind(&fixed), None);
-                let in_order = |leaf: &Vec<Value>| -> Vec<Value> {
-                    plan.depths.iter().map(|depth| leaf[depth.slot]).collect()
-                };
-                let ordered: Vec<Vec<Value>> = walked.iter().map(in_order).collect();
-                assert!(
-                    ordered.windows(2).all(|pair| pair[0] < pair[1]),
-                    "round {round}: {query} on {full} under {fixed}: {walked:?}"
-                );
-                satisfied += usize::from(!walked.is_empty());
-            }
-            // every pivot of a differential step, and the step's law
-            for pivot in 0..query.body_size() {
-                let walked = leaves(&query, &full, Some((pivot, &delta)), &Valuation::new());
-                assert_eq!(
-                    walked.len(),
-                    walked.iter().collect::<BTreeSet<_>>().len(),
-                    "round {round}: {query}, pivot {pivot}: a leaf twice"
-                );
-                stepped += usize::from(!walked.is_empty());
-            }
-            let step = evaluate_seminaive_step(&query, &full, &delta);
-            assert_eq!(
-                evaluate(&query, &old).union(&step),
-                evaluate(&query, &full),
-                "round {round}: {query}, {delta} into {old}"
-            );
+            let fixed = random_fixed(&mut random, &query);
+            let (searches, passes) =
+                kernel_laws(&query, &old, &delta, fixed, &format!("round {round}"));
+            satisfied += searches;
+            stepped += passes;
         }
         assert!(
             cyclic > 20 && satisfied > 200 && stepped > 200,
             "{cyclic} cyclic queries, {satisfied} searches and {stepped} passes with a leaf"
+        );
+        // The cyclic shapes whose last variable closes two or three atoms
+        // at once, and one whose last variable repeats inside an atom, on
+        // uniform and on skewed instances, where one last-depth run is
+        // often many times the other.
+        let mut last = BTreeSet::new();
+        for text in CYCLIC_SHAPES {
+            let query = q(text);
+            for skewed in [false, true] {
+                let mut satisfied = 0;
+                for round in 0..8 {
+                    let old = binary_instance(&mut random, skewed, 300);
+                    let delta = binary_instance(&mut random, skewed, 20);
+                    let fixed = random_fixed(&mut random, &query);
+                    let context = format!("skewed {skewed}, round {round}");
+                    satisfied += kernel_laws(&query, &old, &delta, fixed, &context).0;
+                }
+                assert!(
+                    satisfied > 4,
+                    "{query}, skewed {skewed}: {satisfied} searches with a leaf"
+                );
+            }
+            let compiled = CompiledQuery::new(&query);
+            let plan = TriePlan::new(&compiled, &vec![None; compiled.vars.len()], None);
+            let depth = plan.depths.last().unwrap();
+            last.insert((depth.bind == Bind::Last, depth.atoms.len()));
+        }
+        assert_eq!(
+            last,
+            BTreeSet::from([(true, 2), (true, 3), (false, 2)]),
+            "the shapes close two atoms, three, and an atom twice"
         );
     }
 

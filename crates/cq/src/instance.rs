@@ -4,9 +4,9 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::fact::{Fact, Tuple};
+use crate::fact::{self, Fact, Key, Tuple, NARROW_ARITY, PACKED_ARITY};
 use crate::intern::Symbol;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -61,9 +61,15 @@ impl SortedOrder {
         }
         // The identity order over ascending rows is sorted as it stands.
         if !fresh.chunks_exact(arity).is_sorted() {
-            let mut sorted: Vec<&[Value]> = fresh.chunks_exact(arity).collect();
-            sorted.sort_unstable();
-            fresh = sorted.concat();
+            match arity {
+                1..=NARROW_ARITY => sort_packed::<u64>(&mut fresh, arity),
+                3..=PACKED_ARITY => sort_packed::<u128>(&mut fresh, arity),
+                _ => {
+                    let mut sorted: Vec<&[Value]> = fresh.chunks_exact(arity).collect();
+                    sorted.sort_unstable();
+                    fresh = sorted.concat();
+                }
+            }
         }
         if self.values.is_empty() {
             self.values = fresh;
@@ -109,6 +115,93 @@ impl SortedOrder {
     pub(crate) fn values(&self) -> &[Value] {
         &self.values
     }
+}
+
+/// Sorts the flat rows of `values`, `arity` values each, as integer keys:
+/// the rows' [packed](fact::pack) ids, `arity` of which fit a `K`.
+fn sort_packed<K: Key>(values: &mut [Value], arity: usize) {
+    let pack = |row: &[Value]| fact::pack::<K>(row.iter().copied());
+    let mut keys: Vec<K> = values.chunks_exact(arity).map(pack).collect();
+    keys.sort_unstable();
+    for (row, key) in values.chunks_exact_mut(arity).zip(keys) {
+        for (slot, value) in row.iter_mut().zip(fact::unpack(key, arity)) {
+            *slot = value;
+        }
+    }
+}
+
+/// Facts filed one `(relation, arity)` run at a time — in any order, with
+/// repeats — for an instance to be built from: a run of arity ≤
+/// [`PACKED_ARITY`] holds one [packed](fact::pack) key a fact (a `u64` up
+/// to [`NARROW_ARITY`]), a wider one the facts. The text parser and
+/// [`Instance::union_all`] build this way.
+#[derive(Default)]
+pub(crate) struct Runs(BTreeMap<(Symbol, usize), Run>);
+
+/// The facts of one relation and arity.
+enum Run {
+    Narrow(Vec<u64>),
+    Packed(Vec<u128>),
+    Wide(Vec<Fact>),
+}
+
+impl Runs {
+    /// Files each fact, a relation with its values, in its run.
+    pub(crate) fn extend<V>(&mut self, facts: impl IntoIterator<Item = (Symbol, V)>)
+    where
+        V: ExactSizeIterator<Item = Value>,
+    {
+        let mut last: Option<((Symbol, usize), &mut Run)> = None;
+        for (relation, values) in facts {
+            let key = (relation, values.len());
+            if last.as_ref().is_none_or(|(last, _)| *last != key) {
+                let run = self.0.entry(key).or_insert_with(|| match key.1 {
+                    0..=NARROW_ARITY => Run::Narrow(Vec::new()),
+                    3..=PACKED_ARITY => Run::Packed(Vec::new()),
+                    _ => Run::Wide(Vec::new()),
+                });
+                last = Some((key, run));
+            }
+            let (_, run) = last.as_mut().expect("the fact's run was looked up");
+            match run {
+                Run::Narrow(keys) => keys.push(fact::pack(values)),
+                Run::Packed(keys) => keys.push(fact::pack(values)),
+                Run::Wide(facts) => facts.push(Fact::new(relation, values.collect::<Tuple>())),
+            }
+        }
+    }
+
+    /// The instance of every run: packed runs sorted as integers and
+    /// unpacked, wide ones sorted as facts, each deduplicated. A relation
+    /// filed with several arities has several runs, which
+    /// [`Instance::from_relations`] merges by its sorting fallback.
+    pub(crate) fn finish(self) -> Instance {
+        let blocks = self.0.into_iter().map(|((relation, arity), run)| {
+            let rows = match run {
+                Run::Narrow(keys) => fact::unpack_sorted(relation, arity, keys),
+                Run::Packed(keys) => fact::unpack_sorted(relation, arity, keys),
+                Run::Wide(mut facts) => {
+                    facts.sort_unstable();
+                    facts.dedup();
+                    facts
+                }
+            };
+            (relation, rows)
+        });
+        Instance::from_relations(blocks.collect())
+    }
+}
+
+/// The sorted orders, locked. A panic while they were locked may have left
+/// one half built and has poisoned the lock; the orders are a cache, rebuilt
+/// on demand, so they are all dropped and the instance goes on without them.
+fn lock(orders: &Mutex<Vec<Arc<SortedOrder>>>) -> MutexGuard<'_, Vec<Arc<SortedOrder>>> {
+    orders.lock().unwrap_or_else(|poisoned| {
+        orders.clear_poison();
+        let mut orders = poisoned.into_inner();
+        orders.clear();
+        orders
+    })
 }
 
 /// Each of the ascending `rows` with its place among the ascending
@@ -319,6 +412,26 @@ impl Instance {
         instance
     }
 
+    /// The union of owned instances — a round's node outputs — built as
+    /// the text parser builds: every relation's rows of arity ≤ 4 become
+    /// packed integer keys (each value's 32-bit id), sorted and
+    /// deduplicated once and unpacked into the ascending rows that move
+    /// in, so no [`Fact`] is sorted. Each instance's rows are freed as
+    /// they are packed. Wider rows, and a relation of several arities, are
+    /// sorted as facts, as [`Instance::from_facts`] does.
+    pub fn union_all(instances: impl IntoIterator<Item = Instance>) -> Instance {
+        let mut runs = Runs::default();
+        for instance in instances {
+            for (relation, rows) in instance.relations {
+                runs.extend(
+                    rows.iter()
+                        .map(|fact| (relation, fact.values.iter().copied())),
+                );
+            }
+        }
+        runs.finish()
+    }
+
     /// Inserts a fact. Returns `true` if the fact was not already present.
     ///
     /// A fact above its relation's last row is appended, and the sorted
@@ -363,7 +476,7 @@ impl Instance {
             }
             fresh.shrink_to_fit();
             let rows = self.relations.entry(relation).or_default();
-            let orders = self.orders.get_mut().expect("no order is left half built");
+            let mut orders = lock(&self.orders);
             for order in orders.iter_mut().filter(|order| order.relation == relation) {
                 let order = Arc::make_mut(order);
                 order.catch_up(rows);
@@ -396,8 +509,7 @@ impl Instance {
 
     /// Drops the sorted orders of `relation`: its rows moved.
     fn drop_orders(&mut self, relation: Symbol) {
-        let orders = self.orders.get_mut().expect("no order is left half built");
-        orders.retain(|order| order.relation != relation);
+        lock(&self.orders).retain(|order| order.relation != relation);
     }
 
     /// The rows of `relation` with as many values as `columns` has entries,
@@ -407,7 +519,7 @@ impl Instance {
     /// order is built, so it is built once).
     pub(crate) fn sorted_order(&self, relation: Symbol, columns: &[usize]) -> Arc<SortedOrder> {
         let facts = self.facts_of(relation);
-        let mut orders = self.orders.lock().expect("no order is left half built");
+        let mut orders = lock(&self.orders);
         let cached = orders
             .iter()
             .position(|order| order.relation == relation && *order.columns == *columns);
@@ -429,8 +541,7 @@ impl Instance {
     /// last moved, however much the instance has grown in between. Clones
     /// start at 0.
     pub fn cached_orders(&self) -> usize {
-        let orders = self.orders.lock().expect("no order is left half built");
-        orders.len()
+        lock(&self.orders).len()
     }
 
     /// Whether the instance contains `fact`: one binary search of its
@@ -1089,6 +1200,108 @@ mod tests {
         assert_eq!((i.cached_orders(), j.cached_orders()), (1, 0));
         assert_eq!(i, j);
         assert_eq!(format!("{i}"), format!("{j}"));
+    }
+
+    #[test]
+    fn a_panic_while_the_orders_are_locked_only_empties_the_cache() {
+        // A panic in an order build leaves the lock poisoned. The orders are
+        // a cache: the next use drops them and rebuilds, and every answer
+        // stays the Definition's — each valuation over the active domain
+        // whose body facts the instance holds, read off the rows alone.
+        let query = crate::ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), R(y, z), R(z, x).");
+        let query = query.unwrap();
+        let names = ["a", "b", "c", "d"];
+        let pairs = (0..4).flat_map(|a| (0..4).map(move |b| (a, b)));
+        let pairs = pairs.filter(|(a, b)| (a + 2 * b) % 3 != 0);
+        let i = Instance::from_facts(pairs.map(|(a, b)| edge(names[a], names[b])));
+        let adom: Vec<Value> = i.adom().into_iter().collect();
+        let mut expected = Instance::new();
+        for &x in &adom {
+            for &y in &adom {
+                for &z in &adom {
+                    let v = crate::Valuation::from_iter(
+                        ["x", "y", "z"]
+                            .map(crate::Variable::new)
+                            .into_iter()
+                            .zip([x, y, z]),
+                    );
+                    if v.satisfies(&query, &i) {
+                        expected.insert(v.derived_fact(&query));
+                    }
+                }
+            }
+        }
+        assert!(!expected.is_empty());
+        assert_eq!(crate::evaluate(&query, &i), expected);
+        assert_eq!(i.cached_orders(), 2);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = i.orders.lock().unwrap();
+            panic!("an order build fails half way");
+        }));
+        assert!(poisoned.is_err() && i.orders.is_poisoned());
+        assert_eq!(i.cached_orders(), 0, "the cache is dropped");
+        assert!(!i.orders.is_poisoned(), "and the lock recovered");
+        assert_eq!(crate::evaluate(&query, &i), expected);
+        assert_eq!(i.cached_orders(), 2, "rebuilt on demand");
+        // `&mut` growth recovers the same way.
+        let mut grown = i.clone();
+        let _ = crate::evaluate(&query, &grown);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = grown.orders.lock().unwrap();
+            panic!("an order build fails half way");
+        }));
+        assert_eq!(
+            grown.absorb(&Instance::from_facts([edge("d", "a")])).len(),
+            1
+        );
+        assert_eq!(
+            crate::evaluate(&query, &grown),
+            crate::evaluate(&query, &grown.clone())
+        );
+    }
+
+    /// `union_all` of `outputs` checked against the bulk build of their
+    /// facts, rows and all.
+    fn assert_union_all_is_from_facts(outputs: Vec<Instance>) {
+        let facts = outputs.iter().flat_map(Instance::facts).cloned();
+        let built = Instance::from_facts(facts.collect::<Vec<_>>());
+        let union = Instance::union_all(outputs);
+        assert_eq!(union, built);
+        assert_eq!(union.len(), built.len());
+        for relation in built.relations() {
+            assert_eq!(union.facts_of(relation), built.facts_of(relation));
+        }
+    }
+
+    #[test]
+    fn union_all_is_the_bulk_build_of_its_instances() {
+        let [r, s] = ["R", "S"].map(Symbol::new);
+        let row = |relation, ids: &[u32]| {
+            Fact::new(relation, ids.iter().map(|&id| top(id)).collect::<Vec<_>>())
+        };
+        let of = |facts: Vec<Fact>| Instance::from_facts(facts);
+        // disjoint outputs, and overlapping ones, of arities 0 to 4
+        for arity in 0..=4 {
+            let ids = |base: u32| -> Vec<u32> { (0..arity).map(|k| base + k).collect() };
+            let disjoint = (0..4).map(|n| of((0..5).map(|k| row(r, &ids(10 * k + n))).collect()));
+            assert_union_all_is_from_facts(disjoint.collect());
+            let overlapping = (0..4).map(|n| of((n..n + 5).map(|k| row(r, &ids(k))).collect()));
+            assert_union_all_is_from_facts(overlapping.collect());
+        }
+        // a relation of two arities — in one output, or one per output, the
+        // packable arity first or second — and an arity-6 relation, which
+        // spills out of the key
+        let mixed = vec![row(r, &[1, 2]), row(r, &[3]), row(s, &[1, 2])];
+        assert_union_all_is_from_facts(vec![of(mixed), of(vec![row(r, &[1, 2])])]);
+        let binary = || of(vec![row(r, &[4, 5]), row(r, &[1, 1]), row(s, &[2, 2])]);
+        let unary = || of(vec![row(r, &[7]), row(r, &[1]), row(s, &[2, 2])]);
+        assert_union_all_is_from_facts(vec![binary(), unary(), binary()]);
+        assert_union_all_is_from_facts(vec![unary(), binary()]);
+        let wide = |base: u32| of((0..4).map(|k| row(r, &[base + k, 1, 2, 3, 4, 5])).collect());
+        assert_union_all_is_from_facts(vec![wide(0), wide(2), of(vec![row(s, &[9])])]);
+        assert_union_all_is_from_facts(vec![of(vec![row(r, &[1, 2, 3, 4, 5])]), wide(0)]);
+        assert_union_all_is_from_facts(Vec::new());
+        assert_union_all_is_from_facts(vec![Instance::new(), binary()]);
     }
 
     #[test]

@@ -382,8 +382,8 @@ impl From<String> for Symbol {
 /// procedures probe hash maps by data value on their hot paths; SipHash (the
 /// `std` default) is overkill for a 4-byte id, so this hasher applies one
 /// round of Fibonacci multiply-and-xor-fold per word instead — an id, the
-/// length prefix of a tuple key, or either half of the evaluator's packed
-/// `u128` answer key. It is *not* DoS-resistant — use it
+/// length prefix of a tuple key, the evaluator's packed `u64` answer key or
+/// either half of a `u128` one. It is *not* DoS-resistant — use it
 /// only for keys derived from interned symbols.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SymbolHasher(u64);

@@ -16,16 +16,15 @@
 //! [`BATCH`] facts are lexed into their names, and each batch is interned
 //! under one lock ([`Symbol::intern_all`]), in the order the names complete:
 //! a fact's values, then its relation name. A fact of arity ≤ 4 then becomes
-//! one packed `u128` key in its `(relation, arity)` run; each run is sorted
-//! as integers and unpacked into ascending rows, which
-//! [`Instance::from_relations`] moves in.
+//! one packed integer key (a `u64` up to arity 2, a `u128` up to 4) in its
+//! `(relation, arity)` run; each run is sorted as integers and unpacked
+//! into ascending rows, which [`Instance::from_relations`] moves in.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::atom::{Atom, Variable};
-use crate::fact::{self, Fact, Tuple, PACKED_ARITY};
-use crate::instance::Instance;
+use crate::fact::{Fact, Tuple};
+use crate::instance::{Instance, Runs};
 use crate::intern::Symbol;
 use crate::query::ConjunctiveQuery;
 use crate::value::Value;
@@ -211,12 +210,12 @@ impl<'a> Parser<'a> {
     }
 
     fn instance(&mut self) -> Result<Instance, ParseError> {
-        let mut batch = Batch::default();
+        let (mut batch, mut relation) = (Batch::default(), None);
         let mut runs = Runs::default();
         loop {
             self.skip_ws();
             if self.pos == self.input.len() {
-                runs.add(&mut batch);
+                batch.file(&mut relation, &mut runs);
                 return Ok(runs.finish());
             }
             self.lex_fact(&mut batch)?;
@@ -226,7 +225,7 @@ impl<'a> Parser<'a> {
                 self.skip_ws();
             }
             if batch.facts.len() == BATCH {
-                runs.add(&mut batch);
+                batch.file(&mut relation, &mut runs);
             }
         }
     }
@@ -244,79 +243,25 @@ struct Batch<'a> {
     relation: &'a str,
 }
 
-/// The facts read so far, one run per `(relation, arity)`.
-#[derive(Default)]
-struct Runs {
-    /// The relation of the last fact added; a fact that records no
-    /// relation name has this one.
-    relation: Option<Symbol>,
-    runs: BTreeMap<(Symbol, usize), Run>,
-}
-
-/// The facts of one relation and arity, in text order, repeats included.
-enum Run {
-    /// Arity ≤ [`PACKED_ARITY`]: one [packed](fact::pack) key a fact.
-    Packed(Vec<u128>),
-    /// A wider fact stays whole.
-    Wide(Vec<Fact>),
-}
-
-impl Run {
-    fn new(arity: usize) -> Run {
-        if arity <= PACKED_ARITY {
-            Run::Packed(Vec::new())
-        } else {
-            Run::Wide(Vec::new())
-        }
-    }
-}
-
-impl Runs {
-    /// Interns `batch`'s names under one lock, files each of its facts in
-    /// its run, and empties it.
-    fn add(&mut self, batch: &mut Batch<'_>) {
-        let symbols = Symbol::intern_all(batch.names.drain(..));
+impl Batch<'_> {
+    /// Interns the batch's names under one lock, files each of its facts in
+    /// its run, and empties it. `relation` is the relation of the last fact
+    /// filed, which a fact that records no relation name has.
+    fn file(&mut self, relation: &mut Option<Symbol>, runs: &mut Runs) {
+        let symbols = Symbol::intern_all(self.names.drain(..));
         let mut at = 0;
-        let mut last: Option<((Symbol, usize), &mut Run)> = None;
-        for (arity, named) in batch.facts.drain(..) {
+        let facts = self.facts.drain(..).map(|(arity, named)| {
             let values = symbols[at..at + arity]
                 .iter()
                 .map(|&symbol| Value::from(symbol));
             at += arity;
             if named {
-                self.relation = Some(symbols[at]);
+                *relation = Some(symbols[at]);
                 at += 1;
             }
-            let relation = self.relation.expect("the first fact names its relation");
-            let key = (relation, arity);
-            if last.as_ref().is_none_or(|(last, _)| *last != key) {
-                last = Some((key, self.runs.entry(key).or_insert_with(|| Run::new(arity))));
-            }
-            let (_, run) = last.as_mut().expect("the fact's run was looked up");
-            match run {
-                Run::Packed(keys) => keys.push(fact::pack(values)),
-                Run::Wide(facts) => facts.push(Fact::new(relation, values.collect::<Tuple>())),
-            }
-        }
-    }
-
-    /// The instance of every run: packed runs sorted as integers and
-    /// unpacked, wide ones sorted as facts, each deduplicated. A relation
-    /// read with several arities has several runs, which
-    /// [`Instance::from_relations`] merges by its sorting fallback.
-    fn finish(self) -> Instance {
-        let blocks = self.runs.into_iter().map(|((relation, arity), run)| {
-            let rows = match run {
-                Run::Packed(keys) => fact::unpack_sorted(relation, arity, keys),
-                Run::Wide(mut facts) => {
-                    facts.sort_unstable();
-                    facts.dedup();
-                    facts
-                }
-            };
-            (relation, rows)
+            (relation.expect("the first fact names its relation"), values)
         });
-        Instance::from_relations(blocks.collect())
+        runs.extend(facts);
     }
 }
 

@@ -208,9 +208,11 @@ pub(crate) fn run_round(
     let comm_bytes = transport.take_bytes_shipped();
     let result = {
         let facts: usize = outputs.iter().map(Instance::len).sum();
-        let _span = obs::span!("merge_results", nodes = outputs.len(), facts = facts);
-        // The node outputs are owned: their facts move into the union.
-        Arc::new(outputs.into_iter().flatten().collect())
+        let mut span = obs::span!("merge_results", nodes = outputs.len(), facts = facts);
+        // The node outputs are owned: each is freed as it is packed.
+        let result = Instance::union_all(outputs);
+        span.arg("distinct", result.len());
+        Arc::new(result)
     };
     Ok(OneRoundOutcome {
         result,

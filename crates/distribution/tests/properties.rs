@@ -280,6 +280,77 @@ impl Transport for Recording {
     }
 }
 
+/// `n` random `R` facts over `d0`–`d{domain - 1}` (xorshift64, seeded), each
+/// value its own loop too, so the relax queries' `R(y, y)` has rows.
+fn seeded_instance(seed: u64, domain: u64, n: usize) -> Instance {
+    let mut state = seed;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        Value::indexed("d", (state % domain) as usize)
+    };
+    let edges = (0..n).map(|_| Fact::new("R", vec![next(), next()]));
+    let loops = (0..domain as usize).map(|d| Fact::new("R", vec![Value::indexed("d", d); 2]));
+    Instance::from_facts(edges.chain(loops))
+}
+
+/// Every round merge answers the bulk build of its node outputs, which a
+/// [`Recording`] transport keeps: the disjoint home answers of a split
+/// triangle round; the overlapping answers of relax's second query on the
+/// shards its first left resident; and, over an arity-6 head, keys too
+/// wide to pack.
+#[test]
+fn the_round_merge_is_the_bulk_build_of_the_node_outputs() {
+    let bulk = |outputs: &BTreeMap<Node, Instance>| {
+        Instance::from_facts(outputs.values().flat_map(Instance::facts).cloned())
+    };
+    let sum = |outputs: &BTreeMap<Node, Instance>| outputs.values().map(Instance::len).sum();
+    let i = seeded_instance(0x5EED_2015, 12, 80);
+    // disjoint: the split triangle round's home answers
+    let triangle = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), R(y, z), R(z, x).").unwrap();
+    let policy = HypercubePolicy::uniform(&triangle, 2).unwrap();
+    let mut transport = Recording::default();
+    let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy));
+    let run = engine.evaluate_via(&mut transport, &triangle, &i).unwrap();
+    assert_eq!(*run.result, bulk(&transport.outputs));
+    assert_eq!(*run.result, cq::evaluate(&triangle, &i));
+    assert_eq!(run.result.len(), sum(&transport.outputs), "disjoint");
+    assert!(run.result.len() > 10);
+    // overlapping: relax's Q2 on the shards Q1's split round left resident
+    let relax = [
+        "T(x, z) :- R(x, y), R(y, z), R(y, y).",
+        "T(x, z) :- R(x, y), R(y, z).",
+    ]
+    .map(|text| ConjunctiveQuery::parse(text).unwrap());
+    let policy = HypercubePolicy::uniform(&relax[0], 3).unwrap();
+    let mut transport = Recording::default();
+    let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy));
+    let run = engine
+        .evaluate_queries_via(&mut transport, &relax, &i, &mut |_, _| true)
+        .unwrap();
+    let q2 = &run.per_query[1];
+    assert_eq!(q2.elided_reshuffles, 1, "Q2 runs on the resident shards");
+    assert_eq!(*q2.result, bulk(&transport.outputs));
+    assert_eq!(*q2.result, cq::evaluate(&relax[1], &i));
+    assert!(sum(&transport.outputs) > q2.result.len(), "overlapping");
+    // spilled: an arity-6 head, on a plain round of a self-join-free query
+    let wide = "T(a, b, c, d, e, f) :- R(a, b), S(b, c), U(c, d), V(d, e), W(e, f).";
+    let wide = ConjunctiveQuery::parse(wide).unwrap();
+    let renamed = ["R", "S", "U", "V", "W"].into_iter().flat_map(|relation| {
+        i.facts()
+            .map(move |f| Fact::new(relation, f.values.clone()))
+    });
+    let chain = Instance::from_facts(renamed);
+    let policy = HypercubePolicy::uniform(&wide, 2).unwrap();
+    let mut transport = Recording::default();
+    let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy));
+    let run = engine.evaluate_via(&mut transport, &wide, &chain).unwrap();
+    assert_eq!(*run.result, bulk(&transport.outputs));
+    assert_eq!(*run.result, cq::evaluate(&wide, &chain));
+    assert!(run.result.len() > 10);
+}
+
 /// A strategy for small instances over one binary relation `R`.
 fn instance_strategy() -> impl Strategy<Value = Instance> {
     let fact = (0..6usize, 0..6usize);

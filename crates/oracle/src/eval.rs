@@ -653,6 +653,89 @@ mod tests {
         }))
     }
 
+    /// The triejoin against the scan on one query over `old ∪ delta`: the
+    /// same leaf set in a full search, free and under `fixed`, and in every
+    /// differential pass over `delta`; and the step completes the scan's
+    /// evaluation of `old`. How many of the searches and of the passes had
+    /// a leaf.
+    fn agree(
+        query: &ConjunctiveQuery,
+        old: &Instance,
+        delta: &Instance,
+        fixed: Valuation,
+        context: &str,
+    ) -> (usize, usize) {
+        let full = old.union(delta);
+        let (mut satisfied, mut stepped) = (0, 0);
+        for fixed in [Valuation::new(), fixed] {
+            let scanned = leaves(query, &full, None, &fixed, Evaluator::Scan);
+            let walked = leaves(query, &full, None, &fixed, Evaluator::Triejoin);
+            assert_eq!(
+                walked.iter().collect::<BTreeSet<_>>(),
+                scanned.iter().collect::<BTreeSet<_>>(),
+                "{context}: {query} on {full} under {fixed}"
+            );
+            satisfied += usize::from(!walked.is_empty());
+        }
+        for pivot in 0..query.body_size() {
+            let pass = Some((pivot, delta));
+            let scanned = leaves(query, &full, pass, &Valuation::new(), Evaluator::Scan);
+            let walked = leaves(query, &full, pass, &Valuation::new(), Evaluator::Triejoin);
+            assert_eq!(
+                walked.iter().collect::<BTreeSet<_>>(),
+                scanned.iter().collect::<BTreeSet<_>>(),
+                "{context}: {query}, pivot {pivot}, {delta} into {full}"
+            );
+            stepped += usize::from(!walked.is_empty());
+        }
+        let step = cq::evaluate_seminaive_step(query, &full, delta);
+        assert_eq!(
+            cq::evaluate(query, old).union(&step),
+            evaluate(query, &full),
+            "{context}: {query}, {delta} into {old}"
+        );
+        (satisfied, stepped)
+    }
+
+    /// A random valuation of some of `query`'s variables over `r0`–`r4`.
+    fn random_fixed(random: &mut Random, query: &ConjunctiveQuery) -> Valuation {
+        let mut fixed = Valuation::new();
+        for &var in CompiledQuery::new(query).variables() {
+            if random.below(4) == 0 {
+                fixed.bind(var, Value::indexed("r", random.below(5)));
+            }
+        }
+        fixed
+    }
+
+    /// The cyclic shapes of `cq`'s kernel test: the last variable closes
+    /// two atoms (the triangle, projected or not, and the 4-cycle) or three
+    /// (the 4-clique), or also fills both columns of `R(w, w)`.
+    const CYCLIC_SHAPES: [&str; 5] = [
+        "T(x, y, z) :- R(x, y), R(y, z), R(z, x).",
+        "T(z) :- R(x, y), S(y, z), R(z, x).",
+        "T(x, y, z, w) :- R(x, y), R(y, z), R(z, w), R(w, x).",
+        "T(x, y, z, w) :- R(x, y), R(x, z), R(x, w), R(y, z), R(y, w), R(z, w).",
+        "T(x, y, w) :- R(x, y), R(y, x), R(x, x), R(y, w), R(w, w).",
+    ];
+
+    /// Up to `facts` random `R` and `S` facts over `r0`–`r39`: uniform, or
+    /// skewed so that a few values carry most of the edges.
+    fn binary_instance(random: &mut Random, skewed: bool, facts: usize) -> Instance {
+        let value = |random: &mut Random| {
+            let mut at = random.below(40);
+            if skewed {
+                at = random.below(at + 1);
+                at = random.below(at + 1);
+            }
+            Value::indexed("r", at)
+        };
+        Instance::from_facts((0..facts).map(|_| {
+            let relation = ["R", "S"][random.below(2)];
+            Fact::new(relation, vec![value(random), value(random)])
+        }))
+    }
+
     #[test]
     fn triejoin_equals_the_scan_oracle_on_random_queries_and_instances() {
         let mut random = Random(0x5EED_2015);
@@ -662,48 +745,32 @@ mod tests {
             cyclic += usize::from(!cq::is_acyclic(&query));
             let old = random_instance(&mut random, 30);
             let delta = random_instance(&mut random, 8);
-            let full = old.union(&delta);
-            // a full search, free and under a random pre-bound valuation
-            let compiled = CompiledQuery::new(&query);
-            let mut fixed = Valuation::new();
-            for &var in compiled.variables() {
-                if random.below(4) == 0 {
-                    fixed.bind(var, Value::indexed("r", random.below(5)));
-                }
-            }
-            for fixed in [Valuation::new(), fixed] {
-                let scanned = leaves(&query, &full, None, &fixed, Evaluator::Scan);
-                let walked = leaves(&query, &full, None, &fixed, Evaluator::Triejoin);
-                assert_eq!(
-                    walked.iter().collect::<BTreeSet<_>>(),
-                    scanned.iter().collect::<BTreeSet<_>>(),
-                    "round {round}: {query} on {full} under {fixed}"
-                );
-                satisfied += usize::from(!walked.is_empty());
-            }
-            // every pivot of a differential step, and the step's law
-            for pivot in 0..query.body_size() {
-                let pass = Some((pivot, &delta));
-                let scanned = leaves(&query, &full, pass, &Valuation::new(), Evaluator::Scan);
-                let walked = leaves(&query, &full, pass, &Valuation::new(), Evaluator::Triejoin);
-                assert_eq!(
-                    walked.iter().collect::<BTreeSet<_>>(),
-                    scanned.iter().collect::<BTreeSet<_>>(),
-                    "round {round}: {query}, pivot {pivot}, {delta} into {full}"
-                );
-                stepped += usize::from(!walked.is_empty());
-            }
-            let step = cq::evaluate_seminaive_step(&query, &full, &delta);
-            assert_eq!(
-                cq::evaluate(&query, &old).union(&step),
-                evaluate(&query, &full),
-                "round {round}: {query}, {delta} into {old}"
-            );
+            let fixed = random_fixed(&mut random, &query);
+            let (searches, passes) = agree(&query, &old, &delta, fixed, &format!("round {round}"));
+            satisfied += searches;
+            stepped += passes;
         }
         assert!(
             cyclic > 20 && satisfied > 200 && stepped > 200,
             "{cyclic} cyclic queries, {satisfied} searches and {stepped} passes with a leaf"
         );
+        for text in CYCLIC_SHAPES {
+            let query = q(text);
+            for skewed in [false, true] {
+                let mut satisfied = 0;
+                for round in 0..4 {
+                    let old = binary_instance(&mut random, skewed, 300);
+                    let delta = binary_instance(&mut random, skewed, 20);
+                    let fixed = random_fixed(&mut random, &query);
+                    let context = format!("skewed {skewed}, round {round}");
+                    satisfied += agree(&query, &old, &delta, fixed, &context).0;
+                }
+                assert!(
+                    satisfied > 2,
+                    "{query}, skewed {skewed}: {satisfied} searches with a leaf"
+                );
+            }
+        }
     }
 
     #[test]

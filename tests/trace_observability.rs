@@ -141,6 +141,7 @@ fn a_split_round_traces_its_parts_and_merges_only_home_answers() {
     assert_eq!(span_arg(&events, "distribute", "parts"), "3");
     let merged = outcome.result.len().to_string();
     assert_eq!(span_arg(&events, "merge_results", "facts"), merged);
+    assert_eq!(span_arg(&events, "merge_results", "distinct"), merged);
     // A self-join-free query's round stays plain.
     let join = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), S(y, z).").unwrap();
     let instance = instance_for(&join, 5);
@@ -151,6 +152,10 @@ fn a_split_round_traces_its_parts_and_merges_only_home_answers() {
     assert_eq!(
         span_arg(&events, "merge_results", "facts"),
         answers.to_string()
+    );
+    assert_eq!(
+        span_arg(&events, "merge_results", "distinct"),
+        outcome.result.len().to_string()
     );
 }
 
