@@ -30,12 +30,12 @@
 //!   triangle, the 4-cycle, the 4-clique — every other column is bound, so
 //!   that column is each atom's last and a common value is exactly one row
 //!   of each run. The runs are intersected without pushing a range: two
-//!   runs by one linear merge, which reads every row at most once, or, when
-//!   one run is at least 16 times the other, by a gallop through the long
-//!   run per row of the short one; three or more by leapfrogging and
-//!   stepping each cursor past its row. The values still ascend, so the
-//!   leaf order is unchanged. (A chain, a closure or a relax query ends in
-//!   a variable of one atom, read straight off its run.)
+//!   runs of comparable length by one linear merge, which reads every row
+//!   at most once; three, or two of which one is at least 16 times the
+//!   other, by leapfrogging (a gallop through the long run per row of the
+//!   short one) and stepping each cursor past its row. The values still
+//!   ascend, so the leaf order is unchanged. (A chain, a closure or a relax
+//!   query ends in a variable of one atom, read straight off its run.)
 //! * **The variable order, and so the leaf order, is fixed by the query.**
 //!   Pre-bound slots come first. Then, one at a time: a variable that shares
 //!   an atom with a variable already bound goes before one that does not
@@ -85,11 +85,11 @@
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
-use std::ops::{ControlFlow, Range};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crate::atom::{Atom, Variable};
-use crate::fact::{self, Fact, Key, Tuple, NARROW_ARITY, PACKED_ARITY};
+use crate::fact::{self, Fact, Tuple, NARROW_ARITY, PACKED_ARITY};
 use crate::instance::{Instance, SortedOrder};
 use crate::intern::{Symbol, SymbolHashBuilder};
 use crate::query::ConjunctiveQuery;
@@ -710,7 +710,7 @@ where
             }
             Bind::Last => {
                 let flow = match atoms[..] {
-                    [(a, _), (b, _)] => self.merge_last(slot, [a, b]),
+                    [(a, _), (b, _)] if !self.skewed([a, b]) => self.merge_last(slot, [a, b]),
                     _ => self.leapfrog_last(depth),
                 };
                 self.slots[slot] = None;
@@ -748,51 +748,35 @@ where
         ControlFlow::Continue(())
     }
 
-    /// The last depth over two atoms: the values both innermost runs carry
-    /// in their last column, each one row of each, every one a leaf. Runs
-    /// of comparable length are merged, which reads each row of either at
-    /// most once; a run [`GALLOP_RATIO`] times the other's length or longer
-    /// is galloped through, a seek per row of the short run.
-    fn merge_last(&mut self, slot: usize, atoms: [usize; 2]) -> ControlFlow<()> {
-        let [mut short, mut long] = atoms.map(|atom| {
-            let cursor = &self.cursors[atom];
-            let (run, col) = cursor.top();
-            (cursor.rows, run.start..run.end, col)
+    /// Whether one of two atoms' innermost runs is [`GALLOP_RATIO`] times
+    /// the other's length or longer.
+    fn skewed(&self, atoms: [usize; 2]) -> bool {
+        let [a, b] = atoms.map(|atom| {
+            let (run, _) = self.cursors[atom].top();
+            run.end - run.start
         });
-        if short.1.len() > long.1.len() {
-            (short, long) = (long, short);
-        }
-        let mut leaf = |value: Value| {
-            self.slots[slot] = Some(value);
-            (self.leaf)(&self.slots)
-        };
+        a.max(b) >= GALLOP_RATIO * a.min(b)
+    }
+
+    /// The last depth over two atoms whose runs are of comparable length:
+    /// the values both innermost runs carry in their last column, each one
+    /// row of each, every one a leaf. One linear merge reads each row of
+    /// either run at most once.
+    fn merge_last(&mut self, slot: usize, atoms: [usize; 2]) -> ControlFlow<()> {
         // Each value is read once, when the walk comes to it.
-        let values = |(rows, run, col): (Rows<'a>, Range<usize>, usize)| {
-            run.map(move |row| rows.at(row, col))
-        };
-        let (long_rows, long_run, long_col) = long.clone();
-        if long_run.len() >= GALLOP_RATIO * short.1.len() {
-            let mut from = long_run.start;
-            for value in values(short) {
-                from = long_rows.gallop(from, long_run.end, long_col, |other| other < value);
-                if from == long_run.end {
-                    break;
-                }
-                if long_rows.at(from, long_col) == value {
-                    from += 1;
-                    leaf(value)?;
-                }
-            }
-            return ControlFlow::Continue(());
-        }
-        let (mut xs, mut ys) = (values(short), values(long));
+        let [mut xs, mut ys] = atoms.map(|atom| {
+            let cursor = &self.cursors[atom];
+            let ((run, col), rows) = (cursor.top(), cursor.rows);
+            (run.start..run.end).map(move |row| rows.at(row, col))
+        });
         let (mut x, mut y) = (xs.next(), ys.next());
         while let (Some(a), Some(b)) = (x, y) {
             match a.cmp(&b) {
                 Ordering::Less => x = xs.next(),
                 Ordering::Greater => y = ys.next(),
                 Ordering::Equal => {
-                    leaf(a)?;
+                    self.slots[slot] = Some(a);
+                    (self.leaf)(&self.slots)?;
                     (x, y) = (xs.next(), ys.next());
                 }
             }
@@ -800,8 +784,10 @@ where
         ControlFlow::Continue(())
     }
 
-    /// The last depth over three or more atoms: leapfrog to each common
-    /// value, a leaf, and step every cursor past its one row.
+    /// The last depth over three or more atoms, or over two whose runs are
+    /// [skewed](Self::skewed): leapfrog to each common value — a gallop
+    /// through the long run per row of the short one — a leaf, and step
+    /// every cursor past its one row.
     fn leapfrog_last(&mut self, depth: usize) -> ControlFlow<()> {
         let Depth { slot, atoms, .. } = &self.depths[depth];
         for &(atom, _) in atoms {
@@ -853,58 +839,27 @@ where
 
 /// The head tuples of an evaluation.
 enum Collected {
-    /// A head of arity ≤ [`NARROW_ARITY`], as `u64` keys.
-    Narrow(Keys<u64>),
-    /// A head of arity ≤ [`PACKED_ARITY`], as `u128` keys.
-    Packed(Keys<u128>),
+    /// Set semantics over packed keys *before any [`Fact`] exists*, for a
+    /// head of arity ≤ [`PACKED_ARITY`] (the key layout is
+    /// [`fact::pack`]'s). The keys of one head order as its tuples do, so
+    /// sorting the integers sorts the answers.
+    Packed(HashSet<u128, SymbolHashBuilder>),
+    /// [`Collected::Packed`] for a head of at most [`NARROW_ARITY`] values,
+    /// whose keys fit a `u64`.
+    Narrow(HashSet<u64, SymbolHashBuilder>),
+    /// Every leaf is a new answer, so there is nothing to look up: the leaves
+    /// of one enumeration are distinct valuations, and a head in which every
+    /// variable occurs keeps them apart. A packable head's keys.
+    EachPacked(Vec<u128>),
     /// Set semantics over tuples, for a head too wide to pack; `scratch`
     /// holds the projection of the leaf at hand.
     Tuples {
         distinct: HashSet<Tuple, SymbolHashBuilder>,
         scratch: Vec<Value>,
     },
-    /// A head too wide to pack whose leaves are all new answers (see
-    /// [`Keys::Each`]).
+    /// Every leaf is a new answer (see [`Collected::EachPacked`]), for a
+    /// head too wide to pack.
     Each(Vec<Fact>),
-}
-
-/// Head tuples as packed keys, *before any [`Fact`] exists* (the layout is
-/// [`fact::pack`]'s). The keys of one head order as its tuples do, so
-/// sorting the integers sorts the answers.
-enum Keys<K> {
-    /// Set semantics: one key probe a derivation.
-    Distinct(HashSet<K, SymbolHashBuilder>),
-    /// Every leaf is a new answer, so there is nothing to look up: the
-    /// leaves of one enumeration are distinct valuations, and a head in
-    /// which every variable occurs keeps them apart.
-    Each(Vec<K>),
-}
-
-impl<K: Key> Keys<K> {
-    fn new(each: bool) -> Keys<K> {
-        match each {
-            true => Keys::Each(Vec::new()),
-            false => Keys::Distinct(HashSet::default()),
-        }
-    }
-
-    fn push(&mut self, key: K) {
-        match self {
-            Keys::Distinct(keys) => {
-                keys.insert(key);
-            }
-            Keys::Each(keys) => keys.push(key),
-        }
-    }
-
-    /// The answers, as `relation`'s ascending rows of `arity` values.
-    fn rows(self, relation: Symbol, arity: usize) -> Vec<Fact> {
-        let keys = match self {
-            Keys::Distinct(keys) => keys.into_iter().collect(),
-            Keys::Each(keys) => keys,
-        };
-        fact::unpack_sorted(relation, arity, keys)
-    }
 }
 
 /// The answers of an evaluation: every leaf's projection onto the head.
@@ -922,15 +877,15 @@ impl Answers {
     fn new(compiled: &CompiledQuery<'_>, single_pass: bool) -> Answers {
         let arity = compiled.head.len();
         let full_head = (0..compiled.vars.len()).all(|slot| compiled.head.contains(&slot));
-        let each = single_pass && full_head;
-        let collected = match arity {
-            0..=NARROW_ARITY => Collected::Narrow(Keys::new(each)),
-            3..=PACKED_ARITY => Collected::Packed(Keys::new(each)),
-            _ if each => Collected::Each(Vec::new()),
-            _ => Collected::Tuples {
+        let collected = match (arity <= PACKED_ARITY, single_pass && full_head) {
+            (true, false) if arity <= NARROW_ARITY => Collected::Narrow(HashSet::default()),
+            (true, false) => Collected::Packed(HashSet::default()),
+            (true, true) => Collected::EachPacked(Vec::new()),
+            (false, false) => Collected::Tuples {
                 distinct: HashSet::default(),
                 scratch: Vec::with_capacity(arity),
             },
+            (false, true) => Collected::Each(Vec::new()),
         };
         Answers {
             relation: compiled.query.head().relation,
@@ -947,8 +902,13 @@ impl Answers {
         let head = self.head.iter();
         let values = head.map(|&slot| slots[slot].expect("every slot is bound at a leaf"));
         match &mut self.collected {
-            Collected::Narrow(keys) => keys.push(fact::pack(values)),
-            Collected::Packed(keys) => keys.push(fact::pack(values)),
+            Collected::Packed(keys) => {
+                keys.insert(fact::pack(values));
+            }
+            Collected::Narrow(keys) => {
+                keys.insert(fact::pack(values) as u64);
+            }
+            Collected::EachPacked(keys) => keys.push(fact::pack(values)),
             Collected::Tuples { distinct, scratch } => {
                 scratch.clear();
                 scratch.extend(values);
@@ -972,8 +932,9 @@ impl Answers {
         let arity = self.head.len();
         let packed = |rows| Instance::from_relations(vec![(relation, rows)]);
         let answers = match self.collected {
-            Collected::Narrow(keys) => packed(keys.rows(relation, arity)),
-            Collected::Packed(keys) => packed(keys.rows(relation, arity)),
+            Collected::Packed(keys) => packed(fact::unpack_sorted(relation, arity, keys)),
+            Collected::Narrow(keys) => packed(fact::unpack_sorted(relation, arity, keys)),
+            Collected::EachPacked(keys) => packed(fact::unpack_sorted(relation, arity, keys)),
             Collected::Tuples { distinct, .. } => {
                 let distinct = distinct.into_iter();
                 Instance::from_facts(distinct.map(|values| Fact::new(relation, values)))
@@ -1061,6 +1022,7 @@ pub fn evaluate_with(query: &ConjunctiveQuery, instance: &Instance, _: EvalOptio
 mod tests {
     use super::*;
     use crate::parse_instance;
+    use oracle::cases::{self, Random, CYCLIC_SHAPES};
     use std::collections::BTreeSet;
 
     fn q(text: &str) -> ConjunctiveQuery {
@@ -1338,9 +1300,10 @@ mod tests {
     fn a_skewed_star_reads_no_more_than_opening_a_run_per_value() {
         // A hub with 1 000 spokes each way and a ring through the spokes:
         // at the last depth of most triangles one run is the hub's 1 000
-        // rows and the other a spoke's 2, so the merge gallops through the
-        // long run. It reads fewer values than the kernel that leapfrogged
-        // and opened a run per common value, which read PARENT_READS here.
+        // rows and the other a spoke's 2, so the pair is leapfrogged, a
+        // gallop through the long run per row of the short one, not merged.
+        // It reads fewer values than the kernel that leapfrogged and opened
+        // a run per common value, which read PARENT_READS here.
         const PARENT_READS: u64 = 148_386;
         let query = q("T(x, y, z) :- R(x, y), R(y, z), R(z, x).");
         let n = 1000;
@@ -1489,90 +1452,8 @@ mod tests {
         }
     }
 
-    /// xorshift64: the seeded source of the random differential below.
-    struct Random(u64);
-
-    impl Random {
-        fn below(&mut self, bound: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0 % bound as u64) as usize
-        }
-    }
-
-    /// The relations of the random differential, by arity; the binary ones
-    /// twice, for more cycles.
-    const RELATIONS: [(&str, usize); 7] = [
-        ("N", 0),
-        ("U", 1),
-        ("R", 2),
-        ("S", 2),
-        ("R", 2),
-        ("S", 2),
-        ("W", 3),
-    ];
-
-    /// A random safe query of 1 to 5 atoms over [`RELATIONS`] and 4
-    /// variables: acyclic or cyclic, variables repeated inside atoms.
-    fn random_query(random: &mut Random) -> ConjunctiveQuery {
-        let vars = ["x", "y", "z", "w"];
-        let mut used: Vec<&str> = Vec::new();
-        let body: Vec<String> = (0..1 + random.below(5))
-            .map(|_| {
-                let (relation, arity) = RELATIONS[random.below(RELATIONS.len())];
-                let args: Vec<&str> = (0..arity).map(|_| vars[random.below(4)]).collect();
-                used.extend(&args);
-                format!("{relation}({})", args.join(", "))
-            })
-            .collect();
-        used.sort_unstable();
-        used.dedup();
-        used.retain(|_| random.below(3) > 0);
-        q(&format!("T({}) :- {}.", used.join(", "), body.join(", ")))
-    }
-
-    /// Up to `facts` random facts over [`RELATIONS`] and 4 values, one in
-    /// eight of another arity than its relation's.
-    fn random_instance(random: &mut Random, facts: usize) -> Instance {
-        Instance::from_facts((0..random.below(facts + 1)).map(|_| {
-            let (relation, arity) = RELATIONS[random.below(RELATIONS.len())];
-            let arity = if random.below(8) == 0 {
-                random.below(4)
-            } else {
-                arity
-            };
-            let values = (0..arity).map(|_| Value::indexed("r", random.below(4)));
-            Fact::new(relation, values.collect::<Vec<_>>())
-        }))
-    }
-
-    /// Cyclic queries whose last variable closes two atoms (the triangle,
-    /// projected or not, and the 4-cycle) or three (the 4-clique), and a
-    /// query whose last variable also fills both columns of `R(w, w)`.
-    const CYCLIC_SHAPES: [&str; 5] = [
-        "T(x, y, z) :- R(x, y), R(y, z), R(z, x).",
-        "T(z) :- R(x, y), S(y, z), R(z, x).",
-        "T(x, y, z, w) :- R(x, y), R(y, z), R(z, w), R(w, x).",
-        "T(x, y, z, w) :- R(x, y), R(x, z), R(x, w), R(y, z), R(y, w), R(z, w).",
-        "T(x, y, w) :- R(x, y), R(y, x), R(x, x), R(y, w), R(w, w).",
-    ];
-
-    /// Up to `facts` random `R` and `S` facts over `r0`–`r39`: uniform, or
-    /// skewed so that a few values carry most of the edges.
-    fn binary_instance(random: &mut Random, skewed: bool, facts: usize) -> Instance {
-        let value = |random: &mut Random| {
-            let mut at = random.below(40);
-            if skewed {
-                at = random.below(at + 1);
-                at = random.below(at + 1);
-            }
-            Value::indexed("r", at)
-        };
-        Instance::from_facts((0..facts).map(|_| {
-            let relation = ["R", "S"][random.below(2)];
-            Fact::new(relation, vec![value(random), value(random)])
-        }))
+    fn instance(text: &str) -> Instance {
+        parse_instance(text).unwrap()
     }
 
     /// The kernel's laws on one query over `old ∪ delta`: the leaves of a
@@ -1623,26 +1504,24 @@ mod tests {
 
     /// A random valuation of some of `query`'s variables over `r0`–`r4`.
     fn random_fixed(random: &mut Random, query: &ConjunctiveQuery) -> Valuation {
-        let mut fixed = Valuation::new();
-        for &var in CompiledQuery::new(query).variables() {
-            if random.below(4) == 0 {
-                fixed.bind(var, Value::indexed("r", random.below(5)));
-            }
-        }
-        fixed
+        let variables = CompiledQuery::new(query).variables().to_vec();
+        let binding = cases::random_binding(random, variables).into_iter();
+        binding
+            .map(|(var, value)| (var, Value::new(&value)))
+            .collect()
     }
 
     #[test]
     fn triejoin_leaves_ascend_once_each_on_random_queries_and_instances() {
         // The kernel's half of the random differential against the scan
-        // oracle (in the `oracle` crate, which checks the same shapes).
+        // oracle: `oracle::cases` hands both the same queries and instances.
         let mut random = Random(0x5EED_2015);
         let (mut cyclic, mut satisfied, mut stepped) = (0, 0, 0);
         for round in 0..600 {
-            let query = random_query(&mut random);
+            let query = q(&cases::random_query(&mut random));
             cyclic += usize::from(!crate::is_acyclic(&query));
-            let old = random_instance(&mut random, 30);
-            let delta = random_instance(&mut random, 8);
+            let old = instance(&cases::random_facts(&mut random, 30));
+            let delta = instance(&cases::random_facts(&mut random, 8));
             let fixed = random_fixed(&mut random, &query);
             let (searches, passes) =
                 kernel_laws(&query, &old, &delta, fixed, &format!("round {round}"));
@@ -1663,8 +1542,8 @@ mod tests {
             for skewed in [false, true] {
                 let mut satisfied = 0;
                 for round in 0..8 {
-                    let old = binary_instance(&mut random, skewed, 300);
-                    let delta = binary_instance(&mut random, skewed, 20);
+                    let old = instance(&cases::binary_facts(&mut random, skewed, 300));
+                    let delta = instance(&cases::binary_facts(&mut random, skewed, 20));
                     let fixed = random_fixed(&mut random, &query);
                     let context = format!("skewed {skewed}, round {round}");
                     satisfied += kernel_laws(&query, &old, &delta, fixed, &context).0;

@@ -4,7 +4,7 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{BitOr, Deref, Shl};
+use std::ops::Deref;
 
 use crate::intern::Symbol;
 use crate::value::Value;
@@ -210,40 +210,44 @@ impl fmt::Display for Fact {
 /// The widest fact whose values pack into one `u128` key: four 32-bit ids.
 pub(crate) const PACKED_ARITY: usize = 4;
 
-/// The widest fact whose values pack into one `u64` key: two 32-bit ids.
+/// The widest fact whose [packed](pack) key fits a `u64`: two 32-bit ids.
+/// Where such keys are held, they are held as `u64`s: half the bytes to
+/// hash, sort and move.
 pub(crate) const NARROW_ARITY: usize = 2;
 
-/// An integer that holds a row's [packed](pack) ids: `u64` up to
-/// [`NARROW_ARITY`] values, `u128` up to [`PACKED_ARITY`].
-pub(crate) trait Key:
-    Copy + Ord + Hash + From<u32> + Into<u128> + Shl<u32, Output = Self> + BitOr<Output = Self>
-{
-}
-
-impl Key for u64 {}
-impl Key for u128 {}
-
-/// The packed key of values that fit a `K`: each value's [`Value::raw`]
-/// id, the first in the high bits. Keys of one arity order as their tuples
-/// do, so sorting the integers sorts the facts.
-pub(crate) fn pack<K: Key>(values: impl IntoIterator<Item = Value>) -> K {
-    let ids = values.into_iter().map(|value| K::from(value.raw()));
-    ids.fold(K::from(0), |key, id| key << 32 | id)
+/// The packed key of at most [`PACKED_ARITY`] values: each value's
+/// [`Value::raw`] id, the first in the high bits. Keys of one arity order
+/// as their tuples do, so sorting the integers sorts the facts.
+pub(crate) fn pack(values: impl IntoIterator<Item = Value>) -> u128 {
+    values
+        .into_iter()
+        .fold(0, |key, value| key << 32 | u128::from(value.raw()))
 }
 
 /// The distinct facts of `relation` whose arity-`arity` [packed](pack)
 /// keys are `keys`, in ascending order: the keys are sorted as integers,
-/// deduplicated and unpacked, and freed before this returns.
-pub(crate) fn unpack_sorted<K: Key>(relation: Symbol, arity: usize, mut keys: Vec<K>) -> Vec<Fact> {
+/// deduplicated and unpacked, and freed before this returns. They are cut
+/// to the distinct ones before the facts are built, so a round's merge
+/// holds its distinct keys and rows at once, not every key it was given.
+/// Keys of at most [`NARROW_ARITY`] values may come as `u64`s.
+pub(crate) fn unpack_sorted<K>(
+    relation: Symbol,
+    arity: usize,
+    keys: impl IntoIterator<Item = K>,
+) -> Vec<Fact>
+where
+    K: Ord + Into<u128>,
+{
+    let mut keys: Vec<K> = keys.into_iter().collect();
     keys.sort_unstable();
     keys.dedup();
-    let unpack = |key| Fact::new(relation, unpack(key, arity).collect::<Tuple>());
+    keys.shrink_to_fit();
+    let unpack = |key: K| Fact::new(relation, unpack(key.into(), arity).collect::<Tuple>());
     keys.into_iter().map(unpack).collect()
 }
 
 /// The `arity` values [packed](pack) into `key`, first to last.
-pub(crate) fn unpack(key: impl Key, arity: usize) -> impl Iterator<Item = Value> {
-    let key: u128 = key.into();
+pub(crate) fn unpack(key: u128, arity: usize) -> impl Iterator<Item = Value> {
     let ids = (0..arity).rev().map(move |at| (key >> (32 * at)) as u32);
     ids.map(Value::from_raw)
 }
@@ -347,12 +351,18 @@ mod tests {
                     Fact::new(r, v)
                 })
                 .collect();
-            let keys = facts.iter().map(|fact| pack(fact.values.iter().copied()));
-            let unpacked = unpack_sorted::<u128>(r, arity, keys.collect());
+            let keys: Vec<u128> = facts
+                .iter()
+                .map(|fact| pack(fact.values.iter().copied()))
+                .collect();
             if arity <= NARROW_ARITY {
-                let keys = facts.iter().map(|fact| pack(fact.values.iter().copied()));
-                assert_eq!(unpack_sorted::<u64>(r, arity, keys.collect()), unpacked);
+                let narrow = keys.iter().map(|&key| key as u64).collect::<Vec<_>>();
+                assert_eq!(
+                    unpack_sorted(r, arity, narrow),
+                    unpack_sorted(r, arity, keys.clone())
+                );
             }
+            let unpacked = unpack_sorted(r, arity, keys);
             facts.sort();
             facts.dedup();
             assert_eq!(unpacked, facts, "arity {arity}");

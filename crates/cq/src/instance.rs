@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::fact::{self, Fact, Key, Tuple, NARROW_ARITY, PACKED_ARITY};
+use crate::fact::{self, Fact, Tuple, NARROW_ARITY, PACKED_ARITY};
 use crate::intern::Symbol;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -61,14 +61,12 @@ impl SortedOrder {
         }
         // The identity order over ascending rows is sorted as it stands.
         if !fresh.chunks_exact(arity).is_sorted() {
-            match arity {
-                1..=NARROW_ARITY => sort_packed::<u64>(&mut fresh, arity),
-                3..=PACKED_ARITY => sort_packed::<u128>(&mut fresh, arity),
-                _ => {
-                    let mut sorted: Vec<&[Value]> = fresh.chunks_exact(arity).collect();
-                    sorted.sort_unstable();
-                    fresh = sorted.concat();
-                }
+            if arity <= PACKED_ARITY {
+                sort_packed(&mut fresh, arity);
+            } else {
+                let mut sorted: Vec<&[Value]> = fresh.chunks_exact(arity).collect();
+                sorted.sort_unstable();
+                fresh = sorted.concat();
             }
         }
         if self.values.is_empty() {
@@ -117,12 +115,27 @@ impl SortedOrder {
     }
 }
 
-/// Sorts the flat rows of `values`, `arity` values each, as integer keys:
-/// the rows' [packed](fact::pack) ids, `arity` of which fit a `K`.
-fn sort_packed<K: Key>(values: &mut [Value], arity: usize) {
-    let pack = |row: &[Value]| fact::pack::<K>(row.iter().copied());
-    let mut keys: Vec<K> = values.chunks_exact(arity).map(pack).collect();
-    keys.sort_unstable();
+/// Sorts the flat rows of `values`, `arity` ≤ [`PACKED_ARITY`] values
+/// each, as their [packed](fact::pack) keys (`u64`s up to
+/// [`NARROW_ARITY`]).
+fn sort_packed(values: &mut [Value], arity: usize) {
+    let packed = values
+        .chunks_exact(arity)
+        .map(|row| fact::pack(row.iter().copied()));
+    if arity <= NARROW_ARITY {
+        let mut keys: Vec<u64> = packed.map(|key| key as u64).collect();
+        keys.sort_unstable();
+        unpack_into(values, arity, keys.into_iter().map(u128::from));
+    } else {
+        let mut keys: Vec<u128> = packed.collect();
+        keys.sort_unstable();
+        unpack_into(values, arity, keys);
+    }
+}
+
+/// Overwrites the flat rows of `values`, `arity` values each, with the
+/// rows [packed](fact::pack) into `keys`, in turn.
+fn unpack_into(values: &mut [Value], arity: usize, keys: impl IntoIterator<Item = u128>) {
     for (row, key) in values.chunks_exact_mut(arity).zip(keys) {
         for (slot, value) in row.iter_mut().zip(fact::unpack(key, arity)) {
             *slot = value;
@@ -132,8 +145,8 @@ fn sort_packed<K: Key>(values: &mut [Value], arity: usize) {
 
 /// Facts filed one `(relation, arity)` run at a time — in any order, with
 /// repeats — for an instance to be built from: a run of arity ≤
-/// [`PACKED_ARITY`] holds one [packed](fact::pack) key a fact (a `u64` up
-/// to [`NARROW_ARITY`]), a wider one the facts. The text parser and
+/// [`PACKED_ARITY`] holds one [packed](fact::pack) key a fact (a `u64` up to
+/// [`NARROW_ARITY`]), a wider one the facts. The text parser and
 /// [`Instance::union_all`] build this way.
 #[derive(Default)]
 pub(crate) struct Runs(BTreeMap<(Symbol, usize), Run>);
@@ -156,15 +169,15 @@ impl Runs {
             let key = (relation, values.len());
             if last.as_ref().is_none_or(|(last, _)| *last != key) {
                 let run = self.0.entry(key).or_insert_with(|| match key.1 {
-                    0..=NARROW_ARITY => Run::Narrow(Vec::new()),
-                    3..=PACKED_ARITY => Run::Packed(Vec::new()),
+                    arity if arity <= NARROW_ARITY => Run::Narrow(Vec::new()),
+                    arity if arity <= PACKED_ARITY => Run::Packed(Vec::new()),
                     _ => Run::Wide(Vec::new()),
                 });
                 last = Some((key, run));
             }
             let (_, run) = last.as_mut().expect("the fact's run was looked up");
             match run {
-                Run::Narrow(keys) => keys.push(fact::pack(values)),
+                Run::Narrow(keys) => keys.push(fact::pack(values) as u64),
                 Run::Packed(keys) => keys.push(fact::pack(values)),
                 Run::Wide(facts) => facts.push(Fact::new(relation, values.collect::<Tuple>())),
             }

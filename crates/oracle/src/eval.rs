@@ -304,6 +304,7 @@ impl Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cases::{self, Random, CYCLIC_SHAPES};
     use cq::{parse_instance, Symbol, Variable};
     use std::collections::BTreeSet;
 
@@ -595,62 +596,8 @@ mod tests {
         }
     }
 
-    /// xorshift64: the seeded source of the random differential below.
-    struct Random(u64);
-
-    impl Random {
-        fn below(&mut self, bound: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0 % bound as u64) as usize
-        }
-    }
-
-    /// The relations of the random differential, by arity; the binary ones
-    /// twice, for more cycles.
-    const RELATIONS: [(&str, usize); 7] = [
-        ("N", 0),
-        ("U", 1),
-        ("R", 2),
-        ("S", 2),
-        ("R", 2),
-        ("S", 2),
-        ("W", 3),
-    ];
-
-    /// A random safe query of 1 to 5 atoms over [`RELATIONS`] and 4
-    /// variables: acyclic or cyclic, variables repeated inside atoms.
-    fn random_query(random: &mut Random) -> ConjunctiveQuery {
-        let vars = ["x", "y", "z", "w"];
-        let mut used: Vec<&str> = Vec::new();
-        let body: Vec<String> = (0..1 + random.below(5))
-            .map(|_| {
-                let (relation, arity) = RELATIONS[random.below(RELATIONS.len())];
-                let args: Vec<&str> = (0..arity).map(|_| vars[random.below(4)]).collect();
-                used.extend(&args);
-                format!("{relation}({})", args.join(", "))
-            })
-            .collect();
-        used.sort_unstable();
-        used.dedup();
-        used.retain(|_| random.below(3) > 0);
-        q(&format!("T({}) :- {}.", used.join(", "), body.join(", ")))
-    }
-
-    /// Up to `facts` random facts over [`RELATIONS`] and 4 values, one in
-    /// eight of another arity than its relation's.
-    fn random_instance(random: &mut Random, facts: usize) -> Instance {
-        Instance::from_facts((0..random.below(facts + 1)).map(|_| {
-            let (relation, arity) = RELATIONS[random.below(RELATIONS.len())];
-            let arity = if random.below(8) == 0 {
-                random.below(4)
-            } else {
-                arity
-            };
-            let values = (0..arity).map(|_| Value::indexed("r", random.below(4)));
-            Fact::new(relation, values.collect::<Vec<_>>())
-        }))
+    fn instance(text: &str) -> Instance {
+        parse_instance(text).unwrap()
     }
 
     /// The triejoin against the scan on one query over `old ∪ delta`: the
@@ -699,41 +646,11 @@ mod tests {
 
     /// A random valuation of some of `query`'s variables over `r0`–`r4`.
     fn random_fixed(random: &mut Random, query: &ConjunctiveQuery) -> Valuation {
-        let mut fixed = Valuation::new();
-        for &var in CompiledQuery::new(query).variables() {
-            if random.below(4) == 0 {
-                fixed.bind(var, Value::indexed("r", random.below(5)));
-            }
-        }
-        fixed
-    }
-
-    /// The cyclic shapes of `cq`'s kernel test: the last variable closes
-    /// two atoms (the triangle, projected or not, and the 4-cycle) or three
-    /// (the 4-clique), or also fills both columns of `R(w, w)`.
-    const CYCLIC_SHAPES: [&str; 5] = [
-        "T(x, y, z) :- R(x, y), R(y, z), R(z, x).",
-        "T(z) :- R(x, y), S(y, z), R(z, x).",
-        "T(x, y, z, w) :- R(x, y), R(y, z), R(z, w), R(w, x).",
-        "T(x, y, z, w) :- R(x, y), R(x, z), R(x, w), R(y, z), R(y, w), R(z, w).",
-        "T(x, y, w) :- R(x, y), R(y, x), R(x, x), R(y, w), R(w, w).",
-    ];
-
-    /// Up to `facts` random `R` and `S` facts over `r0`–`r39`: uniform, or
-    /// skewed so that a few values carry most of the edges.
-    fn binary_instance(random: &mut Random, skewed: bool, facts: usize) -> Instance {
-        let value = |random: &mut Random| {
-            let mut at = random.below(40);
-            if skewed {
-                at = random.below(at + 1);
-                at = random.below(at + 1);
-            }
-            Value::indexed("r", at)
-        };
-        Instance::from_facts((0..facts).map(|_| {
-            let relation = ["R", "S"][random.below(2)];
-            Fact::new(relation, vec![value(random), value(random)])
-        }))
+        let variables = CompiledQuery::new(query).variables().to_vec();
+        let binding = cases::random_binding(random, variables).into_iter();
+        binding
+            .map(|(var, value)| (var, Value::new(&value)))
+            .collect()
     }
 
     #[test]
@@ -741,10 +658,10 @@ mod tests {
         let mut random = Random(0x5EED_2015);
         let (mut cyclic, mut satisfied, mut stepped) = (0, 0, 0);
         for round in 0..600 {
-            let query = random_query(&mut random);
+            let query = q(&cases::random_query(&mut random));
             cyclic += usize::from(!cq::is_acyclic(&query));
-            let old = random_instance(&mut random, 30);
-            let delta = random_instance(&mut random, 8);
+            let old = instance(&cases::random_facts(&mut random, 30));
+            let delta = instance(&cases::random_facts(&mut random, 8));
             let fixed = random_fixed(&mut random, &query);
             let (searches, passes) = agree(&query, &old, &delta, fixed, &format!("round {round}"));
             satisfied += searches;
@@ -759,8 +676,8 @@ mod tests {
             for skewed in [false, true] {
                 let mut satisfied = 0;
                 for round in 0..4 {
-                    let old = binary_instance(&mut random, skewed, 300);
-                    let delta = binary_instance(&mut random, skewed, 20);
+                    let old = instance(&cases::binary_facts(&mut random, skewed, 300));
+                    let delta = instance(&cases::binary_facts(&mut random, skewed, 20));
                     let fixed = random_fixed(&mut random, &query);
                     let context = format!("skewed {skewed}, round {round}");
                     satisfied += agree(&query, &old, &delta, fixed, &context).0;

@@ -1,10 +1,12 @@
 //! # oracle — the Definition-level references the production paths are
 //! checked against
 //!
-//! Every module here is the brute-force counterpart of the production
-//! module of the same name, and nothing here runs in `pcq-analyze`: the
-//! crate is only ever a dev-dependency.
+//! Every module here but [`cases`] is the brute-force counterpart of the
+//! production module of the same name, and nothing here runs in
+//! `pcq-analyze`: the crate is only ever a dev-dependency.
 //!
+//! * [`cases`] — the random queries and instances, as text, that `cq`'s
+//!   kernel test and the scan differential both walk;
 //! * [`eval`] — the scan evaluator: an atom-at-a-time backtracking join
 //!   that shares no search code with `cq`'s leapfrog triejoin, with the
 //!   evaluate, semi-naive-step and satisfying-valuation entry points, and
@@ -34,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cases;
 pub mod eval;
 pub mod instance;
 pub mod pc;
