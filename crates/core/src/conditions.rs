@@ -38,14 +38,16 @@
 //! of the 65 922 candidates before testing the meet, and 2.1 ms testing
 //! the meet first, with the table's rows reused.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 use cq::{
-    for_each_atom_mapping, Atom, Bindings, CanonicalValuations, CompiledQuery, ConjunctiveQuery,
-    CoverProblem, Fact, Instance, Slots, Substitution, Symbol, SymbolHashBuilder, Valuation, Value,
+    Bindings, CanonicalValuations, CompiledQuery, ConjunctiveQuery, Fact, Instance, Slots, Symbol,
+    SymbolHashBuilder, Valuation, Value,
 };
 use distribution::{DistributionPolicy, Node};
+
+pub use cq::{c3_witness, C3Witness};
 
 use crate::minimality::{MinimalityOracle, MinimalityStats};
 
@@ -339,53 +341,9 @@ impl<'q> CoverSearch<'q> {
     }
 }
 
-/// A witness for condition (C3): the simplification `θ` of `Q'` and the
-/// substitution `ρ` of `Q` with `body_{θ(Q')} ⊆ body_{ρ(Q)}`.
-#[derive(Clone, Debug)]
-pub struct C3Witness {
-    /// The simplification `θ` of `Q'`.
-    pub theta: Substitution,
-    /// The substitution `ρ` of `Q`.
-    pub rho: Substitution,
-}
-
 /// Condition (C3) for the pair (`from` = `Q`, `to` = `Q'`).
 pub fn holds_c3(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> bool {
     c3_witness(from, to).is_some()
-}
-
-/// Searches for a witness of condition (C3): enumerate simplifications `θ`
-/// of `to` (endomorphisms fixing the head with body image inside the body)
-/// and, for each, try to cover `body_{θ(to)}` by a substitution image of
-/// `body_{from}`.
-pub fn c3_witness(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> Option<C3Witness> {
-    // Seed: head variables of `to` must be fixed (θ is a simplification).
-    let mut seed = Substitution::identity();
-    for &v in &to.head().args {
-        seed.bind(v, v);
-    }
-    let mut witness = None;
-    let mut seen_bodies: BTreeSet<Vec<Atom>> = BTreeSet::new();
-    let _ = for_each_atom_mapping(to.body(), to.body(), &seed, &mut |theta| {
-        // θ maps body(to) into body(to) and fixes the head: a simplification.
-        let image = theta.apply_atoms(to.body());
-        let mut sorted = image.clone();
-        sorted.sort();
-        if !seen_bodies.insert(sorted) {
-            // Another simplification with the same body image was already tried.
-            return ControlFlow::Continue(());
-        }
-        if let Some(rho) = CoverProblem::new(from.body().to_vec(), image).solve() {
-            witness = Some(C3Witness {
-                theta: theta.clone(),
-                rho,
-            });
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    });
-    witness
 }
 
 #[cfg(test)]

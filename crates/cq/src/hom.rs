@@ -1,6 +1,7 @@
 //! Homomorphisms between conjunctive queries, containment, equivalence, and
-//! the "cover" search used by condition (C3).
+//! the "cover" search behind condition (C3) and its witness.
 
+use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
 use crate::atom::Atom;
@@ -208,6 +209,50 @@ impl CoverProblem {
 /// `target ⊆ ρ(body_query)` (see [`CoverProblem`]).
 pub fn find_cover(query: &ConjunctiveQuery, target: &[Atom]) -> Option<Substitution> {
     CoverProblem::for_query(query, target.to_vec()).solve()
+}
+
+/// A witness for condition (C3) of the paper: the simplification `θ` of
+/// `Q'` and the substitution `ρ` of `Q` with `body_{θ(Q')} ⊆ body_{ρ(Q)}`.
+#[derive(Clone, Debug)]
+pub struct C3Witness {
+    /// The simplification `θ` of `Q'`.
+    pub theta: Substitution,
+    /// The substitution `ρ` of `Q`.
+    pub rho: Substitution,
+}
+
+/// Searches for a witness of condition (C3): enumerate simplifications `θ`
+/// of `to` (endomorphisms fixing the head with body image inside the body)
+/// and, for each, try to cover `body_{θ(to)}` by a substitution image of
+/// `body_{from}` ([`CoverProblem`]).
+pub fn c3_witness(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> Option<C3Witness> {
+    // Seed: head variables of `to` must be fixed (θ is a simplification).
+    let mut seed = Substitution::identity();
+    for &v in &to.head().args {
+        seed.bind(v, v);
+    }
+    let mut witness = None;
+    let mut seen_bodies: BTreeSet<Vec<Atom>> = BTreeSet::new();
+    let _ = for_each_atom_mapping(to.body(), to.body(), &seed, &mut |theta| {
+        // θ maps body(to) into body(to) and fixes the head: a simplification.
+        let image = theta.apply_atoms(to.body());
+        let mut sorted = image.clone();
+        sorted.sort();
+        if !seen_bodies.insert(sorted) {
+            // Another simplification with the same body image was already tried.
+            return ControlFlow::Continue(());
+        }
+        if let Some(rho) = CoverProblem::new(from.body().to_vec(), image).solve() {
+            witness = Some(C3Witness {
+                theta: theta.clone(),
+                rho,
+            });
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    witness
 }
 
 #[cfg(test)]

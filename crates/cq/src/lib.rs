@@ -60,7 +60,8 @@ pub use eval::{
 };
 pub use fact::{Fact, Tuple};
 pub use hom::{
-    contained_in, equivalent, find_cover, find_homomorphism, for_each_atom_mapping, CoverProblem,
+    c3_witness, contained_in, equivalent, find_cover, find_homomorphism, for_each_atom_mapping,
+    C3Witness, CoverProblem,
 };
 pub use instance::Instance;
 pub use intern::{Symbol, SymbolHashBuilder, SymbolHasher, SymbolMap};

@@ -27,6 +27,7 @@ use cq::{ConjunctiveQuery, Instance};
 use crate::distribute::{reshuffle, DistributionStats};
 use crate::network::Node;
 use crate::parts::AtomSplit;
+use crate::plan::ResidentRead;
 use crate::policy::DistributionPolicy;
 use crate::rounds::{MultiRoundEngine, RoundSchedule};
 use crate::transport::{Shipment, Transport, TransportError};
@@ -89,7 +90,8 @@ impl OneRoundOutcome {
 /// decided it.
 pub(crate) struct RoundPlan {
     /// The query the round announces in place of its own: the split query
-    /// of a split round, whose chunks hold atom parts.
+    /// of a split round, whose chunks hold atom parts, or the read of a
+    /// resident round.
     announce: Option<ConjunctiveQuery>,
     /// The shipment of every node that takes part in the round.
     shipments: Vec<(Node, Shipment)>,
@@ -102,12 +104,13 @@ pub(crate) struct RoundPlan {
 }
 
 impl RoundPlan {
-    /// The plan of a reshuffle-free round: every node in `nodes` evaluates
-    /// over the shard it already holds. Nothing is distributed, so the
-    /// distribution side of the outcome is all zeros.
-    pub(crate) fn resident(nodes: &[Node]) -> RoundPlan {
+    /// The plan of a reshuffle-free round: every node of the `read`
+    /// evaluates its query over the shard it already holds. Nothing is
+    /// distributed, so the distribution side of the outcome is all zeros.
+    pub(crate) fn resident(read: &ResidentRead) -> RoundPlan {
+        let nodes = &read.nodes;
         RoundPlan {
-            announce: None,
+            announce: Some(read.query.clone()),
             shipments: nodes.iter().map(|&n| (n, Shipment::Resident)).collect(),
             per_node_load: nodes.iter().map(|&n| (n, 0)).collect(),
             stats: DistributionStats {

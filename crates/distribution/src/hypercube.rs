@@ -17,6 +17,7 @@ use cq::{ConjunctiveQuery, Fact, Instance, Variable};
 use crate::hash::HashScheme;
 use crate::network::{Network, Node};
 use crate::parts::AtomSplit;
+use crate::plan::ResidentRead;
 use crate::policy::DistributionPolicy;
 use crate::rules::{AddressTerm, DistributionRule, RuleBasedPolicy, RulePolicyError};
 
@@ -192,6 +193,22 @@ impl HypercubePolicy {
     /// — and its split must exist (see the `split` field).
     pub(crate) fn split_for(&self, query: &ConjunctiveQuery) -> Option<&AtomSplit> {
         self.split.as_ref().filter(|_| self.query == *query)
+    }
+
+    /// How `query` runs over the shards a split round of the policy's own
+    /// query left resident (see [`crate::parts`]): through a (C3) witness,
+    /// on the nodes at bucket 0 in every pinned dimension. `None` when the
+    /// policy does not split, or no witness exists.
+    pub(crate) fn read_parts(&self, query: &ConjunctiveQuery) -> Option<ResidentRead> {
+        let (read, parts, pinned) = self.split.as_ref()?.read(&self.query, query)?;
+        let dimension = |v: &Variable| self.dimensions.iter().position(|d| d == v);
+        let dimensions: Vec<usize> = pinned.iter().filter_map(dimension).collect();
+        Some(ResidentRead {
+            query: read,
+            parts,
+            pinned,
+            nodes: self.inner.nodes_at_zero(&dimensions),
+        })
     }
 }
 

@@ -85,8 +85,7 @@ pub use hash::{fnv1a, HashScheme};
 pub use hypercube::{HypercubeFamily, HypercubePolicy};
 pub use network::{Network, Node};
 pub use node::DeltaNode;
-pub use parts::merged_parts;
-pub use plan::{QueryPlan, RunPlan, Slot};
+pub use plan::{Claim, QueryPlan, ResidentRead, RunPlan, Slot};
 pub use policy::{DistributionPolicy, FinitePolicy};
 pub use rounds::{
     IteratedFixpoint, MultiQueryOutcome, MultiRoundEngine, MultiRoundOutcome, RoundSchedule,

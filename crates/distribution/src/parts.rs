@@ -27,13 +27,24 @@
 //! ships the whole state under the new slot's policy, split if that policy
 //! splits.
 //!
-//! A shard that still holds parts when another query runs over it
-//! ([`Shipment::Resident`](crate::Shipment::Resident)) is read with its
-//! parts merged back into their relations: [`merged_parts`].
+//! A query `Q′` whose reshuffle is elided runs over the shards a split
+//! round of `Q` left resident ([`Shipment::Resident`]), parts and all, and
+//! reads them through a (C3) witness ([`AtomSplit::read`]). A `yes` claim
+//! that `Q` transfers to `Q′` under `Q`'s Hypercube implies one
+//! (Corollary 5.8): a simplification `θ` of `Q′` and a substitution `ρ` of
+//! `Q` with `body_{θ(Q′)} ⊆ ρ(body_Q)`. So atom `i` of `θ(Q′)` is
+//! `ρ(A_μ(i))` for an atom `μ(i)` of `Q`, and the nodes evaluate `θ(Q′)`,
+//! which has `Q′`'s answers, with atom `i` over the part `R#μ(i)`. A
+//! valuation `V′` then reads its facts where rule `μ(i)` sent them: at the
+//! nodes that agree with the home of `V′ ∘ ρ` on every variable of `Q` an
+//! atom `μ(i)` mentions. The other variables of `Q` are **pinned**: only
+//! the nodes at bucket 0 in their dimensions take part, so each valuation
+//! is again derived once, at one node.
 //!
 //! [`HypercubePolicy::node_for_valuation`]: crate::HypercubePolicy::node_for_valuation
+//! [`Shipment::Resident`]: crate::Shipment::Resident
 
-use cq::{Atom, ConjunctiveQuery, Fact, Instance, Symbol};
+use cq::{c3_witness, Atom, C3Witness, ConjunctiveQuery, Symbol, Variable};
 
 /// The split of a query that repeats a relation: one part relation per
 /// body atom, and the query that reads them.
@@ -76,34 +87,45 @@ impl AtomSplit {
     pub(crate) fn query(&self) -> &ConjunctiveQuery {
         &self.query
     }
-}
 
-/// The relation a part relation `R#k` belongs to, or `None` when
-/// `relation` is not a part.
-fn whole(relation: Symbol) -> Option<Symbol> {
-    let (name, atom) = relation.as_str().rsplit_once('#')?;
-    atom.parse::<usize>().ok()?;
-    Some(Symbol::new(name))
-}
-
-/// `shard` with every part fact `R#k(ā)` merged back into `R(ā)`, or `None`
-/// when the shard holds no part. The merged shard is exactly the plain
-/// chunk the same reshuffle would have built.
-pub fn merged_parts(shard: &Instance) -> Option<Instance> {
-    if !shard.relations().any(|relation| whole(relation).is_some()) {
-        return None;
+    /// How `query` reads the parts of this split of `anchor` (see the
+    /// module docs): the query over the parts, the anchor atom `μ(i)` whose
+    /// part its atom `i` reads, and the pinned variables of `anchor`. `None`
+    /// when no (C3) witness from `anchor` to `query` exists.
+    pub(crate) fn read(
+        &self,
+        anchor: &ConjunctiveQuery,
+        query: &ConjunctiveQuery,
+    ) -> Option<(ConjunctiveQuery, Vec<usize>, Vec<Variable>)> {
+        let C3Witness { theta, rho } = c3_witness(anchor, query)?;
+        let mut body: Vec<Atom> = Vec::new();
+        for atom in theta.apply_atoms(query.body()) {
+            if !body.contains(&atom) {
+                body.push(atom);
+            }
+        }
+        let mut atoms = Vec::with_capacity(body.len());
+        for atom in &mut body {
+            // Of the anchor atoms with this image, the one with the fewest
+            // variables: its part is the smallest and leaves the most pinned.
+            let images = anchor.body().iter().enumerate();
+            let (k, _) = images
+                .filter(|(_, source)| rho.apply_atom(source) == *atom)
+                .min_by_key(|(_, source)| source.variables().len())?;
+            atom.relation = self.parts[k];
+            atoms.push(k);
+        }
+        let read = ConjunctiveQuery::new(query.head().clone(), body).ok()?;
+        let mentioned = |v: Variable| atoms.iter().any(|&k| anchor.body()[k].contains(v));
+        let pinned = anchor.variables().into_iter().filter(|&v| !mentioned(v));
+        let pinned = pinned.collect();
+        Some((read, atoms, pinned))
     }
-    let merged = shard.facts().map(|fact| match whole(fact.relation) {
-        Some(relation) => Fact::new(relation, fact.values.clone()),
-        None => fact.clone(),
-    });
-    Some(Instance::from_facts(merged))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cq::parse_instance;
 
     #[test]
     fn only_queries_that_repeat_a_relation_split() {
@@ -120,15 +142,27 @@ mod tests {
     }
 
     #[test]
-    fn merging_parts_gives_back_the_plain_chunk() {
-        let plain = parse_instance("R(a, b). R(b, c). S(c, c).").unwrap();
-        assert!(merged_parts(&plain).is_none());
-        let split = Instance::from_facts([
-            Fact::from_names("R#0", &["a", "b"]),
-            Fact::from_names("R#1", &["a", "b"]),
-            Fact::from_names("R#1", &["b", "c"]),
-            Fact::from_names("S", &["c", "c"]),
-        ]);
-        assert_eq!(merged_parts(&split).unwrap(), plain);
+    fn a_transferring_query_reads_the_parts_through_its_witness() {
+        let anchor = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z), R(y, y).").unwrap();
+        let split = AtomSplit::of(&anchor).unwrap();
+        let read = |text: &str| {
+            let query = ConjunctiveQuery::parse(text).unwrap();
+            split
+                .read(&anchor, &query)
+                .map(|(read, atoms, pinned)| (read.to_string(), atoms, pinned))
+        };
+        // The path query reads the parts of its own atoms: nothing pinned.
+        let (path, atoms, pinned) = read("T(x, z) :- R(x, y), R(y, z).").unwrap();
+        assert_eq!(path, "T(x, z) :- R#0(x, y), R#1(y, z).");
+        assert_eq!((atoms, pinned), (vec![0, 1], vec![]));
+        // A loop is the image of R(x, y) and of R(y, y); the loop's part
+        // mentions y alone, so x and z are pinned.
+        let (loops, atoms, pinned) = read("T(y) :- R(y, y).").unwrap();
+        assert_eq!(loops, "T(y) :- R#2(y, y).");
+        let names: Vec<&str> = pinned.iter().map(|v| v.as_str()).collect();
+        assert_eq!((atoms, names), (vec![2], vec!["x", "z"]));
+        // ρ maps R(y, y) to a loop, which the 3-chain lacks, and the other
+        // two atoms cannot cover its three: no witness, no read.
+        assert!(read("T(x, w) :- R(x, y), R(y, z), R(z, w).").is_none());
     }
 }

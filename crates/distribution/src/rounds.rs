@@ -8,9 +8,11 @@
 //! under the round's policy (a [`RoundSchedule`] may change policies between rounds),
 //! evaluates locally at every node, and merges the round's outputs back into
 //! the next round's instance, over any [`Transport`]. A query whose
-//! parallel correctness transfers from its predecessor runs as one
-//! reshuffle-free round on the shards already resident
-//! ([`MultiRoundEngine::evaluate_queries_via`]). A one-round run, the
+//! parallel correctness transfers from its anchor, the last query that
+//! reshuffled, runs as one reshuffle-free round on the shards the anchor
+//! left resident ([`MultiRoundEngine::evaluate_queries_via`]); over shards
+//! split into atom parts it reads them through a (C3) witness, so each of
+//! its valuations too is derived at one node. A one-round run, the
 //! [`OneRoundEngine`](crate::OneRoundEngine)'s included, is this loop
 //! capped at one round.
 //!
@@ -46,7 +48,7 @@ use std::time::Instant;
 use cq::{evaluate, evaluate_seminaive_step, ConjunctiveQuery, Fact, Instance, Symbol};
 
 use crate::engine::{reshuffle_round, run_round, OneRoundOutcome, RoundPlan};
-use crate::plan::{split_of, QueryPlan, RunPlan, Slot};
+use crate::plan::{split_of, Claim, QueryPlan, ResidentRead, RunPlan, Slot};
 use crate::policy::DistributionPolicy;
 use crate::transport::{InMemoryTransport, Shipment, Transport, TransportError};
 
@@ -107,7 +109,7 @@ pub struct MultiRoundOutcome {
     /// exhausting the round cap: no further round could derive anything new.
     pub converged: bool,
     /// How many reshuffles this run elided by evaluating directly on the
-    /// shards resident from a previous query (`1` for a run that is a
+    /// shards resident from its anchor (`1` for a run that is a
     /// single resident round, `0` for a run that re-distributed normally).
     pub elided_reshuffles: usize,
     /// The rounds past 0 at which a feedback run re-shipped its whole state
@@ -153,7 +155,7 @@ pub struct IteratedFixpoint {
 
 /// The outcome of a multi-query run ([`MultiRoundEngine::evaluate_queries`]):
 /// one [`MultiRoundOutcome`] per query, in input order, plus the transfer
-/// bookkeeping of the elision decisions taken between consecutive queries.
+/// bookkeeping of the elision decisions its plan took.
 #[derive(Clone, Debug)]
 pub struct MultiQueryOutcome {
     /// Per-query outcomes, in the order the queries were given.
@@ -165,7 +167,7 @@ pub struct MultiQueryOutcome {
 
 impl MultiQueryOutcome {
     /// Total reshuffles elided across all queries: the number of queries
-    /// that ran directly on the resident shards of their predecessor.
+    /// that ran directly on the resident shards of their anchor.
     pub fn elided_reshuffles(&self) -> usize {
         self.per_query.iter().map(|o| o.elided_reshuffles).sum()
     }
@@ -367,9 +369,9 @@ impl<'a> MultiRoundEngine<'a> {
     }
 
     /// Runs a **sequence of queries** over `instance`: where `transfer` says
-    /// parallel correctness transfers from the previous query to the next,
-    /// the next query's reshuffle is **elided** and it evaluates on the
-    /// shards the previous run left resident. In-memory convenience over
+    /// parallel correctness transfers from a query's anchor (the last query
+    /// that reshuffled) to it, the query's reshuffle is **elided** and it
+    /// evaluates on the shards the anchor left resident. In-memory convenience over
     /// [`MultiRoundEngine::evaluate_queries_via`].
     pub fn evaluate_queries(
         &self,
@@ -397,11 +399,14 @@ impl<'a> MultiRoundEngine<'a> {
     }
 
     /// The plan of running `queries` on this engine, with `transfer` asked
-    /// about every boundary where elision is possible without data (see
-    /// [`RunPlan`]). A `yes` makes the next query correct on *any* shards
-    /// the previous one was correct on (paper §4), the resident ones
-    /// included; by transitivity a chain of elisions needs only
-    /// consecutive pairs checked.
+    /// about every query where elision is possible without data (see
+    /// [`RunPlan`]), and about its anchor: the last query before it that
+    /// the plan does not elide. A `yes` makes the query correct on *any*
+    /// shards the anchor was correct on (paper §4), the resident ones
+    /// included; by transitivity that is as sound as a chain of checks
+    /// between consecutive queries, and it elides at least as much. Over
+    /// shards split into atom parts, a `yes` also takes a (C3) witness
+    /// (Corollary 5.8 says one exists); without one it is refused.
     pub fn plan(&self, queries: &[ConjunctiveQuery], transfer: TransferOracle<'_>) -> RunPlan<'a> {
         let _span = obs::span!("plan", queries = queries.len());
         let [checks, hits, misses] = ["transfer_checks", "transfer_hits", "transfer_misses"]
@@ -409,13 +414,25 @@ impl<'a> MultiRoundEngine<'a> {
         let policies = &self.schedule.policies;
         let entries = self.max_rounds.min(policies.len());
         let elision = self.feedback.is_none() && !self.reshuffle_always;
-        let plans = queries.iter().enumerate().map(|(index, query)| {
-            let elide = (elision && index > 0).then(|| {
-                let transfers = transfer(&queries[index - 1], query);
+        let mut plans: Vec<QueryPlan<'a>> = Vec::with_capacity(queries.len());
+        for (index, query) in queries.iter().enumerate() {
+            let anchor = plans.iter().rposition(|plan| !plan.elides());
+            let elide = anchor.filter(|_| elision).map(|anchor| {
+                let transfers = transfer(&queries[anchor], query);
                 checks.inc();
                 if transfers { &hits } else { &misses }.inc();
-                obs::instant!("elision_claim", query = index, transfers = transfers);
-                transfers
+                obs::instant!(
+                    "elision_claim",
+                    query = index,
+                    anchor = anchor,
+                    transfers = transfers
+                );
+                let read = transfers.then(|| resident_read(&plans[anchor], query));
+                Claim {
+                    anchor,
+                    transfers,
+                    read: read.flatten(),
+                }
             });
             let slots = policies[..entries].iter().enumerate();
             let slots = slots.map(|(first_round, &policy)| Slot {
@@ -423,15 +440,14 @@ impl<'a> MultiRoundEngine<'a> {
                 policy,
                 split: split_of(policy, query),
             });
-            let (query, slots) = (query.clone(), slots.collect());
-            QueryPlan {
-                query,
+            plans.push(QueryPlan {
+                query: query.clone(),
                 elide,
-                slots,
-            }
-        });
+                slots: slots.collect(),
+            });
+        }
         RunPlan {
-            queries: plans.collect(),
+            queries: plans,
             rounds: match self.feedback {
                 Some(_) => self.max_rounds,
                 None => entries,
@@ -442,8 +458,9 @@ impl<'a> MultiRoundEngine<'a> {
     }
 
     /// Carries out `plan` on `instance` through `transport`: a `yes` claim
-    /// runs one reshuffle-free round over the shards a converged run left
-    /// resident where its last round shipped them.
+    /// runs one reshuffle-free round over the shards its anchor left
+    /// resident, if the anchor's run converged in its last slot and no
+    /// query reshuffled since.
     pub fn execute_via(
         &self,
         transport: &mut dyn Transport,
@@ -452,17 +469,24 @@ impl<'a> MultiRoundEngine<'a> {
     ) -> Result<MultiQueryOutcome, TransportError> {
         let elisions = self.registry.counter("elided_reshuffles");
         let mut per_query = Vec::with_capacity(plan.queries().len());
-        let mut resident = Vec::new();
+        // The query whose shards the nodes hold, where they hold a whole
+        // converged run's last slot.
+        let mut resident = None;
         for (index, query) in plan.queries().iter().enumerate() {
             let _query_span = obs::span!("query", index = index);
-            let outcome = if query.elide == Some(true) && !resident.is_empty() {
+            let read = (query.elide.as_ref())
+                .filter(|claim| resident == Some(claim.anchor))
+                .and_then(|claim| claim.read.as_ref());
+            let outcome = if let Some(read) = read {
                 elisions.inc();
                 obs::instant!("reshuffle_elided");
-                // One reshuffle-free round: every node evaluates over the
-                // shard it already holds. `comm_bytes` still counts whatever
-                // result frames a wire transport ships back.
-                let _span = obs::span!("resident_round", round = 0, nodes = resident.len());
-                let round = run_round(transport, 0, &query.query, RoundPlan::resident(&resident))?;
+                // One reshuffle-free round: every node that takes part
+                // evaluates over the shard it already holds. `comm_bytes`
+                // still counts whatever result frames a wire transport
+                // ships back.
+                let nodes = read.nodes.len();
+                let _span = obs::span!("resident_round", round = 0, nodes = nodes);
+                let round = run_round(transport, 0, &query.query, RoundPlan::resident(read))?;
                 MultiRoundOutcome {
                     result: Arc::clone(&round.result),
                     rounds: vec![round],
@@ -472,11 +496,8 @@ impl<'a> MultiRoundEngine<'a> {
                 }
             } else {
                 let outcome = self.run(transport, plan, query, instance)?;
-                let last = query.slot(outcome.rounds_run() - 1).policy;
-                resident = match outcome.converged {
-                    true => last.network().nodes().collect(),
-                    false => Vec::new(),
-                };
+                let last_slot = outcome.rounds_run() >= query.slots.len();
+                resident = (outcome.converged && last_slot).then_some(index);
                 outcome
             };
             per_query.push(outcome);
@@ -520,6 +541,22 @@ impl<'a> MultiRoundEngine<'a> {
             delta = feed_back(relation, &result.absorb(&step), &mut state);
         }
         IteratedFixpoint { result, rounds }
+    }
+}
+
+/// How `query` reads the shards `anchor`'s last slot leaves resident: as
+/// they are when they are plain, through a (C3) witness when they hold
+/// atom parts (`None` without one).
+fn resident_read(anchor: &QueryPlan<'_>, query: &ConjunctiveQuery) -> Option<ResidentRead> {
+    let last = anchor.slots.last()?;
+    match last.split {
+        Some(_) => last.policy.as_hypercube()?.read_parts(query),
+        None => Some(ResidentRead {
+            query: query.clone(),
+            parts: Vec::new(),
+            pinned: Vec::new(),
+            nodes: last.policy.network().nodes().collect(),
+        }),
     }
 }
 
@@ -936,10 +973,10 @@ mod tests {
     }
 
     #[test]
-    fn elision_chains_update_the_transfer_anchor() {
-        // Three queries, all transferring: the second check must be asked
-        // about (Q2, Q3), not (Q1, Q3) — the resident anchor advances even
-        // though the shards never move.
+    fn elision_claims_ask_about_the_anchor_that_left_the_shards() {
+        // Three queries, all transferring: the shards never move, so the
+        // second check is asked about (Q0, Q2), the query that left them,
+        // not about (Q1, Q2) — transferability is transitive.
         let queries = [loop_query(), square_query(), loop_query()];
         let i = parse_instance("R(a, a). R(a, b).").unwrap();
         let broadcast = ExplicitPolicy::total_broadcast(&Network::with_size(2));
@@ -957,9 +994,18 @@ mod tests {
             pairs,
             vec![
                 (queries[0].clone(), queries[1].clone()),
-                (queries[1].clone(), queries[2].clone()),
+                (queries[0].clone(), queries[2].clone()),
             ]
         );
+        let plan = broadcast_engine(&broadcast).plan(&queries, &mut |_, q| *q == queries[1]);
+        let anchors: Vec<_> = plan.queries().iter().map(|q| q.elide.as_ref()).collect();
+        let anchors: Vec<_> = anchors.iter().map(|c| c.map(|c| c.anchor)).collect();
+        assert_eq!(anchors, [None, Some(0), Some(0)], "Q1 elides: no anchor");
+        // A query that reshuffles is the next query's anchor.
+        let plan = broadcast_engine(&broadcast).plan(&queries, &mut |_, q| *q == queries[2]);
+        let anchors: Vec<_> = plan.queries().iter().map(|q| q.elide.as_ref()).collect();
+        let anchors: Vec<_> = anchors.iter().map(|c| c.map(|c| c.anchor)).collect();
+        assert_eq!(anchors, [None, Some(0), Some(1)]);
     }
 
     #[test]
@@ -1090,19 +1136,87 @@ mod tests {
     #[test]
     fn an_elided_query_runs_over_split_hypercube_shards() {
         // The relax sequence under a Hypercube policy of its first query:
-        // the loop query's full rounds ship split chunks, the path query
-        // runs over those shards with the parts merged back, and the last
-        // query re-shards (its transfer is refused) and splits again.
+        // the loop query's full rounds ship split chunks, and both later
+        // queries transfer from it and run over those shards, reading the
+        // atom parts through their (C3) witness: every valuation once.
         let queries = [loop_query(), square_query(), loop_query()];
         let i = parse_instance("R(a, a). R(a, b). R(b, b). R(b, c). R(c, a). R(c, c).").unwrap();
         let p = HypercubePolicy::uniform(&loop_query(), 2).unwrap();
-        let outcome = MultiRoundEngine::new(RoundSchedule::repeat(&p))
-            .rounds(4)
-            .evaluate_queries(&queries, &i, &mut |from, _| *from == loop_query());
+        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&p)).rounds(4);
+        let outcome = engine.evaluate_queries(&queries, &i, &mut |from, _| *from == loop_query());
         assert_eq!(outcome.transfer_checks, 2);
-        assert_eq!(outcome.elided_reshuffles(), 1);
+        assert_eq!(outcome.elided_reshuffles(), 2);
         for (query, run) in queries.iter().zip(&outcome.per_query) {
             assert_eq!(*run.result, cq::evaluate(query, &i), "{query}");
+            // Each node answers for the valuations whose home it is (the
+            // witnesses are the identity, so a valuation is its own V ∘ ρ).
+            let homes: std::collections::BTreeSet<_> = cq::satisfying_valuations(query, &i)
+                .into_iter()
+                .map(|v| (p.node_for_valuation(&v).unwrap(), v.derived_fact(query)))
+                .collect();
+            let derived: usize = run.rounds[0].per_node_output.values().sum();
+            assert_eq!(derived, homes.len(), "{query}");
         }
+        let plan = engine.plan(&queries, &mut |_, _| true).to_string();
+        assert!(
+            plan.contains("elide: yes, transfers from query 0; reads parts 0→R#0 1→R#1\n"),
+            "{plan}"
+        );
+        assert!(
+            plan.contains("elide: yes, transfers from query 0; reads parts 0→R#0 1→R#1 2→R#2\n"),
+            "{plan}"
+        );
+    }
+
+    #[test]
+    fn a_pinned_read_runs_on_the_nodes_at_bucket_zero() {
+        // The loops are the image of R(y, y), which mentions y alone: the
+        // nodes at bucket 0 in x and z take part, each loop found once.
+        let loops = ConjunctiveQuery::parse("T(y) :- R(y, y).").unwrap();
+        let queries = [loop_query(), loops];
+        let i = parse_instance("R(a, a). R(a, b). R(b, b). R(b, c). R(c, c). R(d, d).").unwrap();
+        let p = HypercubePolicy::uniform(&loop_query(), 2).unwrap();
+        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&p));
+        let plan = engine.plan(&queries, &mut |_, _| true);
+        assert!(
+            plan.to_string()
+                .contains("elide: yes, transfers from query 0; reads parts 0→R#2; pins x, z at bucket 0: 2 of 8 nodes"),
+            "{plan}"
+        );
+        let outcome = engine
+            .execute_via(&mut InMemoryTransport::new(1), &plan, &i)
+            .unwrap();
+        assert_eq!(outcome.elided_reshuffles(), 1);
+        let round = &outcome.per_query[1].rounds[0];
+        assert_eq!(*round.result, cq::evaluate(&queries[1], &i));
+        assert_eq!(round.per_node_output.len(), 2);
+        assert_eq!(round.per_node_output.values().sum::<usize>(), 4);
+    }
+
+    #[test]
+    fn a_yes_without_a_witness_over_split_shards_is_refused() {
+        // A lying oracle: the loop query does not transfer to the 3-chain,
+        // and no (C3) witness reads its parts. The plan refuses the claim
+        // and the 3-chain reshuffles, correct all the same.
+        let chain = ConjunctiveQuery::parse("T(x, w) :- R(x, y), R(y, z), R(z, w).").unwrap();
+        let queries = [loop_query(), chain];
+        let i = parse_instance("R(a, a). R(a, b). R(b, c). R(c, d). R(d, d).").unwrap();
+        let p = HypercubePolicy::uniform(&loop_query(), 2).unwrap();
+        let engine = MultiRoundEngine::new(RoundSchedule::repeat(&p));
+        let plan = engine.plan(&queries, &mut |_, _| true);
+        let text = plan.to_string();
+        assert!(
+            text.contains("elide: refused, transfers from query 0 but no (C3) witness"),
+            "{text}"
+        );
+        assert!(!plan.queries()[1].elides());
+        let outcome = engine
+            .execute_via(&mut InMemoryTransport::new(1), &plan, &i)
+            .unwrap();
+        assert_eq!(
+            (outcome.transfer_checks, outcome.elided_reshuffles()),
+            (1, 0)
+        );
+        assert_eq!(*outcome.per_query[1].result, cq::evaluate(&queries[1], &i));
     }
 }

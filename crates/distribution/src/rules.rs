@@ -214,6 +214,18 @@ impl RuleBasedPolicy {
         }
         self.nodes.get(index).copied()
     }
+
+    /// The nodes whose address digit is 0 in every dimension of `pinned`,
+    /// in address order.
+    pub(crate) fn nodes_at_zero(&self, pinned: &[usize]) -> Vec<Node> {
+        let digit =
+            |index: usize, dim: usize| index / self.strides[dim] % self.schemes[dim].buckets();
+        let nodes = self.nodes.iter().enumerate();
+        nodes
+            .filter(|&(index, _)| pinned.iter().all(|&dim| digit(index, dim) == 0))
+            .map(|(_, &node)| node)
+            .collect()
+    }
 }
 
 impl CompiledRule {

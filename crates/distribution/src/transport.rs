@@ -22,11 +22,10 @@
 //! can serve several runs) and answered with only the facts derived for
 //! the first time, and [`Shipment::Resident`] evaluates over the shard the
 //! node already holds without receiving anything. A shard left by a split
-//! round holds atom parts (`R#k`, see [`crate::parts`]); a resident round
-//! reads it with the parts merged back into their relations
-//! ([`merged_parts`]) and keeps the merged shard, which is how a
-//! reshuffle-elided query runs over the split shards of the query before
-//! it. [`InMemoryTransport`]
+//! round holds atom parts (`R#k`, see [`crate::parts`]) and keeps them: a
+//! resident round's query reads the parts itself, which is how a
+//! reshuffle-elided query runs over the split shards of its anchor, each of
+//! its valuations at one node. [`InMemoryTransport`]
 //! calls it from its pool drain; the wire worker loop
 //! (`wire::run_worker`) calls it from its one eval arm — so in-process and
 //! cross-process nodes cannot drift apart.
@@ -41,7 +40,6 @@ use cq::{evaluate, ConjunctiveQuery, Instance};
 
 use crate::network::Node;
 use crate::node::DeltaNode;
-use crate::parts::merged_parts;
 
 /// Errors raised by a [`Transport`].
 ///
@@ -86,10 +84,10 @@ pub enum Shipment {
     /// in round 0 starts the node from an empty state.
     Delta(Arc<Instance>),
     /// Nothing: the node evaluates the round's query over the shard it
-    /// **already holds**, with a split round's atom parts merged back. This
-    /// is the reshuffle-elision primitive — when parallel correctness
-    /// transfers from the query that produced the resident shards, the new
-    /// query's answer is the union of these per-node results.
+    /// **already holds**, a split round's atom parts included. This is the
+    /// reshuffle-elision primitive — when parallel correctness transfers
+    /// from the query that produced the resident shards, the new query's
+    /// answer is the union of these per-node results.
     Resident,
 }
 
@@ -157,14 +155,7 @@ impl NodeState {
             }
             Shipment::Resident => match self {
                 NodeState::Empty => evaluate(query, &Instance::new()),
-                NodeState::Chunk(chunk) => {
-                    // A split round left atom parts behind; the next query
-                    // reads the plain shard (kept, so the merge runs once).
-                    if let Some(merged) = merged_parts(chunk) {
-                        *chunk = Arc::new(merged);
-                    }
-                    evaluate(query, chunk)
-                }
+                NodeState::Chunk(chunk) => evaluate(query, chunk),
                 NodeState::Incremental(state) => evaluate(query, state.data()),
             },
         }

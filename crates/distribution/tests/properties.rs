@@ -244,11 +244,13 @@ fn split_zoo(
     zoo
 }
 
-/// An in-memory transport that keeps every node's output of the round.
+/// An in-memory transport that keeps every node's output of the round,
+/// and the last full chunk each node was shipped: its resident shard.
 #[derive(Default)]
 struct Recording {
     inner: Option<InMemoryTransport>,
     outputs: BTreeMap<Node, Instance>,
+    shards: BTreeMap<Node, Instance>,
 }
 
 impl Transport for Recording {
@@ -263,6 +265,9 @@ impl Transport for Recording {
     }
 
     fn send(&mut self, node: Node, shipment: Shipment) -> Result<(), TransportError> {
+        if let Shipment::Full(chunk) = &shipment {
+            self.shards.insert(node, (**chunk).clone());
+        }
         self.inner
             .as_mut()
             .expect("the round began")
@@ -721,25 +726,74 @@ fn recorded(events: &[obs::TraceEvent], root: u64) -> Vec<Decision> {
     decisions
 }
 
+/// The nodes of `policy` a read pinning `pinned` runs on: every node when
+/// nothing is pinned; else those whose Hypercube address (the node's name,
+/// `node(a,b,…)`, one digit per dimension) is 0 in every pinned dimension.
+fn pinned_nodes(policy: &dyn DistributionPolicy, pinned: &[Variable]) -> BTreeSet<Node> {
+    let nodes = policy.network().nodes();
+    let Some(hypercube) = policy.as_hypercube() else {
+        assert!(pinned.is_empty(), "only a Hypercube's dimensions pin");
+        return nodes.collect();
+    };
+    let dims: Vec<usize> = pinned
+        .iter()
+        .map(|v| hypercube.dimensions().iter().position(|d| d == v).unwrap())
+        .collect();
+    let address = |node: &Node| -> Vec<usize> {
+        let digits = node
+            .as_str()
+            .trim_start_matches("node(")
+            .trim_end_matches(')');
+        digits.split(',').map(|d| d.parse().unwrap()).collect()
+    };
+    nodes
+        .filter(|node| dims.iter().all(|&dim| address(node)[dim] == 0))
+        .collect()
+}
+
 /// The decisions `plan` prescribes for a run whose per-query outcomes are
-/// `outcome`. The run's rounds, its convergence and the resident set are
-/// the guards the plan leaves to the data, read off the outcome; the plan
-/// decides everything else. Checks that every elision is backed by a `yes`
-/// claim and every `yes` with resident shards is carried out.
+/// `outcome`. The run's rounds and its convergence are the guards the plan
+/// leaves to the data, read off the outcome; the plan decides everything
+/// else. Checks that every claim is about its anchor (the last query the
+/// plan does not elide), that a `yes` over atom parts reads them exactly
+/// when a (C3) witness exists, that every elision is backed by a `yes`
+/// whose anchor left the resident shards, that every such `yes` is carried
+/// out, and on the pinned node set.
 fn planned(plan: &RunPlan<'_>, outcome: &MultiQueryOutcome, feedback: bool) -> Vec<Decision> {
     let mut decisions = Vec::new();
-    let mut resident: Vec<Node> = Vec::new();
-    for (index, (query, run)) in plan.queries().iter().zip(&outcome.per_query).enumerate() {
-        if let Some(transfers) = query.elide {
-            decisions.push((index, None, "claim", usize::from(transfers)));
+    // The query whose converged last slot the nodes hold.
+    let mut resident = None;
+    let queries = plan.queries();
+    for (index, (query, run)) in queries.iter().zip(&outcome.per_query).enumerate() {
+        let mut read = None;
+        if let Some(claim) = &query.elide {
+            decisions.push((index, None, "claim", usize::from(claim.transfers)));
+            let anchor = (0..index).rev().find(|&j| !queries[j].elides());
+            assert_eq!(Some(claim.anchor), anchor, "query {index}'s anchor");
+            let last = queries[claim.anchor].slots.last().unwrap();
+            let witness = || cq::c3_witness(&queries[claim.anchor].query, &query.query).is_some();
+            let readable = last.parts() == 0 || witness();
+            assert_eq!(
+                claim.read.is_some(),
+                claim.transfers && readable,
+                "query {index}"
+            );
+            if let Some(r) = &claim.read {
+                let nodes: BTreeSet<Node> = r.nodes.iter().copied().collect();
+                assert_eq!(nodes, pinned_nodes(last.policy, &r.pinned), "query {index}");
+            }
+            read = claim
+                .read
+                .as_ref()
+                .filter(|_| resident == Some(claim.anchor));
         }
-        let elide = query.elide == Some(true) && !resident.is_empty();
-        assert_eq!(run.elided_reshuffles == 1, elide, "query {index}");
-        if elide {
-            let nodes: Vec<Node> = run.rounds[0].per_node_load.keys().copied().collect();
-            assert_eq!(nodes, resident, "query {index} ran on other nodes");
+        assert_eq!(run.elided_reshuffles == 1, read.is_some(), "query {index}");
+        if let Some(read) = read {
+            let nodes: BTreeSet<Node> = run.rounds[0].per_node_load.keys().copied().collect();
+            let planned: BTreeSet<Node> = read.nodes.iter().copied().collect();
+            assert_eq!(nodes, planned, "query {index} ran on other nodes");
             decisions.push((index, None, "elided", 0));
-            decisions.push((index, None, "resident", resident.len()));
+            decisions.push((index, None, "resident", read.nodes.len()));
             continue;
         }
         for round in 0..run.rounds_run() {
@@ -753,11 +807,8 @@ fn planned(plan: &RunPlan<'_>, outcome: &MultiQueryOutcome, feedback: bool) -> V
                 }
             }
         }
-        let last = query.slot(run.rounds_run() - 1).policy;
-        resident = match run.converged {
-            true => last.network().nodes().collect(),
-            false => Vec::new(),
-        };
+        let last_slot = run.rounds_run() >= query.slots.len();
+        resident = (run.converged && last_slot).then_some(index);
     }
     decisions.sort();
     decisions
@@ -929,6 +980,13 @@ proptest! {
     /// of a valuation through a new fact whose home is `n`, and not one
     /// `n` shipped before; the home answers through a new fact, over all
     /// nodes, are exactly the central semi-naive step.
+    ///
+    /// And Corollary 5.8 for elided resident rounds: a query of the relax
+    /// family, or the loops (a read that pins), run on the split shards
+    /// of the query by a `yes` from any oracle reads them through its
+    /// (C3) witness: every valuation of the read is derived at exactly one
+    /// node, and the answers are the reference fixpoint's. Without a
+    /// witness the claim is refused and the query reshuffles.
     #[test]
     fn split_delta_rounds_derive_each_valuation_at_its_home(
         state in instance_strategy(),
@@ -980,9 +1038,53 @@ proptest! {
                 prop_assert_eq!(&shipped, &new.difference(old), "{} at {}: delta round", name, node);
             }
             prop_assert_eq!(&union, &step, "{}: the home answers are the central step", name);
+
+            for text in ELIDED_QUERIES {
+                let elided = ConjunctiveQuery::parse(text).unwrap();
+                let queries = [q.clone(), elided.clone()];
+                let engine = MultiRoundEngine::new(RoundSchedule::repeat(policy.as_ref()));
+                let plan = engine.plan(&queries, &mut |_, _| true);
+                let mut transport = Recording::default();
+                let run = engine.execute_via(&mut transport, &plan, &all).unwrap();
+                let claim = plan.queries()[1].elide.as_ref().expect("a claim");
+                let witness = cq::c3_witness(&q, &elided).is_some();
+                prop_assert_eq!(claim.read.is_some(), witness, "{}: {}", name, elided);
+                prop_assert_eq!(run.elided_reshuffles(), usize::from(witness));
+                // Refused, the query reshuffles under a policy of `q`.
+                let Some(read) = &claim.read else { continue };
+                let reference = engine.reference_fixpoint(&elided, &all).result;
+                prop_assert_eq!(&*run.per_query[1].result, &reference, "{}: {}", name, elided);
+                // The read over the plain relations: θ(Q′) itself.
+                let atoms = read.query.body().iter().zip(&read.parts);
+                let plain = atoms.map(|(atom, &k)| Atom::new(q.body()[k].relation, atom.args.clone()));
+                let plain = read.query.with_body(plain.collect()).unwrap();
+                let mut derived: BTreeMap<cq::Valuation, usize> = BTreeMap::new();
+                let empty = Instance::new();
+                for node in &read.nodes {
+                    let shard = transport.shards.get(node).unwrap_or(&empty);
+                    for v in cq::satisfying_valuations(&read.query, shard) {
+                        *derived.entry(v).or_default() += 1;
+                    }
+                }
+                let twice = derived.iter().find(|&(_, &n)| n > 1);
+                prop_assert!(twice.is_none(), "{}: {} derives {:?} twice", name, elided, twice);
+                let central: BTreeSet<cq::Valuation> =
+                    cq::satisfying_valuations(&plain, &all).into_iter().collect();
+                let found: BTreeSet<cq::Valuation> = derived.into_keys().collect();
+                prop_assert_eq!(found, central, "{}: {}", name, elided);
+            }
         }
     }
 }
+
+/// The queries the home-node property runs on the split shards of a
+/// planned query: the relax family, and the loops alone, whose read of the
+/// loop query's parts pins `x` and `z`.
+const ELIDED_QUERIES: [&str; 3] = [
+    "T(x, z) :- R(x, y), R(y, z).",
+    "T(x, z) :- R(x, y), R(y, z), R(y, y).",
+    "T(y) :- R(y, y).",
+];
 
 /// A one-round run under a broadcast policy returns what the scan oracle
 /// evaluates centrally.

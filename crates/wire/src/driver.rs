@@ -60,7 +60,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cq::{ConjunctiveQuery, Instance};
-use distribution::{merged_parts, Node, NodeResult, Shipment, Transport, TransportError};
+use distribution::{Node, NodeResult, Shipment, Transport, TransportError};
 use obs::TraceEvent;
 
 use crate::codec::{decode_body_with, DecodeError, Dictionary, Encoder};
@@ -777,12 +777,9 @@ impl WireTransport {
 
     /// The ledger copy of `node`'s shard as the full chunk a resident job
     /// becomes on a worker that does not hold it. A split round's atom
-    /// parts are merged back first, as the node rule does for a resident
-    /// round (`distribution::merged_parts`): the round's query reads the
-    /// plain relations.
+    /// parts stay as they are: the resident round's query reads them.
     fn resident_shard(&self, node: Node) -> Shipment {
-        let shard = self.shipped_state.get(&node).cloned().unwrap_or_default();
-        Shipment::Full(merged_parts(&shard).map_or(shard, Arc::new))
+        Shipment::Full(self.shipped_state.get(&node).cloned().unwrap_or_default())
     }
 }
 
@@ -1119,11 +1116,11 @@ mod tests {
     }
 
     #[test]
-    fn a_requeued_resident_job_ships_the_split_shard_merged() {
+    fn a_requeued_resident_job_ships_the_split_shard_with_its_parts() {
         // The node's shard came from a split round (atom parts R#0, R#1);
-        // its worker dies before the resident round of the plain query is
-        // answered, so the survivor gets the shard as a full chunk — with
-        // the parts merged back, as the node rule reads a resident shard.
+        // its worker dies before the resident round that reads those parts
+        // is answered, so the survivor gets the ledger's shard as a full
+        // chunk, parts and all, and the announced query reads them.
         let path = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let parts = path
             .body()
@@ -1131,22 +1128,27 @@ mod tests {
             .enumerate()
             .map(|(k, atom)| cq::Atom::new(format!("R#{k}").as_str(), atom.args.clone()));
         let split = path.with_body(parts.collect()).unwrap();
-        let chunk = Instance::from_facts([
+        let chunk = Arc::new(Instance::from_facts([
             cq::Fact::from_names("R#0", &["a", "a"]),
             cq::Fact::from_names("R#1", &["a", "b"]),
-        ]);
+        ]));
         let node = Node::numbered(0);
         let mut core = inert_core(2);
         core.begin_round(0, &split).unwrap();
-        core.send(node, Shipment::Full(Arc::new(chunk))).unwrap();
-        core.begin_round(0, &path).unwrap();
+        core.send(node, Shipment::Full(chunk.clone())).unwrap();
+        core.begin_round(0, &split).unwrap();
         core.send(node, Shipment::Resident).unwrap();
         let job = core.jobs[0][0].clone();
         core.mark_dead(0);
         let Shipment::Full(shard) = core.rebuilt(job).work else {
             panic!("a resident job requeues as a full chunk");
         };
-        assert_eq!(*shard, cq::parse_instance("R(a, a). R(a, b).").unwrap());
+        assert!(
+            Arc::ptr_eq(&shard, &chunk),
+            "the ledger's shard, not a copy"
+        );
+        let answers = distribution::NodeState::default().apply(0, &split, Shipment::Full(shard));
+        assert_eq!(answers, cq::parse_instance("T(a, b).").unwrap());
     }
 
     #[test]

@@ -360,8 +360,8 @@ pub struct Scenario {
     /// The conjunctive queries to evaluate, in order (non-empty). A
     /// one-element sequence is the classic single-query scenario; longer
     /// sequences run under the multi-query engine, which checks
-    /// transferability between consecutive queries and elides the
-    /// reshuffle where it holds.
+    /// transferability from each query's anchor (the last query that
+    /// reshuffled) and elides the reshuffle where it holds.
     pub queries: Vec<ConjunctiveQuery>,
     /// The initial database instance.
     pub instance: Instance,

@@ -98,11 +98,12 @@
 //! file.pcq` replaces the three positional specs with one scenario file.
 //! A scenario may list several queries in a `queries { … }` block: the
 //! engine runs them in sequence over the same instance, its plan holding
-//! the **pc-transferability** verdict of each pair of consecutive queries —
-//! when parallel-correctness transfers, the next query's reshuffle is elided
-//! and it evaluates directly on the shards resident from its predecessor;
-//! when it does not transfer, the instance is re-distributed from
-//! scratch. `--reshuffle-always` disables the elision (the baseline its
+//! the **pc-transferability** verdict of each query's anchor (the last
+//! query that reshuffled) and the query — when parallel-correctness
+//! transfers, the query's reshuffle is elided and it evaluates directly on
+//! the shards resident from its anchor (split shards through a (C3)
+//! witness); when it does not transfer, the instance is re-distributed
+//! from scratch. `--reshuffle-always` disables the elision (the baseline its
 //! communication saving is measured against), and the JSON report gains
 //! `transfer_checks` and `elided_reshuffles`.
 //!
@@ -549,6 +550,7 @@ fn worker_argv(
 fn open_transport(
     opts: &RunOptions,
 ) -> Result<(Box<dyn Transport>, std::sync::Arc<obs::Registry>), String> {
+    let _span = obs::span!("open_transport", workers = opts.workers);
     let spawn = match opts.transport {
         TransportChoice::Memory => {
             let transport = InMemoryTransport::new(opts.workers);
@@ -776,8 +778,13 @@ fn run_command(args: &[String]) -> Result<bool, Failure> {
         obs::start_trace();
         obs::span!("run")
     });
-    let verdict = lower(&positional, &opts).and_then(|run| {
+    let lowered = {
+        let _span = obs::span!("lower");
+        lower(&positional, &opts)
+    };
+    let verdict = lowered.and_then(|run| {
         let report = execute(&run, &opts)?;
+        let _span = obs::span!("report", json = opts.json);
         if opts.json {
             say!("{}", report.to_json());
         } else {
@@ -1001,8 +1008,14 @@ fn execute<'a>(run: &'a Run, opts: &'a RunOptions) -> Result<RunReport<'a>, Stri
         .execute_via(transport.as_mut(), &plan, instance)
         .map_err(|e| e.to_string())?;
     // Stop the workers and release the shipped chunks before the verify.
-    drop(transport);
+    {
+        let _span = obs::span!("shutdown");
+        drop(transport);
+    }
     let total = total_start.elapsed();
+    // Read out before the verify: the snapshot sorts a copy of each
+    // histogram's samples, and made after the verify that copy raised the
+    // peak RSS of a closure run by about 100 KB.
     let metrics = wire::merged_registry_json(&[&engine.registry(), &transport_registry]);
 
     // Every query's answer against the global fixpoint of its centralized

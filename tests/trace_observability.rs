@@ -715,6 +715,53 @@ fn cli_traced_socket_multi_query_run_produces_one_valid_merged_trace() {
 }
 
 #[test]
+fn a_cli_run_spans_its_lowering_transport_start_shutdown_and_report() {
+    // The coordinator's work outside the engine: parsing the scenario,
+    // starting the workers (spawn and Hello), stopping them, and building
+    // and printing the report. Each is one span, a child of `run`, on every
+    // transport.
+    use std::process::Command;
+
+    let dir = std::env::temp_dir();
+    let scenario = dir.join(format!("pcq-spans-{}.pcq", std::process::id()));
+    std::fs::write(
+        &scenario,
+        "queries {\n  T(x, z) :- R(x, y), R(y, z), R(y, y).\n  T(x, z) :- R(x, y), R(y, z).\n}\n\
+         instance { R(a, a). R(a, b). R(b, c). R(c, c). }\nschedule hypercube(2)\nrounds 1\n",
+    )
+    .unwrap();
+    for transport in ["memory", "process", "socket"] {
+        let trace = dir.join(format!("pcq-spans-{transport}-{}.json", std::process::id()));
+        let run = Command::new(worker_binary())
+            .args(["run", "--scenario", scenario.to_str().unwrap()])
+            .args(["--transport", transport, "--workers", "2", "--json"])
+            .args(["--trace", trace.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "{transport}: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let events =
+            trace_export::parse_chrome_trace(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let coordinator = || events.iter().filter(|e| e.pid == 0);
+        let root = coordinator().find(|e| e.name == "run").expect("a run span");
+        for name in ["lower", "open_transport", "shutdown", "report"] {
+            let spans: Vec<_> = coordinator().filter(|e| e.name == name).collect();
+            assert_eq!(spans.len(), 1, "{transport}: {name}");
+            assert_eq!(spans[0].kind, obs::EventKind::Span, "{transport}: {name}");
+            assert_eq!(
+                spans[0].parent, root.id,
+                "{transport}: {name} is not under run"
+            );
+        }
+        let _ = std::fs::remove_file(trace);
+    }
+    let _ = std::fs::remove_file(scenario);
+}
+
+#[test]
 fn disabled_tracing_costs_under_two_percent_of_a_closure_run() {
     // With no active trace every instrumentation site costs one relaxed
     // load, its arguments unevaluated. The product (cost of one disabled
@@ -838,22 +885,25 @@ fn recorded_decisions(events: &[obs::TraceEvent]) -> Vec<Decision> {
 }
 
 /// The decisions `plan` prescribes for the run that ended in `outcome`,
-/// whose rounds, convergence and resident set — the guards the plan leaves
-/// to the data — are read off the outcome.
+/// whose rounds and convergence — the guards the plan leaves to the data —
+/// are read off the outcome: a `yes` is carried out on the nodes its read
+/// names when its anchor's run converged in its last slot and no query ran
+/// since.
 fn planned_decisions(
     plan: &RunPlan<'_>,
     outcome: &MultiQueryOutcome,
     feedback: bool,
 ) -> Vec<Decision> {
     let mut decisions = Vec::new();
-    let mut resident = 0;
+    let mut resident = None;
     for (index, (query, run)) in plan.queries().iter().zip(&outcome.per_query).enumerate() {
-        if let Some(transfers) = query.elide {
-            decisions.push((index, None, "claim", usize::from(transfers)));
+        if let Some(claim) = &query.elide {
+            decisions.push((index, None, "claim", usize::from(claim.transfers)));
         }
-        if query.elide == Some(true) && resident > 0 {
+        let claim = query.elide.as_ref().filter(|c| resident == Some(c.anchor));
+        if let Some(read) = claim.and_then(|c| c.read.as_ref()) {
             decisions.push((index, None, "elided", 0));
-            decisions.push((index, None, "resident", resident));
+            decisions.push((index, None, "resident", read.nodes.len()));
             continue;
         }
         for round in 0..run.rounds_run() {
@@ -867,12 +917,8 @@ fn planned_decisions(
                 }
             }
         }
-        let last = query.slot(run.rounds_run() - 1).policy;
-        resident = if run.converged {
-            last.network().len()
-        } else {
-            0
-        };
+        let last_slot = run.rounds_run() >= query.slots.len();
+        resident = (run.converged && last_slot).then_some(index);
     }
     decisions.sort();
     decisions
@@ -884,8 +930,9 @@ fn every_run_shape_records_the_decisions_of_its_plan_on_every_transport() {
     // a triangle under its Hypercube, one round (split rounds); a Zipf
     // two-atom join under a hash join (plain rounds); a closure with
     // feedback over a two-entry schedule (deltas and a re-shard); the relax
-    // sequence (a `yes` claim carried out and a `no`). On every transport
-    // the trace records exactly the plan's decisions.
+    // sequence (two `yes` claims about its first query, both carried out
+    // over its atom parts). On every transport the trace records exactly
+    // the plan's decisions.
     let _gate = gate();
     let triangle = named_query("triangle").unwrap();
     let join = ConjunctiveQuery::parse("T(x, y, z) :- R(x, y), S(y, z).").unwrap();
@@ -976,7 +1023,7 @@ fn every_run_shape_records_the_decisions_of_its_plan_on_every_transport() {
                 "sparse" => assert_eq!(decisions, [(0, Some(0), "parts", 0)], "{context}"),
                 "closure" => assert_eq!(kinds("reshard"), 1, "{context}: {decisions:?}"),
                 _ => {
-                    assert_eq!(kinds("elided"), 1, "{context}");
+                    assert_eq!(kinds("elided"), 2, "{context}");
                     assert_eq!(outcome.transfer_checks, 2, "{context}");
                 }
             }

@@ -719,6 +719,80 @@ fn multi_query_elision_matches_reshuffle_always_on_all_sequences_and_transports(
     }
 }
 
+/// Elided queries over split shards, on every transport: under the loop
+/// query's own Hypercube, the relax sequence elides both later queries and
+/// the loops alone elide onto a pinned node set, each answer the reference
+/// fixpoint's, also when a worker dies in the resident round and its jobs
+/// are requeued with the ledger's shards, parts and all. A lying oracle's
+/// `yes` for the 3-chain, which no (C3) witness backs, is refused: the
+/// chain reshuffles as the baseline does.
+#[test]
+fn elided_queries_read_split_shards_through_their_witness_on_every_transport() {
+    let loop_query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z), R(y, y).").unwrap();
+    let sequences = [
+        named_query_sequence("relax").unwrap(),
+        vec![
+            loop_query.clone(),
+            ConjunctiveQuery::parse("T(y) :- R(y, y).").unwrap(),
+        ],
+        vec![
+            loop_query.clone(),
+            ConjunctiveQuery::parse("T(x, w) :- R(x, y), R(y, z), R(z, w).").unwrap(),
+        ],
+    ];
+    let policy = HypercubePolicy::uniform(&loop_query, 2).unwrap();
+    let engine = |always| {
+        MultiRoundEngine::new(RoundSchedule::repeat(&policy))
+            .rounds(4)
+            .reshuffle_always(always)
+    };
+    // Worker 0 answers the loop query's four chunks, then dies on its first
+    // resident job.
+    let faulty = || PIPES(&worker_binary(), &faulty_argv(2, 4)).unwrap();
+    for (queries, elided) in sequences.iter().zip([2, 1, 0]) {
+        let instance = instance_for_sequence(queries, 23);
+        let baseline = engine(true).evaluate_queries(queries, &instance, &mut |_, _| true);
+        let transports: [(&str, Box<dyn Transport>); 4] = [
+            ("memory", Box::new(InMemoryTransport::new(2))),
+            ("process", Box::new(spawn_transport(2))),
+            ("socket", Box::new(spawn_workers(SOCKETS, 2))),
+            ("faulty", Box::new(faulty())),
+        ];
+        for (label, mut transport) in transports {
+            let context = format!("{label}: {}", queries[1]);
+            let run = engine(false)
+                .evaluate_queries_via(transport.as_mut(), queries, &instance, &mut |_, _| true)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            assert_eq!(run.elided_reshuffles(), elided, "{context}");
+            assert_eq!(run.transfer_checks, queries.len() - 1, "{context}");
+            for (i, (query, (r, b))) in queries
+                .iter()
+                .zip(run.per_query.iter().zip(&baseline.per_query))
+                .enumerate()
+            {
+                assert_eq!(
+                    r.result, b.result,
+                    "{context}[{i}]: diverged from the baseline"
+                );
+                if i == 0 || elided > 0 {
+                    let reference = engine(false).reference_fixpoint(query, &instance);
+                    assert_eq!(*r.result, reference.result, "{context}[{i}]");
+                }
+            }
+        }
+    }
+    // The fault fired in a resident round: a requeued resident job became
+    // a rebuild carrying the ledger's shard.
+    let mut transport = faulty();
+    let queries = &sequences[0];
+    let instance = instance_for_sequence(queries, 23);
+    let run = engine(false)
+        .evaluate_queries_via(&mut transport, queries, &instance, &mut |_, _| true)
+        .unwrap();
+    assert_eq!(run.elided_reshuffles(), 2);
+    assert!(transport.metrics_registry().counter_value("state_rebuilds") > 0);
+}
+
 // ---------------------------------------------------------------------------
 // Fault tolerance: a worker dying mid-round must not lose the round.
 // ---------------------------------------------------------------------------
@@ -1019,12 +1093,20 @@ fn every_transport_applies_shipments_by_the_same_node_state_rule() {
             "T(a, b).",
         ),
         (
-            "a resident query over a split shard sees the merged shard",
+            "a resident query over a split shard reads its parts",
+            &split,
+            0,
+            n0,
+            Shipment::Resident,
+            "T(a, b).",
+        ),
+        (
+            "the parts are not merged back into their relation",
             &path,
             0,
             n0,
             Shipment::Resident,
-            "T(a, a). T(a, b).",
+            "",
         ),
         (
             "a never-shipped node holds nothing",
