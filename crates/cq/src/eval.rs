@@ -52,18 +52,31 @@
 //!   not to the accumulated instance.
 //! * **Answers as packed keys.** `evaluate*` project every satisfying
 //!   assignment onto the head slots and collect the projections with set
-//!   semantics *before any [`Fact`] exists*. A head of arity ≤ 4 — every
-//!   projecting head the workloads use — packs into one integer key (a
-//!   `u64` up to arity 2, a `u128` up to 4), each value's 32-bit symbol id
-//!   with the first head value in the high bits, so a derivation costs one
-//!   integer hash probe. The keys of one head order as its tuples do (an
-//!   opaque id keeps its place after the named ones), so the distinct keys
-//!   are sorted as integers and unpacked into ascending rows that
+//!   semantics *before any [`Fact`] exists*. **A head of at most two
+//!   values over a small id range collects into a bitmap**: every search
+//!   of the evaluation is planned first, and each sorted order records the
+//!   least and greatest raw id it holds, so the range of a head variable
+//!   is read off the orders of its atoms — no pass over the facts. The
+//!   bitmap spans the product of the head variables' ranges; it is chosen
+//!   when its words are at most the rows the searches read (every atom's
+//!   order for a whole evaluation, the pivot's delta order for a
+//!   differential pass) or 4 096 (32 KB), whichever is more — never more
+//!   than 8 bytes a row above the floor. A derivation sets one bit, and
+//!   the set bits, walked in index order, are the answers in ascending
+//!   order, built at their exact count: no key, no sort, no dedup. A wider
+//!   range — a mixed opaque and named one spans 2³¹ ids — keeps the hash
+//!   set: a head of arity ≤ 4 packs into one integer key (a `u64` up to
+//!   arity 2, a `u128` up to 4), each value's 32-bit symbol id with the
+//!   first head value in the high bits, so a derivation costs one integer
+//!   hash probe. The keys of one head order as its tuples do (an opaque id
+//!   keeps its place after the named ones), so the distinct keys are
+//!   sorted as integers and unpacked into ascending rows that
 //!   [`Instance::from_relations`] moves in: no [`Fact`] is sorted.
 //!   A wider head keeps a set of [`Tuple`]s and one [`Instance::from_facts`]
-//!   at the end. Either way the work per derivation is a probe and the
-//!   allocations are O(answers), never O(valuations). (`evaluate_done` in a
-//!   trace carries both counts.) A full evaluation of a query whose head
+//!   at the end. Either way the work per derivation is a bit or a probe,
+//!   and the allocations are O(answers), never O(valuations).
+//!   (`evaluate_done` in a trace carries both counts and the `collector`:
+//!   `dense`, `hashed` or `each`.) A full evaluation of a query whose head
 //!   mentions every variable skips the set: each leaf of one enumeration is
 //!   a new answer there, valuations = answers, so a packable head pushes
 //!   its key onto a plain vector, sorted as integers at the end — one pass
@@ -261,29 +274,74 @@ impl<'q> CompiledQuery<'q> {
     where
         L: FnMut(&Slots) -> ControlFlow<()>,
     {
+        match self.prepare(full, pivot, &slots) {
+            Some(pass) => self.run(&pass, slots, leaf),
+            None => ControlFlow::Continue(()),
+        }
+    }
+
+    /// The plan of [`CompiledQuery::search`] and the sorted orders its atoms
+    /// walk; `None` when an atom has no row of its arity, so nothing
+    /// satisfies the query.
+    fn prepare(
+        &self,
+        full: &Instance,
+        pivot: Option<(usize, &Instance)>,
+        slots: &Slots,
+    ) -> Option<Pass> {
         let source = |atom: usize| match pivot {
             Some((pivoted, delta)) if pivoted == atom => delta,
             _ => full,
         };
-        let pivot = pivot.map(|(atom, _)| atom);
+        let pivoted = pivot.map(|(atom, _)| atom);
+        let plan = TriePlan::new(self, slots, pivoted);
         let body = self.query.body().iter().enumerate();
-        let plan = TriePlan::new(self, &slots, pivot);
-        // The orders are held here, outside the join whose cursors borrow
-        // them, for as long as it runs.
-        let mut orders: Vec<Arc<SortedOrder>> = Vec::with_capacity(self.atom_count());
-        for (atom, body_atom) in body {
+        let orders = body.map(|(atom, body_atom)| {
             let order = source(atom).sorted_order(body_atom.relation, plan.columns(self, atom));
-            // No row of the atom's arity: nothing satisfies the query.
-            if order.rows() == 0 {
-                return ControlFlow::Continue(());
-            }
-            orders.push(order);
-        }
-        match Leapfrog::new(self, &plan, &orders, slots, leaf) {
+            (order.rows() > 0).then_some(order)
+        });
+        let orders = orders.collect::<Option<Vec<_>>>()?;
+        Some(Pass {
+            plan,
+            pivot: pivoted,
+            orders,
+        })
+    }
+
+    /// The [prepared](CompiledQuery::prepare) searches over `full` from no
+    /// binding that `pivots` lists, leaving out those that find nothing.
+    fn passes<'i>(
+        &self,
+        full: &Instance,
+        pivots: impl IntoIterator<Item = Option<(usize, &'i Instance)>>,
+    ) -> Vec<Pass> {
+        let slots = vec![None; self.vars.len()];
+        let pivots = pivots.into_iter();
+        pivots
+            .filter_map(|pivot| self.prepare(full, pivot, &slots))
+            .collect()
+    }
+
+    /// Runs a [prepared](CompiledQuery::prepare) search from `slots`.
+    fn run<L>(&self, pass: &Pass, slots: Vec<Option<Value>>, leaf: L) -> ControlFlow<()>
+    where
+        L: FnMut(&Slots) -> ControlFlow<()>,
+    {
+        match Leapfrog::new(self, &pass.plan, &pass.orders, slots, leaf) {
             Some(mut join) => join.search(0),
             None => ControlFlow::Continue(()),
         }
     }
+}
+
+/// One search, planned: the order it binds in and the sorted order each
+/// atom walks, held here, outside the join whose cursors borrow them, for
+/// as long as it runs.
+struct Pass {
+    plan: TriePlan,
+    /// The atom that walks the delta in a differential pass.
+    pivot: Option<usize>,
+    orders: Vec<Arc<SortedOrder>>,
 }
 
 /// The binding state of a search: the slot array plus the undo trail of the
@@ -839,6 +897,11 @@ where
 
 /// The head tuples of an evaluation.
 enum Collected {
+    /// Set semantics over one bit per head tuple the searches can bind, for
+    /// a head of at most [`NARROW_ARITY`] values over a small id range (see
+    /// [`Dense`]): a derivation sets its bit, and the set bits, walked in
+    /// index order, are the answers in ascending order.
+    Dense(Dense),
     /// Set semantics over packed keys *before any [`Fact`] exists*, for a
     /// head of arity ≤ [`PACKED_ARITY`] (the key layout is
     /// [`fact::pack`]'s). The keys of one head order as its tuples do, so
@@ -862,6 +925,117 @@ enum Collected {
     Each(Vec<Fact>),
 }
 
+/// The fewest words a dense answer set may always take: 32 KB.
+const DENSE_FLOOR_WORDS: usize = 4_096;
+
+/// A bitmap over the product of the head values' [raw](Value::raw) id
+/// ranges: the head tuple `(v₀, v₁)` is bit `(v₀ − low₀) · width₁ + (v₁ −
+/// low₁)` (bit `v₀ − low₀` for a unary head, bit 0 for a nullary one), so
+/// index order is the tuples' order.
+struct Dense {
+    lows: [u32; NARROW_ARITY],
+    widths: [u64; NARROW_ARITY],
+    bits: Vec<u64>,
+}
+
+impl Dense {
+    /// The bitmap for the head of `compiled` over the searches `passes`,
+    /// when there is one and it takes at most as many words as the passes
+    /// read rows, or [`DENSE_FLOOR_WORDS`]. A whole search reads the rows
+    /// of every atom's order, a differential pass those of its pivot's
+    /// delta order: a step never walks a bitmap sized by the instance it
+    /// grows.
+    ///
+    /// The ranges come from the orders, never from a fact: a head value is
+    /// bound through every atom of its variable, so within one pass it lies
+    /// in the intersection of those atoms' ranges, and over all passes in
+    /// the union of those intersections. A mixed opaque and named range
+    /// spans the opaque bit, 2³¹ ids: it fits no evaluation of fewer than
+    /// 2²⁵ rows.
+    fn fit(compiled: &CompiledQuery<'_>, passes: &[Pass]) -> Option<Dense> {
+        let head = compiled.head();
+        if head.len() > NARROW_ARITY || passes.is_empty() {
+            return None;
+        }
+        // Empty while `low > high`.
+        let mut ranges = [(u32::MAX, 0); NARROW_ARITY];
+        let mut rows = 0;
+        'passes: for pass in passes {
+            rows += match pass.pivot {
+                Some(atom) => pass.orders[atom].rows(),
+                None => pass.orders.iter().map(|order| order.rows()).sum(),
+            };
+            let mut bounds = [(0, u32::MAX); NARROW_ARITY];
+            for (bound, &slot) in bounds.iter_mut().zip(head) {
+                let atoms =
+                    (0..compiled.atom_count()).filter(|&a| compiled.atom(a).contains(&slot));
+                for atom in atoms {
+                    let (low, high) = pass.orders[atom].range().expect("a row binds the slot");
+                    *bound = (bound.0.max(low), bound.1.min(high));
+                }
+                // No value is common to the slot's atoms: the pass binds none.
+                if bound.0 > bound.1 {
+                    continue 'passes;
+                }
+            }
+            for (range, bound) in ranges.iter_mut().zip(bounds) {
+                *range = (range.0.min(bound.0), range.1.max(bound.1));
+            }
+        }
+        let (mut lows, mut widths) = ([0; NARROW_ARITY], [1; NARROW_ARITY]);
+        for (at, &(low, high)) in ranges.iter().enumerate().take(head.len()) {
+            if low > high {
+                return None;
+            }
+            (lows[at], widths[at]) = (low, u64::from(high - low) + 1);
+        }
+        let bits: u128 = widths.iter().map(|&width| u128::from(width)).product();
+        let words = bits.div_ceil(64);
+        let fits = words <= rows.max(DENSE_FLOOR_WORDS) as u128;
+        fits.then(|| Dense {
+            lows,
+            widths,
+            bits: vec![0; words as usize],
+        })
+    }
+
+    /// Sets the bit of one head tuple.
+    #[inline]
+    fn insert(&mut self, values: impl Iterator<Item = Value>) {
+        let (lows, widths) = (self.lows.iter(), self.widths.iter());
+        let mut index = 0;
+        for ((&low, &width), value) in lows.zip(widths).zip(values) {
+            index = index * width + u64::from(value.raw() - low);
+        }
+        self.bits[(index / 64) as usize] |= 1 << (index % 64);
+    }
+
+    /// The tuples of the set bits as facts of `relation`, ascending, in a
+    /// vector of exactly their number.
+    fn into_rows(self, relation: Symbol, arity: usize) -> Vec<Fact> {
+        let count = self.bits.iter().map(|word| word.count_ones() as usize);
+        let mut rows = Vec::with_capacity(count.sum());
+        for (at, &word) in self.bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let mut index = at as u64 * 64 + u64::from(word.trailing_zeros());
+                word &= word - 1;
+                let mut values = [Value::PAD; NARROW_ARITY];
+                for position in (0..arity).rev() {
+                    let offset = (index % self.widths[position]) as u32;
+                    values[position] = Value::from_raw(self.lows[position] + offset);
+                    index /= self.widths[position];
+                }
+                rows.push(Fact::new(
+                    relation,
+                    Tuple::from_iter(values[..arity].iter().copied()),
+                ));
+            }
+        }
+        rows
+    }
+}
+
 /// The answers of an evaluation: every leaf's projection onto the head.
 struct Answers {
     relation: Symbol,
@@ -872,14 +1046,18 @@ struct Answers {
 }
 
 impl Answers {
-    /// `single_pass`: whether the leaves will come from one enumeration (a
-    /// semi-naive step's pivoted passes derive one valuation several times).
-    fn new(compiled: &CompiledQuery<'_>, single_pass: bool) -> Answers {
+    /// The set for the leaves of `passes`. `single_pass`: whether they
+    /// come from one enumeration (a semi-naive step's pivoted passes derive
+    /// one valuation several times).
+    fn new(compiled: &CompiledQuery<'_>, single_pass: bool, passes: &[Pass]) -> Answers {
         let arity = compiled.head.len();
         let full_head = (0..compiled.vars.len()).all(|slot| compiled.head.contains(&slot));
         let collected = match (arity <= PACKED_ARITY, single_pass && full_head) {
-            (true, false) if arity <= NARROW_ARITY => Collected::Narrow(HashSet::default()),
-            (true, false) => Collected::Packed(HashSet::default()),
+            (true, false) => match Dense::fit(compiled, passes) {
+                Some(dense) => Collected::Dense(dense),
+                None if arity <= NARROW_ARITY => Collected::Narrow(HashSet::default()),
+                None => Collected::Packed(HashSet::default()),
+            },
             (true, true) => Collected::EachPacked(Vec::new()),
             (false, false) => Collected::Tuples {
                 distinct: HashSet::default(),
@@ -895,13 +1073,15 @@ impl Answers {
         }
     }
 
-    /// Records the head tuple of one satisfying assignment: one key probe
-    /// for a packed head; a wide one is copied only when it is new.
+    /// Records the head tuple of one satisfying assignment: one bit set or
+    /// one key probe for a packed head; a wide one is copied only when it is
+    /// new.
     fn collect(&mut self, slots: &Slots) -> ControlFlow<()> {
         self.valuations += 1;
         let head = self.head.iter();
         let values = head.map(|&slot| slots[slot].expect("every slot is bound at a leaf"));
         match &mut self.collected {
+            Collected::Dense(dense) => dense.insert(values),
             Collected::Packed(keys) => {
                 keys.insert(fact::pack(values));
             }
@@ -923,31 +1103,75 @@ impl Answers {
         ControlFlow::Continue(())
     }
 
-    /// The answers as an instance. Packed keys are sorted as integers and
-    /// unpacked into ascending rows, which move in as they stand (keys
-    /// that came in order cost one pass); the wider heads go through the
-    /// bulk build's sort and dedup.
+    /// Collects the leaves of every search of `passes` and finishes.
+    fn over(mut self, compiled: &CompiledQuery<'_>, passes: &[Pass]) -> Instance {
+        for pass in passes {
+            let slots = vec![None; compiled.vars.len()];
+            let _ = compiled.run(pass, slots, |slots| self.collect(slots));
+        }
+        self.finish()
+    }
+
+    /// The answers as an instance. A dense set's bits are walked into
+    /// ascending rows, packed keys are sorted as integers and unpacked into
+    /// them, and either moves in as it stands (keys that came in order cost
+    /// one pass); the wider heads go through the bulk build's sort and
+    /// dedup.
     fn finish(self) -> Instance {
         let relation = self.relation;
         let arity = self.head.len();
         let packed = |rows| Instance::from_relations(vec![(relation, rows)]);
-        let answers = match self.collected {
-            Collected::Packed(keys) => packed(fact::unpack_sorted(relation, arity, keys)),
-            Collected::Narrow(keys) => packed(fact::unpack_sorted(relation, arity, keys)),
-            Collected::EachPacked(keys) => packed(fact::unpack_sorted(relation, arity, keys)),
+        let (answers, collector) = match self.collected {
+            Collected::Dense(dense) => (packed(dense.into_rows(relation, arity)), "dense"),
+            Collected::Packed(keys) => {
+                (packed(fact::unpack_sorted(relation, arity, keys)), "hashed")
+            }
+            Collected::Narrow(keys) => {
+                (packed(fact::unpack_sorted(relation, arity, keys)), "hashed")
+            }
+            Collected::EachPacked(keys) => {
+                (packed(fact::unpack_sorted(relation, arity, keys)), "each")
+            }
             Collected::Tuples { distinct, .. } => {
                 let distinct = distinct.into_iter();
-                Instance::from_facts(distinct.map(|values| Fact::new(relation, values)))
+                let facts = distinct.map(|values| Fact::new(relation, values));
+                (Instance::from_facts(facts), "hashed")
             }
-            Collected::Each(facts) => Instance::from_facts(facts),
+            Collected::Each(facts) => (Instance::from_facts(facts), "each"),
         };
         obs::instant!(
             "evaluate_done",
             valuations = self.valuations,
-            answers = answers.len()
+            answers = answers.len(),
+            collector = collector
         );
         answers
     }
+}
+
+/// The answers of the searches of `compiled` over `full` that `pivots`
+/// lists — one whole search (`None`), or one differential pass per pivot
+/// atom over the instance next to it — in one set. Every search is planned
+/// before the first leaf, so the set is chosen knowing all of them.
+fn answers<'i>(
+    compiled: &CompiledQuery<'_>,
+    full: &Instance,
+    pivots: impl IntoIterator<Item = Option<(usize, &'i Instance)>>,
+    single_pass: bool,
+) -> Instance {
+    let passes = compiled.passes(full, pivots);
+    Answers::new(compiled, single_pass, &passes).over(compiled, &passes)
+}
+
+/// The differential passes of a semi-naive step: one per body atom whose
+/// relation has `delta` facts.
+fn pivots<'q, 'i>(
+    query: &'q ConjunctiveQuery,
+    delta: &'i Instance,
+) -> impl Iterator<Item = Option<(usize, &'i Instance)>> + use<'q, 'i> {
+    let body = query.body().iter().enumerate();
+    let pivots = body.filter(|(_, atom)| !delta.facts_of(atom.relation).is_empty());
+    pivots.map(move |(pivot, _)| Some((pivot, delta)))
 }
 
 /// One semi-naive differential step: the facts `query` derives on `full`
@@ -980,16 +1204,12 @@ pub fn evaluate_seminaive_step(
     delta: &Instance,
 ) -> Instance {
     let _span = obs::span!("seminaive_step", delta_facts = delta.len());
-    let compiled = CompiledQuery::new(query);
-    let mut answers = Answers::new(&compiled, false);
-    for (pivot, atom) in query.body().iter().enumerate() {
-        if delta.facts_of(atom.relation).is_empty() {
-            continue;
-        }
-        let leaf = |slots: &Slots| answers.collect(slots);
-        let _ = compiled.for_each_in_pass(full, pivot, delta, leaf);
-    }
-    answers.finish()
+    answers(
+        &CompiledQuery::new(query),
+        full,
+        pivots(query, delta),
+        false,
+    )
 }
 
 /// All satisfying valuations of `query` on `instance`, each once: the
@@ -1007,11 +1227,7 @@ pub fn satisfying_valuations(query: &ConjunctiveQuery, instance: &Instance) -> V
 /// valuations (`Q(I)` in the paper).
 pub fn evaluate(query: &ConjunctiveQuery, instance: &Instance) -> Instance {
     let _span = obs::span!("evaluate", facts = instance.len());
-    let compiled = CompiledQuery::new(query);
-    let mut answers = Answers::new(&compiled, true);
-    let leaf = |slots: &Slots| answers.collect(slots);
-    let _ = compiled.for_each_satisfying(instance, &Valuation::new(), leaf);
-    answers.finish()
+    answers(&CompiledQuery::new(query), instance, [None], true)
 }
 
 /// [`evaluate`]; see [`EvalOptions`].
@@ -1022,7 +1238,7 @@ pub fn evaluate_with(query: &ConjunctiveQuery, instance: &Instance, _: EvalOptio
 mod tests {
     use super::*;
     use crate::parse_instance;
-    use oracle::cases::{self, Random, CYCLIC_SHAPES};
+    use oracle::cases::{self, Random, CYCLIC_SHAPES, NARROW_HEADS};
     use std::collections::BTreeSet;
 
     fn q(text: &str) -> ConjunctiveQuery {
@@ -1563,6 +1779,193 @@ mod tests {
             BTreeSet::from([(true, 2), (true, 3), (false, 2)]),
             "the shapes close two atoms, three, and an atom twice"
         );
+    }
+
+    /// `instance` with every value replaced by an opaque one, as a worker
+    /// holds it: `rK`, a value of `oracle::cases`, by id `K`, the id it has
+    /// where it was interned first; any other value by its id here.
+    fn opaque(instance: &Instance) -> Instance {
+        let id = |value: &Value| match value.as_str().strip_prefix('r').map(str::parse) {
+            Some(Ok(k)) => k,
+            _ => value.id(),
+        };
+        Instance::from_facts(instance.facts().map(|fact| {
+            let values = fact.values.iter().map(|v| Value::opaque(id(v)).unwrap());
+            Fact::new(fact.relation, values.collect::<Tuple>())
+        }))
+    }
+
+    /// The answers of `query` on `full` — a whole evaluation, or with a
+    /// `delta` the semi-naive step — collected in a dense set where one
+    /// fits and `dense` allows it, else in the hashed one; and whether the
+    /// dense set collected them.
+    fn collected(
+        query: &ConjunctiveQuery,
+        full: &Instance,
+        delta: Option<&Instance>,
+        dense: bool,
+    ) -> (Instance, bool) {
+        let compiled = CompiledQuery::new(query);
+        let passes = match delta {
+            None => compiled.passes(full, [None]),
+            Some(delta) => compiled.passes(full, pivots(query, delta)),
+        };
+        // Without passes to size it by, no dense set fits.
+        let sized_by = if dense { &passes[..] } else { &[] };
+        let answers = Answers::new(&compiled, delta.is_none(), sized_by);
+        let ran = matches!(answers.collected, Collected::Dense(_));
+        (answers.over(&compiled, &passes), ran)
+    }
+
+    /// The dense set's answers on `query` over `old ∪ delta`, whole and by
+    /// the step, are the hashed set's; how many of the two it collected.
+    fn dense_is_hashed(query: &ConjunctiveQuery, old: &Instance, delta: &Instance) -> usize {
+        let full = old.union(delta);
+        let mut ran = 0;
+        for delta in [None, Some(delta)] {
+            let (dense, was_dense) = collected(query, &full, delta, true);
+            let (hashed, was_hashed) = collected(query, &full, delta, false);
+            assert!(!was_hashed);
+            assert_eq!(dense, hashed, "{query} on {full}, delta {delta:?}");
+            ran += usize::from(was_dense);
+        }
+        assert_eq!(
+            collected(query, &full, None, true).0,
+            evaluate(query, &full)
+        );
+        ran
+    }
+
+    #[test]
+    fn dense_answer_sets_equal_hashed_ones_on_named_and_opaque_ids() {
+        // Whether a named range fits depends on what else this process
+        // interned in between; the opaque ids are as compact as a worker's.
+        let mut random = Random(0xD0E5_2015);
+        let mut ran = 0;
+        for _ in 0..300 {
+            let query = q(&cases::random_query(&mut random));
+            let old = instance(&cases::random_facts(&mut random, 30));
+            let delta = instance(&cases::random_facts(&mut random, 8));
+            dense_is_hashed(&query, &old, &delta);
+            ran += dense_is_hashed(&query, &opaque(&old), &opaque(&delta));
+        }
+        assert!(ran > 200, "the dense set collected {ran} times");
+        for text in NARROW_HEADS {
+            let query = q(text);
+            for skewed in [false, true] {
+                let mut ran = 0;
+                for _ in 0..4 {
+                    let old = instance(&cases::binary_facts(&mut random, skewed, 300));
+                    let delta = instance(&cases::binary_facts(&mut random, skewed, 20));
+                    dense_is_hashed(&query, &old, &delta);
+                    ran += dense_is_hashed(&query, &opaque(&old), &opaque(&delta));
+                }
+                assert_eq!(ran, 8, "{query}, skewed {skewed}");
+            }
+        }
+    }
+
+    /// The words of the dense set `query` gets on `instance`, if one fits.
+    fn dense_words(query: &str, instance: &Instance) -> Option<usize> {
+        let query = q(query);
+        let compiled = CompiledQuery::new(&query);
+        Dense::fit(&compiled, &compiled.passes(instance, [None])).map(|dense| dense.bits.len())
+    }
+
+    #[test]
+    fn a_dense_set_fits_up_to_one_word_a_row_or_the_floor() {
+        let id = |id: u32| Value::opaque(id).unwrap();
+        let unary =
+            |ids: &[u32]| Instance::from_facts(ids.iter().map(|&i| Fact::new("U", vec![id(i)])));
+        // Two rows: the floor decides. A range of 64 · 4 096 ids is exactly
+        // the floor; one id more takes a word more.
+        let floor = 64 * DENSE_FLOOR_WORDS as u32;
+        let at = unary(&[7, 7 + floor - 1]);
+        assert_eq!(dense_words("T(x) :- U(x).", &at), Some(DENSE_FLOOR_WORDS));
+        let past = unary(&[7, 7 + floor]);
+        assert_eq!(dense_words("T(x) :- U(x).", &past), None);
+        for instance in [at, past] {
+            let (answers, _) = collected(&q("T(x) :- U(x), U(x)."), &instance, None, true);
+            assert_eq!(
+                answers,
+                instance
+                    .facts()
+                    .map(|f| Fact::new("T", f.values.clone()))
+                    .collect()
+            );
+        }
+        // 8 192 rows: as many words, whatever the floor. The order's range
+        // spans both columns.
+        let rows = 2 * DENSE_FLOOR_WORDS as u32;
+        let edges = |last: u32| {
+            let ids = (0..rows - 1).chain([last]);
+            Instance::from_facts(ids.map(|i| Fact::new("R", vec![id(i), id(0)])))
+        };
+        let at = edges(64 * rows - 1);
+        assert_eq!(dense_words("T(x) :- R(x, y).", &at), Some(rows as usize));
+        let past = edges(64 * rows);
+        assert_eq!(dense_words("T(x) :- R(x, y).", &past), None);
+        for instance in [at, past] {
+            let query = q("T(x) :- R(x, y).");
+            assert_eq!(
+                collected(&query, &instance, None, true).0,
+                collected(&query, &instance, None, false).0
+            );
+        }
+        // A binary head: the product of the two ranges.
+        let square = Instance::from_facts((0..64).map(|i| Fact::new("R", vec![id(i), id(63 - i)])));
+        assert_eq!(
+            dense_words("T(y, x) :- R(x, y), R(y, x).", &square),
+            Some(64)
+        );
+        // No head value: one bit, for the one answer there may be.
+        assert_eq!(dense_words("T() :- R(x, y), R(y, x).", &square), Some(1));
+    }
+
+    #[test]
+    fn a_mixed_opaque_and_named_range_keeps_the_hashed_set() {
+        // Names no other test interns, parsed in one batch: consecutive ids.
+        let named = instance("R(mix_a, mix_b). R(mix_b, mix_c). R(mix_c, mix_a). R(mix_a, mix_a).");
+        let mixed = named.union(&opaque(&instance("R(mix_b, mix_c). R(mix_c, mix_d).")));
+        let query = "T(x, z) :- R(x, y), R(y, z).";
+        assert!(dense_words(query, &named).is_some());
+        assert!(dense_words(query, &opaque(&named)).is_some());
+        assert_eq!(dense_words(query, &mixed), None);
+        let query = q(query);
+        let (answers, dense) = collected(&query, &mixed, None, true);
+        assert!(!dense);
+        assert_eq!(answers, collected(&query, &mixed, None, false).0);
+        assert!(answers
+            .facts()
+            .any(|f| f.values.iter().any(|v| v.symbol().is_opaque())));
+    }
+
+    #[test]
+    fn a_one_fact_delta_over_a_large_instance_is_collected_by_its_own_rows() {
+        // A step is bounded by the rows of its deltas, not of the instance
+        // it grows: over 60 values the step's set fits the floor, over a
+        // path through 3 000 values it does not, and either way the step
+        // completes the old evaluation.
+        let two_path = q("T(x, z) :- R(x, y), R(y, z).");
+        let value = |i: usize| Value::opaque(i as u32).unwrap();
+        let edge = |(i, j): (usize, usize)| Fact::new("R", vec![value(i), value(j)]);
+        let dense_graph = (0..60).flat_map(|i| (1..30).map(move |k| (i, (i + k * k) % 60)));
+        let path = (0..2_999).map(|i| (i, i + 1));
+        for (old, new, dense) in [
+            (Instance::from_facts(dense_graph.map(edge)), (59, 0), true),
+            (Instance::from_facts(path.map(edge)), (2_999, 0), false),
+        ] {
+            let delta = Instance::from_facts([edge(new)]);
+            let full = old.union(&delta);
+            let (step, was_dense) = collected(&two_path, &full, Some(&delta), true);
+            assert_eq!(was_dense, dense, "{} facts", old.len());
+            assert_eq!(step, collected(&two_path, &full, Some(&delta), false).0);
+            assert_eq!(step, evaluate_seminaive_step(&two_path, &full, &delta));
+            assert_eq!(
+                evaluate(&two_path, &old).union(&step),
+                evaluate(&two_path, &full)
+            );
+        }
     }
 
     #[test]

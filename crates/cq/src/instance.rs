@@ -27,6 +27,12 @@ pub(crate) struct SortedOrder {
     /// Kept apart from `values`: a nullary row has none.
     rows: usize,
     values: Vec<Value>,
+    /// The least and greatest [`Value::raw`] id in `values`, recorded as
+    /// rows are taken in (`least > greatest` while there is none): the
+    /// range an evaluation sizes a dense answer set by, read without a
+    /// pass over the rows.
+    least: u32,
+    greatest: u32,
 }
 
 impl SortedOrder {
@@ -37,6 +43,8 @@ impl SortedOrder {
             covered: 0,
             rows: 0,
             values: Vec::new(),
+            least: u32::MAX,
+            greatest: 0,
         }
     }
 
@@ -58,6 +66,10 @@ impl SortedOrder {
         }
         if arity == 0 || fresh.is_empty() {
             return;
+        }
+        for value in &fresh {
+            self.least = self.least.min(value.raw());
+            self.greatest = self.greatest.max(value.raw());
         }
         // The identity order over ascending rows is sorted as it stands.
         if !fresh.chunks_exact(arity).is_sorted() {
@@ -112,6 +124,13 @@ impl SortedOrder {
     /// The rows, flat: row `r` is `values()[r * arity()..][..arity()]`.
     pub(crate) fn values(&self) -> &[Value] {
         &self.values
+    }
+
+    /// The least and greatest [`Value::raw`] id of any row, or `None` when
+    /// there is no value (no row, or only nullary ones). Every value a
+    /// search binds through this order lies between the two.
+    pub(crate) fn range(&self) -> Option<(u32, u32)> {
+        (self.least <= self.greatest).then_some((self.least, self.greatest))
     }
 }
 
@@ -988,6 +1007,45 @@ mod tests {
         drop((held, now));
         let _ = i.absorb(&Instance::from_facts([edge("c", "a")]));
         assert_eq!(i.sorted_order(r, &[1, 0]).rows(), 4);
+    }
+
+    #[test]
+    fn a_sorted_order_records_its_range_as_it_takes_rows_in() {
+        let raw = |id: u32| top(id).raw();
+        let [r, s] = ["R", "S"].map(Symbol::new);
+        let mut i = Instance::from_facts([
+            Fact::new(r, vec![top(20), top(30)]),
+            Fact::new(r, vec![top(25), top(40)]),
+            // another arity: not in the binary orders, nor in their range
+            Fact::new(r, vec![top(1)]),
+            Fact::new(s, vec![top(0), top(99)]),
+        ]);
+        for columns in [&[0, 1][..], &[1, 0]] {
+            assert_eq!(i.sorted_order(r, columns).range(), Some((raw(20), raw(40))));
+        }
+        assert_eq!(i.sorted_order(r, &[0]).range(), Some((raw(1), raw(1))));
+        // An absorb takes its new rows into the orders, and their values
+        // into the range; a known row changes nothing.
+        let held = i.sorted_order(r, &[1, 0]);
+        let _ = i.absorb(&Instance::from_facts([
+            Fact::new(r, vec![top(20), top(30)]),
+            Fact::new(r, vec![top(10), top(25)]),
+            Fact::new(r, vec![top(25), top(50)]),
+        ]));
+        assert_eq!(
+            held.range(),
+            Some((raw(20), raw(40))),
+            "a held order is copied"
+        );
+        assert_eq!(i.sorted_order(r, &[1, 0]).range(), Some((raw(10), raw(50))));
+        // An in-order insert is taken in when the order catches up.
+        assert!(i.insert(Fact::new(r, vec![top(60), top(61)])));
+        assert_eq!(i.sorted_order(r, &[0, 1]).range(), Some((raw(10), raw(61))));
+        // No row of the order's arity: no range. Nullary rows have no value.
+        assert_eq!(i.sorted_order(s, &[0]).range(), None);
+        let nullary = Instance::from_facts([Fact::new(s, Vec::new())]);
+        let order = nullary.sorted_order(s, &[]);
+        assert_eq!((order.rows(), order.range()), (1, None));
     }
 
     // An iterated evaluation carries one instance: each round's delta is

@@ -189,6 +189,11 @@ impl fmt::Display for RunPlan<'_> {
                 let nodes = anchor.map_or(0, |slot| slot.policy.network().len());
                 writeln!(f, "  elide: {}", claim.display(nodes))?;
             }
+            // An elided query's slots run only as the fallback.
+            let fallback = match query.elides() {
+                true => "if the anchor did not converge: ",
+                false => "",
+            };
             for slot in &query.slots {
                 let first = slot.first_round;
                 let last = if first + 1 < query.slots.len() {
@@ -211,7 +216,7 @@ impl fmt::Display for RunPlan<'_> {
                 let nodes = slot.policy.network().len();
                 writeln!(
                     f,
-                    "  {}: entry {first} ({nodes} nodes), {how}{split}",
+                    "  {fallback}{}: entry {first} ({nodes} nodes), {how}{split}",
                     range(first, last)
                 )?;
             }

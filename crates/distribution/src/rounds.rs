@@ -1166,6 +1166,20 @@ mod tests {
             plan.contains("elide: yes, transfers from query 0; reads parts 0→R#0 1→R#1 2→R#2\n"),
             "{plan}"
         );
+        // The elided queries' rounds are the fallback; only the anchor's run.
+        let slots: Vec<&str> = plan
+            .lines()
+            .filter(|line| line.contains(": entry 0"))
+            .collect();
+        assert_eq!(
+            slots,
+            [
+                "  round 0: entry 0 (8 nodes), full chunks split into 3 atom parts",
+                "  if the anchor did not converge: round 0: entry 0 (8 nodes), full chunks",
+                "  if the anchor did not converge: round 0: entry 0 (8 nodes), full chunks split into 3 atom parts",
+            ],
+            "{plan}"
+        );
     }
 
     #[test]

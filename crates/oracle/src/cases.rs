@@ -81,6 +81,19 @@ pub const CYCLIC_SHAPES: [&str; 5] = [
     "T(x, y, w) :- R(x, y), R(y, x), R(x, x), R(y, w), R(w, w).",
 ];
 
+/// Queries whose heads hold one or two values, the heads a dense answer set
+/// collects: projections of a path, a join, a cycle and a looped path, a
+/// head in another order than the body binds, and one that repeats its
+/// variable.
+pub const NARROW_HEADS: [&str; 6] = [
+    "T(x) :- R(x, y).",
+    "T(z) :- R(x, y), S(y, z).",
+    "T(x, z) :- R(x, y), R(y, z).",
+    "T(x, z) :- R(x, y), R(y, z), R(y, y).",
+    "T(z, x) :- R(x, y), S(y, z), R(z, x).",
+    "T(y, y) :- R(x, y), S(y, x).",
+];
+
 /// `facts` random `R` and `S` facts over `r0`–`r39`, repeats allowed:
 /// uniform, or skewed so that a few values carry most of the edges.
 pub fn binary_facts(random: &mut Random, skewed: bool, facts: usize) -> String {

@@ -304,7 +304,7 @@ impl Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cases::{self, Random, CYCLIC_SHAPES};
+    use crate::cases::{self, Random, CYCLIC_SHAPES, NARROW_HEADS};
     use cq::{parse_instance, Symbol, Variable};
     use std::collections::BTreeSet;
 
@@ -686,6 +686,49 @@ mod tests {
                     satisfied > 2,
                     "{query}, skewed {skewed}: {satisfied} searches with a leaf"
                 );
+            }
+        }
+    }
+
+    /// `instance` with every value `rK` of [`cases`] replaced by the opaque
+    /// value of id `K`: the compact ids a worker holds.
+    fn opaque(instance: &Instance) -> Instance {
+        let id = |value: &Value| value.as_str()[1..].parse().expect("a value rK");
+        Instance::from_facts(instance.facts().map(|fact| {
+            let values = fact.values.iter().map(|v| Value::opaque(id(v)).unwrap());
+            Fact::new(fact.relation, values.collect::<Vec<_>>())
+        }))
+    }
+
+    #[test]
+    fn narrow_heads_equal_the_scan_oracle_on_named_and_opaque_ids() {
+        // Heads of one and two values, collected in the kernel's dense
+        // answer set wherever its id range fits, against the scan's
+        // projection: whole evaluations and semi-naive steps.
+        let mut random = Random(0x0A05_2015);
+        for text in NARROW_HEADS {
+            let query = q(text);
+            for skewed in [false, true] {
+                let mut answered = 0;
+                for round in 0..4 {
+                    let old = instance(&cases::binary_facts(&mut random, skewed, 300));
+                    let delta = instance(&cases::binary_facts(&mut random, skewed, 20));
+                    for (old, delta) in
+                        [(old.clone(), delta.clone()), (opaque(&old), opaque(&delta))]
+                    {
+                        let full = old.union(&delta);
+                        let context = format!("{query}, skewed {skewed}, round {round}");
+                        let whole = cq::evaluate(&query, &full);
+                        assert_eq!(whole, evaluate(&query, &full), "{context}");
+                        assert_eq!(
+                            cq::evaluate_seminaive_step(&query, &full, &delta),
+                            evaluate_seminaive_step(&query, &full, &delta),
+                            "{context}"
+                        );
+                        answered += usize::from(!whole.is_empty());
+                    }
+                }
+                assert_eq!(answered, 8, "{query}, skewed {skewed}");
             }
         }
     }

@@ -469,6 +469,7 @@ mod tests {
                     total_us: *total,
                     min_us: 0,
                     max_us: *total,
+                    self_us: *total,
                 },
             );
         }

@@ -14,7 +14,7 @@
 //! `worker 0`, …). Span ids and parent links ride in `args` so the file
 //! round-trips losslessly through [`parse_chrome_trace`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use obs::{EventKind, TraceEvent};
@@ -239,6 +239,10 @@ pub struct PhaseStats {
     pub min_us: u64,
     /// Longest single span.
     pub max_us: u64,
+    /// Summed self time: each span's duration less the union of its
+    /// children's intervals on its own lane, each clipped to the span. A
+    /// root of the lane adopts the parentless spans that lie within it.
+    pub self_us: u64,
 }
 
 /// Aggregate statistics for one process lane.
@@ -252,6 +256,10 @@ pub struct ProcessStats {
     pub total_span_us: u64,
     /// Wall-clock extent: last event end minus first event start.
     pub wall_us: u64,
+    /// The self time of the lane's root spans — those whose parent is not
+    /// a span of this lane and that lie within no such span: the time
+    /// inside them that no other span of the lane accounts for.
+    pub unattributed_us: u64,
 }
 
 /// One engine round on the coordinator's critical path.
@@ -291,6 +299,22 @@ impl TraceSummary {
             ..TraceSummary::default()
         };
         let mut lanes: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+        for (event, (self_us, root)) in events.iter().zip(self_times(events)) {
+            if event.kind == EventKind::Span {
+                summary
+                    .phases
+                    .entry(event.name.clone())
+                    .or_default()
+                    .self_us += self_us;
+                if root {
+                    summary
+                        .processes
+                        .entry(event.pid)
+                        .or_default()
+                        .unattributed_us += self_us;
+                }
+            }
+        }
         for event in events {
             let process = summary.processes.entry(event.pid).or_default();
             let lane = lanes.entry(event.pid).or_insert((u64::MAX, 0));
@@ -350,6 +374,7 @@ impl TraceSummary {
                         ("total_us", JsonValue::from(s.total_us)),
                         ("min_us", JsonValue::from(s.min_us)),
                         ("max_us", JsonValue::from(s.max_us)),
+                        ("self_us", JsonValue::from(s.self_us)),
                     ]),
                 )
             })
@@ -370,6 +395,7 @@ impl TraceSummary {
                         ("instants", JsonValue::from(s.instants)),
                         ("total_span_us", JsonValue::from(s.total_span_us)),
                         ("wall_us", JsonValue::from(s.wall_us)),
+                        ("unattributed_us", JsonValue::from(s.unattributed_us)),
                     ]),
                 )
             })
@@ -410,12 +436,13 @@ impl fmt::Display for TraceSummary {
             for (pid, s) in &self.processes {
                 writeln!(
                     f,
-                    "  {:<14} {:>6} spans  {:>6} instants  busy {:>10}  wall {:>10}",
+                    "  {:<14} {:>6} spans  {:>6} instants  busy {:>10}  wall {:>10}  unattributed {:>10}",
                     process_label(*pid),
                     s.spans,
                     s.instants,
                     format_us(s.total_span_us),
                     format_us(s.wall_us),
+                    format_us(s.unattributed_us),
                 )?;
             }
         }
@@ -426,10 +453,11 @@ impl fmt::Display for TraceSummary {
             for (name, s) in phases {
                 writeln!(
                     f,
-                    "  {:<22} {:>6}x  total {:>10}  min {:>10}  max {:>10}",
+                    "  {:<22} {:>6}x  total {:>10}  self {:>10}  min {:>10}  max {:>10}",
                     name,
                     s.count,
                     format_us(s.total_us),
+                    format_us(s.self_us),
                     format_us(s.min_us),
                     format_us(s.max_us),
                 )?;
@@ -461,6 +489,77 @@ impl fmt::Display for TraceSummary {
         }
         Ok(())
     }
+}
+
+/// For every event, its self time and whether it is a root of its lane.
+///
+/// A span's children are the spans of its own process lane whose `parent`
+/// is its `id` (a worker span under a coordinator round is a root of the
+/// worker's lane, not a child of the round). A span whose parent is no
+/// span of its lane, but which lies within such a span in time — opened on
+/// a thread that carries no span, like the wire driver's — is adopted as
+/// that span's child instead; the spans left are the lane's roots. A span's
+/// self time is its duration less the union of its children's intervals,
+/// each clipped to the span: children that overlap (threads of one
+/// process) count once, and the remainder is never negative. Instants get
+/// `(0, false)`.
+fn self_times(events: &[TraceEvent]) -> Vec<(u64, bool)> {
+    let spans = || events.iter().filter(|e| e.kind == EventKind::Span);
+    let interval = |span: &TraceEvent| (span.ts_us, span.ts_us + span.dur_us);
+    let mut children: HashMap<(u32, u64), Vec<(u64, u64)>> = HashMap::new();
+    for span in spans() {
+        children.entry((span.pid, span.id)).or_default();
+    }
+    // Parentless on their lane: by lane, start, and the longest first.
+    let mut parentless: Vec<&TraceEvent> = spans()
+        .filter(|span| !children.contains_key(&(span.pid, span.parent)))
+        .collect();
+    parentless.sort_by_key(|span| (span.pid, span.ts_us, std::cmp::Reverse(span.dur_us)));
+    let mut roots = HashSet::new();
+    let mut root: Option<&TraceEvent> = None;
+    for span in parentless {
+        let adopted =
+            root.filter(|root| root.pid == span.pid && interval(span).1 <= interval(root).1);
+        match adopted {
+            Some(root) => children
+                .get_mut(&(root.pid, root.id))
+                .expect("every span has a child list")
+                .push(interval(span)),
+            None => {
+                roots.insert((span.pid, span.id));
+                root = Some(span);
+            }
+        }
+    }
+    for span in spans() {
+        if let Some(siblings) = children.get_mut(&(span.pid, span.parent)) {
+            siblings.push(interval(span));
+        }
+    }
+    events
+        .iter()
+        .map(|event| {
+            if event.kind != EventKind::Span {
+                return (0, false);
+            }
+            let (start, end) = interval(event);
+            let mut clipped: Vec<(u64, u64)> = children[&(event.pid, event.id)]
+                .iter()
+                .map(|&(a, b)| (a.clamp(start, end), b.clamp(start, end)))
+                .collect();
+            clipped.sort_unstable();
+            let (mut covered, mut reach) = (0, start);
+            for (a, b) in clipped {
+                let a = a.max(reach);
+                if b > a {
+                    covered += b - a;
+                    reach = b;
+                }
+            }
+            let root = roots.contains(&(event.pid, event.id));
+            (event.dur_us - covered, root)
+        })
+        .collect()
 }
 
 /// Microseconds as a human-readable duration (`428us`, `1.204ms`, `3.50s`).
@@ -571,6 +670,45 @@ mod tests {
         );
         // json rendering parses back
         JsonValue::parse(&summary.to_json().to_string()).unwrap();
+    }
+
+    #[test]
+    fn self_time_is_the_span_less_the_union_of_its_children() {
+        let (worker, second) = (1 << 40, 2 << 40);
+        let events = vec![
+            // The coordinator: two children that overlap (two threads of
+            // one process), one of which has a child of its own.
+            span("run", 0, 100, 0, 1, 0),
+            span("a", 10, 30, 0, 2, 1),
+            span("b", 30, 30, 0, 3, 1),
+            span("c", 15, 5, 0, 4, 2),
+            instant("note", 16, 0, 4),
+            // A span of a thread that carries no span lies within the root
+            // in time, and is adopted by it.
+            span("orphan", 70, 20, 0, 5, 0),
+            // A worker's span under a coordinator span is a root of the
+            // worker's lane, and it has no child.
+            span("w", 20, 30, 1, worker | 1, 2),
+            // A child that overhangs its parent is clipped to it.
+            span("r", 0, 10, 2, second | 1, 0),
+            span("late", 5, 15, 2, second | 2, second | 1),
+        ];
+        let summary = TraceSummary::from_events(&events);
+        let self_us = |name: &str| summary.phases[name].self_us;
+        assert_eq!(
+            ["run", "a", "b", "c", "orphan", "w", "r", "late"].map(self_us),
+            [30, 25, 30, 5, 20, 30, 5, 15]
+        );
+        let unattributed = |pid: u32| summary.processes[&pid].unattributed_us;
+        assert_eq!([0, 1, 2].map(unattributed), [30, 30, 5]);
+        let json = summary.to_json().to_string();
+        assert!(json.contains("\"self_us\":25"), "{json}");
+        assert!(json.contains("\"unattributed_us\":30"), "{json}");
+        let text = summary.to_string();
+        assert!(
+            text.contains("self") && text.contains("unattributed"),
+            "{text}"
+        );
     }
 
     #[test]

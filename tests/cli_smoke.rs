@@ -1393,14 +1393,30 @@ fn run_multi_query_scenario_elides_transferable_reshuffles() {
     ] {
         assert!(stdout.contains(key), "missing {key} in {stdout}");
     }
+    // The plan prints an elided query's rounds as the fallback they are,
+    // and the anchor's as the rounds that run.
+    let fallback = "\"  if the anchor did not converge: round 0: entry 0 (2 nodes), full chunks\"";
+    assert_eq!(stdout.matches(fallback).count(), 2, "{stdout}");
+    assert_eq!(
+        stdout
+            .matches("\"  round 0: entry 0 (2 nodes), full chunks\"")
+            .count(),
+        1,
+        "{stdout}"
+    );
 
-    // The baseline disables the elision and consults no oracle.
+    // The baseline disables the elision and consults no oracle: every
+    // query's rounds run.
     let (code, stdout) =
         pcq_analyze_output(&["run", "--scenario", file, "--reshuffle-always", "--json"]);
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("\"transfer_checks\":0"), "{stdout}");
     assert!(stdout.contains("\"elided_reshuffles\":0"), "{stdout}");
     assert!(stdout.contains("\"reshuffle_always\":true"), "{stdout}");
+    assert!(
+        !stdout.contains("if the anchor did not converge"),
+        "{stdout}"
+    );
 
     // The human-readable arm names the elision decisions per query.
     let (code, stdout) = pcq_analyze_output(&["run", "--scenario", file]);

@@ -159,35 +159,87 @@ fn a_split_round_traces_its_parts_and_merges_only_home_answers() {
     );
 }
 
-#[test]
-fn evaluate_done_reports_derivations_against_distinct_answers() {
-    let _gate = gate();
-    // The join layer's "useful outcomes per attempt": the two-path query
-    // over the transitive tournament on 6 values has C(6, 3) = 20
-    // satisfying valuations for 10 distinct answers; the differential step
-    // with everything new derives each through both pivots.
-    let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
-    let instance = Instance::from_facts((0..6).flat_map(|i| {
-        (i + 1..6)
-            .map(move |j| Fact::new("R", vec![Value::indexed("v", i), Value::indexed("v", j)]))
-    }));
-    let (_, events) = traced(|| {
-        let _ = cq::evaluate(&query, &instance);
-        cq::evaluate_seminaive_step(&query, &instance, &instance)
-    });
-    let reported: Vec<(u64, u64)> = events
+/// The `(valuations, answers, collector)` of every `evaluate_done` in
+/// `events`.
+fn evaluations_done(events: &[obs::TraceEvent]) -> Vec<(u64, u64, String)> {
+    events
         .iter()
         .filter(|e| e.name == "evaluate_done")
         .map(|e| {
             assert_eq!(e.kind, obs::EventKind::Instant);
             let arg = |key: &str| {
                 let (_, value) = e.args.iter().find(|(k, _)| k == key).expect(key);
-                value.parse().expect("a count")
+                value.clone()
             };
-            (arg("valuations"), arg("answers"))
+            let count = |key: &str| arg(key).parse().expect("a count");
+            (count("valuations"), count("answers"), arg("collector"))
         })
-        .collect();
-    assert_eq!(reported, [(20, 10), (40, 10)]);
+        .collect()
+}
+
+#[test]
+fn evaluate_done_reports_derivations_against_distinct_answers() {
+    let _gate = gate();
+    // The join layer's "useful outcomes per attempt": the two-path query
+    // over the transitive tournament on 6 values has C(6, 3) = 20
+    // satisfying valuations for 10 distinct answers; the differential step
+    // with everything new derives each through both pivots. Six values
+    // make a small id range, so both collect into a dense answer set.
+    let two_path = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
+    let edges = |pairs: &mut dyn Iterator<Item = (usize, usize)>| {
+        Instance::from_facts(
+            pairs
+                .map(|(i, j)| Fact::new("R", vec![Value::indexed("v", i), Value::indexed("v", j)])),
+        )
+    };
+    let tournament = edges(&mut (0..6).flat_map(|i| (i + 1..6).map(move |j| (i, j))));
+    let (_, events) = traced(|| {
+        let _ = cq::evaluate(&two_path, &tournament);
+        cq::evaluate_seminaive_step(&two_path, &tournament, &tournament)
+    });
+    let reported = evaluations_done(&events);
+    let counts: Vec<(u64, u64)> = reported.iter().map(|(v, a, _)| (*v, *a)).collect();
+    assert_eq!(counts, [(20, 10), (40, 10)]);
+    assert!(
+        reported.iter().all(|(_, _, c)| c == "dense"),
+        "{reported:?}"
+    );
+
+    // The benchmark's closure and relax inputs, in small: a path with
+    // skip-one chords under the two-path query, evaluated whole and by a
+    // differential step; and a digraph of out-degree 3 with every third
+    // value looped, under the relax queries. Both have few values.
+    let closure = edges(
+        &mut (0..39)
+            .map(|i| (i, i + 1))
+            .chain((0..38).step_by(3).map(|i| (i, i + 2))),
+    );
+    let relax = edges(
+        &mut (0..30)
+            .flat_map(|i| (1..4).map(move |k| (i, (7 * i + k) % 30)))
+            .chain((0..30).step_by(3).map(|i| (i, i))),
+    );
+    let loop_query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z), R(y, y).").unwrap();
+    let (_, events) = traced(|| {
+        let _ = cq::evaluate(&two_path, &closure);
+        let _ = cq::evaluate_seminaive_step(&two_path, &closure, &closure);
+        let _ = cq::evaluate(&loop_query, &relax);
+        cq::evaluate(&two_path, &relax)
+    });
+    let reported = evaluations_done(&events);
+    assert_eq!(reported.len(), 4);
+    for (valuations, answers, collector) in &reported {
+        assert_eq!(collector, "dense", "{reported:?}");
+        assert!(valuations >= answers && *answers > 0, "{reported:?}");
+    }
+
+    // 4 000 random facts over 50 000 values: the id range is far wider
+    // than the rows, and the answers go through the hashed set.
+    let sparse = named_instance("random:50000:4000:7", &two_path.schema()).unwrap();
+    let (_, events) = traced(|| cq::evaluate(&two_path, &sparse));
+    let reported = evaluations_done(&events);
+    assert_eq!(reported.len(), 1);
+    assert_eq!(reported[0].2, "hashed", "{reported:?}");
 }
 
 #[test]
