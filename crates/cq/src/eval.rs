@@ -63,14 +63,14 @@
 //!   differential pass) or 4 096 (32 KB), whichever is more — never more
 //!   than 8 bytes a row above the floor. A derivation sets one bit, and
 //!   the set bits, walked in index order, are the answers in ascending
-//!   order, built at their exact count: no key, no sort, no dedup. A wider
-//!   range — a mixed opaque and named one spans 2³¹ ids — keeps the hash
-//!   set: a head of arity ≤ 4 packs into one integer key (a `u64` up to
-//!   arity 2, a `u128` up to 4), each value's 32-bit symbol id with the
-//!   first head value in the high bits, so a derivation costs one integer
-//!   hash probe. The keys of one head order as its tuples do (an opaque id
-//!   keeps its place after the named ones), so the distinct keys are
-//!   sorted as integers and unpacked into ascending rows that
+//!   order, built at their exact count: no key, no sort, no dedup. A head
+//!   of at most two values over a wider range — a mixed opaque and named
+//!   one spans 2³¹ ids — and a head of three or four values keep a hash
+//!   set: the head packs into one `u128` key, each value's 32-bit symbol id
+//!   with the first head value in the high bits, so a derivation costs one
+//!   integer hash probe. The keys of one head order as its tuples do (an
+//!   opaque id keeps its place after the named ones), so the distinct keys
+//!   are sorted as integers and unpacked into ascending rows that
 //!   [`Instance::from_relations`] moves in: no [`Fact`] is sorted.
 //!   A wider head keeps a set of [`Tuple`]s and one [`Instance::from_facts`]
 //!   at the end. Either way the work per derivation is a bit or a probe,
@@ -907,9 +907,6 @@ enum Collected {
     /// [`fact::pack`]'s). The keys of one head order as its tuples do, so
     /// sorting the integers sorts the answers.
     Packed(HashSet<u128, SymbolHashBuilder>),
-    /// [`Collected::Packed`] for a head of at most [`NARROW_ARITY`] values,
-    /// whose keys fit a `u64`.
-    Narrow(HashSet<u64, SymbolHashBuilder>),
     /// Every leaf is a new answer, so there is nothing to look up: the leaves
     /// of one enumeration are distinct valuations, and a head in which every
     /// variable occurs keeps them apart. A packable head's keys.
@@ -1055,7 +1052,6 @@ impl Answers {
         let collected = match (arity <= PACKED_ARITY, single_pass && full_head) {
             (true, false) => match Dense::fit(compiled, passes) {
                 Some(dense) => Collected::Dense(dense),
-                None if arity <= NARROW_ARITY => Collected::Narrow(HashSet::default()),
                 None => Collected::Packed(HashSet::default()),
             },
             (true, true) => Collected::EachPacked(Vec::new()),
@@ -1084,9 +1080,6 @@ impl Answers {
             Collected::Dense(dense) => dense.insert(values),
             Collected::Packed(keys) => {
                 keys.insert(fact::pack(values));
-            }
-            Collected::Narrow(keys) => {
-                keys.insert(fact::pack(values) as u64);
             }
             Collected::EachPacked(keys) => keys.push(fact::pack(values)),
             Collected::Tuples { distinct, scratch } => {
@@ -1124,9 +1117,6 @@ impl Answers {
         let (answers, collector) = match self.collected {
             Collected::Dense(dense) => (packed(dense.into_rows(relation, arity)), "dense"),
             Collected::Packed(keys) => {
-                (packed(fact::unpack_sorted(relation, arity, keys)), "hashed")
-            }
-            Collected::Narrow(keys) => {
                 (packed(fact::unpack_sorted(relation, arity, keys)), "hashed")
             }
             Collected::EachPacked(keys) => {

@@ -52,6 +52,16 @@ pub struct DeltaNode {
     derived: Instance,
 }
 
+/// Runs `absorb`, which merges `facts` facts into an instance and returns
+/// the new ones, under an `absorb` span (args `facts` and `new`): a node's
+/// state and the centralized reference fixpoint grow alike.
+pub(crate) fn absorbed(facts: usize, absorb: impl FnOnce() -> Instance) -> Instance {
+    let mut span = obs::span!("absorb", facts = facts);
+    let new = absorb();
+    span.arg("new", new.len());
+    new
+}
+
 impl DeltaNode {
     /// A fresh node with no data and no shipped outputs.
     pub fn new() -> DeltaNode {
@@ -61,15 +71,9 @@ impl DeltaNode {
     /// Runs one incremental round: see the type docs for the three
     /// phases. Returns the node's output delta.
     pub fn step(&mut self, query: &ConjunctiveQuery, delta_chunk: &Instance) -> Instance {
-        let mut span = obs::span!("absorb", facts = delta_chunk.len());
-        let fresh = self.data.absorb(delta_chunk);
-        span.arg("new", fresh.len());
-        drop(span);
+        let fresh = absorbed(delta_chunk.len(), || self.data.absorb(delta_chunk));
         let new = evaluate_seminaive_step(query, &self.data, &fresh);
-        let mut span = obs::span!("absorb", facts = new.len());
-        let shipped = self.derived.absorb(&new);
-        span.arg("new", shipped.len());
-        shipped
+        absorbed(new.len(), || self.derived.absorb(&new))
     }
 
     /// The node's accumulated local data.

@@ -48,6 +48,7 @@ use std::time::Instant;
 use cq::{evaluate, evaluate_seminaive_step, ConjunctiveQuery, Fact, Instance, Symbol};
 
 use crate::engine::{reshuffle_round, run_round, OneRoundOutcome, RoundPlan};
+use crate::node::absorbed;
 use crate::plan::{split_of, Claim, QueryPlan, ResidentRead, RunPlan, Slot};
 use crate::policy::DistributionPolicy;
 use crate::transport::{InMemoryTransport, Shipment, Transport, TransportError};
@@ -533,12 +534,13 @@ impl<'a> MultiRoundEngine<'a> {
             return IteratedFixpoint { result, rounds: 1 };
         };
         let mut state = instance.clone();
-        let mut delta = feed_back(relation, &result, &mut state);
+        let mut delta = absorbed(result.len(), || feed_back(relation, &result, &mut state));
         let mut rounds = 1;
         while !delta.is_empty() {
             rounds += 1;
             let step = evaluate_seminaive_step(query, &state, &delta);
-            delta = feed_back(relation, &result.absorb(&step), &mut state);
+            let new = absorbed(step.len(), || result.absorb(&step));
+            delta = absorbed(new.len(), || feed_back(relation, &new, &mut state));
         }
         IteratedFixpoint { result, rounds }
     }

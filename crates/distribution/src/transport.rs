@@ -214,16 +214,19 @@ pub trait Transport {
 /// Drains `items` through `f` on a bounded pool: `workers` scoped threads
 /// steal the next unclaimed item index from a shared atomic cursor until
 /// the queue is empty (`workers <= 1` runs on the calling thread).
-/// Results arrive in completion order.
+/// Results arrive in completion order. The pool's threads work under the
+/// span the caller has open.
 fn drain_pool<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
     let cursor = AtomicUsize::new(0);
+    let parent = obs::current_span();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    let _entered = obs::enter(parent);
                     let mut mine = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);

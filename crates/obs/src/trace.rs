@@ -18,8 +18,14 @@
 //! new events and counts them in [`dropped_events`] rather than growing
 //! without bound) and maintains its own stack of open spans, which is
 //! what gives every event a parent id without cross-thread
-//! coordination. The registry of buffers holds each one strongly, so
-//! draining reads every thread's events, an exited thread's included, and
+//! coordination. That stack is the one parent rule: an event's parent is
+//! the innermost span open on the thread that records it. A thread that
+//! works for a span of another thread or process — a pool thread, a wire
+//! driver thread, a worker process serving one frame — first [`enter`]s
+//! that span, so the rule holds across the hand-off.
+//!
+//! The registry of buffers holds each one strongly, so draining reads
+//! every thread's events, an exited thread's included, and
 //! only then prunes the buffers whose threads are gone — it does *not*
 //! depend on thread-exit destructors, which `std::thread::scope` is
 //! allowed to leave running slightly past the join. The per-event cost
@@ -28,9 +34,9 @@
 //!
 //! ## Disabled cost
 //!
-//! With no active trace, [`span`]/[`instant_args`] return immediately
-//! after one relaxed atomic load, argument closures are never invoked,
-//! and the returned guard's `Drop` is a branch on an id.
+//! With no active trace, [`span`], [`instant_args`] and [`enter`] return
+//! immediately after one relaxed atomic load, argument closures are never
+//! invoked, and the returned guard's `Drop` is a branch on an id.
 //! `tests/trace_observability.rs::disabled_tracing_costs_under_two_percent_of_a_closure_run`
 //! pins this overhead below 2%.
 
@@ -160,6 +166,14 @@ impl LocalBuf {
         if self.stack_trace != trace {
             self.stack_trace = trace;
             self.stack.clear();
+        }
+    }
+
+    /// Closes `id` on the stack; out-of-order drops (guards stored in
+    /// structs) just unwind to the surviving ancestor.
+    fn close(&mut self, id: u64) {
+        if let Some(at) = self.stack.iter().rposition(|&open| open == id) {
+            self.stack.truncate(at);
         }
     }
 }
@@ -340,11 +354,7 @@ impl Drop for Span {
         let dur_us = now_us().saturating_sub(self.start_us);
         with_local(|local| {
             local.sync_stack(self.trace);
-            // Close this span on the stack; out-of-order drops (guards
-            // stored in structs) just unwind to the surviving ancestor.
-            if let Some(at) = local.stack.iter().rposition(|&id| id == self.id) {
-                local.stack.truncate(at);
-            }
+            local.close(self.id);
             let event = TraceEvent {
                 name: self.name.to_string(),
                 kind: EventKind::Span,
@@ -362,20 +372,25 @@ impl Drop for Span {
     }
 }
 
-fn open_span(
-    name: &'static str,
-    explicit_parent: Option<u64>,
-    args: Vec<(String, String)>,
-) -> Span {
+/// Opens a span with no arguments. Prefer the [`span!`](crate::span!)
+/// macro, which also skips argument construction when disabled.
+pub fn span(name: &'static str) -> Span {
+    span_args(name, Vec::new)
+}
+
+/// Opens a span whose arguments are built lazily — `args` runs only when
+/// a trace is active.
+pub fn span_args(name: &'static str, args: impl FnOnce() -> Vec<(String, String)>) -> Span {
     let trace = TRACE_ID.load(Ordering::Relaxed);
     if trace == 0 {
         return Span::noop(name);
     }
+    let args = args();
     let id = next_span_id();
     let start_us = now_us();
     let parent = with_local(|local| {
         local.sync_stack(trace);
-        let parent = local.stack.last().copied().or(explicit_parent).unwrap_or(0);
+        let parent = local.stack.last().copied().unwrap_or(0);
         local.stack.push(id);
         parent
     })
@@ -390,55 +405,46 @@ fn open_span(
     }
 }
 
-/// Opens a span with no arguments. Prefer the [`span!`](crate::span!)
-/// macro, which also skips argument construction when disabled.
-pub fn span(name: &'static str) -> Span {
-    if !enabled() {
-        return Span::noop(name);
-    }
-    open_span(name, None, Vec::new())
-}
-
-/// Opens a span whose arguments are built lazily — `args` runs only when
-/// a trace is active.
-pub fn span_args(name: &'static str, args: impl FnOnce() -> Vec<(String, String)>) -> Span {
-    if !enabled() {
-        return Span::noop(name);
-    }
-    open_span(name, None, args())
-}
-
-/// Opens a span under an explicit parent id when this thread has no open
-/// span of its own — how worker processes attach their local spans to
-/// the coordinator span that shipped the work.
-pub fn span_under(
-    name: &'static str,
-    parent: u64,
-    args: impl FnOnce() -> Vec<(String, String)>,
-) -> Span {
-    if !enabled() {
-        return Span::noop(name);
-    }
-    open_span(name, Some(parent), args())
-}
-
 /// Records a span that is already over: it took `elapsed` and ended just
-/// now. For work done before the process can know whether it is traced — a
-/// worker decodes the very frame that carries the trace context. Parented
-/// like [`span_under`]; `args` runs only when a trace is active.
+/// now, under the calling thread's innermost span. For work done before the
+/// process can know whether it is traced — a worker decodes the very frame
+/// that carries the trace context. `args` runs only when a trace is active.
 pub fn span_ended(
     name: &'static str,
-    parent: u64,
     elapsed: std::time::Duration,
     args: impl FnOnce() -> Vec<(String, String)>,
 ) {
-    if !enabled() {
-        return;
+    let mut span = span_args(name, args);
+    let elapsed = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+    span.start_us = span.start_us.saturating_sub(elapsed);
+}
+
+/// The guard of [`enter`]; inert from a disabled site.
+#[must_use = "the span is entered only while the guard lives"]
+pub struct Entered(u64);
+
+/// Makes `span`, open on the thread or in the process that handed this
+/// thread its work, the innermost open span of the calling thread until
+/// the guard drops: the parent of every span and instant the thread opens
+/// meanwhile. With tracing off (or `span` 0) it costs one relaxed load.
+pub fn enter(span: u64) -> Entered {
+    let trace = TRACE_ID.load(Ordering::Relaxed);
+    if trace == 0 || span == 0 {
+        return Entered(0);
     }
-    let mut span = open_span(name, Some(parent), args());
-    span.start_us = span
-        .start_us
-        .saturating_sub(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+    with_local(|local| {
+        local.sync_stack(trace);
+        local.stack.push(span);
+    });
+    Entered(span)
+}
+
+impl Drop for Entered {
+    fn drop(&mut self) {
+        if self.0 != 0 {
+            with_local(|local| local.close(self.0));
+        }
+    }
 }
 
 /// Records a point-in-time event under the current span; `args` runs
@@ -524,6 +530,8 @@ mod tests {
             });
             crate::instant!("quiet_instant", x = 1);
             span("quiet_late").arg("new", 1);
+            let _entered = enter(5);
+            assert_eq!(current_span(), 0, "a disabled enter seeds nothing");
         }
         assert!(!evaluated.get(), "args must not be built when disabled");
         start_trace();
@@ -564,7 +572,7 @@ mod tests {
     fn an_ended_span_is_recorded_backdated_under_its_parent() {
         let _gate = serial();
         let evaluated = std::cell::Cell::new(false);
-        span_ended("late", 7, std::time::Duration::from_millis(3), || {
+        span_ended("late", std::time::Duration::from_millis(3), || {
             evaluated.set(true);
             vec![]
         });
@@ -572,10 +580,13 @@ mod tests {
         start_trace();
         std::thread::sleep(std::time::Duration::from_millis(4));
         let before = now_us();
-        span_ended("late", 7, std::time::Duration::from_millis(3), || {
-            vec![("facts".to_string(), "9".to_string())]
-        });
-        assert_eq!(current_span(), 0, "it leaves no span open");
+        {
+            let _entered = enter(7);
+            span_ended("late", std::time::Duration::from_millis(3), || {
+                vec![("facts".to_string(), "9".to_string())]
+            });
+            assert_eq!(current_span(), 7, "it leaves no span open");
+        }
         let events = end_trace();
         assert_eq!(events.len(), 1);
         let late = &events[0];
@@ -607,6 +618,35 @@ mod tests {
         tids.sort_unstable();
         tids.dedup();
         assert_eq!(tids.len(), 3, "three threads, three lanes: {events:?}");
+    }
+
+    #[test]
+    fn a_thread_that_enters_a_span_records_under_it_and_leaves_it() {
+        let _gate = serial();
+        start_trace();
+        {
+            let handed = crate::span!("handed");
+            let id = handed.id();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    {
+                        let _entered = enter(id);
+                        assert_eq!(current_span(), id);
+                        let _s = crate::span!("pooled");
+                        crate::instant!("tick");
+                    }
+                    assert_eq!(current_span(), 0, "the guard leaves the stack as it was");
+                    let _s = crate::span!("after");
+                });
+            });
+        }
+        let events = end_trace();
+        let find = |name: &str| events.iter().find(|e| e.name == name).unwrap();
+        let (handed, pooled) = (find("handed"), find("pooled"));
+        assert_ne!(handed.tid, pooled.tid);
+        assert_eq!(pooled.parent, handed.id);
+        assert_eq!(find("tick").parent, pooled.id);
+        assert_eq!(find("after").parent, 0);
     }
 
     #[test]

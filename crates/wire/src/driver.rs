@@ -417,9 +417,12 @@ fn drive(
         dictionary,
     } = endpoint;
 
+    // Both threads work for the round span the frames carry.
+    let _entered = obs::enter(trace.parent_span);
     let (results, bytes, error, events) = std::thread::scope(|scope| {
         let gate = &gate;
         let writer_handle = scope.spawn(move || -> (u64, Option<TransportError>) {
+            let _entered = obs::enter(trace.parent_span);
             let mut sent = 0u64;
             for job in jobs {
                 let wait_started = Instant::now();

@@ -119,27 +119,18 @@ pub fn read_frame<T: Decode>(
     r: &mut impl Read,
     dictionary: &mut Dictionary,
 ) -> Result<Option<T>, DecodeError> {
-    Ok(read_frame_counted(r, dictionary)?.map(|(value, _)| value))
-}
-
-/// Reads one frame from a stream like [`read_frame`] and also reports the
-/// number of bytes the frame occupied on the wire (magic + version +
-/// length varint + body) — the honest size transports add to their
-/// communication-volume counters for worker→coordinator reply frames.
-pub fn read_frame_counted<T: Decode>(
-    r: &mut impl Read,
-    dictionary: &mut Dictionary,
-) -> Result<Option<(T, u64)>, DecodeError> {
-    let Some((body, wire_len)) = read_body(r)? else {
+    let Some((body, _)) = read_body(r)? else {
         return Ok(None);
     };
-    decode_body_with(dictionary, &body).map(|value| Some((value, wire_len)))
+    decode_body_with(dictionary, &body).map(Some)
 }
 
 /// Reads the next frame off a stream without decoding it: its body and the
-/// number of bytes the frame occupied. `Ok(None)` on a clean EOF at a frame
-/// boundary. The callers that time the decode apart from the wait for the
-/// bytes read frames through here.
+/// number of bytes the frame occupied on the wire (magic + version + length
+/// varint + body), the size the transports count in their communication
+/// volume. `Ok(None)` on a clean EOF at a frame boundary. The callers that
+/// time the decode apart from the wait for the bytes read frames through
+/// here.
 pub(crate) fn read_body(r: &mut impl Read) -> Result<Option<(Vec<u8>, u64)>, DecodeError> {
     let mut magic = [0u8; 4];
     match read_exact_or_eof(r, &mut magic)? {
@@ -232,11 +223,6 @@ mod tests {
         super::read_frame(r, &mut Dictionary::new())
     }
 
-    /// [`read_frame`], with the frame's wire length.
-    fn read_frame_counted<T: Decode>(r: &mut impl Read) -> Result<Option<(T, u64)>, DecodeError> {
-        super::read_frame_counted(r, &mut Dictionary::new())
-    }
-
     #[test]
     fn frames_round_trip_and_self_delimit() {
         let a = fact("R", &["x", "y"]);
@@ -267,17 +253,13 @@ mod tests {
         stream.extend(frame_b.clone());
 
         let mut cursor = std::io::Cursor::new(stream);
-        let (back_a, len_a) = read_frame_counted::<Instance>(&mut cursor)
-            .unwrap()
-            .unwrap();
-        let (back_b, len_b) = read_frame_counted::<Instance>(&mut cursor)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back_a, a);
-        assert_eq!(back_b, b);
+        let (body_a, len_a) = read_body(&mut cursor).unwrap().unwrap();
+        let (body_b, len_b) = read_body(&mut cursor).unwrap().unwrap();
+        assert_eq!(decode_body::<Instance>(&body_a).unwrap(), a);
+        assert_eq!(decode_body::<Instance>(&body_b).unwrap(), b);
         assert_eq!(len_a, frame_a.len() as u64, "counted = bytes produced");
         assert_eq!(len_b, frame_b.len() as u64);
-        assert_eq!(read_frame_counted::<Instance>(&mut cursor).unwrap(), None);
+        assert_eq!(read_body(&mut cursor).unwrap(), None);
     }
 
     #[test]

@@ -85,9 +85,7 @@ pub use codec::{
     Dictionary, Encode, Encoder,
 };
 pub use driver::WireTransport;
-pub use frame::{
-    decode_frame, encode_frame, encode_frame_with, read_frame, read_frame_counted, write_frame,
-};
+pub use frame::{decode_frame, encode_frame, encode_frame_with, read_frame, write_frame};
 pub use json::JsonValue;
 pub use message::{EvalRef, Message, TraceContext};
 pub use metrics_export::{merged_registry_json, registry_json};

@@ -151,7 +151,10 @@ pub fn run_worker(
             ));
         }
         trace.adopt();
-        obs::span_ended("worker_decode", trace.parent_span, decode_time, || {
+        // Everything this frame does is the work of the coordinator span
+        // that shipped it.
+        let _entered = obs::enter(trace.parent_span);
+        obs::span_ended("worker_decode", decode_time, || {
             vec![
                 ("node".to_string(), node.to_string()),
                 ("facts".to_string(), shipment.len().to_string()),
@@ -164,13 +167,12 @@ pub fn run_worker(
             Shipment::Resident => "worker_eval_resident",
         };
         let start = Instant::now();
-        let span = obs::span_under(span_name, trace.parent_span, || {
-            vec![
-                ("node".to_string(), node.to_string()),
-                ("round".to_string(), round.to_string()),
-                ("facts".to_string(), shipment.len().to_string()),
-            ]
-        });
+        let span = obs::span!(
+            span_name,
+            node = node,
+            round = round,
+            facts = shipment.len()
+        );
         if slow_eval_us > 0 {
             // Inside the span, so the injected latency is attributed to
             // the eval phase exactly like a genuinely slow eval.

@@ -14,7 +14,7 @@
 //! `worker 0`, …). Span ids and parent links ride in `args` so the file
 //! round-trips losslessly through [`parse_chrome_trace`].
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use obs::{EventKind, TraceEvent};
@@ -240,8 +240,8 @@ pub struct PhaseStats {
     /// Longest single span.
     pub max_us: u64,
     /// Summed self time: each span's duration less the union of its
-    /// children's intervals on its own lane, each clipped to the span. A
-    /// root of the lane adopts the parentless spans that lie within it.
+    /// children's intervals, each clipped to the span. A span's children
+    /// are the spans of its own lane that name it as their parent.
     pub self_us: u64,
 }
 
@@ -257,8 +257,8 @@ pub struct ProcessStats {
     /// Wall-clock extent: last event end minus first event start.
     pub wall_us: u64,
     /// The self time of the lane's root spans — those whose parent is not
-    /// a span of this lane and that lie within no such span: the time
-    /// inside them that no other span of the lane accounts for.
+    /// a span of this lane: the time inside them that no other span of the
+    /// lane accounts for.
     pub unattributed_us: u64,
 }
 
@@ -495,41 +495,19 @@ impl fmt::Display for TraceSummary {
 ///
 /// A span's children are the spans of its own process lane whose `parent`
 /// is its `id` (a worker span under a coordinator round is a root of the
-/// worker's lane, not a child of the round). A span whose parent is no
-/// span of its lane, but which lies within such a span in time — opened on
-/// a thread that carries no span, like the wire driver's — is adopted as
-/// that span's child instead; the spans left are the lane's roots. A span's
-/// self time is its duration less the union of its children's intervals,
-/// each clipped to the span: children that overlap (threads of one
-/// process) count once, and the remainder is never negative. Instants get
-/// `(0, false)`.
+/// worker's lane, not a child of the round); a lane's roots are its spans
+/// whose parent is no span of that lane. The parent is the one the recorder
+/// wrote — the innermost span open on the recording thread — and no
+/// timestamp is read to choose one. A span's self time is its duration
+/// less the union of its children's intervals, each clipped to the span:
+/// children that overlap (threads of one process) count once, and the
+/// remainder is never negative. Instants get `(0, false)`.
 fn self_times(events: &[TraceEvent]) -> Vec<(u64, bool)> {
     let spans = || events.iter().filter(|e| e.kind == EventKind::Span);
     let interval = |span: &TraceEvent| (span.ts_us, span.ts_us + span.dur_us);
     let mut children: HashMap<(u32, u64), Vec<(u64, u64)>> = HashMap::new();
     for span in spans() {
         children.entry((span.pid, span.id)).or_default();
-    }
-    // Parentless on their lane: by lane, start, and the longest first.
-    let mut parentless: Vec<&TraceEvent> = spans()
-        .filter(|span| !children.contains_key(&(span.pid, span.parent)))
-        .collect();
-    parentless.sort_by_key(|span| (span.pid, span.ts_us, std::cmp::Reverse(span.dur_us)));
-    let mut roots = HashSet::new();
-    let mut root: Option<&TraceEvent> = None;
-    for span in parentless {
-        let adopted =
-            root.filter(|root| root.pid == span.pid && interval(span).1 <= interval(root).1);
-        match adopted {
-            Some(root) => children
-                .get_mut(&(root.pid, root.id))
-                .expect("every span has a child list")
-                .push(interval(span)),
-            None => {
-                roots.insert((span.pid, span.id));
-                root = Some(span);
-            }
-        }
     }
     for span in spans() {
         if let Some(siblings) = children.get_mut(&(span.pid, span.parent)) {
@@ -556,7 +534,7 @@ fn self_times(events: &[TraceEvent]) -> Vec<(u64, bool)> {
                     reach = b;
                 }
             }
-            let root = roots.contains(&(event.pid, event.id));
+            let root = !children.contains_key(&(event.pid, event.parent));
             (event.dur_us - covered, root)
         })
         .collect()
@@ -683,9 +661,6 @@ mod tests {
             span("b", 30, 30, 0, 3, 1),
             span("c", 15, 5, 0, 4, 2),
             instant("note", 16, 0, 4),
-            // A span of a thread that carries no span lies within the root
-            // in time, and is adopted by it.
-            span("orphan", 70, 20, 0, 5, 0),
             // A worker's span under a coordinator span is a root of the
             // worker's lane, and it has no child.
             span("w", 20, 30, 1, worker | 1, 2),
@@ -696,14 +671,14 @@ mod tests {
         let summary = TraceSummary::from_events(&events);
         let self_us = |name: &str| summary.phases[name].self_us;
         assert_eq!(
-            ["run", "a", "b", "c", "orphan", "w", "r", "late"].map(self_us),
-            [30, 25, 30, 5, 20, 30, 5, 15]
+            ["run", "a", "b", "c", "w", "r", "late"].map(self_us),
+            [50, 25, 30, 5, 30, 5, 15]
         );
         let unattributed = |pid: u32| summary.processes[&pid].unattributed_us;
-        assert_eq!([0, 1, 2].map(unattributed), [30, 30, 5]);
+        assert_eq!([0, 1, 2].map(unattributed), [50, 30, 5]);
         let json = summary.to_json().to_string();
         assert!(json.contains("\"self_us\":25"), "{json}");
-        assert!(json.contains("\"unattributed_us\":30"), "{json}");
+        assert!(json.contains("\"unattributed_us\":50"), "{json}");
         let text = summary.to_string();
         assert!(
             text.contains("self") && text.contains("unattributed"),

@@ -769,8 +769,8 @@ fn cli_traced_socket_multi_query_run_produces_one_valid_merged_trace() {
 #[test]
 fn a_cli_run_spans_its_lowering_transport_start_shutdown_and_report() {
     // The coordinator's work outside the engine: parsing the scenario,
-    // starting the workers (spawn and Hello), stopping them, and building
-    // and printing the report. Each is one span, a child of `run`, on every
+    // building the policies and the engine, starting the workers (spawn and
+    // Hello), stopping them, and building and printing the report. Each is one span, a child of `run`, on every
     // transport.
     use std::process::Command;
 
@@ -799,7 +799,13 @@ fn a_cli_run_spans_its_lowering_transport_start_shutdown_and_report() {
             trace_export::parse_chrome_trace(&std::fs::read_to_string(&trace).unwrap()).unwrap();
         let coordinator = || events.iter().filter(|e| e.pid == 0);
         let root = coordinator().find(|e| e.name == "run").expect("a run span");
-        for name in ["lower", "open_transport", "shutdown", "report"] {
+        for name in [
+            "lower",
+            "engine_setup",
+            "open_transport",
+            "shutdown",
+            "report",
+        ] {
             let spans: Vec<_> = coordinator().filter(|e| e.name == name).collect();
             assert_eq!(spans.len(), 1, "{transport}: {name}");
             assert_eq!(spans[0].kind, obs::EventKind::Span, "{transport}: {name}");
@@ -811,6 +817,95 @@ fn a_cli_run_spans_its_lowering_transport_start_shutdown_and_report() {
         let _ = std::fs::remove_file(trace);
     }
     let _ = std::fs::remove_file(scenario);
+}
+
+#[test]
+fn every_coordinator_span_but_run_has_a_coordinator_parent_on_every_transport() {
+    // One parent rule: a span's parent is the innermost span open on the
+    // thread that records it, and a thread that works for another thread's
+    // span — the memory transport's pool, the wire driver's reader and
+    // writer — enters that span first. So on every transport, a feedback
+    // run's delta rounds and a run whose jobs are requeued included, the
+    // coordinator lane has one root, `run`, and every span is where its
+    // thread recorded it.
+    use std::collections::BTreeMap;
+    use std::process::Command;
+
+    let dir = std::env::temp_dir();
+    let cases: [(&str, &[&str]); 4] = [
+        ("memory", &["--transport", "memory"]),
+        (
+            "process",
+            &["--transport", "process", "--rounds", "3", "--feedback", "R"],
+        ),
+        ("socket", &["--transport", "socket"]),
+        (
+            "requeued",
+            &["--transport", "process", "--fault-inject", "1"],
+        ),
+    ];
+    for (case, flags) in cases {
+        let trace = dir.join(format!("pcq-parents-{case}-{}.json", std::process::id()));
+        let run = Command::new(worker_binary())
+            .args(["run", "T(x, z) :- R(x, y), R(y, z).", "hypercube:4"])
+            .args(["random:20:300:7", "--workers", "2"])
+            .args(flags)
+            .args(["--trace", trace.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "{case}: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let events =
+            trace_export::parse_chrome_trace(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let _ = std::fs::remove_file(trace);
+        trace_export::check_well_formed(&events).unwrap_or_else(|e| panic!("{case}: {e}"));
+
+        let spans: BTreeMap<u64, &obs::TraceEvent> = events
+            .iter()
+            .filter(|e| e.pid == 0 && e.kind == obs::EventKind::Span)
+            .map(|e| (e.id, e))
+            .collect();
+        let roots: Vec<&str> = spans
+            .values()
+            .filter(|e| !spans.contains_key(&e.parent))
+            .map(|e| e.name.as_str())
+            .collect();
+        assert_eq!(roots, ["run"], "{case}: roots of the coordinator lane");
+        // The spans recorded off the thread that opened their parent.
+        let parent_of = |name: &str| -> Vec<&str> {
+            let mut parents: Vec<&str> = spans
+                .values()
+                .filter(|e| e.name == name)
+                .map(|e| spans[&e.parent].name.as_str())
+                .collect();
+            parents.sort_unstable();
+            parents.dedup();
+            parents
+        };
+        if case == "memory" {
+            assert_eq!(parent_of("eval_chunk"), ["barrier"], "{case}");
+            continue;
+        }
+        let round = if case == "process" {
+            // The verify's feedback steps are spanned like a node's.
+            assert_eq!(parent_of("absorb"), ["reference_fixpoint"], "{case}");
+            "delta_round"
+        } else {
+            "eval_round"
+        };
+        for name in ["window_wait", "wire_encode", "reply_decode"] {
+            assert_eq!(parent_of(name), [round], "{case}: {name}");
+        }
+        if case == "requeued" {
+            assert!(
+                events.iter().any(|e| e.name == "requeue"),
+                "{case}: no job was requeued"
+            );
+        }
+    }
 }
 
 #[test]
