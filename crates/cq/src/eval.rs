@@ -34,8 +34,16 @@
 //!   at most once; three, or two of which one is at least 16 times the
 //!   other, by leapfrogging (a gallop through the long run per row of the
 //!   short one) and stepping each cursor past its row. The values still
-//!   ascend, so the leaf order is unchanged. (A chain, a closure or a relax
-//!   query ends in a variable of one atom, read straight off its run.)
+//!   ascend, so the leaf order is unchanged; each common value is one leaf
+//!   call (`Bind::Last` hands over no run). A chain, a closure or a relax
+//!   query ends instead in a variable of one atom (`Bind::Direct`), read
+//!   straight off its run: the leaves of that run differ in that one slot
+//!   only, and the search hands the whole run — the slot and one flat
+//!   column of the atom's order — to the leaf callback in one call, instead
+//!   of one recursion and one leaf call per row. A callback that takes
+//!   leaves one at a time (the decision procedures, [`for_each_satisfying`])
+//!   gets them by a default that loops over the run, in the same order and
+//!   with the same early `Break`.
 //! * **The variable order, and so the leaf order, is fixed by the query.**
 //!   Pre-bound slots come first. Then, one at a time: a variable that shares
 //!   an atom with a variable already bound goes before one that does not
@@ -75,7 +83,13 @@
 //!   A wider head keeps a set of [`Tuple`]s and one [`Instance::from_facts`]
 //!   at the end. Either way the work per derivation is a bit or a probe,
 //!   and the allocations are O(answers), never O(valuations).
-//!   (`evaluate_done` in a trace carries both counts and the `collector`:
+//!   A run handed over whole is collected as one: the dense set computes
+//!   the bound head values' part of the bit index once and sets bit
+//!   `base + (v − low) · stride` for each value `v`, a packed head ORs each
+//!   value into one key prefix, and a run whose variable is outside the
+//!   head is one head tuple, collected once; the valuations count grows by
+//!   the run's length. (`evaluate_done` in a trace carries the valuations,
+//!   the `runs` handed over whole, the answers and the `collector`:
 //!   `dense`, `hashed` or `each`.) A full evaluation of a query whose head
 //!   mentions every variable skips the set: each leaf of one enumeration is
 //!   a new answer there, valuations = answers, so a packable head pushes
@@ -264,16 +278,13 @@ impl<'q> CompiledQuery<'q> {
     /// `slots` under which every body atom matches a fact of `full` — or,
     /// for the atom `pivot` names, a fact of the instance next to it (the
     /// shape of a semi-naive differential pass).
-    fn search<L>(
+    fn search<L: Leaf>(
         &self,
         full: &Instance,
         pivot: Option<(usize, &Instance)>,
         slots: Vec<Option<Value>>,
         leaf: L,
-    ) -> ControlFlow<()>
-    where
-        L: FnMut(&Slots) -> ControlFlow<()>,
-    {
+    ) -> ControlFlow<()> {
         match self.prepare(full, pivot, &slots) {
             Some(pass) => self.run(&pass, slots, leaf),
             None => ControlFlow::Continue(()),
@@ -323,10 +334,7 @@ impl<'q> CompiledQuery<'q> {
     }
 
     /// Runs a [prepared](CompiledQuery::prepare) search from `slots`.
-    fn run<L>(&self, pass: &Pass, slots: Vec<Option<Value>>, leaf: L) -> ControlFlow<()>
-    where
-        L: FnMut(&Slots) -> ControlFlow<()>,
-    {
+    fn run<L: Leaf>(&self, pass: &Pass, slots: Vec<Option<Value>>, leaf: L) -> ControlFlow<()> {
         match Leapfrog::new(self, &pass.plan, &pass.orders, slots, leaf) {
             Some(mut join) => join.search(0),
             None => ControlFlow::Continue(()),
@@ -428,13 +436,22 @@ struct Rows<'a> {
     arity: usize,
 }
 
-impl Rows<'_> {
-    /// The value in column `col` of row `row`: every read of the search.
+impl<'a> Rows<'a> {
+    /// The value in column `col` of row `row`: one read of the search.
     #[inline]
     fn at(self, row: usize, col: usize) -> Value {
         #[cfg(test)]
         tests::VALUES_READ.with(|reads| reads.set(reads.get() + 1));
         self.values[row * self.arity + col]
+    }
+
+    /// Column `col` of the rows of `run`.
+    fn column(self, run: Run, col: usize) -> Column<'a> {
+        Column {
+            rows: &self.values[run.start * self.arity..run.end * self.arity],
+            col,
+            arity: self.arity,
+        }
     }
 
     /// The first of the rows `lo..hi` whose column `col` is no longer
@@ -462,6 +479,58 @@ impl Rows<'_> {
             }
         }
         lo
+    }
+}
+
+/// One column of a run of rows, top to bottom: the values a
+/// [`Bind::Direct`] depth binds, ascending.
+#[derive(Clone, Copy)]
+struct Column<'a> {
+    /// The run's rows, flat.
+    rows: &'a [Value],
+    col: usize,
+    arity: usize,
+}
+
+impl<'a> Column<'a> {
+    /// The number of rows, each one value.
+    fn len(self) -> usize {
+        self.rows.len() / self.arity
+    }
+
+    /// The values, one read each.
+    fn iter(self) -> impl Iterator<Item = Value> + 'a {
+        let values = self.rows.iter().skip(self.col).step_by(self.arity);
+        values.copied().inspect(|_| {
+            #[cfg(test)]
+            tests::VALUES_READ.with(|reads| reads.set(reads.get() + 1));
+        })
+    }
+}
+
+/// What the kernel hands the leaves of a search to: one call per leaf, and
+/// one per run of leaves that differ in the last depth's slot only.
+trait Leaf {
+    /// One satisfying assignment; every slot is bound.
+    fn leaf(&mut self, slots: &Slots) -> ControlFlow<()>;
+
+    /// The leaves that bind `slot` to each of `values` in turn and every
+    /// other slot as `slots` does: the run of a last depth bound by
+    /// [`Bind::Direct`]. By default one [`Leaf::leaf`] call per value, in
+    /// order, up to the first `Break`, so a caller that sees leaves one at
+    /// a time sees them as if there were no runs.
+    fn run(&mut self, slots: &mut Slots, slot: usize, values: Column<'_>) -> ControlFlow<()> {
+        for value in values.iter() {
+            slots[slot] = Some(value);
+            self.leaf(slots)?;
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+impl<F: FnMut(&Slots) -> ControlFlow<()>> Leaf for F {
+    fn leaf(&mut self, slots: &Slots) -> ControlFlow<()> {
+        self(slots)
     }
 }
 
@@ -690,10 +759,7 @@ struct Leapfrog<'a, L> {
     leaf: L,
 }
 
-impl<'a, L> Leapfrog<'a, L>
-where
-    L: FnMut(&Slots) -> ControlFlow<()>,
-{
+impl<'a, L: Leaf> Leapfrog<'a, L> {
     /// Opens each atom's trie — `orders[atom]`, in the plan's column order —
     /// and binds the columns of the pre-bound slots, which come first in
     /// it. `None` when a pre-bound value occurs nowhere: no valuations.
@@ -745,7 +811,7 @@ where
     fn search(&mut self, depth: usize) -> ControlFlow<()> {
         let depths = self.depths;
         let Some(Depth { slot, atoms, bind }) = depths.get(depth) else {
-            return (self.leaf)(&self.slots);
+            return self.leaf.leaf(&self.slots);
         };
         let slot = *slot;
         match bind {
@@ -754,15 +820,22 @@ where
                 // every row of the run is one value, and no column is left
                 // to narrow.
                 let cursor = &self.cursors[atoms[0].0];
-                let ((run, col), rows) = (cursor.top(), cursor.rows);
-                let mut flow = ControlFlow::Continue(());
-                for row in run.start..run.end {
-                    self.slots[slot] = Some(rows.at(row, col));
-                    flow = self.search(depth + 1);
-                    if flow.is_break() {
-                        break;
+                let (run, col) = cursor.top();
+                let values = cursor.rows.column(run, col);
+                let flow = if depth + 1 == depths.len() {
+                    // The run's leaves differ in this slot only: one call.
+                    self.leaf.run(&mut self.slots, slot, values)
+                } else {
+                    let mut flow = ControlFlow::Continue(());
+                    for value in values.iter() {
+                        self.slots[slot] = Some(value);
+                        flow = self.search(depth + 1);
+                        if flow.is_break() {
+                            break;
+                        }
                     }
-                }
+                    flow
+                };
                 self.slots[slot] = None;
                 return flow;
             }
@@ -834,7 +907,7 @@ where
                 Ordering::Greater => y = ys.next(),
                 Ordering::Equal => {
                     self.slots[slot] = Some(a);
-                    (self.leaf)(&self.slots)?;
+                    self.leaf.leaf(&self.slots)?;
                     (x, y) = (xs.next(), ys.next());
                 }
             }
@@ -856,7 +929,7 @@ where
                 self.cursors[atom].step();
             }
             self.slots[*slot] = Some(value);
-            (self.leaf)(&self.slots)?;
+            self.leaf.leaf(&self.slots)?;
         }
         ControlFlow::Continue(())
     }
@@ -1004,6 +1077,30 @@ impl Dense {
         for ((&low, &width), value) in lows.zip(widths).zip(values) {
             index = index * width + u64::from(value.raw() - low);
         }
+        self.set(index);
+    }
+
+    /// Sets the bits of the head tuples that `slot`, one of the `head`
+    /// slots, takes each of `values` in: the other head slots' part of the
+    /// index is computed once, so a value costs one multiply-add.
+    fn insert_run(&mut self, head: &[usize], slots: &Slots, slot: usize, values: Column<'_>) {
+        let (mut base, mut stride, mut low) = (0, 0, 0);
+        let positions = head.iter().zip(self.lows).zip(self.widths);
+        for ((&at, at_low), width) in positions {
+            (base, stride) = (base * width, stride * width);
+            match slots[at] {
+                _ if at == slot => (stride, low) = (stride + 1, at_low),
+                Some(value) => base += u64::from(value.raw() - at_low),
+                None => unreachable!("every other slot is bound at a leaf"),
+            }
+        }
+        for value in values.iter() {
+            self.set(base + u64::from(value.raw() - low) * stride);
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, index: u64) {
         self.bits[(index / 64) as usize] |= 1 << (index % 64);
     }
 
@@ -1040,6 +1137,8 @@ struct Answers {
     head: Vec<usize>,
     collected: Collected,
     valuations: u64,
+    /// How many runs of leaves came in one [`Leaf::run`] call.
+    runs: u64,
 }
 
 impl Answers {
@@ -1066,14 +1165,14 @@ impl Answers {
             head: compiled.head.clone(),
             collected,
             valuations: 0,
+            runs: 0,
         }
     }
 
     /// Records the head tuple of one satisfying assignment: one bit set or
     /// one key probe for a packed head; a wide one is copied only when it is
-    /// new.
-    fn collect(&mut self, slots: &Slots) -> ControlFlow<()> {
-        self.valuations += 1;
+    /// new. Reads the head slots only.
+    fn insert(&mut self, slots: &Slots) {
         let head = self.head.iter();
         let values = head.map(|&slot| slots[slot].expect("every slot is bound at a leaf"));
         match &mut self.collected {
@@ -1093,14 +1192,13 @@ impl Answers {
                 facts.push(Fact::new(self.relation, Tuple::from_iter(values)))
             }
         }
-        ControlFlow::Continue(())
     }
 
     /// Collects the leaves of every search of `passes` and finishes.
     fn over(mut self, compiled: &CompiledQuery<'_>, passes: &[Pass]) -> Instance {
         for pass in passes {
             let slots = vec![None; compiled.vars.len()];
-            let _ = compiled.run(pass, slots, |slots| self.collect(slots));
+            let _ = compiled.run(pass, slots, &mut self);
         }
         self.finish()
     }
@@ -1132,11 +1230,72 @@ impl Answers {
         obs::instant!(
             "evaluate_done",
             valuations = self.valuations,
+            runs = self.runs,
             answers = answers.len(),
             collector = collector
         );
         answers
     }
+}
+
+impl Leaf for &mut Answers {
+    fn leaf(&mut self, slots: &Slots) -> ControlFlow<()> {
+        self.valuations += 1;
+        self.insert(slots);
+        ControlFlow::Continue(())
+    }
+
+    /// A run's leaves share every head value but the one `slot` binds, if
+    /// `slot` is in the head at all: a dense set sets a bit per value at an
+    /// index computed once, a packed head ORs each value into one key
+    /// prefix, and a run outside the head is one tuple, recorded once.
+    fn run(&mut self, slots: &mut Slots, slot: usize, values: Column<'_>) -> ControlFlow<()> {
+        self.valuations += values.len() as u64;
+        self.runs += 1;
+        if values.len() == 0 {
+            return ControlFlow::Continue(());
+        }
+        if !self.head.contains(&slot) {
+            self.insert(slots);
+            return ControlFlow::Continue(());
+        }
+        let head = &self.head;
+        match &mut self.collected {
+            Collected::Dense(dense) => dense.insert_run(head, slots, slot, values),
+            Collected::Packed(set) => set.extend(run_keys(head, slots, slot, values)),
+            Collected::EachPacked(pushed) => pushed.extend(run_keys(head, slots, slot, values)),
+            Collected::Tuples { .. } | Collected::Each(_) => {
+                for value in values.iter() {
+                    slots[slot] = Some(value);
+                    self.insert(slots);
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// The [packed](fact::pack) keys of the head tuples in which `slot`, one of
+/// the `head` slots, takes each of `values` and every other head slot its
+/// value in `slots`: the key with `slot`'s value left out is computed once,
+/// and each value is ORed into it at every position it fills.
+fn run_keys<'a>(
+    head: &[usize],
+    slots: &Slots,
+    slot: usize,
+    values: Column<'a>,
+) -> impl Iterator<Item = u128> + 'a {
+    // `unit` is the key of the value 1 at `slot`'s positions.
+    let (mut prefix, mut unit) = (0u128, 0u128);
+    for &at in head {
+        (prefix, unit) = match slots[at] {
+            _ if at == slot => (prefix << 32, unit << 32 | 1),
+            Some(value) => (prefix << 32 | u128::from(value.raw()), unit << 32),
+            None => unreachable!("every other slot is bound at a leaf"),
+        };
+    }
+    let keys = values.iter();
+    keys.map(move |value| prefix | (unit * u128::from(value.raw())))
 }
 
 /// The answers of the searches of `compiled` over `full` that `pivots`
@@ -1257,7 +1416,7 @@ mod tests {
     ) -> Vec<Vec<Value>> {
         let compiled = CompiledQuery::new(query);
         let mut leaves = Vec::new();
-        let _ = compiled.search(full, pivot, compiled.bind(fixed), |slots| {
+        let _ = compiled.search(full, pivot, compiled.bind(fixed), |slots: &Slots| {
             leaves.push(slots.iter().map(|value| value.unwrap()).collect());
             ControlFlow::Continue(())
         });
@@ -1538,6 +1697,38 @@ mod tests {
         });
         assert_eq!(count, 1);
         assert_eq!(flow, ControlFlow::Break(()));
+        // A chain's last depth reads `z` straight off the run of `R(y, z)`,
+        // three rows under `y = b` for each of its three `x`: a break at any
+        // leaf, in the middle of a run too, ends the enumeration after
+        // exactly the leaves before it, in the order (y, x, z) gives them.
+        let chain = q("T(x, z) :- R(x, y), R(y, z).");
+        let compiled = CompiledQuery::new(&chain);
+        let plan = TriePlan::new(&compiled, &vec![None; compiled.vars.len()], None);
+        let order: Vec<Variable> = plan.depths.iter().map(|d| compiled.vars[d.slot]).collect();
+        assert_eq!(order, ["y", "x", "z"].map(Variable::new));
+        assert!(plan
+            .depths
+            .last()
+            .is_some_and(|depth| depth.bind == Bind::Direct));
+        let i = parse_instance("R(a, b). R(b, c). R(b, d). R(b, e). R(c, b). R(d, b).").unwrap();
+        let all = satisfying(&chain, &i, &Valuation::new());
+        let in_order = |v: &Valuation| -> Vec<Value> {
+            order.iter().map(|&var| v.get(var).unwrap()).collect()
+        };
+        assert!(all.windows(2).all(|w| in_order(&w[0]) < in_order(&w[1])));
+        assert_eq!(all.len(), 11);
+        for k in 1..=all.len() {
+            let mut seen = Vec::new();
+            let flow = for_each_satisfying(&chain, &i, &Valuation::new(), |v| {
+                seen.push(v.clone());
+                match seen.len() == k {
+                    true => ControlFlow::Break(()),
+                    false => ControlFlow::Continue(()),
+                }
+            });
+            assert_eq!(flow, ControlFlow::Break(()), "break at leaf {k}");
+            assert_eq!(seen, all[..k], "break at leaf {k}");
+        }
     }
 
     /// Splits `facts` into (old, delta, full) instances at `split`.
@@ -1787,14 +1978,14 @@ mod tests {
 
     /// The answers of `query` on `full` — a whole evaluation, or with a
     /// `delta` the semi-naive step — collected in a dense set where one
-    /// fits and `dense` allows it, else in the hashed one; and whether the
-    /// dense set collected them.
+    /// fits and `dense` allows it, else in the hashed one; whether the
+    /// dense set collected them; and how many valuations the set counted.
     fn collected(
         query: &ConjunctiveQuery,
         full: &Instance,
         delta: Option<&Instance>,
         dense: bool,
-    ) -> (Instance, bool) {
+    ) -> (Instance, bool, u64) {
         let compiled = CompiledQuery::new(query);
         let passes = match delta {
             None => compiled.passes(full, [None]),
@@ -1802,21 +1993,40 @@ mod tests {
         };
         // Without passes to size it by, no dense set fits.
         let sized_by = if dense { &passes[..] } else { &[] };
-        let answers = Answers::new(&compiled, delta.is_none(), sized_by);
+        let mut answers = Answers::new(&compiled, delta.is_none(), sized_by);
         let ran = matches!(answers.collected, Collected::Dense(_));
-        (answers.over(&compiled, &passes), ran)
+        for pass in &passes {
+            let _ = compiled.run(pass, vec![None; compiled.vars.len()], &mut answers);
+        }
+        let valuations = answers.valuations;
+        (answers.finish(), ran, valuations)
     }
 
     /// The dense set's answers on `query` over `old ∪ delta`, whole and by
-    /// the step, are the hashed set's; how many of the two it collected.
+    /// the step, are the hashed set's, and both count the leaves the
+    /// searches reach one at a time; how many of the two it collected.
     fn dense_is_hashed(query: &ConjunctiveQuery, old: &Instance, delta: &Instance) -> usize {
         let full = old.union(delta);
         let mut ran = 0;
         for delta in [None, Some(delta)] {
-            let (dense, was_dense) = collected(query, &full, delta, true);
-            let (hashed, was_hashed) = collected(query, &full, delta, false);
+            let searches: Vec<_> = match delta {
+                None => vec![None],
+                Some(delta) => pivots(query, delta).collect(),
+            };
+            let reached = searches.into_iter().map(|pivot| {
+                let leaves = leaves(query, &full, pivot, &Valuation::new());
+                leaves.len() as u64
+            });
+            let reached = reached.sum();
+            let (dense, was_dense, dense_count) = collected(query, &full, delta, true);
+            let (hashed, was_hashed, hashed_count) = collected(query, &full, delta, false);
             assert!(!was_hashed);
             assert_eq!(dense, hashed, "{query} on {full}, delta {delta:?}");
+            assert_eq!(
+                (dense_count, hashed_count),
+                (reached, reached),
+                "{query} on {full}, delta {delta:?}"
+            );
             ran += usize::from(was_dense);
         }
         assert_eq!(
@@ -1824,6 +2034,26 @@ mod tests {
             evaluate(query, &full)
         );
         ran
+    }
+
+    /// Where the last slot of `query`'s plan sits in its head, when the
+    /// slot's values are read straight off a run: `outside`, the `first`
+    /// head value, the `second` or `both`.
+    fn last_run_in_head(query: &ConjunctiveQuery) -> Option<&'static str> {
+        let compiled = CompiledQuery::new(query);
+        let plan = TriePlan::new(&compiled, &vec![None; compiled.vars.len()], None);
+        let depth = plan
+            .depths
+            .last()
+            .filter(|depth| depth.bind == Bind::Direct)?;
+        let head = compiled.head().iter();
+        let at: Vec<bool> = head.map(|&slot| slot == depth.slot).collect();
+        Some(match at[..] {
+            [true] | [true, false] => "first",
+            [false, true] => "second",
+            [true, true] => "both",
+            _ => "outside",
+        })
     }
 
     #[test]
@@ -1840,6 +2070,7 @@ mod tests {
             ran += dense_is_hashed(&query, &opaque(&old), &opaque(&delta));
         }
         assert!(ran > 200, "the dense set collected {ran} times");
+        let mut runs = BTreeSet::new();
         for text in NARROW_HEADS {
             let query = q(text);
             for skewed in [false, true] {
@@ -1852,7 +2083,13 @@ mod tests {
                 }
                 assert_eq!(ran, 8, "{query}, skewed {skewed}");
             }
+            runs.extend(last_run_in_head(&query));
         }
+        assert_eq!(
+            runs,
+            BTreeSet::from(["both", "first", "outside", "second"]),
+            "the heads a last-depth run lands in"
+        );
     }
 
     /// The words of the dense set `query` gets on `instance`, if one fits.
@@ -1875,7 +2112,7 @@ mod tests {
         let past = unary(&[7, 7 + floor]);
         assert_eq!(dense_words("T(x) :- U(x).", &past), None);
         for instance in [at, past] {
-            let (answers, _) = collected(&q("T(x) :- U(x), U(x)."), &instance, None, true);
+            let (answers, ..) = collected(&q("T(x) :- U(x), U(x)."), &instance, None, true);
             assert_eq!(
                 answers,
                 instance
@@ -1922,7 +2159,7 @@ mod tests {
         assert!(dense_words(query, &opaque(&named)).is_some());
         assert_eq!(dense_words(query, &mixed), None);
         let query = q(query);
-        let (answers, dense) = collected(&query, &mixed, None, true);
+        let (answers, dense, _) = collected(&query, &mixed, None, true);
         assert!(!dense);
         assert_eq!(answers, collected(&query, &mixed, None, false).0);
         assert!(answers
@@ -1947,7 +2184,7 @@ mod tests {
         ] {
             let delta = Instance::from_facts([edge(new)]);
             let full = old.union(&delta);
-            let (step, was_dense) = collected(&two_path, &full, Some(&delta), true);
+            let (step, was_dense, _) = collected(&two_path, &full, Some(&delta), true);
             assert_eq!(was_dense, dense, "{} facts", old.len());
             assert_eq!(step, collected(&two_path, &full, Some(&delta), false).0);
             assert_eq!(step, evaluate_seminaive_step(&two_path, &full, &delta));

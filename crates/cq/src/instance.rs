@@ -576,6 +576,17 @@ impl Instance {
         lock(&self.orders).len()
     }
 
+    /// How many of the [cached orders](Instance::cached_orders) are of
+    /// `relation`: those an [`Instance::absorb`] that adds rows to it
+    /// merges them into.
+    pub fn cached_orders_of(&self, relation: Symbol) -> usize {
+        let orders = lock(&self.orders);
+        orders
+            .iter()
+            .filter(|order| order.relation == relation)
+            .count()
+    }
+
     /// Whether the instance contains `fact`: one binary search of its
     /// relation's rows.
     pub fn contains(&self, fact: &Fact) -> bool {
@@ -933,6 +944,8 @@ mod tests {
         assert_eq!(order_rows(&i, "S", &[0]).len(), 1);
         assert!(i.insert(edge("a", "z")));
         assert_eq!(i.cached_orders(), 1, "S keeps its order");
+        let of = |relation| i.cached_orders_of(Symbol::new(relation));
+        assert_eq!((of("R"), of("S")), (0, 1));
         for columns in ORDERS {
             assert_eq!(
                 order_rows(&i, "R", columns),
@@ -944,6 +957,7 @@ mod tests {
         assert!(i.insert(Fact::from_names("W", &["a"])));
         assert_eq!(order_rows(&i, "W", &[0]), [[Value::new("a")]]);
         assert_eq!(i.cached_orders(), 4);
+        assert_eq!(i.cached_orders_of(Symbol::new("R")), 2);
     }
 
     #[test]

@@ -52,13 +52,24 @@ pub struct DeltaNode {
     derived: Instance,
 }
 
-/// Runs `absorb`, which merges `facts` facts into an instance and returns
-/// the new ones, under an `absorb` span (args `facts` and `new`): a node's
-/// state and the centralized reference fixpoint grow alike.
-pub(crate) fn absorbed(facts: usize, absorb: impl FnOnce() -> Instance) -> Instance {
+/// Runs `absorb`, which merges `facts` facts into `into` and returns the
+/// new ones, under an `absorb` span (args `facts`, `new`, and `orders`: the
+/// sorted orders of `into` the new rows were merged into): a node's state
+/// and the centralized reference fixpoint grow alike.
+pub(crate) fn absorbed(
+    into: &mut Instance,
+    facts: usize,
+    absorb: impl FnOnce(&mut Instance) -> Instance,
+) -> Instance {
     let mut span = obs::span!("absorb", facts = facts);
-    let new = absorb();
+    let new = absorb(into);
     span.arg("new", new.len());
+    if obs::enabled() {
+        let orders = new
+            .relations()
+            .map(|relation| into.cached_orders_of(relation));
+        span.arg("orders", orders.sum::<usize>());
+    }
     new
 }
 
@@ -71,9 +82,11 @@ impl DeltaNode {
     /// Runs one incremental round: see the type docs for the three
     /// phases. Returns the node's output delta.
     pub fn step(&mut self, query: &ConjunctiveQuery, delta_chunk: &Instance) -> Instance {
-        let fresh = absorbed(delta_chunk.len(), || self.data.absorb(delta_chunk));
+        let fresh = absorbed(&mut self.data, delta_chunk.len(), |data| {
+            data.absorb(delta_chunk)
+        });
         let new = evaluate_seminaive_step(query, &self.data, &fresh);
-        absorbed(new.len(), || self.derived.absorb(&new))
+        absorbed(&mut self.derived, new.len(), |derived| derived.absorb(&new))
     }
 
     /// The node's accumulated local data.

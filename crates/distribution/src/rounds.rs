@@ -534,13 +534,17 @@ impl<'a> MultiRoundEngine<'a> {
             return IteratedFixpoint { result, rounds: 1 };
         };
         let mut state = instance.clone();
-        let mut delta = absorbed(result.len(), || feed_back(relation, &result, &mut state));
+        let mut delta = absorbed(&mut state, result.len(), |state| {
+            feed_back(relation, &result, state)
+        });
         let mut rounds = 1;
         while !delta.is_empty() {
             rounds += 1;
             let step = evaluate_seminaive_step(query, &state, &delta);
-            let new = absorbed(step.len(), || result.absorb(&step));
-            delta = absorbed(new.len(), || feed_back(relation, &new, &mut state));
+            let new = absorbed(&mut result, step.len(), |result| result.absorb(&step));
+            delta = absorbed(&mut state, new.len(), |state| {
+                feed_back(relation, &new, state)
+            });
         }
         IteratedFixpoint { result, rounds }
     }

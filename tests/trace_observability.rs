@@ -159,9 +159,18 @@ fn a_split_round_traces_its_parts_and_merges_only_home_answers() {
     );
 }
 
-/// The `(valuations, answers, collector)` of every `evaluate_done` in
-/// `events`.
-fn evaluations_done(events: &[obs::TraceEvent]) -> Vec<(u64, u64, String)> {
+/// What one `evaluate_done` reports.
+#[derive(Debug)]
+struct Done {
+    valuations: u64,
+    /// The runs of leaves the kernel handed over in one call.
+    runs: u64,
+    answers: u64,
+    collector: String,
+}
+
+/// Every `evaluate_done` in `events`.
+fn evaluations_done(events: &[obs::TraceEvent]) -> Vec<Done> {
     events
         .iter()
         .filter(|e| e.name == "evaluate_done")
@@ -172,7 +181,27 @@ fn evaluations_done(events: &[obs::TraceEvent]) -> Vec<(u64, u64, String)> {
                 value.clone()
             };
             let count = |key: &str| arg(key).parse().expect("a count");
-            (count("valuations"), count("answers"), arg("collector"))
+            Done {
+                valuations: count("valuations"),
+                runs: count("runs"),
+                answers: count("answers"),
+                collector: arg("collector"),
+            }
+        })
+        .collect()
+}
+
+/// `instance` with every value replaced by the opaque value of its id, as
+/// a worker holds it.
+fn opaque(instance: &Instance) -> Instance {
+    let opaque = |value: &Value| Value::opaque(value.id()).unwrap();
+    instance
+        .facts()
+        .map(|fact| {
+            Fact::new(
+                fact.relation,
+                fact.values.iter().map(opaque).collect::<Vec<_>>(),
+            )
         })
         .collect()
 }
@@ -184,7 +213,11 @@ fn evaluate_done_reports_derivations_against_distinct_answers() {
     // over the transitive tournament on 6 values has C(6, 3) = 20
     // satisfying valuations for 10 distinct answers; the differential step
     // with everything new derives each through both pivots. Six values
-    // make a small id range, so both collect into a dense answer set.
+    // make a small id range, so both collect into a dense answer set. The
+    // last variable is read straight off one atom's run, one run per
+    // binding of the two before it: `(y, x)` with `y` in 1..=4 for the
+    // whole search and for the pivot on `R(x, y)`, `(y, z)` for the pivot
+    // on `R(y, z)`, ten each.
     let two_path = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
     let edges = |pairs: &mut dyn Iterator<Item = (usize, usize)>| {
         Instance::from_facts(
@@ -198,10 +231,13 @@ fn evaluate_done_reports_derivations_against_distinct_answers() {
         cq::evaluate_seminaive_step(&two_path, &tournament, &tournament)
     });
     let reported = evaluations_done(&events);
-    let counts: Vec<(u64, u64)> = reported.iter().map(|(v, a, _)| (*v, *a)).collect();
-    assert_eq!(counts, [(20, 10), (40, 10)]);
+    let counts: Vec<(u64, u64, u64)> = reported
+        .iter()
+        .map(|done| (done.valuations, done.runs, done.answers))
+        .collect();
+    assert_eq!(counts, [(20, 10, 10), (40, 20, 10)]);
     assert!(
-        reported.iter().all(|(_, _, c)| c == "dense"),
+        reported.iter().all(|done| done.collector == "dense"),
         "{reported:?}"
     );
 
@@ -228,9 +264,68 @@ fn evaluate_done_reports_derivations_against_distinct_answers() {
     });
     let reported = evaluations_done(&events);
     assert_eq!(reported.len(), 4);
-    for (valuations, answers, collector) in &reported {
-        assert_eq!(collector, "dense", "{reported:?}");
-        assert!(valuations >= answers && *answers > 0, "{reported:?}");
+    for done in &reported {
+        assert_eq!(done.collector, "dense", "{reported:?}");
+        assert!(
+            done.valuations >= done.answers && done.answers > 0 && done.runs > 0,
+            "{reported:?}"
+        );
+    }
+
+    // Runs whose variable is outside the head, the head's first value, its
+    // second, both of its values, and one value of a full head (collected
+    // with no set): on named and on opaque ids, whole and by every pivot of
+    // a step, the answers are the scan oracle's and `valuations` is the
+    // number of satisfying valuations the scan finds, summed over passes.
+    let mut random = oracle::cases::Random(0x2015_0531);
+    for text in [
+        "T(y) :- R(x, y), R(y, z).",
+        "T(z, x) :- R(x, y), R(y, z).",
+        "T(x, z) :- R(x, y), R(y, z).",
+        "T(y, y) :- R(x, y).",
+        "T(y, x) :- R(x, y).",
+    ] {
+        let query = ConjunctiveQuery::parse(text).unwrap();
+        let compiled = cq::CompiledQuery::new(&query);
+        let mut facts = |count| {
+            let text = oracle::cases::binary_facts(&mut random, false, count);
+            cq::parse_instance(&text).unwrap()
+        };
+        let (old, delta) = (facts(300), facts(20));
+        for (old, delta) in [(opaque(&old), opaque(&delta)), (old, delta)] {
+            let full = old.union(&delta);
+            let scanned = |pivot| {
+                let mut leaves = 0;
+                let _ = oracle::search(&compiled, &full, pivot, &Valuation::new(), |_| {
+                    leaves += 1;
+                    std::ops::ControlFlow::Continue(())
+                });
+                leaves
+            };
+            let pivots = 0..query.body_size();
+            let step_valuations = pivots.map(|pivot| scanned(Some((pivot, &delta)))).sum();
+            let ((whole, step), events) = traced(|| {
+                let whole = cq::evaluate(&query, &full);
+                (whole, cq::evaluate_seminaive_step(&query, &full, &delta))
+            });
+            assert_eq!(whole, oracle::evaluate(&query, &full), "{query}");
+            assert_eq!(
+                step,
+                oracle::evaluate_seminaive_step(&query, &full, &delta),
+                "{query}"
+            );
+            let reported = evaluations_done(&events);
+            let counts: Vec<(u64, u64)> = reported
+                .iter()
+                .map(|done| (done.valuations, done.answers))
+                .collect();
+            let expected = [
+                (scanned(None), whole.len() as u64),
+                (step_valuations, step.len() as u64),
+            ];
+            assert_eq!(counts, expected, "{query} on {full}");
+            assert!(reported.iter().all(|done| done.runs > 0), "{reported:?}");
+        }
     }
 
     // 4 000 random facts over 50 000 values: the id range is far wider
@@ -239,7 +334,7 @@ fn evaluate_done_reports_derivations_against_distinct_answers() {
     let (_, events) = traced(|| cq::evaluate(&two_path, &sparse));
     let reported = evaluations_done(&events);
     assert_eq!(reported.len(), 1);
-    assert_eq!(reported[0].2, "hashed", "{reported:?}");
+    assert_eq!(reported[0].collector, "hashed", "{reported:?}");
 }
 
 #[test]
@@ -892,6 +987,30 @@ fn every_coordinator_span_but_run_has_a_coordinator_parent_on_every_transport() 
         let round = if case == "process" {
             // The verify's feedback steps are spanned like a node's.
             assert_eq!(parent_of("absorb"), ["reference_fixpoint"], "{case}");
+            // Each `absorb` names the sorted orders it merged new rows
+            // into. The verify's state holds the two-path's two orders of
+            // `R`, its `result` none; a worker's data holds its parts'.
+            let absorbs = events.iter().filter(|e| e.name == "absorb");
+            let mut merged = BTreeMap::<bool, Vec<u64>>::new();
+            for e in absorbs {
+                let arg = |key: &str| -> u64 {
+                    let (_, value) = e.args.iter().find(|(k, _)| k == key).expect(key);
+                    value.parse().expect("a count")
+                };
+                let (new, orders) = (arg("new"), arg("orders"));
+                assert!(new > 0 || orders == 0, "{case}: {e:?}");
+                merged.entry(e.pid == 0).or_default().push(orders);
+            }
+            let verify = &merged[&true];
+            assert!(
+                verify.iter().all(|&orders| orders == 0 || orders == 2),
+                "{verify:?}"
+            );
+            assert!(verify.contains(&2), "{verify:?}");
+            assert!(
+                merged[&false].iter().any(|&orders| orders > 0),
+                "{merged:?}"
+            );
             "delta_round"
         } else {
             "eval_round"
