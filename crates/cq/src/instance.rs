@@ -55,7 +55,8 @@ impl SortedOrder {
     }
 
     /// Takes in `facts`, none of which it holds: only they are sorted, and
-    /// one pass from the back merges them in place.
+    /// one pass from the back merges them in place, each fresh row placed
+    /// by a gallop down the old rows still to merge.
     fn take_in(&mut self, facts: &[Fact]) {
         let arity = self.columns.len();
         let mut fresh = Vec::with_capacity(arity * facts.len());
@@ -92,14 +93,23 @@ impl SortedOrder {
         self.values.resize(old + fresh.len(), fresh[0]);
         let mut merged = self.values.len();
         for row in fresh.chunks_exact(arity).rev() {
-            // The old rows above `row` move up as one block.
-            let (mut lo, mut hi) = (0, old / arity);
+            // The old rows above `row` move up as one block. Its start is
+            // found galloping down from the top: rows `hi..` are above
+            // `row`, and a row landing `d` old rows lower costs O(log d).
+            let above_row = |at: usize| self.values[at * arity..][..arity] > *row;
+            let mut hi = old / arity;
+            let mut step = 1;
+            while hi >= step && above_row(hi - step) {
+                hi -= step;
+                step *= 2;
+            }
+            let mut lo = (hi + 1).saturating_sub(step);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                if self.values[mid * arity..][..arity] < *row {
-                    lo = mid + 1;
-                } else {
+                if above_row(mid) {
                     hi = mid;
+                } else {
+                    lo = mid + 1;
                 }
             }
             let above = lo * arity..old;
@@ -237,43 +247,44 @@ fn lock(orders: &Mutex<Vec<Arc<SortedOrder>>>) -> MutexGuard<'_, Vec<Arc<SortedO
 }
 
 /// Each of the ascending `rows` with its place among the ascending
-/// `theirs`: how many of those are below it, and whether it is one of them.
-/// One walk that gallops — a row landing `d` places past the previous one
-/// costs O(log d) comparisons — so a small run against a large instance
-/// costs a binary search a row, and two runs of equal size a merge.
+/// `theirs`, all of one relation: how many of those are below it, and
+/// whether it is one of them. One walk that gallops — a row landing `d`
+/// places past the previous one costs O(log d) comparisons — so a small run
+/// against a large instance costs a binary search a row, and two runs of
+/// equal size a merge. The relation is shared, so only values are compared.
 fn placed<'a>(
     rows: &'a [Fact],
     theirs: &'a [Fact],
 ) -> impl Iterator<Item = (&'a Fact, usize, bool)> + 'a {
     let mut at = 0;
     rows.iter().map(move |fact| {
+        let below = |row: &Fact| row.values < fact.values;
         let mut step = 1;
-        while theirs.get(at + step).is_some_and(|row| row < fact) {
+        while theirs.get(at + step).is_some_and(below) {
             at += step;
             step *= 2;
         }
-        at += theirs[at..theirs.len().min(at + step)].partition_point(|row| row < fact);
-        (fact, at, theirs.get(at) == Some(fact))
+        at += theirs[at..theirs.len().min(at + step)].partition_point(below);
+        let held = theirs.get(at).is_some_and(|row| row.values == fact.values);
+        (fact, at, held)
     })
 }
 
 /// Merges `fresh` (ascending, none of it in `rows`, and `slots[i]` of the
-/// old rows below `fresh[i]`) into the ascending `rows` in place, from the
-/// back: the vector grows once, by exactly `fresh.len()`, and every old row
-/// moves at most once, straight to its final place.
+/// old rows below `fresh[i]`) into the ascending `rows`: one forward pass
+/// into a vector of exactly the merged length, which moves every old row
+/// once, block by block, and clones each fresh row into its place.
 fn merge_in(rows: &mut Vec<Fact>, fresh: &[Fact], slots: &[usize]) {
-    let mut old = rows.len();
-    // Nullary placeholders own no heap block; each is overwritten.
-    let gap = Fact::new(fresh[0].relation, Tuple::from_iter([]));
-    rows.resize(old + fresh.len(), gap);
-    for (placed, (fact, &slot)) in fresh.iter().zip(slots).enumerate().rev() {
-        // The old rows above `fact` jump the `placed + 1` gaps still open.
-        for row in (slot..old).rev() {
-            rows.swap(row, row + placed + 1);
-        }
-        rows[slot + placed] = fact.clone();
-        old = slot;
+    let mut merged = Vec::with_capacity(rows.len() + fresh.len());
+    let mut old = std::mem::take(rows).into_iter();
+    let mut moved = 0;
+    for (fact, &slot) in fresh.iter().zip(slots) {
+        merged.extend(old.by_ref().take(slot - moved));
+        merged.push(fact.clone());
+        moved = slot;
     }
+    merged.extend(old);
+    *rows = merged;
 }
 
 /// A database instance: a finite set of facts.
@@ -286,7 +297,7 @@ fn merge_in(rows: &mut Vec<Fact>, fresh: &[Fact], slots: &[usize]) {
 ///
 /// **Growth is a merge.** Every bulk growth — a round's output, a delta,
 /// `Extend` into a non-empty instance, `union` — is [`Instance::absorb`]:
-/// the new rows are found by one walk and merged in place, from the back.
+/// the new rows are found by one walk and merged in by one forward pass.
 ///
 /// The join kernel does not read the rows: it walks *sorted column orders*
 /// — a relation's rows of one arity with the columns permuted into the order
@@ -490,10 +501,12 @@ impl Instance {
     /// Adds the facts of `run` and returns the ones that were new, in
     /// ascending order — `run \ self` before the call.
     ///
-    /// Per relation, one galloping walk finds the new rows and where each
-    /// goes, the row vector grows by exactly that many and merges them in
-    /// place from the back, and every sorted order of the relation takes in
-    /// just those rows (one someone still holds is copied first).
+    /// Per relation, one galloping walk over values finds the new rows and
+    /// where each goes; one forward pass merges them into a row vector of
+    /// exactly the new length, moving each old row once; and every sorted
+    /// order of the relation takes in just those rows, each placed by a
+    /// gallop down from the top of the order's old rows still to merge (an
+    /// order someone still holds is copied first).
     pub fn absorb(&mut self, run: &Instance) -> Instance {
         let mut new = Instance::default();
         for (&relation, incoming) in &run.relations {
@@ -1201,6 +1214,46 @@ mod tests {
         }
         assert!(grown.len() > 100);
         assert_eq!(grown.cached_orders(), 4, "one per (relation, column order)");
+
+        // Large batches: about 200 facts at a time into a state of about
+        // 2 000, lying wholly below the held rows, wholly above them, and
+        // between them, so each fresh row's gallop runs long and short. The
+        // state starts at 2¹¹ − 1 rows: the gallop of a row below them all
+        // ends on a step that lands on row 0 exactly.
+        let mut pool: Vec<Value> = (0..128).map(|v| Value::indexed("g", v)).collect();
+        pool.sort();
+        let edge = |a: u64, b: u64| Fact::new("R", vec![pool[a as usize], pool[b as usize]]);
+        let held = (32..96).flat_map(|a| (0..32).map(move |b| (a, 2 * b)));
+        let mut grown = Instance::from_facts(held.skip(1).map(|(a, b)| edge(a, b)));
+        assert_eq!(grown.len(), 2047);
+        for columns in ORDERS {
+            let _ = order_rows(&grown, "R", columns);
+        }
+        for phase in ["below", "above", "between", "between"] {
+            let batch: Vec<Fact> = (0..200)
+                .map(|_| match phase {
+                    "below" => edge(random(32), random(128)),
+                    "above" => edge(96 + random(32), random(128)),
+                    _ => edge(32 + random(64), 2 * random(64) + 1),
+                })
+                .collect();
+            let (before, orders) = (grown.to_set(), grown.cached_orders());
+            let new = grown.absorb(&Instance::from_facts(batch.iter().cloned()));
+            let batch: BTreeSet<Fact> = batch.into_iter().collect();
+            assert!(batch.len() > 150, "phase {phase}");
+            assert_eq!(new.to_set(), &batch - &before, "phase {phase}");
+            assert_eq!(grown.cached_orders(), orders, "absorb keeps the orders");
+            let fresh = Instance::from_facts(grown.facts().cloned());
+            for columns in ORDERS {
+                let rows = order_rows(&grown, "R", columns);
+                assert_eq!(rows, expected_rows(&grown, "R", columns), "phase {phase}");
+                assert_eq!(rows, order_rows(&fresh, "R", columns), "phase {phase}");
+            }
+            assert_eq!(
+                grown.facts_of(Symbol::new("R")),
+                fresh.facts_of(Symbol::new("R"))
+            );
+        }
     }
 
     #[test]

@@ -45,8 +45,11 @@
 //! requeues the jobs the worker never answered onto the survivors via the
 //! assignment map. Full chunks are stateless and requeue as-is; a delta
 //! job's per-node state died with the worker, so the coordinator keeps a
-//! ledger of every delta it shipped (`shipped_state`) and converts the
-//! requeued job into a round-0 **state rebuild** carrying the node's full
+//! ledger of what it shipped each node (`shipped_state`): the chunks
+//! shipped since the node's last full or round-0 shipment, each the `Arc`
+//! its job shipped, so a delta round copies and merges nothing. Only a
+//! death reads the ledger: the requeued job becomes a round-0 **state
+//! rebuild** carrying the union of the node's chunks, its full
 //! accumulated input. The rebuilt node re-derives outputs it had already
 //! shipped — harmless for the fixpoint (the engine unions results and
 //! deduplicates deltas) — and later rounds go back to shipping only the
@@ -564,13 +567,13 @@ pub struct WireTransport {
     results: BTreeMap<Node, NodeResult>,
     /// Request + reply payload bytes since the last `take_bytes_shipped`.
     bytes_shipped: u64,
-    /// Every node's shipped state this run: the accumulated deltas of an
-    /// incremental run, or the last full chunk of a classic run — what to
-    /// re-ship when the node's worker dies, and what a requeued resident
-    /// job must fall back to. An entry shares its `Arc` with the job that
-    /// shipped it; a later delta extends it copy-on-write, which is in
-    /// place once that job has been answered.
-    shipped_state: BTreeMap<Node, Arc<Instance>>,
+    /// Every node's shipped state this run, as the chunks shipped since
+    /// its last full or round-0 shipment: that shipment, then each later
+    /// delta. Their union is what to re-ship when the node's worker dies,
+    /// and what a requeued resident job must fall back to. Each chunk is
+    /// the `Arc` of the job that shipped it; a delta appends one, a full or
+    /// round-0 shipment replaces the list, and only a rebuild unions them.
+    shipped_state: BTreeMap<Node, Vec<Arc<Instance>>>,
     /// Nodes whose worker died after they were shipped state; their next
     /// delta becomes a round-0 rebuild on the new worker.
     needs_rebuild: BTreeSet<Node>,
@@ -731,13 +734,15 @@ impl WireTransport {
         let round = self.round;
         match shipment {
             Shipment::Delta(ref delta) if round > 0 => {
-                let state = self.shipped_state.entry(node).or_default();
-                Arc::make_mut(state).absorb(delta);
+                self.shipped_state
+                    .entry(node)
+                    .or_default()
+                    .push(delta.clone());
             }
             // A full chunk, like a round-0 delta, replaces whatever the
             // node held before.
             Shipment::Full(ref facts) | Shipment::Delta(ref facts) => {
-                self.shipped_state.insert(node, facts.clone());
+                self.shipped_state.insert(node, vec![facts.clone()]);
                 self.needs_rebuild.remove(&node);
             }
             Shipment::Resident => {}
@@ -757,32 +762,40 @@ impl WireTransport {
     /// The job that brings `job`'s node up on a worker that does not hold
     /// its state: the node's worker died, and this is its next `send` or
     /// its unanswered job requeued on a survivor. A full chunk is stateless
-    /// and goes as-is; a delta becomes a round-0 rebuild carrying the
-    /// node's whole ledger state (which already includes this delta); a
-    /// resident job becomes a full chunk carrying the ledger copy of the
-    /// shard. Each rebuild counts in `state_rebuilds` and leaves a
-    /// `state_rebuild` instant.
+    /// and goes as-is; a delta becomes a round-0 rebuild carrying the union
+    /// of the node's ledger chunks (which already include this delta); a
+    /// resident job becomes a full chunk carrying that union, the node's
+    /// shard — a split round's atom parts as they are, which the resident
+    /// round's query reads. Each rebuild counts in `state_rebuilds` and
+    /// leaves a `state_rebuild` instant with the `chunks` it unioned and the
+    /// `facts` it ships.
     fn rebuilt(&mut self, job: Job) -> Job {
         let node = job.node;
         let (round, work) = match job.work {
             Shipment::Full(_) => return job,
-            Shipment::Delta(delta) => {
-                let ledger = self.shipped_state.get(&node).cloned();
-                (0, Shipment::Delta(ledger.unwrap_or(delta)))
-            }
-            Shipment::Resident => (job.round, self.resident_shard(node)),
+            Shipment::Delta(_) => (0, Shipment::Delta(self.ledger_union(node))),
+            Shipment::Resident => (job.round, Shipment::Full(self.ledger_union(node))),
         };
         self.registry.counter("state_rebuilds").inc();
-        obs::instant!("state_rebuild", node = node);
+        obs::instant!(
+            "state_rebuild",
+            node = node,
+            chunks = self.shipped_state.get(&node).map_or(0, Vec::len),
+            facts = work.len()
+        );
         self.needs_rebuild.remove(&node);
         Job { round, node, work }
     }
 
-    /// The ledger copy of `node`'s shard as the full chunk a resident job
-    /// becomes on a worker that does not hold it. A split round's atom
-    /// parts stay as they are: the resident round's query reads them.
-    fn resident_shard(&self, node: Node) -> Shipment {
-        Shipment::Full(self.shipped_state.get(&node).cloned().unwrap_or_default())
+    /// The union of `node`'s ledger chunks: the one chunk itself when there
+    /// is one, else a bulk build of them all.
+    fn ledger_union(&self, node: Node) -> Arc<Instance> {
+        match self.shipped_state.get(&node).map_or(&[][..], Vec::as_slice) {
+            [chunk] => chunk.clone(),
+            chunks => Arc::new(Instance::union_all(
+                chunks.iter().map(|chunk| Instance::clone(chunk)),
+            )),
+        }
     }
 }
 
@@ -1035,43 +1048,55 @@ mod tests {
     }
 
     #[test]
-    fn ledger_shares_shipped_facts_and_rebuilds_from_the_extended_state() {
+    fn ledger_keeps_each_shipped_chunk_and_rebuilds_from_their_union() {
         let query = ConjunctiveQuery::parse("T(x, z) :- R(x, y), R(y, z).").unwrap();
         let facts = |text| Arc::new(cq::parse_instance(text).unwrap());
         let node = Node::numbered(0);
         let mut core = inert_core(2);
+        let queued = |core: &WireTransport| {
+            let Shipment::Delta(delta) = &core.jobs[0][0].work else {
+                panic!("a delta job was queued");
+            };
+            delta.clone()
+        };
 
+        // Round 0 starts the node's chunk list with the queued delta itself.
         core.begin_round(0, &query).unwrap();
         core.send(node, Shipment::Delta(facts("R(a, b)."))).unwrap();
-        let Shipment::Delta(delta) = &core.jobs[0][0].work else {
-            panic!("a delta job was queued");
-        };
+        let first = queued(&core);
+        assert_eq!(core.shipped_state[&node].len(), 1);
         assert!(
-            Arc::ptr_eq(delta, &core.shipped_state[&node]),
+            Arc::ptr_eq(&core.shipped_state[&node][0], &first),
             "the ledger must share the queued delta, not copy it"
         );
 
-        // Round 1 extends the ledger entry; the job ships only the delta.
+        // Round 1 appends its delta, shared too; the job ships only it.
         core.begin_round(1, &query).unwrap();
         core.send(node, Shipment::Delta(facts("R(b, c)."))).unwrap();
-        assert_eq!(core.shipped_state[&node], facts("R(a, b). R(b, c)."));
         let job = core.jobs[0][0].clone();
-        let Shipment::Delta(delta) = &job.work else {
-            panic!("a delta job was queued");
-        };
-        assert_eq!((job.round, delta), (1, &facts("R(b, c).")));
+        let second = queued(&core);
+        assert_eq!((job.round, &second), (1, &facts("R(b, c).")));
+        let chunks = &core.shipped_state[&node];
+        assert_eq!(chunks.len(), 2);
+        assert!(Arc::ptr_eq(&chunks[0], &first) && Arc::ptr_eq(&chunks[1], &second));
 
         // The node's worker dies with the job unanswered: the requeued job
-        // is a round-0 rebuild carrying the extended ledger state itself.
+        // is a round-0 rebuild carrying exactly the union of the chunks.
         core.mark_dead(0);
         let rebuild = core.rebuilt(job);
         let Shipment::Delta(delta) = rebuild.work else {
             panic!("a delta job requeues as a delta");
         };
         assert_eq!(rebuild.round, 0);
-        assert!(Arc::ptr_eq(&delta, &core.shipped_state[&node]));
         assert_eq!(delta, facts("R(a, b). R(b, c)."));
         assert_eq!(core.registry.counter_value("state_rebuilds"), 1);
+
+        // A round-0 shipment replaces the list.
+        core.begin_round(0, &query).unwrap();
+        core.send(node, Shipment::Delta(facts("R(c, d)."))).unwrap();
+        let chunks = &core.shipped_state[&node];
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0], facts("R(c, d)."));
     }
 
     #[test]

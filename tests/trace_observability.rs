@@ -583,6 +583,62 @@ fn fault_injected_socket_trace_records_requeues_and_registry_agrees() {
 }
 
 #[test]
+fn fault_injected_process_trace_records_the_chunks_and_facts_of_each_rebuild() {
+    let _gate = gate();
+    // A feedback run over worker processes whose rounds 0–4 ship all eight
+    // nodes, four to each worker. Worker 0 dies on its seventeenth job, the
+    // first of round 4: each of its four nodes is rebuilt on the survivor
+    // from the five chunks its ledger kept (round 0's and four deltas),
+    // and the survivor decodes exactly the facts the rebuild records.
+    let query = named_query("chain:2").unwrap();
+    let path: String = (0..80).map(|i| format!("R(p{i}, p{}). ", i + 1)).collect();
+    let instance = instance_for(&query, 23).union(&cq::parse_instance(&path).unwrap());
+    let policy = HypercubePolicy::uniform(&query, 2).unwrap();
+    let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
+        .rounds(12)
+        .feedback_into("R");
+    let reference = engine.evaluate(&query, &instance);
+    for outcome in &reference.rounds[..5] {
+        assert_eq!(
+            outcome.per_node_load.values().filter(|&&l| l > 0).count(),
+            8
+        );
+    }
+
+    let mut transport = WireTransport::spawn_pipes(&worker_binary(), &faulty_argv(2, 16)).unwrap();
+    let (outcome, events) = traced(|| engine.evaluate_via(&mut transport, &query, &instance));
+    let outcome = outcome.expect("the run must survive the death");
+    assert_eq!(outcome.result, reference.result);
+    assert_eq!(transport.alive_workers(), 1, "the fault never fired");
+
+    let arg = |event: &obs::TraceEvent, key: &str| -> String {
+        let (_, value) = event.args.iter().find(|(k, _)| k == key).expect(key);
+        value.clone()
+    };
+    let rebuilds: Vec<&obs::TraceEvent> = events
+        .iter()
+        .filter(|e| e.name == "state_rebuild")
+        .collect();
+    assert_eq!(
+        rebuilds.len() as u64,
+        transport.metrics_registry().counter_value("state_rebuilds")
+    );
+    assert_eq!(rebuilds.len(), 4, "one rebuild per node of worker 0");
+    for rebuild in rebuilds {
+        assert_eq!(rebuild.kind, obs::EventKind::Instant);
+        let keys: Vec<&str> = rebuild.args.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, ["node", "chunks", "facts"]);
+        assert_eq!(arg(rebuild, "chunks"), "5");
+        let (node, facts) = (arg(rebuild, "node"), arg(rebuild, "facts"));
+        assert!(facts.parse::<usize>().unwrap() > 0);
+        let decoded = events.iter().any(|e| {
+            e.name == "worker_decode" && arg(e, "node") == node && arg(e, "facts") == facts
+        });
+        assert!(decoded, "no survivor decoded {facts} facts for {node}");
+    }
+}
+
+#[test]
 fn chrome_export_of_a_live_run_round_trips_and_summarizes() {
     let _gate = gate();
     let query = named_query("triangle").unwrap();

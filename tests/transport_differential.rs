@@ -848,46 +848,82 @@ fn full_mode_round_survives_a_worker_dying_mid_round() {
 #[test]
 fn semi_naive_run_rebuilds_dead_workers_state_on_survivors() {
     // The hard path: the dead worker held per-node incremental state. The
-    // coordinator must re-ship the node's full accumulated input as a
-    // round-0 rebuild on a survivor, and the run must still converge to
-    // the same fixpoint as the in-memory reference — including rounds
-    // *after* the death, which exercise the needs_rebuild bookkeeping.
+    // coordinator must re-ship the node's full accumulated input — the
+    // union of the chunks its ledger kept — as a round-0 rebuild on a
+    // survivor, and the run must still converge to the same fixpoint as the
+    // in-memory reference — including rounds *after* the death, which
+    // exercise the needs_rebuild bookkeeping.
     let query = named_query("chain:2").unwrap();
-    // A 12-edge path on top of the random edges keeps the closure going
-    // for five rounds, so a worker can also die *after* round 1.
-    let path: String = (0..12).map(|i| format!("R(p{i}, p{}). ", i + 1)).collect();
+    // An 80-edge path on top of the random edges keeps the closure going
+    // for eight rounds, and its deltas reach every node through round 5.
+    let path: String = (0..80).map(|i| format!("R(p{i}, p{}). ", i + 1)).collect();
     let instance = instance_for(&query, 23).union(&pcq::cq::parse_instance(&path).unwrap());
     let policy = HypercubePolicy::uniform(&query, 2).unwrap();
-    let build_engine = || {
-        MultiRoundEngine::new(RoundSchedule::repeat(&policy))
-            .rounds(8)
-            .feedback_into("R")
-    };
-    let reference = build_engine().evaluate(&query, &instance);
-    assert!(reference.rounds_run() > 3, "need rounds after the death");
-
-    // Worker 0 dies on its second job (mid round 0: the ledger holds only
-    // the round-0 chunks it shares with the queued jobs), or on its ninth —
-    // round 0 ships it four jobs and round 1 at most four more, so by then
-    // a round-1 delta has extended the shared ledger entries in place and
-    // the rebuild must ship that accumulated state.
-    for (label, spawn) in [("pipes", PIPES), ("sockets", SOCKETS)] {
-        for fail_after in [1, 8] {
-            let mut t = spawn(&worker_binary(), &faulty_argv(2, fail_after)).unwrap();
-            let label = format!("{label}, death on job {}", fail_after + 1);
-            let outcome = build_engine()
-                .evaluate_via(&mut t, &query, &instance)
-                .unwrap_or_else(|e| panic!("{label}: run did not survive: {e}"));
-            assert_eq!(
-                outcome.result.to_string(),
-                reference.result.to_string(),
-                "{label}: post-fault fixpoint diverged"
-            );
-            assert_eq!(outcome.converged, reference.converged, "{label}");
-            assert!(
-                t.alive_workers() < t.worker_count(),
-                "{label}: no worker died — the fault injection never fired"
-            );
+    // The same eight nodes under other hashes: a schedule switching to it
+    // at round 1 reshards every node, and that round-0 shipment replaces
+    // each node's chunk list mid-run.
+    let rehashed = HypercubePolicy::new(
+        &query,
+        (0..3)
+            .map(|i| pcq::distribution::HashScheme::Modulo {
+                buckets: 2,
+                seed: 10 + i,
+            })
+            .collect(),
+    )
+    .unwrap();
+    let schedules: [(&str, &[u64], Vec<&dyn DistributionPolicy>); 2] = [
+        // Worker 0 dies on its second job (mid round 0: the ledger holds
+        // only the round-0 chunks it shares with the queued jobs), on its
+        // ninth (round 2, after delta round 1: three chunks), or on its
+        // seventeenth (round 4, after three delta rounds: five chunks).
+        ("one policy", &[1, 8, 16], vec![&policy]),
+        // Worker 0 dies in round 5, after the reshard at round 1 and the
+        // delta rounds 2–4: the rebuild unions the reshard's chunk and the
+        // four deltas after it, and nothing shipped before the reshard.
+        ("resharded at round 1", &[20], vec![&policy, &rehashed]),
+    ];
+    for (schedule, deaths, policies) in schedules {
+        let build_engine = || {
+            MultiRoundEngine::new(RoundSchedule::of(policies.clone()))
+                .rounds(12)
+                .feedback_into("R")
+        };
+        let reference = build_engine().evaluate(&query, &instance);
+        assert!(
+            reference.converged && reference.rounds_run() > 6,
+            "{schedule}"
+        );
+        // Round-robin dealing gives each worker four of the eight nodes at
+        // round 0, and rounds 0–5 ship every node: worker 0 answers exactly
+        // four jobs a round, so `fail_after` jobs end at a round boundary.
+        for (round, outcome) in reference.rounds[..6].iter().enumerate() {
+            let shipped = outcome.per_node_load.values().filter(|&&load| load > 0);
+            assert_eq!(shipped.count(), 8, "{schedule}: round {round}");
+        }
+        for (label, spawn) in [("pipes", PIPES), ("sockets", SOCKETS)] {
+            for &fail_after in deaths {
+                let mut t = spawn(&worker_binary(), &faulty_argv(2, fail_after)).unwrap();
+                let label = format!("{schedule}, {label}, death on job {}", fail_after + 1);
+                let outcome = build_engine()
+                    .evaluate_via(&mut t, &query, &instance)
+                    .unwrap_or_else(|e| panic!("{label}: run did not survive: {e}"));
+                assert_eq!(
+                    outcome.result.to_string(),
+                    reference.result.to_string(),
+                    "{label}: post-fault fixpoint diverged"
+                );
+                assert_eq!(outcome.converged, reference.converged, "{label}");
+                assert_eq!(outcome.reshard_rounds, reference.reshard_rounds, "{label}");
+                assert!(
+                    t.alive_workers() < t.worker_count(),
+                    "{label}: no worker died — the fault injection never fired"
+                );
+                assert!(
+                    t.metrics_registry().counter_value("state_rebuilds") > 0,
+                    "{label}"
+                );
+            }
         }
     }
 }
