@@ -206,7 +206,7 @@ pub fn holds_c0<P: DistributionPolicy + ?Sized>(
 
 /// Searches for a violation of (C0) (any satisfying valuation over
 /// `universe` whose facts do not meet).
-pub fn c0_violation<P: DistributionPolicy + ?Sized>(
+fn c0_violation<P: DistributionPolicy + ?Sized>(
     query: &ConjunctiveQuery,
     policy: &P,
     universe: &Instance,

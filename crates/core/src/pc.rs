@@ -122,26 +122,11 @@ impl MultiRoundInstanceReport {
         self.correct
     }
 
-    /// Judges an already-computed distributed `outcome` against the global
-    /// fixpoint of the centralized iterated query — the comparison behind
-    /// [`multi_round_correct_on`], exposed separately so callers that need
-    /// to time or instrument the distributed run can evaluate it themselves
-    /// without re-implementing the verdict.
-    pub fn from_outcome(
-        query: &ConjunctiveQuery,
-        engine: &MultiRoundEngine<'_>,
-        instance: &Instance,
-        outcome: MultiRoundOutcome,
-    ) -> MultiRoundInstanceReport {
-        let reference = engine.reference_fixpoint(query, instance);
-        MultiRoundInstanceReport::from_reference(outcome, reference)
-    }
-
     /// Judges `outcome` against an already-computed `reference`, the
     /// engine's [`MultiRoundEngine::reference_fixpoint`] for the outcome's
-    /// query and instance: the verdict of
-    /// [`MultiRoundInstanceReport::from_outcome`], for callers that run
-    /// one query several times and compute its reference once.
+    /// query and instance: the verdict of [`multi_round_correct_on`], for
+    /// callers that time or instrument the distributed run themselves, or
+    /// run one query several times and compute its reference once.
     pub fn from_reference(
         outcome: MultiRoundOutcome,
         reference: IteratedFixpoint,
@@ -178,7 +163,8 @@ pub fn multi_round_correct_on(
     instance: &Instance,
 ) -> MultiRoundInstanceReport {
     let outcome = engine.evaluate(query, instance);
-    MultiRoundInstanceReport::from_outcome(query, engine, instance, outcome)
+    let reference = engine.reference_fixpoint(query, instance);
+    MultiRoundInstanceReport::from_reference(outcome, reference)
 }
 
 /// Decides parallel-correctness of `query` under a finite policy for **all**

@@ -19,7 +19,7 @@ pub struct Hypergraph {
 
 impl Hypergraph {
     /// Builds the hypergraph of the body of `query`.
-    pub fn from_query(query: &ConjunctiveQuery) -> Hypergraph {
+    fn from_query(query: &ConjunctiveQuery) -> Hypergraph {
         let mut edges: Vec<BTreeSet<Variable>> = Vec::new();
         for atom in query.body() {
             let edge: BTreeSet<Variable> = atom.args.iter().copied().collect();

@@ -169,13 +169,6 @@ impl Fact {
         self.values.len()
     }
 
-    /// The value at argument position `position`, or `None` when the fact is
-    /// shorter. Used by the secondary indexes of
-    /// [`crate::Instance`], which must tolerate mixed-arity relations.
-    pub fn value_at(&self, position: usize) -> Option<Value> {
-        self.values.get(position).copied()
-    }
-
     /// The distinct data values occurring in the fact (its active domain).
     pub fn adom(&self) -> Vec<Value> {
         let mut seen = Vec::new();
@@ -388,14 +381,6 @@ mod tests {
         let f = Fact::from_names("R", &["a", "b", "a"]);
         assert_eq!(f.adom(), vec![Value::new("a"), Value::new("b")]);
         assert_eq!(f.arity(), 3);
-    }
-
-    #[test]
-    fn value_at_is_positional_and_bounded() {
-        let f = Fact::from_names("R", &["a", "b"]);
-        assert_eq!(f.value_at(0), Some(Value::new("a")));
-        assert_eq!(f.value_at(1), Some(Value::new("b")));
-        assert_eq!(f.value_at(2), None);
     }
 
     #[test]

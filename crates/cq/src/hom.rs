@@ -112,103 +112,56 @@ pub fn equivalent(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
     contained_in(q1, q2) && contained_in(q2, q1)
 }
 
-/// The "cover" problem used by condition (C3) of the paper:
-///
-/// given the body of a query `Q` (the *source*) and a set of atoms `B`
-/// (the *target*), find a substitution `ρ` on the variables of `Q` such that
-/// `B ⊆ ρ(body_Q)`, i.e. every target atom is the ρ-image of some source atom.
-#[derive(Clone, Debug)]
-pub struct CoverProblem {
-    source: Vec<Atom>,
-    target: Vec<Atom>,
-}
-
-impl CoverProblem {
-    /// Creates a cover problem with the given source and target atom sets.
-    pub fn new(source: Vec<Atom>, target: Vec<Atom>) -> CoverProblem {
-        CoverProblem { source, target }
-    }
-
-    /// Convenience constructor: cover the atoms `target` using the body of `query`.
-    pub fn for_query(query: &ConjunctiveQuery, target: Vec<Atom>) -> CoverProblem {
-        CoverProblem {
-            source: query.body().to_vec(),
-            target,
-        }
-    }
-
-    /// Finds a covering substitution, if one exists.
-    pub fn solve(&self) -> Option<Substitution> {
-        let mut found = None;
-        let _ = self.for_each_cover(&mut |s| {
-            found = Some(s.clone());
-            ControlFlow::Break(())
-        });
-        found
-    }
-
-    /// Enumerates covering substitutions.
-    ///
-    /// The enumeration backtracks over the *target* atoms: each target atom
-    /// must be matched by a source atom whose ρ-image equals it.
-    pub fn for_each_cover<F>(&self, callback: &mut F) -> ControlFlow<()>
-    where
-        F: FnMut(&Substitution) -> ControlFlow<()>,
-    {
-        fn rec<F>(
-            source: &[Atom],
-            target: &[Atom],
-            depth: usize,
-            rho: &mut Substitution,
-            callback: &mut F,
-        ) -> ControlFlow<()>
-        where
-            F: FnMut(&Substitution) -> ControlFlow<()>,
-        {
-            if depth == target.len() {
-                return callback(rho);
+/// The "cover" problem of condition (C3): a substitution `ρ` on the
+/// variables of the `source` atoms with `target ⊆ ρ(source)`, i.e. every
+/// target atom is the ρ-image of some source atom. The search backtracks
+/// over the target atoms: each must be matched by a source atom whose
+/// ρ-image equals it.
+fn cover(source: &[Atom], target: &[Atom]) -> Option<Substitution> {
+    fn rec(source: &[Atom], target: &[Atom], rho: &mut Substitution) -> bool {
+        let Some((goal, rest)) = target.split_first() else {
+            return true;
+        };
+        'sources: for cand in source {
+            if cand.relation != goal.relation || cand.arity() != goal.arity() {
+                continue;
             }
-            let goal = &target[depth];
-            'sources: for cand in source {
-                if cand.relation != goal.relation || cand.arity() != goal.arity() {
-                    continue;
-                }
-                // Unify ρ(cand) = goal: each variable of cand must map to the
-                // corresponding variable of goal, consistently with ρ so far.
-                let mut newly_bound = Vec::new();
-                for (&src_var, &dst_var) in cand.args.iter().zip(goal.args.iter()) {
-                    match rho.get(src_var) {
-                        Some(existing) if existing == dst_var => {}
-                        Some(_) => {
-                            for v in newly_bound {
-                                rho.unbind(v);
-                            }
-                            continue 'sources;
+            // Unify ρ(cand) = goal: each variable of cand must map to the
+            // corresponding variable of goal, consistently with ρ so far.
+            let mut newly_bound = Vec::new();
+            for (&src_var, &dst_var) in cand.args.iter().zip(goal.args.iter()) {
+                match rho.get(src_var) {
+                    Some(existing) if existing == dst_var => {}
+                    Some(_) => {
+                        for v in newly_bound {
+                            rho.unbind(v);
                         }
-                        None => {
-                            rho.bind(src_var, dst_var);
-                            newly_bound.push(src_var);
-                        }
+                        continue 'sources;
+                    }
+                    None => {
+                        rho.bind(src_var, dst_var);
+                        newly_bound.push(src_var);
                     }
                 }
-                let flow = rec(source, target, depth + 1, rho, callback);
-                for v in newly_bound {
-                    rho.unbind(v);
-                }
-                flow?;
             }
-            ControlFlow::Continue(())
+            if rec(source, rest, rho) {
+                return true;
+            }
+            for v in newly_bound {
+                rho.unbind(v);
+            }
         }
-
-        let mut rho = Substitution::identity();
-        rec(&self.source, &self.target, 0, &mut rho, callback)
+        false
     }
+
+    let mut rho = Substitution::identity();
+    rec(source, target, &mut rho).then_some(rho)
 }
 
 /// Finds a substitution `ρ` on the variables of `query` such that
-/// `target ⊆ ρ(body_query)` (see [`CoverProblem`]).
+/// `target ⊆ ρ(body_query)`: the cover search behind condition (C3).
 pub fn find_cover(query: &ConjunctiveQuery, target: &[Atom]) -> Option<Substitution> {
-    CoverProblem::for_query(query, target.to_vec()).solve()
+    cover(query.body(), target)
 }
 
 /// A witness for condition (C3) of the paper: the simplification `θ` of
@@ -224,7 +177,7 @@ pub struct C3Witness {
 /// Searches for a witness of condition (C3): enumerate simplifications `θ`
 /// of `to` (endomorphisms fixing the head with body image inside the body)
 /// and, for each, try to cover `body_{θ(to)}` by a substitution image of
-/// `body_{from}` ([`CoverProblem`]).
+/// `body_{from}` ([`find_cover`]).
 pub fn c3_witness(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> Option<C3Witness> {
     // Seed: head variables of `to` must be fixed (θ is a simplification).
     let mut seed = Substitution::identity();
@@ -242,7 +195,7 @@ pub fn c3_witness(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> Option<C3Wi
             // Another simplification with the same body image was already tried.
             return ControlFlow::Continue(());
         }
-        if let Some(rho) = CoverProblem::new(from.body().to_vec(), image).solve() {
+        if let Some(rho) = cover(from.body(), &image) {
             witness = Some(C3Witness {
                 theta: theta.clone(),
                 rho,

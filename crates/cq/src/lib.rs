@@ -61,7 +61,7 @@ pub use eval::{
 pub use fact::{Fact, Tuple};
 pub use hom::{
     c3_witness, contained_in, equivalent, find_cover, find_homomorphism, for_each_atom_mapping,
-    C3Witness, CoverProblem,
+    C3Witness,
 };
 pub use instance::Instance;
 pub use intern::{Symbol, SymbolHashBuilder, SymbolHasher, SymbolMap};

@@ -147,13 +147,6 @@ impl ConjunctiveQuery {
         schema
     }
 
-    /// The output schema (the head relation).
-    pub fn output_schema(&self) -> Schema {
-        let mut schema = Schema::new();
-        schema.add(self.head.relation, self.head.arity());
-        schema
-    }
-
     /// A query is *full* if every body variable also occurs in the head.
     pub fn is_full(&self) -> bool {
         let head: BTreeSet<Variable> = self.head.args.iter().copied().collect();
@@ -312,7 +305,6 @@ mod tests {
         assert_eq!(schema.arity(Symbol::new("R")), Some(2));
         assert_eq!(schema.arity(Symbol::new("S")), Some(1));
         assert!(!schema.contains(Symbol::new("T")));
-        assert_eq!(query.output_schema().arity(Symbol::new("T")), Some(1));
     }
 
     #[test]

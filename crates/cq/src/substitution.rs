@@ -57,7 +57,7 @@ impl Substitution {
     }
 
     /// The image of `var` (identity if not explicitly mapped).
-    pub fn apply_var(&self, var: Variable) -> Variable {
+    fn apply_var(&self, var: Variable) -> Variable {
         self.map.get(&var).copied().unwrap_or(var)
     }
 
@@ -145,16 +145,6 @@ impl Substitution {
         let body = query.body();
         self.apply_atoms(body).iter().all(|a| body.contains(a))
     }
-
-    /// Whether the substitution is a *folding* of `query`: a simplification
-    /// that is idempotent on the query variables (`θ² = θ`).
-    pub fn is_folding_of(&self, query: &ConjunctiveQuery) -> bool {
-        self.is_simplification_of(query)
-            && query
-                .variables()
-                .iter()
-                .all(|&v| self.apply_var(self.apply_var(v)) == self.apply_var(v))
-    }
 }
 
 impl fmt::Debug for Substitution {
@@ -198,8 +188,6 @@ mod tests {
         let theta2 = Substitution::from_names([("x", "x"), ("y", "x"), ("z", "x")]);
         assert!(theta1.is_simplification_of(&query));
         assert!(theta2.is_simplification_of(&query));
-        assert!(theta1.is_folding_of(&query));
-        assert!(theta2.is_folding_of(&query));
     }
 
     #[test]
@@ -211,9 +199,7 @@ mod tests {
         let theta3 = Substitution::from_names([("x", "x"), ("y", "y"), ("z", "y"), ("u", "z")]);
         let theta4 = Substitution::from_names([("x", "x"), ("y", "y"), ("z", "y"), ("u", "y")]);
         assert!(theta3.is_simplification_of(&query));
-        assert!(!theta3.is_folding_of(&query));
         assert!(theta4.is_simplification_of(&query));
-        assert!(theta4.is_folding_of(&query));
     }
 
     #[test]

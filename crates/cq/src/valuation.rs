@@ -141,14 +141,6 @@ impl Valuation {
         })
     }
 
-    /// `V₁ ≤_Q V₂`: same derived head fact and `V₁(body_Q) ⊆ V₂(body_Q)`.
-    pub fn leq(&self, other: &Valuation, query: &ConjunctiveQuery) -> bool {
-        self.derived_fact(query) == other.derived_fact(query)
-            && other
-                .required_facts(query)
-                .contains_all(&self.required_facts(query))
-    }
-
     /// `V₁ <_Q V₂`: `V₁ ≤_Q V₂` and `V₁(body_Q) ⊊ V₂(body_Q)`.
     pub fn lt(&self, other: &Valuation, query: &ConjunctiveQuery) -> bool {
         if self.derived_fact(query) != other.derived_fact(query) {
@@ -169,23 +161,6 @@ impl Valuation {
                 .map(|(&k, &v)| (k, v))
                 .collect(),
         }
-    }
-
-    /// Extends the valuation with the bindings of `other`.
-    ///
-    /// Returns `false` and leaves `self` unchanged on a conflicting binding.
-    pub fn try_extend(&mut self, other: &Valuation) -> bool {
-        for (var, value) in other.bindings() {
-            if let Some(existing) = self.get(var) {
-                if existing != value {
-                    return false;
-                }
-            }
-        }
-        for (var, value) in other.bindings() {
-            self.bind(var, value);
-        }
-        true
     }
 }
 
@@ -247,9 +222,7 @@ mod tests {
         let v2 = Valuation::from_names([("x", "a"), ("y", "a"), ("z", "a")]);
         // v2 requires strictly fewer facts and derives the same head fact.
         assert!(v2.lt(&v, &q));
-        assert!(v2.leq(&v, &q));
         assert!(!v.lt(&v2, &q));
-        assert!(v.leq(&v, &q));
         assert!(!v.lt(&v, &q));
     }
 
@@ -276,17 +249,6 @@ mod tests {
         assert!(total.is_injective());
         let not_inj = Valuation::from_names([("x", "a"), ("y", "a"), ("z", "c")]);
         assert!(!not_inj.is_injective());
-    }
-
-    #[test]
-    fn try_extend_detects_conflicts() {
-        let mut v = Valuation::from_names([("x", "a")]);
-        let compatible = Valuation::from_names([("y", "b")]);
-        assert!(v.try_extend(&compatible));
-        assert_eq!(v.len(), 2);
-        let conflicting = Valuation::from_names([("x", "z")]);
-        assert!(!v.try_extend(&conflicting));
-        assert_eq!(v.get(Variable::new("x")), Some(Value::new("a")));
     }
 
     #[test]

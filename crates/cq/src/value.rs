@@ -75,11 +75,6 @@ impl Value {
     pub(crate) fn from_raw(raw: u32) -> Value {
         Value(Symbol::from_raw(raw))
     }
-
-    /// Whether this value was produced by [`Value::synthetic`].
-    pub fn is_synthetic(self) -> bool {
-        self.as_str().starts_with("$v")
-    }
 }
 
 impl fmt::Debug for Value {
@@ -128,8 +123,6 @@ mod tests {
         let user = Value::new("v0");
         let synth = Value::synthetic(0);
         assert_ne!(user, synth);
-        assert!(synth.is_synthetic());
-        assert!(!user.is_synthetic());
     }
 
     #[test]
@@ -145,7 +138,6 @@ mod tests {
         assert_eq!(format!("{seven:?}"), "Value(#7)");
         assert_eq!(seven.id(), 7);
         assert_eq!(seven.as_str(), "#");
-        assert!(!seven.is_synthetic());
         assert!(Value::opaque(6).unwrap() < seven && seven < Value::opaque(8).unwrap());
         assert!(Value::new("named") < Value::opaque(0).unwrap());
         assert_eq!(Value::opaque(1 << 31), None);

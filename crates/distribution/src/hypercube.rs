@@ -250,7 +250,7 @@ impl HypercubeFamily {
     }
 
     /// The uniform member with `buckets` buckets per dimension.
-    pub fn uniform_member(&self, buckets: usize) -> Result<HypercubePolicy, RulePolicyError> {
+    fn uniform_member(&self, buckets: usize) -> Result<HypercubePolicy, RulePolicyError> {
         HypercubePolicy::uniform(&self.query, buckets)
     }
 

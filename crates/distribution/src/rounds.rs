@@ -79,16 +79,13 @@ impl<'a> RoundSchedule<'a> {
     /// A schedule from an explicit policy sequence (the last one repeats).
     ///
     /// # Panics
-    /// Panics when `policies` is empty; [`RoundSchedule::try_of`] returns
-    /// the error instead.
+    /// Panics when `policies` is empty: a run's first round needs a policy.
     pub fn of(policies: Vec<&'a dyn DistributionPolicy>) -> RoundSchedule<'a> {
         RoundSchedule::try_of(policies).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// A schedule from an explicit policy sequence (the last one repeats),
-    /// rejecting an empty sequence with an error instead of panicking: a
-    /// run's first round needs a policy.
-    pub fn try_of(policies: Vec<&'a dyn DistributionPolicy>) -> Result<RoundSchedule<'a>, String> {
+    /// [`RoundSchedule::of`], rejecting an empty sequence with an error.
+    fn try_of(policies: Vec<&'a dyn DistributionPolicy>) -> Result<RoundSchedule<'a>, String> {
         if policies.is_empty() {
             return Err("a round schedule needs at least one policy".to_string());
         }

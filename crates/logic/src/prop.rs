@@ -69,12 +69,12 @@ impl Clause {
     }
 
     /// Evaluates the clause as a disjunction.
-    pub fn eval_or(&self, assignment: &Assignment) -> bool {
+    fn eval_or(&self, assignment: &Assignment) -> bool {
         self.literals.iter().any(|l| l.eval(assignment))
     }
 
     /// Evaluates the clause as a conjunction.
-    pub fn eval_and(&self, assignment: &Assignment) -> bool {
+    fn eval_and(&self, assignment: &Assignment) -> bool {
         self.literals.iter().all(|l| l.eval(assignment))
     }
 }

@@ -52,7 +52,7 @@ impl Pi2Qbf {
 
     /// Whether there is a `y`-assignment satisfying the matrix given the
     /// (total) assignment `partial` for the other variables.
-    pub fn exists_y(&self, partial: &Assignment) -> bool {
+    fn exists_y(&self, partial: &Assignment) -> bool {
         // Condition the CNF on the x-assignment by substituting truth values:
         // clauses with a true x-literal are dropped, false x-literals removed.
         let y_set: std::collections::BTreeSet<usize> = self.y_vars.iter().copied().collect();
@@ -77,7 +77,8 @@ impl Pi2Qbf {
     }
 
     /// Brute-force reference decision (both blocks enumerated exhaustively).
-    pub fn is_true_naive(&self) -> bool {
+    #[cfg(test)]
+    fn is_true_naive(&self) -> bool {
         let base = Assignment::all_false(self.matrix.num_vars);
         (0u64..(1 << self.x_vars.len())).all(|xm| {
             let bx = Assignment::from_mask(self.x_vars.len(), xm);

@@ -140,7 +140,7 @@ impl Histogram {
     /// One snapshot of several histograms read as one: count, sum, min and
     /// max exact over every sample of every histogram, the quantiles
     /// nearest-rank over the union of their reservoirs.
-    pub fn merged_snapshot(histograms: &[Histogram]) -> HistogramSnapshot {
+    fn merged_snapshot(histograms: &[Histogram]) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot {
             min: u64::MAX,
             ..HistogramSnapshot::default()
@@ -223,8 +223,8 @@ impl Registry {
     }
 
     /// A snapshot of every histogram of `registries`, sorted by name; the
-    /// histograms sharing a name are read as one
-    /// ([`Histogram::merged_snapshot`]).
+    /// histograms sharing a name are read as one: count, sum, min and max
+    /// exact over all their samples, the quantiles over their reservoirs.
     pub fn merged_histograms(registries: &[&Registry]) -> BTreeMap<String, HistogramSnapshot> {
         let mut named: BTreeMap<String, Vec<Histogram>> = BTreeMap::new();
         for registry in registries {

@@ -86,7 +86,7 @@ impl Graph {
     }
 
     /// Finds a proper 3-coloring by backtracking, if one exists.
-    pub fn find_three_coloring(&self) -> Option<Vec<u8>> {
+    fn find_three_coloring(&self) -> Option<Vec<u8>> {
         let mut colors = vec![3u8; self.vertices]; // 3 = uncolored
         if self.color_rec(0, &mut colors) {
             Some(colors)
@@ -125,7 +125,8 @@ impl Graph {
     }
 
     /// Whether `coloring` is a proper coloring (adjacent vertices differ).
-    pub fn is_proper_coloring(&self, coloring: &[u8]) -> bool {
+    #[cfg(test)]
+    fn is_proper_coloring(&self, coloring: &[u8]) -> bool {
         coloring.len() == self.vertices
             && self.edges.iter().all(|&(u, v)| coloring[u] != coloring[v])
     }

@@ -240,7 +240,7 @@ fn read_long_varint(input: &[u8]) -> Result<(u64, usize), DecodeError> {
 ///
 /// Values are [encoded](Encode) into the payload, which assigns every
 /// symbol the dictionary does not hold yet the next index;
-/// [`Encoder::finish_body`] then emits `symtab ++ payload` with those new
+/// [`encode_body_with`] then emits `symtab ++ payload` with those new
 /// names as the `symtab` and keeps the dictionary for the next body.
 /// [`Encoder::new`] followed by [`Encoder::finish`] codes a self-contained
 /// body.
@@ -348,7 +348,7 @@ impl Encoder {
 
     /// Finishes the body — the table of its new symbols, then the payload —
     /// and keeps the dictionary, so the next body continues the sequence.
-    pub fn finish_body(&mut self) -> Vec<u8> {
+    fn finish_body(&mut self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload.len() + 16 * self.new_symbols.len() + 4);
         write_varint(&mut out, self.new_symbols.len() as u64);
         for symbol in self.new_symbols.drain(..) {

@@ -2,8 +2,9 @@
 //!
 //! A run touches several registries — the multi-round engine owns one
 //! (transfer-cache counters, round latencies), each transport owns one
-//! (index-cache counters, chunk sizes; the pipelined driver adds frame
-//! bytes and window waits). A report merges them into a single document,
+//! (chunk sizes; the pipelined driver adds frame bytes, window waits,
+//! shutdown polls and the fault counters: worker deaths, requeues and
+//! state rebuilds). A report merges them into a single document,
 //! a metric named in several registries into one entry:
 //!
 //! ```json
@@ -21,7 +22,7 @@ use obs::{HistogramSnapshot, Registry};
 use crate::json::JsonValue;
 
 /// One histogram snapshot as a JSON object.
-pub fn snapshot_json(snapshot: &HistogramSnapshot) -> JsonValue {
+fn snapshot_json(snapshot: &HistogramSnapshot) -> JsonValue {
     JsonValue::object([
         ("count", JsonValue::from(snapshot.count)),
         ("sum", JsonValue::from(snapshot.sum)),

@@ -136,8 +136,8 @@ impl fmt::Display for NetworkSpec {
 /// The assignment map is canonical (nodes sorted, facts as a set), so the
 /// pretty-printer's output re-parses to an equal value; the default node
 /// list keeps its written order (it is an argument list, not a set).
-/// Node names must satisfy [`ExplicitSpec::is_node_name`] — in particular
-/// an assignment key may not be the reserved word `default` — which the
+/// Node names use the scenario identifier charset — in particular an
+/// assignment key may not be the reserved word `default` — which the
 /// stanza parser and [`ExplicitSpec::build_policy`] enforce, so every
 /// parsed spec survives the print∘parse round trip, and a `pc` policy file
 /// names its nodes as the stanza does.
@@ -162,7 +162,7 @@ impl ExplicitSpec {
     /// Whether `name` can appear as a node name in the textual stanza: the
     /// scenario identifier charset (alphanumerics, `_`, `'`, interior
     /// dashes), non-empty.
-    pub fn is_node_name(name: &str) -> bool {
+    fn is_node_name(name: &str) -> bool {
         !name.is_empty()
             && name.bytes().enumerate().all(|(i, b)| {
                 b.is_ascii_alphanumeric() || b == b'_' || b == b'\'' || (b == b'-' && i > 0)

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::json::JsonValue;
-use crate::trace_export::{process_label, TraceSummary};
+use crate::trace_export::{format_us, process_label, TraceSummary};
 
 /// Knobs for [`diff_summaries`].
 #[derive(Clone, Copy, Debug)]
@@ -440,17 +440,6 @@ impl fmt::Display for TraceDiff {
             )?;
         }
         Ok(())
-    }
-}
-
-/// Microseconds as a human-readable duration (`428us`, `1.204ms`, `3.50s`).
-fn format_us(us: u64) -> String {
-    if us < 1_000 {
-        format!("{us}us")
-    } else if us < 1_000_000 {
-        format!("{:.3}ms", us as f64 / 1_000.0)
-    } else {
-        format!("{:.2}s", us as f64 / 1_000_000.0)
     }
 }
 

@@ -541,7 +541,7 @@ fn self_times(events: &[TraceEvent]) -> Vec<(u64, bool)> {
 }
 
 /// Microseconds as a human-readable duration (`428us`, `1.204ms`, `3.50s`).
-fn format_us(us: u64) -> String {
+pub(crate) fn format_us(us: u64) -> String {
     if us < 1_000 {
         format!("{us}us")
     } else if us < 1_000_000 {

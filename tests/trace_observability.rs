@@ -847,7 +847,8 @@ fn cli_traced_socket_multi_query_run_produces_one_valid_merged_trace() {
     std::fs::write(
         &scenario,
         "queries {\n  T(x, z) :- R(x, y), R(y, z).\n  T(x, z) :- R(x, y), R(y, z).\n}\n\
-         instance { R(a, b). R(b, c). R(c, a). R(b, a). }\nschedule hash(2)\nrounds 3\n",
+         instance { R(a, b). R(b, c). R(c, a). R(b, a). R(c, d). R(d, a). }\n\
+         schedule hash(2)\nrounds 3\n",
     )
     .unwrap();
 
@@ -911,7 +912,28 @@ fn cli_traced_socket_multi_query_run_produces_one_valid_merged_trace() {
         String::from_utf8_lossy(&summarize.stderr)
     );
     let doc = JsonValue::parse(&String::from_utf8_lossy(&summarize.stdout)).unwrap();
-    assert!(doc.get("processes").is_some());
+    // One lane per process, each with its unattributed time; self time per
+    // phase.
+    let Some(JsonValue::Object(lanes)) = doc.get("processes") else {
+        panic!("no processes in {doc}");
+    };
+    let names: Vec<&str> = lanes.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["coordinator", "worker 0", "worker 1"]);
+    assert!(lanes
+        .iter()
+        .all(|(_, lane)| lane.get("unattributed_us").is_some()));
+    let Some(JsonValue::Object(phases)) = doc.get("phases") else {
+        panic!("no phases in {doc}");
+    };
+    assert!(!phases.is_empty());
+    assert!(phases
+        .iter()
+        .all(|(_, phase)| phase.get("self_us").is_some()));
+    let text = Command::new(worker_binary())
+        .args(["trace", "summarize", trace.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(text.status.success(), "{text:?}");
 
     let _ = std::fs::remove_file(scenario);
     let _ = std::fs::remove_file(trace);
