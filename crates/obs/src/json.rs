@@ -1,11 +1,12 @@
-//! A small JSON document builder.
+//! A small JSON document builder and parser.
 //!
-//! `pcq-analyze run --json` historically rendered its report with nested
-//! `format!` strings — every new field risked an escaping or comma bug the
-//! compiler could not see. [`JsonValue`] builds the document as a tree and
-//! serializes it compactly (no whitespace, one line) with correct string
-//! escaping everywhere; it is the serialization-subsystem counterpart of
-//! the binary codec for human/tool-facing output.
+//! [`JsonValue`] builds a document as a tree and serializes it compactly
+//! (no whitespace, one line) with correct string escaping everywhere, so
+//! no report risks an escaping or comma bug the compiler cannot see. It
+//! renders every observability file — the `pcq-analyze run --json` report
+//! with its [`Registry`](crate::Registry) export, the trace file of
+//! [`trace_export`](crate::trace_export), the summaries and diffs of
+//! `pcq-analyze trace` — and parses the trace file back.
 
 use std::fmt;
 

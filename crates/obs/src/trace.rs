@@ -66,8 +66,8 @@ pub struct TraceEvent {
     pub ts_us: u64,
     /// Duration in microseconds (0 for instants).
     pub dur_us: u64,
-    /// Process lane: 0 = coordinator; the coordinator stamps worker
-    /// events with `worker index + 1` when it absorbs their flush.
+    /// Process lane: 0 = coordinator; [`submit_events`] moves worker
+    /// `k`'s events to lane `k + 1`.
     pub pid: u32,
     /// Thread lane within the process (assigned per thread, from 1).
     pub tid: u64,
@@ -276,15 +276,30 @@ fn drain(trace: u64) -> Vec<TraceEvent> {
     out
 }
 
-/// Injects events recorded elsewhere (a worker's flushed buffer) into
-/// this process's collector so [`end_trace`] returns one merged
-/// timeline.
-pub fn submit_events(events: Vec<TraceEvent>) {
+/// Injects the events worker `worker` flushed, recorded on lane 0, into
+/// this process's collector on lane `worker + 1`, so [`end_trace`] returns
+/// one merged timeline that keeps the processes apart.
+pub fn submit_events(worker: usize, mut events: Vec<TraceEvent>) {
     if events.is_empty() {
         return;
     }
+    let pid = (worker + 1) as u32;
+    for event in &mut events {
+        if event.pid == 0 {
+            event.pid = pid;
+        }
+    }
     let mut collector = COLLECTOR.lock().expect("trace collector poisoned");
     collector.extend(events);
+}
+
+/// The display label for a process lane: lane 0 is the coordinator, lane
+/// `k + 1` worker `k` (see [`submit_events`]).
+pub(crate) fn process_label(pid: u32) -> String {
+    match pid {
+        0 => "coordinator".to_string(),
+        lane => format!("worker {}", lane - 1),
+    }
 }
 
 /// Events dropped because a thread buffer was full (0 in healthy runs).
@@ -671,19 +686,22 @@ mod tests {
         {
             let _s = crate::span!("local");
         }
-        submit_events(vec![TraceEvent {
+        let remote = TraceEvent {
             name: "remote".to_string(),
             kind: EventKind::Span,
             ts_us: 0,
             dur_us: 1,
-            pid: 2,
+            pid: 0,
             tid: 1,
             id: 7,
             parent: 0,
             args: vec![],
-        }]);
+        };
+        submit_events(1, vec![remote]);
         let events = end_trace();
         assert_eq!(events.first().map(|e| e.name.as_str()), Some("remote"));
+        assert_eq!(events[0].pid, 2, "worker 1's events land on lane 2");
+        assert_eq!(process_label(events[0].pid), "worker 1");
         assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
     }
 

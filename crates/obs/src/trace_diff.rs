@@ -17,7 +17,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::json::JsonValue;
-use crate::trace_export::{format_us, process_label, TraceSummary};
+use crate::trace::process_label;
+use crate::trace_export::{format_us, TraceSummary};
 
 /// Knobs for [`diff_summaries`].
 #[derive(Clone, Copy, Debug)]
@@ -43,6 +44,11 @@ impl Default for DiffOptions {
 /// a phase that appeared from nothing has no meaningful ratio).
 fn change_pct(base: u64, new: u64) -> Option<f64> {
     (base > 0).then(|| (new as f64 - base as f64) * 100.0 / base as f64)
+}
+
+/// A change in percent as JSON: one decimal, `null` when there is none.
+fn pct_json(pct: Option<f64>) -> JsonValue {
+    pct.map_or(JsonValue::Null, |pct| JsonValue::fixed(pct, 1))
 }
 
 /// Renders a change as `+38.2%` / `-12.0%` / `new` / `0%`.
@@ -141,12 +147,7 @@ impl TraceDiff {
                         ("new_total_us", JsonValue::from(p.new_total_us)),
                         ("base_count", JsonValue::from(p.base_count)),
                         ("new_count", JsonValue::from(p.new_count)),
-                        (
-                            "change_pct",
-                            p.change_pct
-                                .map(|pct| JsonValue::fixed(pct, 1))
-                                .unwrap_or(JsonValue::Null),
-                        ),
+                        ("change_pct", pct_json(p.change_pct)),
                         ("regressed", JsonValue::from(p.regressed)),
                     ]),
                 )
@@ -160,12 +161,7 @@ impl TraceDiff {
                     ("round", JsonValue::from(r.round)),
                     ("base_dur_us", JsonValue::from(r.base_dur_us)),
                     ("new_dur_us", JsonValue::from(r.new_dur_us)),
-                    (
-                        "change_pct",
-                        r.change_pct
-                            .map(|pct| JsonValue::fixed(pct, 1))
-                            .unwrap_or(JsonValue::Null),
-                    ),
+                    ("change_pct", pct_json(r.change_pct)),
                     ("regressed", JsonValue::from(r.regressed)),
                 ])
             })
@@ -179,12 +175,7 @@ impl TraceDiff {
                     JsonValue::object([
                         ("base_wall_us", JsonValue::from(p.base_wall_us)),
                         ("new_wall_us", JsonValue::from(p.new_wall_us)),
-                        (
-                            "change_pct",
-                            p.change_pct
-                                .map(|pct| JsonValue::fixed(pct, 1))
-                                .unwrap_or(JsonValue::Null),
-                        ),
+                        ("change_pct", pct_json(p.change_pct)),
                     ]),
                 )
             })
@@ -195,12 +186,7 @@ impl TraceDiff {
             ("dropped_events", JsonValue::from(self.dropped_events)),
             (
                 "regressions",
-                JsonValue::Array(
-                    self.regressions
-                        .iter()
-                        .map(|line| JsonValue::from(line.as_str()))
-                        .collect(),
-                ),
+                JsonValue::array(self.regressions.iter().map(|line| line.as_str().into())),
             ),
             ("phases", JsonValue::Object(phases)),
             ("rounds", JsonValue::Array(rounds)),
@@ -234,9 +220,9 @@ fn cause_line(phases: &[PhaseDelta], options: &DiffOptions) -> String {
         .iter()
         .take(3)
         .map(|p| {
-            let growth = match (p.base_total_us, p.change_pct) {
-                (0, _) => "appeared".to_string(),
-                (base, _) => format!("grew {:.1}x", p.new_total_us as f64 / base as f64),
+            let growth = match p.base_total_us {
+                0 => "appeared".to_string(),
+                base => format!("grew {:.1}x", p.new_total_us as f64 / base as f64),
             };
             format!(
                 "{} {} (+{})",

@@ -1,12 +1,13 @@
-//! Chrome-trace-event export and trace summarization.
+//! The trace file: Chrome-trace-event export and trace summarization.
 //!
 //! A traced run ends with a flat `Vec<TraceEvent>` — coordinator spans
 //! plus every worker's events merged onto one timeline. This module
-//! turns that into the Chrome trace-event JSON format (loadable in
-//! Perfetto / `chrome://tracing`), parses such files back, and computes
-//! the rollups behind `pcq-analyze trace summarize`: per-phase
-//! aggregates, per-process totals, and a per-round critical-path
-//! breakdown.
+//! owns the file that timeline is written to: [`render`] writes it in the
+//! Chrome trace-event JSON format (loadable in Perfetto /
+//! `chrome://tracing`), with a `droppedEvents` count when the recording
+//! dropped events, and [`summarize`] reads it back into the rollups
+//! behind `pcq-analyze trace summarize`: per-phase aggregates,
+//! per-process totals, and a per-round critical-path breakdown.
 //!
 //! Mapping: spans become `"ph": "X"` (complete) events with `ts`/`dur`,
 //! instants become `"ph": "i"` with thread scope, and each process lane
@@ -17,18 +18,31 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use obs::{EventKind, TraceEvent};
-
 use crate::json::JsonValue;
+use crate::trace::{process_label, EventKind, TraceEvent};
 
-/// The display label for a process lane: pid 0 is the coordinator,
-/// pid `n + 1` is worker `n` (the coordinator stamps worker flushes).
-pub fn process_label(pid: u32) -> String {
-    if pid == 0 {
-        "coordinator".to_string()
-    } else {
-        format!("worker {}", pid - 1)
+/// The trace file of a run: its events as a [`chrome_trace`] document on
+/// one line, carrying `droppedEvents` when the recording dropped any
+/// (complete timelines omit the field).
+pub fn render(events: &[TraceEvent], dropped: u64) -> String {
+    let mut doc = chrome_trace(events);
+    if dropped > 0 {
+        doc.push("droppedEvents", JsonValue::from(dropped));
     }
+    format!("{doc}\n")
+}
+
+/// Reads a trace file written by [`render`] into its summary: its events,
+/// checked by [`check_well_formed`], rolled up, and its `droppedEvents`.
+/// Malformed JSON and corrupted documents are errors, never a panic.
+pub fn summarize(text: &str) -> Result<TraceSummary, String> {
+    let doc = JsonValue::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let events = events_from_doc(&doc)?;
+    check_well_formed(&events)?;
+    Ok(TraceSummary {
+        dropped_events: dropped_events_field(&doc),
+        ..TraceSummary::from_events(&events)
+    })
 }
 
 /// Renders recorded events as a Chrome trace-event document:
@@ -56,11 +70,8 @@ pub fn chrome_trace(events: &[TraceEvent]) -> JsonValue {
 
     for event in events {
         let mut args = vec![
-            ("id".to_string(), JsonValue::from(event.id.to_string())),
-            (
-                "parent".to_string(),
-                JsonValue::from(event.parent.to_string()),
-            ),
+            ("id".to_string(), event.id.to_string().into()),
+            ("parent".to_string(), event.parent.to_string().into()),
         ];
         for (key, value) in &event.args {
             args.push((key.clone(), JsonValue::from(value.as_str())));
@@ -104,16 +115,16 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
 /// The `droppedEvents` count a trace document carries when the recording
 /// session overflowed its per-thread buffers (0 when absent — complete
 /// timelines omit the field).
-pub fn dropped_events_field(doc: &JsonValue) -> u64 {
+fn dropped_events_field(doc: &JsonValue) -> u64 {
     doc.get("droppedEvents")
         .and_then(JsonValue::as_u64)
         .unwrap_or(0)
 }
 
 /// Extracts events from an already-parsed trace document — the
-/// building block behind [`parse_chrome_trace`] for callers that also
-/// need document-level fields like `droppedEvents`.
-pub fn events_from_doc(doc: &JsonValue) -> Result<Vec<TraceEvent>, String> {
+/// building block behind [`parse_chrome_trace`] and [`summarize`], which
+/// also reads the document-level `droppedEvents`.
+fn events_from_doc(doc: &JsonValue) -> Result<Vec<TraceEvent>, String> {
     let items = doc
         .get("traceEvents")
         .and_then(|v| v.as_array())
@@ -300,22 +311,6 @@ impl TraceSummary {
         };
         let mut lanes: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
         for (event, (self_us, root)) in events.iter().zip(self_times(events)) {
-            if event.kind == EventKind::Span {
-                summary
-                    .phases
-                    .entry(event.name.clone())
-                    .or_default()
-                    .self_us += self_us;
-                if root {
-                    summary
-                        .processes
-                        .entry(event.pid)
-                        .or_default()
-                        .unattributed_us += self_us;
-                }
-            }
-        }
-        for event in events {
             let process = summary.processes.entry(event.pid).or_default();
             let lane = lanes.entry(event.pid).or_insert((u64::MAX, 0));
             lane.0 = lane.0.min(event.ts_us);
@@ -324,12 +319,16 @@ impl TraceSummary {
                 EventKind::Span => {
                     process.spans += 1;
                     process.total_span_us += event.dur_us;
+                    if root {
+                        process.unattributed_us += self_us;
+                    }
                     let phase = summary.phases.entry(event.name.clone()).or_default();
                     if phase.count == 0 {
                         phase.min_us = event.dur_us;
                     }
                     phase.count += 1;
                     phase.total_us += event.dur_us;
+                    phase.self_us += self_us;
                     phase.min_us = phase.min_us.min(event.dur_us);
                     phase.max_us = phase.max_us.max(event.dur_us);
                     if event.pid == 0

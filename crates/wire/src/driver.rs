@@ -22,10 +22,11 @@
 //! write-one-read-one lock step; the window bounds how far ahead it may
 //! run. Replies arrive in job order because every worker processes its
 //! stream sequentially, so the reader can attribute them without sequence
-//! numbers. Both request and
-//! reply payload frames are counted toward `bytes_shipped` — the honest
-//! bidirectional communication volume (round-control frames are O(1) per
-//! round and excluded).
+//! numbers. `bytes_shipped` counts the frames that carry the round's data
+//! in both directions: every `Eval` request and every `EvalResult` reply.
+//! Round-control frames are O(1) per round and excluded, and so are a
+//! traced run's `TraceFlush` frames: telemetry is not the communication it
+//! explains.
 //!
 //! **One id space.** A data value crosses a worker connection as the
 //! coordinator's [`cq::Symbol::id`], in both directions, and never by name
@@ -304,7 +305,7 @@ impl WindowGate {
 struct DriveReport {
     /// Results of the jobs the worker answered, in job order.
     results: Vec<(Node, NodeResult)>,
-    /// Request + reply payload bytes that actually crossed the boundary.
+    /// Bytes of the `Eval` frames written and the `EvalResult` frames read.
     bytes: u64,
     /// The jobs the worker never answered (empty unless `error` is set).
     failed: Vec<Job>,
@@ -315,24 +316,27 @@ struct DriveReport {
     events: Vec<TraceEvent>,
 }
 
-/// Reads the next frame of a worker's reply stream and decodes it, the
-/// decode under a `reply_decode` span of its own: the wait for the bytes is
-/// the worker's time, not the codec's.
+/// Reads the next frame of a worker's reply stream that is not a
+/// `TraceFlush`, each decode under a `reply_decode` span of its own: the
+/// wait for the bytes is the worker's time, not the codec's. A flush's
+/// events go into `events`, and its bytes are not the round's.
 fn read_message(
     reader: &mut BufReader<Box<dyn Read + Send>>,
     dictionary: &mut Dictionary,
+    events: &mut Vec<TraceEvent>,
 ) -> Result<Option<(Message, u64)>, DecodeError> {
-    let Some((body, wire_len)) = read_body(reader)? else {
-        return Ok(None);
-    };
-    let _span = obs::span!("reply_decode", bytes = body.len());
-    decode_body_with(dictionary, &body).map(|message| Some((message, wire_len)))
+    while let Some((body, wire_len)) = read_body(reader)? {
+        let _span = obs::span!("reply_decode", bytes = body.len());
+        match decode_body_with(dictionary, &body)? {
+            Message::TraceFlush { events: flushed } => events.extend(flushed),
+            message => return Ok(Some((message, wire_len))),
+        }
+    }
+    Ok(None)
 }
 
-/// Decodes one reply frame and validates it against the job it answers,
-/// absorbing any `TraceFlush` frames the worker interleaved (their events
-/// go into `events`). Returns the node's result plus the frames' total
-/// wire length.
+/// Decodes one reply frame and validates it against the job it answers.
+/// Returns the node's result plus the reply frame's wire length.
 fn read_reply(
     reader: &mut BufReader<Box<dyn Read + Send>>,
     dictionary: &mut Dictionary,
@@ -340,23 +344,15 @@ fn read_reply(
     events: &mut Vec<TraceEvent>,
 ) -> Result<(Node, NodeResult, u64), TransportError> {
     let node = job.node;
-    let mut total_bytes = 0u64;
-    let (reply, reply_bytes) = loop {
-        match read_message(reader, dictionary) {
-            Ok(Some((Message::TraceFlush { events: flushed }, bytes))) => {
-                total_bytes += bytes;
-                events.extend(flushed);
-            }
-            Ok(Some(reply)) => break reply,
-            Ok(None) => {
-                return Err(TransportError::Io(
-                    "worker closed its connection mid-round".to_string(),
-                ))
-            }
-            Err(e) => return Err(TransportError::Protocol(e.to_string())),
+    let (reply, reply_bytes) = match read_message(reader, dictionary, events) {
+        Ok(Some(reply)) => reply,
+        Ok(None) => {
+            return Err(TransportError::Io(
+                "worker closed its connection mid-round".to_string(),
+            ))
         }
+        Err(e) => return Err(TransportError::Protocol(e.to_string())),
     };
-    let reply_bytes = total_bytes + reply_bytes;
     let Message::EvalResult {
         round,
         node: answered_node,
@@ -492,29 +488,17 @@ fn drive(
         }
         if error.is_none() {
             // Workers flush their trace buffers right before acking the
-            // barrier; absorb those frames here.
-            error = loop {
-                match read_message(reader, dictionary) {
-                    Ok(Some((Message::TraceFlush { events: flushed }, bytes))) => {
-                        reply_bytes += bytes;
-                        events.extend(flushed);
-                    }
-                    Ok(Some((Message::BarrierAck { round }, _))) if round == barrier_round => {
-                        break None
-                    }
-                    Ok(Some((other, _))) => {
-                        break Some(TransportError::Protocol(format!(
-                            "expected barrier-ack for round {barrier_round}, worker sent {}",
-                            other.kind()
-                        )))
-                    }
-                    Ok(None) => {
-                        break Some(TransportError::Io(
-                            "worker closed its connection at the barrier".to_string(),
-                        ))
-                    }
-                    Err(e) => break Some(TransportError::Protocol(e.to_string())),
-                }
+            // barrier; `read_message` absorbs those frames.
+            error = match read_message(reader, dictionary, &mut events) {
+                Ok(Some((Message::BarrierAck { round }, _))) if round == barrier_round => None,
+                Ok(Some((other, _))) => Some(TransportError::Protocol(format!(
+                    "expected barrier-ack for round {barrier_round}, worker sent {}",
+                    other.kind()
+                ))),
+                Ok(None) => Some(TransportError::Io(
+                    "worker closed its connection at the barrier".to_string(),
+                )),
+                Err(e) => Some(TransportError::Protocol(e.to_string())),
             };
         }
         if error.is_some() {
@@ -881,20 +865,7 @@ impl Transport for WireTransport {
             for (worker, report) in reports {
                 self.bytes_shipped += report.bytes;
                 self.results.extend(report.results);
-                if !report.events.is_empty() {
-                    // Worker events arrive with pid 0 (set at recording
-                    // time by a process that does not know its index);
-                    // stamp them with a stable per-worker pid so the
-                    // merged timeline keeps the processes apart.
-                    let pid = (worker + 1) as u32;
-                    let mut events = report.events;
-                    for event in &mut events {
-                        if event.pid == 0 {
-                            event.pid = pid;
-                        }
-                    }
-                    obs::submit_events(events);
-                }
+                obs::submit_events(worker, report.events);
                 if let Some(error) = report.error {
                     let error = self.stderr_annotated(worker, error);
                     self.registry.counter("worker_deaths").inc();
@@ -1367,6 +1338,55 @@ mod tests {
             error.contains("worker stderr") && error.contains(&refusal),
             "{error}"
         );
+    }
+
+    #[test]
+    fn shipped_bytes_count_the_eval_and_its_result_but_no_trace_flush() {
+        let (requests, to_worker) = std::io::pipe().unwrap();
+        let (replies, mut from_worker) = std::io::pipe().unwrap();
+        // A scripted worker that flushes its trace before its answer and
+        // before its barrier ack. It returns the bytes of the eval frame it
+        // read plus those of the result frame it wrote.
+        let worker = std::thread::spawn(move || {
+            let mut requests = BufReader::new(requests);
+            let (mut dictionary, mut encoder) = (Dictionary::worker(), Encoder::connection());
+            let mut send = |message: &Message| {
+                let frame = encode_frame_with(&mut encoder, message);
+                from_worker.write_all(&frame).unwrap();
+                frame.len() as u64
+            };
+            let mut counted = 0;
+            loop {
+                let (body, bytes) = read_body(&mut requests).unwrap().unwrap();
+                send(&Message::TraceFlush { events: Vec::new() });
+                match decode_body_with(&mut dictionary, &body).unwrap() {
+                    Message::Eval { round, node, .. } => {
+                        let output = Instance::default();
+                        let result = Message::EvalResult {
+                            round,
+                            node,
+                            output,
+                            eval_us: 1,
+                        };
+                        counted += bytes + send(&result);
+                    }
+                    Message::Barrier { round } => {
+                        send(&Message::BarrierAck { round });
+                        return counted;
+                    }
+                    other => panic!("unexpected {}", other.kind()),
+                }
+            }
+        });
+        let mut transport = WireTransport::new(
+            vec![Endpoint::new(to_worker, replies)],
+            vec![None],
+            vec![None],
+        );
+        run_rounds(&mut transport, 1).unwrap();
+        let shipped = transport.take_bytes_shipped();
+        drop(transport);
+        assert_eq!(shipped, worker.join().unwrap());
     }
 
     #[test]

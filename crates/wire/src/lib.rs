@@ -1,7 +1,8 @@
-//! # wire — serialization and cross-process transport
+//! # wire — the worker protocol
 //!
-//! Everything that crosses a process boundary (or a file boundary) in this
-//! workspace is owned by this crate:
+//! Everything that crosses a worker connection in this workspace is owned
+//! by this crate, and so is the scenario file, whose text is also a
+//! scenario's wire form:
 //!
 //! * [`codec`] — the compact binary codec: varint lengths, a name
 //!   dictionary (relation, variable and node names ship as small integers,
@@ -19,16 +20,6 @@
 //!   query, instance, network/policy schedule, round cap and feedback
 //!   relation, with a pretty-printer that is the parser's exact inverse;
 //!   that text is also a scenario's wire form,
-//! * [`json`] — the JSON emitter (and parser) behind `pcq-analyze run
-//!   --json` and the Chrome-trace tooling,
-//! * [`trace_export`] — Chrome-trace-event export of merged coordinator
-//!   + worker timelines, plus the rollups behind `pcq-analyze trace
-//!   summarize`,
-//! * [`trace_diff`] — phase/process/round comparison of two trace
-//!   summaries with cause attribution, behind `pcq-analyze trace diff`,
-//! * [`metrics_export`] — JSON export of [`obs::Registry`] counters and
-//!   histogram quantiles, behind the `counters` / `histograms` blocks of
-//!   `pcq-analyze run --json`,
 //! * [`WireTransport`] — the [`distribution::Transport`] that makes
 //!   engine rounds genuinely cross-process: it ships binary-encoded
 //!   shipments to `pcq-analyze worker` subprocesses, keeps a bounded
@@ -39,10 +30,13 @@
 //!   back with `--connect`); [`run_worker`] / [`run_worker_connect`] are
 //!   the worker side of each.
 //!
-//! The vendored `serde` stub played no part here: the codec is
-//! hand-rolled against the concrete types, dependency-free, and tested for
-//! `decode(encode(x)) == x` plus never-panicking rejection of corrupted
-//! and truncated input.
+//! The observability files — the run report, the trace file and the
+//! metrics export — never cross a worker connection and live in `obs`,
+//! beside the events and registries they render.
+//!
+//! The codec is hand-rolled against the concrete types, dependency-free,
+//! and tested for `decode(encode(x)) == x` plus never-panicking rejection
+//! of corrupted and truncated input.
 //!
 //! ## Example
 //!
@@ -71,14 +65,10 @@
 pub mod codec;
 mod driver;
 pub mod frame;
-pub mod json;
 mod message;
-pub mod metrics_export;
 mod process;
 mod scenario;
 mod socket;
-pub mod trace_diff;
-pub mod trace_export;
 
 pub use codec::{
     decode_body, decode_body_with, encode_body, encode_body_with, Decode, DecodeError, Decoder,
@@ -86,14 +76,7 @@ pub use codec::{
 };
 pub use driver::WireTransport;
 pub use frame::{decode_frame, encode_frame, encode_frame_with, read_frame, write_frame};
-pub use json::JsonValue;
 pub use message::{EvalRef, Message, TraceContext};
-pub use metrics_export::{merged_registry_json, registry_json};
 pub use process::run_worker;
 pub use scenario::{ExplicitSpec, NetworkSpec, PolicySpec, Scenario, ScenarioError};
 pub use socket::run_worker_connect;
-pub use trace_diff::{diff_summaries, DiffOptions, TraceDiff};
-pub use trace_export::{
-    check_well_formed, chrome_trace, dropped_events_field, events_from_doc, parse_chrome_trace,
-    TraceSummary,
-};

@@ -205,8 +205,8 @@ pub enum Message {
     },
     /// Worker → coordinator: the worker's locally recorded trace events,
     /// flushed just before each `BarrierAck` (and at shutdown). The
-    /// coordinator stamps the events with the worker's lane and merges
-    /// them into its own timeline. Workers send this only while a trace
+    /// coordinator merges them into its own timeline, on the worker's
+    /// lane ([`obs::submit_events`]). Workers send this only while a trace
     /// is active, so untraced runs pay nothing.
     TraceFlush {
         /// The worker's buffered events since its previous flush.

@@ -56,7 +56,7 @@
 //! `run` reshuffles the instance under the policy, evaluates the query
 //! locally at every node and takes the union, reporting result size,
 //! per-node load and per-node timings (`--json` for machine-readable
-//! output, emitted through the `wire::json` serializer). Either grammar —
+//! output, emitted through the `obs::json` serializer). Either grammar —
 //! the positional specs or `--scenario` — lowers into one `wire::Scenario`,
 //! which one executor plans before any data moves (`MultiRoundEngine::plan`:
 //! rounds, split or plain, deltas, re-shards and every transferability
@@ -155,6 +155,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use distribution::{DistributionStats, IteratedFixpoint};
 use pcq::obs;
+use pcq::obs::trace_diff::{diff_summaries, DiffOptions};
+use pcq::obs::trace_export::{self, TraceSummary};
 use pcq::prelude::*;
 use pcq::wire::{self, PolicySpec};
 
@@ -405,15 +407,13 @@ struct RunOptions {
 fn write_trace(path: &str, result: Result<bool, String>) -> Result<bool, String> {
     let events = obs::end_trace();
     let dropped = obs::dropped_events();
-    let mut doc = wire::trace_export::chrome_trace(&events);
     if dropped > 0 {
         complain!(
             "trace: WARNING: {dropped} events dropped (per-thread buffer full) — \
              the timeline in {path} is incomplete"
         );
-        doc.push("droppedEvents", JsonValue::from(dropped));
     }
-    match std::fs::write(path, format!("{doc}\n")) {
+    match std::fs::write(path, trace_export::render(&events, dropped)) {
         // A failed run is the primary error; only surface a write
         // failure when it would otherwise be silently lost.
         Ok(()) => result,
@@ -421,18 +421,12 @@ fn write_trace(path: &str, result: Result<bool, String>) -> Result<bool, String>
     }
 }
 
-/// Loads a Chrome trace-event file into a summary, carrying the
-/// document's `droppedEvents` marker along — shared by `trace summarize`
-/// and `trace diff`. Malformed JSON and corrupted documents surface as
-/// clean errors (exit 2), never a parser panic.
-fn load_trace_summary(path: &str) -> Result<wire::TraceSummary, String> {
+/// Loads a Chrome trace-event file into a summary — shared by `trace
+/// summarize` and `trace diff`. Malformed JSON and corrupted documents
+/// surface as clean errors (exit 2), never a parser panic.
+fn load_trace_summary(path: &str) -> Result<TraceSummary, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = JsonValue::parse(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))?;
-    let events = wire::events_from_doc(&doc).map_err(|e| format!("{path}: {e}"))?;
-    wire::check_well_formed(&events).map_err(|e| format!("{path}: {e}"))?;
-    let mut summary = wire::TraceSummary::from_events(&events);
-    summary.dropped_events = wire::dropped_events_field(&doc);
-    Ok(summary)
+    trace_export::summarize(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// The `trace` subcommand: offline tooling over Chrome trace-event files
@@ -467,7 +461,7 @@ fn trace_command(args: &[String]) -> Result<bool, Failure> {
         }
         Some("diff") => {
             let mut json = false;
-            let mut options = wire::DiffOptions::default();
+            let mut options = DiffOptions::default();
             let mut paths: Vec<&String> = Vec::new();
             let mut iter = args[1..].iter();
             while let Some(arg) = iter.next() {
@@ -504,7 +498,7 @@ fn trace_command(args: &[String]) -> Result<bool, Failure> {
             };
             let base = load_trace_summary(base_path)?;
             let new = load_trace_summary(new_path)?;
-            let diff = wire::diff_summaries(&base, &new, options);
+            let diff = diff_summaries(&base, &new, options);
             if json {
                 say!("{}", diff.to_json());
             } else {
@@ -995,7 +989,6 @@ fn execute<'a>(run: &'a Run, opts: &'a RunOptions) -> Result<RunReport<'a>, Stri
     let refs: Vec<&dyn DistributionPolicy> = policies.iter().map(Box::as_ref).collect();
     let mut engine = MultiRoundEngine::new(RoundSchedule::of(refs))
         .rounds(run.scenario.rounds)
-        .workers(opts.workers)
         .reshuffle_always(opts.reshuffle_always);
     if let Some(feedback) = run.scenario.feedback {
         for query in queries {
@@ -1023,7 +1016,7 @@ fn execute<'a>(run: &'a Run, opts: &'a RunOptions) -> Result<RunReport<'a>, Stri
     // Read out before the verify: the snapshot sorts a copy of each
     // histogram's samples, and made after the verify that copy raised the
     // peak RSS of a closure run by about 100 KB.
-    let metrics = wire::merged_registry_json(&[&engine.registry(), &transport_registry]);
+    let metrics = obs::Registry::merged_json(&[&engine.registry(), &transport_registry]);
 
     // Every query's answer against the global fixpoint of its centralized
     // iteration, computed once per distinct query (a scenario that repeats

@@ -16,11 +16,12 @@
 //!   transferability, strong minimality, conditions C0–C3.
 //! * [`logic`] — SAT / QBF solvers used as ground-truth oracles.
 //! * [`obs`] — the observability substrate: distributed tracing spans and
-//!   the unified metrics registry, zero-dependency and free when disabled.
+//!   the unified metrics registry, zero-dependency and free when disabled,
+//!   with the JSON, trace-file and metrics documents they render.
 //! * [`reductions`] — the paper's hardness reductions as instance generators.
-//! * [`wire`] — the serialization subsystem: binary codec and framing,
-//!   textual scenario format, JSON emitter and the cross-process
-//!   `WireTransport` (worker subprocesses over pipes or sockets).
+//! * [`wire`] — the worker protocol: binary codec and framing, textual
+//!   scenario format and the cross-process `WireTransport` (worker
+//!   subprocesses over pipes or sockets).
 //! * [`workloads`] — random query / instance / policy generators.
 //!
 //! The `oracle` crate — the scan evaluator and the Definition-level deciders
@@ -81,6 +82,7 @@ pub mod prelude {
         Network, Node, OneRoundEngine, RoundSchedule, RuleBasedPolicy, RunPlan, Shipment,
         Transport, TransportError,
     };
+    pub use obs::JsonValue;
     pub use pc_core::{
         check_parallel_correctness, check_parallel_correctness_bounded,
         check_parallel_correctness_on_instance, check_transfer, holds_c0, holds_c2, holds_c3,
@@ -88,7 +90,7 @@ pub mod prelude {
         multi_round_correct_on, validate_hypercube_family, CacheStats, MultiRoundInstanceReport,
         PcReport, TransferCache, TransferReport,
     };
-    pub use wire::{ExplicitSpec, JsonValue, Scenario, WireTransport};
+    pub use wire::{ExplicitSpec, Scenario, WireTransport};
     pub use workloads::{
         chain_query, example_3_5_query, named_instance, named_query, named_query_sequence,
         query_sequence_names, random_instance, random_query, star_query, triangle_query,

@@ -2,7 +2,7 @@
 //! exercised through a real process spawn, checking the documented exit-code
 //! contract (0 = property holds, 1 = it does not, 2 = usage/parse error).
 
-use pcq::wire::json::JsonValue;
+use pcq::obs::json::JsonValue;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1892,6 +1892,44 @@ fn trace_summarize_handles_degenerate_inputs_without_panicking() {
 }
 
 #[test]
+fn trace_tools_read_the_dropped_events_a_trace_file_carries() {
+    let dir = TempDir::new();
+    let traced = dir.path("traced.json");
+    let traced = traced.to_str().unwrap();
+    let run = [
+        "run",
+        PATH_2,
+        "hypercube:2",
+        "random:8:40",
+        "--trace",
+        traced,
+    ];
+    assert_eq!(pcq_analyze(&run), 0);
+    // A run whose buffers overflowed stamps the count into its trace file.
+    let text = std::fs::read_to_string(traced).unwrap();
+    let body = text.trim_end().strip_suffix('}').expect("one JSON object");
+    let with_dropped = |count: u64| format!("{body},\"droppedEvents\":{count}}}\n");
+    let seven = dir.write("seven.json", &with_dropped(7));
+    let five = dir.write("five.json", &with_dropped(5));
+    let (seven, five) = (seven.to_str().unwrap(), five.to_str().unwrap());
+
+    let (code, stdout) = pcq_analyze_output(&["trace", "summarize", seven]);
+    assert_eq!(code, 0, "{stdout}");
+    assert!(
+        stdout.contains("WARNING: 7 events dropped"),
+        "no warning: {stdout}"
+    );
+    let summary = json_of(&["trace", "summarize", seven, "--json"]);
+    assert_eq!(number(&summary, "dropped_events"), 7);
+    let diff = json_of(&["trace", "diff", seven, five, "--json"]);
+    assert_eq!(
+        number(&diff, "dropped_events"),
+        12,
+        "the sum of both inputs"
+    );
+}
+
+#[test]
 fn trace_diff_validates_its_arguments() {
     let dir = TempDir::new();
     let empty = dir.write("diff-empty.json", r#"{"traceEvents":[]}"#);
@@ -2165,7 +2203,7 @@ fn run_case(case: &Case, transport: &str, dir: &TempDir, tag: usize) -> Vec<u64>
     }
     let events = traced.then(|| {
         let trace = std::fs::read_to_string(trace).expect("the trace file");
-        pcq::wire::trace_export::parse_chrome_trace(&trace).expect("a Chrome trace")
+        pcq::obs::trace_export::parse_chrome_trace(&trace).expect("a Chrome trace")
     });
     let args_named = |event: &str, key: &str| -> Vec<String> {
         let events = events.iter().flatten().filter(|e| e.name == event);

@@ -9,8 +9,8 @@
 //! otherwise land in whichever trace is being recorded at the time.
 
 use pcq::obs;
+use pcq::obs::trace_export;
 use pcq::prelude::*;
-use pcq::wire::trace_export;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
@@ -735,10 +735,10 @@ fn round_latency_quantiles_in_the_export_match_the_registry_exactly() {
     assert!(snapshot.p99 <= snapshot.max);
     assert!(snapshot.min <= snapshot.p50);
 
-    // The wire export must carry the registry's quantiles bit-for-bit —
+    // The registry export must carry the registry's quantiles bit-for-bit —
     // the pinned contract behind the `counters` and `histograms` blocks of
     // `run --json`.
-    let doc = pcq::wire::registry_json(&registry);
+    let doc = registry.to_json();
     let exported = doc
         .get("histograms")
         .and_then(|h| h.get("round_latency_us"))
